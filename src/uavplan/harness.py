@@ -212,8 +212,31 @@ def write_json_atomic(path: Path, obj: dict) -> None:
 
 
 def read_json(path: Path) -> dict:
-    with open(path) as f:
-        return json.load(f)
+    """Parse one JSON artifact; unreadable or corrupt input is a
+    configuration error that names the file."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
+
+
+def read_jsonl(path: Path) -> list[dict]:
+    """Parse a JSON-lines artifact, one object per line; errors as in
+    ``read_json``, with the line number."""
+    try:
+        with open(path) as f:
+            lines = list(f)
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
+    out = []
+    for n, line in enumerate(lines, start=1):
+        try:
+            out.append(json.loads(line))
+        except json.JSONDecodeError as e:
+            raise ConfigurationError(
+                f"cannot read artifact {path}, line {n}: {e}") from e
+    return out
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -239,8 +262,7 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
                              out: Path) -> list[Instance]:
     path = out / "training_instances.jsonl"
     if path.exists():
-        with open(path) as f:
-            return [instance_from_dict(json.loads(line)) for line in f]
+        return [instance_from_dict(d) for d in read_jsonl(path)]
     instances = [
         sample_instance(cfg.train_seed_base + k, training_pool,
                         cfg.train_instance_size, cfg.depot, cfg.channel,
@@ -262,8 +284,7 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                  out: Path) -> list[Tour]:
     path = out / "oracle_tours.jsonl"
     if path.exists():
-        with open(path) as f:
-            return [tour_from_dict(json.loads(line)) for line in f]
+        return [tour_from_dict(d) for d in read_jsonl(path)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             tours = list(pool.map(_solve_one,
@@ -315,8 +336,8 @@ def iter_test_instances(cfg: ExperimentConfig, testing_pool):
             yield iid, inst
 
 
-def _evaluate_one(args):
-    iid, inst, wm, qtable, cfg = args
+def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
+                  cfg: ExperimentConfig):
     rows: list[MetricsRecord] = []
     artifacts: dict[str, dict] = {}
 
@@ -355,6 +376,21 @@ def _evaluate_one(args):
     return rows, artifacts
 
 
+# Set once in each eval worker process by its pool initializer, so the world
+# model, Q-table and config are sent once per worker rather than per task.
+_worker_shared: tuple[WorldModel, QTable, ExperimentConfig] | None = None
+
+
+def _init_eval_worker(wm: WorldModel, qtable: QTable,
+                      cfg: ExperimentConfig) -> None:
+    global _worker_shared
+    _worker_shared = (wm, qtable, cfg)
+
+
+def _evaluate_in_worker(task: tuple[str, Instance]):
+    return _evaluate_one(*task, *_worker_shared)
+
+
 def metrics_csv_text(rows: Sequence[MetricsRecord]) -> str:
     buf = io.StringIO()
     buf.write(f"# schema: {METRICS_SCHEMA}\n")
@@ -372,13 +408,15 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
     path = out / "metrics.csv"
     if path.exists():
         return read_metrics(path)
-    tasks = [(iid, inst, wm, qtable, cfg)
-             for iid, inst in iter_test_instances(cfg, testing_pool)]
+    tasks = list(iter_test_instances(cfg, testing_pool))
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_evaluate_one, tasks, chunksize=1))
+        with ProcessPoolExecutor(max_workers=cfg.workers,
+                                 initializer=_init_eval_worker,
+                                 initargs=(wm, qtable, cfg)) as pool:
+            results = list(pool.map(_evaluate_in_worker, tasks, chunksize=1))
     else:
-        results = [_evaluate_one(t) for t in tasks]
+        results = [_evaluate_one(iid, inst, wm, qtable, cfg)
+                   for iid, inst in tasks]
 
     rows: list[MetricsRecord] = []
     for task_rows, artifacts in results:

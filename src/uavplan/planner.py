@@ -5,15 +5,33 @@ the instance's letters into known and unseen, samples candidate
 reference words from the transition matrix, keeps the one closest (by
 edit distance) to the stored dictionary, and then grows the route one
 unseen letter at a time. Every possible single-edge insertion is scored
-by propagating a Gaussian belief over (cumulative rate, elapsed time)
-along the candidate route and measuring the Bhattacharyya distance to
-the belief implied by the current reference; the least surprising
-insertion wins.
+by the Bhattacharyya distance between the belief the candidate route
+predicts and the belief implied by the current reference; the least
+surprising insertion wins.
 
-State beliefs are 2-D Gaussians; the per-leg transition adds the next
-letter's mean profit and the leg travel time (plus dwell) to the mean
-and the process covariance to the covariance. Observations are the
-identity map plus measurement noise.
+State beliefs are 2-D Gaussians over (cumulative sum-rate, elapsed
+time); the per-leg transition adds the next letter's mean profit and the
+leg travel time (plus dwell) to the mean and the process covariance Q to
+the covariance (``kalman_predict``, folded over a word by ``rollout``).
+Observations are the identity map plus measurement noise R.
+
+With constant additive Q and R that fold has a closed form, which is
+what ``insert_best`` evaluates. Inserting letter x into edge (u, v) of a
+p-letter reference adds the detour d = |ux| + |xv| - |uv|. Every
+candidate covers the same letters and has p + 2 legs, so all candidates
+share the profit mean and the covariance (p+2)Q + R, and differ from the
+target only by d/v in time. The surprise is therefore
+(1/8) (d/v)^2 (S^-1)_tt + const with S and const fixed per step:
+monotone in d, i.e. the planner performs cheapest insertion
+(Rosenkrantz, Stearns & Lewis 1977). ``rollout`` and
+``expected_surprise`` remain the reference the tests check it against.
+
+Reference selection needs the exact minimum edit distance of each
+candidate to the dictionary. Stored words are repeat-free, so
+max(m, n) - |shared letters| bounds every distance from below; the
+world model's word index yields all bounds as one incidence-matrix
+product, and the dynamic program runs only on words whose bound can
+still beat the best distance found (Ukkonen 1985).
 """
 
 from __future__ import annotations
@@ -26,7 +44,7 @@ import numpy as np
 from .environment import Instance, MissionConfig, edge_cost
 from .errors import ConfigurationError, NumericError
 from .oracle import ObjectiveWeights, Tour, make_tour
-from .world_model import GeneralizedLetter, Word, WorldModel
+from .world_model import GeneralizedLetter, Word, WordIndex, WorldModel
 
 _SURPRISE_TIE = 1e-12
 _LENGTH_TIE = 1e-9
@@ -52,7 +70,7 @@ class GaussianBelief:
             if cov[0, 0] < -tol:
                 raise NumericError("covariance not positive semi-definite")
         elif mean.size == 2:
-            # closed-form symmetry/PSD check; this runs once per predicted leg
+            # closed-form symmetry/PSD check
             if abs(cov[0, 1] - cov[1, 0]) > tol:
                 raise NumericError("covariance not symmetric")
             det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
@@ -67,6 +85,17 @@ class GaussianBelief:
     @classmethod
     def zero(cls, dim: int = 2) -> "GaussianBelief":
         return cls(mean=np.zeros(dim), cov=np.zeros((dim, dim)))
+
+    def shifted(self, delta: np.ndarray) -> "GaussianBelief":
+        """The same covariance around a mean moved by ``delta``.
+
+        The covariance was validated when this belief was built and is
+        shared, not copied, so the check is not repeated.
+        """
+        out = object.__new__(GaussianBelief)
+        object.__setattr__(out, "mean", self.mean + delta)
+        object.__setattr__(out, "cov", self.cov)
+        return out
 
 
 @dataclass(frozen=True)
@@ -251,27 +280,32 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     return out
 
 
-def _min_dictionary_distance(letters: tuple, dictionary: Sequence[tuple]) -> int:
+def _min_dictionary_distance(letters: tuple, index: WordIndex) -> int:
     """Exact min edit distance of one candidate against the whole dictionary.
 
     Words carry no repeated letters, so aligned matches are bounded by the
-    set overlap and d >= max(m, n) - overlap. Scanning in bound order lets
-    the loop stop at the first bound the running best cannot beat.
+    set overlap and d >= max(m, n) - overlap. The overlaps with every
+    stored word are the incidence matrix times the candidate's 0/1 letter
+    vector, i.e. the sum of its letters' rows. Words are then scanned by
+    increasing bound (stored order within a bound), stopping at the first
+    bound the running best cannot beat.
     """
     m = len(letters)
-    cand_set = frozenset(letters)
-    bounded = sorted(
-        (max(m, len(t)) - len(cand_set.intersection(t)), t) for t in dictionary)
+    rows = [index.column[l] for l in letters if l in index.column]
+    bounds = (np.maximum(index.lengths, m)
+              - index.incidence[rows].sum(axis=0, dtype=np.int32))
+    words = index.letters
     best: int | None = None
-    for bound, t in bounded:
-        if best is not None and bound >= best:
-            break
-        d = _levenshtein(letters, t, best)
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                break
-    return best if best is not None else 0
+    level = int(bounds.min())
+    while best is None or level < best:
+        for k in np.flatnonzero(bounds == level).tolist():
+            d = _levenshtein(letters, words[k], best)
+            if best is None or d < best:
+                best = d
+                if best <= level:
+                    return best
+        level += 1
+    return best
 
 
 def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
@@ -280,11 +314,11 @@ def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
         raise ConfigurationError("no candidate words to select from")
     if not wm.words:
         raise ConfigurationError("world model has no stored words")
-    dictionary = [w.letters for w in wm.words]
+    index = wm.word_index
     best = candidates[0]
-    best_d = _min_dictionary_distance(candidates[0].letters, dictionary)
+    best_d = _min_dictionary_distance(candidates[0].letters, index)
     for cand in candidates[1:]:
-        d = _min_dictionary_distance(cand.letters, dictionary)
+        d = _min_dictionary_distance(cand.letters, index)
         if d < best_d:
             best, best_d = cand, d
     return best
@@ -308,24 +342,17 @@ def reference_edges(ref: Word) -> tuple[tuple[int | None, int | None], ...]:
 
 def enumerate_insertions(ref: Word, novel: int) -> list[PlanCandidate]:
     """All words obtained by splicing ``novel`` into one removable edge."""
-    letters = list(ref.letters)
+    letters = ref.letters
+    novel = int(novel)
     if novel in letters:
         raise ConfigurationError(f"letter {novel} already in reference")
     if not letters:
         return [PlanCandidate(word=Word.from_letters([novel]),
                               removed_edge=(None, None), inserted=novel)]
-    out: list[PlanCandidate] = []
-    for u, v in reference_edges(ref):
-        if u is None:
-            grown = [novel] + letters
-        elif v is None:
-            grown = letters + [novel]
-        else:
-            k = letters.index(u)
-            grown = letters[:k + 1] + [novel] + letters[k + 1:]
-        out.append(PlanCandidate(word=Word.from_letters(grown),
-                                 removed_edge=(u, v), inserted=novel))
-    return out
+    return [PlanCandidate(
+                word=ref._spliced(0 if u is None else letters.index(u) + 1, novel),
+                removed_edge=(u, v), inserted=novel)
+            for u, v in reference_edges(ref)]
 
 
 def _advance(b: GaussianBelief, leg_m: float, profit_bps: float,
@@ -370,27 +397,26 @@ def _regularized(cov: np.ndarray) -> np.ndarray:
     return cov + floor * np.eye(cov.shape[0])
 
 
-def expected_surprise(ref_belief: GaussianBelief,
-                      cand_obs: GaussianBelief) -> float:
-    """Bhattacharyya distance between two Gaussian beliefs (closed form).
+def _bhattacharyya_terms(cov1: np.ndarray,
+                         cov2: np.ndarray) -> tuple[np.ndarray, float]:
+    """(S^-1, log-determinant term) of the Bhattacharyya distance between
+    Gaussians with covariances cov1 and cov2, S their average.
 
-    (1/8) dm' S^-1 dm + (1/2) ln det(S) / sqrt(det S1 det S2) with S the
-    average covariance. Symmetric, zero iff the distributions coincide.
+    Both covariances get a tiny trace-relative floor; a singular S is
+    retried once with a larger bump before giving up.
     """
-    c1 = _regularized(ref_belief.cov)
-    c2 = _regularized(cand_obs.cov)
+    c1 = _regularized(cov1)
+    c2 = _regularized(cov2)
     mixed = 0.5 * (c1 + c2)
-    diff = ref_belief.mean - cand_obs.mean
     for attempt in range(2):
         try:
-            solved = np.linalg.solve(mixed, diff)
+            inverse = np.linalg.inv(mixed)
             sign_m, logdet_m = np.linalg.slogdet(mixed)
             sign_1, logdet_1 = np.linalg.slogdet(c1)
             sign_2, logdet_2 = np.linalg.slogdet(c2)
             if min(sign_m, sign_1, sign_2) <= 0:
                 raise np.linalg.LinAlgError("non-positive determinant")
-            quad = 0.125 * float(diff @ solved)
-            return max(quad + 0.5 * (logdet_m - 0.5 * (logdet_1 + logdet_2)), 0.0)
+            return inverse, 0.5 * (logdet_m - 0.5 * (logdet_1 + logdet_2))
         except np.linalg.LinAlgError:
             if attempt == 1:
                 raise NumericError("persistently singular covariance") from None
@@ -401,26 +427,60 @@ def expected_surprise(ref_belief: GaussianBelief,
     raise NumericError("unreachable")
 
 
+def expected_surprise(ref_belief: GaussianBelief,
+                      cand_obs: GaussianBelief) -> float:
+    """Bhattacharyya distance between two Gaussian beliefs (closed form).
+
+    (1/8) dm' S^-1 dm + (1/2) ln det(S) / sqrt(det S1 det S2) with S the
+    average covariance. Symmetric, zero iff the distributions coincide.
+    """
+    inverse, const = _bhattacharyya_terms(ref_belief.cov, cand_obs.cov)
+    diff = ref_belief.mean - cand_obs.mean
+    return max(0.125 * float(diff @ inverse @ diff) + const, 0.0)
+
+
 def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     """Insert one unseen letter where the expected surprise is smallest.
 
     The comparison target is the reference belief extended by the new
-    letter's own profit and dwell at zero detour, so candidates are
-    judged purely on the detour and uncertainty they add. Surprise ties
-    fall back to the shorter candidate tour, then the smaller word.
+    letter's own profit and dwell at zero detour: for p reference letters
+    and reference tour length L, its mean is (sum of the p + 1 profits,
+    L/v + (p+1) dwell) and its covariance (p+2)Q, or Q for an empty
+    reference, which has no legs. Splicing the letter into edge (u, v)
+    adds the detour d = |ux| + |xv| - |uv|, so that candidate predicts the
+    observation target mean + (0, d/v) with covariance (p+2)Q + R, shared
+    by all candidates. Its surprise is
+    max((1/8) (d/v)^2 (S^-1)_tt + const, 0), where S^-1 and const depend
+    only on the two covariances and are computed once per step, and its
+    tour length is L + d. The surprise grows with d, so this is cheapest
+    insertion. Surprise ties fall back to the shorter candidate tour,
+    then the smaller word.
     """
-    ref_belief = rollout(ref, ctx)
-    target = _advance(ref_belief, 0.0, ctx.profits[novel],
-                      ctx.mission.dwell_time_s, ctx)
+    letters = ref.letters
+    p = len(letters)
+    speed = ctx.mission.uav_speed_m_per_s
+    q = ctx.process_noise
+    ref_length = ctx.word_length_m(ref)
+    ref_legs = p + 1 if letters else 0
+    target = GaussianBelief(
+        mean=np.array([sum(ctx.profits[l] for l in letters) + ctx.profits[novel],
+                       ref_length / speed + (p + 1) * ctx.mission.dwell_time_s]),
+        cov=(ref_legs + 1) * q)
+    obs = GaussianBelief(mean=target.mean,
+                         cov=(p + 2) * q + ctx.measurement_noise)
+    inverse, const = _bhattacharyya_terms(target.cov, obs.cov)
+    per_detour_sq = 0.125 * float(inverse[1, 1]) / (speed * speed)
+
     candidates = []
     best_idx = 0
     for k, cand in enumerate(enumerate_insertions(ref, novel)):
-        belief = rollout(cand.word, ctx)
-        obs = predict_observation(belief, ctx)
+        u, v = cand.removed_edge
+        detour = (ctx.leg_length(u, novel) + ctx.leg_length(novel, v)
+                  - ctx.leg_length(u, v))
         scored = replace(cand,
-                         tour_length_m=ctx.word_length_m(cand.word),
-                         predicted_obs=obs,
-                         surprise=expected_surprise(target, obs))
+                         tour_length_m=ref_length + detour,
+                         predicted_obs=obs.shifted(np.array([0.0, detour / speed])),
+                         surprise=max(per_detour_sq * detour * detour + const, 0.0))
         candidates.append(scored)
         if k == 0:
             continue
@@ -474,42 +534,32 @@ def plan_mission(test: Instance, wm: WorldModel,
     decision trace.
     """
     cfg = cfg or PlannerConfig()
-    ctx = PlanContext.from_instance(test, wm)
-    normal, novel = classify_letters(test.ids, wm)
+    normal, _ = classify_letters(test.ids, wm)
     generated: list[Word] = []
     if normal:
         generated = generate_words(wm, sorted(normal), cfg.n_words, cfg.rng_seed)
         reference = select_reference(generated, wm)
     else:
         reference = Word.from_letters([])
-
-    word = reference
-    steps: list[InsertionStep] = []
-    inserted_order: list[int] = []
-    pending = sorted(novel)
-    while pending:
-        nxt = _next_novel(word, pending, ctx, cfg.insertion_order)
-        pending.remove(nxt)
-        step = insert_best(word, nxt, ctx)
-        steps.append(step)
-        inserted_order.append(nxt)
-        word = step.chosen.word
-
-    tour = make_tour(word.letters, test, cfg.weights)
-    return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
-                      generated=generated, reference=reference, steps=steps,
-                      final_word=word, tour=tour)
+    return _complete(reference, generated, normal, test, wm, cfg)
 
 
 def online_replan(current: Word, test: Instance, wm: WorldModel,
                   cfg: PlannerConfig | None = None) -> PlanResult:
     """Resume planning mid-mission: grow an existing word by the instance
     letters it does not yet cover, using the same insertion machinery."""
-    cfg = cfg or PlannerConfig()
+    normal, _ = classify_letters(test.ids, wm)
+    return _complete(current, [], normal, test, wm, cfg or PlannerConfig())
+
+
+def _complete(reference: Word, generated: list[Word], normal: frozenset[int],
+              test: Instance, wm: WorldModel, cfg: PlannerConfig) -> PlanResult:
+    """Insert every instance letter the reference lacks, one per step, and
+    realize the grown word as a tour."""
     ctx = PlanContext.from_instance(test, wm)
-    have = set(current.letters)
+    have = set(reference.letters)
     pending = sorted(i for i in test.ids if i not in have)
-    word = current
+    word = reference
     steps: list[InsertionStep] = []
     inserted_order: list[int] = []
     while pending:
@@ -520,9 +570,8 @@ def online_replan(current: Word, test: Instance, wm: WorldModel,
         inserted_order.append(nxt)
         word = step.chosen.word
     tour = make_tour(word.letters, test, cfg.weights)
-    normal, novel = classify_letters(test.ids, wm)
     return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
-                      generated=[], reference=current, steps=steps,
+                      generated=generated, reference=reference, steps=steps,
                       final_word=word, tour=tour)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -70,6 +71,30 @@ class Word:
             return cls(glyphs=(), terminal=None)
         glyphs = tuple(GeneralizedLetter(a, b) for a, b in zip(letters, letters[1:]))
         return cls(glyphs=glyphs, terminal=letters[-1])
+
+    def _spliced(self, position: int, letter: int) -> "Word":
+        """This non-empty word with ``letter``, which it must not contain,
+        inserted before index ``position`` (``len(self)`` appends).
+
+        Only the glyphs at the splice are new and the rest of the chain was
+        validated with this word, so the chain is not walked again.
+        """
+        glyphs, terminal = self.glyphs, self.terminal
+        if position == 0:
+            head = glyphs[0].start if glyphs else terminal
+            glyphs = (GeneralizedLetter(letter, head),) + glyphs
+        elif position == len(glyphs) + 1:
+            glyphs = glyphs + (GeneralizedLetter(terminal, letter),)
+            terminal = letter
+        else:
+            u, v = glyphs[position - 1]
+            glyphs = (glyphs[:position - 1]
+                      + (GeneralizedLetter(u, letter), GeneralizedLetter(letter, v))
+                      + glyphs[position:])
+        out = object.__new__(Word)
+        object.__setattr__(out, "glyphs", glyphs)
+        object.__setattr__(out, "terminal", terminal)
+        return out
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -235,10 +260,38 @@ class WorldModel:
     noise_config: NoiseConfig
     fingerprint: str
 
-    def start_distribution(self) -> np.ndarray:
-        counts = np.array([self.stats[l].start_count for l in self.vocab], float)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
+    @cached_property
+    def word_index(self) -> "WordIndex":
+        """Index of the stored words, built on first use. It is derived
+        state: not serialized, and stale if ``words`` is changed later."""
+        return WordIndex.build(self.words, self.vocab)
+
+
+@dataclass(frozen=True)
+class WordIndex:
+    """The stored words in a form for bounding edit distances in bulk.
+
+    ``incidence[column[letter], k]`` is 1 when stored word k contains
+    ``letter``. Rows are letters so that the overlap of a candidate with
+    every stored word, the product of the transposed matrix with the
+    candidate's 0/1 letter vector, is a sum of contiguous rows.
+    """
+
+    letters: tuple[tuple[int, ...], ...]
+    lengths: np.ndarray      # int64, one per word
+    incidence: np.ndarray    # uint8, vocabulary x words
+    column: dict[int, int]
+
+    @classmethod
+    def build(cls, words: Sequence[Word], vocab: Vocabulary) -> "WordIndex":
+        letters = tuple(w.letters for w in words)
+        column = {l: vocab.index(l) for l in vocab}
+        lengths = np.array([len(word) for word in letters], np.int64)
+        incidence = np.zeros((len(vocab), len(letters)), np.uint8)
+        incidence[[column[l] for word in letters for l in word],
+                  np.repeat(np.arange(len(letters)), lengths)] = 1
+        return cls(letters=letters, lengths=lengths, incidence=incidence,
+                   column=column)
 
 
 def _fingerprint(words: Sequence[Word], counts: Sequence[int]) -> str:

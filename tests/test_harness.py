@@ -214,6 +214,22 @@ class TestCli:
         p.write_text("{oops")
         assert cli_main(["gen-pool", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("artifact", ["world_model.json",
+                                          "training_instances.jsonl",
+                                          "oracle_tours.jsonl"])
+    def test_truncated_artifact_exits_2(self, tmp_path, capsys, artifact):
+        cfg = small_config(tmp_path / "cli5", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "cli5" / artifact
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(path) in err
+
     def test_plan_command(self, tmp_path):
         cfg = small_config(tmp_path / "cli3")
         run_pipeline(cfg)

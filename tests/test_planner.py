@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from uavplan.planner import (GaussianBelief, PlanContext, PlannerConfig,
                              classify_letters, enumerate_insertions,
                              expected_surprise, generate_words, insert_best,
                              kalman_predict, levenshtein, online_replan,
-                             plan_mission, reference_edges, rollout,
-                             select_reference)
-from uavplan.world_model import (GeneralizedLetter, NoiseConfig, Word, learn)
+                             plan_mission, predict_observation,
+                             reference_edges, rollout, select_reference)
+from uavplan.world_model import (GeneralizedLetter, NoiseConfig, Vocabulary,
+                                 Word, learn)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -216,6 +218,37 @@ class TestSelectReference:
                 assert win_d <= min(levenshtein(c, w) for w in wm.words)
 
 
+def random_repeat_free_word(rng, alphabet, max_len):
+    k = int(rng.integers(1, min(max_len, len(alphabet)) + 1))
+    return Word.from_letters([int(x) for x in rng.choice(alphabet, size=k,
+                                                         replace=False)])
+
+
+class TestSelectReferenceAgainstBruteForce:
+    """The indexed dictionary scan against a full scan of every stored word."""
+
+    def test_random_dictionaries(self, trained):
+        _, _, _, wm = trained
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            alphabet = np.arange(int(rng.integers(3, 25)))
+            words = {random_repeat_free_word(rng, alphabet, 9).letters
+                     for _ in range(int(rng.integers(1, 120)))}
+            # learn() stores words sorted; exactness must not depend on it
+            keys = sorted(words) if trial % 2 else list(words)
+            vocab = Vocabulary(l for k in keys for l in k)
+            world = replace(wm, vocab=vocab,
+                            words=[Word.from_letters(k) for k in keys],
+                            word_counts=[1] * len(keys))
+            # letters up to 4 past the alphabet are unknown to the dictionary
+            wider = np.arange(len(alphabet) + 4)
+            cands = [random_repeat_free_word(rng, wider, 12)
+                     for _ in range(int(rng.integers(1, 8)))]
+            dists = [min(reference_levenshtein(c.letters, k) for k in keys)
+                     for c in cands]
+            assert select_reference(cands, world) is cands[dists.index(min(dists))]
+
+
 class TestEnumerateInsertions:
     def test_three_letter_reference_gives_three(self):
         ref = Word.from_letters([1, 2, 3])
@@ -245,6 +278,7 @@ class TestEnumerateInsertions:
                 got = c.word.letters
                 assert got.count(novel) == 1
                 assert sorted(got) == sorted(letters + [novel])
+                assert c.word == Word.from_letters(got)
 
     def test_already_present_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -386,6 +420,90 @@ def independent_insertion_argmin(ref, novel, ctx):
             target_mean, target_cov + 1e-12 * np.eye(2),
             mean, cov + 1e-12 * np.eye(2)))
     return int(np.argmin(scores)), scores
+
+
+def rollout_insertion(ref, novel, ctx):
+    """insert_best computed the long way: fold the Kalman prediction over
+    every candidate word, score with the general Bhattacharyya distance,
+    then apply the planner's tie rule. Returns (winner, target, rows) with
+    one (surprise, tour length, predicted observation) row per candidate."""
+    b = rollout(ref, ctx)
+    target = GaussianBelief(
+        mean=b.mean + np.array([ctx.profits[novel], ctx.mission.dwell_time_s]),
+        cov=b.cov + ctx.process_noise)
+    rows = []
+    for cand in enumerate_insertions(ref, novel):
+        obs = predict_observation(rollout(cand.word, ctx), ctx)
+        rows.append((expected_surprise(target, obs),
+                     ctx.word_length_m(cand.word), obs, cand.word.letters))
+    best = 0
+    for k, (s, length, _, letters) in enumerate(rows[1:], start=1):
+        bs, blen, _, bletters = rows[best]
+        tol = 1e-12 * (1.0 + abs(bs))
+        if s < bs - tol or (abs(s - bs) <= tol and (
+                length < blen - 1e-9
+                or (abs(length - blen) <= 1e-9 and letters < bletters))):
+            best = k
+    return best, target, [r[:3] for r in rows]
+
+
+def random_noise(rng, sd_profit, sd_time):
+    """A constant 2x2 covariance with a random correlation."""
+    sp = sd_profit * rng.uniform(0.5, 2.0)
+    st = sd_time * rng.uniform(0.5, 2.0)
+    rho = rng.uniform(-0.9, 0.9)
+    return np.array([[sp * sp, rho * sp * st], [rho * sp * st, st * st]])
+
+
+class TestClosedFormAgainstRollout:
+    """Closed-form insert_best against rollout-based scoring."""
+
+    REL = 1e-8
+
+    def test_random_contexts_with_correlated_noise(self):
+        rng = np.random.default_rng(23)
+        clear, candidates = 0, 0
+        for trial in range(300):
+            p = trial % 13                     # covers empty and one-letter
+            ids = list(range(1, p + 1))
+            centers = {i: (float(rng.uniform(0, 2000)), float(rng.uniform(0, 2000)))
+                       for i in ids + [99]}
+            profits = {i: float(rng.uniform(1e6, 1e8)) for i in ids + [99]}
+            q = random_noise(rng, 0.02 * 5e7, 0.02 * 40.0)
+            mission = MissionConfig(uav_speed_m_per_s=float(rng.uniform(5, 40)),
+                                    dwell_time_s=float(rng.choice([0.0, 3.0])))
+            ctx = PlanContext(centers=centers, profits=profits,
+                              depot=(1000.0, 1000.0), mission=mission,
+                              process_noise=q,
+                              measurement_noise=random_noise(
+                                  rng, 0.01 * 5e7, 0.01 * 40.0))
+            ref = Word.from_letters(ids)
+            step = insert_best(ref, 99, ctx)
+            want, target, rows = rollout_insertion(ref, 99, ctx)
+
+            assert np.allclose(step.target.mean, target.mean, rtol=self.REL, atol=0)
+            assert np.allclose(step.target.cov, target.cov, rtol=self.REL, atol=0)
+            assert len(step.candidates) == len(rows)
+            for c, (s, length, obs) in zip(step.candidates, rows):
+                candidates += 1
+                assert c.surprise == pytest.approx(s, rel=self.REL)
+                assert c.tour_length_m == pytest.approx(length, rel=1e-12)
+                assert np.allclose(c.predicted_obs.mean, obs.mean,
+                                   rtol=self.REL, atol=0)
+                assert np.allclose(c.predicted_obs.cov, obs.cov,
+                                   rtol=self.REL, atol=0)
+            # the winner is the rollout's, unless the two are tied within
+            # the rollout's own rounding
+            surprises = [r[0] for r in rows]
+            best = surprises[want]
+            if all(abs(s - best) > self.REL * best
+                   for k, s in enumerate(surprises) if k != want):
+                clear += 1
+                assert step.winner_index == want
+            else:
+                assert surprises[step.winner_index] == pytest.approx(
+                    best, rel=self.REL)
+        assert candidates > 1000 and clear > 250
 
 
 class TestInsertBest:
