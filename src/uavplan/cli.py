@@ -12,8 +12,8 @@ from pathlib import Path
 
 from .environment import instance_from_dict
 from .errors import ConfigurationError, NumericError
-from .harness import (ExperimentConfig, config_to_dict, load_config,
-                      read_json, run_pipeline, stage_eval, stage_ql,
+from .harness import (ExperimentConfig, config_to_dict, load_artifact,
+                      load_config, run_pipeline, stage_eval, stage_ql,
                       stage_oracle, stage_pools, stage_report,
                       stage_training_instances, stage_world, write_json_atomic)
 from .planner import PlannerConfig, plan_mission, plan_to_dict
@@ -108,8 +108,8 @@ def cmd_train_ql(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    inst = instance_from_dict(read_json(Path(args.instance)))
-    wm = model_from_dict(read_json(Path(args.model)))
+    inst = load_artifact(Path(args.instance), instance_from_dict)
+    wm = load_artifact(Path(args.model), model_from_dict)
     cfg = PlannerConfig(n_words=args.n_words, rng_seed=args.seed)
     result = plan_mission(inst, wm, cfg)
     trace = plan_to_dict(result)

@@ -8,7 +8,6 @@ same objects bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -70,7 +69,6 @@ class MissionConfig:
     uav_altitude_m: float = 200.0
     uav_speed_m_per_s: float = 20.0
     dwell_time_s: float = 0.0
-    time_slot_s: float = 1.0
     area_side_m: float = 2000.0
 
     def __post_init__(self) -> None:
@@ -80,8 +78,8 @@ class MissionConfig:
             raise ConfigurationError("speed must be positive")
         if self.dwell_time_s < 0:
             raise ConfigurationError("dwell time cannot be negative")
-        if self.time_slot_s <= 0 or self.area_side_m <= 0:
-            raise ConfigurationError("time slot and area side must be positive")
+        if self.area_side_m <= 0:
+            raise ConfigurationError("area side must be positive")
 
 
 @dataclass(frozen=True)
@@ -295,8 +293,3 @@ def instance_from_dict(d: dict) -> Instance:
         mission=MissionConfig(**d["mission"]),
         seed=int(d["seed"]),
     )
-
-
-def dumps(obj: dict) -> str:
-    """Canonical JSON encoding used for all artifacts (stable byte-wise)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -5,6 +5,10 @@ stage with the same config reproduces its files byte for byte. Wall
 clock measurements go to a separate timings file so the metrics CSV
 stays deterministic. Files are written atomically (write then rename)
 and a stage is skipped when its artifact already exists.
+
+The frozen dataclasses under ``ExperimentConfig`` are the only description
+of the config: its JSON form is their ``asdict``, and reading one back
+takes every default from them and rejects any key they do not declare.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 
 import json
 
@@ -37,11 +41,14 @@ METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
                    "completion_time_s", "tour_length_m", "similarity_to_oracle"]
 METHODS = ("oracle", "ain", "mql")
 
+T = TypeVar("T")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
     mission: MissionConfig = field(default_factory=MissionConfig)
+    # the one objective: oracle, AIn tours and Q-learning all score with it
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
     noise: NoiseConfig = field(default_factory=NoiseConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
@@ -72,6 +79,8 @@ class ExperimentConfig:
             raise ConfigurationError("test sizes must be >= 1")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
+        if self.depot_m is not None and len(self.depot_m) != 2:
+            raise ConfigurationError("depot_m must be [x, y] or null")
 
     @property
     def depot(self) -> tuple[float, float]:
@@ -119,85 +128,57 @@ def word_similarity(w1: Word, w2: Word) -> float:
 
 # --- config (de)serialization ------------------------------------------------
 
+CONFIG_SCHEMA = "uavplan.config.v1"
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = {
-        "schema": "uavplan.config.v1",
-        "channel": asdict(cfg.channel),
-        "mission": asdict(cfg.mission),
-        "weights": asdict(cfg.weights),
-        "noise": asdict(cfg.noise),
-        "planner": {
-            "n_words": cfg.planner.n_words,
-            "rng_seed": cfg.planner.rng_seed,
-            "weights": asdict(cfg.planner.weights),
-            "insertion_order": cfg.planner.insertion_order,
-        },
-        "ql": {
-            "learning_rate": cfg.ql.learning_rate,
-            "discount": cfg.ql.discount,
-            "epsilon_start": cfg.ql.epsilon_start,
-            "epsilon_end": cfg.ql.epsilon_end,
-            "episodes": cfg.ql.episodes,
-            "temperature": cfg.ql.temperature,
-            "terminal_bonus": cfg.ql.terminal_bonus,
-            "match_tolerance": cfg.ql.match_tolerance,
-            "reference_bonus": cfg.ql.reference_bonus,
-            "weights": asdict(cfg.ql.weights),
-        },
-    }
-    for k in ("pool_seed", "testing_pool_size", "training_pool_size",
-              "mean_users", "depot_m", "m_training", "train_instance_size",
-              "train_seed_base", "test_sizes", "seeds_per_size",
-              "test_seed_base", "ql_train_seed", "output_dir", "workers"):
-        v = getattr(cfg, k)
-        d[k] = list(v) if isinstance(v, tuple) else v
-    return d
+    return {"schema": CONFIG_SCHEMA, **asdict(cfg)}
+
+
+def _dataclass_from_dict(cls, d, prefix: str = ""):
+    """Build dataclass ``cls`` from the keys present in ``d``; defaults come
+    from the dataclass. Nested dataclass fields recurse, JSON lists become
+    tuples (the config's sequences are tuples), and a key that is not a
+    field is an error naming its dotted path."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"config {prefix.rstrip('.') or 'root'} "
+                                 "must be a JSON object")
+    hints = get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
+    kwargs = {}
+    for key, value in d.items():
+        if key not in names:
+            raise ConfigurationError(f"unknown config key {prefix}{key}")
+        if is_dataclass(hints[key]):
+            value = _dataclass_from_dict(hints[key], value, f"{prefix}{key}.")
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    planner = d.get("planner", {})
-    ql = d.get("ql", {})
-    return ExperimentConfig(
-        channel=ChannelParams(**d.get("channel", {})),
-        mission=MissionConfig(**d.get("mission", {})),
-        weights=ObjectiveWeights(**d.get("weights", {})),
-        noise=NoiseConfig(**d.get("noise", {})),
-        planner=PlannerConfig(
-            n_words=planner.get("n_words", 10),
-            rng_seed=planner.get("rng_seed", 0),
-            weights=ObjectiveWeights(**planner.get("weights", {})),
-            insertion_order=planner.get("insertion_order", "centroid"),
-        ),
-        ql=QTrainConfig(
-            **{k: v for k, v in ql.items() if k != "weights"},
-            weights=ObjectiveWeights(**ql.get("weights", {})),
-        ),
-        pool_seed=d.get("pool_seed", 20240501),
-        testing_pool_size=d.get("testing_pool_size", 100),
-        training_pool_size=d.get("training_pool_size", 50),
-        mean_users=d.get("mean_users", 5.0),
-        depot_m=tuple(d["depot_m"]) if d.get("depot_m") else None,
-        m_training=d.get("m_training", 5000),
-        train_instance_size=d.get("train_instance_size", 5),
-        train_seed_base=d.get("train_seed_base", 1_000_000),
-        test_sizes=tuple(d.get("test_sizes", (5, 10, 20, 30, 40, 50))),
-        seeds_per_size=d.get("seeds_per_size", 5),
-        test_seed_base=d.get("test_seed_base", 9_000_000),
-        ql_train_seed=d.get("ql_train_seed", 777),
-        output_dir=d.get("output_dir", "out"),
-        workers=d.get("workers", 1),
-    )
+    d = dict(d)
+    schema = d.pop("schema", CONFIG_SCHEMA)
+    if schema != CONFIG_SCHEMA:
+        raise ConfigurationError(f"unsupported config schema {schema!r}")
+    return _dataclass_from_dict(ExperimentConfig, d)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path) as f:
             return config_from_dict(json.load(f))
-    except (OSError, json.JSONDecodeError, TypeError, KeyError) as e:
+    except (OSError, ValueError, TypeError, KeyError) as e:
         raise ConfigurationError(f"cannot load config {path}: {e}") from e
 
 
 # --- atomic artifact IO -------------------------------------------------------
+
+def _canonical_json(obj) -> str:
+    """The one JSON encoding of every artifact: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
 
 def write_text_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -207,8 +188,13 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 
 def write_json_atomic(path: Path, obj: dict) -> None:
-    write_text_atomic(path, json.dumps(obj, sort_keys=True,
-                                       separators=(",", ":")) + "\n")
+    write_text_atomic(path, _canonical_json(obj) + "\n")
+
+
+def write_jsonl_atomic(path: Path, objs: Iterable[dict]) -> None:
+    """One object per line. Pass a generator: then only the encoded lines,
+    not all the objects, are held at once."""
+    write_text_atomic(path, "".join(_canonical_json(o) + "\n" for o in objs))
 
 
 def read_json(path: Path) -> dict:
@@ -239,6 +225,31 @@ def read_jsonl(path: Path) -> list[dict]:
     return out
 
 
+def _read_csv(path: Path) -> list[dict]:
+    """Rows of a CSV artifact keyed by its header; ``#`` lines are skipped."""
+    try:
+        with open(path) as f:
+            return list(csv.DictReader(ln for ln in f if not ln.startswith("#")))
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
+
+
+def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T | list[T]:
+    """Read an artifact and build what it holds: a list with one object per
+    record of a ``.jsonl`` or ``.csv`` file, else one object from the JSON
+    file. Unreadable or corrupt input and a wrong shape (a missing key, a
+    wrong type or value) are configuration errors that name the file."""
+    read_records = {".jsonl": read_jsonl, ".csv": _read_csv}.get(path.suffix)
+    data = read_records(path) if read_records else read_json(path)
+    try:
+        if read_records:
+            return [from_dict(rec) for rec in data]
+        return from_dict(data)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigurationError(
+            f"malformed artifact {path}: {type(e).__name__}: {e}") from e
+
+
 # --- pipeline stages ----------------------------------------------------------
 
 def stage_pools(cfg: ExperimentConfig,
@@ -247,8 +258,7 @@ def stage_pools(cfg: ExperimentConfig,
     trained letters keep their identity at test time."""
     path = out / "pools.json"
     if path.exists():
-        d = read_json(path)
-        testing = pool_from_dict(d)
+        testing = load_artifact(path, pool_from_dict)
     else:
         testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
                               cfg.mean_users, cfg.mission, cfg.channel)
@@ -262,16 +272,14 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
                              out: Path) -> list[Instance]:
     path = out / "training_instances.jsonl"
     if path.exists():
-        return [instance_from_dict(d) for d in read_jsonl(path)]
+        return load_artifact(path, instance_from_dict)
     instances = [
         sample_instance(cfg.train_seed_base + k, training_pool,
                         cfg.train_instance_size, cfg.depot, cfg.channel,
                         cfg.mission)
         for k in range(cfg.m_training)
     ]
-    lines = [json.dumps(instance_to_dict(i), sort_keys=True,
-                        separators=(",", ":")) for i in instances]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_jsonl_atomic(path, (instance_to_dict(i) for i in instances))
     return instances
 
 
@@ -284,7 +292,7 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                  out: Path) -> list[Tour]:
     path = out / "oracle_tours.jsonl"
     if path.exists():
-        return [tour_from_dict(d) for d in read_jsonl(path)]
+        return load_artifact(path, tour_from_dict)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             tours = list(pool.map(_solve_one,
@@ -292,9 +300,7 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                                   chunksize=64))
     else:
         tours = [solve(i, cfg.weights) for i in instances]
-    lines = [json.dumps(tour_to_dict(t, cfg.weights), sort_keys=True,
-                        separators=(",", ":")) for t in tours]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_jsonl_atomic(path, (tour_to_dict(t, cfg.weights) for t in tours))
     return tours
 
 
@@ -302,7 +308,7 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
                 out: Path) -> WorldModel:
     path = out / "world_model.json"
     if path.exists():
-        return model_from_dict(read_json(path))
+        return load_artifact(path, model_from_dict)
     wm = learn(tours, training_pool, cfg.noise, cfg.mission)
     write_json_atomic(path, model_to_dict(wm))
     return wm
@@ -312,9 +318,10 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              tours: Sequence[Tour], out: Path) -> QTable:
     path = out / "qtable.json"
     if path.exists():
-        return qtable_from_dict(read_json(path))
-    q = train_q(list(zip(instances, tours)), cfg.ql, cfg.ql_train_seed)
-    write_json_atomic(path, qtable_to_dict(q, cfg.ql))
+        return load_artifact(path, qtable_from_dict)
+    q = train_q(list(zip(instances, tours)), cfg.ql, cfg.weights,
+                cfg.ql_train_seed)
+    write_json_atomic(path, qtable_to_dict(q, cfg.ql, cfg.weights))
     return q
 
 
@@ -347,7 +354,7 @@ def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
     oracle_word = word_from_tour(oracle_tour)
 
     t0 = time.perf_counter()
-    plan = plan_mission(inst, wm, cfg.planner)
+    plan = plan_mission(inst, wm, cfg.planner, cfg.weights)
     ain_wall = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -434,21 +441,20 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
     return rows
 
 
+def _metrics_record(rec: dict) -> MetricsRecord:
+    return MetricsRecord(
+        method=rec["method"], instance_id=rec["instance_id"],
+        n_hotspots=int(rec["n_hotspots"]),
+        total_sum_rate_bps=float(rec["total_sum_rate_bps"]),
+        completion_time_s=float(rec["completion_time_s"]),
+        tour_length_m=float(rec["tour_length_m"]),
+        similarity_to_oracle=float(rec["similarity_to_oracle"]),
+        wall_clock_s=0.0,
+    )
+
+
 def read_metrics(path: Path) -> list[MetricsRecord]:
-    rows = []
-    with open(path) as f:
-        lines = [ln for ln in f if not ln.startswith("#")]
-    for rec in csv.DictReader(lines):
-        rows.append(MetricsRecord(
-            method=rec["method"], instance_id=rec["instance_id"],
-            n_hotspots=int(rec["n_hotspots"]),
-            total_sum_rate_bps=float(rec["total_sum_rate_bps"]),
-            completion_time_s=float(rec["completion_time_s"]),
-            tour_length_m=float(rec["tour_length_m"]),
-            similarity_to_oracle=float(rec["similarity_to_oracle"]),
-            wall_clock_s=0.0,
-        ))
-    return rows
+    return load_artifact(path, _metrics_record)
 
 
 def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
@@ -531,9 +537,10 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> None:
 
     # polyline per tour: depot, ordered hotspot centers, depot
     for r in rows:
-        inst = instance_from_dict(read_json(out / f"instances/{r.instance_id}.json"))
-        tour = tour_from_dict(read_json(
-            out / f"tours/{r.instance_id}_{r.method}.json"))
+        inst = load_artifact(out / f"instances/{r.instance_id}.json",
+                             instance_from_dict)
+        tour = load_artifact(out / f"tours/{r.instance_id}_{r.method}.json",
+                             tour_from_dict)
         lines = ["x_m,y_m"]
         pts = [inst.depot_m] + [inst.hotspot(i).center_m for i in tour.order] \
             + [inst.depot_m]

@@ -15,7 +15,7 @@ sequence so that downstream dictionaries stay stable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .environment import Instance, edge_cost
 from .errors import ConfigurationError, ConsistencyError
@@ -274,12 +274,7 @@ def tour_to_dict(t: Tour, w: ObjectiveWeights) -> dict:
         "total_cost_m": t.total_cost_m,
         "total_profit_bps": t.total_profit_bps,
         "objective": t.objective,
-        "weights": {
-            "weight_alpha": w.weight_alpha,
-            "weight_beta": w.weight_beta,
-            "cost_scale": w.cost_scale,
-            "profit_scale": w.profit_scale,
-        },
+        "weights": asdict(w),
     }
 
 

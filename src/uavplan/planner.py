@@ -4,10 +4,13 @@ Given a test instance and a learned world model, the planner classifies
 the instance's letters into known and unseen, samples candidate
 reference words from the transition matrix, keeps the one closest (by
 edit distance) to the stored dictionary, and then grows the route one
-unseen letter at a time. Every possible single-edge insertion is scored
-by the Bhattacharyya distance between the belief the candidate route
-predicts and the belief implied by the current reference; the least
-surprising insertion wins.
+unseen letter at a time, always the one nearest to the centroid of the
+current word's letters (the depot while the word is empty). Every
+possible single-edge insertion is scored by the Bhattacharyya distance
+between the belief the candidate route predicts and the belief implied
+by the current reference; the least surprising insertion wins. The
+realized tour is scored with the experiment's one ``ObjectiveWeights``,
+passed in by the caller.
 
 State beliefs are 2-D Gaussians over (cumulative sum-rate, elapsed
 time); the per-leg transition adds the next letter's mean profit and the
@@ -36,7 +39,7 @@ still beat the best distance found (Ukkonen 1985).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -128,14 +131,10 @@ class InsertionStep:
 class PlannerConfig:
     n_words: int = 10
     rng_seed: int = 0
-    weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
-    insertion_order: str = "centroid"   # "centroid" | "id"
 
     def __post_init__(self) -> None:
         if self.n_words < 1:
             raise ConfigurationError("need at least one generated word")
-        if self.insertion_order not in ("centroid", "id"):
-            raise ConfigurationError("insertion_order must be 'centroid' or 'id'")
 
 
 @dataclass
@@ -509,10 +508,9 @@ class PlanResult:
     tour: Tour
 
 
-def _next_novel(word: Word, pending: list[int], ctx: PlanContext,
-                mode: str) -> int:
-    if mode == "id":
-        return pending[0]
+def _next_novel(word: Word, pending: list[int], ctx: PlanContext) -> int:
+    """The pending letter nearest the centroid of the word's letters (the
+    depot for an empty word); distance ties go to the lower id."""
     letters = word.letters
     if letters:
         xs = [ctx.centers[l][0] for l in letters]
@@ -524,14 +522,16 @@ def _next_novel(word: Word, pending: list[int], ctx: PlanContext,
 
 
 def plan_mission(test: Instance, wm: WorldModel,
-                 cfg: PlannerConfig | None = None) -> PlanResult:
+                 cfg: PlannerConfig | None = None,
+                 weights: ObjectiveWeights | None = None) -> PlanResult:
     """Full online planning pass over one test instance.
 
     Classify letters, sample and select a reference word over the known
-    ones, then insert unseen letters one at a time (nearest to the
-    current graph centroid first), re-enumerating the grown graph's edges
-    at every step. Returns the final word, the realized tour and the full
-    decision trace.
+    ones, then insert unseen letters one at a time, always the one nearest
+    to the centroid of the current word's letters first, re-enumerating
+    the grown graph's edges at every step. Returns the final word, the
+    realized tour (scored with ``weights``, the experiment's objective)
+    and the full decision trace.
     """
     cfg = cfg or PlannerConfig()
     normal, _ = classify_letters(test.ids, wm)
@@ -541,19 +541,20 @@ def plan_mission(test: Instance, wm: WorldModel,
         reference = select_reference(generated, wm)
     else:
         reference = Word.from_letters([])
-    return _complete(reference, generated, normal, test, wm, cfg)
+    return _complete(reference, generated, normal, test, wm, weights)
 
 
 def online_replan(current: Word, test: Instance, wm: WorldModel,
-                  cfg: PlannerConfig | None = None) -> PlanResult:
+                  weights: ObjectiveWeights | None = None) -> PlanResult:
     """Resume planning mid-mission: grow an existing word by the instance
     letters it does not yet cover, using the same insertion machinery."""
     normal, _ = classify_letters(test.ids, wm)
-    return _complete(current, [], normal, test, wm, cfg or PlannerConfig())
+    return _complete(current, [], normal, test, wm, weights)
 
 
 def _complete(reference: Word, generated: list[Word], normal: frozenset[int],
-              test: Instance, wm: WorldModel, cfg: PlannerConfig) -> PlanResult:
+              test: Instance, wm: WorldModel,
+              weights: ObjectiveWeights | None) -> PlanResult:
     """Insert every instance letter the reference lacks, one per step, and
     realize the grown word as a tour."""
     ctx = PlanContext.from_instance(test, wm)
@@ -563,13 +564,13 @@ def _complete(reference: Word, generated: list[Word], normal: frozenset[int],
     steps: list[InsertionStep] = []
     inserted_order: list[int] = []
     while pending:
-        nxt = _next_novel(word, pending, ctx, cfg.insertion_order)
+        nxt = _next_novel(word, pending, ctx)
         pending.remove(nxt)
         step = insert_best(word, nxt, ctx)
         steps.append(step)
         inserted_order.append(nxt)
         word = step.chosen.word
-    tour = make_tour(word.letters, test, cfg.weights)
+    tour = make_tour(word.letters, test, weights or ObjectiveWeights())
     return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
                       generated=generated, reference=reference, steps=steps,
                       final_word=word, tour=tour)

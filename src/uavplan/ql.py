@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class QTrainConfig:
     terminal_bonus: float = 1.0
     match_tolerance: float = 0.05
     reference_bonus: float = 0.5
-    weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.learning_rate <= 1.0):
@@ -52,7 +51,6 @@ class QTrainConfig:
 @dataclass
 class QTable:
     values: dict[tuple[int, int], float]
-    counts: dict[tuple[int, int], int]
     letters: set[int]
     fingerprint: str = ""
 
@@ -79,19 +77,20 @@ def _center(inst: Instance, state: int):
 
 
 def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
-            rng_seed: int) -> QTable:
+            weights: ObjectiveWeights, rng_seed: int) -> QTable:
     """Episodic Q-learning over the demonstration instances.
 
     Each episode walks one instance from the depot with epsilon-greedy
     next-letter choices among the unvisited set; reward per step is
-    -alpha * leg / nn_cost + beta * profit / total_profit, and the last
-    step also pays the return leg and, on a near-demonstration tour, the
-    terminal bonus.
+    -alpha * leg / nn_cost + beta * profit / total_profit with alpha and
+    beta from ``weights`` (the objective the demonstrations were solved
+    with), and the last step also pays the return leg and, on a
+    near-demonstration tour, the terminal bonus.
     """
     if not training:
         raise TrainingError("no training instances for Q-learning")
     rng = np.random.default_rng(rng_seed)
-    table = QTable(values={}, counts={}, letters=set(),
+    table = QTable(values={}, letters=set(),
                    fingerprint=_training_fingerprint(training))
     prepared = []
     for inst, demo in training:
@@ -99,8 +98,8 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
         prepared.append((inst, demo, cost_scale, profit_scale))
         table.letters.update(inst.ids)
 
-    alpha = cfg.weights.weight_alpha
-    beta = cfg.weights.weight_beta
+    alpha = weights.weight_alpha
+    beta = weights.weight_beta
     for ep in range(cfg.episodes):
         if cfg.episodes > 1:
             frac = ep / (cfg.episodes - 1)
@@ -130,14 +129,13 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
                 realized = objective_value(tour_length(order, inst),
                                            sum(inst.hotspot(i).profit_bps
                                                for i in sorted(order)),
-                                           cfg.weights)
+                                           weights)
                 if abs(realized - demo.objective) <= cfg.match_tolerance * abs(demo.objective):
                     reward += cfg.terminal_bonus
                 target = reward
             key = (state, action)
             old = table.values.get(key, 0.0)
             table.values[key] = old + cfg.learning_rate * (target - old)
-            table.counts[key] = table.counts.get(key, 0) + 1
             state = action
     return table
 
@@ -191,37 +189,21 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     return Word.from_letters(order)
 
 
-def qtable_to_dict(q: QTable, cfg: QTrainConfig) -> dict:
+def qtable_to_dict(q: QTable, cfg: QTrainConfig,
+                   weights: ObjectiveWeights) -> dict:
     return {
         "schema": "uavplan.qtable.v1",
         "values": [[s, a, v] for (s, a), v in sorted(q.values.items())],
-        "counts": [[s, a, c] for (s, a), c in sorted(q.counts.items())],
         "letters": sorted(q.letters),
         "fingerprint": q.fingerprint,
-        "config": {
-            "learning_rate": cfg.learning_rate,
-            "discount": cfg.discount,
-            "epsilon_start": cfg.epsilon_start,
-            "epsilon_end": cfg.epsilon_end,
-            "episodes": cfg.episodes,
-            "temperature": cfg.temperature,
-            "terminal_bonus": cfg.terminal_bonus,
-            "match_tolerance": cfg.match_tolerance,
-            "reference_bonus": cfg.reference_bonus,
-            "weights": {
-                "weight_alpha": cfg.weights.weight_alpha,
-                "weight_beta": cfg.weights.weight_beta,
-                "cost_scale": cfg.weights.cost_scale,
-                "profit_scale": cfg.weights.profit_scale,
-            },
-        },
+        "config": asdict(cfg),
+        "weights": asdict(weights),
     }
 
 
 def qtable_from_dict(d: dict) -> QTable:
     return QTable(
         values={(int(s), int(a)): float(v) for s, a, v in d["values"]},
-        counts={(int(s), int(a)): int(c) for s, a, c in d["counts"]},
         letters=set(int(x) for x in d["letters"]),
         fingerprint=str(d.get("fingerprint", "")),
     )

@@ -1,12 +1,13 @@
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uavplan.cli import main as cli_main
-from uavplan.environment import MissionConfig
+from uavplan.environment import MissionConfig, instance_from_dict
 from uavplan.harness import (ExperimentConfig, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, load_config, mission_sum_rate,
@@ -154,6 +155,22 @@ class TestPipeline:
             assert a.method == b.method and a.instance_id == b.instance_id
             assert a.completion_time_s == b.completion_time_s
 
+    def test_artifacts_record_the_weights_they_are_scored_with(self, tmp_path):
+        weights = ObjectiveWeights(weight_alpha=0.5, weight_beta=0.5)
+        cfg = small_config(tmp_path / "run", weights=weights)
+        rows = run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        for r in rows:
+            inst = instance_from_dict(json.loads(
+                (out / f"instances/{r.instance_id}.json").read_text()))
+            tour = json.loads(
+                (out / f"tours/{r.instance_id}_{r.method}.json").read_text())
+            assert tour["weights"] == asdict(weights)
+            assert tour["objective"] == make_tour(tour["order"], inst,
+                                                  weights).objective
+        qtable = json.loads((out / "qtable.json").read_text())
+        assert qtable["weights"] == asdict(weights)
+
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = small_config(tmp_path / "s", workers=1)
         parallel = small_config(tmp_path / "p", workers=2)
@@ -209,22 +226,54 @@ class TestCli:
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["report", "--config", str(cfg_path)]) == 2
 
-    def test_bad_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("text,named", [
+        pytest.param("{oops", "broken.json", id="broken-json"),
+        pytest.param('{"m_trainng": 7}', "m_trainng", id="m_trainng"),
+        pytest.param('{"planner": {"n_word": 3}}', "planner.n_word",
+                     id="planner.n_word"),
+        pytest.param('{"mission": {"time_slot_s": 1.0}}',
+                     "mission.time_slot_s", id="mission.time_slot_s"),
+        pytest.param('{"depot_m": []}', "depot_m", id="depot_m")])
+    def test_bad_config_exits_2(self, tmp_path, capsys, text, named):
+        """A corrupt config, one with a key the dataclasses do not declare,
+        or an invalid value exits 2 naming the file or the key."""
         p = tmp_path / "broken.json"
-        p.write_text("{oops")
+        p.write_text(text)
         assert cli_main(["gen-pool", "--config", str(p)]) == 2
+        assert named in capsys.readouterr().err
 
-    @pytest.mark.parametrize("artifact", ["world_model.json",
-                                          "training_instances.jsonl",
-                                          "oracle_tours.jsonl"])
-    def test_truncated_artifact_exits_2(self, tmp_path, capsys, artifact):
+    def test_show_config_round_trips(self, tmp_path, capsys):
+        assert cli_main(["show-config"]) == 0
+        printed = capsys.readouterr().out
+        p = tmp_path / "cfg.json"
+        p.write_text(printed)
+        assert cli_main(["show-config", "--config", str(p)]) == 0
+        assert capsys.readouterr().out == printed
+
+    @pytest.mark.parametrize("artifact,missing_key", [
+        pytest.param("world_model.json", None, id="world_model.json"),
+        pytest.param("training_instances.jsonl", None,
+                     id="training_instances.jsonl"),
+        pytest.param("oracle_tours.jsonl", None, id="oracle_tours.jsonl"),
+        pytest.param("world_model.json", "words",
+                     id="world_model.json-missing-words"),
+        pytest.param("qtable.json", "values", id="qtable.json-missing-values")])
+    def test_truncated_artifact_exits_2(self, tmp_path, capsys, artifact,
+                                        missing_key):
+        """A truncated artifact, or valid JSON with a key missing, exits 2
+        with a message naming the file."""
         cfg = small_config(tmp_path / "cli5", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
         path = tmp_path / "cli5" / artifact
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
+        if missing_key is None:
+            data = path.read_bytes()
+            path.write_bytes(data[:len(data) // 2])
+        else:
+            obj = json.loads(path.read_text())
+            del obj[missing_key]
+            path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err

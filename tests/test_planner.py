@@ -670,6 +670,6 @@ class TestPlanMission:
         grown = Instance(hotspots=inst.hotspots + tuple(extra),
                          depot_m=inst.depot_m, channel=chan, mission=mission,
                          seed=inst.seed)
-        res = online_replan(first.final_word, grown, wm, PlannerConfig())
+        res = online_replan(first.final_word, grown, wm)
         assert sorted(res.final_word.letters) == sorted(grown.ids)
         assert len(res.steps) == 2

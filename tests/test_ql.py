@@ -5,11 +5,13 @@ import pytest
 
 from uavplan.environment import edge_cost, sample_instance, sample_pool
 from uavplan.errors import TrainingError
-from uavplan.oracle import (nearest_neighbor_construct, objective_value,
-                            solve, tour_length)
+from uavplan.oracle import (ObjectiveWeights, nearest_neighbor_construct,
+                            objective_value, solve, tour_length)
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_from_dict, qtable_to_dict, train_q)
 from uavplan.world_model import Word
+
+W = ObjectiveWeights()
 
 
 @pytest.fixture
@@ -23,7 +25,7 @@ def two_hotspot_world(make_instance, default_weights):
 def value_iteration_two_letters(inst, demo, cfg):
     """Exact fixed point of the update rule on the two-letter world."""
     a, b = sorted(inst.ids)
-    alpha, beta = cfg.weights.weight_alpha, cfg.weights.weight_beta
+    alpha, beta = W.weight_alpha, W.weight_beta
     nn = nearest_neighbor_construct(inst)
     cost_scale = nn.total_cost_m
     profit_scale = sum(h.profit_bps for h in inst.hotspots)
@@ -41,7 +43,7 @@ def value_iteration_two_letters(inst, demo, cfg):
         r = step_reward(u, v) - alpha * leg(v, DEPOT_STATE) / cost_scale
         realized = objective_value(
             tour_length(order, inst),
-            sum(inst.hotspot(i).profit_bps for i in sorted(order)), cfg.weights)
+            sum(inst.hotspot(i).profit_bps for i in sorted(order)), W)
         if abs(realized - demo.objective) <= cfg.match_tolerance * abs(demo.objective):
             r += cfg.terminal_bonus
         return r
@@ -57,18 +59,18 @@ def value_iteration_two_letters(inst, demo, cfg):
 class TestTrainQ:
     def test_zero_episodes_zero_table(self, two_hotspot_world):
         inst, demo = two_hotspot_world
-        table = train_q([(inst, demo)], QTrainConfig(episodes=0), 1)
+        table = train_q([(inst, demo)], QTrainConfig(episodes=0), W, 1)
         assert table.values == {}
         assert table.q(DEPOT_STATE, inst.ids[0]) == 0.0
 
     def test_empty_training_rejected(self):
         with pytest.raises(TrainingError):
-            train_q([], QTrainConfig(episodes=10), 1)
+            train_q([], QTrainConfig(episodes=10), W, 1)
 
     def test_converges_to_value_iteration_fixed_point(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=20000)
-        table = train_q([(inst, demo)], cfg, 3)
+        table = train_q([(inst, demo)], cfg, W, 3)
         expected = value_iteration_two_letters(inst, demo, cfg)
         for key, val in expected.items():
             assert table.q(*key) == pytest.approx(val, abs=1e-6)
@@ -76,7 +78,7 @@ class TestTrainQ:
     def test_greedy_rollout_reproduces_oracle_order(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=20000, temperature=0.0)
-        table = train_q([(inst, demo)], cfg, 3)
+        table = train_q([(inst, demo)], cfg, W, 3)
         word = construct_word(table, None, inst, 0, cfg)
         assert word.letters == demo.order
 
@@ -88,7 +90,7 @@ class TestTrainQ:
             inst = sample_instance(600 + k, pool, 4, (1000.0, 1000.0),
                                    chan, mission)
             training.append((inst, solve(inst, default_weights)))
-        table = train_q(training, QTrainConfig(episodes=300), 5)
+        table = train_q(training, QTrainConfig(episodes=300), W, 5)
         assert table.letters <= {h.id for h in pool}
         assert all(s == DEPOT_STATE or s in table.letters
                    for (s, _) in table.values)
@@ -96,8 +98,8 @@ class TestTrainQ:
     def test_deterministic(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=500)
-        t1 = train_q([(inst, demo)], cfg, 11)
-        t2 = train_q([(inst, demo)], cfg, 11)
+        t1 = train_q([(inst, demo)], cfg, W, 11)
+        t2 = train_q([(inst, demo)], cfg, W, 11)
         assert t1.values == t2.values
 
 
@@ -106,7 +108,7 @@ class TestConstructWord:
         pool = sample_pool(31, 10, 5.0, mission, chan)
         inst = sample_instance(700, pool, 6, (1000.0, 1000.0), chan, mission)
         table = train_q([(inst, solve(inst, default_weights))],
-                        QTrainConfig(episodes=200), 5)
+                        QTrainConfig(episodes=200), default_weights, 5)
         for seed in range(10):
             word = construct_word(table, None, inst, seed,
                                   QTrainConfig(episodes=0))
@@ -114,14 +116,14 @@ class TestConstructWord:
 
     def test_single_letter_instance(self, make_instance):
         inst = make_instance([(50.0, 0.0)])
-        table = QTable(values={}, counts={}, letters=set())
+        table = QTable(values={}, letters=set())
         word = construct_word(table, None, inst, 0, QTrainConfig(episodes=0))
         assert word.letters == (1,)
 
     def test_zero_temperature_is_greedy_argmax(self, make_instance):
         inst = make_instance([(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)])
         table = QTable(values={(DEPOT_STATE, 2): 5.0, (2, 3): 5.0, (3, 1): 5.0},
-                       counts={}, letters={1, 2, 3})
+                       letters={1, 2, 3})
         cfg = QTrainConfig(episodes=0, temperature=0.0)
         word = construct_word(table, None, inst, 0, cfg)
         assert word.letters == (2, 3, 1)
@@ -129,7 +131,7 @@ class TestConstructWord:
     def test_novel_letters_fall_back_to_distance(self, make_instance):
         # empty table: nearest-first greedy from the depot
         inst = make_instance([(300.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
-        table = QTable(values={}, counts={}, letters=set())
+        table = QTable(values={}, letters=set())
         cfg = QTrainConfig(episodes=0, temperature=0.0)
         word = construct_word(table, None, inst, 0, cfg)
         assert word.letters == (2, 3, 1)
@@ -140,7 +142,7 @@ class TestConstructWord:
         pts = [(r * math.cos(a), r * math.sin(a))
                for a in np.linspace(0, 2 * math.pi, 5)[:4]]
         inst = make_instance(pts, depot=(0.0, 0.0))
-        table = QTable(values={}, counts={}, letters={1, 2, 3, 4})
+        table = QTable(values={}, letters={1, 2, 3, 4})
         cfg = QTrainConfig(episodes=0, temperature=0.0)
         ref = Word.from_letters([3, 1, 2, 4])
         word = construct_word(table, ref, inst, 0, cfg)
@@ -150,7 +152,7 @@ class TestConstructWord:
         inst = make_instance([(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)])
         table = QTable(values={(DEPOT_STATE, 1): 0.30, (DEPOT_STATE, 2): 0.20,
                                (DEPOT_STATE, 3): 0.10},
-                       counts={}, letters={1, 2, 3})
+                       letters={1, 2, 3})
         cfg = QTrainConfig(episodes=0, temperature=0.2)
         n = 10_000
         firsts = [construct_word(table, None, inst, seed, cfg).letters[0]
@@ -165,7 +167,7 @@ class TestConstructWord:
 
     def test_deterministic_under_seed(self, make_instance):
         inst = make_instance([(100.0, 0.0), (200.0, 50.0), (50.0, 300.0)])
-        table = QTable(values={}, counts={}, letters=set())
+        table = QTable(values={}, letters=set())
         cfg = QTrainConfig(episodes=0, temperature=0.5)
         a = construct_word(table, None, inst, 42, cfg)
         b = construct_word(table, None, inst, 42, cfg)
@@ -176,9 +178,8 @@ class TestQTableSerialization:
     def test_round_trip(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=200)
-        table = train_q([(inst, demo)], cfg, 7)
-        back = qtable_from_dict(qtable_to_dict(table, cfg))
+        table = train_q([(inst, demo)], cfg, W, 7)
+        back = qtable_from_dict(qtable_to_dict(table, cfg, W))
         assert back.values == table.values
-        assert back.counts == table.counts
         assert back.letters == table.letters
         assert back.fingerprint == table.fingerprint != ""
