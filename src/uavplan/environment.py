@@ -247,6 +247,24 @@ def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
 
 # --- JSON schemas -----------------------------------------------------------
 
+# asdict of each config block object seen lately, keyed by id(); the entry
+# holds the object itself, so its id cannot be reused while it is cached.
+_BLOCK_DICTS: dict[int, tuple[object, dict]] = {}
+
+
+def block_dict(block) -> dict:
+    """``asdict`` of a frozen config block of scalar fields (channel,
+    mission, weights), computed once per block object; each call returns a
+    fresh shallow copy. Keyed by identity, not equality: equal blocks may
+    still differ in their JSON (``0.0`` == ``-0.0``)."""
+    hit = _BLOCK_DICTS.get(id(block))
+    if hit is None:
+        if len(_BLOCK_DICTS) >= 64:
+            _BLOCK_DICTS.clear()
+        hit = _BLOCK_DICTS[id(block)] = (block, asdict(block))
+    return dict(hit[1])
+
+
 def hotspot_to_dict(h: Hotspot) -> dict:
     return {"id": h.id, "center_m": list(h.center_m), "num_users": h.num_users,
             "profit_bps": h.profit_bps}
@@ -279,8 +297,8 @@ def instance_to_dict(inst: Instance) -> dict:
         "schema": "uavplan.instance.v1",
         "seed": inst.seed,
         "depot_m": list(inst.depot_m),
-        "mission": asdict(inst.mission),
-        "channel": asdict(inst.channel),
+        "mission": block_dict(inst.mission),
+        "channel": block_dict(inst.channel),
         "hotspots": [hotspot_to_dict(h) for h in inst.hotspots],
     }
 

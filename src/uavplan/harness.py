@@ -27,9 +27,10 @@ from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 import json
 
 from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
-                          instance_from_dict, instance_to_dict, pool_from_dict,
-                          pool_to_dict, sample_instance, sample_pool)
-from .errors import ConfigurationError
+                          block_dict, instance_from_dict, instance_to_dict,
+                          pool_from_dict, pool_to_dict, sample_instance,
+                          sample_pool)
+from .errors import ConfigurationError, ConsistencyError
 from .oracle import ObjectiveWeights, Tour, make_tour, solve, tour_from_dict, tour_to_dict
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import QTable, QTrainConfig, construct_word, qtable_from_dict, qtable_to_dict, train_q
@@ -250,6 +251,23 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T | list[T]:
             f"malformed artifact {path}: {type(e).__name__}: {e}") from e
 
 
+def _recorded_with(weights: ObjectiveWeights, path: Path,
+                   from_dict: Callable[[dict], T]) -> Callable[[dict], T]:
+    """``from_dict`` for a reused artifact that records the weights it was
+    computed with: a record whose ``weights`` differ from the config's is a
+    configuration error naming the file and both weight sets."""
+    want = block_dict(weights)
+
+    def build(d: dict) -> T:
+        if d["weights"] != want:
+            raise ConfigurationError(
+                f"{path} was computed with weights "
+                f"{_canonical_json(d['weights'])}, but the config has weights "
+                f"{_canonical_json(want)}; remove it or use another output_dir")
+        return from_dict(d)
+    return build
+
+
 # --- pipeline stages ----------------------------------------------------------
 
 def stage_pools(cfg: ExperimentConfig,
@@ -292,7 +310,8 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                  out: Path) -> list[Tour]:
     path = out / "oracle_tours.jsonl"
     if path.exists():
-        return load_artifact(path, tour_from_dict)
+        return load_artifact(path, _recorded_with(cfg.weights, path,
+                                                  tour_from_dict))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             tours = list(pool.map(_solve_one,
@@ -318,7 +337,8 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              tours: Sequence[Tour], out: Path) -> QTable:
     path = out / "qtable.json"
     if path.exists():
-        return load_artifact(path, qtable_from_dict)
+        return load_artifact(path, _recorded_with(cfg.weights, path,
+                                                  qtable_from_dict))
     q = train_q(list(zip(instances, tours)), cfg.ql, cfg.weights,
                 cfg.ql_train_seed)
     write_json_atomic(path, qtable_to_dict(q, cfg.ql, cfg.weights))
@@ -539,11 +559,15 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> None:
     for r in rows:
         inst = load_artifact(out / f"instances/{r.instance_id}.json",
                              instance_from_dict)
-        tour = load_artifact(out / f"tours/{r.instance_id}_{r.method}.json",
-                             tour_from_dict)
+        tour_path = out / f"tours/{r.instance_id}_{r.method}.json"
+        tour = load_artifact(tour_path, tour_from_dict)
         lines = ["x_m,y_m"]
-        pts = [inst.depot_m] + [inst.hotspot(i).center_m for i in tour.order] \
-            + [inst.depot_m]
+        try:
+            centers = [inst.hotspot(i).center_m for i in tour.order]
+        except ConsistencyError as e:
+            raise ConfigurationError(
+                f"malformed artifact {tour_path}: {e}") from e
+        pts = [inst.depot_m] + centers + [inst.depot_m]
         for x, y in pts:
             lines.append(f"{x!r},{y!r}")
         write_text_atomic(out / f"trajectories/{r.instance_id}_{r.method}.csv",

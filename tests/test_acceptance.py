@@ -150,6 +150,7 @@ class TestAcceptance:
               f"{'PASS' if agree == 100 else 'FAIL'} ({agree}/100 agree)")
         assert agree == 100
 
+    @pytest.mark.slow
     def test_c6_sum_rate_reproduction(self, full_scale_run):
         """AIn covers every hotspot and matches the oracle sum-rate exactly."""
         cfg, rows, out, _ = full_scale_run
@@ -175,6 +176,7 @@ class TestAcceptance:
         qtable = json.loads((out / "qtable.json").read_text())
         assert len(qtable["letters"]) <= 50
 
+    @pytest.mark.slow
     def test_c7_completion_time_ordering(self, full_scale_run):
         """At 20 hotspots: oracle <= AIn < MQL; AIn/oracle ratio recorded."""
         cfg, rows, out, elapsed = full_scale_run
@@ -198,6 +200,7 @@ class TestAcceptance:
         row20 = [ln for ln in ratios if ln.startswith("20,")]
         assert row20 and abs(float(row20[0].split(",")[1]) - ratio) < 1e-9
 
+    @pytest.mark.slow
     def test_c8_similarity_ordering(self, full_scale_run):
         """AIn words resemble the oracle's more than MQL words do."""
         cfg, rows, _, _ = full_scale_run

@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -250,34 +250,62 @@ class TestCli:
         assert cli_main(["show-config", "--config", str(p)]) == 0
         assert capsys.readouterr().out == printed
 
-    @pytest.mark.parametrize("artifact,missing_key", [
+    @pytest.mark.parametrize("artifact,edit", [
         pytest.param("world_model.json", None, id="world_model.json"),
         pytest.param("training_instances.jsonl", None,
                      id="training_instances.jsonl"),
         pytest.param("oracle_tours.jsonl", None, id="oracle_tours.jsonl"),
-        pytest.param("world_model.json", "words",
+        pytest.param("world_model.json", lambda obj: obj.pop("words"),
                      id="world_model.json-missing-words"),
-        pytest.param("qtable.json", "values", id="qtable.json-missing-values")])
+        pytest.param("qtable.json", lambda obj: obj.pop("values"),
+                     id="qtable.json-missing-values"),
+        pytest.param("tours/s005k000_ain.json",
+                     lambda obj: obj["order"].__setitem__(0, 999),
+                     id="tour-unknown-hotspot")])
     def test_truncated_artifact_exits_2(self, tmp_path, capsys, artifact,
-                                        missing_key):
-        """A truncated artifact, or valid JSON with a key missing, exits 2
-        with a message naming the file."""
+                                        edit):
+        """A truncated artifact, valid JSON with a key missing, or a tour
+        naming a hotspot its instance lacks exits 2 with a message naming
+        the file."""
         cfg = small_config(tmp_path / "cli5", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
         path = tmp_path / "cli5" / artifact
-        if missing_key is None:
+        if edit is None:
             data = path.read_bytes()
             path.write_bytes(data[:len(data) // 2])
         else:
             obj = json.loads(path.read_text())
-            del obj[missing_key]
+            edit(obj)
             path.write_text(json.dumps(obj))
         capsys.readouterr()
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and str(path) in err
+
+    @pytest.mark.parametrize("artifact,recomputed", [
+        pytest.param("oracle_tours.jsonl", None, id="oracle_tours.jsonl"),
+        pytest.param("qtable.json", "oracle_tours.jsonl", id="qtable.json")])
+    def test_reused_artifact_with_other_weights_exits_2(
+            self, tmp_path, capsys, artifact, recomputed):
+        """Re-running in the same directory with other weights must not
+        reuse demonstrations or a Q-table computed with the old ones: exit 2
+        naming the file and both weight sets."""
+        cfg = small_config(tmp_path / "w", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        other = replace(cfg, weights=ObjectiveWeights(0.5, 0.5))
+        cfg_path.write_text(json.dumps(config_to_dict(other)))
+        if recomputed is not None:
+            (tmp_path / "w" / recomputed).unlink()
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "w" / artifact) in err
+        assert '"weight_alpha":0.9' in err and '"weight_alpha":0.5' in err
 
     def test_plan_command(self, tmp_path):
         cfg = small_config(tmp_path / "cli3")

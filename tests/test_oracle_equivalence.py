@@ -1,0 +1,291 @@
+"""The index-space oracle against the coordinate-based search it replaced.
+
+``ref_*`` below are the earlier implementations, kept verbatim as the test
+oracle: they look every point up with ``Instance.hotspot`` and every leg
+with ``edge_cost``. The production search must return the same tours, with
+the same float bits, on every instance.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uavplan.environment import Hotspot, Instance, edge_cost
+from uavplan.errors import ConsistencyError
+from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, make_tour,
+                            nearest_neighbor_construct, relative_weights,
+                            selection_pass, solve, two_opt)
+
+_IMPROVE_EPS = 1e-12
+_TIE_EPS = 1e-12
+
+
+# --- reference: the coordinate-based search -----------------------------------
+
+def ref_nearest_neighbor_construct(inst: Instance) -> Tour:
+    w = ObjectiveWeights()
+    remaining = sorted(inst.ids)
+    pos = inst.depot_m
+    order: list[int] = []
+    while remaining:
+        best = min(remaining,
+                   key=lambda i: (edge_cost(pos, inst.hotspot(i).center_m), i))
+        order.append(best)
+        remaining.remove(best)
+        pos = inst.hotspot(best).center_m
+    return make_tour(order, inst, w)
+
+
+def ref_canonical_orientation(order):
+    rev = order[::-1]
+    return rev if rev < order else order
+
+
+def ref_two_opt(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
+    if len(t.order) < 2 or w.weight_alpha == 0.0:
+        return make_tour(t.order, inst, w)
+    order = list(t.order)
+    pts = {i: inst.hotspot(i).center_m for i in order}
+    depot = inst.depot_m
+
+    def point(k: int):
+        return depot if k < 0 or k >= len(order) else pts[order[k]]
+
+    improved = True
+    while improved:
+        improved = False
+        best_delta = 0.0
+        best_move = None
+        n = len(order)
+        for i in range(n - 1):
+            a = point(i - 1)
+            b = pts[order[i]]
+            d_ab = edge_cost(a, b)
+            for j in range(i + 1, n):
+                c = pts[order[j]]
+                d = point(j + 1)
+                delta = (edge_cost(a, c) + edge_cost(b, d)
+                         - d_ab - edge_cost(c, d))
+                if delta < best_delta - _TIE_EPS:
+                    best_delta = delta
+                    best_move = (i, j)
+                elif best_move is not None and abs(delta - best_delta) <= _TIE_EPS:
+                    cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+                    cur = (order[:best_move[0]]
+                           + order[best_move[0]:best_move[1] + 1][::-1]
+                           + order[best_move[1] + 1:])
+                    if cand < cur:
+                        best_move = (i, j)
+        if best_move is not None and best_delta < -1e-9:
+            i, j = best_move
+            order[i:j + 1] = order[i:j + 1][::-1]
+            improved = True
+    return make_tour(order, inst, w)
+
+
+def ref_selection_pass(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
+    current = t
+    while len(current.order) > 0:
+        order = list(current.order)
+        pts = {i: inst.hotspot(i).center_m for i in order}
+        best_gain = 0.0
+        best_after = None
+        for k, v in enumerate(order):
+            prev_pt = inst.depot_m if k == 0 else pts[order[k - 1]]
+            next_pt = inst.depot_m if k == len(order) - 1 else pts[order[k + 1]]
+            detour = (edge_cost(prev_pt, pts[v]) + edge_cost(pts[v], next_pt)
+                      - edge_cost(prev_pt, next_pt))
+            gain = (-w.weight_alpha * detour / w.cost_scale
+                    + w.weight_beta * inst.hotspot(v).profit_bps / w.profit_scale)
+            if gain < best_gain - _TIE_EPS:
+                best_gain = gain
+                best_after = order[:k] + order[k + 1:]
+            elif (best_after is not None and abs(gain - best_gain) <= _TIE_EPS
+                  and order[:k] + order[k + 1:] < best_after):
+                best_after = order[:k] + order[k + 1:]
+        if best_after is None or best_gain >= -_IMPROVE_EPS:
+            break
+        current = ref_two_opt(make_tour(best_after, inst, w), w, inst)
+    return current
+
+
+def ref_solve(inst: Instance, w: ObjectiveWeights) -> Tour:
+    t = ref_nearest_neighbor_construct(inst)
+    t = make_tour(t.order, inst, w)
+    t = ref_two_opt(t, w, inst)
+    t = ref_selection_pass(t, w, inst)
+    return make_tour(ref_canonical_orientation(t.order), inst, w)
+
+
+def ref_brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
+    ids = sorted(inst.ids)
+    n = len(ids)
+    pts = [inst.hotspot(i).center_m for i in ids]
+    profits = [inst.hotspot(i).profit_bps for i in ids]
+    dist = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for a in range(n):
+        dist[n][a] = dist[a][n] = edge_cost(inst.depot_m, pts[a])
+        for b in range(a + 1, n):
+            dist[a][b] = dist[b][a] = edge_cost(pts[a], pts[b])
+    best_obj = 0.0
+    best_order = ()
+    alpha_scaled = w.weight_alpha / w.cost_scale
+    beta_scaled = w.weight_beta / w.profit_scale
+    for r in range(1, n + 1):
+        for subset in itertools.combinations(range(n), r):
+            profit_term = beta_scaled * sum(profits[i] for i in subset)
+            for perm in itertools.permutations(subset):
+                if r > 1 and perm[0] > perm[-1]:
+                    continue
+                prev = n
+                cost = 0.0
+                for nxt in perm:
+                    cost += dist[prev][nxt]
+                    prev = nxt
+                cost += dist[prev][n]
+                obj = alpha_scaled * cost - profit_term
+                if obj < best_obj - _TIE_EPS:
+                    best_obj = obj
+                    best_order = perm
+                elif abs(obj - best_obj) <= _TIE_EPS and perm < best_order:
+                    best_order = perm
+    return make_tour(tuple(ids[i] for i in best_order), inst, w)
+
+
+# --- instances -----------------------------------------------------------------
+
+def _instance(rng: random.Random, n: int, chan, mission, shuffled=False,
+              grid=False) -> Instance:
+    """``n`` hotspots with random ids, centers, profits and depot. ``grid``
+    puts centers and depot on a coarse lattice and draws profits from two
+    values, so equal distances and equal removal gains (and the tie rules)
+    come up often; ``shuffled`` stores the hotspots out of id order."""
+    ids = rng.sample(range(1, 10 * n + 10), n)
+    if not shuffled:
+        ids.sort()
+
+    def coord():
+        return float(rng.randrange(0, 5) * 100) if grid else rng.uniform(0, 2000)
+
+    hotspots = tuple(
+        Hotspot(id=i, center_m=(coord(), coord()), num_users=rng.randint(1, 9),
+                profit_bps=(rng.choice((1e6, 2e6)) if grid
+                            else rng.uniform(1e5, 5e7)))
+        for i in ids)
+    return Instance(hotspots=hotspots, depot_m=(coord(), coord()),
+                    channel=chan, mission=mission, seed=0)
+
+
+def _bits(t: Tour):
+    # repr round-trips a float exactly and tells 0 from 0.0 and -0.0
+    return (t.order, repr(t.total_cost_m), repr(t.total_profit_bps),
+            repr(t.objective))
+
+
+def _weight_sets(inst: Instance):
+    base = ObjectiveWeights()
+    return {
+        "default": base,
+        "relative": relative_weights(base, inst),
+        "relative-even": relative_weights(ObjectiveWeights(0.5, 0.5), inst),
+        "alpha-zero": ObjectiveWeights(0.0, 1.0),
+    }
+
+
+# --- equivalence ------------------------------------------------------------------
+
+@pytest.mark.parametrize("shuffled,grid", [
+    pytest.param(False, False, id="sorted"),
+    pytest.param(True, False, id="shuffled"),
+    pytest.param(False, True, id="grid-ties")])
+def test_solve_matches_reference(chan, mission, shuffled, grid):
+    """Sizes 1-50 with random depots, under every weight set: the same tour,
+    bit for bit, and the selection pass does drop vertices on some."""
+    rng = random.Random(4242 + 2 * shuffled + grid)
+    dropped = 0
+    for n in range(1, 51):
+        inst = _instance(rng, n, chan, mission, shuffled=shuffled, grid=grid)
+        for name, w in _weight_sets(inst).items():
+            got = solve(inst, w)
+            assert _bits(got) == _bits(ref_solve(inst, w)), (n, name)
+            dropped += len(got.order) < n
+    assert dropped > 0
+
+
+def test_public_steps_match_reference(chan, mission):
+    """Each public step on its own, from shuffled start orders that include
+    partial tours, equals the reference step; a selection pass that drops
+    nothing returns its input object, as before."""
+    rng = random.Random(77)
+    for n in range(1, 41):
+        inst = _instance(rng, n, chan, mission, shuffled=n % 2 == 0,
+                         grid=n % 3 == 0)
+        assert _bits(nearest_neighbor_construct(inst)) == \
+            _bits(ref_nearest_neighbor_construct(inst))
+        for w in _weight_sets(inst).values():
+            order = list(inst.ids)
+            rng.shuffle(order)
+            start = make_tour(order[:rng.randint(0, n)], inst, w)
+            assert _bits(two_opt(start, w, inst)) == \
+                _bits(ref_two_opt(start, w, inst))
+            got = selection_pass(start, w, inst)
+            want = ref_selection_pass(start, w, inst)
+            assert _bits(got) == _bits(want)
+            assert (got is start) == (want is start)
+
+
+def test_brute_force_matches_reference(chan, mission):
+    rng = random.Random(5)
+    for n in range(1, 8):
+        for k in range(6):
+            inst = _instance(rng, n, chan, mission, shuffled=k % 2 == 1,
+                             grid=k % 3 == 2)
+            for w in _weight_sets(inst).values():
+                assert _bits(brute_force(inst, w)) == \
+                    _bits(ref_brute_force(inst, w))
+
+
+@pytest.mark.parametrize("step", [two_opt, selection_pass])
+def test_unknown_id_is_consistency_error(make_instance, default_weights, step):
+    inst = make_instance([(0, 0), (10, 0), (0, 10)])
+    stray = Tour(order=(1, 999, 2), total_cost_m=0.0, total_profit_bps=0.0,
+                 objective=0.0)
+    with pytest.raises(ConsistencyError):
+        step(stray, default_weights, inst)
+
+
+# --- properties ----------------------------------------------------------------------
+
+_coord = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(min_value=1, max_value=25))
+    ids = draw(st.lists(st.integers(min_value=1, max_value=500), min_size=n,
+                        max_size=n, unique=True))
+    hotspots = tuple(
+        Hotspot(id=i, center_m=(draw(_coord), draw(_coord)), num_users=1,
+                profit_bps=draw(st.floats(min_value=0.0, max_value=5e7)))
+        for i in ids)
+    return hotspots, (draw(_coord), draw(_coord))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.sampled_from(["default", "relative", "relative-even",
+                                     "alpha-zero"]))
+def test_solve_properties(chan, mission, drawn, weights_name):
+    """A solved order repeats no id, uses only the instance's ids, reads in
+    canonical orientation, and its totals recompute from the geometry."""
+    hotspots, depot = drawn
+    inst = Instance(hotspots=hotspots, depot_m=depot, channel=chan,
+                    mission=mission, seed=0)
+    w = _weight_sets(inst)[weights_name]
+    t = solve(inst, w)
+    assert len(set(t.order)) == len(t.order)
+    assert set(t.order) <= set(inst.ids)
+    assert t.order <= t.order[::-1]
+    assert _bits(make_tour(t.order, inst, w)) == _bits(t)
