@@ -4,7 +4,11 @@ Every artifact is a pure function of the experiment config; rerunning a
 stage with the same config reproduces its files byte for byte. Wall
 clock measurements go to a separate timings file so the metrics CSV
 stays deterministic. Files are written atomically (write then rename)
-and a stage is skipped when its artifact already exists.
+and a stage is skipped when its artifact already exists. A reused
+artifact that records what it was computed from (the weights of the
+demonstrations and the Q-table, the demonstrations behind the world model
+and the Q-table, the Q-learning config) must match this run, or the run
+stops with a configuration error naming the file.
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config: its JSON form is their ``asdict``, and reading one back
@@ -33,9 +37,10 @@ from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
 from .errors import ConfigurationError, ConsistencyError
 from .oracle import ObjectiveWeights, Tour, make_tour, solve, tour_from_dict, tour_to_dict
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
-from .ql import QTable, QTrainConfig, construct_word, qtable_from_dict, qtable_to_dict, train_q
-from .world_model import (NoiseConfig, Word, WorldModel, learn, model_from_dict,
-                          model_to_dict, word_from_tour)
+from .ql import (QTable, QTrainConfig, construct_word, qtable_from_dict,
+                 qtable_to_dict, train_q, training_fingerprint)
+from .world_model import (NoiseConfig, Word, WorldModel, demonstration_fingerprint,
+                          learn, model_from_dict, model_to_dict, word_from_tour)
 
 METRICS_SCHEMA = "uavplan.metrics.v1"
 METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
@@ -246,9 +251,21 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T | list[T]:
         if read_records:
             return [from_dict(rec) for rec in data]
         return from_dict(data)
+    except ConfigurationError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigurationError(
             f"malformed artifact {path}: {type(e).__name__}: {e}") from e
+
+
+def _check_recorded(path: Path, what: str, recorded, current) -> None:
+    """A reused artifact must record what this run would compute it from;
+    a mismatch is a configuration error naming the file and both values."""
+    if recorded != current:
+        raise ConfigurationError(
+            f"{path} was computed with {what} {_canonical_json(recorded)}, "
+            f"but this run has {what} {_canonical_json(current)}; "
+            "remove it or use another output_dir")
 
 
 def _recorded_with(weights: ObjectiveWeights, path: Path,
@@ -259,11 +276,7 @@ def _recorded_with(weights: ObjectiveWeights, path: Path,
     want = block_dict(weights)
 
     def build(d: dict) -> T:
-        if d["weights"] != want:
-            raise ConfigurationError(
-                f"{path} was computed with weights "
-                f"{_canonical_json(d['weights'])}, but the config has weights "
-                f"{_canonical_json(want)}; remove it or use another output_dir")
+        _check_recorded(path, "weights", d["weights"], want)
         return from_dict(d)
     return build
 
@@ -327,7 +340,10 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
                 out: Path) -> WorldModel:
     path = out / "world_model.json"
     if path.exists():
-        return load_artifact(path, model_from_dict)
+        wm = load_artifact(path, model_from_dict)
+        _check_recorded(path, "demonstration fingerprint", wm.fingerprint,
+                        demonstration_fingerprint(tours))
+        return wm
     wm = learn(tours, training_pool, cfg.noise, cfg.mission)
     write_json_atomic(path, model_to_dict(wm))
     return wm
@@ -336,11 +352,17 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
 def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              tours: Sequence[Tour], out: Path) -> QTable:
     path = out / "qtable.json"
+    training = list(zip(instances, tours))
     if path.exists():
-        return load_artifact(path, _recorded_with(cfg.weights, path,
-                                                  qtable_from_dict))
-    q = train_q(list(zip(instances, tours)), cfg.ql, cfg.weights,
-                cfg.ql_train_seed)
+        def from_dict(d: dict) -> QTable:
+            _check_recorded(path, "ql config", d["config"], asdict(cfg.ql))
+            return qtable_from_dict(d)
+
+        q = load_artifact(path, _recorded_with(cfg.weights, path, from_dict))
+        _check_recorded(path, "training fingerprint", q.fingerprint,
+                        training_fingerprint(training))
+        return q
+    q = train_q(training, cfg.ql, cfg.weights, cfg.ql_train_seed)
     write_json_atomic(path, qtable_to_dict(q, cfg.ql, cfg.weights))
     return q
 

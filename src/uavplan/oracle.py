@@ -124,11 +124,28 @@ def relative_weights(w: ObjectiveWeights, inst: Instance) -> ObjectiveWeights:
     Cost is scaled by the full-tour nearest-neighbor length and profit by
     the instance's total profit, making both terms order one.
     """
-    nn = nearest_neighbor_construct(inst)
-    cost_scale = nn.total_cost_m if nn.total_cost_m > 0 else 1.0
-    total_profit = sum(h.profit_bps for h in inst.hotspots)
-    profit_scale = total_profit if total_profit > 0 else 1.0
+    cost_scale, profit_scale = instance_scales(inst)
     return replace(w, cost_scale=cost_scale, profit_scale=profit_scale)
+
+
+def instance_scales(inst: Instance) -> tuple[float, float]:
+    """The full nearest-neighbor tour length and the total profit of
+    ``inst``, each 1.0 where it is not positive.
+
+    The length is summed over ``_Geometry.dist`` in ``_closed_length``'s
+    order, so it equals ``nearest_neighbor_construct(inst).total_cost_m``
+    bit for bit without building the ``Tour``.
+    """
+    g = _Geometry(inst)
+    dist, pos = g.dist, g.depot
+    length = 0.0
+    for k in _nearest_neighbor(g):
+        length += dist[pos][k]
+        pos = k
+    length += dist[pos][g.depot]
+    total_profit = sum(h.profit_bps for h in inst.hotspots)
+    return (length if length > 0 else 1.0,
+            total_profit if total_profit > 0 else 1.0)
 
 
 class _Geometry:

@@ -6,6 +6,22 @@ tour objective on instance-relative scales, and an episode earns a bonus
 when its realized tour comes within 5% of the demonstrated objective.
 At test time the table drives a softmax word constructor; letters the
 table never saw fall back to a distance-based pseudo value.
+
+Training runs 100,000 steps on the default config, so each step does
+only what its arithmetic needs. An episode builds one id -> hotspot dict
+for its instance and walks it on local coordinates: every leg is a
+``math.hypot`` of the same differences ``edge_cost`` takes, and a running
+tour length adds the legs in visiting order, so at the last step
+``length + back`` is the sum ``tour_length`` forms, term for term, and
+the realized objective is bit-identical. The greedy action is the first
+strict maximum of an ascending scan of the unvisited ids, which is the
+one ``max`` by the key ``(q, -a)`` picks. Random numbers are drawn one at
+a time in the original order (per episode one ``integers`` for the
+instance; per step one ``random`` and, when exploring, one ``integers``),
+so the table matches the straightforward loop bit for bit
+(tests/test_ql_equivalence.py keeps that loop as the reference). The
+dict lives for one episode and is never cached per instance, for the
+memory reason given in ``oracle``.
 """
 
 from __future__ import annotations
@@ -19,7 +35,7 @@ import numpy as np
 
 from .environment import Instance, edge_cost
 from .errors import ConfigurationError, TrainingError
-from .oracle import ObjectiveWeights, Tour, nearest_neighbor_construct, objective_value, tour_length
+from .oracle import ObjectiveWeights, Tour, instance_scales, objective_value
 from .world_model import Word
 
 DEPOT_STATE = -1
@@ -58,22 +74,11 @@ class QTable:
         return self.values.get((state, action), 0.0)
 
 
-def _training_fingerprint(training) -> str:
+def training_fingerprint(training) -> str:
     payload = json.dumps(sorted((inst.seed, list(demo.order))
                                 for inst, demo in training),
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _instance_scales(inst: Instance) -> tuple[float, float]:
-    nn = nearest_neighbor_construct(inst)
-    cost_scale = nn.total_cost_m if nn.total_cost_m > 0 else 1.0
-    total_profit = sum(h.profit_bps for h in inst.hotspots)
-    return cost_scale, total_profit if total_profit > 0 else 1.0
-
-
-def _center(inst: Instance, state: int):
-    return inst.depot_m if state == DEPOT_STATE else inst.hotspot(state).center_m
 
 
 def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
@@ -91,52 +96,70 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
         raise TrainingError("no training instances for Q-learning")
     rng = np.random.default_rng(rng_seed)
     table = QTable(values={}, letters=set(),
-                   fingerprint=_training_fingerprint(training))
+                   fingerprint=training_fingerprint(training))
     prepared = []
     for inst, demo in training:
-        cost_scale, profit_scale = _instance_scales(inst)
+        cost_scale, profit_scale = instance_scales(inst)
         prepared.append((inst, demo, cost_scale, profit_scale))
         table.letters.update(inst.ids)
 
     alpha = weights.weight_alpha
     beta = weights.weight_beta
+    lr, discount = cfg.learning_rate, cfg.discount
+    values = table.values
+    get = values.get
+    random, integers = rng.random, rng.integers
+    hypot = math.hypot
     for ep in range(cfg.episodes):
         if cfg.episodes > 1:
             frac = ep / (cfg.episodes - 1)
         else:
             frac = 1.0
         eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
-        inst, demo, cost_scale, profit_scale = prepared[int(rng.integers(len(prepared)))]
+        inst, demo, cost_scale, profit_scale = prepared[int(integers(len(prepared)))]
+        by_id = {h.id: h for h in inst.hotspots}
+        ids = sorted(by_id)
+        unvisited = ids[:]
         state = DEPOT_STATE
-        unvisited = sorted(inst.ids)
-        order: list[int] = []
+        x, y = depot = inst.depot_m
+        length = 0.0
         while unvisited:
-            if rng.random() < eps:
-                action = unvisited[int(rng.integers(len(unvisited)))]
+            if random() < eps:
+                action = unvisited[int(integers(len(unvisited)))]
             else:
-                action = max(unvisited, key=lambda a: (table.q(state, a), -a))
-            leg = edge_cost(_center(inst, state), inst.hotspot(action).center_m)
+                # ascending scan keeping the first strict maximum: the
+                # lowest id among equal values, as max by key (q, -a)
+                action = unvisited[0]
+                best = get((state, action), 0.0)
+                for a in unvisited:
+                    v = get((state, a), 0.0)
+                    if v > best:
+                        best, action = v, a
+            h = by_id[action]
+            hx, hy = h.center_m
+            leg = hypot(x - hx, y - hy)
+            length += leg
             reward = (-alpha * leg / cost_scale
-                      + beta * inst.hotspot(action).profit_bps / profit_scale)
+                      + beta * h.profit_bps / profit_scale)
             unvisited.remove(action)
-            order.append(action)
             if unvisited:
-                target = reward + cfg.discount * max(
-                    table.q(action, a2) for a2 in unvisited)
+                target = reward + discount * max(
+                    [get((action, a2), 0.0) for a2 in unvisited])
             else:
-                back = edge_cost(inst.hotspot(action).center_m, inst.depot_m)
+                back = hypot(hx - depot[0], hy - depot[1])
                 reward += -alpha * back / cost_scale
-                realized = objective_value(tour_length(order, inst),
-                                           sum(inst.hotspot(i).profit_bps
-                                               for i in sorted(order)),
+                # every id was visited, so the profit is summed over
+                # all of them in id order
+                realized = objective_value(length + back,
+                                           sum(by_id[i].profit_bps for i in ids),
                                            weights)
                 if abs(realized - demo.objective) <= cfg.match_tolerance * abs(demo.objective):
                     reward += cfg.terminal_bonus
                 target = reward
             key = (state, action)
-            old = table.values.get(key, 0.0)
-            table.values[key] = old + cfg.learning_rate * (target - old)
-            state = action
+            old = get(key, 0.0)
+            values[key] = old + lr * (target - old)
+            state, x, y = action, hx, hy
     return table
 
 
@@ -160,18 +183,19 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
         first_ref = letters[0]
         succ = {a: b for a, b in zip(letters, letters[1:])}
 
+    centers = {h.id: h.center_m for h in inst.hotspots}
     state = DEPOT_STATE
-    unvisited = sorted(inst.ids)
+    pos = inst.depot_m
+    unvisited = sorted(centers)
     order: list[int] = []
     while unvisited:
         scores = []
+        hint = first_ref if state == DEPOT_STATE else succ.get(state)
         for a in unvisited:
             if a in q.letters:
                 s = q.q(state, a)
             else:
-                s = -edge_cost(_center(inst, state),
-                               inst.hotspot(a).center_m) / diag
-            hint = first_ref if state == DEPOT_STATE else succ.get(state)
+                s = -edge_cost(pos, centers[a]) / diag
             if hint == a:
                 s += cfg.reference_bonus
             scores.append(s)
@@ -185,7 +209,7 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
             k = int(rng.choice(len(unvisited), p=p))
         action = unvisited.pop(k)
         order.append(action)
-        state = action
+        state, pos = action, centers[action]
     return Word.from_letters(order)
 
 

@@ -294,10 +294,21 @@ class WordIndex:
                    column=column)
 
 
-def _fingerprint(words: Sequence[Word], counts: Sequence[int]) -> str:
-    payload = json.dumps([[list(w.letters), c] for w, c in zip(words, counts)],
+def _fingerprint(keys: Sequence[tuple[int, ...]], counts: Sequence[int]) -> str:
+    payload = json.dumps([[list(k), c] for k, c in zip(keys, counts)],
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def demonstration_fingerprint(demos: Sequence[Tour]) -> str:
+    """The fingerprint ``learn`` records for a model learned from ``demos``:
+    a hash of the distinct demonstrated words and their counts."""
+    tally: dict[tuple[int, ...], int] = {}
+    for t in demos:
+        key = word_from_tour(t).letters
+        tally[key] = tally.get(key, 0) + 1
+    keys = sorted(tally)
+    return _fingerprint(keys, [tally[k] for k in keys])
 
 
 def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
@@ -378,7 +389,7 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
         mean_profit_bps=mean_profit,
         mean_leg_time_s=mean_leg_time,
         noise_config=noise,
-        fingerprint=_fingerprint(words, counts),
+        fingerprint=_fingerprint(keys, counts),
     )
 
 

@@ -307,6 +307,42 @@ class TestCli:
         assert str(tmp_path / "w" / artifact) in err
         assert '"weight_alpha":0.9' in err and '"weight_alpha":0.5' in err
 
+    @pytest.mark.parametrize("artifact", ["world_model.json", "qtable.json"])
+    def test_reused_artifact_from_other_demonstrations_exits_2(
+            self, tmp_path, capsys, artifact):
+        """A world model or Q-table learned from another run's
+        demonstrations (another train_seed_base) must not be reused: exit 2
+        naming the file and both fingerprints."""
+        cfg = small_config(tmp_path / "w", test_sizes=(5,), seeds_per_size=1)
+        other = replace(cfg, output_dir=str(tmp_path / "o"),
+                        train_seed_base=cfg.train_seed_base + 5000)
+        run_pipeline(other)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        (tmp_path / "w" / artifact).write_bytes(
+            (tmp_path / "o" / artifact).read_bytes())
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "w" / artifact) in err
+        assert "fingerprint" in err
+
+    def test_reused_qtable_with_other_ql_config_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path / "w", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        other = replace(cfg, ql=replace(cfg.ql, episodes=cfg.ql.episodes + 1))
+        cfg_path.write_text(json.dumps(config_to_dict(other)))
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "w" / "qtable.json") in err
+        assert '"episodes":400' in err and '"episodes":401' in err
+
     def test_plan_command(self, tmp_path):
         cfg = small_config(tmp_path / "cli3")
         run_pipeline(cfg)
