@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .environment import instance_from_dict
@@ -16,7 +17,7 @@ from .harness import (ExperimentConfig, config_to_dict, load_artifact,
                       load_config, run_pipeline, stage_eval, stage_ql,
                       stage_oracle, stage_pools, stage_report,
                       stage_training_instances, stage_world, write_json_atomic)
-from .planner import PlannerConfig, plan_mission, plan_to_dict
+from .planner import plan_mission, plan_to_dict
 from .world_model import model_from_dict
 
 
@@ -36,7 +37,6 @@ def _load_cfg(args) -> ExperimentConfig:
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if overrides:
-        from dataclasses import replace
         cfg = replace(cfg, **overrides)
     return cfg
 
@@ -108,10 +108,17 @@ def cmd_train_ql(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    """Plan one instance with the config's planner settings and weights;
+    ``--n-words``/``--seed`` override the planner settings."""
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     inst = load_artifact(Path(args.instance), instance_from_dict)
     wm = load_artifact(Path(args.model), model_from_dict)
-    cfg = PlannerConfig(n_words=args.n_words, rng_seed=args.seed)
-    result = plan_mission(inst, wm, cfg)
+    planner = cfg.planner
+    if args.n_words is not None:
+        planner = replace(planner, n_words=args.n_words)
+    if args.seed is not None:
+        planner = replace(planner, rng_seed=args.seed)
+    result = plan_mission(inst, wm, planner, cfg.weights)
     trace = plan_to_dict(result)
     if args.trace:
         write_json_atomic(Path(args.trace), trace)
@@ -195,8 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="plan one instance with a trained model")
     p.add_argument("--instance", required=True, help="instance JSON file")
     p.add_argument("--model", required=True, help="world model JSON file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-words", dest="n_words", type=int, default=10)
+    p.add_argument("--config", help="JSON experiment config: planner "
+                                    "settings and the weights to score with")
+    p.add_argument("--seed", type=int, help="planner seed override")
+    p.add_argument("--n-words", dest="n_words", type=int,
+                   help="generated words override")
     p.add_argument("--trace", help="write the plan trace here")
     p.set_defaults(fn=cmd_plan)
 

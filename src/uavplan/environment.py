@@ -4,6 +4,14 @@ Units are meters, seconds, watts and bits/s unless a field name says
 otherwise (``*_db``, ``*_dbm``, ``*_hz``). All sampling is driven by
 explicit seeds; rerunning with the same seed and config reproduces the
 same objects bit for bit.
+
+Two JSON forms describe an instance. ``instance_to_dict`` writes one
+self-contained ``uavplan.instance.v1`` object (the test instances of an
+experiment). A training instance is stored as an ``instance_record``,
+``{"ids", "seed"}``: its hotspots are looked up by id in the training pool
+that ``pools.json`` holds, and the depot, channel and mission, shared by
+every training instance, are recorded once in the header of the
+``uavplan.instances.v2`` file (see ``harness``).
 """
 
 from __future__ import annotations
@@ -247,24 +255,6 @@ def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
 
 # --- JSON schemas -----------------------------------------------------------
 
-# asdict of each config block object seen lately, keyed by id(); the entry
-# holds the object itself, so its id cannot be reused while it is cached.
-_BLOCK_DICTS: dict[int, tuple[object, dict]] = {}
-
-
-def block_dict(block) -> dict:
-    """``asdict`` of a frozen config block of scalar fields (channel,
-    mission, weights), computed once per block object; each call returns a
-    fresh shallow copy. Keyed by identity, not equality: equal blocks may
-    still differ in their JSON (``0.0`` == ``-0.0``)."""
-    hit = _BLOCK_DICTS.get(id(block))
-    if hit is None:
-        if len(_BLOCK_DICTS) >= 64:
-            _BLOCK_DICTS.clear()
-        hit = _BLOCK_DICTS[id(block)] = (block, asdict(block))
-    return dict(hit[1])
-
-
 def hotspot_to_dict(h: Hotspot) -> dict:
     return {"id": h.id, "center_m": list(h.center_m), "num_users": h.num_users,
             "profit_bps": h.profit_bps}
@@ -297,10 +287,31 @@ def instance_to_dict(inst: Instance) -> dict:
         "schema": "uavplan.instance.v1",
         "seed": inst.seed,
         "depot_m": list(inst.depot_m),
-        "mission": block_dict(inst.mission),
-        "channel": block_dict(inst.channel),
+        "mission": asdict(inst.mission),
+        "channel": asdict(inst.channel),
         "hotspots": [hotspot_to_dict(h) for h in inst.hotspots],
     }
+
+
+def instance_record(inst: Instance) -> dict:
+    """One record of a ``uavplan.instances.v2`` file: the hotspot ids and
+    the seed; everything else comes from the pool and the file header."""
+    return {"ids": list(inst.ids), "seed": inst.seed}
+
+
+def instance_from_record(d: dict, pool_by_id: dict[int, Hotspot], depot: Point,
+                         chan: ChannelParams, mission: MissionConfig) -> Instance:
+    """Rebuild an instance from its record and the pool it was drawn from
+    (``pool_by_id`` maps id to hotspot); an id not in the pool is a
+    configuration error."""
+    ids = d["ids"]
+    try:
+        hotspots = tuple(pool_by_id[i] for i in ids)
+    except KeyError as e:
+        raise ConfigurationError(
+            f"hotspot id {e.args[0]!r} is not in the training pool") from None
+    return Instance(hotspots=hotspots, depot_m=depot, channel=chan,
+                    mission=mission, seed=int(d["seed"]))
 
 
 def instance_from_dict(d: dict) -> Instance:

@@ -5,10 +5,30 @@ stage with the same config reproduces its files byte for byte. Wall
 clock measurements go to a separate timings file so the metrics CSV
 stays deterministic. Files are written atomically (write then rename)
 and a stage is skipped when its artifact already exists. A reused
-artifact that records what it was computed from (the weights of the
-demonstrations and the Q-table, the demonstrations behind the world model
-and the Q-table, the Q-learning config) must match this run, or the run
-stops with a configuration error naming the file.
+artifact that records what it was computed from must match this run, or
+the run stops with a configuration error naming the file and both
+values: the pool's seed, user mean, mission, channel and size; the
+training instances' header; the weights of the demonstrations and the
+Q-table; the demonstrations and noise config behind the world model; the
+demonstrations and Q-learning config behind the Q-table. ``output_dir``
+and ``workers`` are never part of such a check.
+
+The training instances and their demonstrations are JSON-lines files
+with a header: the first line holds the schema and what every record
+shares, and each following line holds one record.
+
+- ``training_instances.jsonl`` (``uavplan.instances.v2``): the header
+  records ``channel``, ``mission``, ``depot_m``, ``training_pool_size``,
+  ``train_instance_size``, ``train_seed_base`` and ``m_training``; each
+  record is ``{"ids", "seed"}``, rebuilt against the training pool of
+  ``pools.json``.
+- ``oracle_tours.jsonl`` (``uavplan.tours.v2``): the header records the
+  ``weights``; each record holds a tour's ``order``, ``total_cost_m``,
+  ``total_profit_bps`` and ``objective``.
+
+A file with another schema (such as an older one-object-per-line file),
+a header that differs from the config, a record count other than the
+run's, or an id not in the pool is a configuration error naming the file.
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config: its JSON form is their ``asdict``, and reading one back
@@ -19,11 +39,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
@@ -31,11 +53,12 @@ from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 import json
 
 from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
-                          block_dict, instance_from_dict, instance_to_dict,
-                          pool_from_dict, pool_to_dict, sample_instance,
-                          sample_pool)
+                          instance_from_dict, instance_from_record,
+                          instance_record, instance_to_dict, pool_from_dict,
+                          pool_to_dict, sample_instance, sample_pool)
 from .errors import ConfigurationError, ConsistencyError
-from .oracle import ObjectiveWeights, Tour, make_tour, solve, tour_from_dict, tour_to_dict
+from .oracle import (ObjectiveWeights, Tour, make_tour, solve, tour_from_dict,
+                     tour_record, tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import (QTable, QTrainConfig, construct_word, qtable_from_dict,
                  qtable_to_dict, train_q, training_fingerprint)
@@ -46,6 +69,8 @@ METRICS_SCHEMA = "uavplan.metrics.v1"
 METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
                    "completion_time_s", "tour_length_m", "similarity_to_oracle"]
 METHODS = ("oracle", "ain", "mql")
+INSTANCES_SCHEMA = "uavplan.instances.v2"
+TOURS_SCHEMA = "uavplan.tours.v2"
 
 T = TypeVar("T")
 
@@ -186,11 +211,20 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_text_atomic(path: Path, text: str) -> None:
+@contextmanager
+def _replacing(path: Path):
+    """A text file to write that replaces ``path`` only once it is
+    complete (write then rename)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as f:
+        yield f
     os.replace(tmp, path)
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    with _replacing(path) as f:
+        f.write(text)
 
 
 def write_json_atomic(path: Path, obj: dict) -> None:
@@ -198,9 +232,12 @@ def write_json_atomic(path: Path, obj: dict) -> None:
 
 
 def write_jsonl_atomic(path: Path, objs: Iterable[dict]) -> None:
-    """One object per line. Pass a generator: then only the encoded lines,
-    not all the objects, are held at once."""
-    write_text_atomic(path, "".join(_canonical_json(o) + "\n" for o in objs))
+    """One object per line, each written as soon as it is encoded. Pass a
+    generator: then neither all the objects nor all the lines are held at
+    once."""
+    with _replacing(path) as f:
+        for o in objs:
+            f.write(_canonical_json(o) + "\n")
 
 
 def read_json(path: Path) -> dict:
@@ -242,13 +279,13 @@ def _read_csv(path: Path) -> list[dict]:
 
 def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T | list[T]:
     """Read an artifact and build what it holds: a list with one object per
-    record of a ``.jsonl`` or ``.csv`` file, else one object from the JSON
-    file. Unreadable or corrupt input and a wrong shape (a missing key, a
-    wrong type or value) are configuration errors that name the file."""
-    read_records = {".jsonl": read_jsonl, ".csv": _read_csv}.get(path.suffix)
-    data = read_records(path) if read_records else read_json(path)
+    row of a ``.csv`` file, else one object from the JSON file. Unreadable
+    or corrupt input and a wrong shape (a missing key, a wrong type or
+    value) are configuration errors that name the file."""
+    is_csv = path.suffix == ".csv"
+    data = _read_csv(path) if is_csv else read_json(path)
     try:
-        if read_records:
+        if is_csv:
             return [from_dict(rec) for rec in data]
         return from_dict(data)
     except ConfigurationError:
@@ -268,17 +305,48 @@ def _check_recorded(path: Path, what: str, recorded, current) -> None:
             "remove it or use another output_dir")
 
 
-def _recorded_with(weights: ObjectiveWeights, path: Path,
-                   from_dict: Callable[[dict], T]) -> Callable[[dict], T]:
-    """``from_dict`` for a reused artifact that records the weights it was
-    computed with: a record whose ``weights`` differ from the config's is a
-    configuration error naming the file and both weight sets."""
-    want = block_dict(weights)
+def _check_header(path: Path, recorded: dict, want: dict) -> None:
+    """``_check_recorded`` for each key of ``want``."""
+    for key, value in want.items():
+        _check_recorded(path, key, recorded[key], value)
 
-    def build(d: dict) -> T:
-        _check_recorded(path, "weights", d["weights"], want)
-        return from_dict(d)
-    return build
+
+def load_headed_jsonl(path: Path, schema: str, want: dict, count: int,
+                      from_record: Callable[[dict], T]) -> list[T]:
+    """Read a JSON-lines artifact with a header and build its records.
+
+    The first line must hold ``schema`` and record ``want`` (see
+    ``_check_header``), and ``count`` records must follow. Each record is
+    built with ``from_record``. Another schema, a header that differs from
+    ``want``, another record count and a malformed record are
+    configuration errors that name the file."""
+    lines = read_jsonl(path)
+    header = lines[0] if lines else None
+    found = header.get("schema") if isinstance(header, dict) else None
+    if found != schema:
+        raise ConfigurationError(
+            f"{path} has schema {found!r}, not {schema!r} (an older format "
+            "or not this artifact); delete it and run again to regenerate it")
+    try:
+        _check_header(path, header, want)
+    except KeyError as e:
+        raise ConfigurationError(
+            f"malformed artifact {path}, line 1: no {e.args[0]!r}") from e
+    records = lines[1:]
+    if len(records) != count:
+        raise ConfigurationError(
+            f"{path} holds {len(records)} records after its header, but this "
+            f"run needs {count}; remove it or use another output_dir")
+    built = []
+    for n, rec in enumerate(records, start=2):
+        try:
+            built.append(from_record(rec))
+        except (ConfigurationError, ConsistencyError, KeyError, TypeError,
+                ValueError) as e:
+            raise ConfigurationError(
+                f"malformed artifact {path}, line {n}: "
+                f"{type(e).__name__}: {e}") from e
+    return built
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -289,7 +357,15 @@ def stage_pools(cfg: ExperimentConfig,
     trained letters keep their identity at test time."""
     path = out / "pools.json"
     if path.exists():
-        testing = load_artifact(path, pool_from_dict)
+        def from_dict(d: dict) -> list[Hotspot]:
+            _check_header(path, d, {
+                "seed": cfg.pool_seed, "mean_users": cfg.mean_users,
+                "mission": asdict(cfg.mission), "channel": asdict(cfg.channel)})
+            _check_recorded(path, "hotspot count", len(d["hotspots"]),
+                            cfg.testing_pool_size)
+            return pool_from_dict(d)
+
+        testing = load_artifact(path, from_dict)
     else:
         testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
                               cfg.mean_users, cfg.mission, cfg.channel)
@@ -299,18 +375,39 @@ def stage_pools(cfg: ExperimentConfig,
     return testing, testing[:cfg.training_pool_size]
 
 
+def _instances_header(cfg: ExperimentConfig) -> dict:
+    """What every training instance is drawn from besides its seed."""
+    return {"channel": asdict(cfg.channel),
+            "mission": asdict(cfg.mission),
+            "depot_m": list(cfg.depot),
+            "training_pool_size": cfg.training_pool_size,
+            "train_instance_size": cfg.train_instance_size,
+            "train_seed_base": cfg.train_seed_base,
+            "m_training": cfg.m_training}
+
+
 def stage_training_instances(cfg: ExperimentConfig, training_pool,
                              out: Path) -> list[Instance]:
+    """Training instance k is drawn with seed ``train_seed_base + k`` from
+    the training pool; reused, each is rebuilt from its ids and seed."""
     path = out / "training_instances.jsonl"
+    header = _instances_header(cfg)
     if path.exists():
-        return load_artifact(path, instance_from_dict)
+        by_id = {h.id: h for h in training_pool}
+        depot = cfg.depot
+        return load_headed_jsonl(
+            path, INSTANCES_SCHEMA, header, cfg.m_training,
+            lambda d: instance_from_record(d, by_id, depot, cfg.channel,
+                                           cfg.mission))
     instances = [
         sample_instance(cfg.train_seed_base + k, training_pool,
                         cfg.train_instance_size, cfg.depot, cfg.channel,
                         cfg.mission)
         for k in range(cfg.m_training)
     ]
-    write_jsonl_atomic(path, (instance_to_dict(i) for i in instances))
+    write_jsonl_atomic(path, itertools.chain(
+        [{"schema": INSTANCES_SCHEMA, **header}],
+        (instance_record(i) for i in instances)))
     return instances
 
 
@@ -322,9 +419,10 @@ def _solve_one(args) -> Tour:
 def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                  out: Path) -> list[Tour]:
     path = out / "oracle_tours.jsonl"
+    header = {"weights": asdict(cfg.weights)}
     if path.exists():
-        return load_artifact(path, _recorded_with(cfg.weights, path,
-                                                  tour_from_dict))
+        return load_headed_jsonl(path, TOURS_SCHEMA, header, len(instances),
+                                 tour_from_dict)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             tours = list(pool.map(_solve_one,
@@ -332,7 +430,8 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                                   chunksize=64))
     else:
         tours = [solve(i, cfg.weights) for i in instances]
-    write_jsonl_atomic(path, (tour_to_dict(t, cfg.weights) for t in tours))
+    write_jsonl_atomic(path, itertools.chain(
+        [{"schema": TOURS_SCHEMA, **header}], (tour_record(t) for t in tours)))
     return tours
 
 
@@ -341,6 +440,8 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
     path = out / "world_model.json"
     if path.exists():
         wm = load_artifact(path, model_from_dict)
+        _check_recorded(path, "noise config", asdict(wm.noise_config),
+                        asdict(cfg.noise))
         _check_recorded(path, "demonstration fingerprint", wm.fingerprint,
                         demonstration_fingerprint(tours))
         return wm
@@ -355,10 +456,11 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
     training = list(zip(instances, tours))
     if path.exists():
         def from_dict(d: dict) -> QTable:
+            _check_recorded(path, "weights", d["weights"], asdict(cfg.weights))
             _check_recorded(path, "ql config", d["config"], asdict(cfg.ql))
             return qtable_from_dict(d)
 
-        q = load_artifact(path, _recorded_with(cfg.weights, path, from_dict))
+        q = load_artifact(path, from_dict)
         _check_recorded(path, "training fingerprint", q.fingerprint,
                         training_fingerprint(training))
         return q

@@ -27,16 +27,21 @@ cached geometry and id map on every instance raised the peak resident
 memory of a 20,000-demonstration run from 99.9 to 142.0 MB (62.7 to
 74.8 MB on 5,000 demonstrations with 30-50 hotspot test instances); built
 per call, it is garbage as soon as the call returns (99.6 and 62.8 MB).
+
+A tour is written as a ``tour_record`` (order and totals) in the
+demonstrations file, whose header records the weights once, and as a
+self-contained ``uavplan.tour.v1`` object (``tour_to_dict``, with the
+weights) for each evaluated test tour; ``tour_from_dict`` reads both.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from operator import attrgetter
 
-from .environment import Instance, block_dict, edge_cost
+from .environment import Instance, edge_cost
 from .errors import ConfigurationError, ConsistencyError
 
 # Strict-improvement threshold for local search, in objective units.
@@ -339,18 +344,22 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
     return g.tour(list(best_order), inst, w)
 
 
+def tour_record(t: Tour) -> dict:
+    """One record of a ``uavplan.tours.v2`` file; the weights the tour is
+    scored with are recorded once, in the file header (see ``harness``)."""
+    return {"order": list(t.order), "total_cost_m": t.total_cost_m,
+            "total_profit_bps": t.total_profit_bps, "objective": t.objective}
+
+
 def tour_to_dict(t: Tour, w: ObjectiveWeights) -> dict:
-    return {
-        "schema": "uavplan.tour.v1",
-        "order": list(t.order),
-        "total_cost_m": t.total_cost_m,
-        "total_profit_bps": t.total_profit_bps,
-        "objective": t.objective,
-        "weights": block_dict(w),
-    }
+    """A self-contained ``uavplan.tour.v1`` object: the record plus the
+    schema and the weights."""
+    return {"schema": "uavplan.tour.v1", **tour_record(t),
+            "weights": asdict(w)}
 
 
 def tour_from_dict(d: dict) -> Tour:
+    """Read a tour record or a ``uavplan.tour.v1`` object."""
     return Tour(order=tuple(int(i) for i in d["order"]),
                 total_cost_m=float(d["total_cost_m"]),
                 total_profit_bps=float(d["total_profit_bps"]),

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import shutil
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -7,15 +9,19 @@ import numpy as np
 import pytest
 
 from uavplan.cli import main as cli_main
-from uavplan.environment import MissionConfig, instance_from_dict
-from uavplan.harness import (ExperimentConfig, completion_time,
+from uavplan.environment import (MissionConfig, instance_from_dict,
+                                 instance_to_dict)
+from uavplan.harness import (ExperimentConfig, _canonical_json, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, load_config, mission_sum_rate,
-                             read_metrics, run_pipeline, summarize,
-                             word_similarity)
-from uavplan.oracle import ObjectiveWeights, make_tour
+                             read_metrics, run_pipeline, stage_oracle,
+                             stage_pools, stage_training_instances, summarize,
+                             word_similarity, write_jsonl_atomic)
+from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
 from uavplan.ql import QTrainConfig
-from uavplan.world_model import Word
+from uavplan.world_model import NoiseConfig, Word
+
+PINNED = Path(__file__).parent / "data" / "small_run_sha256.json"
 
 
 def small_config(out, **kw):
@@ -209,6 +215,96 @@ class TestReport:
         assert rows[0] == rows[-1]  # depot anchors both ends
 
 
+def _write_lines(path: Path, objs) -> None:
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+
+
+class TestHeadedJsonl:
+    """The header-plus-records files: training instances as pool ids and
+    seeds (uavplan.instances.v2), demonstrations as tour records under one
+    weights header (uavplan.tours.v2)."""
+
+    def test_write_jsonl_atomic_bytes_equal_joined_lines(self, tmp_path):
+        objs = [{"schema": "x", "b": [1.5, -0.0, 1e-300], "a": None},
+                {"ids": [3, 1, 2], "seed": 10 ** 12}, {"s": "\u00e9\n\"q\""},
+                {}]
+        path = tmp_path / "f.jsonl"
+        write_jsonl_atomic(path, (o for o in objs))
+        joined = "".join(_canonical_json(o) + "\n" for o in objs)
+        assert path.read_bytes() == joined.encode()
+        assert not (tmp_path / "f.jsonl.tmp").exists()
+        write_jsonl_atomic(path, iter(()))
+        assert path.read_bytes() == b""
+
+    def test_round_trip_gives_the_sampled_instances_and_solved_tours(
+            self, tmp_path):
+        cfg = small_config(tmp_path / "rt", m_training=40,
+                           depot_m=(150.0, 1750.0),
+                           weights=ObjectiveWeights(0.5, 0.5))
+        out = Path(cfg.output_dir)
+        out.mkdir()
+        _, training = stage_pools(cfg, out)
+        sampled = stage_training_instances(cfg, training, out)
+        solved = stage_oracle(cfg, sampled, out)
+        loaded = stage_training_instances(cfg, training, out)
+        assert loaded == sampled
+        assert stage_oracle(cfg, loaded, out) == solved
+        # one header line, then one record per instance or tour
+        for name in ("training_instances.jsonl", "oracle_tours.jsonl"):
+            assert len((out / name).read_text().splitlines()) == 41
+
+    def test_artifacts_match_pinned_bytes(self, tmp_path, monkeypatch):
+        """Every artifact but the two header-plus-records files and
+        timings.csv has the bytes it had before those files were headed (the
+        sha256 of each was pinned from a run of the one-object-per-line
+        format)."""
+        monkeypatch.chdir(tmp_path)
+        run_pipeline(small_config("run"))
+        want = json.loads(PINNED.read_text())
+        out = tmp_path / "run"
+        have = {p.relative_to(out).as_posix():
+                hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.rglob("*") if p.is_file()}
+        for name in ("training_instances.jsonl", "oracle_tours.jsonl",
+                     "timings.csv"):
+            del have[name]
+        assert have == want
+
+    def test_reused_files_give_the_same_downstream_bytes(self, tmp_path):
+        cfg = small_config(tmp_path / "run")
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        names = ("world_model.json", "qtable.json", "metrics.csv")
+        first = {n: (out / n).read_bytes() for n in names}
+        for n in names:
+            (out / n).unlink()
+        run_pipeline(cfg)
+        assert {n: (out / n).read_bytes() for n in names} == first
+
+
+def _as_v1_instances(cfg, out):
+    _, training = stage_pools(cfg, out)
+    _write_lines(out / "training_instances.jsonl",
+                 (instance_to_dict(i) for i in
+                  stage_training_instances(cfg, training, out)))
+
+
+def _as_v1_tours(cfg, out):
+    _, training = stage_pools(cfg, out)
+    tours = stage_oracle(cfg, stage_training_instances(cfg, training, out), out)
+    _write_lines(out / "oracle_tours.jsonl",
+                 (tour_to_dict(t, cfg.weights) for t in tours))
+
+
+def _edit_lines(name, edit):
+    def apply(cfg, out):
+        path = out / name
+        lines = [json.loads(ln) for ln in path.read_text().splitlines()]
+        edit(lines)
+        _write_lines(path, lines)
+    return apply
+
+
 class TestCli:
     def test_stage_commands_in_order(self, tmp_path):
         cfg = small_config(tmp_path / "cli")
@@ -342,6 +438,105 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert str(tmp_path / "w" / "qtable.json") in err
         assert '"episodes":400' in err and '"episodes":401' in err
+
+    @pytest.mark.parametrize("artifact,damage,named", [
+        pytest.param("training_instances.jsonl", _as_v1_instances,
+                     "delete it", id="instances-v1"),
+        pytest.param("oracle_tours.jsonl", _as_v1_tours, "delete it",
+                     id="tours-v1"),
+        pytest.param("training_instances.jsonl", _edit_lines(
+            "training_instances.jsonl",
+            lambda lines: lines[3]["ids"].__setitem__(0, 999)),
+            "999", id="instances-id-not-in-pool"),
+        pytest.param("training_instances.jsonl", _edit_lines(
+            "training_instances.jsonl", lambda lines: lines.pop()),
+            "29 records", id="instances-cut-at-line"),
+        pytest.param("oracle_tours.jsonl", _edit_lines(
+            "oracle_tours.jsonl", lambda lines: lines.pop()),
+            "29 records", id="tours-cut-at-line"),
+        pytest.param("oracle_tours.jsonl", _edit_lines(
+            "oracle_tours.jsonl", lambda lines: lines[0].__setitem__(
+                "weights", asdict(ObjectiveWeights(0.5, 0.5)))),
+            '"weight_alpha":0.5', id="tours-header-other-weights")])
+    def test_bad_headed_jsonl_exits_2(self, tmp_path, capsys, artifact,
+                                      damage, named):
+        """An older one-object-per-line file, an id not in the training
+        pool, a file cut at a line boundary and a header recording other
+        weights each exit 2 naming the file."""
+        cfg = small_config(tmp_path / "h", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        damage(cfg, tmp_path / "h")
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "h" / artifact) in err and named in err
+
+    @pytest.mark.parametrize("change,artifact,recorded,current", [
+        pytest.param({"noise": NoiseConfig(process_scale=0.2)},
+                     "world_model.json", '"process_scale":0.02',
+                     '"process_scale":0.2', id="noise.process_scale"),
+        pytest.param({"m_training": 60}, "training_instances.jsonl",
+                     "m_training 30", "m_training 60", id="m_training"),
+        pytest.param({"pool_seed": 7}, "pools.json", "seed 20240501",
+                     "seed 7", id="pool_seed")])
+    def test_reused_artifact_from_other_config_exits_2(
+            self, tmp_path, capsys, change, artifact, recorded, current):
+        """Re-running a 30-demonstration directory with another noise
+        config, more demonstrations or another pool seed must not reuse the
+        world model, training instances or pools: exit 2 naming the file
+        and both values."""
+        cfg = small_config(tmp_path / "c", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        cfg_path.write_text(json.dumps(config_to_dict(replace(cfg, **change))))
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "c" / artifact) in err
+        assert recorded in err and current in err
+
+    def test_moved_directory_with_other_workers_is_reused(self, tmp_path):
+        """output_dir and workers are in no reuse check: a finished run
+        moved elsewhere and re-run at workers=2 reuses every artifact."""
+        cfg = small_config(tmp_path / "a", test_sizes=(5,), seeds_per_size=1)
+        run_pipeline(cfg)
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        moved = replace(cfg, output_dir=str(tmp_path / "b"), workers=2)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(moved)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        for name in ("training_instances.jsonl", "oracle_tours.jsonl",
+                     "world_model.json", "qtable.json", "metrics.csv"):
+            assert ((tmp_path / "b" / name).read_bytes()
+                    == (tmp_path / "a" / name).read_bytes()), name
+
+    def test_plan_command_scores_with_the_config_weights(self, tmp_path):
+        weights = ObjectiveWeights(weight_alpha=0.5, weight_beta=0.5)
+        cfg = small_config(tmp_path / "pw", weights=weights,
+                           test_sizes=(7,), seeds_per_size=1)
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        inst_path = out / "instances" / "s007k000.json"
+        trace = tmp_path / "trace.json"
+        assert cli_main(["plan", "--instance", str(inst_path),
+                         "--model", str(out / "world_model.json"),
+                         "--config", str(cfg_path),
+                         "--trace", str(trace)]) == 0
+        tour = json.loads(trace.read_text())["tour"]
+        inst = instance_from_dict(json.loads(inst_path.read_text()))
+        assert tour["objective"] == make_tour(tour["order"], inst,
+                                              weights).objective
+        assert tour["objective"] != make_tour(tour["order"], inst,
+                                              ObjectiveWeights()).objective
+        # the run's own AIn trace for this instance (same planner config)
+        assert trace.read_bytes() == (out / "traces/s007k000_ain.json").read_bytes()
 
     def test_plan_command(self, tmp_path):
         cfg = small_config(tmp_path / "cli3")
