@@ -123,11 +123,14 @@ def cmd_plan(args) -> int:
     if args.trace:
         write_json_atomic(Path(args.trace), trace)
         print(f"trace -> {args.trace}")
+        summary = sys.stdout
     else:
         json.dump(trace, sys.stdout, sort_keys=True, indent=2)
         print()
+        # stdout holds only the trace, so that it parses as JSON
+        summary = sys.stderr
     print(f"word: {list(result.final_word.letters)} "
-          f"length {result.tour.total_cost_m:.1f} m")
+          f"length {result.tour.total_cost_m:.1f} m", file=summary)
     return 0
 
 
@@ -207,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="planner seed override")
     p.add_argument("--n-words", dest="n_words", type=int,
                    help="generated words override")
-    p.add_argument("--trace", help="write the plan trace here")
+    p.add_argument("--trace", help="write the plan trace here; without "
+                                   "it the trace goes to stdout and the "
+                                   "summary line to stderr")
     p.set_defaults(fn=cmd_plan)
 
     return parser

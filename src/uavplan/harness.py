@@ -9,7 +9,7 @@ artifact that records what it was computed from must match this run, or
 the run stops with a configuration error naming the file and both
 values: the pool's seed, user mean, mission, channel and size; the
 training instances' header; the weights of the demonstrations and the
-Q-table; the demonstrations and noise config behind the world model; the
+instances they solved; the weights of the Q-table; the demonstrations and noise config behind the world model; the
 demonstrations and Q-learning config behind the Q-table. ``output_dir``
 and ``workers`` are never part of such a check.
 
@@ -22,9 +22,11 @@ shares, and each following line holds one record.
   ``train_instance_size``, ``train_seed_base`` and ``m_training``; each
   record is ``{"ids", "seed"}``, rebuilt against the training pool of
   ``pools.json``.
-- ``oracle_tours.jsonl`` (``uavplan.tours.v2``): the header records the
-  ``weights``; each record holds a tour's ``order``, ``total_cost_m``,
-  ``total_profit_bps`` and ``objective``.
+- ``oracle_tours.jsonl`` (``uavplan.tours.v3``): the header records the
+  ``weights`` and what the solved instances were drawn from: the
+  training instances' header plus the pool's ``pool_seed`` and
+  ``mean_users``; each record holds a tour's ``order``,
+  ``total_cost_m``, ``total_profit_bps`` and ``objective``.
 
 A file with another schema (such as an older one-object-per-line file),
 a header that differs from the config, a record count other than the
@@ -70,7 +72,7 @@ METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
                    "completion_time_s", "tour_length_m", "similarity_to_oracle"]
 METHODS = ("oracle", "ain", "mql")
 INSTANCES_SCHEMA = "uavplan.instances.v2"
-TOURS_SCHEMA = "uavplan.tours.v2"
+TOURS_SCHEMA = "uavplan.tours.v3"
 
 T = TypeVar("T")
 
@@ -419,7 +421,8 @@ def _solve_one(args) -> Tour:
 def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                  out: Path) -> list[Tour]:
     path = out / "oracle_tours.jsonl"
-    header = {"weights": asdict(cfg.weights)}
+    header = {"weights": asdict(cfg.weights), **_instances_header(cfg),
+              "pool_seed": cfg.pool_seed, "mean_users": cfg.mean_users}
     if path.exists():
         return load_headed_jsonl(path, TOURS_SCHEMA, header, len(instances),
                                  tour_from_dict)

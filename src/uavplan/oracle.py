@@ -345,7 +345,7 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
 
 
 def tour_record(t: Tour) -> dict:
-    """One record of a ``uavplan.tours.v2`` file; the weights the tour is
+    """One record of a ``uavplan.tours.v3`` file; the weights the tour is
     scored with are recorded once, in the file header (see ``harness``)."""
     return {"order": list(t.order), "total_cost_m": t.total_cost_m,
             "total_profit_bps": t.total_profit_bps, "objective": t.objective}

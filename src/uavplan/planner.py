@@ -26,20 +26,29 @@ share the profit mean and the covariance (p+2)Q + R, and differ from the
 target only by d/v in time. The surprise is therefore
 (1/8) (d/v)^2 (S^-1)_tt + const with S and const fixed per step:
 monotone in d, i.e. the planner performs cheapest insertion
-(Rosenkrantz, Stearns & Lewis 1977). ``rollout`` and
-``expected_surprise`` remain the reference the tests check it against.
+(Rosenkrantz, Stearns & Lewis 1977). Each step scores its candidates
+from their detours alone and splices only the winner into a new word;
+a candidate's own word and predicted observation are derived when read.
+``rollout`` and ``expected_surprise`` remain the reference the tests
+check it against.
 
 Reference selection needs the exact minimum edit distance of each
 candidate to the dictionary. Stored words are repeat-free, so
 max(m, n) - |shared letters| bounds every distance from below; the
 world model's word index yields all bounds as one incidence-matrix
-product, and the dynamic program runs only on words whose bound can
-still beat the best distance found (Ukkonen 1985).
+product, computed once per distinct letter set, and only words whose
+bound can still beat the best distance found are scored. A repeat-free
+candidate and stored word share each letter at most once, so their edit
+distance is the cheapest increasing chain of those shared letters, a
+chain costing the sum of max(gap in a, gap in b) over its leading,
+inner and trailing gaps, or max(m, n) with no shared letter: a sparse
+dynamic program over at most n match points (Eppstein, Galil, Giancarlo
+& Italiano 1992) instead of an m x n table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -103,24 +112,53 @@ class GaussianBelief:
 
 @dataclass(frozen=True)
 class PlanCandidate:
-    """One tentative insertion: the grown word and its score."""
+    """One tentative insertion of ``inserted`` into ``removed_edge`` of a
+    reference word, and its score.
 
-    word: Word
+    ``reference`` holds the reference's letters, shared by all candidates
+    of a step. Only a step's winner is built as a ``Word``
+    (``InsertionStep.word``); a candidate's own ``letters``, ``word`` and
+    ``predicted_obs`` are computed when read: the reference with
+    ``inserted`` spliced in, and the step's shared observation belief
+    ``observation`` shifted in time by the detour's travel time
+    ``detour_s``.
+    """
+
+    reference: tuple[int, ...]
     removed_edge: tuple[int | None, int | None]
     inserted: int
     tour_length_m: float | None = None
-    predicted_obs: GaussianBelief | None = None
     surprise: float | None = None
+    detour_s: float | None = None
+    observation: GaussianBelief | None = field(default=None, repr=False)
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        u = self.removed_edge[0]
+        position = 0 if u is None else self.reference.index(u) + 1
+        return _splice(self.reference, position, self.inserted)
+
+    @property
+    def word(self) -> Word:
+        return Word.from_letters(self.letters)
+
+    @property
+    def predicted_obs(self) -> GaussianBelief | None:
+        if self.observation is None:
+            return None
+        return self.observation.shifted(np.array([0.0, self.detour_s]))
 
 
 @dataclass(frozen=True)
 class InsertionStep:
-    """Trace of one planning iteration: all candidates plus the winner."""
+    """Trace of one planning iteration: all candidates plus the winner, and
+    ``word``, the reference grown by the winner."""
 
     inserted: int
     target: GaussianBelief
     candidates: tuple[PlanCandidate, ...]
     winner_index: int
+    word: Word
 
     @property
     def chosen(self) -> PlanCandidate:
@@ -191,18 +229,10 @@ def classify_letters(test_ids: Sequence[int],
 
 
 def levenshtein(w1, w2) -> int:
-    """Edit distance between two letter sequences (unit costs)."""
+    """Edit distance between two letter sequences (unit costs), by the
+    two-row dynamic program; the letters may repeat."""
     a = tuple(w1.letters) if isinstance(w1, Word) else tuple(w1)
     b = tuple(w2.letters) if isinstance(w2, Word) else tuple(w2)
-    return _levenshtein(a, b)
-
-
-def _levenshtein(a: tuple, b: tuple, cutoff: int | None = None) -> int:
-    """Two-row DP; with a cutoff, bail out once the row minimum reaches it.
-
-    Row minima never decrease, so an early return is a valid lower bound
-    (>= cutoff) whenever it fires.
-    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -210,7 +240,6 @@ def _levenshtein(a: tuple, b: tuple, cutoff: int | None = None) -> int:
     prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         cur = [i]
-        row_min = i
         left = i
         diag = prev[0]
         append = cur.append
@@ -222,12 +251,8 @@ def _levenshtein(a: tuple, b: tuple, cutoff: int | None = None) -> int:
             if left + 1 < v:
                 v = left + 1
             append(v)
-            if v < row_min:
-                row_min = v
             left = v
             diag = up
-        if cutoff is not None and row_min >= cutoff:
-            return row_min
         prev = cur
     return prev[-1]
 
@@ -279,26 +304,76 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     return out
 
 
-def _min_dictionary_distance(letters: tuple, index: WordIndex) -> int:
-    """Exact min edit distance of one candidate against the whole dictionary.
+class _BoundScan:
+    """The stored words grouped by their lower bound on the edit distance
+    to one letter set.
 
     Words carry no repeated letters, so aligned matches are bounded by the
     set overlap and d >= max(m, n) - overlap. The overlaps with every
-    stored word are the incidence matrix times the candidate's 0/1 letter
-    vector, i.e. the sum of its letters' rows. Words are then scanned by
-    increasing bound (stored order within a bound), stopping at the first
-    bound the running best cannot beat.
+    stored word are the incidence matrix times the set's 0/1 letter
+    vector, i.e. the sum of its letters' rows. The words of a bound are
+    listed in stored order, each bound on first use.
     """
+
+    def __init__(self, letters: tuple, index: WordIndex):
+        rows = [index.column[l] for l in letters if l in index.column]
+        self.bounds = (np.maximum(index.lengths, len(letters))
+                       - index.incidence[rows].sum(axis=0, dtype=np.int32))
+        self.lowest = int(self.bounds.min())
+        self.words = index.letters
+        self._levels: dict[int, list[int]] = {}
+
+    def level(self, bound: int) -> list[int]:
+        ks = self._levels.get(bound)
+        if ks is None:
+            ks = self._levels[bound] = np.flatnonzero(self.bounds == bound).tolist()
+        return ks
+
+
+def _chain_distance(pos: dict[int, int], m: int, b: tuple) -> int:
+    """Edit distance between a repeat-free word of length ``m`` with
+    letter positions ``pos`` and the repeat-free word ``b``.
+
+    Each letter of ``b`` in ``pos`` is a match point (i, j). The distance
+    is the least cost of a chain of match points increasing in both
+    words, costing max(i, j) for the leading gap, max(i' - i, j' - j) - 1
+    for each inner gap and max(m - i, n - j) - 1 for the trailing gap; the
+    empty chain costs max(m, n).
+    """
+    n = len(b)
+    best = m if m > n else n
+    chain: list[tuple[int, int, int]] = []   # (i, j, cheapest chain to it)
+    for j, letter in enumerate(b):
+        i = pos.get(letter)
+        if i is None:
+            continue
+        cost = i if i > j else j
+        for pi, pj, pcost in chain:
+            if pi < i:
+                via = pcost + (i - pi if i - pi > j - pj else j - pj) - 1
+                if via < cost:
+                    cost = via
+        chain.append((i, j, cost))
+        tail = cost + (m - i if m - i > n - j else n - j) - 1
+        if tail < best:
+            best = tail
+    return best
+
+
+def _min_dictionary_distance(letters: tuple, scan: _BoundScan) -> int:
+    """Exact min edit distance of one candidate against the whole dictionary.
+
+    Words are scanned by increasing bound (stored order within a bound),
+    stopping at the first bound the running best cannot beat.
+    """
+    pos = {l: i for i, l in enumerate(letters)}
     m = len(letters)
-    rows = [index.column[l] for l in letters if l in index.column]
-    bounds = (np.maximum(index.lengths, m)
-              - index.incidence[rows].sum(axis=0, dtype=np.int32))
-    words = index.letters
+    words = scan.words
     best: int | None = None
-    level = int(bounds.min())
+    level = scan.lowest
     while best is None or level < best:
-        for k in np.flatnonzero(bounds == level).tolist():
-            d = _levenshtein(letters, words[k], best)
+        for k in scan.level(level):
+            d = _chain_distance(pos, m, words[k])
             if best is None or d < best:
                 best = d
                 if best <= level:
@@ -308,17 +383,26 @@ def _min_dictionary_distance(letters: tuple, index: WordIndex) -> int:
 
 
 def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
-    """Keep the candidate closest to any stored word; earliest index wins ties."""
+    """Keep the candidate closest to any stored word; earliest index wins ties.
+
+    The bounds are computed once per distinct letter set: every word
+    ``generate_words`` samples for one instance covers the same letters.
+    """
     if not candidates:
         raise ConfigurationError("no candidate words to select from")
     if not wm.words:
         raise ConfigurationError("world model has no stored words")
     index = wm.word_index
-    best = candidates[0]
-    best_d = _min_dictionary_distance(candidates[0].letters, index)
-    for cand in candidates[1:]:
-        d = _min_dictionary_distance(cand.letters, index)
-        if d < best_d:
+    scans: dict[frozenset[int], _BoundScan] = {}
+    best, best_d = None, None
+    for cand in candidates:
+        letters = cand.letters
+        key = frozenset(letters)
+        scan = scans.get(key)
+        if scan is None:
+            scan = scans[key] = _BoundScan(letters, index)
+        d = _min_dictionary_distance(letters, scan)
+        if best_d is None or d < best_d:
             best, best_d = cand, d
     return best
 
@@ -339,6 +423,10 @@ def reference_edges(ref: Word) -> tuple[tuple[int | None, int | None], ...]:
     return inner + ((letters[-1], None),)
 
 
+def _splice(letters: tuple, position: int, letter: int) -> tuple:
+    return letters[:position] + (letter,) + letters[position:]
+
+
 def enumerate_insertions(ref: Word, novel: int) -> list[PlanCandidate]:
     """All words obtained by splicing ``novel`` into one removable edge."""
     letters = ref.letters
@@ -346,12 +434,10 @@ def enumerate_insertions(ref: Word, novel: int) -> list[PlanCandidate]:
     if novel in letters:
         raise ConfigurationError(f"letter {novel} already in reference")
     if not letters:
-        return [PlanCandidate(word=Word.from_letters([novel]),
-                              removed_edge=(None, None), inserted=novel)]
-    return [PlanCandidate(
-                word=ref._spliced(0 if u is None else letters.index(u) + 1, novel),
-                removed_edge=(u, v), inserted=novel)
-            for u, v in reference_edges(ref)]
+        return [PlanCandidate(reference=(), removed_edge=(None, None),
+                              inserted=novel)]
+    return [PlanCandidate(reference=letters, removed_edge=edge, inserted=novel)
+            for edge in reference_edges(ref)]
 
 
 def _advance(b: GaussianBelief, leg_m: float, profit_bps: float,
@@ -454,12 +540,28 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     tour length is L + d. The surprise grows with d, so this is cheapest
     insertion. Surprise ties fall back to the shorter candidate tour,
     then the smaller word.
+
+    One pass over the edges of ``reference_edges`` scores every candidate
+    from its detour; candidate words are spliced only to break a tie in
+    both surprise and length, and the winner is the one word built.
     """
     letters = ref.letters
+    letter = int(novel)
+    if letter in letters:
+        raise ConfigurationError(f"letter {novel} already in reference")
     p = len(letters)
     speed = ctx.mission.uav_speed_m_per_s
     q = ctx.process_noise
-    ref_length = ctx.word_length_m(ref)
+    # stops[k] -> stops[k + 1] is leg k of the reference tour, closing at
+    # the depot; None marks the depot
+    stops = (None,) + letters
+    points = [ctx.depot] + [ctx.centers[l] for l in letters]
+    x = ctx.centers[novel]
+    to_x = [edge_cost(pt, x) for pt in points]
+    legs = [edge_cost(a, b) for a, b in zip(points, points[1:] + points[:1])]
+    ref_length = 0.0
+    for leg in legs:            # left to right, as in word_length_m
+        ref_length += leg
     ref_legs = p + 1 if letters else 0
     target = GaussianBelief(
         mean=np.array([sum(ctx.profits[l] for l in letters) + ctx.profits[novel],
@@ -470,31 +572,39 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     inverse, const = _bhattacharyya_terms(target.cov, obs.cov)
     per_detour_sq = 0.125 * float(inverse[1, 1]) / (speed * speed)
 
+    # removable edges are legs 1..p (each letter's outgoing leg), or both
+    # depot legs of a one-letter reference; inserting into leg k puts the
+    # new letter at position k of the word
+    first = 1 if p > 1 else 0
+    last = len(stops) - 1
     candidates = []
-    best_idx = 0
-    for k, cand in enumerate(enumerate_insertions(ref, novel)):
-        u, v = cand.removed_edge
-        detour = (ctx.leg_length(u, novel) + ctx.leg_length(novel, v)
-                  - ctx.leg_length(u, v))
-        scored = replace(cand,
-                         tour_length_m=ref_length + detour,
-                         predicted_obs=obs.shifted(np.array([0.0, detour / speed])),
-                         surprise=max(per_detour_sq * detour * detour + const, 0.0))
-        candidates.append(scored)
-        if k == 0:
-            continue
-        best = candidates[best_idx]
-        tol = _SURPRISE_TIE * (1.0 + abs(best.surprise))
-        if scored.surprise < best.surprise - tol:
-            best_idx = k
-        elif abs(scored.surprise - best.surprise) <= tol:
-            if scored.tour_length_m < best.tour_length_m - _LENGTH_TIE:
-                best_idx = k
-            elif (abs(scored.tour_length_m - best.tour_length_m) <= _LENGTH_TIE
-                  and scored.word.letters < best.word.letters):
-                best_idx = k
+    best_k = first
+    best_s = best_len = 0.0
+    for k in range(first, last + 1):
+        nxt = k + 1 if k < last else 0
+        detour = to_x[k] + to_x[nxt] - legs[k]
+        length = ref_length + detour
+        surprise = max(per_detour_sq * detour * detour + const, 0.0)
+        candidates.append(PlanCandidate(
+            reference=letters, removed_edge=(stops[k], stops[nxt]),
+            inserted=letter, tour_length_m=length, surprise=surprise,
+            detour_s=detour / speed, observation=obs))
+        if k > first:
+            tol = _SURPRISE_TIE * (1.0 + abs(best_s))
+            if surprise < best_s - tol:
+                best_k = k
+            elif abs(surprise - best_s) <= tol:
+                if length < best_len - _LENGTH_TIE:
+                    best_k = k
+                elif (abs(length - best_len) <= _LENGTH_TIE
+                      and _splice(letters, k, letter) < _splice(letters, best_k, letter)):
+                    best_k = k
+        if best_k == k:
+            best_s, best_len = surprise, length
+    grown = ref._spliced(best_k, letter) if letters else Word.from_letters([letter])
     return InsertionStep(inserted=novel, target=target,
-                         candidates=tuple(candidates), winner_index=best_idx)
+                         candidates=tuple(candidates),
+                         winner_index=best_k - first, word=grown)
 
 
 @dataclass
@@ -569,7 +679,7 @@ def _complete(reference: Word, generated: list[Word], normal: frozenset[int],
         step = insert_best(word, nxt, ctx)
         steps.append(step)
         inserted_order.append(nxt)
-        word = step.chosen.word
+        word = step.word
     tour = make_tour(word.letters, test, weights or ObjectiveWeights())
     return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
                       generated=generated, reference=reference, steps=steps,
@@ -595,7 +705,7 @@ def plan_to_dict(res: PlanResult) -> dict:
                 "winner_index": s.winner_index,
                 "candidates": [
                     {
-                        "word": list(c.word.letters),
+                        "word": list(c.letters),
                         "removed_edge": [c.removed_edge[0], c.removed_edge[1]],
                         "tour_length_m": c.tour_length_m,
                         "surprise": c.surprise,

@@ -500,6 +500,34 @@ class TestCli:
         assert str(tmp_path / "c" / artifact) in err
         assert recorded in err and current in err
 
+    @pytest.mark.parametrize("change,deleted,key", [
+        pytest.param(lambda cfg: {"train_seed_base":
+                                  cfg.train_seed_base + 5000},
+                     ("training_instances.jsonl", "qtable.json"),
+                     "train_seed_base", id="train_seed_base"),
+        pytest.param(lambda cfg: {"pool_seed": 7}, ("pools.json",),
+                     "pool_seed", id="pool_seed")])
+    def test_reused_tours_for_other_instances_exits_2(
+            self, tmp_path, capsys, change, deleted, key):
+        """Demonstrations solved for other training instances must not be
+        reused: with the instances (or the pool they are drawn from)
+        deleted and their seed changed, the re-run exits 2 naming
+        oracle_tours.jsonl and the key."""
+        cfg = small_config(tmp_path / "t", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        for name in deleted:
+            (tmp_path / "t" / name).unlink()
+        cfg_path.write_text(json.dumps(config_to_dict(
+            replace(cfg, **change(cfg)))))
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "t" / "oracle_tours.jsonl") in err
+        assert f"with {key} " in err
+
     def test_moved_directory_with_other_workers_is_reused(self, tmp_path):
         """output_dir and workers are in no reuse check: a finished run
         moved elsewhere and re-run at workers=2 reuses every artifact."""
@@ -550,6 +578,22 @@ class TestCli:
         assert rc == 0 and trace.exists()
         data = json.loads(trace.read_text())
         assert data["schema"] == "uavplan.plan.v1"
+
+    def test_plan_command_without_trace_prints_only_json(self, tmp_path,
+                                                         capsys):
+        """Without --trace the trace is stdout's only content, and the
+        summary line goes to stderr."""
+        cfg = small_config(tmp_path / "so", test_sizes=(7,), seeds_per_size=1)
+        run_pipeline(cfg)
+        out = Path(cfg.output_dir)
+        capsys.readouterr()
+        assert cli_main(["plan", "--instance",
+                         str(out / "instances" / "s007k000.json"),
+                         "--model", str(out / "world_model.json")]) == 0
+        captured = capsys.readouterr()
+        assert (json.loads(captured.out)
+                == json.loads((out / "traces/s007k000_ain.json").read_text()))
+        assert captured.err.startswith("word: [")
 
     def test_pipeline_command(self, tmp_path):
         cfg = small_config(tmp_path / "cli4")

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -673,3 +674,40 @@ class TestPlanMission:
         res = online_replan(first.final_word, grown, wm)
         assert sorted(res.final_word.letters) == sorted(grown.ids)
         assert len(res.steps) == 2
+
+
+class TestBenchmarkContracts:
+    """What the benchmark's tracer relies on: one insert_best candidate per
+    removable edge, select_reference's (candidates, wm) parameters, and
+    the set of public planner functions it wraps in timed spans (a public
+    per-word helper would put a span inside the innermost loop)."""
+
+    PUBLIC = ("classify_letters", "enumerate_insertions", "expected_surprise",
+              "generate_words", "insert_best", "kalman_predict",
+              "levenshtein", "online_replan", "plan_mission", "plan_to_dict",
+              "predict_observation", "reference_edges", "rollout",
+              "select_reference")
+
+    def test_one_candidate_per_removable_edge(self):
+        rng = np.random.default_rng(5)
+        for p in range(0, 9):
+            ids = list(range(1, p + 1))
+            ctx = make_ctx({i: rng.uniform(0, 1000, size=2) for i in ids + [50]},
+                           {i: 1e7 for i in ids + [50]}, depot=(500, 500),
+                           q_scale=1.0, rm_scale=1.0)
+            ref = Word.from_letters(ids)
+            step = insert_best(ref, 50, ctx)
+            assert len(step.candidates) == (len(reference_edges(ref)) if p else 1)
+
+    def test_select_reference_parameters(self):
+        params = inspect.signature(select_reference).parameters
+        assert "candidates" in params and "wm" in params
+
+    def test_public_functions_unchanged(self):
+        from uavplan import planner
+        public = sorted(
+            name for name, value in vars(planner).items()
+            if inspect.isfunction(value)
+            and value.__module__ == planner.__name__
+            and not name.startswith("_"))
+        assert public == sorted(self.PUBLIC)

@@ -1,0 +1,429 @@
+"""Planner decisions against the implementations they replaced.
+
+The ``ref_*`` functions below are the earlier implementations, kept
+verbatim as the test oracle (only their names, the names of the
+candidate and step classes they build, and some docstrings differ):
+
+- ``ref_insert_best`` builds a spliced ``Word``, a copied candidate and a
+  shifted belief for every candidate and breaks ties on the candidates'
+  words;
+- ``ref_min_dictionary_distance`` runs the full edit-distance table
+  (``ref_levenshtein``, with a cutoff) on every stored word the bound
+  scan visits, and
+  ``ref_select_reference`` recomputes the bounds for every candidate;
+- ``ref_plan_to_dict`` reads each candidate's stored word and belief.
+
+The production planner must make the same decisions, and report them
+with the same float bits, on random and lattice geometry.
+"""
+
+import json
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from uavplan.environment import (ChannelParams, Instance, MissionConfig,
+                                 sample_instance, sample_pool)
+from uavplan.errors import ConfigurationError
+from uavplan.oracle import ObjectiveWeights, make_tour, solve
+from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
+                             PlanContext, PlannerConfig, PlanResult,
+                             _bhattacharyya_terms, _chain_distance,
+                             _next_novel, classify_letters, generate_words,
+                             insert_best, levenshtein, plan_mission,
+                             plan_to_dict, reference_edges, select_reference)
+from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
+                                 WorldModel, learn)
+
+
+# --- reference: every candidate spliced, every distance a full table -----------
+
+@dataclass(frozen=True)
+class RefPlanCandidate:
+    """One tentative insertion: the grown word and its score."""
+
+    word: Word
+    removed_edge: tuple[int | None, int | None]
+    inserted: int
+    tour_length_m: float | None = None
+    predicted_obs: GaussianBelief | None = None
+    surprise: float | None = None
+
+
+@dataclass(frozen=True)
+class RefInsertionStep:
+    """Trace of one planning iteration: all candidates plus the winner."""
+
+    inserted: int
+    target: GaussianBelief
+    candidates: tuple[RefPlanCandidate, ...]
+    winner_index: int
+
+    @property
+    def chosen(self) -> RefPlanCandidate:
+        return self.candidates[self.winner_index]
+
+
+def ref_enumerate_insertions(ref: Word, novel: int) -> list[RefPlanCandidate]:
+    """All words obtained by splicing ``novel`` into one removable edge."""
+    letters = ref.letters
+    novel = int(novel)
+    if novel in letters:
+        raise ConfigurationError(f"letter {novel} already in reference")
+    if not letters:
+        return [RefPlanCandidate(word=Word.from_letters([novel]),
+                                 removed_edge=(None, None), inserted=novel)]
+    return [RefPlanCandidate(
+                word=ref._spliced(0 if u is None else letters.index(u) + 1, novel),
+                removed_edge=(u, v), inserted=novel)
+            for u, v in reference_edges(ref)]
+
+
+def ref_insert_best(ref: Word, novel: int, ctx: PlanContext) -> RefInsertionStep:
+    letters = ref.letters
+    p = len(letters)
+    speed = ctx.mission.uav_speed_m_per_s
+    q = ctx.process_noise
+    ref_length = ctx.word_length_m(ref)
+    ref_legs = p + 1 if letters else 0
+    target = GaussianBelief(
+        mean=np.array([sum(ctx.profits[l] for l in letters) + ctx.profits[novel],
+                       ref_length / speed + (p + 1) * ctx.mission.dwell_time_s]),
+        cov=(ref_legs + 1) * q)
+    obs = GaussianBelief(mean=target.mean,
+                         cov=(p + 2) * q + ctx.measurement_noise)
+    inverse, const = _bhattacharyya_terms(target.cov, obs.cov)
+    per_detour_sq = 0.125 * float(inverse[1, 1]) / (speed * speed)
+
+    candidates = []
+    best_idx = 0
+    for k, cand in enumerate(ref_enumerate_insertions(ref, novel)):
+        u, v = cand.removed_edge
+        detour = (ctx.leg_length(u, novel) + ctx.leg_length(novel, v)
+                  - ctx.leg_length(u, v))
+        scored = replace(cand,
+                         tour_length_m=ref_length + detour,
+                         predicted_obs=obs.shifted(np.array([0.0, detour / speed])),
+                         surprise=max(per_detour_sq * detour * detour + const, 0.0))
+        candidates.append(scored)
+        if k == 0:
+            continue
+        best = candidates[best_idx]
+        tol = _SURPRISE_TIE * (1.0 + abs(best.surprise))
+        if scored.surprise < best.surprise - tol:
+            best_idx = k
+        elif abs(scored.surprise - best.surprise) <= tol:
+            if scored.tour_length_m < best.tour_length_m - _LENGTH_TIE:
+                best_idx = k
+            elif (abs(scored.tour_length_m - best.tour_length_m) <= _LENGTH_TIE
+                  and scored.word.letters < best.word.letters):
+                best_idx = k
+    return RefInsertionStep(inserted=novel, target=target,
+                            candidates=tuple(candidates), winner_index=best_idx)
+
+
+def ref_levenshtein(a: tuple, b: tuple, cutoff: int | None = None) -> int:
+    """Two-row DP; with a cutoff, bail out once the row minimum reaches it.
+
+    Row minima never decrease, so an early return is a valid lower bound
+    (>= cutoff) whenever it fires.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        row_min = i
+        left = i
+        diag = prev[0]
+        append = cur.append
+        for j, cb in enumerate(b, start=1):
+            up = prev[j]
+            v = diag if ca == cb else diag + 1
+            if up + 1 < v:
+                v = up + 1
+            if left + 1 < v:
+                v = left + 1
+            append(v)
+            if v < row_min:
+                row_min = v
+            left = v
+            diag = up
+        if cutoff is not None and row_min >= cutoff:
+            return row_min
+        prev = cur
+    return prev[-1]
+
+
+def ref_min_dictionary_distance(letters: tuple, index: WordIndex) -> int:
+    m = len(letters)
+    rows = [index.column[l] for l in letters if l in index.column]
+    bounds = (np.maximum(index.lengths, m)
+              - index.incidence[rows].sum(axis=0, dtype=np.int32))
+    words = index.letters
+    best: int | None = None
+    level = int(bounds.min())
+    while best is None or level < best:
+        for k in np.flatnonzero(bounds == level).tolist():
+            d = ref_levenshtein(letters, words[k], best)
+            if best is None or d < best:
+                best = d
+                if best <= level:
+                    return best
+        level += 1
+    return best
+
+
+def ref_select_reference(candidates, wm: WorldModel) -> Word:
+    """Keep the candidate closest to any stored word; earliest index wins ties."""
+    if not candidates:
+        raise ConfigurationError("no candidate words to select from")
+    if not wm.words:
+        raise ConfigurationError("world model has no stored words")
+    index = wm.word_index
+    best = candidates[0]
+    best_d = ref_min_dictionary_distance(candidates[0].letters, index)
+    for cand in candidates[1:]:
+        d = ref_min_dictionary_distance(cand.letters, index)
+        if d < best_d:
+            best, best_d = cand, d
+    return best
+
+
+def ref_complete(reference: Word, generated: list[Word], normal: frozenset[int],
+                 test: Instance, wm: WorldModel,
+                 weights: ObjectiveWeights | None) -> PlanResult:
+    """Insert every instance letter the reference lacks, one per step, and
+    realize the grown word as a tour."""
+    ctx = PlanContext.from_instance(test, wm)
+    have = set(reference.letters)
+    pending = sorted(i for i in test.ids if i not in have)
+    word = reference
+    steps: list[RefInsertionStep] = []
+    inserted_order: list[int] = []
+    while pending:
+        nxt = _next_novel(word, pending, ctx)
+        pending.remove(nxt)
+        step = ref_insert_best(word, nxt, ctx)
+        steps.append(step)
+        inserted_order.append(nxt)
+        word = step.chosen.word
+    tour = make_tour(word.letters, test, weights or ObjectiveWeights())
+    return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
+                      generated=generated, reference=reference, steps=steps,
+                      final_word=word, tour=tour)
+
+
+def _belief_to_dict(b: GaussianBelief) -> dict:
+    return {"mean": [float(x) for x in b.mean],
+            "cov": [[float(x) for x in row] for row in b.cov]}
+
+
+def ref_plan_to_dict(res: PlanResult) -> dict:
+    return {
+        "schema": "uavplan.plan.v1",
+        "normal": list(res.normal),
+        "novel": list(res.novel),
+        "generated": [list(w.letters) for w in res.generated],
+        "reference": list(res.reference.letters),
+        "steps": [
+            {
+                "inserted": s.inserted,
+                "target": _belief_to_dict(s.target),
+                "winner_index": s.winner_index,
+                "candidates": [
+                    {
+                        "word": list(c.word.letters),
+                        "removed_edge": [c.removed_edge[0], c.removed_edge[1]],
+                        "tour_length_m": c.tour_length_m,
+                        "surprise": c.surprise,
+                        "predicted_obs": _belief_to_dict(c.predicted_obs),
+                    }
+                    for c in s.candidates
+                ],
+            }
+            for s in res.steps
+        ],
+        "final_word": list(res.final_word.letters),
+        "tour": {
+            "order": list(res.tour.order),
+            "total_cost_m": res.tour.total_cost_m,
+            "total_profit_bps": res.tour.total_profit_bps,
+            "objective": res.tour.objective,
+        },
+    }
+
+
+def ref_plan_mission(test: Instance, wm: WorldModel, cfg: PlannerConfig,
+                     weights: ObjectiveWeights) -> PlanResult:
+    normal, _ = classify_letters(test.ids, wm)
+    generated: list[Word] = []
+    if normal:
+        generated = generate_words(wm, sorted(normal), cfg.n_words, cfg.rng_seed)
+        reference = ref_select_reference(generated, wm)
+    else:
+        reference = Word.from_letters([])
+    return ref_complete(reference, generated, normal, test, wm, weights)
+
+
+# --- comparison helpers ---------------------------------------------------------
+
+def _belief_repr(b: GaussianBelief) -> str:
+    return repr((b.mean.tolist(), b.cov.tolist()))
+
+
+def _step_fields(step) -> list[str]:
+    """Every field of a step and its candidates, as reprs (floats exactly)."""
+    out = [repr(step.inserted), _belief_repr(step.target),
+           repr(step.winner_index), repr(len(step.candidates))]
+    for c in step.candidates:
+        out += [repr(c.word), repr(c.removed_edge), repr(c.inserted),
+                repr(c.tour_length_m), repr(c.surprise),
+                _belief_repr(c.predicted_obs)]
+    return out
+
+
+def _tie_decided(step) -> bool:
+    """More than one candidate ties the winner in surprise and length, so
+    the word rule picks among them."""
+    win = step.chosen
+    tol = _SURPRISE_TIE * (1.0 + abs(win.surprise))
+    return sum(abs(c.surprise - win.surprise) <= tol
+               and abs(c.tour_length_m - win.tour_length_m) <= _LENGTH_TIE
+               for c in step.candidates) > 1
+
+
+def _context(rng, ids, lattice: bool) -> PlanContext:
+    """A context over ``ids``: centers uniform in a 2 km square, or on a
+    4 x 4 lattice of 100 m spacing (so detours tie exactly), with random
+    profits and correlated noise."""
+    if lattice:
+        cells = rng.permutation(16)[:len(ids)]
+        centers = {i: (100.0 * float(c % 4), 100.0 * float(c // 4))
+                   for i, c in zip(ids, cells)}
+        depot = (100.0 * float(rng.integers(0, 4)), -100.0)
+    else:
+        centers = {i: (float(rng.uniform(0, 2000)), float(rng.uniform(0, 2000)))
+                   for i in ids}
+        depot = (1000.0, 1000.0)
+    sp, st_, rho = 1e6, 0.8, float(rng.uniform(-0.9, 0.9))
+    q = np.array([[sp * sp, rho * sp * st_], [rho * sp * st_, st_ * st_]])
+    return PlanContext(
+        centers=centers, profits={i: float(rng.uniform(1e6, 1e8)) for i in ids},
+        depot=depot,
+        mission=MissionConfig(uav_speed_m_per_s=float(rng.uniform(5, 40)),
+                              dwell_time_s=float(rng.choice([0.0, 3.0]))),
+        process_noise=q, measurement_noise=0.25 * q)
+
+
+class TestInsertBestAgainstReference:
+    @pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
+    def test_same_steps_field_by_field(self, lattice):
+        rng = np.random.default_rng(41 if lattice else 40)
+        ties = 0
+        for trial in range(600):
+            p = trial % (12 if lattice else 25)    # empty, 1 letter and more
+            ids = [int(x) for x in rng.permutation(60)[:p + 1]]
+            ctx = _context(rng, ids, lattice)
+            ref, novel = Word.from_letters(ids[:p]), ids[p]
+            want = ref_insert_best(ref, novel, ctx)
+            got = insert_best(ref, novel, ctx)
+            assert _step_fields(got) == _step_fields(want)
+            assert got.word == want.chosen.word
+            assert got.chosen.letters == want.chosen.word.letters
+            ties += _tie_decided(want)
+        if lattice:
+            assert ties > 50
+        else:
+            assert ties >= 20      # the two depot legs of a 1-letter word
+
+    def test_letter_already_in_reference_rejected(self):
+        ctx = _context(np.random.default_rng(0), [1, 2, 3], False)
+        with pytest.raises(ConfigurationError, match="already in reference"):
+            insert_best(Word.from_letters([1, 2, 3]), 2, ctx)
+
+
+# --- reference selection ------------------------------------------------------
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, n - 1), max_size=50, unique=True),
+    st.lists(st.integers(0, n - 1), max_size=9, unique=True))))
+def test_chain_distance_is_edit_distance(pair):
+    """On repeat-free words (0-50 letters against 0-9, from one alphabet of
+    1-60 letters) the sparse chain DP equals the full table."""
+    a, b = (tuple(w) for w in pair)
+    pos = {l: i for i, l in enumerate(a)}
+    assert _chain_distance(pos, len(a), b) == levenshtein(a, b)
+
+
+@pytest.fixture(scope="module")
+def world():
+    """A small learned world model, the template for random dictionaries."""
+    chan, mission, w = ChannelParams(), MissionConfig(), ObjectiveWeights()
+    testing_pool = sample_pool(5150, 30, 5.0, mission, chan)
+    training_pool = testing_pool[:15]
+    demos = [solve(sample_instance(900 + k, training_pool, 5,
+                                   (1000.0, 1000.0), chan, mission), w)
+             for k in range(200)]
+    return testing_pool, learn(demos, training_pool, NoiseConfig(), mission)
+
+
+words_of = lambda alphabet, hi: st.lists(   # noqa: E731
+    st.integers(0, alphabet - 1), min_size=1, max_size=hi, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+    st.lists(words_of(n, 5), min_size=1, max_size=60),
+    st.lists(words_of(n + 4, 12), min_size=1, max_size=10))))
+def test_select_reference_picks_the_references_candidate(world, drawn):
+    """Random dictionaries of words of up to 5 letters and candidates that
+    may mix letter sets and hold letters the dictionary lacks."""
+    stored, cands = drawn
+    keys = list(dict.fromkeys(tuple(w) for w in stored))
+    wm = replace(world[1], vocab=Vocabulary(l for k in keys for l in k),
+                 words=[Word.from_letters(k) for k in keys],
+                 word_counts=[1] * len(keys))
+    words = [Word.from_letters(c) for c in cands]
+    assert select_reference(words, wm) is ref_select_reference(words, wm)
+
+
+def test_select_reference_on_shared_letter_sets(world):
+    """generate_words candidates all cover one letter set, so they share
+    one bound vector: the pick is still the reference's."""
+    testing_pool, wm = world
+    rng = np.random.default_rng(3)
+    for seed in range(40):
+        ids = [int(x) for x in rng.choice(len(testing_pool), size=int(
+            rng.integers(2, 25)), replace=False)]
+        normal, _ = classify_letters(ids, wm)
+        if not normal:
+            continue
+        cands = generate_words(wm, sorted(normal), 10, seed)
+        assert select_reference(cands, wm) is ref_select_reference(cands, wm)
+
+
+# --- whole plans --------------------------------------------------------------
+
+class TestPlanAgainstReference:
+    def test_same_trace_json(self, world):
+        testing_pool, wm = world
+        chan, mission = ChannelParams(), MissionConfig()
+        weights = ObjectiveWeights()
+        for s in range(24):
+            size = (5, 12, 20, 30)[s % 4]
+            inst = sample_instance(61000 + s, testing_pool, size,
+                                   (1000.0, 1000.0), chan, mission)
+            cfg = PlannerConfig(n_words=10, rng_seed=s)
+            got = plan_to_dict(plan_mission(inst, wm, cfg, weights))
+            want = ref_plan_to_dict(ref_plan_mission(inst, wm, cfg, weights))
+            assert (json.dumps(got, sort_keys=True)
+                    == json.dumps(want, sort_keys=True))
+            assert math.isfinite(got["tour"]["total_cost_m"])
