@@ -282,8 +282,9 @@ def _read_csv(path: Path) -> list[dict]:
 def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T | list[T]:
     """Read an artifact and build what it holds: a list with one object per
     row of a ``.csv`` file, else one object from the JSON file. Unreadable
-    or corrupt input and a wrong shape (a missing key, a wrong type or
-    value) are configuration errors that name the file."""
+    or corrupt input and a wrong shape (a missing key, a short list, a
+    wrong type or value, or contents that contradict each other) are
+    configuration errors that name the file."""
     is_csv = path.suffix == ".csv"
     data = _read_csv(path) if is_csv else read_json(path)
     try:
@@ -292,7 +293,7 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T | list[T]:
         return from_dict(data)
     except ConfigurationError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (LookupError, TypeError, ValueError) as e:
         raise ConfigurationError(
             f"malformed artifact {path}: {type(e).__name__}: {e}") from e
 
@@ -343,8 +344,7 @@ def load_headed_jsonl(path: Path, schema: str, want: dict, count: int,
     for n, rec in enumerate(records, start=2):
         try:
             built.append(from_record(rec))
-        except (ConfigurationError, ConsistencyError, KeyError, TypeError,
-                ValueError) as e:
+        except (LookupError, TypeError, ValueError) as e:
             raise ConfigurationError(
                 f"malformed artifact {path}, line {n}: "
                 f"{type(e).__name__}: {e}") from e

@@ -140,7 +140,7 @@ class PlanCandidate:
 
     @property
     def word(self) -> Word:
-        return Word.from_letters(self.letters)
+        return Word(self.letters)
 
     @property
     def predicted_obs(self) -> GaussianBelief | None:
@@ -231,8 +231,8 @@ def classify_letters(test_ids: Sequence[int],
 def levenshtein(w1, w2) -> int:
     """Edit distance between two letter sequences (unit costs), by the
     two-row dynamic program; the letters may repeat."""
-    a = tuple(w1.letters) if isinstance(w1, Word) else tuple(w1)
-    b = tuple(w2.letters) if isinstance(w2, Word) else tuple(w2)
+    a = w1.letters if isinstance(w1, Word) else tuple(w1)
+    b = w2.letters if isinstance(w2, Word) else tuple(w2)
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -601,10 +601,10 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
                     best_k = k
         if best_k == k:
             best_s, best_len = surprise, length
-    grown = ref._spliced(best_k, letter) if letters else Word.from_letters([letter])
     return InsertionStep(inserted=novel, target=target,
                          candidates=tuple(candidates),
-                         winner_index=best_k - first, word=grown)
+                         winner_index=best_k - first,
+                         word=Word(_splice(letters, best_k, letter)))
 
 
 @dataclass

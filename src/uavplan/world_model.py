@@ -1,7 +1,9 @@
 """Dictionary world model learned from demonstration tours.
 
-Each hotspot id is a letter; a letter together with its outgoing edge is
-a generalized letter; a demonstrated tour becomes a word. Per-word
+Each hotspot id is a letter, and a demonstrated tour becomes a word: the
+tuple of its distinct letters in visiting order. A letter together with
+its outgoing edge inside a word is a generalized letter, derived from the
+word's letters rather than stored. Per-word
 adjacency/degree matrices yield per-word transition matrices, and the
 global transition matrix pools transition counts across the whole
 demonstration set (maximum-likelihood Markov estimate). Rows with no
@@ -37,70 +39,32 @@ class GeneralizedLetter(NamedTuple):
 
 @dataclass(frozen=True)
 class Word:
-    """An ordered visitation sequence stored as chained generalized letters.
+    """An ordered visitation sequence: a tuple of distinct letters.
 
-    The terminal letter has no outgoing edge inside the word and is kept
-    separately; a one-letter word has no glyphs at all.
+    Its generalized letters are derived: each letter but the last with the
+    edge to its successor (``glyphs``), and the last letter (``terminal``),
+    which has no outgoing edge inside the word. A one-letter word has no
+    glyphs at all.
     """
 
-    glyphs: tuple[GeneralizedLetter, ...]
-    terminal: int | None
+    letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        prev_end: int | None = None
-        for g in self.glyphs:
-            if g.start == g.edge_to:
-                raise ConsistencyError("self-loop generalized letter")
-            if prev_end is not None and g.start != prev_end:
-                raise ConsistencyError("generalized letters do not chain")
-            if g.start in seen:
-                raise ConsistencyError("repeated letter in word")
-            seen.add(g.start)
-            prev_end = g.edge_to
-        if self.glyphs:
-            if self.terminal != self.glyphs[-1].edge_to:
-                raise ConsistencyError("terminal letter does not close the chain")
-            if self.terminal in seen:
-                raise ConsistencyError("repeated letter in word")
+        if len(set(self.letters)) != len(self.letters):
+            raise ConsistencyError("repeated letter in word")
 
     @classmethod
     def from_letters(cls, letters: Sequence[int]) -> "Word":
-        letters = [int(x) for x in letters]
-        if not letters:
-            return cls(glyphs=(), terminal=None)
-        glyphs = tuple(GeneralizedLetter(a, b) for a, b in zip(letters, letters[1:]))
-        return cls(glyphs=glyphs, terminal=letters[-1])
-
-    def _spliced(self, position: int, letter: int) -> "Word":
-        """This non-empty word with ``letter``, which it must not contain,
-        inserted before index ``position`` (``len(self)`` appends).
-
-        Only the glyphs at the splice are new and the rest of the chain was
-        validated with this word, so the chain is not walked again.
-        """
-        glyphs, terminal = self.glyphs, self.terminal
-        if position == 0:
-            head = glyphs[0].start if glyphs else terminal
-            glyphs = (GeneralizedLetter(letter, head),) + glyphs
-        elif position == len(glyphs) + 1:
-            glyphs = glyphs + (GeneralizedLetter(terminal, letter),)
-            terminal = letter
-        else:
-            u, v = glyphs[position - 1]
-            glyphs = (glyphs[:position - 1]
-                      + (GeneralizedLetter(u, letter), GeneralizedLetter(letter, v))
-                      + glyphs[position:])
-        out = object.__new__(Word)
-        object.__setattr__(out, "glyphs", glyphs)
-        object.__setattr__(out, "terminal", terminal)
-        return out
+        return cls(tuple(int(x) for x in letters))
 
     @property
-    def letters(self) -> tuple[int, ...]:
-        if self.terminal is None:
-            return ()
-        return tuple(g.start for g in self.glyphs) + (self.terminal,)
+    def glyphs(self) -> tuple[GeneralizedLetter, ...]:
+        letters = self.letters
+        return tuple(GeneralizedLetter(a, b) for a, b in zip(letters, letters[1:]))
+
+    @property
+    def terminal(self) -> int | None:
+        return self.letters[-1] if self.letters else None
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -147,8 +111,13 @@ class TransitionMatrix:
         return bool(self.active[self.vocab.index(letter)])
 
     def validate(self) -> None:
+        n = len(self.vocab)
+        if self.probs.shape != (n, n) or self.active.shape != (n,):
+            raise ConsistencyError(
+                f"transition probs {self.probs.shape} and active "
+                f"{self.active.shape} do not fit a vocabulary of {n} letters")
         sums = self.probs.sum(axis=1)
-        for k in range(len(self.vocab)):
+        for k in range(n):
             if self.active[k]:
                 if abs(sums[k] - 1.0) > _ROW_TOL:
                     raise ConsistencyError(f"active row {k} sums to {sums[k]}")
@@ -205,8 +174,9 @@ def merge_global(words: Sequence[Word], vocab: Vocabulary,
     if multiplicities is None:
         multiplicities = [1] * len(words)
     for w, m in zip(words, multiplicities):
-        for g in w.glyphs:
-            counts[vocab.index(g.start), vocab.index(g.edge_to)] += m
+        letters = w.letters
+        for a, b in zip(letters, letters[1:]):
+            counts[vocab.index(a), vocab.index(b)] += m
     out = counts.sum(axis=1)
     active = out > 0
     probs = np.zeros_like(counts)
@@ -326,8 +296,11 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
 
     tally: dict[tuple[int, ...], int] = {}
     word_cost: dict[tuple[int, ...], float] = {}
+    first: dict[tuple[int, ...], Word] = {}
     for t in demos:
-        key = word_from_tour(t).letters
+        w = word_from_tour(t)
+        key = w.letters
+        first.setdefault(key, w)
         tally[key] = tally.get(key, 0) + 1
         # identical words imply identical geometry; keep the smaller cost
         # so accumulation order cannot matter
@@ -335,7 +308,7 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
         word_cost[key] = t.total_cost_m if prev is None else min(prev, t.total_cost_m)
 
     keys = sorted(tally)
-    words = [Word.from_letters(k) for k in keys]
+    words = [first[k] for k in keys]
     counts = [tally[k] for k in keys]
 
     letters = sorted({l for k in keys for l in k})
@@ -435,7 +408,14 @@ def model_from_dict(d: dict) -> WorldModel:
         )
         for l, s in d["letters"].items()
     }
+    if set(stats) != set(vocab.letters):
+        raise ConsistencyError("the letters' statistics do not key exactly "
+                               "the vocabulary")
     words = [Word.from_letters(w["letters"]) for w in d["words"]]
+    unknown = {l for w in words for l in w.letters} - set(vocab.letters)
+    if unknown:
+        raise ConsistencyError(
+            f"stored words name letters {sorted(unknown)} not in the vocabulary")
     counts = [int(w["count"]) for w in d["words"]]
     tm = TransitionMatrix(probs=np.array(d["transition"]["probs"], float),
                           active=np.array(d["transition"]["active"], bool),

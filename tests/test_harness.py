@@ -474,6 +474,61 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert str(tmp_path / "h" / artifact) in err and named in err
 
+    @staticmethod
+    def _damaged_run_exit(tmp_path, capsys, artifact, edit, command):
+        """Run a 30-demonstration pipeline, apply ``edit`` to the JSON of
+        ``artifact``, then run ``command`` (``pipeline`` again, or ``plan``
+        on one test instance with the run's world model); returns the
+        exit code and stderr."""
+        cfg = small_config(tmp_path / "d", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "d"
+        obj = json.loads((out / artifact).read_text())
+        edit(obj)
+        (out / artifact).write_text(json.dumps(obj))
+        capsys.readouterr()
+        if command == "pipeline":
+            argv = ["pipeline", "--config", str(cfg_path)]
+        else:
+            argv = ["plan", "--config", str(cfg_path),
+                    "--instance", str(out / "instances" / "s005k000.json"),
+                    "--model", str(out / "world_model.json"),
+                    "--trace", str(tmp_path / "trace.json")]
+        return cli_main(argv), capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact,command", [
+        pytest.param("pools.json", "pipeline", id="pools.json"),
+        pytest.param("instances/s005k000.json", "plan", id="instance")])
+    def test_short_list_in_artifact_exits_2(self, tmp_path, capsys, artifact,
+                                            command):
+        """A hotspot whose center has one coordinate exits 2 naming the
+        file, in a reused pool and in an instance given to ``plan``."""
+        code, err = self._damaged_run_exit(
+            tmp_path, capsys, artifact,
+            lambda obj: obj["hotspots"][0]["center_m"].pop(), command)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "d" / artifact) in err and "IndexError" in err
+
+    @pytest.mark.parametrize("edit,command,named", [
+        pytest.param(lambda obj: obj["transition"]["probs"].pop(), "pipeline",
+                     "transition probs", id="probs-row-dropped"),
+        pytest.param(lambda obj: obj["words"][0]["letters"].__setitem__(0, 999),
+                     "plan", "[999]", id="word-letter-not-in-vocabulary")])
+    def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
+                                              command, named):
+        """A world model whose transition matrix does not fit its
+        vocabulary, reused by a pipeline re-run, or with a stored word
+        naming a letter outside it, given to ``plan``, exits 2 naming the
+        file and the contradiction."""
+        code, err = self._damaged_run_exit(tmp_path, capsys,
+                                           "world_model.json", edit, command)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "d" / "world_model.json") in err and named in err
+
     @pytest.mark.parametrize("change,artifact,recorded,current", [
         pytest.param({"noise": NoiseConfig(process_scale=0.2)},
                      "world_model.json", '"process_scale":0.02',

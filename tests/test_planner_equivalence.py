@@ -2,7 +2,9 @@
 
 The ``ref_*`` functions below are the earlier implementations, kept
 verbatim as the test oracle (only their names, the names of the
-candidate and step classes they build, and some docstrings differ):
+candidate and step classes they build, some docstrings, and how
+``ref_enumerate_insertions`` builds a spliced word from its letters
+differ):
 
 - ``ref_insert_best`` builds a spliced ``Word``, a copied candidate and a
   shifted belief for every candidate and breaks ties on the candidates'
@@ -33,9 +35,10 @@ from uavplan.oracle import ObjectiveWeights, make_tour, solve
 from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
                              PlanContext, PlannerConfig, PlanResult,
                              _bhattacharyya_terms, _chain_distance,
-                             _next_novel, classify_letters, generate_words,
-                             insert_best, levenshtein, plan_mission,
-                             plan_to_dict, reference_edges, select_reference)
+                             _next_novel, _splice, classify_letters,
+                             generate_words, insert_best, levenshtein,
+                             plan_mission, plan_to_dict, reference_edges,
+                             select_reference)
 from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
                                  WorldModel, learn)
 
@@ -78,7 +81,9 @@ def ref_enumerate_insertions(ref: Word, novel: int) -> list[RefPlanCandidate]:
         return [RefPlanCandidate(word=Word.from_letters([novel]),
                                  removed_edge=(None, None), inserted=novel)]
     return [RefPlanCandidate(
-                word=ref._spliced(0 if u is None else letters.index(u) + 1, novel),
+                word=Word(_splice(letters,
+                                  0 if u is None else letters.index(u) + 1,
+                                  novel)),
                 removed_edge=(u, v), inserted=novel)
             for u, v in reference_edges(ref)]
 

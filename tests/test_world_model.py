@@ -1,7 +1,11 @@
+import inspect
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavplan.environment import sample_instance, sample_pool
 from uavplan.errors import (ConsistencyError, DegenerateWordError,
@@ -49,10 +53,26 @@ class TestWord:
         with pytest.raises(ConsistencyError):
             Word.from_letters([1, 1])
 
-    def test_broken_chain_rejected(self):
-        with pytest.raises(ConsistencyError):
-            Word(glyphs=(GeneralizedLetter(1, 2), GeneralizedLetter(3, 4)),
-                 terminal=4)
+    @settings(max_examples=200, deadline=None)
+    @given(letters=st.lists(st.integers(0, 200), max_size=50, unique=True),
+           data=st.data())
+    def test_letters_determine_the_word(self, letters, data):
+        """A word is its repeat-free letters: its glyphs chain them, its
+        terminal is the last one, from_letters and a pickle round trip give
+        an equal word, and any list with a repeated letter is rejected."""
+        w = Word.from_letters(letters)
+        g = w.glyphs
+        assert all(g[i].edge_to == g[i + 1].start for i in range(len(g) - 1))
+        assert w.terminal == (letters[-1] if letters else None)
+        assert [x.start for x in g] + [w.terminal] * bool(letters) == letters
+        again = Word.from_letters(w.letters)
+        assert again == w and hash(again) == hash(w)
+        assert pickle.loads(pickle.dumps(w)) == w
+        if letters:
+            repeated = data.draw(st.sampled_from(letters))
+            at = data.draw(st.integers(0, len(letters)))
+            with pytest.raises(ConsistencyError):
+                Word.from_letters(letters[:at] + [repeated] + letters[at:])
 
 
 class TestWordFromTour:
@@ -266,3 +286,22 @@ class TestLearn:
         back = model_from_dict(model_to_dict(wm))
         assert json.dumps(model_to_dict(back), sort_keys=True) == \
             json.dumps(model_to_dict(wm), sort_keys=True)
+
+
+class TestBenchmarkContracts:
+    """The benchmark's tracer wraps every public world_model function in a
+    timed span, so a new public helper would put a span inside the
+    learner's loops."""
+
+    PUBLIC = ("adjacency", "degree", "demonstration_fingerprint", "learn",
+              "merge_global", "model_from_dict", "model_to_dict",
+              "word_from_tour", "word_transition")
+
+    def test_public_functions_unchanged(self):
+        from uavplan import world_model
+        public = sorted(
+            name for name, value in vars(world_model).items()
+            if inspect.isfunction(value)
+            and value.__module__ == world_model.__name__
+            and not name.startswith("_"))
+        assert public == sorted(self.PUBLIC)
