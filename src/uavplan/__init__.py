@@ -19,10 +19,9 @@ from .oracle import (ObjectiveWeights, Tour, brute_force,
                      nearest_neighbor_construct, objective, relative_weights,
                      selection_pass, solve, two_opt)
 from .planner import (GaussianBelief, PlanCandidate, PlanContext, PlanResult,
-                      PlannerConfig, classify_letters, enumerate_insertions,
-                      expected_surprise, generate_words, insert_best,
-                      kalman_predict, levenshtein, online_replan, plan_mission,
-                      rollout, select_reference)
+                      PlannerConfig, classify_letters, expected_surprise,
+                      generate_words, insert_best, kalman_predict, levenshtein,
+                      online_replan, plan_mission, rollout, select_reference)
 from .ql import QTable, QTrainConfig, construct_word, train_q
 from .world_model import (GeneralizedLetter, NoiseConfig, TransitionMatrix,
                           Vocabulary, Word, WorldModel, adjacency, degree,

@@ -27,8 +27,13 @@ target only by d/v in time. The surprise is therefore
 (1/8) (d/v)^2 (S^-1)_tt + const with S and const fixed per step:
 monotone in d, i.e. the planner performs cheapest insertion
 (Rosenkrantz, Stearns & Lewis 1977). Each step scores its candidates
-from their detours alone and splices only the winner into a new word;
-a candidate's own word and predicted observation are derived when read.
+from their detours alone and splices only the winner into a new word.
+A candidate records only its removed edge (u, v), tour length, surprise
+and detour time. A reader recovers its word by splicing the step's
+letter into the step's reference right after u, or in front when u is
+the depot (None); the first step's reference is the plan's, every later
+one the previous step's word. Its predicted observation is the step's
+shared ``observation`` with the mean moved by (0, detour time).
 ``rollout`` and ``expected_surprise`` remain the reference the tests
 check it against.
 
@@ -48,7 +53,7 @@ dynamic program over at most n match points (Eppstein, Galil, Giancarlo
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -98,64 +103,28 @@ class GaussianBelief:
     def zero(cls, dim: int = 2) -> "GaussianBelief":
         return cls(mean=np.zeros(dim), cov=np.zeros((dim, dim)))
 
-    def shifted(self, delta: np.ndarray) -> "GaussianBelief":
-        """The same covariance around a mean moved by ``delta``.
-
-        The covariance was validated when this belief was built and is
-        shared, not copied, so the check is not repeated.
-        """
-        out = object.__new__(GaussianBelief)
-        object.__setattr__(out, "mean", self.mean + delta)
-        object.__setattr__(out, "cov", self.cov)
-        return out
-
 
 @dataclass(frozen=True)
 class PlanCandidate:
-    """One tentative insertion of ``inserted`` into ``removed_edge`` of a
-    reference word, and its score.
+    """One tentative insertion of the step's letter into ``removed_edge``
+    of the reference word, and its score: the candidate's tour length, its
+    surprise and ``detour_s``, the detour's travel time."""
 
-    ``reference`` holds the reference's letters, shared by all candidates
-    of a step. Only a step's winner is built as a ``Word``
-    (``InsertionStep.word``); a candidate's own ``letters``, ``word`` and
-    ``predicted_obs`` are computed when read: the reference with
-    ``inserted`` spliced in, and the step's shared observation belief
-    ``observation`` shifted in time by the detour's travel time
-    ``detour_s``.
-    """
-
-    reference: tuple[int, ...]
     removed_edge: tuple[int | None, int | None]
-    inserted: int
-    tour_length_m: float | None = None
-    surprise: float | None = None
-    detour_s: float | None = None
-    observation: GaussianBelief | None = field(default=None, repr=False)
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        u = self.removed_edge[0]
-        position = 0 if u is None else self.reference.index(u) + 1
-        return _splice(self.reference, position, self.inserted)
-
-    @property
-    def word(self) -> Word:
-        return Word(self.letters)
-
-    @property
-    def predicted_obs(self) -> GaussianBelief | None:
-        if self.observation is None:
-            return None
-        return self.observation.shifted(np.array([0.0, self.detour_s]))
+    tour_length_m: float
+    surprise: float
+    detour_s: float
 
 
 @dataclass(frozen=True)
 class InsertionStep:
-    """Trace of one planning iteration: all candidates plus the winner, and
-    ``word``, the reference grown by the winner."""
+    """Trace of one planning iteration: the target belief, the observation
+    belief every candidate predicts before its detour, all candidates plus
+    the winner, and ``word``, the reference grown by the winner."""
 
     inserted: int
     target: GaussianBelief
+    observation: GaussianBelief
     candidates: tuple[PlanCandidate, ...]
     winner_index: int
     word: Word
@@ -407,37 +376,8 @@ def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
     return best
 
 
-def reference_edges(ref: Word) -> tuple[tuple[int | None, int | None], ...]:
-    """Removable edges of the reference graph (None marks the depot).
-
-    For p letters these are the p-1 inner edges plus the return-to-depot
-    closure, i.e. each letter's outgoing edge. A single-letter graph has
-    no inner structure, so both depot legs are offered.
-    """
-    letters = ref.letters
-    if not letters:
-        return ()
-    if len(letters) == 1:
-        return ((None, letters[0]), (letters[0], None))
-    inner = tuple((a, b) for a, b in zip(letters, letters[1:]))
-    return inner + ((letters[-1], None),)
-
-
 def _splice(letters: tuple, position: int, letter: int) -> tuple:
     return letters[:position] + (letter,) + letters[position:]
-
-
-def enumerate_insertions(ref: Word, novel: int) -> list[PlanCandidate]:
-    """All words obtained by splicing ``novel`` into one removable edge."""
-    letters = ref.letters
-    novel = int(novel)
-    if novel in letters:
-        raise ConfigurationError(f"letter {novel} already in reference")
-    if not letters:
-        return [PlanCandidate(reference=(), removed_edge=(None, None),
-                              inserted=novel)]
-    return [PlanCandidate(reference=letters, removed_edge=edge, inserted=novel)
-            for edge in reference_edges(ref)]
 
 
 def _advance(b: GaussianBelief, leg_m: float, profit_bps: float,
@@ -541,9 +481,12 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     insertion. Surprise ties fall back to the shorter candidate tour,
     then the smaller word.
 
-    One pass over the edges of ``reference_edges`` scores every candidate
-    from its detour; candidate words are spliced only to break a tie in
-    both surprise and length, and the winner is the one word built.
+    The removable edges are each letter's outgoing leg, closing at the
+    depot, or both depot legs of a one-letter reference, or the one
+    depot-to-depot leg of an empty one. One pass over them scores every
+    candidate from its detour; candidate words are spliced only to break
+    a tie in both surprise and length, and the winner is the one word
+    built.
     """
     letters = ref.letters
     letter = int(novel)
@@ -586,9 +529,8 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
         length = ref_length + detour
         surprise = max(per_detour_sq * detour * detour + const, 0.0)
         candidates.append(PlanCandidate(
-            reference=letters, removed_edge=(stops[k], stops[nxt]),
-            inserted=letter, tour_length_m=length, surprise=surprise,
-            detour_s=detour / speed, observation=obs))
+            removed_edge=(stops[k], stops[nxt]), tour_length_m=length,
+            surprise=surprise, detour_s=detour / speed))
         if k > first:
             tol = _SURPRISE_TIE * (1.0 + abs(best_s))
             if surprise < best_s - tol:
@@ -601,7 +543,7 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
                     best_k = k
         if best_k == k:
             best_s, best_len = surprise, length
-    return InsertionStep(inserted=novel, target=target,
+    return InsertionStep(inserted=novel, target=target, observation=obs,
                          candidates=tuple(candidates),
                          winner_index=best_k - first,
                          word=Word(_splice(letters, best_k, letter)))
@@ -692,8 +634,12 @@ def _belief_to_dict(b: GaussianBelief) -> dict:
 
 
 def plan_to_dict(res: PlanResult) -> dict:
+    """The plan as a ``uavplan.plan.v2`` trace: every fact a decision rests
+    on and nothing that the other fields determine (see the module
+    docstring for how a candidate's word and predicted observation are
+    recovered)."""
     return {
-        "schema": "uavplan.plan.v1",
+        "schema": "uavplan.plan.v2",
         "normal": list(res.normal),
         "novel": list(res.novel),
         "generated": [list(w.letters) for w in res.generated],
@@ -702,14 +648,15 @@ def plan_to_dict(res: PlanResult) -> dict:
             {
                 "inserted": s.inserted,
                 "target": _belief_to_dict(s.target),
+                "observation_cov": [[float(x) for x in row]
+                                    for row in s.observation.cov],
                 "winner_index": s.winner_index,
                 "candidates": [
                     {
-                        "word": list(c.letters),
-                        "removed_edge": [c.removed_edge[0], c.removed_edge[1]],
+                        "removed_edge": list(c.removed_edge),
                         "tour_length_m": c.tour_length_m,
                         "surprise": c.surprise,
-                        "predicted_obs": _belief_to_dict(c.predicted_obs),
+                        "detour_s": c.detour_s,
                     }
                     for c in s.candidates
                 ],

@@ -28,6 +28,7 @@ from .errors import ConfigurationError, ConsistencyError, DegenerateWordError, T
 from .oracle import Tour
 
 _ROW_TOL = 1e-9
+WORLD_MODEL_SCHEMA = "uavplan.world_model.v2"
 
 
 class GeneralizedLetter(NamedTuple):
@@ -116,6 +117,9 @@ class TransitionMatrix:
             raise ConsistencyError(
                 f"transition probs {self.probs.shape} and active "
                 f"{self.active.shape} do not fit a vocabulary of {n} letters")
+        if not np.isfinite(self.probs).all() or (self.probs < 0).any():
+            raise ConsistencyError(
+                "transition probabilities must be finite and non-negative")
         sums = self.probs.sum(axis=1)
         for k in range(n):
             if self.active[k]:
@@ -192,7 +196,6 @@ class LetterStats:
 
     center_m: tuple[float, float]
     mean_profit_bps: float
-    var_profit: float
     count: int
     start_count: int
 
@@ -320,7 +323,6 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
     occ = {l: 0 for l in letters}
     started = {l: 0 for l in letters}
     profit_sum = {l: 0.0 for l in letters}
-    profit_sq = {l: 0.0 for l in letters}
     total_profit = 0.0
     total_visits = 0
     total_cost = 0.0
@@ -331,19 +333,15 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
             occ[l] += c
             p = by_id[l].profit_bps
             profit_sum[l] += c * p
-            profit_sq[l] += c * p * p
             total_profit += c * p
             total_visits += c
         total_cost += c * word_cost[k]
         total_legs += c * (len(k) + 1)
 
-    stats = {}
-    for l in letters:
-        mean = profit_sum[l] / occ[l]
-        var = max(profit_sq[l] / occ[l] - mean * mean, 0.0)
-        stats[l] = LetterStats(center_m=by_id[l].center_m, mean_profit_bps=mean,
-                               var_profit=var, count=occ[l],
-                               start_count=started[l])
+    stats = {l: LetterStats(center_m=by_id[l].center_m,
+                            mean_profit_bps=profit_sum[l] / occ[l],
+                            count=occ[l], start_count=started[l])
+             for l in letters}
 
     mean_profit = total_profit / total_visits
     mean_leg_time = total_cost / total_legs / mission.uav_speed_m_per_s
@@ -368,13 +366,12 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
 
 def model_to_dict(wm: WorldModel) -> dict:
     return {
-        "schema": "uavplan.world_model.v1",
+        "schema": WORLD_MODEL_SCHEMA,
         "vocabulary": list(wm.vocab.letters),
         "letters": {
             str(l): {
                 "center_m": list(s.center_m),
                 "mean_profit_bps": s.mean_profit_bps,
-                "var_profit": s.var_profit,
                 "count": s.count,
                 "start_count": s.start_count,
             }
@@ -396,13 +393,30 @@ def model_to_dict(wm: WorldModel) -> dict:
     }
 
 
+def _noise_matrix(d: dict, key: str) -> np.ndarray:
+    """A stored noise covariance: finite, 2 x 2, symmetric and positive
+    semi-definite."""
+    m = np.array(d[key], float)
+    if m.shape != (2, 2) or not np.isfinite(m).all():
+        raise ConsistencyError(f"{key} {d[key]} is not a finite 2 x 2 matrix")
+    if (m[0, 1] != m[1, 0]
+            or min(m[0, 0], m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) < 0):
+        raise ConsistencyError(
+            f"{key} {m.tolist()} is not symmetric positive semi-definite")
+    return m
+
+
 def model_from_dict(d: dict) -> WorldModel:
+    found = d.get("schema") if isinstance(d, dict) else None
+    if found != WORLD_MODEL_SCHEMA:
+        raise ConsistencyError(
+            f"schema {found!r}, not {WORLD_MODEL_SCHEMA!r} (an older format or "
+            "not this artifact); delete it and run again to regenerate it")
     vocab = Vocabulary(d["vocabulary"])
     stats = {
         int(l): LetterStats(
             center_m=(float(s["center_m"][0]), float(s["center_m"][1])),
             mean_profit_bps=float(s["mean_profit_bps"]),
-            var_profit=float(s["var_profit"]),
             count=int(s["count"]),
             start_count=int(s["start_count"]),
         )
@@ -427,8 +441,8 @@ def model_from_dict(d: dict) -> WorldModel:
         words=words,
         word_counts=counts,
         transition=tm,
-        process_noise=np.array(d["process_noise"], float),
-        measurement_noise=np.array(d["measurement_noise"], float),
+        process_noise=_noise_matrix(d, "process_noise"),
+        measurement_noise=_noise_matrix(d, "measurement_noise"),
         mean_profit_bps=float(d["mean_profit_bps"]),
         mean_leg_time_s=float(d["mean_leg_time_s"]),
         noise_config=NoiseConfig(**d["noise_config"]),

@@ -1,0 +1,141 @@
+"""Test-side oracles for the planner: helpers the planner no longer needs.
+
+``insert_best`` scores each candidate from its detour and records only
+its removed edge, tour length, surprise and detour time, and
+``plan_to_dict`` writes exactly that (``uavplan.plan.v2``). The helpers
+here rebuild the rest the long way, for the tests to check against:
+
+- ``reference_edges`` and ``enumerate_insertions`` list the removable
+  edges of a reference word and the word each insertion makes;
+- ``shifted`` is a belief with its mean moved and its covariance shared;
+- ``expand_v1`` turns a v2 trace back into the ``uavplan.plan.v1`` trace,
+  which also held every candidate's word and predicted observation;
+- ``random_insertion_contexts`` are seeded planning contexts with
+  correlated noise, over references of 0 to 12 letters.
+"""
+
+import numpy as np
+
+from uavplan.environment import MissionConfig
+from uavplan.errors import ConfigurationError
+from uavplan.planner import GaussianBelief, PlanContext
+from uavplan.world_model import Word
+
+NOVEL = 99      # the letter inserted in every random context
+
+
+def reference_edges(ref: Word) -> tuple[tuple[int | None, int | None], ...]:
+    """Removable edges of the reference graph (None marks the depot).
+
+    For p letters these are the p-1 inner edges plus the return-to-depot
+    closure, i.e. each letter's outgoing edge. A single-letter graph has
+    no inner structure, so both depot legs are offered.
+    """
+    letters = ref.letters
+    if not letters:
+        return ()
+    if len(letters) == 1:
+        return ((None, letters[0]), (letters[0], None))
+    inner = tuple((a, b) for a, b in zip(letters, letters[1:]))
+    return inner + ((letters[-1], None),)
+
+
+def candidate_word(reference, removed_edge, inserted: int) -> Word:
+    """The reference letters with ``inserted`` spliced into ``removed_edge``
+    (u, v): right after u, or in front when u is the depot."""
+    letters = tuple(reference)
+    u = removed_edge[0]
+    k = 0 if u is None else letters.index(u) + 1
+    return Word(letters[:k] + (inserted,) + letters[k:])
+
+
+def enumerate_insertions(ref: Word, novel: int) -> list[tuple[tuple, Word]]:
+    """(removed edge, grown word) for every removable edge, in the order of
+    ``reference_edges``; an empty reference has the one depot-to-depot
+    edge."""
+    letters = ref.letters
+    novel = int(novel)
+    if novel in letters:
+        raise ConfigurationError(f"letter {novel} already in reference")
+    edges = reference_edges(ref) if letters else ((None, None),)
+    return [(edge, candidate_word(letters, edge, novel)) for edge in edges]
+
+
+def shifted(b: GaussianBelief, delta: np.ndarray) -> GaussianBelief:
+    """The same covariance around a mean moved by ``delta``.
+
+    The covariance was validated when ``b`` was built and is shared, not
+    copied, so the check is not repeated.
+    """
+    out = object.__new__(GaussianBelief)
+    object.__setattr__(out, "mean", b.mean + delta)
+    object.__setattr__(out, "cov", b.cov)
+    return out
+
+
+def expand_v1(trace: dict) -> dict:
+    """The ``uavplan.plan.v1`` trace rebuilt from a ``uavplan.plan.v2`` one
+    alone.
+
+    Each candidate gets back its ``word``, the step's reference with the
+    inserted letter spliced into its removed edge, and its
+    ``predicted_obs``, the target mean moved by (0, ``detour_s``) with the
+    step's ``observation_cov``. The first step's reference is the trace's
+    ``reference``, every later one the previous step's winning word.
+    """
+    assert trace["schema"] == "uavplan.plan.v2"
+    reference = tuple(trace["reference"])
+    steps = []
+    for step in trace["steps"]:
+        mean = step["target"]["mean"]
+        words = [candidate_word(reference, c["removed_edge"],
+                                step["inserted"]).letters
+                 for c in step["candidates"]]
+        steps.append({
+            "inserted": step["inserted"],
+            "target": step["target"],
+            "winner_index": step["winner_index"],
+            "candidates": [
+                {"word": list(word),
+                 "removed_edge": c["removed_edge"],
+                 "tour_length_m": c["tour_length_m"],
+                 "surprise": c["surprise"],
+                 "predicted_obs": {"mean": [mean[0] + 0.0,
+                                            mean[1] + c["detour_s"]],
+                                   "cov": step["observation_cov"]}}
+                for word, c in zip(words, step["candidates"])],
+        })
+        reference = words[step["winner_index"]]
+    return {**trace, "schema": "uavplan.plan.v1", "steps": steps}
+
+
+def random_noise(rng, sd_profit, sd_time):
+    """A constant 2x2 covariance with a random correlation."""
+    sp = sd_profit * rng.uniform(0.5, 2.0)
+    st = sd_time * rng.uniform(0.5, 2.0)
+    rho = rng.uniform(-0.9, 0.9)
+    return np.array([[sp * sp, rho * sp * st], [rho * sp * st, st * st]])
+
+
+def random_insertion_contexts(seed: int = 23, trials: int = 300):
+    """Yield (reference word, context) pairs for inserting letter ``NOVEL``:
+    references of ``trial % 13`` letters (so empty and one-letter ones
+    too), centers uniform in a 2 km square around a central depot, random
+    profits, speed and dwell, and correlated process and measurement
+    noise."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        p = trial % 13
+        ids = list(range(1, p + 1))
+        centers = {i: (float(rng.uniform(0, 2000)), float(rng.uniform(0, 2000)))
+                   for i in ids + [NOVEL]}
+        profits = {i: float(rng.uniform(1e6, 1e8)) for i in ids + [NOVEL]}
+        q = random_noise(rng, 0.02 * 5e7, 0.02 * 40.0)
+        mission = MissionConfig(uav_speed_m_per_s=float(rng.uniform(5, 40)),
+                                dwell_time_s=float(rng.choice([0.0, 3.0])))
+        ctx = PlanContext(centers=centers, profits=profits,
+                          depot=(1000.0, 1000.0), mission=mission,
+                          process_noise=q,
+                          measurement_noise=random_noise(
+                              rng, 0.01 * 5e7, 0.01 * 40.0))
+        yield Word.from_letters(ids), ctx

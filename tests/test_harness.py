@@ -21,6 +21,8 @@ from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
 
+from planner_oracles import expand_v1
+
 PINNED = Path(__file__).parent / "data" / "small_run_sha256.json"
 
 
@@ -257,7 +259,9 @@ class TestHeadedJsonl:
         """Every artifact but the two header-plus-records files and
         timings.csv has the bytes it had before those files were headed (the
         sha256 of each was pinned from a run of the one-object-per-line
-        format)."""
+        format). Traces were pinned as ``uavplan.plan.v1``, so each trace
+        is hashed as ``expand_v1`` rebuilds it; world_model.json's hash is
+        that of its ``uavplan.world_model.v2`` bytes."""
         monkeypatch.chdir(tmp_path)
         run_pipeline(small_config("run"))
         want = json.loads(PINNED.read_text())
@@ -268,6 +272,9 @@ class TestHeadedJsonl:
         for name in ("training_instances.jsonl", "oracle_tours.jsonl",
                      "timings.csv"):
             del have[name]
+        for path in (out / "traces").glob("*.json"):
+            v1 = _canonical_json(expand_v1(json.loads(path.read_text()))) + "\n"
+            have[f"traces/{path.name}"] = hashlib.sha256(v1.encode()).hexdigest()
         assert have == want
 
     def test_reused_files_give_the_same_downstream_bytes(self, tmp_path):
@@ -303,6 +310,32 @@ def _edit_lines(name, edit):
         edit(lines)
         _write_lines(path, lines)
     return apply
+
+
+def _as_v1_world_model(obj):
+    """The world model as an older ``uavplan.world_model.v1`` file, which
+    also stored each letter's profit variance."""
+    obj["schema"] = "uavplan.world_model.v1"
+    for stats in obj["letters"].values():
+        stats["var_profit"] = 0.0
+
+
+def _active_row(obj):
+    transition = obj["transition"]
+    return transition["probs"][transition["active"].index(True)]
+
+
+def _largest(obj):
+    row = _active_row(obj)
+    return row.index(max(row))
+
+
+def _negative_probability(obj):
+    """Move one unit of mass from another entry of an active row to its
+    largest: the row still sums to 1, and the other entry is negative."""
+    row, k = _active_row(obj), _largest(obj)
+    row[k] += 1.0
+    row[(k + 1) % len(row)] -= 1.0
 
 
 class TestCli:
@@ -516,13 +549,36 @@ class TestCli:
         pytest.param(lambda obj: obj["transition"]["probs"].pop(), "pipeline",
                      "transition probs", id="probs-row-dropped"),
         pytest.param(lambda obj: obj["words"][0]["letters"].__setitem__(0, 999),
-                     "plan", "[999]", id="word-letter-not-in-vocabulary")])
+                     "plan", "[999]", id="word-letter-not-in-vocabulary"),
+        pytest.param(lambda obj: obj["process_noise"][0].__setitem__(
+            0, float("nan")), "plan", "process_noise", id="process-noise-nan"),
+        pytest.param(lambda obj: obj.__setitem__("process_noise", [[1.0]]),
+                     "plan", "process_noise", id="process-noise-1x1"),
+        pytest.param(lambda obj: obj["measurement_noise"][1].__setitem__(
+            1, -5.0), "plan", "measurement_noise",
+            id="measurement-noise-negative"),
+        pytest.param(lambda obj: obj["process_noise"][0].__setitem__(1, 1.0),
+                     "plan", "process_noise", id="process-noise-asymmetric"),
+        pytest.param(lambda obj: obj.__setitem__("schema", "uavplan.plan.v1"),
+                     "plan", "'uavplan.plan.v1'", id="other-schema"),
+        pytest.param(_as_v1_world_model, "pipeline", "delete it",
+                     id="world-model-v1"),
+        pytest.param(lambda obj: _active_row(obj).__setitem__(
+            _largest(obj), float("nan")), "plan", "finite and non-negative",
+            id="transition-nan"),
+        pytest.param(_negative_probability, "plan", "finite and non-negative",
+                     id="transition-negative")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model whose transition matrix does not fit its
         vocabulary, reused by a pipeline re-run, or with a stored word
         naming a letter outside it, given to ``plan``, exits 2 naming the
-        file and the contradiction."""
+        file and the contradiction. So does one with impossible numbers:
+        a noise matrix that is not a finite, symmetric, positive
+        semi-definite 2 x 2 matrix, or a NaN or negative probability in an
+        active transition row (one that still sums to 1); and one in
+        another schema, an older world model reused by a pipeline re-run
+        or another artifact given to ``plan``."""
         code, err = self._damaged_run_exit(tmp_path, capsys,
                                            "world_model.json", edit, command)
         assert code == 2
@@ -632,7 +688,7 @@ class TestCli:
                        "--trace", str(trace)])
         assert rc == 0 and trace.exists()
         data = json.loads(trace.read_text())
-        assert data["schema"] == "uavplan.plan.v1"
+        assert data["schema"] == "uavplan.plan.v2"
 
     def test_plan_command_without_trace_prints_only_json(self, tmp_path,
                                                          capsys):

@@ -10,13 +10,15 @@ from uavplan.environment import MissionConfig, sample_instance, sample_pool
 from uavplan.errors import ConfigurationError, NumericError
 from uavplan.oracle import ObjectiveWeights, solve, tour_length
 from uavplan.planner import (GaussianBelief, PlanContext, PlannerConfig,
-                             classify_letters, enumerate_insertions,
-                             expected_surprise, generate_words, insert_best,
-                             kalman_predict, levenshtein, online_replan,
-                             plan_mission, predict_observation,
-                             reference_edges, rollout, select_reference)
+                             classify_letters, expected_surprise,
+                             generate_words, insert_best, kalman_predict,
+                             levenshtein, online_replan, plan_mission,
+                             predict_observation, rollout, select_reference)
 from uavplan.world_model import (GeneralizedLetter, NoiseConfig, Vocabulary,
                                  Word, learn)
+
+from planner_oracles import (NOVEL, enumerate_insertions,
+                             random_insertion_contexts, reference_edges)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -251,22 +253,24 @@ class TestSelectReferenceAgainstBruteForce:
 
 
 class TestEnumerateInsertions:
+    """The test-side enumeration the oracles below score candidates by."""
+
     def test_three_letter_reference_gives_three(self):
         ref = Word.from_letters([1, 2, 3])
         cands = enumerate_insertions(ref, 9)
         assert len(cands) == len(reference_edges(ref)) == 3
-        words = {c.word.letters for c in cands}
+        words = {w.letters for _, w in cands}
         assert words == {(1, 9, 2, 3), (1, 2, 9, 3), (1, 2, 3, 9)}
 
     def test_single_letter_reference_gives_two(self):
         ref = Word.from_letters([5])
         cands = enumerate_insertions(ref, 9)
         assert len(cands) == 2
-        assert {c.word.letters for c in cands} == {(9, 5), (5, 9)}
+        assert {w.letters for _, w in cands} == {(9, 5), (5, 9)}
 
     def test_empty_reference_degenerate(self):
         cands = enumerate_insertions(Word.from_letters([]), 4)
-        assert len(cands) == 1 and cands[0].word.letters == (4,)
+        assert cands == [((None, None), Word((4,)))]
 
     def test_structure_preserved(self):
         rng = np.random.default_rng(10)
@@ -275,11 +279,11 @@ class TestEnumerateInsertions:
             letters = [int(x) for x in rng.choice(100, size=k, replace=False)]
             novel = 200
             ref = Word.from_letters(letters)
-            for c in enumerate_insertions(ref, novel):
-                got = c.word.letters
+            for _, word in enumerate_insertions(ref, novel):
+                got = word.letters
                 assert got.count(novel) == 1
                 assert sorted(got) == sorted(letters + [novel])
-                assert c.word == Word.from_letters(got)
+                assert word == Word.from_letters(got)
 
     def test_already_present_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -414,8 +418,8 @@ def independent_insertion_argmin(ref, novel, ctx):
     target_mean = ref_mean + np.array([ctx.profits[novel], ctx.mission.dwell_time_s])
     target_cov = ref_cov + ctx.process_noise
     scores = []
-    for cand in enumerate_insertions(ref, novel):
-        mean, cov = belief_of(list(cand.word.letters))
+    for _, word in enumerate_insertions(ref, novel):
+        mean, cov = belief_of(list(word.letters))
         cov = cov + ctx.measurement_noise
         scores.append(bhattacharyya_2x2_by_hand(
             target_mean, target_cov + 1e-12 * np.eye(2),
@@ -433,10 +437,10 @@ def rollout_insertion(ref, novel, ctx):
         mean=b.mean + np.array([ctx.profits[novel], ctx.mission.dwell_time_s]),
         cov=b.cov + ctx.process_noise)
     rows = []
-    for cand in enumerate_insertions(ref, novel):
-        obs = predict_observation(rollout(cand.word, ctx), ctx)
+    for _, word in enumerate_insertions(ref, novel):
+        obs = predict_observation(rollout(word, ctx), ctx)
         rows.append((expected_surprise(target, obs),
-                     ctx.word_length_m(cand.word), obs, cand.word.letters))
+                     ctx.word_length_m(word), obs, word.letters))
     best = 0
     for k, (s, length, _, letters) in enumerate(rows[1:], start=1):
         bs, blen, _, bletters = rows[best]
@@ -448,39 +452,16 @@ def rollout_insertion(ref, novel, ctx):
     return best, target, [r[:3] for r in rows]
 
 
-def random_noise(rng, sd_profit, sd_time):
-    """A constant 2x2 covariance with a random correlation."""
-    sp = sd_profit * rng.uniform(0.5, 2.0)
-    st = sd_time * rng.uniform(0.5, 2.0)
-    rho = rng.uniform(-0.9, 0.9)
-    return np.array([[sp * sp, rho * sp * st], [rho * sp * st, st * st]])
-
-
 class TestClosedFormAgainstRollout:
     """Closed-form insert_best against rollout-based scoring."""
 
     REL = 1e-8
 
     def test_random_contexts_with_correlated_noise(self):
-        rng = np.random.default_rng(23)
         clear, candidates = 0, 0
-        for trial in range(300):
-            p = trial % 13                     # covers empty and one-letter
-            ids = list(range(1, p + 1))
-            centers = {i: (float(rng.uniform(0, 2000)), float(rng.uniform(0, 2000)))
-                       for i in ids + [99]}
-            profits = {i: float(rng.uniform(1e6, 1e8)) for i in ids + [99]}
-            q = random_noise(rng, 0.02 * 5e7, 0.02 * 40.0)
-            mission = MissionConfig(uav_speed_m_per_s=float(rng.uniform(5, 40)),
-                                    dwell_time_s=float(rng.choice([0.0, 3.0])))
-            ctx = PlanContext(centers=centers, profits=profits,
-                              depot=(1000.0, 1000.0), mission=mission,
-                              process_noise=q,
-                              measurement_noise=random_noise(
-                                  rng, 0.01 * 5e7, 0.01 * 40.0))
-            ref = Word.from_letters(ids)
-            step = insert_best(ref, 99, ctx)
-            want, target, rows = rollout_insertion(ref, 99, ctx)
+        for ref, ctx in random_insertion_contexts():
+            step = insert_best(ref, NOVEL, ctx)
+            want, target, rows = rollout_insertion(ref, NOVEL, ctx)
 
             assert np.allclose(step.target.mean, target.mean, rtol=self.REL, atol=0)
             assert np.allclose(step.target.cov, target.cov, rtol=self.REL, atol=0)
@@ -489,9 +470,9 @@ class TestClosedFormAgainstRollout:
                 candidates += 1
                 assert c.surprise == pytest.approx(s, rel=self.REL)
                 assert c.tour_length_m == pytest.approx(length, rel=1e-12)
-                assert np.allclose(c.predicted_obs.mean, obs.mean,
-                                   rtol=self.REL, atol=0)
-                assert np.allclose(c.predicted_obs.cov, obs.cov,
+                assert np.allclose(step.observation.mean + [0.0, c.detour_s],
+                                   obs.mean, rtol=self.REL, atol=0)
+                assert np.allclose(step.observation.cov, obs.cov,
                                    rtol=self.REL, atol=0)
             # the winner is the rollout's, unless the two are tied within
             # the rollout's own rounding
@@ -514,7 +495,7 @@ class TestInsertBest:
                        q_scale=1e-12, rm_scale=1e-12)
         step = insert_best(Word.from_letters([1, 2]), 9, ctx)
         assert step.chosen.removed_edge == (1, 2)
-        assert step.chosen.word.letters == (1, 9, 2)
+        assert step.word.letters == (1, 9, 2)
 
     def test_two_candidate_argmin(self):
         centers = {1: (100.0, 0.0), 9: (500.0, 0.0)}
@@ -523,7 +504,7 @@ class TestInsertBest:
         assert len(step.candidates) == 2
         # appending after 1 is shorter than visiting 9 first? both equal here
         # (mirror geometry): tie broken by word order
-        assert step.chosen.word.letters == (1, 9)
+        assert step.word.letters == (1, 9)
 
     def test_matches_independent_argmin(self):
         rng = np.random.default_rng(18)
@@ -682,10 +663,9 @@ class TestBenchmarkContracts:
     the set of public planner functions it wraps in timed spans (a public
     per-word helper would put a span inside the innermost loop)."""
 
-    PUBLIC = ("classify_letters", "enumerate_insertions", "expected_surprise",
-              "generate_words", "insert_best", "kalman_predict",
-              "levenshtein", "online_replan", "plan_mission", "plan_to_dict",
-              "predict_observation", "reference_edges", "rollout",
+    PUBLIC = ("classify_letters", "expected_surprise", "generate_words",
+              "insert_best", "kalman_predict", "levenshtein", "online_replan",
+              "plan_mission", "plan_to_dict", "predict_observation", "rollout",
               "select_reference")
 
     def test_one_candidate_per_removable_edge(self):

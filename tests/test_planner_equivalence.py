@@ -2,8 +2,9 @@
 
 The ``ref_*`` functions below are the earlier implementations, kept
 verbatim as the test oracle (only their names, the names of the
-candidate and step classes they build, some docstrings, and how
-``ref_enumerate_insertions`` builds a spliced word from its letters
+candidate and step classes they build, some docstrings, how
+``ref_enumerate_insertions`` builds a spliced word from its letters, and
+that ``ref_insert_best`` shifts a belief with the test-side ``shifted``
 differ):
 
 - ``ref_insert_best`` builds a spliced ``Word``, a copied candidate and a
@@ -13,10 +14,13 @@ differ):
   (``ref_levenshtein``, with a cutoff) on every stored word the bound
   scan visits, and
   ``ref_select_reference`` recomputes the bounds for every candidate;
-- ``ref_plan_to_dict`` reads each candidate's stored word and belief.
+- ``ref_plan_to_dict`` writes the ``uavplan.plan.v1`` trace from each
+  candidate's stored word and belief.
 
 The production planner must make the same decisions, and report them
-with the same float bits, on random and lattice geometry.
+with the same float bits, on random and lattice geometry; its
+``uavplan.plan.v2`` trace, expanded by ``expand_v1``, must be the v1
+trace byte for byte.
 """
 
 import json
@@ -31,16 +35,19 @@ from hypothesis import strategies as st
 from uavplan.environment import (ChannelParams, Instance, MissionConfig,
                                  sample_instance, sample_pool)
 from uavplan.errors import ConfigurationError
-from uavplan.oracle import ObjectiveWeights, make_tour, solve
+from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
 from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
                              PlanContext, PlannerConfig, PlanResult,
                              _bhattacharyya_terms, _chain_distance,
                              _next_novel, _splice, classify_letters,
                              generate_words, insert_best, levenshtein,
-                             plan_mission, plan_to_dict, reference_edges,
-                             select_reference)
+                             plan_mission, plan_to_dict, select_reference)
 from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
                                  WorldModel, learn)
+
+from planner_oracles import (NOVEL, candidate_word, expand_v1,
+                             random_insertion_contexts, reference_edges,
+                             shifted)
 
 
 # --- reference: every candidate spliced, every distance a full table -----------
@@ -112,7 +119,7 @@ def ref_insert_best(ref: Word, novel: int, ctx: PlanContext) -> RefInsertionStep
                   - ctx.leg_length(u, v))
         scored = replace(cand,
                          tour_length_m=ref_length + detour,
-                         predicted_obs=obs.shifted(np.array([0.0, detour / speed])),
+                         predicted_obs=shifted(obs, np.array([0.0, detour / speed])),
                          surprise=max(per_detour_sq * detour * detour + const, 0.0))
         candidates.append(scored)
         if k == 0:
@@ -294,6 +301,22 @@ def _step_fields(step) -> list[str]:
     return out
 
 
+def _as_reference_step(step, ref: Word) -> RefInsertionStep:
+    """A production step with each candidate's word and predicted
+    observation rebuilt from the reference, its removed edge, the step's
+    shared observation and its detour time."""
+    return RefInsertionStep(
+        inserted=step.inserted, target=step.target,
+        winner_index=step.winner_index,
+        candidates=tuple(RefPlanCandidate(
+            word=candidate_word(ref.letters, c.removed_edge, step.inserted),
+            removed_edge=c.removed_edge, inserted=step.inserted,
+            tour_length_m=c.tour_length_m,
+            predicted_obs=shifted(step.observation,
+                                  np.array([0.0, c.detour_s])),
+            surprise=c.surprise) for c in step.candidates))
+
+
 def _tie_decided(step) -> bool:
     """More than one candidate ties the winner in surprise and length, so
     the word rule picks among them."""
@@ -339,9 +362,9 @@ class TestInsertBestAgainstReference:
             ref, novel = Word.from_letters(ids[:p]), ids[p]
             want = ref_insert_best(ref, novel, ctx)
             got = insert_best(ref, novel, ctx)
-            assert _step_fields(got) == _step_fields(want)
+            assert (_step_fields(_as_reference_step(got, ref))
+                    == _step_fields(want))
             assert got.word == want.chosen.word
-            assert got.chosen.letters == want.chosen.word.letters
             ties += _tie_decided(want)
         if lattice:
             assert ties > 50
@@ -429,6 +452,28 @@ class TestPlanAgainstReference:
             cfg = PlannerConfig(n_words=10, rng_seed=s)
             got = plan_to_dict(plan_mission(inst, wm, cfg, weights))
             want = ref_plan_to_dict(ref_plan_mission(inst, wm, cfg, weights))
-            assert (json.dumps(got, sort_keys=True)
+            assert (json.dumps(expand_v1(got), sort_keys=True)
                     == json.dumps(want, sort_keys=True))
             assert math.isfinite(got["tour"]["total_cost_m"])
+
+    def test_same_trace_json_on_random_contexts(self):
+        """One insertion in each random context of the closed-form tests,
+        empty and one-letter references included, written as a one-step
+        plan."""
+        def one_step_plan(ref, step, word):
+            tour = Tour(order=word.letters, total_cost_m=0.0,
+                        total_profit_bps=0.0, objective=0.0)
+            return PlanResult(normal=(), novel=(NOVEL,), generated=[],
+                              reference=ref, steps=[step], final_word=word,
+                              tour=tour)
+
+        sizes = set()
+        for ref, ctx in random_insertion_contexts():
+            got = insert_best(ref, NOVEL, ctx)
+            want = ref_insert_best(ref, NOVEL, ctx)
+            assert (json.dumps(expand_v1(plan_to_dict(
+                        one_step_plan(ref, got, got.word))), sort_keys=True)
+                    == json.dumps(ref_plan_to_dict(one_step_plan(
+                        ref, want, want.chosen.word)), sort_keys=True))
+            sizes.add(len(ref))
+        assert {0, 1} <= sizes
