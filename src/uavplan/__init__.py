@@ -14,17 +14,14 @@ from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
 from .errors import (ConfigurationError, ConsistencyError, DegenerateWordError,
                      NumericError, TrainingError, UavplanError)
 from .harness import (ExperimentConfig, MetricsRecord, completion_time,
-                      mission_sum_rate, run_pipeline, word_similarity)
-from .oracle import (ObjectiveWeights, Tour, brute_force,
-                     nearest_neighbor_construct, objective, relative_weights,
-                     selection_pass, solve, two_opt)
+                      run_pipeline, word_similarity)
+from .oracle import ObjectiveWeights, Tour, brute_force, solve
 from .planner import (GaussianBelief, PlanCandidate, PlanContext, PlanResult,
                       PlannerConfig, classify_letters, expected_surprise,
-                      generate_words, insert_best, kalman_predict, levenshtein,
-                      online_replan, plan_mission, rollout, select_reference)
+                      generate_words, insert_best, levenshtein, plan_mission,
+                      select_reference)
 from .ql import QTable, QTrainConfig, construct_word, train_q
-from .world_model import (GeneralizedLetter, NoiseConfig, TransitionMatrix,
-                          Vocabulary, Word, WorldModel, adjacency, degree,
-                          learn, merge_global, word_from_tour, word_transition)
+from .world_model import (NoiseConfig, TransitionMatrix, Vocabulary, Word,
+                          WorldModel, learn, merge_global, word_from_tour)
 
 __version__ = "0.1.0"

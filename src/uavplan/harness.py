@@ -7,11 +7,15 @@ stays deterministic. Files are written atomically (write then rename)
 and a stage is skipped when its artifact already exists. A reused
 artifact that records what it was computed from must match this run, or
 the run stops with a configuration error naming the file and both
-values: the pool's seed, user mean, mission, channel and size; the
-training instances' header; the weights of the demonstrations and the
-instances they solved; the weights of the Q-table; the demonstrations and noise config behind the world model; the
-demonstrations and Q-learning config behind the Q-table. ``output_dir``
-and ``workers`` are never part of such a check.
+values. The recorded values are:
+
+- the pool's seed, user mean, mission, channel and size;
+- the training instances' header;
+- the weights of the demonstrations, and the instances they solved;
+- the demonstrations and noise config behind the world model;
+- the weights, demonstrations and Q-learning config behind the Q-table.
+
+``output_dir`` and ``workers`` are never part of such a check.
 
 The training instances and their demonstrations are JSON-lines files
 with a header: the first line holds the schema and what every record
@@ -58,7 +62,7 @@ from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
                           instance_from_dict, instance_from_record,
                           instance_record, instance_to_dict, pool_from_dict,
                           pool_to_dict, sample_instance, sample_pool)
-from .errors import ConfigurationError, ConsistencyError
+from .errors import ConfigurationError
 from .oracle import (ObjectiveWeights, Tour, make_tour, solve, tour_from_dict,
                      tour_record, tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
@@ -143,12 +147,6 @@ def completion_time_from(length_m: float, n_visited: int,
 def completion_time(t: Tour, mission: MissionConfig) -> float:
     """Travel time of the full closed tour plus per-hotspot dwell."""
     return completion_time_from(t.total_cost_m, len(t.order), mission)
-
-
-def mission_sum_rate(t: Tour, inst: Instance) -> float:
-    """Total profit over visited hotspots, summed in id order so the value
-    is identical for any two tours with the same visited set."""
-    return sum(inst.hotspot(i).profit_bps for i in sorted(t.visited))
 
 
 def word_similarity(w1: Word, w2: Word) -> float:
@@ -518,7 +516,7 @@ def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
             method=method,
             instance_id=iid,
             n_hotspots=len(inst.hotspots),
-            total_sum_rate_bps=mission_sum_rate(tour, inst),
+            total_sum_rate_bps=tour.total_profit_bps,
             completion_time_s=completion_time(tour, inst.mission),
             tour_length_m=tour.total_cost_m,
             similarity_to_oracle=word_similarity(word, oracle_word),
@@ -657,30 +655,25 @@ def completion_ratios(rows: Sequence[MetricsRecord]) -> list[dict]:
     return out
 
 
+def _write_csv_records(path: Path, records: Sequence[dict]) -> None:
+    """One row per record under a header of the first record's keys;
+    floats are written as their ``repr``."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(records[0].keys()),
+                            lineterminator="\n")
+    writer.writeheader()
+    for rec in records:
+        writer.writerow({k: (repr(v) if isinstance(v, float) else v)
+                         for k, v in rec.items()})
+    write_text_atomic(path, buf.getvalue())
+
+
 def stage_report(cfg: ExperimentConfig, out: Path) -> None:
     rows = read_metrics(out / "metrics.csv")
     if not rows:
         raise ConfigurationError("metrics.csv is empty; run eval first")
-
-    buf = io.StringIO()
-    summary = summarize(rows)
-    writer = csv.DictWriter(buf, fieldnames=list(summary[0].keys()),
-                            lineterminator="\n")
-    writer.writeheader()
-    for rec in summary:
-        writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                         for k, v in rec.items()})
-    write_text_atomic(out / "summary.csv", buf.getvalue())
-
-    ratios = completion_ratios(rows)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(ratios[0].keys()),
-                            lineterminator="\n")
-    writer.writeheader()
-    for rec in ratios:
-        writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                         for k, v in rec.items()})
-    write_text_atomic(out / "ratios.csv", buf.getvalue())
+    _write_csv_records(out / "summary.csv", summarize(rows))
+    _write_csv_records(out / "ratios.csv", completion_ratios(rows))
 
     # polyline per tour: depot, ordered hotspot centers, depot
     for r in rows:
@@ -688,15 +681,14 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> None:
                              instance_from_dict)
         tour_path = out / f"tours/{r.instance_id}_{r.method}.json"
         tour = load_artifact(tour_path, tour_from_dict)
-        lines = ["x_m,y_m"]
+        centers = {h.id: h.center_m for h in inst.hotspots}
         try:
-            centers = [inst.hotspot(i).center_m for i in tour.order]
-        except ConsistencyError as e:
-            raise ConfigurationError(
-                f"malformed artifact {tour_path}: {e}") from e
-        pts = [inst.depot_m] + centers + [inst.depot_m]
-        for x, y in pts:
-            lines.append(f"{x!r},{y!r}")
+            visited = [centers[i] for i in tour.order]
+        except KeyError as e:
+            raise ConfigurationError(f"malformed artifact {tour_path}: "
+                                     f"unknown hotspot id {e.args[0]}") from None
+        pts = [inst.depot_m] + visited + [inst.depot_m]
+        lines = ["x_m,y_m"] + [f"{x!r},{y!r}" for x, y in pts]
         write_text_atomic(out / f"trajectories/{r.instance_id}_{r.method}.csv",
                           "\n".join(lines) + "\n")
 

@@ -5,8 +5,8 @@ profit_scale  over closed depot tours that may skip vertices. With the
 default unit scales, cost is raw meters and profit raw bits/s; at the
 default weights (0.9 / 0.1) the profit term dominates by orders of
 magnitude, so skipping stays inactive and the optimizer degenerates to
-cost-minimal orderings over all hotspots. relative_weights() switches to
-instance-relative scales for experiments where the trade-off should bite.
+cost-minimal orderings over all hotspots. ``instance_scales`` gives the
+instance-relative scales under which the trade-off bites.
 
 Ties anywhere are broken toward the lexicographically smallest id
 sequence so that downstream dictionaries stay stable.
@@ -21,6 +21,9 @@ compare the same sequences as on ids; the matrix holds the same
 ``math.hypot`` values and sums are taken in the same order, so every tour
 is bit for bit what the same search gives on coordinates
 (tests/test_oracle_equivalence.py keeps that search as the reference).
+The pipeline calls only ``solve``; tests/oracle_oracles.py wraps each step
+on its own (construction, 2-opt, selection) as a ``Tour`` -> ``Tour``
+function for the tests.
 
 The geometry lives for one call and is never cached on ``Instance``. A
 cached geometry and id map on every instance raised the peak resident
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 
 from .environment import Instance, edge_cost
@@ -69,16 +72,20 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class Tour:
-    """A closed depot tour: visited ids in order plus cached totals."""
+    """A closed depot tour: visited ids in order plus cached totals. No id
+    repeats and every total is finite."""
 
     order: tuple[int, ...]
     total_cost_m: float
     total_profit_bps: float
     objective: float
 
-    @property
-    def visited(self) -> frozenset[int]:
-        return frozenset(self.order)
+    def __post_init__(self) -> None:
+        if len(set(self.order)) != len(self.order):
+            raise ConsistencyError(f"{self} visits a hotspot twice")
+        if not all(map(math.isfinite, (self.total_cost_m, self.total_profit_bps,
+                                       self.objective))):
+            raise ConsistencyError(f"{self} has a non-finite total")
 
     def __len__(self) -> int:
         return len(self.order)
@@ -93,44 +100,24 @@ def _closed_length(pts: list, depot) -> float:
     return total + edge_cost(pts[-1], depot)
 
 
-def tour_length(order: tuple[int, ...] | list[int], inst: Instance) -> float:
-    """Closed length depot -> order... -> depot in meters."""
-    return _closed_length([inst.hotspot(i).center_m for i in order], inst.depot_m)
-
-
 def objective_value(cost_m: float, profit_bps: float, w: ObjectiveWeights) -> float:
     return (w.weight_alpha * cost_m / w.cost_scale
             - w.weight_beta * profit_bps / w.profit_scale)
 
 
 def make_tour(order, inst: Instance, w: ObjectiveWeights) -> Tour:
-    """Build a Tour with recomputed totals; validates membership."""
+    """Build a Tour with recomputed totals: the closed length depot ->
+    order... -> depot in meters, and the profit summed in id order, so
+    equal for any two orders of one visited set. Validates membership."""
     order = tuple(order)
     by_id = {h.id: h for h in inst.hotspots}
     for i in order:
         if i not in by_id:
             raise ConsistencyError(f"tour references unknown hotspot {i}")
-    if len(set(order)) != len(order):
-        raise ConsistencyError("tour visits a hotspot twice")
     cost = _closed_length([by_id[i].center_m for i in order], inst.depot_m)
     profit = sum(by_id[i].profit_bps for i in sorted(order))
     return Tour(order=order, total_cost_m=cost, total_profit_bps=profit,
                 objective=objective_value(cost, profit, w))
-
-
-def objective(t: Tour, w: ObjectiveWeights, inst: Instance) -> float:
-    """Objective of a tour against an instance (recomputed from geometry)."""
-    return make_tour(t.order, inst, w).objective
-
-
-def relative_weights(w: ObjectiveWeights, inst: Instance) -> ObjectiveWeights:
-    """Same weights with instance-relative scales.
-
-    Cost is scaled by the full-tour nearest-neighbor length and profit by
-    the instance's total profit, making both terms order one.
-    """
-    cost_scale, profit_scale = instance_scales(inst)
-    return replace(w, cost_scale=cost_scale, profit_scale=profit_scale)
 
 
 def instance_scales(inst: Instance) -> tuple[float, float]:
@@ -138,8 +125,11 @@ def instance_scales(inst: Instance) -> tuple[float, float]:
     ``inst``, each 1.0 where it is not positive.
 
     The length is summed over ``_Geometry.dist`` in ``_closed_length``'s
-    order, so it equals ``nearest_neighbor_construct(inst).total_cost_m``
-    bit for bit without building the ``Tour``.
+    order, so it equals the ``total_cost_m`` of the construction's tour
+    bit for bit without building the ``Tour``
+    (``nearest_neighbor_construct`` in tests/oracle_oracles.py). Scaling
+    cost and profit by these makes both objective terms order one
+    (``relative_weights`` there).
     """
     g = _Geometry(inst)
     dist, pos = g.dist, g.depot
@@ -178,18 +168,12 @@ class _Geometry:
                 row[b] = dist[b][a] = math.hypot(xa - pts[b][0], ya - pts[b][1])
         self.dist = dist
 
-    def indices(self, order) -> list[int]:
-        index = {i: k for k, i in enumerate(self.ids)}
-        try:
-            return [index[i] for i in order]
-        except KeyError as e:
-            raise ConsistencyError(f"unknown hotspot id {e.args[0]}") from None
-
     def tour(self, order: list[int], inst: Instance, w: ObjectiveWeights) -> Tour:
         return make_tour([self.ids[k] for k in order], inst, w)
 
 
 def _nearest_neighbor(g: _Geometry) -> list[int]:
+    """Greedy full tour from the depot; distance ties go to the lower id."""
     remaining = list(range(g.depot))
     pos = g.depot
     order: list[int] = []
@@ -204,6 +188,12 @@ def _nearest_neighbor(g: _Geometry) -> list[int]:
 
 
 def _two_opt(order: list[int], g: _Geometry, w: ObjectiveWeights) -> list[int]:
+    """Best-improvement 2-opt until no exchange strictly lowers the objective.
+
+    Reversing an inner segment leaves the visited set (hence profit)
+    unchanged, so an exchange improves the objective iff it shortens the
+    tour and alpha > 0; deltas are therefore evaluated on cost alone.
+    """
     if len(order) < 2 or w.weight_alpha == 0.0:
         return order
     dist = g.dist
@@ -237,6 +227,12 @@ def _two_opt(order: list[int], g: _Geometry, w: ObjectiveWeights) -> list[int]:
 
 def _selection_pass(order: list[int], g: _Geometry,
                     w: ObjectiveWeights) -> list[int]:
+    """Greedily drop vertices whose removal strictly improves the objective.
+
+    Each accepted removal trades the forfeited profit against the saved
+    detour; the reduced tour is re-optimized with 2-opt before the next
+    round. Idempotent once no removal helps.
+    """
     dist, depot, profits = g.dist, g.depot, g.profits
     while order:
         best_gain = 0.0
@@ -260,42 +256,11 @@ def _selection_pass(order: list[int], g: _Geometry,
     return order
 
 
-def nearest_neighbor_construct(inst: Instance) -> Tour:
-    """Greedy full tour from the depot; distance ties go to the lower id."""
-    g = _Geometry(inst)
-    # totals only; objective refreshed by callers
-    return g.tour(_nearest_neighbor(g), inst, ObjectiveWeights())
-
-
 def _canonical_orientation(order):
     # A closed tour and its reverse have identical cost; keep the
     # lexicographically smaller reading.
     rev = order[::-1]
     return rev if rev < order else order
-
-
-def two_opt(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
-    """Best-improvement 2-opt until no exchange strictly lowers the objective.
-
-    Reversing an inner segment leaves the visited set (hence profit)
-    unchanged, so an exchange improves the objective iff it shortens the
-    tour and alpha > 0; deltas are therefore evaluated on cost alone.
-    """
-    g = _Geometry(inst)
-    return g.tour(_two_opt(g.indices(t.order), g, w), inst, w)
-
-
-def selection_pass(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
-    """Greedily drop vertices whose removal strictly improves the objective.
-
-    Each accepted removal trades the forfeited profit against the saved
-    detour; the reduced tour is re-optimized with 2-opt before the next
-    round. Idempotent once no removal helps; then ``t`` itself is returned.
-    """
-    g = _Geometry(inst)
-    order = g.indices(t.order)
-    after = _selection_pass(order, g, w)
-    return t if len(after) == len(order) else g.tour(after, inst, w)
 
 
 def solve(inst: Instance, w: ObjectiveWeights) -> Tour:

@@ -15,8 +15,11 @@ passed in by the caller.
 State beliefs are 2-D Gaussians over (cumulative sum-rate, elapsed
 time); the per-leg transition adds the next letter's mean profit and the
 leg travel time (plus dwell) to the mean and the process covariance Q to
-the covariance (``kalman_predict``, folded over a word by ``rollout``).
-Observations are the identity map plus measurement noise R.
+the covariance. Observations are the identity map plus measurement noise
+R. That transition (``kalman_predict``), its fold over a word
+(``rollout``) and the observation (``predict_observation``) are kept in
+tests/planner_oracles.py as the reference the tests check the closed form
+below against.
 
 With constant additive Q and R that fold has a closed form, which is
 what ``insert_best`` evaluates. Inserting letter x into edge (u, v) of a
@@ -34,8 +37,6 @@ letter into the step's reference right after u, or in front when u is
 the depot (None); the first step's reference is the plan's, every later
 one the previous step's word. Its predicted observation is the step's
 shared ``observation`` with the mean moved by (0, detour time).
-``rollout`` and ``expected_surprise`` remain the reference the tests
-check it against.
 
 Reference selection needs the exact minimum edit distance of each
 candidate to the dictionary. Stored words are repeat-free, so
@@ -61,7 +62,7 @@ import numpy as np
 from .environment import Instance, MissionConfig, edge_cost
 from .errors import ConfigurationError, NumericError
 from .oracle import ObjectiveWeights, Tour, make_tour
-from .world_model import GeneralizedLetter, Word, WordIndex, WorldModel
+from .world_model import Word, WordIndex, WorldModel
 
 _SURPRISE_TIE = 1e-12
 _LENGTH_TIE = 1e-9
@@ -173,20 +174,6 @@ class PlanContext:
                    mission=inst.mission,
                    process_noise=np.array(wm.process_noise, float),
                    measurement_noise=np.array(wm.measurement_noise, float))
-
-    def leg_length(self, a: int | None, b: int | None) -> float:
-        pa = self.depot if a is None else self.centers[a]
-        pb = self.depot if b is None else self.centers[b]
-        return edge_cost(pa, pb)
-
-    def word_length_m(self, w: Word) -> float:
-        letters = w.letters
-        if not letters:
-            return 0.0
-        total = self.leg_length(None, letters[0])
-        for a, b in zip(letters, letters[1:]):
-            total += self.leg_length(a, b)
-        return total + self.leg_length(letters[-1], None)
 
 
 def classify_letters(test_ids: Sequence[int],
@@ -380,43 +367,6 @@ def _splice(letters: tuple, position: int, letter: int) -> tuple:
     return letters[:position] + (letter,) + letters[position:]
 
 
-def _advance(b: GaussianBelief, leg_m: float, profit_bps: float,
-             dwell_s: float, ctx: PlanContext) -> GaussianBelief:
-    shift = np.array([profit_bps,
-                      leg_m / ctx.mission.uav_speed_m_per_s + dwell_s])
-    return GaussianBelief(mean=b.mean + shift, cov=b.cov + ctx.process_noise)
-
-
-def kalman_predict(b: GaussianBelief, gl: GeneralizedLetter,
-                   ctx: PlanContext) -> GaussianBelief:
-    """One event transition: gain the successor's profit, spend the leg time."""
-    leg = ctx.leg_length(gl.start, gl.edge_to)
-    return _advance(b, leg, ctx.profits[gl.edge_to], ctx.mission.dwell_time_s, ctx)
-
-
-def predict_observation(b: GaussianBelief, ctx: PlanContext) -> GaussianBelief:
-    """Expected observation: identity map plus measurement noise."""
-    return GaussianBelief(mean=b.mean, cov=b.cov + ctx.measurement_noise)
-
-
-def rollout(word: Word, ctx: PlanContext,
-            b0: GaussianBelief | None = None) -> GaussianBelief:
-    """Fold the per-leg prediction over a whole mission word.
-
-    Covers the depot departure leg, every generalized letter, and the
-    return leg (travel time only). An empty word is a no-op.
-    """
-    b = GaussianBelief.zero() if b0 is None else b0
-    letters = word.letters
-    if not letters:
-        return b
-    b = _advance(b, ctx.leg_length(None, letters[0]),
-                 ctx.profits[letters[0]], ctx.mission.dwell_time_s, ctx)
-    for gl in word.glyphs:
-        b = kalman_predict(b, gl, ctx)
-    return _advance(b, ctx.leg_length(letters[-1], None), 0.0, 0.0, ctx)
-
-
 def _regularized(cov: np.ndarray) -> np.ndarray:
     floor = 1e-12 * max(float(np.trace(cov)), 1.0)
     return cov + floor * np.eye(cov.shape[0])
@@ -503,7 +453,7 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     to_x = [edge_cost(pt, x) for pt in points]
     legs = [edge_cost(a, b) for a, b in zip(points, points[1:] + points[:1])]
     ref_length = 0.0
-    for leg in legs:            # left to right, as in word_length_m
+    for leg in legs:            # left to right, depot leg first
         ref_length += leg
     ref_legs = p + 1 if letters else 0
     target = GaussianBelief(
@@ -586,32 +536,15 @@ def plan_mission(test: Instance, wm: WorldModel,
     and the full decision trace.
     """
     cfg = cfg or PlannerConfig()
-    normal, _ = classify_letters(test.ids, wm)
+    normal, novel = classify_letters(test.ids, wm)
     generated: list[Word] = []
     if normal:
         generated = generate_words(wm, sorted(normal), cfg.n_words, cfg.rng_seed)
         reference = select_reference(generated, wm)
     else:
         reference = Word.from_letters([])
-    return _complete(reference, generated, normal, test, wm, weights)
-
-
-def online_replan(current: Word, test: Instance, wm: WorldModel,
-                  weights: ObjectiveWeights | None = None) -> PlanResult:
-    """Resume planning mid-mission: grow an existing word by the instance
-    letters it does not yet cover, using the same insertion machinery."""
-    normal, _ = classify_letters(test.ids, wm)
-    return _complete(current, [], normal, test, wm, weights)
-
-
-def _complete(reference: Word, generated: list[Word], normal: frozenset[int],
-              test: Instance, wm: WorldModel,
-              weights: ObjectiveWeights | None) -> PlanResult:
-    """Insert every instance letter the reference lacks, one per step, and
-    realize the grown word as a tour."""
     ctx = PlanContext.from_instance(test, wm)
-    have = set(reference.letters)
-    pending = sorted(i for i in test.ids if i not in have)
+    pending = sorted(novel)
     word = reference
     steps: list[InsertionStep] = []
     inserted_order: list[int] = []

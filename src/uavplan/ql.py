@@ -12,8 +12,8 @@ only what its arithmetic needs. An episode builds one id -> hotspot dict
 for its instance and walks it on local coordinates: every leg is a
 ``math.hypot`` of the same differences ``edge_cost`` takes, and a running
 tour length adds the legs in visiting order, so at the last step
-``length + back`` is the sum ``tour_length`` forms, term for term, and
-the realized objective is bit-identical. The greedy action is the first
+``length + back`` is the ``total_cost_m`` sum ``make_tour`` forms, term
+for term, and the realized objective is bit-identical. The greedy action is the first
 strict maximum of an ascending scan of the unvisited ids, which is the
 one ``max`` by the key ``(q, -a)`` picks. Random numbers are drawn one at
 a time in the original order (per episode one ``integers`` for the

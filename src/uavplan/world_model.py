@@ -1,13 +1,15 @@
 """Dictionary world model learned from demonstration tours.
 
 Each hotspot id is a letter, and a demonstrated tour becomes a word: the
-tuple of its distinct letters in visiting order. A letter together with
-its outgoing edge inside a word is a generalized letter, derived from the
-word's letters rather than stored. Per-word
-adjacency/degree matrices yield per-word transition matrices, and the
-global transition matrix pools transition counts across the whole
-demonstration set (maximum-likelihood Markov estimate). Rows with no
-observed outgoing transition are flagged inactive rather than filled in.
+tuple of its distinct letters in visiting order. The global transition
+matrix pools transition counts across the whole demonstration set
+(maximum-likelihood Markov estimate). Rows with no observed outgoing
+transition are flagged inactive rather than filled in.
+
+The per-word construction this pooling generalizes (generalized letters,
+each a letter with its outgoing edge, and per-word adjacency, degree and
+transition matrices) is kept in tests/world_model_oracles.py, which the
+tests check ``merge_global`` against.
 
 Learning is a pure function of the demonstration multiset: permuting the
 demos yields an identical model, including its serialized bytes.
@@ -17,9 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,22 +34,9 @@ _ROW_TOL = 1e-9
 WORLD_MODEL_SCHEMA = "uavplan.world_model.v2"
 
 
-class GeneralizedLetter(NamedTuple):
-    """A letter plus its outgoing edge (start -> edge_to)."""
-
-    start: int
-    edge_to: int
-
-
 @dataclass(frozen=True)
 class Word:
-    """An ordered visitation sequence: a tuple of distinct letters.
-
-    Its generalized letters are derived: each letter but the last with the
-    edge to its successor (``glyphs``), and the last letter (``terminal``),
-    which has no outgoing edge inside the word. A one-letter word has no
-    glyphs at all.
-    """
+    """An ordered visitation sequence: a tuple of distinct letters."""
 
     letters: tuple[int, ...]
 
@@ -57,15 +47,6 @@ class Word:
     @classmethod
     def from_letters(cls, letters: Sequence[int]) -> "Word":
         return cls(tuple(int(x) for x in letters))
-
-    @property
-    def glyphs(self) -> tuple[GeneralizedLetter, ...]:
-        letters = self.letters
-        return tuple(GeneralizedLetter(a, b) for a, b in zip(letters, letters[1:]))
-
-    @property
-    def terminal(self) -> int | None:
-        return self.letters[-1] if self.letters else None
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -136,43 +117,13 @@ def word_from_tour(t: Tour) -> Word:
     return Word.from_letters(t.order)
 
 
-def adjacency(w: Word, vocab: Vocabulary) -> np.ndarray:
-    """Binary edge-presence matrix of a word over the vocabulary."""
-    mat = np.zeros((len(vocab), len(vocab)))
-    for g in w.glyphs:
-        mat[vocab.index(g.start), vocab.index(g.edge_to)] = 1.0
-    if w.terminal is not None:
-        vocab.index(w.terminal)  # membership check only
-    return mat
-
-
-def degree(w: Word, vocab: Vocabulary) -> np.ndarray:
-    """Diagonal out-degree matrix of a word."""
-    return np.diag(adjacency(w, vocab).sum(axis=1))
-
-
-def word_transition(w: Word, vocab: Vocabulary) -> TransitionMatrix:
-    """Per-word transition matrix: rows of the adjacency scaled by out-degree.
-
-    Zero-out-degree rows are left empty and flagged inactive (diagonal
-    pseudo-inverse convention).
-    """
-    adj = adjacency(w, vocab)
-    out = adj.sum(axis=1)
-    probs = np.zeros_like(adj)
-    active = out > 0
-    probs[active] = adj[active] / out[active, None]
-    tm = TransitionMatrix(probs=probs, active=active, vocab=vocab)
-    tm.validate()
-    return tm
-
-
 def merge_global(words: Sequence[Word], vocab: Vocabulary,
                  multiplicities: Sequence[int] | None = None) -> TransitionMatrix:
     """Pool transition counts across words, then row-normalize.
 
     This is the maximum-likelihood estimate of the letter Markov chain;
-    restricted to a single word it coincides with word_transition().
+    restricted to a single word it coincides with that word's transition
+    matrix (``word_transition`` in tests/world_model_oracles.py).
     """
     counts = np.zeros((len(vocab), len(vocab)))
     if multiplicities is None:
@@ -192,12 +143,19 @@ def merge_global(words: Sequence[Word], vocab: Vocabulary,
 
 @dataclass(frozen=True)
 class LetterStats:
-    """Training statistics attached to one letter."""
+    """Training statistics attached to one letter: a finite center and
+    mean profit, and non-negative counts."""
 
     center_m: tuple[float, float]
     mean_profit_bps: float
     count: int
     start_count: int
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (*self.center_m, self.mean_profit_bps))):
+            raise ConsistencyError(f"{self}: center and profit must be finite")
+        if min(self.count, self.start_count) < 0:
+            raise ConsistencyError(f"{self}: counts must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ here rebuild the rest the long way, for the tests to check against:
 - ``reference_edges`` and ``enumerate_insertions`` list the removable
   edges of a reference word and the word each insertion makes;
 - ``shifted`` is a belief with its mean moved and its covariance shared;
+- ``kalman_predict`` is the per-leg belief transition, ``rollout`` folds it
+  over a whole mission word and ``predict_observation`` adds the
+  measurement noise: the long way to the beliefs ``insert_best`` gets in
+  closed form;
+- ``leg_length`` and ``word_length_m`` are a context's leg and closed word
+  lengths;
 - ``expand_v1`` turns a v2 trace back into the ``uavplan.plan.v1`` trace,
   which also held every candidate's word and predicted observation;
 - ``random_insertion_contexts`` are seeded planning contexts with
@@ -16,10 +22,12 @@ here rebuild the rest the long way, for the tests to check against:
 
 import numpy as np
 
-from uavplan.environment import MissionConfig
+from uavplan.environment import MissionConfig, edge_cost
 from uavplan.errors import ConfigurationError
 from uavplan.planner import GaussianBelief, PlanContext
 from uavplan.world_model import Word
+
+from world_model_oracles import GeneralizedLetter, glyphs
 
 NOVEL = 99      # the letter inserted in every random context
 
@@ -71,6 +79,59 @@ def shifted(b: GaussianBelief, delta: np.ndarray) -> GaussianBelief:
     object.__setattr__(out, "mean", b.mean + delta)
     object.__setattr__(out, "cov", b.cov)
     return out
+
+
+def leg_length(ctx: PlanContext, a: int | None, b: int | None) -> float:
+    pa = ctx.depot if a is None else ctx.centers[a]
+    pb = ctx.depot if b is None else ctx.centers[b]
+    return edge_cost(pa, pb)
+
+
+def word_length_m(ctx: PlanContext, w: Word) -> float:
+    letters = w.letters
+    if not letters:
+        return 0.0
+    total = leg_length(ctx, None, letters[0])
+    for a, b in zip(letters, letters[1:]):
+        total += leg_length(ctx, a, b)
+    return total + leg_length(ctx, letters[-1], None)
+
+
+def _advance(b: GaussianBelief, leg_m: float, profit_bps: float,
+             dwell_s: float, ctx: PlanContext) -> GaussianBelief:
+    shift = np.array([profit_bps,
+                      leg_m / ctx.mission.uav_speed_m_per_s + dwell_s])
+    return GaussianBelief(mean=b.mean + shift, cov=b.cov + ctx.process_noise)
+
+
+def kalman_predict(b: GaussianBelief, gl: GeneralizedLetter,
+                   ctx: PlanContext) -> GaussianBelief:
+    """One event transition: gain the successor's profit, spend the leg time."""
+    leg = leg_length(ctx, gl.start, gl.edge_to)
+    return _advance(b, leg, ctx.profits[gl.edge_to], ctx.mission.dwell_time_s, ctx)
+
+
+def predict_observation(b: GaussianBelief, ctx: PlanContext) -> GaussianBelief:
+    """Expected observation: identity map plus measurement noise."""
+    return GaussianBelief(mean=b.mean, cov=b.cov + ctx.measurement_noise)
+
+
+def rollout(word: Word, ctx: PlanContext,
+            b0: GaussianBelief | None = None) -> GaussianBelief:
+    """Fold the per-leg prediction over a whole mission word.
+
+    Covers the depot departure leg, every generalized letter, and the
+    return leg (travel time only). An empty word is a no-op.
+    """
+    b = GaussianBelief.zero() if b0 is None else b0
+    letters = word.letters
+    if not letters:
+        return b
+    b = _advance(b, leg_length(ctx, None, letters[0]),
+                 ctx.profits[letters[0]], ctx.mission.dwell_time_s, ctx)
+    for gl in glyphs(word):
+        b = kalman_predict(b, gl, ctx)
+    return _advance(b, leg_length(ctx, letters[-1], None), 0.0, 0.0, ctx)
 
 
 def expand_v1(trace: dict) -> dict:

@@ -13,8 +13,7 @@ from uavplan.environment import (MissionConfig, instance_from_dict,
                                  instance_to_dict)
 from uavplan.harness import (ExperimentConfig, _canonical_json, completion_time,
                              completion_time_from, config_from_dict,
-                             config_to_dict, load_config, mission_sum_rate,
-                             read_metrics, run_pipeline, stage_oracle,
+                             config_to_dict, load_config, read_metrics, run_pipeline, stage_oracle,
                              stage_pools, stage_training_instances, summarize,
                              word_similarity, write_jsonl_atomic)
 from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
@@ -59,14 +58,14 @@ class TestMetricsPrimitives:
     def test_sum_rate_empty(self, make_instance):
         inst = make_instance([(10.0, 0.0)])
         t = make_tour([], inst, ObjectiveWeights())
-        assert mission_sum_rate(t, inst) == 0.0
+        assert t.total_profit_bps == 0.0
 
     def test_sum_rate_order_independent(self, make_instance):
         inst = make_instance([(10.0, 0.0), (20.0, 0.0), (30.0, 0.0)],
                              profits=[1.0, 2.0, 4.0])
         a = make_tour([1, 2, 3], inst, ObjectiveWeights())
         b = make_tour([3, 1, 2], inst, ObjectiveWeights())
-        assert mission_sum_rate(a, inst) == mission_sum_rate(b, inst) == 7.0
+        assert a.total_profit_bps == b.total_profit_bps == 7.0
 
     def test_similarity_identity_and_symmetry(self):
         w1 = Word.from_letters([1, 2, 3, 4])
@@ -330,6 +329,10 @@ def _largest(obj):
     return row.index(max(row))
 
 
+def _first_letter(obj):
+    return next(iter(obj["letters"].values()))
+
+
 def _negative_probability(obj):
     """Move one unit of mass from another entry of an active row to its
     largest: the row still sums to 1, and the other entry is negative."""
@@ -490,12 +493,17 @@ class TestCli:
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines[0].__setitem__(
                 "weights", asdict(ObjectiveWeights(0.5, 0.5)))),
-            '"weight_alpha":0.5', id="tours-header-other-weights")])
+            '"weight_alpha":0.5', id="tours-header-other-weights"),
+        pytest.param("oracle_tours.jsonl", _edit_lines(
+            "oracle_tours.jsonl", lambda lines: lines[3]["order"].append(
+                lines[3]["order"][0])),
+            "line 4: ConsistencyError", id="tours-repeated-id")])
     def test_bad_headed_jsonl_exits_2(self, tmp_path, capsys, artifact,
                                       damage, named):
         """An older one-object-per-line file, an id not in the training
-        pool, a file cut at a line boundary and a header recording other
-        weights each exit 2 naming the file."""
+        pool, a file cut at a line boundary, a header recording other
+        weights and a tour visiting a hotspot twice each exit 2 naming the
+        file."""
         cfg = small_config(tmp_path / "h", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -567,7 +575,13 @@ class TestCli:
             _largest(obj), float("nan")), "plan", "finite and non-negative",
             id="transition-nan"),
         pytest.param(_negative_probability, "plan", "finite and non-negative",
-                     id="transition-negative")])
+                     id="transition-negative"),
+        pytest.param(lambda obj: _first_letter(obj).__setitem__(
+            "mean_profit_bps", float("nan")), "plan", "mean_profit_bps=nan",
+            id="letter-profit-nan"),
+        pytest.param(lambda obj: _first_letter(obj).__setitem__(
+            "start_count", -5), "plan", "start_count=-5",
+            id="letter-start-count-negative")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model whose transition matrix does not fit its
@@ -575,8 +589,9 @@ class TestCli:
         naming a letter outside it, given to ``plan``, exits 2 naming the
         file and the contradiction. So does one with impossible numbers:
         a noise matrix that is not a finite, symmetric, positive
-        semi-definite 2 x 2 matrix, or a NaN or negative probability in an
-        active transition row (one that still sums to 1); and one in
+        semi-definite 2 x 2 matrix, a NaN or negative probability in an
+        active transition row (one that still sums to 1), or a letter with
+        a NaN mean profit or a negative start count; and one in
         another schema, an older world model reused by a pipeline re-run
         or another artifact given to ``plan``."""
         code, err = self._damaged_run_exit(tmp_path, capsys,

@@ -1,13 +1,17 @@
+import inspect
+import math
+
 import numpy as np
 import pytest
 
 from uavplan.environment import sample_instance, sample_pool
 from uavplan.errors import ConfigurationError, ConsistencyError
-from uavplan.oracle import (ObjectiveWeights, brute_force, make_tour,
-                            nearest_neighbor_construct, objective,
-                            objective_value, relative_weights, selection_pass,
-                            solve, tour_from_dict, tour_length, tour_to_dict,
-                            two_opt)
+from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, make_tour,
+                            objective_value, solve, tour_from_dict,
+                            tour_to_dict)
+
+from oracle_oracles import (nearest_neighbor_construct, relative_weights,
+                            selection_pass, two_opt)
 
 
 def random_instance(seed, n, chan, mission, depot=None):
@@ -53,14 +57,31 @@ class TestObjective:
         t = make_tour([1], inst, default_weights)
         inst2 = make_instance([(10, 10)], ids=[2])
         with pytest.raises(ConsistencyError):
-            objective(t, default_weights, inst2)
+            make_tour(t.order, inst2, default_weights)
 
     def test_cost_recomputation_matches_stored(self, chan, mission, default_weights):
         for s in range(20):
             inst = random_instance(s, 8, chan, mission)
             t = solve(inst, default_weights)
-            assert tour_length(t.order, inst) == pytest.approx(
-                t.total_cost_m, rel=1e-9)
+            assert make_tour(t.order, inst, default_weights).total_cost_m \
+                == pytest.approx(t.total_cost_m, rel=1e-9)
+
+    def test_repeated_id_rejected(self, make_instance, default_weights):
+        inst = make_instance([(10, 10), (20, 10)])
+        with pytest.raises(ConsistencyError, match="twice"):
+            make_tour([1, 2, 1], inst, default_weights)
+        with pytest.raises(ConsistencyError, match="twice"):
+            Tour(order=(2, 2), total_cost_m=1.0, total_profit_bps=1.0,
+                 objective=1.0)
+
+    @pytest.mark.parametrize("field", ["total_cost_m", "total_profit_bps",
+                                       "objective"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_total_rejected(self, field, value):
+        totals = {"total_cost_m": 1.0, "total_profit_bps": 1.0,
+                  "objective": 1.0, field: value}
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            Tour(order=(1, 2), **totals)
 
 
 class TestNearestNeighbor:
@@ -235,3 +256,30 @@ class TestTourSerialization:
         inst = random_instance(14, 6, chan, mission)
         t = solve(inst, default_weights)
         assert tour_from_dict(tour_to_dict(t, default_weights)) == t
+
+
+class TestBenchmarkContracts:
+    """The benchmark's tracer wraps every public oracle function in a timed
+    span, and counts calls by patching ``Instance.hotspot`` and
+    ``GaussianBelief.__post_init__`` (its own tests build a belief with
+    ``GaussianBelief.zero``). A new public oracle helper would put a span
+    inside the search loops; a missing patch target would stop the
+    benchmark."""
+
+    PUBLIC = ("brute_force", "instance_scales", "make_tour", "objective_value",
+              "solve", "tour_from_dict", "tour_record", "tour_to_dict")
+
+    def test_public_functions_unchanged(self):
+        from uavplan import oracle
+        public = sorted(
+            name for name, value in vars(oracle).items()
+            if inspect.isfunction(value)
+            and value.__module__ == oracle.__name__
+            and not name.startswith("_"))
+        assert public == sorted(self.PUBLIC)
+
+    def test_patched_attributes_exist(self):
+        from uavplan import environment, planner
+        assert inspect.isfunction(vars(environment.Instance)["hotspot"])
+        assert inspect.isfunction(vars(planner.GaussianBelief)["__post_init__"])
+        assert planner.GaussianBelief.zero().mean.tolist() == [0.0, 0.0]

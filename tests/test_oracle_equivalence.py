@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 from uavplan.environment import Hotspot, Instance, edge_cost
 from uavplan.errors import ConsistencyError
 from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, make_tour,
-                            nearest_neighbor_construct, relative_weights,
-                            selection_pass, solve, two_opt)
+                            solve)
+
+from oracle_oracles import (nearest_neighbor_construct, relative_weights,
+                            selection_pass, two_opt)
 
 _IMPROVE_EPS = 1e-12
 _TIE_EPS = 1e-12
@@ -216,9 +218,10 @@ def test_solve_matches_reference(chan, mission, shuffled, grid):
 
 
 def test_public_steps_match_reference(chan, mission):
-    """Each public step on its own, from shuffled start orders that include
-    partial tours, equals the reference step; a selection pass that drops
-    nothing returns its input object, as before."""
+    """Each step on its own (the adapters of tests/oracle_oracles.py),
+    from shuffled start orders that include partial tours, equals the
+    reference step; a selection pass that drops nothing returns its input
+    object, as before."""
     rng = random.Random(77)
     for n in range(1, 41):
         inst = _instance(rng, n, chan, mission, shuffled=n % 2 == 0,

@@ -5,7 +5,8 @@ verbatim as the test oracle (only their names, the names of the
 candidate and step classes they build, some docstrings, how
 ``ref_enumerate_insertions`` builds a spliced word from its letters, and
 that ``ref_insert_best`` shifts a belief with the test-side ``shifted``
-differ):
+and measures legs and words with the test-side ``leg_length`` and
+``word_length_m`` differ):
 
 - ``ref_insert_best`` builds a spliced ``Word``, a copied candidate and a
   shifted belief for every candidate and breaks ties on the candidates'
@@ -45,9 +46,9 @@ from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
 from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
                                  WorldModel, learn)
 
-from planner_oracles import (NOVEL, candidate_word, expand_v1,
+from planner_oracles import (NOVEL, candidate_word, expand_v1, leg_length,
                              random_insertion_contexts, reference_edges,
-                             shifted)
+                             shifted, word_length_m)
 
 
 # --- reference: every candidate spliced, every distance a full table -----------
@@ -100,7 +101,7 @@ def ref_insert_best(ref: Word, novel: int, ctx: PlanContext) -> RefInsertionStep
     p = len(letters)
     speed = ctx.mission.uav_speed_m_per_s
     q = ctx.process_noise
-    ref_length = ctx.word_length_m(ref)
+    ref_length = word_length_m(ctx, ref)
     ref_legs = p + 1 if letters else 0
     target = GaussianBelief(
         mean=np.array([sum(ctx.profits[l] for l in letters) + ctx.profits[novel],
@@ -115,8 +116,8 @@ def ref_insert_best(ref: Word, novel: int, ctx: PlanContext) -> RefInsertionStep
     best_idx = 0
     for k, cand in enumerate(ref_enumerate_insertions(ref, novel)):
         u, v = cand.removed_edge
-        detour = (ctx.leg_length(u, novel) + ctx.leg_length(novel, v)
-                  - ctx.leg_length(u, v))
+        detour = (leg_length(ctx, u, novel) + leg_length(ctx, novel, v)
+                  - leg_length(ctx, u, v))
         scored = replace(cand,
                          tour_length_m=ref_length + detour,
                          predicted_obs=shifted(obs, np.array([0.0, detour / speed])),

@@ -5,11 +5,12 @@ import pytest
 
 from uavplan.environment import edge_cost, sample_instance, sample_pool
 from uavplan.errors import TrainingError
-from uavplan.oracle import (ObjectiveWeights, nearest_neighbor_construct,
-                            objective_value, solve, tour_length)
+from uavplan.oracle import ObjectiveWeights, make_tour, solve
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_from_dict, qtable_to_dict, train_q)
 from uavplan.world_model import Word
+
+from oracle_oracles import nearest_neighbor_construct
 
 W = ObjectiveWeights()
 
@@ -41,9 +42,7 @@ def value_iteration_two_letters(inst, demo, cfg):
 
     def terminal_reward(u, v, order):
         r = step_reward(u, v) - alpha * leg(v, DEPOT_STATE) / cost_scale
-        realized = objective_value(
-            tour_length(order, inst),
-            sum(inst.hotspot(i).profit_bps for i in sorted(order)), W)
+        realized = make_tour(order, inst, W).objective
         if abs(realized - demo.objective) <= cfg.match_tolerance * abs(demo.objective):
             r += cfg.terminal_bonus
         return r

@@ -3,8 +3,9 @@
 ``ref_train_q`` and ``ref_construct_word`` below are the earlier
 implementations, kept verbatim as the test oracle: they look every hotspot
 up with ``Instance.hotspot``, pick the greedy action with ``max`` by the key
-``(q, -a)`` and re-walk the finished tour with ``tour_length``. The
-production loops must give the same Q-table, with the same float bits, and
+``(q, -a)`` and re-walk the finished tour with ``make_tour`` (it forms
+the same length and profit sums as the ``tour_length`` and profit sum
+they used before). The production loops must give the same Q-table, with the same float bits, and
 the same words, from the same random draws.
 """
 
@@ -23,9 +24,10 @@ from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_to_dict, train_q, training_fingerprint)
 from uavplan.errors import ConfigurationError, TrainingError
 from uavplan.oracle import (ObjectiveWeights, Tour, instance_scales,
-                            make_tour, nearest_neighbor_construct,
-                            objective_value, solve, tour_length)
+                            make_tour, solve)
 from uavplan.world_model import Word
+
+from oracle_oracles import nearest_neighbor_construct
 
 
 # --- reference: the loops with per-step hotspot scans ---------------------------
@@ -82,10 +84,7 @@ def ref_train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
             else:
                 back = edge_cost(inst.hotspot(action).center_m, inst.depot_m)
                 reward += -alpha * back / cost_scale
-                realized = objective_value(tour_length(order, inst),
-                                           sum(inst.hotspot(i).profit_bps
-                                               for i in sorted(order)),
-                                           weights)
+                realized = make_tour(order, inst, weights).objective
                 if abs(realized - demo.objective) <= cfg.match_tolerance * abs(demo.objective):
                     reward += cfg.terminal_bonus
                 target = reward
@@ -237,7 +236,7 @@ def test_match_tolerance_hits_and_misses(chan, mission):
 def test_exact_demonstration_match(chan, mission):
     """At tolerance 0 only a realized objective equal to the demonstration's
     in every bit earns the bonus, so the realized tour length must be summed
-    leg by leg in the order ``tour_length`` sums it. The objective here is
+    leg by leg in the order ``make_tour`` sums it. The objective here is
     the length alone: under a profit term of order 1e7 a last-bit change of
     the length would round away, and the demonstration is the full tour
     solved at the default weights (at these the oracle would skip every

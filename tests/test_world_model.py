@@ -11,10 +11,12 @@ from uavplan.environment import sample_instance, sample_pool
 from uavplan.errors import (ConsistencyError, DegenerateWordError,
                             TrainingError)
 from uavplan.oracle import ObjectiveWeights, make_tour, solve
-from uavplan.world_model import (GeneralizedLetter, NoiseConfig, Vocabulary,
-                                 Word, adjacency, degree, learn,
-                                 merge_global, model_from_dict, model_to_dict,
-                                 word_from_tour, word_transition)
+from uavplan.world_model import (LetterStats, NoiseConfig, Vocabulary, Word,
+                                 learn, merge_global, model_from_dict,
+                                 model_to_dict, word_from_tour)
+
+from world_model_oracles import (GeneralizedLetter, adjacency, degree, glyphs,
+                                 word_transition)
 
 
 def random_words(rng, vocab_letters, n_words, max_len=6):
@@ -30,18 +32,17 @@ def random_words(rng, vocab_letters, n_words, max_len=6):
 class TestWord:
     def test_from_letters_chains(self):
         w = Word.from_letters([3, 7, 9])
-        assert w.glyphs == (GeneralizedLetter(3, 7), GeneralizedLetter(7, 9))
-        assert w.terminal == 9
+        assert glyphs(w) == (GeneralizedLetter(3, 7), GeneralizedLetter(7, 9))
         assert w.letters == (3, 7, 9)
 
     def test_minimal_word(self):
         w = Word.from_letters([4, 5])
-        assert w.glyphs == (GeneralizedLetter(4, 5),)
+        assert glyphs(w) == (GeneralizedLetter(4, 5),)
         assert len(w) == 2
 
     def test_single_letter_word(self):
         w = Word.from_letters([8])
-        assert w.glyphs == () and w.terminal == 8 and w.letters == (8,)
+        assert glyphs(w) == () and w.letters == (8,)
 
     def test_empty_word(self):
         w = Word.from_letters([])
@@ -57,14 +58,14 @@ class TestWord:
     @given(letters=st.lists(st.integers(0, 200), max_size=50, unique=True),
            data=st.data())
     def test_letters_determine_the_word(self, letters, data):
-        """A word is its repeat-free letters: its glyphs chain them, its
-        terminal is the last one, from_letters and a pickle round trip give
-        an equal word, and any list with a repeated letter is rejected."""
+        """A word is its repeat-free letters: its glyphs chain them and
+        start at every letter but the last, from_letters and a pickle round
+        trip give an equal word, and any list with a repeated letter is
+        rejected."""
         w = Word.from_letters(letters)
-        g = w.glyphs
+        g = glyphs(w)
         assert all(g[i].edge_to == g[i + 1].start for i in range(len(g) - 1))
-        assert w.terminal == (letters[-1] if letters else None)
-        assert [x.start for x in g] + [w.terminal] * bool(letters) == letters
+        assert [x.start for x in g] + letters[-1:] == letters
         again = Word.from_letters(w.letters)
         assert again == w and hash(again) == hash(w)
         assert pickle.loads(pickle.dumps(w)) == w
@@ -84,7 +85,7 @@ class TestWordFromTour:
     def test_two_vertex_tour(self, make_instance, default_weights):
         inst = make_instance([(1, 0), (2, 0)], ids=[4, 6])
         t = make_tour([4, 6], inst, default_weights)
-        assert word_from_tour(t).glyphs == (GeneralizedLetter(4, 6),)
+        assert glyphs(word_from_tour(t)) == (GeneralizedLetter(4, 6),)
 
     def test_single_vertex_rejected(self, make_instance, default_weights):
         inst = make_instance([(1, 0)])
@@ -123,7 +124,7 @@ class TestMatrices:
         rng = np.random.default_rng(2)
         vocab = Vocabulary(range(1, 9))
         for w in random_words(rng, list(vocab.letters), 50):
-            assert np.trace(degree(w, vocab)) == len(w.glyphs)
+            assert np.trace(degree(w, vocab)) == len(glyphs(w))
 
     def test_chain_word_rows_one_hot(self):
         vocab = Vocabulary([1, 2, 3, 4])
@@ -288,14 +289,34 @@ class TestLearn:
             json.dumps(model_to_dict(wm), sort_keys=True)
 
 
+class TestLetterStats:
+    def test_valid_stats_accepted(self):
+        s = LetterStats(center_m=(10.0, 20.0), mean_profit_bps=5e7, count=0,
+                        start_count=0)
+        assert s.count == 0
+
+    @pytest.mark.parametrize("center,profit", [
+        ((float("nan"), 0.0), 1e7), ((0.0, float("inf")), 1e7),
+        ((0.0, 0.0), float("nan")), ((0.0, 0.0), float("-inf"))])
+    def test_non_finite_value_rejected(self, center, profit):
+        with pytest.raises(ConsistencyError, match="finite"):
+            LetterStats(center_m=center, mean_profit_bps=profit, count=3,
+                        start_count=1)
+
+    @pytest.mark.parametrize("count,start_count", [(-1, 0), (3, -5)])
+    def test_negative_count_rejected(self, count, start_count):
+        with pytest.raises(ConsistencyError, match="non-negative"):
+            LetterStats(center_m=(0.0, 0.0), mean_profit_bps=1e7, count=count,
+                        start_count=start_count)
+
+
 class TestBenchmarkContracts:
     """The benchmark's tracer wraps every public world_model function in a
     timed span, so a new public helper would put a span inside the
     learner's loops."""
 
-    PUBLIC = ("adjacency", "degree", "demonstration_fingerprint", "learn",
-              "merge_global", "model_from_dict", "model_to_dict",
-              "word_from_tour", "word_transition")
+    PUBLIC = ("demonstration_fingerprint", "learn", "merge_global",
+              "model_from_dict", "model_to_dict", "word_from_tour")
 
     def test_public_functions_unchanged(self):
         from uavplan import world_model

@@ -1,0 +1,63 @@
+"""Test-side oracles for the world model: the per-word construction.
+
+``world_model.merge_global`` pools transition counts over all words at
+once. The functions here build the same thing one word at a time, as the
+dictionary construction is usually stated, for the tests to check the
+pooled estimate against:
+
+- a ``GeneralizedLetter`` is a letter with its outgoing edge inside a
+  word, and ``glyphs`` lists a word's, each letter but the last with the
+  edge to its successor (a one-letter word has none);
+- ``adjacency`` and ``degree`` are a word's binary edge-presence and
+  diagonal out-degree matrices over a vocabulary;
+- ``word_transition`` is the adjacency scaled by out-degree.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from uavplan.world_model import TransitionMatrix, Vocabulary, Word
+
+
+class GeneralizedLetter(NamedTuple):
+    """A letter plus its outgoing edge (start -> edge_to)."""
+
+    start: int
+    edge_to: int
+
+
+def glyphs(w: Word) -> tuple[GeneralizedLetter, ...]:
+    letters = w.letters
+    return tuple(GeneralizedLetter(a, b) for a, b in zip(letters, letters[1:]))
+
+
+def adjacency(w: Word, vocab: Vocabulary) -> np.ndarray:
+    """Binary edge-presence matrix of a word over the vocabulary."""
+    mat = np.zeros((len(vocab), len(vocab)))
+    for g in glyphs(w):
+        mat[vocab.index(g.start), vocab.index(g.edge_to)] = 1.0
+    if w.letters:
+        vocab.index(w.letters[-1])  # membership check only
+    return mat
+
+
+def degree(w: Word, vocab: Vocabulary) -> np.ndarray:
+    """Diagonal out-degree matrix of a word."""
+    return np.diag(adjacency(w, vocab).sum(axis=1))
+
+
+def word_transition(w: Word, vocab: Vocabulary) -> TransitionMatrix:
+    """Per-word transition matrix: rows of the adjacency scaled by out-degree.
+
+    Zero-out-degree rows are left empty and flagged inactive (diagonal
+    pseudo-inverse convention).
+    """
+    adj = adjacency(w, vocab)
+    out = adj.sum(axis=1)
+    probs = np.zeros_like(adj)
+    active = out > 0
+    probs[active] = adj[active] / out[active, None]
+    tm = TransitionMatrix(probs=probs, active=active, vocab=vocab)
+    tm.validate()
+    return tm
