@@ -14,96 +14,79 @@ from pathlib import Path
 from .environment import instance_from_dict
 from .errors import ConfigurationError, NumericError
 from .harness import (ExperimentConfig, config_to_dict, load_artifact,
-                      load_config, run_pipeline, stage_eval, stage_ql,
-                      stage_oracle, stage_pools, stage_report,
-                      stage_training_instances, stage_world, write_json_atomic)
+                      load_config, run_pipeline, write_json_atomic)
 from .planner import plan_mission, plan_to_dict
 from .world_model import model_from_dict
 
 
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
+    overrides = {key: getattr(args, key) for key in
+                 ("pool_seed", "m_training", "seeds_per_size", "workers")
+                 if getattr(args, key) is not None}
     if args.out:
         overrides["output_dir"] = args.out
-    if getattr(args, "pool_seed", None) is not None:
-        overrides["pool_seed"] = args.pool_seed
-    if getattr(args, "m_training", None) is not None:
-        overrides["m_training"] = args.m_training
-    if getattr(args, "seeds_per_size", None) is not None:
-        overrides["seeds_per_size"] = args.seeds_per_size
-    if getattr(args, "test_sizes", None):
+    if args.test_sizes:
         overrides["test_sizes"] = tuple(args.test_sizes)
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return replace(cfg, **overrides)
 
 
-def _out(cfg: ExperimentConfig) -> Path:
-    p = Path(cfg.output_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+# The stage commands in pipeline order. Each runs the pipeline up to and
+# including its stage, after checking that the artifacts it requires
+# exist (each named with the command that makes it), and prints a summary
+# of what that stage returned.
+STAGE_COMMANDS = {
+    "gen-pool": (
+        "pools", "sample the hotspot pools", (),
+        lambda out, pools: f"pool: {len(pools[0])} hotspots "
+                           f"({len(pools[1])} trainable) -> {out/'pools.json'}"),
+    "gen-instances": (
+        "training_instances", "sample training instances",
+        (("pools.json", "gen-pool"),),
+        lambda out, instances: f"{len(instances)} training instances -> "
+                               f"{out/'training_instances.jsonl'}"),
+    "solve-oracle": (
+        "oracle", "solve demonstrations offline",
+        (("training_instances.jsonl", "gen-instances"),),
+        lambda out, tours: f"{len(tours)} demonstration tours -> "
+                           f"{out/'oracle_tours.jsonl'}"),
+    "train-world": (
+        "world", "learn the world model",
+        (("oracle_tours.jsonl", "solve-oracle"),),
+        lambda out, wm: f"world model: {len(wm.vocab)} letters, "
+                        f"{len(wm.words)} distinct words -> "
+                        f"{out/'world_model.json'}"),
+    "train-ql": (
+        "ql", "train the Q-learning baseline",
+        (("oracle_tours.jsonl", "solve-oracle"),),
+        lambda out, q: f"q-table: {len(q.letters)} letters, "
+                       f"{len(q.values)} entries -> {out/'qtable.json'}"),
+    "eval": (
+        "eval", "run the test matrix for all methods",
+        (("world_model.json", "train-world"), ("qtable.json", "train-ql")),
+        lambda out, rows: f"{len(rows)} metric rows -> {out/'metrics.csv'}"),
+    "report": (
+        "report", "summarize metrics and export trajectories",
+        (("metrics.csv", "eval"),),
+        lambda out, rows: f"summary -> {out/'summary.csv'}, "
+                          f"ratios -> {out/'ratios.csv'}"),
+    "pipeline": (
+        "report", "run every stage in order", (),
+        lambda out, rows: f"pipeline complete: {len(rows)} metric rows "
+                          f"in {out}"),
+}
 
 
-def _require(path: Path, hint: str) -> None:
-    if not path.exists():
-        raise ConfigurationError(f"missing artifact {path}; run `{hint}` first")
-
-
-def cmd_gen_pool(args) -> int:
+def cmd_stage(args) -> int:
+    """Run one of ``STAGE_COMMANDS``."""
+    stage, _, requires, summary = STAGE_COMMANDS[args.command]
     cfg = _load_cfg(args)
-    out = _out(cfg)
-    testing, training = stage_pools(cfg, out)
-    print(f"pool: {len(testing)} hotspots ({len(training)} trainable) -> {out/'pools.json'}")
-    return 0
-
-
-def cmd_gen_instances(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out(cfg)
-    _require(out / "pools.json", "uavplan gen-pool")
-    _, training = stage_pools(cfg, out)
-    instances = stage_training_instances(cfg, training, out)
-    print(f"{len(instances)} training instances -> {out/'training_instances.jsonl'}")
-    return 0
-
-
-def cmd_solve_oracle(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out(cfg)
-    _require(out / "training_instances.jsonl", "uavplan gen-instances")
-    _, training = stage_pools(cfg, out)
-    instances = stage_training_instances(cfg, training, out)
-    tours = stage_oracle(cfg, instances, out)
-    print(f"{len(tours)} demonstration tours -> {out/'oracle_tours.jsonl'}")
-    return 0
-
-
-def cmd_train_world(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out(cfg)
-    _require(out / "oracle_tours.jsonl", "uavplan solve-oracle")
-    _, training = stage_pools(cfg, out)
-    instances = stage_training_instances(cfg, training, out)
-    tours = stage_oracle(cfg, instances, out)
-    wm = stage_world(cfg, tours, training, out)
-    print(f"world model: {len(wm.vocab)} letters, {len(wm.words)} distinct words "
-          f"-> {out/'world_model.json'}")
-    return 0
-
-
-def cmd_train_ql(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out(cfg)
-    _require(out / "oracle_tours.jsonl", "uavplan solve-oracle")
-    _, training = stage_pools(cfg, out)
-    instances = stage_training_instances(cfg, training, out)
-    tours = stage_oracle(cfg, instances, out)
-    q = stage_ql(cfg, instances, tours, out)
-    print(f"q-table: {len(q.letters)} letters, {len(q.values)} entries "
-          f"-> {out/'qtable.json'}")
+    out = Path(cfg.output_dir)
+    for name, maker in requires:
+        if not (out / name).exists():
+            raise ConfigurationError(
+                f"missing artifact {out / name}; run `uavplan {maker}` first")
+    print(summary(out, run_pipeline(cfg, stage)))
     return 0
 
 
@@ -134,37 +117,6 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out(cfg)
-    _require(out / "world_model.json", "uavplan train-world")
-    _require(out / "qtable.json", "uavplan train-ql")
-    testing, training = stage_pools(cfg, out)
-    instances = stage_training_instances(cfg, training, out)
-    tours = stage_oracle(cfg, instances, out)
-    wm = stage_world(cfg, tours, training, out)
-    q = stage_ql(cfg, instances, tours, out)
-    rows = stage_eval(cfg, testing, wm, q, out)
-    print(f"{len(rows)} metric rows -> {out/'metrics.csv'}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out(cfg)
-    _require(out / "metrics.csv", "uavplan eval")
-    stage_report(cfg, out)
-    print(f"summary -> {out/'summary.csv'}, ratios -> {out/'ratios.csv'}")
-    return 0
-
-
-def cmd_pipeline(args) -> int:
-    cfg = _load_cfg(args)
-    rows = run_pipeline(cfg)
-    print(f"pipeline complete: {len(rows)} metric rows in {cfg.output_dir}")
-    return 0
-
-
 def cmd_show_config(args) -> int:
     cfg = _load_cfg(args)
     json.dump(config_to_dict(cfg), sys.stdout, sort_keys=True, indent=2)
@@ -188,16 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--test-sizes", dest="test_sizes", type=int, nargs="+")
         p.add_argument("--workers", type=int)
 
-    for name, fn, help_text in [
-            ("gen-pool", cmd_gen_pool, "sample the hotspot pools"),
-            ("gen-instances", cmd_gen_instances, "sample training instances"),
-            ("solve-oracle", cmd_solve_oracle, "solve demonstrations offline"),
-            ("train-world", cmd_train_world, "learn the world model"),
-            ("train-ql", cmd_train_ql, "train the Q-learning baseline"),
-            ("eval", cmd_eval, "run the test matrix for all methods"),
-            ("report", cmd_report, "summarize metrics and export trajectories"),
-            ("pipeline", cmd_pipeline, "run every stage in order"),
-            ("show-config", cmd_show_config, "print the effective config")]:
+    for name, help_text, fn in (
+            *((name, row[1], cmd_stage) for name, row in STAGE_COMMANDS.items()),
+            ("show-config", "print the effective config", cmd_show_config)):
         p = sub.add_parser(name, help=help_text)
         common(p)
         p.set_defaults(fn=fn)

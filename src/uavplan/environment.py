@@ -104,6 +104,8 @@ class Hotspot:
     profit_bps: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (*self.center_m, self.profit_bps))):
+            raise ConsistencyError(f"{self}: center and profit must be finite")
         if self.num_users < 0:
             raise ConfigurationError("user count cannot be negative")
         if self.profit_bps < 0:

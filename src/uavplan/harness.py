@@ -1,19 +1,23 @@
 """Experiment pipeline: pools, demonstrations, models, evaluation, report.
 
-Every artifact is a pure function of the experiment config; rerunning a
-stage with the same config reproduces its files byte for byte. Wall
-clock measurements go to a separate timings file so the metrics CSV
-stays deterministic. Files are written atomically (write then rename)
-and a stage is skipped when its artifact already exists. A reused
-artifact that records what it was computed from must match this run, or
-the run stops with a configuration error naming the file and both
-values. The recorded values are:
+The stages run in one order, written once in ``_stages``; every entry
+point runs a prefix of it (``run_pipeline``). Every artifact is a pure
+function of the experiment config; rerunning a stage with the same
+config reproduces its files byte for byte. Wall clock measurements go
+to a separate timings file so the metrics CSV stays deterministic. Files
+are written atomically (write then rename) and a stage is skipped when
+its artifact already exists. A reused artifact must match the record of
+what it was computed from, or the run stops with a configuration error
+naming the file and both values. The records are:
 
 - the pool's seed, user mean, mission, channel and size;
 - the training instances' header;
 - the weights of the demonstrations, and the instances they solved;
 - the demonstrations and noise config behind the world model;
-- the weights, demonstrations and Q-learning config behind the Q-table.
+- the weights, demonstrations and Q-learning config behind the Q-table;
+- ``config.json``, the whole config behind ``metrics.csv`` and the
+  eval's other outputs (``tours/``, ``traces/``, ``instances/``), which
+  the report is made from.
 
 ``output_dir`` and ``workers`` are never part of such a check.
 
@@ -277,21 +281,24 @@ def _read_csv(path: Path) -> list[dict]:
         raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
 
 
-def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T | list[T]:
+def load_artifact(path: Path, from_dict: Callable[[dict], T],
+                  want: dict | None = None) -> T | list[T]:
     """Read an artifact and build what it holds: a list with one object per
-    row of a ``.csv`` file, else one object from the JSON file. Unreadable
-    or corrupt input and a wrong shape (a missing key, a short list, a
-    wrong type or value, or contents that contradict each other) are
-    configuration errors that name the file."""
+    row of a ``.csv`` file, else one object from the JSON file, which must
+    record ``want`` (see ``_check_header``). Unreadable or corrupt input
+    and a wrong shape (a missing key, a short list, a wrong type or value,
+    or contents that contradict each other) are configuration errors that
+    name the file."""
     is_csv = path.suffix == ".csv"
     data = _read_csv(path) if is_csv else read_json(path)
     try:
         if is_csv:
             return [from_dict(rec) for rec in data]
+        _check_header(path, data, want or {})
         return from_dict(data)
     except ConfigurationError:
         raise
-    except (LookupError, TypeError, ValueError) as e:
+    except (AttributeError, LookupError, TypeError, ValueError) as e:
         raise ConfigurationError(
             f"malformed artifact {path}: {type(e).__name__}: {e}") from e
 
@@ -307,9 +314,11 @@ def _check_recorded(path: Path, what: str, recorded, current) -> None:
 
 
 def _check_header(path: Path, recorded: dict, want: dict) -> None:
-    """``_check_recorded`` for each key of ``want``."""
-    for key, value in want.items():
-        _check_recorded(path, key, recorded[key], value)
+    """``_check_recorded`` for each key of ``want``, in JSON form (so a
+    tuple equals the list it is written as); a key that ``recorded`` lacks
+    counts as null."""
+    for key, value in json.loads(_canonical_json(want)).items():
+        _check_recorded(path, key, recorded.get(key), value)
 
 
 def load_headed_jsonl(path: Path, schema: str, want: dict, count: int,
@@ -328,11 +337,7 @@ def load_headed_jsonl(path: Path, schema: str, want: dict, count: int,
         raise ConfigurationError(
             f"{path} has schema {found!r}, not {schema!r} (an older format "
             "or not this artifact); delete it and run again to regenerate it")
-    try:
-        _check_header(path, header, want)
-    except KeyError as e:
-        raise ConfigurationError(
-            f"malformed artifact {path}, line 1: no {e.args[0]!r}") from e
+    _check_header(path, header, want)
     records = lines[1:]
     if len(records) != count:
         raise ConfigurationError(
@@ -357,15 +362,11 @@ def stage_pools(cfg: ExperimentConfig,
     trained letters keep their identity at test time."""
     path = out / "pools.json"
     if path.exists():
-        def from_dict(d: dict) -> list[Hotspot]:
-            _check_header(path, d, {
-                "seed": cfg.pool_seed, "mean_users": cfg.mean_users,
-                "mission": asdict(cfg.mission), "channel": asdict(cfg.channel)})
-            _check_recorded(path, "hotspot count", len(d["hotspots"]),
-                            cfg.testing_pool_size)
-            return pool_from_dict(d)
-
-        testing = load_artifact(path, from_dict)
+        testing = load_artifact(path, pool_from_dict, {
+            "seed": cfg.pool_seed, "mean_users": cfg.mean_users,
+            "mission": asdict(cfg.mission), "channel": asdict(cfg.channel)})
+        _check_recorded(path, "hotspot count", len(testing),
+                        cfg.testing_pool_size)
     else:
         testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
                               cfg.mean_users, cfg.mission, cfg.channel)
@@ -440,9 +441,8 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
                 out: Path) -> WorldModel:
     path = out / "world_model.json"
     if path.exists():
-        wm = load_artifact(path, model_from_dict)
-        _check_recorded(path, "noise config", asdict(wm.noise_config),
-                        asdict(cfg.noise))
+        wm = load_artifact(path, model_from_dict,
+                           {"noise_config": asdict(cfg.noise)})
         _check_recorded(path, "demonstration fingerprint", wm.fingerprint,
                         demonstration_fingerprint(tours))
         return wm
@@ -456,12 +456,8 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
     path = out / "qtable.json"
     training = list(zip(instances, tours))
     if path.exists():
-        def from_dict(d: dict) -> QTable:
-            _check_recorded(path, "weights", d["weights"], asdict(cfg.weights))
-            _check_recorded(path, "ql config", d["config"], asdict(cfg.ql))
-            return qtable_from_dict(d)
-
-        q = load_artifact(path, from_dict)
+        q = load_artifact(path, qtable_from_dict, {
+            "weights": asdict(cfg.weights), "config": asdict(cfg.ql)})
         _check_recorded(path, "training fingerprint", q.fingerprint,
                         training_fingerprint(training))
         return q
@@ -557,8 +553,21 @@ def metrics_csv_text(rows: Sequence[MetricsRecord]) -> str:
 
 def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
                qtable: QTable, out: Path) -> list[MetricsRecord]:
+    """Run the three methods on every test instance. Its record is
+    ``config.json``, this run's config, written just before its outputs;
+    a reused ``metrics.csv`` needs one that equals this run's config in
+    every key but ``output_dir`` and ``workers``."""
     path = out / "metrics.csv"
+    record = config_to_dict(cfg)
     if path.exists():
+        config_path = out / "config.json"
+        if not config_path.exists():
+            raise ConfigurationError(
+                f"{path} has no {config_path} to record the config it was "
+                "computed with; remove it or use another output_dir")
+        _check_header(path, load_artifact(config_path, dict),
+                      {key: value for key, value in record.items()
+                       if key not in ("output_dir", "workers")})
         return read_metrics(path)
     tasks = list(iter_test_instances(cfg, testing_pool))
     if cfg.workers > 1:
@@ -570,6 +579,7 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
         results = [_evaluate_one(iid, inst, wm, qtable, cfg)
                    for iid, inst in tasks]
 
+    write_json_atomic(out / "config.json", record)
     rows: list[MetricsRecord] = []
     for task_rows, artifacts in results:
         rows.extend(task_rows)
@@ -675,34 +685,52 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> None:
     _write_csv_records(out / "summary.csv", summarize(rows))
     _write_csv_records(out / "ratios.csv", completion_ratios(rows))
 
-    # polyline per tour: depot, ordered hotspot centers, depot
-    for r in rows:
-        inst = load_artifact(out / f"instances/{r.instance_id}.json",
-                             instance_from_dict)
-        tour_path = out / f"tours/{r.instance_id}_{r.method}.json"
-        tour = load_artifact(tour_path, tour_from_dict)
+    # polyline per tour: depot, ordered hotspot centers, depot; an
+    # instance's rows are consecutive, so its file is read once
+    for iid, group in itertools.groupby(rows, lambda r: r.instance_id):
+        inst = load_artifact(out / f"instances/{iid}.json", instance_from_dict)
         centers = {h.id: h.center_m for h in inst.hotspots}
-        try:
-            visited = [centers[i] for i in tour.order]
-        except KeyError as e:
-            raise ConfigurationError(f"malformed artifact {tour_path}: "
-                                     f"unknown hotspot id {e.args[0]}") from None
-        pts = [inst.depot_m] + visited + [inst.depot_m]
-        lines = ["x_m,y_m"] + [f"{x!r},{y!r}" for x, y in pts]
-        write_text_atomic(out / f"trajectories/{r.instance_id}_{r.method}.csv",
-                          "\n".join(lines) + "\n")
+        for r in group:
+            tour_path = out / f"tours/{iid}_{r.method}.json"
+            tour = load_artifact(tour_path, tour_from_dict)
+            try:
+                visited = [centers[i] for i in tour.order]
+            except KeyError as e:
+                raise ConfigurationError(
+                    f"malformed artifact {tour_path}: "
+                    f"unknown hotspot id {e.args[0]}") from None
+            pts = [inst.depot_m] + visited + [inst.depot_m]
+            lines = ["x_m,y_m"] + [f"{x!r},{y!r}" for x, y in pts]
+            write_text_atomic(out / f"trajectories/{iid}_{r.method}.csv",
+                              "\n".join(lines) + "\n")
 
 
-def run_pipeline(cfg: ExperimentConfig) -> list[MetricsRecord]:
-    """Execute every stage in order, resuming from existing artifacts."""
+def _stages(cfg: ExperimentConfig, out: Path):
+    """The pipeline: run each stage in order, yielding its name and what
+    it returned (the report yields the eval's metrics rows)."""
+    testing_pool, training_pool = stage_pools(cfg, out)
+    yield "pools", (testing_pool, training_pool)
+    instances = stage_training_instances(cfg, training_pool, out)
+    yield "training_instances", instances
+    tours = stage_oracle(cfg, instances, out)
+    yield "oracle", tours
+    wm = stage_world(cfg, tours, training_pool, out)
+    yield "world", wm
+    qtable = stage_ql(cfg, instances, tours, out)
+    yield "ql", qtable
+    rows = stage_eval(cfg, testing_pool, wm, qtable, out)
+    yield "eval", rows
+    stage_report(cfg, out)
+    yield "report", rows
+
+
+def run_pipeline(cfg: ExperimentConfig, last: str = "report"):
+    """Run the stages of ``_stages`` in order, reusing existing artifacts,
+    and stop after the one named ``last``; returns what that stage
+    yields."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json_atomic(out / "config.json", config_to_dict(cfg))
-    testing_pool, training_pool = stage_pools(cfg, out)
-    instances = stage_training_instances(cfg, training_pool, out)
-    tours = stage_oracle(cfg, instances, out)
-    wm = stage_world(cfg, tours, training_pool, out)
-    qtable = stage_ql(cfg, instances, tours, out)
-    rows = stage_eval(cfg, testing_pool, wm, qtable, out)
-    stage_report(cfg, out)
-    return rows
+    for name, result in _stages(cfg, out):
+        if name == last:
+            return result
+    raise ValueError(f"no pipeline stage named {last!r}")

@@ -95,10 +95,7 @@ class GaussianBelief:
             if cov[0, 0] < -tol or cov[1, 1] < -tol or det < -tol * scale:
                 raise NumericError("covariance not positive semi-definite")
         else:
-            if not np.allclose(cov, cov.T, atol=tol):
-                raise NumericError("covariance not symmetric")
-            if np.linalg.eigvalsh(cov).min() < -tol:
-                raise NumericError("covariance not positive semi-definite")
+            raise NumericError(f"a belief is 1-D or 2-D, not {mean.size}-D")
 
     @classmethod
     def zero(cls, dim: int = 2) -> "GaussianBelief":

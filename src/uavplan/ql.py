@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .environment import Instance, edge_cost
-from .errors import ConfigurationError, TrainingError
+from .errors import ConfigurationError, ConsistencyError, TrainingError
 from .oracle import ObjectiveWeights, Tour, instance_scales, objective_value
 from .world_model import Word
 
@@ -69,6 +69,10 @@ class QTable:
     values: dict[tuple[int, int], float]
     letters: set[int]
     fingerprint: str = ""
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self.values.values())):
+            raise ConsistencyError("Q-values must be finite")
 
     def q(self, state: int, action: int) -> float:
         return self.values.get((state, action), 0.0)

@@ -17,6 +17,7 @@ from uavplan.harness import (ExperimentConfig, _canonical_json, completion_time,
                              stage_pools, stage_training_instances, summarize,
                              word_similarity, write_jsonl_atomic)
 from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
+from uavplan.planner import PlannerConfig
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
 
@@ -341,16 +342,34 @@ def _negative_probability(obj):
     row[(k + 1) % len(row)] -= 1.0
 
 
+def _artifact_bytes(out: Path) -> dict[str, bytes]:
+    """Every file under ``out`` but timings.csv, by relative path."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in out.rglob("*")
+            if p.is_file() and p.name != "timings.csv"}
+
+
 class TestCli:
-    def test_stage_commands_in_order(self, tmp_path):
-        cfg = small_config(tmp_path / "cli")
+    def test_stage_commands_in_order(self, tmp_path, monkeypatch):
+        """The stage commands one after another leave the directory that
+        ``pipeline`` leaves, byte for byte but for timings.csv (both run
+        with the same relative output_dir, which config.json records)."""
+        cfg = small_config("cli")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         base = ["--config", str(cfg_path)]
+        for side in ("stages", "whole"):
+            (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / "stages")
         for cmd in ("gen-pool", "gen-instances", "solve-oracle",
                     "train-world", "train-ql", "eval", "report"):
             assert cli_main([cmd] + base) == 0, cmd
-        assert (tmp_path / "cli" / "summary.csv").exists()
+        assert (tmp_path / "stages" / "cli" / "summary.csv").exists()
+        monkeypatch.chdir(tmp_path / "whole")
+        assert cli_main(["pipeline"] + base) == 0
+        stages = _artifact_bytes(tmp_path / "stages" / "cli")
+        assert stages == _artifact_bytes(tmp_path / "whole" / "cli")
+        assert "config.json" in stages
 
     def test_missing_dependency_exits_2(self, tmp_path):
         cfg = small_config(tmp_path / "cli2")
@@ -393,12 +412,16 @@ class TestCli:
                      id="qtable.json-missing-values"),
         pytest.param("tours/s005k000_ain.json",
                      lambda obj: obj["order"].__setitem__(0, 999),
-                     id="tour-unknown-hotspot")])
+                     id="tour-unknown-hotspot"),
+        pytest.param("pools.json", lambda obj: obj["hotspots"][0][
+            "center_m"].__setitem__(0, float("nan")), id="pools.json-center-nan"),
+        pytest.param("qtable.json", lambda obj: obj["values"][0].__setitem__(
+            2, float("nan")), id="qtable.json-value-nan")])
     def test_truncated_artifact_exits_2(self, tmp_path, capsys, artifact,
                                         edit):
-        """A truncated artifact, valid JSON with a key missing, or a tour
-        naming a hotspot its instance lacks exits 2 with a message naming
-        the file."""
+        """A truncated artifact, valid JSON with a key missing, a tour
+        naming a hotspot its instance lacks, or a NaN hotspot center or
+        Q-value exits 2 with a message naming the file."""
         cfg = small_config(tmp_path / "cli5", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -607,13 +630,16 @@ class TestCli:
         pytest.param({"m_training": 60}, "training_instances.jsonl",
                      "m_training 30", "m_training 60", id="m_training"),
         pytest.param({"pool_seed": 7}, "pools.json", "seed 20240501",
-                     "seed 7", id="pool_seed")])
+                     "seed 7", id="pool_seed"),
+        pytest.param({"planner": PlannerConfig(n_words=3, rng_seed=9)},
+                     "metrics.csv", '"n_words":10', '"n_words":3',
+                     id="planner")])
     def test_reused_artifact_from_other_config_exits_2(
             self, tmp_path, capsys, change, artifact, recorded, current):
         """Re-running a 30-demonstration directory with another noise
-        config, more demonstrations or another pool seed must not reuse the
-        world model, training instances or pools: exit 2 naming the file
-        and both values."""
+        config, more demonstrations, another pool seed or other planner
+        settings must not reuse the world model, training instances, pools
+        or metrics: exit 2 naming the file and both values."""
         cfg = small_config(tmp_path / "c", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -653,6 +679,38 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert str(tmp_path / "t" / "oracle_tours.jsonl") in err
         assert f"with {key} " in err
+
+    def test_refused_run_leaves_config_json(self, tmp_path, capsys):
+        """config.json is the eval's record, written with its outputs: a
+        re-run that exits 2 leaves it as it was; ``report`` with other
+        planner settings exits 2 naming metrics.csv before it writes
+        anything; and a metrics.csv without config.json is not reused."""
+        cfg = small_config(tmp_path / "r", test_sizes=(5,), seeds_per_size=1)
+        out = tmp_path / "r"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        recorded = (out / "config.json").read_bytes()
+        cfg_path.write_text(json.dumps(config_to_dict(
+            replace(cfg, weights=ObjectiveWeights(0.5, 0.5)))))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        assert (out / "config.json").read_bytes() == recorded
+
+        cfg_path.write_text(json.dumps(config_to_dict(
+            replace(cfg, planner=PlannerConfig(n_words=3)))))
+        (out / "summary.csv").unlink()
+        capsys.readouterr()
+        assert cli_main(["report", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "metrics.csv") in err and '"n_words":3' in err
+        assert not (out / "summary.csv").exists()
+        assert (out / "config.json").read_bytes() == recorded
+
+        (out / "config.json").unlink()
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / "metrics.csv") in err and "remove it" in err
 
     def test_moved_directory_with_other_workers_is_reused(self, tmp_path):
         """output_dir and workers are in no reuse check: a finished run

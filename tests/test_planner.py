@@ -321,6 +321,9 @@ class TestKalmanPredict:
         with pytest.raises(NumericError):
             GaussianBelief(mean=np.zeros(2), cov=np.array([[1.0, 0.0],
                                                            [0.0, -1.0]]))
+        # only 1-D and 2-D beliefs are checked, so any other size is refused
+        with pytest.raises(NumericError):
+            GaussianBelief(mean=np.zeros(3), cov=np.eye(3))
 
 
 class TestRollout:
