@@ -13,6 +13,15 @@ tests check ``merge_global`` against.
 
 Learning is a pure function of the demonstration multiset: permuting the
 demos yields an identical model, including its serialized bytes.
+
+``world_model.json`` (``uavplan.world_model.v3``) stores only what the
+demonstrations and the pool give and nothing else determines: each
+letter's center and mean profit, the distinct words with their counts,
+the mean profit and mean leg time, and the noise config. The vocabulary,
+the start counts, the transition matrix, both noise matrices and the
+fingerprint follow from those, so ``learn`` and ``model_from_dict`` both
+end in ``_build``, which derives them; a stored file cannot contradict
+itself, and one edited by hand is a model of the words it now holds.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -31,7 +40,7 @@ from .errors import ConfigurationError, ConsistencyError, DegenerateWordError, T
 from .oracle import Tour
 
 _ROW_TOL = 1e-9
-WORLD_MODEL_SCHEMA = "uavplan.world_model.v2"
+WORLD_MODEL_SCHEMA = "uavplan.world_model.v3"
 
 
 @dataclass(frozen=True)
@@ -144,17 +153,16 @@ def merge_global(words: Sequence[Word], vocab: Vocabulary,
 @dataclass(frozen=True)
 class LetterStats:
     """Training statistics attached to one letter: a finite center and
-    mean profit, and non-negative counts."""
+    mean profit, and the non-negative number of words it starts."""
 
     center_m: tuple[float, float]
     mean_profit_bps: float
-    count: int
     start_count: int
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (*self.center_m, self.mean_profit_bps))):
             raise ConsistencyError(f"{self}: center and profit must be finite")
-        if min(self.count, self.start_count) < 0:
+        if self.start_count < 0:
             raise ConsistencyError(f"{self}: counts must be non-negative")
 
 
@@ -242,6 +250,49 @@ def demonstration_fingerprint(demos: Sequence[Tour]) -> str:
     return _fingerprint(keys, [tally[k] for k in keys])
 
 
+def _build(letters: dict[int, tuple[tuple[float, float], float]],
+           words: list[Word], counts: list[int], mean_profit_bps: float,
+           mean_leg_time_s: float, noise: NoiseConfig) -> WorldModel:
+    """The model that its sources determine: each letter's center and mean
+    profit (``letters``), the stored words with their counts, the two
+    training means and the noise config. Derives the vocabulary (the
+    words' letters), the start counts, the transitions, both noise
+    matrices (see ``NoiseConfig``) and the fingerprint of the words in
+    their given order."""
+    if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
+        raise ConsistencyError(
+            f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
+            f"{mean_leg_time_s} must be finite")
+    started: dict[int, int] = {}
+    for w, c in zip(words, counts):
+        if c < 1:
+            raise ConsistencyError(
+                f"word {list(w.letters)} has count {c}; a stored word's "
+                "count must be at least 1")
+        started[w.letters[0]] = started.get(w.letters[0], 0) + c
+    vocab = Vocabulary(l for w in words for l in w.letters)
+    missing = [l for l in vocab if l not in letters]
+    if missing:
+        raise ConsistencyError(
+            f"stored words name letters {missing} that have no statistics")
+    q = np.diag([(noise.process_scale * mean_profit_bps) ** 2,
+                 (noise.process_scale * mean_leg_time_s) ** 2])
+    return WorldModel(
+        vocab=vocab,
+        stats={l: LetterStats(*letters[l], start_count=started.get(l, 0))
+               for l in vocab},
+        words=words,
+        word_counts=counts,
+        transition=merge_global(words, vocab, counts),
+        process_noise=q,
+        measurement_noise=q * noise.measurement_ratio,
+        mean_profit_bps=mean_profit_bps,
+        mean_leg_time_s=mean_leg_time_s,
+        noise_config=noise,
+        fingerprint=_fingerprint([w.letters for w in words], counts),
+    )
+
+
 def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
           noise: NoiseConfig, mission: MissionConfig) -> WorldModel:
     """Build the dictionary from demonstration tours.
@@ -257,11 +308,8 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
 
     tally: dict[tuple[int, ...], int] = {}
     word_cost: dict[tuple[int, ...], float] = {}
-    first: dict[tuple[int, ...], Word] = {}
     for t in demos:
-        w = word_from_tour(t)
-        key = w.letters
-        first.setdefault(key, w)
+        key = word_from_tour(t).letters
         tally[key] = tally.get(key, 0) + 1
         # identical words imply identical geometry; keep the smaller cost
         # so accumulation order cannot matter
@@ -269,24 +317,20 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
         word_cost[key] = t.total_cost_m if prev is None else min(prev, t.total_cost_m)
 
     keys = sorted(tally)
-    words = [first[k] for k in keys]
     counts = [tally[k] for k in keys]
 
     letters = sorted({l for k in keys for l in k})
     for l in letters:
         if l not in by_id:
             raise ConsistencyError(f"demonstrated letter {l} missing from pool")
-    vocab = Vocabulary(letters)
 
     occ = {l: 0 for l in letters}
-    started = {l: 0 for l in letters}
     profit_sum = {l: 0.0 for l in letters}
     total_profit = 0.0
     total_visits = 0
     total_cost = 0.0
     total_legs = 0
     for k, c in zip(keys, counts):
-        started[k[0]] += c
         for l in k:
             occ[l] += c
             p = by_id[l].profit_bps
@@ -296,72 +340,29 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
         total_cost += c * word_cost[k]
         total_legs += c * (len(k) + 1)
 
-    stats = {l: LetterStats(center_m=by_id[l].center_m,
-                            mean_profit_bps=profit_sum[l] / occ[l],
-                            count=occ[l], start_count=started[l])
-             for l in letters}
-
-    mean_profit = total_profit / total_visits
-    mean_leg_time = total_cost / total_legs / mission.uav_speed_m_per_s
-    q = np.diag([(noise.process_scale * mean_profit) ** 2,
-                 (noise.process_scale * mean_leg_time) ** 2])
-    rm = q * noise.measurement_ratio
-
-    return WorldModel(
-        vocab=vocab,
-        stats=stats,
-        words=words,
-        word_counts=counts,
-        transition=merge_global(words, vocab, counts),
-        process_noise=q,
-        measurement_noise=rm,
-        mean_profit_bps=mean_profit,
-        mean_leg_time_s=mean_leg_time,
-        noise_config=noise,
-        fingerprint=_fingerprint(keys, counts),
-    )
+    return _build({l: (by_id[l].center_m, profit_sum[l] / occ[l])
+                   for l in letters},
+                  [Word(k) for k in keys], counts,
+                  total_profit / total_visits,
+                  total_cost / total_legs / mission.uav_speed_m_per_s, noise)
 
 
 def model_to_dict(wm: WorldModel) -> dict:
+    """The model's sources (see ``_build``) as a ``uavplan.world_model.v3``
+    object."""
     return {
         "schema": WORLD_MODEL_SCHEMA,
-        "vocabulary": list(wm.vocab.letters),
         "letters": {
-            str(l): {
-                "center_m": list(s.center_m),
-                "mean_profit_bps": s.mean_profit_bps,
-                "count": s.count,
-                "start_count": s.start_count,
-            }
+            str(l): {"center_m": list(s.center_m),
+                     "mean_profit_bps": s.mean_profit_bps}
             for l, s in sorted(wm.stats.items())
         },
         "words": [{"letters": list(w.letters), "count": c}
                   for w, c in zip(wm.words, wm.word_counts)],
-        "transition": {
-            "probs": [[float(x) for x in row] for row in wm.transition.probs],
-            "active": [bool(a) for a in wm.transition.active],
-        },
-        "process_noise": [[float(x) for x in row] for row in wm.process_noise],
-        "measurement_noise": [[float(x) for x in row] for row in wm.measurement_noise],
         "mean_profit_bps": wm.mean_profit_bps,
         "mean_leg_time_s": wm.mean_leg_time_s,
-        "noise_config": {"process_scale": wm.noise_config.process_scale,
-                         "measurement_ratio": wm.noise_config.measurement_ratio},
-        "fingerprint": wm.fingerprint,
+        "noise_config": asdict(wm.noise_config),
     }
-
-
-def _noise_matrix(d: dict, key: str) -> np.ndarray:
-    """A stored noise covariance: finite, 2 x 2, symmetric and positive
-    semi-definite."""
-    m = np.array(d[key], float)
-    if m.shape != (2, 2) or not np.isfinite(m).all():
-        raise ConsistencyError(f"{key} {d[key]} is not a finite 2 x 2 matrix")
-    if (m[0, 1] != m[1, 0]
-            or min(m[0, 0], m[1, 1], m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) < 0):
-        raise ConsistencyError(
-            f"{key} {m.tolist()} is not symmetric positive semi-definite")
-    return m
 
 
 def model_from_dict(d: dict) -> WorldModel:
@@ -370,39 +371,11 @@ def model_from_dict(d: dict) -> WorldModel:
         raise ConsistencyError(
             f"schema {found!r}, not {WORLD_MODEL_SCHEMA!r} (an older format or "
             "not this artifact); delete it and run again to regenerate it")
-    vocab = Vocabulary(d["vocabulary"])
-    stats = {
-        int(l): LetterStats(
-            center_m=(float(s["center_m"][0]), float(s["center_m"][1])),
-            mean_profit_bps=float(s["mean_profit_bps"]),
-            count=int(s["count"]),
-            start_count=int(s["start_count"]),
-        )
-        for l, s in d["letters"].items()
-    }
-    if set(stats) != set(vocab.letters):
-        raise ConsistencyError("the letters' statistics do not key exactly "
-                               "the vocabulary")
-    words = [Word.from_letters(w["letters"]) for w in d["words"]]
-    unknown = {l for w in words for l in w.letters} - set(vocab.letters)
-    if unknown:
-        raise ConsistencyError(
-            f"stored words name letters {sorted(unknown)} not in the vocabulary")
-    counts = [int(w["count"]) for w in d["words"]]
-    tm = TransitionMatrix(probs=np.array(d["transition"]["probs"], float),
-                          active=np.array(d["transition"]["active"], bool),
-                          vocab=vocab)
-    tm.validate()
-    return WorldModel(
-        vocab=vocab,
-        stats=stats,
-        words=words,
-        word_counts=counts,
-        transition=tm,
-        process_noise=_noise_matrix(d, "process_noise"),
-        measurement_noise=_noise_matrix(d, "measurement_noise"),
-        mean_profit_bps=float(d["mean_profit_bps"]),
-        mean_leg_time_s=float(d["mean_leg_time_s"]),
-        noise_config=NoiseConfig(**d["noise_config"]),
-        fingerprint=str(d["fingerprint"]),
-    )
+    return _build(
+        {int(l): ((float(s["center_m"][0]), float(s["center_m"][1])),
+                  float(s["mean_profit_bps"]))
+         for l, s in d["letters"].items()},
+        [Word.from_letters(w["letters"]) for w in d["words"]],
+        [int(w["count"]) for w in d["words"]],
+        float(d["mean_profit_bps"]), float(d["mean_leg_time_s"]),
+        NoiseConfig(**d["noise_config"]))

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -222,9 +223,10 @@ def _write_lines(path: Path, objs) -> None:
 
 
 class TestHeadedJsonl:
-    """The header-plus-records files: training instances as pool ids and
-    seeds (uavplan.instances.v2), demonstrations as tour records under one
-    weights header (uavplan.tours.v2)."""
+    """The header-plus-records files: training instances as pool ids
+    (uavplan.instances.v3, seeded by their place in the file) and
+    demonstrations as tour orders under one weights header
+    (uavplan.tours.v4)."""
 
     def test_write_jsonl_atomic_bytes_equal_joined_lines(self, tmp_path):
         objs = [{"schema": "x", "b": [1.5, -0.0, 1e-300], "a": None},
@@ -256,12 +258,14 @@ class TestHeadedJsonl:
             assert len((out / name).read_text().splitlines()) == 41
 
     def test_artifacts_match_pinned_bytes(self, tmp_path, monkeypatch):
-        """Every artifact but the two header-plus-records files and
-        timings.csv has the bytes it had before those files were headed (the
-        sha256 of each was pinned from a run of the one-object-per-line
-        format). Traces were pinned as ``uavplan.plan.v1``, so each trace
-        is hashed as ``expand_v1`` rebuilds it; world_model.json's hash is
-        that of its ``uavplan.world_model.v2`` bytes."""
+        """Every artifact but timings.csv has its pinned bytes. The eval's
+        outputs were pinned from a run of the one-object-per-line format
+        and have kept their bytes since. Traces were pinned as
+        ``uavplan.plan.v1``, so each trace is hashed as ``expand_v1``
+        rebuilds it; world_model.json's hash is that of its
+        ``uavplan.world_model.v3`` bytes, and the two header-plus-records
+        files are pinned as ``uavplan.instances.v3`` and
+        ``uavplan.tours.v4``."""
         monkeypatch.chdir(tmp_path)
         run_pipeline(small_config("run"))
         want = json.loads(PINNED.read_text())
@@ -269,15 +273,17 @@ class TestHeadedJsonl:
         have = {p.relative_to(out).as_posix():
                 hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.rglob("*") if p.is_file()}
-        for name in ("training_instances.jsonl", "oracle_tours.jsonl",
-                     "timings.csv"):
-            del have[name]
+        del have["timings.csv"]
         for path in (out / "traces").glob("*.json"):
             v1 = _canonical_json(expand_v1(json.loads(path.read_text()))) + "\n"
             have[f"traces/{path.name}"] = hashlib.sha256(v1.encode()).hexdigest()
         assert have == want
 
     def test_reused_files_give_the_same_downstream_bytes(self, tmp_path):
+        """Rebuilt from reused instances and demonstrations, the models
+        and metrics keep their bytes; so does every eval output when the
+        eval runs on the loaded world model and the rebuilt
+        demonstrations."""
         cfg = small_config(tmp_path / "run")
         run_pipeline(cfg)
         out = Path(cfg.output_dir)
@@ -287,6 +293,15 @@ class TestHeadedJsonl:
             (out / n).unlink()
         run_pipeline(cfg)
         assert {n: (out / n).read_bytes() for n in names} == first
+
+        every = _artifact_bytes(out)
+        for name in ("qtable.json", "metrics.csv", "config.json",
+                     "summary.csv", "ratios.csv"):
+            (out / name).unlink()
+        for name in ("tours", "traces", "instances", "trajectories"):
+            shutil.rmtree(out / name)
+        run_pipeline(cfg)
+        assert _artifact_bytes(out) == every
 
 
 def _as_v1_instances(cfg, out):
@@ -312,6 +327,14 @@ def _edit_lines(name, edit):
     return apply
 
 
+def _foreign_id(lines):
+    """Replace the first id of the third demonstration with a training pool
+    id that the demonstration does not visit; at the default weights a
+    demonstration visits its whole instance, so the id is not in it."""
+    order = lines[3]["order"]
+    order[0] = next(i for i in range(1, 51) if i not in order)
+
+
 def _as_v1_world_model(obj):
     """The world model as an older ``uavplan.world_model.v1`` file, which
     also stored each letter's profit variance."""
@@ -320,26 +343,20 @@ def _as_v1_world_model(obj):
         stats["var_profit"] = 0.0
 
 
-def _active_row(obj):
-    transition = obj["transition"]
-    return transition["probs"][transition["active"].index(True)]
-
-
-def _largest(obj):
-    row = _active_row(obj)
-    return row.index(max(row))
-
-
 def _first_letter(obj):
     return next(iter(obj["letters"].values()))
 
 
-def _negative_probability(obj):
-    """Move one unit of mass from another entry of an active row to its
-    largest: the row still sums to 1, and the other entry is negative."""
-    row, k = _active_row(obj), _largest(obj)
-    row[k] += 1.0
-    row[(k + 1) % len(row)] -= 1.0
+def _drop_used_letter(obj):
+    """Drop the statistics of the first stored word's first letter."""
+    del obj["letters"][str(obj["words"][0]["letters"][0])]
+
+
+def _swap_word_letters(obj):
+    """Swap the first two letters of the first stored word: still a valid
+    model, but not the one the demonstrations give."""
+    letters = obj["words"][0]["letters"]
+    letters[0], letters[1] = letters[1], letters[0]
 
 
 def _artifact_bytes(out: Path) -> dict[str, bytes]:
@@ -416,12 +433,23 @@ class TestCli:
         pytest.param("pools.json", lambda obj: obj["hotspots"][0][
             "center_m"].__setitem__(0, float("nan")), id="pools.json-center-nan"),
         pytest.param("qtable.json", lambda obj: obj["values"][0].__setitem__(
-            2, float("nan")), id="qtable.json-value-nan")])
+            2, float("nan")), id="qtable.json-value-nan"),
+        pytest.param("pools.json", lambda obj: obj["hotspots"][0].__setitem__(
+            "profit_bps", -1), id="pools.json-profit-negative"),
+        pytest.param("instances/s005k000.json",
+                     lambda obj: obj["mission"].__setitem__(
+                         "uav_speed_m_per_s", -1),
+                     id="instance-speed-negative"),
+        pytest.param("instances/s005k000.json",
+                     lambda obj: obj.__setitem__("hotspots", []),
+                     id="instance-without-hotspots")])
     def test_truncated_artifact_exits_2(self, tmp_path, capsys, artifact,
                                         edit):
         """A truncated artifact, valid JSON with a key missing, a tour
-        naming a hotspot its instance lacks, or a NaN hotspot center or
-        Q-value exits 2 with a message naming the file."""
+        naming a hotspot its instance lacks, a NaN hotspot center or
+        Q-value, or a value its dataclass rejects (a negative profit or
+        speed, an instance without hotspots) exits 2 with a message naming
+        the file."""
         cfg = small_config(tmp_path / "cli5", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -520,13 +548,17 @@ class TestCli:
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines[3]["order"].append(
                 lines[3]["order"][0])),
-            "line 4: ConsistencyError", id="tours-repeated-id")])
+            "line 4: ConsistencyError", id="tours-repeated-id"),
+        pytest.param("oracle_tours.jsonl", _edit_lines(
+            "oracle_tours.jsonl", _foreign_id),
+            "line 4: ConsistencyError: tour references unknown hotspot",
+            id="tours-foreign-id")])
     def test_bad_headed_jsonl_exits_2(self, tmp_path, capsys, artifact,
                                       damage, named):
         """An older one-object-per-line file, an id not in the training
         pool, a file cut at a line boundary, a header recording other
-        weights and a tour visiting a hotspot twice each exit 2 naming the
-        file."""
+        weights, a tour visiting a hotspot twice and a tour naming a pool
+        hotspot that its instance lacks each exit 2 naming the file."""
         cfg = small_config(tmp_path / "h", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -577,46 +609,43 @@ class TestCli:
         assert str(tmp_path / "d" / artifact) in err and "IndexError" in err
 
     @pytest.mark.parametrize("edit,command,named", [
-        pytest.param(lambda obj: obj["transition"]["probs"].pop(), "pipeline",
-                     "transition probs", id="probs-row-dropped"),
+        pytest.param(lambda obj: obj["words"][0].__setitem__("count", 0),
+                     "pipeline", "count 0", id="word-count-zero"),
         pytest.param(lambda obj: obj["words"][0]["letters"].__setitem__(0, 999),
                      "plan", "[999]", id="word-letter-not-in-vocabulary"),
-        pytest.param(lambda obj: obj["process_noise"][0].__setitem__(
-            0, float("nan")), "plan", "process_noise", id="process-noise-nan"),
-        pytest.param(lambda obj: obj.__setitem__("process_noise", [[1.0]]),
-                     "plan", "process_noise", id="process-noise-1x1"),
-        pytest.param(lambda obj: obj["measurement_noise"][1].__setitem__(
-            1, -5.0), "plan", "measurement_noise",
-            id="measurement-noise-negative"),
-        pytest.param(lambda obj: obj["process_noise"][0].__setitem__(1, 1.0),
-                     "plan", "process_noise", id="process-noise-asymmetric"),
+        pytest.param(lambda obj: obj.__setitem__("mean_leg_time_s",
+                                                 float("nan")),
+                     "plan", "mean_leg_time_s nan", id="mean-leg-time-nan"),
+        pytest.param(lambda obj: obj["noise_config"].__setitem__(
+            "measurement_ratio", -5.0), "plan", "noise scales",
+            id="measurement-ratio-negative"),
+        pytest.param(lambda obj: obj["noise_config"].__setitem__(
+            "process_scale", -1.0), "plan", "noise scales",
+            id="process-scale-negative"),
         pytest.param(lambda obj: obj.__setitem__("schema", "uavplan.plan.v1"),
                      "plan", "'uavplan.plan.v1'", id="other-schema"),
         pytest.param(_as_v1_world_model, "pipeline", "delete it",
                      id="world-model-v1"),
-        pytest.param(lambda obj: _active_row(obj).__setitem__(
-            _largest(obj), float("nan")), "plan", "finite and non-negative",
-            id="transition-nan"),
-        pytest.param(_negative_probability, "plan", "finite and non-negative",
-                     id="transition-negative"),
+        pytest.param(lambda obj: obj["words"][0].__setitem__("count", -5),
+                     "plan", "count -5", id="word-count-negative"),
         pytest.param(lambda obj: _first_letter(obj).__setitem__(
             "mean_profit_bps", float("nan")), "plan", "mean_profit_bps=nan",
             id="letter-profit-nan"),
-        pytest.param(lambda obj: _first_letter(obj).__setitem__(
-            "start_count", -5), "plan", "start_count=-5",
-            id="letter-start-count-negative")])
+        pytest.param(_drop_used_letter, "plan", "no statistics",
+                     id="letter-dropped"),
+        pytest.param(_swap_word_letters, "pipeline", "fingerprint",
+                     id="word-letters-swapped")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
-        """A world model whose transition matrix does not fit its
-        vocabulary, reused by a pipeline re-run, or with a stored word
-        naming a letter outside it, given to ``plan``, exits 2 naming the
-        file and the contradiction. So does one with impossible numbers:
-        a noise matrix that is not a finite, symmetric, positive
-        semi-definite 2 x 2 matrix, a NaN or negative probability in an
-        active transition row (one that still sums to 1), or a letter with
-        a NaN mean profit or a negative start count; and one in
-        another schema, an older world model reused by a pipeline re-run
-        or another artifact given to ``plan``."""
+        """A world model file holds only sources (letter statistics, words
+        with counts, two means and the noise config). One whose sources
+        are impossible exits 2 naming the file and the fault: a word count
+        below 1, a stored word naming a letter without statistics, a NaN
+        mean, a noise scale that is not positive, a letter with a NaN mean
+        profit, one in another schema, an older world model reused by a
+        pipeline re-run, or another artifact given to ``plan``. Reused by a
+        pipeline re-run, one whose words are not the demonstrations' exits
+        2 naming the fingerprint."""
         code, err = self._damaged_run_exit(tmp_path, capsys,
                                            "world_model.json", edit, command)
         assert code == 2
@@ -785,3 +814,15 @@ class TestCli:
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "cli4" / "metrics.csv").exists()
+
+
+def test_every_schema_is_documented():
+    """Every ``uavplan.*.vN`` schema that the package writes or reads is
+    named in README.md."""
+    root = Path(__file__).parent.parent
+    pattern = re.compile(r"uavplan\.[a-z_]+\.v[0-9]+")
+    schemas = {m for path in (root / "src" / "uavplan").glob("*.py")
+               for m in pattern.findall(path.read_text())}
+    assert "uavplan.world_model.v3" in schemas
+    readme = set(pattern.findall((root / "README.md").read_text()))
+    assert schemas - readme == set()
