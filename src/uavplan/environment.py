@@ -18,6 +18,7 @@ the ``uavplan.instances.v3`` file, and record k's seed is the base plus k
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -254,6 +255,16 @@ def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
     chosen = sorted((pool[int(i)] for i in idx), key=lambda h: h.id)
     return Instance(hotspots=tuple(chosen), depot_m=depot, channel=chan,
                     mission=mission, seed=rng_seed)
+
+
+def _choice_index(rng: np.random.Generator, p: np.ndarray) -> int:
+    """The index ``rng.choice(len(p), p=p)`` draws, drawn the way it draws
+    it, without its argument checks: the cdf ``p.cumsum()`` scaled by its
+    last entry, one ``rng.random()``, and the first cdf entry above it.
+    ``p`` must be non-negative with a positive sum near 1."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return bisect_right(cdf.tolist(), rng.random())
 
 
 # --- JSON schemas -----------------------------------------------------------

@@ -41,9 +41,10 @@ record's place in the file and the upstream artifacts.
 
 A file with another schema (such as an older one-object-per-line file),
 a header that differs from the config, a record count other than the
-run's, an id not in the pool, or a demonstration naming a hotspot that
-its instance lacks or visiting one twice is a configuration error naming
-the file and the line. A record's ``ids`` are not checked against what
+run's, a training record with other than ``train_instance_size`` ids, an
+id not in the pool, or a demonstration naming a hotspot that its
+instance lacks or visiting one twice is a configuration error naming the
+file and the line. A record's ``ids`` are not checked against what
 its seed would sample: that means resampling every training instance,
 which costs more than reloading the file (0.5-0.6 s against 0.19 s for
 20,000 instances on a 2-CPU host).
@@ -404,12 +405,18 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
     header = _instances_header(cfg)
     if path.exists():
         by_id = {h.id: h for h in training_pool}
-        depot = cfg.depot
-        return load_headed_jsonl(
-            path, INSTANCES_SCHEMA, header, cfg.m_training,
-            lambda k, d: instance_from_record(d, cfg.train_seed_base + k,
-                                              by_id, depot, cfg.channel,
-                                              cfg.mission))
+        size = cfg.train_instance_size
+
+        def from_record(k: int, d: dict) -> Instance:
+            if len(d["ids"]) != size:
+                raise ConfigurationError(
+                    f"record holds {len(d['ids'])} hotspot ids, but "
+                    f"train_instance_size is {size}")
+            return instance_from_record(d, cfg.train_seed_base + k, by_id,
+                                        cfg.depot, cfg.channel, cfg.mission)
+
+        return load_headed_jsonl(path, INSTANCES_SCHEMA, header,
+                                 cfg.m_training, from_record)
     instances = [
         sample_instance(cfg.train_seed_base + k, training_pool,
                         cfg.train_instance_size, cfg.depot, cfg.channel,

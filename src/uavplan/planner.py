@@ -2,7 +2,9 @@
 
 Given a test instance and a learned world model, the planner classifies
 the instance's letters into known and unseen, samples candidate
-reference words from the transition matrix, keeps the one closest (by
+reference words from the transition matrix (each letter drawn as
+``Generator.choice`` draws it: one ``random()`` against the cumulative
+distribution of the restricted row), keeps the one closest (by
 edit distance) to the stored dictionary, and then grows the route one
 unseen letter at a time, always the one nearest to the centroid of the
 current word's letters (the depot while the word is empty). Every
@@ -29,8 +31,12 @@ share the profit mean and the covariance (p+2)Q + R, and differ from the
 target only by d/v in time. The surprise is therefore
 (1/8) (d/v)^2 (S^-1)_tt + const with S and const fixed per step:
 monotone in d, i.e. the planner performs cheapest insertion
-(Rosenkrantz, Stearns & Lewis 1977). Each step scores its candidates
-from their detours alone and splices only the winner into a new word.
+(Rosenkrantz, Stearns & Lewis 1977). The two covariances, and so
+(S^-1)_tt and const, depend only on p, Q and R, so they are computed
+once per reference length and kept in a table that every instance
+planned against one world model shares (``PlanContext.surprise_terms``).
+Each step scores its candidates from their detours alone and splices
+only the winner into a new word.
 A candidate records only its removed edge (u, v), tour length, surprise
 and detour time. A reader recovers its word by splicing the step's
 letter into the step's reference right after u, or in front when u is
@@ -54,12 +60,12 @@ dynamic program over at most n match points (Eppstein, Galil, Giancarlo
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .environment import Instance, MissionConfig, edge_cost
+from .environment import Instance, MissionConfig, _choice_index, edge_cost
 from .errors import ConfigurationError, NumericError
 from .oracle import ObjectiveWeights, Tour, make_tour
 from .world_model import Word, WordIndex, WorldModel
@@ -148,7 +154,12 @@ class PlanContext:
 
     Profit estimates come from the world model for known letters and from
     the instance itself for unseen ones; centers always come from the
-    instance being planned.
+    instance being planned. ``surprise_terms`` maps a reference length p
+    to the ((S^-1)_tt, const) pair ``insert_best`` scores with, which
+    depends only on p, Q and R; it is filled on first use of each p. A
+    context built by ``from_instance`` shares its world model's table, so
+    all instances planned against one model fill one table; a context
+    built directly starts its own.
     """
 
     centers: dict[int, tuple[float, float]]
@@ -157,6 +168,8 @@ class PlanContext:
     mission: MissionConfig
     process_noise: np.ndarray
     measurement_noise: np.ndarray
+    surprise_terms: dict[int, tuple[float, float]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_instance(cls, inst: Instance, wm: WorldModel) -> "PlanContext":
@@ -170,7 +183,8 @@ class PlanContext:
         return cls(centers=centers, profits=profits, depot=inst.depot_m,
                    mission=inst.mission,
                    process_noise=np.array(wm.process_noise, float),
-                   measurement_noise=np.array(wm.measurement_noise, float))
+                   measurement_noise=np.array(wm.measurement_noise, float),
+                   surprise_terms=wm.surprise_terms)
 
 
 def classify_letters(test_ids: Sequence[int],
@@ -219,6 +233,11 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     follow the global transition row renormalized over the letters still
     unvisited. Whenever the restricted row has no mass, the nearest
     unvisited letter (by center distance) is taken instead.
+
+    Each letter is drawn as ``Generator.choice(letters, p=p)`` draws it,
+    with one ``random()`` per letter (``environment._choice_index``), or
+    one ``integers(0, n)`` for a start when no word starts in the set; the
+    words equal those of calling ``choice`` bit for bit.
     """
     normal = sorted(set(int(i) for i in normal))
     if not normal:
@@ -227,33 +246,34 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
         raise ConfigurationError("need n >= 1 words")
     rng = np.random.default_rng(rng_seed)
     start_counts = np.array([wm.stats[l].start_count for l in normal], float)
+    start_total = start_counts.sum()
+    probs, active = wm.transition.probs, wm.transition.active
+    col = {l: wm.vocab.index(l) for l in normal}
     out: list[Word] = []
     for _ in range(n):
         remaining = list(normal)
-        if start_counts.sum() > 0:
-            p = start_counts / start_counts.sum()
-            current = int(rng.choice(normal, p=p))
+        if start_total > 0:
+            k = _choice_index(rng, start_counts / start_total)
         else:
-            current = int(rng.choice(normal))
+            k = int(rng.integers(0, len(normal)))
+        current = remaining.pop(k)
         letters = [current]
-        remaining.remove(current)
         while remaining:
-            weights = None
-            if current in wm.vocab and wm.transition.is_active(current):
-                row = wm.transition.row(current)
-                weights = np.array([row[wm.vocab.index(r)] for r in remaining])
-                if weights.sum() <= 0.0:
-                    weights = None
-            if weights is not None:
-                nxt = int(rng.choice(remaining, p=weights / weights.sum()))
-            else:
+            row = col[current]
+            nxt = None
+            if active[row]:
+                weights = probs[row, [col[r] for r in remaining]]
+                total = weights.sum()
+                if total > 0.0:
+                    nxt = remaining.pop(_choice_index(rng, weights / total))
+            if nxt is None:
                 here = wm.stats[current].center_m
                 nxt = min(remaining,
                           key=lambda r: (edge_cost(here, wm.stats[r].center_m), r))
+                remaining.remove(nxt)
             letters.append(nxt)
-            remaining.remove(nxt)
             current = nxt
-        out.append(Word.from_letters(letters))
+        out.append(Word(tuple(letters)))
     return out
 
 
@@ -422,11 +442,12 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     adds the detour d = |ux| + |xv| - |uv|, so that candidate predicts the
     observation target mean + (0, d/v) with covariance (p+2)Q + R, shared
     by all candidates. Its surprise is
-    max((1/8) (d/v)^2 (S^-1)_tt + const, 0), where S^-1 and const depend
-    only on the two covariances and are computed once per step, and its
-    tour length is L + d. The surprise grows with d, so this is cheapest
-    insertion. Surprise ties fall back to the shorter candidate tour,
-    then the smaller word.
+    max((1/8) (d/v)^2 (S^-1)_tt + const, 0), where (S^-1)_tt and const
+    depend only on the two covariances, so on p, Q and R: they are
+    computed for the first step with p reference letters and read from
+    ``ctx.surprise_terms`` after that. Its tour length is L + d. The
+    surprise grows with d, so this is cheapest insertion. Surprise ties
+    fall back to the shorter candidate tour, then the smaller word.
 
     The removable edges are each letter's outgoing leg, closing at the
     depot, or both depot legs of a one-letter reference, or the one
@@ -459,8 +480,12 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
         cov=(ref_legs + 1) * q)
     obs = GaussianBelief(mean=target.mean,
                          cov=(p + 2) * q + ctx.measurement_noise)
-    inverse, const = _bhattacharyya_terms(target.cov, obs.cov)
-    per_detour_sq = 0.125 * float(inverse[1, 1]) / (speed * speed)
+    terms = ctx.surprise_terms.get(p)
+    if terms is None:
+        inverse, const = _bhattacharyya_terms(target.cov, obs.cov)
+        terms = ctx.surprise_terms[p] = (float(inverse[1, 1]), const)
+    inverse_tt, const = terms
+    per_detour_sq = 0.125 * inverse_tt / (speed * speed)
 
     # removable edges are legs 1..p (each letter's outgoing leg), or both
     # depot legs of a one-letter reference; inserting into leg k puts the

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .environment import Instance, edge_cost
+from .environment import Instance, _choice_index, edge_cost
 from .errors import ConfigurationError, ConsistencyError, TrainingError
 from .oracle import ObjectiveWeights, Tour, instance_scales, objective_value
 from .world_model import Word
@@ -174,7 +174,9 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     Letters outside the table score a negative normalized distance from
     the current position; the letter the reference word suggests next
     gets a fixed bonus so the baseline consumes the reference exactly as
-    the surprise planner does.
+    the surprise planner does. Each letter is the one
+    ``rng.choice(len(unvisited), p=p)`` would draw, drawn with one
+    ``random()`` (``environment._choice_index``).
     """
     if not inst.hotspots:
         raise ConfigurationError("empty test instance")
@@ -210,7 +212,7 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
             arr -= arr.max()
             p = np.exp(arr)
             p /= p.sum()
-            k = int(rng.choice(len(unvisited), p=p))
+            k = _choice_index(rng, p)
         action = unvisited.pop(k)
         order.append(action)
         state, pos = action, centers[action]

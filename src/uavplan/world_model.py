@@ -95,12 +95,6 @@ class TransitionMatrix:
     active: np.ndarray
     vocab: Vocabulary
 
-    def row(self, letter: int) -> np.ndarray:
-        return self.probs[self.vocab.index(letter)]
-
-    def is_active(self, letter: int) -> bool:
-        return bool(self.active[self.vocab.index(letter)])
-
     def validate(self) -> None:
         n = len(self.vocab)
         if self.probs.shape != (n, n) or self.active.shape != (n,):
@@ -204,6 +198,14 @@ class WorldModel:
         """Index of the stored words, built on first use. It is derived
         state: not serialized, and stale if ``words`` is changed later."""
         return WordIndex.build(self.words, self.vocab)
+
+    @cached_property
+    def surprise_terms(self) -> dict[int, tuple[float, float]]:
+        """The planner's table of surprise terms per reference length for
+        this model's noise (see ``planner.PlanContext``), filled as planning
+        needs it. It is derived state: not serialized, and stale if the
+        noise matrices are changed later."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,10 @@ here rebuild the rest the long way, for the tests to check against:
 - ``expand_v1`` turns a v2 trace back into the ``uavplan.plan.v1`` trace,
   which also held every candidate's word and predicted observation;
 - ``random_insertion_contexts`` are seeded planning contexts with
-  correlated noise, over references of 0 to 12 letters.
+  correlated noise, over references of 0 to 12 letters;
+- ``ref_generate_words`` is the word sampler that calls
+  ``Generator.choice`` for every letter and rebuilds each restricted
+  transition row letter by letter.
 """
 
 import numpy as np
@@ -25,7 +28,7 @@ import numpy as np
 from uavplan.environment import MissionConfig, edge_cost
 from uavplan.errors import ConfigurationError
 from uavplan.planner import GaussianBelief, PlanContext
-from uavplan.world_model import Word
+from uavplan.world_model import Word, WorldModel
 
 from world_model_oracles import GeneralizedLetter, glyphs
 
@@ -200,3 +203,48 @@ def random_insertion_contexts(seed: int = 23, trials: int = 300):
                           measurement_noise=random_noise(
                               rng, 0.01 * 5e7, 0.01 * 40.0))
         yield Word.from_letters(ids), ctx
+
+
+def ref_generate_words(wm: WorldModel, normal, n: int,
+                       rng_seed: int) -> list[Word]:
+    """The earlier ``generate_words``, kept as the test oracle: one
+    ``Generator.choice`` call per letter, and each restricted transition
+    row rebuilt entry by entry through ``Vocabulary.index`` (it read the
+    row and its active flag by letter, through accessors since deleted;
+    it indexes ``probs`` and ``active`` by the same row here)."""
+    normal = sorted(set(int(i) for i in normal))
+    if not normal:
+        raise ConfigurationError("cannot generate words over an empty letter set")
+    if n < 1:
+        raise ConfigurationError("need n >= 1 words")
+    rng = np.random.default_rng(rng_seed)
+    start_counts = np.array([wm.stats[l].start_count for l in normal], float)
+    out: list[Word] = []
+    for _ in range(n):
+        remaining = list(normal)
+        if start_counts.sum() > 0:
+            p = start_counts / start_counts.sum()
+            current = int(rng.choice(normal, p=p))
+        else:
+            current = int(rng.choice(normal))
+        letters = [current]
+        remaining.remove(current)
+        while remaining:
+            weights = None
+            if (current in wm.vocab
+                    and wm.transition.active[wm.vocab.index(current)]):
+                row = wm.transition.probs[wm.vocab.index(current)]
+                weights = np.array([row[wm.vocab.index(r)] for r in remaining])
+                if weights.sum() <= 0.0:
+                    weights = None
+            if weights is not None:
+                nxt = int(rng.choice(remaining, p=weights / weights.sum()))
+            else:
+                here = wm.stats[current].center_m
+                nxt = min(remaining,
+                          key=lambda r: (edge_cost(here, wm.stats[r].center_m), r))
+            letters.append(nxt)
+            remaining.remove(nxt)
+            current = nxt
+        out.append(Word.from_letters(letters))
+    return out

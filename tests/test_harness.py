@@ -335,6 +335,18 @@ def _foreign_id(lines):
     order[0] = next(i for i in range(1, 51) if i not in order)
 
 
+def _cut_ids(lines):
+    """Cut the third training record to three of its five ids."""
+    del lines[3]["ids"][3:]
+
+
+def _cut_ids_without_tours(cfg, out):
+    """``_cut_ids``, with the demonstrations deleted, so that the run would
+    solve the cut instance afresh."""
+    _edit_lines("training_instances.jsonl", _cut_ids)(cfg, out)
+    (out / "oracle_tours.jsonl").unlink()
+
+
 def _as_v1_world_model(obj):
     """The world model as an older ``uavplan.world_model.v1`` file, which
     also stored each letter's profit variance."""
@@ -538,6 +550,13 @@ class TestCli:
         pytest.param("training_instances.jsonl", _edit_lines(
             "training_instances.jsonl", lambda lines: lines.pop()),
             "29 records", id="instances-cut-at-line"),
+        pytest.param("training_instances.jsonl", _edit_lines(
+            "training_instances.jsonl", _cut_ids),
+            "line 4: ConfigurationError: record holds 3 hotspot ids",
+            id="instances-too-few-ids"),
+        pytest.param("training_instances.jsonl", _cut_ids_without_tours,
+                     "line 4: ConfigurationError: record holds 3 hotspot ids",
+                     id="instances-too-few-ids-without-tours"),
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines.pop()),
             "29 records", id="tours-cut-at-line"),
@@ -556,7 +575,8 @@ class TestCli:
     def test_bad_headed_jsonl_exits_2(self, tmp_path, capsys, artifact,
                                       damage, named):
         """An older one-object-per-line file, an id not in the training
-        pool, a file cut at a line boundary, a header recording other
+        pool, a training record with too few ids (with its demonstration
+        or without), a file cut at a line boundary, a header recording other
         weights, a tour visiting a hotspot twice and a tour naming a pool
         hotspot that its instance lacks each exit 2 naming the file."""
         cfg = small_config(tmp_path / "h", test_sizes=(5,), seeds_per_size=1)

@@ -16,10 +16,15 @@ and measures legs and words with the test-side ``leg_length`` and
   scan visits, and
   ``ref_select_reference`` recomputes the bounds for every candidate;
 - ``ref_plan_to_dict`` writes the ``uavplan.plan.v1`` trace from each
-  candidate's stored word and belief.
+  candidate's stored word and belief;
+- ``ref_generate_words`` (in planner_oracles.py) calls
+  ``Generator.choice`` once per letter, and ``ref_insert_best`` computes
+  the surprise terms at every step.
 
-The production planner must make the same decisions, and report them
-with the same float bits, on random and lattice geometry; its
+The production planner must sample the same words and make the same
+decisions, and report them with the same float bits, on random and
+lattice geometry, whatever other world models were planned against in
+the same process; its
 ``uavplan.plan.v2`` trace, expanded by ``expand_v1``, must be the v1
 trace byte for byte.
 """
@@ -33,9 +38,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavplan import planner
 from uavplan.environment import (ChannelParams, Instance, MissionConfig,
+                                 _choice_index, instance_from_dict,
                                  sample_instance, sample_pool)
-from uavplan.errors import ConfigurationError
+from uavplan.errors import ConfigurationError, NumericError
 from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
 from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
                              PlanContext, PlannerConfig, PlanResult,
@@ -44,11 +51,13 @@ from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
                              generate_words, insert_best, levenshtein,
                              plan_mission, plan_to_dict, select_reference)
 from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
-                                 WorldModel, learn)
+                                 WorldModel, learn, model_from_dict,
+                                 model_to_dict)
 
 from planner_oracles import (NOVEL, candidate_word, expand_v1, leg_length,
-                             random_insertion_contexts, reference_edges,
-                             shifted, word_length_m)
+                             random_insertion_contexts, ref_generate_words,
+                             reference_edges, shifted, word_length_m)
+from test_acceptance import full_scale_run  # noqa: F401  (a fixture)
 
 
 # --- reference: every candidate spliced, every distance a full table -----------
@@ -278,7 +287,8 @@ def ref_plan_mission(test: Instance, wm: WorldModel, cfg: PlannerConfig,
     normal, _ = classify_letters(test.ids, wm)
     generated: list[Word] = []
     if normal:
-        generated = generate_words(wm, sorted(normal), cfg.n_words, cfg.rng_seed)
+        generated = ref_generate_words(wm, sorted(normal), cfg.n_words,
+                                       cfg.rng_seed)
         reference = ref_select_reference(generated, wm)
     else:
         reference = Word.from_letters([])
@@ -439,6 +449,73 @@ def test_select_reference_on_shared_letter_sets(world):
         assert select_reference(cands, wm) is ref_select_reference(cands, wm)
 
 
+# --- word sampling -------------------------------------------------------------
+
+weight_vectors = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(0.0, 1.0)),
+    min_size=1, max_size=40).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(weight_vectors, st.integers(0, 2 ** 63))
+def test_choice_index_is_generator_choice(weights, seed):
+    """On weight vectors with zeros, of 1 to 40 entries (8 or more take
+    numpy's pairwise sums), the helper draws the index ``choice`` draws
+    and leaves the generator where ``choice`` leaves it."""
+    w = np.array(weights)
+    p = w / w.sum()
+    ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert _choice_index(ours, p) == numpy_s.choice(len(p), p=p)
+    assert ours.random() == numpy_s.random()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(), min_size=1, max_size=60, unique=True),
+       st.integers(0, 2 ** 63))
+def test_choice_without_p_is_integers(letters, seed):
+    """``choice(letters)`` without ``p`` is ``letters[integers(0, n)]``."""
+    ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert (letters[int(ours.integers(0, len(letters)))]
+                == numpy_s.choice(letters))
+    assert ours.random() == numpy_s.random()
+
+
+def test_generate_words_is_reference(world):
+    """Letter sets of 1 to 15 known letters, and the set of letters that
+    start no stored word (drawn uniformly), give the reference's words."""
+    testing_pool, wm = world
+    rng = np.random.default_rng(5)
+    sets = [sorted(classify_letters(
+        [int(x) for x in rng.choice(len(testing_pool), size=int(
+            rng.integers(1, 30)), replace=False) + 1], wm)[0])
+        for _ in range(60)]
+    never_start = [l for l in wm.vocab if wm.stats[l].start_count == 0]
+    assert never_start
+    for letters in [ls for ls in sets if ls] + [never_start]:
+        for seed in (0, 1, 12345):
+            assert (generate_words(wm, letters, 10, seed)
+                    == ref_generate_words(wm, letters, 10, seed))
+
+
+@pytest.mark.slow
+def test_generate_words_is_reference_at_full_scale(full_scale_run):
+    """Every full-scale test instance (180, sizes 5-50) samples the
+    reference's words with seeds 0, 1 and 12345."""
+    cfg, _, out, _ = full_scale_run
+    wm = model_from_dict(json.loads((out / "world_model.json").read_text()))
+    paths = sorted((out / "instances").glob("*.json"))
+    assert len(paths) == 180
+    for path in paths:
+        inst = instance_from_dict(json.loads(path.read_text()))
+        normal = sorted(classify_letters(inst.ids, wm)[0])
+        for seed in (0, 1, 12345):
+            assert (generate_words(wm, normal, cfg.planner.n_words, seed)
+                    == ref_generate_words(wm, normal, cfg.planner.n_words,
+                                          seed))
+
+
 # --- whole plans --------------------------------------------------------------
 
 class TestPlanAgainstReference:
@@ -478,3 +555,69 @@ class TestPlanAgainstReference:
                         ref, want, want.chosen.word)), sort_keys=True))
             sizes.add(len(ref))
         assert {0, 1} <= sizes
+
+
+class TestSurpriseTermsTable:
+    """Surprise terms are kept per reference length in a table that the
+    contexts of one world model share."""
+
+    @staticmethod
+    def _traces(models, instances):
+        cfg, weights = PlannerConfig(n_words=10, rng_seed=0), ObjectiveWeights()
+        return [[json.dumps(plan_to_dict(plan_mission(inst, wm, cfg, weights)))
+                 for wm in models] for inst in instances]
+
+    def test_two_noise_models_alternately_as_alone(self, world):
+        """Two models with other noise, planned alternately in one process,
+        write the traces each writes alone, and the reference's."""
+        testing_pool, wm = world
+        chan, mission = ChannelParams(), MissionConfig()
+        noisy = {**model_to_dict(wm), "noise_config": {
+            "process_scale": 0.07, "measurement_ratio": 1.5}}
+        instances = [sample_instance(62000 + s, testing_pool,
+                                     (5, 12, 20, 30)[s % 4],
+                                     (1000.0, 1000.0), chan, mission)
+                     for s in range(12)]
+        # every model_from_dict call builds a model with an empty table
+        a, b = model_from_dict(model_to_dict(wm)), model_from_dict(noisy)
+        together = self._traces([a, b], instances)
+        assert a.surprise_terms and b.surprise_terms
+        alone_a = self._traces([model_from_dict(model_to_dict(wm))], instances)
+        alone_b = self._traces([model_from_dict(noisy)], instances)
+        assert [t[0] for t in together] == [t[0] for t in alone_a]
+        assert [t[1] for t in together] == [t[0] for t in alone_b]
+        assert [t[0] for t in together] != [t[1] for t in together]
+        cfg = PlannerConfig(n_words=10, rng_seed=0)
+        for inst, (got, _) in zip(instances, together):
+            want = ref_plan_to_dict(ref_plan_mission(inst, a, cfg,
+                                                     ObjectiveWeights()))
+            assert (json.dumps(expand_v1(json.loads(got)), sort_keys=True)
+                    == json.dumps(want, sort_keys=True))
+
+    def test_direct_contexts_keep_their_own_table(self):
+        """Contexts built directly share no table: each step's surprises
+        equal the reference's, reference lengths repeating across
+        contexts with other noise."""
+        tables = []
+        for ref, ctx in random_insertion_contexts(seed=29, trials=60):
+            got = insert_best(ref, NOVEL, ctx)
+            want = ref_insert_best(ref, NOVEL, ctx)
+            assert ([c.surprise for c in got.candidates]
+                    == [c.surprise for c in want.candidates])
+            assert list(ctx.surprise_terms) == [len(ref)]
+            tables.append(ctx.surprise_terms)
+        assert len({id(t) for t in tables}) == len(tables)
+
+    def test_numeric_error_is_not_cached(self, monkeypatch):
+        """A failure to compute the terms is raised at every step and
+        leaves no entry."""
+        ref, ctx = next(random_insertion_contexts(seed=31, trials=5))
+
+        def singular(cov1, cov2):
+            raise NumericError("persistently singular covariance")
+
+        monkeypatch.setattr(planner, "_bhattacharyya_terms", singular)
+        for _ in range(2):
+            with pytest.raises(NumericError):
+                insert_best(ref, NOVEL, ctx)
+        assert ctx.surprise_terms == {}

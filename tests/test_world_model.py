@@ -130,10 +130,11 @@ class TestMatrices:
     def test_chain_word_rows_one_hot(self):
         vocab = Vocabulary([1, 2, 3, 4])
         tm = word_transition(Word.from_letters([2, 4, 1]), vocab)
-        assert tm.is_active(2) and tm.is_active(4)
-        assert not tm.is_active(1) and not tm.is_active(3)
-        assert tm.row(2)[vocab.index(4)] == 1.0
-        assert tm.row(4)[vocab.index(1)] == 1.0
+        ix = vocab.index
+        assert tm.active[ix(2)] and tm.active[ix(4)]
+        assert not tm.active[ix(1)] and not tm.active[ix(3)]
+        assert tm.probs[ix(2), ix(4)] == 1.0
+        assert tm.probs[ix(4), ix(1)] == 1.0
 
     def test_empty_word_all_rows_flagged(self):
         vocab = Vocabulary([1, 2])
@@ -167,8 +168,8 @@ class TestMergeGlobal:
         vocab = Vocabulary([1, 2, 3])
         tm = merge_global([Word.from_letters([1, 2]),
                            Word.from_letters([1, 3])], vocab)
-        assert tm.row(1)[vocab.index(2)] == pytest.approx(0.5)
-        assert tm.row(1)[vocab.index(3)] == pytest.approx(0.5)
+        assert tm.probs[vocab.index(1), vocab.index(2)] == pytest.approx(0.5)
+        assert tm.probs[vocab.index(1), vocab.index(3)] == pytest.approx(0.5)
 
     def test_singleton_merge_equals_word_transition(self):
         rng = np.random.default_rng(5)
@@ -184,7 +185,7 @@ class TestMergeGlobal:
         tm = merge_global([Word.from_letters([1, 2]),
                            Word.from_letters([1, 3])], vocab,
                           multiplicities=[3, 1])
-        assert tm.row(1)[vocab.index(2)] == pytest.approx(0.75)
+        assert tm.probs[vocab.index(1), vocab.index(2)] == pytest.approx(0.75)
 
     def test_row_stochastic_at_scale(self):
         rng = np.random.default_rng(6)
