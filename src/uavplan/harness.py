@@ -13,7 +13,9 @@ naming the file and both values. The records are:
 - the pool's seed, user mean, mission, channel and size;
 - the training instances' header;
 - the weights of the demonstrations, and the instances they solved;
-- the demonstrations and noise config behind the world model;
+- the demonstrations and noise config behind the world model, whose
+  letter statistics and training means must also be what ``learn``
+  derives from those demonstrations and the training pool;
 - the weights, demonstrations and Q-learning config behind the Q-table;
 - ``config.json``, the whole config behind ``metrics.csv`` and the
   eval's other outputs (``tours/``, ``traces/``, ``instances/``), which
@@ -63,7 +65,6 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -446,6 +447,8 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
             path, TOURS_SCHEMA, header, len(instances),
             lambda k, d: make_tour(d["order"], instances[k], cfg.weights))
     if cfg.workers > 1:
+        # imported here: it loads multiprocessing, which workers=1 never uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             tours = list(pool.map(_solve_one,
                                   ((i, cfg.weights) for i in instances),
@@ -457,14 +460,43 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
     return tours
 
 
+def _first_difference(recorded, current, key: str = ""):
+    """(dotted key, recorded value, current value) at the first leaf where
+    two JSON values differ, keys in ``recorded``'s order; None when they
+    are equal."""
+    if isinstance(recorded, dict) and isinstance(current, dict):
+        for k in [*recorded, *(k for k in current if k not in recorded)]:
+            found = _first_difference(recorded.get(k), current.get(k),
+                                      f"{key}.{k}" if key else k)
+            if found is not None:
+                return found
+        return None
+    return None if recorded == current else (key, recorded, current)
+
+
 def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
                 out: Path) -> WorldModel:
+    """The model ``learn`` makes of the demonstrations and the training
+    pool. A reused one must record this run's noise config and the
+    demonstrations' fingerprint, and then hold every source ``learn``
+    derives (letter statistics and training means); the first field that
+    differs is named."""
     path = out / "world_model.json"
     if path.exists():
         wm = load_artifact(path, model_from_dict,
                            {"noise_config": asdict(cfg.noise)})
         _check_recorded(path, "demonstration fingerprint", wm.fingerprint,
                         demonstration_fingerprint(tours))
+        found = _first_difference(
+            model_to_dict(wm),
+            model_to_dict(learn(tours, training_pool, cfg.noise, cfg.mission)))
+        if found is not None:
+            key, recorded, current = found
+            raise ConfigurationError(
+                f"{path} holds {key} {_canonical_json(recorded)}, but the "
+                "demonstrations and the training pool give "
+                f"{_canonical_json(current)}; remove it or use another "
+                "output_dir")
         return wm
     wm = learn(tours, training_pool, cfg.noise, cfg.mission)
     write_json_atomic(path, model_to_dict(wm))
@@ -579,6 +611,7 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
         return read_metrics(path)
     tasks = list(iter_test_instances(cfg, testing_pool))
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers,
                                  initializer=_init_eval_worker,
                                  initargs=(wm, qtable, cfg)) as pool:

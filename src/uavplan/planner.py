@@ -4,7 +4,8 @@ Given a test instance and a learned world model, the planner classifies
 the instance's letters into known and unseen, samples candidate
 reference words from the transition matrix (each letter drawn as
 ``Generator.choice`` draws it: one ``random()`` against the cumulative
-distribution of the restricted row), keeps the one closest (by
+distribution of the restricted row, read with one fancy index over the
+columns of the letters not yet drawn), keeps the one closest (by
 edit distance) to the stored dictionary, and then grows the route one
 unseen letter at a time, always the one nearest to the centroid of the
 current word's letters (the depot while the word is empty). Every
@@ -32,17 +33,20 @@ target only by d/v in time. The surprise is therefore
 (1/8) (d/v)^2 (S^-1)_tt + const with S and const fixed per step:
 monotone in d, i.e. the planner performs cheapest insertion
 (Rosenkrantz, Stearns & Lewis 1977). The two covariances, and so
-(S^-1)_tt and const, depend only on p, Q and R, so they are computed
-once per reference length and kept in a table that every instance
-planned against one world model shares (``PlanContext.surprise_terms``).
-Each step scores its candidates from their detours alone and splices
-only the winner into a new word.
-A candidate records only its removed edge (u, v), tour length, surprise
-and detour time. A reader recovers its word by splicing the step's
-letter into the step's reference right after u, or in front when u is
-the depot (None); the first step's reference is the plan's, every later
-one the previous step's word. Its predicted observation is the step's
-shared ``observation`` with the mean moved by (0, detour time).
+(S^-1)_tt and const, depend only on p, Q and R, so one table entry per
+reference length holds all four, each covariance validated once when
+the entry is made; every instance planned against one world model
+shares the table (``PlanContext.surprise_terms``). A step builds no
+belief: it records its target mean beside the entry's covariances,
+scores its candidates from their detours alone (legs measured as
+``edge_cost`` measures them) and splices only the winner into a new
+word. A candidate is a plain record of its removed edge (u, v), tour
+length, surprise and detour time. A reader recovers its word by
+splicing the step's letter into the step's reference right after u, or
+in front when u is the depot (None); the first step's reference is the
+plan's, every later one the previous step's word. Its predicted
+observation is the step's shared ``observation`` with the mean moved by
+(0, detour time).
 
 Reference selection needs the exact minimum edit distance of each
 candidate to the dictionary. Stored words are repeat-free, so
@@ -60,8 +64,9 @@ dynamic program over at most n match points (Eppstein, Galil, Giancarlo
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,8 +113,7 @@ class GaussianBelief:
         return cls(mean=np.zeros(dim), cov=np.zeros((dim, dim)))
 
 
-@dataclass(frozen=True)
-class PlanCandidate:
+class PlanCandidate(NamedTuple):
     """One tentative insertion of the step's letter into ``removed_edge``
     of the reference word, and its score: the candidate's tour length, its
     surprise and ``detour_s``, the detour's travel time."""
@@ -122,16 +126,28 @@ class PlanCandidate:
 
 @dataclass(frozen=True)
 class InsertionStep:
-    """Trace of one planning iteration: the target belief, the observation
-    belief every candidate predicts before its detour, all candidates plus
-    the winner, and ``word``, the reference grown by the winner."""
+    """Trace of one planning iteration: the target belief's mean and the
+    two covariances of its reference length (``PlanContext``), all
+    candidates plus the winner, and ``word``, the reference grown by the
+    winner. ``target`` and ``observation``, the belief every candidate
+    predicts before its detour, are built from them on access."""
 
     inserted: int
-    target: GaussianBelief
-    observation: GaussianBelief
+    target_mean: tuple[float, float]
+    target_cov: np.ndarray
+    observation_cov: np.ndarray
     candidates: tuple[PlanCandidate, ...]
     winner_index: int
     word: Word
+
+    @property
+    def target(self) -> GaussianBelief:
+        return GaussianBelief(mean=np.array(self.target_mean), cov=self.target_cov)
+
+    @property
+    def observation(self) -> GaussianBelief:
+        return GaussianBelief(mean=np.array(self.target_mean),
+                              cov=self.observation_cov)
 
     @property
     def chosen(self) -> PlanCandidate:
@@ -155,11 +171,14 @@ class PlanContext:
     Profit estimates come from the world model for known letters and from
     the instance itself for unseen ones; centers always come from the
     instance being planned. ``surprise_terms`` maps a reference length p
-    to the ((S^-1)_tt, const) pair ``insert_best`` scores with, which
-    depends only on p, Q and R; it is filled on first use of each p. A
-    context built by ``from_instance`` shares its world model's table, so
-    all instances planned against one model fill one table; a context
-    built directly starts its own.
+    to what ``insert_best`` needs of p, Q and R alone: the target
+    covariance (p+2)Q (Q for p = 0), the observation covariance
+    (p+2)Q + R, and the (S^-1)_tt and const it scores with. An entry is
+    made on first use of its p, with both covariances validated as
+    belief covariances and stored read-only; an entry that fails is not
+    stored. A context built by ``from_instance`` shares its world model's
+    table, so all instances planned against one model fill one table; a
+    context built directly starts its own.
     """
 
     centers: dict[int, tuple[float, float]]
@@ -168,7 +187,7 @@ class PlanContext:
     mission: MissionConfig
     process_noise: np.ndarray
     measurement_noise: np.ndarray
-    surprise_terms: dict[int, tuple[float, float]] = field(
+    surprise_terms: dict[int, tuple[np.ndarray, np.ndarray, float, float]] = field(
         default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -248,31 +267,31 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     start_counts = np.array([wm.stats[l].start_count for l in normal], float)
     start_total = start_counts.sum()
     probs, active = wm.transition.probs, wm.transition.active
-    col = {l: wm.vocab.index(l) for l in normal}
+    columns = [wm.vocab.index(l) for l in normal]
     out: list[Word] = []
     for _ in range(n):
-        remaining = list(normal)
+        # the letters not yet drawn, and their vocabulary columns in step
+        remaining, cols = list(normal), list(columns)
         if start_total > 0:
             k = _choice_index(rng, start_counts / start_total)
         else:
             k = int(rng.integers(0, len(normal)))
-        current = remaining.pop(k)
+        current, row = remaining.pop(k), cols.pop(k)
         letters = [current]
         while remaining:
-            row = col[current]
-            nxt = None
+            k = None
             if active[row]:
-                weights = probs[row, [col[r] for r in remaining]]
+                weights = probs[row, cols]
                 total = weights.sum()
                 if total > 0.0:
-                    nxt = remaining.pop(_choice_index(rng, weights / total))
-            if nxt is None:
+                    k = _choice_index(rng, weights / total)
+            if k is None:
                 here = wm.stats[current].center_m
-                nxt = min(remaining,
-                          key=lambda r: (edge_cost(here, wm.stats[r].center_m), r))
-                remaining.remove(nxt)
-            letters.append(nxt)
-            current = nxt
+                k = remaining.index(min(
+                    remaining,
+                    key=lambda r: (edge_cost(here, wm.stats[r].center_m), r)))
+            current, row = remaining.pop(k), cols.pop(k)
+            letters.append(current)
         out.append(Word(tuple(letters)))
     return out
 
@@ -431,6 +450,26 @@ def expected_surprise(ref_belief: GaussianBelief,
     return max(0.125 * float(diff @ inverse @ diff) + const, 0.0)
 
 
+def _surprise_entry(p: int, ctx: PlanContext
+                    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The ``ctx.surprise_terms`` entry of reference length p, made on
+    first use: the target covariance, the observation covariance, and the
+    (S^-1)_tt and const of the pair. A covariance that is not one, or a
+    persistently singular pair, raises ``NumericError`` and stores
+    nothing."""
+    terms = ctx.surprise_terms.get(p)
+    if terms is None:
+        q = ctx.process_noise
+        zero = np.zeros(2)
+        target = GaussianBelief(mean=zero, cov=(p + 2 if p else 1) * q)
+        obs = GaussianBelief(mean=zero, cov=(p + 2) * q + ctx.measurement_noise)
+        inverse, const = _bhattacharyya_terms(target.cov, obs.cov)
+        target.cov.flags.writeable = obs.cov.flags.writeable = False
+        terms = ctx.surprise_terms[p] = (target.cov, obs.cov,
+                                         float(inverse[1, 1]), const)
+    return terms
+
+
 def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     """Insert one unseen letter where the expected surprise is smallest.
 
@@ -442,9 +481,9 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     adds the detour d = |ux| + |xv| - |uv|, so that candidate predicts the
     observation target mean + (0, d/v) with covariance (p+2)Q + R, shared
     by all candidates. Its surprise is
-    max((1/8) (d/v)^2 (S^-1)_tt + const, 0), where (S^-1)_tt and const
-    depend only on the two covariances, so on p, Q and R: they are
-    computed for the first step with p reference letters and read from
+    max((1/8) (d/v)^2 (S^-1)_tt + const, 0), where both covariances,
+    (S^-1)_tt and const depend only on p, Q and R: they are made for the
+    first step with p reference letters and read from
     ``ctx.surprise_terms`` after that. Its tour length is L + d. The
     surprise grows with d, so this is cheapest insertion. Surprise ties
     fall back to the shorter candidate tour, then the smaller word.
@@ -454,7 +493,8 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     depot-to-depot leg of an empty one. One pass over them scores every
     candidate from its detour; candidate words are spliced only to break
     a tie in both surprise and length, and the winner is the one word
-    built.
+    built. The step records the target mean, the entry's two covariances
+    and the candidates; it builds no belief.
     """
     letters = ref.letters
     letter = int(novel)
@@ -462,30 +502,22 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
         raise ConfigurationError(f"letter {novel} already in reference")
     p = len(letters)
     speed = ctx.mission.uav_speed_m_per_s
-    q = ctx.process_noise
+    target_cov, obs_cov, inverse_tt, const = _surprise_entry(p, ctx)
+    per_detour_sq = 0.125 * inverse_tt / (speed * speed)
     # stops[k] -> stops[k + 1] is leg k of the reference tour, closing at
-    # the depot; None marks the depot
+    # the depot; None marks the depot. Legs are edge_cost inlined.
     stops = (None,) + letters
     points = [ctx.depot] + [ctx.centers[l] for l in letters]
-    x = ctx.centers[novel]
-    to_x = [edge_cost(pt, x) for pt in points]
-    legs = [edge_cost(a, b) for a, b in zip(points, points[1:] + points[:1])]
+    xx, xy = ctx.centers[novel]
+    hypot = math.hypot
+    to_x = [hypot(px - xx, py - xy) for px, py in points]
+    legs = [hypot(ax - bx, ay - by)
+            for (ax, ay), (bx, by) in zip(points, points[1:] + points[:1])]
     ref_length = 0.0
     for leg in legs:            # left to right, depot leg first
         ref_length += leg
-    ref_legs = p + 1 if letters else 0
-    target = GaussianBelief(
-        mean=np.array([sum(ctx.profits[l] for l in letters) + ctx.profits[novel],
-                       ref_length / speed + (p + 1) * ctx.mission.dwell_time_s]),
-        cov=(ref_legs + 1) * q)
-    obs = GaussianBelief(mean=target.mean,
-                         cov=(p + 2) * q + ctx.measurement_noise)
-    terms = ctx.surprise_terms.get(p)
-    if terms is None:
-        inverse, const = _bhattacharyya_terms(target.cov, obs.cov)
-        terms = ctx.surprise_terms[p] = (float(inverse[1, 1]), const)
-    inverse_tt, const = terms
-    per_detour_sq = 0.125 * inverse_tt / (speed * speed)
+    target_mean = (float(sum(ctx.profits[l] for l in letters) + ctx.profits[novel]),
+                   ref_length / speed + (p + 1) * ctx.mission.dwell_time_s)
 
     # removable edges are legs 1..p (each letter's outgoing leg), or both
     # depot legs of a one-letter reference; inserting into leg k puts the
@@ -500,9 +532,8 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
         detour = to_x[k] + to_x[nxt] - legs[k]
         length = ref_length + detour
         surprise = max(per_detour_sq * detour * detour + const, 0.0)
-        candidates.append(PlanCandidate(
-            removed_edge=(stops[k], stops[nxt]), tour_length_m=length,
-            surprise=surprise, detour_s=detour / speed))
+        candidates.append(PlanCandidate((stops[k], stops[nxt]), length,
+                                        surprise, detour / speed))
         if k > first:
             tol = _SURPRISE_TIE * (1.0 + abs(best_s))
             if surprise < best_s - tol:
@@ -515,7 +546,8 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
                     best_k = k
         if best_k == k:
             best_s, best_len = surprise, length
-    return InsertionStep(inserted=novel, target=target, observation=obs,
+    return InsertionStep(inserted=novel, target_mean=target_mean,
+                         target_cov=target_cov, observation_cov=obs_cov,
                          candidates=tuple(candidates),
                          winner_index=best_k - first,
                          word=Word(_splice(letters, best_k, letter)))
@@ -583,11 +615,6 @@ def plan_mission(test: Instance, wm: WorldModel,
                       final_word=word, tour=tour)
 
 
-def _belief_to_dict(b: GaussianBelief) -> dict:
-    return {"mean": [float(x) for x in b.mean],
-            "cov": [[float(x) for x in row] for row in b.cov]}
-
-
 def plan_to_dict(res: PlanResult) -> dict:
     """The plan as a ``uavplan.plan.v2`` trace: every fact a decision rests
     on and nothing that the other fields determine (see the module
@@ -602,9 +629,9 @@ def plan_to_dict(res: PlanResult) -> dict:
         "steps": [
             {
                 "inserted": s.inserted,
-                "target": _belief_to_dict(s.target),
-                "observation_cov": [[float(x) for x in row]
-                                    for row in s.observation.cov],
+                "target": {"mean": list(s.target_mean),
+                           "cov": s.target_cov.tolist()},
+                "observation_cov": s.observation_cov.tolist(),
                 "winner_index": s.winner_index,
                 "candidates": [
                     {

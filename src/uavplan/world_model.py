@@ -200,9 +200,10 @@ class WorldModel:
         return WordIndex.build(self.words, self.vocab)
 
     @cached_property
-    def surprise_terms(self) -> dict[int, tuple[float, float]]:
-        """The planner's table of surprise terms per reference length for
-        this model's noise (see ``planner.PlanContext``), filled as planning
+    def surprise_terms(self) -> dict[int, tuple]:
+        """The planner's table of covariances and surprise terms per
+        reference length for this model's noise (see
+        ``planner.PlanContext``), filled as planning
         needs it. It is derived state: not serialized, and stale if the
         noise matrices are changed later."""
         return {}

@@ -371,6 +371,15 @@ def _swap_word_letters(obj):
     letters[0], letters[1] = letters[1], letters[0]
 
 
+def _scale_sources(obj):
+    """Every letter's mean profit times 3 and the mean leg time times 5:
+    still a valid model of the demonstrated words, but not with the
+    statistics the demonstrations and the training pool give."""
+    for stats in obj["letters"].values():
+        stats["mean_profit_bps"] *= 3
+    obj["mean_leg_time_s"] *= 5
+
+
 def _artifact_bytes(out: Path) -> dict[str, bytes]:
     """Every file under ``out`` but timings.csv, by relative path."""
     return {p.relative_to(out).as_posix(): p.read_bytes()
@@ -654,7 +663,12 @@ class TestCli:
         pytest.param(_drop_used_letter, "plan", "no statistics",
                      id="letter-dropped"),
         pytest.param(_swap_word_letters, "pipeline", "fingerprint",
-                     id="word-letters-swapped")])
+                     id="word-letters-swapped"),
+        pytest.param(_scale_sources, "pipeline", ".mean_profit_bps ",
+                     id="letter-profits-and-leg-time-scaled"),
+        pytest.param(lambda obj: obj.__setitem__(
+            "mean_leg_time_s", 5 * obj["mean_leg_time_s"]), "pipeline",
+            "holds mean_leg_time_s ", id="mean-leg-time-scaled")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model file holds only sources (letter statistics, words
@@ -665,7 +679,9 @@ class TestCli:
         profit, one in another schema, an older world model reused by a
         pipeline re-run, or another artifact given to ``plan``. Reused by a
         pipeline re-run, one whose words are not the demonstrations' exits
-        2 naming the fingerprint."""
+        2 naming the fingerprint, and one whose letter statistics or
+        training means are not what the demonstrations and the training
+        pool give exits 2 naming the first field that differs."""
         code, err = self._damaged_run_exit(tmp_path, capsys,
                                            "world_model.json", edit, command)
         assert code == 2

@@ -18,13 +18,14 @@ and measures legs and words with the test-side ``leg_length`` and
 - ``ref_plan_to_dict`` writes the ``uavplan.plan.v1`` trace from each
   candidate's stored word and belief;
 - ``ref_generate_words`` (in planner_oracles.py) calls
-  ``Generator.choice`` once per letter, and ``ref_insert_best`` computes
-  the surprise terms at every step.
+  ``Generator.choice`` once per letter, and ``ref_insert_best`` builds
+  and validates the target and observation beliefs and computes the
+  surprise terms at every step.
 
 The production planner must sample the same words and make the same
 decisions, and report them with the same float bits, on random and
-lattice geometry, whatever other world models were planned against in
-the same process; its
+lattice geometry and on every full-scale test instance, whatever other
+world models were planned against in the same process; its
 ``uavplan.plan.v2`` trace, expanded by ``expand_v1``, must be the v1
 trace byte for byte.
 """
@@ -40,9 +41,9 @@ from hypothesis import strategies as st
 
 from uavplan import planner
 from uavplan.environment import (ChannelParams, Instance, MissionConfig,
-                                 _choice_index, instance_from_dict,
-                                 sample_instance, sample_pool)
+                                 _choice_index, sample_instance, sample_pool)
 from uavplan.errors import ConfigurationError, NumericError
+from uavplan.harness import ExperimentConfig, iter_test_instances, run_pipeline
 from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
 from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
                              PlanContext, PlannerConfig, PlanResult,
@@ -57,7 +58,6 @@ from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
 from planner_oracles import (NOVEL, candidate_word, expand_v1, leg_length,
                              random_insertion_contexts, ref_generate_words,
                              reference_edges, shifted, word_length_m)
-from test_acceptance import full_scale_run  # noqa: F401  (a fixture)
 
 
 # --- reference: every candidate spliced, every distance a full table -----------
@@ -499,16 +499,28 @@ def test_generate_words_is_reference(world):
                     == ref_generate_words(wm, letters, 10, seed))
 
 
+@pytest.fixture(scope="module")
+def full_scale_world(tmp_path_factory):
+    """The acceptance suite's full-scale config (C6-C8: 5000
+    demonstrations, 30 test instances of each size 5-50) run up to its
+    world model in a directory of its own: (config, world model, the 180
+    test instances)."""
+    cfg = ExperimentConfig(test_sizes=(5, 10, 20, 30, 40, 50),
+                           seeds_per_size=30, m_training=5000,
+                           output_dir=str(tmp_path_factory.mktemp("world")))
+    wm = run_pipeline(cfg, last="world")
+    testing_pool, _ = run_pipeline(cfg, last="pools")
+    instances = [inst for _, inst in iter_test_instances(cfg, testing_pool)]
+    assert len(instances) == 180
+    return cfg, wm, instances
+
+
 @pytest.mark.slow
-def test_generate_words_is_reference_at_full_scale(full_scale_run):
+def test_generate_words_is_reference_at_full_scale(full_scale_world):
     """Every full-scale test instance (180, sizes 5-50) samples the
     reference's words with seeds 0, 1 and 12345."""
-    cfg, _, out, _ = full_scale_run
-    wm = model_from_dict(json.loads((out / "world_model.json").read_text()))
-    paths = sorted((out / "instances").glob("*.json"))
-    assert len(paths) == 180
-    for path in paths:
-        inst = instance_from_dict(json.loads(path.read_text()))
+    cfg, wm, instances = full_scale_world
+    for inst in instances:
         normal = sorted(classify_letters(inst.ids, wm)[0])
         for seed in (0, 1, 12345):
             assert (generate_words(wm, normal, cfg.planner.n_words, seed)
@@ -533,6 +545,19 @@ class TestPlanAgainstReference:
             assert (json.dumps(expand_v1(got), sort_keys=True)
                     == json.dumps(want, sort_keys=True))
             assert math.isfinite(got["tour"]["total_cost_m"])
+
+    @pytest.mark.slow
+    def test_same_trace_json_at_full_scale(self, full_scale_world):
+        """Every full-scale test instance (180, sizes 5-50) gets the
+        reference's trace, planned with the run's planner config and
+        weights."""
+        cfg, wm, instances = full_scale_world
+        for inst in instances:
+            got = plan_to_dict(plan_mission(inst, wm, cfg.planner, cfg.weights))
+            want = ref_plan_to_dict(ref_plan_mission(inst, wm, cfg.planner,
+                                                     cfg.weights))
+            assert (json.dumps(expand_v1(got), sort_keys=True)
+                    == json.dumps(want, sort_keys=True))
 
     def test_same_trace_json_on_random_contexts(self):
         """One insertion in each random context of the closed-form tests,
@@ -609,15 +634,23 @@ class TestSurpriseTermsTable:
         assert len({id(t) for t in tables}) == len(tables)
 
     def test_numeric_error_is_not_cached(self, monkeypatch):
-        """A failure to compute the terms is raised at every step and
-        leaves no entry."""
+        """A failure to make a table entry is raised at every step and
+        leaves no entry: terms that cannot be computed, and a direct
+        context whose measurement noise is not positive semi-definite."""
         ref, ctx = next(random_insertion_contexts(seed=31, trials=5))
+        with monkeypatch.context() as patched:
+            def singular(cov1, cov2):
+                raise NumericError("persistently singular covariance")
 
-        def singular(cov1, cov2):
-            raise NumericError("persistently singular covariance")
+            patched.setattr(planner, "_bhattacharyya_terms", singular)
+            for _ in range(2):
+                with pytest.raises(NumericError, match="singular"):
+                    insert_best(ref, NOVEL, ctx)
+            assert ctx.surprise_terms == {}
 
-        monkeypatch.setattr(planner, "_bhattacharyya_terms", singular)
+        ref, ctx = next(random_insertion_contexts(seed=31, trials=5))
+        ctx = replace(ctx, measurement_noise=-10.0 * ctx.process_noise)
         for _ in range(2):
-            with pytest.raises(NumericError):
+            with pytest.raises(NumericError, match="positive semi-definite"):
                 insert_best(ref, NOVEL, ctx)
         assert ctx.surprise_terms == {}
