@@ -5,17 +5,19 @@ point runs a prefix of it (``run_pipeline``). Every artifact is a pure
 function of the experiment config; rerunning a stage with the same
 config reproduces its files byte for byte. Wall clock measurements go
 to a separate timings file so the metrics CSV stays deterministic. Files
-are written atomically (write then rename) and a stage is skipped when
-its artifact already exists. A reused artifact must match the record of
-what it was computed from, or the run stops with a configuration error
-naming the file and both values. The records are:
+are written atomically (write then rename) and a stage other than the
+world model's is skipped when its artifact already exists. A reused
+artifact must match the record of what it was computed from, or the run
+stops with a configuration error naming the file and both values. The
+records are:
 
 - the pool's seed, user mean, mission, channel and size;
 - the training instances' header;
 - the weights of the demonstrations, and the instances they solved;
-- the demonstrations and noise config behind the world model, whose
-  letter statistics and training means must also be what ``learn``
-  derives from those demonstrations and the training pool;
+- the world model, which is learned on every run: ``world_model.json``
+  is its export and must record this run's noise config and then hold
+  exactly what ``learn`` makes of the demonstrations and the training
+  pool;
 - the weights, demonstrations and Q-learning config behind the Q-table;
 - ``config.json``, the whole config behind ``metrics.csv`` and the
   eval's other outputs (``tours/``, ``traces/``, ``instances/``), which
@@ -59,6 +61,7 @@ takes every default from them and rejects any key they do not declare.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -82,8 +85,8 @@ from .oracle import (ObjectiveWeights, Tour, make_tour, solve, tour_from_dict,
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import (QTable, QTrainConfig, construct_word, qtable_from_dict,
                  qtable_to_dict, train_q, training_fingerprint)
-from .world_model import (NoiseConfig, Word, WorldModel, demonstration_fingerprint,
-                          learn, model_from_dict, model_to_dict, word_from_tour)
+from .world_model import (NoiseConfig, Word, WorldModel, learn, model_to_dict,
+                          word_from_tour)
 
 METRICS_SCHEMA = "uavplan.metrics.v1"
 METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
@@ -225,6 +228,12 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _excerpt(obj, limit: int = 100) -> str:
+    """``obj`` in canonical JSON, cut to ``limit`` characters."""
+    text = _canonical_json(obj)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 @contextmanager
 def _replacing(path: Path):
     """A text file to write that replaces ``path`` only once it is
@@ -325,7 +334,10 @@ def _check_recorded(path: Path, what: str, recorded, current) -> None:
 def _check_header(path: Path, recorded: dict, want: dict) -> None:
     """``_check_recorded`` for each key of ``want``, in JSON form (so a
     tuple equals the list it is written as); a key that ``recorded`` lacks
-    counts as null."""
+    counts as null. ``recorded`` must be a JSON object."""
+    if not isinstance(recorded, dict):
+        raise ConfigurationError(f"{path} holds {_excerpt(recorded)}, not a "
+                                 "JSON object; delete it and run again")
     for key, value in json.loads(_canonical_json(want)).items():
         _check_recorded(path, key, recorded.get(key), value)
 
@@ -462,44 +474,54 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
 
 def _first_difference(recorded, current, key: str = ""):
     """(dotted key, recorded value, current value) at the first leaf where
-    two JSON values differ, keys in ``recorded``'s order; None when they
-    are equal."""
-    if isinstance(recorded, dict) and isinstance(current, dict):
-        for k in [*recorded, *(k for k in current if k not in recorded)]:
-            found = _first_difference(recorded.get(k), current.get(k),
-                                      f"{key}.{k}" if key else k)
-            if found is not None:
-                return found
+    two JSON values differ, or None when they are equal. Dicts are visited
+    in ``current``'s key order, then the keys only ``recorded`` has; lists
+    of one length are visited item by item, and lists of two lengths
+    differ at their own key."""
+    if recorded == current:
         return None
-    return None if recorded == current else (key, recorded, current)
+    pairs = ()
+    if isinstance(recorded, dict) and isinstance(current, dict):
+        pairs = ((k, recorded.get(k), current.get(k))
+                 for k in [*current, *(k for k in recorded if k not in current)])
+    elif (isinstance(recorded, list) and isinstance(current, list)
+          and len(recorded) == len(current)):
+        pairs = zip(itertools.count(), recorded, current)
+    for k, r, c in pairs:
+        found = _first_difference(r, c, f"{key}.{k}" if key else str(k))
+        if found is not None:
+            return found
+    return key, recorded, current
 
 
 def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
                 out: Path) -> WorldModel:
     """The model ``learn`` makes of the demonstrations and the training
-    pool. A reused one must record this run's noise config and the
-    demonstrations' fingerprint, and then hold every source ``learn``
-    derives (letter statistics and training means); the first field that
-    differs is named."""
+    pool, learned on every run. ``world_model.json`` is its export,
+    written when absent. When present, it must record this run's noise
+    config and then equal the learned model's export; the first field
+    that differs is named with both values, and a field of the words also
+    with the fingerprints (sha256) of both word lists."""
     path = out / "world_model.json"
-    if path.exists():
-        wm = load_artifact(path, model_from_dict,
-                           {"noise_config": asdict(cfg.noise)})
-        _check_recorded(path, "demonstration fingerprint", wm.fingerprint,
-                        demonstration_fingerprint(tours))
-        found = _first_difference(
-            model_to_dict(wm),
-            model_to_dict(learn(tours, training_pool, cfg.noise, cfg.mission)))
-        if found is not None:
-            key, recorded, current = found
-            raise ConfigurationError(
-                f"{path} holds {key} {_canonical_json(recorded)}, but the "
-                "demonstrations and the training pool give "
-                f"{_canonical_json(current)}; remove it or use another "
-                "output_dir")
-        return wm
     wm = learn(tours, training_pool, cfg.noise, cfg.mission)
-    write_json_atomic(path, model_to_dict(wm))
+    current = model_to_dict(wm)
+    if not path.exists():
+        write_json_atomic(path, current)
+        return wm
+    recorded = read_json(path)
+    _check_header(path, recorded, {"noise_config": asdict(cfg.noise)})
+    found = _first_difference(recorded, current)
+    if found is not None:
+        key, was, now = found
+        note = ""
+        if key.split(".")[0] == "words":
+            note = " (word list fingerprints {} and {})".format(*(
+                hashlib.sha256(_canonical_json(d.get("words")).encode())
+                .hexdigest() for d in (recorded, current)))
+        raise ConfigurationError(
+            f"{path} holds {key} {_excerpt(was)}, but the demonstrations "
+            f"and the training pool give {_excerpt(now)}{note}; delete it "
+            "and run again to regenerate it")
     return wm
 
 

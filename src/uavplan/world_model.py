@@ -14,20 +14,20 @@ tests check ``merge_global`` against.
 Learning is a pure function of the demonstration multiset: permuting the
 demos yields an identical model, including its serialized bytes.
 
-``world_model.json`` (``uavplan.world_model.v3``) stores only what the
-demonstrations and the pool give and nothing else determines: each
-letter's center and mean profit, the distinct words with their counts,
+``world_model.json`` (``uavplan.world_model.v3``) stores only what
+the demonstrations and the pool give and nothing else determines: the
+distinct words with their counts, each letter's center and mean profit,
 the mean profit and mean leg time, and the noise config. The vocabulary,
-the start counts, the transition matrix, both noise matrices and the
-fingerprint follow from those, so ``learn`` and ``model_from_dict`` both
-end in ``_build``, which derives them; a stored file cannot contradict
-itself, and one edited by hand is a model of the words it now holds.
+the start counts, the transition matrix and both noise matrices follow
+from those, so ``learn`` and ``model_from_dict`` both end in ``_build``,
+which derives them; a stored file cannot contradict itself, and one
+edited by hand is a model of the words it now holds. The pipeline learns
+the model on every run and only compares the file with it;
+``model_from_dict`` reads a model given to ``uavplan plan --model``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -191,7 +191,6 @@ class WorldModel:
     mean_profit_bps: float
     mean_leg_time_s: float
     noise_config: NoiseConfig
-    fingerprint: str
 
     @cached_property
     def word_index(self) -> "WordIndex":
@@ -236,32 +235,14 @@ class WordIndex:
                    column=column)
 
 
-def _fingerprint(keys: Sequence[tuple[int, ...]], counts: Sequence[int]) -> str:
-    payload = json.dumps([[list(k), c] for k, c in zip(keys, counts)],
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def demonstration_fingerprint(demos: Sequence[Tour]) -> str:
-    """The fingerprint ``learn`` records for a model learned from ``demos``:
-    a hash of the distinct demonstrated words and their counts."""
-    tally: dict[tuple[int, ...], int] = {}
-    for t in demos:
-        key = word_from_tour(t).letters
-        tally[key] = tally.get(key, 0) + 1
-    keys = sorted(tally)
-    return _fingerprint(keys, [tally[k] for k in keys])
-
-
 def _build(letters: dict[int, tuple[tuple[float, float], float]],
            words: list[Word], counts: list[int], mean_profit_bps: float,
            mean_leg_time_s: float, noise: NoiseConfig) -> WorldModel:
     """The model that its sources determine: each letter's center and mean
     profit (``letters``), the stored words with their counts, the two
     training means and the noise config. Derives the vocabulary (the
-    words' letters), the start counts, the transitions, both noise
-    matrices (see ``NoiseConfig``) and the fingerprint of the words in
-    their given order."""
+    words' letters), the start counts, the transitions and both noise
+    matrices (see ``NoiseConfig``)."""
     if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
         raise ConsistencyError(
             f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
@@ -292,7 +273,6 @@ def _build(letters: dict[int, tuple[tuple[float, float], float]],
         mean_profit_bps=mean_profit_bps,
         mean_leg_time_s=mean_leg_time_s,
         noise_config=noise,
-        fingerprint=_fingerprint([w.letters for w in words], counts),
     )
 
 
@@ -352,16 +332,18 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
 
 def model_to_dict(wm: WorldModel) -> dict:
     """The model's sources (see ``_build``) as a ``uavplan.world_model.v3``
-    object."""
+    object. The words come before the letters because a rerun compares
+    the file with this object in its key order: another word list changes
+    the letter statistics too, and is reported as such."""
     return {
         "schema": WORLD_MODEL_SCHEMA,
+        "words": [{"letters": list(w.letters), "count": c}
+                  for w, c in zip(wm.words, wm.word_counts)],
         "letters": {
             str(l): {"center_m": list(s.center_m),
                      "mean_profit_bps": s.mean_profit_bps}
             for l, s in sorted(wm.stats.items())
         },
-        "words": [{"letters": list(w.letters), "count": c}
-                  for w, c in zip(wm.words, wm.word_counts)],
         "mean_profit_bps": wm.mean_profit_bps,
         "mean_leg_time_s": wm.mean_leg_time_s,
         "noise_config": asdict(wm.noise_config),
@@ -369,7 +351,7 @@ def model_to_dict(wm: WorldModel) -> dict:
 
 
 def model_from_dict(d: dict) -> WorldModel:
-    found = d.get("schema") if isinstance(d, dict) else None
+    found = d.get("schema")
     if found != WORLD_MODEL_SCHEMA:
         raise ConsistencyError(
             f"schema {found!r}, not {WORLD_MODEL_SCHEMA!r} (an older format or "

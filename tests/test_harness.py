@@ -12,7 +12,9 @@ import pytest
 from uavplan.cli import main as cli_main
 from uavplan.environment import (MissionConfig, instance_from_dict,
                                  instance_to_dict)
-from uavplan.harness import (ExperimentConfig, _canonical_json, completion_time,
+from uavplan import world_model
+from uavplan.harness import (ExperimentConfig, _canonical_json,
+                             _first_difference, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, load_config, read_metrics, run_pipeline, stage_oracle,
                              stage_pools, stage_training_instances, summarize,
@@ -155,6 +157,24 @@ class TestPipeline:
         run_pipeline(cfg)
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == first
 
+    def test_rerun_builds_the_world_model_once(self, tmp_path, monkeypatch):
+        """A rerun over an unchanged directory builds the world model once,
+        in ``learn``, and keeps the bytes of world_model.json."""
+        cfg = small_config(tmp_path / "run", test_sizes=(5,), seeds_per_size=1)
+        run_pipeline(cfg)
+        path = tmp_path / "run" / "world_model.json"
+        before = path.read_bytes()
+        built = []
+        build = world_model._build
+
+        def counted(*args):
+            built.append(1)
+            return build(*args)
+        monkeypatch.setattr(world_model, "_build", counted)
+        run_pipeline(cfg)
+        assert len(built) == 1
+        assert path.read_bytes() == before
+
     def test_metrics_round_trip(self, tmp_path):
         cfg = small_config(tmp_path / "run")
         rows = run_pipeline(cfg)
@@ -188,6 +208,41 @@ class TestPipeline:
         a = (tmp_path / "s" / "metrics.csv").read_bytes()
         b = (tmp_path / "p" / "metrics.csv").read_bytes()
         assert a == b
+
+
+class TestFirstDifference:
+    """``_first_difference`` names the first leaf where two JSON values
+    differ by its dotted key, with both values."""
+
+    def test_equal_values_give_none(self):
+        value = {"a": [1, {"b": [2.5, None]}], "c": "x"}
+        assert _first_difference(value, json.loads(json.dumps(value))) is None
+
+    def test_nested_dict_and_list_path(self):
+        recorded = {"words": [{"letters": [1, 2], "count": 3},
+                              {"letters": [4, 5], "count": 1}]}
+        current = {"words": [{"letters": [1, 2], "count": 3},
+                             {"letters": [4, 6], "count": 1}]}
+        assert _first_difference(recorded, current) == \
+            ("words.1.letters.1", 5, 6)
+
+    def test_keys_in_current_order(self):
+        recorded = {"b": 1, "a": 1}
+        current = {"a": 2, "b": 2}
+        assert _first_difference(recorded, current) == ("a", 1, 2)
+
+    def test_lists_of_unequal_length_at_their_own_key(self):
+        assert _first_difference({"a": {"l": [1, 2]}},
+                                 {"a": {"l": [1, 2, 3]}}) == \
+            ("a.l", [1, 2], [1, 2, 3])
+
+    def test_key_only_in_recorded(self):
+        assert _first_difference({"a": 1, "extra": {"x": 0}}, {"a": 1}) == \
+            ("extra", {"x": 0}, None)
+
+    def test_key_only_in_current(self):
+        assert _first_difference({"a": 1}, {"a": 1, "new": [0]}) == \
+            ("new", None, [0])
 
 
 class TestReport:
@@ -282,8 +337,8 @@ class TestHeadedJsonl:
     def test_reused_files_give_the_same_downstream_bytes(self, tmp_path):
         """Rebuilt from reused instances and demonstrations, the models
         and metrics keep their bytes; so does every eval output when the
-        eval runs on the loaded world model and the rebuilt
-        demonstrations."""
+        eval runs on the rebuilt demonstrations and the world model
+        learned from them, which equals the reused world_model.json."""
         cfg = small_config(tmp_path / "run")
         run_pipeline(cfg)
         out = Path(cfg.output_dir)
@@ -463,14 +518,18 @@ class TestCli:
                      id="instance-speed-negative"),
         pytest.param("instances/s005k000.json",
                      lambda obj: obj.__setitem__("hotspots", []),
-                     id="instance-without-hotspots")])
+                     id="instance-without-hotspots"),
+        pytest.param("pools.json", [1, 2], id="pools.json-array"),
+        pytest.param("qtable.json", [1, 2], id="qtable.json-array"),
+        pytest.param("world_model.json", [1, 2], id="world_model.json-array")])
     def test_truncated_artifact_exits_2(self, tmp_path, capsys, artifact,
                                         edit):
         """A truncated artifact, valid JSON with a key missing, a tour
         naming a hotspot its instance lacks, a NaN hotspot center or
-        Q-value, or a value its dataclass rejects (a negative profit or
-        speed, an instance without hotspots) exits 2 with a message naming
-        the file."""
+        Q-value, a value its dataclass rejects (a negative profit or
+        speed, an instance without hotspots), or a JSON array in place of
+        the object (``edit`` is then the array) exits 2 with a message
+        naming the file."""
         cfg = small_config(tmp_path / "cli5", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -479,6 +538,8 @@ class TestCli:
         if edit is None:
             data = path.read_bytes()
             path.write_bytes(data[:len(data) // 2])
+        elif isinstance(edit, list):
+            path.write_text(json.dumps(edit))
         else:
             obj = json.loads(path.read_text())
             edit(obj)
@@ -687,6 +748,20 @@ class TestCli:
         assert code == 2
         assert err.startswith("configuration error:")
         assert str(tmp_path / "d" / "world_model.json") in err and named in err
+
+    def test_world_model_with_another_word_count_exits_2(self, tmp_path,
+                                                         capsys):
+        """A reused world model with one stored word more than the
+        demonstrations give differs at ``words`` itself: the message names
+        that key, cuts both word lists short and gives their fingerprints."""
+        code, err = self._damaged_run_exit(
+            tmp_path, capsys, "world_model.json",
+            lambda obj: obj["words"].append({"letters": [1, 2], "count": 1}),
+            "pipeline")
+        assert code == 2
+        assert "holds words [" in err and "...," in err
+        assert len(re.findall(r"\b[0-9a-f]{64}\b", err)) == 2
+        assert len(err) < 600
 
     @pytest.mark.parametrize("change,artifact,recorded,current", [
         pytest.param({"noise": NoiseConfig(process_scale=0.2)},

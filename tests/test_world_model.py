@@ -346,8 +346,8 @@ class TestBenchmarkContracts:
     timed span, so a new public helper would put a span inside the
     learner's loops."""
 
-    PUBLIC = ("demonstration_fingerprint", "learn", "merge_global",
-              "model_from_dict", "model_to_dict", "word_from_tour")
+    PUBLIC = ("learn", "merge_global", "model_from_dict", "model_to_dict",
+              "word_from_tour")
 
     def test_public_functions_unchanged(self):
         from uavplan import world_model
