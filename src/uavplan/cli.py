@@ -1,6 +1,7 @@
 """Command-line surface for the experiment pipeline.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error.
+Exit codes: 0 success, 3 numeric error, 2 any other error of the package
+(a bad config, a damaged artifact, or inputs it cannot plan from).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .environment import instance_from_dict
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError, NumericError, UavplanError
 from .harness import (ExperimentConfig, config_to_dict, load_artifact,
                       load_config, run_pipeline, write_json_atomic)
 from .planner import plan_mission, plan_to_dict
@@ -167,12 +168,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigurationError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
+    except ConfigurationError as e:
+        print(f"configuration error: {e}", file=sys.stderr)
+        return 2
+    except UavplanError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,14 +5,10 @@ otherwise (``*_db``, ``*_dbm``, ``*_hz``). All sampling is driven by
 explicit seeds; rerunning with the same seed and config reproduces the
 same objects bit for bit.
 
-Two JSON forms describe an instance. ``instance_to_dict`` writes one
-self-contained ``uavplan.instance.v1`` object (the test instances of an
-experiment). A training instance is stored as an ``instance_record``,
-``{"ids"}``: its hotspots are looked up by id in the training pool that
-``pools.json`` holds; the depot, channel and mission, shared by every
-training instance, and the seed base are recorded once in the header of
-the ``uavplan.instances.v3`` file, and record k's seed is the base plus k
-(see ``harness``).
+``instance_to_dict`` writes an instance as one self-contained
+``uavplan.instance.v1`` object (the test instances of an experiment).
+Training instances are stored by ``harness`` as their hotspot ids alone,
+and rebuilt there from the pool, the config and their place in the file.
 """
 
 from __future__ import annotations
@@ -305,29 +301,6 @@ def instance_to_dict(inst: Instance) -> dict:
         "channel": asdict(inst.channel),
         "hotspots": [hotspot_to_dict(h) for h in inst.hotspots],
     }
-
-
-def instance_record(inst: Instance) -> dict:
-    """One record of a ``uavplan.instances.v3`` file: the hotspot ids;
-    everything else comes from the pool, the file header and the record's
-    place in the file."""
-    return {"ids": list(inst.ids)}
-
-
-def instance_from_record(d: dict, seed: int, pool_by_id: dict[int, Hotspot],
-                         depot: Point, chan: ChannelParams,
-                         mission: MissionConfig) -> Instance:
-    """Rebuild the instance drawn with ``seed`` from its record and the
-    pool it was drawn from (``pool_by_id`` maps id to hotspot); an id not
-    in the pool is a configuration error."""
-    ids = d["ids"]
-    try:
-        hotspots = tuple(pool_by_id[i] for i in ids)
-    except KeyError as e:
-        raise ConfigurationError(
-            f"hotspot id {e.args[0]!r} is not in the training pool") from None
-    return Instance(hotspots=hotspots, depot_m=depot, channel=chan,
-                    mission=mission, seed=seed)
 
 
 def instance_from_dict(d: dict) -> Instance:

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-CLI exit codes: ConfigurationError maps to 2, NumericError to 3.
+CLI exit codes: NumericError maps to 3, every other UavplanError to 2.
 """
 
 

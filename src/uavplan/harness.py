@@ -5,13 +5,18 @@ point runs a prefix of it (``run_pipeline``). Every artifact is a pure
 function of the experiment config; rerunning a stage with the same
 config reproduces its files byte for byte. Wall clock measurements go
 to a separate timings file so the metrics CSV stays deterministic. Files
-are written atomically (write then rename) and a stage other than the
-world model's is skipped when its artifact already exists. A reused
-artifact must match the record of what it was computed from, or the run
-stops with a configuration error naming the file and both values. The
+are written atomically (write then rename), and a stage is skipped when
+its artifact already exists, except the pools and the world model, which
+are cheap enough to compute on every run and whose files are checked
+exports. A reused artifact must match the record of what it was computed
+from, or the run stops with a configuration error naming the file and
+both values. This module alone writes, rebuilds and checks these
+records, and it alone spreads work over worker processes (``_map``). The
 records are:
 
-- the pool's seed, user mean, mission, channel and size;
+- the pool, which is sampled on every run: ``pools.json`` is its export
+  and must record this run's seed, user mean, mission and channel and
+  then hold exactly the sampled hotspots;
 - the training instances' header;
 - the weights of the demonstrations, and the instances they solved;
 - the world model, which is learned on every run: ``world_model.json``
@@ -76,17 +81,15 @@ from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
 import json
 
 from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
-                          instance_from_dict, instance_from_record,
-                          instance_record, instance_to_dict, pool_from_dict,
+                          instance_from_dict, instance_to_dict, pool_from_dict,
                           pool_to_dict, sample_instance, sample_pool)
 from .errors import ConfigurationError
 from .oracle import (ObjectiveWeights, Tour, make_tour, solve, tour_from_dict,
-                     tour_record, tour_to_dict)
+                     tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import (QTable, QTrainConfig, construct_word, qtable_from_dict,
                  qtable_to_dict, train_q, training_fingerprint)
-from .world_model import (NoiseConfig, Word, WorldModel, learn, model_to_dict,
-                          word_from_tour)
+from .world_model import NoiseConfig, Word, WorldModel, learn, model_to_dict
 
 METRICS_SCHEMA = "uavplan.metrics.v1"
 METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
@@ -316,30 +319,49 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T],
         if is_csv:
             return [from_dict(rec) for rec in data]
         return from_dict(data)
-    except (AttributeError, LookupError, TypeError, ValueError) as e:
+    except (AttributeError, LookupError, TypeError, ValueError,
+            OverflowError) as e:
         raise ConfigurationError(
             f"malformed artifact {path}: {type(e).__name__}: {e}") from e
 
 
-def _check_recorded(path: Path, what: str, recorded, current) -> None:
-    """A reused artifact must record what this run would compute it from;
-    a mismatch is a configuration error naming the file and both values."""
-    if recorded != current:
-        raise ConfigurationError(
-            f"{path} was computed with {what} {_canonical_json(recorded)}, "
-            f"but this run has {what} {_canonical_json(current)}; "
-            "remove it or use another output_dir")
-
-
 def _check_header(path: Path, recorded: dict, want: dict) -> None:
-    """``_check_recorded`` for each key of ``want``, in JSON form (so a
-    tuple equals the list it is written as); a key that ``recorded`` lacks
-    counts as null. ``recorded`` must be a JSON object."""
+    """A reused artifact must record what this run would compute it from:
+    each key of ``want``, in ``want``'s order and in JSON form (so a tuple
+    equals the list it is written as); a key that ``recorded`` lacks
+    counts as null. ``recorded`` must be a JSON object. A mismatch is a
+    configuration error naming the file, the key and both values."""
     if not isinstance(recorded, dict):
         raise ConfigurationError(f"{path} holds {_excerpt(recorded)}, not a "
                                  "JSON object; delete it and run again")
-    for key, value in json.loads(_canonical_json(want)).items():
-        _check_recorded(path, key, recorded.get(key), value)
+    for key, value in want.items():
+        value = json.loads(_canonical_json(value))
+        if recorded.get(key) != value:
+            raise ConfigurationError(
+                f"{path} was computed with {key} "
+                f"{_canonical_json(recorded.get(key))}, but this run has "
+                f"{key} {_canonical_json(value)}; "
+                "remove it or use another output_dir")
+
+
+def _check_equal(path: Path, recorded, current, source: str) -> None:
+    """A reused artifact that this run recomputes must equal the
+    recomputed JSON ``current``; the first field that differs is named
+    with both values (see ``_first_difference``), and a field of a world
+    model's words also with the fingerprints (sha256) of both word
+    lists."""
+    found = _first_difference(recorded, current)
+    if found is None:
+        return
+    key, was, now = found
+    note = ""
+    if key.split(".")[0] == "words":
+        note = " (word list fingerprints {} and {})".format(*(
+            hashlib.sha256(_canonical_json(d.get("words")).encode())
+            .hexdigest() for d in (recorded, current)))
+    raise ConfigurationError(
+        f"{path} holds {key} {_excerpt(was)}, but {source} {_excerpt(now)}"
+        f"{note}; delete it and run again to regenerate it")
 
 
 def load_headed_jsonl(path: Path, schema: str, want: dict, count: int,
@@ -369,11 +391,44 @@ def load_headed_jsonl(path: Path, schema: str, want: dict, count: int,
     for k, rec in enumerate(records):
         try:
             built.append(from_record(k, rec))
-        except (LookupError, TypeError, ValueError) as e:
+        except (LookupError, TypeError, ValueError, OverflowError) as e:
             raise ConfigurationError(
                 f"malformed artifact {path}, line {k + 2}: "
                 f"{type(e).__name__}: {e}") from e
     return built
+
+
+# --- worker pool --------------------------------------------------------------
+
+# Set once in each worker process by its pool initializer: the function a
+# ``_map`` runs and the arguments every task shares, so that they are sent
+# once per worker rather than per task.
+_job: tuple[Callable, tuple] | None = None
+
+
+def _init_worker(fn: Callable, shared: tuple) -> None:
+    global _job
+    _job = (fn, shared)
+
+
+def _run_task(task: tuple):
+    fn, shared = _job
+    return fn(*task, *shared)
+
+
+def _map(fn: Callable[..., T], tasks: Iterable[tuple], shared: tuple,
+         workers: int, chunksize: int) -> list[T]:
+    """``fn(*task, *shared)`` for each task, in order. With more than one
+    worker the calls run in a process pool, handed out ``chunksize`` tasks
+    at a time."""
+    if workers <= 1:
+        return [fn(*task, *shared) for task in tasks]
+    # imported here: it loads multiprocessing, which workers=1 never uses
+    import concurrent.futures
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker,
+            initargs=(fn, shared)) as pool:
+        return list(pool.map(_run_task, tasks, chunksize=chunksize))
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -381,20 +436,22 @@ def load_headed_jsonl(path: Path, schema: str, want: dict, count: int,
 def stage_pools(cfg: ExperimentConfig,
                 out: Path) -> tuple[list[Hotspot], list[Hotspot]]:
     """Testing pool, with the training pool as its leading prefix so that
-    trained letters keep their identity at test time."""
+    trained letters keep their identity at test time. The pool is sampled
+    on every run; ``pools.json`` is written when absent and, when
+    present, must record this run's seed, user mean, mission and channel
+    and then equal the sampled pool."""
     path = out / "pools.json"
-    if path.exists():
-        testing = load_artifact(path, pool_from_dict, {
+    testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
+                          cfg.mean_users, cfg.mission, cfg.channel)
+    current = pool_to_dict(testing, cfg.pool_seed, cfg.mean_users,
+                           cfg.mission, cfg.channel)
+    if not path.exists():
+        write_json_atomic(path, current)
+    elif load_artifact(path, pool_from_dict, {
             "seed": cfg.pool_seed, "mean_users": cfg.mean_users,
-            "mission": asdict(cfg.mission), "channel": asdict(cfg.channel)})
-        _check_recorded(path, "hotspot count", len(testing),
-                        cfg.testing_pool_size)
-    else:
-        testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
-                              cfg.mean_users, cfg.mission, cfg.channel)
-        write_json_atomic(path, pool_to_dict(testing, cfg.pool_seed,
-                                             cfg.mean_users, cfg.mission,
-                                             cfg.channel))
+            "mission": asdict(cfg.mission),
+            "channel": asdict(cfg.channel)}) != testing:
+        _check_equal(path, read_json(path), current, "this run samples")
     return testing, testing[:cfg.training_pool_size]
 
 
@@ -421,12 +478,19 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
         size = cfg.train_instance_size
 
         def from_record(k: int, d: dict) -> Instance:
-            if len(d["ids"]) != size:
+            ids = d["ids"]
+            if len(ids) != size:
                 raise ConfigurationError(
-                    f"record holds {len(d['ids'])} hotspot ids, but "
+                    f"record holds {len(ids)} hotspot ids, but "
                     f"train_instance_size is {size}")
-            return instance_from_record(d, cfg.train_seed_base + k, by_id,
-                                        cfg.depot, cfg.channel, cfg.mission)
+            try:
+                hotspots = tuple(by_id[i] for i in ids)
+            except KeyError as e:
+                raise ConfigurationError(f"hotspot id {e.args[0]!r} is not "
+                                         "in the training pool") from None
+            return Instance(hotspots=hotspots, depot_m=cfg.depot,
+                            channel=cfg.channel, mission=cfg.mission,
+                            seed=cfg.train_seed_base + k)
 
         return load_headed_jsonl(path, INSTANCES_SCHEMA, header,
                                  cfg.m_training, from_record)
@@ -438,13 +502,8 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
     ]
     write_jsonl_atomic(path, itertools.chain(
         [{"schema": INSTANCES_SCHEMA, **header}],
-        (instance_record(i) for i in instances)))
+        ({"ids": list(i.ids)} for i in instances)))
     return instances
-
-
-def _solve_one(args) -> Tour:
-    inst, weights = args
-    return solve(inst, weights)
 
 
 def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
@@ -458,17 +517,11 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
         return load_headed_jsonl(
             path, TOURS_SCHEMA, header, len(instances),
             lambda k, d: make_tour(d["order"], instances[k], cfg.weights))
-    if cfg.workers > 1:
-        # imported here: it loads multiprocessing, which workers=1 never uses
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            tours = list(pool.map(_solve_one,
-                                  ((i, cfg.weights) for i in instances),
-                                  chunksize=64))
-    else:
-        tours = [solve(i, cfg.weights) for i in instances]
+    tours = _map(solve, ((i,) for i in instances), (cfg.weights,),
+                 cfg.workers, chunksize=64)
     write_jsonl_atomic(path, itertools.chain(
-        [{"schema": TOURS_SCHEMA, **header}], (tour_record(t) for t in tours)))
+        [{"schema": TOURS_SCHEMA, **header}],
+        ({"order": list(t.order)} for t in tours)))
     return tours
 
 
@@ -510,33 +563,26 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
         return wm
     recorded = read_json(path)
     _check_header(path, recorded, {"noise_config": asdict(cfg.noise)})
-    found = _first_difference(recorded, current)
-    if found is not None:
-        key, was, now = found
-        note = ""
-        if key.split(".")[0] == "words":
-            note = " (word list fingerprints {} and {})".format(*(
-                hashlib.sha256(_canonical_json(d.get("words")).encode())
-                .hexdigest() for d in (recorded, current)))
-        raise ConfigurationError(
-            f"{path} holds {key} {_excerpt(was)}, but the demonstrations "
-            f"and the training pool give {_excerpt(now)}{note}; delete it "
-            "and run again to regenerate it")
+    _check_equal(path, recorded, current,
+                 "the demonstrations and the training pool give")
     return wm
 
 
 def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              tours: Sequence[Tour], out: Path) -> QTable:
+    """The Q-table ``train_q`` makes of the demonstrations. Its file also
+    records the fingerprint of the training pairs; a reused file must
+    record this run's weights, Q-learning config and fingerprint."""
     path = out / "qtable.json"
     training = list(zip(instances, tours))
+    fingerprint = training_fingerprint(training)
     if path.exists():
-        q = load_artifact(path, qtable_from_dict, {
-            "weights": asdict(cfg.weights), "config": asdict(cfg.ql)})
-        _check_recorded(path, "training fingerprint", q.fingerprint,
-                        training_fingerprint(training))
-        return q
+        return load_artifact(path, qtable_from_dict, {
+            "weights": asdict(cfg.weights), "config": asdict(cfg.ql),
+            "fingerprint": fingerprint})
     q = train_q(training, cfg.ql, cfg.weights, cfg.ql_train_seed)
-    write_json_atomic(path, qtable_to_dict(q, cfg.ql, cfg.weights))
+    write_json_atomic(path, {**qtable_to_dict(q, cfg.ql, cfg.weights),
+                             "fingerprint": fingerprint})
     return q
 
 
@@ -566,7 +612,7 @@ def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
     t0 = time.perf_counter()
     oracle_tour = solve(inst, cfg.weights)
     oracle_wall = time.perf_counter() - t0
-    oracle_word = word_from_tour(oracle_tour)
+    oracle_word = Word(oracle_tour.order)
 
     t0 = time.perf_counter()
     plan = plan_mission(inst, wm, cfg.planner, cfg.weights)
@@ -598,21 +644,6 @@ def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
     return rows, artifacts
 
 
-# Set once in each eval worker process by its pool initializer, so the world
-# model, Q-table and config are sent once per worker rather than per task.
-_worker_shared: tuple[WorldModel, QTable, ExperimentConfig] | None = None
-
-
-def _init_eval_worker(wm: WorldModel, qtable: QTable,
-                      cfg: ExperimentConfig) -> None:
-    global _worker_shared
-    _worker_shared = (wm, qtable, cfg)
-
-
-def _evaluate_in_worker(task: tuple[str, Instance]):
-    return _evaluate_one(*task, *_worker_shared)
-
-
 def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
                qtable: QTable, out: Path) -> list[MetricsRecord]:
     """Run the three methods on every test instance. Its record is
@@ -631,17 +662,8 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
                       {key: value for key, value in record.items()
                        if key not in ("output_dir", "workers")})
         return read_metrics(path)
-    tasks = list(iter_test_instances(cfg, testing_pool))
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers,
-                                 initializer=_init_eval_worker,
-                                 initargs=(wm, qtable, cfg)) as pool:
-            results = list(pool.map(_evaluate_in_worker, tasks, chunksize=1))
-    else:
-        results = [_evaluate_one(iid, inst, wm, qtable, cfg)
-                   for iid, inst in tasks]
-
+    results = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
+                   (wm, qtable, cfg), cfg.workers, chunksize=1)
     write_json_atomic(out / "config.json", record)
     rows: list[MetricsRecord] = []
     for task_rows, artifacts in results:

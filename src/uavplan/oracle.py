@@ -31,13 +31,12 @@ memory of a 20,000-demonstration run from 99.9 to 142.0 MB (62.7 to
 74.8 MB on 5,000 demonstrations with 30-50 hotspot test instances); built
 per call, it is garbage as soon as the call returns (99.6 and 62.8 MB).
 
-A demonstration is written as a ``tour_record``, its order alone: the
-demonstrations file records the weights once, in its header, and a reused
-demonstration is rebuilt as ``make_tour(order, instance, weights)``, the
-call ``solve`` ends with, so its totals are computed on one path (see
-``harness``). Each evaluated test tour is a self-contained
-``uavplan.tour.v1`` object (``tour_to_dict``: order, totals and weights),
-which ``tour_from_dict`` reads.
+A demonstration is stored by ``harness`` as its order alone, under one
+weights header, and a reused demonstration is rebuilt as
+``make_tour(order, instance, weights)``, the call ``solve`` ends with, so
+its totals are computed on one path. Each evaluated test tour is a
+self-contained ``uavplan.tour.v1`` object (``tour_to_dict``: order, totals
+and weights), which ``tour_from_dict`` reads.
 """
 
 from __future__ import annotations
@@ -312,17 +311,10 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
     return g.tour(list(best_order), inst, w)
 
 
-def tour_record(t: Tour) -> dict:
-    """One record of a ``uavplan.tours.v4`` file: the order; its totals
-    follow from the instance and the weights in the file header (see
-    ``harness``)."""
-    return {"order": list(t.order)}
-
-
 def tour_to_dict(t: Tour, w: ObjectiveWeights) -> dict:
     """A self-contained ``uavplan.tour.v1`` object: the order, the totals,
     the schema and the weights."""
-    return {"schema": "uavplan.tour.v1", **tour_record(t),
+    return {"schema": "uavplan.tour.v1", "order": list(t.order),
             "total_cost_m": t.total_cost_m,
             "total_profit_bps": t.total_profit_bps, "objective": t.objective,
             "weights": asdict(w)}

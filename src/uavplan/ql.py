@@ -68,7 +68,6 @@ class QTrainConfig:
 class QTable:
     values: dict[tuple[int, int], float]
     letters: set[int]
-    fingerprint: str = ""
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, self.values.values())):
@@ -99,8 +98,7 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
     if not training:
         raise TrainingError("no training instances for Q-learning")
     rng = np.random.default_rng(rng_seed)
-    table = QTable(values={}, letters=set(),
-                   fingerprint=training_fingerprint(training))
+    table = QTable(values={}, letters=set())
     prepared = []
     for inst, demo in training:
         cost_scale, profit_scale = instance_scales(inst)
@@ -225,7 +223,6 @@ def qtable_to_dict(q: QTable, cfg: QTrainConfig,
         "schema": "uavplan.qtable.v1",
         "values": [[s, a, v] for (s, a), v in sorted(q.values.items())],
         "letters": sorted(q.letters),
-        "fingerprint": q.fingerprint,
         "config": asdict(cfg),
         "weights": asdict(weights),
     }
@@ -235,5 +232,4 @@ def qtable_from_dict(d: dict) -> QTable:
     return QTable(
         values={(int(s), int(a)): float(v) for s, a, v in d["values"]},
         letters=set(int(x) for x in d["letters"]),
-        fingerprint=str(d.get("fingerprint", "")),
     )

@@ -201,13 +201,28 @@ class TestPipeline:
         assert qtable["weights"] == asdict(weights)
 
     def test_parallel_workers_match_serial(self, tmp_path):
+        """Every artifact but timings.csv and config.json (which records
+        ``workers``) has the same bytes at workers 1 and 2."""
         serial = small_config(tmp_path / "s", workers=1)
         parallel = small_config(tmp_path / "p", workers=2)
         run_pipeline(serial)
         run_pipeline(parallel)
-        a = (tmp_path / "s" / "metrics.csv").read_bytes()
-        b = (tmp_path / "p" / "metrics.csv").read_bytes()
+        a = _artifact_bytes(tmp_path / "s")
+        b = _artifact_bytes(tmp_path / "p")
+        del a["config.json"], b["config.json"]
         assert a == b
+
+    def test_one_hotspot_test_instances(self, tmp_path):
+        """Test instances of one hotspot are allowed: every method visits
+        it, so the three rows of each instance have similarity 1.0."""
+        cfg = small_config(tmp_path / "one", test_sizes=(1,),
+                           seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        rows = read_metrics(tmp_path / "one" / "metrics.csv")
+        assert sorted(r.method for r in rows) == ["ain", "mql", "oracle"]
+        assert all(r.similarity_to_oracle == 1.0 for r in rows)
 
 
 class TestFirstDifference:
@@ -268,8 +283,9 @@ class TestReport:
         cfg = small_config(tmp_path / "run")
         run_pipeline(cfg)
         out = Path(cfg.output_dir)
-        f = next(iter(sorted((out / "trajectories").glob("*_oracle.csv"))))
-        rows = list(csv.DictReader(f.open()))
+        path = next(iter(sorted((out / "trajectories").glob("*_oracle.csv"))))
+        with path.open() as f:
+            rows = list(csv.DictReader(f))
         assert rows[0] == rows[-1]  # depot anchors both ends
 
 
@@ -748,6 +764,63 @@ class TestCli:
         assert code == 2
         assert err.startswith("configuration error:")
         assert str(tmp_path / "d" / "world_model.json") in err and named in err
+
+    @pytest.mark.parametrize("count", [
+        pytest.param("1e400", id="1e400"),
+        pytest.param("1" + "0" * 400, id="10**400")])
+    def test_world_model_with_overflowing_count_exits_2(self, tmp_path,
+                                                        capsys, count):
+        """A stored word count too large for a float, written as a float
+        literal or as an integer, exits 2 naming the model given to
+        ``plan``."""
+        cfg = small_config(tmp_path / "d", test_sizes=(5,), seeds_per_size=1)
+        run_pipeline(cfg)
+        model = tmp_path / "d" / "world_model.json"
+        obj = json.loads(model.read_text())
+        obj["words"][0]["count"] = "COUNT"
+        model.write_text(json.dumps(obj).replace('"COUNT"', count))
+        capsys.readouterr()
+        assert cli_main(["plan", "--model", str(model), "--instance",
+                         str(tmp_path / "d" / "instances" / "s005k000.json"),
+                         "--trace", str(tmp_path / "trace.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(model) in err and "OverflowError" in err
+
+    def test_weights_that_skip_every_hotspot_exit_2(self, tmp_path, capsys):
+        """At weights 1.0/0.0 the oracle visits no hotspot, so there are no
+        words to learn from: exit 2 with the reason, not a traceback."""
+        cfg = small_config(tmp_path / "k", test_sizes=(5,), seeds_per_size=1,
+                           weights=ObjectiveWeights(1.0, 0.0))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateWordError:")
+
+    def test_reused_pool_with_other_hotspots_exits_2(self, tmp_path, capsys):
+        """A reused pools.json must equal the pool its seed samples, not
+        only record the seed and config: a testing-pool hotspot with
+        another center and profit exits 2 naming the file and the first
+        field that differs, although metrics.csv is deleted, so that eval
+        would run on the damaged pool."""
+        cfg = small_config(tmp_path / "p", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "p" / "pools.json"
+        obj = json.loads(path.read_text())
+        spot = obj["hotspots"][54]
+        assert spot["id"] == 55 > cfg.training_pool_size
+        spot["profit_bps"] *= 2
+        spot["center_m"][0] += 10.0
+        path.write_text(json.dumps(obj))
+        (tmp_path / "p" / "metrics.csv").unlink()
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(path) in err and "hotspots.54.center_m.0" in err
 
     def test_world_model_with_another_word_count_exits_2(self, tmp_path,
                                                          capsys):

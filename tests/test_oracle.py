@@ -267,7 +267,7 @@ class TestBenchmarkContracts:
     benchmark."""
 
     PUBLIC = ("brute_force", "instance_scales", "make_tour", "objective_value",
-              "solve", "tour_from_dict", "tour_record", "tour_to_dict")
+              "solve", "tour_from_dict", "tour_to_dict")
 
     def test_public_functions_unchanged(self):
         from uavplan import oracle

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from uavplan.environment import Hotspot, Instance, edge_cost
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
-                        qtable_to_dict, train_q, training_fingerprint)
+                        qtable_to_dict, train_q)
 from uavplan.errors import ConfigurationError, TrainingError
 from uavplan.oracle import (ObjectiveWeights, Tour, instance_scales,
                             make_tour, solve)
@@ -48,8 +48,7 @@ def ref_train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
     if not training:
         raise TrainingError("no training instances for Q-learning")
     rng = np.random.default_rng(rng_seed)
-    table = QTable(values={}, letters=set(),
-                   fingerprint=training_fingerprint(training))
+    table = QTable(values={}, letters=set())
     prepared = []
     for inst, demo in training:
         cost_scale, profit_scale = _instance_scales(inst)
