@@ -95,13 +95,13 @@ def cmd_plan(args) -> int:
     """Plan one instance with the config's planner settings and weights;
     ``--n-words``/``--seed`` override the planner settings."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    inst = load_artifact(Path(args.instance), instance_from_dict)
-    wm = load_artifact(Path(args.model), model_from_dict)
     planner = cfg.planner
     if args.n_words is not None:
         planner = replace(planner, n_words=args.n_words)
     if args.seed is not None:
         planner = replace(planner, rng_seed=args.seed)
+    inst = load_artifact(Path(args.instance), instance_from_dict)
+    wm = load_artifact(Path(args.model), model_from_dict)
     result = plan_mission(inst, wm, planner, cfg.weights)
     trace = plan_to_dict(result)
     if args.trace:

@@ -26,7 +26,8 @@ records are:
 - the weights, demonstrations and Q-learning config behind the Q-table;
 - ``config.json``, the whole config behind ``metrics.csv`` and the
   eval's other outputs (``tours/``, ``traces/``, ``instances/``), which
-  the report is made from.
+  the report is made from; ``metrics.csv`` must then hold the rows
+  (method, instance id, size) that this config's eval writes, in order.
 
 ``output_dir`` and ``workers`` are never part of such a check.
 
@@ -60,7 +61,8 @@ which costs more than reloading the file (0.5-0.6 s against 0.19 s for
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config: its JSON form is their ``asdict``, and reading one back
-takes every default from them and rejects any key they do not declare.
+takes every default from them and rejects any key they do not declare
+and any value whose JSON type does not fit the key's declared type.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar, get_type_hints
+from typing import (Callable, Iterable, Sequence, TypeVar, get_args, get_origin,
+                    get_type_hints)
 
 import json
 
@@ -88,7 +91,7 @@ from .oracle import (ObjectiveWeights, Tour, make_tour, solve, tour_from_dict,
                      tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import (QTable, QTrainConfig, construct_word, qtable_from_dict,
-                 qtable_to_dict, train_q, training_fingerprint)
+                 qtable_to_dict, train_q)
 from .world_model import NoiseConfig, Word, WorldModel, learn, model_to_dict
 
 METRICS_SCHEMA = "uavplan.metrics.v1"
@@ -132,6 +135,16 @@ class ExperimentConfig:
             raise ConfigurationError("need at least one example per stage")
         if self.train_instance_size < 2:
             raise ConfigurationError("training instances need >= 2 hotspots")
+        for name in ("pool_seed", "train_seed_base", "test_seed_base",
+                     "ql_train_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, not {getattr(self, name)}")
+        if not self.test_sizes:
+            raise ConfigurationError("test_sizes must name at least one size")
+        if len(set(self.test_sizes)) != len(self.test_sizes):
+            raise ConfigurationError(f"test_sizes {list(self.test_sizes)} "
+                                     "names a size twice")
         if any(s < 1 for s in self.test_sizes):
             raise ConfigurationError("test sizes must be >= 1")
         if self.workers < 1:
@@ -186,11 +199,31 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {"schema": CONFIG_SCHEMA, **asdict(cfg)}
 
 
+def _fits(value, hint) -> bool:
+    """Whether the JSON value ``value`` fits the declared type ``hint``: an
+    int takes an integer and a float any number (neither takes a bool), a
+    tuple a list (or tuple) of fitting items, and a union what one of its
+    members takes."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if args:
+        return any(_fits(value, member) for member in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _dataclass_from_dict(cls, d, prefix: str = ""):
     """Build dataclass ``cls`` from the keys present in ``d``; defaults come
     from the dataclass. Nested dataclass fields recurse, JSON lists become
     tuples (the config's sequences are tuples), and a key that is not a
-    field is an error naming its dotted path."""
+    field, or whose value does not fit the field's type (``_fits``), is an
+    error naming its dotted path."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"config {prefix.rstrip('.') or 'root'} "
                                  "must be a JSON object")
@@ -200,8 +233,14 @@ def _dataclass_from_dict(cls, d, prefix: str = ""):
     for key, value in d.items():
         if key not in names:
             raise ConfigurationError(f"unknown config key {prefix}{key}")
-        if is_dataclass(hints[key]):
-            value = _dataclass_from_dict(hints[key], value, f"{prefix}{key}.")
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = _dataclass_from_dict(hint, value, f"{prefix}{key}.")
+        elif not _fits(value, hint):
+            raise ConfigurationError(
+                f"config key {prefix}{key} must be of type "
+                f"{str(hint) if get_args(hint) else hint.__name__}, "
+                f"not {_excerpt(value)}")
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
@@ -568,6 +607,15 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
     return wm
 
 
+def _training_fingerprint(training) -> str:
+    """sha256 of the training pairs' instance seeds and demonstrated
+    orders, sorted by seed."""
+    payload = json.dumps(sorted((inst.seed, list(demo.order))
+                                for inst, demo in training),
+                         separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              tours: Sequence[Tour], out: Path) -> QTable:
     """The Q-table ``train_q`` makes of the demonstrations. Its file also
@@ -575,7 +623,7 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
     record this run's weights, Q-learning config and fingerprint."""
     path = out / "qtable.json"
     training = list(zip(instances, tours))
-    fingerprint = training_fingerprint(training)
+    fingerprint = _training_fingerprint(training)
     if path.exists():
         return load_artifact(path, qtable_from_dict, {
             "weights": asdict(cfg.weights), "config": asdict(cfg.ql),
@@ -649,7 +697,9 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
     """Run the three methods on every test instance. Its record is
     ``config.json``, this run's config, written just before its outputs;
     a reused ``metrics.csv`` needs one that equals this run's config in
-    every key but ``output_dir`` and ``workers``."""
+    every key but ``output_dir`` and ``workers``, and must hold the rows
+    this config's eval writes: each test instance's method, id and size,
+    in eval order."""
     path = out / "metrics.csv"
     record = config_to_dict(cfg)
     if path.exists():
@@ -661,7 +711,19 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
         _check_header(path, load_artifact(config_path, dict),
                       {key: value for key, value in record.items()
                        if key not in ("output_dir", "workers")})
-        return read_metrics(path)
+        rows = read_metrics(path)
+        want = [(method, test_instance_id(size, k), size)
+                for size in cfg.test_sizes for k in range(cfg.seeds_per_size)
+                for method in METHODS]
+        for n, (have, need) in enumerate(itertools.zip_longest(
+                [(r.method, r.instance_id, r.n_hotspots) for r in rows], want),
+                start=1):
+            if have != need:
+                raise ConfigurationError(
+                    f"{path} row {n} holds {_excerpt(have)}, but this run's "
+                    f"eval writes {_excerpt(need)} there; delete it and run "
+                    "again to regenerate it")
+        return rows
     results = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
                    (wm, qtable, cfg), cfg.workers, chunksize=1)
     write_json_atomic(out / "config.json", record)

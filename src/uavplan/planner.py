@@ -34,19 +34,22 @@ target only by d/v in time. The surprise is therefore
 monotone in d, i.e. the planner performs cheapest insertion
 (Rosenkrantz, Stearns & Lewis 1977). The two covariances, and so
 (S^-1)_tt and const, depend only on p, Q and R, so one table entry per
-reference length holds all four, each covariance validated once when
-the entry is made; every instance planned against one world model
-shares the table (``PlanContext.surprise_terms``). A step builds no
-belief: it records its target mean beside the entry's covariances,
-scores its candidates from their detours alone (legs measured as
-``edge_cost`` measures them) and splices only the winner into a new
-word. A candidate is a plain record of its removed edge (u, v), tour
-length, surprise and detour time. A reader recovers its word by
-splicing the step's letter into the step's reference right after u, or
-in front when u is the depot (None); the first step's reference is the
-plan's, every later one the previous step's word. Its predicted
-observation is the step's shared ``observation`` with the mean moved by
-(0, detour time).
+reference length holds (S^-1)_tt and const, both covariances validated
+once when the entry is made; every instance planned against one world
+model shares the table (``PlanContext.surprise_terms``). A step builds
+no belief: it scores its candidates from their detours alone (legs
+measured as ``edge_cost`` measures them) and splices only the winner
+into a new word. It records only what the decision compared: the target
+mean, the reference tour length L, k = (1/8)(S^-1)_tt / v^2 and c =
+const, and each candidate's removed edge (u, v) and detour d. The rest
+follows by the operations ``insert_best`` scores with: the candidate's
+tour length L + d, its surprise max(k d d + c, 0) and its detour time
+d / v; the target covariance (p+2)Q (Q for p = 0) and the observation
+covariance (p+2)Q + R; its word, the step's letter spliced into the
+step's reference right after u, or in front when u is the depot (None),
+the first step's reference being the plan's and every later one the
+previous step's word; and its predicted observation, the target mean
+moved by (0, d / v) with the observation covariance.
 
 Reference selection needs the exact minimum edit distance of each
 candidate to the dictionary. Stored words are repeat-free, so
@@ -115,39 +118,28 @@ class GaussianBelief:
 
 class PlanCandidate(NamedTuple):
     """One tentative insertion of the step's letter into ``removed_edge``
-    of the reference word, and its score: the candidate's tour length, its
-    surprise and ``detour_s``, the detour's travel time."""
+    of the reference word, and the detour it adds to the reference tour."""
 
     removed_edge: tuple[int | None, int | None]
-    tour_length_m: float
-    surprise: float
-    detour_s: float
+    detour_m: float
 
 
 @dataclass(frozen=True)
 class InsertionStep:
-    """Trace of one planning iteration: the target belief's mean and the
-    two covariances of its reference length (``PlanContext``), all
-    candidates plus the winner, and ``word``, the reference grown by the
-    winner. ``target`` and ``observation``, the belief every candidate
-    predicts before its detour, are built from them on access."""
+    """Trace of one planning iteration: the target belief's mean, the
+    reference tour length ``ref_length_m`` (L), the surprise terms
+    ``surprise_k`` and ``surprise_c`` (a candidate with detour d scores
+    max(k d d + c, 0) and has tour length L + d), all candidates plus the
+    winner, and ``word``, the reference grown by the winner."""
 
     inserted: int
     target_mean: tuple[float, float]
-    target_cov: np.ndarray
-    observation_cov: np.ndarray
+    ref_length_m: float
+    surprise_k: float
+    surprise_c: float
     candidates: tuple[PlanCandidate, ...]
     winner_index: int
     word: Word
-
-    @property
-    def target(self) -> GaussianBelief:
-        return GaussianBelief(mean=np.array(self.target_mean), cov=self.target_cov)
-
-    @property
-    def observation(self) -> GaussianBelief:
-        return GaussianBelief(mean=np.array(self.target_mean),
-                              cov=self.observation_cov)
 
     @property
     def chosen(self) -> PlanCandidate:
@@ -162,6 +154,8 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.n_words < 1:
             raise ConfigurationError("need at least one generated word")
+        if self.rng_seed < 0:
+            raise ConfigurationError(f"rng_seed must be >= 0, not {self.rng_seed}")
 
 
 @dataclass
@@ -171,14 +165,14 @@ class PlanContext:
     Profit estimates come from the world model for known letters and from
     the instance itself for unseen ones; centers always come from the
     instance being planned. ``surprise_terms`` maps a reference length p
-    to what ``insert_best`` needs of p, Q and R alone: the target
-    covariance (p+2)Q (Q for p = 0), the observation covariance
-    (p+2)Q + R, and the (S^-1)_tt and const it scores with. An entry is
-    made on first use of its p, with both covariances validated as
-    belief covariances and stored read-only; an entry that fails is not
-    stored. A context built by ``from_instance`` shares its world model's
-    table, so all instances planned against one model fill one table; a
-    context built directly starts its own.
+    to what ``insert_best`` needs of p, Q and R alone: the (S^-1)_tt and
+    const of the target covariance (p+2)Q (Q for p = 0) and the
+    observation covariance (p+2)Q + R. An entry is made on first use of
+    its p, after both covariances are validated as belief covariances;
+    an entry that fails is not stored. A context built by
+    ``from_instance`` shares its world model's table, so all instances
+    planned against one model fill one table; a context built directly
+    starts its own.
     """
 
     centers: dict[int, tuple[float, float]]
@@ -187,7 +181,7 @@ class PlanContext:
     mission: MissionConfig
     process_noise: np.ndarray
     measurement_noise: np.ndarray
-    surprise_terms: dict[int, tuple[np.ndarray, np.ndarray, float, float]] = field(
+    surprise_terms: dict[int, tuple[float, float]] = field(
         default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -450,13 +444,11 @@ def expected_surprise(ref_belief: GaussianBelief,
     return max(0.125 * float(diff @ inverse @ diff) + const, 0.0)
 
 
-def _surprise_entry(p: int, ctx: PlanContext
-                    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _surprise_entry(p: int, ctx: PlanContext) -> tuple[float, float]:
     """The ``ctx.surprise_terms`` entry of reference length p, made on
-    first use: the target covariance, the observation covariance, and the
-    (S^-1)_tt and const of the pair. A covariance that is not one, or a
-    persistently singular pair, raises ``NumericError`` and stores
-    nothing."""
+    first use: the (S^-1)_tt and const of the target and observation
+    covariances. A covariance that is not one, or a persistently singular
+    pair, raises ``NumericError`` and stores nothing."""
     terms = ctx.surprise_terms.get(p)
     if terms is None:
         q = ctx.process_noise
@@ -464,9 +456,7 @@ def _surprise_entry(p: int, ctx: PlanContext
         target = GaussianBelief(mean=zero, cov=(p + 2 if p else 1) * q)
         obs = GaussianBelief(mean=zero, cov=(p + 2) * q + ctx.measurement_noise)
         inverse, const = _bhattacharyya_terms(target.cov, obs.cov)
-        target.cov.flags.writeable = obs.cov.flags.writeable = False
-        terms = ctx.surprise_terms[p] = (target.cov, obs.cov,
-                                         float(inverse[1, 1]), const)
+        terms = ctx.surprise_terms[p] = (float(inverse[1, 1]), const)
     return terms
 
 
@@ -481,7 +471,7 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     adds the detour d = |ux| + |xv| - |uv|, so that candidate predicts the
     observation target mean + (0, d/v) with covariance (p+2)Q + R, shared
     by all candidates. Its surprise is
-    max((1/8) (d/v)^2 (S^-1)_tt + const, 0), where both covariances,
+    max(k d d + c, 0) with k = (1/8) (S^-1)_tt / v^2 and c = const, where
     (S^-1)_tt and const depend only on p, Q and R: they are made for the
     first step with p reference letters and read from
     ``ctx.surprise_terms`` after that. Its tour length is L + d. The
@@ -493,8 +483,8 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     depot-to-depot leg of an empty one. One pass over them scores every
     candidate from its detour; candidate words are spliced only to break
     a tie in both surprise and length, and the winner is the one word
-    built. The step records the target mean, the entry's two covariances
-    and the candidates; it builds no belief.
+    built. The step records the target mean, L, k, c and each
+    candidate's removed edge and detour; it builds no belief.
     """
     letters = ref.letters
     letter = int(novel)
@@ -502,7 +492,7 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
         raise ConfigurationError(f"letter {novel} already in reference")
     p = len(letters)
     speed = ctx.mission.uav_speed_m_per_s
-    target_cov, obs_cov, inverse_tt, const = _surprise_entry(p, ctx)
+    inverse_tt, const = _surprise_entry(p, ctx)
     per_detour_sq = 0.125 * inverse_tt / (speed * speed)
     # stops[k] -> stops[k + 1] is leg k of the reference tour, closing at
     # the depot; None marks the depot. Legs are edge_cost inlined.
@@ -532,8 +522,7 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
         detour = to_x[k] + to_x[nxt] - legs[k]
         length = ref_length + detour
         surprise = max(per_detour_sq * detour * detour + const, 0.0)
-        candidates.append(PlanCandidate((stops[k], stops[nxt]), length,
-                                        surprise, detour / speed))
+        candidates.append(PlanCandidate((stops[k], stops[nxt]), detour))
         if k > first:
             tol = _SURPRISE_TIE * (1.0 + abs(best_s))
             if surprise < best_s - tol:
@@ -547,8 +536,8 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
         if best_k == k:
             best_s, best_len = surprise, length
     return InsertionStep(inserted=novel, target_mean=target_mean,
-                         target_cov=target_cov, observation_cov=obs_cov,
-                         candidates=tuple(candidates),
+                         ref_length_m=ref_length, surprise_k=per_detour_sq,
+                         surprise_c=const, candidates=tuple(candidates),
                          winner_index=best_k - first,
                          word=Word(_splice(letters, best_k, letter)))
 
@@ -562,6 +551,7 @@ class PlanResult:
     steps: list[InsertionStep]
     final_word: Word
     tour: Tour
+    context: PlanContext            # the speed and noise the steps used
 
 
 def _next_novel(word: Word, pending: list[int], ctx: PlanContext) -> int:
@@ -612,36 +602,31 @@ def plan_mission(test: Instance, wm: WorldModel,
     tour = make_tour(word.letters, test, weights or ObjectiveWeights())
     return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
                       generated=generated, reference=reference, steps=steps,
-                      final_word=word, tour=tour)
+                      final_word=word, tour=tour, context=ctx)
 
 
 def plan_to_dict(res: PlanResult) -> dict:
-    """The plan as a ``uavplan.plan.v2`` trace: every fact a decision rests
-    on and nothing that the other fields determine (see the module
-    docstring for how a candidate's word and predicted observation are
-    recovered)."""
+    """The plan as a ``uavplan.plan.v3`` trace: what each decision compared
+    and nothing that the other fields determine (see the module docstring
+    for how a candidate's tour length, surprise, detour time, word and
+    predicted observation, and a step's covariances, are recovered)."""
+    ctx = res.context
     return {
-        "schema": "uavplan.plan.v2",
-        "normal": list(res.normal),
-        "novel": list(res.novel),
+        "schema": "uavplan.plan.v3",
+        "speed_m_per_s": ctx.mission.uav_speed_m_per_s,
+        "process_noise": ctx.process_noise.tolist(),
+        "measurement_noise": ctx.measurement_noise.tolist(),
         "generated": [list(w.letters) for w in res.generated],
         "reference": list(res.reference.letters),
         "steps": [
             {
                 "inserted": s.inserted,
-                "target": {"mean": list(s.target_mean),
-                           "cov": s.target_cov.tolist()},
-                "observation_cov": s.observation_cov.tolist(),
+                "target_mean": list(s.target_mean),
+                "ref_length_m": s.ref_length_m,
+                "surprise_k": s.surprise_k,
+                "surprise_c": s.surprise_c,
                 "winner_index": s.winner_index,
-                "candidates": [
-                    {
-                        "removed_edge": list(c.removed_edge),
-                        "tour_length_m": c.tour_length_m,
-                        "surprise": c.surprise,
-                        "detour_s": c.detour_s,
-                    }
-                    for c in s.candidates
-                ],
+                "detours_m": [c.detour_m for c in s.candidates],
             }
             for s in res.steps
         ],

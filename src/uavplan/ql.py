@@ -26,8 +26,6 @@ memory reason given in ``oracle``.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -75,13 +73,6 @@ class QTable:
 
     def q(self, state: int, action: int) -> float:
         return self.values.get((state, action), 0.0)
-
-
-def training_fingerprint(training) -> str:
-    payload = json.dumps(sorted((inst.seed, list(demo.order))
-                                for inst, demo in training),
-                         separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,

@@ -199,12 +199,12 @@ class WorldModel:
         return WordIndex.build(self.words, self.vocab)
 
     @cached_property
-    def surprise_terms(self) -> dict[int, tuple]:
-        """The planner's table of covariances and surprise terms per
+    def surprise_terms(self) -> dict[int, tuple[float, float]]:
+        """The planner's table of surprise terms, (S^-1)_tt and const, per
         reference length for this model's noise (see
-        ``planner.PlanContext``), filled as planning
-        needs it. It is derived state: not serialized, and stale if the
-        noise matrices are changed later."""
+        ``planner.PlanContext``), filled as planning needs it. It is
+        derived state: not serialized, and stale if the noise matrices are
+        changed later."""
         return {}
 
 

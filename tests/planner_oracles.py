@@ -1,9 +1,10 @@
 """Test-side oracles for the planner: helpers the planner no longer needs.
 
 ``insert_best`` scores each candidate from its detour and records only
-its removed edge, tour length, surprise and detour time, and
-``plan_to_dict`` writes exactly that (``uavplan.plan.v2``). The helpers
-here rebuild the rest the long way, for the tests to check against:
+what the step compared: the target mean, the reference tour length, the
+surprise terms k and c, and each candidate's removed edge and detour.
+``plan_to_dict`` writes that less the removed edges (``uavplan.plan.v3``).
+The helpers here rebuild the rest, for the tests to check against:
 
 - ``reference_edges`` and ``enumerate_insertions`` list the removable
   edges of a reference word and the word each insertion makes;
@@ -14,8 +15,15 @@ here rebuild the rest the long way, for the tests to check against:
   closed form;
 - ``leg_length`` and ``word_length_m`` are a context's leg and closed word
   lengths;
-- ``expand_v1`` turns a v2 trace back into the ``uavplan.plan.v1`` trace,
-  which also held every candidate's word and predicted observation;
+- ``candidate_values`` (``step_values`` for all of a step's candidates)
+  and ``step_covariances`` are a candidate's tour length, surprise and
+  detour time and a step's two covariances, by the float operations
+  ``insert_best`` computes them with;
+- ``expand_v2`` turns a v3 trace back into the ``uavplan.plan.v2`` trace,
+  which also held those values and each candidate's removed edge, and
+  ``expand_v1`` turns a v2 trace (or a v3 one, through ``expand_v2``)
+  back into the ``uavplan.plan.v1`` trace, which also held every
+  candidate's word and predicted observation;
 - ``random_insertion_contexts`` are seeded planning contexts with
   correlated noise, over references of 0 to 12 letters;
 - ``ref_generate_words`` is the word sampler that calls
@@ -137,9 +145,79 @@ def rollout(word: Word, ctx: PlanContext,
     return _advance(b, leg_length(ctx, letters[-1], None), 0.0, 0.0, ctx)
 
 
+def candidate_values(ref_length_m: float, k: float, c: float,
+                     detour_m: float, speed: float) -> tuple[float, float, float]:
+    """(tour length, surprise, detour time) of a candidate with detour d
+    in a step with reference tour length L and surprise terms k and c:
+    L + d, max(k d d + c, 0) and d / v, as ``insert_best`` computes them."""
+    return (ref_length_m + detour_m, max(k * detour_m * detour_m + c, 0.0),
+            detour_m / speed)
+
+
+def step_values(step, speed: float) -> list[tuple[float, float, float]]:
+    """``candidate_values`` of every candidate of an ``InsertionStep``."""
+    return [candidate_values(step.ref_length_m, step.surprise_k,
+                             step.surprise_c, c.detour_m, speed)
+            for c in step.candidates]
+
+
+def step_covariances(p: int, process_noise,
+                     measurement_noise) -> tuple[np.ndarray, np.ndarray]:
+    """The target covariance (p+2)Q (Q for an empty reference) and the
+    observation covariance (p+2)Q + R of a step with a p-letter
+    reference."""
+    q = np.array(process_noise, float)
+    return ((p + 2 if p else 1) * q,
+            (p + 2) * q + np.array(measurement_noise, float))
+
+
+def expand_v2(trace: dict) -> dict:
+    """The ``uavplan.plan.v2`` trace rebuilt from a ``uavplan.plan.v3`` one
+    alone.
+
+    ``normal`` is the sorted ``reference`` and ``novel`` the steps'
+    ``inserted``. Each step gets back its ``target`` covariance and
+    ``observation_cov`` (``step_covariances`` of its reference length and
+    the trace's noise), and each candidate its ``removed_edge`` (the
+    removable edges of the step's reference, in ``insert_best``'s order)
+    and its ``tour_length_m``, ``surprise`` and ``detour_s``
+    (``candidate_values``). The first step's reference is the trace's
+    ``reference``, every later one the previous step's winning word.
+    """
+    assert trace["schema"] == "uavplan.plan.v3"
+    speed = trace["speed_m_per_s"]
+    reference = tuple(trace["reference"])
+    steps = []
+    for step in trace["steps"]:
+        target_cov, obs_cov = step_covariances(
+            len(reference), trace["process_noise"], trace["measurement_noise"])
+        insertions = enumerate_insertions(Word(reference), step["inserted"])
+        candidates = []
+        for (edge, _), detour in zip(insertions, step["detours_m"], strict=True):
+            length, surprise, detour_s = candidate_values(
+                step["ref_length_m"], step["surprise_k"], step["surprise_c"],
+                detour, speed)
+            candidates.append({"removed_edge": list(edge),
+                               "tour_length_m": length, "surprise": surprise,
+                               "detour_s": detour_s})
+        steps.append({"inserted": step["inserted"],
+                      "target": {"mean": step["target_mean"],
+                                 "cov": target_cov.tolist()},
+                      "observation_cov": obs_cov.tolist(),
+                      "winner_index": step["winner_index"],
+                      "candidates": candidates})
+        reference = insertions[step["winner_index"]][1].letters
+    v2 = {key: value for key, value in trace.items() if key not in
+          ("speed_m_per_s", "process_noise", "measurement_noise")}
+    return {**v2, "schema": "uavplan.plan.v2",
+            "normal": sorted(trace["reference"]),
+            "novel": [step["inserted"] for step in trace["steps"]],
+            "steps": steps}
+
+
 def expand_v1(trace: dict) -> dict:
     """The ``uavplan.plan.v1`` trace rebuilt from a ``uavplan.plan.v2`` one
-    alone.
+    alone; a ``uavplan.plan.v3`` one is first expanded by ``expand_v2``.
 
     Each candidate gets back its ``word``, the step's reference with the
     inserted letter spliced into its removed edge, and its
@@ -147,6 +225,8 @@ def expand_v1(trace: dict) -> dict:
     step's ``observation_cov``. The first step's reference is the trace's
     ``reference``, every later one the previous step's winning word.
     """
+    if trace["schema"] == "uavplan.plan.v3":
+        trace = expand_v2(trace)
     assert trace["schema"] == "uavplan.plan.v2"
     reference = tuple(trace["reference"])
     steps = []

@@ -24,7 +24,7 @@ from uavplan.planner import PlannerConfig
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
 
-from planner_oracles import expand_v1
+from planner_oracles import expand_v1, expand_v2
 
 PINNED = Path(__file__).parent / "data" / "small_run_sha256.json"
 
@@ -332,8 +332,8 @@ class TestHeadedJsonl:
         """Every artifact but timings.csv has its pinned bytes. The eval's
         outputs were pinned from a run of the one-object-per-line format
         and have kept their bytes since. Traces were pinned as
-        ``uavplan.plan.v1``, so each trace is hashed as ``expand_v1``
-        rebuilds it; world_model.json's hash is that of its
+        ``uavplan.plan.v1``, so each trace is hashed as ``expand_v2`` and
+        then ``expand_v1`` rebuild it; world_model.json's hash is that of its
         ``uavplan.world_model.v3`` bytes, and the two header-plus-records
         files are pinned as ``uavplan.instances.v3`` and
         ``uavplan.tours.v4``."""
@@ -346,7 +346,8 @@ class TestHeadedJsonl:
                 for p in out.rglob("*") if p.is_file()}
         del have["timings.csv"]
         for path in (out / "traces").glob("*.json"):
-            v1 = _canonical_json(expand_v1(json.loads(path.read_text()))) + "\n"
+            v1 = _canonical_json(
+                expand_v1(expand_v2(json.loads(path.read_text())))) + "\n"
             have[f"traces/{path.name}"] = hashlib.sha256(v1.encode()).hexdigest()
         assert have == want
 
@@ -486,20 +487,50 @@ class TestCli:
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["report", "--config", str(cfg_path)]) == 2
 
-    @pytest.mark.parametrize("text,named", [
-        pytest.param("{oops", "broken.json", id="broken-json"),
-        pytest.param('{"m_trainng": 7}', "m_trainng", id="m_trainng"),
+    @pytest.mark.parametrize("text,named,command", [
+        pytest.param("{oops", "broken.json", ["gen-pool"], id="broken-json"),
+        pytest.param('{"m_trainng": 7}', "m_trainng", ["gen-pool"],
+                     id="m_trainng"),
         pytest.param('{"planner": {"n_word": 3}}', "planner.n_word",
-                     id="planner.n_word"),
+                     ["gen-pool"], id="planner.n_word"),
         pytest.param('{"mission": {"time_slot_s": 1.0}}',
-                     "mission.time_slot_s", id="mission.time_slot_s"),
-        pytest.param('{"depot_m": []}', "depot_m", id="depot_m")])
-    def test_bad_config_exits_2(self, tmp_path, capsys, text, named):
+                     "mission.time_slot_s", ["gen-pool"],
+                     id="mission.time_slot_s"),
+        pytest.param('{"depot_m": []}', "depot_m", ["gen-pool"], id="depot_m"),
+        pytest.param('{"planner": {"rng_seed": -1}}', "rng_seed", ["gen-pool"],
+                     id="planner.rng_seed"),
+        pytest.param('{"pool_seed": -3}', "pool_seed", ["gen-pool"],
+                     id="pool_seed"),
+        pytest.param("{}", "rng_seed",
+                     ["plan", "--instance", "i.json", "--model", "m.json",
+                      "--seed", "-1"], id="plan--seed"),
+        pytest.param('{"m_training": 20.5}', "m_training", ["gen-pool"],
+                     id="m_training"),
+        pytest.param('{"seeds_per_size": 1.0}', "seeds_per_size",
+                     ["gen-pool"], id="seeds_per_size"),
+        pytest.param('{"ql": {"episodes": 10.5}}', "ql.episodes",
+                     ["gen-pool"], id="ql.episodes"),
+        pytest.param('{"planner": {"n_words": 2.5}}', "planner.n_words",
+                     ["gen-pool"], id="planner.n_words"),
+        pytest.param('{"workers": 1.5}', "workers", ["gen-pool"],
+                     id="workers"),
+        pytest.param('{"workers": true}', "workers", ["gen-pool"],
+                     id="workers-bool"),
+        pytest.param('{"test_sizes": [5, 7.0]}', "test_sizes", ["gen-pool"],
+                     id="test_sizes-float"),
+        pytest.param('{"test_sizes": []}', "test_sizes", ["gen-pool"],
+                     id="test_sizes-empty"),
+        pytest.param('{"test_sizes": [5, 5]}', "test_sizes", ["gen-pool"],
+                     id="test_sizes-repeated")])
+    def test_bad_config_exits_2(self, tmp_path, capsys, text, named, command):
         """A corrupt config, one with a key the dataclasses do not declare,
-        or an invalid value exits 2 naming the file or the key."""
+        a value of another JSON type than the key's (a float or a bool for
+        an integer) or an invalid value, such as a negative seed or a test
+        size named twice, exits 2 naming the file or the key; so does an
+        invalid ``plan`` override, before any artifact is read."""
         p = tmp_path / "broken.json"
         p.write_text(text)
-        assert cli_main(["gen-pool", "--config", str(p)]) == 2
+        assert cli_main(command + ["--config", str(p)]) == 2
         assert named in capsys.readouterr().err
 
     def test_show_config_round_trips(self, tmp_path, capsys):
@@ -893,6 +924,31 @@ class TestCli:
         assert str(tmp_path / "t" / "oracle_tours.jsonl") in err
         assert f"with {key} " in err
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda lines: lines[:-2], id="last-two-rows-deleted"),
+        pytest.param(lambda lines: lines[:3] + [
+            lines[3].replace("ain,s005k000,5,", "ain,s005k000,6,")] + lines[4:],
+            id="n_hotspots")])
+    def test_reused_metrics_with_other_rows_exits_2(self, tmp_path, capsys,
+                                                     edit):
+        """A reused metrics.csv must hold the rows this config's eval
+        writes, in eval order: with the last two of its three rows deleted,
+        or with the ain row's n_hotspots changed from 5 to 6, the re-run
+        exits 2 naming the file and row 2, the first that differs."""
+        cfg = small_config(tmp_path / "m", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "m" / "metrics.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 5 and lines[3].startswith("ain,s005k000,5,")
+        path.write_text("".join(edit(lines)))
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert f"{path} row 2 holds " in err
+
     def test_refused_run_leaves_config_json(self, tmp_path, capsys):
         """config.json is the eval's record, written with its outputs: a
         re-run that exits 2 leaves it as it was; ``report`` with other
@@ -974,12 +1030,12 @@ class TestCli:
                        "--trace", str(trace)])
         assert rc == 0 and trace.exists()
         data = json.loads(trace.read_text())
-        assert data["schema"] == "uavplan.plan.v2"
+        assert data["schema"] == "uavplan.plan.v3"
 
     def test_plan_command_without_trace_prints_only_json(self, tmp_path,
                                                          capsys):
-        """Without --trace the trace is stdout's only content, and the
-        summary line goes to stderr."""
+        """Without --trace the trace is stdout's only content, a v3 trace
+        that expands to v2, and the summary line goes to stderr."""
         cfg = small_config(tmp_path / "so", test_sizes=(7,), seeds_per_size=1)
         run_pipeline(cfg)
         out = Path(cfg.output_dir)
@@ -988,8 +1044,11 @@ class TestCli:
                          str(out / "instances" / "s007k000.json"),
                          "--model", str(out / "world_model.json")]) == 0
         captured = capsys.readouterr()
-        assert (json.loads(captured.out)
-                == json.loads((out / "traces/s007k000_ain.json").read_text()))
+        trace = json.loads(captured.out)
+        assert trace["schema"] == "uavplan.plan.v3"
+        assert expand_v2(trace)["schema"] == "uavplan.plan.v2"
+        assert trace == json.loads(
+            (out / "traces/s007k000_ain.json").read_text())
         assert captured.err.startswith("word: [")
 
     def test_pipeline_command(self, tmp_path):

@@ -18,7 +18,8 @@ from uavplan.world_model import NoiseConfig, Vocabulary, Word, learn
 from planner_oracles import (NOVEL, enumerate_insertions, kalman_predict,
                              leg_length, predict_observation,
                              random_insertion_contexts, reference_edges,
-                             rollout, word_length_m)
+                             rollout, step_covariances, step_values,
+                             word_length_m)
 from world_model_oracles import GeneralizedLetter
 
 
@@ -466,18 +467,20 @@ class TestClosedFormAgainstRollout:
         for ref, ctx in random_insertion_contexts():
             step = insert_best(ref, NOVEL, ctx)
             want, target, rows = rollout_insertion(ref, NOVEL, ctx)
+            target_cov, obs_cov = step_covariances(
+                len(ref), ctx.process_noise, ctx.measurement_noise)
 
-            assert np.allclose(step.target.mean, target.mean, rtol=self.REL, atol=0)
-            assert np.allclose(step.target.cov, target.cov, rtol=self.REL, atol=0)
+            assert np.allclose(step.target_mean, target.mean, rtol=self.REL, atol=0)
+            assert np.allclose(target_cov, target.cov, rtol=self.REL, atol=0)
             assert len(step.candidates) == len(rows)
-            for c, (s, length, obs) in zip(step.candidates, rows):
+            for (length, surprise, detour_s), (s, want_length, obs) in zip(
+                    step_values(step, ctx.mission.uav_speed_m_per_s), rows):
                 candidates += 1
-                assert c.surprise == pytest.approx(s, rel=self.REL)
-                assert c.tour_length_m == pytest.approx(length, rel=1e-12)
-                assert np.allclose(step.observation.mean + [0.0, c.detour_s],
+                assert surprise == pytest.approx(s, rel=self.REL)
+                assert length == pytest.approx(want_length, rel=1e-12)
+                assert np.allclose(np.add(step.target_mean, [0.0, detour_s]),
                                    obs.mean, rtol=self.REL, atol=0)
-                assert np.allclose(step.observation.cov, obs.cov,
-                                   rtol=self.REL, atol=0)
+                assert np.allclose(obs_cov, obs.cov, rtol=self.REL, atol=0)
             # the winner is the rollout's, unless the two are tied within
             # the rollout's own rounding
             surprises = [r[0] for r in rows]
@@ -615,9 +618,10 @@ class TestPlanMission:
         res = plan_mission(inst, wm, PlannerConfig(rng_seed=1))
         assert len(res.steps) == len(res.novel)
         for step in res.steps:
-            assert step.chosen.surprise == min(c.surprise for c in step.candidates)
-            assert all(c.surprise is not None and c.surprise >= 0
-                       for c in step.candidates)
+            surprises = [s for _, s, _ in step_values(
+                step, inst.mission.uav_speed_m_per_s)]
+            assert surprises[step.winner_index] == min(surprises)
+            assert all(s >= 0 for s in surprises)
 
     def test_deterministic(self, trained):
         chan, mission, testing_pool, wm = trained

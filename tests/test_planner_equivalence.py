@@ -3,10 +3,11 @@
 The ``ref_*`` functions below are the earlier implementations, kept
 verbatim as the test oracle (only their names, the names of the
 candidate and step classes they build, some docstrings, how
-``ref_enumerate_insertions`` builds a spliced word from its letters, and
+``ref_enumerate_insertions`` builds a spliced word from its letters,
 that ``ref_insert_best`` shifts a belief with the test-side ``shifted``
 and measures legs and words with the test-side ``leg_length`` and
-``word_length_m`` differ):
+``word_length_m``, and that ``ref_complete`` gives its plan the context
+it planned in differ):
 
 - ``ref_insert_best`` builds a spliced ``Word``, a copied candidate and a
   shifted belief for every candidate and breaks ties on the candidates'
@@ -26,8 +27,8 @@ The production planner must sample the same words and make the same
 decisions, and report them with the same float bits, on random and
 lattice geometry and on every full-scale test instance, whatever other
 world models were planned against in the same process; its
-``uavplan.plan.v2`` trace, expanded by ``expand_v1``, must be the v1
-trace byte for byte.
+``uavplan.plan.v3`` trace, expanded by ``expand_v2`` and then
+``expand_v1``, must be the v1 trace byte for byte.
 """
 
 import json
@@ -55,9 +56,10 @@ from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
                                  WorldModel, learn, model_from_dict,
                                  model_to_dict)
 
-from planner_oracles import (NOVEL, candidate_word, expand_v1, leg_length,
-                             random_insertion_contexts, ref_generate_words,
-                             reference_edges, shifted, word_length_m)
+from planner_oracles import (NOVEL, candidate_word, expand_v1, expand_v2,
+                             leg_length, random_insertion_contexts,
+                             ref_generate_words, reference_edges, shifted,
+                             step_covariances, step_values, word_length_m)
 
 
 # --- reference: every candidate spliced, every distance a full table -----------
@@ -239,7 +241,7 @@ def ref_complete(reference: Word, generated: list[Word], normal: frozenset[int],
     tour = make_tour(word.letters, test, weights or ObjectiveWeights())
     return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
                       generated=generated, reference=reference, steps=steps,
-                      final_word=word, tour=tour)
+                      final_word=word, tour=tour, context=ctx)
 
 
 def _belief_to_dict(b: GaussianBelief) -> dict:
@@ -312,20 +314,28 @@ def _step_fields(step) -> list[str]:
     return out
 
 
-def _as_reference_step(step, ref: Word) -> RefInsertionStep:
-    """A production step with each candidate's word and predicted
-    observation rebuilt from the reference, its removed edge, the step's
-    shared observation and its detour time."""
+def _as_reference_step(step, ref: Word, ctx: PlanContext) -> RefInsertionStep:
+    """A production step planned in ``ctx`` with its target belief and
+    each candidate's word, tour length, surprise and predicted observation
+    rebuilt from the reference, the context's speed and noise, the step's
+    terms and the candidate's removed edge and detour."""
+    target_cov, obs_cov = step_covariances(len(ref), ctx.process_noise,
+                                           ctx.measurement_noise)
+    mean = np.array(step.target_mean)
+    obs = GaussianBelief(mean=mean, cov=obs_cov)
     return RefInsertionStep(
-        inserted=step.inserted, target=step.target,
+        inserted=step.inserted,
+        target=GaussianBelief(mean=mean, cov=target_cov),
         winner_index=step.winner_index,
         candidates=tuple(RefPlanCandidate(
             word=candidate_word(ref.letters, c.removed_edge, step.inserted),
             removed_edge=c.removed_edge, inserted=step.inserted,
-            tour_length_m=c.tour_length_m,
-            predicted_obs=shifted(step.observation,
-                                  np.array([0.0, c.detour_s])),
-            surprise=c.surprise) for c in step.candidates))
+            tour_length_m=length,
+            predicted_obs=shifted(obs, np.array([0.0, detour_s])),
+            surprise=surprise)
+            for c, (length, surprise, detour_s) in zip(
+                step.candidates,
+                step_values(step, ctx.mission.uav_speed_m_per_s))))
 
 
 def _tie_decided(step) -> bool:
@@ -373,7 +383,7 @@ class TestInsertBestAgainstReference:
             ref, novel = Word.from_letters(ids[:p]), ids[p]
             want = ref_insert_best(ref, novel, ctx)
             got = insert_best(ref, novel, ctx)
-            assert (_step_fields(_as_reference_step(got, ref))
+            assert (_step_fields(_as_reference_step(got, ref, ctx))
                     == _step_fields(want))
             assert got.word == want.chosen.word
             ties += _tie_decided(want)
@@ -542,7 +552,7 @@ class TestPlanAgainstReference:
             cfg = PlannerConfig(n_words=10, rng_seed=s)
             got = plan_to_dict(plan_mission(inst, wm, cfg, weights))
             want = ref_plan_to_dict(ref_plan_mission(inst, wm, cfg, weights))
-            assert (json.dumps(expand_v1(got), sort_keys=True)
+            assert (json.dumps(expand_v1(expand_v2(got)), sort_keys=True)
                     == json.dumps(want, sort_keys=True))
             assert math.isfinite(got["tour"]["total_cost_m"])
 
@@ -563,21 +573,23 @@ class TestPlanAgainstReference:
         """One insertion in each random context of the closed-form tests,
         empty and one-letter references included, written as a one-step
         plan."""
-        def one_step_plan(ref, step, word):
+        def one_step_plan(ref, step, word, ctx):
             tour = Tour(order=word.letters, total_cost_m=0.0,
                         total_profit_bps=0.0, objective=0.0)
-            return PlanResult(normal=(), novel=(NOVEL,), generated=[],
-                              reference=ref, steps=[step], final_word=word,
-                              tour=tour)
+            return PlanResult(normal=tuple(sorted(ref.letters)),
+                              novel=(NOVEL,), generated=[], reference=ref,
+                              steps=[step], final_word=word, tour=tour,
+                              context=ctx)
 
         sizes = set()
         for ref, ctx in random_insertion_contexts():
             got = insert_best(ref, NOVEL, ctx)
             want = ref_insert_best(ref, NOVEL, ctx)
-            assert (json.dumps(expand_v1(plan_to_dict(
-                        one_step_plan(ref, got, got.word))), sort_keys=True)
+            assert (json.dumps(expand_v1(expand_v2(plan_to_dict(
+                        one_step_plan(ref, got, got.word, ctx)))),
+                        sort_keys=True)
                     == json.dumps(ref_plan_to_dict(one_step_plan(
-                        ref, want, want.chosen.word)), sort_keys=True))
+                        ref, want, want.chosen.word, ctx)), sort_keys=True))
             sizes.add(len(ref))
         assert {0, 1} <= sizes
 
@@ -616,7 +628,8 @@ class TestSurpriseTermsTable:
         for inst, (got, _) in zip(instances, together):
             want = ref_plan_to_dict(ref_plan_mission(inst, a, cfg,
                                                      ObjectiveWeights()))
-            assert (json.dumps(expand_v1(json.loads(got)), sort_keys=True)
+            assert (json.dumps(expand_v1(expand_v2(json.loads(got))),
+                               sort_keys=True)
                     == json.dumps(want, sort_keys=True))
 
     def test_direct_contexts_keep_their_own_table(self):
@@ -627,7 +640,8 @@ class TestSurpriseTermsTable:
         for ref, ctx in random_insertion_contexts(seed=29, trials=60):
             got = insert_best(ref, NOVEL, ctx)
             want = ref_insert_best(ref, NOVEL, ctx)
-            assert ([c.surprise for c in got.candidates]
+            assert ([s for _, s, _ in step_values(
+                        got, ctx.mission.uav_speed_m_per_s)]
                     == [c.surprise for c in want.candidates])
             assert list(ctx.surprise_terms) == [len(ref)]
             tables.append(ctx.surprise_terms)
