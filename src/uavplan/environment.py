@@ -276,16 +276,12 @@ def hotspot_from_dict(d: dict) -> Hotspot:
                    num_users=int(d["num_users"]), profit_bps=float(d["profit_bps"]))
 
 
-def pool_to_dict(pool: Sequence[Hotspot], seed: int, mean_users: float,
-                 area: MissionConfig, chan: ChannelParams) -> dict:
-    return {
-        "schema": "uavplan.pool.v1",
-        "seed": seed,
-        "mean_users": mean_users,
-        "mission": asdict(area),
-        "channel": asdict(chan),
-        "hotspots": [hotspot_to_dict(h) for h in pool],
-    }
+POOL_SCHEMA = "uavplan.pool.v2"
+
+
+def pool_to_dict(pool: Sequence[Hotspot]) -> dict:
+    return {"schema": POOL_SCHEMA,
+            "hotspots": [hotspot_to_dict(h) for h in pool]}
 
 
 def pool_from_dict(d: dict) -> list[Hotspot]:

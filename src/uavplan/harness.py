@@ -11,43 +11,52 @@ are cheap enough to compute on every run and whose files are checked
 exports. A reused artifact must match the record of what it was computed
 from, or the run stops with a configuration error naming the file and
 both values. This module alone writes, rebuilds and checks these
-records, and it alone spreads work over worker processes (``_map``). The
-records are:
+records, and it alone spreads work over worker processes (``_map``).
 
-- the pool, which is sampled on every run: ``pools.json`` is its export
-  and must record this run's seed, user mean, mission and channel and
-  then hold exactly the sampled hotspots;
-- the training instances' header;
-- the weights of the demonstrations, and the instances they solved;
-- the world model, which is learned on every run: ``world_model.json``
-  is its export and must record this run's noise config and then hold
-  exactly what ``learn`` makes of the demonstrations and the training
-  pool;
-- the weights, demonstrations and Q-learning config behind the Q-table;
+A stage's record is the config values it is computed from: one table,
+``_READS``, gives each stage its upstream stages and the config keys it
+reads itself, and ``_record`` joins the keys along the chain, upstream
+keys first (a verifying trace in the sense of Mokhov, Mitchell & Peyton
+Jones, *Build systems a la carte*, ICFP 2018, that holds the values
+themselves). Every reuse record is derived from it:
+
+- ``pools.json`` (``uavplan.pool.v2``): the pool is sampled on every run,
+  and the file is its export; it must hold the schema and the pools
+  record (``pool_seed``, ``mean_users``, ``mission``, ``channel``) and
+  then exactly the sampled hotspots;
+- the training instances' header (below);
+- the demonstrations' header (below), which records the pools and
+  training instances records plus ``depot_m`` and ``weights``;
+- ``qtable.json`` (``uavplan.qtable.v2``): the fingerprint of the
+  training pairs, checked first, then the demonstrations' record plus
+  ``ql`` and ``ql_train_seed``;
 - ``config.json``, the whole config behind ``metrics.csv`` and the
   eval's other outputs (``tours/``, ``traces/``, ``instances/``), which
-  the report is made from; ``metrics.csv`` must then hold the rows
-  (method, instance id, size) that this config's eval writes, in order.
+  the report is made from; it must hold the eval's record, every key but
+  ``output_dir`` and ``workers``, and ``metrics.csv`` must then hold the
+  rows (method, instance id, size) that this config's eval writes, in
+  order.
 
-``output_dir`` and ``workers`` are never part of such a check.
+The world model is learned on every run: ``world_model.json`` is its
+export and must record this run's noise config and then hold exactly
+what ``learn`` makes of the demonstrations and the training pool.
 
 The training instances and their demonstrations are JSON-lines files
-with a header: the first line holds the schema and what every record
-shares, and each following line holds one record. A record holds only
-what nothing else determines; the rest is rebuilt from the header, the
+with a header: the first line holds the schema and the stage's record,
+and each following line holds one record. A record holds only what
+nothing else determines; the rest is rebuilt from the config, the
 record's place in the file and the upstream artifacts.
 
-- ``training_instances.jsonl`` (``uavplan.instances.v3``): the header
-  records ``channel``, ``mission``, ``depot_m``, ``training_pool_size``,
-  ``train_instance_size``, ``train_seed_base`` and ``m_training``; record
-  k is ``{"ids"}``, rebuilt against the training pool of ``pools.json``
-  with seed ``train_seed_base + k``.
-- ``oracle_tours.jsonl`` (``uavplan.tours.v4``): the header records the
-  ``weights`` and what the solved instances were drawn from: the
-  training instances' header plus the pool's ``pool_seed`` and
-  ``mean_users``; record k is a tour's ``{"order"}``, rebuilt as
-  ``make_tour(order, instance k, weights)``, the call ``solve`` ends
-  with, so a reused demonstration equals the solved one bit for bit.
+- ``training_instances.jsonl`` (``uavplan.instances.v4``): the header
+  records ``training_pool_size``, ``train_instance_size``,
+  ``train_seed_base`` and ``m_training``, which alone determine the ids;
+  record k is ``{"ids"}``, rebuilt against the training pool of
+  ``pools.json`` with this run's depot, channel and mission and seed
+  ``train_seed_base + k``.
+- ``oracle_tours.jsonl`` (``uavplan.tours.v5``): record k is a tour's
+  ``{"order"}``, rebuilt as ``make_tour(order, instance k, weights)``,
+  the call ``solve`` ends with, so a reused demonstration equals the
+  solved one bit for bit.
 
 A file with another schema (such as an older one-object-per-line file),
 a header that differs from the config, a record count other than the
@@ -83,23 +92,24 @@ from typing import (Callable, Iterable, Sequence, TypeVar, get_args, get_origin,
 
 import json
 
-from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
-                          instance_from_dict, instance_to_dict, pool_from_dict,
-                          pool_to_dict, sample_instance, sample_pool)
+from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
+                          MissionConfig, instance_from_dict, instance_to_dict,
+                          pool_from_dict, pool_to_dict, sample_instance,
+                          sample_pool)
 from .errors import ConfigurationError
 from .oracle import (ObjectiveWeights, Tour, make_tour, solve, tour_from_dict,
                      tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
-from .ql import (QTable, QTrainConfig, construct_word, qtable_from_dict,
-                 qtable_to_dict, train_q)
+from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
+                 qtable_from_dict, qtable_to_dict, train_q)
 from .world_model import NoiseConfig, Word, WorldModel, learn, model_to_dict
 
 METRICS_SCHEMA = "uavplan.metrics.v1"
 METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
                    "completion_time_s", "tour_length_m", "similarity_to_oracle"]
 METHODS = ("oracle", "ain", "mql")
-INSTANCES_SCHEMA = "uavplan.instances.v3"
-TOURS_SCHEMA = "uavplan.tours.v4"
+INSTANCES_SCHEMA = "uavplan.instances.v4"
+TOURS_SCHEMA = "uavplan.tours.v5"
 
 T = TypeVar("T")
 
@@ -223,7 +233,8 @@ def _dataclass_from_dict(cls, d, prefix: str = ""):
     from the dataclass. Nested dataclass fields recurse, JSON lists become
     tuples (the config's sequences are tuples), and a key that is not a
     field, or whose value does not fit the field's type (``_fits``), is an
-    error naming its dotted path."""
+    error naming its dotted path; a value that a nested dataclass's own
+    check rejects is an error naming that dataclass's section."""
     if not isinstance(d, dict):
         raise ConfigurationError(f"config {prefix.rstrip('.') or 'root'} "
                                  "must be a JSON object")
@@ -244,7 +255,12 @@ def _dataclass_from_dict(cls, d, prefix: str = ""):
         elif isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigurationError as e:
+        if not prefix:
+            raise
+        raise ConfigurationError(f"config {prefix.rstrip('.')}: {e}") from None
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -366,15 +382,14 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T],
 
 def _check_header(path: Path, recorded: dict, want: dict) -> None:
     """A reused artifact must record what this run would compute it from:
-    each key of ``want``, in ``want``'s order and in JSON form (so a tuple
-    equals the list it is written as); a key that ``recorded`` lacks
-    counts as null. ``recorded`` must be a JSON object. A mismatch is a
-    configuration error naming the file, the key and both values."""
+    each key of the JSON object ``want``, in ``want``'s order; a key that
+    ``recorded`` lacks counts as null. ``recorded`` must be a JSON object.
+    A mismatch is a configuration error naming the file, the key and both
+    values."""
     if not isinstance(recorded, dict):
         raise ConfigurationError(f"{path} holds {_excerpt(recorded)}, not a "
                                  "JSON object; delete it and run again")
     for key, value in want.items():
-        value = json.loads(_canonical_json(value))
         if recorded.get(key) != value:
             raise ConfigurationError(
                 f"{path} was computed with {key} "
@@ -403,23 +418,24 @@ def _check_equal(path: Path, recorded, current, source: str) -> None:
         f"{note}; delete it and run again to regenerate it")
 
 
-def load_headed_jsonl(path: Path, schema: str, want: dict, count: int,
+def load_headed_jsonl(path: Path, want: dict, count: int,
                       from_record: Callable[[int, dict], T]) -> list[T]:
     """Read a JSON-lines artifact with a header and build its records.
 
-    The first line must hold ``schema`` and record ``want`` (see
-    ``_check_header``), and ``count`` records must follow. Record k
-    (counted from 0) is built with ``from_record(k, record)``. Another
-    schema, a header that differs from ``want``, another record count and
-    a malformed record are configuration errors that name the file, and
-    for a record the line."""
+    The first line must hold ``want``'s schema and record the rest of
+    ``want`` (see ``_check_header``), and ``count`` records must follow.
+    Record k (counted from 0) is built with ``from_record(k, record)``.
+    Another schema, a header that differs from ``want``, another record
+    count and a malformed record are configuration errors that name the
+    file, and for a record the line."""
     lines = read_jsonl(path)
     header = lines[0] if lines else None
     found = header.get("schema") if isinstance(header, dict) else None
-    if found != schema:
+    if found != want["schema"]:
         raise ConfigurationError(
-            f"{path} has schema {found!r}, not {schema!r} (an older format "
-            "or not this artifact); delete it and run again to regenerate it")
+            f"{path} has schema {found!r}, not {want['schema']!r} (an older "
+            "format or not this artifact); delete it and run again to "
+            "regenerate it")
     _check_header(path, header, want)
     records = lines[1:]
     if len(records) != count:
@@ -472,37 +488,50 @@ def _map(fn: Callable[..., T], tasks: Iterable[tuple], shared: tuple,
 
 # --- pipeline stages ----------------------------------------------------------
 
+# What each stage reads: the stages it is computed from, and the config
+# keys it reads itself. Every reuse record is derived from it (``_record``).
+_READS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "pools": ((), ("pool_seed", "mean_users", "mission", "channel")),
+    # the ids depend on nothing else; reused, an instance takes this run's
+    # pool, depot, channel and mission
+    "training_instances": ((), ("training_pool_size", "train_instance_size",
+                                "train_seed_base", "m_training")),
+    "oracle": (("pools", "training_instances"), ("depot_m", "weights")),
+    "world": (("oracle",), ("noise",)),
+    "ql": (("oracle",), ("ql", "ql_train_seed")),
+    "eval": (("world", "ql"), ("testing_pool_size", "planner", "test_sizes",
+                               "seeds_per_size", "test_seed_base")),
+}
+
+
+def _record(cfg: ExperimentConfig, stage: str) -> dict:
+    """The config values ``stage`` is computed from, in JSON form: the keys
+    that ``_READS`` gives it and every stage upstream of it, each once,
+    upstream keys first."""
+    upstream, own = _READS[stage]
+    record = {}
+    for name in upstream:
+        record.update(_record(cfg, name))
+    config = json.loads(_canonical_json(asdict(cfg)))
+    return {**record, **{key: config[key] for key in own}}
+
+
 def stage_pools(cfg: ExperimentConfig,
                 out: Path) -> tuple[list[Hotspot], list[Hotspot]]:
     """Testing pool, with the training pool as its leading prefix so that
     trained letters keep their identity at test time. The pool is sampled
     on every run; ``pools.json`` is written when absent and, when
-    present, must record this run's seed, user mean, mission and channel
-    and then equal the sampled pool."""
+    present, must hold its record and then equal the sampled pool."""
     path = out / "pools.json"
     testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
                           cfg.mean_users, cfg.mission, cfg.channel)
-    current = pool_to_dict(testing, cfg.pool_seed, cfg.mean_users,
-                           cfg.mission, cfg.channel)
+    record = {"schema": POOL_SCHEMA, **_record(cfg, "pools")}
+    current = {**record, **pool_to_dict(testing)}
     if not path.exists():
         write_json_atomic(path, current)
-    elif load_artifact(path, pool_from_dict, {
-            "seed": cfg.pool_seed, "mean_users": cfg.mean_users,
-            "mission": asdict(cfg.mission),
-            "channel": asdict(cfg.channel)}) != testing:
+    elif load_artifact(path, pool_from_dict, record) != testing:
         _check_equal(path, read_json(path), current, "this run samples")
     return testing, testing[:cfg.training_pool_size]
-
-
-def _instances_header(cfg: ExperimentConfig) -> dict:
-    """What every training instance is drawn from besides its seed."""
-    return {"channel": asdict(cfg.channel),
-            "mission": asdict(cfg.mission),
-            "depot_m": list(cfg.depot),
-            "training_pool_size": cfg.training_pool_size,
-            "train_instance_size": cfg.train_instance_size,
-            "train_seed_base": cfg.train_seed_base,
-            "m_training": cfg.m_training}
 
 
 def stage_training_instances(cfg: ExperimentConfig, training_pool,
@@ -511,7 +540,7 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
     the training pool; reused, each is rebuilt from its ids and that
     seed."""
     path = out / "training_instances.jsonl"
-    header = _instances_header(cfg)
+    header = {"schema": INSTANCES_SCHEMA, **_record(cfg, "training_instances")}
     if path.exists():
         by_id = {h.id: h for h in training_pool}
         size = cfg.train_instance_size
@@ -531,8 +560,7 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
                             channel=cfg.channel, mission=cfg.mission,
                             seed=cfg.train_seed_base + k)
 
-        return load_headed_jsonl(path, INSTANCES_SCHEMA, header,
-                                 cfg.m_training, from_record)
+        return load_headed_jsonl(path, header, cfg.m_training, from_record)
     instances = [
         sample_instance(cfg.train_seed_base + k, training_pool,
                         cfg.train_instance_size, cfg.depot, cfg.channel,
@@ -540,8 +568,7 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
         for k in range(cfg.m_training)
     ]
     write_jsonl_atomic(path, itertools.chain(
-        [{"schema": INSTANCES_SCHEMA, **header}],
-        ({"ids": list(i.ids)} for i in instances)))
+        [header], ({"ids": list(i.ids)} for i in instances)))
     return instances
 
 
@@ -550,17 +577,15 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
     """Demonstration k solves training instance k; reused, it is rebuilt
     from its order as ``solve`` builds it."""
     path = out / "oracle_tours.jsonl"
-    header = {"weights": asdict(cfg.weights), **_instances_header(cfg),
-              "pool_seed": cfg.pool_seed, "mean_users": cfg.mean_users}
+    header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
     if path.exists():
         return load_headed_jsonl(
-            path, TOURS_SCHEMA, header, len(instances),
+            path, header, len(instances),
             lambda k, d: make_tour(d["order"], instances[k], cfg.weights))
     tours = _map(solve, ((i,) for i in instances), (cfg.weights,),
                  cfg.workers, chunksize=64)
     write_jsonl_atomic(path, itertools.chain(
-        [{"schema": TOURS_SCHEMA, **header}],
-        ({"order": list(t.order)} for t in tours)))
+        [header], ({"order": list(t.order)} for t in tours)))
     return tours
 
 
@@ -619,18 +644,17 @@ def _training_fingerprint(training) -> str:
 def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              tours: Sequence[Tour], out: Path) -> QTable:
     """The Q-table ``train_q`` makes of the demonstrations. Its file also
-    records the fingerprint of the training pairs; a reused file must
-    record this run's weights, Q-learning config and fingerprint."""
+    holds the fingerprint of the training pairs and its record; a reused
+    file must hold this run's fingerprint, checked first, and record."""
     path = out / "qtable.json"
     training = list(zip(instances, tours))
-    fingerprint = _training_fingerprint(training)
+    record = {"schema": QTABLE_SCHEMA,
+              "fingerprint": _training_fingerprint(training),
+              **_record(cfg, "ql")}
     if path.exists():
-        return load_artifact(path, qtable_from_dict, {
-            "weights": asdict(cfg.weights), "config": asdict(cfg.ql),
-            "fingerprint": fingerprint})
+        return load_artifact(path, qtable_from_dict, record)
     q = train_q(training, cfg.ql, cfg.weights, cfg.ql_train_seed)
-    write_json_atomic(path, {**qtable_to_dict(q, cfg.ql, cfg.weights),
-                             "fingerprint": fingerprint})
+    write_json_atomic(path, {**record, **qtable_to_dict(q)})
     return q
 
 
@@ -694,14 +718,12 @@ def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
 
 def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
                qtable: QTable, out: Path) -> list[MetricsRecord]:
-    """Run the three methods on every test instance. Its record is
-    ``config.json``, this run's config, written just before its outputs;
-    a reused ``metrics.csv`` needs one that equals this run's config in
-    every key but ``output_dir`` and ``workers``, and must hold the rows
-    this config's eval writes: each test instance's method, id and size,
-    in eval order."""
+    """Run the three methods on every test instance. ``config.json``, this
+    run's config, is written just before its outputs; a reused
+    ``metrics.csv`` needs one that holds the eval's record, and must hold
+    the rows this config's eval writes: each test instance's method, id
+    and size, in eval order."""
     path = out / "metrics.csv"
-    record = config_to_dict(cfg)
     if path.exists():
         config_path = out / "config.json"
         if not config_path.exists():
@@ -709,8 +731,7 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
                 f"{path} has no {config_path} to record the config it was "
                 "computed with; remove it or use another output_dir")
         _check_header(path, load_artifact(config_path, dict),
-                      {key: value for key, value in record.items()
-                       if key not in ("output_dir", "workers")})
+                      {"schema": CONFIG_SCHEMA, **_record(cfg, "eval")})
         rows = read_metrics(path)
         want = [(method, test_instance_id(size, k), size)
                 for size in cfg.test_sizes for k in range(cfg.seeds_per_size)
@@ -726,7 +747,7 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
         return rows
     results = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
                    (wm, qtable, cfg), cfg.workers, chunksize=1)
-    write_json_atomic(out / "config.json", record)
+    write_json_atomic(out / "config.json", config_to_dict(cfg))
     rows: list[MetricsRecord] = []
     for task_rows, artifacts in results:
         rows.extend(task_rows)

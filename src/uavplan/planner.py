@@ -544,8 +544,6 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
 
 @dataclass
 class PlanResult:
-    normal: tuple[int, ...]
-    novel: tuple[int, ...]          # in insertion order
     generated: list[Word]
     reference: Word
     steps: list[InsertionStep]
@@ -591,17 +589,14 @@ def plan_mission(test: Instance, wm: WorldModel,
     pending = sorted(novel)
     word = reference
     steps: list[InsertionStep] = []
-    inserted_order: list[int] = []
     while pending:
         nxt = _next_novel(word, pending, ctx)
         pending.remove(nxt)
         step = insert_best(word, nxt, ctx)
         steps.append(step)
-        inserted_order.append(nxt)
         word = step.word
     tour = make_tour(word.letters, test, weights or ObjectiveWeights())
-    return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
-                      generated=generated, reference=reference, steps=steps,
+    return PlanResult(generated=generated, reference=reference, steps=steps,
                       final_word=word, tour=tour, context=ctx)
 
 

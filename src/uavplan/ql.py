@@ -27,7 +27,7 @@ memory reason given in ``oracle``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,14 +208,14 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     return Word.from_letters(order)
 
 
-def qtable_to_dict(q: QTable, cfg: QTrainConfig,
-                   weights: ObjectiveWeights) -> dict:
+QTABLE_SCHEMA = "uavplan.qtable.v2"
+
+
+def qtable_to_dict(q: QTable) -> dict:
     return {
-        "schema": "uavplan.qtable.v1",
+        "schema": QTABLE_SCHEMA,
         "values": [[s, a, v] for (s, a), v in sorted(q.values.items())],
         "letters": sorted(q.letters),
-        "config": asdict(cfg),
-        "weights": asdict(weights),
     }
 
 

@@ -208,8 +208,7 @@ class TestSampling:
 class TestSerialization:
     def test_pool_round_trip(self, chan, mission):
         pool = sample_pool(13, 12, 5.0, mission, chan)
-        d = pool_to_dict(pool, 13, 5.0, mission, chan)
-        assert pool_from_dict(d) == pool
+        assert pool_from_dict(pool_to_dict(pool)) == pool
 
     def test_instance_round_trip(self, chan, mission):
         pool = sample_pool(13, 12, 5.0, mission, chan)

@@ -3,18 +3,18 @@ import hashlib
 import json
 import re
 import shutil
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uavplan.cli import main as cli_main
-from uavplan.environment import (MissionConfig, instance_from_dict,
-                                 instance_to_dict)
+from uavplan.environment import (ChannelParams, MissionConfig,
+                                 instance_from_dict, instance_to_dict)
 from uavplan import world_model
-from uavplan.harness import (ExperimentConfig, _canonical_json,
-                             _first_difference, completion_time,
+from uavplan.harness import (_READS, ExperimentConfig, _canonical_json,
+                             _first_difference, _record, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, load_config, read_metrics, run_pipeline, stage_oracle,
                              stage_pools, stage_training_instances, summarize,
@@ -295,9 +295,9 @@ def _write_lines(path: Path, objs) -> None:
 
 class TestHeadedJsonl:
     """The header-plus-records files: training instances as pool ids
-    (uavplan.instances.v3, seeded by their place in the file) and
-    demonstrations as tour orders under one weights header
-    (uavplan.tours.v4)."""
+    (uavplan.instances.v4, seeded by their place in the file) and
+    demonstrations as tour orders under one header that records the
+    weights (uavplan.tours.v5)."""
 
     def test_write_jsonl_atomic_bytes_equal_joined_lines(self, tmp_path):
         objs = [{"schema": "x", "b": [1.5, -0.0, 1e-300], "a": None},
@@ -334,9 +334,10 @@ class TestHeadedJsonl:
         and have kept their bytes since. Traces were pinned as
         ``uavplan.plan.v1``, so each trace is hashed as ``expand_v2`` and
         then ``expand_v1`` rebuild it; world_model.json's hash is that of its
-        ``uavplan.world_model.v3`` bytes, and the two header-plus-records
-        files are pinned as ``uavplan.instances.v3`` and
-        ``uavplan.tours.v4``."""
+        ``uavplan.world_model.v3`` bytes, the two header-plus-records files
+        are pinned as ``uavplan.instances.v4`` and ``uavplan.tours.v5``, and
+        pools.json and qtable.json as ``uavplan.pool.v2`` and
+        ``uavplan.qtable.v2``."""
         monkeypatch.chdir(tmp_path)
         run_pipeline(small_config("run"))
         want = json.loads(PINNED.read_text())
@@ -521,12 +522,26 @@ class TestCli:
         pytest.param('{"test_sizes": []}', "test_sizes", ["gen-pool"],
                      id="test_sizes-empty"),
         pytest.param('{"test_sizes": [5, 5]}', "test_sizes", ["gen-pool"],
-                     id="test_sizes-repeated")])
+                     id="test_sizes-repeated"),
+        pytest.param('{"mission": {"uav_speed_m_per_s": -1}}',
+                     "config mission: speed", ["gen-pool"],
+                     id="mission-speed-negative"),
+        pytest.param('{"noise": {"process_scale": 0}}', "config noise: noise",
+                     ["gen-pool"], id="noise-process-scale-zero"),
+        pytest.param('{"ql": {"learning_rate": 2}}', "config ql: learning",
+                     ["gen-pool"], id="ql-learning-rate-2"),
+        pytest.param('{"weights": {"weight_alpha": 0.5}}',
+                     "config weights: weights", ["gen-pool"],
+                     id="weights-not-summing-to-1"),
+        pytest.param('{"channel": {"carrier_frequency_hz": -1}}',
+                     "config channel: carrier", ["gen-pool"],
+                     id="channel-frequency-negative")])
     def test_bad_config_exits_2(self, tmp_path, capsys, text, named, command):
         """A corrupt config, one with a key the dataclasses do not declare,
         a value of another JSON type than the key's (a float or a bool for
         an integer) or an invalid value, such as a negative seed or a test
-        size named twice, exits 2 naming the file or the key; so does an
+        size named twice, exits 2 naming the file or the key, and a value
+        that a section's own check rejects names the section; so does an
         invalid ``plan`` override, before any artifact is read."""
         p = tmp_path / "broken.json"
         p.write_text(text)
@@ -1057,6 +1072,157 @@ class TestCli:
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "cli4" / "metrics.csv").exists()
+
+
+# One changed value per config key but output_dir and workers.
+_CHANGED = {
+    "channel": ChannelParams(mu_los_db=2.0),
+    "mission": MissionConfig(uav_altitude_m=220.0),
+    "weights": ObjectiveWeights(0.5, 0.5),
+    "noise": NoiseConfig(process_scale=0.2),
+    "planner": PlannerConfig(n_words=3),
+    "ql": QTrainConfig(episodes=401),
+    "pool_seed": 7,
+    "testing_pool_size": 120,
+    "training_pool_size": 40,
+    "mean_users": 3.5,
+    "depot_m": (150.0, 1750.0),
+    "m_training": 40,
+    "train_instance_size": 6,
+    "train_seed_base": 1_005_000,
+    "test_sizes": (5, 7),
+    "seeds_per_size": 2,
+    "test_seed_base": 9_000_001,
+    "ql_train_seed": 778,
+}
+_RECORDED_KEYS = [f.name for f in fields(ExperimentConfig)
+                  if f.name not in ("output_dir", "workers")]
+# the artifacts a rerun reuses (or checks), in stage order, with the stage
+# whose record each holds
+_CACHED = (("pools.json", "pools"),
+           ("training_instances.jsonl", "training_instances"),
+           ("oracle_tours.jsonl", "oracle"), ("world_model.json", "world"),
+           ("qtable.json", "ql"))
+# what a rerun writes afresh once it is deleted
+_EVAL_OUTPUTS = ("metrics.csv", "config.json", "timings.csv", "summary.csv",
+                 "ratios.csv", "tours", "traces", "instances", "trajectories")
+
+
+def _delete(out: Path, names) -> None:
+    for name in names:
+        path = out / name
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A finished 30-demonstration run with one test instance."""
+    cfg = small_config(tmp_path_factory.mktemp("finished") / "out",
+                       test_sizes=(5,), seeds_per_size=1)
+    run_pipeline(cfg)
+    return cfg
+
+
+def _rerun(tmp_path, capsys, finished, changed, keep):
+    """Copy the finished run, delete every artifact but ``keep``, and run
+    the pipeline on the copy with the config ``changed``; returns the
+    copy's path, the exit code and stderr."""
+    out = tmp_path / "rerun"
+    shutil.copytree(finished.output_dir, out)
+    _delete(out, [p.name for p in out.iterdir() if p.name not in keep])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(
+        replace(changed, output_dir=str(out)))))
+    capsys.readouterr()
+    code = cli_main(["pipeline", "--config", str(cfg_path)])
+    return out, code, capsys.readouterr().err
+
+
+class TestReuseRecords:
+    """Every reuse record is derived from one table of what each stage
+    reads (``_READS``): a stage's record is its own keys and those of
+    every stage upstream of it."""
+
+    def test_every_config_key_is_read_by_exactly_one_stage(self):
+        own = [key for _, keys in _READS.values() for key in keys]
+        assert len(own) == len(set(own))
+        assert set(own) == set(_RECORDED_KEYS)
+
+    def test_records_hold_upstream_keys_first(self):
+        cfg = ExperimentConfig()
+        assert list(_record(cfg, "eval")) == [
+            "pool_seed", "mean_users", "mission", "channel",
+            "training_pool_size", "train_instance_size", "train_seed_base",
+            "m_training", "depot_m", "weights", "noise", "ql",
+            "ql_train_seed", "testing_pool_size", "planner", "test_sizes",
+            "seeds_per_size", "test_seed_base"]
+        assert _record(cfg, "eval") == {
+            key: value for key, value in json.loads(_canonical_json(
+                config_to_dict(cfg))).items()
+            if key not in ("schema", "output_dir", "workers")}
+
+    @pytest.mark.parametrize("key", _RECORDED_KEYS)
+    def test_changed_key_is_refused_or_recomputed(
+            self, tmp_path, capsys, finished_run, key):
+        """With every cached artifact kept and the eval outputs deleted, a
+        run with ``key`` changed exits 2 naming the first kept artifact
+        whose record holds the key (pools.json holds the testing pool
+        whole, so also its size), or leaves a fresh run's bytes."""
+        changed = replace(finished_run, **{key: _CHANGED[key]})
+        out, code, err = _rerun(tmp_path, capsys, finished_run, changed,
+                                keep=[name for name, _ in _CACHED])
+        named = next((name for name, stage in _CACHED
+                      if key in _record(changed, stage)
+                      or (name, key) == ("pools.json", "testing_pool_size")),
+                     None)
+        if named is not None:
+            assert code == 2, err
+            assert err.startswith(f"configuration error: {out / named} "), err
+            return
+        assert code == 0, err
+        fresh = replace(changed, output_dir=str(tmp_path / "fresh"))
+        run_pipeline(fresh)
+        rerun, made = _artifact_bytes(out), _artifact_bytes(tmp_path / "fresh")
+        for files in (rerun, made):
+            del files["config.json"]
+        assert rerun == made
+
+    def test_qtable_from_another_ql_train_seed_exits_2(self, tmp_path, capsys,
+                                                       finished_run):
+        """The Q-table records the seed it was trained with: with metrics.csv
+        and config.json deleted, a run with another ql_train_seed exits 2
+        naming qtable.json and both seeds."""
+        out, code, err = _rerun(
+            tmp_path, capsys, finished_run,
+            replace(finished_run, ql_train_seed=778),
+            keep=[name for name, _ in _CACHED])
+        assert code == 2
+        assert err.startswith(f"configuration error: {out / 'qtable.json'} ")
+        assert "ql_train_seed 777" in err and "ql_train_seed 778" in err
+
+    @pytest.mark.parametrize("key,change,recorded", [
+        pytest.param("mean_users", 3.5, "5.0", id="mean_users"),
+        pytest.param("channel", ChannelParams(mu_los_db=2.0),
+                     '"mu_los_db":3.0', id="channel.mu_los_db"),
+        pytest.param("mission", MissionConfig(uav_altitude_m=220.0),
+                     '"uav_altitude_m":200.0', id="mission.uav_altitude_m")])
+    def test_qtable_kept_alone_for_other_profits_exits_2(
+            self, tmp_path, capsys, finished_run, key, change, recorded):
+        """The Q-table records what the pool's profits are computed from,
+        not only the demonstrations' seeds and orders: kept alone, with a
+        key changed that changes hotspot profits, it exits 2 naming
+        qtable.json and the key."""
+        out, code, err = _rerun(tmp_path, capsys, finished_run,
+                                replace(finished_run, **{key: change}),
+                                keep=["qtable.json"])
+        assert code == 2
+        assert err.startswith(
+            f"configuration error: {out / 'qtable.json'} was computed with "
+            f"{key} "), err
+        assert recorded in err
 
 
 def test_every_schema_is_documented():

@@ -600,7 +600,7 @@ class TestPlanMission:
         pool = [h for h in testing_pool if h.id in training_ids]
         inst = sample_instance(31337, pool, 5, (1000.0, 1000.0), chan, mission)
         res = plan_mission(inst, wm, PlannerConfig(rng_seed=2))
-        assert res.novel == ()
+        assert [s.inserted for s in res.steps] == []
         assert res.final_word.letters == res.reference.letters
 
     def test_visits_every_hotspot_exactly_once(self, trained):
@@ -616,7 +616,8 @@ class TestPlanMission:
         inst = sample_instance(555, testing_pool, 10, (1000.0, 1000.0),
                                chan, mission)
         res = plan_mission(inst, wm, PlannerConfig(rng_seed=1))
-        assert len(res.steps) == len(res.novel)
+        assert (sorted(s.inserted for s in res.steps)
+                == sorted(set(inst.ids) - set(res.reference.letters)))
         for step in res.steps:
             surprises = [s for _, s, _ in step_values(
                 step, inst.mission.uav_speed_m_per_s)]
@@ -642,7 +643,7 @@ class TestPlanMission:
         costs = []
         for _ in range(100):
             letters = list(res.reference.letters)
-            for nv in res.novel:
+            for nv in [s.inserted for s in res.steps]:
                 pos = int(rng.integers(0, len(letters) + 1))
                 letters.insert(pos, nv)
             costs.append(

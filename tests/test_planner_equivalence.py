@@ -2,7 +2,7 @@
 
 The ``ref_*`` functions below are the earlier implementations, kept
 verbatim as the test oracle (only their names, the names of the
-candidate and step classes they build, some docstrings, how
+candidate, step and plan classes they build, some docstrings, how
 ``ref_enumerate_insertions`` builds a spliced word from its letters,
 that ``ref_insert_best`` shifts a belief with the test-side ``shifted``
 and measures legs and words with the test-side ``leg_length`` and
@@ -220,9 +220,19 @@ def ref_select_reference(candidates, wm: WorldModel) -> Word:
     return best
 
 
+@dataclass
+class RefPlanResult(PlanResult):
+    """A plan with the letter classes the v1 trace records: ``normal``,
+    the known letters sorted, and ``novel``, the unseen ones in insertion
+    order."""
+
+    normal: tuple[int, ...]
+    novel: tuple[int, ...]
+
+
 def ref_complete(reference: Word, generated: list[Word], normal: frozenset[int],
                  test: Instance, wm: WorldModel,
-                 weights: ObjectiveWeights | None) -> PlanResult:
+                 weights: ObjectiveWeights | None) -> RefPlanResult:
     """Insert every instance letter the reference lacks, one per step, and
     realize the grown word as a tour."""
     ctx = PlanContext.from_instance(test, wm)
@@ -239,9 +249,10 @@ def ref_complete(reference: Word, generated: list[Word], normal: frozenset[int],
         inserted_order.append(nxt)
         word = step.chosen.word
     tour = make_tour(word.letters, test, weights or ObjectiveWeights())
-    return PlanResult(normal=tuple(sorted(normal)), novel=tuple(inserted_order),
-                      generated=generated, reference=reference, steps=steps,
-                      final_word=word, tour=tour, context=ctx)
+    return RefPlanResult(normal=tuple(sorted(normal)),
+                         novel=tuple(inserted_order), generated=generated,
+                         reference=reference, steps=steps, final_word=word,
+                         tour=tour, context=ctx)
 
 
 def _belief_to_dict(b: GaussianBelief) -> dict:
@@ -249,7 +260,7 @@ def _belief_to_dict(b: GaussianBelief) -> dict:
             "cov": [[float(x) for x in row] for row in b.cov]}
 
 
-def ref_plan_to_dict(res: PlanResult) -> dict:
+def ref_plan_to_dict(res: RefPlanResult) -> dict:
     return {
         "schema": "uavplan.plan.v1",
         "normal": list(res.normal),
@@ -285,7 +296,7 @@ def ref_plan_to_dict(res: PlanResult) -> dict:
 
 
 def ref_plan_mission(test: Instance, wm: WorldModel, cfg: PlannerConfig,
-                     weights: ObjectiveWeights) -> PlanResult:
+                     weights: ObjectiveWeights) -> RefPlanResult:
     normal, _ = classify_letters(test.ids, wm)
     generated: list[Word] = []
     if normal:
@@ -576,10 +587,10 @@ class TestPlanAgainstReference:
         def one_step_plan(ref, step, word, ctx):
             tour = Tour(order=word.letters, total_cost_m=0.0,
                         total_profit_bps=0.0, objective=0.0)
-            return PlanResult(normal=tuple(sorted(ref.letters)),
-                              novel=(NOVEL,), generated=[], reference=ref,
-                              steps=[step], final_word=word, tour=tour,
-                              context=ctx)
+            return RefPlanResult(normal=tuple(sorted(ref.letters)),
+                                 novel=(NOVEL,), generated=[], reference=ref,
+                                 steps=[step], final_word=word, tour=tour,
+                                 context=ctx)
 
         sizes = set()
         for ref, ctx in random_insertion_contexts():

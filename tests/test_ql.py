@@ -178,6 +178,6 @@ class TestQTableSerialization:
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=200)
         table = train_q([(inst, demo)], cfg, W, 7)
-        back = qtable_from_dict(qtable_to_dict(table, cfg, W))
+        back = qtable_from_dict(qtable_to_dict(table))
         assert back.values == table.values
         assert back.letters == table.letters

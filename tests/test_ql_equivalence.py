@@ -181,15 +181,15 @@ def _training(rng: random.Random, sizes, w: ObjectiveWeights, chan, mission):
     return training + [(first, demo), (copy, demo)]
 
 
-def _bits(q: QTable, cfg: QTrainConfig, w: ObjectiveWeights) -> str:
+def _bits(q: QTable) -> str:
     # json writes floats with repr, which round-trips exactly and tells
     # 0.0 from -0.0
-    return json.dumps(qtable_to_dict(q, cfg, w), sort_keys=True)
+    return json.dumps(qtable_to_dict(q), sort_keys=True)
 
 
 def _assert_same_training(training, cfg, w, seed):
-    got = _bits(train_q(training, cfg, w, seed), cfg, w)
-    want = _bits(ref_train_q(training, cfg, w, seed), cfg, w)
+    got = _bits(train_q(training, cfg, w, seed))
+    want = _bits(ref_train_q(training, cfg, w, seed))
     assert got == want
     return got
 
@@ -221,12 +221,13 @@ def test_train_q_matches_reference(chan, mission, weights, epsilon, discount):
 def test_match_tolerance_hits_and_misses(chan, mission):
     """Tolerances at which no realized tour, only bit-exact demonstration
     tours, some and all tours earn the terminal bonus: each changes the
-    table, and each table equals the reference's."""
+    table, and each table equals the reference's. (On these instances the
+    table is the same at every tolerance from 1e-3 up.)"""
     w = WEIGHTS["0.9/0.1"]
     rng = random.Random(11)
     training = _training(rng, [2, 3, 4, 5, 3, 4], w, chan, mission)
     tables = set()
-    for tol in (-1.0, 0.0, 0.05, 1e9):
+    for tol in (-1.0, 0.0, 1e-4, 1e9):
         cfg = QTrainConfig(episodes=3000, match_tolerance=tol)
         tables.add(_assert_same_training(training, cfg, w, seed=5))
     assert len(tables) == 4
@@ -251,7 +252,7 @@ def test_exact_demonstration_match(chan, mission):
         cfg = QTrainConfig(episodes=300, match_tolerance=0.0)
         exact = _assert_same_training(training, cfg, w, seed=k)
         never = _bits(train_q(training, replace(cfg, match_tolerance=-1.0),
-                              w, k), cfg, w)
+                              w, k))
         bonus_paid += exact != never
     assert bonus_paid >= 20
 
