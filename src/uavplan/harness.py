@@ -65,8 +65,10 @@ id not in the pool, or a demonstration naming a hotspot that its
 instance lacks or visiting one twice is a configuration error naming the
 file and the line. A record's ``ids`` are not checked against what
 its seed would sample: that means resampling every training instance,
-which costs more than reloading the file (0.5-0.6 s against 0.19 s for
-20,000 instances on a 2-CPU host).
+which costs more than reloading the file. For 20,000 instances of 5 from
+a pool of 50, on a 2-CPU host in process, drawing the id sets from the
+random stream takes 0.49-0.68 s, of which seeding the 20,000 generators
+alone is 0.31-0.41 s, against 0.22-0.35 s to reload the file.
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config: its JSON form is their ``asdict``, and reading one back
@@ -157,6 +159,17 @@ class ExperimentConfig:
                                      "names a size twice")
         if any(s < 1 for s in self.test_sizes):
             raise ConfigurationError("test sizes must be >= 1")
+        # sample_instance refuses these too, but only once earlier stages
+        # have run and written their artifacts
+        for size in self.test_sizes:
+            if size > self.testing_pool_size:
+                raise ConfigurationError(
+                    f"test size {size} exceeds testing_pool_size "
+                    f"{self.testing_pool_size}")
+        if self.train_instance_size > self.training_pool_size:
+            raise ConfigurationError(
+                f"train_instance_size {self.train_instance_size} exceeds "
+                f"training_pool_size {self.training_pool_size}")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if self.depot_m is not None and len(self.depot_m) != 2:

@@ -3,9 +3,9 @@
 Given a test instance and a learned world model, the planner classifies
 the instance's letters into known and unseen, samples candidate
 reference words from the transition matrix (each letter drawn as
-``Generator.choice`` draws it: one ``random()`` against the cumulative
-distribution of the restricted row, read with one fancy index over the
-columns of the letters not yet drawn), keeps the one closest (by
+``Generator.choice`` draws it: one ``random()`` of the seed's stream
+against the cumulative distribution of the restricted row, the rows
+among the known letters read once as Python lists), keeps the one closest (by
 edit distance) to the stored dictionary, and then grows the route one
 unseen letter at a time, always the one nearest to the centroid of the
 current word's letters (the depot while the word is empty). Every
@@ -73,7 +73,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .environment import Instance, MissionConfig, _choice_index, edge_cost
+from .environment import (Instance, MissionConfig, _pairwise_sum, _Stream,
+                          edge_cost)
 from .errors import ConfigurationError, NumericError
 from .oracle import ObjectiveWeights, Tour, make_tour
 from .world_model import Word, WordIndex, WorldModel
@@ -247,45 +248,52 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     unvisited. Whenever the restricted row has no mass, the nearest
     unvisited letter (by center distance) is taken instead.
 
-    Each letter is drawn as ``Generator.choice(letters, p=p)`` draws it,
-    with one ``random()`` per letter (``environment._choice_index``), or
-    one ``integers(0, n)`` for a start when no word starts in the set; the
-    words equal those of calling ``choice`` bit for bit.
+    The transition rows among the requested letters are read once into
+    Python lists. Each letter is the one ``Generator.choice(letters, p=p)``
+    draws, with ``p`` normalized by numpy's pairwise sum and drawn with one
+    ``random()`` of the seed's stream (``environment._Stream``), or one
+    ``integers(len(letters))`` for a start when no word starts in the set;
+    the words equal those of calling ``choice`` bit for bit.
     """
     normal = sorted(set(int(i) for i in normal))
     if not normal:
         raise ConfigurationError("cannot generate words over an empty letter set")
     if n < 1:
         raise ConfigurationError("need n >= 1 words")
-    rng = np.random.default_rng(rng_seed)
-    start_counts = np.array([wm.stats[l].start_count for l in normal], float)
-    start_total = start_counts.sum()
-    probs, active = wm.transition.probs, wm.transition.active
+    rng = _Stream(rng_seed)
+    start_counts = [float(wm.stats[l].start_count) for l in normal]
+    start_total = _pairwise_sum(start_counts)
+    start_p = [c / start_total for c in start_counts] if start_total > 0 else None
     columns = [wm.vocab.index(l) for l in normal]
+    # row i, column j: the transition from normal[i] to normal[j]
+    rows = wm.transition.probs[np.ix_(columns, columns)].tolist()
+    active = wm.transition.active[columns].tolist()
     out: list[Word] = []
     for _ in range(n):
-        # the letters not yet drawn, and their vocabulary columns in step
-        remaining, cols = list(normal), list(columns)
-        if start_total > 0:
-            k = _choice_index(rng, start_counts / start_total)
+        # the places in ``normal`` of the letters not yet drawn
+        remaining = list(range(len(normal)))
+        if start_p is not None:
+            k = rng.weighted(start_p)
         else:
-            k = int(rng.integers(0, len(normal)))
-        current, row = remaining.pop(k), cols.pop(k)
-        letters = [current]
+            k = rng.integers(len(normal))
+        current = remaining.pop(k)
+        letters = [normal[current]]
         while remaining:
             k = None
-            if active[row]:
-                weights = probs[row, cols]
-                total = weights.sum()
+            if active[current]:
+                row = rows[current]
+                weights = [row[j] for j in remaining]
+                total = _pairwise_sum(weights)
                 if total > 0.0:
-                    k = _choice_index(rng, weights / total)
+                    k = rng.weighted([w / total for w in weights])
             if k is None:
-                here = wm.stats[current].center_m
+                here = wm.stats[normal[current]].center_m
                 k = remaining.index(min(
                     remaining,
-                    key=lambda r: (edge_cost(here, wm.stats[r].center_m), r)))
-            current, row = remaining.pop(k), cols.pop(k)
-            letters.append(current)
+                    key=lambda j: (edge_cost(here, wm.stats[normal[j]].center_m),
+                                   normal[j])))
+            current = remaining.pop(k)
+            letters.append(normal[current])
         out.append(Word(tuple(letters)))
     return out
 

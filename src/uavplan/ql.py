@@ -15,13 +15,17 @@ tour length adds the legs in visiting order, so at the last step
 ``length + back`` is the ``total_cost_m`` sum ``make_tour`` forms, term
 for term, and the realized objective is bit-identical. The greedy action is the first
 strict maximum of an ascending scan of the unvisited ids, which is the
-one ``max`` by the key ``(q, -a)`` picks. Random numbers are drawn one at
-a time in the original order (per episode one ``integers`` for the
-instance; per step one ``random`` and, when exploring, one ``integers``),
-so the table matches the straightforward loop bit for bit
+one ``max`` by the key ``(q, -a)`` picks. The Q-values are kept in one
+dict per state while training, and become a ``QTable`` at the end.
+Random numbers are drawn one at a time in the original order (per episode
+one ``integers`` for the instance; per step one ``random`` and, when
+exploring, one ``integers``) from the seed's pure-Python stream
+(``environment._Stream``), which draws what ``np.random.default_rng``'s
+``Generator`` draws bit for bit at a fraction of a scalar call's cost; so
+the table matches the straightforward ``Generator`` loop bit for bit
 (tests/test_ql_equivalence.py keeps that loop as the reference). The
-dict lives for one episode and is never cached per instance, for the
-memory reason given in ``oracle``.
+id -> hotspot dict lives for one episode and is never cached per
+instance, for the memory reason given in ``oracle``.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Instance, _choice_index, edge_cost
+from .environment import Instance, _Stream, edge_cost
 from .errors import ConfigurationError, ConsistencyError, TrainingError
 from .oracle import ObjectiveWeights, Tour, instance_scales, objective_value
 from .world_model import Word
@@ -88,19 +92,19 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
     """
     if not training:
         raise TrainingError("no training instances for Q-learning")
-    rng = np.random.default_rng(rng_seed)
-    table = QTable(values={}, letters=set())
+    rng = _Stream(rng_seed)
+    letters: set[int] = set()
     prepared = []
     for inst, demo in training:
         cost_scale, profit_scale = instance_scales(inst)
         prepared.append((inst, demo, cost_scale, profit_scale))
-        table.letters.update(inst.ids)
+        letters.update(inst.ids)
 
     alpha = weights.weight_alpha
     beta = weights.weight_beta
     lr, discount = cfg.learning_rate, cfg.discount
-    values = table.values
-    get = values.get
+    # state -> {action: Q}; a missing row or entry is 0.0
+    rows: dict[int, dict[int, float]] = {}
     random, integers = rng.random, rng.integers
     hypot = math.hypot
     for ep in range(cfg.episodes):
@@ -109,23 +113,23 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
         else:
             frac = 1.0
         eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
-        inst, demo, cost_scale, profit_scale = prepared[int(integers(len(prepared)))]
+        inst, demo, cost_scale, profit_scale = prepared[integers(len(prepared))]
         by_id = {h.id: h for h in inst.hotspots}
         ids = sorted(by_id)
         unvisited = ids[:]
-        state = DEPOT_STATE
+        row = rows.setdefault(DEPOT_STATE, {})
         x, y = depot = inst.depot_m
         length = 0.0
         while unvisited:
             if random() < eps:
-                action = unvisited[int(integers(len(unvisited)))]
+                action = unvisited[integers(len(unvisited))]
             else:
                 # ascending scan keeping the first strict maximum: the
                 # lowest id among equal values, as max by key (q, -a)
                 action = unvisited[0]
-                best = get((state, action), 0.0)
+                best = row.get(action, 0.0)
                 for a in unvisited:
-                    v = get((state, a), 0.0)
+                    v = row.get(a, 0.0)
                     if v > best:
                         best, action = v, a
             h = by_id[action]
@@ -135,9 +139,10 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
             reward = (-alpha * leg / cost_scale
                       + beta * h.profit_bps / profit_scale)
             unvisited.remove(action)
+            next_row = rows.setdefault(action, {})
             if unvisited:
                 target = reward + discount * max(
-                    [get((action, a2), 0.0) for a2 in unvisited])
+                    [next_row.get(a2, 0.0) for a2 in unvisited])
             else:
                 back = hypot(hx - depot[0], hy - depot[1])
                 reward += -alpha * back / cost_scale
@@ -149,11 +154,11 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
                 if abs(realized - demo.objective) <= cfg.match_tolerance * abs(demo.objective):
                     reward += cfg.terminal_bonus
                 target = reward
-            key = (state, action)
-            old = get(key, 0.0)
-            values[key] = old + lr * (target - old)
-            state, x, y = action, hx, hy
-    return table
+            old = row.get(action, 0.0)
+            row[action] = old + lr * (target - old)
+            row, x, y = next_row, hx, hy
+    return QTable(values={(s, a): v for s, row in rows.items() for a, v in row.items()},
+                  letters=letters)
 
 
 def construct_word(q: QTable, reference: Word | None, inst: Instance,
@@ -163,13 +168,14 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     Letters outside the table score a negative normalized distance from
     the current position; the letter the reference word suggests next
     gets a fixed bonus so the baseline consumes the reference exactly as
-    the surprise planner does. Each letter is the one
-    ``rng.choice(len(unvisited), p=p)`` would draw, drawn with one
-    ``random()`` (``environment._choice_index``).
+    the surprise planner does. The softmax is numpy's ``exp`` and
+    ``sum``; each letter is the one ``Generator.choice(len(unvisited),
+    p=p)`` would draw, drawn with one ``random()`` of the seed's stream
+    (``environment._Stream.weighted``).
     """
     if not inst.hotspots:
         raise ConfigurationError("empty test instance")
-    rng = np.random.default_rng(rng_seed)
+    rng = _Stream(rng_seed)
     diag = math.hypot(inst.mission.area_side_m, inst.mission.area_side_m)
     succ: dict[int, int] = {}
     first_ref: int | None = None
@@ -201,7 +207,7 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
             arr -= arr.max()
             p = np.exp(arr)
             p /= p.sum()
-            k = _choice_index(rng, p)
+            k = rng.weighted(p.tolist())
         action = unvisited.pop(k)
         order.append(action)
         state, pos = action, centers[action]

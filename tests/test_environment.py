@@ -1,9 +1,17 @@
+import ast
+import inspect
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from uavplan.environment import (ChannelParams, channel_gain,
+from uavplan import environment
+from uavplan.environment import (ChannelParams, _pairwise_sum, _Stream,
+                                 channel_gain,
                                  edge_cost, hotspot_sum_rate, instance_from_dict,
                                  instance_to_dict, los_probability,
                                  pool_from_dict, pool_to_dict, sample_instance,
@@ -214,3 +222,204 @@ class TestSerialization:
         pool = sample_pool(13, 12, 5.0, mission, chan)
         inst = sample_instance(99, pool, 6, (123.0, 456.0), chan, mission)
         assert instance_from_dict(instance_to_dict(inst)) == inst
+
+
+# --- the random stream ----------------------------------------------------------
+
+def _stream(seed: int, chunks: list[int]) -> _Stream:
+    """A stream reading its raw outputs in chunks of the given sizes, the
+    last repeated."""
+    with mock.patch.multiple(environment, _CHUNKS=tuple(chunks[:-1]),
+                             _CHUNK=chunks[-1]):
+        return _Stream(seed)
+
+
+# bounds n of integers(n): the smallest, the largest, around 2**31 (where
+# Lemire's threshold is largest), and anywhere in between
+bounds = st.one_of(st.just(1), st.just(2), st.just(2 ** 32),
+                   st.integers(2 ** 31 - 3, 2 ** 31 + 3),
+                   st.integers(2 ** 32 - 3, 2 ** 32), st.integers(1, 100),
+                   st.integers(1, 2 ** 32))
+draws = st.lists(st.one_of(
+    st.tuples(st.just("random"), st.just(0)),
+    st.tuples(st.just("uniform"), st.floats(0.0, 1e6)),
+    st.tuples(st.just("integers"), bounds)), min_size=1, max_size=120)
+
+
+def _same_draws(ours: _Stream, seed: int, ops) -> None:
+    theirs = np.random.default_rng(seed)
+    for op, arg in ops:
+        if op == "random":
+            assert ours.random() == theirs.random()
+        elif op == "uniform":
+            assert ours.uniform(arg) == theirs.uniform(0.0, arg)
+        else:
+            assert ours.integers(arg) == theirs.integers(arg)
+    # and the stream is where the generator is
+    assert ours.integers(7) == theirs.integers(7)
+    assert ours.random() == theirs.random()
+
+
+class TestStream:
+    """``_Stream`` against ``np.random.default_rng``'s ``Generator``: a
+    numpy that changes one of these algorithms fails here rather than
+    changing the artifacts' bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 63), draws,
+           st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    def test_interleaved_draws_across_chunk_boundaries(self, seed, ops, chunks):
+        """Chunks of 1 to 9 raw outputs put a boundary between, or inside,
+        the draws: an integers() that rejects, and the high half of an
+        output kept for the next 32-bit draw."""
+        _same_draws(_stream(seed, chunks), seed, ops)
+
+    def test_long_interleaving_in_default_chunks(self):
+        """Past the growing chunks into the fixed ones, with every kind of
+        bound."""
+        rng = np.random.default_rng(0)
+        for seed in range(5):
+            ops = []
+            for _ in range(3000):
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    ops.append(("random", 0))
+                elif kind == 1:
+                    ops.append(("uniform", float(rng.uniform(0, 2000))))
+                else:
+                    ops.append(("integers", int(rng.integers(1, 2 ** 32 + 1))
+                                if rng.random() < 0.5 else int(rng.integers(1, 60))))
+            _same_draws(_Stream(seed), seed, ops)
+
+    def test_one_draws_nothing(self):
+        ours, theirs = _Stream(3), np.random.default_rng(3)
+        assert [ours.integers(1) for _ in range(5)] == [0] * 5
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("n", [0, -1, 2 ** 32 + 1])
+    def test_bounds_out_of_range_are_refused(self, n):
+        with pytest.raises(ValueError):
+            _Stream(0).integers(n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(
+        st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+        st.integers(9_990, 30_000).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, n)))),
+        st.integers(0, 2 ** 63))
+    @example((10_001, 200), 0)        # Floyd's algorithm: k <= n // 50
+    @example((10_001, 201), 0)        # the tail shuffle
+    @example((10_000, 300), 1)        # Floyd's algorithm: n <= 10,000
+    @example((20_000, 5_000), 2)
+    @example((20_000, 20_000), 3)     # every place shuffled but the first
+    def test_sample_is_choice_without_replacement(self, nk, seed):
+        n, k = nk
+        expected = np.random.default_rng(seed).choice(n, size=k, replace=False)
+        assert _Stream(seed).sample(n, k) == set(expected.tolist())
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
+                              st.floats(1e-300, 1e300)),
+                    min_size=1, max_size=300))
+    def test_pairwise_sum_is_ndarray_sum(self, row):
+        assert _pairwise_sum(row) == np.array(row).sum()
+
+
+class TestOneDrawPath:
+    """Every random draw in the package goes through ``environment._Stream``:
+    ``default_rng`` is called only there, its generator is read only
+    through ``bit_generator.random_raw``, nothing else reaches
+    ``np.random``, and the draw methods are called only on streams."""
+
+    SRC = Path(environment.__file__).parent
+    DRAWS = {"random", "uniform", "integers", "choice"}
+
+    @staticmethod
+    def _parents(tree):
+        parents = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+        return parents
+
+    @staticmethod
+    def _streams(fn) -> set[str]:
+        """The names in ``fn`` that hold a stream: parameters annotated
+        ``_Stream``, and names assigned a ``_Stream(...)``."""
+        names = {a.arg for a in fn.args.args
+                 if isinstance(a.annotation, ast.Name)
+                 and a.annotation.id == "_Stream"}
+        if any(a.arg == "self" for a in fn.args.args):
+            names.add("self")
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Name)
+                    and node.value.func.id == "_Stream"):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        return names
+
+    def test_only_the_stream_draws(self):
+        problems = []
+        for path in sorted(self.SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            parents = self._parents(tree)
+            in_stream = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name == "_Stream":
+                    assert path.name == "environment.py"
+                    in_stream.update(ast.walk(node))
+            for node in ast.walk(tree):
+                where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [a.name for a in node.names]
+                    module = getattr(node, "module", None) or ""
+                    if ("numpy.random" in names or module.startswith("numpy.random")
+                            or (module == "numpy" and "random" in names)):
+                        problems.append(f"{where}: imports numpy.random")
+                if (isinstance(node, ast.Attribute) and node.attr == "random"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in ("np", "numpy")):
+                    # np.random.default_rng(seed).bit_generator.random_raw,
+                    # inside the stream, and nothing else
+                    rng = parents.get(node)
+                    call = parents.get(rng)
+                    bitgen = parents.get(call)
+                    raw = parents.get(bitgen)
+                    if not (node in in_stream
+                            and isinstance(rng, ast.Attribute)
+                            and rng.attr == "default_rng"
+                            and isinstance(call, ast.Call) and call.func is rng
+                            and isinstance(bitgen, ast.Attribute)
+                            and bitgen.attr == "bit_generator"
+                            and isinstance(raw, ast.Attribute)
+                            and raw.attr == "random_raw"):
+                        problems.append(f"{where}: np.random outside the stream")
+                if isinstance(node, ast.Name) and node.id == "default_rng":
+                    problems.append(f"{where}: default_rng by name")
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                streams = self._streams(fn)
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Attribute) and node.attr in self.DRAWS
+                            and not (isinstance(node.value, ast.Name)
+                                     and node.value.id in streams)
+                            and not (isinstance(node.value, ast.Name)
+                                     and node.value.id in ("np", "numpy"))):
+                        problems.append(f"{path.name}:{node.lineno}: "
+                                        f".{node.attr} on a non-stream")
+        assert problems == []
+
+    def test_the_stream_and_its_helpers_are_private(self):
+        """perfbench's tracer wraps every public module function: a public
+        draw function would put a span around each of 100,000+ draws. So
+        ``environment``'s public functions are these, and no more."""
+        public = sorted(name for name, value in vars(environment).items()
+                        if inspect.isfunction(value)
+                        and value.__module__ == environment.__name__
+                        and not name.startswith("_"))
+        assert public == [
+            "channel_gain", "edge_cost", "hotspot_from_dict",
+            "hotspot_sum_rate", "hotspot_to_dict", "instance_from_dict",
+            "instance_to_dict", "los_probability", "pool_from_dict",
+            "pool_to_dict", "sample_instance", "sample_pool"]

@@ -548,6 +548,29 @@ class TestCli:
         assert cli_main(command + ["--config", str(p)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,flags,named", [
+        pytest.param('{"test_sizes": [500]}', [],
+                     "test size 500 exceeds testing_pool_size 100",
+                     id="test_sizes"),
+        pytest.param("{}", ["--test-sizes", "5", "500"],
+                     "test size 500 exceeds testing_pool_size 100",
+                     id="--test-sizes"),
+        pytest.param('{"train_instance_size": 51}', [],
+                     "train_instance_size 51 exceeds training_pool_size 50",
+                     id="train_instance_size")])
+    def test_impossible_pool_size_exits_2_before_any_stage(
+            self, tmp_path, capsys, config, flags, named):
+        """A test size or training instance size larger than its pool is
+        refused with the config, before any stage writes an artifact."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert cli_main(["pipeline", "--config", str(cfg_path), "--out",
+                         str(out), *flags]) == 2
+        assert named in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_show_config_round_trips(self, tmp_path, capsys):
         assert cli_main(["show-config"]) == 0
         printed = capsys.readouterr().out

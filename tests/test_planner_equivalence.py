@@ -42,7 +42,8 @@ from hypothesis import strategies as st
 
 from uavplan import planner
 from uavplan.environment import (ChannelParams, Instance, MissionConfig,
-                                 _choice_index, sample_instance, sample_pool)
+                                 _pairwise_sum, _Stream, sample_instance,
+                                 sample_pool)
 from uavplan.errors import ConfigurationError, NumericError
 from uavplan.harness import ExperimentConfig, iter_test_instances, run_pipeline
 from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
@@ -481,13 +482,17 @@ weight_vectors = st.lists(
 @given(weight_vectors, st.integers(0, 2 ** 63))
 def test_choice_index_is_generator_choice(weights, seed):
     """On weight vectors with zeros, of 1 to 40 entries (8 or more take
-    numpy's pairwise sums), the helper draws the index ``choice`` draws
-    and leaves the generator where ``choice`` leaves it."""
+    numpy's pairwise sums), the stream's draw on the row normalized as
+    ``generate_words`` normalizes it is the index ``choice`` draws on the
+    row normalized by numpy, and leaves the stream where ``choice`` leaves
+    the generator."""
     w = np.array(weights)
-    p = w / w.sum()
-    ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+    total = _pairwise_sum(weights)
+    p = [x / total for x in weights]
+    assert p == (w / w.sum()).tolist()
+    ours, numpy_s = _Stream(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert _choice_index(ours, p) == numpy_s.choice(len(p), p=p)
+        assert ours.weighted(p) == numpy_s.choice(len(p), p=w / w.sum())
     assert ours.random() == numpy_s.random()
 
 
@@ -495,11 +500,11 @@ def test_choice_index_is_generator_choice(weights, seed):
 @given(st.lists(st.integers(), min_size=1, max_size=60, unique=True),
        st.integers(0, 2 ** 63))
 def test_choice_without_p_is_integers(letters, seed):
-    """``choice(letters)`` without ``p`` is ``letters[integers(0, n)]``."""
-    ours, numpy_s = np.random.default_rng(seed), np.random.default_rng(seed)
+    """``choice(letters)`` without ``p`` is ``letters[integers(n)]``, the
+    stream's draw."""
+    ours, numpy_s = _Stream(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert (letters[int(ours.integers(0, len(letters)))]
-                == numpy_s.choice(letters))
+        assert letters[ours.integers(len(letters))] == numpy_s.choice(letters)
     assert ours.random() == numpy_s.random()
 
 

@@ -6,7 +6,8 @@ up with ``Instance.hotspot``, pick the greedy action with ``max`` by the key
 ``(q, -a)`` and re-walk the finished tour with ``make_tour`` (it forms
 the same length and profit sums as the ``tour_length`` and profit sum
 they used before). The production loops must give the same Q-table, with the same float bits, and
-the same words, from the same random draws.
+the same words, from the same random draws: the references take them from
+numpy's ``Generator``, the production loops from ``environment._Stream``.
 """
 
 import json
