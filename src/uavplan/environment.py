@@ -7,15 +7,43 @@ same objects bit for bit.
 
 ``instance_to_dict`` writes an instance as one self-contained
 ``uavplan.instance.v1`` object (the test instances of an experiment).
-Training instances are stored by ``harness`` as their hotspot ids alone,
-and rebuilt there from the pool, the config and their place in the file.
+Training instances are sampled on every run; ``harness`` exports their
+hotspot ids alone.
 
-Every random draw in the package goes through one private stream,
-``_Stream(seed)``. It seeds ``np.random.default_rng(seed)`` (PCG64; O'Neill
-2014), reads that generator's raw 64-bit outputs in bounded chunks
-(``bit_generator.random_raw``) and makes from them, in pure Python and bit
-for bit, the draws numpy's ``Generator`` would make, checked on numpy
-2.4.6 (tests/test_environment.py pins each against ``Generator``):
+Every random draw in the package goes through one private stream class,
+``_Stream``, which makes from raw 64-bit PCG64 outputs (O'Neill, *PCG*,
+2014), in pure Python and bit for bit, the draws numpy's ``Generator``
+would make from ``np.random.default_rng(seed)``. Its raw outputs come from
+one of two sources, both checked on numpy 2.4.6:
+
+- a long stream, ``_Stream(seed)`` (the pool, Q-learning, the planner and
+  the Q-learning baseline's words), seeds ``np.random.default_rng(seed)``
+  and reads that generator's raw outputs in bounded chunks
+  (``bit_generator.random_raw``); it is the generator's only consumer;
+- a short stream, one per seed of ``sample_instances`` (every instance),
+  comes from ``_bulk_streams``, which seeds all of them at once and seeds
+  no ``Generator``. Seeding 20,000 generators through ``default_rng``
+  costs 13-22 us each on a 2-CPU host, most of what drawing train-large's
+  training instances cost. The steps reproduced are:
+
+  1. a seed's entropy words are its 32-bit digits, least significant
+     first, at least one; seeds are batched by their word count;
+  2. ``SeedSequence``'s ``mix_entropy`` (O'Neill's ``seed_seq`` design),
+     as uint32 numpy arithmetic over the batch: ``hashmix`` each word into
+     a pool of 4 (zeros past the last word), with the hash constant
+     running from ``INIT_A`` by ``MULT_A``; ``mix`` every pool word into
+     every other (``MIX_MULT_L``, ``MIX_MULT_R``); then ``mix`` each word
+     past the fourth into every pool word;
+  3. ``generate_state(4, uint64)``: 8 ``hashmix`` outputs of the pool
+     words in turn, the constant running from ``INIT_B`` by ``MULT_B``,
+     read in pairs as 4 little-endian 64-bit words s0..s3;
+  4. PCG64's ``set_seed``, in Python ints: inc = (s2 << 64 | s3) << 1 | 1
+     and state = ((s0 << 64 | s1) + inc) * MULT + inc, mod 2**128;
+  5. each output, made when a draw asks for it: one LCG step, then
+     XSL-RR.
+
+tests/test_environment.py pins both sources against ``default_rng`` and
+each draw against ``Generator``:
 
 - ``random()``: the top 53 bits of one output times 2**-53;
 - ``uniform(0, s)``: ``0.0 + s * random()``;
@@ -44,8 +72,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import accumulate, chain, repeat
-from operator import add
-from typing import Sequence
+from operator import add, attrgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -268,17 +296,32 @@ def sample_pool(rng_seed: int, pool_size: int, mean_users: float,
     return pool
 
 
-def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
-                    depot: Point, chan: ChannelParams,
-                    mission: MissionConfig) -> Instance:
-    """Uniformly select ``n_select`` distinct pool hotspots into an Instance."""
+def sample_instances(seeds: Sequence[int], pool: Sequence[Hotspot],
+                     n_select: int, depot: Point, chan: ChannelParams,
+                     mission: MissionConfig) -> list[Instance]:
+    """One Instance per seed, in order: ``n_select`` distinct pool hotspots
+    selected uniformly with the seed's stream, seeded in bulk
+    (``_bulk_streams``); each stream is made just before its draw."""
     if n_select < 1 or n_select > len(pool):
         raise ConfigurationError(
             f"cannot select {n_select} hotspots from a pool of {len(pool)}")
-    idx = _Stream(rng_seed).sample(len(pool), n_select)
-    chosen = sorted((pool[i] for i in idx), key=lambda h: h.id)
-    return Instance(hotspots=tuple(chosen), depot_m=depot, channel=chan,
-                    mission=mission, seed=rng_seed)
+    n = len(pool)
+    instances = []
+    for seed, rng in zip(seeds, _bulk_streams(seeds)):
+        chosen = sorted((pool[i] for i in rng.sample(n, n_select)),
+                        key=attrgetter("id"))
+        instances.append(Instance(hotspots=tuple(chosen), depot_m=depot,
+                                  channel=chan, mission=mission, seed=seed))
+    return instances
+
+
+def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
+                    depot: Point, chan: ChannelParams,
+                    mission: MissionConfig) -> Instance:
+    """Uniformly select ``n_select`` distinct pool hotspots into an
+    Instance: ``sample_instances``' one-seed case."""
+    return sample_instances([rng_seed], pool, n_select, depot, chan,
+                            mission)[0]
 
 
 # --- the random stream --------------------------------------------------------
@@ -289,12 +332,15 @@ _CHUNKS = (16, 64, 256)
 _CHUNK = 1024
 _MASK32 = 0xFFFF_FFFF
 _TWO_32 = 0x1_0000_0000
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 
 class _Stream:
     """The draws of ``np.random.default_rng(seed)``, made in pure Python
-    from the generator's raw 64-bit outputs (see the module docstring).
-    It is that generator's only consumer."""
+    from PCG64's raw 64-bit outputs, which come from that generator
+    (``_Stream(seed)``) or from a bulk seeding (``_bulk_streams``); see the
+    module docstring."""
 
     __slots__ = ("_next", "_half")
 
@@ -303,6 +349,15 @@ class _Stream:
         self._next = chain.from_iterable(
             raw(k).tolist() for k in chain(_CHUNKS, repeat(_CHUNK))).__next__
         self._half: int | None = None  # the unused high half of an output
+
+    @classmethod
+    def _from_state(cls, state: int, inc: int) -> _Stream:
+        """The stream of a seeded PCG64 state and increment, its outputs
+        made in Python ints (``_pcg64_outputs``)."""
+        stream = cls.__new__(cls)
+        stream._next = _pcg64_outputs(state, inc).__next__
+        stream._half = None
+        return stream
 
     def random(self) -> float:
         """``Generator.random()``: the top 53 bits of one output."""
@@ -362,6 +417,89 @@ class _Stream:
         cdf = list(accumulate(p))
         last = cdf[-1]
         return bisect_right([c / last for c in cdf], self.random())
+
+
+# PCG64's 128-bit LCG multiplier, and numpy's SeedSequence constants
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+
+def _pcg64_outputs(state: int, inc: int) -> Iterator[int]:
+    """PCG64's raw outputs from a seeded state: per output one LCG step,
+    then XSL-RR (the high and low halves xored, rotated right by the top 6
+    bits)."""
+    mult, mask128, mask64 = _PCG_MULT, _MASK128, _MASK64
+    while True:
+        state = (state * mult + inc) & mask128
+        x = ((state >> 64) ^ state) & mask64
+        rot = state >> 122
+        yield ((x >> rot) | (x << (64 - rot))) & mask64
+
+
+def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for a batch of
+    seeds with the same number of entropy words; ``entropy[j]`` holds word
+    j of every seed. uint32 arithmetic wraps as numpy's does."""
+    h = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ h
+        h = h * _MULT_B & _MASK32
+        value = value * h
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([out[i] | (out[i + 1] << 32) for i in range(0, 8, 2)],
+                    axis=1)
+
+
+def _bulk_streams(seeds: Sequence[int]) -> Iterator[_Stream]:
+    """``_Stream(seed)``'s draws for each seed in turn, without seeding a
+    ``Generator``: ``SeedSequence`` runs over all seeds at once, one batch
+    per entropy word count, and each stream is made, and PCG64 seeded in
+    Python ints, only when the caller asks for the next one."""
+    if len(seeds) and min(seeds) < 0:
+        # SeedSequence refuses them too; their words would be two's
+        # complement digits here
+        raise ValueError(f"seeds must be >= 0, not {min(seeds)}")
+    words = np.empty((len(seeds), 4), dtype=np.uint64)
+    counts = [(s.bit_length() + 31) >> 5 or 1 for s in seeds]
+    # grouped in Python: np.unique would import numpy.ma, about 1 MB of
+    # resident memory that nothing else needs
+    for count in sorted(set(counts)):
+        batch = [k for k, c in enumerate(counts) if c == count]
+        words[batch] = _seed_words([
+            np.array([seeds[k] >> 32 * j & _MASK32 for k in batch],
+                     dtype=np.uint32)
+            for j in range(count)])
+    for start in range(0, len(seeds), _CHUNK):
+        for s_hi, s_lo, i_hi, i_lo in words[start:start + _CHUNK].tolist():
+            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+            yield _Stream._from_state(state, inc)
 
 
 def _pairwise_sum(xs: list[float]) -> float:

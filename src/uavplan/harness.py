@@ -6,12 +6,13 @@ function of the experiment config; rerunning a stage with the same
 config reproduces its files byte for byte. Wall clock measurements go
 to a separate timings file so the metrics CSV stays deterministic. Files
 are written atomically (write then rename), and a stage is skipped when
-its artifact already exists, except the pools and the world model, which
-are cheap enough to compute on every run and whose files are checked
-exports. A reused artifact must match the record of what it was computed
-from, or the run stops with a configuration error naming the file and
-both values. This module alone writes, rebuilds and checks these
-records, and it alone spreads work over worker processes (``_map``).
+its artifact already exists, except the pools, the training instances
+and the world model, which are cheap enough to compute on every run and
+whose files are checked exports. A reused artifact must match the record
+of what it was computed from, or the run stops with a configuration error
+naming the file and both values. This module alone writes, rebuilds and
+checks these records, and it alone spreads work over worker processes
+(``_map``).
 
 A stage's record is the config values it is computed from: one table,
 ``_READS``, gives each stage its upstream stages and the config keys it
@@ -43,32 +44,34 @@ what ``learn`` makes of the demonstrations and the training pool.
 
 The training instances and their demonstrations are JSON-lines files
 with a header: the first line holds the schema and the stage's record,
-and each following line holds one record. A record holds only what
-nothing else determines; the rest is rebuilt from the config, the
-record's place in the file and the upstream artifacts.
+and each following line holds one record.
 
 - ``training_instances.jsonl`` (``uavplan.instances.v4``): the header
   records ``training_pool_size``, ``train_instance_size``,
   ``train_seed_base`` and ``m_training``, which alone determine the ids;
-  record k is ``{"ids"}``, rebuilt against the training pool of
-  ``pools.json`` with this run's depot, channel and mission and seed
-  ``train_seed_base + k``.
+  record k is ``{"ids"}`` of the instance drawn with seed
+  ``train_seed_base + k``. The instances are sampled on every run (seeded
+  in bulk, which costs about what reading the file back did), with this
+  run's depot, channel and mission, and the file is their export: written
+  when absent and, when present, byte for byte what this run would write.
+  A header that differs is named by its schema or first differing key, a
+  file with another record count by both counts, and any other difference
+  by its first differing line, with both contents.
 - ``oracle_tours.jsonl`` (``uavplan.tours.v5``): record k is a tour's
   ``{"order"}``, rebuilt as ``make_tour(order, instance k, weights)``,
   the call ``solve`` ends with, so a reused demonstration equals the
-  solved one bit for bit.
+  solved one bit for bit. A file with another schema (such as an older
+  one-object-per-line file), a header that differs from the config, a
+  record count other than the run's, or a demonstration naming a hotspot
+  that its instance lacks or visiting one twice is a configuration error
+  naming the file and the line.
 
-A file with another schema (such as an older one-object-per-line file),
-a header that differs from the config, a record count other than the
-run's, a training record with other than ``train_instance_size`` ids, an
-id not in the pool, or a demonstration naming a hotspot that its
-instance lacks or visiting one twice is a configuration error naming the
-file and the line. A record's ``ids`` are not checked against what
-its seed would sample: that means resampling every training instance,
-which costs more than reloading the file. For 20,000 instances of 5 from
-a pool of 50, on a 2-CPU host in process, drawing the id sets from the
-random stream takes 0.49-0.68 s, of which seeding the 20,000 generators
-alone is 0.31-0.41 s, against 0.22-0.35 s to reload the file.
+Solving a demonstration also gives its instance's cost scale for
+Q-learning (``oracle.demonstrate``), which the oracle stage hands to the
+Q-learning stage; reused demonstrations carry none, so a Q-table trained
+from them takes its scales from ``instance_scales``.
+
+Every artifact is encoded by one ``json.JSONEncoder`` (``_canonical_json``).
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config: its JSON form is their ``asdict``, and reading one back
@@ -86,6 +89,7 @@ import math
 import os
 import statistics
 import time
+from array import array
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -96,11 +100,11 @@ import json
 
 from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
                           MissionConfig, instance_from_dict, instance_to_dict,
-                          pool_from_dict, pool_to_dict, sample_instance,
+                          pool_from_dict, pool_to_dict, sample_instances,
                           sample_pool)
 from .errors import ConfigurationError
-from .oracle import (ObjectiveWeights, Tour, make_tour, solve, tour_from_dict,
-                     tour_to_dict)
+from .oracle import (ObjectiveWeights, Tour, demonstrate, instance_scales,
+                     make_tour, solve, tour_from_dict, tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
                  qtable_from_dict, qtable_to_dict, train_q)
@@ -159,7 +163,7 @@ class ExperimentConfig:
                                      "names a size twice")
         if any(s < 1 for s in self.test_sizes):
             raise ConfigurationError("test sizes must be >= 1")
-        # sample_instance refuses these too, but only once earlier stages
+        # sample_instances refuses these too, but only once earlier stages
         # have run and written their artifacts
         for size in self.test_sizes:
             if size > self.testing_pool_size:
@@ -294,14 +298,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 # --- atomic artifact IO -------------------------------------------------------
 
-def _canonical_json(obj) -> str:
-    """The one JSON encoding of every artifact: sorted keys, no spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# The one JSON encoding of every artifact: sorted keys, no spaces. One
+# encoder serves every call (json.dumps with these options builds a new one
+# per call).
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _excerpt(obj, limit: int = 100) -> str:
     """``obj`` in canonical JSON, cut to ``limit`` characters."""
-    text = _canonical_json(obj)
+    return _cut(_canonical_json(obj), limit)
+
+
+def _cut(text: str, limit: int = 100) -> str:
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
@@ -431,6 +439,55 @@ def _check_equal(path: Path, recorded, current, source: str) -> None:
         f"{note}; delete it and run again to regenerate it")
 
 
+def _check_schema_and_header(path: Path, header, want: dict) -> None:
+    """The header line of a JSON-lines artifact must hold ``want``'s schema
+    and then record the rest of ``want`` (see ``_check_header``)."""
+    found = header.get("schema") if isinstance(header, dict) else None
+    if found != want["schema"]:
+        raise ConfigurationError(
+            f"{path} has schema {found!r}, not {want['schema']!r} (an older "
+            "format or not this artifact); delete it and run again to "
+            "regenerate it")
+    _check_header(path, header, want)
+
+
+def _check_jsonl_export(path: Path, header: dict, records: Iterable[dict],
+                        count: int) -> None:
+    """A reused JSON-lines export must hold, byte for byte, what
+    ``write_jsonl_atomic`` writes of ``header`` and then the ``count``
+    ``records``. A first line that differs is named as
+    ``load_headed_jsonl`` names a header; a file with another number of
+    lines, by both record counts; any other line, by its number and both
+    contents."""
+    lines = ((_canonical_json(o) + "\n").encode()
+             for o in itertools.chain([header], records))
+    try:
+        with open(path, "rb") as f:
+            for n, (have, want) in enumerate(
+                    itertools.zip_longest(f, lines), start=1):
+                if have == want:
+                    continue
+                if n == 1:
+                    try:
+                        recorded = json.loads(have or b"null")
+                    except ValueError:
+                        recorded = None
+                    _check_schema_and_header(path, recorded, header)
+                if have is None or want is None:
+                    held = n - 2 + (have is not None) + sum(1 for _ in f)
+                    raise ConfigurationError(
+                        f"{path} holds {held} records after its header, but "
+                        f"this run writes {count}; delete it and run again "
+                        "to regenerate it")
+                was, now = (_cut(line.decode(errors="replace").rstrip("\n"))
+                            for line in (have, want))
+                raise ConfigurationError(
+                    f"{path} line {n} holds {was}, but this run writes {now} "
+                    "there; delete it and run again to regenerate it")
+    except OSError as e:
+        raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
+
+
 def load_headed_jsonl(path: Path, want: dict, count: int,
                       from_record: Callable[[int, dict], T]) -> list[T]:
     """Read a JSON-lines artifact with a header and build its records.
@@ -442,14 +499,7 @@ def load_headed_jsonl(path: Path, want: dict, count: int,
     count and a malformed record are configuration errors that name the
     file, and for a record the line."""
     lines = read_jsonl(path)
-    header = lines[0] if lines else None
-    found = header.get("schema") if isinstance(header, dict) else None
-    if found != want["schema"]:
-        raise ConfigurationError(
-            f"{path} has schema {found!r}, not {want['schema']!r} (an older "
-            "format or not this artifact); delete it and run again to "
-            "regenerate it")
-    _check_header(path, header, want)
+    _check_schema_and_header(path, lines[0] if lines else None, want)
     records = lines[1:]
     if len(records) != count:
         raise ConfigurationError(
@@ -505,8 +555,8 @@ def _map(fn: Callable[..., T], tasks: Iterable[tuple], shared: tuple,
 # keys it reads itself. Every reuse record is derived from it (``_record``).
 _READS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "pools": ((), ("pool_seed", "mean_users", "mission", "channel")),
-    # the ids depend on nothing else; reused, an instance takes this run's
-    # pool, depot, channel and mission
+    # the ids depend on nothing else; an instance takes this run's pool,
+    # depot, channel and mission
     "training_instances": ((), ("training_pool_size", "train_instance_size",
                                 "train_seed_base", "m_training")),
     "oracle": (("pools", "training_instances"), ("depot_m", "weights")),
@@ -550,56 +600,43 @@ def stage_pools(cfg: ExperimentConfig,
 def stage_training_instances(cfg: ExperimentConfig, training_pool,
                              out: Path) -> list[Instance]:
     """Training instance k is drawn with seed ``train_seed_base + k`` from
-    the training pool; reused, each is rebuilt from its ids and that
-    seed."""
+    the training pool, on every run. ``training_instances.jsonl`` is their
+    export, written when absent; when present, it must hold exactly the
+    bytes this run would write."""
     path = out / "training_instances.jsonl"
+    seeds = range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training)
+    instances = sample_instances(seeds, training_pool, cfg.train_instance_size,
+                                 cfg.depot, cfg.channel, cfg.mission)
     header = {"schema": INSTANCES_SCHEMA, **_record(cfg, "training_instances")}
+    records = ({"ids": list(i.ids)} for i in instances)
     if path.exists():
-        by_id = {h.id: h for h in training_pool}
-        size = cfg.train_instance_size
-
-        def from_record(k: int, d: dict) -> Instance:
-            ids = d["ids"]
-            if len(ids) != size:
-                raise ConfigurationError(
-                    f"record holds {len(ids)} hotspot ids, but "
-                    f"train_instance_size is {size}")
-            try:
-                hotspots = tuple(by_id[i] for i in ids)
-            except KeyError as e:
-                raise ConfigurationError(f"hotspot id {e.args[0]!r} is not "
-                                         "in the training pool") from None
-            return Instance(hotspots=hotspots, depot_m=cfg.depot,
-                            channel=cfg.channel, mission=cfg.mission,
-                            seed=cfg.train_seed_base + k)
-
-        return load_headed_jsonl(path, header, cfg.m_training, from_record)
-    instances = [
-        sample_instance(cfg.train_seed_base + k, training_pool,
-                        cfg.train_instance_size, cfg.depot, cfg.channel,
-                        cfg.mission)
-        for k in range(cfg.m_training)
-    ]
-    write_jsonl_atomic(path, itertools.chain(
-        [header], ({"ids": list(i.ids)} for i in instances)))
+        _check_jsonl_export(path, header, records, len(instances))
+    else:
+        write_jsonl_atomic(path, itertools.chain([header], records))
     return instances
 
 
 def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
-                 out: Path) -> list[Tour]:
-    """Demonstration k solves training instance k; reused, it is rebuilt
-    from its order as ``solve`` builds it."""
+                 out: Path) -> tuple[list[Tour], array | None]:
+    """Demonstration k solves training instance k, and comes with that
+    instance's cost scale for Q-learning (``demonstrate``); returns the
+    tours and the scales. Reused, a demonstration is rebuilt from its order
+    as ``solve`` builds it, without its construction: the scales are then
+    None, and ``stage_ql`` takes them from ``instance_scales`` if it
+    trains."""
     path = out / "oracle_tours.jsonl"
     header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
     if path.exists():
         return load_headed_jsonl(
             path, header, len(instances),
-            lambda k, d: make_tour(d["order"], instances[k], cfg.weights))
-    tours = _map(solve, ((i,) for i in instances), (cfg.weights,),
-                 cfg.workers, chunksize=64)
+            lambda k, d: make_tour(d["order"], instances[k], cfg.weights)), None
+    solved = _map(demonstrate, ((i,) for i in instances), (cfg.weights,),
+                  cfg.workers, chunksize=64)
+    tours = [t for t, _ in solved]
+    scales = array("d", [scale for _, scale in solved])
     write_jsonl_atomic(path, itertools.chain(
         [header], ({"order": list(t.order)} for t in tours)))
-    return tours
+    return tours, scales
 
 
 def _first_difference(recorded, current, key: str = ""):
@@ -648,17 +685,19 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
 def _training_fingerprint(training) -> str:
     """sha256 of the training pairs' instance seeds and demonstrated
     orders, sorted by seed."""
-    payload = json.dumps(sorted((inst.seed, list(demo.order))
-                                for inst, demo in training),
-                         separators=(",", ":"))
+    payload = _canonical_json(sorted((inst.seed, list(demo.order))
+                                     for inst, demo in training))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
-             tours: Sequence[Tour], out: Path) -> QTable:
-    """The Q-table ``train_q`` makes of the demonstrations. Its file also
-    holds the fingerprint of the training pairs and its record; a reused
-    file must hold this run's fingerprint, checked first, and record."""
+             tours: Sequence[Tour], cost_scales: Sequence[float] | None,
+             out: Path) -> QTable:
+    """The Q-table ``train_q`` makes of the demonstrations and their cost
+    scales (None for reused demonstrations: ``instance_scales`` then gives
+    them). Its file also holds the fingerprint of the training pairs and
+    its record; a reused file must hold this run's fingerprint, checked
+    first, and record."""
     path = out / "qtable.json"
     training = list(zip(instances, tours))
     record = {"schema": QTABLE_SCHEMA,
@@ -666,7 +705,9 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
               **_record(cfg, "ql")}
     if path.exists():
         return load_artifact(path, qtable_from_dict, record)
-    q = train_q(training, cfg.ql, cfg.weights, cfg.ql_train_seed)
+    if cost_scales is None:
+        cost_scales = array("d", (instance_scales(i)[0] for i in instances))
+    q = train_q(training, cost_scales, cfg.ql, cfg.weights, cfg.ql_train_seed)
     write_json_atomic(path, {**record, **qtable_to_dict(q)})
     return q
 
@@ -680,13 +721,15 @@ def test_instance_seed(cfg: ExperimentConfig, size: int, k: int) -> int:
 
 
 def iter_test_instances(cfg: ExperimentConfig, testing_pool):
+    """(id, instance) of every test instance, in eval order; the instances
+    of one size are sampled together."""
     for size in cfg.test_sizes:
-        for k in range(cfg.seeds_per_size):
-            iid = test_instance_id(size, k)
-            inst = sample_instance(test_instance_seed(cfg, size, k),
-                                   testing_pool, size, cfg.depot,
-                                   cfg.channel, cfg.mission)
-            yield iid, inst
+        seeds = [test_instance_seed(cfg, size, k)
+                 for k in range(cfg.seeds_per_size)]
+        for k, inst in enumerate(sample_instances(
+                seeds, testing_pool, size, cfg.depot, cfg.channel,
+                cfg.mission)):
+            yield test_instance_id(size, k), inst
 
 
 def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
@@ -895,11 +938,11 @@ def _stages(cfg: ExperimentConfig, out: Path):
     yield "pools", (testing_pool, training_pool)
     instances = stage_training_instances(cfg, training_pool, out)
     yield "training_instances", instances
-    tours = stage_oracle(cfg, instances, out)
+    tours, cost_scales = stage_oracle(cfg, instances, out)
     yield "oracle", tours
     wm = stage_world(cfg, tours, training_pool, out)
     yield "world", wm
-    qtable = stage_ql(cfg, instances, tours, out)
+    qtable = stage_ql(cfg, instances, tours, cost_scales, out)
     yield "ql", qtable
     rows = stage_eval(cfg, testing_pool, wm, qtable, out)
     yield "eval", rows

@@ -21,9 +21,18 @@ compare the same sequences as on ids; the matrix holds the same
 ``math.hypot`` values and sums are taken in the same order, so every tour
 is bit for bit what the same search gives on coordinates
 (tests/test_oracle_equivalence.py keeps that search as the reference).
-The pipeline calls only ``solve``; tests/oracle_oracles.py wraps each step
-on its own (construction, 2-opt, selection) as a ``Tour`` -> ``Tour``
-function for the tests.
+The pipeline calls ``demonstrate`` for the training instances and
+``solve``, its first element, for the test instances;
+tests/oracle_oracles.py wraps each step on its own (construction, 2-opt,
+selection) as a ``Tour`` -> ``Tour`` function for the tests.
+
+Q-learning scales each training instance's costs by the length of its
+nearest-neighbor construction (``instance_scales``). ``demonstrate``
+returns that length with the tour: it is summed (``_cost_scale``) over
+the geometry and the construction that the solve builds anyway, so a
+demonstration costs no second geometry or construction. Only a reused
+demonstration, which is rebuilt from its order, needs ``instance_scales``,
+which sums the same length with the same helper.
 
 The geometry lives for one call and is never cached on ``Instance``. A
 cached geometry and id map on every instance raised the peak resident
@@ -46,7 +55,7 @@ import math
 from dataclasses import asdict, dataclass
 from operator import attrgetter
 
-from .environment import Instance, edge_cost
+from .environment import Instance
 from .errors import ConfigurationError, ConsistencyError
 
 # Strict-improvement threshold for local search, in objective units.
@@ -93,15 +102,6 @@ class Tour:
         return len(self.order)
 
 
-def _closed_length(pts: list, depot) -> float:
-    if not pts:
-        return 0.0
-    total = edge_cost(depot, pts[0])
-    for a, b in zip(pts, pts[1:]):
-        total += edge_cost(a, b)
-    return total + edge_cost(pts[-1], depot)
-
-
 def objective_value(cost_m: float, profit_bps: float, w: ObjectiveWeights) -> float:
     return (w.weight_alpha * cost_m / w.cost_scale
             - w.weight_beta * profit_bps / w.profit_scale)
@@ -109,15 +109,28 @@ def objective_value(cost_m: float, profit_bps: float, w: ObjectiveWeights) -> fl
 
 def make_tour(order, inst: Instance, w: ObjectiveWeights) -> Tour:
     """Build a Tour with recomputed totals: the closed length depot ->
-    order... -> depot in meters, and the profit summed in id order, so
-    equal for any two orders of one visited set. Validates membership."""
+    order... -> depot in meters, its legs summed in visiting order, and the
+    profit summed in id order, so equal for any two orders of one visited
+    set. Validates membership: each id is looked up once, and the first
+    unknown one is refused."""
     order = tuple(order)
     by_id = {h.id: h for h in inst.hotspots}
+    x, y = depot = inst.depot_m
+    cost = 0.0
+    visited = []   # (id, profit) in visiting order
     for i in order:
-        if i not in by_id:
+        h = by_id.get(i)
+        if h is None:
             raise ConsistencyError(f"tour references unknown hotspot {i}")
-    cost = _closed_length([by_id[i].center_m for i in order], inst.depot_m)
-    profit = sum(by_id[i].profit_bps for i in sorted(order))
+        hx, hy = h.center_m
+        # edge_cost inlined
+        cost += math.hypot(x - hx, y - hy)
+        x, y = hx, hy
+        visited.append((i, h.profit_bps))
+    if order:
+        cost += math.hypot(x - depot[0], y - depot[1])
+    visited.sort()
+    profit = sum(p for _, p in visited)
     return Tour(order=order, total_cost_m=cost, total_profit_bps=profit,
                 objective=objective_value(cost, profit, w))
 
@@ -126,23 +139,34 @@ def instance_scales(inst: Instance) -> tuple[float, float]:
     """The full nearest-neighbor tour length and the total profit of
     ``inst``, each 1.0 where it is not positive.
 
-    The length is summed over ``_Geometry.dist`` in ``_closed_length``'s
-    order, so it equals the ``total_cost_m`` of the construction's tour
-    bit for bit without building the ``Tour``
+    The length is ``_cost_scale`` of the construction, which ``demonstrate``
+    also gives with each demonstration; it equals the ``total_cost_m`` of
+    the construction's tour bit for bit without building the ``Tour``
     (``nearest_neighbor_construct`` in tests/oracle_oracles.py). Scaling
     cost and profit by these makes both objective terms order one
     (``relative_weights`` there).
     """
     g = _Geometry(inst)
+    return _cost_scale(g, _nearest_neighbor(g)), _profit_scale(inst)
+
+
+def _cost_scale(g: _Geometry, order: list[int]) -> float:
+    """The closed length depot -> order... -> depot over ``g.dist``, summed
+    in visiting order as ``make_tour`` sums it; 1.0 where not positive."""
     dist, pos = g.dist, g.depot
     length = 0.0
-    for k in _nearest_neighbor(g):
+    for k in order:
         length += dist[pos][k]
         pos = k
     length += dist[pos][g.depot]
-    total_profit = sum(h.profit_bps for h in inst.hotspots)
-    return (length if length > 0 else 1.0,
-            total_profit if total_profit > 0 else 1.0)
+    return length if length > 0 else 1.0
+
+
+def _profit_scale(inst: Instance) -> float:
+    """The total profit of ``inst``, summed in its hotspot order; 1.0 where
+    not positive."""
+    total = sum(h.profit_bps for h in inst.hotspots)
+    return total if total > 0 else 1.0
 
 
 class _Geometry:
@@ -265,11 +289,22 @@ def _canonical_orientation(order):
     return rev if rev < order else order
 
 
-def solve(inst: Instance, w: ObjectiveWeights) -> Tour:
-    """Construction, 2-opt, then the vertex-selection pass; deterministic."""
+def demonstrate(inst: Instance, w: ObjectiveWeights) -> tuple[Tour, float]:
+    """``solve``'s tour of ``inst`` and the cost scale that
+    ``instance_scales`` gives it, from one geometry and one construction:
+    the scale is the construction's length, taken before 2-opt reorders
+    it."""
     g = _Geometry(inst)
-    order = _selection_pass(_two_opt(_nearest_neighbor(g), g, w), g, w)
-    return g.tour(_canonical_orientation(order), inst, w)
+    start = _nearest_neighbor(g)
+    cost_scale = _cost_scale(g, start)
+    order = _selection_pass(_two_opt(start, g, w), g, w)
+    return g.tour(_canonical_orientation(order), inst, w), cost_scale
+
+
+def solve(inst: Instance, w: ObjectiveWeights) -> Tour:
+    """Construction, 2-opt, then the vertex-selection pass; deterministic
+    (``demonstrate``'s tour)."""
+    return demonstrate(inst, w)[0]
 
 
 def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:

@@ -7,6 +7,13 @@ when its realized tour comes within 5% of the demonstrated objective.
 At test time the table drives a softmax word constructor; letters the
 table never saw fall back to a distance-based pseudo value.
 
+Each training instance's costs are scaled by the length of its
+nearest-neighbor construction. ``train_q`` takes those lengths as an
+argument: the oracle stage has them from the demonstrations
+(``oracle.demonstrate``), so they are never recomputed here. The profit
+scale, the instance's total profit summed in its hotspot order, is
+computed here.
+
 Training runs 100,000 steps on the default config, so each step does
 only what its arithmetic needs. An episode builds one id -> hotspot dict
 for its instance and walks it on local coordinates: every leg is a
@@ -32,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .environment import Instance, _Stream, edge_cost
 from .errors import ConfigurationError, ConsistencyError, TrainingError
-from .oracle import ObjectiveWeights, Tour, instance_scales, objective_value
+from .oracle import ObjectiveWeights, Tour, _profit_scale, objective_value
 from .world_model import Word
 
 DEPOT_STATE = -1
@@ -79,7 +87,8 @@ class QTable:
         return self.values.get((state, action), 0.0)
 
 
-def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
+def train_q(training: list[tuple[Instance, Tour]],
+            cost_scales: Sequence[float], cfg: QTrainConfig,
             weights: ObjectiveWeights, rng_seed: int) -> QTable:
     """Episodic Q-learning over the demonstration instances.
 
@@ -88,16 +97,17 @@ def train_q(training: list[tuple[Instance, Tour]], cfg: QTrainConfig,
     -alpha * leg / nn_cost + beta * profit / total_profit with alpha and
     beta from ``weights`` (the objective the demonstrations were solved
     with), and the last step also pays the return leg and, on a
-    near-demonstration tour, the terminal bonus.
+    near-demonstration tour, the terminal bonus. ``cost_scales[k]`` is
+    training instance k's nn_cost, ``instance_scales(inst)[0]``, which
+    ``oracle.demonstrate`` gives with each demonstration.
     """
     if not training:
         raise TrainingError("no training instances for Q-learning")
     rng = _Stream(rng_seed)
     letters: set[int] = set()
     prepared = []
-    for inst, demo in training:
-        cost_scale, profit_scale = instance_scales(inst)
-        prepared.append((inst, demo, cost_scale, profit_scale))
+    for (inst, demo), cost_scale in zip(training, cost_scales, strict=True):
+        prepared.append((inst, demo, cost_scale, _profit_scale(inst)))
         letters.update(inst.ids)
 
     alpha = weights.weight_alpha

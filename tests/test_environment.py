@@ -10,12 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan import environment
-from uavplan.environment import (ChannelParams, _pairwise_sum, _Stream,
-                                 channel_gain,
+from uavplan.environment import (ChannelParams, Instance, _bulk_streams,
+                                 _pairwise_sum, _Stream, channel_gain,
                                  edge_cost, hotspot_sum_rate, instance_from_dict,
                                  instance_to_dict, los_probability,
                                  pool_from_dict, pool_to_dict, sample_instance,
-                                 sample_pool)
+                                 sample_instances, sample_pool)
 from uavplan.errors import ConfigurationError
 
 
@@ -325,11 +325,112 @@ class TestStream:
         assert _pairwise_sum(row) == np.array(row).sum()
 
 
+# seeds with 1 to 5 entropy words in numpy's SeedSequence
+ENTROPY_EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128, 2 ** 160 - 1]
+
+
+def _raw(stream: _Stream, n: int) -> list[int]:
+    return [stream._next() for _ in range(n)]
+
+
+def _parent_sample_instance(seed, pool, n_select, depot, chan, mission):
+    """``sample_instance`` as it was drawn before bulk seeding: the set
+    ``Generator.choice(len(pool), size=n_select, replace=False)`` draws,
+    in id order."""
+    idx = np.random.default_rng(seed).choice(len(pool), size=n_select,
+                                             replace=False)
+    chosen = sorted((pool[i] for i in idx.tolist()), key=lambda h: h.id)
+    return Instance(hotspots=tuple(chosen), depot_m=depot, channel=chan,
+                    mission=mission, seed=seed)
+
+
+class TestBulkStreams:
+    """``_bulk_streams`` against ``np.random.default_rng`` and ``PCG64``: the
+    seeded state of every entropy length, the raw outputs, and the
+    instances ``sample_instances`` draws from them."""
+
+    @staticmethod
+    def _seeded(seeds) -> list[tuple[int, int]]:
+        """The (state, inc) that ``_bulk_streams`` seeds each stream with."""
+        seeded = []
+        with mock.patch.object(_Stream, "_from_state",
+                               side_effect=lambda *a: seeded.append(a)):
+            list(_bulk_streams(seeds))
+        return seeded
+
+    @pytest.mark.parametrize("seed", ENTROPY_EDGES)
+    def test_seeded_state_is_pcg64s(self, seed):
+        state = np.random.PCG64(seed).state["state"]
+        assert self._seeded([seed]) == [(state["state"], state["inc"])]
+
+    @pytest.mark.parametrize("seed", ENTROPY_EDGES)
+    def test_outputs_are_random_raw(self, seed):
+        """Past default_rng's first chunk of 16 and far beyond."""
+        want = np.random.default_rng(seed).bit_generator.random_raw(3000)
+        assert _raw(next(_bulk_streams([seed])), 3000) == want.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 32 - 1),
+                              st.integers(2 ** 32, 2 ** 64),
+                              st.integers(0, 2 ** 200),
+                              st.sampled_from(ENTROPY_EDGES)),
+                    min_size=1, max_size=12))
+    def test_mixed_length_batches_keep_seed_order(self, seeds):
+        """Seeds of several entropy lengths, in any order and repeated:
+        each stream is its own seed's, in the order given."""
+        states = [np.random.PCG64(s).state["state"] for s in seeds]
+        assert self._seeded(seeds) == [(t["state"], t["inc"]) for t in states]
+        assert [_raw(r, 5) for r in _bulk_streams(seeds)] == [
+            np.random.default_rng(s).bit_generator.random_raw(5).tolist()
+            for s in seeds]
+
+    def test_streams_are_made_on_demand(self):
+        streams = _bulk_streams(range(1000))
+        with mock.patch.object(_Stream, "_from_state") as made:
+            next(streams)
+            next(streams)
+        assert made.call_count == 2
+
+    def test_negative_seeds_are_refused(self, chan, mission):
+        """As ``default_rng`` refuses them."""
+        pool = sample_pool(11, 10, 5.0, mission, chan)
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            sample_instance(-1, pool, 3, (0.0, 0.0), chan, mission)
+        with pytest.raises(ValueError):
+            sample_instances([4, -2 ** 40], pool, 3, (0.0, 0.0), chan,
+                             mission)
+
+    @pytest.mark.parametrize("pool_size,n_select,seeds", [
+        pytest.param(50, 5, range(1_000_000, 1_000_300), id="50-5"),
+        pytest.param(100, 50, range(7, 57), id="100-50"),
+        pytest.param(100, 100, [3, 2 ** 64, 0], id="whole-pool"),
+        pytest.param(10_001, 200, [0, 1, 2 ** 32], id="floyd-k-small"),
+        pytest.param(10_001, 201, [0, 1, 2 ** 32], id="tail-shuffle")])
+    def test_sample_instances_are_the_parent_draws(
+            self, chan, mission, pool_size, n_select, seeds):
+        """Both branches of ``choice``'s set (Floyd's algorithm at n <=
+        10,000 or k <= n // 50, else the tail shuffle), and a 50-of-100
+        sample whose streams run past default_rng's first chunk."""
+        pool = sample_pool(11, pool_size, 5.0, mission, chan)
+        depot = (10.0, 20.0)
+        want = [_parent_sample_instance(s, pool, n_select, depot, chan,
+                                        mission) for s in seeds]
+        assert sample_instances(seeds, pool, n_select, depot, chan,
+                                mission) == want
+        assert [sample_instance(s, pool, n_select, depot, chan, mission)
+                for s in seeds] == want
+
+
 class TestOneDrawPath:
-    """Every random draw in the package goes through ``environment._Stream``:
-    ``default_rng`` is called only there, its generator is read only
-    through ``bit_generator.random_raw``, nothing else reaches
-    ``np.random``, and the draw methods are called only on streams."""
+    """Every random draw in the package goes through ``environment._Stream``,
+    whose raw outputs have two sources: ``default_rng`` is called only in
+    ``_Stream`` and read only through ``bit_generator.random_raw``; and
+    ``_Stream._from_state``, the bulk-seeded source, is called only by
+    ``_bulk_streams``, which only ``sample_instances`` calls. Nothing else
+    reaches ``np.random``, and the draw methods are called only on
+    streams."""
 
     SRC = Path(environment.__file__).parent
     DRAWS = {"random", "uniform", "integers", "choice"}
@@ -356,7 +457,54 @@ class TestOneDrawPath:
                     and isinstance(node.value.func, ast.Name)
                     and node.value.func.id == "_Stream"):
                 names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            if isinstance(node, ast.For) and isinstance(node.iter, ast.Call):
+                # for rng in _bulk_streams(...), or for ..., rng in
+                # zip(..., _bulk_streams(...))
+                pairs = [(node.target, node.iter)]
+                if (isinstance(node.iter.func, ast.Name)
+                        and node.iter.func.id == "zip"
+                        and isinstance(node.target, ast.Tuple)):
+                    pairs = list(zip(node.target.elts, node.iter.args))
+                for target, source in pairs:
+                    if (isinstance(target, ast.Name)
+                            and isinstance(source, ast.Call)
+                            and isinstance(source.func, ast.Name)
+                            and source.func.id == "_bulk_streams"):
+                        names.add(target.id)
         return names
+
+    @staticmethod
+    def _callers(name: str) -> list[str]:
+        """``path:function`` of every function in the package that calls
+        ``name`` by name or as an attribute."""
+        found = []
+        for path in sorted(TestOneDrawPath.SRC.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and (
+                            (isinstance(node.func, ast.Name)
+                             and node.func.id == name)
+                            or (isinstance(node.func, ast.Attribute)
+                                and node.func.attr == name)):
+                        found.append(f"{path.name}:{fn.name}")
+        return found
+
+    def test_the_bulk_source_serves_only_instance_sampling(self):
+        """No ``Generator`` fallback and no second seeding path: the
+        PCG64 outputs made in Python reach only streams that
+        ``_bulk_streams`` makes, and only ``sample_instances`` asks for
+        them (``sample_instance`` is its one-seed case)."""
+        assert self._callers("_pcg64_outputs") == [
+            "environment.py:_from_state"]
+        assert self._callers("_from_state") == ["environment.py:_bulk_streams"]
+        assert self._callers("_bulk_streams") == [
+            "environment.py:sample_instances"]
+        assert self._callers("sample_instances") == [
+            "environment.py:sample_instance", "harness.py:stage_training_instances",
+            "harness.py:iter_test_instances"]
 
     def test_only_the_stream_draws(self):
         problems = []
@@ -422,4 +570,5 @@ class TestOneDrawPath:
             "channel_gain", "edge_cost", "hotspot_from_dict",
             "hotspot_sum_rate", "hotspot_to_dict", "instance_from_dict",
             "instance_to_dict", "los_probability", "pool_from_dict",
-            "pool_to_dict", "sample_instance", "sample_pool"]
+            "pool_to_dict", "sample_instance", "sample_instances",
+            "sample_pool"]

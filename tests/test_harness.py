@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shutil
+from array import array
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from uavplan.harness import (_READS, ExperimentConfig, _canonical_json,
                              config_to_dict, load_config, read_metrics, run_pipeline, stage_oracle,
                              stage_pools, stage_training_instances, summarize,
                              word_similarity, write_jsonl_atomic)
-from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
+from uavplan.oracle import (ObjectiveWeights, instance_scales, make_tour,
+                            tour_to_dict)
 from uavplan.planner import PlannerConfig
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
@@ -290,7 +292,9 @@ class TestReport:
 
 
 def _write_lines(path: Path, objs) -> None:
-    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    """Write ``objs`` one per line as the pipeline encodes them, so that a
+    damaged export differs only where the damage is."""
+    path.write_text("".join(_canonical_json(o) + "\n" for o in objs))
 
 
 class TestHeadedJsonl:
@@ -320,10 +324,11 @@ class TestHeadedJsonl:
         out.mkdir()
         _, training = stage_pools(cfg, out)
         sampled = stage_training_instances(cfg, training, out)
-        solved = stage_oracle(cfg, sampled, out)
+        solved, scales = stage_oracle(cfg, sampled, out)
+        assert scales == array("d", [instance_scales(i)[0] for i in sampled])
         loaded = stage_training_instances(cfg, training, out)
         assert loaded == sampled
-        assert stage_oracle(cfg, loaded, out) == solved
+        assert stage_oracle(cfg, loaded, out) == (solved, None)
         # one header line, then one record per instance or tour
         for name in ("training_instances.jsonl", "oracle_tours.jsonl"):
             assert len((out / name).read_text().splitlines()) == 41
@@ -386,7 +391,8 @@ def _as_v1_instances(cfg, out):
 
 def _as_v1_tours(cfg, out):
     _, training = stage_pools(cfg, out)
-    tours = stage_oracle(cfg, stage_training_instances(cfg, training, out), out)
+    tours, _ = stage_oracle(cfg, stage_training_instances(cfg, training, out),
+                            out)
     _write_lines(out / "oracle_tours.jsonl",
                  (tour_to_dict(t, cfg.weights) for t in tours))
 
@@ -707,11 +713,9 @@ class TestCli:
             "29 records", id="instances-cut-at-line"),
         pytest.param("training_instances.jsonl", _edit_lines(
             "training_instances.jsonl", _cut_ids),
-            "line 4: ConfigurationError: record holds 3 hotspot ids",
-            id="instances-too-few-ids"),
+            "line 4 holds", id="instances-too-few-ids"),
         pytest.param("training_instances.jsonl", _cut_ids_without_tours,
-                     "line 4: ConfigurationError: record holds 3 hotspot ids",
-                     id="instances-too-few-ids-without-tours"),
+                     "line 4 holds", id="instances-too-few-ids-without-tours"),
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines.pop()),
             "29 records", id="tours-cut-at-line"),
@@ -744,6 +748,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert str(tmp_path / "h" / artifact) in err and named in err
+
+    def test_training_ids_changed_within_the_pool_exit_2(self, tmp_path,
+                                                          capsys):
+        """A training record whose ids were changed to other ids of the
+        training pool is refused, naming its line, although every other
+        artifact was deleted, so that the run would solve the changed
+        instance afresh."""
+        cfg = small_config(tmp_path / "h", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        out = tmp_path / "h"
+
+        def other_ids(lines):
+            ids = lines[3]["ids"]
+            lines[3]["ids"] = [i for i in range(1, cfg.training_pool_size + 1)
+                               if i not in ids][:len(ids)]
+
+        _edit_lines("training_instances.jsonl", other_ids)(cfg, out)
+        for p in out.iterdir():
+            if p.is_dir():
+                shutil.rmtree(p)
+            elif p.name != "training_instances.jsonl":
+                p.unlink()
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: "
+                              f"{out / 'training_instances.jsonl'} line 4 holds ")
 
     @staticmethod
     def _damaged_run_exit(tmp_path, capsys, artifact, edit, command):

@@ -5,7 +5,8 @@ import pytest
 
 from uavplan.environment import edge_cost, sample_instance, sample_pool
 from uavplan.errors import TrainingError
-from uavplan.oracle import ObjectiveWeights, make_tour, solve
+from uavplan.oracle import (ObjectiveWeights, instance_scales, make_tour,
+                            solve)
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_from_dict, qtable_to_dict, train_q)
 from uavplan.world_model import Word
@@ -13,6 +14,11 @@ from uavplan.world_model import Word
 from oracle_oracles import nearest_neighbor_construct
 
 W = ObjectiveWeights()
+
+
+def _scales(training):
+    """Each training instance's cost scale, as the oracle stage gives it."""
+    return [instance_scales(inst)[0] for inst, _ in training]
 
 
 @pytest.fixture
@@ -58,18 +64,20 @@ def value_iteration_two_letters(inst, demo, cfg):
 class TestTrainQ:
     def test_zero_episodes_zero_table(self, two_hotspot_world):
         inst, demo = two_hotspot_world
-        table = train_q([(inst, demo)], QTrainConfig(episodes=0), W, 1)
+        table = train_q([(inst, demo)], _scales([(inst, demo)]),
+                        QTrainConfig(episodes=0), W, 1)
         assert table.values == {}
         assert table.q(DEPOT_STATE, inst.ids[0]) == 0.0
 
     def test_empty_training_rejected(self):
         with pytest.raises(TrainingError):
-            train_q([], QTrainConfig(episodes=10), W, 1)
+            train_q([], [], QTrainConfig(episodes=10), W, 1)
 
     def test_converges_to_value_iteration_fixed_point(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=20000)
-        table = train_q([(inst, demo)], cfg, W, 3)
+        table = train_q([(inst, demo)], _scales([(inst, demo)]),
+                        cfg, W, 3)
         expected = value_iteration_two_letters(inst, demo, cfg)
         for key, val in expected.items():
             assert table.q(*key) == pytest.approx(val, abs=1e-6)
@@ -77,7 +85,8 @@ class TestTrainQ:
     def test_greedy_rollout_reproduces_oracle_order(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=20000, temperature=0.0)
-        table = train_q([(inst, demo)], cfg, W, 3)
+        table = train_q([(inst, demo)], _scales([(inst, demo)]),
+                        cfg, W, 3)
         word = construct_word(table, None, inst, 0, cfg)
         assert word.letters == demo.order
 
@@ -89,7 +98,8 @@ class TestTrainQ:
             inst = sample_instance(600 + k, pool, 4, (1000.0, 1000.0),
                                    chan, mission)
             training.append((inst, solve(inst, default_weights)))
-        table = train_q(training, QTrainConfig(episodes=300), W, 5)
+        table = train_q(training, _scales(training),
+                        QTrainConfig(episodes=300), W, 5)
         assert table.letters <= {h.id for h in pool}
         assert all(s == DEPOT_STATE or s in table.letters
                    for (s, _) in table.values)
@@ -97,8 +107,10 @@ class TestTrainQ:
     def test_deterministic(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=500)
-        t1 = train_q([(inst, demo)], cfg, W, 11)
-        t2 = train_q([(inst, demo)], cfg, W, 11)
+        t1 = train_q([(inst, demo)], _scales([(inst, demo)]),
+                     cfg, W, 11)
+        t2 = train_q([(inst, demo)], _scales([(inst, demo)]),
+                     cfg, W, 11)
         assert t1.values == t2.values
 
 
@@ -106,7 +118,8 @@ class TestConstructWord:
     def test_emits_each_letter_exactly_once(self, chan, mission, default_weights):
         pool = sample_pool(31, 10, 5.0, mission, chan)
         inst = sample_instance(700, pool, 6, (1000.0, 1000.0), chan, mission)
-        table = train_q([(inst, solve(inst, default_weights))],
+        training = [(inst, solve(inst, default_weights))]
+        table = train_q(training, _scales(training),
                         QTrainConfig(episodes=200), default_weights, 5)
         for seed in range(10):
             word = construct_word(table, None, inst, seed,
@@ -177,7 +190,8 @@ class TestQTableSerialization:
     def test_round_trip(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=200)
-        table = train_q([(inst, demo)], cfg, W, 7)
+        table = train_q([(inst, demo)], _scales([(inst, demo)]),
+                        cfg, W, 7)
         back = qtable_from_dict(qtable_to_dict(table))
         assert back.values == table.values
         assert back.letters == table.letters

@@ -24,8 +24,8 @@ from uavplan.environment import Hotspot, Instance, edge_cost
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_to_dict, train_q)
 from uavplan.errors import ConfigurationError, TrainingError
-from uavplan.oracle import (ObjectiveWeights, Tour, instance_scales,
-                            make_tour, solve)
+from uavplan.oracle import (ObjectiveWeights, Tour, demonstrate,
+                            instance_scales, make_tour, solve)
 from uavplan.world_model import Word
 
 from oracle_oracles import nearest_neighbor_construct
@@ -38,6 +38,12 @@ def _instance_scales(inst: Instance) -> tuple[float, float]:
     cost_scale = nn.total_cost_m if nn.total_cost_m > 0 else 1.0
     total_profit = sum(h.profit_bps for h in inst.hotspots)
     return cost_scale, total_profit if total_profit > 0 else 1.0
+
+
+def _scales(training) -> list[float]:
+    """The cost scales that ``train_q`` takes, as the oracle stage gives
+    them; ``ref_train_q`` computes its own."""
+    return [instance_scales(inst)[0] for inst, _ in training]
 
 
 def _center(inst: Instance, state: int):
@@ -189,7 +195,7 @@ def _bits(q: QTable) -> str:
 
 
 def _assert_same_training(training, cfg, w, seed):
-    got = _bits(train_q(training, cfg, w, seed))
+    got = _bits(train_q(training, _scales(training), cfg, w, seed))
     want = _bits(ref_train_q(training, cfg, w, seed))
     assert got == want
     return got
@@ -252,8 +258,8 @@ def test_exact_demonstration_match(chan, mission):
         training = [(inst, make_tour(full, inst, w))]
         cfg = QTrainConfig(episodes=300, match_tolerance=0.0)
         exact = _assert_same_training(training, cfg, w, seed=k)
-        never = _bits(train_q(training, replace(cfg, match_tolerance=-1.0),
-                              w, k))
+        never = _bits(train_q(training, _scales(training),
+                              replace(cfg, match_tolerance=-1.0), w, k))
         bonus_paid += exact != never
     assert bonus_paid >= 20
 
@@ -274,7 +280,8 @@ def test_construct_word_matches_reference(chan, mission, temperature):
     w = WEIGHTS["0.9/0.1"]
     rng = random.Random(21)
     training = _training(rng, [4, 5, 6], w, chan, mission)
-    q = train_q(training, QTrainConfig(episodes=400), w, 9)
+    q = train_q(training, _scales(training), QTrainConfig(episodes=400),
+                w, 9)
     cfg = QTrainConfig(temperature=temperature)
     for n in range(1, 12):
         inst = _instance(rng, n, chan, mission, shuffled=n % 2 == 0,
@@ -318,6 +325,23 @@ def instance_sets(draw):
             for i in ids)
         out.append((hotspots, (draw(coord), draw(coord))))
     return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_sets(), st.sampled_from(sorted(WEIGHTS)))
+def test_demonstrate_carries_the_instance_cost_scale(chan, mission, drawn,
+                                                     weights):
+    """The cost scale that ``demonstrate`` carries with a demonstration, and
+    the oracle stage hands to ``train_q``, is ``instance_scales(inst)[0]``
+    bit for bit, and the reference's; its tour is ``solve``'s."""
+    w = WEIGHTS[weights]
+    for hotspots, depot in drawn:
+        inst = Instance(hotspots=hotspots, depot_m=depot, channel=chan,
+                        mission=mission, seed=0)
+        tour, scale = demonstrate(inst, w)
+        assert repr(scale) == repr(instance_scales(inst)[0]) \
+            == repr(_instance_scales(inst)[0])
+        assert tour == solve(inst, w)
 
 
 @settings(max_examples=120, deadline=None)
