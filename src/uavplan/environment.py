@@ -114,6 +114,19 @@ class ChannelParams:
             raise ConfigurationError("path-loss exponent must be >= 2 (free space)")
         if self.mu_los_db > self.mu_nlos_db:
             raise ConfigurationError("LoS excess attenuation exceeds NLoS")
+        try:
+            # the factors of every rate that the channel alone sets, with
+            # line of sight at the elevation of a UAV hovering above the
+            # user (90 degrees), where pool profits are taken
+            (self.noise_power_w, self.free_space_constant,
+             10.0 ** (self.mu_nlos_db / 10.0), los_probability(0.0, 1.0, self))
+        except OverflowError:
+            raise ConfigurationError(
+                f"one of noise_power_dbm {self.noise_power_dbm}, "
+                f"carrier_frequency_hz {self.carrier_frequency_hz}, "
+                f"mu_nlos_db {self.mu_nlos_db}, los_sigmoid_a "
+                f"{self.los_sigmoid_a} and los_sigmoid_b {self.los_sigmoid_b} "
+                "overflows float arithmetic") from None
 
     @property
     def noise_power_w(self) -> float:
@@ -538,10 +551,6 @@ POOL_SCHEMA = "uavplan.pool.v2"
 def pool_to_dict(pool: Sequence[Hotspot]) -> dict:
     return {"schema": POOL_SCHEMA,
             "hotspots": [hotspot_to_dict(h) for h in pool]}
-
-
-def pool_from_dict(d: dict) -> list[Hotspot]:
-    return [hotspot_from_dict(h) for h in d["hotspots"]]
 
 
 def instance_to_dict(inst: Instance) -> dict:

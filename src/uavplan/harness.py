@@ -5,66 +5,58 @@ point runs a prefix of it (``run_pipeline``). Every artifact is a pure
 function of the experiment config; rerunning a stage with the same
 config reproduces its files byte for byte. Wall clock measurements go
 to a separate timings file so the metrics CSV stays deterministic. Files
-are written atomically (write then rename), and a stage is skipped when
-its artifact already exists, except the pools, the training instances
-and the world model, which are cheap enough to compute on every run and
-whose files are checked exports. A reused artifact must match the record
-of what it was computed from, or the run stops with a configuration error
-naming the file and both values. This module alone writes, rebuilds and
-checks these records, and it alone spreads work over worker processes
-(``_map``).
+are written atomically (write then rename). This module alone writes,
+rebuilds and checks artifacts, and it alone spreads work over worker
+processes (``_map``).
 
 A stage's record is the config values it is computed from: one table,
 ``_READS``, gives each stage its upstream stages and the config keys it
 reads itself, and ``_record`` joins the keys along the chain, upstream
 keys first (a verifying trace in the sense of Mokhov, Mitchell & Peyton
 Jones, *Build systems a la carte*, ICFP 2018, that holds the values
-themselves). Every reuse record is derived from it:
+themselves). Every file a stage leaves follows one of two rules, and a
+file that breaks its rule stops the run with a configuration error that
+names the file and what differs (for a record, the key and both values)
+and says to delete it and run again:
 
-- ``pools.json`` (``uavplan.pool.v2``): the pool is sampled on every run,
-  and the file is its export; it must hold the schema and the pools
-  record (``pool_seed``, ``mean_users``, ``mission``, ``channel``) and
-  then exactly the sampled hotspots;
-- the training instances' header (below);
-- the demonstrations' header (below), which records the pools and
-  training instances records plus ``depot_m`` and ``weights``;
-- ``qtable.json`` (``uavplan.qtable.v2``): the fingerprint of the
-  training pairs, checked first, then the demonstrations' record plus
-  ``ql`` and ``ql_train_seed``;
-- ``config.json``, the whole config behind ``metrics.csv`` and the
-  eval's other outputs (``tours/``, ``traces/``, ``instances/``), which
-  the report is made from; it must hold the eval's record, every key but
-  ``output_dir`` and ``workers``, and ``metrics.csv`` must then hold the
-  rows (method, instance id, size) that this config's eval writes, in
-  order.
+- an export is computed on every run, because that costs about what
+  reading it back would, and its file is checked (``_export``): written
+  when absent, one JSON object per line, and when present, byte for
+  byte what this run writes. Its first line holds its record.
 
-The world model is learned on every run: ``world_model.json`` is its
-export and must record this run's noise config and then hold exactly
-what ``learn`` makes of the demonstrations and the training pool.
+  - ``pools.json`` (``uavplan.pool.v2``): the schema and the pools
+    record (``pool_seed``, ``mean_users``, ``mission``, ``channel``),
+    then the sampled hotspots;
+  - ``training_instances.jsonl`` (``uavplan.instances.v4``): a header,
+    the schema and the record (``training_pool_size``,
+    ``train_instance_size``, ``train_seed_base`` and ``m_training``,
+    which alone determine the ids), then per line k the ``{"ids"}`` of
+    the instance drawn with seed ``train_seed_base + k`` (seeded in
+    bulk), which takes this run's pool, depot, channel and mission;
+  - ``world_model.json`` (``uavplan.world_model.v3``): what ``learn``
+    makes of the demonstrations and the training pool; its schema and
+    noise config are its record.
 
-The training instances and their demonstrations are JSON-lines files
-with a header: the first line holds the schema and the stage's record,
-and each following line holds one record.
+- a cache is computed only when its file is absent, and is otherwise
+  read back, so its file must hold this run's record:
 
-- ``training_instances.jsonl`` (``uavplan.instances.v4``): the header
-  records ``training_pool_size``, ``train_instance_size``,
-  ``train_seed_base`` and ``m_training``, which alone determine the ids;
-  record k is ``{"ids"}`` of the instance drawn with seed
-  ``train_seed_base + k``. The instances are sampled on every run (seeded
-  in bulk, which costs about what reading the file back did), with this
-  run's depot, channel and mission, and the file is their export: written
-  when absent and, when present, byte for byte what this run would write.
-  A header that differs is named by its schema or first differing key, a
-  file with another record count by both counts, and any other difference
-  by its first differing line, with both contents.
-- ``oracle_tours.jsonl`` (``uavplan.tours.v5``): record k is a tour's
-  ``{"order"}``, rebuilt as ``make_tour(order, instance k, weights)``,
-  the call ``solve`` ends with, so a reused demonstration equals the
-  solved one bit for bit. A file with another schema (such as an older
-  one-object-per-line file), a header that differs from the config, a
-  record count other than the run's, or a demonstration naming a hotspot
-  that its instance lacks or visiting one twice is a configuration error
-  naming the file and the line.
+  - ``oracle_tours.jsonl`` (``uavplan.tours.v5``): a header, the schema
+    and the pools and training instances records plus ``depot_m`` and
+    ``weights``, then per line k a tour's ``{"order"}``, rebuilt as
+    ``make_tour(order, instance k, weights)``, the call ``solve`` ends
+    with, so a reused demonstration equals the solved one bit for bit.
+    Another schema (such as an older one-object-per-line file), another
+    record count, or a demonstration naming a hotspot that its instance
+    lacks or visiting one twice is refused too, naming the line;
+  - ``qtable.json`` (``uavplan.qtable.v2``): the fingerprint of the
+    training pairs, checked first, then the demonstrations' record plus
+    ``ql`` and ``ql_train_seed``;
+  - ``metrics.csv`` and the eval's other outputs (``tours/``,
+    ``traces/``, ``instances/``), which the report is made from: their
+    record is ``config.json``, the whole config, which must hold the
+    eval's record, every key but ``output_dir`` and ``workers``;
+    ``metrics.csv`` must then hold the rows (method, instance id, size)
+    that this config's eval writes, in order.
 
 Solving a demonstration also gives its instance's cost scale for
 Q-learning (``oracle.demonstrate``), which the oracle stage hands to the
@@ -75,8 +67,10 @@ Every artifact is encoded by one ``json.JSONEncoder`` (``_canonical_json``).
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config: its JSON form is their ``asdict``, and reading one back
-takes every default from them and rejects any key they do not declare
-and any value whose JSON type does not fit the key's declared type.
+takes every default from them and rejects any key they do not declare,
+any value whose JSON type does not fit the key's declared type, and any
+value that a dataclass's own check refuses, such as a channel or an
+altitude whose rates overflow float arithmetic.
 """
 
 from __future__ import annotations
@@ -99,8 +93,8 @@ from typing import (Callable, Iterable, Sequence, TypeVar, get_args, get_origin,
 import json
 
 from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
-                          MissionConfig, instance_from_dict, instance_to_dict,
-                          pool_from_dict, pool_to_dict, sample_instances,
+                          MissionConfig, channel_gain, instance_from_dict,
+                          instance_to_dict, pool_to_dict, sample_instances,
                           sample_pool)
 from .errors import ConfigurationError
 from .oracle import (ObjectiveWeights, Tour, demonstrate, instance_scales,
@@ -178,6 +172,15 @@ class ExperimentConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.depot_m is not None and len(self.depot_m) != 2:
             raise ConfigurationError("depot_m must be [x, y] or null")
+        try:
+            # pool profits are rates at the hover distance, the altitude
+            channel_gain(self.mission.uav_altitude_m, 1.0, self.channel)
+        except OverflowError:
+            raise ConfigurationError(
+                f"config mission.uav_altitude_m {self.mission.uav_altitude_m} "
+                "to the power channel.path_loss_exponent "
+                f"{self.channel.path_loss_exponent} overflows float "
+                "arithmetic") from None
 
     @property
     def depot(self) -> tuple[float, float]:
@@ -306,10 +309,7 @@ _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 def _excerpt(obj, limit: int = 100) -> str:
     """``obj`` in canonical JSON, cut to ``limit`` characters."""
-    return _cut(_canonical_json(obj), limit)
-
-
-def _cut(text: str, limit: int = 100) -> str:
+    text = _canonical_json(obj)
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
@@ -401,89 +401,82 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T],
             f"malformed artifact {path}: {type(e).__name__}: {e}") from e
 
 
+_REGENERATE = "delete it and run again to regenerate it"
+
+
 def _check_header(path: Path, recorded: dict, want: dict) -> None:
     """A reused artifact must record what this run would compute it from:
     each key of the JSON object ``want``, in ``want``'s order; a key that
     ``recorded`` lacks counts as null. ``recorded`` must be a JSON object.
     A mismatch is a configuration error naming the file, the key and both
-    values."""
+    values, or, for the key ``schema``, both schemas."""
     if not isinstance(recorded, dict):
         raise ConfigurationError(f"{path} holds {_excerpt(recorded)}, not a "
-                                 "JSON object; delete it and run again")
+                                 f"JSON object; {_REGENERATE}")
     for key, value in want.items():
-        if recorded.get(key) != value:
+        found = recorded.get(key)
+        if found == value:
+            continue
+        if key == "schema":
             raise ConfigurationError(
-                f"{path} was computed with {key} "
-                f"{_canonical_json(recorded.get(key))}, but this run has "
-                f"{key} {_canonical_json(value)}; "
-                "remove it or use another output_dir")
-
-
-def _check_equal(path: Path, recorded, current, source: str) -> None:
-    """A reused artifact that this run recomputes must equal the
-    recomputed JSON ``current``; the first field that differs is named
-    with both values (see ``_first_difference``), and a field of a world
-    model's words also with the fingerprints (sha256) of both word
-    lists."""
-    found = _first_difference(recorded, current)
-    if found is None:
-        return
-    key, was, now = found
-    note = ""
-    if key.split(".")[0] == "words":
-        note = " (word list fingerprints {} and {})".format(*(
-            hashlib.sha256(_canonical_json(d.get("words")).encode())
-            .hexdigest() for d in (recorded, current)))
-    raise ConfigurationError(
-        f"{path} holds {key} {_excerpt(was)}, but {source} {_excerpt(now)}"
-        f"{note}; delete it and run again to regenerate it")
-
-
-def _check_schema_and_header(path: Path, header, want: dict) -> None:
-    """The header line of a JSON-lines artifact must hold ``want``'s schema
-    and then record the rest of ``want`` (see ``_check_header``)."""
-    found = header.get("schema") if isinstance(header, dict) else None
-    if found != want["schema"]:
+                f"{path} has schema {found!r}, not {value!r} (an older "
+                f"format or not this artifact); {_REGENERATE}")
         raise ConfigurationError(
-            f"{path} has schema {found!r}, not {want['schema']!r} (an older "
-            "format or not this artifact); delete it and run again to "
-            "regenerate it")
-    _check_header(path, header, want)
+            f"{path} was computed with {key} {_canonical_json(found)}, but "
+            f"this run has {key} {_canonical_json(value)}; {_REGENERATE}")
 
 
-def _check_jsonl_export(path: Path, header: dict, records: Iterable[dict],
-                        count: int) -> None:
-    """A reused JSON-lines export must hold, byte for byte, what
-    ``write_jsonl_atomic`` writes of ``header`` and then the ``count``
-    ``records``. A first line that differs is named as
-    ``load_headed_jsonl`` names a header; a file with another number of
-    lines, by both record counts; any other line, by its number and both
-    contents."""
-    lines = ((_canonical_json(o) + "\n").encode()
-             for o in itertools.chain([header], records))
+def _export(path: Path, objs: Iterable[dict], record: dict) -> None:
+    """A file that this run recomputes: ``objs``, one per line as
+    ``write_jsonl_atomic`` writes them, whose first line records
+    ``record``. Written when absent; when present, it must hold exactly
+    these bytes. Lines are compared as bytes and parsed only where they
+    differ: a first line that does not record ``record`` is named as
+    ``_check_header`` names it; another number of lines, by both counts;
+    any other line, by its number and the first field that differs
+    (``_first_difference``, in the key order of the object this run
+    writes) with both values, and a field of a world model's words also
+    with the fingerprints (sha256) of both word lists."""
+    if not path.exists():
+        write_jsonl_atomic(path, objs)
+        return
+    objs = iter(objs)
     try:
         with open(path, "rb") as f:
-            for n, (have, want) in enumerate(
-                    itertools.zip_longest(f, lines), start=1):
-                if have == want:
+            for n, (have, obj) in enumerate(itertools.zip_longest(f, objs),
+                                            start=1):
+                if (obj is not None
+                        and have == (_canonical_json(obj) + "\n").encode()):
                     continue
-                if n == 1:
-                    try:
-                        recorded = json.loads(have or b"null")
-                    except ValueError:
-                        recorded = None
-                    _check_schema_and_header(path, recorded, header)
-                if have is None or want is None:
-                    held = n - 2 + (have is not None) + sum(1 for _ in f)
+                if have is None or obj is None:
+                    held = n - 1 + (have is not None) + sum(1 for _ in f)
+                    count = n - 1 + (obj is not None) + sum(1 for _ in objs)
                     raise ConfigurationError(
-                        f"{path} holds {held} records after its header, but "
-                        f"this run writes {count}; delete it and run again "
-                        "to regenerate it")
-                was, now = (_cut(line.decode(errors="replace").rstrip("\n"))
-                            for line in (have, want))
+                        f"{path} holds {held} lines, but this run writes "
+                        f"{count}; {_REGENERATE}")
+                try:
+                    recorded = json.loads(have)
+                except ValueError as e:
+                    raise ConfigurationError(
+                        f"cannot read artifact {path}, line {n}: {e}") from e
+                if n == 1:
+                    _check_header(path, recorded, record)
+                found = _first_difference(recorded, obj)
+                if found is None:
+                    raise ConfigurationError(
+                        f"{path} line {n} holds the values this run writes "
+                        f"in another encoding; {_REGENERATE}")
+                key, was, now = found
+                note = ""
+                if key.split(".")[0] == "words":
+                    note = " (word list fingerprints {} and {})".format(*(
+                        hashlib.sha256(_canonical_json(d.get("words"))
+                                       .encode()).hexdigest()
+                        for d in (recorded, obj)))
                 raise ConfigurationError(
-                    f"{path} line {n} holds {was}, but this run writes {now} "
-                    "there; delete it and run again to regenerate it")
+                    f"{path} line {n} holds {key + ' ' if key else ''}"
+                    f"{_excerpt(was)}, but this run writes {_excerpt(now)}"
+                    f"{note}; {_REGENERATE}")
     except OSError as e:
         raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
 
@@ -499,12 +492,12 @@ def load_headed_jsonl(path: Path, want: dict, count: int,
     count and a malformed record are configuration errors that name the
     file, and for a record the line."""
     lines = read_jsonl(path)
-    _check_schema_and_header(path, lines[0] if lines else None, want)
+    _check_header(path, lines[0] if lines else None, want)
     records = lines[1:]
     if len(records) != count:
         raise ConfigurationError(
             f"{path} holds {len(records)} records after its header, but this "
-            f"run needs {count}; remove it or use another output_dir")
+            f"run needs {count}; {_REGENERATE}")
     built = []
     for k, rec in enumerate(records):
         try:
@@ -583,36 +576,26 @@ def stage_pools(cfg: ExperimentConfig,
                 out: Path) -> tuple[list[Hotspot], list[Hotspot]]:
     """Testing pool, with the training pool as its leading prefix so that
     trained letters keep their identity at test time. The pool is sampled
-    on every run; ``pools.json`` is written when absent and, when
-    present, must hold its record and then equal the sampled pool."""
-    path = out / "pools.json"
+    on every run, and ``pools.json``, its record and then its hotspots, is
+    its export (``_export``)."""
     testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
                           cfg.mean_users, cfg.mission, cfg.channel)
     record = {"schema": POOL_SCHEMA, **_record(cfg, "pools")}
-    current = {**record, **pool_to_dict(testing)}
-    if not path.exists():
-        write_json_atomic(path, current)
-    elif load_artifact(path, pool_from_dict, record) != testing:
-        _check_equal(path, read_json(path), current, "this run samples")
+    _export(out / "pools.json", [{**record, **pool_to_dict(testing)}], record)
     return testing, testing[:cfg.training_pool_size]
 
 
 def stage_training_instances(cfg: ExperimentConfig, training_pool,
                              out: Path) -> list[Instance]:
     """Training instance k is drawn with seed ``train_seed_base + k`` from
-    the training pool, on every run. ``training_instances.jsonl`` is their
-    export, written when absent; when present, it must hold exactly the
-    bytes this run would write."""
-    path = out / "training_instances.jsonl"
+    the training pool, on every run. ``training_instances.jsonl``, a
+    header and then each instance's ids, is their export (``_export``)."""
     seeds = range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training)
     instances = sample_instances(seeds, training_pool, cfg.train_instance_size,
                                  cfg.depot, cfg.channel, cfg.mission)
     header = {"schema": INSTANCES_SCHEMA, **_record(cfg, "training_instances")}
-    records = ({"ids": list(i.ids)} for i in instances)
-    if path.exists():
-        _check_jsonl_export(path, header, records, len(instances))
-    else:
-        write_jsonl_atomic(path, itertools.chain([header], records))
+    _export(out / "training_instances.jsonl", itertools.chain(
+        [header], ({"ids": list(i.ids)} for i in instances)), header)
     return instances
 
 
@@ -664,21 +647,12 @@ def _first_difference(recorded, current, key: str = ""):
 def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
                 out: Path) -> WorldModel:
     """The model ``learn`` makes of the demonstrations and the training
-    pool, learned on every run. ``world_model.json`` is its export,
-    written when absent. When present, it must record this run's noise
-    config and then equal the learned model's export; the first field
-    that differs is named with both values, and a field of the words also
-    with the fingerprints (sha256) of both word lists."""
-    path = out / "world_model.json"
+    pool, learned on every run. ``world_model.json`` is its export
+    (``_export``), whose schema and noise config are its record."""
     wm = learn(tours, training_pool, cfg.noise, cfg.mission)
     current = model_to_dict(wm)
-    if not path.exists():
-        write_json_atomic(path, current)
-        return wm
-    recorded = read_json(path)
-    _check_header(path, recorded, {"noise_config": asdict(cfg.noise)})
-    _check_equal(path, recorded, current,
-                 "the demonstrations and the training pool give")
+    _export(out / "world_model.json", [current],
+            {key: current[key] for key in ("schema", "noise_config")})
     return wm
 
 
@@ -785,7 +759,7 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
         if not config_path.exists():
             raise ConfigurationError(
                 f"{path} has no {config_path} to record the config it was "
-                "computed with; remove it or use another output_dir")
+                f"computed with; {_REGENERATE}")
         _check_header(path, load_artifact(config_path, dict),
                       {"schema": CONFIG_SCHEMA, **_record(cfg, "eval")})
         rows = read_metrics(path)
@@ -798,8 +772,7 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
             if have != need:
                 raise ConfigurationError(
                     f"{path} row {n} holds {_excerpt(have)}, but this run's "
-                    f"eval writes {_excerpt(need)} there; delete it and run "
-                    "again to regenerate it")
+                    f"eval writes {_excerpt(need)} there; {_REGENERATE}")
         return rows
     results = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
                    (wm, qtable, cfg), cfg.workers, chunksize=1)

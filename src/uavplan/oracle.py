@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass
 from operator import attrgetter
 
@@ -61,6 +62,13 @@ from .errors import ConfigurationError, ConsistencyError
 # Strict-improvement threshold for local search, in objective units.
 _IMPROVE_EPS = 1e-12
 _TIE_EPS = 1e-12
+# 2-opt accepts an exchange that shortens the tour by more than 1e-9 m, or
+# by more than this times the construction length L where that is larger.
+# Both ends of every leg lie on the construction's closed tour, so a leg
+# is at most L / 2, and a delta of four legs is off by rounding by at most
+# about 3 * eps * L / 2: below the threshold, so a phantom gain cannot
+# undo an exchange and cycle. The threshold stays 1e-9 up to L = 280 km.
+_ROUNDING = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -152,13 +160,19 @@ def instance_scales(inst: Instance) -> tuple[float, float]:
 
 def _cost_scale(g: _Geometry, order: list[int]) -> float:
     """The closed length depot -> order... -> depot over ``g.dist``, summed
-    in visiting order as ``make_tour`` sums it; 1.0 where not positive."""
+    in visiting order as ``make_tour`` sums it; 1.0 where not positive. A
+    length that is not finite is refused: no search can compare tours of
+    such an instance."""
     dist, pos = g.dist, g.depot
     length = 0.0
     for k in order:
         length += dist[pos][k]
         pos = k
     length += dist[pos][g.depot]
+    if not math.isfinite(length):
+        raise ConsistencyError(
+            f"a tour of this instance is {length} m long; its depot and "
+            "hotspot coordinates must keep tour lengths finite")
     return length if length > 0 else 1.0
 
 
@@ -213,15 +227,19 @@ def _nearest_neighbor(g: _Geometry) -> list[int]:
     return order
 
 
-def _two_opt(order: list[int], g: _Geometry, w: ObjectiveWeights) -> list[int]:
+def _two_opt(order: list[int], g: _Geometry, w: ObjectiveWeights,
+             scale: float) -> list[int]:
     """Best-improvement 2-opt until no exchange strictly lowers the objective.
 
     Reversing an inner segment leaves the visited set (hence profit)
     unchanged, so an exchange improves the objective iff it shortens the
-    tour and alpha > 0; deltas are therefore evaluated on cost alone.
+    tour and alpha > 0; deltas are therefore evaluated on cost alone, and
+    one counts when it shortens the tour by more than the rounding bound
+    that ``scale``, the construction length, gives (``_ROUNDING``).
     """
     if len(order) < 2 or w.weight_alpha == 0.0:
         return order
+    stop = -max(1e-9, _ROUNDING * scale)
     dist = g.dist
     n = len(order)
     while True:
@@ -245,19 +263,19 @@ def _two_opt(order: list[int], g: _Geometry, w: ObjectiveWeights) -> list[int]:
                            + order[best_move[1] + 1:])
                     if cand < cur:
                         best_move = (i, j)
-        if best_move is None or best_delta >= -1e-9:
+        if best_move is None or best_delta >= stop:
             return order
         i, j = best_move
         order[i:j + 1] = order[i:j + 1][::-1]
 
 
-def _selection_pass(order: list[int], g: _Geometry,
-                    w: ObjectiveWeights) -> list[int]:
+def _selection_pass(order: list[int], g: _Geometry, w: ObjectiveWeights,
+                    scale: float) -> list[int]:
     """Greedily drop vertices whose removal strictly improves the objective.
 
     Each accepted removal trades the forfeited profit against the saved
-    detour; the reduced tour is re-optimized with 2-opt before the next
-    round. Idempotent once no removal helps.
+    detour; the reduced tour is re-optimized with 2-opt (``scale`` as
+    there) before the next round. Idempotent once no removal helps.
     """
     dist, depot, profits = g.dist, g.depot, g.profits
     while order:
@@ -278,7 +296,7 @@ def _selection_pass(order: list[int], g: _Geometry,
                 best_after = order[:k] + order[k + 1:]
         if best_after is None or best_gain >= -_IMPROVE_EPS:
             break
-        order = _two_opt(best_after, g, w)
+        order = _two_opt(best_after, g, w, scale)
     return order
 
 
@@ -293,11 +311,12 @@ def demonstrate(inst: Instance, w: ObjectiveWeights) -> tuple[Tour, float]:
     """``solve``'s tour of ``inst`` and the cost scale that
     ``instance_scales`` gives it, from one geometry and one construction:
     the scale is the construction's length, taken before 2-opt reorders
-    it."""
+    it, which also bounds the rounding of 2-opt's deltas (``_two_opt``)."""
     g = _Geometry(inst)
     start = _nearest_neighbor(g)
     cost_scale = _cost_scale(g, start)
-    order = _selection_pass(_two_opt(start, g, w), g, w)
+    order = _selection_pass(_two_opt(start, g, w, cost_scale), g, w,
+                            cost_scale)
     return g.tour(_canonical_orientation(order), inst, w), cost_scale
 
 

@@ -259,8 +259,16 @@ def _build(letters: dict[int, tuple[tuple[float, float], float]],
     if missing:
         raise ConsistencyError(
             f"stored words name letters {missing} that have no statistics")
-    q = np.diag([(noise.process_scale * mean_profit_bps) ** 2,
-                 (noise.process_scale * mean_leg_time_s) ** 2])
+    try:
+        q = np.diag([(noise.process_scale * mean_profit_bps) ** 2,
+                     (noise.process_scale * mean_leg_time_s) ** 2])
+    except OverflowError:
+        raise ConfigurationError(
+            f"config noise: the process noise, process_scale "
+            f"{noise.process_scale} times the training mean_profit_bps "
+            f"{mean_profit_bps} or mean_leg_time_s {mean_leg_time_s} (which "
+            "the pool and mission give), overflows float arithmetic when "
+            "squared") from None
     return WorldModel(
         vocab=vocab,
         stats={l: LetterStats(*letters[l], start_count=started.get(l, 0))

@@ -48,7 +48,8 @@ def nearest_neighbor_construct(inst: Instance) -> Tour:
 def two_opt(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
     """Best-improvement 2-opt until no exchange strictly lowers the objective."""
     g = _Geometry(inst)
-    return g.tour(_two_opt(indices(g, t.order), g, w), inst, w)
+    scale = instance_scales(inst)[0]
+    return g.tour(_two_opt(indices(g, t.order), g, w, scale), inst, w)
 
 
 def selection_pass(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
@@ -56,5 +57,5 @@ def selection_pass(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
     Idempotent once no removal helps; then ``t`` itself is returned."""
     g = _Geometry(inst)
     order = indices(g, t.order)
-    after = _selection_pass(order, g, w)
+    after = _selection_pass(order, g, w, instance_scales(inst)[0])
     return t if len(after) == len(order) else g.tour(after, inst, w)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from uavplan import environment
 from uavplan.environment import (ChannelParams, Instance, _bulk_streams,
                                  _pairwise_sum, _Stream, channel_gain,
-                                 edge_cost, hotspot_sum_rate, instance_from_dict,
-                                 instance_to_dict, los_probability,
-                                 pool_from_dict, pool_to_dict, sample_instance,
+                                 edge_cost, hotspot_from_dict, hotspot_sum_rate,
+                                 instance_from_dict, instance_to_dict,
+                                 los_probability, pool_to_dict, sample_instance,
                                  sample_instances, sample_pool)
 from uavplan.errors import ConfigurationError
 
@@ -216,7 +216,8 @@ class TestSampling:
 class TestSerialization:
     def test_pool_round_trip(self, chan, mission):
         pool = sample_pool(13, 12, 5.0, mission, chan)
-        assert pool_from_dict(pool_to_dict(pool)) == pool
+        assert [hotspot_from_dict(h)
+                for h in pool_to_dict(pool)["hotspots"]] == pool
 
     def test_instance_round_trip(self, chan, mission):
         pool = sample_pool(13, 12, 5.0, mission, chan)
@@ -569,6 +570,5 @@ class TestOneDrawPath:
         assert public == [
             "channel_gain", "edge_cost", "hotspot_from_dict",
             "hotspot_sum_rate", "hotspot_to_dict", "instance_from_dict",
-            "instance_to_dict", "los_probability", "pool_from_dict",
-            "pool_to_dict", "sample_instance", "sample_instances",
-            "sample_pool"]
+            "instance_to_dict", "los_probability", "pool_to_dict",
+            "sample_instance", "sample_instances", "sample_pool"]

@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from array import array
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -541,14 +544,42 @@ class TestCli:
                      id="weights-not-summing-to-1"),
         pytest.param('{"channel": {"carrier_frequency_hz": -1}}',
                      "config channel: carrier", ["gen-pool"],
-                     id="channel-frequency-negative")])
-    def test_bad_config_exits_2(self, tmp_path, capsys, text, named, command):
+                     id="channel-frequency-negative"),
+        pytest.param('{"channel": {"noise_power_dbm": 5000}}',
+                     "config channel: one of noise_power_dbm 5000", ["gen-pool"],
+                     id="channel-noise-power-overflow"),
+        pytest.param('{"channel": {"mu_los_db": 4000, "mu_nlos_db": 5000}}',
+                     "config channel: one of", ["gen-pool"],
+                     id="channel-attenuation-overflow"),
+        pytest.param('{"channel": {"carrier_frequency_hz": 1e300}}',
+                     "config channel: one of", ["gen-pool"],
+                     id="channel-frequency-overflow"),
+        pytest.param('{"channel": {"los_sigmoid_b": -100}}',
+                     "config channel: one of", ["gen-pool"],
+                     id="channel-los-sigmoid-overflow"),
+        pytest.param('{"channel": {"path_loss_exponent": 200}}',
+                     "channel.path_loss_exponent 200", ["gen-pool"],
+                     id="channel-path-loss-exponent-overflow"),
+        pytest.param('{"mission": {"uav_altitude_m": 1e300}}',
+                     "config mission.uav_altitude_m 1e+300", ["gen-pool"],
+                     id="mission-altitude-overflow"),
+        pytest.param('{"noise": {"process_scale": 1e300}}',
+                     "config noise: the process noise, process_scale 1e+300",
+                     ["pipeline", "--m-training", "20", "--test-sizes", "5",
+                      "--seeds-per-size", "1"],
+                     id="noise-process-scale-overflow")])
+    def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys, text,
+                                named, command):
         """A corrupt config, one with a key the dataclasses do not declare,
         a value of another JSON type than the key's (a float or a bool for
         an integer) or an invalid value, such as a negative seed or a test
         size named twice, exits 2 naming the file or the key, and a value
         that a section's own check rejects names the section; so does an
-        invalid ``plan`` override, before any artifact is read."""
+        invalid ``plan`` override, before any artifact is read. A value
+        that overflows float arithmetic names its section, or, for the
+        noise, which scales the learned means, when the world model is
+        learned."""
+        monkeypatch.chdir(tmp_path)
         p = tmp_path / "broken.json"
         p.write_text(text)
         assert cli_main(command + ["--config", str(p)]) == 2
@@ -710,7 +741,8 @@ class TestCli:
             "999", id="instances-id-not-in-pool"),
         pytest.param("training_instances.jsonl", _edit_lines(
             "training_instances.jsonl", lambda lines: lines.pop()),
-            "29 records", id="instances-cut-at-line"),
+            "holds 30 lines, but this run writes 31",
+            id="instances-cut-at-line"),
         pytest.param("training_instances.jsonl", _edit_lines(
             "training_instances.jsonl", _cut_ids),
             "line 4 holds", id="instances-too-few-ids"),
@@ -802,19 +834,22 @@ class TestCli:
                     "--trace", str(tmp_path / "trace.json")]
         return cli_main(argv), capsys.readouterr().err
 
-    @pytest.mark.parametrize("artifact,command", [
-        pytest.param("pools.json", "pipeline", id="pools.json"),
-        pytest.param("instances/s005k000.json", "plan", id="instance")])
+    @pytest.mark.parametrize("artifact,command,named", [
+        pytest.param("pools.json", "pipeline", "hotspots.0.center_m ",
+                     id="pools.json"),
+        pytest.param("instances/s005k000.json", "plan", "IndexError",
+                     id="instance")])
     def test_short_list_in_artifact_exits_2(self, tmp_path, capsys, artifact,
-                                            command):
+                                            command, named):
         """A hotspot whose center has one coordinate exits 2 naming the
-        file, in a reused pool and in an instance given to ``plan``."""
+        file, in a reused pool (and the field) and in an instance given to
+        ``plan`` (and the error)."""
         code, err = self._damaged_run_exit(
             tmp_path, capsys, artifact,
             lambda obj: obj["hotspots"][0]["center_m"].pop(), command)
         assert code == 2
         assert err.startswith("configuration error:")
-        assert str(tmp_path / "d" / artifact) in err and "IndexError" in err
+        assert str(tmp_path / "d" / artifact) in err and named in err
 
     @pytest.mark.parametrize("edit,command,named", [
         pytest.param(lambda obj: obj["words"][0].__setitem__("count", 0),
@@ -899,6 +934,35 @@ class TestCli:
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: DegenerateWordError:")
+
+    @pytest.mark.parametrize("config,code,named", [
+        pytest.param('{"mission": {"area_side_m": 1e8}, '
+                     '"weights": {"cost_scale": 1e8}}', 0,
+                     "pipeline complete", id="area-1e8"),
+        pytest.param('{"mission": {"area_side_m": 1e15}}', 2,
+                     "DegenerateWordError", id="area-1e15-skips-every-hotspot"),
+        pytest.param('{"depot_m": [1e308, 0]}', 2,
+                     "ConsistencyError: a tour of this instance is inf m",
+                     id="depot-1e308")])
+    def test_oracle_ends_at_any_coordinate_scale(self, tmp_path, config,
+                                                 code, named):
+        """The oracle's 2-opt stops on a rounding-level gain at any
+        coordinate scale: a 1e8 m area, where rounding once made it undo
+        and redo an exchange forever, finishes, and so does a 1e15 m one,
+        whose tours skip every hotspot at the default weights; a depot
+        whose tours are infinitely long is refused. Run in a process of
+        its own, so that a search that never ends fails the test."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "uavplan.cli", "pipeline", "--config",
+             str(cfg_path), "--out", str(tmp_path / "out"), "--m-training",
+             "20", "--test-sizes", "5", "--seeds-per-size", "1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == code, result.stderr[-2000:]
+        assert named in result.stdout + result.stderr
 
     def test_reused_pool_with_other_hotspots_exits_2(self, tmp_path, capsys):
         """A reused pools.json must equal the pool its seed samples, not
@@ -1050,7 +1114,7 @@ class TestCli:
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert str(out / "metrics.csv") in err and "remove it" in err
+        assert str(out / "metrics.csv") in err and "delete it" in err
 
     def test_moved_directory_with_other_workers_is_reused(self, tmp_path):
         """output_dir and workers are in no reuse check: a finished run
@@ -1279,6 +1343,61 @@ class TestReuseRecords:
             f"configuration error: {out / 'qtable.json'} was computed with "
             f"{key} "), err
         assert recorded in err
+
+
+def _bump_leaf(lines):
+    lines[0]["hotspots"][3]["num_users"] += 1
+
+
+@pytest.mark.parametrize("name,edit,line,leaf", [
+    pytest.param("pools.json", _bump_leaf, 1, "hotspots.3.num_users",
+                 id="pools.json"),
+    pytest.param("training_instances.jsonl",
+                 lambda lines: lines[3]["ids"].__setitem__(0, 999), 4,
+                 "ids.0", id="training_instances.jsonl"),
+    pytest.param("world_model.json", lambda lines: lines[0].__setitem__(
+        "mean_leg_time_s", 2 * lines[0]["mean_leg_time_s"]), 1,
+        "mean_leg_time_s", id="world_model.json")])
+def test_exports_hold_exactly_what_the_run_writes(
+        tmp_path, capsys, finished_run, name, edit, line, leaf):
+    """The files a run recomputes are checked by one rule: an untouched
+    rerun exits 0 and keeps the bytes; one changed leaf exits 2 naming
+    its line and field path; a file cut short by a line exits 2 naming
+    both line counts; and the same values encoded by ``json.dumps`` exit
+    2 naming the first line, because the file is compared as bytes."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run.output_dir, out)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(
+        replace(finished_run, output_dir=str(out)))))
+    path = out / name
+    written = path.read_bytes()
+    objs = [json.loads(ln) for ln in written.splitlines()]
+
+    def rerun(damaged: str):
+        path.write_text(damaged)
+        capsys.readouterr()
+        code = cli_main(["pipeline", "--config", str(cfg_path)])
+        return code, capsys.readouterr().err
+
+    assert rerun(written.decode()) == (0, "")
+    assert path.read_bytes() == written
+
+    changed = [json.loads(ln) for ln in written.splitlines()]
+    edit(changed)
+    code, err = rerun("".join(_canonical_json(o) + "\n" for o in changed))
+    assert code == 2
+    assert err.startswith(
+        f"configuration error: {path} line {line} holds {leaf} "), err
+
+    code, err = rerun("".join(_canonical_json(o) + "\n" for o in objs[:-1]))
+    assert code == 2
+    assert (f"{path} holds {len(objs) - 1} lines, but this run writes "
+            f"{len(objs)}") in err, err
+
+    code, err = rerun("".join(json.dumps(o) + "\n" for o in objs))
+    assert code == 2
+    assert err.startswith(f"configuration error: {path} line 1 "), err
 
 
 def test_every_schema_is_documented():
