@@ -24,7 +24,9 @@ one of two sources, both checked on numpy 2.4.6:
   comes from ``_bulk_streams``, which seeds all of them at once and seeds
   no ``Generator``. Seeding 20,000 generators through ``default_rng``
   costs 13-22 us each on a 2-CPU host, most of what drawing train-large's
-  training instances cost. The steps reproduced are:
+  training instances cost. A call with one seed takes ``_Stream(seed)``
+  instead, because the bulk mixing costs about 250 us whatever the batch
+  size. The steps reproduced are:
 
   1. a seed's entropy words are its 32-bit digits, least significant
      first, at least one; seeds are batched by their word count;
@@ -314,13 +316,17 @@ def sample_instances(seeds: Sequence[int], pool: Sequence[Hotspot],
                      mission: MissionConfig) -> list[Instance]:
     """One Instance per seed, in order: ``n_select`` distinct pool hotspots
     selected uniformly with the seed's stream, seeded in bulk
-    (``_bulk_streams``); each stream is made just before its draw."""
+    (``_bulk_streams``); each stream is made just before its draw. One seed
+    alone is seeded as ``_Stream(seed)``: the bulk mixing is about 180
+    numpy operations whatever the batch size, ten times one
+    ``default_rng``."""
     if n_select < 1 or n_select > len(pool):
         raise ConfigurationError(
             f"cannot select {n_select} hotspots from a pool of {len(pool)}")
     n = len(pool)
     instances = []
-    for seed, rng in zip(seeds, _bulk_streams(seeds)):
+    streams = [_Stream(seeds[0])] if len(seeds) == 1 else _bulk_streams(seeds)
+    for seed, rng in zip(seeds, streams):
         chosen = sorted((pool[i] for i in rng.sample(n, n_select)),
                         key=attrgetter("id"))
         instances.append(Instance(hotspots=tuple(chosen), depot_m=depot,

@@ -58,10 +58,11 @@ and says to delete it and run again:
     ``metrics.csv`` must then hold the rows (method, instance id, size)
     that this config's eval writes, in order.
 
-Solving a demonstration also gives its instance's cost scale for
-Q-learning (``oracle.demonstrate``), which the oracle stage hands to the
-Q-learning stage; reused demonstrations carry none, so a Q-table trained
-from them takes its scales from ``instance_scales``.
+The oracle stage solves the training instances in one batch per worker
+(``oracle.demonstrate``), which also gives each instance's cost scale for
+Q-learning; the stage hands the scales to the Q-learning stage. Reused
+demonstrations carry none, so a Q-table trained from them takes its
+scales from one batched construction (``oracle._cost_scales``).
 
 Every artifact is encoded by one ``json.JSONEncoder`` (``_canonical_json``).
 
@@ -97,7 +98,7 @@ from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
                           instance_to_dict, pool_to_dict, sample_instances,
                           sample_pool)
 from .errors import ConfigurationError
-from .oracle import (ObjectiveWeights, Tour, demonstrate, instance_scales,
+from .oracle import (ObjectiveWeights, Tour, _cost_scales, demonstrate,
                      make_tour, solve, tour_from_dict, tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
@@ -602,19 +603,22 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
 def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                  out: Path) -> tuple[list[Tour], array | None]:
     """Demonstration k solves training instance k, and comes with that
-    instance's cost scale for Q-learning (``demonstrate``); returns the
-    tours and the scales. Reused, a demonstration is rebuilt from its order
-    as ``solve`` builds it, without its construction: the scales are then
-    None, and ``stage_ql`` takes them from ``instance_scales`` if it
-    trains."""
+    instance's cost scale for Q-learning; the instances are solved in one
+    batch per worker (``demonstrate``). Returns the tours and the scales.
+    Reused, a demonstration is rebuilt from its order as ``solve`` builds
+    it, without its construction: the scales are then None, and
+    ``stage_ql`` takes them from one batched construction if it trains."""
     path = out / "oracle_tours.jsonl"
     header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
     if path.exists():
         return load_headed_jsonl(
             path, header, len(instances),
             lambda k, d: make_tour(d["order"], instances[k], cfg.weights)), None
-    solved = _map(demonstrate, ((i,) for i in instances), (cfg.weights,),
-                  cfg.workers, chunksize=64)
+    size = -(-len(instances) // cfg.workers)
+    solved = [d for batch in _map(
+        demonstrate, ((instances[k:k + size],)
+                      for k in range(0, len(instances), size)),
+        (cfg.weights,), cfg.workers, chunksize=1) for d in batch]
     tours = [t for t, _ in solved]
     scales = array("d", [scale for _, scale in solved])
     write_jsonl_atomic(path, itertools.chain(
@@ -668,8 +672,8 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              tours: Sequence[Tour], cost_scales: Sequence[float] | None,
              out: Path) -> QTable:
     """The Q-table ``train_q`` makes of the demonstrations and their cost
-    scales (None for reused demonstrations: ``instance_scales`` then gives
-    them). Its file also holds the fingerprint of the training pairs and
+    scales (None for reused demonstrations: one batched construction,
+    ``oracle._cost_scales``, then gives them). Its file also holds the fingerprint of the training pairs and
     its record; a reused file must hold this run's fingerprint, checked
     first, and record."""
     path = out / "qtable.json"
@@ -680,7 +684,7 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
     if path.exists():
         return load_artifact(path, qtable_from_dict, record)
     if cost_scales is None:
-        cost_scales = array("d", (instance_scales(i)[0] for i in instances))
+        cost_scales = array("d", _cost_scales(instances))
     q = train_q(training, cost_scales, cfg.ql, cfg.weights, cfg.ql_train_seed)
     write_json_atomic(path, {**record, **qtable_to_dict(q)})
     return q

@@ -11,34 +11,47 @@ instance-relative scales under which the trade-off bites.
 Ties anywhere are broken toward the lexicographically smallest id
 sequence so that downstream dictionaries stay stable.
 
-The search runs in index space. Each call builds one ``_Geometry`` from
-its instance: the ids in ascending order, their profits, and the
-(n+1)x(n+1) matrix of ``edge_cost`` values with the depot at index n.
-Construction, 2-opt and the selection pass then work on lists of indices
-and read every leg from the matrix, and ``solve`` builds (and validates)
-a ``Tour`` once, at the end. Index order is id order, so the tie rules
-compare the same sequences as on ids; the matrix holds the same
-``math.hypot`` values and sums are taken in the same order, so every tour
-is bit for bit what the same search gives on coordinates
+The search runs in index space, over a batch of instances at once
+(``demonstrate``; ``solve`` is its one-instance case). A batch builds one
+table (``_table``): the union of its hotspots, ids ascending, and the
+matrix of ``edge_cost`` values between them, with the depot last. Every
+entry is ``math.hypot`` of the lower-id point minus the higher-id one, as
+``edge_cost`` forms it, so a batch of training instances drawn from one
+pool computes each distance once, not once per instance. The instances of
+a batch must share their depot and give each id one hotspot; the pipeline
+batches the training instances, which do.
+
+Construction, 2-opt and the selection pass then run as numpy operations
+over every instance of one size, in chunks of ``_BATCH_ENTRIES`` for
+memory, with each tour a row of table indices; each ``Tour`` is built
+(and validated) once, at the end, by ``make_tour``. Index order is id
+order, so the tie rules compare the same sequences as on ids; every leg
+is read from the table and sums are taken in the same order, so every
+tour is bit for bit what the same search gives on coordinates
 (tests/test_oracle_equivalence.py keeps that search as the reference).
-The pipeline calls ``demonstrate`` for the training instances and
-``solve``, its first element, for the test instances;
-tests/oracle_oracles.py wraps each step on its own (construction, 2-opt,
-selection) as a ``Tour`` -> ``Tour`` function for the tests.
+A 2-opt pass or selection round takes a row's first minimum only where no
+other entry of that row lies within 2 * ``_TIE_EPS`` of it, which is when
+the sequential scan picks it too; any other row takes the sequential rule
+over its computed entries (``_tied_exchange``, ``_tied_removal``), so
+every tie resolves as the scan resolves it. The arithmetic runs under
+``np.errstate``: an overflow or a NaN passes silently, as on Python
+floats, and a tour length that is not finite is refused before any search
+(``_constructions``). tests/oracle_oracles.py wraps each step on its own
+(construction, 2-opt, selection) as a ``Tour`` -> ``Tour`` function for
+the tests.
 
 Q-learning scales each training instance's costs by the length of its
 nearest-neighbor construction (``instance_scales``). ``demonstrate``
-returns that length with the tour: it is summed (``_cost_scale``) over
-the geometry and the construction that the solve builds anyway, so a
-demonstration costs no second geometry or construction. Only a reused
-demonstration, which is rebuilt from its order, needs ``instance_scales``,
-which sums the same length with the same helper.
+returns that length with the tour, from the construction that the solve
+makes anyway. Reused demonstrations, which are rebuilt from their orders,
+take the lengths from one batched construction (``_cost_scales``).
 
-The geometry lives for one call and is never cached on ``Instance``. A
-cached geometry and id map on every instance raised the peak resident
-memory of a 20,000-demonstration run from 99.9 to 142.0 MB (62.7 to
-74.8 MB on 5,000 demonstrations with 30-50 hotspot test instances); built
-per call, it is garbage as soon as the call returns (99.6 and 62.8 MB).
+A table lives for one call and is never cached on ``Instance``. A cached
+geometry and id map on every instance once raised the peak resident memory
+of a 20,000-demonstration run from 99.9 to 142.0 MB (62.7 to 74.8 MB on
+5,000 demonstrations with 30-50 hotspot test instances). A batch's table
+holds one entry per pair of its distinct hotspots (51 x 51 for a
+50-hotspot training pool), and its row arrays are bounded per chunk.
 
 A demonstration is stored by ``harness`` as its order alone, under one
 weights header, and a reused demonstration is rebuilt as
@@ -54,9 +67,11 @@ import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass
-from operator import attrgetter
+from typing import Sequence
 
-from .environment import Instance
+import numpy as np
+
+from .environment import Hotspot, Instance
 from .errors import ConfigurationError, ConsistencyError
 
 # Strict-improvement threshold for local search, in objective units.
@@ -69,6 +84,9 @@ _TIE_EPS = 1e-12
 # about 3 * eps * L / 2: below the threshold, so a phantom gain cannot
 # undo an exchange and cycle. The threshold stays 1e-9 up to L = 280 km.
 _ROUNDING = 16 * sys.float_info.epsilon
+# Tours of n hotspots are searched in chunks of rows whose (n + 2)^2 legs
+# tables hold at most this many entries (512 KB), whatever the batch size.
+_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,33 +165,14 @@ def instance_scales(inst: Instance) -> tuple[float, float]:
     """The full nearest-neighbor tour length and the total profit of
     ``inst``, each 1.0 where it is not positive.
 
-    The length is ``_cost_scale`` of the construction, which ``demonstrate``
-    also gives with each demonstration; it equals the ``total_cost_m`` of
-    the construction's tour bit for bit without building the ``Tour``
+    The length is the construction's, as ``demonstrate`` gives it with each
+    demonstration; it equals the ``total_cost_m`` of the construction's
+    tour bit for bit without building the ``Tour``
     (``nearest_neighbor_construct`` in tests/oracle_oracles.py). Scaling
     cost and profit by these makes both objective terms order one
     (``relative_weights`` there).
     """
-    g = _Geometry(inst)
-    return _cost_scale(g, _nearest_neighbor(g)), _profit_scale(inst)
-
-
-def _cost_scale(g: _Geometry, order: list[int]) -> float:
-    """The closed length depot -> order... -> depot over ``g.dist``, summed
-    in visiting order as ``make_tour`` sums it; 1.0 where not positive. A
-    length that is not finite is refused: no search can compare tours of
-    such an instance."""
-    dist, pos = g.dist, g.depot
-    length = 0.0
-    for k in order:
-        length += dist[pos][k]
-        pos = k
-    length += dist[pos][g.depot]
-    if not math.isfinite(length):
-        raise ConsistencyError(
-            f"a tour of this instance is {length} m long; its depot and "
-            "hotspot coordinates must keep tour lengths finite")
-    return length if length > 0 else 1.0
+    return _cost_scales([inst])[0], _profit_scale(inst)
 
 
 def _profit_scale(inst: Instance) -> float:
@@ -183,121 +182,265 @@ def _profit_scale(inst: Instance) -> float:
     return total if total > 0 else 1.0
 
 
-class _Geometry:
-    """Index-space view of one instance, built per call (see module doc).
+def _table(instances: Sequence[Instance]) -> tuple[list[Hotspot], list[list[float]]]:
+    """The hotspots of a batch of instances, ids ascending, and the table of
+    ``edge_cost`` values between them, with the depot at the last index.
 
-    Index k < n is the k-th smallest id, index n is the depot, and
-    ``dist[a][b]`` is ``edge_cost`` between the two points.
+    Table index order is id order, so the tie rules compare the same
+    sequences on indices as on ids. An entry is ``math.hypot`` of the
+    lower-id point minus the higher-id point, the depot counting as the
+    highest; hypot(-x, -y) == hypot(x, y) exactly, so one value serves
+    both directions. The instances must share their depot and may give
+    an id only one hotspot.
     """
-
-    __slots__ = ("ids", "profits", "dist", "depot")
-
-    def __init__(self, inst: Instance) -> None:
-        hotspots = sorted(inst.hotspots, key=attrgetter("id"))
-        self.ids = [h.id for h in hotspots]
-        self.profits = [h.profit_bps for h in hotspots]
-        pts = [h.center_m for h in hotspots] + [inst.depot_m]
-        n = self.depot = len(hotspots)
-        dist = [[0.0] * (n + 1) for _ in range(n + 1)]
-        for a in range(n):
-            xa, ya = pts[a]
-            row = dist[a]
-            for b in range(a + 1, n + 1):
-                # edge_cost inlined; hypot(-x, -y) == hypot(x, y) exactly,
-                # so one value serves both directions
-                row[b] = dist[b][a] = math.hypot(xa - pts[b][0], ya - pts[b][1])
-        self.dist = dist
-
-    def tour(self, order: list[int], inst: Instance, w: ObjectiveWeights) -> Tour:
-        return make_tour([self.ids[k] for k in order], inst, w)
-
-
-def _nearest_neighbor(g: _Geometry) -> list[int]:
-    """Greedy full tour from the depot; distance ties go to the lower id."""
-    remaining = list(range(g.depot))
-    pos = g.depot
-    order: list[int] = []
-    while remaining:
-        # remaining stays ascending and min keeps the first of equal keys,
-        # so a distance tie goes to the lower index, i.e. the lower id
-        best = min(remaining, key=g.dist[pos].__getitem__)
-        order.append(best)
-        remaining.remove(best)
-        pos = best
-    return order
+    depot = instances[0].depot_m
+    by_id: dict[int, Hotspot] = {}
+    for inst in instances:
+        # ``is`` first: a NaN depot equals only itself
+        if inst.depot_m is not depot and inst.depot_m != depot:
+            raise ConsistencyError(
+                f"one batch has two depots, {depot} and {inst.depot_m}")
+        for h in inst.hotspots:
+            known = by_id.setdefault(h.id, h)
+            if known is not h and known != h:
+                raise ConsistencyError(
+                    f"one batch has two hotspots with id {h.id}")
+    hotspots = [by_id[i] for i in sorted(by_id)]
+    pts = [h.center_m for h in hotspots] + [depot]
+    n = len(hotspots)
+    dist = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for a in range(n):
+        xa, ya = pts[a]
+        row = dist[a]
+        for b in range(a + 1, n + 1):
+            # edge_cost inlined
+            row[b] = dist[b][a] = math.hypot(xa - pts[b][0], ya - pts[b][1])
+    return hotspots, dist
 
 
-def _two_opt(order: list[int], g: _Geometry, w: ObjectiveWeights,
-             scale: float) -> list[int]:
-    """Best-improvement 2-opt until no exchange strictly lowers the objective.
+def _constructions(instances: Sequence[Instance]):
+    """The batch's hotspots and table (``_table``), the nearest-neighbor
+    construction of every instance and each construction's cost scale.
+
+    The instances are split by size into chunks of at most about
+    ``_BATCH_ENTRIES`` table entries per tour array; a chunk is (its
+    instances' positions in ``instances``, their constructions as rows of
+    table indices). A scale is the construction's closed length, summed in
+    visiting order as ``make_tour`` sums it; 1.0 where not positive. A
+    length that is not finite is refused, for the first such instance: no
+    search can compare tours of such an instance.
+    """
+    hotspots, dist = _table(instances)
+    table = np.array(dist)
+    index = {h.id: k for k, h in enumerate(hotspots)}
+    sizes: dict[int, list[int]] = {}
+    for k, inst in enumerate(instances):
+        sizes.setdefault(len(inst.hotspots), []).append(k)
+    chunks = []
+    lengths = np.empty(len(instances))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, members in sizes.items():
+            step = max(1, _BATCH_ENTRIES // (n + 2) ** 2)
+            for start in range(0, len(members), step):
+                part = members[start:start + step]
+                remaining = np.array([index[h.id] for k in part
+                                      for h in instances[k].hotspots])
+                order, lengths[part] = _nearest_neighbor(
+                    table, np.sort(remaining.reshape(len(part), n), axis=1))
+                chunks.append((part, order))
+    bad = np.flatnonzero(~np.isfinite(lengths))
+    if bad.size:
+        raise ConsistencyError(
+            f"a tour of this instance is {lengths[bad[0]]} m long; its depot "
+            "and hotspot coordinates must keep tour lengths finite")
+    return hotspots, table, chunks, np.where(lengths > 0, lengths, 1.0)
+
+
+def _cost_scales(instances: Sequence[Instance]) -> list[float]:
+    """``instance_scales(inst)[0]`` of every instance, from one table and
+    one batched construction (``_constructions``)."""
+    return _constructions(instances)[3].tolist() if instances else []
+
+
+def _nearest_neighbor(table: np.ndarray, remaining: np.ndarray):
+    """Greedy full tours from the depot, one per row of ``remaining`` (table
+    indices, ascending), and their closed lengths; distance ties go to the
+    lower id."""
+    m, n = remaining.shape
+    rows = np.arange(m)
+    pos = np.full(m, len(table) - 1)
+    order = np.empty((m, n), dtype=np.intp)
+    length = np.zeros(m)
+    for step in range(n):
+        legs = table[pos[:, None], remaining]
+        # argmin keeps the first of equal keys and each row of remaining
+        # stays ascending, so a tie goes to the lower index, i.e. the lower id
+        k = legs.argmin(axis=1)
+        pos = order[:, step] = remaining[rows, k]
+        length += legs[rows, k]
+        remaining = remaining[np.arange(n - step) != k[:, None]].reshape(
+            m, n - step - 1)
+    length += table[pos, -1]
+    return order, length
+
+
+def _stops(scales: np.ndarray) -> np.ndarray:
+    """Each row's 2-opt acceptance threshold: an exchange counts when it
+    shortens the tour by more than the rounding bound that its
+    construction length gives (``_ROUNDING``)."""
+    return -np.maximum(1e-9, _ROUNDING * scales)
+
+
+def _two_opt(table: np.ndarray, order: np.ndarray, w: ObjectiveWeights,
+             stop: np.ndarray) -> np.ndarray:
+    """Best-improvement 2-opt on every row of ``order`` (tours of table
+    indices) until no exchange shortens it by more than ``-stop``.
 
     Reversing an inner segment leaves the visited set (hence profit)
     unchanged, so an exchange improves the objective iff it shortens the
-    tour and alpha > 0; deltas are therefore evaluated on cost alone, and
-    one counts when it shortens the tour by more than the rounding bound
-    that ``scale``, the construction length, gives (``_ROUNDING``).
+    tour and alpha > 0; deltas are therefore evaluated on cost alone. A
+    pass computes the delta of every exchange (i, j), i < j, of every
+    row, in scan order. A row then takes its first minimum, unless another
+    delta lies within 2 * ``_TIE_EPS`` of it; such a row takes the
+    sequential rule over its deltas (``_tied_exchange``), which the first
+    minimum equals when no other delta is that close.
     """
-    if len(order) < 2 or w.weight_alpha == 0.0:
+    m, n = order.shape
+    if n < 2 or m == 0 or w.weight_alpha == 0.0:
         return order
-    stop = -max(1e-9, _ROUNDING * scale)
-    dist = g.dist
-    n = len(order)
-    while True:
-        ext = [g.depot] + order + [g.depot]  # ext[k + 1] is order[k]
-        best_delta = 0.0
-        best_move: tuple[int, int] | None = None
-        for i in range(n - 1):
-            a, b = ext[i], ext[i + 1]
-            row_a, row_b = dist[a], dist[b]
-            d_ab = row_a[b]
-            for j in range(i + 1, n):
-                c, d = ext[j + 1], ext[j + 2]
-                delta = row_a[c] + row_b[d] - d_ab - dist[c][d]
-                if delta < best_delta - _TIE_EPS:
-                    best_delta = delta
-                    best_move = (i, j)
-                elif best_move is not None and abs(delta - best_delta) <= _TIE_EPS:
-                    cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-                    cur = (order[:best_move[0]]
-                           + order[best_move[0]:best_move[1] + 1][::-1]
-                           + order[best_move[1] + 1:])
-                    if cand < cur:
-                        best_move = (i, j)
-        if best_move is None or best_delta >= stop:
-            return order
-        i, j = best_move
-        order[i:j + 1] = order[i:j + 1][::-1]
+    order = order.copy()
+    i, j = np.triu_indices(n, 1)
+    # flat positions in the (n + 2)^2 legs table of a tour with the depot
+    # at both ends: delta = d(a, c) + d(b, d) - d(a, b) - d(c, d), where
+    # a, b are tour places i, i + 1 and c, d places j + 1, j + 2
+    width = n + 2
+    ac, bd = i * width + j + 1, (i + 1) * width + j + 2
+    ab, cd = i * width + i + 1, (j + 1) * width + j + 2
+    places = np.arange(n)
+    rows = np.arange(m)
+    while rows.size:
+        ext = np.full((rows.size, width), len(table) - 1)
+        ext[:, 1:-1] = order[rows]
+        legs = table[ext[:, :, None], ext[:, None, :]].reshape(rows.size, -1)
+        delta = legs[:, ac] + legs[:, bd] - legs[:, ab] - legs[:, cd]
+        pick = delta.argmin(axis=1)
+        low = delta[np.arange(rows.size), pick]
+        move = low < stop[rows]
+        close = (np.abs(delta - low[:, None]) <= 2 * _TIE_EPS).sum(axis=1) > 1
+        for t in np.flatnonzero(np.isnan(low) | (move & close)):
+            pairs = list(zip(i.tolist(), j.tolist()))
+            k, best = _tied_exchange(order[rows[t]].tolist(), delta[t].tolist(),
+                                     pairs)
+            move[t] = k is not None and best < stop[rows[t]]
+            pick[t] = k or 0
+        rows, pick = rows[move], pick[move]
+        lo, hi = i[pick][:, None], j[pick][:, None]
+        order[rows] = order[rows[:, None], np.where(
+            (places >= lo) & (places <= hi), lo + hi - places, places)]
+    return order
 
 
-def _selection_pass(order: list[int], g: _Geometry, w: ObjectiveWeights,
-                    scale: float) -> list[int]:
-    """Greedily drop vertices whose removal strictly improves the objective.
+def _tied_exchange(order: list[int], deltas: list[float],
+                   pairs: list[tuple[int, int]]) -> tuple[int | None, float]:
+    """The sequential rule of one 2-opt pass over a row's deltas, in scan
+    order: (the chosen exchange's position in ``pairs`` or None, its
+    delta). A delta within ``_TIE_EPS`` of the best so far goes to the
+    lexicographically smaller resulting order."""
+    best_delta = 0.0
+    best: int | None = None
+    for k, ((i, j), delta) in enumerate(zip(pairs, deltas)):
+        if delta < best_delta - _TIE_EPS:
+            best_delta, best = delta, k
+        elif best is not None and abs(delta - best_delta) <= _TIE_EPS:
+            bi, bj = pairs[best]
+            cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+            cur = order[:bi] + order[bi:bj + 1][::-1] + order[bj + 1:]
+            if cand < cur:
+                best = k
+    return best, best_delta
+
+
+def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
+                    w: ObjectiveWeights, stop: np.ndarray) -> list[list[int]]:
+    """Greedily drop vertices whose removal strictly improves the objective,
+    on every row of ``order``; returns each row's final tour.
 
     Each accepted removal trades the forfeited profit against the saved
-    detour; the reduced tour is re-optimized with 2-opt (``scale`` as
-    there) before the next round. Idempotent once no removal helps.
+    detour; the reduced tour is re-optimized with 2-opt (``stop`` as
+    there) before the next round, so every row of a round has one length.
+    A round takes each row's first minimum gain as ``_two_opt`` takes its
+    first minimum delta, with ``_tied_removal`` as the sequential rule.
+    Idempotent once no removal helps.
     """
-    dist, depot, profits = g.dist, g.depot, g.profits
-    while order:
-        best_gain = 0.0
-        best_after: list[int] | None = None
-        last = len(order) - 1
-        for k, v in enumerate(order):
-            p = depot if k == 0 else order[k - 1]
-            q = depot if k == last else order[k + 1]
-            detour = dist[p][v] + dist[v][q] - dist[p][q]
-            gain = (-w.weight_alpha * detour / w.cost_scale
-                    + w.weight_beta * profits[v] / w.profit_scale)
-            if gain < best_gain - _TIE_EPS:
-                best_gain = gain
-                best_after = order[:k] + order[k + 1:]
-            elif (best_after is not None and abs(gain - best_gain) <= _TIE_EPS
-                  and order[:k] + order[k + 1:] < best_after):
-                best_after = order[:k] + order[k + 1:]
-        if best_after is None or best_gain >= -_IMPROVE_EPS:
+    out: list[list[int]] = [[] for _ in range(len(order))]
+    rows = np.arange(len(order))
+    while order.shape[1]:
+        size = order.shape[1]
+        ext = np.full((rows.size, size + 2), len(table) - 1)
+        ext[:, 1:-1] = order
+        legs = table[ext[:, :-1], ext[:, 1:]]
+        detour = legs[:, :-1] + legs[:, 1:] - table[ext[:, :-2], ext[:, 2:]]
+        gain = (-w.weight_alpha * detour / w.cost_scale
+                + w.weight_beta * profits[order] / w.profit_scale)
+        pick = gain.argmin(axis=1)
+        low = gain[np.arange(rows.size), pick]
+        drop = low < -_IMPROVE_EPS
+        close = (np.abs(gain - low[:, None]) <= 2 * _TIE_EPS).sum(axis=1) > 1
+        for t in np.flatnonzero(np.isnan(low) | (drop & close)):
+            k = _tied_removal(order[t].tolist(), gain[t].tolist())
+            drop[t] = k is not None
+            pick[t] = k or 0
+        for r, kept in zip(rows[~drop].tolist(), order[~drop].tolist()):
+            out[r] = kept
+        rows, pick, order = rows[drop], pick[drop], order[drop]
+        if not rows.size:
             break
-        order = _two_opt(best_after, g, w, scale)
-    return order
+        order = order[np.arange(size) != pick[:, None]].reshape(rows.size,
+                                                               size - 1)
+        order = _two_opt(table, order, w, stop[rows])
+    return out
+
+
+def _tied_removal(order: list[int], gains: list[float]) -> int | None:
+    """The sequential rule of one selection round over a row's gains: the
+    position to drop, or None. A gain within ``_TIE_EPS`` of the best so
+    far goes to the lexicographically smaller reduced order."""
+    best_gain = 0.0
+    best: int | None = None
+    best_after: list[int] = []
+    for k, gain in enumerate(gains):
+        after = order[:k] + order[k + 1:]
+        if gain < best_gain - _TIE_EPS:
+            best_gain, best, best_after = gain, k, after
+        elif (best is not None and abs(gain - best_gain) <= _TIE_EPS
+              and after < best_after):
+            best, best_after = k, after
+    return best if best is not None and best_gain < -_IMPROVE_EPS else None
+
+
+def demonstrate(instances: Sequence[Instance],
+                w: ObjectiveWeights) -> list[tuple[Tour, float]]:
+    """``solve``'s tour of each instance and the cost scale that
+    ``instance_scales`` gives it, from one table and one batched
+    construction: the scale is the construction's length, taken before
+    2-opt reorders it, which also bounds the rounding of 2-opt's deltas
+    (``_stops``). The instances must share their depot and may give an id
+    only one hotspot (``_table``)."""
+    if not instances:
+        return []
+    hotspots, table, chunks, scales = _constructions(instances)
+    ids = [h.id for h in hotspots]
+    profits = np.array([h.profit_bps for h in hotspots])
+    out: list[tuple[Tour, float]] = [None] * len(instances)  # type: ignore
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part, order in chunks:
+            stop = _stops(scales[part])
+            finals = _selection_pass(table, profits,
+                                     _two_opt(table, order, w, stop), w, stop)
+            for k, final, scale in zip(part, finals, scales[part].tolist()):
+                out[k] = (make_tour([ids[v] for v in _canonical_orientation(final)],
+                                    instances[k], w), scale)
+    return out
 
 
 def _canonical_orientation(order):
@@ -307,23 +450,10 @@ def _canonical_orientation(order):
     return rev if rev < order else order
 
 
-def demonstrate(inst: Instance, w: ObjectiveWeights) -> tuple[Tour, float]:
-    """``solve``'s tour of ``inst`` and the cost scale that
-    ``instance_scales`` gives it, from one geometry and one construction:
-    the scale is the construction's length, taken before 2-opt reorders
-    it, which also bounds the rounding of 2-opt's deltas (``_two_opt``)."""
-    g = _Geometry(inst)
-    start = _nearest_neighbor(g)
-    cost_scale = _cost_scale(g, start)
-    order = _selection_pass(_two_opt(start, g, w, cost_scale), g, w,
-                            cost_scale)
-    return g.tour(_canonical_orientation(order), inst, w), cost_scale
-
-
 def solve(inst: Instance, w: ObjectiveWeights) -> Tour:
     """Construction, 2-opt, then the vertex-selection pass; deterministic
     (``demonstrate``'s tour)."""
-    return demonstrate(inst, w)[0]
+    return demonstrate([inst], w)[0][0]
 
 
 def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
@@ -336,8 +466,8 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
     n = len(inst.hotspots)
     if n > 10:
         raise ConfigurationError("brute force limited to 10 hotspots")
-    g = _Geometry(inst)
-    dist, profits = g.dist, g.profits
+    hotspots, dist = _table([inst])
+    profits = [h.profit_bps for h in hotspots]
 
     best_obj = 0.0
     best_order: tuple[int, ...] = ()
@@ -362,7 +492,7 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
                     best_order = perm
                 elif abs(obj - best_obj) <= _TIE_EPS and perm < best_order:
                     best_order = perm
-    return g.tour(list(best_order), inst, w)
+    return make_tour([hotspots[k].id for k in best_order], inst, w)
 
 
 def tour_to_dict(t: Tour, w: ObjectiveWeights) -> dict:

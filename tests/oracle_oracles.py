@@ -1,29 +1,33 @@
 """Test-side oracles for the offline optimizer: its steps one at a time.
 
-``oracle.solve`` runs construction, 2-opt and the selection pass on index
-lists over one ``_Geometry`` and builds a ``Tour`` once, at the end. The
-functions here expose each step on its own, ``Tour`` in and ``Tour`` out,
-as thin adapters over the same private steps, so that the tests can pin
-each step's behaviour and compare it with the coordinate-based reference
-in test_oracle_equivalence.py:
+``oracle.demonstrate`` runs construction, 2-opt and the selection pass as
+array operations over the rows of a batch, on one table of distances
+(``_table``), and builds each ``Tour`` once, at the end. The functions here
+expose each step on its own for one instance, ``Tour`` in and ``Tour``
+out, as thin adapters over the same private steps, so that the tests can
+pin each step's behaviour and compare it with the coordinate-based
+reference in test_oracle_equivalence.py:
 
 - ``nearest_neighbor_construct``, ``two_opt`` and ``selection_pass``;
-- ``indices`` maps a tour's ids to geometry indices;
+- ``indices`` maps a tour's ids to table indices, as a one-row batch;
 - ``relative_weights`` are the given weights with ``instance_scales``.
 """
 
 from dataclasses import replace
 
-from uavplan.environment import Instance
+import numpy as np
+
+from uavplan.environment import Hotspot, Instance
 from uavplan.errors import ConsistencyError
-from uavplan.oracle import (ObjectiveWeights, Tour, _Geometry, _nearest_neighbor,
-                            _selection_pass, _two_opt, instance_scales)
+from uavplan.oracle import (ObjectiveWeights, Tour, _nearest_neighbor,
+                            _selection_pass, _stops, _table, _two_opt,
+                            instance_scales, make_tour)
 
 
-def indices(g: _Geometry, order) -> list[int]:
-    index = {i: k for k, i in enumerate(g.ids)}
+def indices(hotspots: list[Hotspot], order) -> np.ndarray:
+    index = {h.id: k for k, h in enumerate(hotspots)}
     try:
-        return [index[i] for i in order]
+        return np.array([[index[i] for i in order]], dtype=np.intp)
     except KeyError as e:
         raise ConsistencyError(f"unknown hotspot id {e.args[0]}") from None
 
@@ -38,24 +42,38 @@ def relative_weights(w: ObjectiveWeights, inst: Instance) -> ObjectiveWeights:
     return replace(w, cost_scale=cost_scale, profit_scale=profit_scale)
 
 
+def _geometry(inst: Instance):
+    """The instance's hotspots by id, its table as an array, and its
+    2-opt threshold as a one-row batch."""
+    hotspots, dist = _table([inst])
+    return hotspots, np.array(dist), _stops(np.array([instance_scales(inst)[0]]))
+
+
+def _tour(hotspots, order, inst: Instance, w: ObjectiveWeights) -> Tour:
+    return make_tour([hotspots[k].id for k in order], inst, w)
+
+
 def nearest_neighbor_construct(inst: Instance) -> Tour:
     """Greedy full tour from the depot; distance ties go to the lower id."""
-    g = _Geometry(inst)
+    hotspots, dist = _table([inst])
+    order, _ = _nearest_neighbor(np.array(dist),
+                                 np.arange(len(hotspots))[None, :])
     # totals only; objective refreshed by callers
-    return g.tour(_nearest_neighbor(g), inst, ObjectiveWeights())
+    return _tour(hotspots, order[0].tolist(), inst, ObjectiveWeights())
 
 
 def two_opt(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
     """Best-improvement 2-opt until no exchange strictly lowers the objective."""
-    g = _Geometry(inst)
-    scale = instance_scales(inst)[0]
-    return g.tour(_two_opt(indices(g, t.order), g, w, scale), inst, w)
+    hotspots, table, stop = _geometry(inst)
+    order = _two_opt(table, indices(hotspots, t.order), w, stop)
+    return _tour(hotspots, order[0].tolist(), inst, w)
 
 
 def selection_pass(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
     """Greedily drop vertices whose removal strictly improves the objective.
     Idempotent once no removal helps; then ``t`` itself is returned."""
-    g = _Geometry(inst)
-    order = indices(g, t.order)
-    after = _selection_pass(order, g, w, instance_scales(inst)[0])
-    return t if len(after) == len(order) else g.tour(after, inst, w)
+    hotspots, table, stop = _geometry(inst)
+    profits = np.array([h.profit_bps for h in hotspots])
+    after = _selection_pass(table, profits, indices(hotspots, t.order), w,
+                            stop)[0]
+    return t if len(after) == len(t.order) else _tour(hotspots, after, inst, w)

@@ -403,6 +403,19 @@ class TestBulkStreams:
             sample_instances([4, -2 ** 40], pool, 3, (0.0, 0.0), chan,
                              mission)
 
+    @pytest.mark.parametrize("seed", [7, 2 ** 32 + 5, 2 ** 64 + 9],
+                             ids=["1-word", "2-words", "3-words"])
+    def test_one_seed_is_drawn_as_in_a_batch(self, chan, mission, seed):
+        """A one-seed call seeds ``_Stream(seed)``, not a bulk stream, and
+        draws the instance that the seed draws in a bulk batch."""
+        args = (sample_pool(11, 50, 5.0, mission, chan), 5, (10.0, 20.0),
+                chan, mission)
+        with mock.patch.object(_Stream, "_from_state") as made:
+            one = sample_instance(seed, *args)
+            assert sample_instances([seed], *args) == [one]
+        assert made.call_count == 0
+        assert sample_instances([3, seed, 2 ** 40], *args)[1] == one
+
     @pytest.mark.parametrize("pool_size,n_select,seeds", [
         pytest.param(50, 5, range(1_000_000, 1_000_300), id="50-5"),
         pytest.param(100, 50, range(7, 57), id="100-50"),

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from array import array
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -935,7 +936,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: DegenerateWordError:")
 
-    @pytest.mark.parametrize("config,code,named", [
+    COORDINATE_SCALES = [
         pytest.param('{"mission": {"area_side_m": 1e8}, '
                      '"weights": {"cost_scale": 1e8}}', 0,
                      "pipeline complete", id="area-1e8"),
@@ -943,7 +944,14 @@ class TestCli:
                      "DegenerateWordError", id="area-1e15-skips-every-hotspot"),
         pytest.param('{"depot_m": [1e308, 0]}', 2,
                      "ConsistencyError: a tour of this instance is inf m",
-                     id="depot-1e308")])
+                     id="depot-1e308"),
+        pytest.param('{"depot_m": [NaN, 0]}', 2,
+                     "ConsistencyError: a tour of this instance is nan m",
+                     id="depot-nan")]
+    SMALL_RUN = ["--m-training", "20", "--test-sizes", "5",
+                 "--seeds-per-size", "1"]
+
+    @pytest.mark.parametrize("config,code,named", COORDINATE_SCALES)
     def test_oracle_ends_at_any_coordinate_scale(self, tmp_path, config,
                                                  code, named):
         """The oracle's 2-opt stops on a rounding-level gain at any
@@ -957,12 +965,27 @@ class TestCli:
         src = Path(__file__).parent.parent / "src"
         result = subprocess.run(
             [sys.executable, "-m", "uavplan.cli", "pipeline", "--config",
-             str(cfg_path), "--out", str(tmp_path / "out"), "--m-training",
-             "20", "--test-sizes", "5", "--seeds-per-size", "1"],
+             str(cfg_path), "--out", str(tmp_path / "out"), *self.SMALL_RUN],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert result.returncode == code, result.stderr[-2000:]
         assert named in result.stdout + result.stderr
+
+    @pytest.mark.parametrize("config,code,named", COORDINATE_SCALES)
+    def test_oracle_at_any_coordinate_scale_warns_nothing(
+            self, tmp_path, capsys, config, code, named):
+        """The same runs in this process, with every warning an error: the
+        oracle's array arithmetic overflows or meets NaN as Python floats
+        do, silently, and the runs end as they do in a process of their
+        own, where a numpy warning would only be printed."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["pipeline", "--config", str(cfg_path), "--out",
+                             str(tmp_path / "out"), *self.SMALL_RUN]) == code
+        captured = capsys.readouterr()
+        assert named in captured.out + captured.err
 
     def test_reused_pool_with_other_hotspots_exits_2(self, tmp_path, capsys):
         """A reused pools.json must equal the pool its seed samples, not

@@ -8,15 +8,18 @@ the same float bits, on every instance.
 
 import itertools
 import random
+from operator import attrgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavplan import oracle
 from uavplan.environment import Hotspot, Instance, edge_cost
 from uavplan.errors import ConsistencyError
-from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, make_tour,
-                            solve)
+from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, demonstrate,
+                            make_tour, solve)
 
 from oracle_oracles import (nearest_neighbor_construct, relative_weights,
                             selection_pass, two_opt)
@@ -258,6 +261,100 @@ def test_unknown_id_is_consistency_error(make_instance, default_weights, step):
                  objective=0.0)
     with pytest.raises(ConsistencyError):
         step(stray, default_weights, inst)
+
+
+# --- batches ---------------------------------------------------------------------
+
+def _pool(rng: random.Random, ids, grid: bool) -> list[Hotspot]:
+    """Hotspots with the given ids, drawn as ``_instance`` draws them."""
+
+    def coord():
+        return float(rng.randrange(0, 5) * 100) if grid else rng.uniform(0, 2000)
+
+    return [Hotspot(id=i, center_m=(coord(), coord()), num_users=1,
+                    profit_bps=(rng.choice((1e6, 2e6)) if grid
+                                else rng.uniform(1e5, 5e7)))
+            for i in ids]
+
+
+@pytest.mark.parametrize("entries", [None, 300], ids=["chunks", "small-chunks"])
+@pytest.mark.parametrize("w,drops", [
+    pytest.param(ObjectiveWeights(), False, id="default"),
+    pytest.param(ObjectiveWeights(0.5, 0.5, cost_scale=4000.0,
+                                  profit_scale=2e7), True, id="even-scaled")])
+def test_batch_equals_each_instance_alone(chan, mission, entries, w, drops):
+    """One call on a shuffled batch of sizes 1-50 with one depot, drawn
+    from a lattice pool (where legs and removal gains tie) and a random
+    one, hotspots stored in and out of id order, in the production chunks
+    and in chunks of one to a few rows: every tour and cost scale is, bit
+    for bit, what the instance gets alone."""
+    rng = random.Random(2323)
+    pools = (_pool(rng, range(1, 61), True), _pool(rng, range(101, 161), False))
+    batch = []
+    for n in range(1, 51):
+        for pool in pools:
+            hotspots = rng.sample(pool, n)
+            if rng.random() < 0.5:
+                hotspots.sort(key=attrgetter("id"))
+            batch.append(Instance(hotspots=tuple(hotspots),
+                                  depot_m=(200.0, 300.0), channel=chan,
+                                  mission=mission, seed=0))
+    rng.shuffle(batch)
+    alone = [demonstrate([inst], w)[0] for inst in batch]
+    with mock.patch.object(oracle, "_BATCH_ENTRIES",
+                           entries or oracle._BATCH_ENTRIES):
+        got = demonstrate(batch, w)
+    assert [(_bits(t), repr(s)) for t, s in got] == \
+        [(_bits(t), repr(s)) for t, s in alone]
+    assert any(len(t) < len(i.hotspots) for (t, _), i in zip(got, batch)) \
+        == drops
+
+
+def test_grid_ties_take_the_sequential_rule(chan, mission):
+    """Lattice instances whose 2-opt passes have two deltas within
+    ``_TIE_EPS`` of the best, and whose selection rounds have two such
+    gains, resolve them by the sequential rule (``_tied_exchange`` and
+    ``_tied_removal``) and give the reference's tours."""
+    ties = {"exchange": 0, "removal": 0}
+
+    def exchange(order, deltas, pairs):
+        low = min(deltas)
+        ties["exchange"] += (low < -1e-9 and sum(
+            abs(d - low) <= _TIE_EPS for d in deltas) > 1)
+        return tied_exchange(order, deltas, pairs)
+
+    def removal(order, gains):
+        low = min(gains)
+        ties["removal"] += (low < -_IMPROVE_EPS and sum(
+            abs(g - low) <= _TIE_EPS for g in gains) > 1)
+        return tied_removal(order, gains)
+
+    tied_exchange, tied_removal = oracle._tied_exchange, oracle._tied_removal
+    rng = random.Random(99)
+    with mock.patch.object(oracle, "_tied_exchange", exchange), \
+            mock.patch.object(oracle, "_tied_removal", removal):
+        for n in range(4, 25):
+            inst = _instance(rng, n, chan, mission, grid=True)
+            for name in ("default", "relative-even"):
+                w = _weight_sets(inst)[name]
+                assert _bits(solve(inst, w)) == _bits(ref_solve(inst, w)), n
+    assert ties["exchange"] > 0 and ties["removal"] > 0
+
+
+def test_a_batch_with_two_depots_or_two_hotspots_per_id_is_refused(
+        make_instance, default_weights):
+    """One batch shares one table, so its instances must share the depot
+    and give each id one hotspot; equal ones built apart are one batch."""
+    inst = make_instance([(0, 0), (10, 0), (0, 10)])
+    for other in (make_instance([(0, 0), (10, 0), (0, 10)], depot=(5, 5)),
+                  make_instance([(0, 0), (10, 0), (0, 11)]),
+                  make_instance([(0, 0), (10, 0), (0, 10)],
+                                profits=[1e7, 1e7, 2e7])):
+        with pytest.raises(ConsistencyError, match="one batch has two"):
+            demonstrate([inst, other], default_weights)
+    twin = make_instance([(0, 0), (10, 0), (0, 10)])
+    assert demonstrate([inst, twin], default_weights) == \
+        2 * demonstrate([inst], default_weights)
 
 
 # --- properties ----------------------------------------------------------------------

@@ -338,7 +338,7 @@ def test_demonstrate_carries_the_instance_cost_scale(chan, mission, drawn,
     for hotspots, depot in drawn:
         inst = Instance(hotspots=hotspots, depot_m=depot, channel=chan,
                         mission=mission, seed=0)
-        tour, scale = demonstrate(inst, w)
+        [(tour, scale)] = demonstrate([inst], w)
         assert repr(scale) == repr(instance_scales(inst)[0]) \
             == repr(_instance_scales(inst)[0])
         assert tour == solve(inst, w)

@@ -47,3 +47,26 @@ def test_every_private_definition_is_referenced():
     assert defined
     assert [where for where, name, node in defined
             if used[name] == _references(node)[name]] == []
+
+
+def _numpy_hypots(tree: ast.Module):
+    """The line of every ``.hypot`` reached on anything but ``math``, such
+    as ``np.hypot`` or ``numpy.hypot``, and of every import of ``hypot``
+    from numpy."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "hypot"
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id == "math")):
+            yield node.lineno
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "numpy"
+                and any(a.name == "hypot" for a in node.names)):
+            yield node.lineno
+
+
+def test_distances_are_math_hypot():
+    """Every distance keeps ``math.hypot``'s bits: numpy's hypot can
+    differ from it in the last bit, which would change tours and every
+    artifact made from them, so the package never calls it."""
+    assert [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+            for line in _numpy_hypots(ast.parse(path.read_text()))] == []
