@@ -673,9 +673,9 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              out: Path) -> QTable:
     """The Q-table ``train_q`` makes of the demonstrations and their cost
     scales (None for reused demonstrations: one batched construction,
-    ``oracle._cost_scales``, then gives them). Its file also holds the fingerprint of the training pairs and
-    its record; a reused file must hold this run's fingerprint, checked
-    first, and record."""
+    ``oracle._cost_scales``, then gives them). Its file also holds the
+    fingerprint of the training pairs and its record; a reused file must
+    hold this run's fingerprint, checked first, and record."""
     path = out / "qtable.json"
     training = list(zip(instances, tours))
     record = {"schema": QTABLE_SCHEMA,

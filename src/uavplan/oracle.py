@@ -12,18 +12,19 @@ Ties anywhere are broken toward the lexicographically smallest id
 sequence so that downstream dictionaries stay stable.
 
 The search runs in index space, over a batch of instances at once
-(``demonstrate``; ``solve`` is its one-instance case). A batch builds one
-table (``_table``): the union of its hotspots, ids ascending, and the
-matrix of ``edge_cost`` values between them, with the depot last. Every
-entry is ``math.hypot`` of the lower-id point minus the higher-id one, as
-``edge_cost`` forms it, so a batch of training instances drawn from one
-pool computes each distance once, not once per instance. The instances of
-a batch must share their depot and give each id one hotspot; the pipeline
-batches the training instances, which do.
+(``demonstrate``; ``solve`` is its one-instance case). Consecutive
+instances that share their depot, give each id one hotspot and hold at
+most ``_TABLE_HOTSPOTS`` hotspots together form a run with one table
+(``_tables``): the run's hotspots, ids ascending, and the matrix of
+``edge_cost`` values between them, with the depot last. Every entry is
+``math.hypot`` of the lower-id point minus the higher-id one, as
+``edge_cost`` forms it. The training instances are drawn from one pool
+with one depot, so they form one run, and each distance between pool
+hotspots is computed once, not once per instance.
 
 Construction, 2-opt and the selection pass then run as numpy operations
-over every instance of one size, in chunks of ``_BATCH_ENTRIES`` for
-memory, with each tour a row of table indices; each ``Tour`` is built
+over every instance of one size in a run, in chunks of ``_BATCH_ENTRIES``
+for memory, with each tour a row of table indices; each ``Tour`` is built
 (and validated) once, at the end, by ``make_tour``. Index order is id
 order, so the tie rules compare the same sequences as on ids; every leg
 is read from the table and sums are taken in the same order, so every
@@ -35,10 +36,10 @@ the sequential scan picks it too; any other row takes the sequential rule
 over its computed entries (``_tied_exchange``, ``_tied_removal``), so
 every tie resolves as the scan resolves it. The arithmetic runs under
 ``np.errstate``: an overflow or a NaN passes silently, as on Python
-floats, and a tour length that is not finite is refused before any search
-(``_constructions``). tests/oracle_oracles.py wraps each step on its own
-(construction, 2-opt, selection) as a ``Tour`` -> ``Tour`` function for
-the tests.
+floats, and a construction length that is not finite is refused before
+its chunk is searched (``_constructions``). tests/oracle_oracles.py
+wraps each step on its own (construction, 2-opt, selection) as a
+``Tour`` -> ``Tour`` function for the tests.
 
 Q-learning scales each training instance's costs by the length of its
 nearest-neighbor construction (``instance_scales``). ``demonstrate``
@@ -49,9 +50,10 @@ take the lengths from one batched construction (``_cost_scales``).
 A table lives for one call and is never cached on ``Instance``. A cached
 geometry and id map on every instance once raised the peak resident memory
 of a 20,000-demonstration run from 99.9 to 142.0 MB (62.7 to 74.8 MB on
-5,000 demonstrations with 30-50 hotspot test instances). A batch's table
-holds one entry per pair of its distinct hotspots (51 x 51 for a
-50-hotspot training pool), and its row arrays are bounded per chunk.
+5,000 demonstrations with 30-50 hotspot test instances). A table holds
+one entry per pair of its run's hotspots (51 x 51 for the default
+50-hotspot training pool, at most 513 x 513), and the row arrays are
+bounded per chunk.
 
 A demonstration is stored by ``harness`` as its order alone, under one
 weights header, and a reused demonstration is rebuilt as
@@ -67,11 +69,11 @@ import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .environment import Hotspot, Instance
+from .environment import Hotspot, Instance, Point
 from .errors import ConfigurationError, ConsistencyError
 
 # Strict-improvement threshold for local search, in objective units.
@@ -85,8 +87,12 @@ _TIE_EPS = 1e-12
 # undo an exchange and cycle. The threshold stays 1e-9 up to L = 280 km.
 _ROUNDING = 16 * sys.float_info.epsilon
 # Tours of n hotspots are searched in chunks of rows whose (n + 2)^2 legs
-# tables hold at most this many entries (512 KB), whatever the batch size.
-_BATCH_ENTRIES = 1 << 16
+# tables hold at most this many entries (128 KB), whatever the batch size.
+_BATCH_ENTRIES = 1 << 14
+# Consecutive instances share one table while they hold at most this many
+# hotspots together: a table of 513 x 513 entries (2.1 MB) and 131,000
+# hypot calls, built once for a batch drawn from a pool of up to 512.
+_TABLE_HOTSPOTS = 512
 
 
 @dataclass(frozen=True)
@@ -182,29 +188,46 @@ def _profit_scale(inst: Instance) -> float:
     return total if total > 0 else 1.0
 
 
-def _table(instances: Sequence[Instance]) -> tuple[list[Hotspot], list[list[float]]]:
-    """The hotspots of a batch of instances, ids ascending, and the table of
-    ``edge_cost`` values between them, with the depot at the last index.
+def _tables(instances: Sequence[Instance]) -> Iterator[
+        tuple[Sequence[Instance], list[Hotspot], np.ndarray]]:
+    """The batch in runs of consecutive instances that share one table, as
+    (the run, its hotspots by ascending id, the table).
 
-    Table index order is id order, so the tie rules compare the same
-    sequences on indices as on ids. An entry is ``math.hypot`` of the
-    lower-id point minus the higher-id point, the depot counting as the
-    highest; hypot(-x, -y) == hypot(x, y) exactly, so one value serves
-    both directions. The instances must share their depot and may give
-    an id only one hotspot.
+    A run's instances have one depot, give each id one hotspot and hold at
+    most ``_TABLE_HOTSPOTS`` hotspots together (a larger instance runs
+    alone), so a batch of any instances is solved run by run and a table
+    stays small whatever the pool. The table is the (n+1)x(n+1) matrix of
+    ``edge_cost`` values between the run's hotspots, the depot last: an
+    entry is ``math.hypot`` of the lower-id point minus the higher-id
+    point, the depot counting as the highest, and hypot(-x, -y) ==
+    hypot(x, y) exactly, so one value serves both directions.
     """
-    depot = instances[0].depot_m
-    by_id: dict[int, Hotspot] = {}
-    for inst in instances:
+    start, depot, by_id = 0, None, {}
+    for k, inst in enumerate(instances):
         # ``is`` first: a NaN depot equals only itself
-        if inst.depot_m is not depot and inst.depot_m != depot:
-            raise ConsistencyError(
-                f"one batch has two depots, {depot} and {inst.depot_m}")
+        fits = inst.depot_m is depot or inst.depot_m == depot
+        fresh = 0
         for h in inst.hotspots:
-            known = by_id.setdefault(h.id, h)
-            if known is not h and known != h:
-                raise ConsistencyError(
-                    f"one batch has two hotspots with id {h.id}")
+            known = by_id.get(h.id)
+            if known is None:
+                fresh += 1
+            elif known is not h and known != h:
+                fits = False
+        if k > start and not (fits
+                              and len(by_id) + fresh <= _TABLE_HOTSPOTS):
+            yield _table(instances[start:k], depot, by_id)
+            start, by_id, fresh = k, {}, len(inst.hotspots)
+        depot = inst.depot_m
+        if fresh:
+            for h in inst.hotspots:
+                by_id.setdefault(h.id, h)
+    if instances:
+        yield _table(instances[start:], depot, by_id)
+
+
+def _table(run: Sequence[Instance], depot: Point, by_id: dict[int, Hotspot]
+           ) -> tuple[Sequence[Instance], list[Hotspot], np.ndarray]:
+    """A run with its hotspots and table (``_tables``)."""
     hotspots = [by_id[i] for i in sorted(by_id)]
     pts = [h.center_m for h in hotspots] + [depot]
     n = len(hotspots)
@@ -215,54 +238,63 @@ def _table(instances: Sequence[Instance]) -> tuple[list[Hotspot], list[list[floa
         for b in range(a + 1, n + 1):
             # edge_cost inlined
             row[b] = dist[b][a] = math.hypot(xa - pts[b][0], ya - pts[b][1])
-    return hotspots, dist
+    return run, hotspots, np.array(dist)
 
 
-def _constructions(instances: Sequence[Instance]):
-    """The batch's hotspots and table (``_table``), the nearest-neighbor
-    construction of every instance and each construction's cost scale.
+def _constructions(run: Sequence[Instance], hotspots: list[Hotspot],
+                   table: np.ndarray
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nearest-neighbor constructions of a run over its table
+    (``_tables``), one chunk at a time: the instances of one size, at most
+    about ``_BATCH_ENTRIES`` table entries per tour array. A chunk is its
+    instances' positions in ``run``, their constructions as rows of table
+    indices and their cost scales.
 
-    The instances are split by size into chunks of at most about
-    ``_BATCH_ENTRIES`` table entries per tour array; a chunk is (its
-    instances' positions in ``instances``, their constructions as rows of
-    table indices). A scale is the construction's closed length, summed in
-    visiting order as ``make_tour`` sums it; 1.0 where not positive. A
-    length that is not finite is refused, for the first such instance: no
-    search can compare tours of such an instance.
+    A scale is the construction's closed length, summed in visiting order
+    as ``make_tour`` sums it; 1.0 where not positive. A length that is not
+    finite is refused, for the chunk's first such instance: no search can
+    compare tours of such an instance.
     """
-    hotspots, dist = _table(instances)
-    table = np.array(dist)
     index = {h.id: k for k, h in enumerate(hotspots)}
-    sizes: dict[int, list[int]] = {}
-    for k, inst in enumerate(instances):
-        sizes.setdefault(len(inst.hotspots), []).append(k)
-    chunks = []
-    lengths = np.empty(len(instances))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, members in sizes.items():
-            step = max(1, _BATCH_ENTRIES // (n + 2) ** 2)
-            for start in range(0, len(members), step):
-                part = members[start:start + step]
-                remaining = np.array([index[h.id] for k in part
-                                      for h in instances[k].hotspots])
-                order, lengths[part] = _nearest_neighbor(
-                    table, np.sort(remaining.reshape(len(part), n), axis=1))
-                chunks.append((part, order))
-    bad = np.flatnonzero(~np.isfinite(lengths))
-    if bad.size:
-        raise ConsistencyError(
-            f"a tour of this instance is {lengths[bad[0]]} m long; its depot "
-            "and hotspot coordinates must keep tour lengths finite")
-    return hotspots, table, chunks, np.where(lengths > 0, lengths, 1.0)
+    sizes = np.array([len(inst.hotspots) for inst in run])
+    for n in dict.fromkeys(sizes.tolist()):
+        members = np.flatnonzero(sizes == n)
+        step = max(1, _BATCH_ENTRIES // (n + 2) ** 2)
+        for start in range(0, members.size, step):
+            part = members[start:start + step]
+            # each row's table indices, ascending: np.nonzero reads a
+            # boolean matrix row by row (np.sort would touch about 0.3 MB
+            # more of numpy's code)
+            member = np.zeros((part.size, len(hotspots)), dtype=bool)
+            member[np.arange(part.size)[:, None], np.array(
+                [index[h.id] for k in part.tolist()
+                 for h in run[k].hotspots]).reshape(part.size, n)] = True
+            with np.errstate(over="ignore", invalid="ignore"):
+                order, length = _nearest_neighbor(
+                    table, np.nonzero(member)[1].reshape(part.size, n))
+            bad = np.flatnonzero(~np.isfinite(length))
+            if bad.size:
+                raise ConsistencyError(
+                    f"a tour of this instance is {length[bad[0]]} m long; its "
+                    "depot and hotspot coordinates must keep tour lengths "
+                    "finite")
+            yield part, order, np.where(length > 0, length, 1.0)
 
 
 def _cost_scales(instances: Sequence[Instance]) -> list[float]:
     """``instance_scales(inst)[0]`` of every instance, from one table and
-    one batched construction (``_constructions``)."""
-    return _constructions(instances)[3].tolist() if instances else []
+    one batched construction per run (``_tables``)."""
+    out: list[float] = []
+    for run, hotspots, table in _tables(instances):
+        scales = np.empty(len(run))
+        for part, _, scale in _constructions(run, hotspots, table):
+            scales[part] = scale
+        out += scales.tolist()
+    return out
 
 
-def _nearest_neighbor(table: np.ndarray, remaining: np.ndarray):
+def _nearest_neighbor(table: np.ndarray,
+                      remaining: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Greedy full tours from the depot, one per row of ``remaining`` (table
     indices, ascending), and their closed lengths; distance ties go to the
     lower id."""
@@ -309,14 +341,17 @@ def _two_opt(table: np.ndarray, order: np.ndarray, w: ObjectiveWeights,
     if n < 2 or m == 0 or w.weight_alpha == 0.0:
         return order
     order = order.copy()
-    i, j = np.triu_indices(n, 1)
+    places = np.arange(n)
+    # the exchanges (i, j), i < j, in scan order
+    # (np.triu_indices would touch about 0.2 MB more of numpy's code)
+    i, j = np.nonzero(places[:, None] < places)
     # flat positions in the (n + 2)^2 legs table of a tour with the depot
     # at both ends: delta = d(a, c) + d(b, d) - d(a, b) - d(c, d), where
     # a, b are tour places i, i + 1 and c, d places j + 1, j + 2
     width = n + 2
     ac, bd = i * width + j + 1, (i + 1) * width + j + 2
     ab, cd = i * width + i + 1, (j + 1) * width + j + 2
-    places = np.arange(n)
+    pairs = list(zip(i.tolist(), j.tolist()))
     rows = np.arange(m)
     while rows.size:
         ext = np.full((rows.size, width), len(table) - 1)
@@ -328,9 +363,8 @@ def _two_opt(table: np.ndarray, order: np.ndarray, w: ObjectiveWeights,
         move = low < stop[rows]
         close = (np.abs(delta - low[:, None]) <= 2 * _TIE_EPS).sum(axis=1) > 1
         for t in np.flatnonzero(np.isnan(low) | (move & close)):
-            pairs = list(zip(i.tolist(), j.tolist()))
-            k, best = _tied_exchange(order[rows[t]].tolist(), delta[t].tolist(),
-                                     pairs)
+            k, best = _tied_exchange(order[rows[t]].tolist(),
+                                     delta[t].tolist(), pairs)
             move[t] = k is not None and best < stop[rows[t]]
             pick[t] = k or 0
         rows, pick = rows[move], pick[move]
@@ -422,24 +456,25 @@ def demonstrate(instances: Sequence[Instance],
                 w: ObjectiveWeights) -> list[tuple[Tour, float]]:
     """``solve``'s tour of each instance and the cost scale that
     ``instance_scales`` gives it, from one table and one batched
-    construction: the scale is the construction's length, taken before
-    2-opt reorders it, which also bounds the rounding of 2-opt's deltas
-    (``_stops``). The instances must share their depot and may give an id
-    only one hotspot (``_table``)."""
-    if not instances:
-        return []
-    hotspots, table, chunks, scales = _constructions(instances)
-    ids = [h.id for h in hotspots]
-    profits = np.array([h.profit_bps for h in hotspots])
-    out: list[tuple[Tour, float]] = [None] * len(instances)  # type: ignore
-    with np.errstate(over="ignore", invalid="ignore"):
-        for part, order in chunks:
-            stop = _stops(scales[part])
-            finals = _selection_pass(table, profits,
-                                     _two_opt(table, order, w, stop), w, stop)
-            for k, final, scale in zip(part, finals, scales[part].tolist()):
-                out[k] = (make_tour([ids[v] for v in _canonical_orientation(final)],
-                                    instances[k], w), scale)
+    construction per run of instances (``_tables``): the scale is the
+    construction's length, taken before 2-opt reorders it, which also
+    bounds the rounding of 2-opt's deltas (``_stops``)."""
+    out: list[tuple[Tour, float]] = []
+    for run, hotspots, table in _tables(instances):
+        ids = [h.id for h in hotspots]
+        profits = np.array([h.profit_bps for h in hotspots])
+        solved: list = [None] * len(run)
+        for part, order, scales in _constructions(run, hotspots, table):
+            stop = _stops(scales)
+            with np.errstate(over="ignore", invalid="ignore"):
+                finals = _selection_pass(
+                    table, profits, _two_opt(table, order, w, stop), w, stop)
+            for k, final, scale in zip(part.tolist(), finals,
+                                       scales.tolist()):
+                final = _canonical_orientation(final)
+                solved[k] = (make_tour([ids[v] for v in final], run[k], w),
+                             scale)
+        out += solved
     return out
 
 
@@ -466,7 +501,8 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
     n = len(inst.hotspots)
     if n > 10:
         raise ConfigurationError("brute force limited to 10 hotspots")
-    hotspots, dist = _table([inst])
+    [(_, hotspots, table)] = _tables([inst])
+    dist = table.tolist()
     profits = [h.profit_bps for h in hotspots]
 
     best_obj = 0.0

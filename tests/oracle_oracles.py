@@ -1,12 +1,12 @@
 """Test-side oracles for the offline optimizer: its steps one at a time.
 
 ``oracle.demonstrate`` runs construction, 2-opt and the selection pass as
-array operations over the rows of a batch, on one table of distances
-(``_table``), and builds each ``Tour`` once, at the end. The functions here
-expose each step on its own for one instance, ``Tour`` in and ``Tour``
-out, as thin adapters over the same private steps, so that the tests can
-pin each step's behaviour and compare it with the coordinate-based
-reference in test_oracle_equivalence.py:
+array operations over the rows of a batch, on one table of distances per
+run of instances (``_tables``), and builds each ``Tour`` once, at the
+end. The functions here expose each step on its own for one instance,
+``Tour`` in and ``Tour`` out, as thin adapters over the same private
+steps, so that the tests can pin each step's behaviour and compare it
+with the coordinate-based reference in test_oracle_equivalence.py:
 
 - ``nearest_neighbor_construct``, ``two_opt`` and ``selection_pass``;
 - ``indices`` maps a tour's ids to table indices, as a one-row batch;
@@ -20,7 +20,7 @@ import numpy as np
 from uavplan.environment import Hotspot, Instance
 from uavplan.errors import ConsistencyError
 from uavplan.oracle import (ObjectiveWeights, Tour, _nearest_neighbor,
-                            _selection_pass, _stops, _table, _two_opt,
+                            _selection_pass, _stops, _tables, _two_opt,
                             instance_scales, make_tour)
 
 
@@ -45,8 +45,8 @@ def relative_weights(w: ObjectiveWeights, inst: Instance) -> ObjectiveWeights:
 def _geometry(inst: Instance):
     """The instance's hotspots by id, its table as an array, and its
     2-opt threshold as a one-row batch."""
-    hotspots, dist = _table([inst])
-    return hotspots, np.array(dist), _stops(np.array([instance_scales(inst)[0]]))
+    [(_, hotspots, table)] = _tables([inst])
+    return hotspots, table, _stops(np.array([instance_scales(inst)[0]]))
 
 
 def _tour(hotspots, order, inst: Instance, w: ObjectiveWeights) -> Tour:
@@ -55,9 +55,8 @@ def _tour(hotspots, order, inst: Instance, w: ObjectiveWeights) -> Tour:
 
 def nearest_neighbor_construct(inst: Instance) -> Tour:
     """Greedy full tour from the depot; distance ties go to the lower id."""
-    hotspots, dist = _table([inst])
-    order, _ = _nearest_neighbor(np.array(dist),
-                                 np.arange(len(hotspots))[None, :])
+    [(_, hotspots, table)] = _tables([inst])
+    order, _ = _nearest_neighbor(table, np.arange(len(hotspots))[None, :])
     # totals only; objective refreshed by callers
     return _tour(hotspots, order[0].tolist(), inst, ObjectiveWeights())
 

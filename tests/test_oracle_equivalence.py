@@ -277,17 +277,23 @@ def _pool(rng: random.Random, ids, grid: bool) -> list[Hotspot]:
             for i in ids]
 
 
-@pytest.mark.parametrize("entries", [None, 300], ids=["chunks", "small-chunks"])
+@pytest.mark.parametrize("entries,table_hotspots", [
+    pytest.param(None, None, id="production-chunks"),
+    pytest.param(300, 40, id="small-chunks-and-tables")])
 @pytest.mark.parametrize("w,drops", [
     pytest.param(ObjectiveWeights(), False, id="default"),
     pytest.param(ObjectiveWeights(0.5, 0.5, cost_scale=4000.0,
                                   profit_scale=2e7), True, id="even-scaled")])
-def test_batch_equals_each_instance_alone(chan, mission, entries, w, drops):
+def test_batch_equals_each_instance_alone(chan, mission, entries,
+                                          table_hotspots, w, drops):
     """One call on a shuffled batch of sizes 1-50 with one depot, drawn
     from a lattice pool (where legs and removal gains tie) and a random
-    one, hotspots stored in and out of id order, in the production chunks
-    and in chunks of one to a few rows: every tour and cost scale is, bit
-    for bit, what the instance gets alone."""
+    one, hotspots stored in and out of id order: every tour and cost scale
+    is, bit for bit, what the instance gets alone. So it is in the
+    production chunks and tables (one table for all 100 instances), and in
+    chunks of one to a few rows and tables of at most 40 hotspots, which
+    split the batch into many runs and leave each instance above 40
+    hotspots a run of its own."""
     rng = random.Random(2323)
     pools = (_pool(rng, range(1, 61), True), _pool(rng, range(101, 161), False))
     batch = []
@@ -302,8 +308,12 @@ def test_batch_equals_each_instance_alone(chan, mission, entries, w, drops):
     rng.shuffle(batch)
     alone = [demonstrate([inst], w)[0] for inst in batch]
     with mock.patch.object(oracle, "_BATCH_ENTRIES",
-                           entries or oracle._BATCH_ENTRIES):
+                           entries or oracle._BATCH_ENTRIES), \
+            mock.patch.object(oracle, "_TABLE_HOTSPOTS",
+                              table_hotspots or oracle._TABLE_HOTSPOTS):
+        runs = [len(run) for run, _, _ in oracle._tables(batch)]
         got = demonstrate(batch, w)
+    assert (runs == [100]) == (table_hotspots is None) and sum(runs) == 100
     assert [(_bits(t), repr(s)) for t, s in got] == \
         [(_bits(t), repr(s)) for t, s in alone]
     assert any(len(t) < len(i.hotspots) for (t, _), i in zip(got, batch)) \
@@ -341,20 +351,28 @@ def test_grid_ties_take_the_sequential_rule(chan, mission):
     assert ties["exchange"] > 0 and ties["removal"] > 0
 
 
-def test_a_batch_with_two_depots_or_two_hotspots_per_id_is_refused(
-        make_instance, default_weights):
-    """One batch shares one table, so its instances must share the depot
-    and give each id one hotspot; equal ones built apart are one batch."""
+def test_a_batch_with_two_depots_or_two_hotspots_per_id_runs_apart(
+        chan, mission, make_instance, default_weights):
+    """Instances with another depot, or with an id that names another
+    hotspot, start a run of their own (``_tables``) and get what they get
+    alone; equal depots and hotspots built apart share one run."""
     inst = make_instance([(0, 0), (10, 0), (0, 10)])
-    for other in (make_instance([(0, 0), (10, 0), (0, 10)], depot=(5, 5)),
-                  make_instance([(0, 0), (10, 0), (0, 11)]),
-                  make_instance([(0, 0), (10, 0), (0, 10)],
-                                profits=[1e7, 1e7, 2e7])):
-        with pytest.raises(ConsistencyError, match="one batch has two"):
-            demonstrate([inst, other], default_weights)
-    twin = make_instance([(0, 0), (10, 0), (0, 10)])
-    assert demonstrate([inst, twin], default_weights) == \
-        2 * demonstrate([inst], default_weights)
+    others = [make_instance([(0, 0), (10, 0), (0, 10)], depot=(5, 5)),
+              make_instance([(0, 0), (10, 0), (0, 11)]),
+              make_instance([(0, 0), (10, 0), (0, 10)],
+                            profits=[1e7, 1e7, 2e7]),
+              make_instance([(0, 0), (10, 0), (0, 10)],
+                            depot=(float("nan"), 0.0)),
+              make_instance([(0, 0), (10, 0), (0, 10)])]
+    for other in others[:3]:
+        batch = [inst, other, inst]
+        assert [len(run) for run, _, _ in oracle._tables(batch)] == [1, 1, 1]
+        assert demonstrate(batch, default_weights) == \
+            [demonstrate([i], default_weights)[0] for i in batch]
+    with pytest.raises(ConsistencyError, match="is nan m long"):
+        demonstrate([inst, others[3]], default_weights)
+    assert [len(run) for run, _, _ in oracle._tables(
+        [inst, others[4], inst])] == [3]
 
 
 # --- properties ----------------------------------------------------------------------
