@@ -19,10 +19,10 @@ file that breaks its rule stops the run with a configuration error that
 names the file and what differs (for a record, the key and both values)
 and says to delete it and run again:
 
-- an export is computed on every run, because that costs about what
-  reading it back would, and its file is checked (``_export``): written
-  when absent, one JSON object per line, and when present, byte for
-  byte what this run writes. Its first line holds its record.
+- an export is computed on every run, because that costs little more
+  than reading it back would, and its file is checked (``_export``):
+  written when absent, one JSON object per line, and when present, byte
+  for byte what this run writes. Its first line holds its record.
 
   - ``pools.json`` (``uavplan.pool.v2``): the schema and the pools
     record (``pool_seed``, ``mean_users``, ``mission``, ``channel``),
@@ -33,6 +33,10 @@ and says to delete it and run again:
     which alone determine the ids), then per line k the ``{"ids"}`` of
     the instance drawn with seed ``train_seed_base + k`` (seeded in
     bulk), which takes this run's pool, depot, channel and mission;
+  - ``oracle_tours.jsonl`` (``uavplan.tours.v5``): a header, the schema
+    and the oracle record (the pools and training instances records plus
+    ``depot_m`` and ``weights``), then per line k the ``{"order"}`` of
+    the tour that solves training instance k;
   - ``world_model.json`` (``uavplan.world_model.v3``): what ``learn``
     makes of the demonstrations and the training pool; its schema and
     noise config are its record.
@@ -40,17 +44,10 @@ and says to delete it and run again:
 - a cache is computed only when its file is absent, and is otherwise
   read back, so its file must hold this run's record:
 
-  - ``oracle_tours.jsonl`` (``uavplan.tours.v5``): a header, the schema
-    and the pools and training instances records plus ``depot_m`` and
-    ``weights``, then per line k a tour's ``{"order"}``, rebuilt as
-    ``make_tour(order, instance k, weights)``, the call ``solve`` ends
-    with, so a reused demonstration equals the solved one bit for bit.
-    Another schema (such as an older one-object-per-line file), another
-    record count, or a demonstration naming a hotspot that its instance
-    lacks or visiting one twice is refused too, naming the line;
-  - ``qtable.json`` (``uavplan.qtable.v2``): the fingerprint of the
-    training pairs, checked first, then the demonstrations' record plus
-    ``ql`` and ``ql_train_seed``;
+  - ``qtable.json`` (``uavplan.qtable.v3``): the schema and the ql
+    record, the oracle record plus ``ql`` and ``ql_train_seed``; the
+    demonstrations it is trained on are a function of the oracle record
+    and are checked as an export;
   - ``metrics.csv`` and the eval's other outputs (``tours/``,
     ``traces/``, ``instances/``), which the report is made from: their
     record is ``config.json``, the whole config, which must hold the
@@ -60,18 +57,17 @@ and says to delete it and run again:
 
 The oracle stage solves the training instances in one batch per worker
 (``oracle.demonstrate``), which also gives each instance's cost scale for
-Q-learning; the stage hands the scales to the Q-learning stage. Reused
-demonstrations carry none, so a Q-table trained from them takes its
-scales from one batched construction (``oracle._cost_scales``).
+Q-learning; the stage hands the scales to the Q-learning stage.
 
 Every artifact is encoded by one ``json.JSONEncoder`` (``_canonical_json``).
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config: its JSON form is their ``asdict``, and reading one back
 takes every default from them and rejects any key they do not declare,
-any value whose JSON type does not fit the key's declared type, and any
-value that a dataclass's own check refuses, such as a channel or an
-altitude whose rates overflow float arithmetic.
+any value whose JSON type does not fit the key's declared type (a NaN
+or infinite number fits none), and any value that a dataclass's own
+check refuses, such as a channel or an altitude whose rates overflow
+float arithmetic.
 """
 
 from __future__ import annotations
@@ -98,8 +94,8 @@ from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
                           instance_to_dict, pool_to_dict, sample_instances,
                           sample_pool)
 from .errors import ConfigurationError
-from .oracle import (ObjectiveWeights, Tour, _cost_scales, demonstrate,
-                     make_tour, solve, tour_from_dict, tour_to_dict)
+from .oracle import (ObjectiveWeights, Tour, demonstrate, make_tour, solve,
+                     tour_from_dict, tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
                  qtable_from_dict, qtable_to_dict, train_q)
@@ -232,9 +228,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether the JSON value ``value`` fits the declared type ``hint``: an
-    int takes an integer and a float any number (neither takes a bool), a
-    tuple a list (or tuple) of fitting items, and a union what one of its
-    members takes."""
+    int takes an integer and a float any finite number (neither takes a
+    bool), a tuple a list (or tuple) of fitting items, and a union what
+    one of its members takes."""
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -246,7 +242,10 @@ def _fits(value, hint) -> bool:
         return any(_fits(value, member) for member in args)
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    if hint is float:
+        return isinstance(value, int) or (isinstance(value, float)
+                                          and math.isfinite(value))
+    return isinstance(value, hint)
 
 
 def _dataclass_from_dict(cls, d, prefix: str = ""):
@@ -296,7 +295,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path) as f:
             return config_from_dict(json.load(f))
-    except (OSError, ValueError, TypeError, KeyError) as e:
+    except (OSError, ValueError, TypeError, KeyError, RecursionError) as e:
         raise ConfigurationError(f"cannot load config {path}: {e}") from e
 
 
@@ -349,26 +348,9 @@ def read_json(path: Path) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as e:
         raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
-
-
-def read_jsonl(path: Path) -> list[dict]:
-    """Parse a JSON-lines artifact, one object per line; errors as in
-    ``read_json``, with the line number."""
-    try:
-        with open(path) as f:
-            lines = list(f)
-    except (OSError, UnicodeDecodeError) as e:
-        raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
-    out = []
-    for n, line in enumerate(lines, start=1):
-        try:
-            out.append(json.loads(line))
-        except json.JSONDecodeError as e:
-            raise ConfigurationError(
-                f"cannot read artifact {path}, line {n}: {e}") from e
-    return out
 
 
 def _read_csv(path: Path) -> list[dict]:
@@ -457,7 +439,7 @@ def _export(path: Path, objs: Iterable[dict], record: dict) -> None:
                         f"{count}; {_REGENERATE}")
                 try:
                     recorded = json.loads(have)
-                except ValueError as e:
+                except (ValueError, RecursionError) as e:
                     raise ConfigurationError(
                         f"cannot read artifact {path}, line {n}: {e}") from e
                 if n == 1:
@@ -480,34 +462,6 @@ def _export(path: Path, objs: Iterable[dict], record: dict) -> None:
                     f"{note}; {_REGENERATE}")
     except OSError as e:
         raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
-
-
-def load_headed_jsonl(path: Path, want: dict, count: int,
-                      from_record: Callable[[int, dict], T]) -> list[T]:
-    """Read a JSON-lines artifact with a header and build its records.
-
-    The first line must hold ``want``'s schema and record the rest of
-    ``want`` (see ``_check_header``), and ``count`` records must follow.
-    Record k (counted from 0) is built with ``from_record(k, record)``.
-    Another schema, a header that differs from ``want``, another record
-    count and a malformed record are configuration errors that name the
-    file, and for a record the line."""
-    lines = read_jsonl(path)
-    _check_header(path, lines[0] if lines else None, want)
-    records = lines[1:]
-    if len(records) != count:
-        raise ConfigurationError(
-            f"{path} holds {len(records)} records after its header, but this "
-            f"run needs {count}; {_REGENERATE}")
-    built = []
-    for k, rec in enumerate(records):
-        try:
-            built.append(from_record(k, rec))
-        except (LookupError, TypeError, ValueError, OverflowError) as e:
-            raise ConfigurationError(
-                f"malformed artifact {path}, line {k + 2}: "
-                f"{type(e).__name__}: {e}") from e
-    return built
 
 
 # --- worker pool --------------------------------------------------------------
@@ -601,29 +555,22 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
 
 
 def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
-                 out: Path) -> tuple[list[Tour], array | None]:
+                 out: Path) -> tuple[list[Tour], array]:
     """Demonstration k solves training instance k, and comes with that
-    instance's cost scale for Q-learning; the instances are solved in one
-    batch per worker (``demonstrate``). Returns the tours and the scales.
-    Reused, a demonstration is rebuilt from its order as ``solve`` builds
-    it, without its construction: the scales are then None, and
-    ``stage_ql`` takes them from one batched construction if it trains."""
-    path = out / "oracle_tours.jsonl"
-    header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
-    if path.exists():
-        return load_headed_jsonl(
-            path, header, len(instances),
-            lambda k, d: make_tour(d["order"], instances[k], cfg.weights)), None
+    instance's cost scale for Q-learning; the instances are solved on
+    every run, in one batch per worker (``demonstrate``). Returns the
+    tours and the scales. ``oracle_tours.jsonl``, a header and then each
+    demonstration's order, is their export (``_export``)."""
     size = -(-len(instances) // cfg.workers)
     solved = [d for batch in _map(
         demonstrate, ((instances[k:k + size],)
                       for k in range(0, len(instances), size)),
         (cfg.weights,), cfg.workers, chunksize=1) for d in batch]
     tours = [t for t, _ in solved]
-    scales = array("d", [scale for _, scale in solved])
-    write_jsonl_atomic(path, itertools.chain(
-        [header], ({"order": list(t.order)} for t in tours)))
-    return tours, scales
+    header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
+    _export(out / "oracle_tours.jsonl", itertools.chain(
+        [header], ({"order": list(t.order)} for t in tours)), header)
+    return tours, array("d", [scale for _, scale in solved])
 
 
 def _first_difference(recorded, current, key: str = ""):
@@ -660,32 +607,18 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
     return wm
 
 
-def _training_fingerprint(training) -> str:
-    """sha256 of the training pairs' instance seeds and demonstrated
-    orders, sorted by seed."""
-    payload = _canonical_json(sorted((inst.seed, list(demo.order))
-                                     for inst, demo in training))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
-             tours: Sequence[Tour], cost_scales: Sequence[float] | None,
+             tours: Sequence[Tour], cost_scales: Sequence[float],
              out: Path) -> QTable:
     """The Q-table ``train_q`` makes of the demonstrations and their cost
-    scales (None for reused demonstrations: one batched construction,
-    ``oracle._cost_scales``, then gives them). Its file also holds the
-    fingerprint of the training pairs and its record; a reused file must
-    hold this run's fingerprint, checked first, and record."""
+    scales. Its file also holds its record, which a reused file must
+    hold: the demonstrations are a function of it."""
     path = out / "qtable.json"
-    training = list(zip(instances, tours))
-    record = {"schema": QTABLE_SCHEMA,
-              "fingerprint": _training_fingerprint(training),
-              **_record(cfg, "ql")}
+    record = {"schema": QTABLE_SCHEMA, **_record(cfg, "ql")}
     if path.exists():
         return load_artifact(path, qtable_from_dict, record)
-    if cost_scales is None:
-        cost_scales = array("d", _cost_scales(instances))
-    q = train_q(training, cost_scales, cfg.ql, cfg.weights, cfg.ql_train_seed)
+    q = train_q(list(zip(instances, tours)), cost_scales, cfg.ql, cfg.weights,
+                cfg.ql_train_seed)
     write_json_atomic(path, {**record, **qtable_to_dict(q)})
     return q
 

@@ -44,8 +44,7 @@ wraps each step on its own (construction, 2-opt, selection) as a
 Q-learning scales each training instance's costs by the length of its
 nearest-neighbor construction (``instance_scales``). ``demonstrate``
 returns that length with the tour, from the construction that the solve
-makes anyway. Reused demonstrations, which are rebuilt from their orders,
-take the lengths from one batched construction (``_cost_scales``).
+makes anyway.
 
 A table lives for one call and is never cached on ``Instance``. A cached
 geometry and id map on every instance once raised the peak resident memory
@@ -56,11 +55,10 @@ one entry per pair of its run's hotspots (51 x 51 for the default
 bounded per chunk.
 
 A demonstration is stored by ``harness`` as its order alone, under one
-weights header, and a reused demonstration is rebuilt as
-``make_tour(order, instance, weights)``, the call ``solve`` ends with, so
-its totals are computed on one path. Each evaluated test tour is a
-self-contained ``uavplan.tour.v1`` object (``tour_to_dict``: order, totals
-and weights), which ``tour_from_dict`` reads.
+weights header; the demonstrations are solved on every run and only
+checked against that file. Each evaluated test tour is a self-contained
+``uavplan.tour.v1`` object (``tour_to_dict``: order, totals and
+weights), which ``tour_from_dict`` reads.
 """
 
 from __future__ import annotations
@@ -178,7 +176,9 @@ def instance_scales(inst: Instance) -> tuple[float, float]:
     cost and profit by these makes both objective terms order one
     (``relative_weights`` there).
     """
-    return _cost_scales([inst])[0], _profit_scale(inst)
+    [(run, hotspots, table)] = _tables([inst])
+    [(_, _, length)] = _constructions(run, hotspots, table)
+    return float(length[0]), _profit_scale(inst)
 
 
 def _profit_scale(inst: Instance) -> float:
@@ -279,18 +279,6 @@ def _constructions(run: Sequence[Instance], hotspots: list[Hotspot],
                     "depot and hotspot coordinates must keep tour lengths "
                     "finite")
             yield part, order, np.where(length > 0, length, 1.0)
-
-
-def _cost_scales(instances: Sequence[Instance]) -> list[float]:
-    """``instance_scales(inst)[0]`` of every instance, from one table and
-    one batched construction per run (``_tables``)."""
-    out: list[float] = []
-    for run, hotspots, table in _tables(instances):
-        scales = np.empty(len(run))
-        for part, _, scale in _constructions(run, hotspots, table):
-            scales[part] = scale
-        out += scales.tolist()
-    return out
 
 
 def _nearest_neighbor(table: np.ndarray,

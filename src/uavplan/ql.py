@@ -224,7 +224,7 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     return Word.from_letters(order)
 
 
-QTABLE_SCHEMA = "uavplan.qtable.v2"
+QTABLE_SCHEMA = "uavplan.qtable.v3"
 
 
 def qtable_to_dict(q: QTable) -> dict:

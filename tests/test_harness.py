@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -18,6 +19,7 @@ from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, MissionConfig,
                                  instance_from_dict, instance_to_dict)
 from uavplan import world_model
+from uavplan.errors import ConsistencyError
 from uavplan.harness import (_READS, ExperimentConfig, _canonical_json,
                              _first_difference, _record, completion_time,
                              completion_time_from, config_from_dict,
@@ -321,6 +323,8 @@ class TestHeadedJsonl:
 
     def test_round_trip_gives_the_sampled_instances_and_solved_tours(
             self, tmp_path):
+        """A rerun samples and solves again, and checks both files: it
+        gives the same instances, tours and scales."""
         cfg = small_config(tmp_path / "rt", m_training=40,
                            depot_m=(150.0, 1750.0),
                            weights=ObjectiveWeights(0.5, 0.5))
@@ -332,7 +336,7 @@ class TestHeadedJsonl:
         assert scales == array("d", [instance_scales(i)[0] for i in sampled])
         loaded = stage_training_instances(cfg, training, out)
         assert loaded == sampled
-        assert stage_oracle(cfg, loaded, out) == (solved, None)
+        assert stage_oracle(cfg, loaded, out) == (solved, scales)
         # one header line, then one record per instance or tour
         for name in ("training_instances.jsonl", "oracle_tours.jsonl"):
             assert len((out / name).read_text().splitlines()) == 41
@@ -346,7 +350,7 @@ class TestHeadedJsonl:
         ``uavplan.world_model.v3`` bytes, the two header-plus-records files
         are pinned as ``uavplan.instances.v4`` and ``uavplan.tours.v5``, and
         pools.json and qtable.json as ``uavplan.pool.v2`` and
-        ``uavplan.qtable.v2``."""
+        ``uavplan.qtable.v3``."""
         monkeypatch.chdir(tmp_path)
         run_pipeline(small_config("run"))
         want = json.loads(PINNED.read_text())
@@ -362,7 +366,7 @@ class TestHeadedJsonl:
         assert have == want
 
     def test_reused_files_give_the_same_downstream_bytes(self, tmp_path):
-        """Rebuilt from reused instances and demonstrations, the models
+        """Rebuilt from checked instances and demonstrations, the models
         and metrics keep their bytes; so does every eval output when the
         eval runs on the rebuilt demonstrations and the world model
         learned from them, which equals the reused world_model.json."""
@@ -568,7 +572,17 @@ class TestCli:
                      "config noise: the process noise, process_scale 1e+300",
                      ["pipeline", "--m-training", "20", "--test-sizes", "5",
                       "--seeds-per-size", "1"],
-                     id="noise-process-scale-overflow")])
+                     id="noise-process-scale-overflow"),
+        pytest.param('{"mean_users": NaN}', "config key mean_users ",
+                     ["gen-pool"], id="mean_users-nan"),
+        pytest.param('{"mission": {"dwell_time_s": NaN}}',
+                     "config key mission.dwell_time_s ", ["pipeline"],
+                     id="mission.dwell_time_s-nan"),
+        pytest.param('{"noise": {"process_scale": NaN}}',
+                     "config key noise.process_scale ",
+                     ["pipeline", "--m-training", "20", "--test-sizes", "5",
+                      "--seeds-per-size", "1"],
+                     id="noise.process_scale-nan")])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys, text,
                                 named, command):
         """A corrupt config, one with a key the dataclasses do not declare,
@@ -579,12 +593,41 @@ class TestCli:
         invalid ``plan`` override, before any artifact is read. A value
         that overflows float arithmetic names its section, or, for the
         noise, which scales the learned means, when the world model is
-        learned."""
+        learned. A NaN (which ``json`` reads) is refused at load, naming its
+        key, before any stage writes an artifact."""
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "broken.json"
         p.write_text(text)
         assert cli_main(command + ["--config", str(p)]) == 2
         assert named in capsys.readouterr().err
+        if "NaN" in text:
+            assert not (tmp_path / "out").exists()
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        """A config nested deeper than the parser can follow exits 2
+        naming the file, not with a RecursionError."""
+        p = tmp_path / "nested.json"
+        p.write_text("[" * 100_000)
+        assert cli_main(["gen-pool", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot load config {p}")
+
+    @pytest.mark.parametrize("artifact", ["pools.json", "qtable.json"])
+    def test_deeply_nested_artifact_exits_2(self, tmp_path, capsys, artifact):
+        """A kept artifact nested deeper than the parser can follow exits 2
+        naming the file: an export (pools.json), whose differing line is
+        parsed, and a cache (qtable.json), which is read back."""
+        cfg = small_config(tmp_path / "n", test_sizes=(5,), seeds_per_size=1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        path = tmp_path / "n" / artifact
+        path.write_text("[" * 100_000)
+        capsys.readouterr()
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read artifact "
+                              f"{path}"), err
 
     @pytest.mark.parametrize("config,flags,named", [
         pytest.param('{"test_sizes": [500]}', [],
@@ -695,12 +738,15 @@ class TestCli:
         assert str(tmp_path / "w" / artifact) in err
         assert '"weight_alpha":0.9' in err and '"weight_alpha":0.5' in err
 
-    @pytest.mark.parametrize("artifact", ["world_model.json", "qtable.json"])
+    @pytest.mark.parametrize("artifact,named", [
+        pytest.param("world_model.json", "fingerprint", id="world_model.json"),
+        pytest.param("qtable.json", "train_seed_base", id="qtable.json")])
     def test_reused_artifact_from_other_demonstrations_exits_2(
-            self, tmp_path, capsys, artifact):
+            self, tmp_path, capsys, artifact, named):
         """A world model or Q-table learned from another run's
         demonstrations (another train_seed_base) must not be reused: exit 2
-        naming the file and both fingerprints."""
+        naming the file and, for the world model, both word list
+        fingerprints, for the Q-table the key."""
         cfg = small_config(tmp_path / "w", test_sizes=(5,), seeds_per_size=1)
         other = replace(cfg, output_dir=str(tmp_path / "o"),
                         train_seed_base=cfg.train_seed_base + 5000)
@@ -715,7 +761,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert str(tmp_path / "w" / artifact) in err
-        assert "fingerprint" in err
+        assert named in err
 
     def test_reused_qtable_with_other_ql_config_exits_2(self, tmp_path, capsys):
         cfg = small_config(tmp_path / "w", test_sizes=(5,), seeds_per_size=1)
@@ -751,7 +797,7 @@ class TestCli:
                      "line 4 holds", id="instances-too-few-ids-without-tours"),
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines.pop()),
-            "29 records", id="tours-cut-at-line"),
+            "holds 30 lines, but this run writes 31", id="tours-cut-at-line"),
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines[0].__setitem__(
                 "weights", asdict(ObjectiveWeights(0.5, 0.5)))),
@@ -759,11 +805,10 @@ class TestCli:
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines[3]["order"].append(
                 lines[3]["order"][0])),
-            "line 4: ConsistencyError", id="tours-repeated-id"),
+            "line 4 holds order ", id="tours-repeated-id"),
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", _foreign_id),
-            "line 4: ConsistencyError: tour references unknown hotspot",
-            id="tours-foreign-id")])
+            "line 4 holds order.0 ", id="tours-foreign-id")])
     def test_bad_headed_jsonl_exits_2(self, tmp_path, capsys, artifact,
                                       damage, named):
         """An older one-object-per-line file, an id not in the training
@@ -944,10 +989,7 @@ class TestCli:
                      "DegenerateWordError", id="area-1e15-skips-every-hotspot"),
         pytest.param('{"depot_m": [1e308, 0]}', 2,
                      "ConsistencyError: a tour of this instance is inf m",
-                     id="depot-1e308"),
-        pytest.param('{"depot_m": [NaN, 0]}', 2,
-                     "ConsistencyError: a tour of this instance is nan m",
-                     id="depot-nan")]
+                     id="depot-1e308")]
     SMALL_RUN = ["--m-training", "20", "--test-sizes", "5",
                  "--seeds-per-size", "1"]
 
@@ -986,6 +1028,36 @@ class TestCli:
                              str(tmp_path / "out"), *self.SMALL_RUN]) == code
         captured = capsys.readouterr()
         assert named in captured.out + captured.err
+
+    def test_nan_depot_through_the_api_ends(self, tmp_path):
+        """A config file cannot hold a NaN depot (its NaN is refused at
+        load), but ``ExperimentConfig`` can: the oracle refuses the depot
+        when it solves the first demonstration. Run in a process of its
+        own, so that a search that never ends fails the test."""
+        script = ("import math, sys\n"
+                  "from uavplan.harness import ExperimentConfig, run_pipeline\n"
+                  "run_pipeline(ExperimentConfig(\n"
+                  "    depot_m=(math.nan, 0.0), m_training=20, test_sizes=(5,),\n"
+                  "    seeds_per_size=1, output_dir=sys.argv[1]))\n")
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 1, result.stderr[-2000:]
+        assert ("ConsistencyError: a tour of this instance is nan m"
+                in result.stderr.splitlines()[-1])
+
+    def test_nan_depot_through_the_api_warns_nothing(self, tmp_path):
+        """The same run in this process, with every warning an error."""
+        cfg = ExperimentConfig(depot_m=(math.nan, 0.0), m_training=20,
+                               test_sizes=(5,), seeds_per_size=1,
+                               output_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConsistencyError,
+                               match="^a tour of this instance is nan m"):
+                run_pipeline(cfg)
 
     def test_reused_pool_with_other_hotspots_exits_2(self, tmp_path, capsys):
         """A reused pools.json must equal the pool its seed samples, not
@@ -1372,6 +1444,13 @@ def _bump_leaf(lines):
     lines[0]["hotspots"][3]["num_users"] += 1
 
 
+def _swap_first_visits(lines):
+    """Swap the first two hotspots of the third demonstration: still a
+    valid tour of its instance, but not the one the oracle solves."""
+    order = lines[3]["order"]
+    order[0], order[1] = order[1], order[0]
+
+
 @pytest.mark.parametrize("name,edit,line,leaf", [
     pytest.param("pools.json", _bump_leaf, 1, "hotspots.3.num_users",
                  id="pools.json"),
@@ -1380,7 +1459,9 @@ def _bump_leaf(lines):
                  "ids.0", id="training_instances.jsonl"),
     pytest.param("world_model.json", lambda lines: lines[0].__setitem__(
         "mean_leg_time_s", 2 * lines[0]["mean_leg_time_s"]), 1,
-        "mean_leg_time_s", id="world_model.json")])
+        "mean_leg_time_s", id="world_model.json"),
+    pytest.param("oracle_tours.jsonl", _swap_first_visits, 4, "order.0",
+                 id="oracle_tours.jsonl")])
 def test_exports_hold_exactly_what_the_run_writes(
         tmp_path, capsys, finished_run, name, edit, line, leaf):
     """The files a run recomputes are checked by one rule: an untouched
@@ -1421,6 +1502,32 @@ def test_exports_hold_exactly_what_the_run_writes(
     code, err = rerun("".join(json.dumps(o) + "\n" for o in objs))
     assert code == 2
     assert err.startswith(f"configuration error: {path} line 1 "), err
+
+
+def test_demonstrations_in_other_valid_orders_exit_2(tmp_path, capsys,
+                                                     finished_run):
+    """Every demonstration read backwards is still a valid tour of its
+    instance, but not the one the oracle solves. With the world model, the
+    Q-table, metrics.csv and config.json deleted, so that every later
+    stage would learn from the edited tours, the rerun exits 2 naming
+    oracle_tours.jsonl and the first demonstration's line."""
+    out = tmp_path / "run"
+    shutil.copytree(finished_run.output_dir, out)
+    path = out / "oracle_tours.jsonl"
+    lines = [json.loads(ln) for ln in path.read_text().splitlines()]
+    for line in lines[1:]:
+        line["order"].reverse()
+    _write_lines(path, lines)
+    _delete(out, ("world_model.json", "qtable.json", "metrics.csv",
+                  "config.json"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(
+        replace(finished_run, output_dir=str(out)))))
+    capsys.readouterr()
+    assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path} line 2 holds "
+                          "order.0 "), err
 
 
 def test_every_schema_is_documented():
