@@ -1,5 +1,9 @@
 """Command-line surface for the experiment pipeline.
 
+A stage command runs the pipeline up to and including its stage, in any
+directory, an empty one too: every stage computes its outputs and checks
+the files already there (see ``harness``).
+
 Exit codes: 0 success, 3 numeric error, 2 any other error of the package
 (a bad config, a damaged artifact, or inputs it cannot plan from).
 """
@@ -33,46 +37,39 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 # The stage commands in pipeline order. Each runs the pipeline up to and
-# including its stage, after checking that the artifacts it requires
-# exist (each named with the command that makes it), and prints a summary
-# of what that stage returned.
+# including its stage, which every stage can do from an empty directory,
+# and prints a summary of what that stage returned.
 STAGE_COMMANDS = {
     "gen-pool": (
-        "pools", "sample the hotspot pools", (),
+        "pools", "sample the hotspot pools",
         lambda out, pools: f"pool: {len(pools[0])} hotspots "
                            f"({len(pools[1])} trainable) -> {out/'pools.json'}"),
     "gen-instances": (
         "training_instances", "sample training instances",
-        (("pools.json", "gen-pool"),),
         lambda out, instances: f"{len(instances)} training instances -> "
                                f"{out/'training_instances.jsonl'}"),
     "solve-oracle": (
         "oracle", "solve demonstrations offline",
-        (("training_instances.jsonl", "gen-instances"),),
         lambda out, tours: f"{len(tours)} demonstration tours -> "
                            f"{out/'oracle_tours.jsonl'}"),
     "train-world": (
         "world", "learn the world model",
-        (("oracle_tours.jsonl", "solve-oracle"),),
         lambda out, wm: f"world model: {len(wm.vocab)} letters, "
                         f"{len(wm.words)} distinct words -> "
                         f"{out/'world_model.json'}"),
     "train-ql": (
         "ql", "train the Q-learning baseline",
-        (("oracle_tours.jsonl", "solve-oracle"),),
         lambda out, q: f"q-table: {len(q.letters)} letters, "
                        f"{len(q.values)} entries -> {out/'qtable.json'}"),
     "eval": (
         "eval", "run the test matrix for all methods",
-        (("world_model.json", "train-world"), ("qtable.json", "train-ql")),
         lambda out, rows: f"{len(rows)} metric rows -> {out/'metrics.csv'}"),
     "report": (
         "report", "summarize metrics and export trajectories",
-        (("metrics.csv", "eval"),),
         lambda out, rows: f"summary -> {out/'summary.csv'}, "
                           f"ratios -> {out/'ratios.csv'}"),
     "pipeline": (
-        "report", "run every stage in order", (),
+        "report", "run every stage in order",
         lambda out, rows: f"pipeline complete: {len(rows)} metric rows "
                           f"in {out}"),
 }
@@ -80,14 +77,9 @@ STAGE_COMMANDS = {
 
 def cmd_stage(args) -> int:
     """Run one of ``STAGE_COMMANDS``."""
-    stage, _, requires, summary = STAGE_COMMANDS[args.command]
+    stage, _, summary = STAGE_COMMANDS[args.command]
     cfg = _load_cfg(args)
-    out = Path(cfg.output_dir)
-    for name, maker in requires:
-        if not (out / name).exists():
-            raise ConfigurationError(
-                f"missing artifact {out / name}; run `uavplan {maker}` first")
-    print(summary(out, run_pipeline(cfg, stage)))
+    print(summary(Path(cfg.output_dir), run_pipeline(cfg, stage)))
     return 0
 
 

@@ -14,52 +14,47 @@ A stage's record is the config values it is computed from: one table,
 reads itself, and ``_record`` joins the keys along the chain, upstream
 keys first (a verifying trace in the sense of Mokhov, Mitchell & Peyton
 Jones, *Build systems a la carte*, ICFP 2018, that holds the values
-themselves). Every file a stage leaves follows one of two rules, and a
-file that breaks its rule stops the run with a configuration error that
-names the file and what differs (for a record, the key and both values)
-and says to delete it and run again:
+themselves). Every stage computes on every run, and every file it leaves
+is an export (``_export``): written when absent, one line per JSON object
+or CSV line, and when present, byte for byte what this run writes. A file
+that differs stops the run with a configuration error that names the file
+and what differs (a record's key and both values, another line count, or
+the first differing line) and says to delete it and run again. A file
+whose first line holds a record:
 
-- an export is computed on every run, because that costs little more
-  than reading it back would, and its file is checked (``_export``):
-  written when absent, one JSON object per line, and when present, byte
-  for byte what this run writes. Its first line holds its record.
+- ``pools.json`` (``uavplan.pool.v2``): the schema and the pools record
+  (``pool_seed``, ``mean_users``, ``mission``, ``channel``), then the
+  sampled hotspots;
+- ``training_instances.jsonl`` (``uavplan.instances.v4``): a header, the
+  schema and the record (``training_pool_size``, ``train_instance_size``,
+  ``train_seed_base`` and ``m_training``, which alone determine the ids),
+  then per line k the ``{"ids"}`` of the instance drawn with seed
+  ``train_seed_base + k`` (seeded in bulk), which takes this run's pool,
+  depot, channel and mission;
+- ``oracle_tours.jsonl`` (``uavplan.tours.v5``): a header, the schema and
+  the oracle record (the pools and training instances records plus
+  ``depot_m`` and ``weights``), then per line k the ``{"order"}`` of the
+  tour that solves training instance k;
+- ``world_model.json`` (``uavplan.world_model.v3``): what ``learn`` makes
+  of the demonstrations and the training pool; its schema and noise
+  config are its record;
+- ``qtable.json`` (``uavplan.qtable.v3``): the schema, the ql record (the
+  oracle record plus ``ql`` and ``ql_train_seed``) and the Q-table.
 
-  - ``pools.json`` (``uavplan.pool.v2``): the schema and the pools
-    record (``pool_seed``, ``mean_users``, ``mission``, ``channel``),
-    then the sampled hotspots;
-  - ``training_instances.jsonl`` (``uavplan.instances.v4``): a header,
-    the schema and the record (``training_pool_size``,
-    ``train_instance_size``, ``train_seed_base`` and ``m_training``,
-    which alone determine the ids), then per line k the ``{"ids"}`` of
-    the instance drawn with seed ``train_seed_base + k`` (seeded in
-    bulk), which takes this run's pool, depot, channel and mission;
-  - ``oracle_tours.jsonl`` (``uavplan.tours.v5``): a header, the schema
-    and the oracle record (the pools and training instances records plus
-    ``depot_m`` and ``weights``), then per line k the ``{"order"}`` of
-    the tour that solves training instance k;
-  - ``world_model.json`` (``uavplan.world_model.v3``): what ``learn``
-    makes of the demonstrations and the training pool; its schema and
-    noise config are its record.
-
-- a cache is computed only when its file is absent, and is otherwise
-  read back, so its file must hold this run's record:
-
-  - ``qtable.json`` (``uavplan.qtable.v3``): the schema and the ql
-    record, the oracle record plus ``ql`` and ``ql_train_seed``; the
-    demonstrations it is trained on are a function of the oracle record
-    and are checked as an export;
-  - ``metrics.csv`` and the eval's other outputs (``tours/``,
-    ``traces/``, ``instances/``), which the report is made from: their
-    record is ``config.json``, the whole config, which must hold the
-    eval's record, every key but ``output_dir`` and ``workers``;
-    ``metrics.csv`` must then hold the rows (method, instance id, size)
-    that this config's eval writes, in order.
+The eval's outputs (``tours/``, ``traces/``, ``instances/`` and
+``metrics.csv``) and the report's (``summary.csv``, ``ratios.csv`` and
+``trajectories/``) are exports too; the report is made from the eval's
+results in memory and reads no file. Two files are rewritten on every
+run instead: ``timings.csv`` (wall clock, telemetry) and ``config.json``,
+the whole config. A present ``config.json`` must first hold the eval's
+record, every key but ``output_dir`` and ``workers``, so that a run with
+other eval keys names the key before any output is compared.
 
 The oracle stage solves the training instances in one batch per worker
 (``oracle.demonstrate``), which also gives each instance's cost scale for
 Q-learning; the stage hands the scales to the Q-learning stage.
 
-Every artifact is encoded by one ``json.JSONEncoder`` (``_canonical_json``).
+Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``).
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config: its JSON form is their ``asdict``, and reading one back
@@ -81,7 +76,6 @@ import os
 import statistics
 import time
 from array import array
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import (Callable, Iterable, Sequence, TypeVar, get_args, get_origin,
@@ -90,15 +84,14 @@ from typing import (Callable, Iterable, Sequence, TypeVar, get_args, get_origin,
 import json
 
 from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
-                          MissionConfig, channel_gain, instance_from_dict,
-                          instance_to_dict, pool_to_dict, sample_instances,
-                          sample_pool)
+                          MissionConfig, channel_gain, instance_to_dict,
+                          pool_to_dict, sample_instances, sample_pool)
 from .errors import ConfigurationError
 from .oracle import (ObjectiveWeights, Tour, demonstrate, make_tour, solve,
-                     tour_from_dict, tour_to_dict)
+                     tour_to_dict)
 from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
 from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
-                 qtable_from_dict, qtable_to_dict, train_q)
+                 qtable_to_dict, train_q)
 from .world_model import NoiseConfig, Word, WorldModel, learn, model_to_dict
 
 METRICS_SCHEMA = "uavplan.metrics.v1"
@@ -140,6 +133,11 @@ class ExperimentConfig:
             raise ConfigurationError("training pool cannot exceed testing pool")
         if self.m_training < 1 or self.seeds_per_size < 1:
             raise ConfigurationError("need at least one example per stage")
+        if self.seeds_per_size > 1000:
+            # test_instance_seed gives sizes s and s + 1 the same seeds
+            raise ConfigurationError(
+                f"seeds_per_size {self.seeds_per_size} exceeds 1000, past "
+                "which test instances of two sizes share seeds")
         if self.train_instance_size < 2:
             raise ConfigurationError("training instances need >= 2 hotspots")
         for name in ("pool_seed", "train_seed_base", "test_seed_base",
@@ -307,39 +305,36 @@ def load_config(path: str | Path) -> ExperimentConfig:
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _excerpt(obj, limit: int = 100) -> str:
-    """``obj`` in canonical JSON, cut to ``limit`` characters."""
-    text = _canonical_json(obj)
+def _cut(text: str, limit: int = 100) -> str:
     return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
-@contextmanager
-def _replacing(path: Path):
-    """A text file to write that replaces ``path`` only once it is
-    complete (write then rename)."""
+def _excerpt(obj) -> str:
+    """``obj`` in canonical JSON, cut to 100 characters."""
+    return _cut(_canonical_json(obj))
+
+
+def _line(item) -> str:
+    """A file line without its end: a str as it is (a CSV line), any other
+    value in canonical JSON."""
+    return item if isinstance(item, str) else _canonical_json(item)
+
+
+def write_jsonl_atomic(path: Path, lines: Iterable) -> None:
+    """One ``_line`` per item, each written as soon as it is encoded, to a
+    file that replaces ``path`` only once it is complete (write then
+    rename). Pass a generator: then neither all the items nor all the
+    lines are held at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as f:
-        yield f
+        for item in lines:
+            f.write(_line(item) + "\n")
     os.replace(tmp, path)
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    with _replacing(path) as f:
-        f.write(text)
-
-
 def write_json_atomic(path: Path, obj: dict) -> None:
-    write_text_atomic(path, _canonical_json(obj) + "\n")
-
-
-def write_jsonl_atomic(path: Path, objs: Iterable[dict]) -> None:
-    """One object per line, each written as soon as it is encoded. Pass a
-    generator: then neither all the objects nor all the lines are held at
-    once."""
-    with _replacing(path) as f:
-        for o in objs:
-            f.write(_canonical_json(o) + "\n")
+    write_jsonl_atomic(path, [obj])
 
 
 def read_json(path: Path) -> dict:
@@ -353,30 +348,14 @@ def read_json(path: Path) -> dict:
         raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
 
 
-def _read_csv(path: Path) -> list[dict]:
-    """Rows of a CSV artifact keyed by its header; ``#`` lines are skipped."""
+def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T:
+    """Read a JSON object artifact and build what it holds. Unreadable or
+    corrupt input and a wrong shape (not an object, a missing key, a short
+    list, a wrong type or an invalid value, or contents that contradict
+    each other) are configuration errors that name the file."""
+    data = read_json(path)
+    _check_header(path, data, {})
     try:
-        with open(path) as f:
-            return list(csv.DictReader(ln for ln in f if not ln.startswith("#")))
-    except (OSError, UnicodeDecodeError, csv.Error) as e:
-        raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
-
-
-def load_artifact(path: Path, from_dict: Callable[[dict], T],
-                  want: dict | None = None) -> T | list[T]:
-    """Read an artifact and build what it holds: a list with one object per
-    row of a ``.csv`` file, else one object from the JSON file, which must
-    record ``want`` (see ``_check_header``). Unreadable or corrupt input
-    and a wrong shape (a missing key, a short list, a wrong type or an
-    invalid value, or contents that contradict each other) are
-    configuration errors that name the file."""
-    is_csv = path.suffix == ".csv"
-    data = _read_csv(path) if is_csv else read_json(path)
-    if not is_csv:
-        _check_header(path, data, want or {})
-    try:
-        if is_csv:
-            return [from_dict(rec) for rec in data]
         return from_dict(data)
     except (AttributeError, LookupError, TypeError, ValueError,
             OverflowError) as e:
@@ -387,15 +366,16 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T],
 _REGENERATE = "delete it and run again to regenerate it"
 
 
-def _check_header(path: Path, recorded: dict, want: dict) -> None:
-    """A reused artifact must record what this run would compute it from:
-    each key of the JSON object ``want``, in ``want``'s order; a key that
+def _check_header(path: Path, recorded: dict, want: dict,
+                  remedy: str = _REGENERATE) -> None:
+    """A kept artifact must record what this run computes it from: each
+    key of the JSON object ``want``, in ``want``'s order; a key that
     ``recorded`` lacks counts as null. ``recorded`` must be a JSON object.
     A mismatch is a configuration error naming the file, the key and both
-    values, or, for the key ``schema``, both schemas."""
+    values, or, for the key ``schema``, both schemas, and then ``remedy``."""
     if not isinstance(recorded, dict):
         raise ConfigurationError(f"{path} holds {_excerpt(recorded)}, not a "
-                                 f"JSON object; {_REGENERATE}")
+                                 f"JSON object; {remedy}")
     for key, value in want.items():
         found = recorded.get(key)
         if found == value:
@@ -403,48 +383,58 @@ def _check_header(path: Path, recorded: dict, want: dict) -> None:
         if key == "schema":
             raise ConfigurationError(
                 f"{path} has schema {found!r}, not {value!r} (an older "
-                f"format or not this artifact); {_REGENERATE}")
+                f"format or not this artifact); {remedy}")
         raise ConfigurationError(
             f"{path} was computed with {key} {_canonical_json(found)}, but "
-            f"this run has {key} {_canonical_json(value)}; {_REGENERATE}")
+            f"this run has {key} {_canonical_json(value)}; {remedy}")
 
 
-def _export(path: Path, objs: Iterable[dict], record: dict) -> None:
-    """A file that this run recomputes: ``objs``, one per line as
-    ``write_jsonl_atomic`` writes them, whose first line records
-    ``record``. Written when absent; when present, it must hold exactly
-    these bytes. Lines are compared as bytes and parsed only where they
-    differ: a first line that does not record ``record`` is named as
-    ``_check_header`` names it; another number of lines, by both counts;
-    any other line, by its number and the first field that differs
-    (``_first_difference``, in the key order of the object this run
-    writes) with both values, and a field of a world model's words also
-    with the fingerprints (sha256) of both word lists."""
+def _export(path: Path, lines: Iterable, record: dict | None = None) -> None:
+    """A file that this run recomputes: ``lines``, one per line as
+    ``write_jsonl_atomic`` writes them, each a JSON object or a CSV line;
+    a JSON file's first line records ``record``. Written when absent; when
+    present, it must hold exactly these bytes. Lines are compared as bytes
+    and parsed only where they differ: a first line that does not record
+    ``record`` is named as ``_check_header`` names it; another number of
+    lines, by both counts; any other line, by its number and, for a CSV
+    line, both lines cut to 100 characters, for a JSON line, the first
+    field that differs (``_first_difference``, in the key order of the
+    object this run writes) with both values, and a field of a world
+    model's words also with the fingerprints (sha256) of both word
+    lists."""
     if not path.exists():
-        write_jsonl_atomic(path, objs)
+        write_jsonl_atomic(path, lines)
         return
-    objs = iter(objs)
+    lines = iter(lines)
     try:
         with open(path, "rb") as f:
-            for n, (have, obj) in enumerate(itertools.zip_longest(f, objs),
-                                            start=1):
-                if (obj is not None
-                        and have == (_canonical_json(obj) + "\n").encode()):
+            for n, (have, item) in enumerate(itertools.zip_longest(f, lines),
+                                             start=1):
+                if item is not None and have == (_line(item) + "\n").encode():
                     continue
-                if have is None or obj is None:
+                if have is None or item is None:
                     held = n - 1 + (have is not None) + sum(1 for _ in f)
-                    count = n - 1 + (obj is not None) + sum(1 for _ in objs)
+                    count = n - 1 + (item is not None) + sum(1 for _ in lines)
                     raise ConfigurationError(
                         f"{path} holds {held} lines, but this run writes "
                         f"{count}; {_REGENERATE}")
-                try:
-                    recorded = json.loads(have)
-                except (ValueError, RecursionError) as e:
-                    raise ConfigurationError(
-                        f"cannot read artifact {path}, line {n}: {e}") from e
-                if n == 1:
-                    _check_header(path, recorded, record)
-                found = _first_difference(recorded, obj)
+                if isinstance(item, str):
+                    was = have.decode(errors="replace").rstrip("\r\n")
+                    if was != item:
+                        raise ConfigurationError(
+                            f"{path} line {n} holds {_cut(was)}, but this "
+                            f"run writes {_cut(item)}; {_REGENERATE}")
+                    found = None
+                else:
+                    try:
+                        recorded = json.loads(have)
+                    except (ValueError, RecursionError) as e:
+                        raise ConfigurationError(
+                            f"cannot read artifact {path}, line {n}: {e}"
+                        ) from e
+                    if n == 1:
+                        _check_header(path, recorded, record or {})
+                    found = _first_difference(recorded, item)
                 if found is None:
                     raise ConfigurationError(
                         f"{path} line {n} holds the values this run writes "
@@ -455,7 +445,7 @@ def _export(path: Path, objs: Iterable[dict], record: dict) -> None:
                     note = " (word list fingerprints {} and {})".format(*(
                         hashlib.sha256(_canonical_json(d.get("words"))
                                        .encode()).hexdigest()
-                        for d in (recorded, obj)))
+                        for d in (recorded, item)))
                 raise ConfigurationError(
                     f"{path} line {n} holds {key + ' ' if key else ''}"
                     f"{_excerpt(was)}, but this run writes {_excerpt(now)}"
@@ -500,7 +490,7 @@ def _map(fn: Callable[..., T], tasks: Iterable[tuple], shared: tuple,
 # --- pipeline stages ----------------------------------------------------------
 
 # What each stage reads: the stages it is computed from, and the config
-# keys it reads itself. Every reuse record is derived from it (``_record``).
+# keys it reads itself. Every record is derived from it (``_record``).
 _READS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "pools": ((), ("pool_seed", "mean_users", "mission", "channel")),
     # the ids depend on nothing else; an instance takes this run's pool,
@@ -611,15 +601,12 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
              tours: Sequence[Tour], cost_scales: Sequence[float],
              out: Path) -> QTable:
     """The Q-table ``train_q`` makes of the demonstrations and their cost
-    scales. Its file also holds its record, which a reused file must
-    hold: the demonstrations are a function of it."""
-    path = out / "qtable.json"
-    record = {"schema": QTABLE_SCHEMA, **_record(cfg, "ql")}
-    if path.exists():
-        return load_artifact(path, qtable_from_dict, record)
+    scales, trained on every run. ``qtable.json``, one line that holds its
+    record and the table, is its export (``_export``)."""
     q = train_q(list(zip(instances, tours)), cost_scales, cfg.ql, cfg.weights,
                 cfg.ql_train_seed)
-    write_json_atomic(path, {**record, **qtable_to_dict(q)})
+    record = {"schema": QTABLE_SCHEMA, **_record(cfg, "ql")}
+    _export(out / "qtable.json", [{**record, **qtable_to_dict(q)}], record)
     return q
 
 
@@ -628,6 +615,8 @@ def test_instance_id(size: int, k: int) -> str:
 
 
 def test_instance_seed(cfg: ExperimentConfig, size: int, k: int) -> int:
+    """Distinct for every test instance while ``k`` < 1000 (the config
+    allows at most 1000 ``seeds_per_size``)."""
     return cfg.test_seed_base + size * 1000 + k
 
 
@@ -645,8 +634,12 @@ def iter_test_instances(cfg: ExperimentConfig, testing_pool):
 
 def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
                   cfg: ExperimentConfig):
+    """The three methods on one test instance: its metrics rows, the JSON
+    files that record it, and per row the tour's polyline (depot, hotspot
+    centers in visiting order, depot)."""
     rows: list[MetricsRecord] = []
     artifacts: dict[str, dict] = {}
+    polylines = []
 
     t0 = time.perf_counter()
     oracle_tour = solve(inst, cfg.weights)
@@ -663,6 +656,7 @@ def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
     mql_wall = time.perf_counter() - t0
     mql_tour = make_tour(mql_word.letters, inst, cfg.weights)
 
+    centers = {h.id: h.center_m for h in inst.hotspots}
     for method, tour, word, wall in (
             ("oracle", oracle_tour, oracle_word, oracle_wall),
             ("ain", plan.tour, plan.final_word, ain_wall),
@@ -678,70 +672,44 @@ def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
             wall_clock_s=wall,
         ))
         artifacts[f"tours/{iid}_{method}.json"] = tour_to_dict(tour, cfg.weights)
+        polylines.append([inst.depot_m, *(centers[i] for i in tour.order),
+                          inst.depot_m])
     artifacts[f"instances/{iid}.json"] = instance_to_dict(inst)
     artifacts[f"traces/{iid}_ain.json"] = plan_to_dict(plan)
-    return rows, artifacts
+    return rows, artifacts, polylines
 
 
 def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
-               qtable: QTable, out: Path) -> list[MetricsRecord]:
-    """Run the three methods on every test instance. ``config.json``, this
-    run's config, is written just before its outputs; a reused
-    ``metrics.csv`` needs one that holds the eval's record, and must hold
-    the rows this config's eval writes: each test instance's method, id
-    and size, in eval order."""
-    path = out / "metrics.csv"
-    if path.exists():
-        config_path = out / "config.json"
-        if not config_path.exists():
-            raise ConfigurationError(
-                f"{path} has no {config_path} to record the config it was "
-                f"computed with; {_REGENERATE}")
-        _check_header(path, load_artifact(config_path, dict),
-                      {"schema": CONFIG_SCHEMA, **_record(cfg, "eval")})
-        rows = read_metrics(path)
-        want = [(method, test_instance_id(size, k), size)
-                for size in cfg.test_sizes for k in range(cfg.seeds_per_size)
-                for method in METHODS]
-        for n, (have, need) in enumerate(itertools.zip_longest(
-                [(r.method, r.instance_id, r.n_hotspots) for r in rows], want),
-                start=1):
-            if have != need:
-                raise ConfigurationError(
-                    f"{path} row {n} holds {_excerpt(have)}, but this run's "
-                    f"eval writes {_excerpt(need)} there; {_REGENERATE}")
-        return rows
+               qtable: QTable, out: Path) -> tuple[list[MetricsRecord], list]:
+    """Run the three methods on every test instance. Returns the metrics
+    rows and, per row, its tour's polyline, for the report. A present
+    ``config.json`` must hold the eval's record; each instance's files and
+    ``metrics.csv`` are exports (``_export``), and ``timings.csv`` and
+    then ``config.json``, this run's config, are rewritten."""
+    config_path = out / "config.json"
+    metrics_path = out / "metrics.csv"
+    if config_path.exists():
+        _check_header(config_path, read_json(config_path),
+                      {"schema": CONFIG_SCHEMA, **_record(cfg, "eval")},
+                      f"it records the config of the eval outputs, such as "
+                      f"{metrics_path}: delete it and them and run again")
     results = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
                    (wm, qtable, cfg), cfg.workers, chunksize=1)
-    write_json_atomic(out / "config.json", config_to_dict(cfg))
     rows: list[MetricsRecord] = []
-    for task_rows, artifacts in results:
+    polylines = []
+    for task_rows, artifacts, task_polylines in results:
         rows.extend(task_rows)
+        polylines.extend(task_polylines)
         for rel, obj in artifacts.items():
-            write_json_atomic(out / rel, obj)
+            _export(out / rel, [obj])
 
     records = [asdict(r) for r in rows]
-    _write_csv_records(out / "timings.csv",
-                       ["method", "instance_id", "wall_clock_s"], records)
-    _write_csv_records(path, METRICS_COLUMNS, records,
-                       f"# schema: {METRICS_SCHEMA}\n")
-    return rows
-
-
-def _metrics_record(rec: dict) -> MetricsRecord:
-    return MetricsRecord(
-        method=rec["method"], instance_id=rec["instance_id"],
-        n_hotspots=int(rec["n_hotspots"]),
-        total_sum_rate_bps=float(rec["total_sum_rate_bps"]),
-        completion_time_s=float(rec["completion_time_s"]),
-        tour_length_m=float(rec["tour_length_m"]),
-        similarity_to_oracle=float(rec["similarity_to_oracle"]),
-        wall_clock_s=0.0,
-    )
-
-
-def read_metrics(path: Path) -> list[MetricsRecord]:
-    return load_artifact(path, _metrics_record)
+    _export(metrics_path, [f"# schema: {METRICS_SCHEMA}",
+                           *_csv_lines(METRICS_COLUMNS, records)])
+    write_jsonl_atomic(out / "timings.csv", _csv_lines(
+        ["method", "instance_id", "wall_clock_s"], records))
+    write_json_atomic(config_path, config_to_dict(cfg))
+    return rows, polylines
 
 
 def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
@@ -797,48 +765,31 @@ def completion_ratios(rows: Sequence[MetricsRecord]) -> list[dict]:
     return out
 
 
-def _write_csv_records(path: Path, columns: Sequence[str],
-                       records: Iterable[dict], preamble: str = "") -> None:
-    """``preamble``, then a header of ``columns`` and one row per record
-    (keys not in ``columns`` are left out); floats are written as their
-    ``repr``."""
+def _csv_lines(columns: Sequence[str], records: Iterable[dict]) -> list[str]:
+    """A header of ``columns`` and one line per record (keys not in
+    ``columns`` are left out); floats are written as their ``repr``."""
     buf = io.StringIO()
-    buf.write(preamble)
     writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
                             lineterminator="\n")
     writer.writeheader()
     for rec in records:
         writer.writerow({k: (repr(v) if isinstance(v, float) else v)
                          for k, v in rec.items()})
-    write_text_atomic(path, buf.getvalue())
+    return buf.getvalue().splitlines()
 
 
-def stage_report(cfg: ExperimentConfig, out: Path) -> None:
-    rows = read_metrics(out / "metrics.csv")
-    if not rows:
-        raise ConfigurationError("metrics.csv is empty; run eval first")
+def stage_report(rows: Sequence[MetricsRecord], polylines: Sequence,
+                 out: Path) -> None:
+    """Summaries, completion-time ratios and one trajectory file per tour,
+    made from the eval's rows and polylines in memory; each file is an
+    export (``_export``)."""
     for name, records in (("summary.csv", summarize(rows)),
                           ("ratios.csv", completion_ratios(rows))):
-        _write_csv_records(out / name, list(records[0]), records)
-
-    # polyline per tour: depot, ordered hotspot centers, depot; an
-    # instance's rows are consecutive, so its file is read once
-    for iid, group in itertools.groupby(rows, lambda r: r.instance_id):
-        inst = load_artifact(out / f"instances/{iid}.json", instance_from_dict)
-        centers = {h.id: h.center_m for h in inst.hotspots}
-        for r in group:
-            tour_path = out / f"tours/{iid}_{r.method}.json"
-            tour = load_artifact(tour_path, tour_from_dict)
-            try:
-                visited = [centers[i] for i in tour.order]
-            except KeyError as e:
-                raise ConfigurationError(
-                    f"malformed artifact {tour_path}: "
-                    f"unknown hotspot id {e.args[0]}") from None
-            pts = [inst.depot_m] + visited + [inst.depot_m]
-            _write_csv_records(out / f"trajectories/{iid}_{r.method}.csv",
-                               ["x_m", "y_m"],
-                               [{"x_m": x, "y_m": y} for x, y in pts])
+        _export(out / name, _csv_lines(list(records[0]), records))
+    for r, points in zip(rows, polylines):
+        _export(out / f"trajectories/{r.instance_id}_{r.method}.csv",
+                _csv_lines(["x_m", "y_m"],
+                           [{"x_m": x, "y_m": y} for x, y in points]))
 
 
 def _stages(cfg: ExperimentConfig, out: Path):
@@ -854,15 +805,15 @@ def _stages(cfg: ExperimentConfig, out: Path):
     yield "world", wm
     qtable = stage_ql(cfg, instances, tours, cost_scales, out)
     yield "ql", qtable
-    rows = stage_eval(cfg, testing_pool, wm, qtable, out)
+    rows, polylines = stage_eval(cfg, testing_pool, wm, qtable, out)
     yield "eval", rows
-    stage_report(cfg, out)
+    stage_report(rows, polylines, out)
     yield "report", rows
 
 
 def run_pipeline(cfg: ExperimentConfig, last: str = "report"):
-    """Run the stages of ``_stages`` in order, reusing existing artifacts,
-    and stop after the one named ``last``; returns what that stage
+    """Run the stages of ``_stages`` in order, checking the artifacts that
+    exist, and stop after the one named ``last``; returns what that stage
     yields."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)

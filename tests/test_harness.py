@@ -1,5 +1,7 @@
+import builtins
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -23,9 +25,9 @@ from uavplan.errors import ConsistencyError
 from uavplan.harness import (_READS, ExperimentConfig, _canonical_json,
                              _first_difference, _record, completion_time,
                              completion_time_from, config_from_dict,
-                             config_to_dict, load_config, read_metrics, run_pipeline, stage_oracle,
-                             stage_pools, stage_training_instances, summarize,
-                             word_similarity, write_jsonl_atomic)
+                             config_to_dict, load_config, run_pipeline,
+                             stage_oracle, stage_pools, stage_training_instances,
+                             summarize, word_similarity, write_jsonl_atomic)
 from uavplan.oracle import (ObjectiveWeights, instance_scales, make_tour,
                             tour_to_dict)
 from uavplan.planner import PlannerConfig
@@ -116,6 +118,16 @@ class TestConfig:
         cfg = ExperimentConfig()
         assert cfg.depot == (1000.0, 1000.0)
 
+    def test_test_instances_have_distinct_seeds(self):
+        """At the largest ``seeds_per_size`` the config allows, 1000, the
+        test instances of consecutive sizes still have distinct seeds."""
+        # imported here: pytest would collect a test_* name at module level
+        from uavplan.harness import test_instance_seed
+        cfg = ExperimentConfig(test_sizes=(5, 6), seeds_per_size=1000)
+        seeds = {test_instance_seed(cfg, size, k) for size in cfg.test_sizes
+                 for k in range(cfg.seeds_per_size)}
+        assert len(seeds) == 2000
+
 
 class TestPipeline:
     def test_smoke_run_produces_artifacts(self, tmp_path):
@@ -156,11 +168,11 @@ class TestPipeline:
         b = (tmp_path / "b" / "metrics.csv").read_bytes()
         assert a == b
 
-    def test_resume_skips_completed_stages(self, tmp_path):
+    def test_rerun_rewrites_a_deleted_metrics_csv(self, tmp_path):
         cfg = small_config(tmp_path / "run")
         run_pipeline(cfg)
         first = (tmp_path / "run" / "metrics.csv").read_bytes()
-        # poison the eval output, keep models: rerun regenerates only eval
+        # delete the eval output, keep the rest: the rerun writes it again
         (tmp_path / "run" / "metrics.csv").unlink()
         run_pipeline(cfg)
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == first
@@ -186,11 +198,11 @@ class TestPipeline:
     def test_metrics_round_trip(self, tmp_path):
         cfg = small_config(tmp_path / "run")
         rows = run_pipeline(cfg)
-        loaded = read_metrics(Path(cfg.output_dir) / "metrics.csv")
+        loaded = _read_metrics(Path(cfg.output_dir) / "metrics.csv")
         assert len(loaded) == len(rows)
         for a, b in zip(loaded, rows):
-            assert a.method == b.method and a.instance_id == b.instance_id
-            assert a.completion_time_s == b.completion_time_s
+            assert a["method"] == b.method and a["instance_id"] == b.instance_id
+            assert float(a["completion_time_s"]) == b.completion_time_s
 
     def test_artifacts_record_the_weights_they_are_scored_with(self, tmp_path):
         weights = ObjectiveWeights(weight_alpha=0.5, weight_beta=0.5)
@@ -228,9 +240,30 @@ class TestPipeline:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
-        rows = read_metrics(tmp_path / "one" / "metrics.csv")
-        assert sorted(r.method for r in rows) == ["ain", "mql", "oracle"]
-        assert all(r.similarity_to_oracle == 1.0 for r in rows)
+        rows = _read_metrics(tmp_path / "one" / "metrics.csv")
+        assert sorted(r["method"] for r in rows) == ["ain", "mql", "oracle"]
+        assert all(float(r["similarity_to_oracle"]) == 1.0 for r in rows)
+
+    def test_a_fresh_run_reads_nothing_back(self, tmp_path, monkeypatch):
+        """A run on an empty directory opens no file under it for reading:
+        every stage, the report too, works from what it computed."""
+        out = (tmp_path / "fresh").resolve()
+        read = []
+        real_open = io.open
+
+        def spy(file, mode="r", *args, **kwargs):
+            if (("r" in mode or "+" in mode)
+                    and isinstance(file, (str, os.PathLike))
+                    and Path(file).resolve().is_relative_to(out)):
+                read.append(os.fspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)
+        run_pipeline(small_config(out))
+        monkeypatch.undo()
+        assert read == []
+        assert (out / "summary.csv").exists()
 
 
 class TestFirstDifference:
@@ -295,6 +328,12 @@ class TestReport:
         with path.open() as f:
             rows = list(csv.DictReader(f))
         assert rows[0] == rows[-1]  # depot anchors both ends
+
+
+def _read_metrics(path: Path) -> list[dict]:
+    """The rows of a metrics.csv, keyed by its header line."""
+    with path.open() as f:
+        return list(csv.DictReader(ln for ln in f if not ln.startswith("#")))
 
 
 def _write_lines(path: Path, objs) -> None:
@@ -496,11 +535,21 @@ class TestCli:
         assert stages == _artifact_bytes(tmp_path / "whole" / "cli")
         assert "config.json" in stages
 
-    def test_missing_dependency_exits_2(self, tmp_path):
-        cfg = small_config(tmp_path / "cli2")
+    def test_report_on_an_empty_directory_runs_every_stage(
+            self, tmp_path, monkeypatch):
+        """Every stage computes from an empty directory: ``report`` there
+        exits 0 and leaves the bytes that ``pipeline`` leaves, but for
+        timings.csv (both run with the same relative output_dir, which
+        config.json records)."""
+        cfg = small_config("cli2")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
-        assert cli_main(["report", "--config", str(cfg_path)]) == 2
+        for command in ("report", "pipeline"):
+            (tmp_path / command).mkdir()
+            monkeypatch.chdir(tmp_path / command)
+            assert cli_main([command, "--config", str(cfg_path)]) == 0
+        assert (_artifact_bytes(tmp_path / "report" / "cli2")
+                == _artifact_bytes(tmp_path / "pipeline" / "cli2"))
 
     @pytest.mark.parametrize("text,named,command", [
         pytest.param("{oops", "broken.json", ["gen-pool"], id="broken-json"),
@@ -523,6 +572,11 @@ class TestCli:
                      id="m_training"),
         pytest.param('{"seeds_per_size": 1.0}', "seeds_per_size",
                      ["gen-pool"], id="seeds_per_size"),
+        pytest.param('{"seeds_per_size": 1001}', "seeds_per_size 1001",
+                     ["gen-pool"], id="seeds_per_size-1001"),
+        pytest.param("{}", "seeds_per_size 1001",
+                     ["gen-pool", "--seeds-per-size", "1001"],
+                     id="--seeds-per-size-1001"),
         pytest.param('{"ql": {"episodes": 10.5}}', "ql.episodes",
                      ["gen-pool"], id="ql.episodes"),
         pytest.param('{"planner": {"n_words": 2.5}}', "planner.n_words",
@@ -615,8 +669,8 @@ class TestCli:
     @pytest.mark.parametrize("artifact", ["pools.json", "qtable.json"])
     def test_deeply_nested_artifact_exits_2(self, tmp_path, capsys, artifact):
         """A kept artifact nested deeper than the parser can follow exits 2
-        naming the file: an export (pools.json), whose differing line is
-        parsed, and a cache (qtable.json), which is read back."""
+        naming the file: each is an export, whose differing line is
+        parsed."""
         cfg = small_config(tmp_path / "n", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -1161,10 +1215,10 @@ class TestCli:
             id="n_hotspots")])
     def test_reused_metrics_with_other_rows_exits_2(self, tmp_path, capsys,
                                                      edit):
-        """A reused metrics.csv must hold the rows this config's eval
-        writes, in eval order: with the last two of its three rows deleted,
-        or with the ain row's n_hotspots changed from 5 to 6, the re-run
-        exits 2 naming the file and row 2, the first that differs."""
+        """A kept metrics.csv must hold the lines this config's eval
+        writes: with the last two of its three rows deleted, the re-run
+        exits 2 naming the file and both line counts; with the ain row's
+        n_hotspots changed from 5 to 6, naming line 4 with both lines."""
         cfg = small_config(tmp_path / "m", test_sizes=(5,), seeds_per_size=1)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -1177,13 +1231,19 @@ class TestCli:
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
-        assert f"{path} row 2 holds " in err
+        if len(edit(lines)) == 3:
+            assert f"{path} holds 3 lines, but this run writes 5" in err
+        else:
+            assert f"{path} line 4 holds ain,s005k000,6," in err
+            assert "but this run writes ain,s005k000,5," in err
 
     def test_refused_run_leaves_config_json(self, tmp_path, capsys):
-        """config.json is the eval's record, written with its outputs: a
+        """config.json is the eval's record, written after its outputs: a
         re-run that exits 2 leaves it as it was; ``report`` with other
-        planner settings exits 2 naming metrics.csv before it writes
-        anything; and a metrics.csv without config.json is not reused."""
+        planner settings exits 2 naming config.json, metrics.csv and the
+        key before it writes anything; and a metrics.csv without
+        config.json is checked as an export, so the re-run exits 0 and
+        writes config.json again."""
         cfg = small_config(tmp_path / "r", test_sizes=(5,), seeds_per_size=1)
         out = tmp_path / "r"
         cfg_path = tmp_path / "cfg.json"
@@ -1201,19 +1261,22 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["report", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {out / 'config.json'} "
+                              "was computed with planner ")
         assert str(out / "metrics.csv") in err and '"n_words":3' in err
         assert not (out / "summary.csv").exists()
         assert (out / "config.json").read_bytes() == recorded
 
         (out / "config.json").unlink()
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
-        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
-        err = capsys.readouterr().err
-        assert str(out / "metrics.csv") in err and "delete it" in err
+        assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+        assert (out / "config.json").read_bytes() == recorded
 
-    def test_moved_directory_with_other_workers_is_reused(self, tmp_path):
-        """output_dir and workers are in no reuse check: a finished run
-        moved elsewhere and re-run at workers=2 reuses every artifact."""
+    def test_moved_directory_with_other_workers_keeps_its_bytes(self,
+                                                                 tmp_path):
+        """output_dir and workers are in no check: a finished run moved
+        elsewhere and re-run at workers=2 exits 0 and keeps the bytes of
+        every file but timings.csv and config.json, which records them."""
         cfg = small_config(tmp_path / "a", test_sizes=(5,), seeds_per_size=1)
         run_pipeline(cfg)
         shutil.copytree(tmp_path / "a", tmp_path / "b")
@@ -1221,10 +1284,10 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(moved)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
-        for name in ("training_instances.jsonl", "oracle_tours.jsonl",
-                     "world_model.json", "qtable.json", "metrics.csv"):
-            assert ((tmp_path / "b" / name).read_bytes()
-                    == (tmp_path / "a" / name).read_bytes()), name
+        kept, moved_files = (_artifact_bytes(tmp_path / d) for d in "ab")
+        for files in (kept, moved_files):
+            del files["config.json"]
+        assert moved_files == kept
 
     def test_plan_command_scores_with_the_config_weights(self, tmp_path):
         weights = ObjectiveWeights(weight_alpha=0.5, weight_beta=0.5)
@@ -1461,7 +1524,10 @@ def _swap_first_visits(lines):
         "mean_leg_time_s", 2 * lines[0]["mean_leg_time_s"]), 1,
         "mean_leg_time_s", id="world_model.json"),
     pytest.param("oracle_tours.jsonl", _swap_first_visits, 4, "order.0",
-                 id="oracle_tours.jsonl")])
+                 id="oracle_tours.jsonl"),
+    pytest.param("qtable.json", lambda lines: lines[0]["values"][0].__setitem__(
+        2, 2 * lines[0]["values"][0][2] + 1), 1, "values.0.2",
+        id="qtable.json")])
 def test_exports_hold_exactly_what_the_run_writes(
         tmp_path, capsys, finished_run, name, edit, line, leaf):
     """The files a run recomputes are checked by one rule: an untouched
@@ -1540,3 +1606,83 @@ def test_every_schema_is_documented():
     assert "uavplan.world_model.v3" in schemas
     readme = set(pattern.findall((root / "README.md").read_text()))
     assert schemas - readme == set()
+
+
+def _copy_run(finished: ExperimentConfig, tmp_path: Path):
+    """A copy of a finished run, and a config file for it."""
+    out = tmp_path / "run"
+    shutil.copytree(finished.output_dir, out)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(
+        replace(finished, output_dir=str(out)))))
+    return out, cfg_path
+
+
+# every file a finished run with one test instance leaves but timings.csv
+# and config.json, which each run rewrites
+_EXPORTS = ("pools.json", "training_instances.jsonl", "oracle_tours.jsonl",
+            "world_model.json", "qtable.json", "metrics.csv", "summary.csv",
+            "ratios.csv", "instances/s005k000.json",
+            "traces/s005k000_ain.json",
+            *(f"{d}/s005k000_{m}.{ext}" for m in ("oracle", "ain", "mql")
+              for d, ext in (("tours", "json"), ("trajectories", "csv"))))
+
+
+@pytest.mark.parametrize("name", _EXPORTS)
+def test_every_file_but_two_is_checked(tmp_path, capsys, finished_run, name):
+    """Every file of a finished run but timings.csv and config.json is an
+    export: with its middle digit changed, the rerun exits 2 naming it."""
+    out, cfg_path = _copy_run(finished_run, tmp_path)
+    assert set(_artifact_bytes(out)) - {"config.json"} == set(_EXPORTS)
+    path = out / name
+    data = bytearray(path.read_bytes())
+    digits = [i for i, b in enumerate(data) if chr(b).isdigit()]
+    at = digits[len(digits) // 2]
+    data[at] = ord(str((int(chr(data[at])) + 1) % 10))
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path} "), err
+
+
+@pytest.fixture(scope="module")
+def probe_run(tmp_path_factory):
+    """A finished 30-demonstration run with two test instances of each of
+    sizes 5 and 10."""
+    cfg = small_config(tmp_path_factory.mktemp("probe") / "out",
+                       test_sizes=(5, 10), seeds_per_size=2)
+    run_pipeline(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("deleted", ["traces", "instances/s010k001.json"])
+def test_deleted_eval_outputs_are_written_again(tmp_path, capsys, probe_run,
+                                                deleted):
+    """With every trace, or one test instance, deleted, the rerun exits 0
+    and writes them again with their bytes (config.json, rewritten, now
+    records the copy's output_dir)."""
+    out, cfg_path = _copy_run(probe_run, tmp_path)
+    every = _artifact_bytes(out)
+    _delete(out, [deleted])
+    assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+    rerun = _artifact_bytes(out)
+    for files in (every, rerun):
+        del files["config.json"]
+    assert rerun == every
+
+
+def test_edited_eval_tour_exits_2(tmp_path, capsys, probe_run):
+    """An AIn tour read backwards, with its total_cost_m set to 1.0, is a
+    tour the run does not write: the rerun exits 2 naming the file."""
+    out, cfg_path = _copy_run(probe_run, tmp_path)
+    path = out / "tours" / "s005k000_ain.json"
+    tour = json.loads(path.read_text())
+    tour["order"].reverse()
+    tour["total_cost_m"] = 1.0
+    _write_lines(path, [tour])
+    capsys.readouterr()
+    assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path} line 1 holds "
+                          "order.0 "), err
