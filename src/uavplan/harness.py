@@ -19,7 +19,7 @@ is an export (``_export``): written when absent, one line per JSON object
 or CSV line, and when present, byte for byte what this run writes. A file
 that differs stops the run with a configuration error that names the file
 and what differs (a record's key and both values, another line count, or
-the first differing line) and says to delete it and run again. A file
+the first differing line) and says to delete it and run again. The files
 whose first line holds a record:
 
 - ``pools.json`` (``uavplan.pool.v2``): the schema and the pools record
