@@ -19,7 +19,7 @@ from pathlib import Path
 from .environment import instance_from_dict
 from .errors import ConfigurationError, NumericError, UavplanError
 from .harness import (ExperimentConfig, config_to_dict, load_artifact,
-                      load_config, run_pipeline, write_json_atomic)
+                      load_config, run_pipeline, write_jsonl_atomic)
 from .planner import plan_mission, plan_to_dict
 from .world_model import model_from_dict
 
@@ -97,7 +97,7 @@ def cmd_plan(args) -> int:
     result = plan_mission(inst, wm, planner, cfg.weights)
     trace = plan_to_dict(result)
     if args.trace:
-        write_json_atomic(Path(args.trace), trace)
+        write_jsonl_atomic(Path(args.trace), [trace])
         print(f"trace -> {args.trace}")
         summary = sys.stdout
     else:

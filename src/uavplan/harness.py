@@ -15,12 +15,14 @@ reads itself, and ``_record`` joins the keys along the chain, upstream
 keys first (a verifying trace in the sense of Mokhov, Mitchell & Peyton
 Jones, *Build systems a la carte*, ICFP 2018, that holds the values
 themselves). Every stage computes on every run, and every file it leaves
-is an export (``_export``): written when absent, one line per JSON object
-or CSV line, and when present, byte for byte what this run writes. A file
-that differs stops the run with a configuration error that names the file
-and what differs (a record's key and both values, another line count, or
-the first differing line) and says to delete it and run again. The files
-whose first line holds a record:
+but ``timings.csv`` is an export (``_export``): written when absent, one
+line per JSON object or CSV line, and when present, byte for byte what
+this run writes. A file that differs stops the run with a configuration
+error that names the file and what differs (another line count, or the
+first differing line and, in a JSON line, the first differing key path
+with both values, ``_first_difference``) and says to delete it and run
+again. The files whose first line holds a record, ahead of what is
+computed from it, so that another config value is named at its key:
 
 - ``pools.json`` (``uavplan.pool.v2``): the schema and the pools record
   (``pool_seed``, ``mean_users``, ``mission``, ``channel``), then the
@@ -36,19 +38,20 @@ whose first line holds a record:
   ``depot_m`` and ``weights``), then per line k the ``{"order"}`` of the
   tour that solves training instance k;
 - ``world_model.json`` (``uavplan.world_model.v3``): what ``learn`` makes
-  of the demonstrations and the training pool; its schema and noise
-  config are its record;
+  of the demonstrations and the training pool, its noise config too;
 - ``qtable.json`` (``uavplan.qtable.v3``): the schema, the ql record (the
-  oracle record plus ``ql`` and ``ql_train_seed``) and the Q-table.
+  oracle record plus ``ql`` and ``ql_train_seed``) and the Q-table;
+- ``config.json`` (``uavplan.config.v1``): the schema and the eval record,
+  every config key but ``output_dir`` and ``workers``. When present it is
+  checked before any eval output, so that a run with other eval keys
+  names the key first; when absent it is written after every eval output
+  has been written or checked, so that a refused run leaves none.
 
 The eval's outputs (``tours/``, ``traces/``, ``instances/`` and
 ``metrics.csv``) and the report's (``summary.csv``, ``ratios.csv`` and
 ``trajectories/``) are exports too; the report is made from the eval's
-results in memory and reads no file. Two files are rewritten on every
-run instead: ``timings.csv`` (wall clock, telemetry) and ``config.json``,
-the whole config. A present ``config.json`` must first hold the eval's
-record, every key but ``output_dir`` and ``workers``, so that a run with
-other eval keys names the key before any output is compared.
+results in memory and reads no file. Only ``timings.csv`` (wall clock,
+telemetry) is rewritten on every run.
 
 The oracle stage solves the training instances in one batch per worker
 (``oracle.demonstrate``), which also gives each instance's cost scale for
@@ -67,6 +70,7 @@ float arithmetic.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -324,28 +328,22 @@ def write_jsonl_atomic(path: Path, lines: Iterable) -> None:
     """One ``_line`` per item, each written as soon as it is encoded, to a
     file that replaces ``path`` only once it is complete (write then
     rename). Pass a generator: then neither all the items nor all the
-    lines are held at once."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    lines are held at once. A write that fails leaves no temporary file
+    and is a configuration error that names the file and the OS error."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as f:
-        for item in lines:
-            f.write(_line(item) + "\n")
-    os.replace(tmp, path)
-
-
-def write_json_atomic(path: Path, obj: dict) -> None:
-    write_jsonl_atomic(path, [obj])
-
-
-def read_json(path: Path) -> dict:
-    """Parse one JSON artifact; unreadable or corrupt input is a
-    configuration error that names the file."""
     try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as e:
-        raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w") as f:
+            for item in lines:
+                f.write(_line(item) + "\n")
+        os.replace(tmp, path)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigurationError(f"cannot write {path}: {e}") from e
+
+
+_REGENERATE = "delete it and run again to regenerate it"
 
 
 def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T:
@@ -353,8 +351,15 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T:
     corrupt input and a wrong shape (not an object, a missing key, a short
     list, a wrong type or an invalid value, or contents that contradict
     each other) are configuration errors that name the file."""
-    data = read_json(path)
-    _check_header(path, data, {})
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as e:
+        raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path} holds {_excerpt(data)}, not a JSON "
+                                 f"object; {_REGENERATE}")
     try:
         return from_dict(data)
     except (AttributeError, LookupError, TypeError, ValueError,
@@ -363,45 +368,18 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T:
             f"malformed artifact {path}: {type(e).__name__}: {e}") from e
 
 
-_REGENERATE = "delete it and run again to regenerate it"
-
-
-def _check_header(path: Path, recorded: dict, want: dict,
-                  remedy: str = _REGENERATE) -> None:
-    """A kept artifact must record what this run computes it from: each
-    key of the JSON object ``want``, in ``want``'s order; a key that
-    ``recorded`` lacks counts as null. ``recorded`` must be a JSON object.
-    A mismatch is a configuration error naming the file, the key and both
-    values, or, for the key ``schema``, both schemas, and then ``remedy``."""
-    if not isinstance(recorded, dict):
-        raise ConfigurationError(f"{path} holds {_excerpt(recorded)}, not a "
-                                 f"JSON object; {remedy}")
-    for key, value in want.items():
-        found = recorded.get(key)
-        if found == value:
-            continue
-        if key == "schema":
-            raise ConfigurationError(
-                f"{path} has schema {found!r}, not {value!r} (an older "
-                f"format or not this artifact); {remedy}")
-        raise ConfigurationError(
-            f"{path} was computed with {key} {_canonical_json(found)}, but "
-            f"this run has {key} {_canonical_json(value)}; {remedy}")
-
-
-def _export(path: Path, lines: Iterable, record: dict | None = None) -> None:
+def _export(path: Path, lines: Iterable, remedy: str = _REGENERATE) -> None:
     """A file that this run recomputes: ``lines``, one per line as
-    ``write_jsonl_atomic`` writes them, each a JSON object or a CSV line;
-    a JSON file's first line records ``record``. Written when absent; when
-    present, it must hold exactly these bytes. Lines are compared as bytes
-    and parsed only where they differ: a first line that does not record
-    ``record`` is named as ``_check_header`` names it; another number of
-    lines, by both counts; any other line, by its number and, for a CSV
-    line, both lines cut to 100 characters, for a JSON line, the first
-    field that differs (``_first_difference``, in the key order of the
-    object this run writes) with both values, and a field of a world
-    model's words also with the fingerprints (sha256) of both word
-    lists."""
+    ``write_jsonl_atomic`` writes them, each a JSON object or a CSV line.
+    Written when absent; when present, it must hold exactly these bytes.
+    Lines are compared as bytes and parsed only where they differ: another
+    number of lines is named by both counts; any other line by its number
+    and, for a CSV line, both lines cut to 100 characters, for a JSON line,
+    the first field that differs (``_first_difference``, in the key order
+    of the object this run writes, so a header's record keys, upstream
+    keys first) with both values, and a field of a world model's words
+    also with the fingerprints (sha256) of both word lists. Each message
+    ends with ``remedy``."""
     if not path.exists():
         write_jsonl_atomic(path, lines)
         return
@@ -417,13 +395,13 @@ def _export(path: Path, lines: Iterable, record: dict | None = None) -> None:
                     count = n - 1 + (item is not None) + sum(1 for _ in lines)
                     raise ConfigurationError(
                         f"{path} holds {held} lines, but this run writes "
-                        f"{count}; {_REGENERATE}")
+                        f"{count}; {remedy}")
                 if isinstance(item, str):
                     was = have.decode(errors="replace").rstrip("\r\n")
                     if was != item:
                         raise ConfigurationError(
                             f"{path} line {n} holds {_cut(was)}, but this "
-                            f"run writes {_cut(item)}; {_REGENERATE}")
+                            f"run writes {_cut(item)}; {remedy}")
                     found = None
                 else:
                     try:
@@ -432,13 +410,11 @@ def _export(path: Path, lines: Iterable, record: dict | None = None) -> None:
                         raise ConfigurationError(
                             f"cannot read artifact {path}, line {n}: {e}"
                         ) from e
-                    if n == 1:
-                        _check_header(path, recorded, record or {})
                     found = _first_difference(recorded, item)
                 if found is None:
                     raise ConfigurationError(
                         f"{path} line {n} holds the values this run writes "
-                        f"in another encoding; {_REGENERATE}")
+                        f"in another encoding; {remedy}")
                 key, was, now = found
                 note = ""
                 if key.split(".")[0] == "words":
@@ -449,7 +425,7 @@ def _export(path: Path, lines: Iterable, record: dict | None = None) -> None:
                 raise ConfigurationError(
                     f"{path} line {n} holds {key + ' ' if key else ''}"
                     f"{_excerpt(was)}, but this run writes {_excerpt(now)}"
-                    f"{note}; {_REGENERATE}")
+                    f"{note}; {remedy}")
     except OSError as e:
         raise ConfigurationError(f"cannot read artifact {path}: {e}") from e
 
@@ -526,7 +502,7 @@ def stage_pools(cfg: ExperimentConfig,
     testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
                           cfg.mean_users, cfg.mission, cfg.channel)
     record = {"schema": POOL_SCHEMA, **_record(cfg, "pools")}
-    _export(out / "pools.json", [{**record, **pool_to_dict(testing)}], record)
+    _export(out / "pools.json", [{**record, **pool_to_dict(testing)}])
     return testing, testing[:cfg.training_pool_size]
 
 
@@ -540,7 +516,7 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
                                  cfg.depot, cfg.channel, cfg.mission)
     header = {"schema": INSTANCES_SCHEMA, **_record(cfg, "training_instances")}
     _export(out / "training_instances.jsonl", itertools.chain(
-        [header], ({"ids": list(i.ids)} for i in instances)), header)
+        [header], ({"ids": list(i.ids)} for i in instances)))
     return instances
 
 
@@ -559,7 +535,7 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
     tours = [t for t, _ in solved]
     header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
     _export(out / "oracle_tours.jsonl", itertools.chain(
-        [header], ({"order": list(t.order)} for t in tours)), header)
+        [header], ({"order": list(t.order)} for t in tours)))
     return tours, array("d", [scale for _, scale in solved])
 
 
@@ -589,11 +565,9 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
                 out: Path) -> WorldModel:
     """The model ``learn`` makes of the demonstrations and the training
     pool, learned on every run. ``world_model.json`` is its export
-    (``_export``), whose schema and noise config are its record."""
+    (``_export``)."""
     wm = learn(tours, training_pool, cfg.noise, cfg.mission)
-    current = model_to_dict(wm)
-    _export(out / "world_model.json", [current],
-            {key: current[key] for key in ("schema", "noise_config")})
+    _export(out / "world_model.json", [model_to_dict(wm)])
     return wm
 
 
@@ -606,7 +580,7 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
     q = train_q(list(zip(instances, tours)), cost_scales, cfg.ql, cfg.weights,
                 cfg.ql_train_seed)
     record = {"schema": QTABLE_SCHEMA, **_record(cfg, "ql")}
-    _export(out / "qtable.json", [{**record, **qtable_to_dict(q)}], record)
+    _export(out / "qtable.json", [{**record, **qtable_to_dict(q)}])
     return q
 
 
@@ -682,17 +656,18 @@ def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
 def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
                qtable: QTable, out: Path) -> tuple[list[MetricsRecord], list]:
     """Run the three methods on every test instance. Returns the metrics
-    rows and, per row, its tour's polyline, for the report. A present
-    ``config.json`` must hold the eval's record; each instance's files and
-    ``metrics.csv`` are exports (``_export``), and ``timings.csv`` and
-    then ``config.json``, this run's config, are rewritten."""
+    rows and, per row, its tour's polyline, for the report. Each
+    instance's files, ``metrics.csv`` and ``config.json``, the eval's
+    record, are exports (``_export``), and ``timings.csv`` is rewritten. A
+    present ``config.json`` is checked before any output, and an absent
+    one is written last, so that a refused run leaves none."""
     config_path = out / "config.json"
     metrics_path = out / "metrics.csv"
+    config = [{"schema": CONFIG_SCHEMA, **_record(cfg, "eval")}]
+    remedy = (f"it records the config of the eval outputs, such as "
+              f"{metrics_path}: delete it and them and run again")
     if config_path.exists():
-        _check_header(config_path, read_json(config_path),
-                      {"schema": CONFIG_SCHEMA, **_record(cfg, "eval")},
-                      f"it records the config of the eval outputs, such as "
-                      f"{metrics_path}: delete it and them and run again")
+        _export(config_path, config, remedy)
     results = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
                    (wm, qtable, cfg), cfg.workers, chunksize=1)
     rows: list[MetricsRecord] = []
@@ -708,7 +683,7 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
                            *_csv_lines(METRICS_COLUMNS, records)])
     write_jsonl_atomic(out / "timings.csv", _csv_lines(
         ["method", "instance_id", "wall_clock_s"], records))
-    write_json_atomic(config_path, config_to_dict(cfg))
+    _export(config_path, config, remedy)   # when absent, written last
     return rows, polylines
 
 
@@ -816,7 +791,10 @@ def run_pipeline(cfg: ExperimentConfig, last: str = "report"):
     exist, and stop after the one named ``last``; returns what that stage
     yields."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigurationError(f"cannot write {out}: {e}") from e
     for name, result in _stages(cfg, out):
         if name == last:
             return result

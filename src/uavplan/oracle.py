@@ -5,8 +5,9 @@ profit_scale  over closed depot tours that may skip vertices. With the
 default unit scales, cost is raw meters and profit raw bits/s; at the
 default weights (0.9 / 0.1) the profit term dominates by orders of
 magnitude, so skipping stays inactive and the optimizer degenerates to
-cost-minimal orderings over all hotspots. ``instance_scales`` gives the
-instance-relative scales under which the trade-off bites.
+cost-minimal orderings over all hotspots. ``instance_scales`` in
+tests/oracle_oracles.py gives the instance-relative scales under which
+the trade-off bites.
 
 Ties anywhere are broken toward the lexicographically smallest id
 sequence so that downstream dictionaries stay stable.
@@ -42,9 +43,8 @@ wraps each step on its own (construction, 2-opt, selection) as a
 ``Tour`` -> ``Tour`` function for the tests.
 
 Q-learning scales each training instance's costs by the length of its
-nearest-neighbor construction (``instance_scales``). ``demonstrate``
-returns that length with the tour, from the construction that the solve
-makes anyway.
+nearest-neighbor construction. ``demonstrate`` returns that length with
+the tour, from the construction that the solve makes anyway.
 
 A table lives for one call and is never cached on ``Instance``. A cached
 geometry and id map on every instance once raised the peak resident memory
@@ -163,22 +163,6 @@ def make_tour(order, inst: Instance, w: ObjectiveWeights) -> Tour:
     profit = sum(p for _, p in visited)
     return Tour(order=order, total_cost_m=cost, total_profit_bps=profit,
                 objective=objective_value(cost, profit, w))
-
-
-def instance_scales(inst: Instance) -> tuple[float, float]:
-    """The full nearest-neighbor tour length and the total profit of
-    ``inst``, each 1.0 where it is not positive.
-
-    The length is the construction's, as ``demonstrate`` gives it with each
-    demonstration; it equals the ``total_cost_m`` of the construction's
-    tour bit for bit without building the ``Tour``
-    (``nearest_neighbor_construct`` in tests/oracle_oracles.py). Scaling
-    cost and profit by these makes both objective terms order one
-    (``relative_weights`` there).
-    """
-    [(run, hotspots, table)] = _tables([inst])
-    [(_, _, length)] = _constructions(run, hotspots, table)
-    return float(length[0]), _profit_scale(inst)
 
 
 def _profit_scale(inst: Instance) -> float:
@@ -442,10 +426,10 @@ def _tied_removal(order: list[int], gains: list[float]) -> int | None:
 
 def demonstrate(instances: Sequence[Instance],
                 w: ObjectiveWeights) -> list[tuple[Tour, float]]:
-    """``solve``'s tour of each instance and the cost scale that
-    ``instance_scales`` gives it, from one table and one batched
-    construction per run of instances (``_tables``): the scale is the
-    construction's length, taken before 2-opt reorders it, which also
+    """``solve``'s tour of each instance and its cost scale, from one table
+    and one batched construction per run of instances (``_tables``): the
+    scale is the nearest-neighbor construction's length (1.0 where it is
+    not positive), taken before 2-opt reorders it, which also
     bounds the rounding of 2-opt's deltas (``_stops``)."""
     out: list[tuple[Tour, float]] = []
     for run, hotspots, table in _tables(instances):

@@ -98,8 +98,9 @@ def train_q(training: list[tuple[Instance, Tour]],
     beta from ``weights`` (the objective the demonstrations were solved
     with), and the last step also pays the return leg and, on a
     near-demonstration tour, the terminal bonus. ``cost_scales[k]`` is
-    training instance k's nn_cost, ``instance_scales(inst)[0]``, which
-    ``oracle.demonstrate`` gives with each demonstration.
+    training instance k's nn_cost, the length of its nearest-neighbor
+    construction, which ``oracle.demonstrate`` gives with each
+    demonstration.
     """
     if not training:
         raise TrainingError("no training instances for Q-learning")
@@ -233,10 +234,3 @@ def qtable_to_dict(q: QTable) -> dict:
         "values": [[s, a, v] for (s, a), v in sorted(q.values.items())],
         "letters": sorted(q.letters),
     }
-
-
-def qtable_from_dict(d: dict) -> QTable:
-    return QTable(
-        values={(int(s), int(a)): float(v) for s, a, v in d["values"]},
-        letters=set(int(x) for x in d["letters"]),
-    )

@@ -10,7 +10,8 @@ with the coordinate-based reference in test_oracle_equivalence.py:
 
 - ``nearest_neighbor_construct``, ``two_opt`` and ``selection_pass``;
 - ``indices`` maps a tour's ids to table indices, as a one-row batch;
-- ``relative_weights`` are the given weights with ``instance_scales``.
+- ``instance_scales`` gives an instance's cost and profit scales, and
+  ``relative_weights`` are the given weights with them.
 """
 
 from dataclasses import replace
@@ -19,9 +20,9 @@ import numpy as np
 
 from uavplan.environment import Hotspot, Instance
 from uavplan.errors import ConsistencyError
-from uavplan.oracle import (ObjectiveWeights, Tour, _nearest_neighbor,
-                            _selection_pass, _stops, _tables, _two_opt,
-                            instance_scales, make_tour)
+from uavplan.oracle import (ObjectiveWeights, Tour, _constructions,
+                            _nearest_neighbor, _profit_scale, _selection_pass,
+                            _stops, _tables, _two_opt, make_tour)
 
 
 def indices(hotspots: list[Hotspot], order) -> np.ndarray:
@@ -30,6 +31,21 @@ def indices(hotspots: list[Hotspot], order) -> np.ndarray:
         return np.array([[index[i] for i in order]], dtype=np.intp)
     except KeyError as e:
         raise ConsistencyError(f"unknown hotspot id {e.args[0]}") from None
+
+
+def instance_scales(inst: Instance) -> tuple[float, float]:
+    """The full nearest-neighbor tour length and the total profit of
+    ``inst``, each 1.0 where it is not positive.
+
+    The length is the construction's, as ``demonstrate`` gives it with each
+    demonstration; it equals the ``total_cost_m`` of
+    ``nearest_neighbor_construct``'s tour bit for bit without building the
+    ``Tour``. Scaling cost and profit by these makes both objective terms
+    order one (``relative_weights``).
+    """
+    [(run, hotspots, table)] = _tables([inst])
+    [(_, _, length)] = _constructions(run, hotspots, table)
+    return float(length[0]), _profit_scale(inst)
 
 
 def relative_weights(w: ObjectiveWeights, inst: Instance) -> ObjectiveWeights:

@@ -28,12 +28,12 @@ from uavplan.harness import (_READS, ExperimentConfig, _canonical_json,
                              config_to_dict, load_config, run_pipeline,
                              stage_oracle, stage_pools, stage_training_instances,
                              summarize, word_similarity, write_jsonl_atomic)
-from uavplan.oracle import (ObjectiveWeights, instance_scales, make_tour,
-                            tour_to_dict)
+from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
 from uavplan.planner import PlannerConfig
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
 
+from oracle_oracles import instance_scales
 from planner_oracles import expand_v1, expand_v2
 
 PINNED = Path(__file__).parent / "data" / "small_run_sha256.json"
@@ -221,15 +221,14 @@ class TestPipeline:
         assert qtable["weights"] == asdict(weights)
 
     def test_parallel_workers_match_serial(self, tmp_path):
-        """Every artifact but timings.csv and config.json (which records
-        ``workers``) has the same bytes at workers 1 and 2."""
+        """Every artifact but timings.csv has the same bytes at workers 1
+        and 2."""
         serial = small_config(tmp_path / "s", workers=1)
         parallel = small_config(tmp_path / "p", workers=2)
         run_pipeline(serial)
         run_pipeline(parallel)
         a = _artifact_bytes(tmp_path / "s")
         b = _artifact_bytes(tmp_path / "p")
-        del a["config.json"], b["config.json"]
         assert a == b
 
     def test_one_hotspot_test_instances(self, tmp_path):
@@ -516,8 +515,7 @@ def _artifact_bytes(out: Path) -> dict[str, bytes]:
 class TestCli:
     def test_stage_commands_in_order(self, tmp_path, monkeypatch):
         """The stage commands one after another leave the directory that
-        ``pipeline`` leaves, byte for byte but for timings.csv (both run
-        with the same relative output_dir, which config.json records)."""
+        ``pipeline`` leaves, byte for byte but for timings.csv."""
         cfg = small_config("cli")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -539,8 +537,7 @@ class TestCli:
             self, tmp_path, monkeypatch):
         """Every stage computes from an empty directory: ``report`` there
         exits 0 and leaves the bytes that ``pipeline`` leaves, but for
-        timings.csv (both run with the same relative output_dir, which
-        config.json records)."""
+        timings.csv."""
         cfg = small_config("cli2")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -790,7 +787,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert str(tmp_path / "w" / artifact) in err
-        assert '"weight_alpha":0.9' in err and '"weight_alpha":0.5' in err
+        assert "line 1 holds weights.weight_alpha 0.9, but this run writes 0.5" \
+            in err
 
     @pytest.mark.parametrize("artifact,named", [
         pytest.param("world_model.json", "fingerprint", id="world_model.json"),
@@ -829,7 +827,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert str(tmp_path / "w" / "qtable.json") in err
-        assert '"episodes":400' in err and '"episodes":401' in err
+        assert "line 1 holds ql.episodes 400, but this run writes 401" in err
 
     @pytest.mark.parametrize("artifact,damage,named", [
         pytest.param("training_instances.jsonl", _as_v1_instances,
@@ -855,7 +853,8 @@ class TestCli:
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines[0].__setitem__(
                 "weights", asdict(ObjectiveWeights(0.5, 0.5)))),
-            '"weight_alpha":0.5', id="tours-header-other-weights"),
+            "line 1 holds weights.weight_alpha 0.5, but this run writes 0.9",
+            id="tours-header-other-weights"),
         pytest.param("oracle_tours.jsonl", _edit_lines(
             "oracle_tours.jsonl", lambda lines: lines[3]["order"].append(
                 lines[3]["order"][0])),
@@ -1153,15 +1152,18 @@ class TestCli:
 
     @pytest.mark.parametrize("change,artifact,recorded,current", [
         pytest.param({"noise": NoiseConfig(process_scale=0.2)},
-                     "world_model.json", '"process_scale":0.02',
-                     '"process_scale":0.2', id="noise.process_scale"),
+                     "world_model.json",
+                     "line 1 holds noise_config.process_scale 0.02",
+                     "but this run writes 0.2", id="noise.process_scale"),
         pytest.param({"m_training": 60}, "training_instances.jsonl",
-                     "m_training 30", "m_training 60", id="m_training"),
-        pytest.param({"pool_seed": 7}, "pools.json", "seed 20240501",
-                     "seed 7", id="pool_seed"),
+                     "line 1 holds m_training 30", "but this run writes 60",
+                     id="m_training"),
+        pytest.param({"pool_seed": 7}, "pools.json",
+                     "line 1 holds pool_seed 20240501",
+                     "but this run writes 7", id="pool_seed"),
         pytest.param({"planner": PlannerConfig(n_words=3, rng_seed=9)},
-                     "metrics.csv", '"n_words":10', '"n_words":3',
-                     id="planner")])
+                     "metrics.csv", "line 1 holds planner.n_words 10",
+                     "but this run writes 3", id="planner")])
     def test_reused_artifact_from_other_config_exits_2(
             self, tmp_path, capsys, change, artifact, recorded, current):
         """Re-running a 30-demonstration directory with another noise
@@ -1206,7 +1208,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert str(tmp_path / "t" / "oracle_tours.jsonl") in err
-        assert f"with {key} " in err
+        assert f"line 1 holds {key} " in err
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda lines: lines[:-2], id="last-two-rows-deleted"),
@@ -1240,8 +1242,8 @@ class TestCli:
     def test_refused_run_leaves_config_json(self, tmp_path, capsys):
         """config.json is the eval's record, written after its outputs: a
         re-run that exits 2 leaves it as it was; ``report`` with other
-        planner settings exits 2 naming config.json, metrics.csv and the
-        key before it writes anything; and a metrics.csv without
+        planner settings exits 2 naming config.json, metrics.csv, the key
+        and both values before it writes anything; and a metrics.csv without
         config.json is checked as an export, so the re-run exits 0 and
         writes config.json again."""
         cfg = small_config(tmp_path / "r", test_sizes=(5,), seeds_per_size=1)
@@ -1262,8 +1264,9 @@ class TestCli:
         assert cli_main(["report", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {out / 'config.json'} "
-                              "was computed with planner ")
-        assert str(out / "metrics.csv") in err and '"n_words":3' in err
+                              "line 1 holds planner.n_words 10, but this run "
+                              "writes 3")
+        assert str(out / "metrics.csv") in err
         assert not (out / "summary.csv").exists()
         assert (out / "config.json").read_bytes() == recorded
 
@@ -1276,7 +1279,7 @@ class TestCli:
                                                                  tmp_path):
         """output_dir and workers are in no check: a finished run moved
         elsewhere and re-run at workers=2 exits 0 and keeps the bytes of
-        every file but timings.csv and config.json, which records them."""
+        every file but timings.csv."""
         cfg = small_config(tmp_path / "a", test_sizes=(5,), seeds_per_size=1)
         run_pipeline(cfg)
         shutil.copytree(tmp_path / "a", tmp_path / "b")
@@ -1285,8 +1288,6 @@ class TestCli:
         cfg_path.write_text(json.dumps(config_to_dict(moved)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
         kept, moved_files = (_artifact_bytes(tmp_path / d) for d in "ab")
-        for files in (kept, moved_files):
-            del files["config.json"]
         assert moved_files == kept
 
     def test_plan_command_scores_with_the_config_weights(self, tmp_path):
@@ -1464,8 +1465,6 @@ class TestReuseRecords:
         fresh = replace(changed, output_dir=str(tmp_path / "fresh"))
         run_pipeline(fresh)
         rerun, made = _artifact_bytes(out), _artifact_bytes(tmp_path / "fresh")
-        for files in (rerun, made):
-            del files["config.json"]
         assert rerun == made
 
     def test_qtable_from_another_ql_train_seed_exits_2(self, tmp_path, capsys,
@@ -1479,14 +1478,17 @@ class TestReuseRecords:
             keep=[name for name, _ in _CACHED])
         assert code == 2
         assert err.startswith(f"configuration error: {out / 'qtable.json'} ")
-        assert "ql_train_seed 777" in err and "ql_train_seed 778" in err
+        assert "line 1 holds ql_train_seed 777, but this run writes 778" in err
 
     @pytest.mark.parametrize("key,change,recorded", [
-        pytest.param("mean_users", 3.5, "5.0", id="mean_users"),
+        pytest.param("mean_users", 3.5,
+                     "mean_users 5.0, but this run writes 3.5", id="mean_users"),
         pytest.param("channel", ChannelParams(mu_los_db=2.0),
-                     '"mu_los_db":3.0', id="channel.mu_los_db"),
+                     "channel.mu_los_db 3.0, but this run writes 2.0",
+                     id="channel.mu_los_db"),
         pytest.param("mission", MissionConfig(uav_altitude_m=220.0),
-                     '"uav_altitude_m":200.0', id="mission.uav_altitude_m")])
+                     "mission.uav_altitude_m 200.0, but this run writes 220.0",
+                     id="mission.uav_altitude_m")])
     def test_qtable_kept_alone_for_other_profits_exits_2(
             self, tmp_path, capsys, finished_run, key, change, recorded):
         """The Q-table records what the pool's profits are computed from,
@@ -1498,8 +1500,8 @@ class TestReuseRecords:
                                 keep=["qtable.json"])
         assert code == 2
         assert err.startswith(
-            f"configuration error: {out / 'qtable.json'} was computed with "
-            f"{key} "), err
+            f"configuration error: {out / 'qtable.json'} line 1 holds "
+            f"{key}"), err
         assert recorded in err
 
 
@@ -1618,10 +1620,11 @@ def _copy_run(finished: ExperimentConfig, tmp_path: Path):
     return out, cfg_path
 
 
-# every file a finished run with one test instance leaves but timings.csv
-# and config.json, which each run rewrites
+# every file a finished run with one test instance leaves but timings.csv,
+# which each run rewrites
 _EXPORTS = ("pools.json", "training_instances.jsonl", "oracle_tours.jsonl",
-            "world_model.json", "qtable.json", "metrics.csv", "summary.csv",
+            "world_model.json", "qtable.json", "metrics.csv", "config.json",
+            "summary.csv",
             "ratios.csv", "instances/s005k000.json",
             "traces/s005k000_ain.json",
             *(f"{d}/s005k000_{m}.{ext}" for m in ("oracle", "ain", "mql")
@@ -1630,10 +1633,12 @@ _EXPORTS = ("pools.json", "training_instances.jsonl", "oracle_tours.jsonl",
 
 @pytest.mark.parametrize("name", _EXPORTS)
 def test_every_file_but_two_is_checked(tmp_path, capsys, finished_run, name):
-    """Every file of a finished run but timings.csv and config.json is an
-    export: with its middle digit changed, the rerun exits 2 naming it."""
+    """Every file of a finished run but timings.csv is an export: with its
+    middle digit changed, the rerun exits 2 naming it. (The name dates
+    from when config.json was rewritten on every run too; it is kept so
+    that the ids of the existing cases stay.)"""
     out, cfg_path = _copy_run(finished_run, tmp_path)
-    assert set(_artifact_bytes(out)) - {"config.json"} == set(_EXPORTS)
+    assert set(_artifact_bytes(out)) == set(_EXPORTS)
     path = out / name
     data = bytearray(path.read_bytes())
     digits = [i for i, b in enumerate(data) if chr(b).isdigit()]
@@ -1660,16 +1665,12 @@ def probe_run(tmp_path_factory):
 def test_deleted_eval_outputs_are_written_again(tmp_path, capsys, probe_run,
                                                 deleted):
     """With every trace, or one test instance, deleted, the rerun exits 0
-    and writes them again with their bytes (config.json, rewritten, now
-    records the copy's output_dir)."""
+    and writes them again with their bytes."""
     out, cfg_path = _copy_run(probe_run, tmp_path)
     every = _artifact_bytes(out)
     _delete(out, [deleted])
     assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
-    rerun = _artifact_bytes(out)
-    for files in (every, rerun):
-        del files["config.json"]
-    assert rerun == every
+    assert _artifact_bytes(out) == every
 
 
 def test_edited_eval_tour_exits_2(tmp_path, capsys, probe_run):
@@ -1686,3 +1687,93 @@ def test_edited_eval_tour_exits_2(tmp_path, capsys, probe_run):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {path} line 1 holds "
                           "order.0 "), err
+
+
+def test_config_json_from_before_the_eval_record_exits_2(tmp_path, capsys,
+                                                         finished_run):
+    """A config.json that holds the whole config, output_dir and workers
+    too, as runs wrote it before it became the eval's record, exits 2
+    naming the file and output_dir; with it deleted, the rerun exits 0
+    and every file keeps its bytes."""
+    out, cfg_path = _copy_run(finished_run, tmp_path)
+    path = out / "config.json"
+    path.write_text(_canonical_json(config_to_dict(finished_run)) + "\n")
+    capsys.readouterr()
+    assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path} line 1 holds "
+                          "output_dir "), err
+    path.unlink()
+    assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+    assert _artifact_bytes(out) == _artifact_bytes(Path(finished_run.output_dir))
+
+
+def test_refused_run_without_config_json_writes_none(tmp_path, capsys,
+                                                     finished_run):
+    """config.json is written last: with it deleted, a rerun with other
+    planner settings exits 2 at an eval output and leaves no config.json
+    that claims the outputs it refused."""
+    out, cfg_path = _copy_run(finished_run, tmp_path)
+    (out / "config.json").unlink()
+    cfg_path.write_text(json.dumps(config_to_dict(replace(
+        finished_run, output_dir=str(out), planner=PlannerConfig(n_words=3)))))
+    capsys.readouterr()
+    assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {out}"), err
+    assert not (out / "config.json").exists()
+
+
+def test_plan_command_with_a_json_array_exits_2(tmp_path, capsys,
+                                                finished_run):
+    out = Path(finished_run.output_dir)
+    model = tmp_path / "model.json"
+    model.write_text("[1, 2]")
+    capsys.readouterr()
+    assert cli_main(["plan", "--instance",
+                     str(out / "instances" / "s005k000.json"),
+                     "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {model} holds [1,2], not a "
+                          "JSON object"), err
+
+
+def _out_is_a_file(tmp_path, finished):
+    path = tmp_path / "file"
+    path.write_text("")
+    return ["gen-pool", "--out", str(path)], path
+
+
+def _tours_is_a_file(tmp_path, finished):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "tours").write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_dict(
+        replace(finished, output_dir=str(out)))))
+    return ["pipeline", "--config", str(cfg_path)], out / "tours"
+
+
+def _trace_is_a_directory(tmp_path, finished):
+    out = Path(finished.output_dir)
+    path = tmp_path / "trace"
+    path.mkdir()
+    return ["plan", "--instance", str(out / "instances" / "s005k000.json"),
+            "--model", str(out / "world_model.json"), "--trace", str(path)], path
+
+
+@pytest.mark.parametrize("setup", [
+    pytest.param(_out_is_a_file, id="gen-pool-out-is-a-file"),
+    pytest.param(_tours_is_a_file, id="pipeline-tours-is-a-file"),
+    pytest.param(_trace_is_a_directory, id="plan-trace-is-a-directory")])
+def test_failed_write_exits_2(tmp_path, capsys, finished_run, setup):
+    """An output directory that is a file, a file in a directory that is
+    a file, and a trace path that is a directory each exit 2 naming the
+    path, with no traceback, and leave no temporary file."""
+    argv, path = setup(tmp_path, finished_run)
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write ") and \
+        str(path) in err, err
+    assert list(tmp_path.rglob("*.tmp")) == []

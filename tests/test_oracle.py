@@ -266,8 +266,8 @@ class TestBenchmarkContracts:
     inside the search loops; a missing patch target would stop the
     benchmark."""
 
-    PUBLIC = ("brute_force", "demonstrate", "instance_scales", "make_tour",
-              "objective_value", "solve", "tour_from_dict", "tour_to_dict")
+    PUBLIC = ("brute_force", "demonstrate", "make_tour", "objective_value",
+              "solve", "tour_from_dict", "tour_to_dict")
 
     def test_public_functions_unchanged(self):
         from uavplan import oracle

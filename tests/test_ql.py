@@ -5,13 +5,12 @@ import pytest
 
 from uavplan.environment import edge_cost, sample_instance, sample_pool
 from uavplan.errors import TrainingError
-from uavplan.oracle import (ObjectiveWeights, instance_scales, make_tour,
-                            solve)
+from uavplan.oracle import ObjectiveWeights, make_tour, solve
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
-                        qtable_from_dict, qtable_to_dict, train_q)
+                        qtable_to_dict, train_q)
 from uavplan.world_model import Word
 
-from oracle_oracles import nearest_neighbor_construct
+from oracle_oracles import instance_scales, nearest_neighbor_construct
 
 W = ObjectiveWeights()
 
@@ -184,6 +183,14 @@ class TestConstructWord:
         a = construct_word(table, None, inst, 42, cfg)
         b = construct_word(table, None, inst, 42, cfg)
         assert a.letters == b.letters
+
+
+def qtable_from_dict(d: dict) -> QTable:
+    """The Q-table that ``qtable_to_dict`` wrote as ``d``."""
+    return QTable(
+        values={(int(s), int(a)): float(v) for s, a, v in d["values"]},
+        letters=set(int(x) for x in d["letters"]),
+    )
 
 
 class TestQTableSerialization:

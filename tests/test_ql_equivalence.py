@@ -24,11 +24,11 @@ from uavplan.environment import Hotspot, Instance, edge_cost
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_to_dict, train_q)
 from uavplan.errors import ConfigurationError, TrainingError
-from uavplan.oracle import (ObjectiveWeights, Tour, demonstrate,
-                            instance_scales, make_tour, solve)
+from uavplan.oracle import (ObjectiveWeights, Tour, demonstrate, make_tour,
+                            solve)
 from uavplan.world_model import Word
 
-from oracle_oracles import nearest_neighbor_construct
+from oracle_oracles import instance_scales, nearest_neighbor_construct
 
 
 # --- reference: the loops with per-step hotspot scans ---------------------------

@@ -70,3 +70,47 @@ def test_distances_are_math_hypot():
     artifact made from them, so the package never calls it."""
     assert [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
             for line in _numpy_hypots(ast.parse(path.read_text()))] == []
+
+
+def _public_definitions(tree: ast.Module):
+    """Each public top-level function or class, and each public method of
+    a top-level class, as (qualified name, name, its definition node)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+# Read from outside the package: C1-C9 import these, and the benchmark's
+# tracer patches the last one to count calls.
+_ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+_PATCHED = {"Instance.hotspot"}
+
+
+def test_every_public_definition_is_used():
+    """Code that only tests read lives in the tests: every public function,
+    class and method of the package is referenced in the package outside
+    its own definition (``__init__``'s re-exports do not count), imported
+    by the acceptance tests, or a benchmark patch target."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"}
+    used = sum(map(_references, trees.values()), Counter())
+    accepted = {alias.name for node in ast.walk(ast.parse(
+                    _ACCEPTANCE.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").startswith("uavplan")
+                for alias in node.names}
+    defined = [(f"{module}: {qualified}", qualified, name, node)
+               for module, tree in trees.items()
+               for qualified, name, node in _public_definitions(tree)]
+    assert defined
+    assert [where for where, qualified, name, node in defined
+            if used[name] == _references(node)[name]
+            and name not in accepted and qualified not in _PATCHED] == []
