@@ -7,21 +7,20 @@ from pathlib import Path
 SRC = Path(__file__).parent.parent / "src" / "uavplan"
 
 
-def _private_definitions(tree: ast.Module):
-    """Each private top-level function or class, and each private method
-    of a top-level class, as (name, its definition node)."""
+def _definitions(tree: ast.Module):
+    """Each top-level function or class, and each method of a top-level
+    class but its dunder methods, as (qualified name, name, definition
+    node)."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
             continue
-        if node.name.startswith("_"):
-            yield node.name, node
+        yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and item.name.startswith("_")
                         and not item.name.endswith("__")):
-                    yield item.name, item
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -41,9 +40,10 @@ def test_every_private_definition_is_referenced():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     used = sum(map(_references, trees.values()), Counter())
-    defined = [(f"{module}: {name}", name, node)
+    defined = [(f"{module}: {qualified}", name, node)
                for module, tree in trees.items()
-               for name, node in _private_definitions(tree)]
+               for qualified, name, node in _definitions(tree)
+               if name.startswith("_")]
     assert defined
     assert [where for where, name, node in defined
             if used[name] == _references(node)[name]] == []
@@ -72,23 +72,8 @@ def test_distances_are_math_hypot():
             for line in _numpy_hypots(ast.parse(path.read_text()))] == []
 
 
-def _public_definitions(tree: ast.Module):
-    """Each public top-level function or class, and each public method of
-    a top-level class, as (qualified name, name, its definition node)."""
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) or node.name.startswith("_"):
-            continue
-        yield node.name, node.name, node
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not item.name.startswith("_")):
-                    yield f"{node.name}.{item.name}", item.name, item
-
-
-# Read from outside the package: C1-C9 import these, and the benchmark's
-# tracer patches the last one to count calls.
+# Read from outside the package: the acceptance tests (C1-C9) import names
+# from it, and the benchmark's tracer patches this method to count calls.
 _ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 _PATCHED = {"Instance.hotspot"}
 
@@ -109,7 +94,8 @@ def test_every_public_definition_is_used():
                 for alias in node.names}
     defined = [(f"{module}: {qualified}", qualified, name, node)
                for module, tree in trees.items()
-               for qualified, name, node in _public_definitions(tree)]
+               for qualified, name, node in _definitions(tree)
+               if not name.startswith("_")]
     assert defined
     assert [where for where, qualified, name, node in defined
             if used[name] == _references(node)[name]
