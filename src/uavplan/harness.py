@@ -50,8 +50,20 @@ computed from it, so that another config value is named at its key:
 The eval's outputs (``tours/``, ``traces/``, ``instances/`` and
 ``metrics.csv``) and the report's (``summary.csv``, ``ratios.csv`` and
 ``trajectories/``) are exports too; the report is made from the eval's
-results in memory and reads no file. Only ``timings.csv`` (wall clock,
-telemetry) is rewritten on every run.
+results in memory and reads no file: ``completion_ratios`` divides the
+completion-time means of ``summarize``'s records. Only ``timings.csv``
+(wall clock, telemetry) is rewritten on every run. A CSV line is its
+fields joined by commas (``_csv_lines``); no value the pipeline writes
+holds a comma, a quote or a line break, so none is quoted.
+
+A metrics row's ``similarity_to_oracle`` is 1 minus the edit distance of
+the method's word to the oracle's over the longer length, by the
+planner's chain dynamic program (``word_similarity``): words never
+repeat a letter, and on such words that program is exact.
+
+``run_pipeline`` makes the output directory, and the subdirectories that
+the stages it runs write into, before the first stage, so that a path it
+cannot write is refused before any work.
 
 The oracle stage solves the training instances in one batch per worker
 (``oracle.demonstrate``), which also gives each instance's cost scale for
@@ -71,9 +83,7 @@ float arithmetic.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
-import io
 import itertools
 import math
 import os
@@ -93,7 +103,8 @@ from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
 from .errors import ConfigurationError
 from .oracle import (ObjectiveWeights, Tour, demonstrate, make_tour, solve,
                      tour_to_dict)
-from .planner import PlannerConfig, levenshtein, plan_mission, plan_to_dict
+from .planner import (PlannerConfig, _chain_distance, plan_mission,
+                      plan_to_dict)
 from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
                  qtable_to_dict, train_q)
 from .world_model import NoiseConfig, Word, WorldModel, learn, model_to_dict
@@ -212,11 +223,13 @@ def completion_time(t: Tour, mission: MissionConfig) -> float:
 
 
 def word_similarity(w1: Word, w2: Word) -> float:
-    """1 - edit_distance / max length; 1.0 for two empty words."""
+    """1 - edit_distance / max length; 1.0 for two empty words. Words are
+    repeat-free, so the distance is the planner's ``_chain_distance``."""
     longest = max(len(w1), len(w2))
     if longest == 0:
         return 1.0
-    return 1.0 - levenshtein(w1, w2) / longest
+    pos = {letter: i for i, letter in enumerate(w1.letters)}
+    return 1.0 - _chain_distance(pos, len(w1), w2.letters) / longest
 
 
 # --- config (de)serialization ------------------------------------------------
@@ -696,13 +709,16 @@ def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
 
 
 def summarize(rows: Sequence[MetricsRecord]) -> list[dict]:
-    """Per (size, method) means with normal-approximation 95% intervals."""
-    sizes = sorted({r.n_hotspots for r in rows})
+    """Per (size, method) means with normal-approximation 95% intervals,
+    by size and then in ``METHODS`` order; the rows are grouped in one
+    pass, keeping their order."""
+    groups: dict[int, dict[str, list[MetricsRecord]]] = {}
+    for r in rows:
+        groups.setdefault(r.n_hotspots, {}).setdefault(r.method, []).append(r)
     out = []
-    for size in sizes:
+    for size in sorted(groups):
         for method in METHODS:
-            sel = [r for r in rows
-                   if r.n_hotspots == size and r.method == method]
+            sel = groups[size].get(method)
             if not sel:
                 continue
             rate_m, rate_h = _mean_ci([r.total_sum_rate_bps for r in sel])
@@ -719,38 +735,27 @@ def summarize(rows: Sequence[MetricsRecord]) -> list[dict]:
     return out
 
 
-def completion_ratios(rows: Sequence[MetricsRecord]) -> list[dict]:
-    """Mean completion time of each method relative to the oracle, per size."""
-    sizes = sorted({r.n_hotspots for r in rows})
-    out = []
-    for size in sizes:
-        base = [r.completion_time_s for r in rows
-                if r.n_hotspots == size and r.method == "oracle"]
-        if not base:
-            continue
-        base_mean = statistics.fmean(base)
-        entry = {"n_hotspots": size}
-        for method in ("ain", "mql"):
-            sel = [r.completion_time_s for r in rows
-                   if r.n_hotspots == size and r.method == method]
-            entry[f"{method}_over_oracle"] = (
-                statistics.fmean(sel) / base_mean if sel and base_mean > 0
-                else float("nan"))
-        out.append(entry)
-    return out
+def completion_ratios(summary: Sequence[dict]) -> list[dict]:
+    """Mean completion time of each method relative to the oracle, per size
+    that has oracle rows, from ``summarize``'s records; nan where the method
+    has no rows or the oracle's mean is not positive."""
+    means = {(s["n_hotspots"], s["method"]): s["completion_mean_s"]
+             for s in summary}
+    nan = float("nan")
+    return [{"n_hotspots": size,
+             **{f"{other}_over_oracle": means.get((size, other), nan) / base
+                if base > 0 else nan for other in ("ain", "mql")}}
+            for (size, method), base in means.items() if method == "oracle"]
 
 
 def _csv_lines(columns: Sequence[str], records: Iterable[dict]) -> list[str]:
     """A header of ``columns`` and one line per record (keys not in
-    ``columns`` are left out); floats are written as their ``repr``."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
-                            lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        writer.writerow({k: (repr(v) if isinstance(v, float) else v)
-                         for k, v in rec.items()})
-    return buf.getvalue().splitlines()
+    ``columns`` are left out), fields joined by commas: a float as its
+    ``repr``, any other value as its ``str``. No value the pipeline writes
+    holds a comma, a quote or a line break, so no field needs quoting."""
+    return [",".join(columns), *(",".join(
+        repr(v) if isinstance(v, float) else str(v)
+        for v in (rec[c] for c in columns)) for rec in records)]
 
 
 def stage_report(rows: Sequence[MetricsRecord], polylines: Sequence,
@@ -758,8 +763,9 @@ def stage_report(rows: Sequence[MetricsRecord], polylines: Sequence,
     """Summaries, completion-time ratios and one trajectory file per tour,
     made from the eval's rows and polylines in memory; each file is an
     export (``_export``)."""
-    for name, records in (("summary.csv", summarize(rows)),
-                          ("ratios.csv", completion_ratios(rows))):
+    summary = summarize(rows)
+    for name, records in (("summary.csv", summary),
+                          ("ratios.csv", completion_ratios(summary))):
         _export(out / name, _csv_lines(list(records[0]), records))
     for r, points in zip(rows, polylines):
         _export(out / f"trajectories/{r.instance_id}_{r.method}.csv",
@@ -786,15 +792,26 @@ def _stages(cfg: ExperimentConfig, out: Path):
     yield "report", rows
 
 
+# The subdirectories of the output directory that a run up to a stage
+# writes into: the eval's, and with the report also the report's.
+_EVAL_DIRECTORIES = ("instances", "traces", "tours")
+_DIRECTORIES = {"eval": _EVAL_DIRECTORIES,
+                "report": (*_EVAL_DIRECTORIES, "trajectories")}
+
+
 def run_pipeline(cfg: ExperimentConfig, last: str = "report"):
     """Run the stages of ``_stages`` in order, checking the artifacts that
     exist, and stop after the one named ``last``; returns what that stage
-    yields."""
-    out = Path(cfg.output_dir)
+    yields. The output directory, and the subdirectories that the stages
+    up to ``last`` write into, are made before the first stage, so that
+    one that cannot be made stops the run before any work."""
+    out = path = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for path in (out / name for name in _DIRECTORIES.get(last, ())):
+            path.mkdir(exist_ok=True)
     except OSError as e:
-        raise ConfigurationError(f"cannot write {out}: {e}") from e
+        raise ConfigurationError(f"cannot write {path}: {e}") from e
     for name, result in _stages(cfg, out):
         if name == last:
             return result

@@ -165,13 +165,6 @@ def make_tour(order, inst: Instance, w: ObjectiveWeights) -> Tour:
                 objective=objective_value(cost, profit, w))
 
 
-def _profit_scale(inst: Instance) -> float:
-    """The total profit of ``inst``, summed in its hotspot order; 1.0 where
-    not positive."""
-    total = sum(h.profit_bps for h in inst.hotspots)
-    return total if total > 0 else 1.0
-
-
 def _tables(instances: Sequence[Instance]) -> Iterator[
         tuple[Sequence[Instance], list[Hotspot], np.ndarray]]:
     """The batch in runs of consecutive instances that share one table, as

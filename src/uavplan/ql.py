@@ -45,7 +45,7 @@ import numpy as np
 
 from .environment import Instance, _Stream, edge_cost
 from .errors import ConfigurationError, ConsistencyError, TrainingError
-from .oracle import ObjectiveWeights, Tour, _profit_scale, objective_value
+from .oracle import ObjectiveWeights, Tour, objective_value
 from .world_model import Word
 
 DEPOT_STATE = -1
@@ -85,6 +85,13 @@ class QTable:
 
     def q(self, state: int, action: int) -> float:
         return self.values.get((state, action), 0.0)
+
+
+def _profit_scale(inst: Instance) -> float:
+    """The total profit of ``inst``, summed in its hotspot order; 1.0 where
+    not positive."""
+    total = sum(h.profit_bps for h in inst.hotspots)
+    return total if total > 0 else 1.0
 
 
 def train_q(training: list[tuple[Instance, Tour]],

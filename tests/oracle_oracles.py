@@ -21,8 +21,9 @@ import numpy as np
 from uavplan.environment import Hotspot, Instance
 from uavplan.errors import ConsistencyError
 from uavplan.oracle import (ObjectiveWeights, Tour, _constructions,
-                            _nearest_neighbor, _profit_scale, _selection_pass,
-                            _stops, _tables, _two_opt, make_tour)
+                            _nearest_neighbor, _selection_pass, _stops,
+                            _tables, _two_opt, make_tour)
+from uavplan.ql import _profit_scale
 
 
 def indices(hotspots: list[Hotspot], order) -> np.ndarray:

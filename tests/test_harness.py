@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import warnings
@@ -16,20 +17,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, MissionConfig,
                                  instance_from_dict, instance_to_dict)
 from uavplan import world_model
 from uavplan.errors import ConsistencyError
-from uavplan.harness import (_READS, ExperimentConfig, _canonical_json,
-                             _first_difference, _record, completion_time,
+from uavplan.harness import (_READS, ExperimentConfig, MetricsRecord,
+                             _canonical_json, _csv_lines, _first_difference,
+                             _record, completion_ratios, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, load_config, run_pipeline,
                              stage_oracle, stage_pools, stage_training_instances,
                              summarize, word_similarity, write_jsonl_atomic)
 from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
-from uavplan.planner import PlannerConfig
+from uavplan.planner import PlannerConfig, levenshtein
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
 
@@ -92,6 +96,18 @@ class TestMetricsPrimitives:
     def test_similarity_empty_words(self):
         e = Word.from_letters([])
         assert word_similarity(e, e) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(0, n - 1), max_size=30, unique=True),
+        st.lists(st.integers(0, n - 1), max_size=30, unique=True))))
+    def test_similarity_is_one_minus_relative_edit_distance(self, pair):
+        """On repeat-free words, empty ones too, the similarity is the one
+        the full edit distance table gives."""
+        w1, w2 = (Word.from_letters(w) for w in pair)
+        longest = max(len(w1), len(w2))
+        expected = 1.0 - levenshtein(w1, w2) / longest if longest else 1.0
+        assert word_similarity(w1, w2) == expected
 
 
 class TestConfig:
@@ -311,6 +327,82 @@ class TestReport:
             assert rec["completion_mean_s"] == pytest.approx(
                 float(np.mean(sel)), rel=1e-12)
             assert rec["n_instances"] == len(sel)
+
+    @staticmethod
+    def rowwise_ratios(rows):
+        """The ratios computed from the rows themselves, filtering them per
+        (size, method): the definition ``completion_ratios`` replaces."""
+        out = []
+        for size in sorted({r.n_hotspots for r in rows}):
+            base = [r.completion_time_s for r in rows
+                    if r.n_hotspots == size and r.method == "oracle"]
+            if not base:
+                continue
+            base_mean = statistics.fmean(base)
+            entry = {"n_hotspots": size}
+            for method in ("ain", "mql"):
+                sel = [r.completion_time_s for r in rows
+                       if r.n_hotspots == size and r.method == method]
+                entry[f"{method}_over_oracle"] = (
+                    statistics.fmean(sel) / base_mean
+                    if sel and base_mean > 0 else float("nan"))
+            out.append(entry)
+        return out
+
+    def test_ratios_from_the_summary_match_the_rows(self):
+        """Same keys, same order and the same bits (nan for nan) as the
+        row-based ratios: with sizes out of order, a size whose oracle
+        takes no time, a size with no ain rows, and one with no oracle."""
+        rng = np.random.default_rng(5)
+        rows = []
+        for size, methods, zero in ((7, ("oracle", "ain", "mql"), False),
+                                    (3, ("oracle", "ain", "mql"), True),
+                                    (5, ("mql", "oracle"), False),
+                                    (9, ("ain", "mql"), False)):
+            for k in range(3):
+                for method in methods:
+                    time_s = 0.0 if zero and method == "oracle" else float(
+                        rng.uniform(10.0, 900.0))
+                    rows.append(MetricsRecord(method, f"s{size}k{k}", size,
+                                              1.0, time_s, 1.0, 1.0, 0.0))
+        got = completion_ratios(summarize(rows))
+        want = self.rowwise_ratios(rows)
+        assert [list(g) for g in got] == [list(w) for w in want]
+        assert [{k: repr(v) for k, v in g.items()} for g in got] == \
+            [{k: repr(v) for k, v in w.items()} for w in want]
+        assert [g["n_hotspots"] for g in got] == [3, 5, 7]
+        assert math.isnan(got[0]["ain_over_oracle"])
+        assert math.isnan(got[1]["ain_over_oracle"])
+
+    def test_ratios_of_a_run_match_the_rows(self, tmp_path):
+        rows = run_pipeline(small_config(tmp_path / "run"), "eval")
+        assert completion_ratios(summarize(rows)) == self.rowwise_ratios(rows)
+
+    @staticmethod
+    def dictwriter_lines(columns, records):
+        """The lines as ``csv.DictWriter`` writes them: the writer that
+        ``_csv_lines`` replaces."""
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        for rec in records:
+            writer.writerow({k: (repr(v) if isinstance(v, float) else v)
+                             for k, v in rec.items()})
+        return buf.getvalue().splitlines()
+
+    def test_csv_lines_match_the_csv_module(self):
+        columns = ["method", "n", "x_m", "y_m"]
+        records = [
+            {"method": "ain", "n": 5, "x_m": float("nan"),
+             "y_m": float("inf"), "extra": "a,b"},
+            {"method": "oracle", "n": -3, "x_m": -0.0, "y_m": 1e-05,
+             "extra": 1.5},
+            {"y_m": -float("inf"), "x_m": 1234567.25, "n": 0,
+             "method": "s005k000"}]
+        lines = _csv_lines(columns, records)
+        assert lines == self.dictwriter_lines(columns, records)
+        assert lines[1:3] == ["ain,5,nan,inf", "oracle,-3,-0.0,1e-05"]
 
     def test_single_record_has_zero_ci(self, tmp_path):
         cfg = small_config(tmp_path / "run", seeds_per_size=1, test_sizes=(5,))
@@ -1738,10 +1830,18 @@ def test_plan_command_with_a_json_array_exits_2(tmp_path, capsys,
                           "JSON object"), err
 
 
+def test_gen_pool_makes_no_subdirectory(tmp_path):
+    """Only the eval and the report write into subdirectories, so a run
+    up to the pools makes none of them."""
+    out = tmp_path / "run"
+    assert cli_main(["gen-pool", "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["pools.json"]
+
+
 def _out_is_a_file(tmp_path, finished):
     path = tmp_path / "file"
     path.write_text("")
-    return ["gen-pool", "--out", str(path)], path
+    return ["gen-pool", "--out", str(path)], path, []
 
 
 def _tours_is_a_file(tmp_path, finished):
@@ -1751,7 +1851,11 @@ def _tours_is_a_file(tmp_path, finished):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config_to_dict(
         replace(finished, output_dir=str(out)))))
-    return ["pipeline", "--config", str(cfg_path)], out / "tours"
+    # refused before the first stage: no set-up artifact is written
+    return ["pipeline", "--config", str(cfg_path)], out / "tours", [
+        out / name for name in ("pools.json", "training_instances.jsonl",
+                                "oracle_tours.jsonl", "world_model.json",
+                                "qtable.json")]
 
 
 def _trace_is_a_directory(tmp_path, finished):
@@ -1759,7 +1863,8 @@ def _trace_is_a_directory(tmp_path, finished):
     path = tmp_path / "trace"
     path.mkdir()
     return ["plan", "--instance", str(out / "instances" / "s005k000.json"),
-            "--model", str(out / "world_model.json"), "--trace", str(path)], path
+            "--model", str(out / "world_model.json"), "--trace", str(path)], \
+        path, []
 
 
 @pytest.mark.parametrize("setup", [
@@ -1769,11 +1874,13 @@ def _trace_is_a_directory(tmp_path, finished):
 def test_failed_write_exits_2(tmp_path, capsys, finished_run, setup):
     """An output directory that is a file, a file in a directory that is
     a file, and a trace path that is a directory each exit 2 naming the
-    path, with no traceback, and leave no temporary file."""
-    argv, path = setup(tmp_path, finished_run)
+    path, with no traceback, and leave no temporary file. A directory
+    that the pipeline cannot make is found before any stage runs."""
+    argv, path, unwritten = setup(tmp_path, finished_run)
     capsys.readouterr()
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cannot write ") and \
         str(path) in err, err
+    assert [p for p in unwritten if p.exists()] == []
     assert list(tmp_path.rglob("*.tmp")) == []

@@ -1,8 +1,11 @@
 """Checks on the package's source itself."""
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "uavplan"
 
@@ -23,30 +26,48 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
-def _references(tree: ast.AST) -> Counter:
+def _references(tree: ast.AST, attributes: bool = False) -> Counter:
     """How often each name is used in ``tree``: as a name, an attribute or
-    an imported name."""
+    an imported name, or with ``attributes`` as an attribute only."""
+    kinds = ast.Attribute if attributes else (ast.Name, ast.Attribute,
+                                              ast.alias)
     return Counter(
         node.id if isinstance(node, ast.Name)
         else node.attr if isinstance(node, ast.Attribute) else node.name
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+        for node in ast.walk(tree) if isinstance(node, kinds))
+
+
+def _unused(trees: dict[str, ast.Module], private: bool):
+    """Each private (or else public) definition of the modules ``trees``
+    that they reference nowhere outside the definition itself, as
+    (module, qualified name, name). A function or class is referenced by
+    name, attribute or import, a method by attribute only: a local
+    variable of a method's name is no use of it."""
+    used = {method: sum((_references(tree, method) for tree in trees.values()),
+                        Counter())
+            for method in (False, True)}
+    return [(module, qualified, name)
+            for module, tree in trees.items()
+            for qualified, name, node in _definitions(tree)
+            if name.startswith("_") == private
+            and used["." in qualified][name]
+            == _references(node, "." in qualified)[name]]
+
+
+def _package(exclude: tuple[str, ...] = ()) -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py")) if path.name not in exclude}
 
 
 def test_every_private_definition_is_referenced():
     """Code that nothing reads is deleted: every private function, class
     and method of the package is referenced somewhere in the package
     outside its own definition."""
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
-    used = sum(map(_references, trees.values()), Counter())
-    defined = [(f"{module}: {qualified}", name, node)
-               for module, tree in trees.items()
-               for qualified, name, node in _definitions(tree)
-               if name.startswith("_")]
-    assert defined
-    assert [where for where, name, node in defined
-            if used[name] == _references(node)[name]] == []
+    trees = _package()
+    assert any(name.startswith("_") for tree in trees.values()
+               for _, name, _ in _definitions(tree))
+    assert [f"{module}: {qualified}"
+            for module, qualified, name in _unused(trees, private=True)] == []
 
 
 def _numpy_hypots(tree: ast.Module):
@@ -73,30 +94,83 @@ def test_distances_are_math_hypot():
 
 
 # Read from outside the package: the acceptance tests (C1-C9) import names
-# from it, and the benchmark's tracer patches this method to count calls.
+# from it and read attributes of what it returns, and the benchmark patches
+# one method to count calls and calls another in its own tests.
 _ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
-_PATCHED = {"Instance.hotspot"}
+_BENCHMARK = {"Instance.hotspot", "GaussianBelief.zero"}
 
 
 def test_every_public_definition_is_used():
     """Code that only tests read lives in the tests: every public function,
     class and method of the package is referenced in the package outside
     its own definition (``__init__``'s re-exports do not count), imported
-    by the acceptance tests, or a benchmark patch target."""
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))
-             if path.name != "__init__.py"}
-    used = sum(map(_references, trees.values()), Counter())
-    accepted = {alias.name for node in ast.walk(ast.parse(
-                    _ACCEPTANCE.read_text()))
+    (a method: read as an attribute) by the acceptance tests, or used by
+    the benchmark."""
+    trees = _package(exclude=("__init__.py",))
+    acceptance = ast.parse(_ACCEPTANCE.read_text())
+    imported = {alias.name for node in ast.walk(acceptance)
                 if isinstance(node, ast.ImportFrom)
                 and (node.module or "").startswith("uavplan")
                 for alias in node.names}
-    defined = [(f"{module}: {qualified}", qualified, name, node)
-               for module, tree in trees.items()
-               for qualified, name, node in _definitions(tree)
-               if not name.startswith("_")]
-    assert defined
-    assert [where for where, qualified, name, node in defined
-            if used[name] == _references(node)[name]
-            and name not in accepted and qualified not in _PATCHED] == []
+    read = set(_references(acceptance, attributes=True))
+    assert any(not name.startswith("_") for tree in trees.values()
+               for _, name, _ in _definitions(tree))
+    assert [f"{module}: {qualified}"
+            for module, qualified, name in _unused(trees, private=False)
+            if name not in (read if "." in qualified else imported)
+            and qualified not in _BENCHMARK] == []
+
+
+_SHADOWED = """
+class Belief:
+    def zero(self):
+        return 0
+
+
+def total(values):
+    zero = Belief()
+    return sum(values, zero{call})
+
+
+total([])
+"""
+
+
+@pytest.mark.parametrize("call, unused", [
+    ("", [("m.py", "Belief.zero", "zero")]),
+    (".zero()", [])], ids=["local-of-its-name", "attribute"])
+def test_a_method_is_used_only_through_an_attribute(call, unused):
+    """A local variable that shares a method's name is no use of the
+    method; reading the method as an attribute is."""
+    tree = ast.parse(_SHADOWED.format(call=call))
+    assert _unused({"m.py": tree}, private=False) == unused
+
+
+_SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os
+
+
+def f(a,
+      b):
+    """A function docstring."""
+    x = (a +   # a trailing comment
+         b)
+    return os.sep * x
+'''
+
+
+def test_code_lines_counts_lines_of_code_only(tmp_path, capsys):
+    """tools/code_lines.py leaves out docstrings, comments and blank lines,
+    and counts each line of a statement over several lines."""
+    spec = importlib.util.spec_from_file_location(
+        "code_lines", Path(__file__).parent.parent / "tools" / "code_lines.py")
+    code_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(code_lines)
+    assert code_lines.code_lines(_SAMPLE) == 6
+    (tmp_path / "b.py").write_text(_SAMPLE)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "a 1\nb 6\ntotal 7\n"
