@@ -43,15 +43,18 @@ def _unused(trees: dict[str, ast.Module], private: bool):
     (module, qualified name, name). A function or class is referenced by
     name, attribute or import, a method by attribute only: a local
     variable of a method's name is no use of it."""
-    used = {method: sum((_references(tree, method) for tree in trees.values()),
-                        Counter())
-            for method in (False, True)}
-    return [(module, qualified, name)
-            for module, tree in trees.items()
-            for qualified, name, node in _definitions(tree)
-            if name.startswith("_") == private
-            and used["." in qualified][name]
-            == _references(node, "." in qualified)[name]]
+    names = sum(map(_references, trees.values()), Counter())
+    attributes = sum((_references(tree, attributes=True)
+                      for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for qualified, name, node in _definitions(tree):
+            method = "." in qualified
+            used = attributes if method else names
+            if (name.startswith("_") == private
+                    and used[name] == _references(node, method)[name]):
+                unused.append((module, qualified, name))
+    return unused
 
 
 def _package(exclude: tuple[str, ...] = ()) -> dict[str, ast.Module]:
