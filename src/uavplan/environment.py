@@ -75,7 +75,7 @@ from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -152,8 +152,12 @@ class MissionConfig:
     def __post_init__(self) -> None:
         if self.uav_altitude_m <= 0:
             raise ConfigurationError("altitude must be positive")
-        if self.uav_speed_m_per_s <= 0:
-            raise ConfigurationError("speed must be positive")
+        speed = self.uav_speed_m_per_s
+        # the planner divides by the square, which underflows to 0 below
+        # about 1.6e-162
+        if not (speed > 0 and speed * speed > 0):
+            raise ConfigurationError(
+                f"speed must be positive with a positive square, not {speed!r}")
         if self.dwell_time_s < 0:
             raise ConfigurationError("dwell time cannot be negative")
         if self.area_side_m <= 0:
@@ -428,14 +432,17 @@ class _Stream:
             moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
         return {moved.get(i, i) for i in range(n - k, n)}
 
-    def weighted(self, p: list[float]) -> int:
+    def weighted(self, p: Iterable[float]) -> int:
         """The index ``Generator.choice(len(p), p=p)`` draws, without its
         argument checks: the running sum of ``p`` scaled by its last
-        entry, one ``random()``, and the first entry above it. ``p`` must
-        be non-negative with a positive sum near 1."""
+        entry, one ``random()``, and the first entry above it. ``p`` (any
+        iterable) must be non-negative with a positive sum near 1. The
+        search divides only the sums it visits by the last one: dividing
+        by a positive number keeps their order, so it finds the index it
+        would find in the scaled list."""
         cdf = list(accumulate(p))
         last = cdf[-1]
-        return bisect_right([c / last for c in cdf], self.random())
+        return bisect_right(cdf, self.random(), key=lambda c: c / last)
 
 
 # PCG64's 128-bit LCG multiplier, and numpy's SeedSequence constants
@@ -524,13 +531,17 @@ def _bulk_streams(seeds: Sequence[int]) -> Iterator[_Stream]:
 def _pairwise_sum(xs: list[float]) -> float:
     """``ndarray.sum()`` of the float64 row ``xs``: numpy's pairwise sum,
     in order below 8 entries, in eight interleaved partial sums up to 128,
-    and halved at a multiple of 8 above."""
+    and halved at a multiple of 8 above. Partial sum j adds entries j,
+    j + 8, j + 16, ... in order; they grow together, one block of eight
+    entries at a time."""
     n = len(xs)
     if n < 8:
         return reduce(add, xs, 0.0)
     if n <= 128:
         end = n - n % 8
-        r = [reduce(add, xs[j + 8:end:8], xs[j]) for j in range(8)]
+        r = xs[:8]
+        for i in range(8, end, 8):
+            r = list(map(add, r, xs[i:i + 8]))
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
         return reduce(add, xs[end:], total)
     half = n // 2

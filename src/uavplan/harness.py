@@ -792,6 +792,9 @@ def _stages(cfg: ExperimentConfig, out: Path):
     yield "report", rows
 
 
+# The names ``_stages`` yields, in order.
+_STAGE_NAMES = ("pools", "training_instances", "oracle", "world", "ql", "eval",
+                "report")
 # The subdirectories of the output directory that a run up to a stage
 # writes into: the eval's, and with the report also the report's.
 _EVAL_DIRECTORIES = ("instances", "traces", "tours")
@@ -802,9 +805,12 @@ _DIRECTORIES = {"eval": _EVAL_DIRECTORIES,
 def run_pipeline(cfg: ExperimentConfig, last: str = "report"):
     """Run the stages of ``_stages`` in order, checking the artifacts that
     exist, and stop after the one named ``last``; returns what that stage
-    yields. The output directory, and the subdirectories that the stages
-    up to ``last`` write into, are made before the first stage, so that
-    one that cannot be made stops the run before any work."""
+    yields. An unknown ``last`` is refused before anything is made. The
+    output directory, and the subdirectories that the stages up to
+    ``last`` write into, are made before the first stage, so that one that
+    cannot be made stops the run before any work."""
+    if last not in _STAGE_NAMES:
+        raise ValueError(f"no pipeline stage named {last!r}")
     out = path = Path(cfg.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -815,4 +821,3 @@ def run_pipeline(cfg: ExperimentConfig, last: str = "report"):
     for name, result in _stages(cfg, out):
         if name == last:
             return result
-    raise ValueError(f"no pipeline stage named {last!r}")

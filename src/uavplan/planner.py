@@ -38,10 +38,12 @@ reference length holds (S^-1)_tt and const, both covariances validated
 once when the entry is made; every instance planned against one world
 model shares the table (``PlanContext.surprise_terms``). A step builds
 no belief: it scores its candidates from their detours alone (legs
-measured as ``edge_cost`` measures them) and splices only the winner
-into a new word. It records only what the decision compared: the target
-mean, the reference tour length L, k = (1/8)(S^-1)_tt / v^2 and c =
-const, and each candidate's removed edge (u, v) and detour d. The rest
+measured by ``math.dist``, which gives ``edge_cost``'s bits) and splices
+only the winner into a new word. It records only what the decision
+compared: the target mean, the reference tour length L, k =
+(1/8)(S^-1)_tt / v^2 and c = const, and each candidate's detour d, in
+edge order; each candidate's removed edge (u, v) follows from the step's
+word without its letter (``InsertionStep.candidates``). The rest
 follows by the operations ``insert_best`` scores with: the candidate's
 tour length L + d, its surprise max(k d d + c, 0) and its detour time
 d / v; the target covariance (p+2)Q (Q for p = 0) and the observation
@@ -56,7 +58,13 @@ candidate to the dictionary. Stored words are repeat-free, so
 max(m, n) - |shared letters| bounds every distance from below; the
 world model's word index yields all bounds as one incidence-matrix
 product, computed once per distinct letter set, and only words whose
-bound can still beat the best distance found are scored. A repeat-free
+bound can still beat the best distance found are scored. Only a distance
+below the best candidate's so far can change the pick, as the earliest
+candidate wins ties, so that distance is the next candidate's cutoff
+(Ukkonen's threshold, *Algorithms for approximate string matching*,
+1985): its scan visits only bounds below it, and a candidate with no
+closer stored word is dropped without its exact distance. A candidate
+that repeats an earlier one's letters is not scanned. A repeat-free
 candidate and stored word share each letter at most once, so their edit
 distance is the cheapest increasing chain of those shared letters, a
 chain costing the sum of max(gap in a, gap in b) over its leading,
@@ -73,12 +81,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add, sub, truediv
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .environment import (Instance, MissionConfig, _pairwise_sum, _Stream,
-                          edge_cost)
+from .environment import Instance, MissionConfig, _pairwise_sum, _Stream
 from .errors import ConfigurationError, NumericError
 from .oracle import ObjectiveWeights, Tour, make_tour
 from .world_model import Word, WordIndex, WorldModel
@@ -134,17 +144,28 @@ class InsertionStep:
     """Trace of one planning iteration: the target belief's mean, the
     reference tour length ``ref_length_m`` (L), the surprise terms
     ``surprise_k`` and ``surprise_c`` (a candidate with detour d scores
-    max(k d d + c, 0) and has tour length L + d), all candidates plus the
-    winner, and ``word``, the reference grown by the winner."""
+    max(k d d + c, 0) and has tour length L + d), every candidate's
+    detour in edge order, the winner, and ``word``, the reference grown by
+    the winner."""
 
     inserted: int
     target_mean: tuple[float, float]
     ref_length_m: float
     surprise_k: float
     surprise_c: float
-    candidates: tuple[PlanCandidate, ...]
+    detours_m: tuple[float, ...]
     winner_index: int
     word: Word
+
+    @property
+    def candidates(self) -> tuple[PlanCandidate, ...]:
+        """Each candidate's removed edge, derived from ``word`` without the
+        inserted letter, and its detour."""
+        ref = tuple(l for l in self.word.letters if l != self.inserted)
+        stops = (None, *ref, None)
+        first = 1 if len(ref) > 1 else 0
+        return tuple(map(PlanCandidate, zip(stops[first:], stops[first + 1:]),
+                         self.detours_m))
 
     @property
     def chosen(self) -> PlanCandidate:
@@ -255,7 +276,8 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     rng = _Stream(rng_seed)
     start_counts = [float(wm.stats[l].start_count) for l in normal]
     start_total = _pairwise_sum(start_counts)
-    start_p = [c / start_total for c in start_counts] if start_total > 0 else None
+    start_p = (list(map(truediv, start_counts, repeat(start_total)))
+               if start_total > 0 else None)
     columns = [wm.vocab.index(l) for l in normal]
     # row i, column j: the transition from normal[i] to normal[j]
     rows = wm.transition.probs[np.ix_(columns, columns)].tolist()
@@ -274,15 +296,15 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
             k = None
             if active[current]:
                 row = rows[current]
-                weights = [row[j] for j in remaining]
+                weights = list(map(row.__getitem__, remaining))
                 total = _pairwise_sum(weights)
                 if total > 0.0:
-                    k = rng.weighted([w / total for w in weights])
+                    k = rng.weighted(map(truediv, weights, repeat(total)))
             if k is None:
                 here = wm.stats[normal[current]].center_m
                 k = remaining.index(min(
                     remaining,
-                    key=lambda j: (edge_cost(here, wm.stats[normal[j]].center_m),
+                    key=lambda j: (math.dist(here, wm.stats[normal[j]].center_m),
                                    normal[j])))
             current = remaining.pop(k)
             letters.append(normal[current])
@@ -346,22 +368,25 @@ def _chain_distance(pos: dict[int, int], m: int, b: tuple) -> int:
     return best
 
 
-def _min_dictionary_distance(letters: tuple, scan: _BoundScan) -> int:
-    """Exact min edit distance of one candidate against the whole dictionary.
+def _min_dictionary_distance(letters: tuple, scan: _BoundScan,
+                             below: int | None) -> int | None:
+    """Exact min edit distance of one candidate against the whole
+    dictionary if it is below ``below`` (any, for None), else None.
 
     Words are scanned by increasing bound (stored order within a bound),
-    stopping at the first bound the running best cannot beat.
+    stopping at the first bound the running best, or ``below``, cannot
+    beat.
     """
     pos = {l: i for i, l in enumerate(letters)}
     m = len(letters)
     words = scan.words
     best: int | None = None
     level = scan.lowest
-    while best is None or level < best:
+    while below is None or level < below:
         for k in scan.level(level):
             d = _chain_distance(pos, m, words[k])
-            if best is None or d < best:
-                best = d
+            if below is None or d < below:
+                best = below = d
                 if best <= level:
                     return best
         level += 1
@@ -371,8 +396,11 @@ def _min_dictionary_distance(letters: tuple, scan: _BoundScan) -> int:
 def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
     """Keep the candidate closest to any stored word; earliest index wins ties.
 
-    The bounds are computed once per distinct letter set: every word
-    ``generate_words`` samples for one instance covers the same letters.
+    Only a distance below the best so far can change the pick, so each
+    candidate is scanned with that distance as its cutoff, and a candidate
+    that repeats an earlier one's letters is skipped. The bounds are
+    computed once per distinct letter set: every word ``generate_words``
+    samples for one instance covers the same letters.
     """
     if not candidates:
         raise ConfigurationError("no candidate words to select from")
@@ -380,15 +408,19 @@ def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
         raise ConfigurationError("world model has no stored words")
     index = wm.word_index
     scans: dict[frozenset[int], _BoundScan] = {}
+    seen: set[tuple] = set()
     best, best_d = None, None
     for cand in candidates:
         letters = cand.letters
+        if letters in seen:
+            continue
+        seen.add(letters)
         key = frozenset(letters)
         scan = scans.get(key)
         if scan is None:
             scan = scans[key] = _BoundScan(letters, index)
-        d = _min_dictionary_distance(letters, scan)
-        if best_d is None or d < best_d:
+        d = _min_dictionary_distance(letters, scan, best_d)
+        if d is not None:
             best, best_d = cand, d
     return best
 
@@ -484,7 +516,8 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     candidate from its detour; candidate words are spliced only to break
     a tie in both surprise and length, and the winner is the one word
     built. The step records the target mean, L, k, c and each
-    candidate's removed edge and detour; it builds no belief.
+    candidate's detour, from which ``InsertionStep.candidates`` derives
+    the removed edges; it builds no belief.
     """
     letters = ref.letters
     letter = int(novel)
@@ -494,37 +527,30 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     speed = ctx.mission.uav_speed_m_per_s
     inverse_tt, const = _surprise_entry(p, ctx)
     per_detour_sq = 0.125 * inverse_tt / (speed * speed)
-    # stops[k] -> stops[k + 1] is leg k of the reference tour, closing at
-    # the depot; None marks the depot. Legs are edge_cost inlined.
-    stops = (None,) + letters
+    # points[k] -> points[k + 1] is leg k of the reference tour, closing
+    # at the depot, points[0]. math.dist is edge_cost: the same norm of the
+    # same differences.
     points = [ctx.depot] + [ctx.centers[l] for l in letters]
-    xx, xy = ctx.centers[novel]
-    hypot = math.hypot
-    to_x = [hypot(px - xx, py - xy) for px, py in points]
-    legs = [hypot(ax - bx, ay - by)
-            for (ax, ay), (bx, by) in zip(points, points[1:] + points[:1])]
-    ref_length = 0.0
-    for leg in legs:            # left to right, depot leg first
-        ref_length += leg
+    dist = math.dist
+    to_x = list(map(dist, points, repeat(ctx.centers[novel])))
+    legs = list(map(dist, points, points[1:] + points[:1]))
+    ref_length = reduce(add, legs, 0.0)     # left to right, depot leg first
     target_mean = (float(sum(ctx.profits[l] for l in letters) + ctx.profits[novel]),
                    ref_length / speed + (p + 1) * ctx.mission.dwell_time_s)
 
     # removable edges are legs 1..p (each letter's outgoing leg), or both
     # depot legs of a one-letter reference; inserting into leg k puts the
-    # new letter at position k of the word
+    # new letter at position k of the word; its detour is to_x[k] +
+    # to_x[k + 1] - legs[k], the last leg ending at the depot
     first = 1 if p > 1 else 0
-    last = len(stops) - 1
-    candidates = []
+    detours = tuple(map(sub, map(add, to_x[first:], to_x[first + 1:] + to_x[:1]),
+                        legs[first:]))
     best_k = first
-    best_s = best_len = 0.0
-    for k in range(first, last + 1):
-        nxt = k + 1 if k < last else 0
-        detour = to_x[k] + to_x[nxt] - legs[k]
+    best_s = best_len = tol = 0.0
+    for k, detour in enumerate(detours, first):
         length = ref_length + detour
         surprise = max(per_detour_sq * detour * detour + const, 0.0)
-        candidates.append(PlanCandidate((stops[k], stops[nxt]), detour))
         if k > first:
-            tol = _SURPRISE_TIE * (1.0 + abs(best_s))
             if surprise < best_s - tol:
                 best_k = k
             elif abs(surprise - best_s) <= tol:
@@ -535,9 +561,10 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
                     best_k = k
         if best_k == k:
             best_s, best_len = surprise, length
+            tol = _SURPRISE_TIE * (1.0 + abs(best_s))
     return InsertionStep(inserted=novel, target_mean=target_mean,
                          ref_length_m=ref_length, surprise_k=per_detour_sq,
-                         surprise_c=const, candidates=tuple(candidates),
+                         surprise_c=const, detours_m=detours,
                          winner_index=best_k - first,
                          word=Word(_splice(letters, best_k, letter)))
 
@@ -562,7 +589,7 @@ def _next_novel(word: Word, pending: list[int], ctx: PlanContext) -> int:
         centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
     else:
         centroid = ctx.depot
-    return min(pending, key=lambda l: (edge_cost(ctx.centers[l], centroid), l))
+    return min(pending, key=lambda l: (math.dist(ctx.centers[l], centroid), l))
 
 
 def plan_mission(test: Instance, wm: WorldModel,
@@ -621,7 +648,7 @@ def plan_to_dict(res: PlanResult) -> dict:
                 "surprise_k": s.surprise_k,
                 "surprise_c": s.surprise_c,
                 "winner_index": s.winner_index,
-                "detours_m": [c.detour_m for c in s.candidates],
+                "detours_m": list(s.detours_m),
             }
             for s in res.steps
         ],

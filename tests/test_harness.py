@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavplan.cli import STAGE_COMMANDS
 from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, MissionConfig,
                                  instance_from_dict, instance_to_dict)
 from uavplan import world_model
 from uavplan.errors import ConsistencyError
-from uavplan.harness import (_READS, ExperimentConfig, MetricsRecord,
+from uavplan.harness import (_READS, _STAGE_NAMES, ExperimentConfig,
+                             MetricsRecord,
                              _canonical_json, _csv_lines, _first_difference,
                              _record, completion_ratios, completion_time,
                              completion_time_from, config_from_dict,
@@ -625,6 +627,18 @@ class TestCli:
         assert stages == _artifact_bytes(tmp_path / "whole" / "cli")
         assert "config.json" in stages
 
+    def test_unknown_stage_is_refused_before_any_work(self, tmp_path):
+        """A stage name the pipeline does not have is refused before the
+        output directory is written; the CLI's commands name only stages
+        it has."""
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match="no pipeline stage named 'reports'"):
+            run_pipeline(small_config(out), "reports")
+        assert list(out.iterdir()) == []
+        assert ({stage for stage, _, _ in STAGE_COMMANDS.values()}
+                == set(_STAGE_NAMES))
+
     def test_report_on_an_empty_directory_runs_every_stage(
             self, tmp_path, monkeypatch):
         """Every stage computes from an empty directory: ``report`` there
@@ -683,6 +697,10 @@ class TestCli:
         pytest.param('{"mission": {"uav_speed_m_per_s": -1}}',
                      "config mission: speed", ["gen-pool"],
                      id="mission-speed-negative"),
+        pytest.param('{"mission": {"uav_speed_m_per_s": 1e-170}}',
+                     "config mission: speed must be positive with a positive "
+                     "square, not 1e-170", ["gen-pool"],
+                     id="mission-speed-underflow"),
         pytest.param('{"noise": {"process_scale": 0}}', "config noise: noise",
                      ["gen-pool"], id="noise-process-scale-zero"),
         pytest.param('{"ql": {"learning_rate": 2}}', "config ql: learning",
@@ -1041,6 +1059,25 @@ class TestCli:
         assert code == 2
         assert err.startswith("configuration error:")
         assert str(tmp_path / "d" / artifact) in err and named in err
+
+    @pytest.mark.parametrize("speed", [
+        pytest.param(-1, id="instance-speed-negative"),
+        pytest.param(1e-170, id="instance-speed-underflow"),
+        pytest.param(1e-320, id="instance-speed-subnormal")])
+    def test_speed_without_a_positive_square_exits_2(self, tmp_path, capsys,
+                                                     speed):
+        """An instance given to ``plan`` whose speed is negative, or so
+        small that its square underflows to 0 (the planner divides by it),
+        exits 2 naming the file and the speed."""
+        artifact = "instances/s005k000.json"
+        code, err = self._damaged_run_exit(
+            tmp_path, capsys, artifact,
+            lambda obj: obj["mission"].__setitem__("uav_speed_m_per_s", speed),
+            "plan")
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "d" / artifact) in err
+        assert f"positive square, not {speed!r}" in err
 
     @pytest.mark.parametrize("edit,command,named", [
         pytest.param(lambda obj: obj["words"][0].__setitem__("count", 0),

@@ -15,7 +15,9 @@ it planned in differ):
 - ``ref_min_dictionary_distance`` runs the full edit-distance table
   (``ref_levenshtein``, with a cutoff) on every stored word the bound
   scan visits, and
-  ``ref_select_reference`` recomputes the bounds for every candidate;
+  ``ref_select_reference`` recomputes the bounds for every candidate and
+  scans each one, repeated ones too, to its exact minimum, as
+  ``uncut_select_reference`` does with the production scan;
 - ``ref_plan_to_dict`` writes the ``uavplan.plan.v1`` trace from each
   candidate's stored word and belief;
 - ``ref_generate_words`` (in planner_oracles.py) calls
@@ -42,14 +44,15 @@ from hypothesis import strategies as st
 
 from uavplan import planner
 from uavplan.environment import (ChannelParams, Instance, MissionConfig,
-                                 _pairwise_sum, _Stream, sample_instance,
-                                 sample_pool)
+                                 _pairwise_sum, _Stream, edge_cost,
+                                 sample_instance, sample_pool)
 from uavplan.errors import ConfigurationError, NumericError
 from uavplan.harness import ExperimentConfig, iter_test_instances, run_pipeline
 from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
 from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
-                             PlanContext, PlannerConfig, PlanResult,
-                             _bhattacharyya_terms, _chain_distance,
+                             PlanCandidate, PlanContext, PlannerConfig,
+                             PlanResult, _bhattacharyya_terms, _BoundScan,
+                             _chain_distance, _min_dictionary_distance,
                              _next_novel, _splice, classify_letters,
                              generate_words, insert_best, levenshtein,
                              plan_mission, plan_to_dict, select_reference)
@@ -57,8 +60,9 @@ from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
                                  WorldModel, learn, model_from_dict,
                                  model_to_dict)
 
-from planner_oracles import (NOVEL, candidate_word, expand_v1, expand_v2,
-                             leg_length, random_insertion_contexts,
+from planner_oracles import (NOVEL, candidate_word, enumerate_insertions,
+                             expand_v1, expand_v2, leg_length,
+                             random_insertion_contexts,
                              ref_generate_words, reference_edges, shifted,
                              step_covariances, step_values, word_length_m)
 
@@ -409,6 +413,62 @@ class TestInsertBestAgainstReference:
         with pytest.raises(ConfigurationError, match="already in reference"):
             insert_best(Word.from_letters([1, 2, 3]), 2, ctx)
 
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 9, 24])
+    def test_candidates_are_the_removable_edges_in_order(self, p):
+        """A step stores only the detours; its candidates, derived from
+        its word, are the removable edges in the enumeration's order, each
+        with the detour |ux| + |xv| - |uv| measured by ``edge_cost``, and
+        the chosen one splices the letter into the step's word."""
+        rng = np.random.default_rng(70 + p)
+        for _ in range(20):
+            ids = [int(x) for x in rng.permutation(60)[:p + 1]]
+            ctx = _context(rng, ids, False)
+            ref, novel = Word.from_letters(ids[:p]), ids[p]
+            step = insert_best(ref, novel, ctx)
+            assert step.candidates == tuple(
+                PlanCandidate((u, v), leg_length(ctx, u, novel)
+                              + leg_length(ctx, novel, v) - leg_length(ctx, u, v))
+                for (u, v), _ in enumerate_insertions(ref, novel))
+            assert tuple(c.detour_m for c in step.candidates) == step.detours_m
+            assert candidate_word(ref.letters, step.chosen.removed_edge,
+                                  novel) == step.word
+
+
+def _coordinates(rng, n):
+    """n random points with coordinates up to +-1e6, at scales from 1e-3
+    to 1e6."""
+    return rng.uniform(-1, 1, size=(n, 2)) * 10.0 ** rng.integers(-3, 7, size=(n, 1))
+
+
+def test_math_dist_is_edge_cost():
+    """``math.dist``, which ``insert_best`` and ``_next_novel`` measure
+    with, gives ``edge_cost``'s bits: on random pairs, on pairs a few ulps
+    to 1e-9 apart, on coincident points and on pairs one axis apart."""
+    rng = np.random.default_rng(17)
+    a = _coordinates(rng, 100_000)
+    far = _coordinates(rng, 100_000)
+    near = a + a * rng.uniform(-1, 1, size=a.shape) * 10.0 ** rng.integers(
+        -16, -8, size=(len(a), 1))
+    axis = a * np.array([1.0, 0.0]) + far * np.array([0.0, 1.0])
+    for b in (far, near, a, axis):
+        for p, q in zip(a.tolist(), b.tolist()):
+            assert math.dist(p, q) == edge_cost(p, q)
+            assert math.dist(q, p) == edge_cost(p, q)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(*[st.floats(-1e6, 1e6)] * 2),
+       st.tuples(*[st.integers(-4, 4)] * 2))
+def test_math_dist_is_edge_cost_between_neighbouring_floats(p, ulps):
+    """Points up to four floats apart on each axis."""
+    def moved(x, k):
+        for _ in range(abs(k)):
+            x = math.nextafter(x, math.copysign(math.inf, k))
+        return x
+
+    q = tuple(map(moved, p, ulps))
+    assert math.dist(p, q) == edge_cost(p, q)
+
 
 # --- reference selection ------------------------------------------------------
 
@@ -456,6 +516,45 @@ def test_select_reference_picks_the_references_candidate(world, drawn):
     assert select_reference(words, wm) is ref_select_reference(words, wm)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(words_of(n, 4), min_size=1, max_size=25),
+    st.lists(words_of(n + 1, 5), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=12))))
+def test_select_reference_with_repeats_and_ties(world, drawn):
+    """Over alphabets of 2 to 7 letters, short stored words tie often,
+    and candidates repeat one another: the pick is the earliest of the
+    reference's distance, the object ``ref_select_reference`` picks."""
+    stored, pool, picks = drawn
+    keys = list(dict.fromkeys(tuple(w) for w in stored))
+    wm = replace(world[1], vocab=Vocabulary(l for k in keys for l in k),
+                 words=[Word.from_letters(k) for k in keys],
+                 word_counts=[1] * len(keys))
+    words = [Word.from_letters(pool[k % len(pool)]) for k in picks]
+    assert select_reference(words, wm) is ref_select_reference(words, wm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 20).flatmap(lambda n: st.tuples(
+    st.lists(words_of(n, 6), min_size=1, max_size=40),
+    words_of(n + 3, 10),
+    st.one_of(st.none(), st.integers(0, 12)))))
+def test_min_dictionary_distance_below_a_cutoff(world, drawn):
+    """The scan returns the exact minimum edit distance to the stored
+    words when it is below ``below`` (or ``below`` is None), and None
+    when no stored word is closer."""
+    stored, letters, below = drawn
+    keys = list(dict.fromkeys(tuple(w) for w in stored))
+    wm = replace(world[1], vocab=Vocabulary(l for k in keys for l in k),
+                 words=[Word.from_letters(k) for k in keys],
+                 word_counts=[1] * len(keys))
+    letters = tuple(letters)
+    exact = min(levenshtein(letters, k) for k in keys)
+    scan = _BoundScan(letters, wm.word_index)
+    got = _min_dictionary_distance(letters, scan, below)
+    assert got == (exact if below is None or exact < below else None)
+
+
 def test_select_reference_on_shared_letter_sets(world):
     """generate_words candidates all cover one letter set, so they share
     one bound vector: the pick is still the reference's."""
@@ -493,6 +592,11 @@ def test_choice_index_is_generator_choice(weights, seed):
     ours, numpy_s = _Stream(seed), np.random.default_rng(seed)
     for _ in range(3):
         assert ours.weighted(p) == numpy_s.choice(len(p), p=w / w.sum())
+    assert ours.random() == numpy_s.random()
+    ours, numpy_s = _Stream(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert (ours.weighted(x / total for x in weights)
+                == numpy_s.choice(len(p), p=w / w.sum()))
     assert ours.random() == numpy_s.random()
 
 
@@ -552,6 +656,48 @@ def test_generate_words_is_reference_at_full_scale(full_scale_world):
             assert (generate_words(wm, normal, cfg.planner.n_words, seed)
                     == ref_generate_words(wm, normal, cfg.planner.n_words,
                                           seed))
+
+
+def uncut_select_reference(candidates, wm: WorldModel) -> Word:
+    """``select_reference`` without its cutoff: every candidate, repeated
+    ones too, scanned to its exact minimum distance (``below`` None)."""
+    scans: dict[frozenset[int], _BoundScan] = {}
+    best, best_d = None, None
+    for cand in candidates:
+        key = frozenset(cand.letters)
+        scan = scans.get(key)
+        if scan is None:
+            scan = scans[key] = _BoundScan(cand.letters, wm.word_index)
+        d = _min_dictionary_distance(cand.letters, scan, None)
+        if best_d is None or d < best_d:
+            best, best_d = cand, d
+    return best
+
+
+@pytest.mark.slow
+def test_cutoff_scores_under_a_quarter_of_the_distances(full_scale_world,
+                                                        monkeypatch):
+    """On the 180 full-scale test instances, reference selection with the
+    cutoff makes under a quarter of the ``_chain_distance`` calls of the
+    uncut scan, and picks the same word. The counts do not depend on the
+    host."""
+    cfg, wm, instances = full_scale_world
+    calls = []
+    chain = planner._chain_distance
+    monkeypatch.setattr(planner, "_chain_distance",
+                        lambda *args: calls.append(1) or chain(*args))
+    cut = uncut = 0
+    for inst in instances:
+        normal = sorted(classify_letters(inst.ids, wm)[0])
+        cands = generate_words(wm, normal, cfg.planner.n_words,
+                               cfg.planner.rng_seed)
+        start = len(calls)
+        got = select_reference(cands, wm)
+        middle = len(calls)
+        assert got is uncut_select_reference(cands, wm)
+        cut += middle - start
+        uncut += len(calls) - middle
+    assert 0 < 4 * cut < uncut
 
 
 # --- whole plans --------------------------------------------------------------

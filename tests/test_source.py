@@ -165,15 +165,45 @@ def f(a,
 '''
 
 
+def _tool(name: str):
+    """The module tools/{name}.py."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_code_lines_counts_lines_of_code_only(tmp_path, capsys):
     """tools/code_lines.py leaves out docstrings, comments and blank lines,
     and counts each line of a statement over several lines."""
-    spec = importlib.util.spec_from_file_location(
-        "code_lines", Path(__file__).parent.parent / "tools" / "code_lines.py")
-    code_lines = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(code_lines)
+    code_lines = _tool("code_lines")
     assert code_lines.code_lines(_SAMPLE) == 6
     (tmp_path / "b.py").write_text(_SAMPLE)
     (tmp_path / "a.py").write_text("x = 1\n")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "a 1\nb 6\ntotal 7\n"
+
+
+def test_compare_outputs_names_every_difference(tmp_path, capsys):
+    """tools/compare_outputs.py compares two output directories by sha256,
+    subdirectories included and timings.csv left out: it names each
+    missing, extra and differing file and exits 1, or counts the equal
+    files and exits 0; a path that is not a directory exits 2."""
+    compare = _tool("compare_outputs")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "tours").mkdir(parents=True)
+        (root / "metrics.csv").write_text("x\n1\n")
+        (root / "tours" / "s005k000_ain.json").write_text("{}")
+        (root / "timings.csv").write_text(f"{root.name}\n")
+    assert compare.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "2 files equal\n"
+    (a / "summary.csv").write_text("s")
+    (b / "tours" / "s005k000_mql.json").write_text("{}")
+    (b / "metrics.csv").write_text("x\n2\n")
+    assert compare.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        "differs metrics.csv\nmissing summary.csv\n"
+        "extra tours/s005k000_mql.json\n3 files differ\n")
+    assert compare.main([str(a), str(a / "metrics.csv")]) == 2
