@@ -516,6 +516,14 @@ def test_select_reference_picks_the_references_candidate(world, drawn):
     assert select_reference(words, wm) is ref_select_reference(words, wm)
 
 
+def _with_dictionary(wm: WorldModel, stored) -> WorldModel:
+    """``wm`` with the distinct words of ``stored`` as its dictionary."""
+    keys = list(dict.fromkeys(tuple(w) for w in stored))
+    return replace(wm, vocab=Vocabulary(l for k in keys for l in k),
+                   words=[Word.from_letters(k) for k in keys],
+                   word_counts=[1] * len(keys))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 7).flatmap(lambda n: st.tuples(
     st.lists(words_of(n, 4), min_size=1, max_size=25),
@@ -526,10 +534,7 @@ def test_select_reference_with_repeats_and_ties(world, drawn):
     and candidates repeat one another: the pick is the earliest of the
     reference's distance, the object ``ref_select_reference`` picks."""
     stored, pool, picks = drawn
-    keys = list(dict.fromkeys(tuple(w) for w in stored))
-    wm = replace(world[1], vocab=Vocabulary(l for k in keys for l in k),
-                 words=[Word.from_letters(k) for k in keys],
-                 word_counts=[1] * len(keys))
+    wm = _with_dictionary(world[1], stored)
     words = [Word.from_letters(pool[k % len(pool)]) for k in picks]
     assert select_reference(words, wm) is ref_select_reference(words, wm)
 
@@ -544,12 +549,9 @@ def test_min_dictionary_distance_below_a_cutoff(world, drawn):
     words when it is below ``below`` (or ``below`` is None), and None
     when no stored word is closer."""
     stored, letters, below = drawn
-    keys = list(dict.fromkeys(tuple(w) for w in stored))
-    wm = replace(world[1], vocab=Vocabulary(l for k in keys for l in k),
-                 words=[Word.from_letters(k) for k in keys],
-                 word_counts=[1] * len(keys))
+    wm = _with_dictionary(world[1], stored)
     letters = tuple(letters)
-    exact = min(levenshtein(letters, k) for k in keys)
+    exact = min(levenshtein(letters, w) for w in wm.words)
     scan = _BoundScan(letters, wm.word_index)
     got = _min_dictionary_distance(letters, scan, below)
     assert got == (exact if below is None or exact < below else None)
