@@ -47,14 +47,16 @@ computed from it, so that another config value is named at its key:
   names the key first; when absent it is written after every eval output
   has been written or checked, so that a refused run leaves none.
 
-The eval's outputs (``tours/``, ``traces/``, ``instances/`` and
-``metrics.csv``) and the report's (``summary.csv``, ``ratios.csv`` and
-``trajectories/``) are exports too; the report is made from the eval's
-results in memory and reads no file: ``completion_ratios`` divides the
-completion-time means of ``summarize``'s records. Only ``timings.csv``
-(wall clock, telemetry) is rewritten on every run. A CSV line is its
-fields joined by commas (``_csv_lines``); no value the pipeline writes
-holds a comma, a quote or a line break, so none is quoted.
+The eval makes one record per test instance (``_Evaluation``): the
+instance, each method's tour and metrics row, and the AIn plan's trace.
+Its outputs (``tours/``, ``traces/``, ``instances/`` and ``metrics.csv``)
+and the report's (``summary.csv``, ``ratios.csv`` and ``trajectories/``)
+are exports too, each named and made from these records; the report reads
+no file: ``completion_ratios`` divides the completion-time means of
+``summarize``'s records. Only ``timings.csv`` (wall clock, telemetry) is
+rewritten on every run. A CSV line is its fields joined by commas
+(``_csv_lines``); no value the pipeline writes holds a comma, a quote or
+a line break, so none is quoted.
 
 A metrics row's ``similarity_to_oracle`` is 1 minus the edit distance of
 the method's word to the oracle's over the longer length, by the
@@ -619,61 +621,60 @@ def iter_test_instances(cfg: ExperimentConfig, testing_pool):
             yield test_instance_id(size, k), inst
 
 
-def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
-                  cfg: ExperimentConfig):
-    """The three methods on one test instance: its metrics rows, the JSON
-    files that record it, and per row the tour's polyline (depot, hotspot
-    centers in visiting order, depot)."""
-    rows: list[MetricsRecord] = []
-    artifacts: dict[str, dict] = {}
-    polylines = []
+@dataclass(frozen=True)
+class _Evaluation:
+    """The three methods on one test instance: the instance, each method's
+    tour and metrics row in ``METHODS`` order, and the AIn plan's trace
+    (``plan_to_dict``). Plain data, so that a worker sends it back cheaply;
+    a method's word is its tour's order."""
+    instance_id: str
+    instance: Instance
+    tours: tuple[Tour, ...]
+    rows: tuple[MetricsRecord, ...]
+    trace: dict
 
+
+def _evaluate_one(iid: str, inst: Instance, wm: WorldModel, qtable: QTable,
+                  cfg: ExperimentConfig) -> _Evaluation:
+    """The three methods on one test instance. A method's wall time spans
+    the making of its tour: the oracle's ``solve``, AIn's ``plan_mission``,
+    and MQL's ``construct_word`` and then ``make_tour``."""
     t0 = time.perf_counter()
     oracle_tour = solve(inst, cfg.weights)
-    oracle_wall = time.perf_counter() - t0
-    oracle_word = Word(oracle_tour.order)
-
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     plan = plan_mission(inst, wm, cfg.planner, cfg.weights)
-    ain_wall = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    mql_seed = inst.seed + 17
-    mql_word = construct_word(qtable, plan.reference, inst, mql_seed, cfg.ql)
-    mql_wall = time.perf_counter() - t0
+    t2 = time.perf_counter()
+    mql_word = construct_word(qtable, plan.reference, inst, inst.seed + 17,
+                              cfg.ql)
     mql_tour = make_tour(mql_word.letters, inst, cfg.weights)
+    t3 = time.perf_counter()
 
-    centers = {h.id: h.center_m for h in inst.hotspots}
-    for method, tour, word, wall in (
-            ("oracle", oracle_tour, oracle_word, oracle_wall),
-            ("ain", plan.tour, plan.final_word, ain_wall),
-            ("mql", mql_tour, mql_word, mql_wall)):
-        rows.append(MetricsRecord(
-            method=method,
-            instance_id=iid,
-            n_hotspots=len(inst.hotspots),
-            total_sum_rate_bps=tour.total_profit_bps,
-            completion_time_s=completion_time(tour, inst.mission),
-            tour_length_m=tour.total_cost_m,
-            similarity_to_oracle=word_similarity(word, oracle_word),
-            wall_clock_s=wall,
-        ))
-        artifacts[f"tours/{iid}_{method}.json"] = tour_to_dict(tour, cfg.weights)
-        polylines.append([inst.depot_m, *(centers[i] for i in tour.order),
-                          inst.depot_m])
-    artifacts[f"instances/{iid}.json"] = instance_to_dict(inst)
-    artifacts[f"traces/{iid}_ain.json"] = plan_to_dict(plan)
-    return rows, artifacts, polylines
+    tours = (oracle_tour, plan.tour, mql_tour)
+    oracle_word = Word(oracle_tour.order)
+    rows = tuple(MetricsRecord(
+        method=method,
+        instance_id=iid,
+        n_hotspots=len(inst.hotspots),
+        total_sum_rate_bps=tour.total_profit_bps,
+        completion_time_s=completion_time(tour, inst.mission),
+        tour_length_m=tour.total_cost_m,
+        similarity_to_oracle=word_similarity(Word(tour.order), oracle_word),
+        wall_clock_s=wall,
+    ) for method, tour, wall in zip(METHODS, tours,
+                                    (t1 - t0, t2 - t1, t3 - t2)))
+    return _Evaluation(iid, inst, tours, rows, plan_to_dict(plan))
 
 
 def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
-               qtable: QTable, out: Path) -> tuple[list[MetricsRecord], list]:
-    """Run the three methods on every test instance. Returns the metrics
-    rows and, per row, its tour's polyline, for the report. Each
-    instance's files, ``metrics.csv`` and ``config.json``, the eval's
-    record, are exports (``_export``), and ``timings.csv`` is rewritten. A
-    present ``config.json`` is checked before any output, and an absent
-    one is written last, so that a refused run leaves none."""
+               qtable: QTable, out: Path) -> list[_Evaluation]:
+    """Run the three methods on every test instance and return one record
+    per instance (``_Evaluation``), for the report. Each record gives its
+    instance's files, named here and in this order: its tours in
+    ``METHODS`` order, the instance, then the AIn trace. They,
+    ``metrics.csv`` and ``config.json`` (the eval's config record) are
+    exports (``_export``), and ``timings.csv`` is rewritten. A present
+    ``config.json`` is checked before any output, and an absent one is
+    written last, so that a refused run leaves none."""
     config_path = out / "config.json"
     metrics_path = out / "metrics.csv"
     config = [{"schema": CONFIG_SCHEMA, **_record(cfg, "eval")}]
@@ -681,23 +682,23 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
               f"{metrics_path}: delete it and them and run again")
     if config_path.exists():
         _export(config_path, config, remedy)
-    results = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
-                   (wm, qtable, cfg), cfg.workers, chunksize=1)
-    rows: list[MetricsRecord] = []
-    polylines = []
-    for task_rows, artifacts, task_polylines in results:
-        rows.extend(task_rows)
-        polylines.extend(task_polylines)
-        for rel, obj in artifacts.items():
-            _export(out / rel, [obj])
+    evaluations = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
+                       (wm, qtable, cfg), cfg.workers, chunksize=1)
+    for e in evaluations:
+        for method, tour in zip(METHODS, e.tours):
+            _export(out / f"tours/{e.instance_id}_{method}.json",
+                    [tour_to_dict(tour, cfg.weights)])
+        _export(out / f"instances/{e.instance_id}.json",
+                [instance_to_dict(e.instance)])
+        _export(out / f"traces/{e.instance_id}_ain.json", [e.trace])
 
-    records = [asdict(r) for r in rows]
+    records = [asdict(r) for e in evaluations for r in e.rows]
     _export(metrics_path, [f"# schema: {METRICS_SCHEMA}",
                            *_csv_lines(METRICS_COLUMNS, records)])
     write_jsonl_atomic(out / "timings.csv", _csv_lines(
         ["method", "instance_id", "wall_clock_s"], records))
     _export(config_path, config, remedy)   # when absent, written last
-    return rows, polylines
+    return evaluations
 
 
 def _mean_ci(values: Sequence[float]) -> tuple[float, float]:
@@ -758,24 +759,28 @@ def _csv_lines(columns: Sequence[str], records: Iterable[dict]) -> list[str]:
         for v in (rec[c] for c in columns)) for rec in records)]
 
 
-def stage_report(rows: Sequence[MetricsRecord], polylines: Sequence,
-                 out: Path) -> None:
-    """Summaries, completion-time ratios and one trajectory file per tour,
-    made from the eval's rows and polylines in memory; each file is an
-    export (``_export``)."""
-    summary = summarize(rows)
+def stage_report(evaluations: Sequence[_Evaluation], out: Path) -> None:
+    """Summaries, completion-time ratios and one trajectory file per tour
+    (depot, the visited hotspots' centers in order, depot), made from the
+    eval's records in memory; each file is an export (``_export``)."""
+    summary = summarize([r for e in evaluations for r in e.rows])
     for name, records in (("summary.csv", summary),
                           ("ratios.csv", completion_ratios(summary))):
         _export(out / name, _csv_lines(list(records[0]), records))
-    for r, points in zip(rows, polylines):
-        _export(out / f"trajectories/{r.instance_id}_{r.method}.csv",
-                _csv_lines(["x_m", "y_m"],
-                           [{"x_m": x, "y_m": y} for x, y in points]))
+    for e in evaluations:
+        depot = e.instance.depot_m
+        centers = {h.id: h.center_m for h in e.instance.hotspots}
+        for method, tour in zip(METHODS, e.tours):
+            _export(out / f"trajectories/{e.instance_id}_{method}.csv",
+                    _csv_lines(["x_m", "y_m"], [
+                        {"x_m": x, "y_m": y} for x, y
+                        in (depot, *(centers[i] for i in tour.order), depot)]))
 
 
 def _stages(cfg: ExperimentConfig, out: Path):
     """The pipeline: run each stage in order, yielding its name and what
-    it returned (the report yields the eval's metrics rows)."""
+    it returned; the eval and the report yield the metrics rows of the
+    eval's records."""
     testing_pool, training_pool = stage_pools(cfg, out)
     yield "pools", (testing_pool, training_pool)
     instances = stage_training_instances(cfg, training_pool, out)
@@ -786,9 +791,10 @@ def _stages(cfg: ExperimentConfig, out: Path):
     yield "world", wm
     qtable = stage_ql(cfg, instances, tours, cost_scales, out)
     yield "ql", qtable
-    rows, polylines = stage_eval(cfg, testing_pool, wm, qtable, out)
+    evaluations = stage_eval(cfg, testing_pool, wm, qtable, out)
+    rows = [r for e in evaluations for r in e.rows]
     yield "eval", rows
-    stage_report(rows, polylines, out)
+    stage_report(evaluations, out)
     yield "report", rows
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import shutil
 import statistics
@@ -12,7 +13,7 @@ import subprocess
 import sys
 import warnings
 from array import array
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,12 @@ from uavplan.environment import (ChannelParams, MissionConfig,
 from uavplan import world_model
 from uavplan.errors import ConsistencyError
 from uavplan.harness import (_READS, _STAGE_NAMES, ExperimentConfig,
-                             MetricsRecord,
+                             MetricsRecord, _evaluate_one,
                              _canonical_json, _csv_lines, _first_difference,
                              _record, completion_ratios, completion_time,
                              completion_time_from, config_from_dict,
-                             config_to_dict, load_config, run_pipeline,
+                             config_to_dict, iter_test_instances,
+                             load_config, run_pipeline,
                              stage_oracle, stage_pools, stage_training_instances,
                              summarize, word_similarity, write_jsonl_atomic)
 from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
@@ -249,6 +251,64 @@ class TestPipeline:
         b = _artifact_bytes(tmp_path / "p")
         assert a == b
 
+    def test_evaluation_record_is_plain_data(self, tmp_path):
+        """What a worker sends back for one test instance pickles to an
+        equal record and holds no numpy array at any depth, so that no
+        ``PlanResult`` and none of its numpy context crosses the process
+        boundary at workers 2."""
+        cfg = small_config(tmp_path / "run")
+        testing_pool, _ = run_pipeline(cfg, "pools")
+        wm, qtable = run_pipeline(cfg, "world"), run_pipeline(cfg, "ql")
+        iid, inst = next(iter_test_instances(cfg, testing_pool))
+        record = _evaluate_one(iid, inst, wm, qtable, cfg)
+        assert pickle.loads(pickle.dumps(record)) == record
+
+        def values(x):
+            yield x
+            if is_dataclass(x):
+                x = [getattr(x, f.name) for f in fields(x)]
+            elif isinstance(x, dict):
+                x = [*x, *x.values()]
+            if isinstance(x, (list, tuple)):
+                for item in x:
+                    yield from values(item)
+
+        found = list(values(record))
+        assert record.trace in found and record.rows[0] in found
+        assert not any(isinstance(v, np.ndarray) for v in found)
+
+    def test_same_bytes_with_cpu_dispatch_off(self, tmp_path):
+        """The pipeline run in a process with every SIMD feature numpy
+        dispatches on this host turned off, and OpenBLAS on its generic
+        Nehalem kernels, writes every artifact but timings.csv with the
+        bytes of a run in this process: neither numpy's ``exp`` (MQL's
+        softmax) nor the BLAS under the surprise terms changes a byte."""
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+        dispatched = " ".join(f for f in __cpu_dispatch__
+                              if __cpu_features__.get(f))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(
+            small_config(tmp_path / "off"))))
+        script = ("import sys\n"
+                  "from numpy._core._multiarray_umath import "
+                  "__cpu_features__ as on\n"
+                  "from uavplan.cli import main\n"
+                  "active = [f for f in sys.argv[1].split() if on[f]]\n"
+                  "assert not active, active\n"
+                  "sys.exit(main(['pipeline', '--config', sys.argv[2]]))\n")
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script, dispatched, str(cfg_path)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "NPY_DISABLE_CPU_FEATURES": dispatched,
+                 "OPENBLAS_CORETYPE": "Nehalem"})
+        assert result.returncode == 0, result.stderr[-2000:]
+        run_pipeline(small_config(tmp_path / "on"))
+        assert _artifact_bytes(tmp_path / "off") == _artifact_bytes(
+            tmp_path / "on")
+
     def test_one_hotspot_test_instances(self, tmp_path):
         """Test instances of one hotspot are allowed: every method visits
         it, so the three rows of each instance have similarity 1.0."""
@@ -414,13 +474,26 @@ class TestReport:
             assert rec["completion_ci_s"] == 0.0
 
     def test_trajectory_polyline_closes_at_depot(self, tmp_path):
+        """Every trajectory file, one per metrics row, is its tour's
+        polyline rebuilt from the instance and tour files: the depot, the
+        visited hotspots' centers in order and the depot again, each
+        coordinate a float's ``repr``."""
         cfg = small_config(tmp_path / "run")
-        run_pipeline(cfg)
+        rows = run_pipeline(cfg)
         out = Path(cfg.output_dir)
-        path = next(iter(sorted((out / "trajectories").glob("*_oracle.csv"))))
-        with path.open() as f:
-            rows = list(csv.DictReader(f))
-        assert rows[0] == rows[-1]  # depot anchors both ends
+        paths = sorted((out / "trajectories").glob("*.csv"))
+        assert [p.name for p in paths] == sorted(
+            f"{r.instance_id}_{r.method}.csv" for r in rows)
+        for path in paths:
+            iid, method = path.stem.split("_")
+            inst = json.loads((out / f"instances/{iid}.json").read_text())
+            order = json.loads(
+                (out / f"tours/{iid}_{method}.json").read_text())["order"]
+            centers = {h["id"]: h["center_m"] for h in inst["hotspots"]}
+            depot = inst["depot_m"]
+            points = [depot, *(centers[i] for i in order), depot]
+            assert path.read_text().splitlines() == [
+                "x_m,y_m", *(f"{x!r},{y!r}" for x, y in points)]
 
 
 def _read_metrics(path: Path) -> list[dict]:
