@@ -70,6 +70,7 @@ the planner's word sampling.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
@@ -116,6 +117,10 @@ class ChannelParams:
             raise ConfigurationError("path-loss exponent must be >= 2 (free space)")
         if self.mu_los_db > self.mu_nlos_db:
             raise ConfigurationError("LoS excess attenuation exceeds NLoS")
+        if self.los_sigmoid_a < 0:
+            # keeps the LoS probability in [0, 1] and its denominator positive
+            raise ConfigurationError(
+                f"los_sigmoid_a must be >= 0, not {self.los_sigmoid_a}")
         try:
             # the factors of every rate that the channel alone sets, with
             # line of sight at the elevation of a UAV hovering above the
@@ -301,6 +306,12 @@ def sample_pool(rng_seed: int, pool_size: int, mean_users: float,
         raise ConfigurationError("pool size must be >= 1")
     if mean_users <= 0:
         raise ConfigurationError("mean user count must be positive")
+    if math.exp(-mean_users) < sys.float_info.min:
+        # _positive_poisson starts from exp(-mean), which must be a normal
+        # float for its draws to follow the law (it underflows past ~745)
+        raise ConfigurationError(
+            f"mean_users {mean_users} is too large: exp(-mean_users) is not a "
+            "normal float")
     rng = _Stream(rng_seed)
     side = area.area_side_m
     pool: list[Hotspot] = []

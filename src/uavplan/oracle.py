@@ -31,11 +31,11 @@ order, so the tie rules compare the same sequences as on ids; every leg
 is read from the table and sums are taken in the same order, so every
 tour is bit for bit what the same search gives on coordinates
 (tests/test_oracle_equivalence.py keeps that search as the reference).
-A 2-opt pass or selection round takes a row's first minimum only where no
-other entry of that row lies within 2 * ``_TIE_EPS`` of it, which is when
-the sequential scan picks it too; any other row takes the sequential rule
-over its computed entries (``_tied_exchange``, ``_tied_removal``), so
-every tie resolves as the scan resolves it. The arithmetic runs under
+A 2-opt pass and a selection round choose by one rule (``_picks``): a
+row takes its first minimum only where no other entry of that row lies
+within 2 * ``_TIE_EPS`` of it, which is when the sequential scan picks it
+too; any other row takes the sequential rule over its computed entries,
+so every tie resolves as the scan resolves it. The arithmetic runs under
 ``np.errstate``: an overflow or a NaN passes silently, as on Python
 floats, and a construction length that is not finite is refused before
 its chunk is searched (``_constructions``). tests/oracle_oracles.py
@@ -297,10 +297,8 @@ def _two_opt(table: np.ndarray, order: np.ndarray, w: ObjectiveWeights,
     unchanged, so an exchange improves the objective iff it shortens the
     tour and alpha > 0; deltas are therefore evaluated on cost alone. A
     pass computes the delta of every exchange (i, j), i < j, of every
-    row, in scan order. A row then takes its first minimum, unless another
-    delta lies within 2 * ``_TIE_EPS`` of it; such a row takes the
-    sequential rule over its deltas (``_tied_exchange``), which the first
-    minimum equals when no other delta is that close.
+    row, in scan order, and each row picks its exchange by ``_picks``,
+    with ties going to the lexicographically smaller reversed order.
     """
     m, n = order.shape
     if n < 2 or m == 0 or w.weight_alpha == 0.0:
@@ -316,47 +314,62 @@ def _two_opt(table: np.ndarray, order: np.ndarray, w: ObjectiveWeights,
     width = n + 2
     ac, bd = i * width + j + 1, (i + 1) * width + j + 2
     ab, cd = i * width + i + 1, (j + 1) * width + j + 2
-    pairs = list(zip(i.tolist(), j.tolist()))
+
+    def reversal(lo, hi):
+        # a tour's places with places lo..hi reversed
+        return np.where((places >= lo) & (places <= hi), lo + hi - places,
+                        places)
+
     rows = np.arange(m)
     while rows.size:
-        ext = np.full((rows.size, width), len(table) - 1)
-        ext[:, 1:-1] = order[rows]
+        tours = order[rows]
+        ext = _closed(table, tours)
         legs = table[ext[:, :, None], ext[:, None, :]].reshape(rows.size, -1)
         delta = legs[:, ac] + legs[:, bd] - legs[:, ab] - legs[:, cd]
-        pick = delta.argmin(axis=1)
-        low = delta[np.arange(rows.size), pick]
-        move = low < stop[rows]
-        close = (np.abs(delta - low[:, None]) <= 2 * _TIE_EPS).sum(axis=1) > 1
-        for t in np.flatnonzero(np.isnan(low) | (move & close)):
-            k, best = _tied_exchange(order[rows[t]].tolist(),
-                                     delta[t].tolist(), pairs)
-            move[t] = k is not None and best < stop[rows[t]]
-            pick[t] = k or 0
+        pick, move = _picks(delta, stop[rows], lambda t, k: tours[t][
+            reversal(i[k], j[k])].tolist())
         rows, pick = rows[move], pick[move]
-        lo, hi = i[pick][:, None], j[pick][:, None]
-        order[rows] = order[rows[:, None], np.where(
-            (places >= lo) & (places <= hi), lo + hi - places, places)]
+        order[rows] = order[rows[:, None], reversal(i[pick][:, None],
+                                                    j[pick][:, None])]
     return order
 
 
-def _tied_exchange(order: list[int], deltas: list[float],
-                   pairs: list[tuple[int, int]]) -> tuple[int | None, float]:
-    """The sequential rule of one 2-opt pass over a row's deltas, in scan
-    order: (the chosen exchange's position in ``pairs`` or None, its
-    delta). A delta within ``_TIE_EPS`` of the best so far goes to the
-    lexicographically smaller resulting order."""
-    best_delta = 0.0
-    best: int | None = None
-    for k, ((i, j), delta) in enumerate(zip(pairs, deltas)):
-        if delta < best_delta - _TIE_EPS:
-            best_delta, best = delta, k
-        elif best is not None and abs(delta - best_delta) <= _TIE_EPS:
-            bi, bj = pairs[best]
-            cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
-            cur = order[:bi] + order[bi:bj + 1][::-1] + order[bj + 1:]
-            if cand < cur:
+def _closed(table: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The rows of ``order`` with the depot, the table's last index, at
+    both ends."""
+    ext = np.full((len(order), order.shape[1] + 2), len(table) - 1)
+    ext[:, 1:-1] = order
+    return ext
+
+
+def _picks(values: np.ndarray, below, result) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's choice among its ``values``, in scan order, against its
+    threshold ``below``: (the chosen position, whether it is taken).
+
+    A row takes its first minimum if that lies below the threshold. A row
+    whose minimum is NaN, or that would take a minimum with another value
+    within 2 * ``_TIE_EPS`` of it, takes the sequential rule instead: from
+    0.0, a value more than ``_TIE_EPS`` below the best so far replaces it,
+    and one within ``_TIE_EPS`` of it replaces it, keeping the best value,
+    only where ``result(row, position)``, the order that the choice
+    leaves, is lexicographically smaller; the best is taken if below the
+    threshold. Where no other value is that close, the rule too picks the
+    first minimum.
+    """
+    pick = values.argmin(axis=1)
+    low = values[np.arange(len(values)), pick]
+    close = (np.abs(values - low[:, None]) <= 2 * _TIE_EPS).sum(axis=1) > 1
+    for t in np.flatnonzero(np.isnan(low) | ((low < below) & close)).tolist():
+        best, anchor = None, 0.0
+        for k, value in enumerate(values[t].tolist()):
+            if value < anchor - _TIE_EPS:
+                best, anchor = k, value
+            elif (best is not None and abs(value - anchor) <= _TIE_EPS
+                  and result(t, k) < result(t, best)):
                 best = k
-    return best, best_delta
+        # no choice has a value that any threshold admits
+        pick[t], low[t] = (0, math.inf) if best is None else (best, anchor)
+    return pick, low < below
 
 
 def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
@@ -367,28 +380,21 @@ def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
     Each accepted removal trades the forfeited profit against the saved
     detour; the reduced tour is re-optimized with 2-opt (``stop`` as
     there) before the next round, so every row of a round has one length.
-    A round takes each row's first minimum gain as ``_two_opt`` takes its
-    first minimum delta, with ``_tied_removal`` as the sequential rule.
-    Idempotent once no removal helps.
+    Each row of a round picks its removal by ``_picks``, as ``_two_opt``
+    picks its exchange, with ties going to the lexicographically smaller
+    reduced order. Idempotent once no removal helps.
     """
     out: list[list[int]] = [[] for _ in range(len(order))]
     rows = np.arange(len(order))
     while order.shape[1]:
         size = order.shape[1]
-        ext = np.full((rows.size, size + 2), len(table) - 1)
-        ext[:, 1:-1] = order
+        ext = _closed(table, order)
         legs = table[ext[:, :-1], ext[:, 1:]]
         detour = legs[:, :-1] + legs[:, 1:] - table[ext[:, :-2], ext[:, 2:]]
         gain = (-w.weight_alpha * detour / w.cost_scale
                 + w.weight_beta * profits[order] / w.profit_scale)
-        pick = gain.argmin(axis=1)
-        low = gain[np.arange(rows.size), pick]
-        drop = low < -_IMPROVE_EPS
-        close = (np.abs(gain - low[:, None]) <= 2 * _TIE_EPS).sum(axis=1) > 1
-        for t in np.flatnonzero(np.isnan(low) | (drop & close)):
-            k = _tied_removal(order[t].tolist(), gain[t].tolist())
-            drop[t] = k is not None
-            pick[t] = k or 0
+        pick, drop = _picks(gain, -_IMPROVE_EPS, lambda t, k: order[t][
+            np.arange(size) != k].tolist())
         for r, kept in zip(rows[~drop].tolist(), order[~drop].tolist()):
             out[r] = kept
         rows, pick, order = rows[drop], pick[drop], order[drop]
@@ -398,23 +404,6 @@ def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
                                                                size - 1)
         order = _two_opt(table, order, w, stop[rows])
     return out
-
-
-def _tied_removal(order: list[int], gains: list[float]) -> int | None:
-    """The sequential rule of one selection round over a row's gains: the
-    position to drop, or None. A gain within ``_TIE_EPS`` of the best so
-    far goes to the lexicographically smaller reduced order."""
-    best_gain = 0.0
-    best: int | None = None
-    best_after: list[int] = []
-    for k, gain in enumerate(gains):
-        after = order[:k] + order[k + 1:]
-        if gain < best_gain - _TIE_EPS:
-            best_gain, best, best_after = gain, k, after
-        elif (best is not None and abs(gain - best_gain) <= _TIE_EPS
-              and after < best_after):
-            best, best_after = k, after
-    return best if best is not None and best_gain < -_IMPROVE_EPS else None
 
 
 def demonstrate(instances: Sequence[Instance],
@@ -436,18 +425,13 @@ def demonstrate(instances: Sequence[Instance],
                     table, profits, _two_opt(table, order, w, stop), w, stop)
             for k, final, scale in zip(part.tolist(), finals,
                                        scales.tolist()):
-                final = _canonical_orientation(final)
+                # a closed tour and its reverse cost the same; keep the
+                # lexicographically smaller reading
+                final = min(final, final[::-1])
                 solved[k] = (make_tour([ids[v] for v in final], run[k], w),
                              scale)
         out += solved
     return out
-
-
-def _canonical_orientation(order):
-    # A closed tour and its reverse have identical cost; keep the
-    # lexicographically smaller reading.
-    rev = order[::-1]
-    return rev if rev < order else order
 
 
 def solve(inst: Instance, w: ObjectiveWeights) -> Tour:

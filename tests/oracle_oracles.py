@@ -11,7 +11,10 @@ with the coordinate-based reference in test_oracle_equivalence.py:
 - ``nearest_neighbor_construct``, ``two_opt`` and ``selection_pass``;
 - ``indices`` maps a tour's ids to table indices, as a one-row batch;
 - ``instance_scales`` gives an instance's cost and profit scales, and
-  ``relative_weights`` are the given weights with them.
+  ``relative_weights`` are the given weights with them;
+- ``tied_exchange`` and ``tied_removal`` are the sequential rules that
+  2-opt and the selection pass each kept apart before both took
+  ``oracle._picks``, kept as its references.
 """
 
 from dataclasses import replace
@@ -24,6 +27,9 @@ from uavplan.oracle import (ObjectiveWeights, Tour, _constructions,
                             _nearest_neighbor, _selection_pass, _stops,
                             _tables, _two_opt, make_tour)
 from uavplan.ql import _profit_scale
+
+_IMPROVE_EPS = 1e-12
+_TIE_EPS = 1e-12
 
 
 def indices(hotspots: list[Hotspot], order) -> np.ndarray:
@@ -93,3 +99,40 @@ def selection_pass(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
     after = _selection_pass(table, profits, indices(hotspots, t.order), w,
                             stop)[0]
     return t if len(after) == len(t.order) else _tour(hotspots, after, inst, w)
+
+
+def tied_exchange(order: list[int], deltas: list[float],
+                  pairs: list[tuple[int, int]]) -> tuple[int | None, float]:
+    """The sequential rule of one 2-opt pass over a row's deltas, in scan
+    order: (the chosen exchange's position in ``pairs`` or None, its
+    delta). A delta within ``_TIE_EPS`` of the best so far goes to the
+    lexicographically smaller resulting order."""
+    best_delta = 0.0
+    best: int | None = None
+    for k, ((i, j), delta) in enumerate(zip(pairs, deltas)):
+        if delta < best_delta - _TIE_EPS:
+            best_delta, best = delta, k
+        elif best is not None and abs(delta - best_delta) <= _TIE_EPS:
+            bi, bj = pairs[best]
+            cand = order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+            cur = order[:bi] + order[bi:bj + 1][::-1] + order[bj + 1:]
+            if cand < cur:
+                best = k
+    return best, best_delta
+
+
+def tied_removal(order: list[int], gains: list[float]) -> int | None:
+    """The sequential rule of one selection round over a row's gains: the
+    position to drop, or None. A gain within ``_TIE_EPS`` of the best so
+    far goes to the lexicographically smaller reduced order."""
+    best_gain = 0.0
+    best: int | None = None
+    best_after: list[int] = []
+    for k, gain in enumerate(gains):
+        after = order[:k] + order[k + 1:]
+        if gain < best_gain - _TIE_EPS:
+            best_gain, best, best_after = gain, k, after
+        elif (best is not None and abs(gain - best_gain) <= _TIE_EPS
+              and after < best_after):
+            best, best_after = k, after
+    return best if best is not None and best_gain < -_IMPROVE_EPS else None

@@ -796,6 +796,15 @@ class TestCli:
         pytest.param('{"channel": {"los_sigmoid_b": -100}}',
                      "config channel: one of", ["gen-pool"],
                      id="channel-los-sigmoid-overflow"),
+        pytest.param('{"channel": {"los_sigmoid_a": -1.0, '
+                     '"los_sigmoid_b": 0.0}}',
+                     "config channel: los_sigmoid_a must be >= 0, not -1.0",
+                     ["gen-pool"], id="channel-los-sigmoid-a-negative"),
+        pytest.param('{"channel": {"los_sigmoid_a": -2.0}}',
+                     "config channel: los_sigmoid_a must be >= 0, not -2.0",
+                     ["gen-pool"], id="channel-los-sigmoid-a-above-1"),
+        pytest.param('{"mean_users": 800}', "mean_users 800 is too large",
+                     ["gen-pool"], id="mean_users-underflow"),
         pytest.param('{"channel": {"path_loss_exponent": 200}}',
                      "channel.path_loss_exponent 200", ["gen-pool"],
                      id="channel-path-loss-exponent-overflow"),
@@ -827,8 +836,10 @@ class TestCli:
         invalid ``plan`` override, before any artifact is read. A value
         that overflows float arithmetic names its section, or, for the
         noise, which scales the learned means, when the world model is
-        learned. A NaN (which ``json`` reads) is refused at load, naming its
-        key, before any stage writes an artifact."""
+        learned. A mean user count past which exp(-mean_users) is not a
+        normal float, so that the Poisson draws go wrong, is refused as the
+        pool is drawn, naming it. A NaN (which ``json`` reads) is refused at
+        load, naming its key, before any stage writes an artifact."""
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "broken.json"
         p.write_text(text)

@@ -7,12 +7,15 @@ the same float bits, on every instance.
 """
 
 import itertools
+import math
 import random
+import sys
 from operator import attrgetter
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan import oracle
@@ -22,7 +25,8 @@ from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, demonstrate,
                             make_tour, solve)
 
 from oracle_oracles import (nearest_neighbor_construct, relative_weights,
-                            selection_pass, two_opt)
+                            selection_pass, tied_exchange, tied_removal,
+                            two_opt)
 
 _IMPROVE_EPS = 1e-12
 _TIE_EPS = 1e-12
@@ -321,34 +325,98 @@ def test_batch_equals_each_instance_alone(chan, mission, entries,
 
 
 def test_grid_ties_take_the_sequential_rule(chan, mission):
-    """Lattice instances whose 2-opt passes have two deltas within
-    ``_TIE_EPS`` of the best, and whose selection rounds have two such
-    gains, resolve them by the sequential rule (``_tied_exchange`` and
-    ``_tied_removal``) and give the reference's tours."""
-    ties = {"exchange": 0, "removal": 0}
+    """Lattice instances whose 2-opt passes have a delta within
+    ``_TIE_EPS`` of the best so far, and whose selection rounds have such a
+    gain, resolve them by the sequential rule of ``_picks`` (the only place
+    that compares resulting orders) and give the reference's tours."""
+    ties = {"_two_opt": 0, "_selection_pass": 0}
 
-    def exchange(order, deltas, pairs):
-        low = min(deltas)
-        ties["exchange"] += (low < -1e-9 and sum(
-            abs(d - low) <= _TIE_EPS for d in deltas) > 1)
-        return tied_exchange(order, deltas, pairs)
+    def counted_picks(values, below, result):
+        caller = sys._getframe(1).f_code.co_name
 
-    def removal(order, gains):
-        low = min(gains)
-        ties["removal"] += (low < -_IMPROVE_EPS and sum(
-            abs(g - low) <= _TIE_EPS for g in gains) > 1)
-        return tied_removal(order, gains)
+        def counted(t, k):
+            ties[caller] += 1
+            return result(t, k)
 
-    tied_exchange, tied_removal = oracle._tied_exchange, oracle._tied_removal
+        return picks(values, below, counted)
+
+    picks = oracle._picks
     rng = random.Random(99)
-    with mock.patch.object(oracle, "_tied_exchange", exchange), \
-            mock.patch.object(oracle, "_tied_removal", removal):
+    with mock.patch.object(oracle, "_picks", counted_picks):
         for n in range(4, 25):
             inst = _instance(rng, n, chan, mission, grid=True)
             for name in ("default", "relative-even"):
                 w = _weight_sets(inst)[name]
                 assert _bits(solve(inst, w)) == _bits(ref_solve(inst, w)), n
-    assert ties["exchange"] > 0 and ties["removal"] > 0
+    assert ties["_two_opt"] > 0 and ties["_selection_pass"] > 0
+
+
+# Values near a few bases, some within _TIE_EPS of one another, some
+# between _TIE_EPS and 2 * _TIE_EPS apart, and NaNs.
+_OFFSETS = [0.0, 4e-13, -4e-13, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 3e-12]
+
+
+@st.composite
+def _value_rows(draw, exchange: bool):
+    """Rows of one 2-opt pass (``exchange``) or one selection round: each
+    row's tour, its values (deltas or gains) in scan order, the positions
+    (exchanges (i, j) or removed places) they stand for, and each row's
+    threshold."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    places = [(i, j) for i in range(n) for j in range(i + 1, n)] if exchange \
+        else list(range(n))
+    bases = draw(st.lists(st.sampled_from([-2.0, -1.0, -1e-9, -1e-12, 0.0,
+                                           1e-12, 0.5]) | st.floats(-3, 3),
+                          min_size=1, max_size=3))
+    value = (st.builds(float.__add__, st.sampled_from(bases),
+                       st.sampled_from(_OFFSETS))
+             | st.just(math.nan) | st.floats(0, 3))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rows = [draw(st.lists(value, min_size=len(places), max_size=len(places))
+                 if draw(st.booleans()) else
+                 st.lists(st.floats(0, 3), min_size=len(places),
+                          max_size=len(places)))
+            for _ in range(m)]
+    orders = [draw(st.permutations(range(n))) for _ in range(m)]
+    below = (oracle._stops(np.array(draw(st.lists(
+        st.floats(0, 1e5), min_size=m, max_size=m)))) if exchange
+             else -_IMPROVE_EPS)
+    return orders, rows, places, below
+
+
+@settings(max_examples=300, deadline=None)
+# -2.0 - 1e-12 rounds so that it is neither more than _TIE_EPS below -2.0
+# nor within _TIE_EPS of it: the sequential rule skips it, though it is
+# the row's minimum, and only the 2 * _TIE_EPS margin sends the row there
+@example((False, ([(0, 1)], [[-2.0, -2.0 - 1e-12]], [0, 1], -_IMPROVE_EPS)))
+@given(st.booleans().flatmap(lambda exchange: st.tuples(
+    st.just(exchange), _value_rows(exchange))))
+def test_picks_equals_the_sequential_rules(drawn):
+    """On value rows with ties planted within ``_TIE_EPS``, near-ties
+    within twice that, NaNs and all-non-negative rows, ``_picks`` makes
+    each row's decision (taken or not, and which position if taken) as
+    the sequential rule of 2-opt (``tied_exchange``, under a per-row
+    threshold from ``_stops``) or of the selection pass (``tied_removal``,
+    under ``-_IMPROVE_EPS``) makes it on the whole row."""
+    exchange, (orders, rows, places, below) = drawn
+    if exchange:
+        def result(t, k):
+            i, j = places[k]
+            order = list(orders[t])
+            return order[:i] + order[i:j + 1][::-1] + order[j + 1:]
+    else:
+        def result(t, k):
+            return [v for p, v in enumerate(orders[t]) if p != k]
+    pick, take = oracle._picks(np.array(rows), below, result)
+    for t, row in enumerate(rows):
+        if exchange:
+            k, best = tied_exchange(list(orders[t]), row, places)
+            want = k is not None and best < below[t]
+        else:
+            k = tied_removal(list(orders[t]), row)
+            want = k is not None
+        assert (bool(take[t]), int(pick[t]) if take[t] else None) == \
+            (want, k if want else None), t
 
 
 def test_a_batch_with_two_depots_or_two_hotspots_per_id_runs_apart(
