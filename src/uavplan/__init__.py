@@ -21,7 +21,7 @@ from .planner import (GaussianBelief, PlanCandidate, PlanContext, PlanResult,
                       generate_words, insert_best, levenshtein, plan_mission,
                       select_reference)
 from .ql import QTable, QTrainConfig, construct_word, train_q
-from .world_model import (NoiseConfig, TransitionMatrix, Vocabulary, Word,
-                          WorldModel, learn, merge_global, word_from_tour)
+from .world_model import (NoiseConfig, TransitionMatrix, Word, WorldModel,
+                          learn, merge_global, word_from_tour)
 
 __version__ = "0.1.0"

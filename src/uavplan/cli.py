@@ -18,8 +18,9 @@ from pathlib import Path
 
 from .environment import instance_from_dict
 from .errors import ConfigurationError, NumericError, UavplanError
-from .harness import (ExperimentConfig, config_to_dict, load_artifact,
-                      load_config, run_pipeline, write_jsonl_atomic)
+from .harness import (ExperimentConfig, _check_tour_time, config_to_dict,
+                      load_artifact, load_config, run_pipeline,
+                      write_jsonl_atomic)
 from .planner import plan_mission, plan_to_dict
 from .world_model import model_from_dict
 
@@ -93,6 +94,9 @@ def cmd_plan(args) -> int:
     if args.seed is not None:
         planner = replace(planner, rng_seed=args.seed)
     inst = load_artifact(Path(args.instance), instance_from_dict)
+    _check_tour_time(inst.mission, inst.depot_m,
+                     [h.center_m for h in inst.hotspots], len(inst.hotspots),
+                     f"instance {args.instance}")
     wm = load_artifact(Path(args.model), model_from_dict)
     result = plan_mission(inst, wm, planner, cfg.weights)
     trace = plan_to_dict(result)

@@ -56,10 +56,12 @@ each draw against ``Generator``:
 - the set ``choice(n, size=k, replace=False)`` draws: Floyd's algorithm
   with ``integers(j + 1)`` for j from n - k to n - 1 when n <= 10,000 or
   k <= n // 50, otherwise a shuffle of the last k of ``range(n)``;
-- the index ``choice(len(p), p=p)`` draws: ``cumsum`` (sequential) scaled
-  by its last entry, one ``random()``, and a right-sided search. A row's
-  ``ndarray.sum()``, which callers normalize by, is numpy's pairwise sum
-  (``_pairwise_sum``).
+- the index ``choice(len(w), p=w / w.sum())`` draws for a row of weights
+  ``w`` (``_Stream.choice``, which the planner's and the Q-learning
+  baseline's words take every weighted letter from): ``w.sum()`` is
+  numpy's pairwise sum (``_pairwise_sum``), then ``cumsum`` (sequential)
+  of the normalized row scaled by its last entry, one ``random()``, and a
+  right-sided search; a row whose sum is not positive draws nothing.
 
 A scalar ``Generator`` call costs far more than the draw: on a 2-CPU host,
 ``random()`` takes 0.81 us and ``integers(5)`` 2.4 us, against 0.33 and
@@ -75,8 +77,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from functools import reduce
 from itertools import accumulate, chain, repeat
-from operator import add, attrgetter
-from typing import Iterable, Iterator, Sequence
+from operator import add, attrgetter, truediv
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -443,15 +445,20 @@ class _Stream:
             moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
         return {moved.get(i, i) for i in range(n - k, n)}
 
-    def weighted(self, p: Iterable[float]) -> int:
-        """The index ``Generator.choice(len(p), p=p)`` draws, without its
-        argument checks: the running sum of ``p`` scaled by its last
-        entry, one ``random()``, and the first entry above it. ``p`` (any
-        iterable) must be non-negative with a positive sum near 1. The
-        search divides only the sums it visits by the last one: dividing
-        by a positive number keeps their order, so it finds the index it
-        would find in the scaled list."""
-        cdf = list(accumulate(p))
+    def choice(self, weights: list[float]) -> int | None:
+        """The index ``Generator.choice(len(w), p=w / w.sum())`` draws for
+        the non-negative row ``w`` (``weights``), without its argument
+        checks, or None, drawing nothing, when the row's sum is not
+        positive. The sum is numpy's pairwise sum (``_pairwise_sum``); the
+        draw is the running sum of the normalized row scaled by its last
+        entry, one ``random()``, and the first entry above it. The search
+        divides only the sums it visits by the last one: dividing by a
+        positive number keeps their order, so it finds the index it would
+        find in the scaled list."""
+        total = _pairwise_sum(weights)
+        if not total > 0.0:
+            return None
+        cdf = list(accumulate(map(truediv, weights, repeat(total))))
         last = cdf[-1]
         return bisect_right(cdf, self.random(), key=lambda c: c / last)
 

@@ -79,7 +79,9 @@ takes every default from them and rejects any key they do not declare,
 any value whose JSON type does not fit the key's declared type (a NaN
 or infinite number fits none), and any value that a dataclass's own
 check refuses, such as a channel or an altitude whose rates overflow
-float arithmetic.
+float arithmetic, or a mission under which the longest tour of the
+largest test or training size may have no finite completion time
+(``_check_tour_time``, which ``uavplan plan`` applies to its instance).
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ from typing import (Callable, Iterable, Sequence, TypeVar, get_args, get_origin,
 import json
 
 from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
-                          MissionConfig, channel_gain, instance_to_dict,
-                          pool_to_dict, sample_instances, sample_pool)
+                          MissionConfig, Point, channel_gain,
+                          instance_to_dict, pool_to_dict, sample_instances,
+                          sample_pool)
 from .errors import ConfigurationError
 from .oracle import (ObjectiveWeights, Tour, demonstrate, make_tour, solve,
                      tour_to_dict)
@@ -193,6 +196,11 @@ class ExperimentConfig:
                 "to the power channel.path_loss_exponent "
                 f"{self.channel.path_loss_exponent} overflows float "
                 "arithmetic") from None
+        side = self.mission.area_side_m
+        _check_tour_time(self.mission, self.depot,
+                         [(0.0, 0.0), (0.0, side), (side, 0.0), (side, side)],
+                         max(*self.test_sizes, self.train_instance_size),
+                         f"config mission.area_side_m {side!r}")
 
     @property
     def depot(self) -> tuple[float, float]:
@@ -217,6 +225,27 @@ class MetricsRecord:
 def completion_time_from(length_m: float, n_visited: int,
                          mission: MissionConfig) -> float:
     return length_m / mission.uav_speed_m_per_s + mission.dwell_time_s * n_visited
+
+
+def _check_tour_time(mission: MissionConfig, depot: Point,
+                     points: Sequence[Point], n: int, where: str) -> None:
+    """Refuse a mission under which a tour of ``n`` hotspots among
+    ``points`` (the area's corners, or an instance's hotspots) from
+    ``depot`` may have no finite completion time. Such a tour has n + 1
+    legs, the two at the depot each at most as long as the farthest point
+    from it, the others at most the widest pair of points, and dwells n
+    times. Legs are bounded in seconds, each divided by the speed before
+    they are summed, so that a tour whose length in metres overflows, or
+    is NaN (a NaN depot, which only the Python API can give), is left to
+    the oracle, which refuses it."""
+    speed = mission.uav_speed_m_per_s
+    far = max(math.dist(depot, p) for p in points) / speed
+    wide = max(math.dist(p, q) for p in points for q in points) / speed
+    if math.isinf(2 * far + (n - 1) * wide + n * mission.dwell_time_s):
+        raise ConfigurationError(
+            f"{where}: a tour of {n} hotspots has no finite completion "
+            f"time at mission.dwell_time_s {mission.dwell_time_s!r} and "
+            f"mission.uav_speed_m_per_s {speed!r}")
 
 
 def completion_time(t: Tour, mission: MissionConfig) -> float:
@@ -680,7 +709,8 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
     config = [{"schema": CONFIG_SCHEMA, **_record(cfg, "eval")}]
     remedy = (f"it records the config of the eval outputs, such as "
               f"{metrics_path}: delete it and them and run again")
-    if config_path.exists():
+    config_present = config_path.exists()
+    if config_present:
         _export(config_path, config, remedy)
     evaluations = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
                        (wm, qtable, cfg), cfg.workers, chunksize=1)
@@ -697,7 +727,8 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
                            *_csv_lines(METRICS_COLUMNS, records)])
     write_jsonl_atomic(out / "timings.csv", _csv_lines(
         ["method", "instance_id", "wall_clock_s"], records))
-    _export(config_path, config, remedy)   # when absent, written last
+    if not config_present:
+        _export(config_path, config, remedy)
     return evaluations
 
 

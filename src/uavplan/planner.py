@@ -2,13 +2,13 @@
 
 Given a test instance and a learned world model, the planner classifies
 the instance's letters into known and unseen, samples candidate
-reference words from the transition matrix (each letter drawn as
-``Generator.choice`` draws it: one ``random()`` of the seed's stream
-against the cumulative distribution of the restricted row, the rows
-among the known letters read once as Python lists), keeps the one closest (by
-edit distance) to the stored dictionary, and then grows the route one
-unseen letter at a time, always the one nearest to the centroid of the
-current word's letters (the depot while the word is empty). Every
+reference words from the transition matrix (each letter the one
+``Generator.choice`` draws from its restricted row, drawn by the seed's
+stream, ``environment._Stream.choice``, the rows among the known letters
+read once as Python lists), keeps the one closest (by edit distance) to
+the stored dictionary, and then grows the route one unseen letter at a
+time, always the one nearest to the centroid of the current word's
+letters (the depot while the word is empty). Every
 possible single-edge insertion is scored by the Bhattacharyya distance
 between the belief the candidate route predicts and the belief implied
 by the current reference; the least surprising insertion wins. The
@@ -83,12 +83,12 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
-from operator import add, sub, truediv
+from operator import add, sub
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .environment import Instance, MissionConfig, _pairwise_sum, _Stream
+from .environment import Instance, MissionConfig, _Stream
 from .errors import ConfigurationError, NumericError
 from .oracle import ObjectiveWeights, Tour, make_tour
 from .world_model import Word, WordIndex, WorldModel
@@ -262,11 +262,12 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     unvisited letter (by center distance) is taken instead.
 
     The transition rows among the requested letters are read once into
-    Python lists. Each letter is the one ``Generator.choice(letters, p=p)``
-    draws, with ``p`` normalized by numpy's pairwise sum and drawn with one
-    ``random()`` of the seed's stream (``environment._Stream``), or one
-    ``integers(len(letters))`` for a start when no word starts in the set;
-    the words equal those of calling ``choice`` bit for bit.
+    Python lists. Each letter is the one ``Generator.choice(letters,
+    p=w / w.sum())`` draws for its row of weights ``w``, drawn by
+    ``_Stream.choice`` from the seed's stream (``environment._Stream``),
+    or one ``integers(len(letters))`` for a start when no word starts in
+    the set; the words equal those of calling ``choice`` bit for bit. An
+    inactive row is all zeros, so its restriction has no mass.
     """
     normal = sorted(set(int(i) for i in normal))
     if not normal:
@@ -274,32 +275,21 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     if n < 1:
         raise ConfigurationError("need n >= 1 words")
     rng = _Stream(rng_seed)
-    start_counts = [float(wm.stats[l].start_count) for l in normal]
-    start_total = _pairwise_sum(start_counts)
-    start_p = (list(map(truediv, start_counts, repeat(start_total)))
-               if start_total > 0 else None)
-    columns = [wm.vocab.index(l) for l in normal]
+    starts = [float(wm.stats[l].start_count) for l in normal]
+    columns = [wm.vocab[l] for l in normal]
     # row i, column j: the transition from normal[i] to normal[j]
     rows = wm.transition.probs[np.ix_(columns, columns)].tolist()
-    active = wm.transition.active[columns].tolist()
     out: list[Word] = []
     for _ in range(n):
         # the places in ``normal`` of the letters not yet drawn
         remaining = list(range(len(normal)))
-        if start_p is not None:
-            k = rng.weighted(start_p)
-        else:
+        k = rng.choice(starts)
+        if k is None:
             k = rng.integers(len(normal))
         current = remaining.pop(k)
         letters = [normal[current]]
         while remaining:
-            k = None
-            if active[current]:
-                row = rows[current]
-                weights = list(map(row.__getitem__, remaining))
-                total = _pairwise_sum(weights)
-                if total > 0.0:
-                    k = rng.weighted(map(truediv, weights, repeat(total)))
+            k = rng.choice(list(map(rows[current].__getitem__, remaining)))
             if k is None:
                 here = wm.stats[normal[current]].center_m
                 k = remaining.index(min(
@@ -319,12 +309,13 @@ class _BoundScan:
     Words carry no repeated letters, so aligned matches are bounded by the
     set overlap and d >= max(m, n) - overlap. The overlaps with every
     stored word are the incidence matrix times the set's 0/1 letter
-    vector, i.e. the sum of its letters' rows. The words of a bound are
+    vector, i.e. the sum of its letters' rows, each letter's row the one
+    the model's letter map (``vocab``) gives it. The words of a bound are
     listed in stored order, each bound on first use.
     """
 
-    def __init__(self, letters: tuple, index: WordIndex):
-        rows = [index.column[l] for l in letters if l in index.column]
+    def __init__(self, letters: tuple, index: WordIndex, vocab: dict):
+        rows = [vocab[l] for l in letters if l in vocab]
         self.bounds = (np.maximum(index.lengths, len(letters))
                        - index.incidence[rows].sum(axis=0, dtype=np.int32))
         self.lowest = int(self.bounds.min())
@@ -418,7 +409,7 @@ def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
         key = frozenset(letters)
         scan = scans.get(key)
         if scan is None:
-            scan = scans[key] = _BoundScan(letters, index)
+            scan = scans[key] = _BoundScan(letters, index, wm.vocab)
         d = _min_dictionary_distance(letters, scan, best_d)
         if d is not None:
             best, best_d = cand, d

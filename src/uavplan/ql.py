@@ -186,10 +186,10 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     Letters outside the table score a negative normalized distance from
     the current position; the letter the reference word suggests next
     gets a fixed bonus so the baseline consumes the reference exactly as
-    the surprise planner does. The softmax is numpy's ``exp`` and
-    ``sum``; each letter is the one ``Generator.choice(len(unvisited),
-    p=p)`` would draw, drawn with one ``random()`` of the seed's stream
-    (``environment._Stream.weighted``).
+    the surprise planner does. The softmax weights are numpy's ``exp``;
+    each letter is the one ``Generator.choice(len(w), p=w / w.sum())``
+    would draw for them, drawn by the seed's stream
+    (``environment._Stream.choice``).
     """
     if not inst.hotspots:
         raise ConfigurationError("empty test instance")
@@ -223,9 +223,7 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
         else:
             arr = np.array(scores) / cfg.temperature
             arr -= arr.max()
-            p = np.exp(arr)
-            p /= p.sum()
-            k = rng.weighted(p.tolist())
+            k = rng.choice(np.exp(arr).tolist())
         action = unvisited.pop(k)
         order.append(action)
         state, pos = action, centers[action]

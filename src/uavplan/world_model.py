@@ -17,11 +17,13 @@ demos yields an identical model, including its serialized bytes.
 ``world_model.json`` (``uavplan.world_model.v3``) stores only what
 the demonstrations and the pool give and nothing else determines: the
 distinct words with their counts, each letter's center and mean profit,
-the mean profit and mean leg time, and the noise config. The vocabulary,
-the start counts, the transition matrix and both noise matrices follow
-from those, so ``learn`` and ``model_from_dict`` both end in ``_build``,
-which derives them; a stored file cannot contradict itself, and one
-edited by hand is a model of the words it now holds. The pipeline learns
+the mean profit and mean leg time, and the noise config. The vocabulary
+(one dict, ``WorldModel.vocab``, that maps each letter, ascending, to its
+row of the transition matrix and of the word index), the start counts,
+the transition matrix and both noise matrices follow from those, so
+``learn`` and ``model_from_dict`` both end in ``_build``, which derives
+them; a stored file cannot contradict itself, and one edited by hand is
+a model of the words it now holds. The pipeline learns
 the model on every run and only compares the file with it;
 ``model_from_dict`` reads a model given to ``uavplan plan --model``.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,46 +63,19 @@ class Word:
         return len(self.letters)
 
 
-class Vocabulary:
-    """Sorted letter ids with a stable id -> row index mapping."""
-
-    def __init__(self, letters: Iterable[int]):
-        self.letters: tuple[int, ...] = tuple(sorted(set(int(x) for x in letters)))
-        self._index = {letter: k for k, letter in enumerate(self.letters)}
-
-    def index(self, letter: int) -> int:
-        try:
-            return self._index[letter]
-        except KeyError:
-            raise ConsistencyError(f"letter {letter} not in vocabulary") from None
-
-    def __contains__(self, letter: int) -> bool:
-        return letter in self._index
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.letters == other.letters
-
-
 @dataclass
 class TransitionMatrix:
     """Row-stochastic next-letter matrix; inactive rows flagged, not faked."""
 
     probs: np.ndarray
     active: np.ndarray
-    vocab: Vocabulary
 
     def validate(self) -> None:
-        n = len(self.vocab)
+        n = len(self.active)
         if self.probs.shape != (n, n) or self.active.shape != (n,):
             raise ConsistencyError(
-                f"transition probs {self.probs.shape} and active "
-                f"{self.active.shape} do not fit a vocabulary of {n} letters")
+                f"transition probs {self.probs.shape} do not fit active "
+                f"{self.active.shape}, one flag per letter")
         if not np.isfinite(self.probs).all() or (self.probs < 0).any():
             raise ConsistencyError(
                 "transition probabilities must be finite and non-negative")
@@ -120,9 +95,10 @@ def word_from_tour(t: Tour) -> Word:
     return Word.from_letters(t.order)
 
 
-def merge_global(words: Sequence[Word], vocab: Vocabulary,
+def merge_global(words: Sequence[Word], vocab: dict[int, int],
                  multiplicities: Sequence[int] | None = None) -> TransitionMatrix:
-    """Pool transition counts across words, then row-normalize.
+    """Pool transition counts across words, then row-normalize; letter l
+    owns row and column ``vocab[l]``.
 
     This is the maximum-likelihood estimate of the letter Markov chain;
     restricted to a single word it coincides with that word's transition
@@ -134,12 +110,12 @@ def merge_global(words: Sequence[Word], vocab: Vocabulary,
     for w, m in zip(words, multiplicities):
         letters = w.letters
         for a, b in zip(letters, letters[1:]):
-            counts[vocab.index(a), vocab.index(b)] += m
+            counts[vocab[a], vocab[b]] += m
     out = counts.sum(axis=1)
     active = out > 0
     probs = np.zeros_like(counts)
     probs[active] = counts[active] / out[active, None]
-    tm = TransitionMatrix(probs=probs, active=active, vocab=vocab)
+    tm = TransitionMatrix(probs=probs, active=active)
     tm.validate()
     return tm
 
@@ -179,9 +155,11 @@ class NoiseConfig:
 
 @dataclass
 class WorldModel:
-    """Letter vocabulary, stored words, global transitions and noise terms."""
+    """Letter vocabulary, stored words, global transitions and noise terms.
+    ``vocab`` maps each letter, ascending, to its row of the transition
+    matrix and of the word index."""
 
-    vocab: Vocabulary
+    vocab: dict[int, int]
     stats: dict[int, LetterStats]
     words: list[Word]
     word_counts: list[int]
@@ -212,8 +190,9 @@ class WorldModel:
 class WordIndex:
     """The stored words in a form for bounding edit distances in bulk.
 
-    ``incidence[column[letter], k]`` is 1 when stored word k contains
-    ``letter``. Rows are letters so that the overlap of a candidate with
+    ``incidence[vocab[letter], k]`` is 1 when stored word k contains
+    ``letter``, ``vocab`` being the model's letter map. Rows are letters
+    so that the overlap of a candidate with
     every stored word, the product of the transposed matrix with the
     candidate's 0/1 letter vector, is a sum of contiguous rows.
     """
@@ -221,18 +200,15 @@ class WordIndex:
     letters: tuple[tuple[int, ...], ...]
     lengths: np.ndarray      # int64, one per word
     incidence: np.ndarray    # uint8, vocabulary x words
-    column: dict[int, int]
 
     @classmethod
-    def build(cls, words: Sequence[Word], vocab: Vocabulary) -> "WordIndex":
+    def build(cls, words: Sequence[Word], vocab: dict) -> "WordIndex":
         letters = tuple(w.letters for w in words)
-        column = {l: vocab.index(l) for l in vocab}
         lengths = np.array([len(word) for word in letters], np.int64)
         incidence = np.zeros((len(vocab), len(letters)), np.uint8)
-        incidence[[column[l] for word in letters for l in word],
+        incidence[[vocab[l] for word in letters for l in word],
                   np.repeat(np.arange(len(letters)), lengths)] = 1
-        return cls(letters=letters, lengths=lengths, incidence=incidence,
-                   column=column)
+        return cls(letters=letters, lengths=lengths, incidence=incidence)
 
 
 def _build(letters: dict[int, tuple[tuple[float, float], float]],
@@ -241,8 +217,8 @@ def _build(letters: dict[int, tuple[tuple[float, float], float]],
     """The model that its sources determine: each letter's center and mean
     profit (``letters``), the stored words with their counts, the two
     training means and the noise config. Derives the vocabulary (the
-    words' letters), the start counts, the transitions and both noise
-    matrices (see ``NoiseConfig``)."""
+    words' letters, ascending, each mapped to its row), the start counts,
+    the transitions and both noise matrices (see ``NoiseConfig``)."""
     if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
         raise ConsistencyError(
             f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
@@ -254,7 +230,8 @@ def _build(letters: dict[int, tuple[tuple[float, float], float]],
                 f"word {list(w.letters)} has count {c}; a stored word's "
                 "count must be at least 1")
         started[w.letters[0]] = started.get(w.letters[0], 0) + c
-    vocab = Vocabulary(l for w in words for l in w.letters)
+    vocab = {l: k for k, l in
+             enumerate(sorted({l for w in words for l in w.letters}))}
     missing = [l for l in vocab if l not in letters]
     if missing:
         raise ConsistencyError(
@@ -291,7 +268,8 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
     Letters are deduplicated hotspot ids observed in the demos; words are
     deduplicated with multiplicities; per-letter profit statistics come
     from the pool entries the demos visited. The result depends only on
-    the demo multiset, never on its ordering.
+    the demo multiset, never on its ordering. A demonstration of fewer
+    than two hotspots is refused, naming the first by its index.
     """
     if not demos:
         raise TrainingError("no demonstrations to learn from")
@@ -299,8 +277,14 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
 
     tally: dict[tuple[int, ...], int] = {}
     word_cost: dict[tuple[int, ...], float] = {}
-    for t in demos:
-        key = word_from_tour(t).letters
+    for k, t in enumerate(demos):
+        try:
+            key = word_from_tour(t).letters
+        except DegenerateWordError as e:
+            raise DegenerateWordError(
+                f"demonstration {k}, order {list(t.order)}: {e}; the oracle "
+                "keeps a hotspot only where its profit pays for its detour "
+                "under the config's weights") from None
         tally[key] = tally.get(key, 0) + 1
         # identical words imply identical geometry; keep the smaller cost
         # so accumulation order cannot matter

@@ -289,9 +289,10 @@ def ref_generate_words(wm: WorldModel, normal, n: int,
                        rng_seed: int) -> list[Word]:
     """The earlier ``generate_words``, kept as the test oracle: one
     ``Generator.choice`` call per letter, and each restricted transition
-    row rebuilt entry by entry through ``Vocabulary.index`` (it read the
-    row and its active flag by letter, through accessors since deleted;
-    it indexes ``probs`` and ``active`` by the same row here)."""
+    row rebuilt entry by entry through the model's letter map (it read
+    the row and its active flag by letter, through accessors since
+    deleted, and the map was a ``Vocabulary`` object, also deleted; it
+    indexes ``probs`` and ``active`` by the same row here)."""
     normal = sorted(set(int(i) for i in normal))
     if not normal:
         raise ConfigurationError("cannot generate words over an empty letter set")
@@ -312,9 +313,9 @@ def ref_generate_words(wm: WorldModel, normal, n: int,
         while remaining:
             weights = None
             if (current in wm.vocab
-                    and wm.transition.active[wm.vocab.index(current)]):
-                row = wm.transition.probs[wm.vocab.index(current)]
-                weights = np.array([row[wm.vocab.index(r)] for r in remaining])
+                    and wm.transition.active[wm.vocab[current]]):
+                row = wm.transition.probs[wm.vocab[current]]
+                weights = np.array([row[wm.vocab[r]] for r in remaining])
                 if weights.sum() <= 0.0:
                     weights = None
             if weights is not None:

@@ -25,7 +25,7 @@ from uavplan.cli import STAGE_COMMANDS
 from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, MissionConfig,
                                  instance_from_dict, instance_to_dict)
-from uavplan import world_model
+from uavplan import harness, world_model
 from uavplan.errors import ConsistencyError
 from uavplan.harness import (_READS, _STAGE_NAMES, ExperimentConfig,
                              MetricsRecord, _evaluate_one,
@@ -816,6 +816,16 @@ class TestCli:
                      ["pipeline", "--m-training", "20", "--test-sizes", "5",
                       "--seeds-per-size", "1"],
                      id="noise-process-scale-overflow"),
+        pytest.param('{"m_training": 30, "seeds_per_size": 1, '
+                     '"test_sizes": [5], "mission": {"dwell_time_s": 1e308}}',
+                     "a tour of 5 hotspots has no finite completion time at "
+                     "mission.dwell_time_s 1e+308", ["pipeline"],
+                     id="mission-dwell-overflow"),
+        pytest.param('{"mission": {"area_side_m": 1e306, '
+                     '"uav_speed_m_per_s": 0.01}}',
+                     "config mission.area_side_m 1e+306: a tour of 50 "
+                     "hotspots has no finite completion time", ["pipeline"],
+                     id="mission-legs-overflow"),
         pytest.param('{"mean_users": NaN}', "config key mean_users ",
                      ["gen-pool"], id="mean_users-nan"),
         pytest.param('{"mission": {"dwell_time_s": NaN}}',
@@ -838,14 +848,16 @@ class TestCli:
         noise, which scales the learned means, when the world model is
         learned. A mean user count past which exp(-mean_users) is not a
         normal float, so that the Poisson draws go wrong, is refused as the
-        pool is drawn, naming it. A NaN (which ``json`` reads) is refused at
-        load, naming its key, before any stage writes an artifact."""
+        pool is drawn, naming it. A NaN (which ``json`` reads), and a
+        mission under which the longest tour may have no finite completion
+        time, are refused at load, naming the key, before any stage writes
+        an artifact."""
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "broken.json"
         p.write_text(text)
         assert cli_main(command + ["--config", str(p)]) == 2
         assert named in capsys.readouterr().err
-        if "NaN" in text:
+        if "NaN" in text or "no finite completion time" in named:
             assert not (tmp_path / "out").exists()
 
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
@@ -1238,14 +1250,19 @@ class TestCli:
 
     def test_weights_that_skip_every_hotspot_exit_2(self, tmp_path, capsys):
         """At weights 1.0/0.0 the oracle visits no hotspot, so there are no
-        words to learn from: exit 2 with the reason, not a traceback."""
+        words to learn from: exit 2 with the reason, not a traceback,
+        naming the first demonstration and its order."""
         cfg = small_config(tmp_path / "k", test_sizes=(5,), seeds_per_size=1,
                            weights=ObjectiveWeights(1.0, 0.0))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["pipeline", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: DegenerateWordError:")
+        assert err.startswith(
+            "error: DegenerateWordError: demonstration 0, order []: a word "
+            "needs at least two visited vertices; the oracle keeps a hotspot "
+            "only where its profit pays for its detour under the config's "
+            "weights"), err
 
     COORDINATE_SCALES = [
         pytest.param('{"mission": {"area_side_m": 1e8}, '
@@ -1935,6 +1952,44 @@ def test_refused_run_without_config_json_writes_none(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {out}"), err
     assert not (out / "config.json").exists()
+
+
+def test_present_config_json_is_compared_once(tmp_path, monkeypatch,
+                                              finished_run):
+    """A rerun over a finished directory compares its config.json once,
+    before any eval output; the file is written last only when absent."""
+    out, cfg_path = _copy_run(finished_run, tmp_path)
+    seen = []
+    export = harness._export
+    monkeypatch.setattr(harness, "_export", lambda path, *args: (
+        seen.append(path.name), export(path, *args))[1])
+    assert cli_main(["pipeline", "--config", str(cfg_path)]) == 0
+    assert seen.count("config.json") == 1
+    assert seen.index("config.json") < seen.index("metrics.csv")
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["trace", "stdout"])
+def test_plan_with_a_dwell_that_overflows_exits_2(tmp_path, capsys,
+                                                  finished_run, trace):
+    """An instance whose dwell time gives its longest tour no finite
+    completion time exits 2 naming the mission key, before planning: no
+    trace file, nothing on stdout."""
+    out = Path(finished_run.output_dir)
+    inst = json.loads((out / "instances" / "s005k000.json").read_text())
+    inst["mission"]["dwell_time_s"] = 1e308
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(inst))
+    trace_path = tmp_path / "trace.json"
+    capsys.readouterr()
+    assert cli_main(["plan", "--instance", str(path), "--model",
+                     str(out / "world_model.json"),
+                     *(["--trace", str(trace_path)] if trace else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"configuration error: instance {path}: "
+                                   "a tour of 5 hotspots has no finite "
+                                   "completion time at mission.dwell_time_s "
+                                   "1e+308"), captured.err
+    assert captured.out == "" and not trace_path.exists()
 
 
 def test_plan_command_with_a_json_array_exits_2(tmp_path, capsys,

@@ -13,14 +13,14 @@ from uavplan.planner import (GaussianBelief, PlanContext, PlannerConfig,
                              classify_letters, expected_surprise,
                              generate_words, insert_best, levenshtein,
                              plan_mission, select_reference)
-from uavplan.world_model import NoiseConfig, Vocabulary, Word, learn
+from uavplan.world_model import NoiseConfig, Word, learn
 
 from planner_oracles import (NOVEL, enumerate_insertions, kalman_predict,
                              leg_length, predict_observation,
                              random_insertion_contexts, reference_edges,
                              rollout, step_covariances, step_values,
                              word_length_m)
-from world_model_oracles import GeneralizedLetter
+from world_model_oracles import GeneralizedLetter, letter_rows
 
 
 # --- independent oracles ------------------------------------------------------
@@ -109,7 +109,7 @@ class TestClassify:
 
     def test_all_known(self, trained):
         _, _, _, wm = trained
-        normal, novel = classify_letters(set(wm.vocab.letters), wm)
+        normal, novel = classify_letters(set(wm.vocab), wm)
         assert novel == frozenset()
 
     def test_half_novel_at_double_pool(self, trained):
@@ -162,12 +162,12 @@ class TestGenerateWords:
 
     def test_single_word(self, trained):
         _, _, _, wm = trained
-        normal = list(wm.vocab.letters)[:4]
+        normal = list(wm.vocab)[:4]
         assert len(generate_words(wm, normal, 1, rng_seed=0)) == 1
 
     def test_covers_each_letter_once(self, trained):
         _, _, _, wm = trained
-        normal = list(wm.vocab.letters)[:6]
+        normal = list(wm.vocab)[:6]
         for w in generate_words(wm, normal, 25, rng_seed=3):
             assert sorted(w.letters) == sorted(normal)
 
@@ -204,13 +204,13 @@ class TestSelectReference:
 
     def test_single_candidate_returned(self, trained):
         _, _, _, wm = trained
-        only = Word.from_letters(list(wm.vocab.letters)[:5])
+        only = Word.from_letters(list(wm.vocab)[:5])
         assert select_reference([only], wm) is only
 
     def test_winner_minimizes_dictionary_distance(self, trained):
         _, _, _, wm = trained
         rng = np.random.default_rng(8)
-        letters = list(wm.vocab.letters)
+        letters = list(wm.vocab)
         for _ in range(20):
             cands = []
             for _ in range(6):
@@ -241,7 +241,7 @@ class TestSelectReferenceAgainstBruteForce:
                      for _ in range(int(rng.integers(1, 120)))}
             # learn() stores words sorted; exactness must not depend on it
             keys = sorted(words) if trial % 2 else list(words)
-            vocab = Vocabulary(l for k in keys for l in k)
+            vocab = letter_rows(l for k in keys for l in k)
             world = replace(wm, vocab=vocab,
                             words=[Word.from_letters(k) for k in keys],
                             word_counts=[1] * len(keys))
@@ -345,7 +345,7 @@ class TestRollout:
 
     def test_profit_sums_letter_means(self, trained):
         _, mission, _, wm = trained
-        letters = list(wm.vocab.letters)[:5]
+        letters = list(wm.vocab)[:5]
         ctx = make_ctx({l: wm.stats[l].center_m for l in letters},
                        {l: wm.stats[l].mean_profit_bps for l in letters})
         b = rollout(Word.from_letters(letters), ctx)
@@ -596,7 +596,7 @@ class TestCheapestInsertionDegeneration:
 class TestPlanMission:
     def test_zero_novel_returns_reference(self, trained):
         chan, mission, testing_pool, wm = trained
-        training_ids = set(wm.vocab.letters)
+        training_ids = set(wm.vocab)
         pool = [h for h in testing_pool if h.id in training_ids]
         inst = sample_instance(31337, pool, 5, (1000.0, 1000.0), chan, mission)
         res = plan_mission(inst, wm, PlannerConfig(rng_seed=2))

@@ -39,13 +39,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan import planner
 from uavplan.environment import (ChannelParams, Instance, MissionConfig,
-                                 _pairwise_sum, _Stream, edge_cost,
-                                 sample_instance, sample_pool)
+                                 _Stream, edge_cost, sample_instance,
+                                 sample_pool)
 from uavplan.errors import ConfigurationError, NumericError
 from uavplan.harness import ExperimentConfig, iter_test_instances, run_pipeline
 from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
@@ -56,15 +56,15 @@ from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
                              _next_novel, _splice, classify_letters,
                              generate_words, insert_best, levenshtein,
                              plan_mission, plan_to_dict, select_reference)
-from uavplan.world_model import (NoiseConfig, Vocabulary, Word, WordIndex,
-                                 WorldModel, learn, model_from_dict,
-                                 model_to_dict)
+from uavplan.world_model import (NoiseConfig, Word, WordIndex, WorldModel,
+                                 learn, model_from_dict, model_to_dict)
 
 from planner_oracles import (NOVEL, candidate_word, enumerate_insertions,
                              expand_v1, expand_v2, leg_length,
                              random_insertion_contexts,
                              ref_generate_words, reference_edges, shifted,
                              step_covariances, step_values, word_length_m)
+from world_model_oracles import letter_rows
 
 
 # --- reference: every candidate spliced, every distance a full table -----------
@@ -190,9 +190,10 @@ def ref_levenshtein(a: tuple, b: tuple, cutoff: int | None = None) -> int:
     return prev[-1]
 
 
-def ref_min_dictionary_distance(letters: tuple, index: WordIndex) -> int:
+def ref_min_dictionary_distance(letters: tuple, index: WordIndex,
+                                vocab: dict[int, int]) -> int:
     m = len(letters)
-    rows = [index.column[l] for l in letters if l in index.column]
+    rows = [vocab[l] for l in letters if l in vocab]
     bounds = (np.maximum(index.lengths, m)
               - index.incidence[rows].sum(axis=0, dtype=np.int32))
     words = index.letters
@@ -217,9 +218,10 @@ def ref_select_reference(candidates, wm: WorldModel) -> Word:
         raise ConfigurationError("world model has no stored words")
     index = wm.word_index
     best = candidates[0]
-    best_d = ref_min_dictionary_distance(candidates[0].letters, index)
+    best_d = ref_min_dictionary_distance(candidates[0].letters, index,
+                                         wm.vocab)
     for cand in candidates[1:]:
-        d = ref_min_dictionary_distance(cand.letters, index)
+        d = ref_min_dictionary_distance(cand.letters, index, wm.vocab)
         if d < best_d:
             best, best_d = cand, d
     return best
@@ -509,7 +511,7 @@ def test_select_reference_picks_the_references_candidate(world, drawn):
     may mix letter sets and hold letters the dictionary lacks."""
     stored, cands = drawn
     keys = list(dict.fromkeys(tuple(w) for w in stored))
-    wm = replace(world[1], vocab=Vocabulary(l for k in keys for l in k),
+    wm = replace(world[1], vocab=letter_rows(l for k in keys for l in k),
                  words=[Word.from_letters(k) for k in keys],
                  word_counts=[1] * len(keys))
     words = [Word.from_letters(c) for c in cands]
@@ -519,7 +521,7 @@ def test_select_reference_picks_the_references_candidate(world, drawn):
 def _with_dictionary(wm: WorldModel, stored) -> WorldModel:
     """``wm`` with the distinct words of ``stored`` as its dictionary."""
     keys = list(dict.fromkeys(tuple(w) for w in stored))
-    return replace(wm, vocab=Vocabulary(l for k in keys for l in k),
+    return replace(wm, vocab=letter_rows(l for k in keys for l in k),
                    words=[Word.from_letters(k) for k in keys],
                    word_counts=[1] * len(keys))
 
@@ -552,7 +554,7 @@ def test_min_dictionary_distance_below_a_cutoff(world, drawn):
     wm = _with_dictionary(world[1], stored)
     letters = tuple(letters)
     exact = min(levenshtein(letters, w) for w in wm.words)
-    scan = _BoundScan(letters, wm.word_index)
+    scan = _BoundScan(letters, wm.word_index, wm.vocab)
     got = _min_dictionary_distance(letters, scan, below)
     assert got == (exact if below is None or exact < below else None)
 
@@ -574,32 +576,61 @@ def test_select_reference_on_shared_letter_sets(world):
 
 # --- word sampling -------------------------------------------------------------
 
-weight_vectors = st.lists(
-    st.one_of(st.just(0.0), st.floats(1e-300, 1e300), st.floats(0.0, 1.0)),
-    min_size=1, max_size=40).filter(lambda w: sum(w) > 0)
+# rows of 1 to 130 entries cross ``_pairwise_sum``'s splits at 8 and 128:
+# rows of one magnitude, where the order of the additions shows in the
+# sum, rows that mix zeros and magnitudes from subnormal to huge, and rows
+# with a single non-zero entry; 130 entries of any of them have a finite
+# sum
+weight_rows = st.one_of(
+    st.tuples(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=130),
+              st.sampled_from([1e-300, 1.0, 1e300])).map(
+        lambda row: [x * row[1] for x in row[0]]),
+    st.lists(st.one_of(st.just(0.0), st.floats(5e-324, 1e-300),
+                       st.floats(1e-300, 1e300)), min_size=1, max_size=130),
+    st.integers(1, 130).flatmap(lambda n: st.tuples(
+        st.integers(0, n - 1), st.floats(5e-324, 1e300)).map(
+            lambda kv: [kv[1] if j == kv[0] else 0.0 for j in range(n)])))
 
 
 @settings(max_examples=400, deadline=None)
-@given(weight_vectors, st.integers(0, 2 ** 63))
+@given(weight_rows, st.integers(0, 2 ** 63))
+@example([0.0] * 130, 7)
+@example([0.0] * 7 + [1e300] + [0.0] * 122, 7)
 def test_choice_index_is_generator_choice(weights, seed):
-    """On weight vectors with zeros, of 1 to 40 entries (8 or more take
-    numpy's pairwise sums), the stream's draw on the row normalized as
-    ``generate_words`` normalizes it is the index ``choice`` draws on the
-    row normalized by numpy, and leaves the stream where ``choice`` leaves
-    the generator."""
+    """On rows of non-negative weights with zeros, a single non-zero entry,
+    tiny and huge magnitudes, and 1 to 130 entries, ``_Stream.choice``
+    draws the index ``Generator.choice`` draws on the row normalized by
+    numpy, and leaves the stream where ``choice`` leaves the generator,
+    also when the uniform draw lands on a boundary of the cumulative
+    distribution; a row whose sum is 0 gives None and leaves the stream
+    where it was."""
     w = np.array(weights)
-    total = _pairwise_sum(weights)
-    p = [x / total for x in weights]
-    assert p == (w / w.sum()).tolist()
     ours, numpy_s = _Stream(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        assert ours.weighted(p) == numpy_s.choice(len(p), p=w / w.sum())
+    if w.sum() > 0:
+        for _ in range(3):
+            assert ours.choice(weights) == numpy_s.choice(len(w),
+                                                          p=w / w.sum())
+        # numpy's own steps: the running sum of p scaled by its last
+        # entry, and a right-sided search; a uniform draw that lands on an
+        # entry, or just below one, tells a last-bit difference apart
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        for u in {*cdf.tolist(), *np.nextafter(cdf, 0.0).tolist()}:
+            assert (_Drawing(u).choice(weights)
+                    == int(cdf.searchsorted(u, side="right")))
+    else:
+        assert ours.choice(weights) is None
     assert ours.random() == numpy_s.random()
-    ours, numpy_s = _Stream(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        assert (ours.weighted(x / total for x in weights)
-                == numpy_s.choice(len(p), p=w / w.sum()))
-    assert ours.random() == numpy_s.random()
+
+
+class _Drawing(_Stream):
+    """A stream whose every ``random()`` is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
 
 
 @settings(max_examples=200, deadline=None)
@@ -669,7 +700,8 @@ def uncut_select_reference(candidates, wm: WorldModel) -> Word:
         key = frozenset(cand.letters)
         scan = scans.get(key)
         if scan is None:
-            scan = scans[key] = _BoundScan(cand.letters, wm.word_index)
+            scan = scans[key] = _BoundScan(cand.letters, wm.word_index,
+                                           wm.vocab)
         d = _min_dictionary_distance(cand.letters, scan, None)
         if best_d is None or d < best_d:
             best, best_d = cand, d

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import subprocess
 from collections import Counter
 from pathlib import Path
 
@@ -207,3 +208,25 @@ def test_compare_outputs_names_every_difference(tmp_path, capsys):
         "differs metrics.csv\nmissing summary.csv\n"
         "extra tours/s005k000_mql.json\n3 files differ\n")
     assert compare.main([str(a), str(a / "metrics.csv")]) == 2
+
+
+def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys):
+    """tools/same_outputs.py runs each config at workers 1 and 2 on HEAD's
+    src/ and the working tree's, prints one line per pair, and exits 0
+    when every pair holds the same files (the working tree's outputs are
+    HEAD's while the change keeps every byte); a commit it cannot export
+    exits 2."""
+    root = Path(__file__).parent.parent
+    if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout with a commit")
+    same = _tool("same_outputs")
+    tiny = {"m_training": 20, "test_sizes": [5], "seeds_per_size": 1,
+            "ql": {"episodes": 50}}
+    assert same.same_outputs("HEAD", {"tiny": tiny}) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["tiny workers 1",
+                                                    "tiny workers 2"]
+    assert all(line.endswith(" files equal") for line in out), out
+    assert same.same_outputs("no-such-commit", {"tiny": tiny}) == 2
+    assert "cannot export no-such-commit" in capsys.readouterr().err

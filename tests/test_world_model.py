@@ -12,12 +12,12 @@ from uavplan.environment import sample_instance, sample_pool
 from uavplan.errors import (ConsistencyError, DegenerateWordError,
                             TrainingError)
 from uavplan.oracle import ObjectiveWeights, make_tour, solve
-from uavplan.world_model import (LetterStats, NoiseConfig, Vocabulary, Word,
-                                 learn, merge_global, model_from_dict,
+from uavplan.world_model import (LetterStats, NoiseConfig, Word, learn,
+                                 merge_global, model_from_dict,
                                  model_to_dict, word_from_tour)
 
 from world_model_oracles import (GeneralizedLetter, adjacency, degree, glyphs,
-                                 word_transition)
+                                 letter_rows, word_transition)
 
 
 def random_words(rng, vocab_letters, n_words, max_len=6):
@@ -96,63 +96,63 @@ class TestWordFromTour:
 
 class TestMatrices:
     def test_adjacency_definition(self):
-        vocab = Vocabulary([1, 2, 3])
+        vocab = letter_rows([1, 2, 3])
         a = adjacency(Word.from_letters([1, 2, 3]), vocab)
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 2] = 1.0
         assert np.array_equal(a, expected)
 
     def test_adjacency_empty_word(self):
-        vocab = Vocabulary([1, 2, 3])
+        vocab = letter_rows([1, 2, 3])
         assert np.array_equal(adjacency(Word.from_letters([]), vocab),
                               np.zeros((3, 3)))
 
     def test_degree_matches_adjacency_row_sums(self):
         rng = np.random.default_rng(1)
-        vocab = Vocabulary(range(1, 9))
-        for w in random_words(rng, list(vocab.letters), 50):
+        vocab = letter_rows(range(1, 9))
+        for w in random_words(rng, list(vocab), 50):
             a = adjacency(w, vocab)
             d = degree(w, vocab)
             assert np.array_equal(np.diag(d), a.sum(axis=1))
             assert np.array_equal(d, np.diag(np.diag(d)))
 
     def test_degree_example(self):
-        vocab = Vocabulary([1, 2, 3])
+        vocab = letter_rows([1, 2, 3])
         d = degree(Word.from_letters([1, 2, 3]), vocab)
         assert np.array_equal(np.diag(d), [1.0, 1.0, 0.0])
 
     def test_degree_trace_counts_glyphs(self):
         rng = np.random.default_rng(2)
-        vocab = Vocabulary(range(1, 9))
-        for w in random_words(rng, list(vocab.letters), 50):
+        vocab = letter_rows(range(1, 9))
+        for w in random_words(rng, list(vocab), 50):
             assert np.trace(degree(w, vocab)) == len(glyphs(w))
 
     def test_chain_word_rows_one_hot(self):
-        vocab = Vocabulary([1, 2, 3, 4])
+        vocab = letter_rows([1, 2, 3, 4])
         tm = word_transition(Word.from_letters([2, 4, 1]), vocab)
-        ix = vocab.index
+        ix = vocab.__getitem__
         assert tm.active[ix(2)] and tm.active[ix(4)]
         assert not tm.active[ix(1)] and not tm.active[ix(3)]
         assert tm.probs[ix(2), ix(4)] == 1.0
         assert tm.probs[ix(4), ix(1)] == 1.0
 
     def test_empty_word_all_rows_flagged(self):
-        vocab = Vocabulary([1, 2])
+        vocab = letter_rows([1, 2])
         tm = word_transition(Word.from_letters([]), vocab)
         assert not tm.active.any()
 
     def test_active_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        vocab = Vocabulary(range(1, 12))
-        for w in random_words(rng, list(vocab.letters), 100, max_len=8):
+        vocab = letter_rows(range(1, 12))
+        for w in random_words(rng, list(vocab), 100, max_len=8):
             tm = word_transition(w, vocab)
             sums = tm.probs.sum(axis=1)
             assert np.all(np.abs(sums[tm.active] - 1.0) <= 1e-9)
 
     def test_transition_is_pseudoinverse_degree_times_adjacency(self):
         rng = np.random.default_rng(4)
-        vocab = Vocabulary(range(1, 9))
-        for w in random_words(rng, list(vocab.letters), 30):
+        vocab = letter_rows(range(1, 9))
+        for w in random_words(rng, list(vocab), 30):
             a = adjacency(w, vocab)
             d = np.diag(degree(w, vocab))
             tm = word_transition(w, vocab)
@@ -165,32 +165,32 @@ class TestMatrices:
 
 class TestMergeGlobal:
     def test_two_branches_split_evenly(self):
-        vocab = Vocabulary([1, 2, 3])
+        vocab = letter_rows([1, 2, 3])
         tm = merge_global([Word.from_letters([1, 2]),
                            Word.from_letters([1, 3])], vocab)
-        assert tm.probs[vocab.index(1), vocab.index(2)] == pytest.approx(0.5)
-        assert tm.probs[vocab.index(1), vocab.index(3)] == pytest.approx(0.5)
+        assert tm.probs[vocab[1], vocab[2]] == pytest.approx(0.5)
+        assert tm.probs[vocab[1], vocab[3]] == pytest.approx(0.5)
 
     def test_singleton_merge_equals_word_transition(self):
         rng = np.random.default_rng(5)
-        vocab = Vocabulary(range(1, 9))
-        for w in random_words(rng, list(vocab.letters), 20):
+        vocab = letter_rows(range(1, 9))
+        for w in random_words(rng, list(vocab), 20):
             merged = merge_global([w], vocab)
             single = word_transition(w, vocab)
             assert np.array_equal(merged.probs, single.probs)
             assert np.array_equal(merged.active, single.active)
 
     def test_multiplicities_weight_counts(self):
-        vocab = Vocabulary([1, 2, 3])
+        vocab = letter_rows([1, 2, 3])
         tm = merge_global([Word.from_letters([1, 2]),
                            Word.from_letters([1, 3])], vocab,
                           multiplicities=[3, 1])
-        assert tm.probs[vocab.index(1), vocab.index(2)] == pytest.approx(0.75)
+        assert tm.probs[vocab[1], vocab[2]] == pytest.approx(0.75)
 
     def test_row_stochastic_at_scale(self):
         rng = np.random.default_rng(6)
-        vocab = Vocabulary(range(1, 30))
-        words = random_words(rng, list(vocab.letters), 2000, max_len=5)
+        vocab = letter_rows(range(1, 30))
+        words = random_words(rng, list(vocab), 2000, max_len=5)
         tm = merge_global(words, vocab)
         sums = tm.probs.sum(axis=1)
         assert np.all(np.abs(sums[tm.active] - 1.0) <= 1e-9)
@@ -224,7 +224,23 @@ class TestLearn:
         pool, _, demos = small_training
         wm = learn(demos, pool, NoiseConfig(), mission_module)
         assert len(wm.vocab) <= len(pool)
-        assert set(wm.vocab.letters) <= {h.id for h in pool}
+        assert set(wm.vocab) <= {h.id for h in pool}
+
+    def test_vocabulary_maps_each_letter_ascending_to_its_row(
+            self, small_training, mission_module):
+        """One dict is the model's letter map: the demonstrated letters,
+        ascending, each mapped to its row of the transition matrix and
+        of the word index."""
+        pool, _, demos = small_training
+        wm = learn(demos, pool, NoiseConfig(), mission_module)
+        letters = sorted({l for t in demos for l in t.order})
+        assert list(wm.vocab.items()) == [(l, k)
+                                          for k, l in enumerate(letters)]
+        for k, word in enumerate(wm.words):
+            assert (np.flatnonzero(wm.word_index.incidence[:, k]).tolist()
+                    == sorted(wm.vocab[l] for l in word.letters))
+            for a, b in zip(word.letters, word.letters[1:]):
+                assert wm.transition.probs[wm.vocab[a], wm.vocab[b]] > 0
 
     def test_single_demo_reproduces_tour(self, small_training, mission_module):
         pool, _, demos = small_training
@@ -311,7 +327,6 @@ class TestLearn:
         for f in fields(wm):
             a, b = getattr(wm, f.name), getattr(back, f.name)
             if f.name == "transition":
-                assert a.vocab == b.vocab
                 assert np.array_equal(a.probs, b.probs)
                 assert np.array_equal(a.active, b.active)
             elif isinstance(a, np.ndarray):
