@@ -13,28 +13,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .environment import instance_from_dict
 from .errors import ConfigurationError, NumericError, UavplanError
 from .harness import (ExperimentConfig, _check_tour_time, config_to_dict,
-                      load_artifact, load_config, run_pipeline,
-                      write_jsonl_atomic)
+                      instance_from_dict, load_artifact, load_config,
+                      run_pipeline, write_jsonl_atomic)
 from .planner import plan_mission, plan_to_dict
 from .world_model import model_from_dict
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    """The config file with the command-line overrides in place of its
+    keys, read once (``load_config``)."""
     overrides = {key: getattr(args, key) for key in
                  ("pool_seed", "m_training", "seeds_per_size", "workers")
                  if getattr(args, key) is not None}
     if args.out:
         overrides["output_dir"] = args.out
     if args.test_sizes:
-        overrides["test_sizes"] = tuple(args.test_sizes)
-    return replace(cfg, **overrides)
+        overrides["test_sizes"] = args.test_sizes
+    return load_config(args.config, overrides)
 
 
 # The stage commands in pipeline order. Each runs the pipeline up to and
@@ -86,19 +85,17 @@ def cmd_stage(args) -> int:
 
 def cmd_plan(args) -> int:
     """Plan one instance with the config's planner settings and weights;
-    ``--n-words``/``--seed`` override the planner settings."""
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    planner = cfg.planner
-    if args.n_words is not None:
-        planner = replace(planner, n_words=args.n_words)
-    if args.seed is not None:
-        planner = replace(planner, rng_seed=args.seed)
+    ``--n-words``/``--seed`` stand in for the config's ``planner`` keys."""
+    planner = {key: value for key, value in (("n_words", args.n_words),
+                                             ("rng_seed", args.seed))
+               if value is not None}
+    cfg = load_config(args.config, {"planner": planner} if planner else {})
     inst = load_artifact(Path(args.instance), instance_from_dict)
     _check_tour_time(inst.mission, inst.depot_m,
                      [h.center_m for h in inst.hotspots], len(inst.hotspots),
                      f"instance {args.instance}")
     wm = load_artifact(Path(args.model), model_from_dict)
-    result = plan_mission(inst, wm, planner, cfg.weights)
+    result = plan_mission(inst, wm, cfg.planner, cfg.weights)
     trace = plan_to_dict(result)
     if args.trace:
         write_jsonl_atomic(Path(args.trace), [trace])

@@ -5,10 +5,11 @@ otherwise (``*_db``, ``*_dbm``, ``*_hz``). All sampling is driven by
 explicit seeds; rerunning with the same seed and config reproduces the
 same objects bit for bit.
 
-``instance_to_dict`` writes an instance as one self-contained
-``uavplan.instance.v1`` object (the test instances of an experiment).
-Training instances are sampled on every run; ``harness`` exports their
-hotspot ids alone.
+The records here are plain frozen dataclasses, and their JSON form is
+their fields: ``harness`` writes an experiment's test instances as
+self-contained ``uavplan.instance.v1`` objects, and reads one back for
+``uavplan plan``. Training instances are sampled on every run;
+``harness`` exports their hotspot ids alone.
 
 Every random draw in the package goes through one private stream class,
 ``_Stream``, which makes from raw 64-bit PCG64 outputs (O'Neill, *PCG*,
@@ -74,7 +75,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, truediv
@@ -565,45 +566,3 @@ def _pairwise_sum(xs: list[float]) -> float:
     half = n // 2
     half -= half % 8
     return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-
-
-# --- JSON schemas -----------------------------------------------------------
-
-def hotspot_to_dict(h: Hotspot) -> dict:
-    return {"id": h.id, "center_m": list(h.center_m), "num_users": h.num_users,
-            "profit_bps": h.profit_bps}
-
-
-def hotspot_from_dict(d: dict) -> Hotspot:
-    return Hotspot(id=int(d["id"]), center_m=(float(d["center_m"][0]),
-                                               float(d["center_m"][1])),
-                   num_users=int(d["num_users"]), profit_bps=float(d["profit_bps"]))
-
-
-POOL_SCHEMA = "uavplan.pool.v2"
-
-
-def pool_to_dict(pool: Sequence[Hotspot]) -> dict:
-    return {"schema": POOL_SCHEMA,
-            "hotspots": [hotspot_to_dict(h) for h in pool]}
-
-
-def instance_to_dict(inst: Instance) -> dict:
-    return {
-        "schema": "uavplan.instance.v1",
-        "seed": inst.seed,
-        "depot_m": list(inst.depot_m),
-        "mission": asdict(inst.mission),
-        "channel": asdict(inst.channel),
-        "hotspots": [hotspot_to_dict(h) for h in inst.hotspots],
-    }
-
-
-def instance_from_dict(d: dict) -> Instance:
-    return Instance(
-        hotspots=tuple(hotspot_from_dict(h) for h in d["hotspots"]),
-        depot_m=(float(d["depot_m"][0]), float(d["depot_m"][1])),
-        channel=ChannelParams(**d["channel"]),
-        mission=MissionConfig(**d["mission"]),
-        seed=int(d["seed"]),
-    )

@@ -71,17 +71,26 @@ The oracle stage solves the training instances in one batch per worker
 (``oracle.demonstrate``), which also gives each instance's cost scale for
 Q-learning; the stage hands the scales to the Q-learning stage.
 
-Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``).
+Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``),
+whose one rule for records is that a dataclass's JSON form is its fields:
+the config, a record's config values, the pool's hotspots, each test
+instance (``uavplan.instance.v1``: its fields and the schema) and each
+test tour (``uavplan.tour.v1``: its fields, the schema and the weights)
+are written by it, with no writer of their own.
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
-of the config: its JSON form is their ``asdict``, and reading one back
-takes every default from them and rejects any key they do not declare,
-any value whose JSON type does not fit the key's declared type (a NaN
-or infinite number fits none), and any value that a dataclass's own
-check refuses, such as a channel or an altitude whose rates overflow
-float arithmetic, or a mission under which the longest tour of the
-largest test or training size may have no finite completion time
-(``_check_tour_time``, which ``uavplan plan`` applies to its instance).
+of the config, and one checked reader (``_from_json``) reads both it and
+an instance given to ``uavplan plan`` (``instance_from_dict``) back: it
+takes every default from the dataclasses and rejects any key they do not
+declare, any value whose JSON type does not fit the key's declared type
+(a NaN or infinite number fits none, and an integer for a number key is
+read as that float, unless no float holds it), and any value that a
+dataclass's own check refuses, such as a channel or an altitude whose
+rates overflow float arithmetic, or a mission under which the longest
+tour of the largest test or training size may have no finite completion
+time (``_check_tour_time``, which ``uavplan plan`` applies to its
+instance). The command-line overrides are merged into the config file's
+object before it is read (``load_config``).
 """
 
 from __future__ import annotations
@@ -101,13 +110,10 @@ from typing import (Callable, Iterable, Sequence, TypeVar, get_args, get_origin,
 
 import json
 
-from .environment import (POOL_SCHEMA, ChannelParams, Hotspot, Instance,
-                          MissionConfig, Point, channel_gain,
-                          instance_to_dict, pool_to_dict, sample_instances,
-                          sample_pool)
+from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
+                          Point, channel_gain, sample_instances, sample_pool)
 from .errors import ConfigurationError
-from .oracle import (ObjectiveWeights, Tour, demonstrate, make_tour, solve,
-                     tour_to_dict)
+from .oracle import ObjectiveWeights, Tour, demonstrate, make_tour, solve
 from .planner import (PlannerConfig, _chain_distance, plan_mission,
                       plan_to_dict)
 from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
@@ -118,8 +124,11 @@ METRICS_SCHEMA = "uavplan.metrics.v1"
 METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
                    "completion_time_s", "tour_length_m", "similarity_to_oracle"]
 METHODS = ("oracle", "ain", "mql")
+POOL_SCHEMA = "uavplan.pool.v2"
 INSTANCES_SCHEMA = "uavplan.instances.v4"
 TOURS_SCHEMA = "uavplan.tours.v5"
+INSTANCE_SCHEMA = "uavplan.instance.v1"
+TOUR_SCHEMA = "uavplan.tour.v1"
 
 T = TypeVar("T")
 
@@ -272,85 +281,120 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {"schema": CONFIG_SCHEMA, **asdict(cfg)}
 
 
-def _fits(value, hint) -> bool:
-    """Whether the JSON value ``value`` fits the declared type ``hint``: an
-    int takes an integer and a float any finite number (neither takes a
-    bool), a tuple a list (or tuple) of fitting items, and a union what
-    one of its members takes."""
+def _from_json(hint, value, what: str, key: str = ""):
+    """The JSON value ``value`` at ``key`` of a ``what`` (a config or an
+    instance) built as the declared type ``hint``. A dataclass is built
+    from an object of its fields, each built as its declared type, with
+    every default from the dataclass; a tuple from a list (or a tuple) of
+    its length, item by item; a union as the first member that takes the
+    value; a float from a finite number, an integer as that float; any
+    other type from a value of exactly that type (so no int from a bool).
+    A key that is not a field, a value that no declared type takes (an
+    integer that no float holds too) and a value that a nested
+    dataclass's own check refuses are configuration errors that name the
+    dotted key (a tuple item by its index), or the nested dataclass's
+    section."""
+    def at(name) -> str:
+        return f"{key}.{name}" if key else str(name)
+
     args = get_args(hint)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{what} {key or 'root'} must be a JSON "
+                                     "object")
+        hints = get_type_hints(hint)
+        names = {f.name for f in fields(hint)}
+        kwargs = {}
+        for name, item in value.items():
+            if name not in names:
+                raise ConfigurationError(f"unknown {what} key {at(name)}")
+            kwargs[name] = _from_json(hints[name], item, what, at(name))
+        try:
+            return hint(**kwargs)
+        except ConfigurationError as e:
+            if not key:
+                raise
+            raise ConfigurationError(f"{what} {key}: {e}") from None
     if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if args:
-        return any(_fits(value, member) for member in args)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, int) or (isinstance(value, float)
-                                          and math.isfinite(value))
-    return isinstance(value, hint)
+        if isinstance(value, (list, tuple)):
+            items = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(items) == len(value):
+                return tuple(_from_json(h, v, what, at(k))
+                             for k, (h, v) in enumerate(zip(items, value)))
+    elif args:
+        for member in args:
+            with contextlib.suppress(ConfigurationError):
+                return _from_json(member, value, what, key)
+    elif hint is float and type(value) in (int, float):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(number := float(value)):
+                return number
+    elif type(value) is hint:
+        return value
+    raise ConfigurationError(
+        f"{what} key {key} must be of type "
+        f"{str(hint) if args else hint.__name__}, not {_excerpt(value)}")
 
 
-def _dataclass_from_dict(cls, d, prefix: str = ""):
-    """Build dataclass ``cls`` from the keys present in ``d``; defaults come
-    from the dataclass. Nested dataclass fields recurse, JSON lists become
-    tuples (the config's sequences are tuples), and a key that is not a
-    field, or whose value does not fit the field's type (``_fits``), is an
-    error naming its dotted path; a value that a nested dataclass's own
-    check rejects is an error naming that dataclass's section."""
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"config {prefix.rstrip('.') or 'root'} "
-                                 "must be a JSON object")
-    hints = get_type_hints(cls)
-    names = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in d.items():
-        if key not in names:
-            raise ConfigurationError(f"unknown config key {prefix}{key}")
-        hint = hints[key]
-        if is_dataclass(hint):
-            value = _dataclass_from_dict(hint, value, f"{prefix}{key}.")
-        elif not _fits(value, hint):
-            raise ConfigurationError(
-                f"config key {prefix}{key} must be of type "
-                f"{str(hint) if get_args(hint) else hint.__name__}, "
-                f"not {_excerpt(value)}")
-        elif isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except ConfigurationError as e:
-        if not prefix:
-            raise
-        raise ConfigurationError(f"config {prefix.rstrip('.')}: {e}") from None
+def _record_from_dict(cls: type[T], schema: str, what: str, d) -> T:
+    """``cls`` built from the JSON object ``d`` (``_from_json``), whose
+    ``schema``, when it has one, must be ``schema``."""
+    if isinstance(d, dict):
+        d = dict(d)
+        found = d.pop("schema", schema)
+        if found != schema:
+            raise ConfigurationError(f"unsupported {what} schema {found!r}")
+    return _from_json(cls, d, what)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
-    schema = d.pop("schema", CONFIG_SCHEMA)
-    if schema != CONFIG_SCHEMA:
-        raise ConfigurationError(f"unsupported config schema {schema!r}")
-    return _dataclass_from_dict(ExperimentConfig, d)
+    return _record_from_dict(ExperimentConfig, CONFIG_SCHEMA, "config", d)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def instance_from_dict(d: dict) -> Instance:
+    """A ``uavplan.instance.v1`` object, as ``stage_eval`` writes it."""
+    return _record_from_dict(Instance, INSTANCE_SCHEMA, "instance", d)
+
+
+def load_config(path: str | Path | None,
+                overrides: dict | None = None) -> ExperimentConfig:
+    """The config of the JSON object in the file ``path`` (of ``{}``
+    without one) with ``overrides`` in place of its keys, where an
+    override that is an object replaces only the keys it holds of its
+    section. The merged object is read once (``config_from_dict``), so
+    that an override stands in for the file value it replaces in every
+    check. With a file, any error is a configuration error naming it."""
     try:
-        with open(path) as f:
-            return config_from_dict(json.load(f))
+        d = {}
+        if path:
+            with open(path) as f:
+                d = json.load(f)
+        if isinstance(d, dict):
+            d = {**d, **{key: {**d.get(key, {}), **value}
+                         if isinstance(value, dict) else value
+                         for key, value in (overrides or {}).items()}}
+        return config_from_dict(d)
     except (OSError, ValueError, TypeError, KeyError, RecursionError) as e:
+        if not path:
+            raise
         raise ConfigurationError(f"cannot load config {path}: {e}") from e
 
 
 # --- atomic artifact IO -------------------------------------------------------
 
-# The one JSON encoding of every artifact: sorted keys, no spaces. One
-# encoder serves every call (json.dumps with these options builds a new one
-# per call).
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _fields(obj) -> dict:
+    """A dataclass instance's JSON form: its fields."""
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
+
+
+# The one JSON encoding of every artifact: sorted keys, no spaces, a
+# dataclass as its fields. One encoder serves every call (json.dumps with
+# these options builds a new one per call).
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   default=_fields).encode
 
 
 def _cut(text: str, limit: int = 100) -> str:
@@ -419,9 +463,10 @@ def _export(path: Path, lines: Iterable, remedy: str = _REGENERATE) -> None:
     Lines are compared as bytes and parsed only where they differ: another
     number of lines is named by both counts; any other line by its number
     and, for a CSV line, both lines cut to 100 characters, for a JSON line,
-    the first field that differs (``_first_difference``, in the key order
-    of the object this run writes, so a header's record keys, upstream
-    keys first) with both values, and a field of a world model's words
+    the first field that differs (``_first_difference``, over the JSON
+    form of the object this run writes, in its key order: a header's
+    record keys, upstream keys first, and a dataclass's fields in their
+    order) with both values, and a field of a world model's words
     also with the fingerprints (sha256) of both word lists. Each message
     ends with ``remedy``."""
     if not path.exists():
@@ -454,6 +499,8 @@ def _export(path: Path, lines: Iterable, remedy: str = _REGENERATE) -> None:
                         raise ConfigurationError(
                             f"cannot read artifact {path}, line {n}: {e}"
                         ) from e
+                    # this run's value in its JSON form, keys in its order
+                    item = json.loads(json.dumps(item, default=_fields))
                     found = _first_difference(recorded, item)
                 if found is None:
                     raise ConfigurationError(
@@ -533,7 +580,7 @@ def _record(cfg: ExperimentConfig, stage: str) -> dict:
     record = {}
     for name in upstream:
         record.update(_record(cfg, name))
-    config = json.loads(_canonical_json(asdict(cfg)))
+    config = json.loads(_canonical_json(cfg))
     return {**record, **{key: config[key] for key in own}}
 
 
@@ -546,7 +593,7 @@ def stage_pools(cfg: ExperimentConfig,
     testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
                           cfg.mean_users, cfg.mission, cfg.channel)
     record = {"schema": POOL_SCHEMA, **_record(cfg, "pools")}
-    _export(out / "pools.json", [{**record, **pool_to_dict(testing)}])
+    _export(out / "pools.json", [{**record, "hotspots": testing}])
     return testing, testing[:cfg.training_pool_size]
 
 
@@ -717,9 +764,10 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
     for e in evaluations:
         for method, tour in zip(METHODS, e.tours):
             _export(out / f"tours/{e.instance_id}_{method}.json",
-                    [tour_to_dict(tour, cfg.weights)])
+                    [{"schema": TOUR_SCHEMA, **vars(tour),
+                      "weights": cfg.weights}])
         _export(out / f"instances/{e.instance_id}.json",
-                [instance_to_dict(e.instance)])
+                [{"schema": INSTANCE_SCHEMA, **vars(e.instance)}])
         _export(out / f"traces/{e.instance_id}_ain.json", [e.trace])
 
     records = [asdict(r) for e in evaluations for r in e.rows]

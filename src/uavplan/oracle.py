@@ -56,9 +56,9 @@ bounded per chunk.
 
 A demonstration is stored by ``harness`` as its order alone, under one
 weights header; the demonstrations are solved on every run and only
-checked against that file. Each evaluated test tour is a self-contained
-``uavplan.tour.v1`` object (``tour_to_dict``: order, totals and
-weights), which ``tour_from_dict`` reads.
+checked against that file. ``harness`` writes each evaluated test tour
+as a self-contained ``uavplan.tour.v1`` object (the tour's fields, the
+schema and the weights), which ``tour_from_dict`` reads.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -478,15 +478,6 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
                 elif abs(obj - best_obj) <= _TIE_EPS and perm < best_order:
                     best_order = perm
     return make_tour([hotspots[k].id for k in best_order], inst, w)
-
-
-def tour_to_dict(t: Tour, w: ObjectiveWeights) -> dict:
-    """A self-contained ``uavplan.tour.v1`` object: the order, the totals,
-    the schema and the weights."""
-    return {"schema": "uavplan.tour.v1", "order": list(t.order),
-            "total_cost_m": t.total_cost_m,
-            "total_profit_bps": t.total_profit_bps, "objective": t.objective,
-            "weights": asdict(w)}
 
 
 def tour_from_dict(d: dict) -> Tour:

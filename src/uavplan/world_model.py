@@ -343,16 +343,24 @@ def model_to_dict(wm: WorldModel) -> dict:
 
 
 def model_from_dict(d: dict) -> WorldModel:
+    """Read a ``uavplan.world_model.v3`` object; each word's letters and
+    count must be JSON integers."""
     found = d.get("schema")
     if found != WORLD_MODEL_SCHEMA:
         raise ConsistencyError(
             f"schema {found!r}, not {WORLD_MODEL_SCHEMA!r} (an older format or "
             "not this artifact); delete it and run again to regenerate it")
+    words = d["words"]
+    for k, w in enumerate(words):
+        if not all(type(v) is int for v in (*w["letters"], w["count"])):
+            raise ConsistencyError(
+                f"word {k} has letters {w['letters']} and count "
+                f"{w['count']}, which must be integers")
     return _build(
         {int(l): ((float(s["center_m"][0]), float(s["center_m"][1])),
                   float(s["mean_profit_bps"]))
          for l, s in d["letters"].items()},
-        [Word.from_letters(w["letters"]) for w in d["words"]],
-        [int(w["count"]) for w in d["words"]],
+        [Word.from_letters(w["letters"]) for w in words],
+        [w["count"] for w in words],
         float(d["mean_profit_bps"]), float(d["mean_leg_time_s"]),
         NoiseConfig(**d["noise_config"]))

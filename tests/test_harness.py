@@ -24,23 +24,25 @@ from hypothesis import strategies as st
 from uavplan.cli import STAGE_COMMANDS
 from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, MissionConfig,
-                                 instance_from_dict, instance_to_dict)
+                                 sample_instances, sample_pool)
 from uavplan import harness, world_model
 from uavplan.errors import ConsistencyError
-from uavplan.harness import (_READS, _STAGE_NAMES, ExperimentConfig,
+from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
+                             POOL_SCHEMA, TOUR_SCHEMA, ExperimentConfig,
                              MetricsRecord, _evaluate_one,
                              _canonical_json, _csv_lines, _first_difference,
                              _record, completion_ratios, completion_time,
                              completion_time_from, config_from_dict,
-                             config_to_dict, iter_test_instances,
-                             load_config, run_pipeline,
+                             config_to_dict, instance_from_dict,
+                             iter_test_instances, load_config, run_pipeline,
                              stage_oracle, stage_pools, stage_training_instances,
                              summarize, word_similarity, write_jsonl_atomic)
-from uavplan.oracle import ObjectiveWeights, make_tour, tour_to_dict
+from uavplan.oracle import ObjectiveWeights, make_tour, solve
 from uavplan.planner import PlannerConfig, levenshtein
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
 
+from harness_oracles import instance_to_dict, pool_to_dict, tour_to_dict
 from oracle_oracles import instance_scales
 from planner_oracles import expand_v1, expand_v2
 
@@ -376,6 +378,59 @@ class TestFirstDifference:
     def test_key_only_in_current(self):
         assert _first_difference({"a": 1}, {"a": 1, "new": [0]}) == \
             ("new", None, [0])
+
+
+def _old_json(obj) -> str:
+    """The canonical encoding of plain JSON values, without the encoder's
+    dataclass rule."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class TestRecordEncoding:
+    """A record of dataclasses is written as their fields by the one
+    encoder rule: the bytes are those of the hand-made writers that it
+    replaced (harness_oracles.py), and ``instance_from_dict`` reads every
+    instance back."""
+
+    MISSIONS = (MissionConfig(),
+                MissionConfig(uav_altitude_m=120.0, uav_speed_m_per_s=15.0,
+                              dwell_time_s=2.5, area_side_m=1500.0),
+                MissionConfig(uav_altitude_m=350.0, uav_speed_m_per_s=7.25,
+                              dwell_time_s=30.0, area_side_m=333.3))
+    WEIGHTS = (ObjectiveWeights(),
+               ObjectiveWeights(weight_alpha=0.5, weight_beta=0.5,
+                                cost_scale=1234.5, profit_scale=1.0e6))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mission=st.sampled_from(MISSIONS), weights=st.sampled_from(WEIGHTS),
+           pool_seed=st.integers(0, 2**40), size=st.integers(1, 50),
+           seeds=st.lists(st.integers(0, 2**40), min_size=1, max_size=3,
+                          unique=True),
+           depot=st.one_of(st.none(), st.tuples(
+               st.floats(-1e4, 1e4, allow_subnormal=False),
+               st.floats(-1e4, 1e4, allow_subnormal=False))))
+    def test_records_encode_as_the_hand_made_writers(
+            self, chan, mission, weights, pool_seed, size, seeds, depot):
+        pool = sample_pool(pool_seed, 50, 5.0, mission, chan)
+        if depot is None:
+            half = mission.area_side_m / 2.0
+            depot = (half, half)
+        assert (_canonical_json({"schema": POOL_SCHEMA, "hotspots": pool})
+                == _old_json(pool_to_dict(pool)))
+        for inst in sample_instances(seeds, pool, size, depot, chan, mission):
+            text = _canonical_json({"schema": INSTANCE_SCHEMA, **vars(inst)})
+            assert text == _old_json(instance_to_dict(inst))
+            assert instance_from_dict(json.loads(text)) == inst
+            tour = solve(inst, weights)
+            assert (_canonical_json({"schema": TOUR_SCHEMA, **vars(tour),
+                                     "weights": weights})
+                    == _old_json(tour_to_dict(tour, weights)))
+
+    def test_only_dataclasses_are_encoded_as_their_fields(self):
+        assert _canonical_json({"w": ObjectiveWeights()}) == _old_json(
+            {"w": asdict(ObjectiveWeights())})
+        with pytest.raises(TypeError, match="type set is not JSON"):
+            _canonical_json({"ids": {1, 2}})
 
 
 class TestReport:
@@ -803,7 +858,7 @@ class TestCli:
         pytest.param('{"channel": {"los_sigmoid_a": -2.0}}',
                      "config channel: los_sigmoid_a must be >= 0, not -2.0",
                      ["gen-pool"], id="channel-los-sigmoid-a-above-1"),
-        pytest.param('{"mean_users": 800}', "mean_users 800 is too large",
+        pytest.param('{"mean_users": 800}', "mean_users 800.0 is too large",
                      ["gen-pool"], id="mean_users-underflow"),
         pytest.param('{"channel": {"path_loss_exponent": 200}}',
                      "channel.path_loss_exponent 200", ["gen-pool"],
@@ -826,6 +881,10 @@ class TestCli:
                      "config mission.area_side_m 1e+306: a tour of 50 "
                      "hotspots has no finite completion time", ["pipeline"],
                      id="mission-legs-overflow"),
+        pytest.param('{"mission": {"area_side_m": 1' + "0" * 400 + '}}',
+                     "config key mission.area_side_m must be of type float, "
+                     "not 1000", ["gen-pool"],
+                     id="mission.area_side_m-401-digits"),
         pytest.param('{"mean_users": NaN}', "config key mean_users ",
                      ["gen-pool"], id="mean_users-nan"),
         pytest.param('{"mission": {"dwell_time_s": NaN}}',
@@ -908,6 +967,41 @@ class TestCli:
                          str(out), *flags]) == 2
         assert named in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("config", [
+        pytest.param('{"test_sizes": [500]}', id="test_sizes"),
+        pytest.param('{"mission": {"dwell_time_s": 1e307}}',
+                     id="mission.dwell_time_s")])
+    def test_override_stands_in_for_the_file_value(self, tmp_path, capsys,
+                                                   config):
+        """The command-line overrides are merged into the config file's
+        object, which is read once: an override replaces a file value that
+        the config's checks would refuse (a test size past the pool; a
+        dwell under which a tour of the default largest size, 50, has no
+        finite completion time, though one of 5 has)."""
+        p = tmp_path / "d.json"
+        p.write_text(config)
+        assert cli_main(["show-config", "--config", str(p),
+                         "--test-sizes", "5"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["test_sizes"] == [5]
+        assert shown["mission"]["dwell_time_s"] == json.loads(config).get(
+            "mission", {}).get("dwell_time_s", 0.0)
+
+    def test_integer_for_a_float_key_writes_the_float(self, tmp_path):
+        """``"mean_users": 5`` is read as 5.0: a run over the output of a
+        run with ``5.0`` exits 0, so config.json and pools.json, like every
+        other export, hold the same bytes."""
+        for name, mean in (("int", "5"), ("float", "5.0")):
+            (tmp_path / f"{name}.json").write_text(
+                '{"m_training": 20, "test_sizes": [5], "seeds_per_size": 1, '
+                f'"ql": {{"episodes": 50}}, "mean_users": {mean}}}')
+        out = str(tmp_path / "out")
+        for name in ("float", "int"):
+            assert cli_main(["pipeline", "--config",
+                             str(tmp_path / f"{name}.json"), "--out", out]) == 0
+        assert json.loads((tmp_path / "out" / "config.json").read_text())[
+            "mean_users"] == 5.0
 
     def test_show_config_round_trips(self, tmp_path, capsys):
         assert cli_main(["show-config"]) == 0
@@ -1142,19 +1236,48 @@ class TestCli:
     @pytest.mark.parametrize("artifact,command,named", [
         pytest.param("pools.json", "pipeline", "hotspots.0.center_m ",
                      id="pools.json"),
-        pytest.param("instances/s005k000.json", "plan", "IndexError",
-                     id="instance")])
+        pytest.param("instances/s005k000.json", "plan",
+                     "instance key hotspots.0.center_m ", id="instance")])
     def test_short_list_in_artifact_exits_2(self, tmp_path, capsys, artifact,
                                             command, named):
         """A hotspot whose center has one coordinate exits 2 naming the
-        file, in a reused pool (and the field) and in an instance given to
-        ``plan`` (and the error)."""
+        file and the field, in a reused pool and in an instance given to
+        ``plan``."""
         code, err = self._damaged_run_exit(
             tmp_path, capsys, artifact,
             lambda obj: obj["hotspots"][0]["center_m"].pop(), command)
         assert code == 2
         assert err.startswith("configuration error:")
         assert str(tmp_path / "d" / artifact) in err and named in err
+
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param(lambda obj: obj["hotspots"][0].__setitem__("id", 6.5),
+                     "instance key hotspots.0.id must be of type int, not 6.5",
+                     id="id-6.5"),
+        pytest.param(lambda obj: obj["hotspots"][1].__setitem__(
+            "center_m", ["12.5", "40"]), "instance key hotspots.1.center_m.0 "
+            'must be of type float, not "12.5"', id="center-strings"),
+        pytest.param(lambda obj: obj["mission"].__setitem__("dwell_time_s",
+                                                            True),
+                     "instance key mission.dwell_time_s must be of type "
+                     "float, not true", id="dwell-bool"),
+        pytest.param(lambda obj: obj.__setitem__("color", "red"),
+                     "unknown instance key color", id="unknown-key"),
+        pytest.param(lambda obj: obj.__setitem__("schema", "uavplan.tour.v1"),
+                     "unsupported instance schema 'uavplan.tour.v1'",
+                     id="other-schema")])
+    def test_instance_of_another_shape_exits_2(self, tmp_path, capsys, edit,
+                                               named):
+        """An instance given to ``plan`` is read by the config's checked
+        reader: a value of another JSON type than its field's, a key that
+        is not a field and another schema exit 2 naming the file and the
+        dotted key."""
+        artifact = "instances/s005k000.json"
+        code, err = self._damaged_run_exit(tmp_path, capsys, artifact, edit,
+                                           "plan")
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert str(tmp_path / "d" / artifact) in err and named in err, err
 
     @pytest.mark.parametrize("speed", [
         pytest.param(-1, id="instance-speed-negative"),
@@ -1206,13 +1329,20 @@ class TestCli:
                      id="letter-profits-and-leg-time-scaled"),
         pytest.param(lambda obj: obj.__setitem__(
             "mean_leg_time_s", 5 * obj["mean_leg_time_s"]), "pipeline",
-            "holds mean_leg_time_s ", id="mean-leg-time-scaled")])
+            "holds mean_leg_time_s ", id="mean-leg-time-scaled"),
+        pytest.param(lambda obj: obj["words"][1].__setitem__("count", 1.5),
+                     "plan", "word 1 has letters", id="word-count-fractional"),
+        pytest.param(lambda obj: obj["words"][2]["letters"].__setitem__(
+            1, obj["words"][2]["letters"][1] + 0.25), "plan",
+            "word 2 has letters", id="word-letter-fractional")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model file holds only sources (letter statistics, words
         with counts, two means and the noise config). One whose sources
         are impossible exits 2 naming the file and the fault: a word count
-        below 1, a stored word naming a letter without statistics, a NaN
+        below 1, a word count or letter that is not an integer (named by
+        the word's index), a stored word naming a letter without
+        statistics, a NaN
         mean, a noise scale that is not positive, a letter with a NaN mean
         profit, one in another schema, an older world model reused by a
         pipeline re-run, or another artifact given to ``plan``. Reused by a
@@ -1226,14 +1356,15 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert str(tmp_path / "d" / "world_model.json") in err and named in err
 
-    @pytest.mark.parametrize("count", [
-        pytest.param("1e400", id="1e400"),
-        pytest.param("1" + "0" * 400, id="10**400")])
+    @pytest.mark.parametrize("count,named", [
+        pytest.param("1e400", "word 0 has letters", id="1e400"),
+        pytest.param("1" + "0" * 400, "OverflowError", id="10**400")])
     def test_world_model_with_overflowing_count_exits_2(self, tmp_path,
-                                                        capsys, count):
+                                                        capsys, count, named):
         """A stored word count too large for a float, written as a float
-        literal or as an integer, exits 2 naming the model given to
-        ``plan``."""
+        literal (read as infinity, which is no integer) or as an integer
+        (which overflows float arithmetic), exits 2 naming the model given
+        to ``plan`` and the fault."""
         cfg = small_config(tmp_path / "d", test_sizes=(5,), seeds_per_size=1)
         run_pipeline(cfg)
         model = tmp_path / "d" / "world_model.json"
@@ -1246,7 +1377,7 @@ class TestCli:
                          "--trace", str(tmp_path / "trace.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
-        assert str(model) in err and "OverflowError" in err
+        assert str(model) in err and named in err
 
     def test_weights_that_skip_every_hotspot_exit_2(self, tmp_path, capsys):
         """At weights 1.0/0.0 the oracle visits no hotspot, so there are no
@@ -1759,12 +1890,21 @@ def _swap_first_visits(lines):
                  id="oracle_tours.jsonl"),
     pytest.param("qtable.json", lambda lines: lines[0]["values"][0].__setitem__(
         2, 2 * lines[0]["values"][0][2] + 1), 1, "values.0.2",
-        id="qtable.json")])
+        id="qtable.json"),
+    pytest.param("instances/s005k000.json",
+                 lambda lines: lines[0]["hotspots"][2]["center_m"].__setitem__(
+                     1, lines[0]["hotspots"][2]["center_m"][1] + 1.0), 1,
+                 "hotspots.2.center_m.1", id="instances"),
+    pytest.param("tours/s005k000_ain.json",
+                 lambda lines: lines[0]["weights"].__setitem__("cost_scale",
+                                                               2.0), 1,
+                 "weights.cost_scale", id="tours")])
 def test_exports_hold_exactly_what_the_run_writes(
         tmp_path, capsys, finished_run, name, edit, line, leaf):
     """The files a run recomputes are checked by one rule: an untouched
     rerun exits 0 and keeps the bytes; one changed leaf exits 2 naming
-    its line and field path; a file cut short by a line exits 2 naming
+    its line and field path, inside the hotspots and instances that are
+    written as their dataclasses' fields too; a file cut short by a line exits 2 naming
     both line counts; and the same values encoded by ``json.dumps`` exit
     2 naming the first line, because the file is compared as bytes."""
     out = tmp_path / "run"

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import subprocess
 from collections import Counter
 from pathlib import Path
@@ -210,12 +211,15 @@ def test_compare_outputs_names_every_difference(tmp_path, capsys):
     assert compare.main([str(a), str(a / "metrics.csv")]) == 2
 
 
-def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys):
+def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
+                                                      monkeypatch):
     """tools/same_outputs.py runs each config at workers 1 and 2 on HEAD's
-    src/ and the working tree's, prints one line per pair, and exits 0
-    when every pair holds the same files (the working tree's outputs are
-    HEAD's while the change keeps every byte); a commit it cannot export
-    exits 2."""
+    src/ and the working tree's, then the working tree's over HEAD's
+    workers 1 directory, prints one line per pair and per rerun, and
+    exits 0 when every pair holds the same files and the rerun exits 0
+    (the working tree's outputs are HEAD's while the change keeps every
+    byte); a rerun that exits non-zero counts as a difference, and a
+    commit it cannot export exits 2."""
     root = Path(__file__).parent.parent
     if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                       capture_output=True).returncode != 0:
@@ -225,8 +229,23 @@ def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys):
             "ql": {"episodes": 50}}
     assert same.same_outputs("HEAD", {"tiny": tiny}) == 0
     out = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in out] == ["tiny workers 1",
-                                                    "tiny workers 2"]
-    assert all(line.endswith(" files equal") for line in out), out
+    assert [line.split(":")[0] for line in out] == [
+        "tiny workers 1", "tiny workers 2", "tiny rerun over ref"]
+    assert all(line.endswith(" files equal") for line in out[:2]), out
+    assert out[2] == "tiny rerun over ref: exit 0"
+    # a rerun whose config holds another pool seed: REF's pools.json differs
+    real, runs = same._pipeline, []
+
+    def pipeline(src, config, out, workers):
+        runs.append(out.name)
+        if runs.count("tiny-w1-ref") == 2:
+            config.write_text(json.dumps({**tiny, "pool_seed": 1}))
+        return real(src, config, out, workers)
+
+    monkeypatch.setattr(same, "_pipeline", pipeline)
+    assert same.same_outputs("HEAD", {"tiny": tiny}) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "tiny rerun over ref: run failed", out
+    assert out[3].startswith("  tree exit 2: configuration error: "), out
     assert same.same_outputs("no-such-commit", {"tiny": tiny}) == 2
     assert "cannot export no-such-commit" in capsys.readouterr().err

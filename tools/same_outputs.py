@@ -11,11 +11,17 @@ of ``perfbench/workloads.py``, which is read, not edited). Each config
 runs at workers 1 and 2, once on REF's source and once on the working
 tree's, and each pair of output directories is compared as
 ``tools/compare_outputs.py`` compares them, ``timings.csv`` left out.
+Then the working tree reruns each config at workers 1 over REF's
+finished directory, which checks every file there against what it
+computes (the pipeline's compare path) and exits 0 only when each holds
+exactly the bytes it writes.
 
 Prints one line per pair (``NAME workers W: N files equal`` or ``N files
-differ``, each difference on a line of its own below it) and exits 0 when
-every pair holds the same files with the same bytes, 1 when any differs
-or a run fails, and 2 when REF cannot be exported. The temporary
+differ``, each difference on a line of its own below it) and one per
+rerun (``NAME rerun over ref: exit 0`` or ``run failed``, the end of its
+stderr below it), and exits 0 when every pair holds the same files with
+the same bytes and every rerun exits 0, 1 when any differs or a run
+fails, and 2 when REF cannot be exported. The temporary
 directories are removed. Standard library only, besides the package it
 runs.
 """
@@ -70,7 +76,9 @@ def _pipeline(src: Path, config: Path, out: Path, workers: int) -> str | None:
 
 def same_outputs(ref: str, configs: dict[str, dict]) -> int:
     """Run every config at workers 1 and 2 on REF's ``src/`` and the
-    working tree's, print one line per pair, and return the exit code."""
+    working tree's, then the working tree's at workers 1 over REF's
+    workers 1 directory; print one line per pair and per rerun, and
+    return the exit code."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive",
                               "--format=tar", ref, "src"], capture_output=True)
     if archive.returncode != 0:
@@ -105,6 +113,13 @@ def same_outputs(ref: str, configs: dict[str, dict]) -> int:
                     print(f"  {line}")
                 if lines:
                     code = 1
+            error = _pipeline(sources["tree"], config_path,
+                              tmp / f"{name}-w1-ref", 1)
+            print(f"{name} rerun over ref: "
+                  f"{'exit 0' if error is None else 'run failed'}")
+            if error is not None:
+                print(f"  tree {error}")
+                code = 1
     return code
 
 
