@@ -11,23 +11,30 @@ self-contained ``uavplan.instance.v1`` objects, and reads one back for
 ``uavplan plan``. Training instances are sampled on every run;
 ``harness`` exports their hotspot ids alone.
 
-Every random draw in the package goes through one private stream class,
+Every random draw in the package is a draw of one private stream class,
 ``_Stream``, which makes from raw 64-bit PCG64 outputs (O'Neill, *PCG*,
 2014), in pure Python and bit for bit, the draws numpy's ``Generator``
-would make from ``np.random.default_rng(seed)``. Its raw outputs come from
-one of two sources, both checked on numpy 2.4.6:
+would make from ``np.random.default_rng(seed)``. Raw outputs come from one
+of two sources, both checked on numpy 2.4.6:
 
-- a long stream, ``_Stream(seed)`` (the pool, Q-learning, the planner and
-  the Q-learning baseline's words), seeds ``np.random.default_rng(seed)``
-  and reads that generator's raw outputs in bounded chunks
-  (``bit_generator.random_raw``); it is the generator's only consumer;
-- a short stream, one per seed of ``sample_instances`` (every instance),
-  comes from ``_bulk_streams``, which seeds all of them at once and seeds
-  no ``Generator``. Seeding 20,000 generators through ``default_rng``
-  costs 13-22 us each on a 2-CPU host, most of what drawing train-large's
-  training instances cost. A call with one seed takes ``_Stream(seed)``
-  instead, because the bulk mixing costs about 250 us whatever the batch
-  size. The steps reproduced are:
+- ``_Stream(seed)`` (the pool, Q-learning, the planner, the Q-learning
+  baseline's words, and the instances of a small batch) seeds
+  ``np.random.default_rng(seed)`` and reads that generator's raw outputs
+  in bounded chunks (``bit_generator.random_raw``); it is the generator's
+  only consumer;
+- the draw kernel ``_floyd_rows`` makes the instances of a batch of more
+  than ``_PER_SEED_MAX`` seeds (``sample_instances``) all at once, and
+  seeds no ``Generator``. Seeding 20,000 generators through
+  ``default_rng`` costs 13-22 us each on a 2-CPU host, most of what
+  drawing train-large's training instances cost. The kernel's numpy calls
+  cost tens of microseconds per draw whatever the batch size, so it pays
+  only on a large batch. In process on that host (medians of alternating
+  rounds), one stream per seed against the kernel took 0.19 against 1.32
+  ms for 3 seeds drawing 30 of 100, 1.17 against 1.14 ms for 30 drawing
+  20 of 100, 0.91 against 0.63 ms for 32 drawing 5 of 50, 1.37 against
+  1.49 ms for 32 drawing 30 of 100, and 547 against 77 ms for 20,000
+  drawing 5 of 50; hence ``_PER_SEED_MAX`` = 32, about where they cross.
+  The steps reproduced are:
 
   1. a seed's entropy words are its 32-bit digits, least significant
      first, at least one; seeds are batched by their word count;
@@ -40,13 +47,18 @@ one of two sources, both checked on numpy 2.4.6:
   3. ``generate_state(4, uint64)``: 8 ``hashmix`` outputs of the pool
      words in turn, the constant running from ``INIT_B`` by ``MULT_B``,
      read in pairs as 4 little-endian 64-bit words s0..s3;
-  4. PCG64's ``set_seed``, in Python ints: inc = (s2 << 64 | s3) << 1 | 1
-     and state = ((s0 << 64 | s1) + inc) * MULT + inc, mod 2**128;
-  5. each output, made when a draw asks for it: one LCG step, then
-     XSL-RR.
+  4. PCG64's ``set_seed``, over numpy object arrays of Python ints, every
+     seed at once: inc = (s2 << 64 | s3) << 1 | 1 and state = ((s0 << 64
+     | s1) + inc) * MULT + inc, mod 2**128;
+  5. as many outputs per stream as its draws need, in the same arrays:
+     one LCG step, then XSL-RR, per output; then Floyd's algorithm (see
+     ``choice`` below) draw by draw over all rows at once. A row on which
+     Lemire's draw might reject (its low product word below the bound,
+     rare at these bounds) is drawn again, whole, by ``_Stream(seed)``,
+     and so is every row of a draw that would take the tail shuffle.
 
 tests/test_environment.py pins both sources against ``default_rng`` and
-each draw against ``Generator``:
+``PCG64``, and each draw against ``Generator``:
 
 - ``random()``: the top 53 bits of one output times 2**-53;
 - ``uniform(0, s)``: ``0.0 + s * random()``;
@@ -79,7 +91,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, truediv
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -333,23 +345,22 @@ def sample_instances(seeds: Sequence[int], pool: Sequence[Hotspot],
                      n_select: int, depot: Point, chan: ChannelParams,
                      mission: MissionConfig) -> list[Instance]:
     """One Instance per seed, in order: ``n_select`` distinct pool hotspots
-    selected uniformly with the seed's stream, seeded in bulk
-    (``_bulk_streams``); each stream is made just before its draw. One seed
-    alone is seeded as ``_Stream(seed)``: the bulk mixing is about 180
-    numpy operations whatever the batch size, ten times one
-    ``default_rng``."""
+    selected uniformly with the seed's stream. A batch of more than
+    ``_PER_SEED_MAX`` seeds is drawn by the kernel ``_floyd_rows``, a
+    smaller one, or a draw that takes the tail shuffle, by one
+    ``_Stream(seed)`` per seed (see the module docstring)."""
     if n_select < 1 or n_select > len(pool):
         raise ConfigurationError(
             f"cannot select {n_select} hotspots from a pool of {len(pool)}")
     n = len(pool)
-    instances = []
-    streams = [_Stream(seeds[0])] if len(seeds) == 1 else _bulk_streams(seeds)
-    for seed, rng in zip(seeds, streams):
-        chosen = sorted((pool[i] for i in rng.sample(n, n_select)),
-                        key=attrgetter("id"))
-        instances.append(Instance(hotspots=tuple(chosen), depot_m=depot,
-                                  channel=chan, mission=mission, seed=seed))
-    return instances
+    if len(seeds) <= _PER_SEED_MAX or not (n <= 10_000 or n_select <= n // 50):
+        picks = [_Stream(seed).sample(n, n_select) for seed in seeds]
+    else:
+        picks = _floyd_rows(seeds, n, n_select)
+    return [Instance(hotspots=tuple(sorted((pool[i] for i in chosen),
+                                           key=attrgetter("id"))),
+                     depot_m=depot, channel=chan, mission=mission, seed=seed)
+            for seed, chosen in zip(seeds, picks)]
 
 
 def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
@@ -367,6 +378,9 @@ def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
 # numbers reads few, then bounded
 _CHUNKS = (16, 64, 256)
 _CHUNK = 1024
+# a batch of more seeds than this is drawn by ``_floyd_rows``, a smaller
+# one by one ``_Stream(seed)`` per seed (see the module docstring)
+_PER_SEED_MAX = 32
 _MASK32 = 0xFFFF_FFFF
 _TWO_32 = 0x1_0000_0000
 _MASK64 = (1 << 64) - 1
@@ -375,9 +389,7 @@ _MASK128 = (1 << 128) - 1
 
 class _Stream:
     """The draws of ``np.random.default_rng(seed)``, made in pure Python
-    from PCG64's raw 64-bit outputs, which come from that generator
-    (``_Stream(seed)``) or from a bulk seeding (``_bulk_streams``); see the
-    module docstring."""
+    from that generator's raw 64-bit outputs; see the module docstring."""
 
     __slots__ = ("_next", "_half")
 
@@ -386,15 +398,6 @@ class _Stream:
         self._next = chain.from_iterable(
             raw(k).tolist() for k in chain(_CHUNKS, repeat(_CHUNK))).__next__
         self._half: int | None = None  # the unused high half of an output
-
-    @classmethod
-    def _from_state(cls, state: int, inc: int) -> _Stream:
-        """The stream of a seeded PCG64 state and increment, its outputs
-        made in Python ints (``_pcg64_outputs``)."""
-        stream = cls.__new__(cls)
-        stream._next = _pcg64_outputs(state, inc).__next__
-        stream._half = None
-        return stream
 
     def random(self) -> float:
         """``Generator.random()``: the top 53 bits of one output."""
@@ -471,18 +474,6 @@ _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 
 
-def _pcg64_outputs(state: int, inc: int) -> Iterator[int]:
-    """PCG64's raw outputs from a seeded state: per output one LCG step,
-    then XSL-RR (the high and low halves xored, rotated right by the top 6
-    bits)."""
-    mult, mask128, mask64 = _PCG_MULT, _MASK128, _MASK64
-    while True:
-        state = (state * mult + inc) & mask128
-        x = ((state >> 64) ^ state) & mask64
-        rot = state >> 122
-        yield ((x >> rot) | (x << (64 - rot))) & mask64
-
-
 def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
     """``SeedSequence(seed).generate_state(4, np.uint64)`` for a batch of
     seeds with the same number of entropy words; ``entropy[j]`` holds word
@@ -521,11 +512,10 @@ def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
                     axis=1)
 
 
-def _bulk_streams(seeds: Sequence[int]) -> Iterator[_Stream]:
-    """``_Stream(seed)``'s draws for each seed in turn, without seeding a
-    ``Generator``: ``SeedSequence`` runs over all seeds at once, one batch
-    per entropy word count, and each stream is made, and PCG64 seeded in
-    Python ints, only when the caller asks for the next one."""
+def _pcg64_seeded(seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's seeded (state, inc) for every seed, as object arrays of
+    Python ints, without seeding a ``Generator``: steps 1-4 of the module
+    docstring over all seeds at once."""
     if len(seeds) and min(seeds) < 0:
         # SeedSequence refuses them too; their words would be two's
         # complement digits here
@@ -540,11 +530,54 @@ def _bulk_streams(seeds: Sequence[int]) -> Iterator[_Stream]:
             np.array([seeds[k] >> 32 * j & _MASK32 for k in batch],
                      dtype=np.uint32)
             for j in range(count)])
-    for start in range(0, len(seeds), _CHUNK):
-        for s_hi, s_lo, i_hi, i_lo in words[start:start + _CHUNK].tolist():
-            inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            yield _Stream._from_state(state, inc)
+    s_hi, s_lo, i_hi, i_lo = words.astype(object).T
+    inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+    return (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _pcg64_next(state: np.ndarray, inc: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The next raw output of every stream (``_pcg64_seeded``'s arrays):
+    the stepped states, and the outputs as uint64. One LCG step, then
+    XSL-RR: the high and low halves xored, rotated right by the top 6
+    bits."""
+    state = (state * _PCG_MULT + inc) & _MASK128
+    x = ((state >> 64) ^ state) & _MASK64
+    rot = state >> 122
+    return state, (((x >> rot) | (x << (64 - rot))) & _MASK64).astype(np.uint64)
+
+
+def _floyd_rows(seeds: Sequence[int], n: int, k: int) -> list[list[int]]:
+    """``_Stream(seed).sample(n, k)`` for every seed, as a list of the
+    drawn indices, where that draw takes Floyd's algorithm (n <= 10,000 or
+    k <= n // 50; 1 <= k <= n <= 2**32): step 5 of the module docstring
+    over all seeds at once."""
+    state, inc = _pcg64_seeded(seeds)
+    # the j == 0 step of a whole-pool draw draws nothing; every other step
+    # takes one 32-bit draw, the low half of an output and then its high
+    draws = k - (k == n)
+    halves = np.empty((len(seeds), draws + 1), dtype=np.uint64)
+    for t in range(0, draws, 2):
+        state, raw = _pcg64_next(state, inc)
+        halves[:, t] = raw & _MASK32
+        halves[:, t + 1] = raw >> 32
+    chosen = np.zeros((len(seeds), k), dtype=np.uint64)
+    redraw = np.zeros(len(seeds), dtype=bool)
+    t = 0
+    for step, j in enumerate(range(n - k, n)):
+        if j:
+            m = halves[:, t] * (j + 1)
+            t += 1
+            # Lemire's draw rejects only where the low word is below the
+            # bound; such a row is drawn again by its stream
+            redraw |= (m & _MASK32) <= j
+            v = m >> 32
+            chosen[:, step] = np.where(
+                (chosen[:, :step] == v[:, None]).any(axis=1), j, v)
+    rows = chosen.tolist()
+    for r in np.flatnonzero(redraw).tolist():
+        rows[r] = list(_Stream(seeds[r]).sample(n, k))
+    return rows
 
 
 def _pairwise_sum(xs: list[float]) -> float:

@@ -26,7 +26,14 @@ hotspots is computed once, not once per instance.
 Construction, 2-opt and the selection pass then run as numpy operations
 over every instance of one size in a run, in chunks of ``_BATCH_ENTRIES``
 for memory, with each tour a row of table indices; each ``Tour`` is built
-(and validated) once, at the end, by ``make_tour``. Index order is id
+(and validated) once, at the end. Its totals are the ones ``make_tour``
+computes, read from the run's table rather than recomputed from the
+coordinates: the closed length is the table's legs summed from 0.0 in
+visiting order (the depot leg back only for a tour that visits a
+hotspot), and the profit the hotspots' profits summed in index order,
+which is id order. A table entry is ``math.hypot`` of the same
+differences that ``make_tour`` takes, so every total has its bits;
+``make_tour`` stays the one path for every other tour. Index order is id
 order, so the tie rules compare the same sequences as on ids; every leg
 is read from the table and sums are taken in the same order, so every
 tour is bit for bit what the same search gives on coordinates
@@ -412,11 +419,16 @@ def demonstrate(instances: Sequence[Instance],
     and one batched construction per run of instances (``_tables``): the
     scale is the nearest-neighbor construction's length (1.0 where it is
     not positive), taken before 2-opt reorders it, which also
-    bounds the rounding of 2-opt's deltas (``_stops``)."""
+    bounds the rounding of 2-opt's deltas (``_stops``). Each tour's totals
+    are ``make_tour``'s, summed from the run's table (see the module
+    docstring)."""
     out: list[tuple[Tour, float]] = []
     for run, hotspots, table in _tables(instances):
         ids = [h.id for h in hotspots]
-        profits = np.array([h.profit_bps for h in hotspots])
+        profit_list = [h.profit_bps for h in hotspots]
+        profits = np.array(profit_list)
+        dist = table.tolist()
+        depot = len(hotspots)
         solved: list = [None] * len(run)
         for part, order, scales in _constructions(run, hotspots, table):
             stop = _stops(scales)
@@ -428,7 +440,18 @@ def demonstrate(instances: Sequence[Instance],
                 # a closed tour and its reverse cost the same; keep the
                 # lexicographically smaller reading
                 final = min(final, final[::-1])
-                solved[k] = (make_tour([ids[v] for v in final], run[k], w),
+                # make_tour's totals from the table: its legs in visiting
+                # order, its profits in index (that is, id) order
+                cost, prev = 0.0, depot
+                for v in final:
+                    cost += dist[prev][v]
+                    prev = v
+                if final:
+                    cost += dist[prev][depot]
+                profit = sum([profit_list[v] for v in sorted(final)])
+                solved[k] = (Tour(order=tuple([ids[v] for v in final]),
+                                  total_cost_m=cost, total_profit_bps=profit,
+                                  objective=objective_value(cost, profit, w)),
                              scale)
         out += solved
     return out

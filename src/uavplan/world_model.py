@@ -57,7 +57,7 @@ class Word:
 
     @classmethod
     def from_letters(cls, letters: Sequence[int]) -> "Word":
-        return cls(tuple(int(x) for x in letters))
+        return cls(tuple(map(int, letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -104,13 +104,18 @@ def merge_global(words: Sequence[Word], vocab: dict[int, int],
     restricted to a single word it coincides with that word's transition
     matrix (``word_transition`` in tests/world_model_oracles.py).
     """
-    counts = np.zeros((len(vocab), len(vocab)))
     if multiplicities is None:
         multiplicities = [1] * len(words)
+    pairs: dict[tuple[int, int], int] = {}
     for w, m in zip(words, multiplicities):
         letters = w.letters
-        for a, b in zip(letters, letters[1:]):
-            counts[vocab[a], vocab[b]] += m
+        for pair in zip(letters, letters[1:]):
+            pairs[pair] = pairs.get(pair, 0) + m
+    counts = np.zeros((len(vocab), len(vocab)))
+    # each count is summed as an int and written once; below 2**53 it is
+    # the float that adding the multiplicities one by one gives
+    counts[[vocab[a] for a, _ in pairs], [vocab[b] for _, b in pairs]] = list(
+        pairs.values())
     out = counts.sum(axis=1)
     active = out > 0
     probs = np.zeros_like(counts)
@@ -268,31 +273,38 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
     Letters are deduplicated hotspot ids observed in the demos; words are
     deduplicated with multiplicities; per-letter profit statistics come
     from the pool entries the demos visited. The result depends only on
-    the demo multiset, never on its ordering. A demonstration of fewer
-    than two hotspots is refused, naming the first by its index.
+    the demo multiset, never on its ordering. Each distinct order is
+    made a word, and so validated, once (``word_from_tour``), at its
+    first demonstration; a demonstration of fewer than two hotspots is
+    refused, naming the first by its index.
     """
     if not demos:
         raise TrainingError("no demonstrations to learn from")
     by_id = {h.id: h for h in pool}
 
-    tally: dict[tuple[int, ...], int] = {}
+    # each distinct order's word, the smallest cost among its
+    # demonstrations (identical words imply identical geometry, so
+    # accumulation order cannot matter), and how often it repeats
+    words: dict[tuple[int, ...], Word] = {}
     word_cost: dict[tuple[int, ...], float] = {}
+    repeats: dict[tuple[int, ...], int] = {}
     for k, t in enumerate(demos):
+        key = t.order
+        if key in words:
+            repeats[key] = repeats.get(key, 0) + 1
+            word_cost[key] = min(word_cost[key], t.total_cost_m)
+            continue
         try:
-            key = word_from_tour(t).letters
+            words[key] = word_from_tour(t)
         except DegenerateWordError as e:
             raise DegenerateWordError(
                 f"demonstration {k}, order {list(t.order)}: {e}; the oracle "
                 "keeps a hotspot only where its profit pays for its detour "
                 "under the config's weights") from None
-        tally[key] = tally.get(key, 0) + 1
-        # identical words imply identical geometry; keep the smaller cost
-        # so accumulation order cannot matter
-        prev = word_cost.get(key)
-        word_cost[key] = t.total_cost_m if prev is None else min(prev, t.total_cost_m)
+        word_cost[key] = t.total_cost_m
 
-    keys = sorted(tally)
-    counts = [tally[k] for k in keys]
+    keys = sorted(words)
+    counts = [1 + repeats.get(k, 0) for k in keys]
 
     letters = sorted({l for k in keys for l in k})
     for l in letters:
@@ -317,7 +329,7 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
 
     return _build({l: (by_id[l].center_m, profit_sum[l] / occ[l])
                    for l in letters},
-                  [Word(k) for k in keys], counts,
+                  [words[k] for k in keys], counts,
                   total_profit / total_visits,
                   total_cost / total_legs / mission.uav_speed_m_per_s, noise)
 
@@ -344,7 +356,8 @@ def model_to_dict(wm: WorldModel) -> dict:
 
 def model_from_dict(d: dict) -> WorldModel:
     """Read a ``uavplan.world_model.v3`` object; each word's letters and
-    count must be JSON integers."""
+    count must be JSON integers, each letter key a decimal integer, and
+    its ``center_m`` two JSON numbers and its ``mean_profit_bps`` one."""
     found = d.get("schema")
     if found != WORLD_MODEL_SCHEMA:
         raise ConsistencyError(
@@ -356,10 +369,25 @@ def model_from_dict(d: dict) -> WorldModel:
             raise ConsistencyError(
                 f"word {k} has letters {w['letters']} and count "
                 f"{w['count']}, which must be integers")
+    letters = {}
+    for key, s in d["letters"].items():
+        center, profit = s["center_m"], s["mean_profit_bps"]
+        if not (key.isascii() and key.removeprefix("-").isdigit()):
+            raise ConsistencyError(
+                f"letters.{key} names no letter: a letter is a decimal "
+                "integer")
+        if not (type(center) is list and len(center) == 2
+                and all(type(v) in (int, float) for v in center)):
+            raise ConsistencyError(
+                f"letters.{key}.center_m is {center!r}, which must be a "
+                "list of two numbers")
+        if type(profit) not in (int, float):
+            raise ConsistencyError(
+                f"letters.{key}.mean_profit_bps is {profit!r}, which must "
+                "be a number")
+        letters[int(key)] = (float(center[0]), float(center[1])), float(profit)
     return _build(
-        {int(l): ((float(s["center_m"][0]), float(s["center_m"][1])),
-                  float(s["mean_profit_bps"]))
-         for l, s in d["letters"].items()},
+        letters,
         [Word.from_letters(w["letters"]) for w in words],
         [w["count"] for w in words],
         float(d["mean_profit_bps"]), float(d["mean_leg_time_s"]),

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan import environment
-from uavplan.environment import (ChannelParams, Hotspot, Instance,
-                                 _bulk_streams, _pairwise_sum, _Stream,
+from uavplan.environment import (_PER_SEED_MAX, ChannelParams, Hotspot,
+                                 Instance, MissionConfig, _floyd_rows,
+                                 _pairwise_sum, _pcg64_next, _pcg64_seeded,
+                                 _Stream,
                                  channel_gain, edge_cost, hotspot_sum_rate,
                                  los_probability, sample_instance,
                                  sample_instances, sample_pool)
@@ -340,8 +342,14 @@ class TestStream:
 ENTROPY_EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 128, 2 ** 160 - 1]
 
 
-def _raw(stream: _Stream, n: int) -> list[int]:
-    return [stream._next() for _ in range(n)]
+def _raw(seeds, n: int) -> list[list[int]]:
+    """The first ``n`` raw outputs of each seed's kernel stream."""
+    state, inc = _pcg64_seeded(seeds)
+    outputs = []
+    for _ in range(n):
+        state, raw = _pcg64_next(state, inc)
+        outputs.append(raw.tolist())
+    return [list(row) for row in zip(*outputs)] if n else [[] for _ in seeds]
 
 
 def _parent_sample_instance(seed, pool, n_select, depot, chan, mission):
@@ -355,19 +363,22 @@ def _parent_sample_instance(seed, pool, n_select, depot, chan, mission):
                     mission=mission, seed=seed)
 
 
+# the kernel's side of the seed-count rule
+MANY = _PER_SEED_MAX + 1
+
+
 class TestBulkStreams:
-    """``_bulk_streams`` against ``np.random.default_rng`` and ``PCG64``: the
-    seeded state of every entropy length, the raw outputs, and the
-    instances ``sample_instances`` draws from them."""
+    """The draw kernel (``_pcg64_seeded``, ``_pcg64_next``, ``_floyd_rows``)
+    against ``PCG64`` and ``np.random.default_rng``: the seeded state of
+    every entropy length, the raw outputs, the sets ``_Stream.sample``
+    draws, and the instances ``sample_instances`` draws on both sides of
+    the seed-count rule."""
 
     @staticmethod
     def _seeded(seeds) -> list[tuple[int, int]]:
-        """The (state, inc) that ``_bulk_streams`` seeds each stream with."""
-        seeded = []
-        with mock.patch.object(_Stream, "_from_state",
-                               side_effect=lambda *a: seeded.append(a)):
-            list(_bulk_streams(seeds))
-        return seeded
+        """The (state, inc) the kernel seeds each stream with."""
+        state, inc = _pcg64_seeded(seeds)
+        return list(zip(state.tolist(), inc.tolist()))
 
     @pytest.mark.parametrize("seed", ENTROPY_EDGES)
     def test_seeded_state_is_pcg64s(self, seed):
@@ -378,7 +389,7 @@ class TestBulkStreams:
     def test_outputs_are_random_raw(self, seed):
         """Past default_rng's first chunk of 16 and far beyond."""
         want = np.random.default_rng(seed).bit_generator.random_raw(3000)
-        assert _raw(next(_bulk_streams([seed])), 3000) == want.tolist()
+        assert _raw([seed], 3000) == [want.tolist()]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.integers(0, 2 ** 32 - 1),
@@ -391,19 +402,56 @@ class TestBulkStreams:
         each stream is its own seed's, in the order given."""
         states = [np.random.PCG64(s).state["state"] for s in seeds]
         assert self._seeded(seeds) == [(t["state"], t["inc"]) for t in states]
-        assert [_raw(r, 5) for r in _bulk_streams(seeds)] == [
+        assert _raw(seeds, 5) == [
             np.random.default_rng(s).bit_generator.random_raw(5).tolist()
             for s in seeds]
 
-    def test_streams_are_made_on_demand(self):
-        streams = _bulk_streams(range(1000))
-        with mock.patch.object(_Stream, "_from_state") as made:
-            next(streams)
-            next(streams)
-        assert made.call_count == 2
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 32 - 1),
+                              st.integers(2 ** 32, 2 ** 64 - 1),
+                              st.integers(2 ** 64, 2 ** 200),
+                              st.sampled_from(ENTROPY_EDGES)),
+                    min_size=0, max_size=2 * MANY),
+           st.integers(1, 100).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n))))
+    @example([0, 1, 2 ** 32, 2 ** 64, 2 ** 64, 5] * 6, (100, 100))
+    @example([0], (1, 1))
+    @example([], (10, 3))
+    def test_kernel_is_the_stream_sample(self, seeds, nk):
+        """Seeds of 1, 2 and 3 or more entropy words, mixed and repeated,
+        in batches on both sides of the seed-count rule, and no seed: the
+        kernel draws each seed's ``_Stream(seed).sample(n, k)``, and so
+        does ``sample_instances``, whichever way it draws."""
+        n, k = nk
+        want = [_Stream(s).sample(n, k) for s in seeds]
+        assert [set(row) for row in _floyd_rows(seeds, n, k)] == want
+        pool = [Hotspot(id=i + 1, center_m=(float(i), 0.0), num_users=1,
+                        profit_bps=1.0) for i in range(n)]
+        got = sample_instances(seeds, pool, k, (0.0, 0.0), ChannelParams(),
+                               MissionConfig())
+        assert [{h.id - 1 for h in inst.hotspots} for inst in got] == want
+
+    def test_a_row_that_lemire_would_reject_is_drawn_again(self):
+        """At a bound near 2**32 most rows may reject: those, and only
+        those, are drawn again by their own stream."""
+        n, seeds = 3_000_000_000, list(range(64))
+        with mock.patch.object(environment, "_Stream", wraps=_Stream) as made:
+            rows = _floyd_rows(seeds, n, 3)
+        assert [set(row) for row in rows] == [
+            _Stream(s).sample(n, 3) for s in seeds]
+        assert len(seeds) // 2 < made.call_count < len(seeds)
+
+    def test_streams_are_made_on_demand(self, chan, mission):
+        """A kernel batch makes a ``_Stream`` only for a row it draws
+        again; at 5 of 50, where Lemire's draw rejects with a chance of
+        about 1e-8 per draw, it makes none."""
+        pool = sample_pool(11, 50, 5.0, mission, chan)
+        with mock.patch.object(environment, "_Stream", wraps=_Stream) as made:
+            sample_instances(range(1000), pool, 5, (0.0, 0.0), chan, mission)
+        assert made.call_count == 0
 
     def test_negative_seeds_are_refused(self, chan, mission):
-        """As ``default_rng`` refuses them."""
+        """As ``default_rng`` refuses them, on both sides of the rule."""
         pool = sample_pool(11, 10, 5.0, mission, chan)
         with pytest.raises(ValueError):
             np.random.default_rng(-1)
@@ -412,31 +460,52 @@ class TestBulkStreams:
         with pytest.raises(ValueError):
             sample_instances([4, -2 ** 40], pool, 3, (0.0, 0.0), chan,
                              mission)
+        with pytest.raises(ValueError):
+            sample_instances([*range(MANY), -1], pool, 3, (0.0, 0.0), chan,
+                             mission)
 
     @pytest.mark.parametrize("seed", [7, 2 ** 32 + 5, 2 ** 64 + 9],
                              ids=["1-word", "2-words", "3-words"])
     def test_one_seed_is_drawn_as_in_a_batch(self, chan, mission, seed):
-        """A one-seed call seeds ``_Stream(seed)``, not a bulk stream, and
-        draws the instance that the seed draws in a bulk batch."""
+        """A one-seed call seeds ``_Stream(seed)``, not the kernel, and
+        draws the instance that the seed draws in a kernel batch."""
         args = (sample_pool(11, 50, 5.0, mission, chan), 5, (10.0, 20.0),
                 chan, mission)
-        with mock.patch.object(_Stream, "_from_state") as made:
+        with mock.patch.object(environment, "_floyd_rows") as kernel:
             one = sample_instance(seed, *args)
             assert sample_instances([seed], *args) == [one]
-        assert made.call_count == 0
-        assert sample_instances([3, seed, 2 ** 40], *args)[1] == one
+        assert kernel.call_count == 0
+        assert sample_instances([3, seed, *range(2 ** 40, 2 ** 40 + MANY)],
+                                *args)[1] == one
+
+    def test_the_seed_count_rule(self, chan, mission):
+        """Up to ``_PER_SEED_MAX`` seeds draw through one stream each, and
+        more through the kernel, once."""
+        pool = sample_pool(11, 50, 5.0, mission, chan)
+        for count, calls in ((_PER_SEED_MAX, 0), (MANY, 1)):
+            with mock.patch.object(environment, "_floyd_rows",
+                                   wraps=_floyd_rows) as kernel:
+                sample_instances(range(count), pool, 5, (0.0, 0.0), chan,
+                                 mission)
+            assert kernel.call_count == calls
 
     @pytest.mark.parametrize("pool_size,n_select,seeds", [
         pytest.param(50, 5, range(1_000_000, 1_000_300), id="50-5"),
         pytest.param(100, 50, range(7, 57), id="100-50"),
         pytest.param(100, 100, [3, 2 ** 64, 0], id="whole-pool"),
+        pytest.param(100, 100, [3, 2 ** 64, *range(MANY)],
+                     id="whole-pool-kernel"),
         pytest.param(10_001, 200, [0, 1, 2 ** 32], id="floyd-k-small"),
-        pytest.param(10_001, 201, [0, 1, 2 ** 32], id="tail-shuffle")])
+        pytest.param(10_001, 200, [0, 1, 2 ** 32, *range(5, 5 + MANY)],
+                     id="floyd-k-small-kernel"),
+        pytest.param(10_001, 201, [0, 1, 2 ** 32], id="tail-shuffle"),
+        pytest.param(10_001, 201, range(MANY), id="tail-shuffle-many")])
     def test_sample_instances_are_the_parent_draws(
             self, chan, mission, pool_size, n_select, seeds):
         """Both branches of ``choice``'s set (Floyd's algorithm at n <=
-        10,000 or k <= n // 50, else the tail shuffle), and a 50-of-100
-        sample whose streams run past default_rng's first chunk."""
+        10,000 or k <= n // 50, else the tail shuffle), on both sides of
+        the seed-count rule, and a 50-of-100 sample whose streams run past
+        default_rng's first chunk."""
         pool = sample_pool(11, pool_size, 5.0, mission, chan)
         depot = (10.0, 20.0)
         want = [_parent_sample_instance(s, pool, n_select, depot, chan,
@@ -448,13 +517,13 @@ class TestBulkStreams:
 
 
 class TestOneDrawPath:
-    """Every random draw in the package goes through ``environment._Stream``,
-    whose raw outputs have two sources: ``default_rng`` is called only in
-    ``_Stream`` and read only through ``bit_generator.random_raw``; and
-    ``_Stream._from_state``, the bulk-seeded source, is called only by
-    ``_bulk_streams``, which only ``sample_instances`` calls. Nothing else
-    reaches ``np.random``, and the draw methods are called only on
-    streams."""
+    """Every random draw in the package is a draw of
+    ``environment._Stream``, and raw outputs have two sources:
+    ``default_rng`` is called only in ``_Stream`` and read only through
+    ``bit_generator.random_raw``; and the draw kernel's PCG64
+    (``_pcg64_seeded``, ``_pcg64_next``) serves only ``_floyd_rows``,
+    which only ``sample_instances`` calls. Nothing else reaches
+    ``np.random``, and the draw methods are called only on streams."""
 
     SRC = Path(environment.__file__).parent
     DRAWS = {"random", "uniform", "integers", "choice"}
@@ -481,20 +550,6 @@ class TestOneDrawPath:
                     and isinstance(node.value.func, ast.Name)
                     and node.value.func.id == "_Stream"):
                 names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-            if isinstance(node, ast.For) and isinstance(node.iter, ast.Call):
-                # for rng in _bulk_streams(...), or for ..., rng in
-                # zip(..., _bulk_streams(...))
-                pairs = [(node.target, node.iter)]
-                if (isinstance(node.iter.func, ast.Name)
-                        and node.iter.func.id == "zip"
-                        and isinstance(node.target, ast.Tuple)):
-                    pairs = list(zip(node.target.elts, node.iter.args))
-                for target, source in pairs:
-                    if (isinstance(target, ast.Name)
-                            and isinstance(source, ast.Call)
-                            and isinstance(source.func, ast.Name)
-                            and source.func.id == "_bulk_streams"):
-                        names.add(target.id)
         return names
 
     @staticmethod
@@ -518,13 +573,15 @@ class TestOneDrawPath:
 
     def test_the_bulk_source_serves_only_instance_sampling(self):
         """No ``Generator`` fallback and no second seeding path: the
-        PCG64 outputs made in Python reach only streams that
-        ``_bulk_streams`` makes, and only ``sample_instances`` asks for
-        them (``sample_instance`` is its one-seed case)."""
-        assert self._callers("_pcg64_outputs") == [
-            "environment.py:_from_state"]
-        assert self._callers("_from_state") == ["environment.py:_bulk_streams"]
-        assert self._callers("_bulk_streams") == [
+        PCG64 outputs made in Python reach only the draw kernel, and only
+        ``sample_instances`` calls it (``sample_instance`` is its one-seed
+        case)."""
+        assert self._callers("_seed_words") == [
+            "environment.py:_pcg64_seeded"]
+        assert self._callers("_pcg64_seeded") == [
+            "environment.py:_floyd_rows"]
+        assert self._callers("_pcg64_next") == ["environment.py:_floyd_rows"]
+        assert self._callers("_floyd_rows") == [
             "environment.py:sample_instances"]
         assert self._callers("sample_instances") == [
             "environment.py:sample_instance", "harness.py:stage_training_instances",

@@ -31,6 +31,7 @@ from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              POOL_SCHEMA, TOUR_SCHEMA, ExperimentConfig,
                              MetricsRecord, _evaluate_one,
                              _canonical_json, _csv_lines, _first_difference,
+                             _ids_line,
                              _record, completion_ratios, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, instance_from_dict,
@@ -581,6 +582,20 @@ class TestHeadedJsonl:
         write_jsonl_atomic(path, iter(()))
         assert path.read_bytes() == b""
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["ids", "order"]),
+           st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                              st.integers(2 ** 63 - 2, 2 ** 64 + 2),
+                              st.integers(-100, 100)), max_size=60))
+    def test_id_lines_are_the_encoders(self, key, ids):
+        """The id-list lines of ``training_instances.jsonl`` and
+        ``oracle_tours.jsonl`` are formatted, not encoded: for lists of
+        Python ints, empty, negative and past 2**63 too, the bytes are
+        the encoder's, as a tuple or a list."""
+        want = _canonical_json({key: ids})
+        assert _ids_line(key, ids) == want
+        assert _ids_line(key, tuple(ids)) == want
+
     def test_round_trip_gives_the_sampled_instances_and_solved_tours(
             self, tmp_path):
         """A rerun samples and solves again, and checks both files: it
@@ -704,6 +719,20 @@ def _as_v1_world_model(obj):
 
 def _first_letter(obj):
     return next(iter(obj["letters"].values()))
+
+
+def _letter_center_as_strings(obj):
+    """The first letter's center as JSON strings, which ``float`` parses."""
+    stats = _first_letter(obj)
+    stats["center_m"] = [str(v) for v in stats["center_m"]]
+
+
+def _letter_key_not_decimal(obj):
+    """The first letter's key written as `` 7`` for ``7``, which ``int``
+    reads."""
+    key = next(iter(obj["letters"]))
+    obj["letters"] = {(f" {k}" if k == key else k): v
+                      for k, v in obj["letters"].items()}
 
 
 def _drop_used_letter(obj):
@@ -1334,14 +1363,29 @@ class TestCli:
                      "plan", "word 1 has letters", id="word-count-fractional"),
         pytest.param(lambda obj: obj["words"][2]["letters"].__setitem__(
             1, obj["words"][2]["letters"][1] + 0.25), "plan",
-            "word 2 has letters", id="word-letter-fractional")])
+            "word 2 has letters", id="word-letter-fractional"),
+        pytest.param(_letter_center_as_strings, "plan",
+                     ".center_m is ['", id="letter-center-strings"),
+        pytest.param(lambda obj: _first_letter(obj)["center_m"].append(7),
+                     "plan", ".center_m is [", id="letter-center-three"),
+        pytest.param(lambda obj: _first_letter(obj).__setitem__(
+            "center_m", [True, 5.0]), "plan", ".center_m is [True",
+            id="letter-center-bool"),
+        pytest.param(lambda obj: _first_letter(obj).__setitem__(
+            "mean_profit_bps", str(_first_letter(obj)["mean_profit_bps"])),
+            "plan", ".mean_profit_bps is '", id="letter-profit-string"),
+        pytest.param(_letter_key_not_decimal, "plan", "names no letter",
+                     id="letter-key-not-decimal")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model file holds only sources (letter statistics, words
         with counts, two means and the noise config). One whose sources
         are impossible exits 2 naming the file and the fault: a word count
         below 1, a word count or letter that is not an integer (named by
-        the word's index), a stored word naming a letter without
+        the word's index), a letter key that is not a decimal integer, a
+        letter center that is not two JSON numbers or a mean profit that is
+        not a JSON number (each named by its key, such as
+        ``letters.7.center_m``), a stored word naming a letter without
         statistics, a NaN
         mean, a noise scale that is not positive, a letter with a NaN mean
         profit, one in another schema, an older world model reused by a

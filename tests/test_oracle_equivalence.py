@@ -19,8 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan import oracle
-from uavplan.environment import Hotspot, Instance, edge_cost
+from uavplan.environment import (Hotspot, Instance, edge_cost, sample_instances,
+                                 sample_pool)
 from uavplan.errors import ConsistencyError
+from uavplan.harness import ExperimentConfig, iter_test_instances
 from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, demonstrate,
                             make_tour, solve)
 
@@ -322,6 +324,59 @@ def test_batch_equals_each_instance_alone(chan, mission, entries,
         [(_bits(t), repr(s)) for t, s in alone]
     assert any(len(t) < len(i.hotspots) for (t, _), i in zip(got, batch)) \
         == drops
+
+
+# --- demonstration totals --------------------------------------------------------
+
+def _are_make_tours(solved, batch, w) -> None:
+    """Each solved tour is, field by field and bit for bit, ``make_tour``'s
+    tour of its order."""
+    assert [_bits(t) for t, _ in solved] == [
+        _bits(make_tour(t.order, inst, w)) for (t, _), inst in zip(solved,
+                                                                    batch)]
+
+
+@pytest.mark.parametrize("m_training,test_sizes,seeds_per_size", [
+    pytest.param(20_000, (5,), 36, id="train-large"),
+    pytest.param(5_000, (30, 40, 50), 3, id="plan-large")])
+def test_demonstration_totals_are_make_tours(m_training, test_sizes,
+                                             seeds_per_size):
+    """``demonstrate`` sums each tour's totals from its run's table; on
+    the benchmark workloads' shapes, the training demonstrations and the
+    test instances' solves, every tour is ``make_tour``'s."""
+    cfg = ExperimentConfig(m_training=m_training, test_sizes=test_sizes,
+                           seeds_per_size=seeds_per_size)
+    testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size, cfg.mean_users,
+                          cfg.mission, cfg.channel)
+    training = sample_instances(
+        range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training),
+        testing[:cfg.training_pool_size], cfg.train_instance_size, cfg.depot,
+        cfg.channel, cfg.mission)
+    _are_make_tours(demonstrate(training, cfg.weights), training, cfg.weights)
+    tests = [inst for _, inst in iter_test_instances(cfg, testing)]
+    _are_make_tours([demonstrate([inst], cfg.weights)[0] for inst in tests],
+                    tests, cfg.weights)
+
+
+@pytest.mark.parametrize("w", [
+    pytest.param(ObjectiveWeights(0.5, 0.5, cost_scale=4000.0,
+                                  profit_scale=2e7), id="even-scaled"),
+    pytest.param(ObjectiveWeights(0.9, 0.1, cost_scale=1000.0,
+                                  profit_scale=1e6), id="cost-heavy")])
+def test_totals_of_skipping_tours_are_make_tours(chan, mission, w):
+    """Random batches from one pool under weights where the oracle skips
+    hotspots: tours of every length, the empty one too, are
+    ``make_tour``'s."""
+    rng = random.Random(3535)
+    for grid in (False, True):
+        pool = _pool(rng, range(1, 61), grid)
+        batch = [Instance(hotspots=tuple(rng.sample(pool, rng.randint(1, 12))),
+                          depot_m=(200.0, 300.0), channel=chan,
+                          mission=mission, seed=0) for _ in range(300)]
+        solved = demonstrate(batch, w)
+        _are_make_tours(solved, batch, w)
+        lengths = {len(t) for t, _ in solved}
+        assert 0 in lengths and len(lengths) > 5, lengths
 
 
 def test_grid_ties_take_the_sequential_rule(chan, mission):

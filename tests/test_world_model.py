@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavplan.environment import sample_instance, sample_pool
+from uavplan.environment import (Hotspot, MissionConfig, sample_instance,
+                                 sample_pool)
 from uavplan.errors import (ConsistencyError, DegenerateWordError,
                             TrainingError)
-from uavplan.oracle import ObjectiveWeights, make_tour, solve
+from uavplan.harness import _canonical_json
+from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
 from uavplan.world_model import (LetterStats, NoiseConfig, Word, learn,
                                  merge_global, model_from_dict,
                                  model_to_dict, word_from_tour)
 
 from world_model_oracles import (GeneralizedLetter, adjacency, degree, glyphs,
-                                 letter_rows, word_transition)
+                                 letter_rows, reference_learn,
+                                 reference_merge_global, word_transition)
 
 
 def random_words(rng, vocab_letters, n_words, max_len=6):
@@ -187,6 +190,22 @@ class TestMergeGlobal:
                           multiplicities=[3, 1])
         assert tm.probs[vocab[1], vocab[2]] == pytest.approx(0.75)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 9), max_size=9,
+                                       unique=True),
+                              st.integers(1, 10 ** 6)), max_size=40))
+    def test_is_the_per_transition_sum(self, weighted):
+        """Each count tallied in a dict and written once gives the bits of
+        one numpy ``+=`` per transition (``reference_merge_global``)."""
+        words = [Word.from_letters(letters) for letters, _ in weighted]
+        vocab = letter_rows(range(1, 10))
+        counts = [m for _, m in weighted]
+        for multiplicities in (counts, None):
+            got = merge_global(words, vocab, multiplicities)
+            want = reference_merge_global(words, vocab, multiplicities)
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert np.array_equal(got.active, want.active)
+
     def test_row_stochastic_at_scale(self):
         rng = np.random.default_rng(6)
         vocab = letter_rows(range(1, 30))
@@ -333,6 +352,75 @@ class TestLearn:
                 assert np.array_equal(a, b), f.name
             else:
                 assert a == b, f.name
+
+
+def _demos(draw_orders, costs):
+    return [Tour(order=tuple(order), total_cost_m=cost, total_profit_bps=0.0,
+                 objective=0.0) for order, cost in zip(draw_orders, costs)]
+
+
+# orders over ten letters, many repeated and some of fewer than two letters
+_orders = st.lists(st.sampled_from(range(1, 11)), max_size=4, unique=True)
+
+
+class TestLearnReference:
+    """``learn``, which makes each distinct order a word once, against
+    ``reference_learn``, which made a word of every demonstration."""
+
+    POOL = [Hotspot(id=i, center_m=(10.0 * i, 7.0 * i), num_users=1,
+                    profit_bps=1e6 + 37.5 * i) for i in range(1, 11)]
+
+    @staticmethod
+    def _outcome(fn, demos):
+        try:
+            wm = fn(demos, TestLearnReference.POOL, NoiseConfig(),
+                    MissionConfig())
+        except (DegenerateWordError, TrainingError) as e:
+            return type(e).__name__, str(e)
+        return (_canonical_json(model_to_dict(wm)), wm.vocab,
+                wm.transition.probs.tobytes(), wm.transition.active.tobytes(),
+                wm.process_noise.tobytes(), wm.measurement_noise.tobytes(),
+                [(w.letters, type(w)) for w in wm.words],
+                sorted(wm.stats.items()))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_orders, st.floats(0.0, 1e5)), max_size=60),
+           st.data())
+    def test_same_model_or_message(self, drawn, data):
+        """Repeated and degenerate demonstrations, in any order, give the
+        same model, to the bits of the transition matrix, or the same
+        message, naming the same first degenerate demonstration."""
+        repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=40)
+                            if drawn else st.just([]))
+        demos = _demos(*zip(*(drawn + repeats))) if drawn + repeats else []
+        demos = data.draw(st.permutations(demos))
+        want = self._outcome(reference_learn, demos)
+        assert self._outcome(learn, demos) == want
+        if len(want) > 2:
+            wm = learn(demos, self.POOL, NoiseConfig(), MissionConfig())
+            merged = reference_merge_global(wm.words, wm.vocab, wm.word_counts)
+            assert wm.transition.probs.tobytes() == merged.probs.tobytes()
+
+    def test_each_distinct_order_is_one_word(self, monkeypatch):
+        """``word_from_tour`` runs once per distinct order, on its first
+        demonstration, and the first degenerate one is named by its
+        index."""
+        from uavplan import world_model
+        made = []
+
+        def counted(t):
+            made.append(t)
+            return word_from_tour(t)
+
+        monkeypatch.setattr(world_model, "word_from_tour", counted)
+        demos = _demos([(1, 2), (3, 4, 5), (1, 2), (3, 4, 5), (1, 2)],
+                       [5.0, 6.0, 4.0, 6.0, 5.0])
+        learn(demos, self.POOL, NoiseConfig(), MissionConfig())
+        assert made == [demos[0], demos[1]]
+        with pytest.raises(DegenerateWordError, match=r"^demonstration 3, "
+                           r"order \[7\]: "):
+            learn(demos[:3] + _demos([(7,), (8,), (7,)], [1.0] * 3),
+                  self.POOL, NoiseConfig(), MissionConfig())
 
 
 class TestLetterStats:

@@ -1,0 +1,175 @@
+"""Time the set-up layers of a commit and of the working tree, side by side.
+
+    python3 tools/setup_layers.py REF [--rounds N]
+
+exports REF's ``src/`` with ``git archive`` into a temporary directory, as
+``tools/same_outputs.py`` does, then runs N rounds (default 5) of two
+fresh processes, one on REF's source and one on the working tree's, in
+alternating order (REF first in even rounds). Each process builds the
+benchmark's train-large shape (``WORKLOADS["train-large"].config(3011, 0,
+out)`` of ``perfbench/workloads.py``, which is read, not edited: 20,000
+training instances of 5 of 50 hotspots) and times, once each, with
+``time.perf_counter``:
+
+- ``sample_instances``: the training instances;
+- ``demonstrate``: the oracle's demonstrations and cost scales;
+- ``learn``: the world model;
+- ``train_q``: the Q-table;
+- ``export_ids``: ``stage_training_instances`` writing
+  ``training_instances.jsonl`` into a new directory, with the sampling
+  replaced by the instances already drawn, so that only the export counts;
+- ``export_orders``: ``stage_oracle`` writing ``oracle_tours.jsonl`` the
+  same way, with the demonstrations already solved.
+
+Prints one line per layer, ``LAYER  ref MEDIAN [Q1, Q3]  tree MEDIAN [Q1,
+Q3]`` in milliseconds, and exits 0 when each layer's output (the drawn
+ids, the tours with their float bits, the model's and the Q-table's JSON,
+the two files' bytes) has one sha256 over every process of both sides, 1
+when any differs, and 2 when REF cannot be exported. Standard library
+only, besides the package it runs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYERS = ("sample_instances", "demonstrate", "learn", "train_q",
+          "export_ids", "export_orders")
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(value if isinstance(value, bytes)
+                          else repr(value).encode()).hexdigest()
+
+
+def _child(out: Path) -> dict:
+    """Each layer's (seconds, output digest) on the train-large shape, run
+    on the ``uavplan`` that ``sys.path`` finds."""
+    from unittest import mock
+
+    from uavplan import harness
+    from uavplan.environment import sample_instances, sample_pool
+    from uavplan.oracle import demonstrate
+    from uavplan.ql import qtable_to_dict, train_q
+    from uavplan.world_model import learn, model_to_dict
+
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    # listed in sys.modules, where a dataclass looks up its module
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = harness.config_from_dict(
+        workloads.WORKLOADS["train-large"].config(3011, 0, str(out)))
+    testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
+                          cfg.mean_users, cfg.mission, cfg.channel)
+    training = testing[:cfg.training_pool_size]
+    result = {}
+
+    def timed(layer, fn, *args):
+        start = time.perf_counter()
+        value = fn(*args)
+        result[layer] = [time.perf_counter() - start]
+        return value
+
+    seeds = range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training)
+    instances = timed("sample_instances", sample_instances, seeds, training,
+                      cfg.train_instance_size, cfg.depot, cfg.channel,
+                      cfg.mission)
+    result["sample_instances"].append(_digest([i.ids for i in instances]))
+    solved = timed("demonstrate", demonstrate, instances, cfg.weights)
+    tours = [t for t, _ in solved]
+    scales = [s for _, s in solved]
+    result["demonstrate"].append(_digest(
+        [(t.order, repr(t.total_cost_m), repr(t.total_profit_bps),
+          repr(t.objective), repr(s)) for t, s in solved]))
+    wm = timed("learn", learn, tours, training, cfg.noise, cfg.mission)
+    result["learn"].append(_digest(json.dumps(model_to_dict(wm))))
+    q = timed("train_q", train_q, list(zip(instances, tours)), scales,
+              cfg.ql, cfg.weights, cfg.ql_train_seed)
+    result["train_q"].append(_digest(json.dumps(qtable_to_dict(q))))
+    out.mkdir()
+    with mock.patch.object(harness, "sample_instances",
+                           lambda *args: instances):
+        timed("export_ids", harness.stage_training_instances, cfg, training,
+              out)
+    result["export_ids"].append(
+        _digest((out / "training_instances.jsonl").read_bytes()))
+    with mock.patch.object(harness, "demonstrate", lambda batch, w: solved):
+        timed("export_orders", harness.stage_oracle, cfg, instances, out)
+    result["export_orders"].append(
+        _digest((out / "oracle_tours.jsonl").read_bytes()))
+    return result
+
+
+def _run(src: Path, out: Path) -> dict:
+    """One child process on the package under ``src``."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--child", str(out)], capture_output=True,
+        text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    return json.loads(done.stdout)
+
+
+def _spread(seconds: list[float]) -> str:
+    ms = [s * 1e3 for s in seconds]
+    q1, _, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else ms * 3
+    return f"{statistics.median(ms):8.1f} [{q1:.1f}, {q3:.1f}]"
+
+
+def setup_layers(ref: str, rounds: int) -> int:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive",
+                              "--format=tar", ref, "src"], capture_output=True)
+    if archive.returncode != 0:
+        print(f"cannot export {ref}: "
+              f"{archive.stderr.decode(errors='replace').strip()}",
+              file=sys.stderr)
+        return 2
+    times = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
+    digests = {layer: set() for layer in LAYERS}
+    with tempfile.TemporaryDirectory(prefix="setup_layers_") as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "ref", filter="data")
+        sources = {"ref": tmp / "ref" / "src", "tree": ROOT / "src"}
+        for r in range(rounds):
+            for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
+                for layer, (seconds, digest) in _run(
+                        sources[side], tmp / f"out-{side}-{r}").items():
+                    times[side][layer].append(seconds)
+                    digests[layer].add(digest)
+    differ = [layer for layer in LAYERS if len(digests[layer]) > 1]
+    print(f"{'layer (ms)':16} {'ref median [q1, q3]':>28} "
+          f"{'tree median [q1, q3]':>28}")
+    for layer in LAYERS:
+        print(f"{layer:16} {_spread(times['ref'][layer]):>28} "
+              f"{_spread(times['tree'][layer]):>28}"
+              f"{'  outputs differ' if layer in differ else ''}")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--child":
+        print(json.dumps(_child(Path(argv[1]))))
+        return 0
+    if (len(argv) == 3 and argv[1] == "--rounds" and argv[2].isdigit()
+            and int(argv[2]) > 0):
+        return setup_layers(argv[0], int(argv[2]))
+    if len(argv) == 1:
+        return setup_layers(argv[0], 5)
+    print("usage: setup_layers.py REF [--rounds N]", file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
