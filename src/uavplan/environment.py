@@ -11,6 +11,17 @@ self-contained ``uavplan.instance.v1`` objects, and reads one back for
 ``uavplan plan``. Training instances are sampled on every run;
 ``harness`` exports their hotspot ids alone.
 
+This module also holds the package's JSON codec, which ``oracle``,
+``world_model`` and ``harness`` all import (each imports this module
+already): the one encoder (``_canonical_json``, a dataclass as its
+fields) and the one checked reader (``_from_json``, and
+``_record_from_dict`` for a whole file's object with its schema). The
+reader builds a JSON value as a declared type (a dataclass, a tuple, a
+``dict[int, T]``, a union, a float, an int, a str or a bool), refuses
+any value of another JSON type, any unknown key and any missing one, and
+names the dotted key; the config, an instance, a tour and a world model
+are each read by it, with no cast of their own.
+
 Every random draw in the package is a draw of one private stream class,
 ``_Stream``, which makes from raw 64-bit PCG64 outputs (O'Neill, *PCG*,
 2014), in pure Python and bit for bit, the draws numpy's ``Generator``
@@ -84,14 +95,17 @@ the planner's word sampling.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
+import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache, reduce
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, truediv
-from typing import Sequence
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -599,3 +613,113 @@ def _pairwise_sum(xs: list[float]) -> float:
     half = n // 2
     half -= half % 8
     return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+# --- the JSON form of records -------------------------------------------------
+
+def _fields(obj) -> dict:
+    """A dataclass instance's JSON form: its fields."""
+    if is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
+
+
+# The one JSON encoding of every artifact: sorted keys, no spaces, a
+# dataclass as its fields. One encoder serves every call (json.dumps with
+# these options builds a new one per call).
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                   default=_fields).encode
+
+
+def _cut(text: str, limit: int = 100) -> str:
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
+def _excerpt(obj) -> str:
+    """``obj`` in canonical JSON, cut to 100 characters."""
+    return _cut(_canonical_json(obj))
+
+
+# The str of an int: what a JSON object's key must be to be read as one.
+_INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
+# A dataclass's declared field types, evaluated once per class: a world
+# model file holds one record per stored word.
+_type_hints = cache(get_type_hints)
+
+
+def _from_json(hint, value, what: str, key: str = ""):
+    """The JSON value ``value`` at ``key`` of a ``what`` (a config, an
+    instance, a tour or a world model) built as the declared type
+    ``hint``. A dataclass is built from an object of its fields, each built
+    as its declared type, with every default from the dataclass; a tuple
+    from a list (or a tuple) of its length, item by item; a ``dict[int,
+    T]`` from an object whose keys are each the ``str`` of an int (``"7"``
+    or ``"-3"``, not ``"07"``, ``"+7"`` or ``"7.0"``), each value built as
+    ``T``; a union as the first member that takes the value; a float from
+    a finite number, an integer as that float; any other type from a value
+    of exactly that type (so no int from a bool). A key that is not a
+    field, a field without a default that is missing, a value that no
+    declared type takes (an integer that no float holds too, or an object
+    with a key that is not an int's ``str``) and a value that a nested
+    dataclass's own check refuses are configuration errors that name the
+    dotted key (a tuple item by its index), or the nested dataclass's
+    section."""
+    def at(name) -> str:
+        return f"{key}.{name}" if key else str(name)
+
+    args = get_args(hint)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{what} {key or 'root'} must be a JSON "
+                                     "object")
+        hints = _type_hints(hint)
+        kwargs = {}
+        for name, item in value.items():
+            if name not in hints:
+                raise ConfigurationError(f"unknown {what} key {at(name)}")
+            kwargs[name] = _from_json(hints[name], item, what, at(name))
+        for f in fields(hint):
+            if (f.name not in kwargs and f.default is MISSING
+                    and f.default_factory is MISSING):
+                raise ConfigurationError(f"{what} key {at(f.name)} is missing")
+        try:
+            return hint(**kwargs)
+        except ConfigurationError as e:
+            if not key:
+                raise
+            raise ConfigurationError(f"{what} {key}: {e}") from None
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            items = args[:1] * len(value) if args[-1] is Ellipsis else args
+            if len(items) == len(value):
+                return tuple(_from_json(h, v, what, at(k))
+                             for k, (h, v) in enumerate(zip(items, value)))
+    elif get_origin(hint) is dict:
+        if isinstance(value, dict) and all(map(_INT_KEY.fullmatch, value)):
+            return {int(name): _from_json(args[1], item, what, at(name))
+                    for name, item in value.items()}
+    elif args:
+        for member in args:
+            with contextlib.suppress(ConfigurationError):
+                return _from_json(member, value, what, key)
+    elif hint is float and type(value) in (int, float):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(number := float(value)):
+                return number
+    elif type(value) is hint:
+        return value
+    raise ConfigurationError(
+        f"{what} key {key} must be of type "
+        f"{str(hint) if args else hint.__name__}, not {_excerpt(value)}")
+
+
+def _record_from_dict(cls, schema: str, what: str, d, required: bool = False):
+    """``cls`` built from the JSON object ``d`` (``_from_json``), whose
+    ``schema`` must be ``schema``; ``d`` may omit it unless ``required``."""
+    if isinstance(d, dict):
+        d = dict(d)
+        found = d.pop("schema", None if required else schema)
+        if found != schema:
+            raise ConfigurationError(f"unsupported {what} schema {found!r}")
+    return _from_json(cls, d, what)

@@ -71,8 +71,9 @@ The oracle stage solves the training instances in one batch per worker
 (``oracle.demonstrate``), which also gives each instance's cost scale for
 Q-learning; the stage hands the scales to the Q-learning stage.
 
-Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``),
-whose one rule for records is that a dataclass's JSON form is its fields:
+Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``,
+kept with the package's JSON codec in ``environment``), whose one rule for
+records is that a dataclass's JSON form is its fields:
 the config, a record's config values, the pool's hotspots, each test
 instance (``uavplan.instance.v1``: its fields and the schema) and each
 test tour (``uavplan.tour.v1``: its fields, the schema and the weights)
@@ -84,18 +85,24 @@ encoder's bytes for a list of Python ints (a test holds it to the
 encoder) at about half the cost.
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
-of the config, and one checked reader (``_from_json``) reads both it and
-an instance given to ``uavplan plan`` (``instance_from_dict``) back: it
-takes every default from the dataclasses and rejects any key they do not
-declare, any value whose JSON type does not fit the key's declared type
-(a NaN or infinite number fits none, and an integer for a number key is
-read as that float, unless no float holds it), and any value that a
-dataclass's own check refuses, such as a channel or an altitude whose
-rates overflow float arithmetic, or a mission under which the longest
-tour of the largest test or training size may have no finite completion
-time (``_check_tour_time``, which ``uavplan plan`` applies to its
-instance). The command-line overrides are merged into the config file's
-object before it is read (``load_config``).
+of the config. Every JSON object the package reads back is read by one
+checked reader (``environment._record_from_dict``, over ``_from_json``):
+the config (``config_from_dict``), an instance given to ``uavplan plan``
+(``instance_from_dict``), a world model given to it
+(``world_model.model_from_dict``) and an evaluated tour
+(``oracle.tour_from_dict``). It checks the schema (which a config and an
+instance may omit, and a tour and a world model must hold), takes every
+default from the dataclasses and rejects any key they do not declare,
+any declared key without a default that is missing, any value whose
+JSON type does not fit the key's declared type (a NaN or infinite number
+fits none, and an integer for a number key is read as that float, unless
+no float holds it), and any value that a dataclass's own check refuses,
+such as a channel or an altitude whose rates overflow float arithmetic,
+or a mission under which the longest tour of the largest test or
+training size may have no finite completion time (``_check_tour_time``,
+which ``uavplan plan`` applies to its instance); each names the dotted
+key. The command-line overrides are merged into the config file's object
+before it is read (``load_config``).
 """
 
 from __future__ import annotations
@@ -108,17 +115,19 @@ import os
 import statistics
 import time
 from array import array
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import (Callable, Iterable, Sequence, TypeVar, get_args, get_origin,
-                    get_type_hints)
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import json
 
 from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
-                          Point, channel_gain, sample_instances, sample_pool)
+                          Point, _canonical_json, _cut, _excerpt, _fields,
+                          _record_from_dict, channel_gain, sample_instances,
+                          sample_pool)
 from .errors import ConfigurationError
-from .oracle import ObjectiveWeights, Tour, demonstrate, make_tour, solve
+from .oracle import (TOUR_SCHEMA, ObjectiveWeights, Tour, demonstrate,
+                     make_tour, solve)
 from .planner import (PlannerConfig, _chain_distance, plan_mission,
                       plan_to_dict)
 from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
@@ -133,7 +142,6 @@ POOL_SCHEMA = "uavplan.pool.v2"
 INSTANCES_SCHEMA = "uavplan.instances.v4"
 TOURS_SCHEMA = "uavplan.tours.v5"
 INSTANCE_SCHEMA = "uavplan.instance.v1"
-TOUR_SCHEMA = "uavplan.tour.v1"
 
 T = TypeVar("T")
 
@@ -286,72 +294,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return {"schema": CONFIG_SCHEMA, **asdict(cfg)}
 
 
-def _from_json(hint, value, what: str, key: str = ""):
-    """The JSON value ``value`` at ``key`` of a ``what`` (a config or an
-    instance) built as the declared type ``hint``. A dataclass is built
-    from an object of its fields, each built as its declared type, with
-    every default from the dataclass; a tuple from a list (or a tuple) of
-    its length, item by item; a union as the first member that takes the
-    value; a float from a finite number, an integer as that float; any
-    other type from a value of exactly that type (so no int from a bool).
-    A key that is not a field, a value that no declared type takes (an
-    integer that no float holds too) and a value that a nested
-    dataclass's own check refuses are configuration errors that name the
-    dotted key (a tuple item by its index), or the nested dataclass's
-    section."""
-    def at(name) -> str:
-        return f"{key}.{name}" if key else str(name)
-
-    args = get_args(hint)
-    if is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"{what} {key or 'root'} must be a JSON "
-                                     "object")
-        hints = get_type_hints(hint)
-        names = {f.name for f in fields(hint)}
-        kwargs = {}
-        for name, item in value.items():
-            if name not in names:
-                raise ConfigurationError(f"unknown {what} key {at(name)}")
-            kwargs[name] = _from_json(hints[name], item, what, at(name))
-        try:
-            return hint(**kwargs)
-        except ConfigurationError as e:
-            if not key:
-                raise
-            raise ConfigurationError(f"{what} {key}: {e}") from None
-    if get_origin(hint) is tuple:
-        if isinstance(value, (list, tuple)):
-            items = args[:1] * len(value) if args[-1] is Ellipsis else args
-            if len(items) == len(value):
-                return tuple(_from_json(h, v, what, at(k))
-                             for k, (h, v) in enumerate(zip(items, value)))
-    elif args:
-        for member in args:
-            with contextlib.suppress(ConfigurationError):
-                return _from_json(member, value, what, key)
-    elif hint is float and type(value) in (int, float):
-        with contextlib.suppress(OverflowError):
-            if math.isfinite(number := float(value)):
-                return number
-    elif type(value) is hint:
-        return value
-    raise ConfigurationError(
-        f"{what} key {key} must be of type "
-        f"{str(hint) if args else hint.__name__}, not {_excerpt(value)}")
-
-
-def _record_from_dict(cls: type[T], schema: str, what: str, d) -> T:
-    """``cls`` built from the JSON object ``d`` (``_from_json``), whose
-    ``schema``, when it has one, must be ``schema``."""
-    if isinstance(d, dict):
-        d = dict(d)
-        found = d.pop("schema", schema)
-        if found != schema:
-            raise ConfigurationError(f"unsupported {what} schema {found!r}")
-    return _from_json(cls, d, what)
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
     return _record_from_dict(ExperimentConfig, CONFIG_SCHEMA, "config", d)
 
@@ -386,30 +328,6 @@ def load_config(path: str | Path | None,
 
 
 # --- atomic artifact IO -------------------------------------------------------
-
-def _fields(obj) -> dict:
-    """A dataclass instance's JSON form: its fields."""
-    if is_dataclass(obj):
-        return vars(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
-                    "serializable")
-
-
-# The one JSON encoding of every artifact: sorted keys, no spaces, a
-# dataclass as its fields. One encoder serves every call (json.dumps with
-# these options builds a new one per call).
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                   default=_fields).encode
-
-
-def _cut(text: str, limit: int = 100) -> str:
-    return text if len(text) <= limit else text[:limit - 3] + "..."
-
-
-def _excerpt(obj) -> str:
-    """``obj`` in canonical JSON, cut to 100 characters."""
-    return _cut(_canonical_json(obj))
-
 
 def _line(item) -> str:
     """A file line without its end: a str as it is (a CSV line, or a JSON
@@ -462,8 +380,7 @@ def load_artifact(path: Path, from_dict: Callable[[dict], T]) -> T:
                                  f"object; {_REGENERATE}")
     try:
         return from_dict(data)
-    except (AttributeError, LookupError, TypeError, ValueError,
-            OverflowError) as e:
+    except (LookupError, ValueError, OverflowError) as e:
         raise ConfigurationError(
             f"malformed artifact {path}: {type(e).__name__}: {e}") from e
 

@@ -64,8 +64,12 @@ bounded per chunk.
 A demonstration is stored by ``harness`` as its order alone, under one
 weights header; the demonstrations are solved on every run and only
 checked against that file. ``harness`` writes each evaluated test tour
-as a self-contained ``uavplan.tour.v1`` object (the tour's fields, the
-schema and the weights), which ``tour_from_dict`` reads.
+as a self-contained ``uavplan.tour.v1`` object (``TOUR_SCHEMA``: the
+tour's fields, the schema and the weights), which ``tour_from_dict``
+reads by the package's one checked reader (``environment._from_json``)
+as a ``_TourFile``: the schema is required, the ids must be JSON
+integers, the totals JSON numbers and the weights an ``ObjectiveWeights``
+object, and an unknown or missing key is refused, each naming its key.
 """
 
 from __future__ import annotations
@@ -73,13 +77,15 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .environment import Hotspot, Instance, Point
+from .environment import Hotspot, Instance, Point, _record_from_dict
 from .errors import ConfigurationError, ConsistencyError
+
+TOUR_SCHEMA = "uavplan.tour.v1"
 
 # Strict-improvement threshold for local search, in objective units.
 _IMPROVE_EPS = 1e-12
@@ -503,9 +509,16 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
     return make_tour([hotspots[k].id for k in best_order], inst, w)
 
 
+@dataclass(frozen=True)
+class _TourFile(Tour):
+    """A ``uavplan.tour.v1`` object but its schema: the tour's fields and
+    the weights that scored it."""
+
+    weights: ObjectiveWeights
+
+
 def tour_from_dict(d: dict) -> Tour:
-    """Read a ``uavplan.tour.v1`` object."""
-    return Tour(order=tuple(int(i) for i in d["order"]),
-                total_cost_m=float(d["total_cost_m"]),
-                total_profit_bps=float(d["total_profit_bps"]),
-                objective=float(d["objective"]))
+    """Read a ``uavplan.tour.v1`` object, its schema required, by the one
+    checked reader (``_TourFile``)."""
+    read = _record_from_dict(_TourFile, TOUR_SCHEMA, "tour", d, required=True)
+    return Tour(*(getattr(read, f.name) for f in fields(Tour)))

@@ -25,7 +25,15 @@ the transition matrix and both noise matrices follow from those, so
 them; a stored file cannot contradict itself, and one edited by hand is
 a model of the words it now holds. The pipeline learns
 the model on every run and only compares the file with it;
-``model_from_dict`` reads a model given to ``uavplan plan --model``.
+``model_from_dict`` reads a model given to ``uavplan plan --model``, by
+the package's one checked reader (``environment._from_json``), as three
+private records: the file (``_ModelFile``, its schema required), each
+stored word (``_StoredWord``: letters and count, JSON integers) and each
+letter's sources (``_LetterSources``: a center of two JSON numbers and a
+mean profit), keyed by the ``str`` of the letter. A mistyped, unknown or
+missing key is refused naming its dotted key (``words.3.count``,
+``letters.7.center_m``, ``noise_config.process_scale``); ``_build`` then
+refuses sources that contradict each other.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import Hotspot, MissionConfig
+from .environment import Hotspot, MissionConfig, _record_from_dict
 from .errors import ConfigurationError, ConsistencyError, DegenerateWordError, TrainingError
 from .oracle import Tour
 
@@ -216,8 +224,37 @@ class WordIndex:
         return cls(letters=letters, lengths=lengths, incidence=incidence)
 
 
-def _build(letters: dict[int, tuple[tuple[float, float], float]],
-           words: list[Word], counts: list[int], mean_profit_bps: float,
+@dataclass(frozen=True)
+class _LetterSources:
+    """A letter's center and mean profit, as ``world_model.json`` holds
+    them."""
+
+    center_m: tuple[float, float]
+    mean_profit_bps: float
+
+
+@dataclass(frozen=True)
+class _StoredWord:
+    """A stored word and its count, as ``world_model.json`` holds them."""
+
+    letters: tuple[int, ...]
+    count: int
+
+
+@dataclass(frozen=True)
+class _ModelFile:
+    """A ``uavplan.world_model.v3`` object but its schema: the sources of
+    a model (see ``_build``)."""
+
+    words: tuple[_StoredWord, ...]
+    letters: dict[int, _LetterSources]
+    mean_profit_bps: float
+    mean_leg_time_s: float
+    noise_config: NoiseConfig
+
+
+def _build(letters: dict[int, _LetterSources], words: list[Word],
+           counts: list[int], mean_profit_bps: float,
            mean_leg_time_s: float, noise: NoiseConfig) -> WorldModel:
     """The model that its sources determine: each letter's center and mean
     profit (``letters``), the stored words with their counts, the two
@@ -253,7 +290,7 @@ def _build(letters: dict[int, tuple[tuple[float, float], float]],
             "squared") from None
     return WorldModel(
         vocab=vocab,
-        stats={l: LetterStats(*letters[l], start_count=started.get(l, 0))
+        stats={l: LetterStats(**vars(letters[l]), start_count=started.get(l, 0))
                for l in vocab},
         words=words,
         word_counts=counts,
@@ -327,7 +364,7 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
         total_cost += c * word_cost[k]
         total_legs += c * (len(k) + 1)
 
-    return _build({l: (by_id[l].center_m, profit_sum[l] / occ[l])
+    return _build({l: _LetterSources(by_id[l].center_m, profit_sum[l] / occ[l])
                    for l in letters},
                   [words[k] for k in keys], counts,
                   total_profit / total_visits,
@@ -355,40 +392,10 @@ def model_to_dict(wm: WorldModel) -> dict:
 
 
 def model_from_dict(d: dict) -> WorldModel:
-    """Read a ``uavplan.world_model.v3`` object; each word's letters and
-    count must be JSON integers, each letter key a decimal integer, and
-    its ``center_m`` two JSON numbers and its ``mean_profit_bps`` one."""
-    found = d.get("schema")
-    if found != WORLD_MODEL_SCHEMA:
-        raise ConsistencyError(
-            f"schema {found!r}, not {WORLD_MODEL_SCHEMA!r} (an older format or "
-            "not this artifact); delete it and run again to regenerate it")
-    words = d["words"]
-    for k, w in enumerate(words):
-        if not all(type(v) is int for v in (*w["letters"], w["count"])):
-            raise ConsistencyError(
-                f"word {k} has letters {w['letters']} and count "
-                f"{w['count']}, which must be integers")
-    letters = {}
-    for key, s in d["letters"].items():
-        center, profit = s["center_m"], s["mean_profit_bps"]
-        if not (key.isascii() and key.removeprefix("-").isdigit()):
-            raise ConsistencyError(
-                f"letters.{key} names no letter: a letter is a decimal "
-                "integer")
-        if not (type(center) is list and len(center) == 2
-                and all(type(v) in (int, float) for v in center)):
-            raise ConsistencyError(
-                f"letters.{key}.center_m is {center!r}, which must be a "
-                "list of two numbers")
-        if type(profit) not in (int, float):
-            raise ConsistencyError(
-                f"letters.{key}.mean_profit_bps is {profit!r}, which must "
-                "be a number")
-        letters[int(key)] = (float(center[0]), float(center[1])), float(profit)
-    return _build(
-        letters,
-        [Word.from_letters(w["letters"]) for w in words],
-        [w["count"] for w in words],
-        float(d["mean_profit_bps"]), float(d["mean_leg_time_s"]),
-        NoiseConfig(**d["noise_config"]))
+    """Read a ``uavplan.world_model.v3`` object, its schema required, by
+    the one checked reader (``_ModelFile``)."""
+    read = _record_from_dict(_ModelFile, WORLD_MODEL_SCHEMA, "world model", d,
+                             required=True)
+    return _build(read.letters, [Word(w.letters) for w in read.words],
+                  [w.count for w in read.words], read.mean_profit_bps,
+                  read.mean_leg_time_s, read.noise_config)

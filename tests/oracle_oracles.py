@@ -14,7 +14,12 @@ with the coordinate-based reference in test_oracle_equivalence.py:
   ``relative_weights`` are the given weights with them;
 - ``tied_exchange`` and ``tied_removal`` are the sequential rules that
   2-opt and the selection pass each kept apart before both took
-  ``oracle._picks``, kept as its references.
+  ``oracle._picks``, kept as its references;
+- ``reference_tour_from_dict`` is the tour reader as it was written
+  before ``tour_from_dict`` took the one checked reader: a cast per key,
+  so that it takes string, bool and fractional ids, string totals, any
+  schema and unknown keys. The tests hold the checked reader to it on
+  well-formed tours and show where it accepted damage.
 """
 
 from dataclasses import replace
@@ -136,3 +141,11 @@ def tied_removal(order: list[int], gains: list[float]) -> int | None:
               and after < best_after):
             best, best_after = k, after
     return best if best is not None and best_gain < -_IMPROVE_EPS else None
+
+
+def reference_tour_from_dict(d: dict) -> Tour:
+    """Read a ``uavplan.tour.v1`` object, casting each key."""
+    return Tour(order=tuple(int(i) for i in d["order"]),
+                total_cost_m=float(d["total_cost_m"]),
+                total_profit_bps=float(d["total_profit_bps"]),
+                objective=float(d["objective"]))

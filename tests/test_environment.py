@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from uavplan import environment
 from uavplan.environment import (_PER_SEED_MAX, ChannelParams, Hotspot,
-                                 Instance, MissionConfig, _floyd_rows,
-                                 _pairwise_sum, _pcg64_next, _pcg64_seeded,
-                                 _Stream,
+                                 Instance, MissionConfig, _canonical_json,
+                                 _floyd_rows, _from_json, _pairwise_sum,
+                                 _pcg64_next, _pcg64_seeded, _Stream,
                                  channel_gain, edge_cost, hotspot_sum_rate,
                                  los_probability, sample_instance,
                                  sample_instances, sample_pool)
 from uavplan.errors import ConfigurationError
-from uavplan.harness import (POOL_SCHEMA, _canonical_json, _from_json,
-                             instance_from_dict)
+from uavplan.harness import POOL_SCHEMA, instance_from_dict
 
 from harness_oracles import instance_to_dict, pool_to_dict
 

@@ -26,7 +26,7 @@ from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, MissionConfig,
                                  sample_instances, sample_pool)
 from uavplan import harness, world_model
-from uavplan.errors import ConsistencyError
+from uavplan.errors import ConfigurationError, ConsistencyError
 from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              POOL_SCHEMA, TOUR_SCHEMA, ExperimentConfig,
                              MetricsRecord, _evaluate_one,
@@ -35,10 +35,11 @@ from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              _record, completion_ratios, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, instance_from_dict,
-                             iter_test_instances, load_config, run_pipeline,
+                             iter_test_instances, load_artifact, load_config,
+                             run_pipeline,
                              stage_oracle, stage_pools, stage_training_instances,
                              summarize, word_similarity, write_jsonl_atomic)
-from uavplan.oracle import ObjectiveWeights, make_tour, solve
+from uavplan.oracle import ObjectiveWeights, make_tour, solve, tour_from_dict
 from uavplan.planner import PlannerConfig, levenshtein
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
@@ -1294,13 +1295,15 @@ class TestCli:
                      "unknown instance key color", id="unknown-key"),
         pytest.param(lambda obj: obj.__setitem__("schema", "uavplan.tour.v1"),
                      "unsupported instance schema 'uavplan.tour.v1'",
-                     id="other-schema")])
+                     id="other-schema"),
+        pytest.param(lambda obj: obj.pop("hotspots"),
+                     "instance key hotspots is missing", id="missing-key")])
     def test_instance_of_another_shape_exits_2(self, tmp_path, capsys, edit,
                                                named):
         """An instance given to ``plan`` is read by the config's checked
         reader: a value of another JSON type than its field's, a key that
-        is not a field and another schema exit 2 naming the file and the
-        dotted key."""
+        is not a field, another schema and a missing field exit 2 naming
+        the file and the dotted key."""
         artifact = "instances/s005k000.json"
         code, err = self._damaged_run_exit(tmp_path, capsys, artifact, edit,
                                            "plan")
@@ -1334,7 +1337,8 @@ class TestCli:
                      "plan", "[999]", id="word-letter-not-in-vocabulary"),
         pytest.param(lambda obj: obj.__setitem__("mean_leg_time_s",
                                                  float("nan")),
-                     "plan", "mean_leg_time_s nan", id="mean-leg-time-nan"),
+                     "plan", "world model key mean_leg_time_s must be of type "
+                     "float, not NaN", id="mean-leg-time-nan"),
         pytest.param(lambda obj: obj["noise_config"].__setitem__(
             "measurement_ratio", -5.0), "plan", "noise scales",
             id="measurement-ratio-negative"),
@@ -1348,7 +1352,8 @@ class TestCli:
         pytest.param(lambda obj: obj["words"][0].__setitem__("count", -5),
                      "plan", "count -5", id="word-count-negative"),
         pytest.param(lambda obj: _first_letter(obj).__setitem__(
-            "mean_profit_bps", float("nan")), "plan", "mean_profit_bps=nan",
+            "mean_profit_bps", float("nan")), "plan",
+            ".mean_profit_bps must be of type float, not NaN",
             id="letter-profit-nan"),
         pytest.param(_drop_used_letter, "plan", "no statistics",
                      id="letter-dropped"),
@@ -1360,35 +1365,42 @@ class TestCli:
             "mean_leg_time_s", 5 * obj["mean_leg_time_s"]), "pipeline",
             "holds mean_leg_time_s ", id="mean-leg-time-scaled"),
         pytest.param(lambda obj: obj["words"][1].__setitem__("count", 1.5),
-                     "plan", "word 1 has letters", id="word-count-fractional"),
+                     "plan", "world model key words.1.count must be of type "
+                     "int, not 1.5", id="word-count-fractional"),
         pytest.param(lambda obj: obj["words"][2]["letters"].__setitem__(
             1, obj["words"][2]["letters"][1] + 0.25), "plan",
-            "word 2 has letters", id="word-letter-fractional"),
+            "world model key words.2.letters.1 must be of type int, not ",
+            id="word-letter-fractional"),
         pytest.param(_letter_center_as_strings, "plan",
-                     ".center_m is ['", id="letter-center-strings"),
+                     '.center_m.0 must be of type float, not "',
+                     id="letter-center-strings"),
         pytest.param(lambda obj: _first_letter(obj)["center_m"].append(7),
-                     "plan", ".center_m is [", id="letter-center-three"),
+                     "plan", ".center_m must be of type tuple[float, float], "
+                     "not [", id="letter-center-three"),
         pytest.param(lambda obj: _first_letter(obj).__setitem__(
-            "center_m", [True, 5.0]), "plan", ".center_m is [True",
+            "center_m", [True, 5.0]), "plan",
+            ".center_m.0 must be of type float, not true",
             id="letter-center-bool"),
         pytest.param(lambda obj: _first_letter(obj).__setitem__(
             "mean_profit_bps", str(_first_letter(obj)["mean_profit_bps"])),
-            "plan", ".mean_profit_bps is '", id="letter-profit-string"),
-        pytest.param(_letter_key_not_decimal, "plan", "names no letter",
+            "plan", '.mean_profit_bps must be of type float, not "',
+            id="letter-profit-string"),
+        pytest.param(_letter_key_not_decimal, "plan",
+                     "world model key letters must be of type dict[int, ",
                      id="letter-key-not-decimal")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model file holds only sources (letter statistics, words
         with counts, two means and the noise config). One whose sources
         are impossible exits 2 naming the file and the fault: a word count
-        below 1, a word count or letter that is not an integer (named by
-        the word's index), a letter key that is not a decimal integer, a
-        letter center that is not two JSON numbers or a mean profit that is
-        not a JSON number (each named by its key, such as
+        below 1, a word count or letter that is not a JSON integer, a
+        letter key that is not the ``str`` of an int, a letter center
+        that is not two JSON numbers, a NaN mean, a NaN mean profit or a
+        mean profit that is not a JSON number (each named by its dotted
+        key and declared type, such as ``words.1.count`` or
         ``letters.7.center_m``), a stored word naming a letter without
-        statistics, a NaN
-        mean, a noise scale that is not positive, a letter with a NaN mean
-        profit, one in another schema, an older world model reused by a
+        statistics, a noise scale that is not positive, one in another
+        schema, an older world model reused by a
         pipeline re-run, or another artifact given to ``plan``. Reused by a
         pipeline re-run, one whose words are not the demonstrations' exits
         2 naming the fingerprint, and one whose letter statistics or
@@ -1401,7 +1413,8 @@ class TestCli:
         assert str(tmp_path / "d" / "world_model.json") in err and named in err
 
     @pytest.mark.parametrize("count,named", [
-        pytest.param("1e400", "word 0 has letters", id="1e400"),
+        pytest.param("1e400", "world model key words.0.count must be of type "
+                     "int, not Infinity", id="1e400"),
         pytest.param("1" + "0" * 400, "OverflowError", id="10**400")])
     def test_world_model_with_overflowing_count_exits_2(self, tmp_path,
                                                         capsys, count, named):
@@ -1422,6 +1435,92 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
         assert str(model) in err and named in err
+
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param(lambda obj: obj.update(
+            mean_leg_time_s=str(obj["mean_leg_time_s"]),
+            mean_profit_bps=str(obj["mean_profit_bps"])),
+            'world model key mean_leg_time_s must be of type float, not "',
+            id="means-strings"),
+        pytest.param(lambda obj: obj["noise_config"].update(
+            process_scale=True), "world model key noise_config.process_scale "
+            "must be of type float, not true", id="process-scale-bool"),
+        pytest.param(lambda obj: obj.update(color="red"),
+                     "unknown world model key color", id="unknown-key"),
+        pytest.param(lambda obj: obj["words"][0].update(color="red"),
+                     "unknown world model key words.0.color",
+                     id="unknown-word-key"),
+        pytest.param(lambda obj: obj.pop("mean_leg_time_s"),
+                     "world model key mean_leg_time_s is missing",
+                     id="missing-key"),
+        pytest.param(lambda obj: obj.pop("schema"),
+                     "unsupported world model schema None",
+                     id="missing-schema"),
+        pytest.param(_as_v1_world_model, "unsupported world model schema "
+                     "'uavplan.world_model.v1'", id="world-model-v1")])
+    def test_world_model_of_another_shape_exits_2(self, tmp_path, capsys,
+                                                  finished_run, edit, named):
+        """A world model given to ``plan`` is read by the one checked
+        reader: a value of another JSON type than its key's, a key that is
+        not a field, at the top or in a word, a missing key, a missing
+        schema and an older schema (named as README names it) exit 2
+        naming the file and the dotted key or the schema, and no trace is
+        written."""
+        out = Path(finished_run.output_dir)
+        obj = json.loads((out / "world_model.json").read_text())
+        edit(obj)
+        model = tmp_path / "world_model.json"
+        model.write_text(json.dumps(obj))
+        trace = tmp_path / "trace.json"
+        capsys.readouterr()
+        assert cli_main(["plan", "--instance",
+                         str(out / "instances" / "s005k000.json"),
+                         "--model", str(model), "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: malformed artifact "
+                              f"{model}: ConfigurationError: {named}"), err
+        assert not trace.exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param(lambda obj: obj["order"].__setitem__(0, "3"),
+                     'tour key order.0 must be of type int, not "3"',
+                     id="order-string"),
+        pytest.param(lambda obj: obj["order"].__setitem__(1, True),
+                     "tour key order.1 must be of type int, not true",
+                     id="order-bool"),
+        pytest.param(lambda obj: obj["order"].__setitem__(2, 2.9),
+                     "tour key order.2 must be of type int, not 2.9",
+                     id="order-fraction"),
+        pytest.param(lambda obj: obj.update(
+            total_cost_m=str(obj["total_cost_m"]),
+            total_profit_bps=str(obj["total_profit_bps"])),
+            'tour key total_cost_m must be of type float, not "',
+            id="totals-strings"),
+        pytest.param(lambda obj: obj.update(extra=1), "unknown tour key extra",
+                     id="unknown-key"),
+        pytest.param(lambda obj: obj.update(schema=INSTANCE_SCHEMA),
+                     f"unsupported tour schema {INSTANCE_SCHEMA!r}",
+                     id="other-schema"),
+        pytest.param(lambda obj: obj.pop("schema"),
+                     "unsupported tour schema None", id="missing-schema"),
+        pytest.param(lambda obj: obj.pop("weights"),
+                     "tour key weights is missing", id="missing-weights")])
+    def test_tour_of_another_shape_is_refused(self, tmp_path, finished_run,
+                                              edit, named):
+        """An evaluated tour read back as the CLI reads its artifacts
+        (``load_artifact``), by the reader that C6 reads AIn's tours with
+        (``tour_from_dict``): a value of another JSON type than its key's,
+        a key that is not a field, another or no schema and missing
+        weights are refused naming the file and the dotted key."""
+        out = Path(finished_run.output_dir)
+        obj = json.loads((out / "tours" / "s005k000_ain.json").read_text())
+        edit(obj)
+        path = tmp_path / "tour.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ConfigurationError) as e:
+            load_artifact(path, tour_from_dict)
+        assert str(e.value).startswith(f"malformed artifact {path}: "
+                                       f"ConfigurationError: {named}")
 
     def test_weights_that_skip_every_hotspot_exit_2(self, tmp_path, capsys):
         """At weights 1.0/0.0 the oracle visits no hotspot, so there are no

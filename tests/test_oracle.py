@@ -1,16 +1,21 @@
 import inspect
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uavplan.environment import sample_instance, sample_pool
+from uavplan.environment import _canonical_json, sample_instance, sample_pool
 from uavplan.errors import ConfigurationError, ConsistencyError
-from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, make_tour,
-                            objective_value, solve, tour_from_dict)
+from uavplan.oracle import (TOUR_SCHEMA, ObjectiveWeights, Tour, brute_force,
+                            make_tour, objective_value, solve, tour_from_dict)
 
 from harness_oracles import tour_to_dict
-from oracle_oracles import (nearest_neighbor_construct, relative_weights,
+from oracle_oracles import (nearest_neighbor_construct,
+                            reference_tour_from_dict, relative_weights,
                             selection_pass, two_opt)
 
 
@@ -256,6 +261,55 @@ class TestTourSerialization:
         inst = random_instance(14, 6, chan, mission)
         t = solve(inst, default_weights)
         assert tour_from_dict(tour_to_dict(t, default_weights)) == t
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9),
+           alpha=st.floats(0.0, 1.0))
+    def test_reads_as_the_reference(self, chan, mission, seed, n, alpha):
+        """A tour from ``solve``, as ``tours/`` holds it, is the same
+        ``Tour`` through the checked reader and the casting reference, and
+        is the tour solved."""
+        w = ObjectiveWeights(alpha, 1.0 - alpha)
+        t = solve(random_instance(seed, n, chan, mission), w)
+        d = json.loads(_canonical_json({"schema": TOUR_SCHEMA, **vars(t),
+                                        "weights": w}))
+        assert tour_from_dict(d) == reference_tour_from_dict(d) == t
+
+    TOUR = {"schema": TOUR_SCHEMA, "order": [3, 1, 2], "total_cost_m": 12.5,
+            "total_profit_bps": 4.0, "objective": 1.0,
+            "weights": asdict(ObjectiveWeights())}
+
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param(lambda d: d.update(order=["3", True, 2.9]),
+                     'tour key order.0 must be of type int, not "3"',
+                     id="order-string-bool-fraction"),
+        pytest.param(lambda d: d.update(order=[3, True, 2]),
+                     "tour key order.1 must be of type int, not true",
+                     id="order-bool"),
+        pytest.param(lambda d: d.update(order=[3, 1, 2.9]),
+                     "tour key order.2 must be of type int, not 2.9",
+                     id="order-fraction"),
+        pytest.param(lambda d: d.update(total_cost_m="12.5"),
+                     'tour key total_cost_m must be of type float, not "12.5"',
+                     id="total-string"),
+        pytest.param(lambda d: d.update(extra=1), "unknown tour key extra",
+                     id="unknown-key"),
+        pytest.param(lambda d: d.update(schema="uavplan.instance.v1"),
+                     "unsupported tour schema 'uavplan.instance.v1'",
+                     id="other-schema"),
+        pytest.param(lambda d: d.pop("schema"), "unsupported tour schema None",
+                     id="no-schema"),
+        pytest.param(lambda d: d.pop("weights"), "tour key weights is missing",
+                     id="no-weights")])
+    def test_refuses_what_the_reference_took(self, edit, named):
+        """Each damage that the casting reference read as a tour is refused,
+        naming the dotted key."""
+        d = json.loads(json.dumps(self.TOUR))
+        edit(d)
+        assert isinstance(reference_tour_from_dict(d), Tour)
+        with pytest.raises(ConfigurationError) as e:
+            tour_from_dict(d)
+        assert str(e.value) == named
 
 
 class TestBenchmarkContracts:

@@ -98,6 +98,75 @@ def test_distances_are_math_hypot():
             for line in _numpy_hypots(ast.parse(path.read_text()))] == []
 
 
+def _readers(tree: ast.Module):
+    """Each top-level ``*_from_dict`` function of ``tree`` but the checked
+    reader, ``_record_from_dict``, itself."""
+    return [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.endswith("_from_dict")
+            and node.name != "_record_from_dict"]
+
+
+def _hand_readers(tree: ast.Module):
+    """Each reader (``_readers``) of ``tree`` that calls no
+    ``_record_from_dict`` or that calls ``int`` or ``float``."""
+    for node in _readers(tree):
+        calls = {call.func.id for call in ast.walk(node)
+                 if isinstance(call, ast.Call)
+                 and isinstance(call.func, ast.Name)}
+        if "_record_from_dict" not in calls or calls & {"int", "float"}:
+            yield node.name
+
+
+def test_every_reader_is_the_checked_reader():
+    """Every JSON file the package reads back is read by one checked
+    reader: each ``*_from_dict`` function builds its result through
+    ``_record_from_dict`` and casts nothing with ``int`` or ``float``, so
+    that a mistyped value is refused naming its key, not cast."""
+    trees = _package()
+    readers = {node.name for tree in trees.values()
+               for node in _readers(tree)}
+    assert readers >= {"config_from_dict", "instance_from_dict",
+                       "model_from_dict", "tour_from_dict"}
+    assert [f"{module}: {name}" for module, tree in trees.items()
+            for name in _hand_readers(tree)] == []
+
+
+_READERS = """
+def tour_from_dict(d):
+    return Tour(order=tuple(int(i) for i in d["order"]),
+                total_cost_m=float(d["total_cost_m"]))
+
+
+def pool_from_dict(d):
+    return [Hotspot(**h) for h in d["hotspots"]]
+
+
+def model_from_dict(d):
+    read = _record_from_dict(_ModelFile, SCHEMA, "world model", d)
+    return _build(read, float(read.mean_leg_time_s))
+
+
+def config_from_dict(d):
+    return _record_from_dict(ExperimentConfig, SCHEMA, "config", d)
+
+
+def _record_from_dict(cls, schema, what, d):
+    return _from_json(cls, d, what)
+
+
+def tour_to_dict(t):
+    return {"order": [int(i) for i in t.order]}
+"""
+
+
+def test_a_hand_written_reader_is_found():
+    """A reader that casts, one that skips the checked reader and one
+    that casts what it read are found; a reader through the checked
+    reader alone, and a function that is no reader, are not."""
+    assert list(_hand_readers(ast.parse(_READERS))) == [
+        "tour_from_dict", "pool_from_dict", "model_from_dict"]
+
+
 # Read from outside the package: the acceptance tests (C1-C9) import names
 # from it and read attributes of what it returns, and the benchmark patches
 # one method to count calls and calls another in its own tests.

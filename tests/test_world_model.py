@@ -10,17 +10,18 @@ from hypothesis import strategies as st
 
 from uavplan.environment import (Hotspot, MissionConfig, sample_instance,
                                  sample_pool)
-from uavplan.errors import (ConsistencyError, DegenerateWordError,
-                            TrainingError)
-from uavplan.harness import _canonical_json
+from uavplan.errors import (ConfigurationError, ConsistencyError,
+                            DegenerateWordError, TrainingError)
+from uavplan.environment import _canonical_json
 from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
-from uavplan.world_model import (LetterStats, NoiseConfig, Word, learn,
-                                 merge_global, model_from_dict,
+from uavplan.world_model import (LetterStats, NoiseConfig, Word, WorldModel,
+                                 learn, merge_global, model_from_dict,
                                  model_to_dict, word_from_tour)
 
 from world_model_oracles import (GeneralizedLetter, adjacency, degree, glyphs,
                                  letter_rows, reference_learn,
-                                 reference_merge_global, word_transition)
+                                 reference_merge_global,
+                                 reference_model_from_dict, word_transition)
 
 
 def random_words(rng, vocab_letters, n_words, max_len=6):
@@ -352,6 +353,68 @@ class TestLearn:
                 assert np.array_equal(a, b), f.name
             else:
                 assert a == b, f.name
+
+
+def _learned(seed, n_demos, size, noise, chan, mission) -> dict:
+    """The model ``learn`` makes of ``n_demos`` solved demonstrations of
+    ``size`` hotspots from a 12-hotspot pool, as ``world_model.json``
+    holds it, read back by ``json.loads``."""
+    pool = sample_pool(seed, 12, 5.0, mission, chan)
+    demos = [solve(sample_instance(seed + k, pool, size, (1000.0, 1000.0),
+                                   chan, mission), ObjectiveWeights())
+             for k in range(n_demos)]
+    return json.loads(_canonical_json(model_to_dict(
+        learn(demos, pool, noise, mission))))
+
+
+def _means_as_strings_scale_as_bool(d):
+    """Both means as JSON strings and the process scale ``true``: the
+    reference planned such a model at process scale 1.0."""
+    d["mean_profit_bps"] = str(d["mean_profit_bps"])
+    d["mean_leg_time_s"] = str(d["mean_leg_time_s"])
+    d["noise_config"]["process_scale"] = True
+
+
+class TestModelReader:
+    """``model_from_dict`` (the one checked reader) against
+    ``reference_model_from_dict`` (checks written key by key, and casts)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_demos=st.integers(1, 40),
+           size=st.integers(2, 6),
+           noise=st.builds(NoiseConfig, st.floats(1e-3, 1.0),
+                           st.floats(1e-3, 4.0)))
+    def test_reads_as_the_reference(self, chan_module, mission_module, seed,
+                                    n_demos, size, noise):
+        """A learned model, as the file holds it, gives the same file
+        bytes through the checked reader and the reference, and those of
+        the file read."""
+        d = _learned(seed, n_demos, size, noise, chan_module, mission_module)
+        want = _canonical_json(model_to_dict(reference_model_from_dict(d)))
+        assert _canonical_json(model_to_dict(model_from_dict(d))) == want
+        assert want == _canonical_json(d)
+
+    @pytest.mark.parametrize("edit,named", [
+        pytest.param(_means_as_strings_scale_as_bool, "world model key mean_leg_time_s must "
+                     'be of type float, not "', id="means-strings-scale-bool"),
+        pytest.param(lambda d: d["noise_config"].update(process_scale=True),
+                     "world model key noise_config.process_scale must be of "
+                     "type float, not true", id="scale-bool"),
+        pytest.param(lambda d: d.update(color="red"),
+                     "unknown world model key color", id="unknown-key"),
+        pytest.param(lambda d: d["words"][0].update(color="red"),
+                     "unknown world model key words.0.color",
+                     id="unknown-word-key")])
+    def test_refuses_what_the_reference_took(self, chan_module,
+                                             mission_module, edit, named):
+        """Each damage that the reference read as a model is refused,
+        naming the dotted key."""
+        d = _learned(5, 20, 4, NoiseConfig(), chan_module, mission_module)
+        edit(d)
+        assert isinstance(reference_model_from_dict(d), WorldModel)
+        with pytest.raises(ConfigurationError) as e:
+            model_from_dict(d)
+        assert str(e.value).startswith(named)
 
 
 def _demos(draw_orders, costs):

@@ -17,7 +17,13 @@ pooled estimate against:
   the learning as they were written before ``learn`` made each distinct
   order a word once and ``merge_global`` wrote each count once: one numpy
   ``+=`` per transition, and a ``Word`` built from every demonstration
-  and again from every distinct word.
+  and again from every distinct word;
+- ``reference_model_from_dict`` is the world-model reader as it was
+  written before ``model_from_dict`` took the one checked reader: type
+  checks on the words and letters written key by key, and casts for the
+  means and the noise config, so that it takes string means, a bool
+  noise scale and unknown keys. The tests hold the checked reader to it
+  on well-formed models and show where it accepted damage.
 """
 
 from typing import Iterable, NamedTuple, Sequence
@@ -27,8 +33,9 @@ import numpy as np
 from uavplan.environment import Hotspot, MissionConfig
 from uavplan.errors import ConsistencyError, DegenerateWordError, TrainingError
 from uavplan.oracle import Tour
-from uavplan.world_model import (NoiseConfig, TransitionMatrix, Word,
-                                 WorldModel, _build, word_from_tour)
+from uavplan.world_model import (WORLD_MODEL_SCHEMA, NoiseConfig,
+                                 TransitionMatrix, Word, WorldModel, _build,
+                                 _LetterSources, word_from_tour)
 
 
 class GeneralizedLetter(NamedTuple):
@@ -147,8 +154,50 @@ def reference_learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
         total_cost += c * word_cost[k]
         total_legs += c * (len(k) + 1)
 
-    return _build({l: (by_id[l].center_m, profit_sum[l] / occ[l])
+    return _build({l: _LetterSources(by_id[l].center_m, profit_sum[l] / occ[l])
                    for l in letters},
                   [Word(k) for k in keys], counts,
                   total_profit / total_visits,
                   total_cost / total_legs / mission.uav_speed_m_per_s, noise)
+
+
+def reference_model_from_dict(d: dict) -> WorldModel:
+    """Read a ``uavplan.world_model.v3`` object; each word's letters and
+    count must be JSON integers, each letter key a decimal integer, and
+    its ``center_m`` two JSON numbers and its ``mean_profit_bps`` one.
+    The rest is cast."""
+    found = d.get("schema")
+    if found != WORLD_MODEL_SCHEMA:
+        raise ConsistencyError(
+            f"schema {found!r}, not {WORLD_MODEL_SCHEMA!r} (an older format or "
+            "not this artifact); delete it and run again to regenerate it")
+    words = d["words"]
+    for k, w in enumerate(words):
+        if not all(type(v) is int for v in (*w["letters"], w["count"])):
+            raise ConsistencyError(
+                f"word {k} has letters {w['letters']} and count "
+                f"{w['count']}, which must be integers")
+    letters = {}
+    for key, s in d["letters"].items():
+        center, profit = s["center_m"], s["mean_profit_bps"]
+        if not (key.isascii() and key.removeprefix("-").isdigit()):
+            raise ConsistencyError(
+                f"letters.{key} names no letter: a letter is a decimal "
+                "integer")
+        if not (type(center) is list and len(center) == 2
+                and all(type(v) in (int, float) for v in center)):
+            raise ConsistencyError(
+                f"letters.{key}.center_m is {center!r}, which must be a "
+                "list of two numbers")
+        if type(profit) not in (int, float):
+            raise ConsistencyError(
+                f"letters.{key}.mean_profit_bps is {profit!r}, which must "
+                "be a number")
+        letters[int(key)] = _LetterSources((float(center[0]), float(center[1])),
+                                           float(profit))
+    return _build(
+        letters,
+        [Word.from_letters(w["letters"]) for w in words],
+        [w["count"] for w in words],
+        float(d["mean_profit_bps"]), float(d["mean_leg_time_s"]),
+        NoiseConfig(**d["noise_config"]))
