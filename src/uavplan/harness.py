@@ -7,7 +7,7 @@ config reproduces its files byte for byte. Wall clock measurements go
 to a separate timings file so the metrics CSV stays deterministic. Files
 are written atomically (write then rename). This module alone writes,
 rebuilds and checks artifacts, and it alone spreads work over worker
-processes (``_map``).
+processes: the eval's test instances (``_map``).
 
 A stage's record is the config values it is computed from: one table,
 ``_READS``, gives each stage its upstream stages and the config keys it
@@ -67,9 +67,11 @@ repeat a letter, and on such words that program is exact.
 the stages it runs write into, before the first stage, so that a path it
 cannot write is refused before any work.
 
-The oracle stage solves the training instances in one batch per worker
-(``oracle.demonstrate``), which also gives each instance's cost scale for
-Q-learning; the stage hands the scales to the Q-learning stage.
+The oracle stage solves the training instances in one batched call in
+this process (``oracle.demonstrate``), which also gives each instance's
+cost scale for Q-learning; the stage hands the scales to the Q-learning
+stage. Every set-up stage runs in this process: ``workers`` spreads only
+the eval's test instances over worker processes (``_map``).
 
 Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``,
 kept with the package's JSON codec in ``environment``), whose one rule for
@@ -471,10 +473,10 @@ def _run_task(task: tuple):
 
 
 def _map(fn: Callable[..., T], tasks: Iterable[tuple], shared: tuple,
-         workers: int, chunksize: int) -> list[T]:
+         workers: int) -> list[T]:
     """``fn(*task, *shared)`` for each task, in order. With more than one
-    worker the calls run in a process pool, handed out ``chunksize`` tasks
-    at a time."""
+    worker the calls run in a process pool, handed out one task at a time;
+    the eval is its one caller (``stage_eval``)."""
     if workers <= 1:
         return [fn(*task, *shared) for task in tasks]
     # imported here: it loads multiprocessing, which workers=1 never uses
@@ -482,7 +484,7 @@ def _map(fn: Callable[..., T], tasks: Iterable[tuple], shared: tuple,
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker,
             initargs=(fn, shared)) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=chunksize))
+        return list(pool.map(_run_task, tasks))
 
 
 # --- pipeline stages ----------------------------------------------------------
@@ -546,14 +548,11 @@ def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
                  out: Path) -> tuple[list[Tour], array]:
     """Demonstration k solves training instance k, and comes with that
     instance's cost scale for Q-learning; the instances are solved on
-    every run, in one batch per worker (``demonstrate``). Returns the
-    tours and the scales. ``oracle_tours.jsonl``, a header and then each
-    demonstration's order, is their export (``_export``)."""
-    size = -(-len(instances) // cfg.workers)
-    solved = [d for batch in _map(
-        demonstrate, ((instances[k:k + size],)
-                      for k in range(0, len(instances), size)),
-        (cfg.weights,), cfg.workers, chunksize=1) for d in batch]
+    every run, in one batched call in this process (``demonstrate``),
+    whatever ``workers`` is. Returns the tours and the scales.
+    ``oracle_tours.jsonl``, a header and then each demonstration's order,
+    is their export (``_export``)."""
+    solved = demonstrate(instances, cfg.weights)
     tours = [t for t, _ in solved]
     header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
     _export(out / "oracle_tours.jsonl", itertools.chain(
@@ -691,7 +690,7 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
     if config_present:
         _export(config_path, config, remedy)
     evaluations = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
-                       (wm, qtable, cfg), cfg.workers, chunksize=1)
+                       (wm, qtable, cfg), cfg.workers)
     for e in evaluations:
         for method, tour in zip(METHODS, e.tours):
             _export(out / f"tours/{e.instance_id}_{method}.json",

@@ -260,17 +260,21 @@ def _build(letters: dict[int, _LetterSources], words: list[Word],
     profit (``letters``), the stored words with their counts, the two
     training means and the noise config. Derives the vocabulary (the
     words' letters, ascending, each mapped to its row), the start counts,
-    the transitions and both noise matrices (see ``NoiseConfig``)."""
+    the transitions and both noise matrices (see ``NoiseConfig``). Refuses
+    sources that ``learn`` never gives: a stored word of fewer than two
+    letters or a count below 1, a letter without statistics, a mean or
+    a noise matrix that is not finite."""
     if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
         raise ConsistencyError(
             f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
             f"{mean_leg_time_s} must be finite")
     started: dict[int, int] = {}
-    for w, c in zip(words, counts):
-        if c < 1:
+    for k, (w, c) in enumerate(zip(words, counts)):
+        if len(w) < 2 or c < 1:
             raise ConsistencyError(
-                f"word {list(w.letters)} has count {c}; a stored word's "
-                "count must be at least 1")
+                f"word {k} has letters {list(w.letters)} and count {c}; a "
+                "stored word has at least two letters and a count of at "
+                "least 1")
         started[w.letters[0]] = started.get(w.letters[0], 0) + c
     vocab = {l: k for k, l in
              enumerate(sorted({l for w in words for l in w.letters}))}
@@ -278,16 +282,20 @@ def _build(letters: dict[int, _LetterSources], words: list[Word],
     if missing:
         raise ConsistencyError(
             f"stored words name letters {missing} that have no statistics")
-    try:
-        q = np.diag([(noise.process_scale * mean_profit_bps) ** 2,
-                     (noise.process_scale * mean_leg_time_s) ** 2])
-    except OverflowError:
+    # numpy's scalar power is the C pow that Python's ``**`` calls, and
+    # gives inf where ``**`` raises
+    with np.errstate(over="ignore"):
+        q = np.diag([np.float64(noise.process_scale * m) ** 2
+                     for m in (mean_profit_bps, mean_leg_time_s)])
+        r = q * noise.measurement_ratio
+    if not np.isfinite([q, r]).all():
         raise ConfigurationError(
             f"config noise: the process noise, process_scale "
             f"{noise.process_scale} times the training mean_profit_bps "
             f"{mean_profit_bps} or mean_leg_time_s {mean_leg_time_s} (which "
-            "the pool and mission give), overflows float arithmetic when "
-            "squared") from None
+            "the pool and mission give), squared, or the measurement noise, "
+            f"that times measurement_ratio {noise.measurement_ratio}, "
+            "overflows float arithmetic")
     return WorldModel(
         vocab=vocab,
         stats={l: LetterStats(**vars(letters[l]), start_count=started.get(l, 0))
@@ -296,7 +304,7 @@ def _build(letters: dict[int, _LetterSources], words: list[Word],
         word_counts=counts,
         transition=merge_global(words, vocab, counts),
         process_noise=q,
-        measurement_noise=q * noise.measurement_ratio,
+        measurement_noise=r,
         mean_profit_bps=mean_profit_bps,
         mean_leg_time_s=mean_leg_time_s,
         noise_config=noise,

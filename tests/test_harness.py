@@ -39,7 +39,8 @@ from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              run_pipeline,
                              stage_oracle, stage_pools, stage_training_instances,
                              summarize, word_similarity, write_jsonl_atomic)
-from uavplan.oracle import ObjectiveWeights, make_tour, solve, tour_from_dict
+from uavplan.oracle import (ObjectiveWeights, demonstrate, make_tour, solve,
+                           tour_from_dict)
 from uavplan.planner import PlannerConfig, levenshtein
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
@@ -617,6 +618,39 @@ class TestHeadedJsonl:
         for name in ("training_instances.jsonl", "oracle_tours.jsonl"):
             assert len((out / name).read_text().splitlines()) == 41
 
+    def test_oracle_runs_in_one_process_at_any_worker_count(
+            self, tmp_path, monkeypatch):
+        """At workers 2 the demonstrations are solved in this process, in
+        one batched call, and open no process pool: they give the tours
+        and scales of workers 1, and ``oracle_tours.jsonl`` keeps its
+        bytes."""
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("stage_oracle opened a process pool")
+
+        def counted(batch, w):
+            calls.append(len(batch))
+            return demonstrate(batch, w)
+
+        serial = small_config(tmp_path / "s", m_training=40)
+        parallel = small_config(tmp_path / "p", m_training=40, workers=2)
+        results = {}
+        for cfg in (serial, parallel):
+            out = Path(cfg.output_dir)
+            out.mkdir()
+            _, training = stage_pools(cfg, out)
+            instances = stage_training_instances(cfg, training, out)
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+                m.setattr(harness, "demonstrate", counted)
+                results[cfg.workers] = stage_oracle(cfg, instances, out)
+            assert calls == [40]
+        assert results[2] == results[1]
+        assert ((tmp_path / "p" / "oracle_tours.jsonl").read_bytes()
+                == (tmp_path / "s" / "oracle_tours.jsonl").read_bytes())
+
     def test_artifacts_match_pinned_bytes(self, tmp_path, monkeypatch):
         """Every artifact but timings.csv has its pinned bytes. The eval's
         outputs were pinned from a run of the one-object-per-line format
@@ -901,6 +935,17 @@ class TestCli:
                      ["pipeline", "--m-training", "20", "--test-sizes", "5",
                       "--seeds-per-size", "1"],
                      id="noise-process-scale-overflow"),
+        pytest.param('{"noise": {"process_scale": 1e307}}',
+                     "config noise: the process noise, process_scale 1e+307",
+                     ["pipeline", "--m-training", "20", "--test-sizes", "5",
+                      "--seeds-per-size", "1"],
+                     id="noise-process-scale-product-overflow"),
+        pytest.param('{"noise": {"measurement_ratio": 1e300}}',
+                     "that times measurement_ratio 1e+300, overflows float "
+                     "arithmetic",
+                     ["pipeline", "--m-training", "20", "--test-sizes", "5",
+                      "--seeds-per-size", "1"],
+                     id="noise-measurement-ratio-overflow"),
         pytest.param('{"m_training": 30, "seeds_per_size": 1, '
                      '"test_sizes": [5], "mission": {"dwell_time_s": 1e308}}',
                      "a tour of 5 hotspots has no finite completion time at "
@@ -935,17 +980,21 @@ class TestCli:
         invalid ``plan`` override, before any artifact is read. A value
         that overflows float arithmetic names its section, or, for the
         noise, which scales the learned means, when the world model is
-        learned. A mean user count past which exp(-mean_users) is not a
+        learned: a process noise or a measurement noise that is not finite
+        names both noise values, and prints no RuntimeWarning. A mean user
+        count past which exp(-mean_users) is not a
         normal float, so that the Poisson draws go wrong, is refused as the
         pool is drawn, naming it. A NaN (which ``json`` reads), and a
         mission under which the longest tour may have no finite completion
         time, are refused at load, naming the key, before any stage writes
-        an artifact."""
+        an artifact. No refused config writes a trace."""
         monkeypatch.chdir(tmp_path)
         p = tmp_path / "broken.json"
         p.write_text(text)
         assert cli_main(command + ["--config", str(p)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "RuntimeWarning" not in err
+        assert not list(tmp_path.glob("out/traces/*"))
         if "NaN" in text or "no finite completion time" in named:
             assert not (tmp_path / "out").exists()
 
@@ -1387,7 +1436,22 @@ class TestCli:
             id="letter-profit-string"),
         pytest.param(_letter_key_not_decimal, "plan",
                      "world model key letters must be of type dict[int, ",
-                     id="letter-key-not-decimal")])
+                     id="letter-key-not-decimal"),
+        pytest.param(lambda obj: obj["words"].append(
+            {"letters": [], "count": 1}), "plan",
+            "has letters [] and count 1; a stored word has at least two "
+            "letters", id="word-empty"),
+        pytest.param(lambda obj: obj["words"].insert(
+            0, {"letters": obj["words"][0]["letters"][:1], "count": 1}),
+            "plan", "word 0 has letters [", id="word-one-letter"),
+        pytest.param(lambda obj: obj["noise_config"].__setitem__(
+            "measurement_ratio", 1e300), "plan",
+            "that times measurement_ratio 1e+300, overflows",
+            id="measurement-ratio-overflow"),
+        pytest.param(lambda obj: obj["noise_config"].__setitem__(
+            "process_scale", 1e307), "plan",
+            "config noise: the process noise, process_scale 1e+307",
+            id="process-scale-product-overflow")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model file holds only sources (letter statistics, words
@@ -1398,8 +1462,11 @@ class TestCli:
         that is not two JSON numbers, a NaN mean, a NaN mean profit or a
         mean profit that is not a JSON number (each named by its dotted
         key and declared type, such as ``words.1.count`` or
-        ``letters.7.center_m``), a stored word naming a letter without
-        statistics, a noise scale that is not positive, one in another
+        ``letters.7.center_m``), a stored word of fewer than two letters
+        (named by its index and letters), a stored word naming a letter
+        without statistics, a noise scale that is not positive, a noise
+        config whose process or measurement noise is not finite (named
+        by both noise values, with no RuntimeWarning), one in another
         schema, an older world model reused by a
         pipeline re-run, or another artifact given to ``plan``. Reused by a
         pipeline re-run, one whose words are not the demonstrations' exits
@@ -1411,6 +1478,8 @@ class TestCli:
         assert code == 2
         assert err.startswith("configuration error:")
         assert str(tmp_path / "d" / "world_model.json") in err and named in err
+        assert "RuntimeWarning" not in err
+        assert not (tmp_path / "trace.json").exists()
 
     @pytest.mark.parametrize("count,named", [
         pytest.param("1e400", "world model key words.0.count must be of type "

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan.environment import (Hotspot, MissionConfig, sample_instance,
@@ -268,6 +268,30 @@ class TestLearn:
         assert len(wm.words) == 1
         assert wm.words[0].letters == demos[0].order
         assert wm.word_counts == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-6, 1e3), st.floats(1e-6, 1e3), st.floats(1e-3, 1e9),
+           st.floats(1e-3, 1e4))
+    # means whose square by ``**`` is not their square by ``x * x``
+    @example(1.0, 0.25, 4999.310595243412, 703.9283572034993)
+    def test_noise_matrices_are_python_powers(self, scale, ratio, profit,
+                                              leg_time):
+        """The process noise's diagonal is ``(process_scale * mean) ** 2``
+        in Python floats, bit for bit (Python's ``**`` is the C ``pow``,
+        which differs from ``x * x`` in the last bit for some x), and the
+        measurement noise is that matrix times ``measurement_ratio``."""
+        d = {"schema": "uavplan.world_model.v3",
+             "words": [{"letters": [1, 2], "count": 1}],
+             "letters": {str(l): {"center_m": [0.0, 0.0],
+                                  "mean_profit_bps": 1.0} for l in (1, 2)},
+             "mean_profit_bps": profit, "mean_leg_time_s": leg_time,
+             "noise_config": {"process_scale": scale,
+                              "measurement_ratio": ratio}}
+        wm = model_from_dict(d)
+        want = [(scale * profit) ** 2, (scale * leg_time) ** 2]
+        assert wm.process_noise.tolist() == [[want[0], 0.0], [0.0, want[1]]]
+        assert wm.measurement_noise.tolist() == [[want[0] * ratio, 0.0],
+                                                 [0.0, want[1] * ratio]]
 
     def test_word_count_before_dedup(self, small_training, mission_module):
         pool, _, demos = small_training

@@ -42,7 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKERS = (1, 2)
 
 
-def _module(path: Path):
+def load_module(path: Path):
     """The module of the Python file ``path``, loaded by path (and listed
     in ``sys.modules``, where a dataclass looks up its module)."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -51,10 +51,26 @@ def _module(path: Path):
     return module
 
 
+def export_src(ref: str, dest: Path) -> Path | None:
+    """REF's ``src/``, exported with ``git archive`` and extracted under
+    ``dest``; None, with the reason on stderr, when REF cannot be
+    exported. ``tools/setup_layers.py`` exports REF this way too."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive",
+                              "--format=tar", ref, "src"], capture_output=True)
+    if archive.returncode != 0:
+        print(f"cannot export {ref}: "
+              f"{archive.stderr.decode(errors='replace').strip()}",
+              file=sys.stderr)
+        return None
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
 def default_configs() -> dict[str, dict]:
     """The C6-C8 config and the two workload shapes, by name; each run
     sets its own output directory and worker count."""
-    workloads = _module(ROOT / "perfbench" / "workloads.py").WORKLOADS
+    workloads = load_module(ROOT / "perfbench" / "workloads.py").WORKLOADS
     return {"c6-c8": {"m_training": 5000, "test_sizes": [5, 10, 20, 30, 40, 50],
                       "seeds_per_size": 30},
             **{name: w.config(3011, 0, "out")
@@ -79,20 +95,13 @@ def same_outputs(ref: str, configs: dict[str, dict]) -> int:
     working tree's, then the working tree's at workers 1 over REF's
     workers 1 directory; print one line per pair and per rerun, and
     return the exit code."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive",
-                              "--format=tar", ref, "src"], capture_output=True)
-    if archive.returncode != 0:
-        print(f"cannot export {ref}: "
-              f"{archive.stderr.decode(errors='replace').strip()}",
-              file=sys.stderr)
-        return 2
-    compare = _module(ROOT / "tools" / "compare_outputs.py")
+    compare = load_module(ROOT / "tools" / "compare_outputs.py")
     code = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "ref", filter="data")
-        sources = {"ref": tmp / "ref" / "src", "tree": ROOT / "src"}
+        if (ref_src := export_src(ref, tmp / "ref")) is None:
+            return 2
+        sources = {"ref": ref_src, "tree": ROOT / "src"}
         for name, config in configs.items():
             config_path = tmp / f"{name}.json"
             config_path.write_text(json.dumps(config))

@@ -2,8 +2,8 @@
 
     python3 tools/setup_layers.py REF [--rounds N]
 
-exports REF's ``src/`` with ``git archive`` into a temporary directory, as
-``tools/same_outputs.py`` does, then runs N rounds (default 5) of two
+exports REF's ``src/`` into a temporary directory (``export_src`` of
+``tools/same_outputs.py``), then runs N rounds (default 5) of two
 fresh processes, one on REF's source and one on the working tree's, in
 alternating order (REF first in even rounds). Each process builds the
 benchmark's train-large shape (``WORKLOADS["train-large"].config(3011, 0,
@@ -33,18 +33,22 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
-import io
 import json
 import os
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# tools/same_outputs.py, loaded by path: it exports REF's src/ (export_src)
+# and loads a file as a module (load_module)
+_spec = importlib.util.spec_from_file_location(
+    "same_outputs", ROOT / "tools" / "same_outputs.py")
+_same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_same_outputs)
 LAYERS = ("sample_instances", "demonstrate", "learn", "train_q",
           "export_ids", "export_orders")
 
@@ -65,11 +69,7 @@ def _child(out: Path) -> dict:
     from uavplan.ql import qtable_to_dict, train_q
     from uavplan.world_model import learn, model_to_dict
 
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "perfbench" / "workloads.py")
-    # listed in sys.modules, where a dataclass looks up its module
-    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _same_outputs.load_module(ROOT / "perfbench" / "workloads.py")
     cfg = harness.config_from_dict(
         workloads.WORKLOADS["train-large"].config(3011, 0, str(out)))
     testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size,
@@ -128,20 +128,13 @@ def _spread(seconds: list[float]) -> str:
 
 
 def setup_layers(ref: str, rounds: int) -> int:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive",
-                              "--format=tar", ref, "src"], capture_output=True)
-    if archive.returncode != 0:
-        print(f"cannot export {ref}: "
-              f"{archive.stderr.decode(errors='replace').strip()}",
-              file=sys.stderr)
-        return 2
     times = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
     digests = {layer: set() for layer in LAYERS}
     with tempfile.TemporaryDirectory(prefix="setup_layers_") as tmp:
         tmp = Path(tmp)
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(tmp / "ref", filter="data")
-        sources = {"ref": tmp / "ref" / "src", "tree": ROOT / "src"}
+        if (ref_src := _same_outputs.export_src(ref, tmp / "ref")) is None:
+            return 2
+        sources = {"ref": ref_src, "tree": ROOT / "src"}
         for r in range(rounds):
             for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
                 for layer, (seconds, digest) in _run(
