@@ -691,6 +691,9 @@ def _from_json(hint, value, what: str, key: str = ""):
             raise ConfigurationError(f"{what} {key}: {e}") from None
     if get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)):
+            # a stored word's letters: all Python ints, taken at once
+            if args == (int, ...) and set(map(type, value)) <= {int}:
+                return tuple(value)
             items = args[:1] * len(value) if args[-1] is Ellipsis else args
             if len(items) == len(value):
                 return tuple(_from_json(h, v, what, at(k))

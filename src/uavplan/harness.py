@@ -79,12 +79,21 @@ records is that a dataclass's JSON form is its fields:
 the config, a record's config values, the pool's hotspots, each test
 instance (``uavplan.instance.v1``: its fields and the schema) and each
 test tour (``uavplan.tour.v1``: its fields, the schema and the weights)
-are written by it, with no writer of their own. The one exception is the
-id lists, one line per training instance: each ``{"ids"}`` line of
+are written by it, with no writer of their own. The exceptions are the
+lists that grow with the training set: each ``{"ids"}`` line of
 ``training_instances.jsonl`` and ``{"order"}`` line of
 ``oracle_tours.jsonl`` is formatted by ``_ids_line``, which gives the
-encoder's bytes for a list of Python ints (a test holds it to the
-encoder) at about half the cost.
+encoder's bytes for a list of Python ints at about half the cost, and
+the stored words of ``world_model.json``'s one line are formatted the
+same way (``_model_line``), with no dict per word, and spliced into the
+encoder's line for the model's other keys. Tests hold both to the
+encoder. A present ``world_model.json`` that differs is checked again
+against ``model_to_dict``'s object, so that the message names the words
+first.
+
+The training instances, their demonstrations and their cost scales are
+freed once Q-learning has run: no later stage reads them, and the eval
+runs without them in memory.
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config. Every JSON object the package reads back is read by one
@@ -117,7 +126,7 @@ import os
 import statistics
 import time
 from array import array
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -342,6 +351,17 @@ def _ids_line(key: str, ids: Iterable[int]) -> str:
     its cost: the encoder writes an int as its ``str``. The lines of
     ``training_instances.jsonl`` and ``oracle_tours.jsonl``."""
     return '{"%s":[%s]}' % (key, ",".join(map(str, ids)))
+
+
+def _model_line(wm: WorldModel) -> str:
+    """``_canonical_json(model_to_dict(wm))`` with no dict per stored word:
+    ``words``, the last key in sorted order, is formatted as ``_ids_line``
+    formats ids and spliced in before the closing brace of the encoder's
+    line for the other keys. ``world_model.json``'s one line."""
+    head = _canonical_json(model_to_dict(replace(wm, words=[], word_counts=[])))
+    return head.removesuffix("]}") + ",".join(
+        '{"count":%d,"letters":[%s]}' % (c, ",".join(map(str, w.letters)))
+        for w, c in zip(wm.words, wm.word_counts)) + "]}"
 
 
 def write_jsonl_atomic(path: Path, lines: Iterable) -> None:
@@ -588,7 +608,13 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
     pool, learned on every run. ``world_model.json`` is its export
     (``_export``)."""
     wm = learn(tours, training_pool, cfg.noise, cfg.mission)
-    _export(out / "world_model.json", [model_to_dict(wm)])
+    try:
+        _export(out / "world_model.json", [_model_line(wm)])
+    except ConfigurationError:
+        # checked again in ``model_to_dict``'s key order, words first, so
+        # that the message names what the demonstrations changed first
+        _export(out / "world_model.json", [model_to_dict(wm)])
+        raise
     return wm
 
 
@@ -799,6 +825,8 @@ def _stages(cfg: ExperimentConfig, out: Path):
     wm = stage_world(cfg, tours, training_pool, out)
     yield "world", wm
     qtable = stage_ql(cfg, instances, tours, cost_scales, out)
+    # no later stage reads the training set: free it before the eval
+    del instances, tours, cost_scales
     yield "ql", qtable
     evaluations = stage_eval(cfg, testing_pool, wm, qtable, out)
     rows = [r for e in evaluations for r in e.rows]

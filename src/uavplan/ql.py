@@ -12,7 +12,8 @@ nearest-neighbor construction. ``train_q`` takes those lengths as an
 argument: the oracle stage has them from the demonstrations
 (``oracle.demonstrate``), so they are never recomputed here. The profit
 scale, the instance's total profit summed in its hotspot order, is
-computed here.
+computed here, once per instance, into one array of floats; an episode
+reads its instance, demonstration and both scales by the drawn index.
 
 Training runs 100,000 steps on the default config, so each step does
 only what its arithmetic needs. An episode builds one id -> hotspot dict
@@ -38,6 +39,7 @@ instance, for the memory reason given in ``oracle``.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,9 +115,10 @@ def train_q(training: list[tuple[Instance, Tour]],
         raise TrainingError("no training instances for Q-learning")
     rng = _Stream(rng_seed)
     letters: set[int] = set()
-    prepared = []
-    for (inst, demo), cost_scale in zip(training, cost_scales, strict=True):
-        prepared.append((inst, demo, cost_scale, _profit_scale(inst)))
+    profit_scales = array("d")
+    # strict: one cost scale per training instance
+    for (inst, _), _ in zip(training, cost_scales, strict=True):
+        profit_scales.append(_profit_scale(inst))
         letters.update(inst.ids)
 
     alpha = weights.weight_alpha
@@ -131,7 +134,8 @@ def train_q(training: list[tuple[Instance, Tour]],
         else:
             frac = 1.0
         eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
-        inst, demo, cost_scale, profit_scale = prepared[integers(len(prepared))]
+        inst, demo = training[k := integers(len(training))]
+        cost_scale, profit_scale = cost_scales[k], profit_scales[k]
         by_id = {h.id: h for h in inst.hotspots}
         ids = sorted(by_id)
         unvisited = ids[:]

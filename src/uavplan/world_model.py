@@ -12,7 +12,11 @@ transition matrices) is kept in tests/world_model_oracles.py, which the
 tests check ``merge_global`` against.
 
 Learning is a pure function of the demonstration multiset: permuting the
-demos yields an identical model, including its serialized bytes.
+demos yields an identical model, including its serialized bytes. A word
+made of a tour whose order holds only Python ints shares that tuple, so
+the training set's tours can be freed while the words live on; the word
+index (``WordIndex``) maps letters to rows through the vocabulary dict,
+never through an array indexed by letter, since a letter is any int.
 
 ``world_model.json`` (``uavplan.world_model.v3``) stores only what
 the demonstrations and the pool give and nothing else determines: the
@@ -33,7 +37,13 @@ letter's sources (``_LetterSources``: a center of two JSON numbers and a
 mean profit), keyed by the ``str`` of the letter. A mistyped, unknown or
 missing key is refused naming its dotted key (``words.3.count``,
 ``letters.7.center_m``, ``noise_config.process_scale``); ``_build`` then
-refuses sources that contradict each other.
+refuses sources that contradict each other, and a noise config whose
+noise matrices, at the stored means, are not finite or, for a non-zero
+mean, underflow below the smallest normal float. A stored word's
+letters, all Python ints, are read in one step. ``harness`` writes the
+file without this module's dicts per word (``harness._model_line``);
+``model_to_dict`` gives the same object, the one ``uavplan plan --model``
+reads.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -97,9 +108,12 @@ class TransitionMatrix:
 
 
 def word_from_tour(t: Tour) -> Word:
-    """Transcribe a tour's visitation order; the depot is not a letter."""
+    """Transcribe a tour's visitation order; the depot is not a letter. An
+    order of Python ints is the word's letters, shared, not copied."""
     if len(t.order) < 2:
         raise DegenerateWordError("a word needs at least two visited vertices")
+    if type(t.order) is tuple and set(map(type, t.order)) == {int}:
+        return Word(t.order)
     return Word.from_letters(t.order)
 
 
@@ -217,10 +231,12 @@ class WordIndex:
     @classmethod
     def build(cls, words: Sequence[Word], vocab: dict) -> "WordIndex":
         letters = tuple(w.letters for w in words)
-        lengths = np.array([len(word) for word in letters], np.int64)
+        lengths = np.fromiter(map(len, letters), np.int64, len(letters))
+        # each letter's row, streamed through ``vocab``: a letter may be
+        # any int, so no array is indexed by letter
+        rows = np.fromiter(map(vocab.__getitem__, chain(*letters)), np.intp)
         incidence = np.zeros((len(vocab), len(letters)), np.uint8)
-        incidence[[vocab[l] for word in letters for l in word],
-                  np.repeat(np.arange(len(letters)), lengths)] = 1
+        incidence[rows, np.repeat(np.arange(len(letters)), lengths)] = 1
         return cls(letters=letters, lengths=lengths, incidence=incidence)
 
 
@@ -263,7 +279,8 @@ def _build(letters: dict[int, _LetterSources], words: list[Word],
     the transitions and both noise matrices (see ``NoiseConfig``). Refuses
     sources that ``learn`` never gives: a stored word of fewer than two
     letters or a count below 1, a letter without statistics, a mean or
-    a noise matrix that is not finite."""
+    a noise matrix that is not finite, and a noise matrix whose entry for
+    a non-zero mean underflows below the smallest normal float."""
     if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
         raise ConsistencyError(
             f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
@@ -284,18 +301,22 @@ def _build(letters: dict[int, _LetterSources], words: list[Word],
             f"stored words name letters {missing} that have no statistics")
     # numpy's scalar power is the C pow that Python's ``**`` calls, and
     # gives inf where ``**`` raises
+    means = (mean_profit_bps, mean_leg_time_s)
     with np.errstate(over="ignore"):
-        q = np.diag([np.float64(noise.process_scale * m) ** 2
-                     for m in (mean_profit_bps, mean_leg_time_s)])
+        q = np.diag([np.float64(noise.process_scale * m) ** 2 for m in means])
         r = q * noise.measurement_ratio
-    if not np.isfinite([q, r]).all():
+    # a noise that scales a non-zero mean must be a normal float
+    small = ((np.diagonal([q, r], 0, 1, 2) < np.finfo(float).smallest_normal)
+             & np.not_equal(means, 0)).any()
+    if small or not np.isfinite([q, r]).all():
         raise ConfigurationError(
             f"config noise: the process noise, process_scale "
             f"{noise.process_scale} times the training mean_profit_bps "
             f"{mean_profit_bps} or mean_leg_time_s {mean_leg_time_s} (which "
             "the pool and mission give), squared, or the measurement noise, "
             f"that times measurement_ratio {noise.measurement_ratio}, "
-            "overflows float arithmetic")
+            + ("underflows below the smallest normal float" if small else
+               "overflows float arithmetic"))
     return WorldModel(
         vocab=vocab,
         stats={l: LetterStats(**vars(letters[l]), start_count=started.get(l, 0))

@@ -12,6 +12,7 @@ import statistics
 import subprocess
 import sys
 import warnings
+import weakref
 from array import array
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              POOL_SCHEMA, TOUR_SCHEMA, ExperimentConfig,
                              MetricsRecord, _evaluate_one,
                              _canonical_json, _csv_lines, _first_difference,
-                             _ids_line,
+                             _ids_line, _model_line,
                              _record, completion_ratios, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, instance_from_dict,
@@ -598,6 +599,29 @@ class TestHeadedJsonl:
         assert _ids_line(key, ids) == want
         assert _ids_line(key, tuple(ids)) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.lists(st.one_of(
+               st.integers(-2 ** 70, 2 ** 70), st.integers(-100, 100)),
+               min_size=2, max_size=8, unique=True), min_size=1, max_size=20),
+           counts=st.lists(st.integers(1, 2 ** 64), min_size=20, max_size=20),
+           profits=st.lists(st.floats(-1e9, 1e9), min_size=1),
+           means=st.tuples(st.floats(1e-3, 1e9), st.floats(1e-3, 1e9)),
+           noise=st.builds(NoiseConfig, st.floats(1e-3, 1.0),
+                           st.floats(1e-3, 4.0)))
+    def test_world_model_line_is_the_encoders(self, words, counts, profits,
+                                              means, noise):
+        """``world_model.json``'s line is formatted, not encoded from
+        ``model_to_dict``: for models of any int letters, any counts and
+        any letter sources, the bytes are the encoder's."""
+        letters = sorted({l for w in words for l in w})
+        sources = {l: world_model._LetterSources(
+            (float(k), -0.5 * k), profits[k % len(profits)])
+            for k, l in enumerate(letters)}
+        wm = world_model._build(sources, [Word(tuple(w)) for w in words],
+                                counts[:len(words)], *means, noise)
+        assert _model_line(wm) == _canonical_json(
+            world_model.model_to_dict(wm))
+
     def test_round_trip_gives_the_sampled_instances_and_solved_tours(
             self, tmp_path):
         """A rerun samples and solves again, and checks both files: it
@@ -650,6 +674,36 @@ class TestHeadedJsonl:
         assert results[2] == results[1]
         assert ((tmp_path / "p" / "oracle_tours.jsonl").read_bytes()
                 == (tmp_path / "s" / "oracle_tours.jsonl").read_bytes())
+
+    def test_training_set_is_freed_before_the_eval(self, tmp_path,
+                                                   monkeypatch):
+        """No stage after Q-learning reads the training instances, their
+        demonstrations or their cost scales: when the eval starts, the
+        first training instance and the first demonstration are gone."""
+        refs, alive = {}, []
+        real = {name: getattr(harness, name) for name in (
+            "stage_training_instances", "stage_oracle", "stage_eval")}
+
+        def instances(*args):
+            got = real["stage_training_instances"](*args)
+            refs["instance"] = weakref.ref(got[0])
+            return got
+
+        def oracle(*args):
+            tours, scales = real["stage_oracle"](*args)
+            refs["tour"] = weakref.ref(tours[0])
+            return tours, scales
+
+        def evaluate(*args):
+            alive.extend(name for name, ref in refs.items() if ref())
+            return real["stage_eval"](*args)
+
+        monkeypatch.setattr(harness, "stage_training_instances", instances)
+        monkeypatch.setattr(harness, "stage_oracle", oracle)
+        monkeypatch.setattr(harness, "stage_eval", evaluate)
+        run_pipeline(small_config(tmp_path / "o", test_sizes=(5,),
+                                  seeds_per_size=1), "eval")
+        assert sorted(refs) == ["instance", "tour"] and alive == []
 
     def test_artifacts_match_pinned_bytes(self, tmp_path, monkeypatch):
         """Every artifact but timings.csv has its pinned bytes. The eval's
@@ -946,6 +1000,17 @@ class TestCli:
                      ["pipeline", "--m-training", "20", "--test-sizes", "5",
                       "--seeds-per-size", "1"],
                      id="noise-measurement-ratio-overflow"),
+        pytest.param('{"noise": {"process_scale": 1e-300}}',
+                     "config noise: the process noise, process_scale 1e-300",
+                     ["pipeline", "--m-training", "20", "--test-sizes", "5",
+                      "--seeds-per-size", "1"],
+                     id="noise-process-scale-underflow"),
+        pytest.param('{"noise": {"measurement_ratio": 1e-320}}',
+                     "that times measurement_ratio 1e-320, underflows below "
+                     "the smallest normal float",
+                     ["pipeline", "--m-training", "20", "--test-sizes", "5",
+                      "--seeds-per-size", "1"],
+                     id="noise-measurement-ratio-subnormal"),
         pytest.param('{"m_training": 30, "seeds_per_size": 1, '
                      '"test_sizes": [5], "mission": {"dwell_time_s": 1e308}}',
                      "a tour of 5 hotspots has no finite completion time at "
@@ -980,8 +1045,9 @@ class TestCli:
         invalid ``plan`` override, before any artifact is read. A value
         that overflows float arithmetic names its section, or, for the
         noise, which scales the learned means, when the world model is
-        learned: a process noise or a measurement noise that is not finite
-        names both noise values, and prints no RuntimeWarning. A mean user
+        learned: a process noise or a measurement noise that is not finite,
+        or that underflows below the smallest normal float, names both
+        noise values, and prints no RuntimeWarning. A mean user
         count past which exp(-mean_users) is not a
         normal float, so that the Poisson draws go wrong, is refused as the
         pool is drawn, naming it. A NaN (which ``json`` reads), and a
@@ -1451,7 +1517,15 @@ class TestCli:
         pytest.param(lambda obj: obj["noise_config"].__setitem__(
             "process_scale", 1e307), "plan",
             "config noise: the process noise, process_scale 1e+307",
-            id="process-scale-product-overflow")])
+            id="process-scale-product-overflow"),
+        pytest.param(lambda obj: obj["noise_config"].__setitem__(
+            "process_scale", 1e-300), "plan",
+            "config noise: the process noise, process_scale 1e-300",
+            id="process-scale-underflow"),
+        pytest.param(lambda obj: obj["noise_config"].__setitem__(
+            "measurement_ratio", 1e-320), "plan",
+            "that times measurement_ratio 1e-320, underflows",
+            id="measurement-ratio-subnormal")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model file holds only sources (letter statistics, words

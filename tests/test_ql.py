@@ -72,6 +72,18 @@ class TestTrainQ:
         with pytest.raises(TrainingError):
             train_q([], [], QTrainConfig(episodes=10), W, 1)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_cost_scales_of_another_length_rejected(self, two_hotspot_world,
+                                                    extra):
+        """One cost scale per training instance: a list one shorter or one
+        longer is refused before any episode."""
+        training = [two_hotspot_world] * 2
+        scales = _scales(training) + [1.0]
+        with pytest.raises(ValueError, match=r"zip\(\) argument 2 is "
+                           f"{'shorter' if extra < 0 else 'longer'}"):
+            train_q(training, scales[:2 + extra], QTrainConfig(episodes=10),
+                    W, 1)
+
     def test_converges_to_value_iteration_fixed_point(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=20000)

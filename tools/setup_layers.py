@@ -19,12 +19,18 @@ training instances of 5 of 50 hotspots) and times, once each, with
   ``training_instances.jsonl`` into a new directory, with the sampling
   replaced by the instances already drawn, so that only the export counts;
 - ``export_orders``: ``stage_oracle`` writing ``oracle_tours.jsonl`` the
-  same way, with the demonstrations already solved.
+  same way, with the demonstrations already solved;
+- ``export_model``: ``stage_world`` writing ``world_model.json`` the same
+  way, with ``learn`` replaced by the model already learned.
 
-Prints one line per layer, ``LAYER  ref MEDIAN [Q1, Q3]  tree MEDIAN [Q1,
-Q3]`` in milliseconds, and exits 0 when each layer's output (the drawn
-ids, the tours with their float bits, the model's and the Q-table's JSON,
-the two files' bytes) has one sha256 over every process of both sides, 1
+Each process also reads its peak resident memory (``ru_maxrss``) right
+after each layer, before any output is digested; every layer's output
+stays alive to the end, so a reading is the high-water mark of the layers
+so far. Prints one line per layer, ``LAYER  ref MEDIAN [Q1, Q3]  tree
+MEDIAN [Q1, Q3]  ref MB  tree MB``, times in milliseconds and the median
+peak in MB, and exits 0 when each layer's output (the drawn ids, the
+tours with their float bits, the model's and the Q-table's JSON, the
+three files' bytes) has one sha256 over every process of both sides, 1
 when any differs, and 2 when REF cannot be exported. Standard library
 only, besides the package it runs.
 """
@@ -35,6 +41,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,7 +57,7 @@ _spec = importlib.util.spec_from_file_location(
 _same_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_same_outputs)
 LAYERS = ("sample_instances", "demonstrate", "learn", "train_q",
-          "export_ids", "export_orders")
+          "export_ids", "export_orders", "export_model")
 
 
 def _digest(value) -> str:
@@ -59,8 +66,8 @@ def _digest(value) -> str:
 
 
 def _child(out: Path) -> dict:
-    """Each layer's (seconds, output digest) on the train-large shape, run
-    on the ``uavplan`` that ``sys.path`` finds."""
+    """Each layer's (seconds, peak MB after it, output digest) on the
+    train-large shape, run on the ``uavplan`` that ``sys.path`` finds."""
     from unittest import mock
 
     from uavplan import harness
@@ -80,36 +87,40 @@ def _child(out: Path) -> dict:
     def timed(layer, fn, *args):
         start = time.perf_counter()
         value = fn(*args)
-        result[layer] = [time.perf_counter() - start]
+        result[layer] = [time.perf_counter() - start, resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024]
         return value
 
     seeds = range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training)
     instances = timed("sample_instances", sample_instances, seeds, training,
                       cfg.train_instance_size, cfg.depot, cfg.channel,
                       cfg.mission)
-    result["sample_instances"].append(_digest([i.ids for i in instances]))
     solved = timed("demonstrate", demonstrate, instances, cfg.weights)
     tours = [t for t, _ in solved]
     scales = [s for _, s in solved]
-    result["demonstrate"].append(_digest(
-        [(t.order, repr(t.total_cost_m), repr(t.total_profit_bps),
-          repr(t.objective), repr(s)) for t, s in solved]))
     wm = timed("learn", learn, tours, training, cfg.noise, cfg.mission)
-    result["learn"].append(_digest(json.dumps(model_to_dict(wm))))
     q = timed("train_q", train_q, list(zip(instances, tours)), scales,
               cfg.ql, cfg.weights, cfg.ql_train_seed)
-    result["train_q"].append(_digest(json.dumps(qtable_to_dict(q))))
     out.mkdir()
     with mock.patch.object(harness, "sample_instances",
                            lambda *args: instances):
         timed("export_ids", harness.stage_training_instances, cfg, training,
               out)
-    result["export_ids"].append(
-        _digest((out / "training_instances.jsonl").read_bytes()))
     with mock.patch.object(harness, "demonstrate", lambda batch, w: solved):
         timed("export_orders", harness.stage_oracle, cfg, instances, out)
-    result["export_orders"].append(
-        _digest((out / "oracle_tours.jsonl").read_bytes()))
+    with mock.patch.object(harness, "learn", lambda *args: wm):
+        timed("export_model", harness.stage_world, cfg, tours, training, out)
+    for layer, value in (
+            ("sample_instances", [i.ids for i in instances]),
+            ("demonstrate", [(t.order, repr(t.total_cost_m),
+                              repr(t.total_profit_bps), repr(t.objective),
+                              repr(s)) for t, s in solved]),
+            ("learn", json.dumps(model_to_dict(wm))),
+            ("train_q", json.dumps(qtable_to_dict(q))),
+            ("export_ids", (out / "training_instances.jsonl").read_bytes()),
+            ("export_orders", (out / "oracle_tours.jsonl").read_bytes()),
+            ("export_model", (out / "world_model.json").read_bytes())):
+        result[layer].append(_digest(value))
     return result
 
 
@@ -129,6 +140,7 @@ def _spread(seconds: list[float]) -> str:
 
 def setup_layers(ref: str, rounds: int) -> int:
     times = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
+    peaks = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
     digests = {layer: set() for layer in LAYERS}
     with tempfile.TemporaryDirectory(prefix="setup_layers_") as tmp:
         tmp = Path(tmp)
@@ -137,16 +149,19 @@ def setup_layers(ref: str, rounds: int) -> int:
         sources = {"ref": ref_src, "tree": ROOT / "src"}
         for r in range(rounds):
             for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
-                for layer, (seconds, digest) in _run(
+                for layer, (seconds, peak, digest) in _run(
                         sources[side], tmp / f"out-{side}-{r}").items():
                     times[side][layer].append(seconds)
+                    peaks[side][layer].append(peak)
                     digests[layer].add(digest)
     differ = [layer for layer in LAYERS if len(digests[layer]) > 1]
     print(f"{'layer (ms)':16} {'ref median [q1, q3]':>28} "
-          f"{'tree median [q1, q3]':>28}")
+          f"{'tree median [q1, q3]':>28} {'ref MB':>8} {'tree MB':>8}")
     for layer in LAYERS:
         print(f"{layer:16} {_spread(times['ref'][layer]):>28} "
               f"{_spread(times['tree'][layer]):>28}"
+              f" {statistics.median(peaks['ref'][layer]):8.2f}"
+              f" {statistics.median(peaks['tree'][layer]):8.2f}"
               f"{'  outputs differ' if layer in differ else ''}")
     return 1 if differ else 0
 
