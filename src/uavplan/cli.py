@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigurationError, NumericError, UavplanError
-from .harness import (ExperimentConfig, _check_tour_time, config_to_dict,
-                      instance_from_dict, load_artifact, load_config,
-                      run_pipeline, write_jsonl_atomic)
+from .harness import (ExperimentConfig, _check_tour_time, _encoded,
+                      config_to_dict, instance_from_dict, load_artifact,
+                      load_config, run_pipeline, write_jsonl_atomic)
 from .planner import plan_mission, plan_to_dict
 from .world_model import model_from_dict
 
@@ -102,8 +102,10 @@ def cmd_plan(args) -> int:
         print(f"trace -> {args.trace}")
         summary = sys.stdout
     else:
-        json.dump(trace, sys.stdout, sort_keys=True, indent=2)
-        print()
+        # encoded before anything is printed: a value JSON cannot hold
+        # leaves stdout empty
+        print(_encoded(trace, "the plan trace to stdout", json.JSONEncoder(
+            sort_keys=True, indent=2, allow_nan=False).encode))
         # stdout holds only the trace, so that it parses as JSON
         summary = sys.stderr
     print(f"word: {list(result.final_word.letters)} "

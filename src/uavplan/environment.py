@@ -14,13 +14,15 @@ self-contained ``uavplan.instance.v1`` objects, and reads one back for
 This module also holds the package's JSON codec, which ``oracle``,
 ``world_model`` and ``harness`` all import (each imports this module
 already): the one encoder (``_canonical_json``, a dataclass as its
-fields) and the one checked reader (``_from_json``, and
-``_record_from_dict`` for a whole file's object with its schema). The
-reader builds a JSON value as a declared type (a dataclass, a tuple, a
-``dict[int, T]``, a union, a float, an int, a str or a bool), refuses
-any value of another JSON type, any unknown key and any missing one, and
-names the dotted key; the config, an instance, a tour and a world model
-are each read by it, with no cast of their own.
+fields, which refuses NaN and the infinities: JSON has no such number,
+so no artifact holds one; messages still quote them, ``_excerpt``) and
+the one checked reader (``_from_json``, and ``_record_from_dict`` for a
+whole file's object with its schema). The reader builds a JSON value as
+a declared type (a dataclass, a tuple, a ``dict[int, T]``, a union, a
+float, an int, a str or a bool), refuses any value of another JSON type,
+any unknown key and any missing one, and names the dotted key; the
+config, an instance, a tour and a world model are each read by it, with
+no cast of their own.
 
 Every random draw in the package is a draw of one private stream class,
 ``_Stream``, which makes from raw 64-bit PCG64 outputs (O'Neill, *PCG*,
@@ -626,10 +628,16 @@ def _fields(obj) -> dict:
 
 
 # The one JSON encoding of every artifact: sorted keys, no spaces, a
-# dataclass as its fields. One encoder serves every call (json.dumps with
-# these options builds a new one per call).
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                   default=_fields).encode
+# dataclass as its fields, and a NaN or an infinity refused with a
+# ValueError (JSON has no such number). One encoder serves every call
+# (json.dumps with these options builds a new one per call).
+_FORM = {"sort_keys": True, "separators": (",", ":"), "default": _fields}
+_canonical_json = json.JSONEncoder(**_FORM, allow_nan=False).encode
+# The same encoding with NaN and the infinities written as ``NaN`` and
+# ``Infinity``: for messages, which quote bad input as it is, and for a
+# config's record, which a config built through the Python API may hold
+# them in until a stage refuses them.
+_quoting_json = json.JSONEncoder(**_FORM).encode
 
 
 def _cut(text: str, limit: int = 100) -> str:
@@ -637,8 +645,9 @@ def _cut(text: str, limit: int = 100) -> str:
 
 
 def _excerpt(obj) -> str:
-    """``obj`` in canonical JSON, cut to 100 characters."""
-    return _cut(_canonical_json(obj))
+    """``obj`` in canonical JSON, NaN and the infinities quoted as they
+    are, cut to 100 characters."""
+    return _cut(_quoting_json(obj))
 
 
 # The str of an int: what a JSON object's key must be to be read as one.

@@ -134,15 +134,14 @@ import json
 
 from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
                           Point, _canonical_json, _cut, _excerpt, _fields,
-                          _record_from_dict, channel_gain, sample_instances,
-                          sample_pool)
-from .errors import ConfigurationError
+                          _quoting_json, _record_from_dict, channel_gain,
+                          sample_instances, sample_pool)
+from .errors import ConfigurationError, NumericError
 from .oracle import (TOUR_SCHEMA, ObjectiveWeights, Tour, demonstrate,
                      make_tour, solve)
 from .planner import (PlannerConfig, _chain_distance, plan_mission,
                       plan_to_dict)
-from .ql import (QTABLE_SCHEMA, QTable, QTrainConfig, construct_word,
-                 qtable_to_dict, train_q)
+from .ql import QTable, QTrainConfig, construct_word, qtable_to_dict, train_q
 from .world_model import NoiseConfig, Word, WorldModel, learn, model_to_dict
 
 METRICS_SCHEMA = "uavplan.metrics.v1"
@@ -340,10 +339,23 @@ def load_config(path: str | Path | None,
 
 # --- atomic artifact IO -------------------------------------------------------
 
-def _line(item) -> str:
-    """A file line without its end: a str as it is (a CSV line, or a JSON
-    line already encoded), any other value in canonical JSON."""
-    return item if isinstance(item, str) else _canonical_json(item)
+def _encoded(item, where: Path | str,
+             encode: Callable[..., str] = _canonical_json) -> str:
+    """``encode(item)``, by an encoder that refuses NaN and the infinities:
+    a value that JSON cannot hold is a numeric error that names ``where``
+    the JSON was to go."""
+    try:
+        return encode(item)
+    except ValueError as e:
+        raise NumericError(f"cannot write {where}: a value is not finite "
+                           f"({e})") from None
+
+
+def _line(item, path: Path) -> str:
+    """A line of the file ``path`` without its end: a str as it is (a CSV
+    line, or a JSON line already encoded), any other value in canonical
+    JSON (``_encoded``)."""
+    return item if isinstance(item, str) else _encoded(item, path)
 
 
 def _ids_line(key: str, ids: Iterable[int]) -> str:
@@ -368,19 +380,22 @@ def write_jsonl_atomic(path: Path, lines: Iterable) -> None:
     """One ``_line`` per item, each written as soon as it is encoded, to a
     file that replaces ``path`` only once it is complete (write then
     rename). Pass a generator: then neither all the items nor all the
-    lines are held at once. A write that fails leaves no temporary file
-    and is a configuration error that names the file and the OS error."""
+    lines are held at once. A write that fails leaves no temporary file;
+    an OS error is a configuration error that names the file and the OS
+    error, and a value JSON cannot hold a numeric error (``_line``)."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "w") as f:
             for item in lines:
-                f.write(_line(item) + "\n")
+                f.write(_line(item, path) + "\n")
         os.replace(tmp, path)
     except OSError as e:
+        raise ConfigurationError(f"cannot write {path}: {e}") from e
+    finally:
+        # gone once renamed; left behind by a write that failed
         with contextlib.suppress(OSError):
             tmp.unlink()
-        raise ConfigurationError(f"cannot write {path}: {e}") from e
 
 
 _REGENERATE = "delete it and run again to regenerate it"
@@ -429,7 +444,8 @@ def _export(path: Path, lines: Iterable, remedy: str = _REGENERATE) -> None:
         with open(path, "rb") as f:
             for n, (have, item) in enumerate(itertools.zip_longest(f, lines),
                                              start=1):
-                if item is not None and have == (_line(item) + "\n").encode():
+                if item is not None and have == (_line(item, path)
+                                                 + "\n").encode():
                     continue
                 if have is None or item is None:
                     held = n - 1 + (have is not None) + sum(1 for _ in f)
@@ -509,8 +525,9 @@ def _map(fn: Callable[..., T], tasks: Iterable[tuple], shared: tuple,
 
 # --- pipeline stages ----------------------------------------------------------
 
-# What each stage reads: the stages it is computed from, and the config
-# keys it reads itself. Every record is derived from it (``_record``).
+# What each stage reads, in pipeline order: the stages it is computed from,
+# and the config keys it reads itself. Every record is derived from it
+# (``_record``).
 _READS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "pools": ((), ("pool_seed", "mean_users", "mission", "channel")),
     # the ids depend on nothing else; an instance takes this run's pool,
@@ -528,12 +545,13 @@ _READS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 def _record(cfg: ExperimentConfig, stage: str) -> dict:
     """The config values ``stage`` is computed from, in JSON form: the keys
     that ``_READS`` gives it and every stage upstream of it, each once,
-    upstream keys first."""
+    upstream keys first. A NaN or an infinity that a config built through
+    the Python API holds is kept, for the stage that reads it to refuse."""
     upstream, own = _READS[stage]
     record = {}
     for name in upstream:
         record.update(_record(cfg, name))
-    config = json.loads(_canonical_json(cfg))
+    config = json.loads(_quoting_json(cfg))
     return {**record, **{key: config[key] for key in own}}
 
 
@@ -626,8 +644,7 @@ def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
     record and the table, is its export (``_export``)."""
     q = train_q(list(zip(instances, tours)), cost_scales, cfg.ql, cfg.weights,
                 cfg.ql_train_seed)
-    record = {"schema": QTABLE_SCHEMA, **_record(cfg, "ql")}
-    _export(out / "qtable.json", [{**record, **qtable_to_dict(q)}])
+    _export(out / "qtable.json", [{**_record(cfg, "ql"), **qtable_to_dict(q)}])
     return q
 
 
@@ -835,9 +852,9 @@ def _stages(cfg: ExperimentConfig, out: Path):
     yield "report", rows
 
 
-# The names ``_stages`` yields, in order.
-_STAGE_NAMES = ("pools", "training_instances", "oracle", "world", "ql", "eval",
-                "report")
+# The names ``_stages`` yields, in order: every stage with a record, then
+# the report, which reads no config key.
+_STAGE_NAMES = (*_READS, "report")
 # The subdirectories of the output directory that a run up to a stage
 # writes into: the eval's, and with the report also the report's.
 _EVAL_DIRECTORIES = ("instances", "traces", "tours")

@@ -141,9 +141,6 @@ class Tour:
                                        self.objective))):
             raise ConsistencyError(f"{self} has a non-finite total")
 
-    def __len__(self) -> int:
-        return len(self.order)
-
 
 def objective_value(cost_m: float, profit_bps: float, w: ObjectiveWeights) -> float:
     return (w.weight_alpha * cost_m / w.cost_scale

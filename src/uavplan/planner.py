@@ -109,26 +109,21 @@ class GaussianBelief:
         cov = np.asarray(self.cov, float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        if cov.shape != (mean.size, mean.size):
-            raise NumericError("covariance shape does not match mean")
+        if mean.size != 2 or cov.shape != (2, 2):
+            raise NumericError(f"a belief is 2-D, not a mean of {mean.size} "
+                               f"and a covariance of shape {cov.shape}")
         scale = max(float(np.trace(cov)), 1.0)
         tol = 1e-9 * scale
-        if mean.size == 1:
-            if cov[0, 0] < -tol:
-                raise NumericError("covariance not positive semi-definite")
-        elif mean.size == 2:
-            # closed-form symmetry/PSD check
-            if abs(cov[0, 1] - cov[1, 0]) > tol:
-                raise NumericError("covariance not symmetric")
-            det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-            if cov[0, 0] < -tol or cov[1, 1] < -tol or det < -tol * scale:
-                raise NumericError("covariance not positive semi-definite")
-        else:
-            raise NumericError(f"a belief is 1-D or 2-D, not {mean.size}-D")
+        # closed-form symmetry/PSD check
+        if abs(cov[0, 1] - cov[1, 0]) > tol:
+            raise NumericError("covariance not symmetric")
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+        if cov[0, 0] < -tol or cov[1, 1] < -tol or det < -tol * scale:
+            raise NumericError("covariance not positive semi-definite")
 
     @classmethod
-    def zero(cls, dim: int = 2) -> "GaussianBelief":
-        return cls(mean=np.zeros(dim), cov=np.zeros((dim, dim)))
+    def zero(cls) -> "GaussianBelief":
+        return cls(mean=np.zeros(2), cov=np.zeros((2, 2)))
 
 
 class PlanCandidate(NamedTuple):
@@ -583,9 +578,8 @@ def _next_novel(word: Word, pending: list[int], ctx: PlanContext) -> int:
     return min(pending, key=lambda l: (math.dist(ctx.centers[l], centroid), l))
 
 
-def plan_mission(test: Instance, wm: WorldModel,
-                 cfg: PlannerConfig | None = None,
-                 weights: ObjectiveWeights | None = None) -> PlanResult:
+def plan_mission(test: Instance, wm: WorldModel, cfg: PlannerConfig,
+                 weights: ObjectiveWeights) -> PlanResult:
     """Full online planning pass over one test instance.
 
     Classify letters, sample and select a reference word over the known
@@ -595,7 +589,6 @@ def plan_mission(test: Instance, wm: WorldModel,
     realized tour (scored with ``weights``, the experiment's objective)
     and the full decision trace.
     """
-    cfg = cfg or PlannerConfig()
     normal, novel = classify_letters(test.ids, wm)
     generated: list[Word] = []
     if normal:
@@ -613,7 +606,7 @@ def plan_mission(test: Instance, wm: WorldModel,
         step = insert_best(word, nxt, ctx)
         steps.append(step)
         word = step.word
-    tour = make_tour(word.letters, test, weights or ObjectiveWeights())
+    tour = make_tour(word.letters, test, weights)
     return PlanResult(generated=generated, reference=reference, steps=steps,
                       final_word=word, tour=tour, context=ctx)
 

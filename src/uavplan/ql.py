@@ -195,8 +195,6 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     would draw for them, drawn by the seed's stream
     (``environment._Stream.choice``).
     """
-    if not inst.hotspots:
-        raise ConfigurationError("empty test instance")
     rng = _Stream(rng_seed)
     diag = math.hypot(inst.mission.area_side_m, inst.mission.area_side_m)
     succ: dict[int, int] = {}

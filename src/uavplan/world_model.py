@@ -36,12 +36,18 @@ stored word (``_StoredWord``: letters and count, JSON integers) and each
 letter's sources (``_LetterSources``: a center of two JSON numbers and a
 mean profit), keyed by the ``str`` of the letter. A mistyped, unknown or
 missing key is refused naming its dotted key (``words.3.count``,
-``letters.7.center_m``, ``noise_config.process_scale``); ``_build`` then
-refuses sources that contradict each other, and a noise config whose
+``letters.7.center_m``, ``noise_config.process_scale``), and a stored word
+that repeats a letter naming its index and letters; ``_build`` then
+refuses sources that contradict each other (such as a stored word's
+letter without statistics, or statistics of a letter that no stored
+word holds), and a noise config whose
 noise matrices, at the stored means, are not finite or, for a non-zero
-mean, underflow below the smallest normal float. A stored word's
-letters, all Python ints, are read in one step. ``harness`` writes the
-file without this module's dicts per word (``harness._model_line``);
+mean, underflow below the smallest normal float. So ``model_to_dict``
+gives back every file that ``model_from_dict`` accepts: its words,
+letters, means and noise config, with a noise key that the file leaves
+out at its default. A stored word's letters, all Python ints, are read
+in one step. ``harness`` writes the file without this module's dicts per
+word (``harness._model_line``);
 ``model_to_dict`` gives the same object, the one ``uavplan plan --model``
 reads.
 """
@@ -118,7 +124,7 @@ def word_from_tour(t: Tour) -> Word:
 
 
 def merge_global(words: Sequence[Word], vocab: dict[int, int],
-                 multiplicities: Sequence[int] | None = None) -> TransitionMatrix:
+                 multiplicities: Sequence[int]) -> TransitionMatrix:
     """Pool transition counts across words, then row-normalize; letter l
     owns row and column ``vocab[l]``.
 
@@ -126,8 +132,6 @@ def merge_global(words: Sequence[Word], vocab: dict[int, int],
     restricted to a single word it coincides with that word's transition
     matrix (``word_transition`` in tests/world_model_oracles.py).
     """
-    if multiplicities is None:
-        multiplicities = [1] * len(words)
     pairs: dict[tuple[int, int], int] = {}
     for w, m in zip(words, multiplicities):
         letters = w.letters
@@ -278,9 +282,10 @@ def _build(letters: dict[int, _LetterSources], words: list[Word],
     words' letters, ascending, each mapped to its row), the start counts,
     the transitions and both noise matrices (see ``NoiseConfig``). Refuses
     sources that ``learn`` never gives: a stored word of fewer than two
-    letters or a count below 1, a letter without statistics, a mean or
-    a noise matrix that is not finite, and a noise matrix whose entry for
-    a non-zero mean underflows below the smallest normal float."""
+    letters or a count below 1, a letter without statistics, statistics
+    of a letter that no stored word holds, a mean or a noise matrix that
+    is not finite, and a noise matrix whose entry for a non-zero mean
+    underflows below the smallest normal float."""
     if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
         raise ConsistencyError(
             f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
@@ -295,10 +300,11 @@ def _build(letters: dict[int, _LetterSources], words: list[Word],
         started[w.letters[0]] = started.get(w.letters[0], 0) + c
     vocab = {l: k for k, l in
              enumerate(sorted({l for w in words for l in w.letters}))}
-    missing = [l for l in vocab if l not in letters]
-    if missing:
+    if letters.keys() != vocab.keys():
         raise ConsistencyError(
-            f"stored words name letters {missing} that have no statistics")
+            f"stored words name letters {sorted(vocab.keys() - letters)} that "
+            f"have no statistics, and letters {sorted(letters.keys() - vocab)}"
+            " that no stored word holds have statistics")
     # numpy's scalar power is the C pow that Python's ``**`` calls, and
     # gives inf where ``**`` raises
     means = (mean_profit_bps, mean_leg_time_s)
@@ -425,6 +431,12 @@ def model_from_dict(d: dict) -> WorldModel:
     the one checked reader (``_ModelFile``)."""
     read = _record_from_dict(_ModelFile, WORLD_MODEL_SCHEMA, "world model", d,
                              required=True)
-    return _build(read.letters, [Word(w.letters) for w in read.words],
-                  [w.count for w in read.words], read.mean_profit_bps,
-                  read.mean_leg_time_s, read.noise_config)
+    words = []
+    for k, w in enumerate(read.words):
+        try:
+            words.append(Word(w.letters))
+        except ConsistencyError as e:
+            raise ConsistencyError(f"word {k} {list(w.letters)}: {e}") from None
+    return _build(read.letters, words, [w.count for w in read.words],
+                  read.mean_profit_bps, read.mean_leg_time_s,
+                  read.noise_config)

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, MissionConfig,
                                  sample_instances, sample_pool)
 from uavplan import harness, world_model
-from uavplan.errors import ConfigurationError, ConsistencyError
+from uavplan.errors import ConfigurationError, ConsistencyError, NumericError
 from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              POOL_SCHEMA, TOUR_SCHEMA, ExperimentConfig,
                              MetricsRecord, _evaluate_one,
@@ -1525,7 +1526,15 @@ class TestCli:
         pytest.param(lambda obj: obj["noise_config"].__setitem__(
             "measurement_ratio", 1e-320), "plan",
             "that times measurement_ratio 1e-320, underflows",
-            id="measurement-ratio-subnormal")])
+            id="measurement-ratio-subnormal"),
+        pytest.param(lambda obj: obj["letters"].__setitem__(
+            "9999", {"center_m": [1.0, 2.0], "mean_profit_bps": 3.0}),
+            "plan", "and letters [9999] that no stored word holds have "
+            "statistics", id="letter-in-no-word"),
+        pytest.param(lambda obj: obj["words"][3].__setitem__(
+            "letters", [5, 5, 7]), "plan",
+            "word 3 [5, 5, 7]: repeated letter in word",
+            id="word-letter-repeated")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
                                               command, named):
         """A world model file holds only sources (letter statistics, words
@@ -1537,8 +1546,10 @@ class TestCli:
         mean profit that is not a JSON number (each named by its dotted
         key and declared type, such as ``words.1.count`` or
         ``letters.7.center_m``), a stored word of fewer than two letters
-        (named by its index and letters), a stored word naming a letter
-        without statistics, a noise scale that is not positive, a noise
+        or one that repeats a letter (each named by its index and
+        letters), a stored word naming a letter without statistics, the
+        statistics of a letter that no stored word holds (named by the
+        letter), a noise scale that is not positive, a noise
         config whose process or measurement noise is not finite (named
         by both noise values, with no RuntimeWarning), one in another
         schema, an older world model reused by a
@@ -2486,3 +2497,62 @@ def test_failed_write_exits_2(tmp_path, capsys, finished_run, setup):
         str(path) in err, err
     assert [p for p in unwritten if p.exists()] == []
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("trace", [True, False], ids=["trace-file", "stdout"])
+def test_plan_with_a_non_finite_trace_exits_3(tmp_path, capsys, finished_run,
+                                              trace):
+    """A world model whose letters each hold a mean profit of 1e308 is
+    finite, but the steps' target means sum past the largest float. The
+    trace cannot be JSON, so ``plan`` exits 3 naming where it would have
+    gone, and writes nothing there: no trace file and no temporary file,
+    or nothing on stdout."""
+    out = Path(finished_run.output_dir)
+    obj = json.loads((out / "world_model.json").read_text())
+    for stats in obj["letters"].values():
+        stats["mean_profit_bps"] = 1e308
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(obj))
+    path = tmp_path / "trace.json"
+    argv = ["plan", "--instance", str(out / "instances" / "s005k000.json"),
+            "--model", str(model)] + (["--trace", str(path)] if trace else [])
+    capsys.readouterr()
+    assert cli_main(argv) == 3
+    captured = capsys.readouterr()
+    where = str(path) if trace else "the plan trace to stdout"
+    assert captured.err.startswith(f"numeric error: cannot write {where}: "
+                                   "a value is not finite"), captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == [model]
+
+
+def test_a_value_json_cannot_hold_is_a_numeric_error(tmp_path):
+    """Every artifact is encoded with NaN and the infinities refused: a
+    write names the file and leaves neither it nor a temporary file, and
+    a file checked against such a value names it too."""
+    path = tmp_path / "f.jsonl"
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericError, match=f"^cannot write "
+                           f"{re.escape(str(path))}: a value is not finite"):
+            write_jsonl_atomic(path, iter([{"a": 1.0}, {"b": [bad]}]))
+        assert list(tmp_path.iterdir()) == []
+    path.write_text('{"b":[1.0]}\n')
+    with pytest.raises(NumericError, match="^cannot write "):
+        harness._export(path, [{"b": [math.nan]}])
+    assert path.read_text() == '{"b":[1.0]}\n'
+
+
+@pytest.mark.parametrize("shape", ["c6-c8", "plan-large", "train-large"])
+def test_world_model_of_each_shape_round_trips(tmp_path, shape):
+    """``world_model.json`` of the C6-C8 config and of both benchmark
+    workload shapes (the configs ``tools/same_outputs.py`` runs) is the
+    object ``model_to_dict`` gives of the model ``model_from_dict`` reads
+    from it: every model ``plan --model`` accepts is written back as it
+    was read."""
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", Path(__file__).parent.parent / "tools" / "same_outputs.py")
+    same = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same)
+    config = {**same.default_configs()[shape], "output_dir": str(tmp_path)}
+    run_pipeline(config_from_dict(config), "world")
+    obj = json.loads((tmp_path / "world_model.json").read_text())
+    assert world_model.model_to_dict(world_model.model_from_dict(obj)) == obj

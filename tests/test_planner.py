@@ -322,9 +322,12 @@ class TestKalmanPredict:
         with pytest.raises(NumericError):
             GaussianBelief(mean=np.zeros(2), cov=np.array([[1.0, 0.0],
                                                            [0.0, -1.0]]))
-        # only 1-D and 2-D beliefs are checked, so any other size is refused
-        with pytest.raises(NumericError):
-            GaussianBelief(mean=np.zeros(3), cov=np.eye(3))
+        # a belief is 2-D, so any other size is refused
+        for dim in (1, 3):
+            with pytest.raises(NumericError, match="a belief is 2-D"):
+                GaussianBelief(mean=np.zeros(dim), cov=np.eye(dim))
+        with pytest.raises(NumericError, match="a belief is 2-D"):
+            GaussianBelief(mean=np.zeros(2), cov=np.eye(3))
 
 
 class TestRollout:
@@ -367,8 +370,11 @@ class TestExpectedSurprise:
             assert expected_surprise(b, b) < 1e-12
 
     def test_one_dimensional_frozen_value(self):
-        a = GaussianBelief(mean=np.array([0.0]), cov=np.array([[1.0]]))
-        b = GaussianBelief(mean=np.array([1.0]), cov=np.array([[1.0]]))
+        """N((0, 0), I) and N((1, 0), I) differ along one dimension only, a
+        unit shift: the distance is (1/8) 1 I^-1 1 = 0.125, the value of
+        N(0, 1) against N(1, 1)."""
+        a = GaussianBelief(mean=np.array([0.0, 0.0]), cov=np.eye(2))
+        b = GaussianBelief(mean=np.array([1.0, 0.0]), cov=np.eye(2))
         assert expected_surprise(a, b) == pytest.approx(0.125, abs=1e-12)
 
     def test_symmetry(self):
@@ -599,7 +605,8 @@ class TestPlanMission:
         training_ids = set(wm.vocab)
         pool = [h for h in testing_pool if h.id in training_ids]
         inst = sample_instance(31337, pool, 5, (1000.0, 1000.0), chan, mission)
-        res = plan_mission(inst, wm, PlannerConfig(rng_seed=2))
+        res = plan_mission(inst, wm, PlannerConfig(rng_seed=2),
+                           ObjectiveWeights())
         assert [s.inserted for s in res.steps] == []
         assert res.final_word.letters == res.reference.letters
 
@@ -608,14 +615,16 @@ class TestPlanMission:
         for s in range(10):
             inst = sample_instance(41000 + s, testing_pool, 14,
                                    (1000.0, 1000.0), chan, mission)
-            res = plan_mission(inst, wm, PlannerConfig(rng_seed=s))
+            res = plan_mission(inst, wm, PlannerConfig(rng_seed=s),
+                               ObjectiveWeights())
             assert sorted(res.final_word.letters) == sorted(inst.ids)
 
     def test_trace_is_auditable(self, trained):
         chan, mission, testing_pool, wm = trained
         inst = sample_instance(555, testing_pool, 10, (1000.0, 1000.0),
                                chan, mission)
-        res = plan_mission(inst, wm, PlannerConfig(rng_seed=1))
+        res = plan_mission(inst, wm, PlannerConfig(rng_seed=1),
+                           ObjectiveWeights())
         assert (sorted(s.inserted for s in res.steps)
                 == sorted(set(inst.ids) - set(res.reference.letters)))
         for step in res.steps:
@@ -628,8 +637,10 @@ class TestPlanMission:
         chan, mission, testing_pool, wm = trained
         inst = sample_instance(777, testing_pool, 12, (1000.0, 1000.0),
                                chan, mission)
-        a = plan_mission(inst, wm, PlannerConfig(rng_seed=4))
-        b = plan_mission(inst, wm, PlannerConfig(rng_seed=4))
+        a = plan_mission(inst, wm, PlannerConfig(rng_seed=4),
+                         ObjectiveWeights())
+        b = plan_mission(inst, wm, PlannerConfig(rng_seed=4),
+                         ObjectiveWeights())
         assert a.final_word.letters == b.final_word.letters
         assert [s.winner_index for s in a.steps] == [s.winner_index for s in b.steps]
 
@@ -637,7 +648,8 @@ class TestPlanMission:
         chan, mission, testing_pool, wm = trained
         inst = sample_instance(888, testing_pool, 12, (1000.0, 1000.0),
                                chan, mission)
-        res = plan_mission(inst, wm, PlannerConfig(rng_seed=6))
+        res = plan_mission(inst, wm, PlannerConfig(rng_seed=6),
+                           ObjectiveWeights())
 
         rng = np.random.default_rng(99)
         costs = []

@@ -59,9 +59,9 @@ def _unused(trees: dict[str, ast.Module], private: bool):
     return unused
 
 
-def _package(exclude: tuple[str, ...] = ()) -> dict[str, ast.Module]:
+def _package() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text())
-            for path in sorted(SRC.glob("*.py")) if path.name not in exclude}
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def test_every_private_definition_is_referenced():
@@ -177,10 +177,9 @@ _BENCHMARK = {"Instance.hotspot", "GaussianBelief.zero"}
 def test_every_public_definition_is_used():
     """Code that only tests read lives in the tests: every public function,
     class and method of the package is referenced in the package outside
-    its own definition (``__init__``'s re-exports do not count), imported
-    (a method: read as an attribute) by the acceptance tests, or used by
-    the benchmark."""
-    trees = _package(exclude=("__init__.py",))
+    its own definition, imported (a method: read as an attribute) by the
+    acceptance tests, or used by the benchmark."""
+    trees = _package()
     acceptance = ast.parse(_ACCEPTANCE.read_text())
     imported = {alias.name for node in ast.walk(acceptance)
                 if isinstance(node, ast.ImportFrom)
@@ -193,6 +192,13 @@ def test_every_public_definition_is_used():
             for module, qualified, name in _unused(trees, private=False)
             if name not in (read if "." in qualified else imported)
             and qualified not in _BENCHMARK] == []
+
+
+def test_package_root_holds_only_its_docstring():
+    """The package root binds no names (tests, tools and the benchmark
+    import from the modules), so no re-export can keep a name alive."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
 _SHADOWED = """
@@ -283,12 +289,15 @@ def test_compare_outputs_names_every_difference(tmp_path, capsys):
 def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
                                                       monkeypatch):
     """tools/same_outputs.py runs each config at workers 1 and 2 on HEAD's
-    src/ and the working tree's, then the working tree's over HEAD's
-    workers 1 directory, prints one line per pair and per rerun, and
-    exits 0 when every pair holds the same files and the rerun exits 0
-    (the working tree's outputs are HEAD's while the change keeps every
-    byte); a rerun that exits non-zero counts as a difference, and a
-    commit it cannot export exits 2."""
+    src/ and the working tree's, then ``plan`` from both on HEAD's workers
+    1 world model and first test instance, then the working tree's
+    pipeline over HEAD's workers 1 directory; it prints one line per
+    pair, per plan comparison and per rerun, and exits 0 when every pair
+    holds the same files, both plan the same trace to a file and to
+    stdout, and the rerun exits 0 (the working tree's outputs are HEAD's
+    while the change keeps every byte). A trace that differs and a rerun
+    that exits non-zero each count as a difference, and a commit it
+    cannot export exits 2."""
     root = Path(__file__).parent.parent
     if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                       capture_output=True).returncode != 0:
@@ -299,9 +308,26 @@ def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
     assert same.same_outputs("HEAD", {"tiny": tiny}) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out] == [
-        "tiny workers 1", "tiny workers 2", "tiny rerun over ref"]
+        "tiny workers 1", "tiny workers 2", "tiny plan",
+        "tiny rerun over ref"]
     assert all(line.endswith(" files equal") for line in out[:2]), out
-    assert out[2] == "tiny rerun over ref: exit 0"
+    assert out[2:] == ["tiny plan: same trace", "tiny rerun over ref: exit 0"]
+    # the tree's plan on stdout with one more space: its trace differs
+    real_run = same._run
+
+    def run(src, *args):
+        result = real_run(src, *args)
+        if src != same.ROOT / "src" or "plan" not in args or "--trace" in args:
+            return result
+        return subprocess.CompletedProcess(result.args, result.returncode,
+                                           b" " + result.stdout, result.stderr)
+
+    monkeypatch.setattr(same, "_run", run)
+    assert same.same_outputs("HEAD", {"tiny": tiny}) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2:5] == ["tiny plan: trace differs", "  stdout differs",
+                        "tiny rerun over ref: exit 0"], out
+    monkeypatch.setattr(same, "_run", real_run)
     # a rerun whose config holds another pool seed: REF's pools.json differs
     real, runs = same._pipeline, []
 
@@ -314,8 +340,8 @@ def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
     monkeypatch.setattr(same, "_pipeline", pipeline)
     assert same.same_outputs("HEAD", {"tiny": tiny}) == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[2] == "tiny rerun over ref: run failed", out
-    assert out[3].startswith("  tree exit 2: configuration error: "), out
+    assert out[3] == "tiny rerun over ref: run failed", out
+    assert out[4].startswith("  tree exit 2: configuration error: "), out
     assert same.same_outputs("no-such-commit", {"tiny": tiny}) == 2
     assert "cannot export no-such-commit" in capsys.readouterr().err
 

@@ -184,7 +184,7 @@ class TestMergeGlobal:
     def test_two_branches_split_evenly(self):
         vocab = letter_rows([1, 2, 3])
         tm = merge_global([Word.from_letters([1, 2]),
-                           Word.from_letters([1, 3])], vocab)
+                           Word.from_letters([1, 3])], vocab, [1, 1])
         assert tm.probs[vocab[1], vocab[2]] == pytest.approx(0.5)
         assert tm.probs[vocab[1], vocab[3]] == pytest.approx(0.5)
 
@@ -192,7 +192,7 @@ class TestMergeGlobal:
         rng = np.random.default_rng(5)
         vocab = letter_rows(range(1, 9))
         for w in random_words(rng, list(vocab), 20):
-            merged = merge_global([w], vocab)
+            merged = merge_global([w], vocab, [1])
             single = word_transition(w, vocab)
             assert np.array_equal(merged.probs, single.probs)
             assert np.array_equal(merged.active, single.active)
@@ -214,7 +214,7 @@ class TestMergeGlobal:
         words = [Word.from_letters(letters) for letters, _ in weighted]
         vocab = letter_rows(range(1, 10))
         counts = [m for _, m in weighted]
-        for multiplicities in (counts, None):
+        for multiplicities in (counts, [1] * len(words)):
             got = merge_global(words, vocab, multiplicities)
             want = reference_merge_global(words, vocab, multiplicities)
             assert got.probs.tobytes() == want.probs.tobytes()
@@ -224,7 +224,7 @@ class TestMergeGlobal:
         rng = np.random.default_rng(6)
         vocab = letter_rows(range(1, 30))
         words = random_words(rng, list(vocab), 2000, max_len=5)
-        tm = merge_global(words, vocab)
+        tm = merge_global(words, vocab, [1] * len(words))
         sums = tm.probs.sum(axis=1)
         assert np.all(np.abs(sums[tm.active] - 1.0) <= 1e-9)
 

@@ -11,19 +11,25 @@ of ``perfbench/workloads.py``, which is read, not edited). Each config
 runs at workers 1 and 2, once on REF's source and once on the working
 tree's, and each pair of output directories is compared as
 ``tools/compare_outputs.py`` compares them, ``timings.csv`` left out.
-Then the working tree reruns each config at workers 1 over REF's
-finished directory, which checks every file there against what it
-computes (the pipeline's compare path) and exits 0 only when each holds
-exactly the bytes it writes.
+Then ``uavplan plan`` runs from REF's source and from the working
+tree's on the same inputs, the world model and the first test instance
+of REF's workers 1 directory with the config's planner settings, once
+writing its trace to a file (``--trace``) and once to stdout, and the
+bytes of both traces are compared. Last, the working tree reruns each
+config at workers 1 over REF's finished directory, which checks every
+file there against what it computes (the pipeline's compare path) and
+exits 0 only when each holds exactly the bytes it writes.
 
 Prints one line per pair (``NAME workers W: N files equal`` or ``N files
-differ``, each difference on a line of its own below it) and one per
+differ``, each difference on a line of its own below it), one per
+config for ``plan`` (``NAME plan: same trace``, or ``trace differs``
+with the trace that differs below it, or ``run failed``) and one per
 rerun (``NAME rerun over ref: exit 0`` or ``run failed``, the end of its
 stderr below it), and exits 0 when every pair holds the same files with
-the same bytes and every rerun exits 0, 1 when any differs or a run
-fails, and 2 when REF cannot be exported. The temporary
-directories are removed. Standard library only, besides the package it
-runs.
+the same bytes, both sides plan the same traces and every rerun exits
+0, 1 when any differs or a run fails, and 2 when REF cannot be
+exported. The temporary directories are removed. Standard library only,
+besides the package it runs.
 """
 
 from __future__ import annotations
@@ -77,17 +83,46 @@ def default_configs() -> dict[str, dict]:
                for name, w in workloads.items()}}
 
 
+def _run(src: Path, *args: str) -> subprocess.CompletedProcess:
+    """``uavplan ARGS`` run from the source tree ``src``."""
+    return subprocess.run([sys.executable, "-m", "uavplan.cli", *args],
+                          capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def _failure(result: subprocess.CompletedProcess) -> str:
+    return (f"exit {result.returncode}: "
+            f"{result.stderr.decode(errors='replace').strip()[-500:]}")
+
+
 def _pipeline(src: Path, config: Path, out: Path, workers: int) -> str | None:
     """Run ``uavplan pipeline`` from the source tree ``src``; None on
     success, else the end of its stderr."""
-    result = subprocess.run(
-        [sys.executable, "-m", "uavplan.cli", "pipeline", "--config",
-         str(config), "--out", str(out), "--workers", str(workers)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    if result.returncode == 0:
-        return None
-    return f"exit {result.returncode}: {result.stderr.strip()[-500:]}"
+    result = _run(src, "pipeline", "--config", str(config), "--out", str(out),
+                  "--workers", str(workers))
+    return None if result.returncode == 0 else _failure(result)
+
+
+def _plan(src: Path, config: Path, run: Path,
+          trace: Path) -> tuple[str | None, dict[str, bytes]]:
+    """Run ``uavplan plan`` from the source tree ``src`` on the world model
+    and the first test instance of the output directory ``run``, once with
+    ``--trace trace`` and once on stdout; (None, each trace's bytes by
+    where it went) on success, else (the end of the failing run's stderr,
+    the traces made before it)."""
+    # with no instance (the run failed) plan is given the directory, and
+    # fails too
+    first = min((run / "instances").glob("*.json"), default=run / "instances")
+    inputs = ["--config", str(config), "--instance", str(first),
+              "--model", str(run / "world_model.json")]
+    traces = {}
+    for where, extra in (("trace file", ["--trace", str(trace)]),
+                         ("stdout", [])):
+        result = _run(src, "plan", *inputs, *extra)
+        if result.returncode != 0:
+            return _failure(result), traces
+        traces[where] = trace.read_bytes() if extra else result.stdout
+    return None, traces
 
 
 def same_outputs(ref: str, configs: dict[str, dict]) -> int:
@@ -122,6 +157,23 @@ def same_outputs(ref: str, configs: dict[str, dict]) -> int:
                     print(f"  {line}")
                 if lines:
                     code = 1
+            planned = {side: _plan(src, config_path, tmp / f"{name}-w1-ref",
+                                   tmp / f"{name}-plan-{side}.json")
+                       for side, src in sources.items()}
+            lines = [f"{side} {error}" for side, (error, _) in planned.items()
+                     if error is not None]
+            if lines:
+                summary = "run failed"
+            else:
+                ref_traces, tree_traces = (t for _, t in planned.values())
+                lines = [f"{where} differs" for where in ref_traces
+                         if ref_traces[where] != tree_traces[where]]
+                summary = "trace differs" if lines else "same trace"
+            print(f"{name} plan: {summary}")
+            for line in lines:
+                print(f"  {line}")
+            if lines:
+                code = 1
             error = _pipeline(sources["tree"], config_path,
                               tmp / f"{name}-w1-ref", 1)
             print(f"{name} rerun over ref: "
