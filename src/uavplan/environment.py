@@ -8,8 +8,10 @@ same objects bit for bit.
 The records here are plain frozen dataclasses, and their JSON form is
 their fields: ``harness`` writes an experiment's test instances as
 self-contained ``uavplan.instance.v1`` objects, and reads one back for
-``uavplan plan``. Training instances are sampled on every run;
-``harness`` exports their hotspot ids alone.
+``uavplan plan``. Training instances are sampled on every run, and a
+training instance is a row: its ascending indices into the training pool
+(``_sample_rows``), with no ``Instance`` built for it; ``harness``
+exports their hotspot ids alone.
 
 This module also holds the package's JSON codec, which ``oracle``,
 ``world_model`` and ``harness`` all import (each imports this module
@@ -31,12 +33,12 @@ would make from ``np.random.default_rng(seed)``. Raw outputs come from one
 of two sources, both checked on numpy 2.4.6:
 
 - ``_Stream(seed)`` (the pool, Q-learning, the planner, the Q-learning
-  baseline's words, and the instances of a small batch) seeds
+  baseline's words, and the rows of a small batch) seeds
   ``np.random.default_rng(seed)`` and reads that generator's raw outputs
   in bounded chunks (``bit_generator.random_raw``); it is the generator's
   only consumer;
-- the draw kernel ``_floyd_rows`` makes the instances of a batch of more
-  than ``_PER_SEED_MAX`` seeds (``sample_instances``) all at once, and
+- the draw kernel ``_floyd_rows`` makes the rows of a batch of more
+  than ``_PER_SEED_MAX`` seeds (``_sample_rows``) all at once, and
   seeds no ``Generator``. Seeding 20,000 generators through
   ``default_rng`` costs 13-22 us each on a 2-CPU host, most of what
   drawing train-large's training instances cost. The kernel's numpy calls
@@ -360,23 +362,29 @@ def sample_pool(rng_seed: int, pool_size: int, mean_users: float,
 def sample_instances(seeds: Sequence[int], pool: Sequence[Hotspot],
                      n_select: int, depot: Point, chan: ChannelParams,
                      mission: MissionConfig) -> list[Instance]:
-    """One Instance per seed, in order: ``n_select`` distinct pool hotspots
-    selected uniformly with the seed's stream. A batch of more than
-    ``_PER_SEED_MAX`` seeds is drawn by the kernel ``_floyd_rows``, a
-    smaller one, or a draw that takes the tail shuffle, by one
-    ``_Stream(seed)`` per seed (see the module docstring)."""
+    """One Instance per seed, in order: the ``n_select`` distinct pool
+    hotspots that ``_sample_rows`` selects with the seed's stream."""
     if n_select < 1 or n_select > len(pool):
         raise ConfigurationError(
             f"cannot select {n_select} hotspots from a pool of {len(pool)}")
-    n = len(pool)
-    if len(seeds) <= _PER_SEED_MAX or not (n <= 10_000 or n_select <= n // 50):
-        picks = [_Stream(seed).sample(n, n_select) for seed in seeds]
-    else:
-        picks = _floyd_rows(seeds, n, n_select)
-    return [Instance(hotspots=tuple(sorted((pool[i] for i in chosen),
+    return [Instance(hotspots=tuple(sorted(map(pool.__getitem__, row),
                                            key=attrgetter("id"))),
                      depot_m=depot, channel=chan, mission=mission, seed=seed)
-            for seed, chosen in zip(seeds, picks)]
+            for seed, row in zip(seeds, _sample_rows(seeds, len(pool),
+                                                     n_select))]
+
+
+def _sample_rows(seeds: Sequence[int], n: int, k: int) -> list[list[int]]:
+    """Per seed, in order, the ``k`` distinct indices of ``range(n)`` that
+    its stream selects uniformly, ascending. A batch of more than
+    ``_PER_SEED_MAX`` seeds is drawn by the kernel ``_floyd_rows``, a
+    smaller one, or a draw that takes the tail shuffle, by one
+    ``_Stream(seed)`` per seed (see the module docstring)."""
+    if len(seeds) <= _PER_SEED_MAX or not (n <= 10_000 or k <= n // 50):
+        picks = [_Stream(seed).sample(n, k) for seed in seeds]
+    else:
+        picks = _floyd_rows(seeds, n, k)
+    return [sorted(row) for row in picks]
 
 
 def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,

@@ -31,8 +31,8 @@ computed from it, so that another config value is named at its key:
   schema and the record (``training_pool_size``, ``train_instance_size``,
   ``train_seed_base`` and ``m_training``, which alone determine the ids),
   then per line k the ``{"ids"}`` of the instance drawn with seed
-  ``train_seed_base + k`` (drawn in one batch), which takes this run's pool,
-  depot, channel and mission;
+  ``train_seed_base + k`` (drawn in one batch), ascending, which takes this
+  run's pool and depot;
 - ``oracle_tours.jsonl`` (``uavplan.tours.v5``): a header, the schema and
   the oracle record (the pools and training instances records plus
   ``depot_m`` and ``weights``), then per line k the ``{"order"}`` of the
@@ -67,11 +67,15 @@ repeat a letter, and on such words that program is exact.
 the stages it runs write into, before the first stage, so that a path it
 cannot write is refused before any work.
 
-The oracle stage solves the training instances in one batched call in
+The training set keeps the form it is drawn in, one pool, one depot and
+rows: a training instance is a row, its hotspots' ascending indices in
+the training pool (``environment._sample_rows``), and no ``Instance`` is
+built for one. The oracle stage solves the rows in one batched call in
 this process (``oracle.demonstrate``), which also gives each instance's
 cost scale for Q-learning; the stage hands the scales to the Q-learning
-stage. Every set-up stage runs in this process: ``workers`` spreads only
-the eval's test instances over worker processes (``_map``).
+stage, which trains on the same rows (``ql.train_q``). Every set-up stage
+runs in this process: ``workers`` spreads only the eval's test instances
+over worker processes (``_map``).
 
 Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``,
 kept with the package's JSON codec in ``environment``), whose one rule for
@@ -91,7 +95,7 @@ encoder. A present ``world_model.json`` that differs is checked again
 against ``model_to_dict``'s object, so that the message names the words
 first.
 
-The training instances, their demonstrations and their cost scales are
+The training rows, their demonstrations and their cost scales are
 freed once Q-learning has run: no later stage reads them, and the eval
 runs without them in memory.
 
@@ -134,8 +138,8 @@ import json
 
 from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
                           Point, _canonical_json, _cut, _excerpt, _fields,
-                          _quoting_json, _record_from_dict, channel_gain,
-                          sample_instances, sample_pool)
+                          _quoting_json, _record_from_dict, _sample_rows,
+                          channel_gain, sample_instances, sample_pool)
 from .errors import ConfigurationError, NumericError
 from .oracle import (TOUR_SCHEMA, ObjectiveWeights, Tour, demonstrate,
                      make_tour, solve)
@@ -530,8 +534,7 @@ def _map(fn: Callable[..., T], tasks: Iterable[tuple], shared: tuple,
 # (``_record``).
 _READS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "pools": ((), ("pool_seed", "mean_users", "mission", "channel")),
-    # the ids depend on nothing else; an instance takes this run's pool,
-    # depot, channel and mission
+    # the ids depend on nothing else; a row takes this run's pool and depot
     "training_instances": ((), ("training_pool_size", "train_instance_size",
                                 "train_seed_base", "m_training")),
     "oracle": (("pools", "training_instances"), ("depot_m", "weights")),
@@ -569,28 +572,33 @@ def stage_pools(cfg: ExperimentConfig,
 
 
 def stage_training_instances(cfg: ExperimentConfig, training_pool,
-                             out: Path) -> list[Instance]:
+                             out: Path) -> list[list[int]]:
     """Training instance k is drawn with seed ``train_seed_base + k`` from
-    the training pool, on every run. ``training_instances.jsonl``, a
-    header and then each instance's ids, is their export (``_export``)."""
+    the training pool, on every run, as a row: its hotspots' indices in
+    the pool, ascending (``_sample_rows``). Returns the rows.
+    ``training_instances.jsonl``, a header and then each instance's ids, is
+    their export (``_export``)."""
     seeds = range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training)
-    instances = sample_instances(seeds, training_pool, cfg.train_instance_size,
-                                 cfg.depot, cfg.channel, cfg.mission)
+    rows = _sample_rows(seeds, len(training_pool), cfg.train_instance_size)
+    ids = [h.id for h in training_pool]
     header = {"schema": INSTANCES_SCHEMA, **_record(cfg, "training_instances")}
     _export(out / "training_instances.jsonl", itertools.chain(
-        [header], (_ids_line("ids", i.ids) for i in instances)))
-    return instances
+        [header], (_ids_line("ids", map(ids.__getitem__, row))
+                   for row in rows)))
+    return rows
 
 
-def stage_oracle(cfg: ExperimentConfig, instances: Sequence[Instance],
+def stage_oracle(cfg: ExperimentConfig, training_pool,
+                 rows: Sequence[Sequence[int]],
                  out: Path) -> tuple[list[Tour], array]:
-    """Demonstration k solves training instance k, and comes with that
-    instance's cost scale for Q-learning; the instances are solved on
-    every run, in one batched call in this process (``demonstrate``),
-    whatever ``workers`` is. Returns the tours and the scales.
+    """Demonstration k solves training instance k, the row ``rows[k]``
+    over the training pool from the config's depot, and comes with that
+    instance's cost scale for Q-learning; the rows are solved on every
+    run, in one batched call in this process (``demonstrate``), whatever
+    ``workers`` is. Returns the tours and the scales.
     ``oracle_tours.jsonl``, a header and then each demonstration's order,
     is their export (``_export``)."""
-    solved = demonstrate(instances, cfg.weights)
+    solved = demonstrate(training_pool, cfg.depot, rows, cfg.weights)
     tours = [t for t, _ in solved]
     header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
     _export(out / "oracle_tours.jsonl", itertools.chain(
@@ -636,14 +644,15 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
     return wm
 
 
-def stage_ql(cfg: ExperimentConfig, instances: Sequence[Instance],
-             tours: Sequence[Tour], cost_scales: Sequence[float],
-             out: Path) -> QTable:
-    """The Q-table ``train_q`` makes of the demonstrations and their cost
-    scales, trained on every run. ``qtable.json``, one line that holds its
-    record and the table, is its export (``_export``)."""
-    q = train_q(list(zip(instances, tours)), cost_scales, cfg.ql, cfg.weights,
-                cfg.ql_train_seed)
+def stage_ql(cfg: ExperimentConfig, training_pool,
+             rows: Sequence[Sequence[int]], tours: Sequence[Tour],
+             cost_scales: Sequence[float], out: Path) -> QTable:
+    """The Q-table ``train_q`` makes of the training rows, their
+    demonstrations and their cost scales, trained on every run.
+    ``qtable.json``, one line that holds its record and the table, is its
+    export (``_export``)."""
+    q = train_q(training_pool, cfg.depot, rows, tours, cost_scales, cfg.ql,
+                cfg.weights, cfg.ql_train_seed)
     _export(out / "qtable.json", [{**_record(cfg, "ql"), **qtable_to_dict(q)}])
     return q
 
@@ -835,15 +844,16 @@ def _stages(cfg: ExperimentConfig, out: Path):
     eval's records."""
     testing_pool, training_pool = stage_pools(cfg, out)
     yield "pools", (testing_pool, training_pool)
-    instances = stage_training_instances(cfg, training_pool, out)
-    yield "training_instances", instances
-    tours, cost_scales = stage_oracle(cfg, instances, out)
+    training_rows = stage_training_instances(cfg, training_pool, out)
+    yield "training_instances", training_rows
+    tours, cost_scales = stage_oracle(cfg, training_pool, training_rows, out)
     yield "oracle", tours
     wm = stage_world(cfg, tours, training_pool, out)
     yield "world", wm
-    qtable = stage_ql(cfg, instances, tours, cost_scales, out)
+    qtable = stage_ql(cfg, training_pool, training_rows, tours, cost_scales,
+                      out)
     # no later stage reads the training set: free it before the eval
-    del instances, tours, cost_scales
+    del training_rows, tours, cost_scales
     yield "ql", qtable
     evaluations = stage_eval(cfg, testing_pool, wm, qtable, out)
     rows = [r for e in evaluations for r in e.rows]

@@ -13,18 +13,22 @@ Ties anywhere are broken toward the lexicographically smallest id
 sequence so that downstream dictionaries stay stable.
 
 The search runs in index space, over a batch of instances at once
-(``demonstrate``; ``solve`` is its one-instance case). Consecutive
-instances that share their depot, give each id one hotspot and hold at
-most ``_TABLE_HOTSPOTS`` hotspots together form a run with one table
-(``_tables``): the run's hotspots, ids ascending, and the matrix of
-``edge_cost`` values between them, with the depot last. Every entry is
+(``demonstrate``). A batch is one pool of hotspots, ascending by id, one
+depot and rows: an instance is a row, the ascending indices of its
+hotspots in the pool. The training instances are such rows over the
+training pool (``harness``), and ``solve`` is the one-row case over an
+instance's own hotspots. Consecutive rows that hold at most
+``_TABLE_HOTSPOTS`` hotspots together form a run with one table
+(``_tables``): the matrix of ``edge_cost`` values between the run's
+hotspots, ids ascending, with the depot last. Every entry is
 ``math.hypot`` of the lower-id point minus the higher-id one, as
-``edge_cost`` forms it. The training instances are drawn from one pool
-with one depot, so they form one run, and each distance between pool
-hotspots is computed once, not once per instance.
+``edge_cost`` forms it. A pool of at most that many hotspots, such as
+every training pool of the default config, is one run with the pool's
+table, so each distance between pool hotspots is computed once, not once
+per instance.
 
 Construction, 2-opt and the selection pass then run as numpy operations
-over every instance of one size in a run, in chunks of ``_BATCH_ENTRIES``
+over every row of one size in a run, in chunks of ``_BATCH_ENTRIES``
 for memory, with each tour a row of table indices; each ``Tour`` is built
 (and validated) once, at the end. Its totals are the ones ``make_tour``
 computes, read from the run's table rather than recomputed from the
@@ -78,6 +82,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -100,9 +105,9 @@ _ROUNDING = 16 * sys.float_info.epsilon
 # Tours of n hotspots are searched in chunks of rows whose (n + 2)^2 legs
 # tables hold at most this many entries (128 KB), whatever the batch size.
 _BATCH_ENTRIES = 1 << 14
-# Consecutive instances share one table while they hold at most this many
+# Consecutive rows share one table while they hold at most this many
 # hotspots together: a table of 513 x 513 entries (2.1 MB) and 131,000
-# hypot calls, built once for a batch drawn from a pool of up to 512.
+# hypot calls, built once for a batch of rows over a pool of up to 512.
 _TABLE_HOTSPOTS = 512
 
 
@@ -175,47 +180,48 @@ def make_tour(order, inst: Instance, w: ObjectiveWeights) -> Tour:
                 objective=objective_value(cost, profit, w))
 
 
-def _tables(instances: Sequence[Instance]) -> Iterator[
-        tuple[Sequence[Instance], list[Hotspot], np.ndarray]]:
-    """The batch in runs of consecutive instances that share one table, as
-    (the run, its hotspots by ascending id, the table).
+def _tables(hotspots: Sequence[Hotspot], depot: Point,
+            rows: Sequence[Sequence[int]]) -> Iterator[
+                tuple[Sequence[int], np.ndarray, Sequence[Sequence[int]]]]:
+    """The rows over the pool ``hotspots`` in runs of consecutive rows
+    that share one table, as (the run's pool indices, ascending; its table;
+    its rows in table indices).
 
-    A run's instances have one depot, give each id one hotspot and hold at
-    most ``_TABLE_HOTSPOTS`` hotspots together (a larger instance runs
-    alone), so a batch of any instances is solved run by run and a table
-    stays small whatever the pool. The table is the (n+1)x(n+1) matrix of
-    ``edge_cost`` values between the run's hotspots, the depot last: an
-    entry is ``math.hypot`` of the lower-id point minus the higher-id
-    point, the depot counting as the highest, and hypot(-x, -y) ==
-    hypot(x, y) exactly, so one value serves both directions.
+    A pool of at most ``_TABLE_HOTSPOTS`` hotspots is one run whose table
+    is the whole pool's. Over a larger pool a run's rows hold at most that
+    many hotspots together (a larger row runs alone), so the table stays
+    small whatever the pool.
     """
-    start, depot, by_id = 0, None, {}
-    for k, inst in enumerate(instances):
-        # ``is`` first: a NaN depot equals only itself
-        fits = inst.depot_m is depot or inst.depot_m == depot
-        fresh = 0
-        for h in inst.hotspots:
-            known = by_id.get(h.id)
-            if known is None:
-                fresh += 1
-            elif known is not h and known != h:
-                fits = False
-        if k > start and not (fits
-                              and len(by_id) + fresh <= _TABLE_HOTSPOTS):
-            yield _table(instances[start:k], depot, by_id)
-            start, by_id, fresh = k, {}, len(inst.hotspots)
-        depot = inst.depot_m
-        if fresh:
-            for h in inst.hotspots:
-                by_id.setdefault(h.id, h)
-    if instances:
-        yield _table(instances[start:], depot, by_id)
+    if len(hotspots) <= _TABLE_HOTSPOTS:
+        yield range(len(hotspots)), _table(hotspots, depot), rows
+        return
+    start, members = 0, set()
+    for k, row in enumerate(rows):
+        fresh = sum(v not in members for v in row)
+        if k > start and len(members) + fresh > _TABLE_HOTSPOTS:
+            yield _run(hotspots, depot, rows[start:k], members)
+            start, members = k, set()
+        members.update(row)
+    if rows:
+        yield _run(hotspots, depot, rows[start:], members)
 
 
-def _table(run: Sequence[Instance], depot: Point, by_id: dict[int, Hotspot]
-           ) -> tuple[Sequence[Instance], list[Hotspot], np.ndarray]:
-    """A run with its hotspots and table (``_tables``)."""
-    hotspots = [by_id[i] for i in sorted(by_id)]
+def _run(hotspots: Sequence[Hotspot], depot: Point,
+         rows: Sequence[Sequence[int]], members: set[int]
+         ) -> tuple[list[int], np.ndarray, list[list[int]]]:
+    """A run of rows over a pool larger than one table (``_tables``)."""
+    pool = sorted(members)
+    local = {v: k for k, v in enumerate(pool)}
+    return (pool, _table([hotspots[v] for v in pool], depot),
+            [[local[v] for v in row] for row in rows])
+
+
+def _table(hotspots: Sequence[Hotspot], depot: Point) -> np.ndarray:
+    """The (n+1)x(n+1) matrix of ``edge_cost`` values between
+    ``hotspots``, ascending by id, with the depot last: an entry is
+    ``math.hypot`` of the lower-id point minus the higher-id point, the
+    depot counting as the highest, and hypot(-x, -y) == hypot(x, y)
+    exactly, so one value serves both directions."""
     pts = [h.center_m for h in hotspots] + [depot]
     n = len(hotspots)
     dist = [[0.0] * (n + 1) for _ in range(n + 1)]
@@ -225,40 +231,31 @@ def _table(run: Sequence[Instance], depot: Point, by_id: dict[int, Hotspot]
         for b in range(a + 1, n + 1):
             # edge_cost inlined
             row[b] = dist[b][a] = math.hypot(xa - pts[b][0], ya - pts[b][1])
-    return run, hotspots, np.array(dist)
+    return np.array(dist)
 
 
-def _constructions(run: Sequence[Instance], hotspots: list[Hotspot],
-                   table: np.ndarray
+def _constructions(table: np.ndarray, rows: Sequence[Sequence[int]]
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The nearest-neighbor constructions of a run over its table
-    (``_tables``), one chunk at a time: the instances of one size, at most
-    about ``_BATCH_ENTRIES`` table entries per tour array. A chunk is its
-    instances' positions in ``run``, their constructions as rows of table
-    indices and their cost scales.
+    """The nearest-neighbor constructions of ``rows`` (table indices,
+    ascending) over ``table`` (``_tables``), one chunk at a time: the rows
+    of one size, at most about ``_BATCH_ENTRIES`` table entries per tour
+    array. A chunk is its rows' positions in ``rows``, their constructions
+    as rows of table indices and their cost scales.
 
     A scale is the construction's closed length, summed in visiting order
     as ``make_tour`` sums it; 1.0 where not positive. A length that is not
-    finite is refused, for the chunk's first such instance: no search can
+    finite is refused, for the chunk's first such row: no search can
     compare tours of such an instance.
     """
-    index = {h.id: k for k, h in enumerate(hotspots)}
-    sizes = np.array([len(inst.hotspots) for inst in run])
+    sizes = np.array([len(row) for row in rows])
     for n in dict.fromkeys(sizes.tolist()):
         members = np.flatnonzero(sizes == n)
         step = max(1, _BATCH_ENTRIES // (n + 2) ** 2)
         for start in range(0, members.size, step):
             part = members[start:start + step]
-            # each row's table indices, ascending: np.nonzero reads a
-            # boolean matrix row by row (np.sort would touch about 0.3 MB
-            # more of numpy's code)
-            member = np.zeros((part.size, len(hotspots)), dtype=bool)
-            member[np.arange(part.size)[:, None], np.array(
-                [index[h.id] for k in part.tolist()
-                 for h in run[k].hotspots]).reshape(part.size, n)] = True
             with np.errstate(over="ignore", invalid="ignore"):
-                order, length = _nearest_neighbor(
-                    table, np.nonzero(member)[1].reshape(part.size, n))
+                order, length = _nearest_neighbor(table, np.array(
+                    [rows[k] for k in part.tolist()], dtype=np.intp))
             bad = np.flatnonzero(~np.isfinite(length))
             if bad.size:
                 raise ConsistencyError(
@@ -416,24 +413,26 @@ def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
     return out
 
 
-def demonstrate(instances: Sequence[Instance],
+def demonstrate(hotspots: Sequence[Hotspot], depot: Point,
+                rows: Sequence[Sequence[int]],
                 w: ObjectiveWeights) -> list[tuple[Tour, float]]:
-    """``solve``'s tour of each instance and its cost scale, from one table
-    and one batched construction per run of instances (``_tables``): the
-    scale is the nearest-neighbor construction's length (1.0 where it is
-    not positive), taken before 2-opt reorders it, which also
-    bounds the rounding of 2-opt's deltas (``_stops``). Each tour's totals
-    are ``make_tour``'s, summed from the run's table (see the module
-    docstring)."""
+    """``solve``'s tour of each row and its cost scale. A row is an
+    instance over the pool ``hotspots`` (ascending by id) from ``depot``:
+    its hotspots' indices, ascending. The rows are solved from one table
+    and one batched construction per run (``_tables``): the scale is the
+    nearest-neighbor construction's length (1.0 where it is not positive),
+    taken before 2-opt reorders it, which also bounds the rounding of
+    2-opt's deltas (``_stops``). Each tour's totals are ``make_tour``'s,
+    summed from the run's table (see the module docstring)."""
     out: list[tuple[Tour, float]] = []
-    for run, hotspots, table in _tables(instances):
-        ids = [h.id for h in hotspots]
-        profit_list = [h.profit_bps for h in hotspots]
+    for pool, table, run in _tables(hotspots, depot, rows):
+        ids = [hotspots[v].id for v in pool]
+        profit_list = [hotspots[v].profit_bps for v in pool]
         profits = np.array(profit_list)
         dist = table.tolist()
-        depot = len(hotspots)
+        end = len(pool)
         solved: list = [None] * len(run)
-        for part, order, scales in _constructions(run, hotspots, table):
+        for part, order, scales in _constructions(table, run):
             stop = _stops(scales)
             with np.errstate(over="ignore", invalid="ignore"):
                 finals = _selection_pass(
@@ -445,12 +444,12 @@ def demonstrate(instances: Sequence[Instance],
                 final = min(final, final[::-1])
                 # make_tour's totals from the table: its legs in visiting
                 # order, its profits in index (that is, id) order
-                cost, prev = 0.0, depot
+                cost, prev = 0.0, end
                 for v in final:
                     cost += dist[prev][v]
                     prev = v
                 if final:
-                    cost += dist[prev][depot]
+                    cost += dist[prev][end]
                 profit = sum([profit_list[v] for v in sorted(final)])
                 solved[k] = (Tour(order=tuple([ids[v] for v in final]),
                                   total_cost_m=cost, total_profit_bps=profit,
@@ -462,8 +461,10 @@ def demonstrate(instances: Sequence[Instance],
 
 def solve(inst: Instance, w: ObjectiveWeights) -> Tour:
     """Construction, 2-opt, then the vertex-selection pass; deterministic
-    (``demonstrate``'s tour)."""
-    return demonstrate([inst], w)[0][0]
+    (``demonstrate``'s one-row case)."""
+    hotspots = sorted(inst.hotspots, key=attrgetter("id"))
+    return demonstrate(hotspots, inst.depot_m, [range(len(hotspots))],
+                       w)[0][0]
 
 
 def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
@@ -476,8 +477,8 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
     n = len(inst.hotspots)
     if n > 10:
         raise ConfigurationError("brute force limited to 10 hotspots")
-    [(_, hotspots, table)] = _tables([inst])
-    dist = table.tolist()
+    hotspots = sorted(inst.hotspots, key=attrgetter("id"))
+    dist = _table(hotspots, inst.depot_m).tolist()
     profits = [h.profit_bps for h in hotspots]
 
     best_obj = 0.0

@@ -7,33 +7,34 @@ when its realized tour comes within 5% of the demonstrated objective.
 At test time the table drives a softmax word constructor; letters the
 table never saw fall back to a distance-based pseudo value.
 
-Each training instance's costs are scaled by the length of its
-nearest-neighbor construction. ``train_q`` takes those lengths as an
-argument: the oracle stage has them from the demonstrations
-(``oracle.demonstrate``), so they are never recomputed here. The profit
-scale, the instance's total profit summed in its hotspot order, is
-computed here, once per instance, into one array of floats; an episode
-reads its instance, demonstration and both scales by the drawn index.
+A training instance is a row: the ascending indices of its hotspots in
+the training pool, flown from the one depot (``harness``). ``train_q``
+takes the pool, the depot and the rows, and each training instance's
+costs are scaled by the length of its nearest-neighbor construction,
+which it takes as an argument: the oracle stage has those lengths from
+the demonstrations (``oracle.demonstrate``), so they are never recomputed
+here. The profit scale, the instance's total profit summed in id order,
+is computed here, once per row, into one array of floats; an episode
+reads its row, demonstration and both scales by the drawn index.
 
 Training runs 100,000 steps on the default config, so each step does
-only what its arithmetic needs. An episode builds one id -> hotspot dict
-for its instance and walks it on local coordinates: every leg is a
-``math.hypot`` of the same differences ``edge_cost`` takes, and a running
-tour length adds the legs in visiting order, so at the last step
-``length + back`` is the ``total_cost_m`` sum ``make_tour`` forms, term
-for term, and the realized objective is bit-identical. The greedy action is the first
-strict maximum of an ascending scan of the unvisited ids, which is the
-one ``max`` by the key ``(q, -a)`` picks. The Q-values are kept in one
-dict per state while training, and become a ``QTable`` at the end.
-Random numbers are drawn one at a time in the original order (per episode
-one ``integers`` for the instance; per step one ``random`` and, when
-exploring, one ``integers``) from the seed's pure-Python stream
+only what its arithmetic needs. An episode walks its row over the pool's
+centers and profits, one list each, with the pool indices as actions:
+every leg is a ``math.hypot`` of the same differences ``edge_cost``
+takes, and a running tour length adds the legs in visiting order, so at
+the last step ``length + back`` is the ``total_cost_m`` sum
+``make_tour`` forms, term for term, and the realized objective is
+bit-identical. Index order is id order, so the greedy action, the first
+strict maximum of an ascending scan of the unvisited indices, is the one
+``max`` by the key ``(q, -a)`` picks among the ids. The Q-values are kept
+in one dict per state while training, and become a ``QTable`` over ids at
+the end. Random numbers are drawn one at a time in the original order
+(per episode one ``integers`` for the instance; per step one ``random``
+and, when exploring, one ``integers``) from the seed's pure-Python stream
 (``environment._Stream``), which draws what ``np.random.default_rng``'s
 ``Generator`` draws bit for bit at a fraction of a scalar call's cost; so
 the table matches the straightforward ``Generator`` loop bit for bit
-(tests/test_ql_equivalence.py keeps that loop as the reference). The
-id -> hotspot dict lives for one episode and is never cached per
-instance, for the memory reason given in ``oracle``.
+(tests/test_ql_equivalence.py keeps that loop as the reference).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .environment import Instance, _Stream, edge_cost
+from .environment import Hotspot, Instance, Point, _Stream, edge_cost
 from .errors import ConfigurationError, ConsistencyError, TrainingError
 from .oracle import ObjectiveWeights, Tour, objective_value
 from .world_model import Word
@@ -89,17 +90,14 @@ class QTable:
         return self.values.get((state, action), 0.0)
 
 
-def _profit_scale(inst: Instance) -> float:
-    """The total profit of ``inst``, summed in its hotspot order; 1.0 where
-    not positive."""
-    total = sum(h.profit_bps for h in inst.hotspots)
-    return total if total > 0 else 1.0
-
-
-def train_q(training: list[tuple[Instance, Tour]],
+def train_q(hotspots: Sequence[Hotspot], depot: Point,
+            rows: Sequence[Sequence[int]], demos: Sequence[Tour],
             cost_scales: Sequence[float], cfg: QTrainConfig,
             weights: ObjectiveWeights, rng_seed: int) -> QTable:
-    """Episodic Q-learning over the demonstration instances.
+    """Episodic Q-learning over the demonstration instances: ``rows[k]``
+    is training instance k, its hotspots' ascending indices in the pool
+    ``hotspots`` (ascending by id), flown from ``depot``, and ``demos[k]``
+    its demonstration.
 
     Each episode walks one instance from the depot with epsilon-greedy
     next-letter choices among the unvisited set; reward per step is
@@ -111,21 +109,22 @@ def train_q(training: list[tuple[Instance, Tour]],
     construction, which ``oracle.demonstrate`` gives with each
     demonstration.
     """
-    if not training:
+    if not rows:
         raise TrainingError("no training instances for Q-learning")
     rng = _Stream(rng_seed)
-    letters: set[int] = set()
-    profit_scales = array("d")
-    # strict: one cost scale per training instance
-    for (inst, _), _ in zip(training, cost_scales, strict=True):
-        profit_scales.append(_profit_scale(inst))
-        letters.update(inst.ids)
+    centers = [h.center_m for h in hotspots]
+    profits = [h.profit_bps for h in hotspots]
+    # each instance's total profit, summed in id order
+    totals = array("d")
+    # strict: one demonstration and one cost scale per training instance
+    for row, _, _ in zip(rows, demos, cost_scales, strict=True):
+        totals.append(sum([profits[v] for v in row]))
 
     alpha = weights.weight_alpha
     beta = weights.weight_beta
     lr, discount = cfg.learning_rate, cfg.discount
-    # state -> {action: Q}; a missing row or entry is 0.0
-    rows: dict[int, dict[int, float]] = {}
+    # state -> {action: Q}, over pool indices; a missing row or entry is 0.0
+    table: dict[int, dict[int, float]] = {}
     random, integers = rng.random, rng.integers
     hypot = math.hypot
     for ep in range(cfg.episodes):
@@ -134,13 +133,11 @@ def train_q(training: list[tuple[Instance, Tour]],
         else:
             frac = 1.0
         eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
-        inst, demo = training[k := integers(len(training))]
-        cost_scale, profit_scale = cost_scales[k], profit_scales[k]
-        by_id = {h.id: h for h in inst.hotspots}
-        ids = sorted(by_id)
-        unvisited = ids[:]
-        row = rows.setdefault(DEPOT_STATE, {})
-        x, y = depot = inst.depot_m
+        unvisited = list(rows[k := integers(len(rows))])
+        cost_scale, total = cost_scales[k], totals[k]
+        profit_scale = total if total > 0 else 1.0
+        row = table.setdefault(DEPOT_STATE, {})
+        x, y = depot
         length = 0.0
         while unvisited:
             if random() < eps:
@@ -154,33 +151,33 @@ def train_q(training: list[tuple[Instance, Tour]],
                     v = row.get(a, 0.0)
                     if v > best:
                         best, action = v, a
-            h = by_id[action]
-            hx, hy = h.center_m
+            hx, hy = centers[action]
             leg = hypot(x - hx, y - hy)
             length += leg
             reward = (-alpha * leg / cost_scale
-                      + beta * h.profit_bps / profit_scale)
+                      + beta * profits[action] / profit_scale)
             unvisited.remove(action)
-            next_row = rows.setdefault(action, {})
+            next_row = table.setdefault(action, {})
             if unvisited:
                 target = reward + discount * max(
                     [next_row.get(a2, 0.0) for a2 in unvisited])
             else:
                 back = hypot(hx - depot[0], hy - depot[1])
                 reward += -alpha * back / cost_scale
-                # every id was visited, so the profit is summed over
-                # all of them in id order
-                realized = objective_value(length + back,
-                                           sum(by_id[i].profit_bps for i in ids),
-                                           weights)
-                if abs(realized - demo.objective) <= cfg.match_tolerance * abs(demo.objective):
+                # every hotspot was visited, so the profit is the total
+                realized = objective_value(length + back, total, weights)
+                if abs(realized - demos[k].objective) <= cfg.match_tolerance * abs(demos[k].objective):
                     reward += cfg.terminal_bonus
                 target = reward
             old = row.get(action, 0.0)
             row[action] = old + lr * (target - old)
             row, x, y = next_row, hx, hy
-    return QTable(values={(s, a): v for s, row in rows.items() for a, v in row.items()},
-                  letters=letters)
+    # each pool index becomes its id; the depot's state, -1, reads the
+    # entry appended last
+    ids = [h.id for h in hotspots] + [DEPOT_STATE]
+    return QTable(values={(ids[s], ids[a]): v for s, row in table.items()
+                          for a, v in row.items()},
+                  letters={ids[v] for v in set().union(*rows)})
 
 
 def construct_word(q: QTable, reference: Word | None, inst: Instance,

@@ -2,16 +2,18 @@
 
 ``oracle.demonstrate`` runs construction, 2-opt and the selection pass as
 array operations over the rows of a batch, on one table of distances per
-run of instances (``_tables``), and builds each ``Tour`` once, at the
-end. The functions here expose each step on its own for one instance,
-``Tour`` in and ``Tour`` out, as thin adapters over the same private
-steps, so that the tests can pin each step's behaviour and compare it
-with the coordinate-based reference in test_oracle_equivalence.py:
+run of rows (``_tables``), and builds each ``Tour`` once, at the end. The
+functions here expose each step on its own for one instance, ``Tour`` in
+and ``Tour`` out, as thin adapters over the same private steps, so that
+the tests can pin each step's behaviour and compare it with the
+coordinate-based reference in test_oracle_equivalence.py:
 
 - ``nearest_neighbor_construct``, ``two_opt`` and ``selection_pass``;
 - ``indices`` maps a tour's ids to table indices, as a one-row batch;
 - ``instance_scales`` gives an instance's cost and profit scales, and
   ``relative_weights`` are the given weights with them;
+- ``pool_rows`` gives instances that share one depot in the form that
+  ``demonstrate`` and ``ql.train_q`` take: one pool and rows of indices;
 - ``tied_exchange`` and ``tied_removal`` are the sequential rules that
   2-opt and the selection pass each kept apart before both took
   ``oracle._picks``, kept as its references;
@@ -23,15 +25,15 @@ with the coordinate-based reference in test_oracle_equivalence.py:
 """
 
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 
-from uavplan.environment import Hotspot, Instance
+from uavplan.environment import Hotspot, Instance, Point
 from uavplan.errors import ConsistencyError
 from uavplan.oracle import (ObjectiveWeights, Tour, _constructions,
                             _nearest_neighbor, _selection_pass, _stops,
-                            _tables, _two_opt, make_tour)
-from uavplan.ql import _profit_scale
+                            _table, _two_opt, make_tour)
 
 _IMPROVE_EPS = 1e-12
 _TIE_EPS = 1e-12
@@ -55,9 +57,38 @@ def instance_scales(inst: Instance) -> tuple[float, float]:
     ``Tour``. Scaling cost and profit by these makes both objective terms
     order one (``relative_weights``).
     """
-    [(run, hotspots, table)] = _tables([inst])
-    [(_, _, length)] = _constructions(run, hotspots, table)
+    hotspots, table = _sorted_table(inst)
+    [(_, _, length)] = _constructions(table, [range(len(hotspots))])
     return float(length[0]), _profit_scale(inst)
+
+
+def _profit_scale(inst: Instance) -> float:
+    """The total profit of ``inst``, summed in its hotspot order; 1.0 where
+    not positive."""
+    total = sum(h.profit_bps for h in inst.hotspots)
+    return total if total > 0 else 1.0
+
+
+def pool_rows(instances) -> tuple[list[Hotspot], Point, list[list[int]]]:
+    """The pool of every hotspot of ``instances``, ascending by id, their
+    one depot, and each instance as a row: its hotspots' ascending indices
+    in the pool."""
+    by_id = {}
+    for inst in instances:
+        for h in inst.hotspots:
+            assert by_id.setdefault(h.id, h) == h, f"two hotspots of id {h.id}"
+    depots = {inst.depot_m for inst in instances}
+    assert len(depots) == 1, f"instances with depots {depots}"
+    hotspots = [by_id[i] for i in sorted(by_id)]
+    index = {h.id: k for k, h in enumerate(hotspots)}
+    return hotspots, depots.pop(), [sorted(index[i] for i in inst.ids)
+                                    for inst in instances]
+
+
+def _sorted_table(inst: Instance) -> tuple[list[Hotspot], np.ndarray]:
+    """The instance's hotspots by id and its table (``oracle._table``)."""
+    hotspots = sorted(inst.hotspots, key=attrgetter("id"))
+    return hotspots, _table(hotspots, inst.depot_m)
 
 
 def relative_weights(w: ObjectiveWeights, inst: Instance) -> ObjectiveWeights:
@@ -73,7 +104,7 @@ def relative_weights(w: ObjectiveWeights, inst: Instance) -> ObjectiveWeights:
 def _geometry(inst: Instance):
     """The instance's hotspots by id, its table as an array, and its
     2-opt threshold as a one-row batch."""
-    [(_, hotspots, table)] = _tables([inst])
+    hotspots, table = _sorted_table(inst)
     return hotspots, table, _stops(np.array([instance_scales(inst)[0]]))
 
 
@@ -83,7 +114,7 @@ def _tour(hotspots, order, inst: Instance, w: ObjectiveWeights) -> Tour:
 
 def nearest_neighbor_construct(inst: Instance) -> Tour:
     """Greedy full tour from the depot; distance ties go to the lower id."""
-    [(_, hotspots, table)] = _tables([inst])
+    hotspots, table = _sorted_table(inst)
     order, _ = _nearest_neighbor(table, np.arange(len(hotspots))[None, :])
     # totals only; objective refreshed by callers
     return _tour(hotspots, order[0].tolist(), inst, ObjectiveWeights())

@@ -521,7 +521,7 @@ class TestOneDrawPath:
     ``default_rng`` is called only in ``_Stream`` and read only through
     ``bit_generator.random_raw``; and the draw kernel's PCG64
     (``_pcg64_seeded``, ``_pcg64_next``) serves only ``_floyd_rows``,
-    which only ``sample_instances`` calls. Nothing else reaches
+    which only ``_sample_rows`` calls. Nothing else reaches
     ``np.random``, and the draw methods are called only on streams."""
 
     SRC = Path(environment.__file__).parent
@@ -573,18 +573,21 @@ class TestOneDrawPath:
     def test_the_bulk_source_serves_only_instance_sampling(self):
         """No ``Generator`` fallback and no second seeding path: the
         PCG64 outputs made in Python reach only the draw kernel, and only
-        ``sample_instances`` calls it (``sample_instance`` is its one-seed
-        case)."""
+        ``_sample_rows`` calls it. The training set is drawn as its rows
+        (``stage_training_instances``), and the test instances through
+        ``sample_instances`` (``sample_instance`` is its one-seed case)."""
         assert self._callers("_seed_words") == [
             "environment.py:_pcg64_seeded"]
         assert self._callers("_pcg64_seeded") == [
             "environment.py:_floyd_rows"]
         assert self._callers("_pcg64_next") == ["environment.py:_floyd_rows"]
         assert self._callers("_floyd_rows") == [
-            "environment.py:sample_instances"]
+            "environment.py:_sample_rows"]
+        assert self._callers("_sample_rows") == [
+            "environment.py:sample_instances",
+            "harness.py:stage_training_instances"]
         assert self._callers("sample_instances") == [
-            "environment.py:sample_instance", "harness.py:stage_training_instances",
-            "harness.py:iter_test_instances"]
+            "environment.py:sample_instance", "harness.py:iter_test_instances"]
 
     def test_only_the_stream_draws(self):
         problems = []

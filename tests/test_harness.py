@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from uavplan.cli import STAGE_COMMANDS
 from uavplan.cli import main as cli_main
-from uavplan.environment import (ChannelParams, MissionConfig,
+from uavplan.environment import (ChannelParams, Instance, MissionConfig,
                                  sample_instances, sample_pool)
 from uavplan import harness, world_model
 from uavplan.errors import ConfigurationError, ConsistencyError, NumericError
@@ -59,6 +59,15 @@ def small_config(out, **kw):
                     ql=QTrainConfig(episodes=400), output_dir=str(out))
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def _row_instances(cfg, training_pool, rows) -> list[Instance]:
+    """Training instance k, the row ``rows[k]`` over the training pool, as
+    the ``Instance`` that ``sample_instances`` draws for it."""
+    return [Instance(hotspots=tuple(training_pool[v] for v in row),
+                     depot_m=cfg.depot, channel=cfg.channel,
+                     mission=cfg.mission, seed=cfg.train_seed_base + k)
+            for k, row in enumerate(rows)]
 
 
 class TestMetricsPrimitives:
@@ -626,7 +635,7 @@ class TestHeadedJsonl:
     def test_round_trip_gives_the_sampled_instances_and_solved_tours(
             self, tmp_path):
         """A rerun samples and solves again, and checks both files: it
-        gives the same instances, tours and scales."""
+        gives the same rows, tours and scales."""
         cfg = small_config(tmp_path / "rt", m_training=40,
                            depot_m=(150.0, 1750.0),
                            weights=ObjectiveWeights(0.5, 0.5))
@@ -634,11 +643,12 @@ class TestHeadedJsonl:
         out.mkdir()
         _, training = stage_pools(cfg, out)
         sampled = stage_training_instances(cfg, training, out)
-        solved, scales = stage_oracle(cfg, sampled, out)
-        assert scales == array("d", [instance_scales(i)[0] for i in sampled])
+        solved, scales = stage_oracle(cfg, training, sampled, out)
+        assert scales == array("d", [instance_scales(i)[0] for i in
+                                     _row_instances(cfg, training, sampled)])
         loaded = stage_training_instances(cfg, training, out)
         assert loaded == sampled
-        assert stage_oracle(cfg, loaded, out) == (solved, scales)
+        assert stage_oracle(cfg, training, loaded, out) == (solved, scales)
         # one header line, then one record per instance or tour
         for name in ("training_instances.jsonl", "oracle_tours.jsonl"):
             assert len((out / name).read_text().splitlines()) == 41
@@ -654,9 +664,9 @@ class TestHeadedJsonl:
         def no_pool(*args, **kwargs):
             raise AssertionError("stage_oracle opened a process pool")
 
-        def counted(batch, w):
-            calls.append(len(batch))
-            return demonstrate(batch, w)
+        def counted(hotspots, depot, rows, w):
+            calls.append(len(rows))
+            return demonstrate(hotspots, depot, rows, w)
 
         serial = small_config(tmp_path / "s", m_training=40)
         parallel = small_config(tmp_path / "p", m_training=40, workers=2)
@@ -665,12 +675,12 @@ class TestHeadedJsonl:
             out = Path(cfg.output_dir)
             out.mkdir()
             _, training = stage_pools(cfg, out)
-            instances = stage_training_instances(cfg, training, out)
+            rows = stage_training_instances(cfg, training, out)
             calls = []
             with monkeypatch.context() as m:
                 m.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
                 m.setattr(harness, "demonstrate", counted)
-                results[cfg.workers] = stage_oracle(cfg, instances, out)
+                results[cfg.workers] = stage_oracle(cfg, training, rows, out)
             assert calls == [40]
         assert results[2] == results[1]
         assert ((tmp_path / "p" / "oracle_tours.jsonl").read_bytes()
@@ -678,16 +688,19 @@ class TestHeadedJsonl:
 
     def test_training_set_is_freed_before_the_eval(self, tmp_path,
                                                    monkeypatch):
-        """No stage after Q-learning reads the training instances, their
+        """No stage after Q-learning reads the training rows, their
         demonstrations or their cost scales: when the eval starts, the
-        first training instance and the first demonstration are gone."""
+        rows and the first demonstration are gone."""
         refs, alive = {}, []
         real = {name: getattr(harness, name) for name in (
             "stage_training_instances", "stage_oracle", "stage_eval")}
 
+        class Rows(list):
+            """The rows, in a list that a weak reference can point at."""
+
         def instances(*args):
-            got = real["stage_training_instances"](*args)
-            refs["instance"] = weakref.ref(got[0])
+            got = Rows(real["stage_training_instances"](*args))
+            refs["rows"] = weakref.ref(got)
             return got
 
         def oracle(*args):
@@ -704,7 +717,40 @@ class TestHeadedJsonl:
         monkeypatch.setattr(harness, "stage_eval", evaluate)
         run_pipeline(small_config(tmp_path / "o", test_sizes=(5,),
                                   seeds_per_size=1), "eval")
-        assert sorted(refs) == ["instance", "tour"] and alive == []
+        assert sorted(refs) == ["rows", "tour"] and alive == []
+
+    def test_no_instance_is_built_for_the_training_set(self, tmp_path,
+                                                       monkeypatch):
+        """The training set stays rows from the draw to Q-learning: a run
+        up to the Q-learning stage builds no ``Instance``, with the
+        training rows drawn stream by stream or by the draw kernel."""
+        built = []
+        real = Instance.__post_init__
+
+        def counted(inst):
+            built.append(inst)
+            real(inst)
+
+        monkeypatch.setattr(Instance, "__post_init__", counted)
+        for m_training in (10, 40):
+            run_pipeline(small_config(tmp_path / str(m_training),
+                                      m_training=m_training), "ql")
+        assert built == []
+
+    @pytest.mark.parametrize("m_training", [
+        pytest.param(5_000, id="default"),
+        pytest.param(20_000, id="train-large")])
+    def test_rows_rebuild_the_sampled_instances(self, tmp_path, m_training):
+        """Each training row over the training pool, from the config's
+        depot, is the ``Instance`` that ``sample_instances`` draws with its
+        seed."""
+        cfg = small_config(tmp_path, m_training=m_training)
+        _, training = stage_pools(cfg, tmp_path)
+        rows = stage_training_instances(cfg, training, tmp_path)
+        assert _row_instances(cfg, training, rows) == sample_instances(
+            range(cfg.train_seed_base, cfg.train_seed_base + m_training),
+            training, cfg.train_instance_size, cfg.depot, cfg.channel,
+            cfg.mission)
 
     def test_artifacts_match_pinned_bytes(self, tmp_path, monkeypatch):
         """Every artifact but timings.csv has its pinned bytes. The eval's
@@ -758,14 +804,15 @@ class TestHeadedJsonl:
 def _as_v1_instances(cfg, out):
     _, training = stage_pools(cfg, out)
     _write_lines(out / "training_instances.jsonl",
-                 (instance_to_dict(i) for i in
-                  stage_training_instances(cfg, training, out)))
+                 (instance_to_dict(i) for i in _row_instances(
+                     cfg, training, stage_training_instances(cfg, training,
+                                                             out))))
 
 
 def _as_v1_tours(cfg, out):
     _, training = stage_pools(cfg, out)
-    tours, _ = stage_oracle(cfg, stage_training_instances(cfg, training, out),
-                            out)
+    tours, _ = stage_oracle(
+        cfg, training, stage_training_instances(cfg, training, out), out)
     _write_lines(out / "oracle_tours.jsonl",
                  (tour_to_dict(t, cfg.weights) for t in tours))
 

@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 import sys
-from operator import attrgetter
 from unittest import mock
 
 import numpy as np
@@ -19,16 +18,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan import oracle
-from uavplan.environment import (Hotspot, Instance, edge_cost, sample_instances,
-                                 sample_pool)
+from uavplan.environment import (Hotspot, Instance, _sample_rows, edge_cost,
+                                 sample_instances, sample_pool)
 from uavplan.errors import ConsistencyError
 from uavplan.harness import ExperimentConfig, iter_test_instances
 from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, demonstrate,
                             make_tour, solve)
 
-from oracle_oracles import (nearest_neighbor_construct, relative_weights,
-                            selection_pass, tied_exchange, tied_removal,
-                            two_opt)
+from oracle_oracles import (instance_scales, nearest_neighbor_construct,
+                            pool_rows, relative_weights, selection_pass,
+                            tied_exchange, tied_removal, two_opt)
 
 _IMPROVE_EPS = 1e-12
 _TIE_EPS = 1e-12
@@ -292,39 +291,72 @@ def _pool(rng: random.Random, ids, grid: bool) -> list[Hotspot]:
                                   profit_scale=2e7), True, id="even-scaled")])
 def test_batch_equals_each_instance_alone(chan, mission, entries,
                                           table_hotspots, w, drops):
-    """One call on a shuffled batch of sizes 1-50 with one depot, drawn
-    from a lattice pool (where legs and removal gains tie) and a random
-    one, hotspots stored in and out of id order: every tour and cost scale
-    is, bit for bit, what the instance gets alone. So it is in the
-    production chunks and tables (one table for all 100 instances), and in
-    chunks of one to a few rows and tables of at most 40 hotspots, which
-    split the batch into many runs and leave each instance above 40
-    hotspots a run of its own."""
+    """One call on a shuffled batch of rows of sizes 1-50 over one pool,
+    half on a lattice (where legs and removal gains tie) and half random:
+    every tour and cost scale is, bit for bit, what the row's instance
+    gets alone from ``solve``, its hotspots stored in and out of id order.
+    So it is in the production chunks and table (the pool's one table for
+    all 100 rows), and in chunks of one to a few rows and tables of at
+    most 40 hotspots, which split the rows into many runs and leave each
+    row above 40 hotspots a run of its own."""
     rng = random.Random(2323)
-    pools = (_pool(rng, range(1, 61), True), _pool(rng, range(101, 161), False))
-    batch = []
-    for n in range(1, 51):
-        for pool in pools:
-            hotspots = rng.sample(pool, n)
-            if rng.random() < 0.5:
-                hotspots.sort(key=attrgetter("id"))
-            batch.append(Instance(hotspots=tuple(hotspots),
-                                  depot_m=(200.0, 300.0), channel=chan,
-                                  mission=mission, seed=0))
-    rng.shuffle(batch)
-    alone = [demonstrate([inst], w)[0] for inst in batch]
+    pool = _pool(rng, range(1, 61), True) + _pool(rng, range(101, 161), False)
+    depot = (200.0, 300.0)
+    rows = [sorted(rng.sample(range(len(pool)), n)) for n in range(1, 51)
+            for _ in range(2)]
+    rng.shuffle(rows)
+    alone = []
+    for row in rows:
+        hotspots = [pool[v] for v in row]
+        if rng.random() < 0.5:
+            rng.shuffle(hotspots)
+        inst = Instance(hotspots=tuple(hotspots), depot_m=depot,
+                        channel=chan, mission=mission, seed=0)
+        alone.append((solve(inst, w), instance_scales(inst)[0]))
     with mock.patch.object(oracle, "_BATCH_ENTRIES",
                            entries or oracle._BATCH_ENTRIES), \
             mock.patch.object(oracle, "_TABLE_HOTSPOTS",
                               table_hotspots or oracle._TABLE_HOTSPOTS):
-        runs = [len(run) for run, _, _ in oracle._tables(batch)]
-        got = demonstrate(batch, w)
-    assert (runs == [100]) == (table_hotspots is None) and sum(runs) == 100
+        runs = [(len(table) - 1, run) for _, table, run
+                in oracle._tables(pool, depot, rows)]
+        got = demonstrate(pool, depot, rows, w)
+    assert sum(len(run) for _, run in runs) == 100
+    if table_hotspots is None:
+        assert [(n, len(run)) for n, run in runs] == [(len(pool), 100)]
+    else:
+        alone_above = [run for n, run in runs if n > table_hotspots]
+        assert len(runs) > 10 and alone_above
+        assert all(len(run) == 1 for run in alone_above)
     assert [(_bits(t), repr(s)) for t, s in got] == \
         [(_bits(t), repr(s)) for t, s in alone]
-    assert any(len(t.order) < len(i.hotspots)
-               for (t, _), i in zip(got, batch)) \
+    assert any(len(t.order) < len(row) for (t, _), row in zip(got, rows)) \
         == drops
+
+
+def test_rows_over_a_pool_above_the_cap_keep_every_table_bounded(
+        chan, mission, default_weights):
+    """Rows over a pool of 600 hotspots, more than one table holds
+    (``_TABLE_HOTSPOTS``): they split into runs whose tables have at most
+    (cap + 1)^2 entries, and each row's tour and cost scale are, bit for
+    bit, those of its ``Instance`` alone."""
+    pool = sample_pool(17, 600, 5.0, mission, chan)
+    depot = (1000.0, 1000.0)
+    seeds = range(40, 240)
+    tables, real = [], oracle._table
+
+    def table(hotspots, at):
+        tables.append(real(hotspots, at))
+        return tables[-1]
+
+    with mock.patch.object(oracle, "_table", table):
+        got = demonstrate(pool, depot, _sample_rows(seeds, 600, 20),
+                          default_weights)
+    cap = oracle._TABLE_HOTSPOTS
+    assert len(tables) > 1
+    assert max(t.size for t in tables) <= (cap + 1) ** 2
+    assert [(_bits(t), repr(s)) for t, s in got] == [
+        (_bits(solve(inst, default_weights)), repr(instance_scales(inst)[0]))
+        for inst in sample_instances(seeds, pool, 20, depot, chan, mission)]
 
 
 # --- demonstration totals --------------------------------------------------------
@@ -343,19 +375,22 @@ def _are_make_tours(solved, batch, w) -> None:
 def test_demonstration_totals_are_make_tours(m_training, test_sizes,
                                              seeds_per_size):
     """``demonstrate`` sums each tour's totals from its run's table; on
-    the benchmark workloads' shapes, the training demonstrations and the
-    test instances' solves, every tour is ``make_tour``'s."""
+    the benchmark workloads' shapes, the training demonstrations (rows
+    over the training pool) and the test instances' solves, every tour is
+    ``make_tour``'s."""
     cfg = ExperimentConfig(m_training=m_training, test_sizes=test_sizes,
                            seeds_per_size=seeds_per_size)
     testing = sample_pool(cfg.pool_seed, cfg.testing_pool_size, cfg.mean_users,
                           cfg.mission, cfg.channel)
-    training = sample_instances(
-        range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training),
-        testing[:cfg.training_pool_size], cfg.train_instance_size, cfg.depot,
-        cfg.channel, cfg.mission)
-    _are_make_tours(demonstrate(training, cfg.weights), training, cfg.weights)
+    seeds = range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training)
+    training_pool = testing[:cfg.training_pool_size]
+    rows = _sample_rows(seeds, len(training_pool), cfg.train_instance_size)
+    training = sample_instances(seeds, training_pool, cfg.train_instance_size,
+                                cfg.depot, cfg.channel, cfg.mission)
+    _are_make_tours(demonstrate(training_pool, cfg.depot, rows, cfg.weights),
+                    training, cfg.weights)
     tests = [inst for _, inst in iter_test_instances(cfg, testing)]
-    _are_make_tours([demonstrate([inst], cfg.weights)[0] for inst in tests],
+    _are_make_tours([(solve(inst, cfg.weights), None) for inst in tests],
                     tests, cfg.weights)
 
 
@@ -374,7 +409,7 @@ def test_totals_of_skipping_tours_are_make_tours(chan, mission, w):
         batch = [Instance(hotspots=tuple(rng.sample(pool, rng.randint(1, 12))),
                           depot_m=(200.0, 300.0), channel=chan,
                           mission=mission, seed=0) for _ in range(300)]
-        solved = demonstrate(batch, w)
+        solved = demonstrate(*pool_rows(batch), w)
         _are_make_tours(solved, batch, w)
         lengths = {len(t.order) for t, _ in solved}
         assert 0 in lengths and len(lengths) > 5, lengths
@@ -475,28 +510,13 @@ def test_picks_equals_the_sequential_rules(drawn):
             (want, k if want else None), t
 
 
-def test_a_batch_with_two_depots_or_two_hotspots_per_id_runs_apart(
-        chan, mission, make_instance, default_weights):
-    """Instances with another depot, or with an id that names another
-    hotspot, start a run of their own (``_tables``) and get what they get
-    alone; equal depots and hotspots built apart share one run."""
-    inst = make_instance([(0, 0), (10, 0), (0, 10)])
-    others = [make_instance([(0, 0), (10, 0), (0, 10)], depot=(5, 5)),
-              make_instance([(0, 0), (10, 0), (0, 11)]),
-              make_instance([(0, 0), (10, 0), (0, 10)],
-                            profits=[1e7, 1e7, 2e7]),
-              make_instance([(0, 0), (10, 0), (0, 10)],
-                            depot=(float("nan"), 0.0)),
-              make_instance([(0, 0), (10, 0), (0, 10)])]
-    for other in others[:3]:
-        batch = [inst, other, inst]
-        assert [len(run) for run, _, _ in oracle._tables(batch)] == [1, 1, 1]
-        assert demonstrate(batch, default_weights) == \
-            [demonstrate([i], default_weights)[0] for i in batch]
+def test_a_nan_depot_is_refused(make_instance, default_weights):
+    """A depot with a NaN coordinate, which only the Python API can give,
+    makes every tour length NaN: the construction refuses it."""
+    inst = make_instance([(0, 0), (10, 0), (0, 10)],
+                         depot=(float("nan"), 0.0))
     with pytest.raises(ConsistencyError, match="is nan m long"):
-        demonstrate([inst, others[3]], default_weights)
-    assert [len(run) for run, _, _ in oracle._tables(
-        [inst, others[4], inst])] == [3]
+        solve(inst, default_weights)
 
 
 # --- properties ----------------------------------------------------------------------

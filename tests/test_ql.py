@@ -10,7 +10,8 @@ from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_to_dict, train_q)
 from uavplan.world_model import Word
 
-from oracle_oracles import instance_scales, nearest_neighbor_construct
+from oracle_oracles import (instance_scales, nearest_neighbor_construct,
+                            pool_rows)
 
 W = ObjectiveWeights()
 
@@ -18,6 +19,15 @@ W = ObjectiveWeights()
 def _scales(training):
     """Each training instance's cost scale, as the oracle stage gives it."""
     return [instance_scales(inst)[0] for inst, _ in training]
+
+
+def _train(training, cfg, w, seed):
+    """``train_q`` on (instance, demonstration) pairs that share one
+    depot, as rows over their pool (``pool_rows``), with the cost scales
+    that the oracle stage gives."""
+    return train_q(*pool_rows([inst for inst, _ in training]),
+                   [demo for _, demo in training], _scales(training), cfg, w,
+                   seed)
 
 
 @pytest.fixture
@@ -63,32 +73,41 @@ def value_iteration_two_letters(inst, demo, cfg):
 class TestTrainQ:
     def test_zero_episodes_zero_table(self, two_hotspot_world):
         inst, demo = two_hotspot_world
-        table = train_q([(inst, demo)], _scales([(inst, demo)]),
-                        QTrainConfig(episodes=0), W, 1)
+        table = _train([(inst, demo)], QTrainConfig(episodes=0), W, 1)
         assert table.values == {}
         assert table.q(DEPOT_STATE, inst.ids[0]) == 0.0
 
-    def test_empty_training_rejected(self):
+    def test_empty_training_rejected(self, two_hotspot_world):
+        inst, _ = two_hotspot_world
         with pytest.raises(TrainingError):
-            train_q([], [], QTrainConfig(episodes=10), W, 1)
+            train_q(inst.hotspots, inst.depot_m, [], [], [],
+                    QTrainConfig(episodes=10), W, 1)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_cost_scales_of_another_length_rejected(self, two_hotspot_world,
                                                     extra):
-        """One cost scale per training instance: a list one shorter or one
-        longer is refused before any episode."""
+        """One demonstration and one cost scale per training instance: a
+        list of either one shorter or one longer is refused before any
+        episode."""
         training = [two_hotspot_world] * 2
-        scales = _scales(training) + [1.0]
+        hotspots, depot, rows = pool_rows([inst for inst, _ in training])
+        demos = [demo for _, demo in training]
+        scales = _scales(training)
+        cfg = QTrainConfig(episodes=10)
+        side = 'shorter' if extra < 0 else 'longer'
+        with pytest.raises(ValueError, match=r"zip\(\) argument 3 is "
+                           f"{side} than arguments 1-2"):
+            train_q(hotspots, depot, rows, demos,
+                    (scales + [1.0])[:2 + extra], cfg, W, 1)
         with pytest.raises(ValueError, match=r"zip\(\) argument 2 is "
-                           f"{'shorter' if extra < 0 else 'longer'}"):
-            train_q(training, scales[:2 + extra], QTrainConfig(episodes=10),
-                    W, 1)
+                           f"{side} than argument 1"):
+            train_q(hotspots, depot, rows, (demos + demos)[:2 + extra],
+                    scales, cfg, W, 1)
 
     def test_converges_to_value_iteration_fixed_point(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=20000)
-        table = train_q([(inst, demo)], _scales([(inst, demo)]),
-                        cfg, W, 3)
+        table = _train([(inst, demo)], cfg, W, 3)
         expected = value_iteration_two_letters(inst, demo, cfg)
         for key, val in expected.items():
             assert table.q(*key) == pytest.approx(val, abs=1e-6)
@@ -96,8 +115,7 @@ class TestTrainQ:
     def test_greedy_rollout_reproduces_oracle_order(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=20000, temperature=0.0)
-        table = train_q([(inst, demo)], _scales([(inst, demo)]),
-                        cfg, W, 3)
+        table = _train([(inst, demo)], cfg, W, 3)
         word = construct_word(table, None, inst, 0, cfg)
         assert word.letters == demo.order
 
@@ -109,8 +127,7 @@ class TestTrainQ:
             inst = sample_instance(600 + k, pool, 4, (1000.0, 1000.0),
                                    chan, mission)
             training.append((inst, solve(inst, default_weights)))
-        table = train_q(training, _scales(training),
-                        QTrainConfig(episodes=300), W, 5)
+        table = _train(training, QTrainConfig(episodes=300), W, 5)
         assert table.letters <= {h.id for h in pool}
         assert all(s == DEPOT_STATE or s in table.letters
                    for (s, _) in table.values)
@@ -118,10 +135,8 @@ class TestTrainQ:
     def test_deterministic(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=500)
-        t1 = train_q([(inst, demo)], _scales([(inst, demo)]),
-                     cfg, W, 11)
-        t2 = train_q([(inst, demo)], _scales([(inst, demo)]),
-                     cfg, W, 11)
+        t1 = _train([(inst, demo)], cfg, W, 11)
+        t2 = _train([(inst, demo)], cfg, W, 11)
         assert t1.values == t2.values
 
 
@@ -130,8 +145,7 @@ class TestConstructWord:
         pool = sample_pool(31, 10, 5.0, mission, chan)
         inst = sample_instance(700, pool, 6, (1000.0, 1000.0), chan, mission)
         training = [(inst, solve(inst, default_weights))]
-        table = train_q(training, _scales(training),
-                        QTrainConfig(episodes=200), default_weights, 5)
+        table = _train(training, QTrainConfig(episodes=200), default_weights, 5)
         for seed in range(10):
             word = construct_word(table, None, inst, seed,
                                   QTrainConfig(episodes=0))
@@ -209,8 +223,7 @@ class TestQTableSerialization:
     def test_round_trip(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=200)
-        table = train_q([(inst, demo)], _scales([(inst, demo)]),
-                        cfg, W, 7)
+        table = _train([(inst, demo)], cfg, W, 7)
         back = qtable_from_dict(qtable_to_dict(table))
         assert back.values == table.values
         assert back.letters == table.letters

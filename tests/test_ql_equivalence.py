@@ -14,6 +14,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from uavplan.oracle import (ObjectiveWeights, Tour, demonstrate, make_tour,
                             solve)
 from uavplan.world_model import Word
 
-from oracle_oracles import instance_scales, nearest_neighbor_construct
+from oracle_oracles import (instance_scales, nearest_neighbor_construct,
+                            pool_rows)
 
 
 # --- reference: the loops with per-step hotspot scans ---------------------------
@@ -174,18 +176,26 @@ def _instance(rng: random.Random, n: int, chan, mission, shuffled=False,
 
 
 def _training(rng: random.Random, sizes, w: ObjectiveWeights, chan, mission):
-    """Demonstrations on instances of the given sizes, alternating sorted,
-    shuffled and lattice instances; the first instance appears twice, once
-    as the same object and once as an equal copy."""
+    """Demonstrations on instances of the given sizes drawn from one pool
+    and flown from one depot, as the pipeline's training rows are. Every
+    other pool hotspot lies on the coarse lattice of ``_instance`` with one
+    of its two profits, and so does the depot, so that equal legs and
+    equal Q values come up often. An instance holds its hotspots in id
+    order, as a row does; the first instance appears twice."""
+    lattice = _instance(rng, max(sizes), chan, mission, grid=True)
+    scattered = _instance(rng, max(sizes), chan, mission)
+    by_id = {h.id: h for h in scattered.hotspots}
+    by_id.update((h.id + 1000, replace(h, id=h.id + 1000))
+                 for h in lattice.hotspots)
+    pool = list(by_id.values())
     training = []
-    for k, n in enumerate(sizes):
-        inst = _instance(rng, n, chan, mission, shuffled=k % 3 == 1,
-                         grid=k % 3 == 2)
+    for n in sizes:
+        inst = Instance(hotspots=tuple(sorted(rng.sample(pool, n),
+                                              key=attrgetter("id"))),
+                        depot_m=lattice.depot_m, channel=chan,
+                        mission=mission, seed=rng.randrange(10**6))
         training.append((inst, solve(inst, w)))
-    first, demo = training[0]
-    copy = Instance(hotspots=first.hotspots, depot_m=first.depot_m,
-                    channel=chan, mission=mission, seed=first.seed)
-    return training + [(first, demo), (copy, demo)]
+    return training + training[:1]
 
 
 def _bits(q: QTable) -> str:
@@ -194,8 +204,17 @@ def _bits(q: QTable) -> str:
     return json.dumps(qtable_to_dict(q), sort_keys=True)
 
 
+def _train(training, cfg, w, seed):
+    """``train_q`` on (instance, demonstration) pairs that share one
+    depot, as rows over their pool (``pool_rows``), with the cost scales
+    that the oracle stage gives."""
+    return train_q(*pool_rows([inst for inst, _ in training]),
+                   [demo for _, demo in training], _scales(training), cfg, w,
+                   seed)
+
+
 def _assert_same_training(training, cfg, w, seed):
-    got = _bits(train_q(training, _scales(training), cfg, w, seed))
+    got = _bits(_train(training, cfg, w, seed))
     want = _bits(ref_train_q(training, cfg, w, seed))
     assert got == want
     return got
@@ -214,8 +233,8 @@ EPSILONS = {
 @pytest.mark.parametrize("epsilon", EPSILONS)
 @pytest.mark.parametrize("discount", [0.0, 0.95, 1.0])
 def test_train_q_matches_reference(chan, mission, weights, epsilon, discount):
-    """Sizes 1-8, hotspots in and out of id order, lattice ties and repeated
-    instances: the same table, bit for bit, for every episode count."""
+    """Rows of sizes 1-8 over one pool, lattice ties and a repeated
+    instance: the same table, bit for bit, for every episode count."""
     w = WEIGHTS[weights]
     rng = random.Random(f"{weights}:{epsilon}:{discount}")
     training = _training(rng, range(1, 9), w, chan, mission)
@@ -258,8 +277,8 @@ def test_exact_demonstration_match(chan, mission):
         training = [(inst, make_tour(full, inst, w))]
         cfg = QTrainConfig(episodes=300, match_tolerance=0.0)
         exact = _assert_same_training(training, cfg, w, seed=k)
-        never = _bits(train_q(training, _scales(training),
-                              replace(cfg, match_tolerance=-1.0), w, k))
+        never = _bits(_train(training, replace(cfg, match_tolerance=-1.0),
+                             w, k))
         bonus_paid += exact != never
     assert bonus_paid >= 20
 
@@ -280,8 +299,7 @@ def test_construct_word_matches_reference(chan, mission, temperature):
     w = WEIGHTS["0.9/0.1"]
     rng = random.Random(21)
     training = _training(rng, [4, 5, 6], w, chan, mission)
-    q = train_q(training, _scales(training), QTrainConfig(episodes=400),
-                w, 9)
+    q = _train(training, QTrainConfig(episodes=400), w, 9)
     cfg = QTrainConfig(temperature=temperature)
     for n in range(1, 12):
         inst = _instance(rng, n, chan, mission, shuffled=n % 2 == 0,
@@ -310,35 +328,42 @@ _coord = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 
 @st.composite
 def instance_sets(draw):
-    """One to four instances of 1-8 hotspots with ids in any order; points
-    drawn from a lattice now and then, so legs tie."""
+    """A pool of 1-12 hotspots, ascending by id, a depot and one to four
+    rows over the pool (ascending indices) of 1-8 hotspots; points drawn
+    from a lattice now and then, so legs tie."""
     lattice = draw(st.booleans())
     coord = (st.integers(0, 4).map(lambda k: 100.0 * k) if lattice else _coord)
-    out = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        n = draw(st.integers(min_value=1, max_value=8))
-        ids = draw(st.lists(st.integers(min_value=0, max_value=60), min_size=n,
-                            max_size=n, unique=True))
-        hotspots = tuple(
-            Hotspot(id=i, center_m=(draw(coord), draw(coord)), num_users=1,
+    ids = sorted(draw(st.lists(st.integers(min_value=0, max_value=60),
+                               min_size=1, max_size=12, unique=True)))
+    pool = [Hotspot(id=i, center_m=(draw(coord), draw(coord)), num_users=1,
                     profit_bps=draw(st.floats(min_value=0.0, max_value=5e7)))
-            for i in ids)
-        out.append((hotspots, (draw(coord), draw(coord))))
-    return out
+            for i in ids]
+    rows = draw(st.lists(st.lists(
+        st.integers(0, len(pool) - 1), min_size=1, max_size=8,
+        unique=True).map(sorted), min_size=1, max_size=4))
+    return pool, (draw(coord), draw(coord)), rows
+
+
+def _instances(drawn, chan, mission) -> list[Instance]:
+    """Each row of ``instance_sets``' draw as an ``Instance``."""
+    pool, depot, rows = drawn
+    return [Instance(hotspots=tuple(pool[v] for v in row), depot_m=depot,
+                     channel=chan, mission=mission, seed=k)
+            for k, row in enumerate(rows)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(instance_sets(), st.sampled_from(sorted(WEIGHTS)))
 def test_demonstrate_carries_the_instance_cost_scale(chan, mission, drawn,
                                                      weights):
-    """The cost scale that ``demonstrate`` carries with a demonstration, and
-    the oracle stage hands to ``train_q``, is ``instance_scales(inst)[0]``
-    bit for bit, and the reference's; its tour is ``solve``'s."""
+    """The cost scale that ``demonstrate`` carries with a demonstration of
+    a row, and the oracle stage hands to ``train_q``, is
+    ``instance_scales(inst)[0]`` of the row's instance bit for bit, and the
+    reference's; its tour is ``solve``'s."""
     w = WEIGHTS[weights]
-    for hotspots, depot in drawn:
-        inst = Instance(hotspots=hotspots, depot_m=depot, channel=chan,
-                        mission=mission, seed=0)
-        [(tour, scale)] = demonstrate([inst], w)
+    for (tour, scale), inst in zip(demonstrate(*drawn, w),
+                                   _instances(drawn, chan, mission),
+                                   strict=True):
         assert repr(scale) == repr(instance_scales(inst)[0]) \
             == repr(_instance_scales(inst)[0])
         assert tour == solve(inst, w)
@@ -352,11 +377,8 @@ def test_demonstrate_carries_the_instance_cost_scale(chan, mission, drawn,
 def test_train_q_property(chan, mission, drawn, weights, episodes, discount,
                           epsilon, tolerance, seed):
     w = WEIGHTS[weights]
-    training = []
-    for hotspots, depot in drawn:
-        inst = Instance(hotspots=hotspots, depot_m=depot, channel=chan,
-                        mission=mission, seed=len(training))
-        training.append((inst, solve(inst, w)))
+    training = [(inst, solve(inst, w))
+                for inst in _instances(drawn, chan, mission)]
     cfg = QTrainConfig(episodes=episodes, discount=discount,
                        match_tolerance=tolerance, **EPSILONS[epsilon])
     _assert_same_training(training, cfg, w, seed)

@@ -347,11 +347,11 @@ def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
 
 
 def test_setup_layers_times_a_commit_against_the_tree(capsys):
-    """tools/setup_layers.py times each set-up layer on HEAD's src/ and the
-    working tree's, one line per layer with a median and quartiles per
-    side, and exits 0 when every layer's output is the same on both
-    sides (the working tree's outputs are HEAD's while the change keeps
-    every byte); a commit it cannot export exits 2."""
+    """tools/setup_layers.py times each set-up stage of the pipeline on
+    HEAD's src/ and the working tree's, one line per stage with a median
+    and quartiles per side, and exits 0 when every stage's file is the
+    same on both sides (the working tree's files are HEAD's while the
+    change keeps every byte); a commit it cannot export exits 2."""
     root = Path(__file__).parent.parent
     if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                       capture_output=True).returncode != 0:
