@@ -75,6 +75,8 @@ of two sources, both checked on numpy 2.4.6:
 tests/test_environment.py pins both sources against ``default_rng`` and
 ``PCG64``, and each draw against ``Generator``:
 
+- ``raw()``: one output itself, which Q-learning compares with a
+  threshold in place of ``random() < eps`` (``ql``);
 - ``random()``: the top 53 bits of one output times 2**-53;
 - ``uniform(0, s)``: ``0.0 + s * random()``;
 - ``integers(n)``: Lemire's bounded draw (*Fast random integer generation
@@ -415,17 +417,18 @@ class _Stream:
     """The draws of ``np.random.default_rng(seed)``, made in pure Python
     from that generator's raw 64-bit outputs; see the module docstring."""
 
-    __slots__ = ("_next", "_half")
+    __slots__ = ("raw", "_half")
 
     def __init__(self, seed: int):
         raw = np.random.default_rng(seed).bit_generator.random_raw
-        self._next = chain.from_iterable(
+        # the next raw 64-bit output, as an int
+        self.raw = chain.from_iterable(
             raw(k).tolist() for k in chain(_CHUNKS, repeat(_CHUNK))).__next__
         self._half: int | None = None  # the unused high half of an output
 
     def random(self) -> float:
         """``Generator.random()``: the top 53 bits of one output."""
-        return (self._next() >> 11) * 1.1102230246251565e-16
+        return (self.raw() >> 11) * 1.1102230246251565e-16
 
     def uniform(self, high: float) -> float:
         """``Generator.uniform(0.0, high)``."""
@@ -436,7 +439,7 @@ class _Stream:
         # high half
         half = self._half
         if half is None:
-            x = self._next()
+            x = self.raw()
             self._half = x >> 32
             return x & _MASK32
         self._half = None
@@ -445,11 +448,16 @@ class _Stream:
     def integers(self, n: int) -> int:
         """``Generator.integers(n)`` for 1 <= n <= 2**32: Lemire's bounded
         draw on 32-bit outputs; n = 1 draws nothing."""
-        if n == 1:
-            return 0
         if not 1 < n <= _TWO_32:
+            if n == 1:
+                return 0
             raise ValueError(f"integers(n) needs 1 <= n <= 2**32, not {n}")
-        m = self._uint32() * n
+        # _uint32, inline
+        if (half := self._half) is None:
+            x = self.raw()
+            self._half, m = x >> 32, (x & _MASK32) * n
+        else:
+            self._half, m = None, half * n
         if m & _MASK32 < n:
             threshold = (_TWO_32 - n) % n
             while m & _MASK32 < threshold:

@@ -18,23 +18,45 @@ is computed here, once per row, into one array of floats; an episode
 reads its row, demonstration and both scales by the drawn index.
 
 Training runs 100,000 steps on the default config, so each step does
-only what its arithmetic needs. An episode walks its row over the pool's
-centers and profits, one list each, with the pool indices as actions:
-every leg is a ``math.hypot`` of the same differences ``edge_cost``
-takes, and a running tour length adds the legs in visiting order, so at
-the last step ``length + back`` is the ``total_cost_m`` sum
-``make_tour`` forms, term for term, and the realized objective is
-bit-identical. Index order is id order, so the greedy action, the first
-strict maximum of an ascending scan of the unvisited indices, is the one
-``max`` by the key ``(q, -a)`` picks among the ids. The Q-values are kept
-in one dict per state while training, and become a ``QTable`` over ids at
-the end. Random numbers are drawn one at a time in the original order
-(per episode one ``integers`` for the instance; per step one ``random``
-and, when exploring, one ``integers``) from the seed's pure-Python stream
+only what its arithmetic needs. An episode walks its row over the pool,
+with the pool indices as actions. Every leg is read from one table,
+built once, of the ``math.hypot`` of the same differences ``edge_cost``
+takes, from each pool index and from the depot to each pool index (the
+return leg reads the depot's row: its differences are negated, which
+``hypot`` does not see, as it takes their absolute values). A
+running tour length adds the legs in visiting order, so at the last step
+``length + back`` is the ``total_cost_m`` sum ``make_tour`` forms, term
+for term, and the realized objective is bit-identical. The Q-values are
+dense rows, one list per pool index and the depot's last (state -1), and
+each entry an update writes is also stored in its state's dict, so the
+``QTable`` made over ids at the end holds exactly the pairs the updates
+wrote, 0.0 values included.
+
+Each step but the last scans one row, once (the first step also scans
+the depot's row when it does not explore). The update's target takes
+the maximum of the next state's row over the unvisited letters, and that
+maximum's letter is also the next step's greedy pick, which the next
+step takes unless it explores. The reuse is exact: a step writes
+only its own state's row, never the row of the letter it moves to, so
+the next state's row is unchanged when the next step reads it; and
+``max`` keeps the first of equal values, so among equal values it picks
+the lowest index, which is the lowest id (index order is id order), as
+``max`` by the key ``(q, -a)`` does. The last step, with one letter
+left, takes no maximum, but still makes its draw.
+
+Random numbers are drawn one at a time in the original order (per
+episode one ``integers`` for the instance; per step one ``random`` and,
+when exploring, one ``integers``) from the seed's pure-Python stream
 (``environment._Stream``), which draws what ``np.random.default_rng``'s
-``Generator`` draws bit for bit at a fraction of a scalar call's cost; so
-the table matches the straightforward ``Generator`` loop bit for bit
-(tests/test_ql_equivalence.py keeps that loop as the reference).
+``Generator`` draws bit for bit at a fraction of a scalar call's cost;
+so the table matches the straightforward ``Generator`` loop bit for bit
+(tests/test_ql_equivalence.py keeps that loop as the reference). The
+step's ``random() < eps`` is taken on the raw 64-bit output ``x``:
+``random()`` is ``(x >> 11) * 2**-53``, exact, so it is below ``eps``
+exactly when ``x >> 11 < ceil(eps * 2**53)``, that is when
+``x < ceil(eps * 2**53) << 11``, a threshold made once per episode.
+(``QTrainConfig`` keeps both epsilons in [0, 1], so the threshold is
+always a finite integer.)
 """
 
 from __future__ import annotations
@@ -71,6 +93,9 @@ class QTrainConfig:
             raise ConfigurationError("learning rate must be in (0, 1]")
         if not (0.0 <= self.discount <= 1.0):
             raise ConfigurationError("discount must be in [0, 1]")
+        for key in ("epsilon_start", "epsilon_end"):
+            if not 0.0 <= (value := getattr(self, key)) <= 1.0:
+                raise ConfigurationError(f"{key} must be in [0, 1], not {value}")
         if self.episodes < 0:
             raise ConfigurationError("episodes cannot be negative")
         if self.temperature < 0:
@@ -119,63 +144,70 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
     # strict: one demonstration and one cost scale per training instance
     for row, _, _ in zip(rows, demos, cost_scales, strict=True):
         totals.append(sum([profits[v] for v in row]))
+    # legs[s][a]: the leg from pool index s, or from the depot at s = -1,
+    # to pool index a
+    legs = [[math.hypot(x - hx, y - hy) for hx, hy in centers]
+            for x, y in centers + [depot]]
 
-    alpha = weights.weight_alpha
-    beta = weights.weight_beta
+    neg_alpha = -weights.weight_alpha
+    # beta * profit, per pool index
+    gains = [weights.weight_beta * p for p in profits]
     lr, discount = cfg.learning_rate, cfg.discount
-    # state -> {action: Q}, over pool indices; a missing row or entry is 0.0
-    table: dict[int, dict[int, float]] = {}
-    random, integers = rng.random, rng.integers
-    hypot = math.hypot
-    for ep in range(cfg.episodes):
-        if cfg.episodes > 1:
-            frac = ep / (cfg.episodes - 1)
-        else:
-            frac = 1.0
-        eps = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * frac
+    # q[s][a], with the depot's row last (s = -1); written[s] holds the
+    # entries of q[s] that an update wrote, and keys[s] reads q[s]
+    q = [[0.0] * len(hotspots) for _ in range(len(hotspots) + 1)]
+    written: list[dict[int, float]] = [{} for _ in q]
+    keys = [row.__getitem__ for row in q]
+    raw, integers = rng.raw, rng.integers
+    episodes, start = cfg.episodes, cfg.epsilon_start
+    spread, tolerance = cfg.epsilon_end - start, cfg.match_tolerance
+    for ep in range(episodes):
+        eps = start + spread * (ep / (episodes - 1) if episodes > 1 else 1.0)
+        # random() < eps, as a raw output below a threshold
+        explore = math.ceil(eps * 9007199254740992.0) << 11
         unvisited = list(rows[k := integers(len(rows))])
         cost_scale, total = cost_scales[k], totals[k]
         profit_scale = total if total > 0 else 1.0
-        row = table.setdefault(DEPOT_STATE, {})
-        x, y = depot
+        s = DEPOT_STATE
+        q_s = q[s]
+        if raw() < explore:
+            a = unvisited.pop(integers(len(unvisited)))
+        else:
+            a = max(unvisited, key=keys[s])
+            unvisited.remove(a)
         length = 0.0
         while unvisited:
-            if random() < eps:
-                action = unvisited[integers(len(unvisited))]
-            else:
-                # ascending scan keeping the first strict maximum: the
-                # lowest id among equal values, as max by key (q, -a)
-                action = unvisited[0]
-                best = row.get(action, 0.0)
-                for a in unvisited:
-                    v = row.get(a, 0.0)
-                    if v > best:
-                        best, action = v, a
-            hx, hy = centers[action]
-            leg = hypot(x - hx, y - hy)
+            leg = legs[s][a]
             length += leg
-            reward = (-alpha * leg / cost_scale
-                      + beta * profits[action] / profit_scale)
-            unvisited.remove(action)
-            next_row = table.setdefault(action, {})
-            if unvisited:
-                target = reward + discount * max(
-                    [next_row.get(a2, 0.0) for a2 in unvisited])
+            q_a = q[a]
+            # the greedy pick at a, which the next step takes unless it
+            # explores: no update writes row a before then
+            best = max(unvisited, key=keys[a])
+            target = (neg_alpha * leg / cost_scale + gains[a] / profit_scale
+                      + discount * q_a[best])
+            old = q_s[a]
+            written[s][a] = q_s[a] = old + lr * (target - old)
+            s, q_s = a, q_a
+            if raw() < explore:
+                a = unvisited.pop(integers(len(unvisited)))
             else:
-                back = hypot(hx - depot[0], hy - depot[1])
-                reward += -alpha * back / cost_scale
-                # every hotspot was visited, so the profit is the total
-                realized = objective_value(length + back, total, weights)
-                if abs(realized - demos[k].objective) <= cfg.match_tolerance * abs(demos[k].objective):
-                    reward += cfg.terminal_bonus
-                target = reward
-            old = row.get(action, 0.0)
-            row[action] = old + lr * (target - old)
-            row, x, y = next_row, hx, hy
+                a = best
+                unvisited.remove(a)
+        # the last letter: the return leg and, on a near-demonstration
+        # tour, the bonus; every hotspot was visited, so the profit is the
+        # total
+        leg, back = legs[s][a], legs[DEPOT_STATE][a]
+        target = (neg_alpha * leg / cost_scale + gains[a] / profit_scale
+                  + neg_alpha * back / cost_scale)
+        realized = objective_value(length + leg + back, total, weights)
+        if abs(realized - demos[k].objective) <= tolerance * abs(demos[k].objective):
+            target += cfg.terminal_bonus
+        old = q_s[a]
+        written[s][a] = q_s[a] = old + lr * (target - old)
     # each pool index becomes its id; the depot's state, -1, reads the
     # entry appended last
     ids = [h.id for h in hotspots] + [DEPOT_STATE]
-    return QTable(values={(ids[s], ids[a]): v for s, row in table.items()
+    return QTable(values={(ids[s], ids[a]): v for s, row in enumerate(written)
                           for a, v in row.items()},
                   letters={ids[v] for v in set().union(*rows)})
 

@@ -999,6 +999,18 @@ class TestCli:
                      ["gen-pool"], id="noise-process-scale-zero"),
         pytest.param('{"ql": {"learning_rate": 2}}', "config ql: learning",
                      ["gen-pool"], id="ql-learning-rate-2"),
+        pytest.param('{"m_training": 30, "seeds_per_size": 1, '
+                     '"test_sizes": [5], "ql": {"epsilon_start": 2.5}}',
+                     "config ql: epsilon_start must be in [0, 1], not 2.5",
+                     ["pipeline"], id="ql-epsilon-start-2.5"),
+        pytest.param('{"m_training": 30, "seeds_per_size": 1, '
+                     '"test_sizes": [5], "ql": {"epsilon_start": -0.5}}',
+                     "config ql: epsilon_start must be in [0, 1], not -0.5",
+                     ["pipeline"], id="ql-epsilon-start-negative"),
+        pytest.param('{"m_training": 30, "seeds_per_size": 1, '
+                     '"test_sizes": [5], "ql": {"epsilon_end": 1.5}}',
+                     "config ql: epsilon_end must be in [0, 1], not 1.5",
+                     ["pipeline"], id="ql-epsilon-end-1.5"),
         pytest.param('{"weights": {"weight_alpha": 0.5}}',
                      "config weights: weights", ["gen-pool"],
                      id="weights-not-summing-to-1"),

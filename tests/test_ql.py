@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uavplan.environment import edge_cost, sample_instance, sample_pool
-from uavplan.errors import TrainingError
+from uavplan.errors import ConfigurationError, TrainingError
 from uavplan.oracle import ObjectiveWeights, make_tour, solve
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_to_dict, train_q)
@@ -68,6 +68,23 @@ def value_iteration_two_letters(inst, demo, cfg):
     q[(DEPOT_STATE, a)] = step_reward(DEPOT_STATE, a) + cfg.discount * q[(a, b)]
     q[(DEPOT_STATE, b)] = step_reward(DEPOT_STATE, b) + cfg.discount * q[(b, a)]
     return q
+
+
+class TestQTrainConfig:
+    @pytest.mark.parametrize("key", ["epsilon_start", "epsilon_end"])
+    @pytest.mark.parametrize("value", [-0.5, -1e-300, 1.0000000000000002,
+                                       2.5, math.inf, math.nan])
+    def test_epsilon_outside_unit_interval_rejected(self, key, value):
+        """Each epsilon is a probability: a value outside [0, 1], NaN
+        included, is refused, naming the key."""
+        with pytest.raises(ConfigurationError,
+                           match=f"^{key} must be in \\[0, 1\\], not "):
+            QTrainConfig(**{key: value})
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 0.5, 1.0])
+    def test_epsilon_in_unit_interval_accepted(self, value):
+        cfg = QTrainConfig(epsilon_start=value, epsilon_end=value)
+        assert cfg.epsilon_start == cfg.epsilon_end == value
 
 
 class TestTrainQ:

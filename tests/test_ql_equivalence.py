@@ -283,6 +283,44 @@ def test_exact_demonstration_match(chan, mission):
     assert bonus_paid >= 20
 
 
+def test_entry_written_as_zero_is_kept(chan, mission):
+    """A zero-profit hotspot, at weights alpha 0 and beta 1, discount 0 and
+    learning rate 1, and no terminal bonus, earns a reward of exactly 0.0,
+    and the update writes 0.0: the table holds each pair into it with
+    value 0.0, as the reference's does, and the same keys and bits
+    throughout."""
+    w = WEIGHTS["0/1"]
+    rng = random.Random(29)
+    training = _training(rng, [3, 4, 5], w, chan, mission)
+    zero = training[0][0].hotspots[1]
+    training = [(Instance(hotspots=tuple(replace(h, profit_bps=0.0)
+                                         if h.id == zero.id else h
+                                         for h in inst.hotspots),
+                          depot_m=inst.depot_m, channel=chan,
+                          mission=mission, seed=inst.seed), None)
+                for inst, _ in training]
+    training = [(inst, solve(inst, w)) for inst, _ in training]
+    cfg = QTrainConfig(episodes=300, discount=0.0, learning_rate=1.0,
+                       match_tolerance=-1.0)
+    _assert_same_training(training, cfg, w, seed=2)
+    table = _train(training, cfg, w, 2)
+    zeros = [key for key, v in table.values.items() if key[1] == zero.id]
+    assert zeros and all(repr(table.values[key]) == "0.0" for key in zeros)
+
+
+@pytest.mark.parametrize("sizes", [[2, 2], [2, 7, 2, 3], [5, 2, 1, 8, 2]])
+def test_train_q_rows_of_unequal_lengths(chan, mission, sizes):
+    """Rows of unequal lengths over one pool, length 2 among them (one
+    step with a maximum, then the last step): the same table as the
+    reference's at every exploration schedule."""
+    w = WEIGHTS["0.9/0.1"]
+    rng = random.Random(str(sizes))
+    training = _training(rng, sizes, w, chan, mission)
+    for epsilon in EPSILONS.values():
+        cfg = QTrainConfig(episodes=500, **epsilon)
+        _assert_same_training(training, cfg, w, seed=len(sizes))
+
+
 def test_instance_scales_match_the_nearest_neighbor_tour(chan, mission):
     rng = random.Random(3)
     for n in range(1, 30):
@@ -322,6 +360,21 @@ def test_construct_word_matches_reference(chan, mission, temperature):
 
 
 # --- property ----------------------------------------------------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**64 - 1),
+       st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                 st.sampled_from([0.0, 5e-324, 2**-53, 1.0 - 2**-53, 1.0]),
+                 st.none()))
+def test_raw_threshold_matches_random(x, eps):
+    """``train_q``'s exploration test on a raw output: ``random()`` of
+    ``x``, ``(x >> 11) * 2**-53``, is below ``eps`` exactly when ``x`` is
+    below ``ceil(eps * 2**53) << 11``, for every eps in [0, 1]; None
+    stands for the float of ``x`` itself, where the two meet."""
+    if eps is None:
+        eps = (x >> 11) * 2**-53
+    assert ((x >> 11) * 2**-53 < eps) == (x < math.ceil(eps * 2**53) << 11)
+
 
 _coord = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 

@@ -1,14 +1,15 @@
 """Time the set-up stages of a commit and of the working tree, side by side.
 
-    python3 tools/setup_layers.py REF [--rounds N]
+    python3 tools/setup_layers.py REF [--rounds N] [--workload NAME]
 
 exports REF's ``src/`` into a temporary directory (``export_src`` of
 ``tools/same_outputs.py``), then runs N rounds (default 5) of two
 fresh processes, one on REF's source and one on the working tree's, in
 alternating order (REF first in even rounds). Each process builds the
-benchmark's train-large shape (``WORKLOADS["train-large"].config(3011, 0,
-out)`` of ``perfbench/workloads.py``, which is read, not edited: 20,000
-training instances of 5 of 50 hotspots) and runs the pipeline's set-up
+shape of the benchmark's workload NAME (``WORKLOADS[NAME].config(3011,
+0, out)`` of ``perfbench/workloads.py``, which is read, not edited):
+``train-large`` by default, 20,000 training instances of 5 of 50
+hotspots, or ``plan-large``, 5,000 of them. It runs the pipeline's set-up
 stages in order, as ``harness._stages`` yields them, into a new
 directory, stopping after the last of them, Q-learning. Each stage is
 timed with ``time.perf_counter`` from the previous yield to its own:
@@ -33,6 +34,7 @@ cannot be exported. Standard library only, besides the package it runs.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -61,14 +63,19 @@ FILES = {"pools": "pools.json",
 LAYERS = tuple(FILES)
 
 
-def _child(out: Path) -> dict:
+def _workloads() -> dict:
+    return _same_outputs.load_module(
+        ROOT / "perfbench" / "workloads.py").WORKLOADS
+
+
+def _child(out: Path, workload: str) -> dict:
     """Each set-up stage's (seconds, peak MB after it, file digest) on the
-    train-large shape, run on the ``uavplan`` that ``sys.path`` finds."""
+    shape of ``workload``, run on the ``uavplan`` that ``sys.path``
+    finds."""
     from uavplan import harness
 
-    workloads = _same_outputs.load_module(ROOT / "perfbench" / "workloads.py")
     cfg = harness.config_from_dict(
-        workloads.WORKLOADS["train-large"].config(3011, 0, str(out)))
+        _workloads()[workload].config(3011, 0, str(out)))
     out.mkdir()
     result = {}
     stages = harness._stages(cfg, out)
@@ -86,11 +93,12 @@ def _child(out: Path) -> dict:
     return result
 
 
-def _run(src: Path, out: Path) -> dict:
+def _run(src: Path, out: Path, workload: str) -> dict:
     """One child process on the package under ``src``."""
     done = subprocess.run(
-        [sys.executable, __file__, "--child", str(out)], capture_output=True,
-        text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        [sys.executable, __file__, "--child", str(out), workload],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
     return json.loads(done.stdout)
 
 
@@ -100,7 +108,7 @@ def _spread(seconds: list[float]) -> str:
     return f"{statistics.median(ms):8.1f} [{q1:.1f}, {q3:.1f}]"
 
 
-def setup_layers(ref: str, rounds: int) -> int:
+def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
     times = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
     peaks = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
     digests = {layer: set() for layer in LAYERS}
@@ -112,7 +120,8 @@ def setup_layers(ref: str, rounds: int) -> int:
         for r in range(rounds):
             for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
                 for layer, (seconds, peak, digest) in _run(
-                        sources[side], tmp / f"out-{side}-{r}").items():
+                        sources[side], tmp / f"out-{side}-{r}",
+                        workload).items():
                     times[side][layer].append(seconds)
                     peaks[side][layer].append(peak)
                     digests[layer].add(digest)
@@ -129,16 +138,22 @@ def setup_layers(ref: str, rounds: int) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--child":
-        print(json.dumps(_child(Path(argv[1]))))
+    if len(argv) == 3 and argv[0] == "--child":
+        print(json.dumps(_child(Path(argv[1]), argv[2])))
         return 0
-    if (len(argv) == 3 and argv[1] == "--rounds" and argv[2].isdigit()
-            and int(argv[2]) > 0):
-        return setup_layers(argv[0], int(argv[2]))
-    if len(argv) == 1:
-        return setup_layers(argv[0], 5)
-    print("usage: setup_layers.py REF [--rounds N]", file=sys.stderr)
-    return 2
+    parser = argparse.ArgumentParser(prog="setup_layers.py")
+    parser.add_argument("ref")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--workload", default="train-large",
+                        choices=sorted(_workloads()))
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse has printed its message
+        return e.code
+    if args.rounds < 1:
+        parser.print_usage(sys.stderr)
+        return 2
+    return setup_layers(args.ref, args.rounds, args.workload)
 
 
 if __name__ == "__main__":
