@@ -376,7 +376,7 @@ def _model_line(wm: WorldModel) -> str:
     line for the other keys. ``world_model.json``'s one line."""
     head = _canonical_json(model_to_dict(replace(wm, words=[], word_counts=[])))
     return head.removesuffix("]}") + ",".join(
-        '{"count":%d,"letters":[%s]}' % (c, ",".join(map(str, w.letters)))
+        '{"count":%d,"letters":[%s]}' % (c, ",".join(map(str, w)))
         for w, c in zip(wm.words, wm.word_counts)) + "]}"
 
 

@@ -54,11 +54,13 @@ previous step's word; and its predicted observation, the target mean
 moved by (0, d / v) with the observation covariance.
 
 Reference selection needs the exact minimum edit distance of each
-candidate to the dictionary. Stored words are repeat-free, so
-max(m, n) - |shared letters| bounds every distance from below; the
-world model's word index yields all bounds as one incidence-matrix
-product, computed once per distinct letter set, and only words whose
-bound can still beat the best distance found are scored. Only a distance
+candidate to the dictionary. A stored word is its letter tuple, which
+the world model checked once to be repeat-free (``world_model._build``),
+so max(m, n) - |shared letters| bounds every distance from below; the
+world model's word index (the stored words' lengths and letter
+incidence) yields all bounds as one incidence-matrix product, computed
+once per distinct letter set, and only stored words whose bound can
+still beat the best distance found are scored. Only a distance
 below the best candidate's so far can change the pick, as the earliest
 candidate wins ties, so that distance is the next candidate's cutoff
 (Ukkonen's threshold, *Algorithms for approximate string matching*,
@@ -91,7 +93,7 @@ import numpy as np
 from .environment import Instance, MissionConfig, _Stream
 from .errors import ConfigurationError, NumericError
 from .oracle import ObjectiveWeights, Tour, make_tour
-from .world_model import Word, WordIndex, WorldModel
+from .world_model import Word, WorldModel
 
 _SURPRISE_TIE = 1e-12
 _LENGTH_TIE = 1e-9
@@ -309,12 +311,13 @@ class _BoundScan:
     listed in stored order, each bound on first use.
     """
 
-    def __init__(self, letters: tuple, index: WordIndex, vocab: dict):
+    def __init__(self, letters: tuple, wm: WorldModel):
+        index, vocab = wm.word_index, wm.vocab
         rows = [vocab[l] for l in letters if l in vocab]
         self.bounds = (np.maximum(index.lengths, len(letters))
                        - index.incidence[rows].sum(axis=0, dtype=np.int32))
         self.lowest = int(self.bounds.min())
-        self.words = index.letters
+        self.words = wm.words
         self._levels: dict[int, list[int]] = {}
 
     def level(self, bound: int) -> list[int]:
@@ -392,7 +395,6 @@ def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
         raise ConfigurationError("no candidate words to select from")
     if not wm.words:
         raise ConfigurationError("world model has no stored words")
-    index = wm.word_index
     scans: dict[frozenset[int], _BoundScan] = {}
     seen: set[tuple] = set()
     best, best_d = None, None
@@ -404,7 +406,7 @@ def select_reference(candidates: Sequence[Word], wm: WorldModel) -> Word:
         key = frozenset(letters)
         scan = scans.get(key)
         if scan is None:
-            scan = scans[key] = _BoundScan(letters, index, wm.vocab)
+            scan = scans[key] = _BoundScan(letters, wm)
         d = _min_dictionary_distance(letters, scan, best_d)
         if d is not None:
             best, best_d = cand, d

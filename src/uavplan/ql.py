@@ -69,7 +69,8 @@ from typing import Sequence
 import numpy as np
 
 from .environment import Hotspot, Instance, Point, _Stream, edge_cost
-from .errors import ConfigurationError, ConsistencyError, TrainingError
+from .errors import (ConfigurationError, ConsistencyError, NumericError,
+                     TrainingError)
 from .oracle import ObjectiveWeights, Tour, objective_value
 from .world_model import Word
 
@@ -222,7 +223,9 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     the surprise planner does. The softmax weights are numpy's ``exp``;
     each letter is the one ``Generator.choice(len(w), p=w / w.sum())``
     would draw for them, drawn by the seed's stream
-    (``environment._Stream.choice``).
+    (``environment._Stream.choice``). A row that is not finite, which a
+    huge bonus or a tiny temperature gives, is a numeric error naming
+    those keys; numpy's warnings on the way to it are not printed.
     """
     rng = _Stream(rng_seed)
     diag = math.hypot(inst.mission.area_side_m, inst.mission.area_side_m)
@@ -238,26 +241,33 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
     pos = inst.depot_m
     unvisited = sorted(centers)
     order: list[int] = []
-    while unvisited:
-        scores = []
-        hint = first_ref if state == DEPOT_STATE else succ.get(state)
-        for a in unvisited:
-            if a in q.letters:
-                s = q.q(state, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while unvisited:
+            scores = []
+            hint = first_ref if state == DEPOT_STATE else succ.get(state)
+            for a in unvisited:
+                if a in q.letters:
+                    s = q.q(state, a)
+                else:
+                    s = -edge_cost(pos, centers[a]) / diag
+                if hint == a:
+                    s += cfg.reference_bonus
+                scores.append(s)
+            if cfg.temperature <= 1e-9:
+                k = int(np.argmax(scores))
             else:
-                s = -edge_cost(pos, centers[a]) / diag
-            if hint == a:
-                s += cfg.reference_bonus
-            scores.append(s)
-        if cfg.temperature <= 1e-9:
-            k = int(np.argmax(scores))
-        else:
-            arr = np.array(scores) / cfg.temperature
-            arr -= arr.max()
-            k = rng.choice(np.exp(arr).tolist())
-        action = unvisited.pop(k)
-        order.append(action)
-        state, pos = action, centers[action]
+                arr = np.array(scores) / cfg.temperature
+                arr -= arr.max()
+                k = rng.choice(np.exp(arr).tolist())
+                if k is None:
+                    raise NumericError(
+                        "MQL's softmax row is not finite: its scores over "
+                        f"ql.temperature {cfg.temperature} overflow, at "
+                        f"ql.terminal_bonus {cfg.terminal_bonus} and "
+                        f"ql.reference_bonus {cfg.reference_bonus}")
+            action = unvisited.pop(k)
+            order.append(action)
+            state, pos = action, centers[action]
     return Word.from_letters(order)
 
 

@@ -12,11 +12,16 @@ transition matrices) is kept in tests/world_model_oracles.py, which the
 tests check ``merge_global`` against.
 
 Learning is a pure function of the demonstration multiset: permuting the
-demos yields an identical model, including its serialized bytes. A word
-made of a tour whose order holds only Python ints shares that tuple, so
-the training set's tours can be freed while the words live on; the word
-index (``WordIndex``) maps letters to rows through the vocabulary dict,
-never through an array indexed by letter, since a letter is any int.
+demos yields an identical model, including its serialized bytes. A stored
+word is its letter tuple, of Python ints, in one form from ``learn``
+through ``world_model.json`` and ``model_from_dict`` to the word index;
+``_build`` is the one place that checks it (at least two letters, none
+repeated, a count of at least 1). A word made of a tour whose order holds
+only Python ints is that tuple, so the training set's tours can be freed
+while the words live on; the word index (``WordIndex``) maps letters to
+rows through the vocabulary dict, never through an array indexed by
+letter, since a letter is any int. ``Word`` is the planner's and
+Q-learning's type, for the words they make.
 
 ``world_model.json`` (``uavplan.world_model.v3``) stores only what
 the demonstrations and the pool give and nothing else determines: the
@@ -36,9 +41,9 @@ stored word (``_StoredWord``: letters and count, JSON integers) and each
 letter's sources (``_LetterSources``: a center of two JSON numbers and a
 mean profit), keyed by the ``str`` of the letter. A mistyped, unknown or
 missing key is refused naming its dotted key (``words.3.count``,
-``letters.7.center_m``, ``noise_config.process_scale``), and a stored word
-that repeats a letter naming its index and letters; ``_build`` then
-refuses sources that contradict each other (such as a stored word's
+``letters.7.center_m``, ``noise_config.process_scale``); ``_build`` then
+refuses a stored word that repeats a letter, naming its index and
+letters, and sources that contradict each other (such as a stored word's
 letter without statistics, or statistics of a letter that no stored
 word holds), and a noise config whose
 noise matrices, at the stored means, are not finite or, for a non-zero
@@ -46,8 +51,8 @@ mean, underflow below the smallest normal float. So ``model_to_dict``
 gives back every file that ``model_from_dict`` accepts: its words,
 letters, means and noise config, with a noise key that the file leaves
 out at its default. A stored word's letters, all Python ints, are read
-in one step. ``harness`` writes the file without this module's dicts per
-word (``harness._model_line``);
+in one step, as the tuple the model stores. ``harness`` writes the file
+without this module's dicts per word (``harness._model_line``);
 ``model_to_dict`` gives the same object, the one ``uavplan plan --model``
 reads.
 """
@@ -72,7 +77,9 @@ WORLD_MODEL_SCHEMA = "uavplan.world_model.v3"
 
 @dataclass(frozen=True)
 class Word:
-    """An ordered visitation sequence: a tuple of distinct letters."""
+    """An ordered visitation sequence that the planner or Q-learning
+    makes: a tuple of distinct letters. A stored word is its letter tuple
+    alone (``WorldModel.words``)."""
 
     letters: tuple[int, ...]
 
@@ -113,17 +120,18 @@ class TransitionMatrix:
                 raise ConsistencyError(f"inactive row {k} has mass")
 
 
-def word_from_tour(t: Tour) -> Word:
-    """Transcribe a tour's visitation order; the depot is not a letter. An
-    order of Python ints is the word's letters, shared, not copied."""
+def word_from_tour(t: Tour) -> tuple[int, ...]:
+    """Transcribe a tour's visitation order as a stored word, its letter
+    tuple; the depot is not a letter. An order of Python ints is that
+    tuple, shared, not copied. ``_build`` checks the word."""
     if len(t.order) < 2:
         raise DegenerateWordError("a word needs at least two visited vertices")
     if type(t.order) is tuple and set(map(type, t.order)) == {int}:
-        return Word(t.order)
-    return Word.from_letters(t.order)
+        return t.order
+    return tuple(map(int, t.order))
 
 
-def merge_global(words: Sequence[Word], vocab: dict[int, int],
+def merge_global(words: Sequence[tuple[int, ...]], vocab: dict[int, int],
                  multiplicities: Sequence[int]) -> TransitionMatrix:
     """Pool transition counts across words, then row-normalize; letter l
     owns row and column ``vocab[l]``.
@@ -134,8 +142,7 @@ def merge_global(words: Sequence[Word], vocab: dict[int, int],
     """
     pairs: dict[tuple[int, int], int] = {}
     for w, m in zip(words, multiplicities):
-        letters = w.letters
-        for pair in zip(letters, letters[1:]):
+        for pair in zip(w, w[1:]):
             pairs[pair] = pairs.get(pair, 0) + m
     counts = np.zeros((len(vocab), len(vocab)))
     # each count is summed as an int and written once; below 2**53 it is
@@ -188,11 +195,12 @@ class NoiseConfig:
 class WorldModel:
     """Letter vocabulary, stored words, global transitions and noise terms.
     ``vocab`` maps each letter, ascending, to its row of the transition
-    matrix and of the word index."""
+    matrix and of the word index. Each stored word is its letter tuple,
+    of Python ints (``learn`` lists them ascending)."""
 
     vocab: dict[int, int]
     stats: dict[int, LetterStats]
-    words: list[Word]
+    words: list[tuple[int, ...]]
     word_counts: list[int]
     transition: TransitionMatrix
     process_noise: np.ndarray
@@ -219,7 +227,8 @@ class WorldModel:
 
 @dataclass(frozen=True)
 class WordIndex:
-    """The stored words in a form for bounding edit distances in bulk.
+    """The stored words' lengths and letters in a form for bounding edit
+    distances in bulk; the words themselves are the model's.
 
     ``incidence[vocab[letter], k]`` is 1 when stored word k contains
     ``letter``, ``vocab`` being the model's letter map. Rows are letters
@@ -228,20 +237,18 @@ class WordIndex:
     candidate's 0/1 letter vector, is a sum of contiguous rows.
     """
 
-    letters: tuple[tuple[int, ...], ...]
     lengths: np.ndarray      # int64, one per word
     incidence: np.ndarray    # uint8, vocabulary x words
 
     @classmethod
-    def build(cls, words: Sequence[Word], vocab: dict) -> "WordIndex":
-        letters = tuple(w.letters for w in words)
-        lengths = np.fromiter(map(len, letters), np.int64, len(letters))
+    def build(cls, words: Sequence[tuple[int, ...]], vocab: dict) -> "WordIndex":
+        lengths = np.fromiter(map(len, words), np.int64, len(words))
         # each letter's row, streamed through ``vocab``: a letter may be
         # any int, so no array is indexed by letter
-        rows = np.fromiter(map(vocab.__getitem__, chain(*letters)), np.intp)
-        incidence = np.zeros((len(vocab), len(letters)), np.uint8)
-        incidence[rows, np.repeat(np.arange(len(letters)), lengths)] = 1
-        return cls(letters=letters, lengths=lengths, incidence=incidence)
+        rows = np.fromiter(map(vocab.__getitem__, chain(*words)), np.intp)
+        incidence = np.zeros((len(vocab), len(words)), np.uint8)
+        incidence[rows, np.repeat(np.arange(len(words)), lengths)] = 1
+        return cls(lengths=lengths, incidence=incidence)
 
 
 @dataclass(frozen=True)
@@ -273,16 +280,18 @@ class _ModelFile:
     noise_config: NoiseConfig
 
 
-def _build(letters: dict[int, _LetterSources], words: list[Word],
+def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
            counts: list[int], mean_profit_bps: float,
            mean_leg_time_s: float, noise: NoiseConfig) -> WorldModel:
     """The model that its sources determine: each letter's center and mean
     profit (``letters``), the stored words with their counts, the two
     training means and the noise config. Derives the vocabulary (the
     words' letters, ascending, each mapped to its row), the start counts,
-    the transitions and both noise matrices (see ``NoiseConfig``). Refuses
-    sources that ``learn`` never gives: a stored word of fewer than two
-    letters or a count below 1, a letter without statistics, statistics
+    the transitions and both noise matrices (see ``NoiseConfig``). The one
+    check of a stored word, for ``learn`` and ``model_from_dict`` alike:
+    refuses sources that ``learn`` never gives, a stored word that
+    repeats a letter, of fewer than two letters or with a count below 1,
+    a letter without statistics, statistics
     of a letter that no stored word holds, a mean or a noise matrix that
     is not finite, and a noise matrix whose entry for a non-zero mean
     underflows below the smallest normal float."""
@@ -292,14 +301,15 @@ def _build(letters: dict[int, _LetterSources], words: list[Word],
             f"{mean_leg_time_s} must be finite")
     started: dict[int, int] = {}
     for k, (w, c) in enumerate(zip(words, counts)):
+        if len(set(w)) != len(w):
+            raise ConsistencyError(f"word {k} {list(w)}: repeated letter in word")
         if len(w) < 2 or c < 1:
             raise ConsistencyError(
-                f"word {k} has letters {list(w.letters)} and count {c}; a "
+                f"word {k} has letters {list(w)} and count {c}; a "
                 "stored word has at least two letters and a count of at "
                 "least 1")
-        started[w.letters[0]] = started.get(w.letters[0], 0) + c
-    vocab = {l: k for k, l in
-             enumerate(sorted({l for w in words for l in w.letters}))}
+        started[w[0]] = started.get(w[0], 0) + c
+    vocab = {l: k for k, l in enumerate(sorted({l for w in words for l in w}))}
     if letters.keys() != vocab.keys():
         raise ConsistencyError(
             f"stored words name letters {sorted(vocab.keys() - letters)} that "
@@ -346,37 +356,34 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
     deduplicated with multiplicities; per-letter profit statistics come
     from the pool entries the demos visited. The result depends only on
     the demo multiset, never on its ordering. Each distinct order is
-    made a word, and so validated, once (``word_from_tour``), at its
-    first demonstration; a demonstration of fewer than two hotspots is
-    refused, naming the first by its index.
+    made a word once (``word_from_tour``), at its first demonstration; a
+    demonstration of fewer than two hotspots is refused, naming the first
+    by its index.
     """
     if not demos:
         raise TrainingError("no demonstrations to learn from")
     by_id = {h.id: h for h in pool}
 
-    # each distinct order's word, the smallest cost among its
-    # demonstrations (identical words imply identical geometry, so
-    # accumulation order cannot matter), and how often it repeats
-    words: dict[tuple[int, ...], Word] = {}
-    word_cost: dict[tuple[int, ...], float] = {}
-    repeats: dict[tuple[int, ...], int] = {}
+    # each distinct order's word, mapped to how many demonstrations have
+    # it and to the smallest cost among them (identical words imply
+    # identical geometry, so accumulation order cannot matter)
+    tally: dict[tuple[int, ...], int] = {}
+    cost: dict[tuple[int, ...], float] = {}
     for k, t in enumerate(demos):
-        key = t.order
-        if key in words:
-            repeats[key] = repeats.get(key, 0) + 1
-            word_cost[key] = min(word_cost[key], t.total_cost_m)
-            continue
-        try:
-            words[key] = word_from_tour(t)
-        except DegenerateWordError as e:
-            raise DegenerateWordError(
-                f"demonstration {k}, order {list(t.order)}: {e}; the oracle "
-                "keeps a hotspot only where its profit pays for its detour "
-                "under the config's weights") from None
-        word_cost[key] = t.total_cost_m
+        if t.order not in tally:
+            try:
+                word = word_from_tour(t)
+            except DegenerateWordError as e:
+                raise DegenerateWordError(
+                    f"demonstration {k}, order {list(t.order)}: {e}; the "
+                    "oracle keeps a hotspot only where its profit pays for "
+                    "its detour under the config's weights") from None
+            tally[word], cost[word] = 0, t.total_cost_m
+        tally[t.order] += 1
+        cost[t.order] = min(cost[t.order], t.total_cost_m)
 
-    keys = sorted(words)
-    counts = [1 + repeats.get(k, 0) for k in keys]
+    keys = sorted(tally)
+    counts = [tally[k] for k in keys]
 
     letters = sorted({l for k in keys for l in k})
     for l in letters:
@@ -396,12 +403,12 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
             profit_sum[l] += c * p
             total_profit += c * p
             total_visits += c
-        total_cost += c * word_cost[k]
+        total_cost += c * cost[k]
         total_legs += c * (len(k) + 1)
 
     return _build({l: _LetterSources(by_id[l].center_m, profit_sum[l] / occ[l])
                    for l in letters},
-                  [words[k] for k in keys], counts,
+                  keys, counts,
                   total_profit / total_visits,
                   total_cost / total_legs / mission.uav_speed_m_per_s, noise)
 
@@ -413,7 +420,7 @@ def model_to_dict(wm: WorldModel) -> dict:
     the letter statistics too, and is reported as such."""
     return {
         "schema": WORLD_MODEL_SCHEMA,
-        "words": [{"letters": list(w.letters), "count": c}
+        "words": [{"letters": list(w), "count": c}
                   for w, c in zip(wm.words, wm.word_counts)],
         "letters": {
             str(l): {"center_m": list(s.center_m),
@@ -431,12 +438,7 @@ def model_from_dict(d: dict) -> WorldModel:
     the one checked reader (``_ModelFile``)."""
     read = _record_from_dict(_ModelFile, WORLD_MODEL_SCHEMA, "world model", d,
                              required=True)
-    words = []
-    for k, w in enumerate(read.words):
-        try:
-            words.append(Word(w.letters))
-        except ConsistencyError as e:
-            raise ConsistencyError(f"word {k} {list(w.letters)}: {e}") from None
-    return _build(read.letters, words, [w.count for w in read.words],
+    return _build(read.letters, [w.letters for w in read.words],
+                  [w.count for w in read.words],
                   read.mean_profit_bps, read.mean_leg_time_s,
                   read.noise_config)

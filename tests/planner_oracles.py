@@ -140,7 +140,7 @@ def rollout(word: Word, ctx: PlanContext,
         return b
     b = _advance(b, leg_length(ctx, None, letters[0]),
                  ctx.profits[letters[0]], ctx.mission.dwell_time_s, ctx)
-    for gl in glyphs(word):
+    for gl in glyphs(letters):
         b = kalman_predict(b, gl, ctx)
     return _advance(b, leg_length(ctx, letters[-1], None), 0.0, 0.0, ctx)
 

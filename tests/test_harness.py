@@ -627,7 +627,7 @@ class TestHeadedJsonl:
         sources = {l: world_model._LetterSources(
             (float(k), -0.5 * k), profits[k % len(profits)])
             for k, l in enumerate(letters)}
-        wm = world_model._build(sources, [Word(tuple(w)) for w in words],
+        wm = world_model._build(sources, [tuple(w) for w in words],
                                 counts[:len(words)], *means, noise)
         assert _model_line(wm) == _canonical_json(
             world_model.model_to_dict(wm))
@@ -718,6 +718,36 @@ class TestHeadedJsonl:
         run_pipeline(small_config(tmp_path / "o", test_sizes=(5,),
                                   seeds_per_size=1), "eval")
         assert sorted(refs) == ["rows", "tour"] and alive == []
+
+    def test_no_word_object_is_built_for_the_world_model(self, tmp_path,
+                                                         monkeypatch):
+        """A stored word is its letter tuple: a run up to the world model,
+        and reading its ``world_model.json`` back, build no ``Word``, and
+        both models hold the same tuples of Python ints."""
+        built = []
+        real = Word.__post_init__
+
+        def counted(word):
+            built.append(word)
+            real(word)
+
+        learned = []
+
+        def learn(*args):
+            learned.append(world_model.learn(*args))
+            return learned[-1]
+
+        monkeypatch.setattr(Word, "__post_init__", counted)
+        monkeypatch.setattr(harness, "learn", learn)
+        cfg = small_config(tmp_path / "w")
+        run_pipeline(cfg, "world")
+        read = world_model.model_from_dict(json.loads(
+            (tmp_path / "w" / "world_model.json").read_text()))
+        assert built == []
+        assert read.words == learned[0].words
+        for wm in (learned[0], read):
+            assert all(type(w) is tuple and set(map(type, w)) == {int}
+                       for w in wm.words)
 
     def test_no_instance_is_built_for_the_training_set(self, tmp_path,
                                                        monkeypatch):
@@ -1762,6 +1792,32 @@ class TestCli:
                      id="depot-1e308")]
     SMALL_RUN = ["--m-training", "20", "--test-sizes", "5",
                  "--seeds-per-size", "1"]
+
+    @pytest.mark.parametrize("key", ["terminal_bonus", "reference_bonus"])
+    def test_a_huge_mql_bonus_exits_3(self, tmp_path, key):
+        """A ``ql`` bonus of 1e308, over the temperature, overflows MQL's
+        softmax: a 30-demo pipeline exits 3 with one ``numeric error:``
+        line naming the temperature and both bonuses, and prints no
+        traceback and no numpy warning. Run in a process of its own, so
+        that stderr is what a user sees."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"m_training": 30, "ql": {key: 1e308}}))
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "uavplan.cli", "pipeline", "--config",
+             str(cfg_path), "--out", str(tmp_path / "out"), "--test-sizes",
+             "5", "--seeds-per-size", "1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 3, result.stderr[-2000:]
+        err = result.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            "numeric error: MQL's softmax row is not finite"), err
+        for named in (f"ql.{key} 1e+308", "ql.terminal_bonus",
+                      "ql.reference_bonus", "ql.temperature 0.2"):
+            assert named in err[0]
+        assert "Traceback" not in result.stderr
+        assert "RuntimeWarning" not in result.stderr
 
     @pytest.mark.parametrize("config,code,named", COORDINATE_SCALES)
     def test_oracle_ends_at_any_coordinate_scale(self, tmp_path, config,

@@ -198,7 +198,7 @@ class TestGenerateWords:
 class TestSelectReference:
     def test_exact_dictionary_match_wins(self, trained):
         _, _, _, wm = trained
-        stored = wm.words[0]
+        stored = Word(wm.words[0])
         shuffled = Word.from_letters(tuple(reversed(stored.letters)))
         assert select_reference([shuffled, stored], wm) is stored
 
@@ -243,7 +243,7 @@ class TestSelectReferenceAgainstBruteForce:
             keys = sorted(words) if trial % 2 else list(words)
             vocab = letter_rows(l for k in keys for l in k)
             world = replace(wm, vocab=vocab,
-                            words=[Word.from_letters(k) for k in keys],
+                            words=keys,
                             word_counts=[1] * len(keys))
             # letters up to 4 past the alphabet are unknown to the dictionary
             wider = np.arange(len(alphabet) + 4)

@@ -6,8 +6,9 @@ candidate, step and plan classes they build, some docstrings, how
 ``ref_enumerate_insertions`` builds a spliced word from its letters,
 that ``ref_insert_best`` shifts a belief with the test-side ``shifted``
 and measures legs and words with the test-side ``leg_length`` and
-``word_length_m``, and that ``ref_complete`` gives its plan the context
-it planned in differ):
+``word_length_m``, that ``ref_complete`` gives its plan the context
+it planned in, and that ``ref_min_dictionary_distance`` reads the bounds
+and the stored words from the model differ):
 
 - ``ref_insert_best`` builds a spliced ``Word``, a copied candidate and a
   shifted belief for every candidate and breaks ties on the candidates'
@@ -56,7 +57,7 @@ from uavplan.planner import (_LENGTH_TIE, _SURPRISE_TIE, GaussianBelief,
                              _next_novel, _splice, classify_letters,
                              generate_words, insert_best, levenshtein,
                              plan_mission, plan_to_dict, select_reference)
-from uavplan.world_model import (NoiseConfig, Word, WordIndex, WorldModel,
+from uavplan.world_model import (NoiseConfig, Word, WorldModel,
                                  learn, model_from_dict, model_to_dict)
 
 from planner_oracles import (NOVEL, candidate_word, enumerate_insertions,
@@ -190,13 +191,13 @@ def ref_levenshtein(a: tuple, b: tuple, cutoff: int | None = None) -> int:
     return prev[-1]
 
 
-def ref_min_dictionary_distance(letters: tuple, index: WordIndex,
-                                vocab: dict[int, int]) -> int:
+def ref_min_dictionary_distance(letters: tuple, wm: WorldModel) -> int:
     m = len(letters)
-    rows = [vocab[l] for l in letters if l in vocab]
+    index = wm.word_index
+    rows = [wm.vocab[l] for l in letters if l in wm.vocab]
     bounds = (np.maximum(index.lengths, m)
               - index.incidence[rows].sum(axis=0, dtype=np.int32))
-    words = index.letters
+    words = wm.words
     best: int | None = None
     level = int(bounds.min())
     while best is None or level < best:
@@ -216,12 +217,10 @@ def ref_select_reference(candidates, wm: WorldModel) -> Word:
         raise ConfigurationError("no candidate words to select from")
     if not wm.words:
         raise ConfigurationError("world model has no stored words")
-    index = wm.word_index
     best = candidates[0]
-    best_d = ref_min_dictionary_distance(candidates[0].letters, index,
-                                         wm.vocab)
+    best_d = ref_min_dictionary_distance(candidates[0].letters, wm)
     for cand in candidates[1:]:
-        d = ref_min_dictionary_distance(cand.letters, index, wm.vocab)
+        d = ref_min_dictionary_distance(cand.letters, wm)
         if d < best_d:
             best, best_d = cand, d
     return best
@@ -512,7 +511,7 @@ def test_select_reference_picks_the_references_candidate(world, drawn):
     stored, cands = drawn
     keys = list(dict.fromkeys(tuple(w) for w in stored))
     wm = replace(world[1], vocab=letter_rows(l for k in keys for l in k),
-                 words=[Word.from_letters(k) for k in keys],
+                 words=keys,
                  word_counts=[1] * len(keys))
     words = [Word.from_letters(c) for c in cands]
     assert select_reference(words, wm) is ref_select_reference(words, wm)
@@ -522,7 +521,7 @@ def _with_dictionary(wm: WorldModel, stored) -> WorldModel:
     """``wm`` with the distinct words of ``stored`` as its dictionary."""
     keys = list(dict.fromkeys(tuple(w) for w in stored))
     return replace(wm, vocab=letter_rows(l for k in keys for l in k),
-                   words=[Word.from_letters(k) for k in keys],
+                   words=keys,
                    word_counts=[1] * len(keys))
 
 
@@ -554,7 +553,7 @@ def test_min_dictionary_distance_below_a_cutoff(world, drawn):
     wm = _with_dictionary(world[1], stored)
     letters = tuple(letters)
     exact = min(levenshtein(letters, w) for w in wm.words)
-    scan = _BoundScan(letters, wm.word_index, wm.vocab)
+    scan = _BoundScan(letters, wm)
     got = _min_dictionary_distance(letters, scan, below)
     assert got == (exact if below is None or exact < below else None)
 
@@ -700,8 +699,7 @@ def uncut_select_reference(candidates, wm: WorldModel) -> Word:
         key = frozenset(cand.letters)
         scan = scans.get(key)
         if scan is None:
-            scan = scans[key] = _BoundScan(cand.letters, wm.word_index,
-                                           wm.vocab)
+            scan = scans[key] = _BoundScan(cand.letters, wm)
         d = _min_dictionary_distance(cand.letters, scan, None)
         if best_d is None or d < best_d:
             best, best_d = cand, d

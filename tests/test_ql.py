@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from uavplan.environment import edge_cost, sample_instance, sample_pool
-from uavplan.errors import ConfigurationError, TrainingError
+from uavplan.errors import ConfigurationError, NumericError, TrainingError
 from uavplan.oracle import ObjectiveWeights, make_tour, solve
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_to_dict, train_q)
@@ -218,6 +219,27 @@ class TestConstructWord:
             count = sum(1 for f in firsts if f == letter)
             sigma = math.sqrt(n * p[idx] * (1 - p[idx]))
             assert abs(count - n * p[idx]) <= 3 * sigma
+
+    @pytest.mark.parametrize("key", ["terminal_bonus", "reference_bonus"])
+    def test_a_row_that_is_not_finite_is_a_numeric_error(self, make_instance,
+                                                          key):
+        """A score that overflows over the temperature (a Q-value that a
+        terminal bonus of 1e308 trains, or the reference's bonus of 1e308)
+        makes the softmax row NaN: that is a numeric error naming the
+        temperature and both bonuses, with no numpy warning."""
+        inst = make_instance([(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)])
+        table = QTable(values={(DEPOT_STATE, 2): 1e308 if key ==
+                               "terminal_bonus" else 0.3},
+                       letters={1, 2, 3})
+        cfg = QTrainConfig(episodes=0, **{key: 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=(
+                    r"^MQL's softmax row is not finite: its scores over "
+                    r"ql.temperature 0.2 overflow, at ql.terminal_bonus .* "
+                    r"and ql.reference_bonus ")):
+                construct_word(table, Word.from_letters([2, 1, 3]), inst, 0,
+                               cfg)
 
     def test_deterministic_under_seed(self, make_instance):
         inst = make_instance([(100.0, 0.0), (200.0, 50.0), (50.0, 300.0)])

@@ -32,24 +32,25 @@ def random_words(rng, vocab_letters, n_words, max_len=6):
         k = int(rng.integers(2, max_len + 1))
         letters = rng.choice(vocab_letters, size=min(k, len(vocab_letters)),
                              replace=False)
-        words.append(Word.from_letters([int(x) for x in letters]))
+        words.append(tuple(int(x) for x in letters))
     return words
 
 
 class TestWord:
     def test_from_letters_chains(self):
         w = Word.from_letters([3, 7, 9])
-        assert glyphs(w) == (GeneralizedLetter(3, 7), GeneralizedLetter(7, 9))
+        assert glyphs(w.letters) == (GeneralizedLetter(3, 7),
+                                     GeneralizedLetter(7, 9))
         assert w.letters == (3, 7, 9)
 
     def test_minimal_word(self):
         w = Word.from_letters([4, 5])
-        assert glyphs(w) == (GeneralizedLetter(4, 5),)
+        assert glyphs(w.letters) == (GeneralizedLetter(4, 5),)
         assert len(w) == 2
 
     def test_single_letter_word(self):
         w = Word.from_letters([8])
-        assert glyphs(w) == () and w.letters == (8,)
+        assert glyphs(w.letters) == () and w.letters == (8,)
 
     def test_empty_word(self):
         w = Word.from_letters([])
@@ -70,7 +71,7 @@ class TestWord:
         trip give an equal word, and any list with a repeated letter is
         rejected."""
         w = Word.from_letters(letters)
-        g = glyphs(w)
+        g = glyphs(w.letters)
         assert all(g[i].edge_to == g[i + 1].start for i in range(len(g) - 1))
         assert [x.start for x in g] + letters[-1:] == letters
         again = Word.from_letters(w.letters)
@@ -87,7 +88,7 @@ class TestWordFromTour:
     def test_direct_transcription(self, make_instance, default_weights):
         inst = make_instance([(1, 0), (2, 0), (3, 0)], ids=[3, 7, 9])
         t = make_tour([3, 7, 9], inst, default_weights)
-        assert word_from_tour(t).letters == (3, 7, 9)
+        assert word_from_tour(t) == (3, 7, 9)
 
     def test_two_vertex_tour(self, make_instance, default_weights):
         inst = make_instance([(1, 0), (2, 0)], ids=[4, 6])
@@ -100,13 +101,13 @@ class TestWordFromTour:
             word_from_tour(make_tour([1], inst, default_weights))
 
     def test_an_order_of_ints_is_shared(self, make_instance, default_weights):
-        """A tour's order of Python ints becomes the word's letters without
-        a copy; any other order is copied as Python ints."""
+        """A tour's order of Python ints becomes the stored word without a
+        copy; any other order is copied as Python ints."""
         inst = make_instance([(1, 0), (2, 0), (3, 0)], ids=[3, 7, 9])
         t = make_tour([3, 7, 9], inst, default_weights)
-        assert word_from_tour(t).letters is t.order
+        assert word_from_tour(t) is t.order
         for order in ([3, 7, 9], (np.int64(3), 7, 9), (True, 7, 9)):
-            letters = word_from_tour(Tour(order, 1.0, 1.0, 0.0)).letters
+            letters = word_from_tour(Tour(order, 1.0, 1.0, 0.0))
             assert letters == (int(order[0]), 7, 9)
             assert list(map(type, letters)) == [int] * 3
 
@@ -114,14 +115,14 @@ class TestWordFromTour:
 class TestMatrices:
     def test_adjacency_definition(self):
         vocab = letter_rows([1, 2, 3])
-        a = adjacency(Word.from_letters([1, 2, 3]), vocab)
+        a = adjacency((1, 2, 3), vocab)
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 2] = 1.0
         assert np.array_equal(a, expected)
 
     def test_adjacency_empty_word(self):
         vocab = letter_rows([1, 2, 3])
-        assert np.array_equal(adjacency(Word.from_letters([]), vocab),
+        assert np.array_equal(adjacency((), vocab),
                               np.zeros((3, 3)))
 
     def test_degree_matches_adjacency_row_sums(self):
@@ -135,7 +136,7 @@ class TestMatrices:
 
     def test_degree_example(self):
         vocab = letter_rows([1, 2, 3])
-        d = degree(Word.from_letters([1, 2, 3]), vocab)
+        d = degree((1, 2, 3), vocab)
         assert np.array_equal(np.diag(d), [1.0, 1.0, 0.0])
 
     def test_degree_trace_counts_glyphs(self):
@@ -146,7 +147,7 @@ class TestMatrices:
 
     def test_chain_word_rows_one_hot(self):
         vocab = letter_rows([1, 2, 3, 4])
-        tm = word_transition(Word.from_letters([2, 4, 1]), vocab)
+        tm = word_transition((2, 4, 1), vocab)
         ix = vocab.__getitem__
         assert tm.active[ix(2)] and tm.active[ix(4)]
         assert not tm.active[ix(1)] and not tm.active[ix(3)]
@@ -155,7 +156,7 @@ class TestMatrices:
 
     def test_empty_word_all_rows_flagged(self):
         vocab = letter_rows([1, 2])
-        tm = word_transition(Word.from_letters([]), vocab)
+        tm = word_transition((), vocab)
         assert not tm.active.any()
 
     def test_active_rows_sum_to_one(self):
@@ -183,8 +184,8 @@ class TestMatrices:
 class TestMergeGlobal:
     def test_two_branches_split_evenly(self):
         vocab = letter_rows([1, 2, 3])
-        tm = merge_global([Word.from_letters([1, 2]),
-                           Word.from_letters([1, 3])], vocab, [1, 1])
+        tm = merge_global([(1, 2),
+                           (1, 3)], vocab, [1, 1])
         assert tm.probs[vocab[1], vocab[2]] == pytest.approx(0.5)
         assert tm.probs[vocab[1], vocab[3]] == pytest.approx(0.5)
 
@@ -199,8 +200,8 @@ class TestMergeGlobal:
 
     def test_multiplicities_weight_counts(self):
         vocab = letter_rows([1, 2, 3])
-        tm = merge_global([Word.from_letters([1, 2]),
-                           Word.from_letters([1, 3])], vocab,
+        tm = merge_global([(1, 2),
+                           (1, 3)], vocab,
                           multiplicities=[3, 1])
         assert tm.probs[vocab[1], vocab[2]] == pytest.approx(0.75)
 
@@ -211,7 +212,7 @@ class TestMergeGlobal:
     def test_is_the_per_transition_sum(self, weighted):
         """Each count tallied in a dict and written once gives the bits of
         one numpy ``+=`` per transition (``reference_merge_global``)."""
-        words = [Word.from_letters(letters) for letters, _ in weighted]
+        words = [tuple(letters) for letters, _ in weighted]
         vocab = letter_rows(range(1, 10))
         counts = [m for _, m in weighted]
         for multiplicities in (counts, [1] * len(words)):
@@ -271,15 +272,15 @@ class TestLearn:
                                           for k, l in enumerate(letters)]
         for k, word in enumerate(wm.words):
             assert (np.flatnonzero(wm.word_index.incidence[:, k]).tolist()
-                    == sorted(wm.vocab[l] for l in word.letters))
-            for a, b in zip(word.letters, word.letters[1:]):
+                    == sorted(wm.vocab[l] for l in word))
+            for a, b in zip(word, word[1:]):
                 assert wm.transition.probs[wm.vocab[a], wm.vocab[b]] > 0
 
     def test_single_demo_reproduces_tour(self, small_training, mission_module):
         pool, _, demos = small_training
         wm = learn(demos[:1], pool, NoiseConfig(), mission_module)
         assert len(wm.words) == 1
-        assert wm.words[0].letters == demos[0].order
+        assert wm.words[0] == demos[0].order
         assert wm.word_counts == [1]
 
     @settings(max_examples=300, deadline=None)
@@ -322,7 +323,7 @@ class TestLearn:
                 visits.setdefault(l, []).append(by_id[l].profit_bps)
         for l, values in visits.items():
             assert sum(c for w, c in zip(wm.words, wm.word_counts)
-                       if l in w.letters) == len(values)
+                       if l in w) == len(values)
             assert wm.stats[l].mean_profit_bps == pytest.approx(
                 float(np.mean(values)), rel=1e-12)
 
@@ -504,7 +505,7 @@ class TestLearnReference:
         return (_canonical_json(model_to_dict(wm)), wm.vocab,
                 wm.transition.probs.tobytes(), wm.transition.active.tobytes(),
                 wm.process_noise.tobytes(), wm.measurement_noise.tobytes(),
-                [(w.letters, type(w)) for w in wm.words],
+                wm.words,
                 sorted(wm.stats.items()))
 
     @settings(max_examples=300, deadline=None)
@@ -526,6 +527,34 @@ class TestLearnReference:
             wm = learn(demos, self.POOL, NoiseConfig(), MissionConfig())
             merged = reference_merge_global(wm.words, wm.vocab, wm.word_counts)
             assert wm.transition.probs.tobytes() == merged.probs.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_orders.filter(lambda o: len(o) >= 2),
+                              st.floats(1.0, 1e5), st.booleans()),
+                    min_size=1, max_size=40))
+    def test_stored_words_are_the_orders(self, drawn):
+        """A stored word is its letter tuple: ``learn`` stores the first
+        demonstration's own ``order`` tuple (``is``) of each distinct order
+        of Python ints, and a tuple of Python ints of one of numpy ints;
+        ``model_from_dict`` of ``model_to_dict`` gives equal words of the
+        same types."""
+        demos = [Tour(order=tuple(map(np.int64, order)) if numpy
+                      else tuple(order), total_cost_m=cost,
+                      total_profit_bps=0.0, objective=0.0)
+                 for order, cost, numpy in drawn]
+        first: dict[tuple, tuple] = {}
+        for t in demos:
+            first.setdefault(t.order, t.order)
+        wm = learn(demos, self.POOL, NoiseConfig(), MissionConfig())
+        assert wm.words == sorted(first)
+        for w in wm.words:
+            assert type(w) is tuple and set(map(type, w)) == {int}
+            if set(map(type, first[w])) == {int}:
+                assert w is first[w]
+        back = model_from_dict(model_to_dict(wm))
+        assert back.words == wm.words
+        assert all(type(w) is tuple and set(map(type, w)) == {int}
+                   for w in back.words)
 
     def test_each_distinct_order_is_one_word(self, monkeypatch):
         """``word_from_tour`` runs once per distinct order, on its first

@@ -7,7 +7,8 @@ pooled estimate against:
 
 - a ``GeneralizedLetter`` is a letter with its outgoing edge inside a
   word, and ``glyphs`` lists a word's, each letter but the last with the
-  edge to its successor (a one-letter word has none);
+  edge to its successor (a one-letter word has none); a word here is its
+  letter tuple, as the model stores it;
 - ``letter_rows`` is a vocabulary as the model holds it, each letter,
   ascending, mapped to its row;
 - ``adjacency`` and ``degree`` are a word's binary edge-presence and
@@ -16,8 +17,7 @@ pooled estimate against:
 - ``reference_merge_global`` and ``reference_learn`` are the pooling and
   the learning as they were written before ``learn`` made each distinct
   order a word once and ``merge_global`` wrote each count once: one numpy
-  ``+=`` per transition, and a ``Word`` built from every demonstration
-  and again from every distinct word;
+  ``+=`` per transition, and a word made of every demonstration;
 - ``reference_model_from_dict`` is the world-model reader as it was
   written before ``model_from_dict`` took the one checked reader: type
   checks on the words and letters written key by key, and casts for the
@@ -34,8 +34,10 @@ from uavplan.environment import Hotspot, MissionConfig
 from uavplan.errors import ConsistencyError, DegenerateWordError, TrainingError
 from uavplan.oracle import Tour
 from uavplan.world_model import (WORLD_MODEL_SCHEMA, NoiseConfig,
-                                 TransitionMatrix, Word, WorldModel, _build,
+                                 TransitionMatrix, WorldModel, _build,
                                  _LetterSources, word_from_tour)
+
+Letters = tuple[int, ...]
 
 
 class GeneralizedLetter(NamedTuple):
@@ -45,9 +47,8 @@ class GeneralizedLetter(NamedTuple):
     edge_to: int
 
 
-def glyphs(w: Word) -> tuple[GeneralizedLetter, ...]:
-    letters = w.letters
-    return tuple(GeneralizedLetter(a, b) for a, b in zip(letters, letters[1:]))
+def glyphs(w: Letters) -> tuple[GeneralizedLetter, ...]:
+    return tuple(GeneralizedLetter(a, b) for a, b in zip(w, w[1:]))
 
 
 def letter_rows(letters: Iterable[int]) -> dict[int, int]:
@@ -56,22 +57,22 @@ def letter_rows(letters: Iterable[int]) -> dict[int, int]:
     return {l: k for k, l in enumerate(sorted(set(letters)))}
 
 
-def adjacency(w: Word, vocab: dict[int, int]) -> np.ndarray:
+def adjacency(w: Letters, vocab: dict[int, int]) -> np.ndarray:
     """Binary edge-presence matrix of a word over the vocabulary."""
     mat = np.zeros((len(vocab), len(vocab)))
     for g in glyphs(w):
         mat[vocab[g.start], vocab[g.edge_to]] = 1.0
-    if w.letters:
-        vocab[w.letters[-1]]  # membership check only
+    if w:
+        vocab[w[-1]]  # membership check only
     return mat
 
 
-def degree(w: Word, vocab: dict[int, int]) -> np.ndarray:
+def degree(w: Letters, vocab: dict[int, int]) -> np.ndarray:
     """Diagonal out-degree matrix of a word."""
     return np.diag(adjacency(w, vocab).sum(axis=1))
 
 
-def word_transition(w: Word, vocab: dict[int, int]) -> TransitionMatrix:
+def word_transition(w: Letters, vocab: dict[int, int]) -> TransitionMatrix:
     """Per-word transition matrix: rows of the adjacency scaled by out-degree.
 
     Zero-out-degree rows are left empty and flagged inactive (diagonal
@@ -87,7 +88,7 @@ def word_transition(w: Word, vocab: dict[int, int]) -> TransitionMatrix:
     return tm
 
 
-def reference_merge_global(words: Sequence[Word], vocab: dict[int, int],
+def reference_merge_global(words: Sequence[Letters], vocab: dict[int, int],
                            multiplicities: Sequence[int] | None = None
                            ) -> TransitionMatrix:
     """Pooled transition counts, one numpy ``+=`` per transition, then
@@ -96,8 +97,7 @@ def reference_merge_global(words: Sequence[Word], vocab: dict[int, int],
     if multiplicities is None:
         multiplicities = [1] * len(words)
     for w, m in zip(words, multiplicities):
-        letters = w.letters
-        for a, b in zip(letters, letters[1:]):
+        for a, b in zip(w, w[1:]):
             counts[vocab[a], vocab[b]] += m
     out = counts.sum(axis=1)
     active = out > 0
@@ -110,8 +110,8 @@ def reference_merge_global(words: Sequence[Word], vocab: dict[int, int],
 
 def reference_learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
                     noise: NoiseConfig, mission: MissionConfig) -> WorldModel:
-    """``learn`` with a ``Word`` made from every demonstration, each
-    checked as it comes, and one more per distinct word."""
+    """``learn`` with a word made of every demonstration, each tallied
+    as it comes."""
     if not demos:
         raise TrainingError("no demonstrations to learn from")
     by_id = {h.id: h for h in pool}
@@ -120,7 +120,7 @@ def reference_learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
     word_cost: dict[tuple[int, ...], float] = {}
     for k, t in enumerate(demos):
         try:
-            key = word_from_tour(t).letters
+            key = word_from_tour(t)
         except DegenerateWordError as e:
             raise DegenerateWordError(
                 f"demonstration {k}, order {list(t.order)}: {e}; the oracle "
@@ -156,7 +156,7 @@ def reference_learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
 
     return _build({l: _LetterSources(by_id[l].center_m, profit_sum[l] / occ[l])
                    for l in letters},
-                  [Word(k) for k in keys], counts,
+                  keys, counts,
                   total_profit / total_visits,
                   total_cost / total_legs / mission.uav_speed_m_per_s, noise)
 
@@ -197,7 +197,7 @@ def reference_model_from_dict(d: dict) -> WorldModel:
                                            float(profit))
     return _build(
         letters,
-        [Word.from_letters(w["letters"]) for w in words],
+        [tuple(w["letters"]) for w in words],
         [w["count"] for w in words],
         float(d["mean_profit_bps"]), float(d["mean_leg_time_s"]),
         NoiseConfig(**d["noise_config"]))

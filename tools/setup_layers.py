@@ -19,7 +19,11 @@ timed with ``time.perf_counter`` from the previous yield to its own:
   ``training_instances.jsonl``;
 - ``oracle``: the demonstrations and ``oracle_tours.jsonl``;
 - ``world``: the world model and ``world_model.json``;
-- ``ql``: the Q-table and ``qtable.json``.
+- ``ql``: the Q-table and ``qtable.json``;
+- ``world_read``: after the stages, ``model_from_dict`` of that
+  ``world_model.json``, freshly ``json.load``-ed (the load is not
+  timed): the read of ``uavplan plan --model``. Its digest is that of
+  the model read back, as ``model_to_dict`` gives it.
 
 The stages are the program's own, whatever form their results take, so
 any two commits that keep ``_stages`` compare. Each process also reads its
@@ -27,9 +31,10 @@ peak resident memory (``ru_maxrss``) right after each stage; the pipeline
 keeps what later stages read alive, so a reading is the high-water mark
 of the stages so far. Prints one line per stage, ``STAGE  ref MEDIAN [Q1,
 Q3]  tree MEDIAN [Q1, Q3]  ref MB  tree MB``, times in milliseconds and
-the median peak in MB, and exits 0 when each stage's file has one sha256
-over every process of both sides, 1 when any differs, and 2 when REF
-cannot be exported. Standard library only, besides the package it runs.
+the median peak in MB, and exits 0 when each stage's file, and the model
+read back, has one sha256 over every process of both sides, 1 when any
+differs, and 2 when REF cannot be exported. Standard library only,
+besides the package it runs.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ FILES = {"pools": "pools.json",
          "oracle": "oracle_tours.jsonl",
          "world": "world_model.json",
          "ql": "qtable.json"}
-LAYERS = tuple(FILES)
+LAYERS = (*FILES, "world_read")
 
 
 def _workloads() -> dict:
@@ -71,8 +76,8 @@ def _workloads() -> dict:
 def _child(out: Path, workload: str) -> dict:
     """Each set-up stage's (seconds, peak MB after it, file digest) on the
     shape of ``workload``, run on the ``uavplan`` that ``sys.path``
-    finds."""
-    from uavplan import harness
+    finds, and the same of reading its world model back."""
+    from uavplan import harness, world_model
 
     cfg = harness.config_from_dict(
         _workloads()[workload].config(3011, 0, str(out)))
@@ -83,13 +88,22 @@ def _child(out: Path, workload: str) -> dict:
     for name, _ in stages:
         result[name] = [time.perf_counter() - start, resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024]
-        if name == LAYERS[-1]:
+        if name == "ql":
             break
         start = time.perf_counter()
     stages.close()
     for name, file in FILES.items():
         result[name].append(hashlib.sha256((out / file).read_bytes())
                             .hexdigest())
+    with open(out / FILES["world"]) as f:
+        d = json.load(f)
+    start = time.perf_counter()
+    wm = world_model.model_from_dict(d)
+    result["world_read"] = [
+        time.perf_counter() - start,
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        hashlib.sha256(json.dumps(world_model.model_to_dict(wm),
+                                  sort_keys=True).encode()).hexdigest()]
     return result
 
 
