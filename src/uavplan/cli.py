@@ -50,7 +50,7 @@ STAGE_COMMANDS = {
                                f"{out/'training_instances.jsonl'}"),
     "solve-oracle": (
         "oracle", "solve demonstrations offline",
-        lambda out, tours: f"{len(tours)} demonstration tours -> "
+        lambda out, demos: f"{len(demos.orders)} demonstration tours -> "
                            f"{out/'oracle_tours.jsonl'}"),
     "train-world": (
         "world", "learn the world model",

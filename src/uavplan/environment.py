@@ -62,12 +62,20 @@ of two sources, both checked on numpy 2.4.6:
   3. ``generate_state(4, uint64)``: 8 ``hashmix`` outputs of the pool
      words in turn, the constant running from ``INIT_B`` by ``MULT_B``,
      read in pairs as 4 little-endian 64-bit words s0..s3;
-  4. PCG64's ``set_seed``, over numpy object arrays of Python ints, every
-     seed at once: inc = (s2 << 64 | s3) << 1 | 1 and state = ((s0 << 64
-     | s1) + inc) * MULT + inc, mod 2**128;
-  5. as many outputs per stream as its draws need, in the same arrays:
-     one LCG step, then XSL-RR, per output; then Floyd's algorithm (see
-     ``choice`` below) draw by draw over all rows at once. A row on which
+  4. PCG64's ``set_seed``, every seed at once: inc = (s2 << 64 | s3) <<
+     1 | 1 and state = ((s0 << 64 | s1) + inc) * MULT + inc, mod 2**128.
+     Each 128-bit value is held as two uint64 arrays, its high and low
+     limbs, whose numpy arithmetic wraps mod 2**64: a sum carries into
+     the high limb where the low sum wrapped below an addend, and the
+     product keeps the low 128 bits of the schoolbook product of the
+     limbs, the high word of the low limbs' product summed from its
+     32-bit partial products (``_lcg_step``). No Python int is made per
+     seed;
+  5. as many outputs per stream as its draws need, on the same limbs:
+     one LCG step, then XSL-RR (the limbs xored, rotated right by the top
+     6 bits, the left shift taken mod 64 so that rotation 0 keeps the
+     word), per output; then Floyd's algorithm (see ``choice`` below)
+     draw by draw over all rows at once. A row on which
      Lemire's draw might reject (its low product word below the bound,
      rare at these bounds) is drawn again, whole, by ``_Stream(seed)``,
      and so is every row of a draw that would take the tail shuffle.
@@ -410,7 +418,6 @@ _PER_SEED_MAX = 32
 _MASK32 = 0xFFFF_FFFF
 _TWO_32 = 0x1_0000_0000
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 
 class _Stream:
@@ -544,10 +551,12 @@ def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
                     axis=1)
 
 
-def _pcg64_seeded(seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64's seeded (state, inc) for every seed, as object arrays of
-    Python ints, without seeding a ``Generator``: steps 1-4 of the module
-    docstring over all seeds at once."""
+def _pcg64_seeded(seeds: Sequence[int]
+                  ) -> tuple[tuple[np.ndarray, np.ndarray],
+                             tuple[np.ndarray, np.ndarray]]:
+    """PCG64's seeded state and inc for every seed, each as its (high,
+    low) uint64 limbs, without seeding a ``Generator``: steps 1-4 of the
+    module docstring over all seeds at once."""
     if len(seeds) and min(seeds) < 0:
         # SeedSequence refuses them too; their words would be two's
         # complement digits here
@@ -562,21 +571,54 @@ def _pcg64_seeded(seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
             np.array([seeds[k] >> 32 * j & _MASK32 for k in batch],
                      dtype=np.uint32)
             for j in range(count)])
-    s_hi, s_lo, i_hi, i_lo = words.astype(object).T
-    inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-    return (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc
+    s_hi, s_lo, i_hi, i_lo = words.T
+    inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
+    return _lcg_step(_add128((s_hi, s_lo), inc), inc), inc
 
 
-def _pcg64_next(state: np.ndarray, inc: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The next raw output of every stream (``_pcg64_seeded``'s arrays):
-    the stepped states, and the outputs as uint64. One LCG step, then
-    XSL-RR: the high and low halves xored, rotated right by the top 6
-    bits."""
-    state = (state * _PCG_MULT + inc) & _MASK128
-    x = ((state >> 64) ^ state) & _MASK64
-    rot = state >> 122
-    return state, (((x >> rot) | (x << (64 - rot))) & _MASK64).astype(np.uint64)
+# the multiplier's limbs, and the low limb's 32-bit halves
+_MULT_HI, _MULT_LO = (np.uint64(_PCG_MULT >> 64),
+                      np.uint64(_PCG_MULT & _MASK64))
+_MULT_LO_1, _MULT_LO_0 = (np.uint64(_PCG_MULT >> 32 & _MASK32),
+                          np.uint64(_PCG_MULT & _MASK32))
+
+
+def _add128(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """a + b mod 2**128 on (high, low) uint64 limbs, which wrap: the low
+    sum carries where it wrapped below an addend."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _lcg_step(state: tuple[np.ndarray, np.ndarray],
+              inc: tuple[np.ndarray, np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """state * MULT + inc mod 2**128 on (high, low) uint64 limbs. Mod
+    2**128 the product is lo * MULT_LO, whole, plus 2**64 times the low
+    words of hi * MULT_LO and lo * MULT_HI; the high word of lo * MULT_LO
+    is summed from its four 32-bit partial products, none of which
+    overflows."""
+    hi, lo = state
+    lo_1, lo_0 = lo >> 32, lo & _MASK32
+    p00, p01 = lo_0 * _MULT_LO_0, lo_0 * _MULT_LO_1
+    p10, p11 = lo_1 * _MULT_LO_0, lo_1 * _MULT_LO_1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return _add128((high + hi * _MULT_LO + lo * _MULT_HI, lo * _MULT_LO), inc)
+
+
+def _pcg64_next(state: tuple[np.ndarray, np.ndarray],
+                inc: tuple[np.ndarray, np.ndarray]
+                ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The next raw output of every stream (``_pcg64_seeded``'s limbs):
+    the stepped state, and the outputs as uint64. One LCG step, then
+    XSL-RR: the high and low limbs xored, rotated right by the top 6 bits
+    (a left shift by 64 - rot, taken mod 64, so rotation 0 keeps x)."""
+    state = _lcg_step(state, inc)
+    x = state[0] ^ state[1]
+    rot = state[0] >> 58
+    return state, x >> rot | x << (64 - rot & 63)
 
 
 def _floyd_rows(seeds: Sequence[int], n: int, k: int) -> list[list[int]]:

@@ -71,11 +71,13 @@ The training set keeps the form it is drawn in, one pool, one depot and
 rows: a training instance is a row, its hotspots' ascending indices in
 the training pool (``environment._sample_rows``), and no ``Instance`` is
 built for one. The oracle stage solves the rows in one batched call in
-this process (``oracle.demonstrate``), which also gives each instance's
-cost scale for Q-learning; the stage hands the scales to the Q-learning
-stage, which trains on the same rows (``ql.train_q``). Every set-up stage
-runs in this process: ``workers`` spreads only the eval's test instances
-over worker processes (``_map``).
+this process (``oracle.demonstrate``), which returns the demonstrations
+as one record of columns (``oracle.Demonstrations``), with no ``Tour``
+per row: the world stage reads its orders and costs (``learn``), and the
+Q-learning stage, which trains on the same rows (``ql.train_q``), its
+objectives and each instance's cost scale. Every set-up stage runs in
+this process: ``workers`` spreads only the eval's test instances over
+worker processes (``_map``).
 
 Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``,
 kept with the package's JSON codec in ``environment``), whose one rule for
@@ -87,7 +89,8 @@ are written by it, with no writer of their own. The exceptions are the
 lists that grow with the training set: each ``{"ids"}`` line of
 ``training_instances.jsonl`` and ``{"order"}`` line of
 ``oracle_tours.jsonl`` is formatted by ``_ids_line``, which gives the
-encoder's bytes for a list of Python ints at about half the cost, and
+encoder's bytes for a list of Python ints from their ``str``s, each pool
+id's ``str`` made once per file, and
 the stored words of ``world_model.json``'s one line are formatted the
 same way (``_model_line``), with no dict per word, and spliced into the
 encoder's line for the model's other keys. Tests hold both to the
@@ -95,9 +98,9 @@ encoder. A present ``world_model.json`` that differs is checked again
 against ``model_to_dict``'s object, so that the message names the words
 first.
 
-The training rows, their demonstrations and their cost scales are
-freed once Q-learning has run: no later stage reads them, and the eval
-runs without them in memory.
+The training rows and their demonstrations' record are freed once
+Q-learning has run: no later stage reads them, and the eval runs without
+them in memory.
 
 The frozen dataclasses under ``ExperimentConfig`` are the only description
 of the config. Every JSON object the package reads back is read by one
@@ -129,7 +132,6 @@ import math
 import os
 import statistics
 import time
-from array import array
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -141,8 +143,8 @@ from .environment import (ChannelParams, Hotspot, Instance, MissionConfig,
                           _quoting_json, _record_from_dict, _sample_rows,
                           channel_gain, sample_instances, sample_pool)
 from .errors import ConfigurationError, NumericError
-from .oracle import (TOUR_SCHEMA, ObjectiveWeights, Tour, demonstrate,
-                     make_tour, solve)
+from .oracle import (TOUR_SCHEMA, Demonstrations, ObjectiveWeights, Tour,
+                     demonstrate, make_tour, solve)
 from .planner import (PlannerConfig, _chain_distance, plan_mission,
                       plan_to_dict)
 from .ql import QTable, QTrainConfig, construct_word, qtable_to_dict, train_q
@@ -362,11 +364,13 @@ def _line(item, path: Path) -> str:
     return item if isinstance(item, str) else _encoded(item, path)
 
 
-def _ids_line(key: str, ids: Iterable[int]) -> str:
-    """``_canonical_json({key: list(ids)})`` for Python ints, at about half
-    its cost: the encoder writes an int as its ``str``. The lines of
-    ``training_instances.jsonl`` and ``oracle_tours.jsonl``."""
-    return '{"%s":[%s]}' % (key, ",".join(map(str, ids)))
+def _ids_line(key: str, texts: Iterable[str]) -> str:
+    """``_canonical_json({key: ids})`` for a list of Python ints given as
+    their ``str``s, ``texts``, at a fraction of its cost: the encoder
+    writes an int as its ``str``. The lines of ``training_instances.jsonl``
+    and ``oracle_tours.jsonl``, which format each pool id's ``str`` once
+    and join the ids of every line through it."""
+    return '{"%s":[%s]}' % (key, ",".join(texts))
 
 
 def _model_line(wm: WorldModel) -> str:
@@ -580,30 +584,30 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
     their export (``_export``)."""
     seeds = range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training)
     rows = _sample_rows(seeds, len(training_pool), cfg.train_instance_size)
-    ids = [h.id for h in training_pool]
+    texts = [str(h.id) for h in training_pool]
     header = {"schema": INSTANCES_SCHEMA, **_record(cfg, "training_instances")}
     _export(out / "training_instances.jsonl", itertools.chain(
-        [header], (_ids_line("ids", map(ids.__getitem__, row))
+        [header], (_ids_line("ids", map(texts.__getitem__, row))
                    for row in rows)))
     return rows
 
 
 def stage_oracle(cfg: ExperimentConfig, training_pool,
-                 rows: Sequence[Sequence[int]],
-                 out: Path) -> tuple[list[Tour], array]:
+                 rows: Sequence[Sequence[int]], out: Path) -> Demonstrations:
     """Demonstration k solves training instance k, the row ``rows[k]``
     over the training pool from the config's depot, and comes with that
     instance's cost scale for Q-learning; the rows are solved on every
     run, in one batched call in this process (``demonstrate``), whatever
-    ``workers`` is. Returns the tours and the scales.
+    ``workers`` is. Returns the demonstrations' record, as columns.
     ``oracle_tours.jsonl``, a header and then each demonstration's order,
     is their export (``_export``)."""
-    solved = demonstrate(training_pool, cfg.depot, rows, cfg.weights)
-    tours = [t for t, _ in solved]
+    demos = demonstrate(training_pool, cfg.depot, rows, cfg.weights)
+    text = {h.id: str(h.id) for h in training_pool}
     header = {"schema": TOURS_SCHEMA, **_record(cfg, "oracle")}
     _export(out / "oracle_tours.jsonl", itertools.chain(
-        [header], (_ids_line("order", t.order) for t in tours)))
-    return tours, array("d", [scale for _, scale in solved])
+        [header], (_ids_line("order", map(text.__getitem__, order))
+                   for order in demos.orders)))
+    return demos
 
 
 def _first_difference(recorded, current, key: str = ""):
@@ -628,12 +632,12 @@ def _first_difference(recorded, current, key: str = ""):
     return key, recorded, current
 
 
-def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
+def stage_world(cfg: ExperimentConfig, demos: Demonstrations, training_pool,
                 out: Path) -> WorldModel:
     """The model ``learn`` makes of the demonstrations and the training
     pool, learned on every run. ``world_model.json`` is its export
     (``_export``)."""
-    wm = learn(tours, training_pool, cfg.noise, cfg.mission)
+    wm = learn(demos, training_pool, cfg.noise, cfg.mission)
     try:
         _export(out / "world_model.json", [_model_line(wm)])
     except ConfigurationError:
@@ -645,14 +649,14 @@ def stage_world(cfg: ExperimentConfig, tours: Sequence[Tour], training_pool,
 
 
 def stage_ql(cfg: ExperimentConfig, training_pool,
-             rows: Sequence[Sequence[int]], tours: Sequence[Tour],
-             cost_scales: Sequence[float], out: Path) -> QTable:
-    """The Q-table ``train_q`` makes of the training rows, their
-    demonstrations and their cost scales, trained on every run.
+             rows: Sequence[Sequence[int]], demos: Demonstrations,
+             out: Path) -> QTable:
+    """The Q-table ``train_q`` makes of the training rows and their
+    demonstrations' objectives and cost scales, trained on every run.
     ``qtable.json``, one line that holds its record and the table, is its
     export (``_export``)."""
-    q = train_q(training_pool, cfg.depot, rows, tours, cost_scales, cfg.ql,
-                cfg.weights, cfg.ql_train_seed)
+    q = train_q(training_pool, cfg.depot, rows, demos.objective,
+                demos.cost_scale, cfg.ql, cfg.weights, cfg.ql_train_seed)
     _export(out / "qtable.json", [{**_record(cfg, "ql"), **qtable_to_dict(q)}])
     return q
 
@@ -846,14 +850,13 @@ def _stages(cfg: ExperimentConfig, out: Path):
     yield "pools", (testing_pool, training_pool)
     training_rows = stage_training_instances(cfg, training_pool, out)
     yield "training_instances", training_rows
-    tours, cost_scales = stage_oracle(cfg, training_pool, training_rows, out)
-    yield "oracle", tours
-    wm = stage_world(cfg, tours, training_pool, out)
+    demos = stage_oracle(cfg, training_pool, training_rows, out)
+    yield "oracle", demos
+    wm = stage_world(cfg, demos, training_pool, out)
     yield "world", wm
-    qtable = stage_ql(cfg, training_pool, training_rows, tours, cost_scales,
-                      out)
+    qtable = stage_ql(cfg, training_pool, training_rows, demos, out)
     # no later stage reads the training set: free it before the eval
-    del training_rows, tours, cost_scales
+    del training_rows, demos
     yield "ql", qtable
     evaluations = stage_eval(cfg, testing_pool, wm, qtable, out)
     rows = [r for e in evaluations for r in e.rows]

@@ -29,19 +29,29 @@ per instance.
 
 Construction, 2-opt and the selection pass then run as numpy operations
 over every row of one size in a run, in chunks of ``_BATCH_ENTRIES``
-for memory, with each tour a row of table indices; each ``Tour`` is built
-(and validated) once, at the end. Its totals are the ones ``make_tour``
+for memory, with each tour a row of table indices. No ``Tour`` is built
+for a demonstration: ``demonstrate`` returns one record of columns
+(``Demonstrations``), each order a tuple of ids and each total a float.
+The rows that leave one selection round form a block of one length, and
+each block is finished with a few numpy operations, whatever its length:
+the reverse-reading rule, the totals, and ``Tour``'s checks (no index
+repeated, every total finite; ``_check_block``, which names the first
+demonstration that fails). The totals are the ones ``make_tour``
 computes, read from the run's table rather than recomputed from the
-coordinates: the closed length is the table's legs summed from 0.0 in
-visiting order (the depot leg back only for a tour that visits a
-hotspot), and the profit the hotspots' profits summed in index order,
-which is id order. A table entry is ``math.hypot`` of the same
-differences that ``make_tour`` takes, so every total has its bits;
-``make_tour`` stays the one path for every other tour. Index order is id
-order, so the tie rules compare the same sequences as on ids; every leg
-is read from the table and sums are taken in the same order, so every
-tour is bit for bit what the same search gives on coordinates
-(tests/test_oracle_equivalence.py keeps that search as the reference).
+coordinates, each row summed in order (``_row_sums``): the closed length
+is the table's legs summed from 0.0 in visiting order (for the empty
+tour the depot's diagonal, 0.0), and the profit the hotspots' profits
+summed from 0.0 in index order, which is id order. A table entry is
+``math.hypot`` of the same differences that ``make_tour`` takes, and each
+row's sums add the same floats in the same order as its Python loop, so
+every total has its bits; only the empty tour's profit
+differs in type, ``make_tour``'s int 0 (``sum()`` of nothing), which
+``solve``, the one-row case, keeps. ``make_tour`` stays the one path for
+every other tour. Index order is id order, so the tie rules compare the
+same sequences as on ids; every leg is read from the table and sums are
+taken in the same order, so every tour is bit for bit what the same
+search gives on coordinates (tests/test_oracle_equivalence.py keeps that
+search as the reference).
 A 2-opt pass and a selection round choose by one rule (``_picks``): a
 row takes its first minimum only where no other entry of that row lies
 within 2 * ``_TIE_EPS`` of it, which is when the sequential scan picks it
@@ -54,8 +64,9 @@ wraps each step on its own (construction, 2-opt, selection) as a
 ``Tour`` -> ``Tour`` function for the tests.
 
 Q-learning scales each training instance's costs by the length of its
-nearest-neighbor construction. ``demonstrate`` returns that length with
-the tour, from the construction that the solve makes anyway.
+nearest-neighbor construction. ``demonstrate`` returns that length as a
+column beside the tours', from the construction that the solve makes
+anyway.
 
 A table lives for one call and is never cached on ``Instance``. A cached
 geometry and id map on every instance once raised the peak resident memory
@@ -81,6 +92,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterator, Sequence
@@ -380,21 +392,27 @@ def _picks(values: np.ndarray, below, result) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
-                    w: ObjectiveWeights, stop: np.ndarray) -> list[list[int]]:
+                    w: ObjectiveWeights, stop: np.ndarray
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Greedily drop vertices whose removal strictly improves the objective,
-    on every row of ``order``; returns each row's final tour.
+    on every row of ``order``; returns the final tours in blocks, one per
+    round that rows leave: (their positions in ``order``, their tours).
 
     Each accepted removal trades the forfeited profit against the saved
     detour; the reduced tour is re-optimized with 2-opt (``stop`` as
-    there) before the next round, so every row of a round has one length.
-    Each row of a round picks its removal by ``_picks``, as ``_two_opt``
-    picks its exchange, with ties going to the lexicographically smaller
-    reduced order. Idempotent once no removal helps.
+    there) before the next round, so every row of a round, and so of a
+    block, has one length. Each row of a round picks its removal by
+    ``_picks``, as ``_two_opt`` picks its exchange, with ties going to the
+    lexicographically smaller reduced order. Idempotent once no removal
+    helps.
     """
-    out: list[list[int]] = [[] for _ in range(len(order))]
+    blocks = []
     rows = np.arange(len(order))
-    while order.shape[1]:
+    while True:
         size = order.shape[1]
+        if not size:
+            blocks.append((rows, order))
+            break
         ext = _closed(table, order)
         legs = table[ext[:, :-1], ext[:, 1:]]
         detour = legs[:, :-1] + legs[:, 1:] - table[ext[:, :-2], ext[:, 2:]]
@@ -402,69 +420,125 @@ def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
                 + w.weight_beta * profits[order] / w.profit_scale)
         pick, drop = _picks(gain, -_IMPROVE_EPS, lambda t, k: order[t][
             np.arange(size) != k].tolist())
-        for r, kept in zip(rows[~drop].tolist(), order[~drop].tolist()):
-            out[r] = kept
+        if not drop.all():
+            blocks.append((rows[~drop], order[~drop]))
         rows, pick, order = rows[drop], pick[drop], order[drop]
         if not rows.size:
             break
         order = order[np.arange(size) != pick[:, None]].reshape(rows.size,
                                                                size - 1)
         order = _two_opt(table, order, w, stop[rows])
-    return out
+    return blocks
+
+
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """Each row of ``values`` summed from 0.0 in order, as a Python loop
+    sums it: ``add.accumulate`` adds each row in order, and the + 0.0 makes
+    a sum of -0.0s, which a sum from 0.0 never is, 0.0."""
+    if not values.shape[1]:
+        return np.zeros(len(values))
+    return np.add.accumulate(values, axis=1)[:, -1] + 0.0
+
+
+def _check_block(at: np.ndarray, final: np.ndarray, ordered: np.ndarray,
+                 ids: np.ndarray, cost: np.ndarray, profit: np.ndarray,
+                 objective: np.ndarray) -> None:
+    """``Tour``'s checks on a block of demonstrations, whose positions in
+    the batch are ``at``: no tour of ``final`` (rows of table indices;
+    ``ordered`` holds each sorted) visits a hotspot twice, and every total
+    is finite. The first demonstration that fails is named, with its order
+    of ``ids``."""
+    repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    # the objective is finite only where the cost and the profit are: a
+    # product, quotient or difference with an infinity or a NaN never is
+    for bad, what in ((repeats, "visits a hotspot twice"),
+                      (~np.isfinite(objective), "has a non-finite total")):
+        if bad.any():
+            r = int(bad.argmax())
+            raise ConsistencyError(
+                f"demonstration {at[r]}, order {ids[final[r]].tolist()}, "
+                f"{what}: cost_m {cost[r].item()!r}, profit_bps "
+                f"{profit[r].item()!r}, objective {objective[r].item()!r}")
+
+
+@dataclass(frozen=True)
+class Demonstrations:
+    """``demonstrate``'s solves of a batch of rows, as columns: row k's
+    tour order (a tuple of its hotspots' ids, Python ints, the stored
+    word's form), its totals ``cost_m``, ``profit_bps`` and ``objective``
+    (``make_tour``'s, bit for bit), and its cost scale for Q-learning.
+    Each float column is an ``array("d")``, whose items read as Python
+    floats."""
+
+    orders: list[tuple[int, ...]]
+    cost_m: array
+    profit_bps: array
+    objective: array
+    cost_scale: array
 
 
 def demonstrate(hotspots: Sequence[Hotspot], depot: Point,
                 rows: Sequence[Sequence[int]],
-                w: ObjectiveWeights) -> list[tuple[Tour, float]]:
-    """``solve``'s tour of each row and its cost scale. A row is an
-    instance over the pool ``hotspots`` (ascending by id) from ``depot``:
-    its hotspots' indices, ascending. The rows are solved from one table
-    and one batched construction per run (``_tables``): the scale is the
-    nearest-neighbor construction's length (1.0 where it is not positive),
-    taken before 2-opt reorders it, which also bounds the rounding of
-    2-opt's deltas (``_stops``). Each tour's totals are ``make_tour``'s,
-    summed from the run's table (see the module docstring)."""
-    out: list[tuple[Tour, float]] = []
+                w: ObjectiveWeights) -> Demonstrations:
+    """``solve``'s tour of each row, with its totals and cost scale, as
+    columns. A row is an instance over the pool ``hotspots`` (ascending by
+    id) from ``depot``: its hotspots' indices, ascending. The rows are
+    solved from one table and one batched construction per run
+    (``_tables``): the scale is the nearest-neighbor construction's length
+    (1.0 where it is not positive), taken before 2-opt reorders it, which
+    also bounds the rounding of 2-opt's deltas (``_stops``). The totals are
+    ``make_tour``'s, summed from the run's table block by block, and each
+    block is checked as a ``Tour`` is (see the module docstring)."""
+    orders: list = [None] * len(rows)
+    cost, profit, objective, scale = np.zeros((4, len(rows)))
+    offset = 0
     for pool, table, run in _tables(hotspots, depot, rows):
-        ids = [hotspots[v].id for v in pool]
-        profit_list = [hotspots[v].profit_bps for v in pool]
-        profits = np.array(profit_list)
-        dist = table.tolist()
-        end = len(pool)
-        solved: list = [None] * len(run)
+        ids = np.array([hotspots[v].id for v in pool])
+        profits = np.array([hotspots[v].profit_bps for v in pool])
         for part, order, scales in _constructions(table, run):
             stop = _stops(scales)
+            scale[offset + part] = scales
             with np.errstate(over="ignore", invalid="ignore"):
-                finals = _selection_pass(
+                blocks = _selection_pass(
                     table, profits, _two_opt(table, order, w, stop), w, stop)
-            for k, final, scale in zip(part.tolist(), finals,
-                                       scales.tolist()):
-                # a closed tour and its reverse cost the same; keep the
-                # lexicographically smaller reading
-                final = min(final, final[::-1])
-                # make_tour's totals from the table: its legs in visiting
-                # order, its profits in index (that is, id) order
-                cost, prev = 0.0, end
-                for v in final:
-                    cost += dist[prev][v]
-                    prev = v
-                if final:
-                    cost += dist[prev][end]
-                profit = sum([profit_list[v] for v in sorted(final)])
-                solved[k] = (Tour(order=tuple([ids[v] for v in final]),
-                                  total_cost_m=cost, total_profit_bps=profit,
-                                  objective=objective_value(cost, profit, w)),
-                             scale)
-        out += solved
-    return out
+                for leave, final in blocks:
+                    at = offset + part[leave]
+                    if final.shape[1] > 1:
+                        # a closed tour and its reverse cost the same;
+                        # keep the lexicographically smaller reading. With
+                        # no index repeated (``_check_block``), the two
+                        # differ first at the first place, which holds the
+                        # other's last
+                        final = np.where((final[:, -1] < final[:, 0])[:, None],
+                                         final[:, ::-1], final)
+                    ordered = np.sort(final, axis=1)
+                    # make_tour's totals from the table: the legs in
+                    # visiting order (the depot's diagonal, 0.0, for the
+                    # empty tour), the profits in index (that is, id) order
+                    ext = _closed(table, final)
+                    length = _row_sums(table[ext[:, :-1], ext[:, 1:]])
+                    gained = _row_sums(profits[ordered])
+                    value = objective_value(length, gained, w)
+                    _check_block(at, final, ordered, ids, length, gained,
+                                 value)
+                    cost[at], profit[at], objective[at] = length, gained, value
+                    for k, word in zip(at.tolist(), ids[final].tolist()):
+                        orders[k] = tuple(word)
+        offset += len(run)
+    return Demonstrations(orders, *(array("d", c.tobytes()) for c in
+                                    (cost, profit, objective, scale)))
 
 
 def solve(inst: Instance, w: ObjectiveWeights) -> Tour:
     """Construction, 2-opt, then the vertex-selection pass; deterministic
-    (``demonstrate``'s one-row case)."""
+    (``demonstrate``'s one-row case, as the one ``Tour`` it makes)."""
     hotspots = sorted(inst.hotspots, key=attrgetter("id"))
-    return demonstrate(hotspots, inst.depot_m, [range(len(hotspots))],
-                       w)[0][0]
+    solved = demonstrate(hotspots, inst.depot_m, [range(len(hotspots))], w)
+    order = solved.orders[0]
+    # make_tour's profit of no hotspot is sum()'s int 0
+    return Tour(order=order, total_cost_m=solved.cost_m[0],
+                total_profit_bps=solved.profit_bps[0] if order else 0,
+                objective=solved.objective[0])
 
 
 def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:

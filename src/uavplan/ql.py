@@ -9,13 +9,14 @@ table never saw fall back to a distance-based pseudo value.
 
 A training instance is a row: the ascending indices of its hotspots in
 the training pool, flown from the one depot (``harness``). ``train_q``
-takes the pool, the depot and the rows, and each training instance's
-costs are scaled by the length of its nearest-neighbor construction,
-which it takes as an argument: the oracle stage has those lengths from
-the demonstrations (``oracle.demonstrate``), so they are never recomputed
-here. The profit scale, the instance's total profit summed in id order,
-is computed here, once per row, into one array of floats; an episode
-reads its row, demonstration and both scales by the drawn index.
+takes the pool, the depot and the rows, and two columns of the
+demonstrations' record (``oracle.demonstrate``), so that nothing of them
+is recomputed here and no ``Tour`` is built for one: the demonstrated
+objectives, which the terminal bonus compares with, and the cost scales,
+each the length of the instance's nearest-neighbor construction, which
+scales its costs. The profit scale, the instance's total profit summed in
+id order, is computed here, once per row, into one array of floats; an
+episode reads its row, objective and both scales by the drawn index.
 
 Training runs 100,000 steps on the default config, so each step does
 only what its arithmetic needs. An episode walks its row over the pool,
@@ -71,10 +72,13 @@ import numpy as np
 from .environment import Hotspot, Instance, Point, _Stream, edge_cost
 from .errors import (ConfigurationError, ConsistencyError, NumericError,
                      TrainingError)
-from .oracle import ObjectiveWeights, Tour, objective_value
+from .oracle import ObjectiveWeights, objective_value
 from .world_model import Word
 
 DEPOT_STATE = -1
+# at or below this temperature, MQL takes the argmax of its scores in
+# place of the softmax over them (``construct_word``)
+_ARGMAX_TEMPERATURE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,15 @@ class QTrainConfig:
             raise ConfigurationError("episodes cannot be negative")
         if self.temperature < 0:
             raise ConfigurationError("temperature cannot be negative")
+        for key in ("terminal_bonus", "reference_bonus"):
+            if not math.isfinite(value := getattr(self, key)):
+                raise ConfigurationError(f"{key} must be finite, not {value}")
+            if (self.temperature > _ARGMAX_TEMPERATURE
+                    and not math.isfinite(abs(value) / self.temperature)):
+                raise ConfigurationError(
+                    f"{key} {value} over temperature {self.temperature} is "
+                    "not finite: MQL's softmax divides each score by the "
+                    "temperature")
 
 
 @dataclass
@@ -117,13 +130,13 @@ class QTable:
 
 
 def train_q(hotspots: Sequence[Hotspot], depot: Point,
-            rows: Sequence[Sequence[int]], demos: Sequence[Tour],
+            rows: Sequence[Sequence[int]], objectives: Sequence[float],
             cost_scales: Sequence[float], cfg: QTrainConfig,
             weights: ObjectiveWeights, rng_seed: int) -> QTable:
     """Episodic Q-learning over the demonstration instances: ``rows[k]``
     is training instance k, its hotspots' ascending indices in the pool
-    ``hotspots`` (ascending by id), flown from ``depot``, and ``demos[k]``
-    its demonstration.
+    ``hotspots`` (ascending by id), flown from ``depot``, and
+    ``objectives[k]`` its demonstration's objective.
 
     Each episode walks one instance from the depot with epsilon-greedy
     next-letter choices among the unvisited set; reward per step is
@@ -132,8 +145,8 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
     with), and the last step also pays the return leg and, on a
     near-demonstration tour, the terminal bonus. ``cost_scales[k]`` is
     training instance k's nn_cost, the length of its nearest-neighbor
-    construction, which ``oracle.demonstrate`` gives with each
-    demonstration.
+    construction. ``oracle.demonstrate`` gives both columns, the
+    ``objective`` and the ``cost_scale`` of its record.
     """
     if not rows:
         raise TrainingError("no training instances for Q-learning")
@@ -142,8 +155,8 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
     profits = [h.profit_bps for h in hotspots]
     # each instance's total profit, summed in id order
     totals = array("d")
-    # strict: one demonstration and one cost scale per training instance
-    for row, _, _ in zip(rows, demos, cost_scales, strict=True):
+    # strict: one objective and one cost scale per training instance
+    for row, _, _ in zip(rows, objectives, cost_scales, strict=True):
         totals.append(sum([profits[v] for v in row]))
     # legs[s][a]: the leg from pool index s, or from the depot at s = -1,
     # to pool index a
@@ -201,7 +214,8 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
         target = (neg_alpha * leg / cost_scale + gains[a] / profit_scale
                   + neg_alpha * back / cost_scale)
         realized = objective_value(length + leg + back, total, weights)
-        if abs(realized - demos[k].objective) <= tolerance * abs(demos[k].objective):
+        demo = objectives[k]
+        if abs(realized - demo) <= tolerance * abs(demo):
             target += cfg.terminal_bonus
         old = q_s[a]
         written[s][a] = q_s[a] = old + lr * (target - old)
@@ -253,7 +267,7 @@ def construct_word(q: QTable, reference: Word | None, inst: Instance,
                 if hint == a:
                     s += cfg.reference_bonus
                 scores.append(s)
-            if cfg.temperature <= 1e-9:
+            if cfg.temperature <= _ARGMAX_TEMPERATURE:
                 k = int(np.argmax(scores))
             else:
                 arr = np.array(scores) / cfg.temperature

@@ -16,9 +16,10 @@ demos yields an identical model, including its serialized bytes. A stored
 word is its letter tuple, of Python ints, in one form from ``learn``
 through ``world_model.json`` and ``model_from_dict`` to the word index;
 ``_build`` is the one place that checks it (at least two letters, none
-repeated, a count of at least 1). A word made of a tour whose order holds
-only Python ints is that tuple, so the training set's tours can be freed
-while the words live on; the word index (``WordIndex``) maps letters to
+repeated, a count of at least 1). A word made of an order that is a
+tuple of Python ints, as each order of ``oracle.demonstrate``'s record
+is, is that tuple, so the demonstrations can be freed while the words
+live on; the word index (``WordIndex``) maps letters to
 rows through the vocabulary dict, never through an array indexed by
 letter, since a letter is any int. ``Word`` is the planner's and
 Q-learning's type, for the words they make.
@@ -69,7 +70,7 @@ import numpy as np
 
 from .environment import Hotspot, MissionConfig, _record_from_dict
 from .errors import ConfigurationError, ConsistencyError, DegenerateWordError, TrainingError
-from .oracle import Tour
+from .oracle import Demonstrations, Tour
 
 _ROW_TOL = 1e-9
 WORLD_MODEL_SCHEMA = "uavplan.world_model.v3"
@@ -120,15 +121,15 @@ class TransitionMatrix:
                 raise ConsistencyError(f"inactive row {k} has mass")
 
 
-def word_from_tour(t: Tour) -> tuple[int, ...]:
+def _word(order: Sequence[int]) -> tuple[int, ...]:
     """Transcribe a tour's visitation order as a stored word, its letter
-    tuple; the depot is not a letter. An order of Python ints is that
-    tuple, shared, not copied. ``_build`` checks the word."""
-    if len(t.order) < 2:
+    tuple; the depot is not a letter. An order that is a tuple of Python
+    ints is that tuple, shared, not copied. ``_build`` checks the word."""
+    if len(order) < 2:
         raise DegenerateWordError("a word needs at least two visited vertices")
-    if type(t.order) is tuple and set(map(type, t.order)) == {int}:
-        return t.order
-    return tuple(map(int, t.order))
+    if type(order) is tuple and set(map(type, order)) == {int}:
+        return order
+    return tuple(map(int, order))
 
 
 def merge_global(words: Sequence[tuple[int, ...]], vocab: dict[int, int],
@@ -348,19 +349,23 @@ def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
     )
 
 
-def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
+def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
           noise: NoiseConfig, mission: MissionConfig) -> WorldModel:
-    """Build the dictionary from demonstration tours.
+    """Build the dictionary from the demonstrations: ``demonstrate``'s
+    columns, or tours.
 
     Letters are deduplicated hotspot ids observed in the demos; words are
     deduplicated with multiplicities; per-letter profit statistics come
     from the pool entries the demos visited. The result depends only on
-    the demo multiset, never on its ordering. Each distinct order is
-    made a word once (``word_from_tour``), at its first demonstration; a
-    demonstration of fewer than two hotspots is refused, naming the first
-    by its index.
+    the demo multiset, never on its ordering. Only the orders and the
+    costs are read, as two columns; each distinct order is made a word
+    once (``_word``), at its first demonstration; a demonstration of
+    fewer than two hotspots is refused, naming the first by its index.
     """
-    if not demos:
+    orders, costs = (
+        (demos.orders, demos.cost_m) if isinstance(demos, Demonstrations)
+        else ([t.order for t in demos], [t.total_cost_m for t in demos]))
+    if not orders:
         raise TrainingError("no demonstrations to learn from")
     by_id = {h.id: h for h in pool}
 
@@ -369,18 +374,18 @@ def learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
     # identical geometry, so accumulation order cannot matter)
     tally: dict[tuple[int, ...], int] = {}
     cost: dict[tuple[int, ...], float] = {}
-    for k, t in enumerate(demos):
-        if t.order not in tally:
+    for k, (order, c) in enumerate(zip(orders, costs)):
+        if order not in tally:
             try:
-                word = word_from_tour(t)
+                word = _word(order)
             except DegenerateWordError as e:
                 raise DegenerateWordError(
-                    f"demonstration {k}, order {list(t.order)}: {e}; the "
+                    f"demonstration {k}, order {list(order)}: {e}; the "
                     "oracle keeps a hotspot only where its profit pays for "
                     "its detour under the config's weights") from None
-            tally[word], cost[word] = 0, t.total_cost_m
-        tally[t.order] += 1
-        cost[t.order] = min(cost[t.order], t.total_cost_m)
+            tally[word], cost[word] = 0, c
+        tally[order] += 1
+        cost[order] = min(cost[order], c)
 
     keys = sorted(tally)
     counts = [tally[k] for k in keys]

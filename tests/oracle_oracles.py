@@ -2,8 +2,8 @@
 
 ``oracle.demonstrate`` runs construction, 2-opt and the selection pass as
 array operations over the rows of a batch, on one table of distances per
-run of rows (``_tables``), and builds each ``Tour`` once, at the end. The
-functions here expose each step on its own for one instance, ``Tour`` in
+run of rows (``_tables``), and returns the tours as columns, with no
+``Tour`` per row. The functions here expose each step on its own for one instance, ``Tour`` in
 and ``Tour`` out, as thin adapters over the same private steps, so that
 the tests can pin each step's behaviour and compare it with the
 coordinate-based reference in test_oracle_equivalence.py:
@@ -132,8 +132,9 @@ def selection_pass(t: Tour, w: ObjectiveWeights, inst: Instance) -> Tour:
     Idempotent once no removal helps; then ``t`` itself is returned."""
     hotspots, table, stop = _geometry(inst)
     profits = np.array([h.profit_bps for h in hotspots])
-    after = _selection_pass(table, profits, indices(hotspots, t.order), w,
-                            stop)[0]
+    [(_, after)] = _selection_pass(table, profits,
+                                   indices(hotspots, t.order), w, stop)
+    after = after[0].tolist()
     return t if len(after) == len(t.order) else _tour(hotspots, after, inst, w)
 
 

@@ -11,13 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan import environment
-from uavplan.environment import (_PER_SEED_MAX, ChannelParams, Hotspot,
-                                 Instance, MissionConfig, _canonical_json,
-                                 _floyd_rows, _from_json, _pairwise_sum,
-                                 _pcg64_next, _pcg64_seeded, _Stream,
-                                 channel_gain, edge_cost, hotspot_sum_rate,
-                                 los_probability, sample_instance,
-                                 sample_instances, sample_pool)
+from uavplan.environment import (_PCG_MULT, _PER_SEED_MAX, ChannelParams,
+                                 Hotspot, Instance, MissionConfig,
+                                 _canonical_json, _floyd_rows, _from_json,
+                                 _pairwise_sum, _pcg64_next, _pcg64_seeded,
+                                 _Stream, channel_gain, edge_cost,
+                                 hotspot_sum_rate, los_probability,
+                                 sample_instance, sample_instances,
+                                 sample_pool)
 from uavplan.errors import ConfigurationError
 from uavplan.harness import POOL_SCHEMA, instance_from_dict
 
@@ -351,6 +352,24 @@ def _raw(seeds, n: int) -> list[list[int]]:
     return [list(row) for row in zip(*outputs)] if n else [[] for _ in seeds]
 
 
+def _from_limbs(hi, lo) -> int:
+    return int(hi) << 64 | int(lo)
+
+
+def _limbs(value: int) -> tuple[np.ndarray, np.ndarray]:
+    """One stream's (high, low) uint64 limbs of a 128-bit value."""
+    return (np.array([value >> 64], dtype=np.uint64),
+            np.array([value & (1 << 64) - 1], dtype=np.uint64))
+
+
+_MASK128 = (1 << 128) - 1
+
+
+def _before(stepped: int, inc: int) -> int:
+    """The state whose LCG step with ``inc`` is ``stepped``."""
+    return (stepped - inc) * pow(_PCG_MULT, -1, 1 << 128) & _MASK128
+
+
 def _parent_sample_instance(seed, pool, n_select, depot, chan, mission):
     """``sample_instance`` as it was drawn before bulk seeding: the set
     ``Generator.choice(len(pool), size=n_select, replace=False)`` draws,
@@ -375,9 +394,10 @@ class TestBulkStreams:
 
     @staticmethod
     def _seeded(seeds) -> list[tuple[int, int]]:
-        """The (state, inc) the kernel seeds each stream with."""
+        """The (state, inc) the kernel seeds each stream with, each read
+        back from its limbs as ``hi << 64 | lo``."""
         state, inc = _pcg64_seeded(seeds)
-        return list(zip(state.tolist(), inc.tolist()))
+        return list(zip(map(_from_limbs, *state), map(_from_limbs, *inc)))
 
     @pytest.mark.parametrize("seed", ENTROPY_EDGES)
     def test_seeded_state_is_pcg64s(self, seed):
@@ -389,6 +409,28 @@ class TestBulkStreams:
         """Past default_rng's first chunk of 16 and far beyond."""
         want = np.random.default_rng(seed).bit_generator.random_raw(3000)
         assert _raw([seed], 3000) == [want.tolist()]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, _MASK128), st.integers(0, _MASK128 >> 1))
+    # all-ones state and inc limbs, where every carry fires
+    @example(_MASK128, _MASK128 >> 1)
+    @example(0, 0)
+    # states that step to a state whose top 6 bits are 0 (rotation 0)
+    @example(_before((1 << 122) - 1, 1), 0)
+    @example(_before(12345, _MASK128), _MASK128 >> 1)
+    def test_one_limb_step_is_the_128_bit_step(self, state, half_inc):
+        """One ``_pcg64_next`` on limbs is the Python-int LCG step mod
+        2**128 and its XSL-RR output, on any state and odd inc: with every
+        limb all ones (every carry fires), and to a stepped state whose top
+        6 bits are 0 (rotation 0)."""
+        inc = half_inc << 1 | 1
+        (hi, lo), out = _pcg64_next(_limbs(state), _limbs(inc))
+        stepped = (state * _PCG_MULT + inc) & _MASK128
+        x = (stepped >> 64 ^ stepped) & (1 << 64) - 1
+        rot = stepped >> 122
+        assert _from_limbs(hi[0], lo[0]) == stepped
+        assert out.dtype == np.uint64
+        assert out.tolist() == [(x >> rot | x << (64 - rot)) & (1 << 64) - 1]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.one_of(st.integers(0, 2 ** 32 - 1),

@@ -41,8 +41,8 @@ from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              run_pipeline,
                              stage_oracle, stage_pools, stage_training_instances,
                              summarize, word_similarity, write_jsonl_atomic)
-from uavplan.oracle import (ObjectiveWeights, demonstrate, make_tour, solve,
-                           tour_from_dict)
+from uavplan.oracle import (ObjectiveWeights, Tour, demonstrate, make_tour,
+                            solve, tour_from_dict)
 from uavplan.planner import PlannerConfig, levenshtein
 from uavplan.ql import QTrainConfig
 from uavplan.world_model import NoiseConfig, Word
@@ -603,11 +603,14 @@ class TestHeadedJsonl:
     def test_id_lines_are_the_encoders(self, key, ids):
         """The id-list lines of ``training_instances.jsonl`` and
         ``oracle_tours.jsonl`` are formatted, not encoded: for lists of
-        Python ints, empty, negative and past 2**63 too, the bytes are
-        the encoder's, as a tuple or a list."""
+        Python ints, empty, negative and past 2**63 too, given as their
+        ``str``s, the bytes are the encoder's, as a tuple, a list or an
+        iterator."""
         want = _canonical_json({key: ids})
-        assert _ids_line(key, ids) == want
-        assert _ids_line(key, tuple(ids)) == want
+        texts = list(map(str, ids))
+        assert _ids_line(key, texts) == want
+        assert _ids_line(key, tuple(texts)) == want
+        assert _ids_line(key, map(str, ids)) == want
 
     @settings(max_examples=200, deadline=None)
     @given(words=st.lists(st.lists(st.one_of(
@@ -643,12 +646,13 @@ class TestHeadedJsonl:
         out.mkdir()
         _, training = stage_pools(cfg, out)
         sampled = stage_training_instances(cfg, training, out)
-        solved, scales = stage_oracle(cfg, training, sampled, out)
-        assert scales == array("d", [instance_scales(i)[0] for i in
-                                     _row_instances(cfg, training, sampled)])
+        solved = stage_oracle(cfg, training, sampled, out)
+        assert solved.cost_scale == array("d", [
+            instance_scales(i)[0]
+            for i in _row_instances(cfg, training, sampled)])
         loaded = stage_training_instances(cfg, training, out)
         assert loaded == sampled
-        assert stage_oracle(cfg, training, loaded, out) == (solved, scales)
+        assert stage_oracle(cfg, training, loaded, out) == solved
         # one header line, then one record per instance or tour
         for name in ("training_instances.jsonl", "oracle_tours.jsonl"):
             assert len((out / name).read_text().splitlines()) == 41
@@ -688,9 +692,10 @@ class TestHeadedJsonl:
 
     def test_training_set_is_freed_before_the_eval(self, tmp_path,
                                                    monkeypatch):
-        """No stage after Q-learning reads the training rows, their
-        demonstrations or their cost scales: when the eval starts, the
-        rows and the first demonstration are gone."""
+        """No stage after Q-learning reads the training rows or their
+        demonstrations: when the eval starts, the rows, the
+        demonstrations' record and its objective column, which Q-learning
+        read, are gone."""
         refs, alive = {}, []
         real = {name: getattr(harness, name) for name in (
             "stage_training_instances", "stage_oracle", "stage_eval")}
@@ -704,9 +709,10 @@ class TestHeadedJsonl:
             return got
 
         def oracle(*args):
-            tours, scales = real["stage_oracle"](*args)
-            refs["tour"] = weakref.ref(tours[0])
-            return tours, scales
+            demos = real["stage_oracle"](*args)
+            refs["record"] = weakref.ref(demos)
+            refs["objective"] = weakref.ref(demos.objective)
+            return demos
 
         def evaluate(*args):
             alive.extend(name for name, ref in refs.items() if ref())
@@ -717,7 +723,7 @@ class TestHeadedJsonl:
         monkeypatch.setattr(harness, "stage_eval", evaluate)
         run_pipeline(small_config(tmp_path / "o", test_sizes=(5,),
                                   seeds_per_size=1), "eval")
-        assert sorted(refs) == ["rows", "tour"] and alive == []
+        assert sorted(refs) == ["objective", "record", "rows"] and alive == []
 
     def test_no_word_object_is_built_for_the_world_model(self, tmp_path,
                                                          monkeypatch):
@@ -766,6 +772,28 @@ class TestHeadedJsonl:
             run_pipeline(small_config(tmp_path / str(m_training),
                                       m_training=m_training), "ql")
         assert built == []
+
+    def test_no_tour_is_built_for_the_demonstrations(self, tmp_path,
+                                                     monkeypatch):
+        """The demonstrations stay columns from the oracle to Q-learning: a
+        run up to the Q-learning stage builds no ``Tour``, with the
+        training rows drawn stream by stream or by the draw kernel."""
+        built = []
+        real = Tour.__post_init__
+
+        def counted(tour):
+            built.append(tour)
+            real(tour)
+
+        monkeypatch.setattr(Tour, "__post_init__", counted)
+        for m_training in (10, 40):
+            run_pipeline(small_config(tmp_path / str(m_training),
+                                      m_training=m_training), "ql")
+        assert built == []
+        # the counter counts: the eval's one solve per instance builds one
+        run_pipeline(small_config(tmp_path / "eval", test_sizes=(5,),
+                                  seeds_per_size=1), "eval")
+        assert built
 
     @pytest.mark.parametrize("m_training", [
         pytest.param(5_000, id="default"),
@@ -841,10 +869,11 @@ def _as_v1_instances(cfg, out):
 
 def _as_v1_tours(cfg, out):
     _, training = stage_pools(cfg, out)
-    tours, _ = stage_oracle(
+    demos = stage_oracle(
         cfg, training, stage_training_instances(cfg, training, out), out)
-    _write_lines(out / "oracle_tours.jsonl",
-                 (tour_to_dict(t, cfg.weights) for t in tours))
+    _write_lines(out / "oracle_tours.jsonl", (
+        tour_to_dict(Tour(*t), cfg.weights) for t in zip(
+            demos.orders, demos.cost_m, demos.profit_bps, demos.objective)))
 
 
 def _edit_lines(name, edit):
@@ -1124,7 +1153,11 @@ class TestCli:
                      "config key noise.process_scale ",
                      ["pipeline", "--m-training", "20", "--test-sizes", "5",
                       "--seeds-per-size", "1"],
-                     id="noise.process_scale-nan")])
+                     id="noise.process_scale-nan"),
+        *(pytest.param('{"m_training": 30, "ql": {"%s": 1e308}}' % key,
+                       f"config ql: {key} 1e+308 over temperature 0.2 is not "
+                       "finite", ["pipeline"], id=f"ql.{key}-over-temperature")
+          for key in ("terminal_bonus", "reference_bonus"))])
     def test_bad_config_exits_2(self, tmp_path, monkeypatch, capsys, text,
                                 named, command):
         """A corrupt config, one with a key the dataclasses do not declare,
@@ -1137,7 +1170,9 @@ class TestCli:
         noise, which scales the learned means, when the world model is
         learned: a process noise or a measurement noise that is not finite,
         or that underflows below the smallest normal float, names both
-        noise values, and prints no RuntimeWarning. A mean user
+        noise values, and prints no RuntimeWarning. A ``ql`` bonus that
+        over the temperature is not finite, which would overflow MQL's
+        softmax, is refused at load, naming the bonus. A mean user
         count past which exp(-mean_users) is not a
         normal float, so that the Poisson draws go wrong, is refused as the
         pool is drawn, naming it. A NaN (which ``json`` reads), and a
@@ -1793,15 +1828,32 @@ class TestCli:
     SMALL_RUN = ["--m-training", "20", "--test-sizes", "5",
                  "--seeds-per-size", "1"]
 
+    def test_a_bonus_refused_at_load_writes_nothing(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """A ``ql`` bonus that over the temperature is not finite stops the
+        pipeline before any stage writes a file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(
+            '{"m_training": 30, "ql": {"terminal_bonus": 1e308}}')
+        assert cli_main(["pipeline", "--config", "cfg.json"]) == 2
+        assert "ql: terminal_bonus" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
     @pytest.mark.parametrize("key", ["terminal_bonus", "reference_bonus"])
     def test_a_huge_mql_bonus_exits_3(self, tmp_path, key):
-        """A ``ql`` bonus of 1e308, over the temperature, overflows MQL's
-        softmax: a 30-demo pipeline exits 3 with one ``numeric error:``
-        line naming the temperature and both bonuses, and prints no
-        traceback and no numpy warning. Run in a process of its own, so
-        that stderr is what a user sees."""
+        """Bonuses of 3.5e307 (``key``) and 1e307 (the other) pass the load
+        check, as each over the temperature 0.2 is finite (at most 1.75e308),
+        and a 30-demo pipeline with a bonus of 3.5e307 alone completes;
+        together, a learned Q-value that the terminal bonus trains plus the
+        reference bonus, over the temperature, overflows MQL's softmax. The
+        pipeline exits 3 with one ``numeric error:`` line naming the
+        temperature and both bonuses, and prints no traceback and no numpy
+        warning. Run in a process of its own, so that stderr is what a user
+        sees."""
+        bonus = {"terminal_bonus": 1e307, "reference_bonus": 1e307,
+                 key: 3.5e307}
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"m_training": 30, "ql": {key: 1e308}}))
+        cfg_path.write_text(json.dumps({"m_training": 30, "ql": bonus}))
         src = Path(__file__).parent.parent / "src"
         result = subprocess.run(
             [sys.executable, "-m", "uavplan.cli", "pipeline", "--config",
@@ -1813,7 +1865,7 @@ class TestCli:
         err = result.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith(
             "numeric error: MQL's softmax row is not finite"), err
-        for named in (f"ql.{key} 1e+308", "ql.terminal_bonus",
+        for named in (f"ql.{key} 3.5e+307", "ql.terminal_bonus",
                       "ql.reference_bonus", "ql.temperature 0.2"):
             assert named in err[0]
         assert "Traceback" not in result.stderr

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavplan.environment import _canonical_json, sample_instance, sample_pool
+from uavplan import oracle
+from uavplan.environment import (Hotspot, _canonical_json, sample_instance,
+                                 sample_pool)
 from uavplan.errors import ConfigurationError, ConsistencyError
 from uavplan.oracle import (TOUR_SCHEMA, ObjectiveWeights, Tour, brute_force,
-                            make_tour, objective_value, solve, tour_from_dict)
+                            demonstrate, make_tour, objective_value, solve,
+                            tour_from_dict)
 
 from harness_oracles import tour_to_dict
 from oracle_oracles import (nearest_neighbor_construct,
@@ -225,6 +228,50 @@ class TestSolve:
             if (st.objective - bf.objective) <= 0.02 * abs(bf.objective):
                 within += 1
         assert within >= 57  # 95%
+
+
+class TestDemonstrate:
+    """``demonstrate`` checks each block of demonstrations as ``Tour``
+    checks a tour, and names the demonstration that fails."""
+
+    def test_a_repeated_index_is_refused(self):
+        final = np.array([[0, 1, 2], [2, 0, 2]])
+        totals = [np.array([10.0, 12.0])] * 3
+        with pytest.raises(ConsistencyError, match=(
+                r"^demonstration 7, order \[13, 11, 13\], visits a hotspot "
+                r"twice: cost_m 12\.0, profit_bps 12\.0, objective 12\.0$")):
+            oracle._check_block(np.array([4, 7]), final,
+                                np.sort(final, axis=1),
+                                np.array([11, 12, 13]), *totals)
+
+    @pytest.mark.parametrize("cost,profit,scale", [
+        (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+        (1.0, math.nan, 1.0), (1e308, 1.0, 1e-10)])
+    def test_a_non_finite_total_is_refused(self, cost, profit, scale):
+        """A cost or a profit that is not finite, or an objective that
+        overflows from finite ones (at a tiny cost scale), is refused,
+        naming the demonstration."""
+        w = ObjectiveWeights(cost_scale=scale)
+        costs, profits = np.array([1.0, cost]), np.array([2.0, profit])
+        with np.errstate(over="ignore", invalid="ignore"):
+            objective = objective_value(costs, profits, w)
+        with pytest.raises(ConsistencyError, match=(
+                r"^demonstration 3, order \[12, 11\], has a non-finite "
+                r"total: ")):
+            oracle._check_block(np.array([5, 3]), np.array([[0, 1], [1, 0]]),
+                                np.array([[0, 1], [0, 1]]),
+                                np.array([11, 12]), costs, profits,
+                                objective)
+
+    def test_an_overflowing_profit_is_refused(self, default_weights):
+        """Two hotspots whose profits are finite alone but sum to inf: the
+        demonstration that visits both is named, by its row."""
+        pool = [Hotspot(id=i, center_m=(100.0 * i, 0.0), num_users=1,
+                        profit_bps=1e308) for i in (1, 2, 3)]
+        with pytest.raises(ConsistencyError, match=(
+                r"^demonstration 1, order \[2, 3\], has a non-finite total: "
+                r"cost_m .*, profit_bps inf, objective -inf$")):
+            demonstrate(pool, (0.0, 0.0), [[0], [1, 2]], default_weights)
 
 
 class TestBruteForce:

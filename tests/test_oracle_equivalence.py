@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -22,8 +23,8 @@ from uavplan.environment import (Hotspot, Instance, _sample_rows, edge_cost,
                                  sample_instances, sample_pool)
 from uavplan.errors import ConsistencyError
 from uavplan.harness import ExperimentConfig, iter_test_instances
-from uavplan.oracle import (ObjectiveWeights, Tour, brute_force, demonstrate,
-                            make_tour, solve)
+from uavplan.oracle import (Demonstrations, ObjectiveWeights, Tour,
+                            brute_force, demonstrate, make_tour, solve)
 
 from oracle_oracles import (instance_scales, nearest_neighbor_construct,
                             pool_rows, relative_weights, selection_pass,
@@ -195,6 +196,25 @@ def _bits(t: Tour):
             repr(t.objective))
 
 
+def _column_bits(t: Tour):
+    """``_bits`` of a tour as ``demonstrate``'s float columns hold it: the
+    empty tour's profit, ``make_tour``'s int 0 (``sum()`` of nothing), is
+    0.0 there."""
+    return _bits(replace(t, total_profit_bps=float(t.total_profit_bps)))
+
+
+def _rows(d: Demonstrations) -> list:
+    """Each demonstration of the record ``d`` as ``_bits`` reads a tour,
+    with its cost scale's repr. Every order is a tuple of Python ints and
+    every column item a Python float."""
+    columns = (d.cost_m, d.profit_bps, d.objective, d.cost_scale)
+    assert all(type(o) is tuple and set(map(type, o)) <= {int}
+               for o in d.orders)
+    assert all(type(v) is float for c in columns for v in c)
+    return [((o, repr(c), repr(p), repr(v)), repr(s))
+            for o, c, p, v, s in zip(d.orders, *columns, strict=True)]
+
+
 def _weight_sets(inst: Instance):
     base = ObjectiveWeights()
     return {
@@ -327,9 +347,8 @@ def test_batch_equals_each_instance_alone(chan, mission, entries,
         alone_above = [run for n, run in runs if n > table_hotspots]
         assert len(runs) > 10 and alone_above
         assert all(len(run) == 1 for run in alone_above)
-    assert [(_bits(t), repr(s)) for t, s in got] == \
-        [(_bits(t), repr(s)) for t, s in alone]
-    assert any(len(t.order) < len(row) for (t, _), row in zip(got, rows)) \
+    assert _rows(got) == [(_column_bits(t), repr(s)) for t, s in alone]
+    assert any(len(o) < len(row) for o, row in zip(got.orders, rows)) \
         == drops
 
 
@@ -354,19 +373,29 @@ def test_rows_over_a_pool_above_the_cap_keep_every_table_bounded(
     cap = oracle._TABLE_HOTSPOTS
     assert len(tables) > 1
     assert max(t.size for t in tables) <= (cap + 1) ** 2
-    assert [(_bits(t), repr(s)) for t, s in got] == [
-        (_bits(solve(inst, default_weights)), repr(instance_scales(inst)[0]))
+    assert _rows(got) == [
+        (_column_bits(solve(inst, default_weights)),
+         repr(instance_scales(inst)[0]))
         for inst in sample_instances(seeds, pool, 20, depot, chan, mission)]
 
 
 # --- demonstration totals --------------------------------------------------------
 
-def _are_make_tours(solved, batch, w) -> None:
-    """Each solved tour is, field by field and bit for bit, ``make_tour``'s
-    tour of its order."""
-    assert [_bits(t) for t, _ in solved] == [
-        _bits(make_tour(t.order, inst, w)) for (t, _), inst in zip(solved,
-                                                                    batch)]
+def _are_make_tours(solved: Demonstrations, batch, w) -> None:
+    """Each demonstration's order and totals are, bit for bit and type for
+    type, ``make_tour``'s tour of its order, with the empty tour's profit
+    a float (``_column_bits``)."""
+    assert [bits for bits, _ in _rows(solved)] == [
+        _column_bits(make_tour(order, inst, w))
+        for order, inst in zip(solved.orders, batch, strict=True)]
+
+
+def _are_solves(batch, w) -> None:
+    """``solve``'s tour of each instance is, field by field, bit for bit
+    and type for type, ``make_tour``'s tour of its order."""
+    tours = [solve(inst, w) for inst in batch]
+    assert [_bits(t) for t in tours] == [
+        _bits(make_tour(t.order, inst, w)) for t, inst in zip(tours, batch)]
 
 
 @pytest.mark.parametrize("m_training,test_sizes,seeds_per_size", [
@@ -389,9 +418,8 @@ def test_demonstration_totals_are_make_tours(m_training, test_sizes,
                                 cfg.depot, cfg.channel, cfg.mission)
     _are_make_tours(demonstrate(training_pool, cfg.depot, rows, cfg.weights),
                     training, cfg.weights)
-    tests = [inst for _, inst in iter_test_instances(cfg, testing)]
-    _are_make_tours([(solve(inst, cfg.weights), None) for inst in tests],
-                    tests, cfg.weights)
+    _are_solves([inst for _, inst in iter_test_instances(cfg, testing)],
+                cfg.weights)
 
 
 @pytest.mark.parametrize("w", [
@@ -402,7 +430,9 @@ def test_demonstration_totals_are_make_tours(m_training, test_sizes,
 def test_totals_of_skipping_tours_are_make_tours(chan, mission, w):
     """Random batches from one pool under weights where the oracle skips
     hotspots: tours of every length, the empty one too, are
-    ``make_tour``'s."""
+    ``make_tour``'s, in the record's columns and, one instance at a time,
+    through ``solve``, where the empty tour's profit is ``make_tour``'s
+    int 0."""
     rng = random.Random(3535)
     for grid in (False, True):
         pool = _pool(rng, range(1, 61), grid)
@@ -411,8 +441,10 @@ def test_totals_of_skipping_tours_are_make_tours(chan, mission, w):
                           mission=mission, seed=0) for _ in range(300)]
         solved = demonstrate(*pool_rows(batch), w)
         _are_make_tours(solved, batch, w)
-        lengths = {len(t.order) for t, _ in solved}
-        assert 0 in lengths and len(lengths) > 5, lengths
+        lengths = [len(order) for order in solved.orders]
+        assert 0 in lengths and len(set(lengths)) > 5, lengths
+        empty = [inst for inst, n in zip(batch, lengths) if n == 0]
+        _are_solves(empty + batch[:20], w)
 
 
 def test_grid_ties_take_the_sequential_rule(chan, mission):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,11 +25,12 @@ def _scales(training):
 
 def _train(training, cfg, w, seed):
     """``train_q`` on (instance, demonstration) pairs that share one
-    depot, as rows over their pool (``pool_rows``), with the cost scales
-    that the oracle stage gives."""
+    depot, as rows over their pool (``pool_rows``), with the
+    demonstrations' objectives and the cost scales that the oracle stage
+    gives."""
     return train_q(*pool_rows([inst for inst, _ in training]),
-                   [demo for _, demo in training], _scales(training), cfg, w,
-                   seed)
+                   [demo.objective for _, demo in training], _scales(training),
+                   cfg, w, seed)
 
 
 @pytest.fixture
@@ -87,6 +89,29 @@ class TestQTrainConfig:
         cfg = QTrainConfig(epsilon_start=value, epsilon_end=value)
         assert cfg.epsilon_start == cfg.epsilon_end == value
 
+    @pytest.mark.parametrize("key", ["terminal_bonus", "reference_bonus"])
+    @pytest.mark.parametrize("value,temperature,refused", [
+        (math.inf, 0.2, "must be finite, not inf"),
+        (math.nan, 0.0, "must be finite, not nan"),
+        (-math.inf, 1e-9, "must be finite, not -inf"),
+        (1e308, 0.2, "1e+308 over temperature 0.2 is not finite"),
+        (-1e308, 0.2, "-1e+308 over temperature 0.2 is not finite"),
+        (1e302, 1e-8, "1e+302 over temperature 1e-08 is not finite"),
+        (3.5e307, 0.2, None), (-3.5e307, 0.2, None), (1e308, 1.0, None),
+        # at or below 1e-9 MQL takes the argmax, dividing nothing
+        (1e308, 1e-9, None), (1e308, 0.0, None)])
+    def test_a_bonus_must_stay_finite_over_the_temperature(
+            self, key, value, temperature, refused):
+        """Each bonus is finite, and where MQL takes a softmax (a
+        temperature above 1e-9), so is its magnitude over the temperature;
+        a bonus that is not is refused, naming the key."""
+        if refused is None:
+            QTrainConfig(temperature=temperature, **{key: value})
+            return
+        with pytest.raises(ConfigurationError,
+                           match=f"^{key} {re.escape(refused)}"):
+            QTrainConfig(temperature=temperature, **{key: value})
+
 
 class TestTrainQ:
     def test_zero_episodes_zero_table(self, two_hotspot_world):
@@ -104,12 +129,12 @@ class TestTrainQ:
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_cost_scales_of_another_length_rejected(self, two_hotspot_world,
                                                     extra):
-        """One demonstration and one cost scale per training instance: a
+        """One objective and one cost scale per training instance: a
         list of either one shorter or one longer is refused before any
         episode."""
         training = [two_hotspot_world] * 2
         hotspots, depot, rows = pool_rows([inst for inst, _ in training])
-        demos = [demo for _, demo in training]
+        demos = [demo.objective for _, demo in training]
         scales = _scales(training)
         cfg = QTrainConfig(episodes=10)
         side = 'shorter' if extra < 0 else 'longer'
@@ -223,15 +248,18 @@ class TestConstructWord:
     @pytest.mark.parametrize("key", ["terminal_bonus", "reference_bonus"])
     def test_a_row_that_is_not_finite_is_a_numeric_error(self, make_instance,
                                                           key):
-        """A score that overflows over the temperature (a Q-value that a
-        terminal bonus of 1e308 trains, or the reference's bonus of 1e308)
-        makes the softmax row NaN: that is a numeric error naming the
-        temperature and both bonuses, with no numpy warning."""
+        """A score that overflows over the temperature makes the softmax
+        row NaN: that is a numeric error naming the temperature and both
+        bonuses, with no numpy warning. Each bonus over the temperature
+        stays finite, as the config requires, and the score is a Q-value
+        that the terminal bonus trains plus the reference bonus on the same
+        letter: ``key`` is the larger of the two."""
         inst = make_instance([(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)])
-        table = QTable(values={(DEPOT_STATE, 2): 1e308 if key ==
-                               "terminal_bonus" else 0.3},
+        large, small = 3.5e307, 1e307
+        bonus = {"terminal_bonus": small, "reference_bonus": small, key: large}
+        table = QTable(values={(DEPOT_STATE, 2): bonus["terminal_bonus"]},
                        letters={1, 2, 3})
-        cfg = QTrainConfig(episodes=0, **{key: 1e308})
+        cfg = QTrainConfig(episodes=0, **bonus)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=(

@@ -206,11 +206,12 @@ def _bits(q: QTable) -> str:
 
 def _train(training, cfg, w, seed):
     """``train_q`` on (instance, demonstration) pairs that share one
-    depot, as rows over their pool (``pool_rows``), with the cost scales
-    that the oracle stage gives."""
+    depot, as rows over their pool (``pool_rows``), with the
+    demonstrations' objectives and the cost scales that the oracle stage
+    gives."""
     return train_q(*pool_rows([inst for inst, _ in training]),
-                   [demo for _, demo in training], _scales(training), cfg, w,
-                   seed)
+                   [demo.objective for _, demo in training], _scales(training),
+                   cfg, w, seed)
 
 
 def _assert_same_training(training, cfg, w, seed):
@@ -414,12 +415,13 @@ def test_demonstrate_carries_the_instance_cost_scale(chan, mission, drawn,
     ``instance_scales(inst)[0]`` of the row's instance bit for bit, and the
     reference's; its tour is ``solve``'s."""
     w = WEIGHTS[weights]
-    for (tour, scale), inst in zip(demonstrate(*drawn, w),
-                                   _instances(drawn, chan, mission),
-                                   strict=True):
+    d = demonstrate(*drawn, w)
+    for *solved, scale, inst in zip(
+            d.orders, d.cost_m, d.profit_bps, d.objective, d.cost_scale,
+            _instances(drawn, chan, mission), strict=True):
         assert repr(scale) == repr(instance_scales(inst)[0]) \
             == repr(_instance_scales(inst)[0])
-        assert tour == solve(inst, w)
+        assert Tour(*solved) == solve(inst, w)
 
 
 @settings(max_examples=120, deadline=None)

@@ -350,8 +350,9 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
     """tools/setup_layers.py times each set-up stage of the pipeline on
     HEAD's src/ and the working tree's, on the shape of either benchmark
     workload, one line per stage with a median and quartiles per side,
-    then a last line for reading the stage's world model back
-    (``world_read``), and exits 0 when every stage's file and the model
+    then a line for reading the stage's world model back
+    (``world_read``), and a last line that every process ran pinned to
+    one CPU, and exits 0 when every stage's file and the model
     read back are the same on both sides (the working tree's files are
     HEAD's while the change keeps every byte); a commit it cannot
     export, no rounds or an unknown workload exits 2."""
@@ -364,8 +365,9 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
         assert layers.main(["HEAD", "--rounds", "1",
                             "--workload", workload]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in out[1:]] == list(layers.LAYERS)
+        assert [line.split()[0] for line in out[1:-1]] == list(layers.LAYERS)
         assert layers.LAYERS[-2:] == ("ql", "world_read")
+        assert out[-1] == "each process ran on 1 CPU"
         assert not any("differ" in line for line in out)
     assert layers.setup_layers("no-such-commit", 1) == 2
     assert "cannot export no-such-commit" in capsys.readouterr().err

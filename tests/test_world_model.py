@@ -1,6 +1,7 @@
 import inspect
 import json
 import pickle
+from array import array
 from dataclasses import fields
 
 import numpy as np
@@ -13,12 +14,13 @@ from uavplan.environment import (Hotspot, MissionConfig, sample_instance,
 from uavplan.errors import (ConfigurationError, ConsistencyError,
                             DegenerateWordError, TrainingError)
 from uavplan.environment import _canonical_json
-from uavplan.oracle import ObjectiveWeights, Tour, make_tour, solve
+from uavplan.oracle import (Demonstrations, ObjectiveWeights, Tour,
+                            make_tour, solve)
 from uavplan.planner import PlannerConfig, plan_mission
 from uavplan.world_model import (WORLD_MODEL_SCHEMA, LetterStats, NoiseConfig,
                                  Word, WorldModel, learn, merge_global,
-                                 model_from_dict, model_to_dict,
-                                 word_from_tour)
+                                 model_from_dict, model_to_dict)
+from uavplan.world_model import _word as word_of
 
 from world_model_oracles import (GeneralizedLetter, adjacency, degree, glyphs,
                                  letter_rows, reference_learn,
@@ -88,26 +90,26 @@ class TestWordFromTour:
     def test_direct_transcription(self, make_instance, default_weights):
         inst = make_instance([(1, 0), (2, 0), (3, 0)], ids=[3, 7, 9])
         t = make_tour([3, 7, 9], inst, default_weights)
-        assert word_from_tour(t) == (3, 7, 9)
+        assert word_of(t.order) == (3, 7, 9)
 
     def test_two_vertex_tour(self, make_instance, default_weights):
         inst = make_instance([(1, 0), (2, 0)], ids=[4, 6])
         t = make_tour([4, 6], inst, default_weights)
-        assert glyphs(word_from_tour(t)) == (GeneralizedLetter(4, 6),)
+        assert glyphs(word_of(t.order)) == (GeneralizedLetter(4, 6),)
 
     def test_single_vertex_rejected(self, make_instance, default_weights):
         inst = make_instance([(1, 0)])
         with pytest.raises(DegenerateWordError):
-            word_from_tour(make_tour([1], inst, default_weights))
+            word_of(make_tour([1], inst, default_weights).order)
 
     def test_an_order_of_ints_is_shared(self, make_instance, default_weights):
         """A tour's order of Python ints becomes the stored word without a
         copy; any other order is copied as Python ints."""
         inst = make_instance([(1, 0), (2, 0), (3, 0)], ids=[3, 7, 9])
         t = make_tour([3, 7, 9], inst, default_weights)
-        assert word_from_tour(t) is t.order
+        assert word_of(t.order) is t.order
         for order in ([3, 7, 9], (np.int64(3), 7, 9), (True, 7, 9)):
-            letters = word_from_tour(Tour(order, 1.0, 1.0, 0.0))
+            letters = word_of(Tour(order, 1.0, 1.0, 0.0).order)
             assert letters == (int(order[0]), 7, 9)
             assert list(map(type, letters)) == [int] * 3
 
@@ -484,6 +486,16 @@ def _demos(draw_orders, costs):
                  objective=0.0) for order, cost in zip(draw_orders, costs)]
 
 
+def _record(demos) -> Demonstrations:
+    """The tours ``demos`` as ``demonstrate``'s columns."""
+    def column(name):
+        return array("d", [getattr(t, name) for t in demos])
+
+    return Demonstrations([t.order for t in demos], column("total_cost_m"),
+                          column("total_profit_bps"), column("objective"),
+                          array("d", [1.0] * len(demos)))
+
+
 # orders over ten letters, many repeated and some of fewer than two letters
 _orders = st.lists(st.sampled_from(range(1, 11)), max_size=4, unique=True)
 
@@ -512,17 +524,19 @@ class TestLearnReference:
     @given(st.lists(st.tuples(_orders, st.floats(0.0, 1e5)), max_size=60),
            st.data())
     def test_same_model_or_message(self, drawn, data):
-        """Repeated and degenerate demonstrations, in any order, give the
-        same model, to the bits of the transition matrix, or the same
-        message, naming the same first degenerate demonstration, or the
-        same noise that underflows (a tour cost of about 1e-228 makes the
-        mean leg time's noise underflow)."""
+        """Repeated and degenerate demonstrations, in any order, as tours
+        or as ``demonstrate``'s columns, give the same model, to the bits
+        of the transition matrix, or the same message, naming the same
+        first degenerate demonstration, or the same noise that underflows
+        (a tour cost of about 1e-228 makes the mean leg time's noise
+        underflow)."""
         repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=40)
                             if drawn else st.just([]))
         demos = _demos(*zip(*(drawn + repeats))) if drawn + repeats else []
         demos = data.draw(st.permutations(demos))
         want = self._outcome(reference_learn, demos)
         assert self._outcome(learn, demos) == want
+        assert self._outcome(learn, _record(demos)) == want
         if len(want) > 2:
             wm = learn(demos, self.POOL, NoiseConfig(), MissionConfig())
             merged = reference_merge_global(wm.words, wm.vocab, wm.word_counts)
@@ -557,21 +571,23 @@ class TestLearnReference:
                    for w in back.words)
 
     def test_each_distinct_order_is_one_word(self, monkeypatch):
-        """``word_from_tour`` runs once per distinct order, on its first
-        demonstration, and the first degenerate one is named by its
+        """A word is made (``_word``) once per distinct order, of its first
+        demonstration's order, and the first degenerate one is named by its
         index."""
         from uavplan import world_model
         made = []
+        word = world_model._word
 
-        def counted(t):
-            made.append(t)
-            return word_from_tour(t)
+        def counted(order):
+            made.append(order)
+            return word(order)
 
-        monkeypatch.setattr(world_model, "word_from_tour", counted)
+        monkeypatch.setattr(world_model, "_word", counted)
         demos = _demos([(1, 2), (3, 4, 5), (1, 2), (3, 4, 5), (1, 2)],
                        [5.0, 6.0, 4.0, 6.0, 5.0])
         learn(demos, self.POOL, NoiseConfig(), MissionConfig())
-        assert made == [demos[0], demos[1]]
+        assert made == [demos[0].order, demos[1].order]
+        assert made[0] is demos[0].order
         with pytest.raises(DegenerateWordError, match=r"^demonstration 3, "
                            r"order \[7\]: "):
             learn(demos[:3] + _demos([(7,), (8,), (7,)], [1.0] * 3),
@@ -604,8 +620,7 @@ class TestBenchmarkContracts:
     timed span, so a new public helper would put a span inside the
     learner's loops."""
 
-    PUBLIC = ("learn", "merge_global", "model_from_dict", "model_to_dict",
-              "word_from_tour")
+    PUBLIC = ("learn", "merge_global", "model_from_dict", "model_to_dict")
 
     def test_public_functions_unchanged(self):
         from uavplan import world_model

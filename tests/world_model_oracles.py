@@ -35,7 +35,7 @@ from uavplan.errors import ConsistencyError, DegenerateWordError, TrainingError
 from uavplan.oracle import Tour
 from uavplan.world_model import (WORLD_MODEL_SCHEMA, NoiseConfig,
                                  TransitionMatrix, WorldModel, _build,
-                                 _LetterSources, word_from_tour)
+                                 _LetterSources, _word)
 
 Letters = tuple[int, ...]
 
@@ -120,7 +120,7 @@ def reference_learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
     word_cost: dict[tuple[int, ...], float] = {}
     for k, t in enumerate(demos):
         try:
-            key = word_from_tour(t)
+            key = _word(t.order)
         except DegenerateWordError as e:
             raise DegenerateWordError(
                 f"demonstration {k}, order {list(t.order)}: {e}; the oracle "

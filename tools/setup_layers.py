@@ -11,8 +11,11 @@ shape of the benchmark's workload NAME (``WORKLOADS[NAME].config(3011,
 ``train-large`` by default, 20,000 training instances of 5 of 50
 hotspots, or ``plan-large``, 5,000 of them. It runs the pipeline's set-up
 stages in order, as ``harness._stages`` yields them, into a new
-directory, stopping after the last of them, Q-learning. Each stage is
-timed with ``time.perf_counter`` from the previous yield to its own:
+directory, stopping after the last of them, Q-learning. Each process
+first pins itself to one CPU, the lowest it may run on
+(``os.sched_setaffinity``), as perfbench pins its pipeline, so that the
+two sides run alike with no ``taskset``. Each stage is timed with
+``time.perf_counter`` from the previous yield to its own:
 
 - ``pools``: the pools and ``pools.json``;
 - ``training_instances``: the training instances and
@@ -31,10 +34,10 @@ peak resident memory (``ru_maxrss``) right after each stage; the pipeline
 keeps what later stages read alive, so a reading is the high-water mark
 of the stages so far. Prints one line per stage, ``STAGE  ref MEDIAN [Q1,
 Q3]  tree MEDIAN [Q1, Q3]  ref MB  tree MB``, times in milliseconds and
-the median peak in MB, and exits 0 when each stage's file, and the model
-read back, has one sha256 over every process of both sides, 1 when any
-differs, and 2 when REF cannot be exported. Standard library only,
-besides the package it runs.
+the median peak in MB, then ``each process ran on 1 CPU``, and exits 0
+when each stage's file, and the model read back, has one sha256 over
+every process of both sides, 1 when any differs, and 2 when REF cannot
+be exported. Standard library only, besides the package it runs.
 """
 
 from __future__ import annotations
@@ -76,7 +79,9 @@ def _workloads() -> dict:
 def _child(out: Path, workload: str) -> dict:
     """Each set-up stage's (seconds, peak MB after it, file digest) on the
     shape of ``workload``, run on the ``uavplan`` that ``sys.path``
-    finds, and the same of reading its world model back."""
+    finds, and the same of reading its world model back, pinned to one
+    CPU; ``cpus`` is the count it then runs on."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     from uavplan import harness, world_model
 
     cfg = harness.config_from_dict(
@@ -104,6 +109,7 @@ def _child(out: Path, workload: str) -> dict:
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         hashlib.sha256(json.dumps(world_model.model_to_dict(wm),
                                   sort_keys=True).encode()).hexdigest()]
+    result["cpus"] = len(os.sched_getaffinity(0))
     return result
 
 
@@ -126,6 +132,7 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
     times = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
     peaks = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
     digests = {layer: set() for layer in LAYERS}
+    cpus = set()   # the CPU count each process ran on
     with tempfile.TemporaryDirectory(prefix="setup_layers_") as tmp:
         tmp = Path(tmp)
         if (ref_src := _same_outputs.export_src(ref, tmp / "ref")) is None:
@@ -133,9 +140,10 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
         sources = {"ref": ref_src, "tree": ROOT / "src"}
         for r in range(rounds):
             for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
-                for layer, (seconds, peak, digest) in _run(
-                        sources[side], tmp / f"out-{side}-{r}",
-                        workload).items():
+                result = _run(sources[side], tmp / f"out-{side}-{r}",
+                              workload)
+                cpus.add(result.pop("cpus"))
+                for layer, (seconds, peak, digest) in result.items():
                     times[side][layer].append(seconds)
                     peaks[side][layer].append(peak)
                     digests[layer].add(digest)
@@ -148,6 +156,7 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
               f" {statistics.median(peaks['ref'][layer]):8.2f}"
               f" {statistics.median(peaks['tree'][layer]):8.2f}"
               f"{'  outputs differ' if layer in differ else ''}")
+    print(f"each process ran on {', '.join(map(str, sorted(cpus)))} CPU")
     return 1 if differ else 0
 
 
