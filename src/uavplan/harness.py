@@ -398,12 +398,13 @@ def write_jsonl_atomic(path: Path, lines: Iterable) -> None:
             for item in lines:
                 f.write(_line(item, path) + "\n")
         os.replace(tmp, path)
-    except OSError as e:
-        raise ConfigurationError(f"cannot write {path}: {e}") from e
-    finally:
-        # gone once renamed; left behind by a write that failed
+    except BaseException as e:
+        # a write that failed leaves its temporary file behind
         with contextlib.suppress(OSError):
             tmp.unlink()
+        if isinstance(e, OSError):
+            raise ConfigurationError(f"cannot write {path}: {e}") from e
+        raise
 
 
 _REGENERATE = "delete it and run again to regenerate it"

@@ -17,18 +17,15 @@ The search runs in index space, over a batch of instances at once
 depot and rows: an instance is a row, the ascending indices of its
 hotspots in the pool. The training instances are such rows over the
 training pool (``harness``), and ``solve`` is the one-row case over an
-instance's own hotspots. Consecutive rows that hold at most
-``_TABLE_HOTSPOTS`` hotspots together form a run with one table
-(``_tables``): the matrix of ``edge_cost`` values between the run's
-hotspots, ids ascending, with the depot last. Every entry is
-``math.hypot`` of the lower-id point minus the higher-id one, as
-``edge_cost`` forms it. A pool of at most that many hotspots, such as
-every training pool of the default config, is one run with the pool's
-table, so each distance between pool hotspots is computed once, not once
-per instance.
+instance's own hotspots. A call builds one table (``_table``): the
+matrix of ``edge_cost`` values between the pool's hotspots, ids
+ascending, with the depot last. Every entry is ``math.hypot`` of the
+lower-id point minus the higher-id one, as ``edge_cost`` forms it, so
+each distance between pool hotspots is computed once, not once per
+instance. ``ql.train_q`` reads its legs from the same table.
 
 Construction, 2-opt and the selection pass then run as numpy operations
-over every row of one size in a run, in chunks of ``_BATCH_ENTRIES``
+over every row of one size, in chunks of ``_BATCH_ENTRIES``
 for memory, with each tour a row of table indices. No ``Tour`` is built
 for a demonstration: ``demonstrate`` returns one record of columns
 (``Demonstrations``), each order a tuple of ids and each total a float.
@@ -37,7 +34,7 @@ each block is finished with a few numpy operations, whatever its length:
 the reverse-reading rule, the totals, and ``Tour``'s checks (no index
 repeated, every total finite; ``_check_block``, which names the first
 demonstration that fails). The totals are the ones ``make_tour``
-computes, read from the run's table rather than recomputed from the
+computes, read from the table rather than recomputed from the
 coordinates, each row summed in order (``_row_sums``): the closed length
 is the table's legs summed from 0.0 in visiting order (for the empty
 tour the depot's diagonal, 0.0), and the profit the hotspots' profits
@@ -71,10 +68,16 @@ anyway.
 A table lives for one call and is never cached on ``Instance``. A cached
 geometry and id map on every instance once raised the peak resident memory
 of a 20,000-demonstration run from 99.9 to 142.0 MB (62.7 to 74.8 MB on
-5,000 demonstrations with 30-50 hotspot test instances). A table holds
-one entry per pair of its run's hotspots (51 x 51 for the default
-50-hotspot training pool, at most 513 x 513), and the row arrays are
-bounded per chunk.
+5,000 demonstrations with 30-50 hotspot test instances). For a pool of
+P hotspots a call's table holds (P + 1)^2 entries (51 x 51 for the
+default 50-hotspot training pool), and the row arrays are bounded per
+chunk. The table has no cap. Splitting a large pool's rows into runs
+with smaller tables bounded no memory that a pipeline reaches, since
+Q-learning reads the whole pool's table after the oracle, and it made
+the oracle slower: on a 1,000-hotspot training pool (20,000 rows of 5
+hotspots, one pinned Xeon CPU) the oracle stage took 3.8-4.2 s in runs
+against 0.21-0.34 s with one table, and the set-up's peak resident
+memory, reached in Q-learning, was 115.9 against 115.0 MB.
 
 A demonstration is stored by ``harness`` as its order alone, under one
 weights header; the demonstrations are solved on every run and only
@@ -117,10 +120,6 @@ _ROUNDING = 16 * sys.float_info.epsilon
 # Tours of n hotspots are searched in chunks of rows whose (n + 2)^2 legs
 # tables hold at most this many entries (128 KB), whatever the batch size.
 _BATCH_ENTRIES = 1 << 14
-# Consecutive rows share one table while they hold at most this many
-# hotspots together: a table of 513 x 513 entries (2.1 MB) and 131,000
-# hypot calls, built once for a batch of rows over a pool of up to 512.
-_TABLE_HOTSPOTS = 512
 
 
 @dataclass(frozen=True)
@@ -192,42 +191,6 @@ def make_tour(order, inst: Instance, w: ObjectiveWeights) -> Tour:
                 objective=objective_value(cost, profit, w))
 
 
-def _tables(hotspots: Sequence[Hotspot], depot: Point,
-            rows: Sequence[Sequence[int]]) -> Iterator[
-                tuple[Sequence[int], np.ndarray, Sequence[Sequence[int]]]]:
-    """The rows over the pool ``hotspots`` in runs of consecutive rows
-    that share one table, as (the run's pool indices, ascending; its table;
-    its rows in table indices).
-
-    A pool of at most ``_TABLE_HOTSPOTS`` hotspots is one run whose table
-    is the whole pool's. Over a larger pool a run's rows hold at most that
-    many hotspots together (a larger row runs alone), so the table stays
-    small whatever the pool.
-    """
-    if len(hotspots) <= _TABLE_HOTSPOTS:
-        yield range(len(hotspots)), _table(hotspots, depot), rows
-        return
-    start, members = 0, set()
-    for k, row in enumerate(rows):
-        fresh = sum(v not in members for v in row)
-        if k > start and len(members) + fresh > _TABLE_HOTSPOTS:
-            yield _run(hotspots, depot, rows[start:k], members)
-            start, members = k, set()
-        members.update(row)
-    if rows:
-        yield _run(hotspots, depot, rows[start:], members)
-
-
-def _run(hotspots: Sequence[Hotspot], depot: Point,
-         rows: Sequence[Sequence[int]], members: set[int]
-         ) -> tuple[list[int], np.ndarray, list[list[int]]]:
-    """A run of rows over a pool larger than one table (``_tables``)."""
-    pool = sorted(members)
-    local = {v: k for k, v in enumerate(pool)}
-    return (pool, _table([hotspots[v] for v in pool], depot),
-            [[local[v] for v in row] for row in rows])
-
-
 def _table(hotspots: Sequence[Hotspot], depot: Point) -> np.ndarray:
     """The (n+1)x(n+1) matrix of ``edge_cost`` values between
     ``hotspots``, ascending by id, with the depot last: an entry is
@@ -249,7 +212,7 @@ def _table(hotspots: Sequence[Hotspot], depot: Point) -> np.ndarray:
 def _constructions(table: np.ndarray, rows: Sequence[Sequence[int]]
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The nearest-neighbor constructions of ``rows`` (table indices,
-    ascending) over ``table`` (``_tables``), one chunk at a time: the rows
+    ascending) over ``table`` (``_table``), one chunk at a time: the rows
     of one size, at most about ``_BATCH_ENTRIES`` table entries per tour
     array. A chunk is its rows' positions in ``rows``, their constructions
     as rows of table indices and their cost scales.
@@ -483,48 +446,45 @@ def demonstrate(hotspots: Sequence[Hotspot], depot: Point,
     """``solve``'s tour of each row, with its totals and cost scale, as
     columns. A row is an instance over the pool ``hotspots`` (ascending by
     id) from ``depot``: its hotspots' indices, ascending. The rows are
-    solved from one table and one batched construction per run
-    (``_tables``): the scale is the nearest-neighbor construction's length
-    (1.0 where it is not positive), taken before 2-opt reorders it, which
-    also bounds the rounding of 2-opt's deltas (``_stops``). The totals are
-    ``make_tour``'s, summed from the run's table block by block, and each
-    block is checked as a ``Tour`` is (see the module docstring)."""
+    solved from the pool's one table (``_table``) and one batched
+    construction per chunk: the scale is the nearest-neighbor
+    construction's length (1.0 where it is not positive), taken before
+    2-opt reorders it, which also bounds the rounding of 2-opt's deltas
+    (``_stops``). The totals are ``make_tour``'s, summed from the table
+    block by block, and each block is checked as a ``Tour`` is (see the
+    module docstring)."""
     orders: list = [None] * len(rows)
     cost, profit, objective, scale = np.zeros((4, len(rows)))
-    offset = 0
-    for pool, table, run in _tables(hotspots, depot, rows):
-        ids = np.array([hotspots[v].id for v in pool])
-        profits = np.array([hotspots[v].profit_bps for v in pool])
-        for part, order, scales in _constructions(table, run):
-            stop = _stops(scales)
-            scale[offset + part] = scales
-            with np.errstate(over="ignore", invalid="ignore"):
-                blocks = _selection_pass(
-                    table, profits, _two_opt(table, order, w, stop), w, stop)
-                for leave, final in blocks:
-                    at = offset + part[leave]
-                    if final.shape[1] > 1:
-                        # a closed tour and its reverse cost the same;
-                        # keep the lexicographically smaller reading. With
-                        # no index repeated (``_check_block``), the two
-                        # differ first at the first place, which holds the
-                        # other's last
-                        final = np.where((final[:, -1] < final[:, 0])[:, None],
-                                         final[:, ::-1], final)
-                    ordered = np.sort(final, axis=1)
-                    # make_tour's totals from the table: the legs in
-                    # visiting order (the depot's diagonal, 0.0, for the
-                    # empty tour), the profits in index (that is, id) order
-                    ext = _closed(table, final)
-                    length = _row_sums(table[ext[:, :-1], ext[:, 1:]])
-                    gained = _row_sums(profits[ordered])
-                    value = objective_value(length, gained, w)
-                    _check_block(at, final, ordered, ids, length, gained,
-                                 value)
-                    cost[at], profit[at], objective[at] = length, gained, value
-                    for k, word in zip(at.tolist(), ids[final].tolist()):
-                        orders[k] = tuple(word)
-        offset += len(run)
+    table = _table(hotspots, depot)
+    ids = np.array([h.id for h in hotspots])
+    profits = np.array([h.profit_bps for h in hotspots])
+    for part, order, scales in _constructions(table, rows):
+        stop = _stops(scales)
+        scale[part] = scales
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = _selection_pass(
+                table, profits, _two_opt(table, order, w, stop), w, stop)
+            for leave, final in blocks:
+                at = part[leave]
+                if final.shape[1] > 1:
+                    # a closed tour and its reverse cost the same; keep
+                    # the lexicographically smaller reading. With no index
+                    # repeated (``_check_block``), the two differ first at
+                    # the first place, which holds the other's last
+                    final = np.where((final[:, -1] < final[:, 0])[:, None],
+                                     final[:, ::-1], final)
+                ordered = np.sort(final, axis=1)
+                # make_tour's totals from the table: the legs in visiting
+                # order (the depot's diagonal, 0.0, for the empty tour),
+                # the profits in index (that is, id) order
+                ext = _closed(table, final)
+                length = _row_sums(table[ext[:, :-1], ext[:, 1:]])
+                gained = _row_sums(profits[ordered])
+                value = objective_value(length, gained, w)
+                _check_block(at, final, ordered, ids, length, gained, value)
+                cost[at], profit[at], objective[at] = length, gained, value
+                for k, word in zip(at.tolist(), ids[final].tolist()):
+                    orders[k] = tuple(word)
     return Demonstrations(orders, *(array("d", c.tobytes()) for c in
                                     (cost, profit, objective, scale)))
 

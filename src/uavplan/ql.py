@@ -20,18 +20,18 @@ episode reads its row, objective and both scales by the drawn index.
 
 Training runs 100,000 steps on the default config, so each step does
 only what its arithmetic needs. An episode walks its row over the pool,
-with the pool indices as actions. Every leg is read from one table,
-built once, of the ``math.hypot`` of the same differences ``edge_cost``
-takes, from each pool index and from the depot to each pool index (the
-return leg reads the depot's row: its differences are negated, which
-``hypot`` does not see, as it takes their absolute values). A
-running tour length adds the legs in visiting order, so at the last step
-``length + back`` is the ``total_cost_m`` sum ``make_tour`` forms, term
-for term, and the realized objective is bit-identical. The Q-values are
-dense rows, one list per pool index and the depot's last (state -1), and
-each entry an update writes is also stored in its state's dict, so the
-``QTable`` made over ids at the end holds exactly the pairs the updates
-wrote, 0.0 values included.
+with the pool indices as actions. Every leg is read from the oracle's
+table of the pool (``oracle._table``, as lists): the ``math.hypot`` of
+the lower-id point minus the higher-id one, the depot's row last, so
+state -1 reads it. ``hypot`` takes the absolute values of the
+differences, so a leg read in either direction is the one ``edge_cost``
+and ``make_tour`` form. A running tour length adds the legs in visiting
+order, so at the last step ``length + back`` is the ``total_cost_m`` sum
+``make_tour`` forms, term for term, and the realized objective is
+bit-identical. The Q-values are dense rows, one list per pool index and
+the depot's last (state -1), and each entry an update writes is also
+stored in its state's dict, so the ``QTable`` made over ids at the end
+holds exactly the pairs the updates wrote, 0.0 values included.
 
 Each step but the last scans one row, once (the first step also scans
 the depot's row when it does not explore). The update's target takes
@@ -72,7 +72,7 @@ import numpy as np
 from .environment import Hotspot, Instance, Point, _Stream, edge_cost
 from .errors import (ConfigurationError, ConsistencyError, NumericError,
                      TrainingError)
-from .oracle import ObjectiveWeights, objective_value
+from .oracle import ObjectiveWeights, _table, objective_value
 from .world_model import Word
 
 DEPOT_STATE = -1
@@ -146,12 +146,12 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
     near-demonstration tour, the terminal bonus. ``cost_scales[k]`` is
     training instance k's nn_cost, the length of its nearest-neighbor
     construction. ``oracle.demonstrate`` gives both columns, the
-    ``objective`` and the ``cost_scale`` of its record.
+    ``objective`` and the ``cost_scale`` of its record, and every leg is
+    read from its table of the pool (``oracle._table``).
     """
     if not rows:
         raise TrainingError("no training instances for Q-learning")
     rng = _Stream(rng_seed)
-    centers = [h.center_m for h in hotspots]
     profits = [h.profit_bps for h in hotspots]
     # each instance's total profit, summed in id order
     totals = array("d")
@@ -160,8 +160,7 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
         totals.append(sum([profits[v] for v in row]))
     # legs[s][a]: the leg from pool index s, or from the depot at s = -1,
     # to pool index a
-    legs = [[math.hypot(x - hx, y - hy) for hx, hy in centers]
-            for x, y in centers + [depot]]
+    legs = _table(hotspots, depot).tolist()
 
     neg_alpha = -weights.weight_alpha
     # beta * profit, per pool index

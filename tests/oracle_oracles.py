@@ -1,12 +1,13 @@
 """Test-side oracles for the offline optimizer: its steps one at a time.
 
 ``oracle.demonstrate`` runs construction, 2-opt and the selection pass as
-array operations over the rows of a batch, on one table of distances per
-run of rows (``_tables``), and returns the tours as columns, with no
-``Tour`` per row. The functions here expose each step on its own for one instance, ``Tour`` in
-and ``Tour`` out, as thin adapters over the same private steps, so that
-the tests can pin each step's behaviour and compare it with the
-coordinate-based reference in test_oracle_equivalence.py:
+array operations over the rows of a batch, on one table of the pool's
+distances (``_table``), and returns the tours as columns, with no
+``Tour`` per row. The functions here expose each step on its own for
+one instance, ``Tour`` in and ``Tour`` out, as thin adapters over the
+same private steps, so that the tests can pin each step's behaviour and
+compare it with the coordinate-based reference in
+test_oracle_equivalence.py:
 
 - ``nearest_neighbor_construct``, ``two_opt`` and ``selection_pass``;
 - ``indices`` maps a tour's ids to table indices, as a one-row batch;

@@ -27,7 +27,7 @@ from uavplan.cli import STAGE_COMMANDS
 from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, Instance, MissionConfig,
                                  sample_instances, sample_pool)
-from uavplan import harness, world_model
+from uavplan import harness, oracle, ql, world_model
 from uavplan.errors import ConfigurationError, ConsistencyError, NumericError
 from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              POOL_SCHEMA, TOUR_SCHEMA, ExperimentConfig,
@@ -595,6 +595,17 @@ class TestHeadedJsonl:
         write_jsonl_atomic(path, iter(()))
         assert path.read_bytes() == b""
 
+    def test_a_write_that_succeeds_removes_nothing(self, tmp_path,
+                                                   monkeypatch):
+        """The rename moves the temporary file away, so only a write that
+        fails removes it: a successful write calls no ``unlink``."""
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink",
+                            lambda self, *args: unlinked.append(self))
+        write_jsonl_atomic(tmp_path / "f.jsonl", iter([{"a": 1}]))
+        assert unlinked == []
+        assert list(tmp_path.iterdir()) == [tmp_path / "f.jsonl"]
+
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["ids", "order"]),
            st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70),
@@ -794,6 +805,34 @@ class TestHeadedJsonl:
         run_pipeline(small_config(tmp_path / "eval", test_sizes=(5,),
                                   seeds_per_size=1), "eval")
         assert built
+
+    def test_oracle_and_q_learning_read_one_table_each(self, tmp_path,
+                                                       monkeypatch):
+        """The pool's table of legs has one builder, ``oracle._table``: a
+        run up to the Q-learning stage builds it twice, for ``demonstrate``
+        and for ``train_q``, each time over the training pool from the
+        config's depot."""
+        calls, pools = [], []
+        real_table, real_pools = oracle._table, harness.stage_pools
+
+        def table(hotspots, depot):
+            calls.append((list(hotspots), depot))
+            return real_table(hotspots, depot)
+
+        def stage_pools(*args):
+            pools.append(real_pools(*args))
+            return pools[-1]
+
+        monkeypatch.setattr(oracle, "_table", table)
+        # ql reads the builder by name; a ql with no such name builds no
+        # table through it, and the count below shows that
+        monkeypatch.setattr(ql, "_table", table, raising=False)
+        monkeypatch.setattr(harness, "stage_pools", stage_pools)
+        cfg = small_config(tmp_path / "o")
+        run_pipeline(cfg, "ql")
+        training = pools[0][1]
+        assert len(training) == cfg.training_pool_size
+        assert calls == [(training, cfg.depot)] * 2
 
     @pytest.mark.parametrize("m_training", [
         pytest.param(5_000, id="default"),

@@ -302,23 +302,20 @@ def _pool(rng: random.Random, ids, grid: bool) -> list[Hotspot]:
             for i in ids]
 
 
-@pytest.mark.parametrize("entries,table_hotspots", [
-    pytest.param(None, None, id="production-chunks"),
-    pytest.param(300, 40, id="small-chunks-and-tables")])
+@pytest.mark.parametrize("entries", [
+    pytest.param(None, id="production-chunks"),
+    pytest.param(300, id="small-chunks")])
 @pytest.mark.parametrize("w,drops", [
     pytest.param(ObjectiveWeights(), False, id="default"),
     pytest.param(ObjectiveWeights(0.5, 0.5, cost_scale=4000.0,
                                   profit_scale=2e7), True, id="even-scaled")])
-def test_batch_equals_each_instance_alone(chan, mission, entries,
-                                          table_hotspots, w, drops):
+def test_batch_equals_each_instance_alone(chan, mission, entries, w, drops):
     """One call on a shuffled batch of rows of sizes 1-50 over one pool,
     half on a lattice (where legs and removal gains tie) and half random:
     every tour and cost scale is, bit for bit, what the row's instance
     gets alone from ``solve``, its hotspots stored in and out of id order.
-    So it is in the production chunks and table (the pool's one table for
-    all 100 rows), and in chunks of one to a few rows and tables of at
-    most 40 hotspots, which split the rows into many runs and leave each
-    row above 40 hotspots a run of its own."""
+    So it is in the production chunks and in chunks of one to a few rows,
+    all over the pool's one table."""
     rng = random.Random(2323)
     pool = _pool(rng, range(1, 61), True) + _pool(rng, range(101, 161), False)
     depot = (200.0, 300.0)
@@ -334,29 +331,17 @@ def test_batch_equals_each_instance_alone(chan, mission, entries,
                         channel=chan, mission=mission, seed=0)
         alone.append((solve(inst, w), instance_scales(inst)[0]))
     with mock.patch.object(oracle, "_BATCH_ENTRIES",
-                           entries or oracle._BATCH_ENTRIES), \
-            mock.patch.object(oracle, "_TABLE_HOTSPOTS",
-                              table_hotspots or oracle._TABLE_HOTSPOTS):
-        runs = [(len(table) - 1, run) for _, table, run
-                in oracle._tables(pool, depot, rows)]
+                           entries or oracle._BATCH_ENTRIES):
         got = demonstrate(pool, depot, rows, w)
-    assert sum(len(run) for _, run in runs) == 100
-    if table_hotspots is None:
-        assert [(n, len(run)) for n, run in runs] == [(len(pool), 100)]
-    else:
-        alone_above = [run for n, run in runs if n > table_hotspots]
-        assert len(runs) > 10 and alone_above
-        assert all(len(run) == 1 for run in alone_above)
     assert _rows(got) == [(_column_bits(t), repr(s)) for t, s in alone]
     assert any(len(o) < len(row) for o, row in zip(got.orders, rows)) \
         == drops
 
 
-def test_rows_over_a_pool_above_the_cap_keep_every_table_bounded(
-        chan, mission, default_weights):
-    """Rows over a pool of 600 hotspots, more than one table holds
-    (``_TABLE_HOTSPOTS``): they split into runs whose tables have at most
-    (cap + 1)^2 entries, and each row's tour and cost scale are, bit for
+def test_rows_over_a_large_pool_share_its_one_table(chan, mission,
+                                                    default_weights):
+    """Rows over a pool of 600 hotspots are solved over one 601 x 601
+    table of the pool, and each row's tour and cost scale are, bit for
     bit, those of its ``Instance`` alone."""
     pool = sample_pool(17, 600, 5.0, mission, chan)
     depot = (1000.0, 1000.0)
@@ -370,9 +355,7 @@ def test_rows_over_a_pool_above_the_cap_keep_every_table_bounded(
     with mock.patch.object(oracle, "_table", table):
         got = demonstrate(pool, depot, _sample_rows(seeds, 600, 20),
                           default_weights)
-    cap = oracle._TABLE_HOTSPOTS
-    assert len(tables) > 1
-    assert max(t.size for t in tables) <= (cap + 1) ** 2
+    assert [t.shape for t in tables] == [(601, 601)]
     assert _rows(got) == [
         (_column_bits(solve(inst, default_weights)),
          repr(instance_scales(inst)[0]))

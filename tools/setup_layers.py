@@ -4,18 +4,19 @@
 
 exports REF's ``src/`` into a temporary directory (``export_src`` of
 ``tools/same_outputs.py``), then runs N rounds (default 5) of two
-fresh processes, one on REF's source and one on the working tree's, in
-alternating order (REF first in even rounds). Each process builds the
-shape of the benchmark's workload NAME (``WORKLOADS[NAME].config(3011,
-0, out)`` of ``perfbench/workloads.py``, which is read, not edited):
-``train-large`` by default, 20,000 training instances of 5 of 50
-hotspots, or ``plan-large``, 5,000 of them. It runs the pipeline's set-up
-stages in order, as ``harness._stages`` yields them, into a new
-directory, stopping after the last of them, Q-learning. Each process
-first pins itself to one CPU, the lowest it may run on
-(``os.sched_setaffinity``), as perfbench pins its pipeline, so that the
-two sides run alike with no ``taskset``. Each stage is timed with
-``time.perf_counter`` from the previous yield to its own:
+sides, one on REF's source and one on the working tree's, in
+alternating order (REF first in even rounds). A side is two fresh
+processes: the set-up's, then the model read's (``world_read``). The
+set-up's process builds the shape of the benchmark's workload NAME
+(``WORKLOADS[NAME].config(3011, 0, out)`` of ``perfbench/workloads.py``,
+which is read, not edited): ``train-large`` by default, 20,000 training
+instances of 5 of 50 hotspots, or ``plan-large``, 5,000 of them. It runs
+the pipeline's set-up stages in order, as ``harness._stages`` yields
+them, into a new directory, stopping after the last of them,
+Q-learning. Each process first pins itself to one CPU, the lowest it
+may run on (``os.sched_setaffinity``), as perfbench pins its pipeline,
+so that the two sides run alike with no ``taskset``. Each stage is timed
+with ``time.perf_counter`` from the previous yield to its own:
 
 - ``pools``: the pools and ``pools.json``;
 - ``training_instances``: the training instances and
@@ -23,10 +24,12 @@ two sides run alike with no ``taskset``. Each stage is timed with
 - ``oracle``: the demonstrations and ``oracle_tours.jsonl``;
 - ``world``: the world model and ``world_model.json``;
 - ``ql``: the Q-table and ``qtable.json``;
-- ``world_read``: after the stages, ``model_from_dict`` of that
-  ``world_model.json``, freshly ``json.load``-ed (the load is not
-  timed): the read of ``uavplan plan --model``. Its digest is that of
-  the model read back, as ``model_to_dict`` gives it.
+- ``world_read``: ``model_from_dict`` of that ``world_model.json``, in
+  the side's second process, which imports the package, ``json.load``-s
+  the file (not timed) and does nothing else: the read of ``uavplan plan
+  --model``, not a read on the heap the set-up left. Its digest is that
+  of the model read back, as ``model_to_dict`` gives it, and its peak
+  that of the reading process.
 
 The stages are the program's own, whatever form their results take, so
 any two commits that keep ``_stages`` compare. Each process also reads its
@@ -76,13 +79,23 @@ def _workloads() -> dict:
         ROOT / "perfbench" / "workloads.py").WORKLOADS
 
 
+def _pin() -> int:
+    """Pin this process to the lowest CPU it may run on; the count it then
+    runs on."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return len(os.sched_getaffinity(0))
+
+
+def _peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _child(out: Path, workload: str) -> dict:
     """Each set-up stage's (seconds, peak MB after it, file digest) on the
     shape of ``workload``, run on the ``uavplan`` that ``sys.path``
-    finds, and the same of reading its world model back, pinned to one
-    CPU; ``cpus`` is the count it then runs on."""
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    from uavplan import harness, world_model
+    finds, pinned to one CPU; ``cpus`` is the count it then runs on."""
+    cpus = _pin()
+    from uavplan import harness
 
     cfg = harness.config_from_dict(
         _workloads()[workload].config(3011, 0, str(out)))
@@ -91,8 +104,7 @@ def _child(out: Path, workload: str) -> dict:
     stages = harness._stages(cfg, out)
     start = time.perf_counter()
     for name, _ in stages:
-        result[name] = [time.perf_counter() - start, resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss / 1024]
+        result[name] = [time.perf_counter() - start, _peak_mb()]
         if name == "ql":
             break
         start = time.perf_counter()
@@ -100,26 +112,40 @@ def _child(out: Path, workload: str) -> dict:
     for name, file in FILES.items():
         result[name].append(hashlib.sha256((out / file).read_bytes())
                             .hexdigest())
-    with open(out / FILES["world"]) as f:
-        d = json.load(f)
-    start = time.perf_counter()
-    wm = world_model.model_from_dict(d)
-    result["world_read"] = [
-        time.perf_counter() - start,
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        hashlib.sha256(json.dumps(world_model.model_to_dict(wm),
-                                  sort_keys=True).encode()).hexdigest()]
-    result["cpus"] = len(os.sched_getaffinity(0))
+    result["cpus"] = cpus
     return result
 
 
-def _run(src: Path, out: Path, workload: str) -> dict:
-    """One child process on the package under ``src``."""
-    done = subprocess.run(
-        [sys.executable, __file__, "--child", str(out), workload],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    return json.loads(done.stdout)
+def _read(model: Path) -> dict:
+    """``world_read``'s (seconds, peak MB, digest of the model read back)
+    for the world model at ``model``, read by the ``uavplan`` that
+    ``sys.path`` finds, pinned to one CPU; ``cpus`` as in ``_child``."""
+    cpus = _pin()
+    from uavplan import world_model
+
+    with open(model) as f:
+        d = json.load(f)
+    start = time.perf_counter()
+    wm = world_model.model_from_dict(d)
+    seconds = time.perf_counter() - start
+    return {"world_read": [seconds, _peak_mb(), hashlib.sha256(json.dumps(
+        world_model.model_to_dict(wm), sort_keys=True).encode()).hexdigest()],
+        "cpus": cpus}
+
+
+def _run(src: Path, out: Path, workload: str) -> list[dict]:
+    """Two child processes on the package under ``src``: the set-up
+    stages into ``out``, then the read of their world model."""
+
+    def child(*args: str) -> dict:
+        done = subprocess.run(
+            [sys.executable, __file__, *args],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        return json.loads(done.stdout)
+
+    return [child("--child", str(out), workload),
+            child("--read", str(out / FILES["world"]))]
 
 
 def _spread(seconds: list[float]) -> str:
@@ -140,13 +166,13 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
         sources = {"ref": ref_src, "tree": ROOT / "src"}
         for r in range(rounds):
             for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
-                result = _run(sources[side], tmp / f"out-{side}-{r}",
-                              workload)
-                cpus.add(result.pop("cpus"))
-                for layer, (seconds, peak, digest) in result.items():
-                    times[side][layer].append(seconds)
-                    peaks[side][layer].append(peak)
-                    digests[layer].add(digest)
+                for result in _run(sources[side], tmp / f"out-{side}-{r}",
+                                   workload):
+                    cpus.add(result.pop("cpus"))
+                    for layer, (seconds, peak, digest) in result.items():
+                        times[side][layer].append(seconds)
+                        peaks[side][layer].append(peak)
+                        digests[layer].add(digest)
     differ = [layer for layer in LAYERS if len(digests[layer]) > 1]
     print(f"{'stage (ms)':18} {'ref median [q1, q3]':>28} "
           f"{'tree median [q1, q3]':>28} {'ref MB':>8} {'tree MB':>8}")
@@ -163,6 +189,9 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--child":
         print(json.dumps(_child(Path(argv[1]), argv[2])))
+        return 0
+    if len(argv) == 2 and argv[0] == "--read":
+        print(json.dumps(_read(Path(argv[1]))))
         return 0
     parser = argparse.ArgumentParser(prog="setup_layers.py")
     parser.add_argument("ref")
