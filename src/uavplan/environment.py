@@ -711,7 +711,7 @@ def _excerpt(obj) -> str:
 # The str of an int: what a JSON object's key must be to be read as one.
 _INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
 # A dataclass's declared field types, evaluated once per class: a world
-# model file holds one record per stored word.
+# model file holds one record per letter.
 _type_hints = cache(get_type_hints)
 
 

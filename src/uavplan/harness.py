@@ -37,7 +37,7 @@ computed from it, so that another config value is named at its key:
   the oracle record (the pools and training instances records plus
   ``depot_m`` and ``weights``), then per line k the ``{"order"}`` of the
   tour that solves training instance k;
-- ``world_model.json`` (``uavplan.world_model.v3``): what ``learn`` makes
+- ``world_model.json`` (``uavplan.world_model.v4``): what ``learn`` makes
   of the demonstrations and the training pool, its noise config too;
 - ``qtable.json`` (``uavplan.qtable.v3``): the schema, the ql record (the
   oracle record plus ``ql`` and ``ql_train_seed``) and the Q-table;
@@ -85,18 +85,16 @@ records is that a dataclass's JSON form is its fields:
 the config, a record's config values, the pool's hotspots, each test
 instance (``uavplan.instance.v1``: its fields and the schema) and each
 test tour (``uavplan.tour.v1``: its fields, the schema and the weights)
-are written by it, with no writer of their own. The exceptions are the
+are written by it, with no writer of their own, and so is
+``world_model.json``'s one line, ``model_to_dict``'s object, whose
+stored words (the model's letter tuples) and counts the encoder takes
+whole; a present one that differs is named at its first differing key in
+that object's order: the schema, then the words. The exceptions are the
 lists that grow with the training set: each ``{"ids"}`` line of
 ``training_instances.jsonl`` and ``{"order"}`` line of
 ``oracle_tours.jsonl`` is formatted by ``_ids_line``, which gives the
 encoder's bytes for a list of Python ints from their ``str``s, each pool
-id's ``str`` made once per file, and
-the stored words of ``world_model.json``'s one line are formatted the
-same way (``_model_line``), with no dict per word, and spliced into the
-encoder's line for the model's other keys. Tests hold both to the
-encoder. A present ``world_model.json`` that differs is checked again
-against ``model_to_dict``'s object, so that the message names the words
-first.
+id's ``str`` made once per file. A test holds it to the encoder.
 
 The training rows and their demonstrations' record are freed once
 Q-learning has run: no later stage reads them, and the eval runs without
@@ -132,7 +130,7 @@ import math
 import os
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -373,17 +371,6 @@ def _ids_line(key: str, texts: Iterable[str]) -> str:
     return '{"%s":[%s]}' % (key, ",".join(texts))
 
 
-def _model_line(wm: WorldModel) -> str:
-    """``_canonical_json(model_to_dict(wm))`` with no dict per stored word:
-    ``words``, the last key in sorted order, is formatted as ``_ids_line``
-    formats ids and spliced in before the closing brace of the encoder's
-    line for the other keys. ``world_model.json``'s one line."""
-    head = _canonical_json(model_to_dict(replace(wm, words=[], word_counts=[])))
-    return head.removesuffix("]}") + ",".join(
-        '{"count":%d,"letters":[%s]}' % (c, ",".join(map(str, w)))
-        for w, c in zip(wm.words, wm.word_counts)) + "]}"
-
-
 def write_jsonl_atomic(path: Path, lines: Iterable) -> None:
     """One ``_line`` per item, each written as soon as it is encoded, to a
     file that replaces ``path`` only once it is complete (write then
@@ -443,8 +430,9 @@ def _export(path: Path, lines: Iterable, remedy: str = _REGENERATE) -> None:
     form of the object this run writes, in its key order: a header's
     record keys, upstream keys first, and a dataclass's fields in their
     order) with both values, and a field of a world model's words
-    also with the fingerprints (sha256) of both word lists. Each message
-    ends with ``remedy``."""
+    also with the fingerprints (sha256) of both word lists, each encoded
+    with NaN and the infinities quoted as they are (``_quoting_json``), as
+    a hand-edited file may hold them. Each message ends with ``remedy``."""
     if not path.exists():
         write_jsonl_atomic(path, lines)
         return
@@ -488,7 +476,7 @@ def _export(path: Path, lines: Iterable, remedy: str = _REGENERATE) -> None:
                 note = ""
                 if key.split(".")[0] == "words":
                     note = " (word list fingerprints {} and {})".format(*(
-                        hashlib.sha256(_canonical_json(d.get("words"))
+                        hashlib.sha256(_quoting_json(d.get("words"))
                                        .encode()).hexdigest()
                         for d in (recorded, item)))
                 raise ConfigurationError(
@@ -639,13 +627,7 @@ def stage_world(cfg: ExperimentConfig, demos: Demonstrations, training_pool,
     pool, learned on every run. ``world_model.json`` is its export
     (``_export``)."""
     wm = learn(demos, training_pool, cfg.noise, cfg.mission)
-    try:
-        _export(out / "world_model.json", [_model_line(wm)])
-    except ConfigurationError:
-        # checked again in ``model_to_dict``'s key order, words first, so
-        # that the message names what the demonstrations changed first
-        _export(out / "world_model.json", [model_to_dict(wm)])
-        raise
+    _export(out / "world_model.json", [model_to_dict(wm)])
     return wm
 
 

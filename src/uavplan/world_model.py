@@ -24,10 +24,12 @@ rows through the vocabulary dict, never through an array indexed by
 letter, since a letter is any int. ``Word`` is the planner's and
 Q-learning's type, for the words they make.
 
-``world_model.json`` (``uavplan.world_model.v3``) stores only what
+``world_model.json`` (``uavplan.world_model.v4``) stores only what
 the demonstrations and the pool give and nothing else determines: the
-distinct words with their counts, each letter's center and mean profit,
-the mean profit and mean leg time, and the noise config. The vocabulary
+distinct words (``words``, each a list of its letters) and their counts
+(``word_counts``), two lists in stored order under the ``WorldModel``
+field names, each letter's center and mean profit, the mean profit and
+mean leg time, and the noise config. The vocabulary
 (one dict, ``WorldModel.vocab``, that maps each letter, ascending, to its
 row of the transition matrix and of the word index), the start counts,
 the transition matrix and both noise matrices follow from those, so
@@ -36,26 +38,26 @@ them; a stored file cannot contradict itself, and one edited by hand is
 a model of the words it now holds. The pipeline learns
 the model on every run and only compares the file with it;
 ``model_from_dict`` reads a model given to ``uavplan plan --model``, by
-the package's one checked reader (``environment._from_json``), as three
-private records: the file (``_ModelFile``, its schema required), each
-stored word (``_StoredWord``: letters and count, JSON integers) and each
+the package's one checked reader (``environment._from_json``), as two
+private records: the file (``_ModelFile``, its schema required; each
+stored word's letters and each count JSON integers) and each
 letter's sources (``_LetterSources``: a center of two JSON numbers and a
 mean profit), keyed by the ``str`` of the letter. A mistyped, unknown or
-missing key is refused naming its dotted key (``words.3.count``,
-``letters.7.center_m``, ``noise_config.process_scale``); ``_build`` then
-refuses a stored word that repeats a letter, naming its index and
+missing key is refused naming its dotted key (``word_counts.3``,
+``words.2.1``, ``letters.7.center_m``, ``noise_config.process_scale``);
+``_build`` then refuses words and counts of two lengths, a stored word
+that repeats a letter, naming its index and
 letters, and sources that contradict each other (such as a stored word's
 letter without statistics, or statistics of a letter that no stored
 word holds), and a noise config whose
 noise matrices, at the stored means, are not finite or, for a non-zero
 mean, underflow below the smallest normal float. So ``model_to_dict``
 gives back every file that ``model_from_dict`` accepts: its words,
-letters, means and noise config, with a noise key that the file leaves
-out at its default. A stored word's letters, all Python ints, are read
-in one step, as the tuple the model stores. ``harness`` writes the file
-without this module's dicts per word (``harness._model_line``);
-``model_to_dict`` gives the same object, the one ``uavplan plan --model``
-reads.
+counts, letters, means and noise config, with a noise key that the file
+leaves out at its default. A stored word's letters, all Python ints, are
+read in one step, as the tuple the model stores, and no record is built
+per word. ``harness`` writes ``model_to_dict``'s object, the one
+``uavplan plan --model`` reads, with the package's one encoder.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ from .errors import ConfigurationError, ConsistencyError, DegenerateWordError, T
 from .oracle import Demonstrations, Tour
 
 _ROW_TOL = 1e-9
-WORLD_MODEL_SCHEMA = "uavplan.world_model.v3"
+WORLD_MODEL_SCHEMA = "uavplan.world_model.v4"
 
 
 @dataclass(frozen=True)
@@ -262,19 +264,13 @@ class _LetterSources:
 
 
 @dataclass(frozen=True)
-class _StoredWord:
-    """A stored word and its count, as ``world_model.json`` holds them."""
-
-    letters: tuple[int, ...]
-    count: int
-
-
-@dataclass(frozen=True)
 class _ModelFile:
-    """A ``uavplan.world_model.v3`` object but its schema: the sources of
-    a model (see ``_build``)."""
+    """A ``uavplan.world_model.v4`` object but its schema: the sources of
+    a model (see ``_build``), the stored words and their counts as two
+    lists in stored order."""
 
-    words: tuple[_StoredWord, ...]
+    words: tuple[tuple[int, ...], ...]
+    word_counts: tuple[int, ...]
     letters: dict[int, _LetterSources]
     mean_profit_bps: float
     mean_leg_time_s: float
@@ -290,7 +286,8 @@ def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
     words' letters, ascending, each mapped to its row), the start counts,
     the transitions and both noise matrices (see ``NoiseConfig``). The one
     check of a stored word, for ``learn`` and ``model_from_dict`` alike:
-    refuses sources that ``learn`` never gives, a stored word that
+    refuses sources that ``learn`` never gives, words and counts of two
+    lengths, a stored word that
     repeats a letter, of fewer than two letters or with a count below 1,
     a letter without statistics, statistics
     of a letter that no stored word holds, a mean or a noise matrix that
@@ -300,6 +297,10 @@ def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
         raise ConsistencyError(
             f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
             f"{mean_leg_time_s} must be finite")
+    if len(words) != len(counts):
+        raise ConsistencyError(
+            f"{len(words)} stored words but {len(counts)} word counts; each "
+            "stored word has one count")
     started: dict[int, int] = {}
     for k, (w, c) in enumerate(zip(words, counts)):
         if len(set(w)) != len(w):
@@ -419,14 +420,16 @@ def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
 
 
 def model_to_dict(wm: WorldModel) -> dict:
-    """The model's sources (see ``_build``) as a ``uavplan.world_model.v3``
-    object. The words come before the letters because a rerun compares
-    the file with this object in its key order: another word list changes
-    the letter statistics too, and is reported as such."""
+    """The model's sources (see ``_build``) as a ``uavplan.world_model.v4``
+    object. The words come first, then their counts, and then the letters,
+    because a rerun compares the file with this object in its key order:
+    another word list changes the counts and the letter statistics too,
+    and is reported as such. Each word is the model's own letter tuple,
+    which the encoder writes as a JSON list: no object is made per word."""
     return {
         "schema": WORLD_MODEL_SCHEMA,
-        "words": [{"letters": list(w), "count": c}
-                  for w, c in zip(wm.words, wm.word_counts)],
+        "words": list(wm.words),
+        "word_counts": list(wm.word_counts),
         "letters": {
             str(l): {"center_m": list(s.center_m),
                      "mean_profit_bps": s.mean_profit_bps}
@@ -439,11 +442,10 @@ def model_to_dict(wm: WorldModel) -> dict:
 
 
 def model_from_dict(d: dict) -> WorldModel:
-    """Read a ``uavplan.world_model.v3`` object, its schema required, by
+    """Read a ``uavplan.world_model.v4`` object, its schema required, by
     the one checked reader (``_ModelFile``)."""
     read = _record_from_dict(_ModelFile, WORLD_MODEL_SCHEMA, "world model", d,
                              required=True)
-    return _build(read.letters, [w.letters for w in read.words],
-                  [w.count for w in read.words],
+    return _build(read.letters, list(read.words), list(read.word_counts),
                   read.mean_profit_bps, read.mean_leg_time_s,
                   read.noise_config)

@@ -33,7 +33,7 @@ from uavplan.harness import (_READS, _STAGE_NAMES, INSTANCE_SCHEMA,
                              POOL_SCHEMA, TOUR_SCHEMA, ExperimentConfig,
                              MetricsRecord, _evaluate_one,
                              _canonical_json, _csv_lines, _first_difference,
-                             _ids_line, _model_line,
+                             _ids_line,
                              _record, completion_ratios, completion_time,
                              completion_time_from, config_from_dict,
                              config_to_dict, instance_from_dict,
@@ -50,6 +50,7 @@ from uavplan.world_model import NoiseConfig, Word
 from harness_oracles import instance_to_dict, pool_to_dict, tour_to_dict
 from oracle_oracles import instance_scales
 from planner_oracles import expand_v1, expand_v2
+from world_model_oracles import as_v3
 
 PINNED = Path(__file__).parent / "data" / "small_run_sha256.json"
 
@@ -623,29 +624,6 @@ class TestHeadedJsonl:
         assert _ids_line(key, tuple(texts)) == want
         assert _ids_line(key, map(str, ids)) == want
 
-    @settings(max_examples=200, deadline=None)
-    @given(words=st.lists(st.lists(st.one_of(
-               st.integers(-2 ** 70, 2 ** 70), st.integers(-100, 100)),
-               min_size=2, max_size=8, unique=True), min_size=1, max_size=20),
-           counts=st.lists(st.integers(1, 2 ** 64), min_size=20, max_size=20),
-           profits=st.lists(st.floats(-1e9, 1e9), min_size=1),
-           means=st.tuples(st.floats(1e-3, 1e9), st.floats(1e-3, 1e9)),
-           noise=st.builds(NoiseConfig, st.floats(1e-3, 1.0),
-                           st.floats(1e-3, 4.0)))
-    def test_world_model_line_is_the_encoders(self, words, counts, profits,
-                                              means, noise):
-        """``world_model.json``'s line is formatted, not encoded from
-        ``model_to_dict``: for models of any int letters, any counts and
-        any letter sources, the bytes are the encoder's."""
-        letters = sorted({l for w in words for l in w})
-        sources = {l: world_model._LetterSources(
-            (float(k), -0.5 * k), profits[k % len(profits)])
-            for k, l in enumerate(letters)}
-        wm = world_model._build(sources, [tuple(w) for w in words],
-                                counts[:len(words)], *means, noise)
-        assert _model_line(wm) == _canonical_json(
-            world_model.model_to_dict(wm))
-
     def test_round_trip_gives_the_sampled_instances_and_solved_tours(
             self, tmp_path):
         """A rerun samples and solves again, and checks both files: it
@@ -854,8 +832,9 @@ class TestHeadedJsonl:
         outputs were pinned from a run of the one-object-per-line format
         and have kept their bytes since. Traces were pinned as
         ``uavplan.plan.v1``, so each trace is hashed as ``expand_v2`` and
-        then ``expand_v1`` rebuild it; world_model.json's hash is that of its
-        ``uavplan.world_model.v3`` bytes, the two header-plus-records files
+        then ``expand_v1`` rebuild it; world_model.json was pinned as
+        ``uavplan.world_model.v3``, so it is hashed as ``as_v3`` rebuilds
+        it, and the two header-plus-records files
         are pinned as ``uavplan.instances.v4`` and ``uavplan.tours.v5``, and
         pools.json and qtable.json as ``uavplan.pool.v2`` and
         ``uavplan.qtable.v3``."""
@@ -871,6 +850,9 @@ class TestHeadedJsonl:
             v1 = _canonical_json(
                 expand_v1(expand_v2(json.loads(path.read_text())))) + "\n"
             have[f"traces/{path.name}"] = hashlib.sha256(v1.encode()).hexdigest()
+        v3 = _canonical_json(as_v3(json.loads(
+            (out / "world_model.json").read_text()))) + "\n"
+        have["world_model.json"] = hashlib.sha256(v3.encode()).hexdigest()
         assert have == want
 
     def test_reused_files_give_the_same_downstream_bytes(self, tmp_path):
@@ -944,9 +926,18 @@ def _cut_ids_without_tours(cfg, out):
     (out / "oracle_tours.jsonl").unlink()
 
 
+def _as_v3_world_model(obj):
+    """The world model as an older ``uavplan.world_model.v3`` file, which
+    stored each word as an object of its letters and its count."""
+    v3 = as_v3(obj)
+    obj.clear()
+    obj.update(v3)
+
+
 def _as_v1_world_model(obj):
     """The world model as an older ``uavplan.world_model.v1`` file, which
     also stored each letter's profit variance."""
+    _as_v3_world_model(obj)
     obj["schema"] = "uavplan.world_model.v1"
     for stats in obj["letters"].values():
         stats["var_profit"] = 0.0
@@ -972,14 +963,24 @@ def _letter_key_not_decimal(obj):
 
 def _drop_used_letter(obj):
     """Drop the statistics of the first stored word's first letter."""
-    del obj["letters"][str(obj["words"][0]["letters"][0])]
+    del obj["letters"][str(obj["words"][0][0])]
 
 
 def _swap_word_letters(obj):
     """Swap the first two letters of the first stored word: still a valid
     model, but not the one the demonstrations give."""
-    letters = obj["words"][0]["letters"]
+    letters = obj["words"][0]
     letters[0], letters[1] = letters[1], letters[0]
+
+
+def _add_word(at, letters, count):
+    """An edit that inserts a stored word with its count at index ``at``
+    (at the end for None)."""
+    def edit(obj):
+        k = len(obj["words"]) if at is None else at
+        obj["words"].insert(k, letters(obj) if callable(letters) else letters)
+        obj["word_counts"].insert(k, count)
+    return edit
 
 
 def _scale_sources(obj):
@@ -1610,9 +1611,9 @@ class TestCli:
         assert f"positive square, not {speed!r}" in err
 
     @pytest.mark.parametrize("edit,command,named", [
-        pytest.param(lambda obj: obj["words"][0].__setitem__("count", 0),
-                     "pipeline", "count 0", id="word-count-zero"),
-        pytest.param(lambda obj: obj["words"][0]["letters"].__setitem__(0, 999),
+        pytest.param(lambda obj: obj["word_counts"].__setitem__(0, 0),
+                     "pipeline", "holds word_counts.0 0,", id="word-count-zero"),
+        pytest.param(lambda obj: obj["words"][0].__setitem__(0, 999),
                      "plan", "[999]", id="word-letter-not-in-vocabulary"),
         pytest.param(lambda obj: obj.__setitem__("mean_leg_time_s",
                                                  float("nan")),
@@ -1628,7 +1629,12 @@ class TestCli:
                      "plan", "'uavplan.plan.v1'", id="other-schema"),
         pytest.param(_as_v1_world_model, "pipeline", "delete it",
                      id="world-model-v1"),
-        pytest.param(lambda obj: obj["words"][0].__setitem__("count", -5),
+        pytest.param(_as_v3_world_model, "pipeline", "delete it",
+                     id="world-model-v3"),
+        pytest.param(_as_v3_world_model, "plan",
+                     "unsupported world model schema 'uavplan.world_model.v3'",
+                     id="world-model-v3-plan"),
+        pytest.param(lambda obj: obj["word_counts"].__setitem__(0, -5),
                      "plan", "count -5", id="word-count-negative"),
         pytest.param(lambda obj: _first_letter(obj).__setitem__(
             "mean_profit_bps", float("nan")), "plan",
@@ -1643,13 +1649,18 @@ class TestCli:
         pytest.param(lambda obj: obj.__setitem__(
             "mean_leg_time_s", 5 * obj["mean_leg_time_s"]), "pipeline",
             "holds mean_leg_time_s ", id="mean-leg-time-scaled"),
-        pytest.param(lambda obj: obj["words"][1].__setitem__("count", 1.5),
-                     "plan", "world model key words.1.count must be of type "
+        pytest.param(lambda obj: obj["word_counts"].__setitem__(1, 1.5),
+                     "plan", "world model key word_counts.1 must be of type "
                      "int, not 1.5", id="word-count-fractional"),
-        pytest.param(lambda obj: obj["words"][2]["letters"].__setitem__(
-            1, obj["words"][2]["letters"][1] + 0.25), "plan",
-            "world model key words.2.letters.1 must be of type int, not ",
+        pytest.param(lambda obj: obj["words"][2].__setitem__(
+            1, obj["words"][2][1] + 0.25), "plan",
+            "world model key words.2.1 must be of type int, not ",
             id="word-letter-fractional"),
+        pytest.param(lambda obj: obj["word_counts"].pop(), "plan",
+                     " stored words but ", id="word-count-missing"),
+        pytest.param(lambda obj: obj["word_counts"].append(1), "plan",
+                     " word counts; each stored word has one count",
+                     id="word-count-extra"),
         pytest.param(_letter_center_as_strings, "plan",
                      '.center_m.0 must be of type float, not "',
                      id="letter-center-strings"),
@@ -1667,12 +1678,10 @@ class TestCli:
         pytest.param(_letter_key_not_decimal, "plan",
                      "world model key letters must be of type dict[int, ",
                      id="letter-key-not-decimal"),
-        pytest.param(lambda obj: obj["words"].append(
-            {"letters": [], "count": 1}), "plan",
+        pytest.param(_add_word(None, [], 1), "plan",
             "has letters [] and count 1; a stored word has at least two "
             "letters", id="word-empty"),
-        pytest.param(lambda obj: obj["words"].insert(
-            0, {"letters": obj["words"][0]["letters"][:1], "count": 1}),
+        pytest.param(_add_word(0, lambda obj: obj["words"][0][:1], 1),
             "plan", "word 0 has letters [", id="word-one-letter"),
         pytest.param(lambda obj: obj["noise_config"].__setitem__(
             "measurement_ratio", 1e300), "plan",
@@ -1694,8 +1703,7 @@ class TestCli:
             "9999", {"center_m": [1.0, 2.0], "mean_profit_bps": 3.0}),
             "plan", "and letters [9999] that no stored word holds have "
             "statistics", id="letter-in-no-word"),
-        pytest.param(lambda obj: obj["words"][3].__setitem__(
-            "letters", [5, 5, 7]), "plan",
+        pytest.param(lambda obj: obj["words"].__setitem__(3, [5, 5, 7]), "plan",
             "word 3 [5, 5, 7]: repeated letter in word",
             id="word-letter-repeated")])
     def test_inconsistent_world_model_exits_2(self, tmp_path, capsys, edit,
@@ -1707,16 +1715,18 @@ class TestCli:
         letter key that is not the ``str`` of an int, a letter center
         that is not two JSON numbers, a NaN mean, a NaN mean profit or a
         mean profit that is not a JSON number (each named by its dotted
-        key and declared type, such as ``words.1.count`` or
-        ``letters.7.center_m``), a stored word of fewer than two letters
+        key and declared type, such as ``word_counts.1``, ``words.2.1`` or
+        ``letters.7.center_m``), one count more or fewer than the stored
+        words (named by both lengths), a stored word of fewer than two letters
         or one that repeats a letter (each named by its index and
         letters), a stored word naming a letter without statistics, the
         statistics of a letter that no stored word holds (named by the
         letter), a noise scale that is not positive, a noise
         config whose process or measurement noise is not finite (named
         by both noise values, with no RuntimeWarning), one in another
-        schema, an older world model reused by a
-        pipeline re-run, or another artifact given to ``plan``. Reused by a
+        schema, an older world model (``v1``, or ``v3`` with one object per
+        word) reused by a pipeline re-run or given to ``plan``, or another
+        artifact given to ``plan``. Reused by a
         pipeline re-run, one whose words are not the demonstrations' exits
         2 naming the fingerprint, and one whose letter statistics or
         training means are not what the demonstrations and the training
@@ -1730,7 +1740,7 @@ class TestCli:
         assert not (tmp_path / "trace.json").exists()
 
     @pytest.mark.parametrize("count,named", [
-        pytest.param("1e400", "world model key words.0.count must be of type "
+        pytest.param("1e400", "world model key word_counts.0 must be of type "
                      "int, not Infinity", id="1e400"),
         pytest.param("1" + "0" * 400, "OverflowError", id="10**400")])
     def test_world_model_with_overflowing_count_exits_2(self, tmp_path,
@@ -1743,7 +1753,7 @@ class TestCli:
         run_pipeline(cfg)
         model = tmp_path / "d" / "world_model.json"
         obj = json.loads(model.read_text())
-        obj["words"][0]["count"] = "COUNT"
+        obj["word_counts"][0] = "COUNT"
         model.write_text(json.dumps(obj).replace('"COUNT"', count))
         capsys.readouterr()
         assert cli_main(["plan", "--model", str(model), "--instance",
@@ -1764,9 +1774,6 @@ class TestCli:
             "must be of type float, not true", id="process-scale-bool"),
         pytest.param(lambda obj: obj.update(color="red"),
                      "unknown world model key color", id="unknown-key"),
-        pytest.param(lambda obj: obj["words"][0].update(color="red"),
-                     "unknown world model key words.0.color",
-                     id="unknown-word-key"),
         pytest.param(lambda obj: obj.pop("mean_leg_time_s"),
                      "world model key mean_leg_time_s is missing",
                      id="missing-key"),
@@ -1774,12 +1781,14 @@ class TestCli:
                      "unsupported world model schema None",
                      id="missing-schema"),
         pytest.param(_as_v1_world_model, "unsupported world model schema "
-                     "'uavplan.world_model.v1'", id="world-model-v1")])
+                     "'uavplan.world_model.v1'", id="world-model-v1"),
+        pytest.param(_as_v3_world_model, "unsupported world model schema "
+                     "'uavplan.world_model.v3'", id="world-model-v3")])
     def test_world_model_of_another_shape_exits_2(self, tmp_path, capsys,
                                                   finished_run, edit, named):
         """A world model given to ``plan`` is read by the one checked
         reader: a value of another JSON type than its key's, a key that is
-        not a field, at the top or in a word, a missing key, a missing
+        not a field, a missing key, a missing
         schema and an older schema (named as README names it) exit 2
         naming the file and the dotted key or the schema, and no trace is
         written."""
@@ -2007,12 +2016,29 @@ class TestCli:
         that key, cuts both word lists short and gives their fingerprints."""
         code, err = self._damaged_run_exit(
             tmp_path, capsys, "world_model.json",
-            lambda obj: obj["words"].append({"letters": [1, 2], "count": 1}),
-            "pipeline")
+            _add_word(None, [1, 2], 1), "pipeline")
         assert code == 2
         assert "holds words [" in err and "...," in err
         assert len(re.findall(r"\b[0-9a-f]{64}\b", err)) == 2
         assert len(err) < 600
+
+    @pytest.mark.parametrize("bad,text", [(math.nan, "NaN"),
+                                          (-math.inf, "-Infinity")],
+                             ids=["nan", "-inf"])
+    def test_world_model_with_a_non_finite_letter_exits_2(self, tmp_path,
+                                                          capsys, bad, text):
+        """A reused world model with NaN or an infinity, which JSON cannot
+        hold, in place of a stored word's first letter exits 2, not with a
+        traceback: the message names the file, the letter's key with the
+        number quoted as it is, and the fingerprints of both word lists."""
+        code, err = self._damaged_run_exit(
+            tmp_path, capsys, "world_model.json",
+            lambda obj: obj["words"][0].__setitem__(0, bad), "pipeline")
+        assert code == 2
+        assert err.startswith(f"configuration error: "
+                              f"{tmp_path / 'd' / 'world_model.json'} line 1 "
+                              f"holds words.0.0 {text}, but this run writes "), err
+        assert len(re.findall(r"\b[0-9a-f]{64}\b", err)) == 2
 
     @pytest.mark.parametrize("change,artifact,recorded,current", [
         pytest.param({"noise": NoiseConfig(process_scale=0.2)},
@@ -2478,7 +2504,7 @@ def test_every_schema_is_documented():
     pattern = re.compile(r"uavplan\.[a-z_]+\.v[0-9]+")
     schemas = {m for path in (root / "src" / "uavplan").glob("*.py")
                for m in pattern.findall(path.read_text())}
-    assert "uavplan.world_model.v3" in schemas
+    assert "uavplan.world_model.v4" in schemas
     readme = set(pattern.findall((root / "README.md").read_text()))
     assert schemas - readme == set()
 
@@ -2747,13 +2773,15 @@ def test_a_value_json_cannot_hold_is_a_numeric_error(tmp_path):
     assert path.read_text() == '{"b":[1.0]}\n'
 
 
-@pytest.mark.parametrize("shape", ["c6-c8", "plan-large", "train-large"])
+@pytest.mark.parametrize("shape", ["c6-c8", "plan-large", "train-large",
+                                   "profit-drops"])
 def test_world_model_of_each_shape_round_trips(tmp_path, shape):
-    """``world_model.json`` of the C6-C8 config and of both benchmark
-    workload shapes (the configs ``tools/same_outputs.py`` runs) is the
+    """``world_model.json`` of the C6-C8 config, of both benchmark
+    workload shapes and of the shape whose oracle drops hotspots (the
+    configs ``tools/same_outputs.py`` runs) holds the JSON form of the
     object ``model_to_dict`` gives of the model ``model_from_dict`` reads
-    from it: every model ``plan --model`` accepts is written back as it
-    was read."""
+    from it (a stored word is a tuple there, a list here): every model
+    ``plan --model`` accepts is written back as it was read."""
     spec = importlib.util.spec_from_file_location(
         "same_outputs", Path(__file__).parent.parent / "tools" / "same_outputs.py")
     same = importlib.util.module_from_spec(spec)
@@ -2761,4 +2789,5 @@ def test_world_model_of_each_shape_round_trips(tmp_path, shape):
     config = {**same.default_configs()[shape], "output_dir": str(tmp_path)}
     run_pipeline(config_from_dict(config), "world")
     obj = json.loads((tmp_path / "world_model.json").read_text())
-    assert world_model.model_to_dict(world_model.model_from_dict(obj)) == obj
+    back = world_model.model_to_dict(world_model.model_from_dict(obj))
+    assert json.loads(_canonical_json(back)) == obj

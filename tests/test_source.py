@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+import os
 import subprocess
 from collections import Counter
 from pathlib import Path
@@ -286,26 +287,43 @@ def test_compare_outputs_names_every_difference(tmp_path, capsys):
     assert compare.main([str(a), str(a / "metrics.csv")]) == 2
 
 
-def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
-                                                      monkeypatch):
-    """tools/same_outputs.py runs each config at workers 1 and 2 on HEAD's
-    src/ and the working tree's, then ``plan`` from both on HEAD's workers
-    1 world model and first test instance, then the working tree's
-    pipeline over HEAD's workers 1 directory; it prints one line per
-    pair, per plan comparison and per rerun, and exits 0 when every pair
-    holds the same files, both plan the same trace to a file and to
-    stdout, and the rerun exits 0 (the working tree's outputs are HEAD's
-    while the change keeps every byte). A trace that differs and a rerun
-    that exits non-zero each count as a difference, and a commit it
-    cannot export exits 2."""
-    root = Path(__file__).parent.parent
+def _tree_commit(root: Path) -> str:
+    """A commit of the working tree's tracked files, HEAD's when the tree
+    holds no change: the ref a tool that compares a commit with the tree
+    takes when the test means the tree against itself. ``git stash
+    create`` makes it without touching the tree, the index or a ref."""
     if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                       capture_output=True).returncode != 0:
         pytest.skip("not a git checkout with a commit")
+    ident = {f"GIT_{who}_{what}": value for who in ("AUTHOR", "COMMITTER")
+             for what, value in (("NAME", "tests"),
+                                 ("EMAIL", "tests@localhost"))}
+    made = subprocess.run(["git", "-C", str(root), "stash", "create"],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, **ident})
+    return made.stdout.strip() or "HEAD"
+
+
+def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
+                                                      monkeypatch):
+    """tools/same_outputs.py runs each config at workers 1 and 2 on a
+    commit's src/ and the working tree's, then ``plan`` from each on its
+    own workers 1 world model and first test instance, then the working
+    tree's pipeline over the commit's workers 1 directory; it prints one
+    line per pair, per plan comparison and per rerun, and exits 0 when
+    every pair holds the same files, both plan the same trace to a file
+    and to stdout, and the rerun exits 0. The commit here is the tree's
+    own, so its outputs are the tree's whatever the tree changes. A trace that differs and a rerun
+    that exits non-zero each count as a difference, and a commit it
+    cannot export exits 2. It runs four configs by default, the last the
+    one whose oracle drops hotspots."""
+    ref = _tree_commit(Path(__file__).parent.parent)
     same = _tool("same_outputs")
+    assert list(same.default_configs()) == ["c6-c8", "plan-large",
+                                            "train-large", "profit-drops"]
     tiny = {"m_training": 20, "test_sizes": [5], "seeds_per_size": 1,
             "ql": {"episodes": 50}}
-    assert same.same_outputs("HEAD", {"tiny": tiny}) == 0
+    assert same.same_outputs(ref, {"tiny": tiny}) == 0
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out] == [
         "tiny workers 1", "tiny workers 2", "tiny plan",
@@ -323,7 +341,7 @@ def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
                                            b" " + result.stdout, result.stderr)
 
     monkeypatch.setattr(same, "_run", run)
-    assert same.same_outputs("HEAD", {"tiny": tiny}) == 1
+    assert same.same_outputs(ref, {"tiny": tiny}) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[2:5] == ["tiny plan: trace differs", "  stdout differs",
                         "tiny rerun over ref: exit 0"], out
@@ -338,7 +356,7 @@ def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
         return real(src, config, out, workers)
 
     monkeypatch.setattr(same, "_pipeline", pipeline)
-    assert same.same_outputs("HEAD", {"tiny": tiny}) == 1
+    assert same.same_outputs(ref, {"tiny": tiny}) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[3] == "tiny rerun over ref: run failed", out
     assert out[4].startswith("  tree exit 2: configuration error: "), out
@@ -346,23 +364,46 @@ def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
     assert "cannot export no-such-commit" in capsys.readouterr().err
 
 
+def test_profit_drops_shape_drops_hotspots(tmp_path, monkeypatch):
+    """tools/same_outputs.py's ``profit-drops`` shape keeps its purpose:
+    run up to the oracle stage, some demonstration visits fewer hotspots
+    than its training instance holds, so the oracle's selection pass drops
+    a hotspot and re-runs 2-opt, and returns more than one block, while
+    every demonstration keeps at least two hotspots (a word)."""
+    from uavplan import oracle
+    from uavplan.harness import config_from_dict, run_pipeline
+
+    blocks, real = [], oracle._selection_pass
+
+    def counted(*args):
+        blocks.append(len(result := real(*args)))
+        return result
+    monkeypatch.setattr(oracle, "_selection_pass", counted)
+    config = _tool("same_outputs").default_configs()["profit-drops"]
+    cfg = config_from_dict({**config, "output_dir": str(tmp_path)})
+    run_pipeline(cfg, "oracle")
+    lengths = [len(json.loads(line)["order"]) for line in
+               (tmp_path / "oracle_tours.jsonl").read_text().splitlines()[1:]]
+    assert len(lengths) == cfg.m_training
+    assert min(lengths) < cfg.train_instance_size and max(blocks) > 1, \
+        "the profit-drops shape of tools/same_outputs.py no longer drops a hotspot"
+    assert min(lengths) >= 2
+
+
 def test_setup_layers_times_a_commit_against_the_tree(capsys):
     """tools/setup_layers.py times each set-up stage of the pipeline on
-    HEAD's src/ and the working tree's, on the shape of either benchmark
+    a commit's src/ and the working tree's, on the shape of either benchmark
     workload, one line per stage with a median and quartiles per side,
     then a line for reading the stage's world model back
     (``world_read``), and a last line that every process ran pinned to
     one CPU, and exits 0 when every stage's file and the model
-    read back are the same on both sides (the working tree's files are
-    HEAD's while the change keeps every byte); a commit it cannot
-    export, no rounds or an unknown workload exits 2."""
-    root = Path(__file__).parent.parent
-    if subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
-                      capture_output=True).returncode != 0:
-        pytest.skip("not a git checkout with a commit")
+    read back are the same on both sides (here the commit is the tree's
+    own, so they are); a commit it cannot export, no rounds or an unknown
+    workload exits 2."""
+    ref = _tree_commit(Path(__file__).parent.parent)
     layers = _tool("setup_layers")
     for workload in ("train-large", "plan-large"):
-        assert layers.main(["HEAD", "--rounds", "1",
+        assert layers.main([ref, "--rounds", "1",
                             "--workload", workload]) == 0
         out = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in out[1:-1]] == list(layers.LAYERS)
@@ -371,5 +412,5 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
         assert not any("differ" in line for line in out)
     assert layers.setup_layers("no-such-commit", 1) == 2
     assert "cannot export no-such-commit" in capsys.readouterr().err
-    assert layers.main(["HEAD", "--rounds", "0"]) == 2
-    assert layers.main(["HEAD", "--workload", "no-such-workload"]) == 2
+    assert layers.main([ref, "--rounds", "0"]) == 2
+    assert layers.main([ref, "--workload", "no-such-workload"]) == 2

@@ -296,8 +296,8 @@ class TestLearn:
         in Python floats, bit for bit (Python's ``**`` is the C ``pow``,
         which differs from ``x * x`` in the last bit for some x), and the
         measurement noise is that matrix times ``measurement_ratio``."""
-        d = {"schema": "uavplan.world_model.v3",
-             "words": [{"letters": [1, 2], "count": 1}],
+        d = {"schema": "uavplan.world_model.v4",
+             "words": [[1, 2]], "word_counts": [1],
              "letters": {str(l): {"center_m": [0.0, 0.0],
                                   "mean_profit_bps": 1.0} for l in (1, 2)},
              "mean_profit_bps": profit, "mean_leg_time_s": leg_time,
@@ -441,10 +441,7 @@ class TestModelReader:
                      "world model key noise_config.process_scale must be of "
                      "type float, not true", id="scale-bool"),
         pytest.param(lambda d: d.update(color="red"),
-                     "unknown world model key color", id="unknown-key"),
-        pytest.param(lambda d: d["words"][0].update(color="red"),
-                     "unknown world model key words.0.color",
-                     id="unknown-word-key")])
+                     "unknown world model key color", id="unknown-key")])
     def test_refuses_what_the_reference_took(self, chan_module,
                                              mission_module, edit, named):
         """Each damage that the reference read as a model is refused,
@@ -464,8 +461,7 @@ def test_model_of_any_int_letters_builds_its_index_and_plans(make_instance):
     those hotspots."""
     big = 10 ** 12
     d = {"schema": WORLD_MODEL_SCHEMA,
-         "words": [{"letters": [-3, big, 4], "count": 2},
-                   {"letters": [4, -3], "count": 1}],
+         "words": [[-3, big, 4], [4, -3]], "word_counts": [2, 1],
          "letters": {str(l): {"center_m": [x, 50.0], "mean_profit_bps": 1e7}
                      for l, x in ((-3, 100.0), (4, 300.0), (big, 200.0))},
          "mean_profit_bps": 1e7, "mean_leg_time_s": 10.0,

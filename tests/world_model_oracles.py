@@ -23,7 +23,11 @@ pooled estimate against:
   checks on the words and letters written key by key, and casts for the
   means and the noise config, so that it takes string means, a bool
   noise scale and unknown keys. The tests hold the checked reader to it
-  on well-formed models and show where it accepted damage.
+  on well-formed models and show where it accepted damage;
+- ``as_v3`` is a ``uavplan.world_model.v4`` object in the older
+  ``uavplan.world_model.v3`` layout, each stored word an object of its
+  letters and its count, which the tests hash a run's model through to
+  hold it to bytes pinned in that layout.
 """
 
 from typing import Iterable, NamedTuple, Sequence
@@ -162,8 +166,8 @@ def reference_learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
 
 
 def reference_model_from_dict(d: dict) -> WorldModel:
-    """Read a ``uavplan.world_model.v3`` object; each word's letters and
-    count must be JSON integers, each letter key a decimal integer, and
+    """Read a ``uavplan.world_model.v4`` object; each word's letters and
+    each count must be JSON integers, each letter key a decimal integer, and
     its ``center_m`` two JSON numbers and its ``mean_profit_bps`` one.
     The rest is cast."""
     found = d.get("schema")
@@ -171,12 +175,12 @@ def reference_model_from_dict(d: dict) -> WorldModel:
         raise ConsistencyError(
             f"schema {found!r}, not {WORLD_MODEL_SCHEMA!r} (an older format or "
             "not this artifact); delete it and run again to regenerate it")
-    words = d["words"]
-    for k, w in enumerate(words):
-        if not all(type(v) is int for v in (*w["letters"], w["count"])):
+    words, counts = d["words"], d["word_counts"]
+    for k, (w, c) in enumerate(zip(words, counts)):
+        if not all(type(v) is int for v in (*w, c)):
             raise ConsistencyError(
-                f"word {k} has letters {w['letters']} and count "
-                f"{w['count']}, which must be integers")
+                f"word {k} has letters {w} and count {c}, which must be "
+                "integers")
     letters = {}
     for key, s in d["letters"].items():
         center, profit = s["center_m"], s["mean_profit_bps"]
@@ -197,7 +201,18 @@ def reference_model_from_dict(d: dict) -> WorldModel:
                                            float(profit))
     return _build(
         letters,
-        [tuple(w["letters"]) for w in words],
-        [w["count"] for w in words],
+        [tuple(w) for w in words], list(counts),
         float(d["mean_profit_bps"]), float(d["mean_leg_time_s"]),
         NoiseConfig(**d["noise_config"]))
+
+
+def as_v3(obj: dict) -> dict:
+    """The ``uavplan.world_model.v3`` object of the model that the
+    ``uavplan.world_model.v4`` object ``obj`` holds: ``words`` as one
+    ``{"letters", "count"}`` object per stored word, in stored order, in
+    place of the two lists, and every other key as it is."""
+    v3 = {key: value for key, value in obj.items() if key != "word_counts"}
+    v3["schema"] = "uavplan.world_model.v3"
+    v3["words"] = [{"letters": w, "count": c} for w, c in
+                   zip(obj["words"], obj["word_counts"], strict=True)]
+    return v3

@@ -3,17 +3,23 @@
     python3 tools/same_outputs.py REF
 
 exports REF's ``src/`` with ``git archive`` into a temporary directory,
-then runs ``uavplan pipeline``, each run in a fresh process, on three
+then runs ``uavplan pipeline``, each run in a fresh process, on four
 configs: the acceptance suite's full-scale config (C6-C8: 5000
-demonstrations, 30 test instances of each size 5-50) and the shapes of
+demonstrations, 30 test instances of each size 5-50), the shapes of
 the benchmark's two workloads (``WORKLOADS[name].config(3011, 0, out)``
-of ``perfbench/workloads.py``, which is read, not edited). Each config
+of ``perfbench/workloads.py``, which is read, not edited) and
+``profit-drops``, a small config whose weights make the oracle drop
+hotspots (``PROFIT_DROPS``), so that its selection pass, the 2-opt
+re-run of a reduced tour and the blocks it returns reach the compared
+bytes. Each config
 runs at workers 1 and 2, once on REF's source and once on the working
 tree's, and each pair of output directories is compared as
 ``tools/compare_outputs.py`` compares them, ``timings.csv`` left out.
 Then ``uavplan plan`` runs from REF's source and from the working
-tree's on the same inputs, the world model and the first test instance
-of REF's workers 1 directory with the config's planner settings, once
+tree's, each on the world model and the first test instance of its own
+workers 1 directory (so that a change of the model file's layout is
+still compared by the plans it gives) with the config's planner
+settings, once
 writing its trace to a file (``--trace``) and once to stdout, and the
 bytes of both traces are compared. Last, the working tree reruns each
 config at workers 1 over REF's finished directory, which checks every
@@ -46,6 +52,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKERS = (1, 2)
+# The oracle drops a hotspot in 52 of these 300 five-hotspot
+# demonstrations (two of them twice), in three blocks of lengths 5, 4 and
+# 3; at profit_scale 300 it drops one in 12, and from 600 on some
+# demonstration keeps only two hotspots, one drop from a one-letter word.
+PROFIT_DROPS = {"m_training": 300, "test_sizes": [5, 10, 20],
+                "weights": {"profit_scale": 500.0}}
 
 
 def load_module(path: Path):
@@ -74,13 +86,14 @@ def export_src(ref: str, dest: Path) -> Path | None:
 
 
 def default_configs() -> dict[str, dict]:
-    """The C6-C8 config and the two workload shapes, by name; each run
-    sets its own output directory and worker count."""
+    """The C6-C8 config, the two workload shapes and ``PROFIT_DROPS``, by
+    name; each run sets its own output directory and worker count."""
     workloads = load_module(ROOT / "perfbench" / "workloads.py").WORKLOADS
     return {"c6-c8": {"m_training": 5000, "test_sizes": [5, 10, 20, 30, 40, 50],
                       "seeds_per_size": 30},
             **{name: w.config(3011, 0, "out")
-               for name, w in workloads.items()}}
+               for name, w in workloads.items()},
+            "profit-drops": PROFIT_DROPS}
 
 
 def _run(src: Path, *args: str) -> subprocess.CompletedProcess:
@@ -157,7 +170,7 @@ def same_outputs(ref: str, configs: dict[str, dict]) -> int:
                     print(f"  {line}")
                 if lines:
                     code = 1
-            planned = {side: _plan(src, config_path, tmp / f"{name}-w1-ref",
+            planned = {side: _plan(src, config_path, tmp / f"{name}-w1-{side}",
                                    tmp / f"{name}-plan-{side}.json")
                        for side, src in sources.items()}
             lines = [f"{side} {error}" for side, (error, _) in planned.items()
