@@ -46,8 +46,9 @@ mean profit), keyed by the ``str`` of the letter. A mistyped, unknown or
 missing key is refused naming its dotted key (``word_counts.3``,
 ``words.2.1``, ``letters.7.center_m``, ``noise_config.process_scale``);
 ``_build`` then refuses words and counts of two lengths, a stored word
-that repeats a letter, naming its index and
-letters, and sources that contradict each other (such as a stored word's
+that repeats a letter, naming its index and letters, word counts that
+add up to 2**53 or more, and sources that contradict each other (such
+as a stored word's
 letter without statistics, or statistics of a letter that no stored
 word holds), and a noise config whose
 noise matrices, at the stored means, are not finite or, for a non-zero
@@ -58,14 +59,33 @@ leaves out at its default. A stored word's letters, all Python ints, are
 read in one step, as the tuple the model stores, and no record is built
 per word. ``harness`` writes ``model_to_dict``'s object, the one
 ``uavplan plan --model`` reads, with the package's one encoder.
+
+Past the one dict pass of ``learn`` that tallies the distinct orders,
+the stored words are read in array passes. They are flattened once, in
+stored order, into each letter's row, which each letter gets through the
+vocabulary dict (``_rows``), and each word's length (``_layout``); the
+checks, the start counts, the letter occurrences and the pair counts are
+numpy passes over those, each over every word at once, and each pass's
+temporaries are dropped when it ends. The counts are tallied as floats,
+by weighted ``bincount``s: while the word counts add up to less than
+2**53, which ``_build`` requires and ``learn``'s, adding up to the number
+of demonstrations, meet, every partial sum is an integer that a float
+holds, so each tally is exact in any order. Each sum of floats adds in
+the order a loop over the sorted words and their letters adds: a
+weighted ``bincount`` adds in the order of its input, and a total is the
+last of an ``np.add.accumulate`` (``_sum_in_order``), never the pairwise
+``np.sum``. So the model is the loop's, bit for bit;
+tests/world_model_oracles.py keeps the loops (``reference_learn``,
+``reference_build``) for the tests to hold these passes to.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -75,6 +95,9 @@ from .errors import ConfigurationError, ConsistencyError, DegenerateWordError, T
 from .oracle import Demonstrations, Tour
 
 _ROW_TOL = 1e-9
+# the word counts' total is below it: every count and every sum of counts
+# is then an integer that a float holds exactly
+_COUNT_BOUND = 2 ** 53
 WORLD_MODEL_SCHEMA = "uavplan.world_model.v4"
 
 
@@ -129,29 +152,55 @@ def _word(order: Sequence[int]) -> tuple[int, ...]:
     ints is that tuple, shared, not copied. ``_build`` checks the word."""
     if len(order) < 2:
         raise DegenerateWordError("a word needs at least two visited vertices")
-    if type(order) is tuple and set(map(type, order)) == {int}:
+    if (type(order) is tuple
+            and operator.countOf(map(type, order), int) == len(order)):
         return order
     return tuple(map(int, order))
 
 
+def _rows(words: Sequence[tuple[int, ...]], vocab: dict[int, int]
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Each letter's row in ``vocab``, word after word, and each word's
+    length, both int64 (an index numpy takes with no copy). A letter may
+    be any int, so each is streamed through ``vocab``, never through an
+    array indexed by letter."""
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    rows = np.fromiter(map(vocab.__getitem__, chain.from_iterable(words)),
+                       np.intp, int(lengths.sum()))
+    return rows, lengths
+
+
 def merge_global(words: Sequence[tuple[int, ...]], vocab: dict[int, int],
-                 multiplicities: Sequence[int]) -> TransitionMatrix:
+                 multiplicities: Sequence[int], *,
+                 _flat: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> TransitionMatrix:
     """Pool transition counts across words, then row-normalize; letter l
     owns row and column ``vocab[l]``.
 
     This is the maximum-likelihood estimate of the letter Markov chain;
     restricted to a single word it coincides with that word's transition
-    matrix (``word_transition`` in tests/world_model_oracles.py).
+    matrix (``word_transition`` in tests/world_model_oracles.py). Each
+    word has one multiplicity (words and multiplicities of two lengths
+    raise ``ValueError``). The words are read as ``_rows(words, vocab)``,
+    or as ``_flat``, the same arrays, which ``_build`` passes, having
+    flattened them for its checks. Each count is one weighted ``bincount``
+    of the multiplicities as floats. It is the float of the exact sum only
+    while the multiplicities add up to less than 2**53, where every
+    partial sum is an integer that a float holds; ``_build`` refuses
+    counts that add up to more, but this function does not check.
     """
-    pairs: dict[tuple[int, int], int] = {}
-    for w, m in zip(words, multiplicities):
-        for pair in zip(w, w[1:]):
-            pairs[pair] = pairs.get(pair, 0) + m
-    counts = np.zeros((len(vocab), len(vocab)))
-    # each count is summed as an int and written once; below 2**53 it is
-    # the float that adding the multiplicities one by one gives
-    counts[[vocab[a] for a, _ in pairs], [vocab[b] for _, b in pairs]] = list(
-        pairs.values())
+    rows, lengths = _rows(words, vocab) if _flat is None else _flat
+    n = len(vocab)
+    # each letter paired with the letter after it, as the key
+    # letter * n + next letter, weighted by the next letter's word's
+    # multiplicity, and by 0 where the next letter starts a word: a word
+    # of L letters adds its multiplicity to its L - 1 pairs
+    weight = np.repeat(np.asarray(multiplicities, np.float64), lengths)
+    weight[(np.cumsum(lengths) - lengths)[lengths > 0]] = 0.0
+    key = rows[:-1] * n
+    key += rows[1:]
+    counts = np.bincount(key, weight[1:], n * n).reshape(n, n)
+    del key, weight
     out = counts.sum(axis=1)
     active = out > 0
     probs = np.zeros_like(counts)
@@ -245,10 +294,7 @@ class WordIndex:
 
     @classmethod
     def build(cls, words: Sequence[tuple[int, ...]], vocab: dict) -> "WordIndex":
-        lengths = np.fromiter(map(len, words), np.int64, len(words))
-        # each letter's row, streamed through ``vocab``: a letter may be
-        # any int, so no array is indexed by letter
-        rows = np.fromiter(map(vocab.__getitem__, chain(*words)), np.intp)
+        rows, lengths = _rows(words, vocab)
         incidence = np.zeros((len(vocab), len(words)), np.uint8)
         incidence[rows, np.repeat(np.arange(len(words)), lengths)] = 1
         return cls(lengths=lengths, incidence=incidence)
@@ -277,9 +323,20 @@ class _ModelFile:
     noise_config: NoiseConfig
 
 
+def _layout(words: Sequence[tuple[int, ...]]
+            ) -> tuple[dict[int, int], np.ndarray, np.ndarray]:
+    """The vocabulary of ``words`` (their letters, ascending, each mapped
+    to its row) and ``_rows`` of the words over it."""
+    vocab = {l: k for k, l in
+             enumerate(sorted(set(chain.from_iterable(words))))}
+    return (vocab, *_rows(words, vocab))
+
+
 def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
            counts: list[int], mean_profit_bps: float,
-           mean_leg_time_s: float, noise: NoiseConfig) -> WorldModel:
+           mean_leg_time_s: float, noise: NoiseConfig,
+           layout: tuple[dict[int, int], np.ndarray, np.ndarray] | None = None
+           ) -> WorldModel:
     """The model that its sources determine: each letter's center and mean
     profit (``letters``), the stored words with their counts, the two
     training means and the noise config. Derives the vocabulary (the
@@ -289,10 +346,20 @@ def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
     refuses sources that ``learn`` never gives, words and counts of two
     lengths, a stored word that
     repeats a letter, of fewer than two letters or with a count below 1,
-    a letter without statistics, statistics
-    of a letter that no stored word holds, a mean or a noise matrix that
-    is not finite, and a noise matrix whose entry for a non-zero mean
-    underflows below the smallest normal float."""
+    counts that add up to 2**53 or more, a letter without statistics,
+    statistics of a letter that no stored word holds, a mean or a noise
+    matrix that is not finite, and a noise matrix whose entry for a
+    non-zero mean underflows below the smallest normal float.
+
+    The words are read in array passes over their ``layout`` (``_layout``,
+    which ``learn`` hands over): the vocabulary, each letter's row, word
+    after word, and each word's length. A word repeats a letter where the
+    sorted keys word * n + row hold two equal neighbours, and the first
+    word that fails a check (``argmax`` of a mask) is named, as a loop in
+    stored order named it. The start counts (a weighted ``bincount``) and
+    the pair counts (``merge_global``) are tallies of the counts as
+    floats; below 2**53 in total every partial sum is an exact integer, so
+    they are the exact sums."""
     if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
         raise ConsistencyError(
             f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
@@ -301,17 +368,27 @@ def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
         raise ConsistencyError(
             f"{len(words)} stored words but {len(counts)} word counts; each "
             "stored word has one count")
-    started: dict[int, int] = {}
-    for k, (w, c) in enumerate(zip(words, counts)):
-        if len(set(w)) != len(w):
+    vocab, rows, lengths = layout or _layout(words)
+    n = len(vocab)
+    # a word repeats a letter where two of its letters share a row: the
+    # keys word * n + row, sorted, hold two equal neighbours
+    keys = np.repeat(np.arange(len(words), dtype=np.int64) * n, lengths)
+    keys += rows
+    keys.sort()
+    repeated = np.zeros(len(words), bool)
+    repeated[keys[1:][keys[1:] == keys[:-1]] // max(n, 1)] = True
+    del keys
+    bad = (repeated | (lengths < 2)
+           | np.fromiter(map(operator.lt, counts, repeat(1)), bool, len(counts)))
+    if bad.any():
+        k = int(bad.argmax())
+        w, c = words[k], counts[k]
+        if repeated[k]:
             raise ConsistencyError(f"word {k} {list(w)}: repeated letter in word")
-        if len(w) < 2 or c < 1:
-            raise ConsistencyError(
-                f"word {k} has letters {list(w)} and count {c}; a "
-                "stored word has at least two letters and a count of at "
-                "least 1")
-        started[w[0]] = started.get(w[0], 0) + c
-    vocab = {l: k for k, l in enumerate(sorted({l for w in words for l in w}))}
+        raise ConsistencyError(
+            f"word {k} has letters {list(w)} and count {c}; a "
+            "stored word has at least two letters and a count of at "
+            "least 1")
     if letters.keys() != vocab.keys():
         raise ConsistencyError(
             f"stored words name letters {sorted(vocab.keys() - letters)} that "
@@ -335,19 +412,36 @@ def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
             f"that times measurement_ratio {noise.measurement_ratio}, "
             + ("underflows below the smallest normal float" if small else
                "overflows float arithmetic"))
+    # a count past the float range raises OverflowError here
+    weights = np.array(counts, np.float64)
+    if (total := sum(counts)) >= _COUNT_BOUND:
+        raise ConsistencyError(
+            f"word_counts add up to {total}; a model's word counts add up "
+            f"to less than 2**53 ({_COUNT_BOUND}), below which their float "
+            "tallies are exact")
+    started = np.bincount(rows[np.cumsum(lengths) - lengths], weights, n)
     return WorldModel(
         vocab=vocab,
-        stats={l: LetterStats(**vars(letters[l]), start_count=started.get(l, 0))
-               for l in vocab},
+        stats={l: LetterStats(**vars(letters[l]), start_count=s)
+               for l, s in zip(vocab, started.astype(np.int64).tolist())},
         words=words,
         word_counts=counts,
-        transition=merge_global(words, vocab, counts),
+        transition=merge_global(words, vocab, weights, _flat=(rows, lengths)),
         process_noise=q,
         measurement_noise=r,
         mean_profit_bps=mean_profit_bps,
         mean_leg_time_s=mean_leg_time_s,
         noise_config=noise,
     )
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """``values``, at least one, added one at a time, left to right, to
+    0.0, as a Python loop adds them (``np.sum`` adds pairwise, which
+    rounds otherwise); ``values`` is overwritten with its running sums.
+    The accumulate starts from the first value, so ``0.0 +`` turns a sum
+    of -0.0s into the loop's 0.0."""
+    return 0.0 + float(np.add.accumulate(values, out=values)[-1])
 
 
 def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
@@ -362,6 +456,16 @@ def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
     costs are read, as two columns; each distinct order is made a word
     once (``_word``), at its first demonstration; a demonstration of
     fewer than two hotspots is refused, naming the first by its index.
+
+    One dict pass tallies the distinct orders; the rest are array passes
+    over the sorted words' ``_layout``, which ``_build`` reuses. The
+    letter occurrences are a weighted ``bincount``; each float sum adds in
+    stored order, the words sorted and each word's letters in its order,
+    as a loop over them adds: a letter's profit sum by a weighted
+    ``bincount``, which adds in the order of its input, and the total
+    profit and the total cost by ``_sum_in_order``, never by the pairwise
+    ``np.sum``. So the model is the loop's, bit for bit (the loop is kept
+    in tests/world_model_oracles.py as ``reference_learn``).
     """
     orders, costs = (
         (demos.orders, demos.cost_m) if isinstance(demos, Demonstrations)
@@ -370,13 +474,16 @@ def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
         raise TrainingError("no demonstrations to learn from")
     by_id = {h.id: h for h in pool}
 
-    # each distinct order's word, mapped to how many demonstrations have
-    # it and to the smallest cost among them (identical words imply
-    # identical geometry, so accumulation order cannot matter)
-    tally: dict[tuple[int, ...], int] = {}
-    cost: dict[tuple[int, ...], float] = {}
+    # each distinct order's word, in the order first seen, mapped to its
+    # slot: the number of demonstrations that have it and the smallest
+    # cost among them (identical words imply identical geometry, so
+    # accumulation order cannot matter); one dict lookup per demonstration
+    slots: dict[tuple[int, ...], int] = {}
+    seen: list[int] = []
+    least: list[float] = []
     for k, (order, c) in enumerate(zip(orders, costs)):
-        if order not in tally:
+        slot = slots.get(order)
+        if slot is None:
             try:
                 word = _word(order)
             except DegenerateWordError as e:
@@ -384,39 +491,55 @@ def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
                     f"demonstration {k}, order {list(order)}: {e}; the "
                     "oracle keeps a hotspot only where its profit pays for "
                     "its detour under the config's weights") from None
-            tally[word], cost[word] = 0, c
-        tally[order] += 1
-        cost[order] = min(cost[order], c)
+            slot = slots[word] = len(seen)
+            seen.append(0)
+            least.append(c)
+        seen[slot] += 1
+        if c < least[slot]:
+            least[slot] = c
+    # the slots of the words sorted by word: ``sorted(slots)``, the stored
+    # order, with no second lookup per word
+    words = list(slots)
+    del slots
+    stored = sorted(range(len(words)), key=words.__getitem__)
+    keys = list(map(words.__getitem__, stored))
+    counts = list(map(seen.__getitem__, stored))
+    cost = np.fromiter(map(least.__getitem__, stored), np.float64, len(keys))
+    del words, seen, least, stored
+    per_word = np.array(counts, np.float64)
+    # each float sum adds the words in stored order and each word's
+    # letters in its order: a weighted bincount adds in the order of its
+    # input, and ``_sum_in_order`` left to right
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost *= per_word
+        total_cost = _sum_in_order(cost)
+    del cost
 
-    keys = sorted(tally)
-    counts = [tally[k] for k in keys]
-
-    letters = sorted({l for k in keys for l in k})
-    for l in letters:
+    layout = vocab, rows, lengths = _layout(keys)
+    for l in vocab:
         if l not in by_id:
             raise ConsistencyError(f"demonstrated letter {l} missing from pool")
 
-    occ = {l: 0 for l in letters}
-    profit_sum = {l: 0.0 for l in letters}
-    total_profit = 0.0
-    total_visits = 0
-    total_cost = 0.0
-    total_legs = 0
-    for k, c in zip(keys, counts):
-        for l in k:
-            occ[l] += c
-            p = by_id[l].profit_bps
-            profit_sum[l] += c * p
-            total_profit += c * p
-            total_visits += c
-        total_cost += c * cost[k]
-        total_legs += c * (len(k) + 1)
+    # each letter of each word, weighted by the word's count
+    profit = np.repeat(per_word, lengths)
+    del per_word
+    occ = np.bincount(rows, profit, len(vocab))
+    bps = np.array([by_id[l].profit_bps for l in vocab])
+    with np.errstate(over="ignore", invalid="ignore"):
+        profit *= bps[rows]
+        mean_profit = (np.bincount(rows, profit, len(vocab)) / occ).tolist()
+        total_profit = _sum_in_order(profit)
+    del profit
+    # exact, as the counts add up to the number of demonstrations
+    total_visits = int(occ.sum())
+    total_legs = total_visits + len(orders)
 
-    return _build({l: _LetterSources(by_id[l].center_m, profit_sum[l] / occ[l])
-                   for l in letters},
+    return _build({l: _LetterSources(by_id[l].center_m, m)
+                   for l, m in zip(vocab, mean_profit)},
                   keys, counts,
                   total_profit / total_visits,
-                  total_cost / total_legs / mission.uav_speed_m_per_s, noise)
+                  total_cost / total_legs / mission.uav_speed_m_per_s, noise,
+                  layout)
 
 
 def model_to_dict(wm: WorldModel) -> dict:

@@ -1763,6 +1763,29 @@ class TestCli:
         assert err.startswith("configuration error:")
         assert str(model) in err and named in err
 
+    def test_world_model_with_counts_of_2_53_in_total_exits_2(self, tmp_path,
+                                                             capsys):
+        """Stored word counts that add up to 2**53 or more, each an integer
+        a float holds, exit 2 naming the model given to ``plan``,
+        ``word_counts`` and the bound below which their float tallies are
+        exact."""
+        cfg = small_config(tmp_path / "d", test_sizes=(5,), seeds_per_size=1)
+        run_pipeline(cfg)
+        model = tmp_path / "d" / "world_model.json"
+        obj = json.loads(model.read_text())
+        obj["word_counts"][0] = 2 ** 53 - sum(obj["word_counts"][1:])
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert cli_main(["plan", "--model", str(model), "--instance",
+                         str(tmp_path / "d" / "instances" / "s005k000.json"),
+                         "--trace", str(tmp_path / "trace.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert str(model) in err
+        assert ("word_counts add up to 9007199254740992; a model's word "
+                "counts add up to less than 2**53") in err
+        assert not (tmp_path / "trace.json").exists()
+
     @pytest.mark.parametrize("edit,named", [
         pytest.param(lambda obj: obj.update(
             mean_leg_time_s=str(obj["mean_leg_time_s"]),

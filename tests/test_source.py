@@ -395,7 +395,8 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
     a commit's src/ and the working tree's, on the shape of either benchmark
     workload, one line per stage with a median and quartiles per side,
     then a line for reading the stage's world model back
-    (``world_read``), and a last line that every process ran pinned to
+    (``world_read``), each with the rounds in which the tree was
+    faster, and a last line that every process ran pinned to
     one CPU, and exits 0 when every stage's file and the model
     read back are the same on both sides (here the commit is the tree's
     own, so they are); a commit it cannot export, no rounds or an unknown
@@ -407,6 +408,9 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
                             "--workload", workload]) == 0
         out = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in out[1:-1]] == list(layers.LAYERS)
+        # the rounds of the one run in which the tree was faster
+        assert out[0].split()[-2:] == ["tree", "faster"]
+        assert all(line.split()[9] in ("0/1", "1/1") for line in out[1:-1])
         assert layers.LAYERS[-2:] == ("ql", "world_read")
         assert out[-1] == "each process ran on 1 CPU"
         assert not any("differ" in line for line in out)

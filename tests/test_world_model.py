@@ -20,10 +20,11 @@ from uavplan.planner import PlannerConfig, plan_mission
 from uavplan.world_model import (WORLD_MODEL_SCHEMA, LetterStats, NoiseConfig,
                                  Word, WorldModel, learn, merge_global,
                                  model_from_dict, model_to_dict)
+from uavplan.world_model import _build, _LetterSources
 from uavplan.world_model import _word as word_of
 
 from world_model_oracles import (GeneralizedLetter, adjacency, degree, glyphs,
-                                 letter_rows, reference_learn,
+                                 letter_rows, reference_build, reference_learn,
                                  reference_merge_global,
                                  reference_model_from_dict, word_transition)
 
@@ -454,6 +455,105 @@ class TestModelReader:
         assert str(e.value).startswith(named)
 
 
+# letters of any int: negative, past 2**32, and past the int64 range
+_letter = st.sampled_from((-2 ** 70, -3, 0, 1, 2, 5, 10 ** 12, 2 ** 70))
+
+
+@st.composite
+def _model_sources(draw):
+    """``_build``'s arguments as ``model_from_dict`` gives them: stored
+    words of distinct letters with counts of at most 2**49 (nine of them
+    add up to less than 2**53), each damaged now and then: a word that is
+    empty, of one letter or repeats one, a count of 0 or below, one
+    count more or fewer than the words, a word's letter without
+    statistics, statistics of a letter that no word holds, and a mean
+    that is not finite or whose noise overflows or underflows."""
+    words = draw(st.lists(st.lists(_letter, min_size=2, max_size=6,
+                                   unique=True).map(tuple), max_size=8))
+    counts = draw(st.lists(st.integers(1, 2 ** 49), min_size=len(words),
+                           max_size=len(words)))
+    if words and draw(st.integers(0, 2)) == 0:
+        words[draw(st.integers(0, len(words) - 1))] = tuple(
+            draw(st.lists(_letter, max_size=4)))
+    if counts and draw(st.integers(0, 3)) == 0:
+        counts[draw(st.integers(0, len(counts) - 1))] = draw(
+            st.integers(-2, 0))
+    if draw(st.integers(0, 7)) == 0:
+        counts = counts[:-1] if counts and draw(st.booleans()) else counts + [1]
+    held = {l for w in words for l in w}
+    if draw(st.integers(0, 3)) == 0:
+        held ^= {draw(_letter)}
+    letters = {l: _LetterSources(
+        (draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))),
+        draw(st.floats(0.0, 1e15))) for l in held}
+    means = st.floats(0.0, 1e12) | st.floats()
+    return (letters, words, counts, draw(means), draw(means),
+            NoiseConfig(draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 4.0))))
+
+
+class TestBuildReference:
+    """``_build``'s array passes against ``reference_build``, the loop it
+    replaced."""
+
+    @staticmethod
+    def _outcome(build, sources):
+        letters, words, counts, *rest = sources
+        try:
+            wm = build(dict(letters), list(words), list(counts), *rest)
+        except (ConfigurationError, ConsistencyError) as e:
+            return type(e).__name__, str(e)
+        return (_canonical_json(model_to_dict(wm)),
+                wm.transition.probs.tobytes(), wm.transition.active.tobytes(),
+                list(wm.vocab.items()), sorted(wm.stats.items()))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_model_sources())
+    # a word that repeats a letter after a word of one letter: the first
+    # is named
+    @example(({1: _LetterSources((0.0, 0.0), 1.0),
+               2: _LetterSources((0.0, 0.0), 1.0)},
+              [(1, 2), (2,), (1, 2, 1)], [3, 1, 1], 1.0, 1.0, NoiseConfig()))
+    # the one-letter word after the word that repeats a letter
+    @example(({1: _LetterSources((0.0, 0.0), 1.0),
+               2: _LetterSources((0.0, 0.0), 1.0)},
+              [(1, 2), (2, 1, 2), (1,)], [3, 1, 1], 1.0, 1.0, NoiseConfig()))
+    # letters at and past the int64 range, each starting words
+    @example(({l: _LetterSources((float(k), 0.0), 2.0 ** k)
+               for k, l in enumerate((-2 ** 70, -3, 10 ** 12, 2 ** 70))},
+              [(2 ** 70, -2 ** 70), (-3, 10 ** 12, 2 ** 70),
+               (-2 ** 70, -3)], [2 ** 49, 7, 2 ** 49 - 1], 1e7, 10.0,
+              NoiseConfig()))
+    def test_same_model_or_message(self, sources):
+        """The same model, to the bits of its file, its transition
+        matrix, vocabulary and statistics, or the same refusal, naming the
+        same first word."""
+        assert self._outcome(_build, sources) == self._outcome(
+            reference_build, sources)
+
+    @pytest.mark.parametrize("counts", [[2 ** 70, 2 ** 53 + 1],
+                                        [2 ** 53 - 1, 1], [1, 2 ** 53],
+                                        [2 ** 53 - 2, 1]])
+    def test_refuses_counts_of_2_53_or_more_in_total(self, counts):
+        """Word counts that add up to 2**53 or more are refused, naming
+        ``word_counts`` and the bound, where a float tally of them would
+        not be exact and the reference, which tallied Python ints, took
+        them; one less gives the reference's model. Letters of +-2**70
+        are letters like any other."""
+        letters = {l: _LetterSources((0.0, 0.0), 1.0)
+                   for l in (-2 ** 70, -3, 10 ** 12, 2 ** 70)}
+        sources = (letters, [(2 ** 70, -2 ** 70, -3), (-3, 10 ** 12)],
+                   counts, 1.0, 1.0, NoiseConfig())
+        if sum(counts) < 2 ** 53:
+            assert self._outcome(_build, sources) == self._outcome(
+                reference_build, sources)
+            return
+        with pytest.raises(ConsistencyError, match=(
+                rf"^word_counts add up to {sum(counts)}; a model's word "
+                r"counts add up to less than 2\*\*53 \(9007199254740992\)")):
+            _build(*sources)
+        assert isinstance(reference_build(*sources), WorldModel)
+
+
 def test_model_of_any_int_letters_builds_its_index_and_plans(make_instance):
     """Letters are any JSON ints, negative or past 2**32: a model whose
     letters include -3 and 10**12, read by ``model_from_dict``, indexes
@@ -500,8 +600,11 @@ class TestLearnReference:
     """``learn``, which makes each distinct order a word once, against
     ``reference_learn``, which made a word of every demonstration."""
 
+    # profits from about 1e-3 to 1e15, so that sums of them round
+    # differently when added in another order
     POOL = [Hotspot(id=i, center_m=(10.0 * i, 7.0 * i), num_users=1,
-                    profit_bps=1e6 + 37.5 * i) for i in range(1, 11)]
+                    profit_bps=10.0 ** (2 * i - 5) * (1 + i / 7))
+            for i in range(1, 11)]
 
     @staticmethod
     def _outcome(fn, demos):
@@ -537,6 +640,41 @@ class TestLearnReference:
             wm = learn(demos, self.POOL, NoiseConfig(), MissionConfig())
             merged = reference_merge_global(wm.words, wm.vocab, wm.word_counts)
             assert wm.transition.probs.tobytes() == merged.probs.tobytes()
+
+    def test_float_sums_add_in_stored_order(self):
+        """On these demonstrations, costs of mixed magnitude over the pool's
+        profits, the pairwise ``np.sum`` of the terms c * p and c * cost
+        gives other training means than adding them one at a time in
+        stored order, the sorted words and each word's letters; ``learn``
+        gives the reference's model, and the means of the sums in order."""
+        words = [(2, 10), (3, 1), (5, 2), (8, 7, 6), (8, 9), (9, 2, 10),
+                 (9, 3), (10, 6)]
+        counts = [1, 1, 2, 1, 1, 1, 2, 3]
+        costs = [7.3e6, 7.3e6, 0.37, 7.3e6, 1e-3, 12.5, 7.3e6, 0.37]
+        demos = _demos(*zip(*[(w, x) for w, c, x in zip(words, counts, costs)
+                              for _ in range(c)][::-1]))
+        profit = {h.id: h.profit_bps for h in self.POOL}
+        terms = [c * profit[l] for w, c in zip(words, counts) for l in w]
+        legs = [c * x for c, x in zip(counts, costs)]
+        visits = sum(c * len(w) for w, c in zip(words, counts))
+        speed = MissionConfig().uav_speed_m_per_s
+
+        def in_order(values):
+            total = 0.0
+            for v in values:
+                total += v
+            return total
+
+        wm = learn(demos, self.POOL, NoiseConfig(), MissionConfig())
+        assert wm.words == words and wm.word_counts == counts
+        assert wm.mean_profit_bps == in_order(terms) / visits
+        assert wm.mean_profit_bps != float(np.sum(terms)) / visits
+        assert wm.mean_leg_time_s == (in_order(legs) / (visits + len(demos))
+                                      / speed)
+        assert wm.mean_leg_time_s != (float(np.sum(legs)) / (visits + len(demos))
+                                      / speed)
+        assert self._outcome(learn, demos) == self._outcome(reference_learn,
+                                                            demos)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(_orders.filter(lambda o: len(o) >= 2),

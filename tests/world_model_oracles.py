@@ -17,7 +17,15 @@ pooled estimate against:
 - ``reference_merge_global`` and ``reference_learn`` are the pooling and
   the learning as they were written before ``learn`` made each distinct
   order a word once and ``merge_global`` wrote each count once: one numpy
-  ``+=`` per transition, and a word made of every demonstration;
+  ``+=`` per transition, and a word made of every demonstration, each
+  tallied as it comes, and its statistics summed in a loop over the
+  words and their letters;
+- ``reference_build`` is ``world_model._build`` as it was written before
+  its array passes: a loop over the words that checks each and counts
+  the words each letter starts, and the pair counts of
+  ``merge_global`` tallied in a dict as Python ints, each written once.
+  It has no bound on the word counts' total, as ``_build`` has (below
+  2**53, where the two agree);
 - ``reference_model_from_dict`` is the world-model reader as it was
   written before ``model_from_dict`` took the one checked reader: type
   checks on the words and letters written key by key, and casts for the
@@ -32,14 +40,17 @@ pooled estimate against:
 
 from typing import Iterable, NamedTuple, Sequence
 
+import math
+
 import numpy as np
 
 from uavplan.environment import Hotspot, MissionConfig
-from uavplan.errors import ConsistencyError, DegenerateWordError, TrainingError
+from uavplan.errors import (ConfigurationError, ConsistencyError,
+                            DegenerateWordError, TrainingError)
 from uavplan.oracle import Tour
-from uavplan.world_model import (WORLD_MODEL_SCHEMA, NoiseConfig,
-                                 TransitionMatrix, WorldModel, _build,
-                                 _LetterSources, _word)
+from uavplan.world_model import (WORLD_MODEL_SCHEMA, LetterStats, NoiseConfig,
+                                 TransitionMatrix, WorldModel, _LetterSources,
+                                 _word)
 
 Letters = tuple[int, ...]
 
@@ -158,11 +169,80 @@ def reference_learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
         total_cost += c * word_cost[k]
         total_legs += c * (len(k) + 1)
 
-    return _build({l: _LetterSources(by_id[l].center_m, profit_sum[l] / occ[l])
-                   for l in letters},
-                  keys, counts,
-                  total_profit / total_visits,
-                  total_cost / total_legs / mission.uav_speed_m_per_s, noise)
+    return reference_build(
+        {l: _LetterSources(by_id[l].center_m, profit_sum[l] / occ[l])
+         for l in letters},
+        keys, counts,
+        total_profit / total_visits,
+        total_cost / total_legs / mission.uav_speed_m_per_s, noise)
+
+
+def reference_build(letters: dict[int, _LetterSources],
+                    words: list[Letters], counts: list[int],
+                    mean_profit_bps: float, mean_leg_time_s: float,
+                    noise: NoiseConfig) -> WorldModel:
+    """``world_model._build`` as a loop: the model its sources determine,
+    or the first refusal, checked in order."""
+    if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
+        raise ConsistencyError(
+            f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
+            f"{mean_leg_time_s} must be finite")
+    if len(words) != len(counts):
+        raise ConsistencyError(
+            f"{len(words)} stored words but {len(counts)} word counts; each "
+            "stored word has one count")
+    started: dict[int, int] = {}
+    for k, (w, c) in enumerate(zip(words, counts)):
+        if len(set(w)) != len(w):
+            raise ConsistencyError(f"word {k} {list(w)}: repeated letter in word")
+        if len(w) < 2 or c < 1:
+            raise ConsistencyError(
+                f"word {k} has letters {list(w)} and count {c}; a "
+                "stored word has at least two letters and a count of at "
+                "least 1")
+        started[w[0]] = started.get(w[0], 0) + c
+    vocab = {l: k for k, l in enumerate(sorted({l for w in words for l in w}))}
+    if letters.keys() != vocab.keys():
+        raise ConsistencyError(
+            f"stored words name letters {sorted(vocab.keys() - letters)} that "
+            f"have no statistics, and letters {sorted(letters.keys() - vocab)}"
+            " that no stored word holds have statistics")
+    means = (mean_profit_bps, mean_leg_time_s)
+    with np.errstate(over="ignore"):
+        q = np.diag([np.float64(noise.process_scale * m) ** 2 for m in means])
+        r = q * noise.measurement_ratio
+    small = ((np.diagonal([q, r], 0, 1, 2) < np.finfo(float).smallest_normal)
+             & np.not_equal(means, 0)).any()
+    if small or not np.isfinite([q, r]).all():
+        raise ConfigurationError(
+            f"config noise: the process noise, process_scale "
+            f"{noise.process_scale} times the training mean_profit_bps "
+            f"{mean_profit_bps} or mean_leg_time_s {mean_leg_time_s} (which "
+            "the pool and mission give), squared, or the measurement noise, "
+            f"that times measurement_ratio {noise.measurement_ratio}, "
+            + ("underflows below the smallest normal float" if small else
+               "overflows float arithmetic"))
+    stats = {l: LetterStats(**vars(letters[l]), start_count=started.get(l, 0))
+             for l in vocab}
+    # each pair's count summed as a Python int and written once
+    pairs: dict[tuple[int, int], int] = {}
+    for w, m in zip(words, counts):
+        for pair in zip(w, w[1:]):
+            pairs[pair] = pairs.get(pair, 0) + m
+    pooled = np.zeros((len(vocab), len(vocab)))
+    pooled[[vocab[a] for a, _ in pairs], [vocab[b] for _, b in pairs]] = list(
+        pairs.values())
+    out = pooled.sum(axis=1)
+    active = out > 0
+    probs = np.zeros_like(pooled)
+    probs[active] = pooled[active] / out[active, None]
+    transition = TransitionMatrix(probs=probs, active=active)
+    transition.validate()
+    return WorldModel(
+        vocab=vocab, stats=stats, words=words, word_counts=counts,
+        transition=transition, process_noise=q, measurement_noise=r,
+        mean_profit_bps=mean_profit_bps, mean_leg_time_s=mean_leg_time_s,
+        noise_config=noise)
 
 
 def reference_model_from_dict(d: dict) -> WorldModel:
@@ -199,7 +279,7 @@ def reference_model_from_dict(d: dict) -> WorldModel:
                 "be a number")
         letters[int(key)] = _LetterSources((float(center[0]), float(center[1])),
                                            float(profit))
-    return _build(
+    return reference_build(
         letters,
         [tuple(w) for w in words], list(counts),
         float(d["mean_profit_bps"]), float(d["mean_leg_time_s"]),

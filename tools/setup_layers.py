@@ -36,8 +36,12 @@ any two commits that keep ``_stages`` compare. Each process also reads its
 peak resident memory (``ru_maxrss``) right after each stage; the pipeline
 keeps what later stages read alive, so a reading is the high-water mark
 of the stages so far. Prints one line per stage, ``STAGE  ref MEDIAN [Q1,
-Q3]  tree MEDIAN [Q1, Q3]  ref MB  tree MB``, times in milliseconds and
-the median peak in MB, then ``each process ran on 1 CPU``, and exits 0
+Q3]  tree MEDIAN [Q1, Q3]  ref MB  tree MB  K/N``, times in milliseconds,
+the median peak in MB, and the number K of the N rounds in which the
+tree's stage took less time than REF's (a tie counts for neither side):
+the pair rule that a claimed gain is held to, which medians and quartiles
+cannot stand in for where the rounds run at two speeds on a shared host.
+Then it prints ``each process ran on 1 CPU``, and exits 0
 when each stage's file, and the model read back, has one sha256 over
 every process of both sides, 1 when any differs, and 2 when REF cannot
 be exported. Standard library only, besides the package it runs.
@@ -175,12 +179,17 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
                         digests[layer].add(digest)
     differ = [layer for layer in LAYERS if len(digests[layer]) > 1]
     print(f"{'stage (ms)':18} {'ref median [q1, q3]':>28} "
-          f"{'tree median [q1, q3]':>28} {'ref MB':>8} {'tree MB':>8}")
+          f"{'tree median [q1, q3]':>28} {'ref MB':>8} {'tree MB':>8} "
+          f"{'tree faster':>11}")
     for layer in LAYERS:
+        # the rounds in which the tree's stage took less time than REF's
+        faster = sum(tree < ref for tree, ref in
+                     zip(times["tree"][layer], times["ref"][layer]))
         print(f"{layer:18} {_spread(times['ref'][layer]):>28} "
               f"{_spread(times['tree'][layer]):>28}"
               f" {statistics.median(peaks['ref'][layer]):8.2f}"
               f" {statistics.median(peaks['tree'][layer]):8.2f}"
+              f" {f'{faster}/{rounds}':>11}"
               f"{'  outputs differ' if layer in differ else ''}")
     print(f"each process ran on {', '.join(map(str, sorted(cpus)))} CPU")
     return 1 if differ else 0
