@@ -272,8 +272,8 @@ def generate_words(wm: WorldModel, normal: Sequence[int], n: int,
     if n < 1:
         raise ConfigurationError("need n >= 1 words")
     rng = _Stream(rng_seed)
-    starts = [float(wm.stats[l].start_count) for l in normal]
     columns = [wm.vocab[l] for l in normal]
+    starts = wm.start_counts[columns].tolist()
     # row i, column j: the transition from normal[i] to normal[j]
     rows = wm.transition.probs[np.ix_(columns, columns)].tolist()
     out: list[Word] = []

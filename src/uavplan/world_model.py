@@ -28,21 +28,22 @@ Q-learning's type, for the words they make.
 the demonstrations and the pool give and nothing else determines: the
 distinct words (``words``, each a list of its letters) and their counts
 (``word_counts``), two lists in stored order under the ``WorldModel``
-field names, each letter's center and mean profit, the mean profit and
-mean leg time, and the noise config. The vocabulary
-(one dict, ``WorldModel.vocab``, that maps each letter, ascending, to its
-row of the transition matrix and of the word index), the start counts,
-the transition matrix and both noise matrices follow from those, so
-``learn`` and ``model_from_dict`` both end in ``_build``, which derives
-them; a stored file cannot contradict itself, and one edited by hand is
-a model of the words it now holds. The pipeline learns
+field names, each letter's record (``LetterStats``: its center and mean
+profit), the mean profit and mean leg time, and the noise config. The
+vocabulary (one dict, ``WorldModel.vocab``, that maps each letter,
+ascending, to its row of the transition matrix, of the start counts and
+of the word index), the start counts (``WorldModel.start_counts``, one
+per row), the transition matrix and both noise matrices follow from
+those, so ``learn`` and ``model_from_dict`` both end in ``_build``,
+which derives them; a stored file cannot contradict itself, and one
+edited by hand is a model of the words it now holds. The pipeline learns
 the model on every run and only compares the file with it;
 ``model_from_dict`` reads a model given to ``uavplan plan --model``, by
-the package's one checked reader (``environment._from_json``), as two
-private records: the file (``_ModelFile``, its schema required; each
-stored word's letters and each count JSON integers) and each
-letter's sources (``_LetterSources``: a center of two JSON numbers and a
-mean profit), keyed by the ``str`` of the letter. A mistyped, unknown or
+the package's one checked reader (``environment._from_json``), as the
+file's record (``_ModelFile``, its schema required; each stored word's
+letters and each count JSON integers) and each letter's ``LetterStats``
+(a center of two JSON numbers and a mean profit), keyed by the ``str``
+of the letter, the one record ``learn`` makes too. A mistyped, unknown or
 missing key is refused naming its dotted key (``word_counts.3``,
 ``words.2.1``, ``letters.7.center_m``, ``noise_config.process_scale``);
 ``_build`` then refuses words and counts of two lengths, a stored word
@@ -61,16 +62,17 @@ per word. ``harness`` writes ``model_to_dict``'s object, the one
 ``uavplan plan --model`` reads, with the package's one encoder.
 
 Past the one dict pass of ``learn`` that tallies the distinct orders,
-the stored words are read in array passes. They are flattened once, in
-stored order, into each letter's row, which each letter gets through the
-vocabulary dict (``_rows``), and each word's length (``_layout``); the
-checks, the start counts, the letter occurrences and the pair counts are
-numpy passes over those, each over every word at once, and each pass's
-temporaries are dropped when it ends. The counts are tallied as floats,
-by weighted ``bincount``s: while the word counts add up to less than
-2**53, which ``_build`` requires and ``learn``'s, adding up to the number
-of demonstrations, meet, every partial sum is an integer that a float
-holds, so each tally is exact in any order. Each sum of floats adds in
+the stored words are read in array passes. They are flattened once per
+model, by ``learn`` or ``model_from_dict``, in stored order, into each
+letter's row, which each letter gets through the vocabulary dict
+(``_rows``), and each word's length (``_layout``); the checks, the start
+counts, the letter occurrences and the pair counts (``merge_global``)
+are numpy passes over that layout, each over every word at once, and
+each pass's temporaries are dropped when it ends. The counts are
+tallied as floats, by weighted ``bincount``s: while the word counts add
+up to less than 2**53, which ``_build`` requires and ``learn``'s, adding
+up to the number of demonstrations, meet, every partial sum is an
+integer that a float holds, so each tally is exact in any order. Each sum of floats adds in
 the order a loop over the sorted words and their letters adds: a
 weighted ``bincount`` adds in the order of its input, and a total is the
 last of an ``np.add.accumulate`` (``_sum_in_order``), never the pairwise
@@ -170,27 +172,24 @@ def _rows(words: Sequence[tuple[int, ...]], vocab: dict[int, int]
     return rows, lengths
 
 
-def merge_global(words: Sequence[tuple[int, ...]], vocab: dict[int, int],
-                 multiplicities: Sequence[int], *,
-                 _flat: tuple[np.ndarray, np.ndarray] | None = None
-                 ) -> TransitionMatrix:
-    """Pool transition counts across words, then row-normalize; letter l
-    owns row and column ``vocab[l]``.
+def merge_global(rows: np.ndarray, lengths: np.ndarray,
+                 multiplicities: Sequence[int], n: int) -> TransitionMatrix:
+    """Pool the transition counts of the words laid out as ``rows`` and
+    ``lengths`` (``_rows``: each letter's row, word after word, and each
+    word's length) over a vocabulary of ``n`` letters, then
+    row-normalize; a letter owns the row and the column its row number
+    names.
 
     This is the maximum-likelihood estimate of the letter Markov chain;
     restricted to a single word it coincides with that word's transition
     matrix (``word_transition`` in tests/world_model_oracles.py). Each
     word has one multiplicity (words and multiplicities of two lengths
-    raise ``ValueError``). The words are read as ``_rows(words, vocab)``,
-    or as ``_flat``, the same arrays, which ``_build`` passes, having
-    flattened them for its checks. Each count is one weighted ``bincount``
-    of the multiplicities as floats. It is the float of the exact sum only
-    while the multiplicities add up to less than 2**53, where every
-    partial sum is an integer that a float holds; ``_build`` refuses
-    counts that add up to more, but this function does not check.
+    raise ``ValueError``). Each count is one weighted ``bincount`` of the
+    multiplicities as floats. It is the float of the exact sum only while
+    the multiplicities add up to less than 2**53, where every partial sum
+    is an integer that a float holds; ``_build`` refuses counts that add
+    up to more, but this function does not check.
     """
-    rows, lengths = _rows(words, vocab) if _flat is None else _flat
-    n = len(vocab)
     # each letter paired with the letter after it, as the key
     # letter * n + next letter, weighted by the next letter's word's
     # multiplicity, and by 0 where the next letter starts a word: a word
@@ -212,18 +211,16 @@ def merge_global(words: Sequence[tuple[int, ...]], vocab: dict[int, int],
 
 @dataclass(frozen=True)
 class LetterStats:
-    """Training statistics attached to one letter: a finite center and
-    mean profit, and the non-negative number of words it starts."""
+    """Training statistics attached to one letter, as ``learn`` makes them
+    and ``world_model.json`` holds them: a finite center and mean
+    profit."""
 
     center_m: tuple[float, float]
     mean_profit_bps: float
-    start_count: int
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (*self.center_m, self.mean_profit_bps))):
             raise ConsistencyError(f"{self}: center and profit must be finite")
-        if self.start_count < 0:
-            raise ConsistencyError(f"{self}: counts must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -247,11 +244,15 @@ class NoiseConfig:
 class WorldModel:
     """Letter vocabulary, stored words, global transitions and noise terms.
     ``vocab`` maps each letter, ascending, to its row of the transition
-    matrix and of the word index. Each stored word is its letter tuple,
-    of Python ints (``learn`` lists them ascending)."""
+    matrix, of ``start_counts`` and of the word index; ``stats`` holds each
+    letter's record, in the same order. ``start_counts`` (float64, an
+    exact integer each) is the number of stored words, by their counts,
+    that start with each row's letter. Each stored word is its letter
+    tuple, of Python ints (``learn`` lists them ascending)."""
 
     vocab: dict[int, int]
     stats: dict[int, LetterStats]
+    start_counts: np.ndarray
     words: list[tuple[int, ...]]
     word_counts: list[int]
     transition: TransitionMatrix
@@ -264,7 +265,11 @@ class WorldModel:
     @cached_property
     def word_index(self) -> "WordIndex":
         """Index of the stored words, built on first use. It is derived
-        state: not serialized, and stale if ``words`` is changed later."""
+        state: not serialized, and stale if ``words`` is changed later.
+        It is not built with the model, from ``_build``'s layout: its
+        vocabulary x words incidence would then be held from the world
+        stage on, through Q-learning, which never reads it, and raise the
+        pipeline's peak memory; only planning reads it."""
         return WordIndex.build(self.words, self.vocab)
 
     @cached_property
@@ -301,15 +306,6 @@ class WordIndex:
 
 
 @dataclass(frozen=True)
-class _LetterSources:
-    """A letter's center and mean profit, as ``world_model.json`` holds
-    them."""
-
-    center_m: tuple[float, float]
-    mean_profit_bps: float
-
-
-@dataclass(frozen=True)
 class _ModelFile:
     """A ``uavplan.world_model.v4`` object but its schema: the sources of
     a model (see ``_build``), the stored words and their counts as two
@@ -317,7 +313,7 @@ class _ModelFile:
 
     words: tuple[tuple[int, ...], ...]
     word_counts: tuple[int, ...]
-    letters: dict[int, _LetterSources]
+    letters: dict[int, LetterStats]
     mean_profit_bps: float
     mean_leg_time_s: float
     noise_config: NoiseConfig
@@ -332,34 +328,34 @@ def _layout(words: Sequence[tuple[int, ...]]
     return (vocab, *_rows(words, vocab))
 
 
-def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
+def _build(letters: dict[int, LetterStats], words: list[tuple[int, ...]],
            counts: list[int], mean_profit_bps: float,
            mean_leg_time_s: float, noise: NoiseConfig,
-           layout: tuple[dict[int, int], np.ndarray, np.ndarray] | None = None
+           layout: tuple[dict[int, int], np.ndarray, np.ndarray]
            ) -> WorldModel:
-    """The model that its sources determine: each letter's center and mean
-    profit (``letters``), the stored words with their counts, the two
-    training means and the noise config. Derives the vocabulary (the
-    words' letters, ascending, each mapped to its row), the start counts,
-    the transitions and both noise matrices (see ``NoiseConfig``). The one
-    check of a stored word, for ``learn`` and ``model_from_dict`` alike:
-    refuses sources that ``learn`` never gives, words and counts of two
-    lengths, a stored word that
-    repeats a letter, of fewer than two letters or with a count below 1,
-    counts that add up to 2**53 or more, a letter without statistics,
-    statistics of a letter that no stored word holds, a mean or a noise
-    matrix that is not finite, and a noise matrix whose entry for a
-    non-zero mean underflows below the smallest normal float.
+    """The model that its sources determine: each letter's record
+    (``letters``, stored in vocabulary order), the stored words with their
+    counts, the two training means and the noise config. Derives the
+    vocabulary (the words' letters, ascending, each mapped to its row),
+    the start counts, the transitions and both noise matrices (see
+    ``NoiseConfig``). The one check of a stored word, for ``learn`` and
+    ``model_from_dict`` alike: refuses sources that ``learn`` never
+    gives, words and counts of two lengths, a stored word that repeats a
+    letter, of fewer than two letters or with a count below 1, counts that
+    add up to 2**53 or more, a letter without statistics, statistics of a
+    letter that no stored word holds, a mean or a noise matrix that is not
+    finite, and a noise matrix whose entry for a non-zero mean underflows
+    below the smallest normal float.
 
-    The words are read in array passes over their ``layout`` (``_layout``,
-    which ``learn`` hands over): the vocabulary, each letter's row, word
-    after word, and each word's length. A word repeats a letter where the
-    sorted keys word * n + row hold two equal neighbours, and the first
-    word that fails a check (``argmax`` of a mask) is named, as a loop in
-    stored order named it. The start counts (a weighted ``bincount``) and
-    the pair counts (``merge_global``) are tallies of the counts as
-    floats; below 2**53 in total every partial sum is an exact integer, so
-    they are the exact sums."""
+    The words are read in array passes over their ``layout`` (``_layout``
+    of the words, which ``learn`` and ``model_from_dict`` hand over): the
+    vocabulary, each letter's row, word after word, and each word's
+    length. A word repeats a letter where the sorted keys word * n + row
+    hold two equal neighbours, and the first word that fails a check
+    (``argmax`` of a mask) is named, as a loop in stored order named it. The start counts (a weighted ``bincount``) and
+    the pair counts (``merge_global``, over the same layout) are tallies of
+    the counts as floats; below 2**53 in total every partial sum is an
+    exact integer, so they are the exact sums."""
     if not (math.isfinite(mean_profit_bps) and math.isfinite(mean_leg_time_s)):
         raise ConsistencyError(
             f"mean_profit_bps {mean_profit_bps} and mean_leg_time_s "
@@ -368,7 +364,7 @@ def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
         raise ConsistencyError(
             f"{len(words)} stored words but {len(counts)} word counts; each "
             "stored word has one count")
-    vocab, rows, lengths = layout or _layout(words)
+    vocab, rows, lengths = layout
     n = len(vocab)
     # a word repeats a letter where two of its letters share a row: the
     # keys word * n + row, sorted, hold two equal neighbours
@@ -419,14 +415,14 @@ def _build(letters: dict[int, _LetterSources], words: list[tuple[int, ...]],
             f"word_counts add up to {total}; a model's word counts add up "
             f"to less than 2**53 ({_COUNT_BOUND}), below which their float "
             "tallies are exact")
-    started = np.bincount(rows[np.cumsum(lengths) - lengths], weights, n)
+    starts = rows[np.cumsum(lengths) - lengths]
     return WorldModel(
         vocab=vocab,
-        stats={l: LetterStats(**vars(letters[l]), start_count=s)
-               for l, s in zip(vocab, started.astype(np.int64).tolist())},
+        stats={l: letters[l] for l in vocab},
+        start_counts=np.bincount(starts, weights, n),
         words=words,
         word_counts=counts,
-        transition=merge_global(words, vocab, weights, _flat=(rows, lengths)),
+        transition=merge_global(rows, lengths, weights, n),
         process_noise=q,
         measurement_noise=r,
         mean_profit_bps=mean_profit_bps,
@@ -534,7 +530,7 @@ def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
     total_visits = int(occ.sum())
     total_legs = total_visits + len(orders)
 
-    return _build({l: _LetterSources(by_id[l].center_m, m)
+    return _build({l: LetterStats(by_id[l].center_m, m)
                    for l, m in zip(vocab, mean_profit)},
                   keys, counts,
                   total_profit / total_visits,
@@ -571,4 +567,4 @@ def model_from_dict(d: dict) -> WorldModel:
                              required=True)
     return _build(read.letters, list(read.words), list(read.word_counts),
                   read.mean_profit_bps, read.mean_leg_time_s,
-                  read.noise_config)
+                  read.noise_config, _layout(read.words))

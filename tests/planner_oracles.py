@@ -292,14 +292,15 @@ def ref_generate_words(wm: WorldModel, normal, n: int,
     row rebuilt entry by entry through the model's letter map (it read
     the row and its active flag by letter, through accessors since
     deleted, and the map was a ``Vocabulary`` object, also deleted; it
-    indexes ``probs`` and ``active`` by the same row here)."""
+    indexes ``probs`` and ``active`` by the same row here, as it does the
+    start counts, which each letter's record once held)."""
     normal = sorted(set(int(i) for i in normal))
     if not normal:
         raise ConfigurationError("cannot generate words over an empty letter set")
     if n < 1:
         raise ConfigurationError("need n >= 1 words")
     rng = np.random.default_rng(rng_seed)
-    start_counts = np.array([wm.stats[l].start_count for l in normal], float)
+    start_counts = wm.start_counts[[wm.vocab[l] for l in normal]]
     out: list[Word] = []
     for _ in range(n):
         remaining = list(normal)

@@ -1797,6 +1797,9 @@ class TestCli:
             "must be of type float, not true", id="process-scale-bool"),
         pytest.param(lambda obj: obj.update(color="red"),
                      "unknown world model key color", id="unknown-key"),
+        pytest.param(lambda obj: obj["letters"]["1"].update(start_count=0),
+                     "unknown world model key letters.1.start_count",
+                     id="letter-start-count"),
         pytest.param(lambda obj: obj.pop("mean_leg_time_s"),
                      "world model key mean_leg_time_s is missing",
                      id="missing-key"),
@@ -1811,7 +1814,9 @@ class TestCli:
                                                   finished_run, edit, named):
         """A world model given to ``plan`` is read by the one checked
         reader: a value of another JSON type than its key's, a key that is
-        not a field, a missing key, a missing
+        not a field (such as a letter's start count, which the model
+        derives from the words, so that a file never holds derived
+        state), a missing key, a missing
         schema and an older schema (named as README names it) exit 2
         naming the file and the dotted key or the schema, and no trace is
         written."""

@@ -653,7 +653,7 @@ def test_generate_words_is_reference(world):
         [int(x) for x in rng.choice(len(testing_pool), size=int(
             rng.integers(1, 30)), replace=False) + 1], wm)[0])
         for _ in range(60)]
-    never_start = [l for l in wm.vocab if wm.stats[l].start_count == 0]
+    never_start = [l for l, k in wm.vocab.items() if wm.start_counts[k] == 0]
     assert never_start
     for letters in [ls for ls in sets if ls] + [never_start]:
         for seed in (0, 1, 12345):

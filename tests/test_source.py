@@ -304,6 +304,22 @@ def _tree_commit(root: Path) -> str:
     return made.stdout.strip() or "HEAD"
 
 
+def test_code_lines_compares_a_commit_with_the_tree(capsys):
+    """tools/code_lines.py --ref REF prints one ``module REF tree delta``
+    line per module and then the totals; against the tree's own commit
+    each delta is 0, and a commit it cannot export exits 2."""
+    code_lines = _tool("code_lines")
+    ref = _tree_commit(Path(__file__).parent.parent)
+    assert code_lines.main(["--ref", ref]) == 0
+    out = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in out] == sorted(
+        path.stem for path in SRC.glob("*.py")) + ["total"]
+    assert all(line[1] == line[2] and line[3] == "0" for line in out), out
+    assert int(out[-1][1]) == sum(int(line[1]) for line in out[:-1]) > 0
+    assert code_lines.main(["--ref", "no-such-commit"]) == 2
+    assert "cannot export no-such-commit" in capsys.readouterr().err
+
+
 def test_same_outputs_compares_a_commit_with_the_tree(tmp_path, capsys,
                                                       monkeypatch):
     """tools/same_outputs.py runs each config at workers 1 and 2 on a

@@ -20,13 +20,18 @@ from uavplan.planner import PlannerConfig, plan_mission
 from uavplan.world_model import (WORLD_MODEL_SCHEMA, LetterStats, NoiseConfig,
                                  Word, WorldModel, learn, merge_global,
                                  model_from_dict, model_to_dict)
-from uavplan.world_model import _build, _LetterSources
+from uavplan.world_model import _build, _layout, _rows
 from uavplan.world_model import _word as word_of
 
 from world_model_oracles import (GeneralizedLetter, adjacency, degree, glyphs,
                                  letter_rows, reference_build, reference_learn,
                                  reference_merge_global,
                                  reference_model_from_dict, word_transition)
+
+
+def merged(words, vocab, multiplicities):
+    """``merge_global`` of ``words`` laid out over ``vocab`` (``_rows``)."""
+    return merge_global(*_rows(words, vocab), multiplicities, len(vocab))
 
 
 def random_words(rng, vocab_letters, n_words, max_len=6):
@@ -187,8 +192,7 @@ class TestMatrices:
 class TestMergeGlobal:
     def test_two_branches_split_evenly(self):
         vocab = letter_rows([1, 2, 3])
-        tm = merge_global([(1, 2),
-                           (1, 3)], vocab, [1, 1])
+        tm = merged([(1, 2), (1, 3)], vocab, [1, 1])
         assert tm.probs[vocab[1], vocab[2]] == pytest.approx(0.5)
         assert tm.probs[vocab[1], vocab[3]] == pytest.approx(0.5)
 
@@ -196,16 +200,14 @@ class TestMergeGlobal:
         rng = np.random.default_rng(5)
         vocab = letter_rows(range(1, 9))
         for w in random_words(rng, list(vocab), 20):
-            merged = merge_global([w], vocab, [1])
+            pooled = merged([w], vocab, [1])
             single = word_transition(w, vocab)
-            assert np.array_equal(merged.probs, single.probs)
-            assert np.array_equal(merged.active, single.active)
+            assert np.array_equal(pooled.probs, single.probs)
+            assert np.array_equal(pooled.active, single.active)
 
     def test_multiplicities_weight_counts(self):
         vocab = letter_rows([1, 2, 3])
-        tm = merge_global([(1, 2),
-                           (1, 3)], vocab,
-                          multiplicities=[3, 1])
+        tm = merged([(1, 2), (1, 3)], vocab, [3, 1])
         assert tm.probs[vocab[1], vocab[2]] == pytest.approx(0.75)
 
     @settings(max_examples=200, deadline=None)
@@ -219,7 +221,7 @@ class TestMergeGlobal:
         vocab = letter_rows(range(1, 10))
         counts = [m for _, m in weighted]
         for multiplicities in (counts, [1] * len(words)):
-            got = merge_global(words, vocab, multiplicities)
+            got = merged(words, vocab, multiplicities)
             want = reference_merge_global(words, vocab, multiplicities)
             assert got.probs.tobytes() == want.probs.tobytes()
             assert np.array_equal(got.active, want.active)
@@ -228,7 +230,7 @@ class TestMergeGlobal:
         rng = np.random.default_rng(6)
         vocab = letter_rows(range(1, 30))
         words = random_words(rng, list(vocab), 2000, max_len=5)
-        tm = merge_global(words, vocab, [1] * len(words))
+        tm = merged(words, vocab, [1] * len(words))
         sums = tm.probs.sum(axis=1)
         assert np.all(np.abs(sums[tm.active] - 1.0) <= 1e-9)
 
@@ -357,9 +359,34 @@ class TestLearn:
         assert np.allclose(wm.measurement_noise, wm.process_noise * 0.25)
 
     def test_start_counts_sum_to_demo_count(self, small_training, mission_module):
+        """One start count per vocabulary row: the number of
+        demonstrations that start with the row's letter, as a float."""
         pool, _, demos = small_training
         wm = learn(demos, pool, NoiseConfig(), mission_module)
-        assert sum(s.start_count for s in wm.stats.values()) == len(demos)
+        assert wm.start_counts.sum() == len(demos)
+        assert wm.start_counts.tolist() == [
+            float(sum(t.order[0] == l for t in demos)) for l in wm.vocab]
+
+    def test_each_model_build_lays_its_words_out_once(
+            self, small_training, mission_module, monkeypatch):
+        """``learn`` and ``model_from_dict`` each flatten the stored words
+        (``_rows``) once, and ``_build`` and ``merge_global`` read that
+        layout; only the word index, on first use, flattens them again."""
+        from uavplan import world_model
+        calls, rows = [], world_model._rows
+
+        def counted(words, vocab):
+            calls.append(len(words))
+            return rows(words, vocab)
+
+        monkeypatch.setattr(world_model, "_rows", counted)
+        pool, _, demos = small_training
+        wm = learn(demos, pool, NoiseConfig(), mission_module)
+        assert len(calls) == 1
+        back = model_from_dict(model_to_dict(wm))
+        assert len(calls) == 2
+        assert back.word_index.lengths.tolist() == list(map(len, wm.words))
+        assert calls == [len(wm.words)] * 3
 
     def test_serialization_round_trip(self, small_training, mission_module):
         pool, _, demos = small_training
@@ -483,12 +510,18 @@ def _model_sources(draw):
     held = {l for w in words for l in w}
     if draw(st.integers(0, 3)) == 0:
         held ^= {draw(_letter)}
-    letters = {l: _LetterSources(
+    letters = {l: LetterStats(
         (draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))),
         draw(st.floats(0.0, 1e15))) for l in held}
     means = st.floats(0.0, 1e12) | st.floats()
     return (letters, words, counts, draw(means), draw(means),
             NoiseConfig(draw(st.floats(1e-3, 1.0)), draw(st.floats(1e-3, 4.0))))
+
+
+def _build_of(letters, words, counts, *rest):
+    """``_build`` over the layout of ``words`` (``_layout``), as ``learn``
+    and ``model_from_dict`` call it."""
+    return _build(letters, words, counts, *rest, _layout(words))
 
 
 class TestBuildReference:
@@ -504,21 +537,22 @@ class TestBuildReference:
             return type(e).__name__, str(e)
         return (_canonical_json(model_to_dict(wm)),
                 wm.transition.probs.tobytes(), wm.transition.active.tobytes(),
+                wm.start_counts.tobytes(),
                 list(wm.vocab.items()), sorted(wm.stats.items()))
 
     @settings(max_examples=400, deadline=None)
     @given(_model_sources())
     # a word that repeats a letter after a word of one letter: the first
     # is named
-    @example(({1: _LetterSources((0.0, 0.0), 1.0),
-               2: _LetterSources((0.0, 0.0), 1.0)},
+    @example(({1: LetterStats((0.0, 0.0), 1.0),
+               2: LetterStats((0.0, 0.0), 1.0)},
               [(1, 2), (2,), (1, 2, 1)], [3, 1, 1], 1.0, 1.0, NoiseConfig()))
     # the one-letter word after the word that repeats a letter
-    @example(({1: _LetterSources((0.0, 0.0), 1.0),
-               2: _LetterSources((0.0, 0.0), 1.0)},
+    @example(({1: LetterStats((0.0, 0.0), 1.0),
+               2: LetterStats((0.0, 0.0), 1.0)},
               [(1, 2), (2, 1, 2), (1,)], [3, 1, 1], 1.0, 1.0, NoiseConfig()))
     # letters at and past the int64 range, each starting words
-    @example(({l: _LetterSources((float(k), 0.0), 2.0 ** k)
+    @example(({l: LetterStats((float(k), 0.0), 2.0 ** k)
                for k, l in enumerate((-2 ** 70, -3, 10 ** 12, 2 ** 70))},
               [(2 ** 70, -2 ** 70), (-3, 10 ** 12, 2 ** 70),
                (-2 ** 70, -3)], [2 ** 49, 7, 2 ** 49 - 1], 1e7, 10.0,
@@ -527,7 +561,7 @@ class TestBuildReference:
         """The same model, to the bits of its file, its transition
         matrix, vocabulary and statistics, or the same refusal, naming the
         same first word."""
-        assert self._outcome(_build, sources) == self._outcome(
+        assert self._outcome(_build_of, sources) == self._outcome(
             reference_build, sources)
 
     @pytest.mark.parametrize("counts", [[2 ** 70, 2 ** 53 + 1],
@@ -539,18 +573,18 @@ class TestBuildReference:
         not be exact and the reference, which tallied Python ints, took
         them; one less gives the reference's model. Letters of +-2**70
         are letters like any other."""
-        letters = {l: _LetterSources((0.0, 0.0), 1.0)
+        letters = {l: LetterStats((0.0, 0.0), 1.0)
                    for l in (-2 ** 70, -3, 10 ** 12, 2 ** 70)}
         sources = (letters, [(2 ** 70, -2 ** 70, -3), (-3, 10 ** 12)],
                    counts, 1.0, 1.0, NoiseConfig())
         if sum(counts) < 2 ** 53:
-            assert self._outcome(_build, sources) == self._outcome(
+            assert self._outcome(_build_of, sources) == self._outcome(
                 reference_build, sources)
             return
         with pytest.raises(ConsistencyError, match=(
                 rf"^word_counts add up to {sum(counts)}; a model's word "
                 r"counts add up to less than 2\*\*53 \(9007199254740992\)")):
-            _build(*sources)
+            _build_of(*sources)
         assert isinstance(reference_build(*sources), WorldModel)
 
 
@@ -616,7 +650,7 @@ class TestLearnReference:
         return (_canonical_json(model_to_dict(wm)), wm.vocab,
                 wm.transition.probs.tobytes(), wm.transition.active.tobytes(),
                 wm.process_noise.tobytes(), wm.measurement_noise.tobytes(),
-                wm.words,
+                wm.start_counts.tobytes(), wm.words,
                 sorted(wm.stats.items()))
 
     @settings(max_examples=300, deadline=None)
@@ -730,23 +764,15 @@ class TestLearnReference:
 
 class TestLetterStats:
     def test_valid_stats_accepted(self):
-        s = LetterStats(center_m=(10.0, 20.0), mean_profit_bps=5e7,
-                        start_count=0)
-        assert s.start_count == 0
+        s = LetterStats(center_m=(10.0, 20.0), mean_profit_bps=5e7)
+        assert s.center_m == (10.0, 20.0) and s.mean_profit_bps == 5e7
 
     @pytest.mark.parametrize("center,profit", [
         ((float("nan"), 0.0), 1e7), ((0.0, float("inf")), 1e7),
         ((0.0, 0.0), float("nan")), ((0.0, 0.0), float("-inf"))])
     def test_non_finite_value_rejected(self, center, profit):
         with pytest.raises(ConsistencyError, match="finite"):
-            LetterStats(center_m=center, mean_profit_bps=profit,
-                        start_count=1)
-
-    @pytest.mark.parametrize("start_count", [-1, -5])
-    def test_negative_count_rejected(self, start_count):
-        with pytest.raises(ConsistencyError, match="non-negative"):
-            LetterStats(center_m=(0.0, 0.0), mean_profit_bps=1e7,
-                        start_count=start_count)
+            LetterStats(center_m=center, mean_profit_bps=profit)
 
 
 class TestBenchmarkContracts:

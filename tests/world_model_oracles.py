@@ -22,8 +22,10 @@ pooled estimate against:
   words and their letters;
 - ``reference_build`` is ``world_model._build`` as it was written before
   its array passes: a loop over the words that checks each and counts
-  the words each letter starts, and the pair counts of
+  the words each letter starts, as Python ints, and the pair counts of
   ``merge_global`` tallied in a dict as Python ints, each written once.
+  It reads the words themselves, not their layout, and gives the start
+  counts as ``_build`` does, one float per vocabulary row.
   It has no bound on the word counts' total, as ``_build`` has (below
   2**53, where the two agree);
 - ``reference_model_from_dict`` is the world-model reader as it was
@@ -49,8 +51,7 @@ from uavplan.errors import (ConfigurationError, ConsistencyError,
                             DegenerateWordError, TrainingError)
 from uavplan.oracle import Tour
 from uavplan.world_model import (WORLD_MODEL_SCHEMA, LetterStats, NoiseConfig,
-                                 TransitionMatrix, WorldModel, _LetterSources,
-                                 _word)
+                                 TransitionMatrix, WorldModel, _word)
 
 Letters = tuple[int, ...]
 
@@ -170,14 +171,14 @@ def reference_learn(demos: Sequence[Tour], pool: Sequence[Hotspot],
         total_legs += c * (len(k) + 1)
 
     return reference_build(
-        {l: _LetterSources(by_id[l].center_m, profit_sum[l] / occ[l])
+        {l: LetterStats(by_id[l].center_m, profit_sum[l] / occ[l])
          for l in letters},
         keys, counts,
         total_profit / total_visits,
         total_cost / total_legs / mission.uav_speed_m_per_s, noise)
 
 
-def reference_build(letters: dict[int, _LetterSources],
+def reference_build(letters: dict[int, LetterStats],
                     words: list[Letters], counts: list[int],
                     mean_profit_bps: float, mean_leg_time_s: float,
                     noise: NoiseConfig) -> WorldModel:
@@ -222,8 +223,8 @@ def reference_build(letters: dict[int, _LetterSources],
             f"that times measurement_ratio {noise.measurement_ratio}, "
             + ("underflows below the smallest normal float" if small else
                "overflows float arithmetic"))
-    stats = {l: LetterStats(**vars(letters[l]), start_count=started.get(l, 0))
-             for l in vocab}
+    stats = {l: letters[l] for l in vocab}
+    start_counts = np.array([started.get(l, 0) for l in vocab], np.float64)
     # each pair's count summed as a Python int and written once
     pairs: dict[tuple[int, int], int] = {}
     for w, m in zip(words, counts):
@@ -239,7 +240,8 @@ def reference_build(letters: dict[int, _LetterSources],
     transition = TransitionMatrix(probs=probs, active=active)
     transition.validate()
     return WorldModel(
-        vocab=vocab, stats=stats, words=words, word_counts=counts,
+        vocab=vocab, stats=stats, start_counts=start_counts, words=words,
+        word_counts=counts,
         transition=transition, process_noise=q, measurement_noise=r,
         mean_profit_bps=mean_profit_bps, mean_leg_time_s=mean_leg_time_s,
         noise_config=noise)
@@ -277,8 +279,8 @@ def reference_model_from_dict(d: dict) -> WorldModel:
             raise ConsistencyError(
                 f"letters.{key}.mean_profit_bps is {profit!r}, which must "
                 "be a number")
-        letters[int(key)] = _LetterSources((float(center[0]), float(center[1])),
-                                           float(profit))
+        letters[int(key)] = LetterStats((float(center[0]), float(center[1])),
+                                        float(profit))
     return reference_build(
         letters,
         [tuple(w) for w in words], list(counts),

@@ -6,18 +6,29 @@ function body) do not count, and a statement over several lines counts
 each of them. Standard library only (``tokenize`` and ``ast``).
 
     python3 tools/code_lines.py [DIR]
+    python3 tools/code_lines.py --ref REF [DIR]
 
 prints one ``module lines`` line per ``*.py`` file of DIR (default
-``src/uavplan``) and then ``total lines``.
+``src/uavplan``) and then ``total lines``. With ``--ref REF`` it exports
+REF's ``src/`` (``export_src`` of ``tools/same_outputs.py``) into a
+temporary directory and prints one ``module REF tree delta`` line per
+module of REF's ``src/uavplan`` or DIR, the delta being DIR's count less
+REF's (a module that one side lacks counts 0 there), and then ``total
+REF tree delta``; it exits 2 when REF cannot be exported.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import importlib.util
 import io
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -45,14 +56,47 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
+def _counts(root: Path) -> dict[str, int]:
+    """The code lines of each ``*.py`` file of ``root``, by module name."""
+    return {path.stem: code_lines(path.read_text())
+            for path in sorted(root.glob("*.py"))}
+
+
+def _ref_counts(ref: str) -> dict[str, int] | None:
+    """``_counts`` of REF's ``src/uavplan``; None, with the reason on
+    stderr, when REF cannot be exported."""
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", ROOT / "tools" / "same_outputs.py")
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = same_outputs.export_src(ref, Path(tmp))
+        return None if src is None else _counts(src / "uavplan")
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src/uavplan")
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{path.stem} {n}")
-    print(f"total {total}")
+    parser = argparse.ArgumentParser(prog="code_lines.py")
+    parser.add_argument("dir", nargs="?", default=ROOT / "src" / "uavplan",
+                        type=Path)
+    parser.add_argument("--ref")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse has printed its message
+        return e.code
+    tree = _counts(args.dir)
+    if args.ref is None:
+        for name, n in tree.items():
+            print(f"{name} {n}")
+        print(f"total {sum(tree.values())}")
+        return 0
+    ref = _ref_counts(args.ref)
+    if ref is None:
+        return 2
+    lines = [(name, ref.get(name, 0), tree.get(name, 0))
+             for name in sorted(ref.keys() | tree.keys())]
+    lines.append(("total", sum(ref.values()), sum(tree.values())))
+    for name, before, after in lines:
+        print(f"{name} {before} {after} {after - before}")
     return 0
 
 
