@@ -27,61 +27,74 @@ config, an instance, a tour and a world model are each read by it, with
 no cast of their own.
 
 Every random draw in the package is a draw of one private stream class,
-``_Stream``, which makes from raw 64-bit PCG64 outputs (O'Neill, *PCG*,
-2014), in pure Python and bit for bit, the draws numpy's ``Generator``
-would make from ``np.random.default_rng(seed)``. Raw outputs come from one
-of two sources, both checked on numpy 2.4.6:
+``_Stream``, which makes in pure Python, bit for bit, the draws numpy's
+``Generator`` would make from ``np.random.default_rng(seed)``, from the
+raw 64-bit outputs of the package's own PCG64 (O'Neill, *PCG*, 2014). No
+module imports ``numpy.random``: with the ``secrets``, ``hmac`` and
+OpenSSL modules it loads, it cost a process about 6 MB resident and 10
+ms. numpy's ``SeedSequence``, ``PCG64`` and ``Generator`` are the tests'
+oracle, checked on numpy 2.4.6. The steps reproduced are:
 
-- ``_Stream(seed)`` (the pool, Q-learning, the planner, the Q-learning
-  baseline's words, and the rows of a small batch) seeds
-  ``np.random.default_rng(seed)`` and reads that generator's raw outputs
-  in bounded chunks (``bit_generator.random_raw``); it is the generator's
-  only consumer;
-- the draw kernel ``_floyd_rows`` makes the rows of a batch of more
-  than ``_PER_SEED_MAX`` seeds (``_sample_rows``) all at once, and
-  seeds no ``Generator``. Seeding 20,000 generators through
-  ``default_rng`` costs 13-22 us each on a 2-CPU host, most of what
-  drawing train-large's training instances cost. The kernel's numpy calls
-  cost tens of microseconds per draw whatever the batch size, so it pays
-  only on a large batch. In process on that host (medians of alternating
-  rounds), one stream per seed against the kernel took 0.19 against 1.32
-  ms for 3 seeds drawing 30 of 100, 1.17 against 1.14 ms for 30 drawing
-  20 of 100, 0.91 against 0.63 ms for 32 drawing 5 of 50, 1.37 against
-  1.49 ms for 32 drawing 30 of 100, and 547 against 77 ms for 20,000
-  drawing 5 of 50; hence ``_PER_SEED_MAX`` = 32, about where they cross.
-  The steps reproduced are:
+1. a seed's entropy words are its 32-bit digits, least significant
+   first, at least one;
+2. ``SeedSequence``'s ``mix_entropy`` (O'Neill's ``seed_seq`` design):
+   ``hashmix`` each word into a pool of 4 (zeros past the last word), with
+   the hash constant running from ``INIT_A`` by ``MULT_A``; ``mix`` every
+   pool word into every other (``MIX_MULT_L``, ``MIX_MULT_R``); then
+   ``mix`` each word past the fourth into every pool word;
+3. ``generate_state(4, uint64)``: 8 ``hashmix`` outputs of the pool
+   words in turn, the constant running from ``INIT_B`` by ``MULT_B``,
+   read in pairs as 4 little-endian 64-bit words s0..s3;
+4. PCG64's ``set_seed``: inc = (s2 << 64 | s3) << 1 | 1 and state =
+   ((s0 << 64 | s1) + inc) * MULT + inc, mod 2**128;
+5. per output, one LCG step, state * MULT + inc mod 2**128, then XSL-RR:
+   the state's two 64-bit halves xored, rotated right by its top 6 bits.
 
-  1. a seed's entropy words are its 32-bit digits, least significant
-     first, at least one; seeds are batched by their word count;
-  2. ``SeedSequence``'s ``mix_entropy`` (O'Neill's ``seed_seq`` design),
-     as uint32 numpy arithmetic over the batch: ``hashmix`` each word into
-     a pool of 4 (zeros past the last word), with the hash constant
-     running from ``INIT_A`` by ``MULT_A``; ``mix`` every pool word into
-     every other (``MIX_MULT_L``, ``MIX_MULT_R``); then ``mix`` each word
-     past the fourth into every pool word;
-  3. ``generate_state(4, uint64)``: 8 ``hashmix`` outputs of the pool
-     words in turn, the constant running from ``INIT_B`` by ``MULT_B``,
-     read in pairs as 4 little-endian 64-bit words s0..s3;
-  4. PCG64's ``set_seed``, every seed at once: inc = (s2 << 64 | s3) <<
-     1 | 1 and state = ((s0 << 64 | s1) + inc) * MULT + inc, mod 2**128.
-     Each 128-bit value is held as two uint64 arrays, its high and low
-     limbs, whose numpy arithmetic wraps mod 2**64: a sum carries into
-     the high limb where the low sum wrapped below an addend, and the
-     product keeps the low 128 bits of the schoolbook product of the
-     limbs, the high word of the low limbs' product summed from its
-     32-bit partial products (``_lcg_step``). No Python int is made per
-     seed;
-  5. as many outputs per stream as its draws need, on the same limbs:
-     one LCG step, then XSL-RR (the limbs xored, rotated right by the top
-     6 bits, the left shift taken mod 64 so that rotation 0 keeps the
-     word), per output; then Floyd's algorithm (see ``choice`` below)
-     draw by draw over all rows at once. A row on which
-     Lemire's draw might reject (its low product word below the bound,
-     rare at these bounds) is drawn again, whole, by ``_Stream(seed)``,
-     and so is every row of a draw that would take the tail shuffle.
+One function, ``_seed_words``, runs steps 2 and 3, on one seed's Python
+ints (``_seeded``) and on a batch's uint64 arrays (``_pcg64_seeded``): it
+masks every word to 32 bits, so both give the same words. On a 2-CPU
+host one seed takes about 10 us, as ``default_rng(seed)`` with its first
+16 outputs took. A stream's outputs come in chunks:
 
-tests/test_environment.py pins both sources against ``default_rng`` and
-``PCG64``, and each draw against ``Generator``:
+- its head, the first 1,024, in chunks of 16, 16, 32, ..., 512
+  (``_CHUNKS``), made in Python ints one at a time (``_head``), about 0.5
+  us each: a stream that draws a few numbers (a Q-learning baseline's
+  word, a small batch's row) makes few. The seeded states and head chunks
+  of the last ``_HEADS`` seeds and chunks are kept (``functools.lru_cache``):
+  the planner seeds every instance's stream with one seed, whose head
+  (about 10 outputs per letter of its set) is then read from the cache.
+  No output past the head is kept;
+- past it, 4,096 at a time (``_CHUNK``), from as many lanes of 128-bit
+  states held as (high, low) uint64 limbs (``_lanes``), whose numpy
+  arithmetic wraps mod 2**64: lane j holds the state j + 1 steps on, and
+  each chunk moves every lane 4,096 steps on at once, by Brown's
+  jump-ahead (``_jump``). A sum carries into the high limb where the low
+  sum wrapped below an addend (``_add128``), and a product keeps the low
+  128 bits of the schoolbook product of the limbs, the high word of the
+  low limbs' product summed from its 32-bit partial products
+  (``_mul128``). Q-learning's 131,000 outputs come this way.
+
+The same limbs make the rows of a batch of more than ``_PER_SEED_MAX``
+seeds all at once (``_sample_rows``): ``_floyd_rows`` seeds every stream
+in one pass of ``_seed_words`` over the batch's arrays, steps them all
+(``_pcg64_next``), and runs Floyd's algorithm (see ``choice`` below) draw
+by draw over all rows at once. A row on which Lemire's draw might reject
+(its low product word below the bound, rare at these bounds) is drawn
+again, whole, by ``_Stream(seed)``, and so is every row of a draw that
+would take the tail shuffle. The kernel's numpy calls cost tens of
+microseconds per draw whatever the batch size, so it pays only on a
+large batch. In process on that host (medians of 41 alternating rounds,
+fresh seeds each), one stream per seed against the kernel took 0.19
+against 0.32 ms for 8 seeds drawing 5 of 50, 0.37 against 0.33 ms for 16
+and 0.73 against 0.33 ms for 32; 0.73 against 1.00 ms for 16 drawing 20
+of 100, 1.19 against 1.17 ms for 24 and 1.66 against 1.24 ms for 32;
+1.33 against 1.54 ms for 24 drawing 30 of 100 and 1.72 against 1.57 ms
+for 32; and 575 against 17 ms for 20,000 drawing 5 of 50. Hence
+``_PER_SEED_MAX`` = 24, about where they cross.
+
+tests/test_environment.py pins the seeding, the head, the lanes and the
+kernel against ``SeedSequence``, ``PCG64`` and ``default_rng``, and each
+draw against ``Generator``:
 
 - ``raw()``: one output itself, which Q-learning compares with a
   threshold in place of ``random() < eps`` (``ql``);
@@ -116,10 +129,10 @@ import re
 import sys
 from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import accumulate, chain, repeat
 from operator import add, attrgetter, truediv
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -408,29 +421,35 @@ def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
 
 # --- the random stream --------------------------------------------------------
 
-# raw outputs read per refill: small first, so that a stream drawing a few
-# numbers reads few, then bounded
-_CHUNKS = (16, 64, 256)
-_CHUNK = 1024
+# the head: a stream's first raw outputs, in chunks small first, so that a
+# stream drawing a few numbers makes few (``_head``); then ``_CHUNK`` at a
+# time, from as many lanes (``_lanes``)
+_CHUNKS = (16, 16, 32, 64, 128, 256, 512)
+_CHUNK = 4096
+# the seeded states and head chunks kept (``_seeded``, ``_head``): the
+# planner seeds every instance's stream with one seed
+_HEADS = 32
 # a batch of more seeds than this is drawn by ``_floyd_rows``, a smaller
 # one by one ``_Stream(seed)`` per seed (see the module docstring)
-_PER_SEED_MAX = 32
+_PER_SEED_MAX = 24
 _MASK32 = 0xFFFF_FFFF
 _TWO_32 = 0x1_0000_0000
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 
 class _Stream:
     """The draws of ``np.random.default_rng(seed)``, made in pure Python
-    from that generator's raw 64-bit outputs; see the module docstring."""
+    from the raw 64-bit outputs of the package's own PCG64
+    (``_outputs``); see the module docstring."""
 
     __slots__ = ("raw", "_half")
 
     def __init__(self, seed: int):
-        raw = np.random.default_rng(seed).bit_generator.random_raw
+        state, inc = _seeded(seed)
         # the next raw 64-bit output, as an int
         self.raw = chain.from_iterable(
-            raw(k).tolist() for k in chain(_CHUNKS, repeat(_CHUNK))).__next__
+            _outputs(state, inc, _CHUNKS, _CHUNK)).__next__
         self._half: int | None = None  # the unused high half of an output
 
     def random(self) -> float:
@@ -513,74 +532,176 @@ _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 
 
-def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` for a batch of
-    seeds with the same number of entropy words; ``entropy[j]`` holds word
-    j of every seed. uint32 arithmetic wraps as numpy's does."""
-    h = _INIT_A
+def _entropy_words(seed: int) -> int:
+    """How many 32-bit entropy words ``SeedSequence(seed)`` holds: the
+    seed's 32-bit digits, at least one."""
+    return (seed.bit_length() + 31) >> 5 or 1
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal h
-        value = value ^ h
-        h = h * _MULT_A & _MASK32
-        value = value * h
-        return value ^ (value >> 16)
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return result ^ (result >> 16)
+def _hashes(init: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The constants of ``count`` ``hashmix`` calls in turn: each xors in
+    the hash constant, which then runs on by ``mult`` from ``init``, and
+    multiplies by it."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    return tuple(zip(h, h[1:]))
 
-    zero = np.zeros_like(entropy[0])
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero)
-            for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h = _INIT_B
+
+@cache
+def _mixes(count: int) -> tuple[tuple[int, int, int, int], ...]:
+    """``mix_entropy``'s mixes of a seed of ``count`` entropy words, after
+    the pool's own ``hashmix``: (src, dst, xor, mult), the ``hashmix`` of
+    word src with constants (xor, mult) mixed into pool word dst. Each
+    pool word (0-3) into every other, then each entropy word past the
+    fourth (4, 5, ...) into every pool word."""
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    pairs += [(src, dst) for src in range(4, count) for dst in range(4)]
+    return tuple((*pair, *hashes) for pair, hashes in
+                 zip(pairs, _hashes(_INIT_A, _MULT_A, 4 * max(count, 4))[4:]))
+
+
+_POOL_HASHES = _hashes(_INIT_A, _MULT_A, 4)
+_OUT_HASHES = _hashes(_INIT_B, _MULT_B, 8)
+
+
+def _seed_words(entropy: list) -> list:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``, the words s0..s3
+    of step 3 of the module docstring, from the seed's entropy words
+    ``entropy``: Python ints for one seed, or uint64 arrays holding word j
+    of every seed of a batch with the same number of words. Each product of
+    two 32-bit words fits in 64 bits, and every result is masked to 32
+    bits, so both give the same words. ``hashmix`` and ``mix`` are
+    inline."""
+    # the pool (0-3), zeros past the last word, then the words past the
+    # fourth
+    words = [*entropy, *[entropy[0] & 0] * (4 - len(entropy))]
+    for i, (xor, mult) in enumerate(_POOL_HASHES):
+        value = (words[i] ^ xor) * mult & _MASK32
+        words[i] = value ^ value >> 16
+    for src, dst, xor, mult in _mixes(len(entropy)):
+        value = (words[src] ^ xor) * mult & _MASK32
+        result = (words[dst] * _MIX_MULT_L
+                  - (value ^ value >> 16) * _MIX_MULT_R) & _MASK32
+        words[dst] = result ^ result >> 16
     out = []
-    for i in range(8):
-        value = pool[i % 4] ^ h
-        h = h * _MULT_B & _MASK32
-        value = value * h
-        out.append((value ^ (value >> 16)).astype(np.uint64))
-    return np.stack([out[i] | (out[i + 1] << 32) for i in range(0, 8, 2)],
-                    axis=1)
+    for i, (xor, mult) in enumerate(_OUT_HASHES):
+        value = (words[i % 4] ^ xor) * mult & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+@lru_cache(maxsize=_HEADS)
+def _seeded(seed: int) -> tuple[int, int]:
+    """PCG64's seeded state and inc for ``seed``, as Python ints: steps
+    1-4 of the module docstring for one seed."""
+    if seed < 0:
+        # SeedSequence refuses them too
+        raise ValueError(f"seeds must be >= 0, not {seed}")
+    s0, s1, s2, s3 = _seed_words([seed >> 32 * j & _MASK32
+                                  for j in range(_entropy_words(seed))])
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    return (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc
 
 
 def _pcg64_seeded(seeds: Sequence[int]
                   ) -> tuple[tuple[np.ndarray, np.ndarray],
                              tuple[np.ndarray, np.ndarray]]:
     """PCG64's seeded state and inc for every seed, each as its (high,
-    low) uint64 limbs, without seeding a ``Generator``: steps 1-4 of the
-    module docstring over all seeds at once."""
+    low) uint64 limbs: steps 1-4 of the module docstring over all seeds at
+    once, with no Python int made per seed but its entropy words."""
     if len(seeds) and min(seeds) < 0:
         # SeedSequence refuses them too; their words would be two's
         # complement digits here
         raise ValueError(f"seeds must be >= 0, not {min(seeds)}")
     words = np.empty((len(seeds), 4), dtype=np.uint64)
-    counts = [(s.bit_length() + 31) >> 5 or 1 for s in seeds]
+    counts = list(map(_entropy_words, seeds))
     # grouped in Python: np.unique would import numpy.ma, about 1 MB of
     # resident memory that nothing else needs
     for count in sorted(set(counts)):
         batch = [k for k, c in enumerate(counts) if c == count]
-        words[batch] = _seed_words([
+        words[batch] = np.stack(_seed_words([
             np.array([seeds[k] >> 32 * j & _MASK32 for k in batch],
-                     dtype=np.uint32)
-            for j in range(count)])
+                     dtype=np.uint64)
+            for j in range(count)]), axis=1)
     s_hi, s_lo, i_hi, i_lo = words.T
     inc = (i_hi << 1 | i_lo >> 63, i_lo << 1 | 1)
     return _lcg_step(_add128((s_hi, s_lo), inc), inc), inc
 
 
-# the multiplier's limbs, and the low limb's 32-bit halves
-_MULT_HI, _MULT_LO = (np.uint64(_PCG_MULT >> 64),
-                      np.uint64(_PCG_MULT & _MASK64))
-_MULT_LO_1, _MULT_LO_0 = (np.uint64(_PCG_MULT >> 32 & _MASK32),
-                          np.uint64(_PCG_MULT & _MASK32))
+def _outputs(state: int, inc: int, sizes: Sequence[int], width: int
+             ) -> Iterator[Sequence[int]]:
+    """Every raw output after ``state``, chunk by chunk: the head, in
+    chunks of ``sizes`` (``_head``), then ``width`` at a time
+    (``_lanes``)."""
+    for size in sizes:
+        chunk, state = _head(state, inc, size)
+        yield chunk
+    yield from _lanes(state, inc, width)
+
+
+@lru_cache(maxsize=_HEADS)
+def _head(state: int, inc: int, size: int) -> tuple[tuple[int, ...], int]:
+    """The ``size`` raw outputs after ``state``, and the state after them:
+    step 5 of the module docstring in Python ints, one output at a time."""
+    outputs = []
+    for _ in range(size):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        # rotated right by the top 6 bits: x twice over, shifted
+        outputs.append((x << 64 | x) >> (state >> 122) & _MASK64)
+    return tuple(outputs), state
+
+
+def _lanes(state: int, inc: int, width: int) -> Iterator[list[int]]:
+    """Every raw output after ``state``, ``width`` at a time, on limbs:
+    lane j holds the state j + 1 steps on, and each chunk moves every lane
+    ``width`` steps on at once (``_leap``). The lanes start as one and
+    double: the lanes n steps on from the first n are the next n."""
+    first = _split((state * _PCG_MULT + inc) & _MASK128)
+    lanes = (np.array([first[0]]), np.array([first[1]]))
+    while (n := len(lanes[1])) < width:
+        more = _leap((lanes[0][:width - n], lanes[1][:width - n]), n, inc)
+        lanes = (np.concatenate((lanes[0], more[0])),
+                 np.concatenate((lanes[1], more[1])))
+    while True:
+        yield _xsl_rr(lanes).tolist()
+        lanes = _leap(lanes, width, inc)
+
+
+@cache
+def _jump(steps: int) -> tuple[int, int]:
+    """``(MULT**steps, 1 + MULT + ... + MULT**(steps - 1))`` mod 2**128:
+    ``steps`` LCG steps take a state s to ``MULT**steps * s + inc * (1 +
+    ... + MULT**(steps - 1))``. Brown's jump-ahead (*Random Number
+    Generation with Arbitrary Strides*, 1994), over the bits of
+    ``steps``."""
+    mult, plus = 1, 0
+    square, total = _PCG_MULT, 1   # the same pair for 2**i steps
+    while steps:
+        if steps & 1:
+            mult, plus = (mult * square & _MASK128,
+                          (plus * square + total) & _MASK128)
+        square, total = (square * square & _MASK128,
+                         (square + 1) * total & _MASK128)
+        steps >>= 1
+    return mult, plus
+
+
+def _leap(state: tuple[np.ndarray, np.ndarray], steps: int, inc: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Every state of one stream ``steps`` LCG steps on, on (high, low)
+    uint64 limbs (``_jump``)."""
+    mult, plus = _jump(steps)
+    return _add128(_mul128(state, mult), _split(plus * inc & _MASK128))
+
+
+# --- PCG64 on limbs: a 128-bit value as (high, low) uint64 arrays, whose
+# arithmetic wraps mod 2**64
+
+def _split(value: int) -> tuple[np.uint64, np.uint64]:
+    """A 128-bit int's (high, low) uint64 limbs."""
+    return np.uint64(value >> 64), np.uint64(value & _MASK64)
 
 
 def _add128(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
@@ -591,34 +712,47 @@ def _add128(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
     return a[0] + b[0] + (lo < a[1]), lo
 
 
+def _mul128(x: tuple[np.ndarray, np.ndarray], m: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """x * m mod 2**128 on (high, low) uint64 limbs, for an int 0 <= m <
+    2**128. Mod 2**128 the product is lo * m_lo, whole, plus 2**64 times
+    the low words of hi * m_lo and lo * m_hi; the high word of lo * m_lo is
+    summed from its four 32-bit partial products, none of which
+    overflows."""
+    hi, lo = x
+    m_hi, m_lo = _split(m)
+    m_1, m_0 = np.uint64(m >> 32 & _MASK32), np.uint64(m & _MASK32)
+    lo_1, lo_0 = lo >> 32, lo & _MASK32
+    p00, p01 = lo_0 * m_0, lo_0 * m_1
+    p10, p11 = lo_1 * m_0, lo_1 * m_1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return high + hi * m_lo + lo * m_hi, lo * m_lo
+
+
 def _lcg_step(state: tuple[np.ndarray, np.ndarray],
               inc: tuple[np.ndarray, np.ndarray]
               ) -> tuple[np.ndarray, np.ndarray]:
-    """state * MULT + inc mod 2**128 on (high, low) uint64 limbs. Mod
-    2**128 the product is lo * MULT_LO, whole, plus 2**64 times the low
-    words of hi * MULT_LO and lo * MULT_HI; the high word of lo * MULT_LO
-    is summed from its four 32-bit partial products, none of which
-    overflows."""
-    hi, lo = state
-    lo_1, lo_0 = lo >> 32, lo & _MASK32
-    p00, p01 = lo_0 * _MULT_LO_0, lo_0 * _MULT_LO_1
-    p10, p11 = lo_1 * _MULT_LO_0, lo_1 * _MULT_LO_1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    high = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return _add128((high + hi * _MULT_LO + lo * _MULT_HI, lo * _MULT_LO), inc)
+    """state * MULT + inc mod 2**128 on (high, low) uint64 limbs."""
+    return _add128(_mul128(state, _PCG_MULT), inc)
+
+
+def _xsl_rr(state: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """PCG64's output of each state, as uint64: XSL-RR, the high and low
+    limbs xored, rotated right by the top 6 bits (a left shift by 64 -
+    rot, taken mod 64, so rotation 0 keeps x)."""
+    x = state[0] ^ state[1]
+    rot = state[0] >> 58
+    return x >> rot | x << (64 - rot & 63)
 
 
 def _pcg64_next(state: tuple[np.ndarray, np.ndarray],
                 inc: tuple[np.ndarray, np.ndarray]
                 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """The next raw output of every stream (``_pcg64_seeded``'s limbs):
-    the stepped state, and the outputs as uint64. One LCG step, then
-    XSL-RR: the high and low limbs xored, rotated right by the top 6 bits
-    (a left shift by 64 - rot, taken mod 64, so rotation 0 keeps x)."""
+    the stepped state, and the outputs as uint64."""
     state = _lcg_step(state, inc)
-    x = state[0] ^ state[1]
-    rot = state[0] >> 58
-    return state, x >> rot | x << (64 - rot & 63)
+    return state, _xsl_rr(state)
 
 
 def _floyd_rows(seeds: Sequence[int], n: int, k: int) -> list[list[int]]:

@@ -124,7 +124,6 @@ before it is read (``load_config``).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import math
 import os
@@ -475,6 +474,9 @@ def _export(path: Path, lines: Iterable, remedy: str = _REGENERATE) -> None:
                 key, was, now = found
                 note = ""
                 if key.split(".")[0] == "words":
+                    # imported here: OpenSSL's hashes, about 3 MB resident,
+                    # serve this message alone
+                    import hashlib
                     note = " (word list fingerprints {} and {})".format(*(
                         hashlib.sha256(_quoting_json(d.get("words"))
                                        .encode()).hexdigest()

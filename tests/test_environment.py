@@ -2,6 +2,7 @@ import ast
 import inspect
 import json
 import math
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -11,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavplan import environment
-from uavplan.environment import (_PCG_MULT, _PER_SEED_MAX, ChannelParams,
-                                 Hotspot, Instance, MissionConfig,
-                                 _canonical_json, _floyd_rows, _from_json,
+from uavplan.environment import (_CHUNK, _CHUNKS, _HEADS, _PCG_MULT,
+                                 _PER_SEED_MAX, ChannelParams, Hotspot,
+                                 Instance, MissionConfig, _canonical_json,
+                                 _floyd_rows, _from_json, _head, _jump,
                                  _pairwise_sum, _pcg64_next, _pcg64_seeded,
-                                 _Stream, channel_gain, edge_cost,
+                                 _seeded, _Stream, channel_gain, edge_cost,
                                  hotspot_sum_rate, los_probability,
                                  sample_instance, sample_instances,
                                  sample_pool)
@@ -259,8 +261,11 @@ draws = st.lists(st.one_of(
     st.tuples(st.just("integers"), bounds)), min_size=1, max_size=120)
 
 
-def _same_draws(ours: _Stream, seed: int, ops) -> None:
-    theirs = np.random.default_rng(seed)
+def _same_draws(ours: _Stream, seed: int | None, ops, theirs=None) -> None:
+    """``ours`` draws what ``theirs``, ``default_rng(seed)`` unless given,
+    draws."""
+    if theirs is None:
+        theirs = np.random.default_rng(seed)
     for op, arg in ops:
         if op == "random":
             assert ours.random() == theirs.random()
@@ -271,6 +276,12 @@ def _same_draws(ours: _Stream, seed: int, ops) -> None:
     # and the stream is where the generator is
     assert ours.integers(7) == theirs.integers(7)
     assert ours.random() == theirs.random()
+
+
+_MASK128 = (1 << 128) - 1
+# seeds of 1 to 8 entropy words
+LONG_SEEDS = [0, 2 ** 32 - 1, 2 ** 64 + 9, 2 ** 96, 2 ** 128, 2 ** 160 - 1,
+              10 ** 50, 2 ** 255 + 7]
 
 
 class TestStream:
@@ -330,6 +341,91 @@ class TestStream:
         expected = np.random.default_rng(seed).choice(n, size=k, replace=False)
         assert _Stream(seed).sample(n, k) == set(expected.tolist())
 
+    @pytest.mark.parametrize("seed", LONG_SEEDS)
+    def test_seeded_state_is_pcg64s(self, seed):
+        """One seed's Python-int seeding, of 1 to 8 entropy words: with 5
+        or more, words past the fourth are mixed into the pool."""
+        state = np.random.PCG64(seed).state["state"]
+        assert _seeded(seed) == (state["state"], state["inc"])
+
+    @pytest.mark.parametrize("seed", LONG_SEEDS)
+    def test_outputs_are_random_raw(self, seed):
+        """Through the head and two chunks of lanes."""
+        n = sum(_CHUNKS) + 2 * _CHUNK + 5
+        ours = _Stream(seed).raw
+        want = np.random.default_rng(seed).bit_generator.random_raw(n)
+        assert [ours() for _ in range(n)] == want.tolist()
+
+    @pytest.mark.parametrize("boundary", [
+        *accumulate(_CHUNKS), sum(_CHUNKS) + _CHUNK,
+        sum(_CHUNKS) + 2 * _CHUNK])
+    def test_draws_across_every_boundary(self, boundary):
+        """Each boundary of the head's chunks, and of the lanes' chunks
+        past it, falls before, inside or after a 32-bit draw whose high
+        half the next one takes, and draws at a bound that Lemire's method
+        rejects about half the time (2**31 + 1)."""
+        for seed in (2, 2 ** 128 + 5):
+            for before in (boundary - 2, boundary - 1, boundary):
+                ours, theirs = _Stream(seed), np.random.default_rng(seed)
+                for _ in range(before):
+                    ours.raw()
+                theirs.bit_generator.random_raw(before)
+                _same_draws(ours, None, [
+                    ("integers", 5), *[("integers", 2 ** 31 + 1)] * 4,
+                    ("random", 0), ("integers", 7), ("integers", 2 ** 32),
+                    ("uniform", 3.0)], theirs)
+
+    def test_an_evicted_head_is_made_again(self):
+        """A seed's head, read again, comes from the cache; once the
+        heads of ``_HEADS`` other seeds have evicted it, it is made again,
+        chunk by chunk, with the same outputs."""
+        n = sum(_CHUNKS) + 10
+        want = np.random.default_rng(11).bit_generator.random_raw(n).tolist()
+
+        def made(seed: int) -> int:
+            """The head chunks a stream of ``seed`` made, reading past its
+            head."""
+            misses = _head.cache_info().misses
+            raw = _Stream(seed).raw
+            drawn = [raw() for _ in range(n)]
+            assert seed != 11 or drawn == want
+            return _head.cache_info().misses - misses
+
+        made(11)
+        assert made(11) == 0
+        for other in range(1000, 1000 + _HEADS):
+            assert made(other) == len(_CHUNKS)
+        assert made(11) == len(_CHUNKS)
+        assert made(11) == 0
+
+    def test_the_cache_holds_heads_alone(self):
+        """A stream read far past its head leaves its head in the cache,
+        no more: no output past the head is kept."""
+        _head.cache_clear()
+        raw = _Stream(12).raw
+        for _ in range(sum(_CHUNKS) + 3 * _CHUNK):
+            raw()
+        assert _head.cache_info().currsize == len(_CHUNKS)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, _MASK128), st.integers(0, _MASK128 >> 1),
+           st.one_of(st.integers(0, 70), st.sampled_from(
+               [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 ** 20 + 3])))
+    def test_jump_is_repeated_steps(self, state, half_inc, steps):
+        """``_jump(steps)`` takes a state where ``steps`` LCG steps do."""
+        inc = half_inc << 1 | 1
+        mult, plus = _jump(steps)
+        want = state
+        for _ in range(min(steps, 70)):
+            want = (want * _PCG_MULT + inc) & _MASK128
+        if steps > 70:
+            # MULT**steps * state + inc * (MULT**steps - 1) / (MULT - 1),
+            # the quotient taken mod 2**128 (MULT - 1 is even)
+            power = pow(_PCG_MULT, steps, (1 << 128) * (_PCG_MULT - 1))
+            want = (power * state
+                    + inc * ((power - 1) // (_PCG_MULT - 1))) & _MASK128
+        assert (mult * state + plus * inc) & _MASK128 == want
+
     @settings(max_examples=500, deadline=None)
     @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
                               st.floats(1e-300, 1e300)),
@@ -360,9 +456,6 @@ def _limbs(value: int) -> tuple[np.ndarray, np.ndarray]:
     """One stream's (high, low) uint64 limbs of a 128-bit value."""
     return (np.array([value >> 64], dtype=np.uint64),
             np.array([value & (1 << 64) - 1], dtype=np.uint64))
-
-
-_MASK128 = (1 << 128) - 1
 
 
 def _before(stepped: int, inc: int) -> int:
@@ -559,23 +652,16 @@ class TestBulkStreams:
 
 class TestOneDrawPath:
     """Every random draw in the package is a draw of
-    ``environment._Stream``, and raw outputs have two sources:
-    ``default_rng`` is called only in ``_Stream`` and read only through
-    ``bit_generator.random_raw``; and the draw kernel's PCG64
-    (``_pcg64_seeded``, ``_pcg64_next``) serves only ``_floyd_rows``,
-    which only ``_sample_rows`` calls. Nothing else reaches
-    ``np.random``, and the draw methods are called only on streams."""
+    ``environment._Stream``, and every raw output is made by the package's
+    own PCG64: one seeding (``_seed_words``, on one seed's Python ints in
+    ``_seeded`` or on a batch's arrays in ``_pcg64_seeded``), the head in
+    Python ints (``_head``), and the limb arithmetic, which serves the
+    stream's lanes (``_lanes``) and the draw kernel ``_floyd_rows``, which
+    only ``_sample_rows`` calls. Nothing reaches ``np.random``, and the
+    draw methods are called only on streams."""
 
     SRC = Path(environment.__file__).parent
     DRAWS = {"random", "uniform", "integers", "choice"}
-
-    @staticmethod
-    def _parents(tree):
-        parents = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                parents[child] = node
-        return parents
 
     @staticmethod
     def _streams(fn) -> set[str]:
@@ -596,7 +682,7 @@ class TestOneDrawPath:
     @staticmethod
     def _callers(name: str) -> list[str]:
         """``path:function`` of every function in the package that calls
-        ``name`` by name or as an attribute."""
+        ``name`` by name or as an attribute, once each."""
         found = []
         for path in sorted(TestOneDrawPath.SRC.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -610,16 +696,31 @@ class TestOneDrawPath:
                             or (isinstance(node.func, ast.Attribute)
                                 and node.func.attr == name)):
                         found.append(f"{path.name}:{fn.name}")
-        return found
+        return list(dict.fromkeys(found))
 
     def test_the_bulk_source_serves_only_instance_sampling(self):
-        """No ``Generator`` fallback and no second seeding path: the
-        PCG64 outputs made in Python reach only the draw kernel, and only
-        ``_sample_rows`` calls it. The training set is drawn as its rows
+        """No ``Generator`` and no second seeding path: ``_seed_words``
+        seeds both the stream and the draw kernel, the limb steps serve
+        only the stream's lanes and the kernel, and only ``_sample_rows``
+        calls the kernel. The training set is drawn as its rows
         (``stage_training_instances``), and the test instances through
         ``sample_instances`` (``sample_instance`` is its one-seed case)."""
         assert self._callers("_seed_words") == [
-            "environment.py:_pcg64_seeded"]
+            "environment.py:_seeded", "environment.py:_pcg64_seeded"]
+        assert self._callers("_seeded") == ["environment.py:__init__"]
+        assert self._callers("_outputs") == ["environment.py:__init__"]
+        assert self._callers("_head") == ["environment.py:_outputs"]
+        assert self._callers("_lanes") == ["environment.py:_outputs"]
+        assert self._callers("_leap") == ["environment.py:_lanes"]
+        assert self._callers("_mul128") == [
+            "environment.py:_leap", "environment.py:_lcg_step"]
+        assert self._callers("_add128") == [
+            "environment.py:_pcg64_seeded", "environment.py:_leap",
+            "environment.py:_lcg_step"]
+        assert self._callers("_lcg_step") == [
+            "environment.py:_pcg64_seeded", "environment.py:_pcg64_next"]
+        assert self._callers("_xsl_rr") == [
+            "environment.py:_lanes", "environment.py:_pcg64_next"]
         assert self._callers("_pcg64_seeded") == [
             "environment.py:_floyd_rows"]
         assert self._callers("_pcg64_next") == ["environment.py:_floyd_rows"]
@@ -635,12 +736,6 @@ class TestOneDrawPath:
         problems = []
         for path in sorted(self.SRC.glob("*.py")):
             tree = ast.parse(path.read_text())
-            parents = self._parents(tree)
-            in_stream = set()
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ClassDef) and node.name == "_Stream":
-                    assert path.name == "environment.py"
-                    in_stream.update(ast.walk(node))
             for node in ast.walk(tree):
                 where = f"{path.name}:{getattr(node, 'lineno', '?')}"
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -652,21 +747,7 @@ class TestOneDrawPath:
                 if (isinstance(node, ast.Attribute) and node.attr == "random"
                         and isinstance(node.value, ast.Name)
                         and node.value.id in ("np", "numpy")):
-                    # np.random.default_rng(seed).bit_generator.random_raw,
-                    # inside the stream, and nothing else
-                    rng = parents.get(node)
-                    call = parents.get(rng)
-                    bitgen = parents.get(call)
-                    raw = parents.get(bitgen)
-                    if not (node in in_stream
-                            and isinstance(rng, ast.Attribute)
-                            and rng.attr == "default_rng"
-                            and isinstance(call, ast.Call) and call.func is rng
-                            and isinstance(bitgen, ast.Attribute)
-                            and bitgen.attr == "bit_generator"
-                            and isinstance(raw, ast.Attribute)
-                            and raw.attr == "random_raw"):
-                        problems.append(f"{where}: np.random outside the stream")
+                    problems.append(f"{where}: np.random")
                 if isinstance(node, ast.Name) and node.id == "default_rng":
                     problems.append(f"{where}: default_rng by name")
             for fn in ast.walk(tree):

@@ -326,6 +326,35 @@ class TestPipeline:
         assert _artifact_bytes(tmp_path / "off") == _artifact_bytes(
             tmp_path / "on")
 
+    def test_a_run_loads_no_numpy_random_and_no_openssl(self, tmp_path):
+        """A workers-1 pipeline and then ``uavplan plan``, in a process of
+        their own, import neither ``numpy.random`` (the stream makes its
+        own PCG64) nor ``hashlib``, its OpenSSL module or ``secrets``
+        (``numpy.random`` loads them): together about 6 MB resident that
+        no step of a run needs."""
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(
+            small_config(out, workers=1))))
+        script = ("import json, sys\n"
+                  "from uavplan.cli import main\n"
+                  "cfg, out = sys.argv[1:]\n"
+                  "assert main(['pipeline', '--config', cfg]) == 0\n"
+                  "assert main(['plan', '--config', cfg, '--instance',\n"
+                  "             out + '/instances/s005k000.json', '--model',\n"
+                  "             out + '/world_model.json', '--trace',\n"
+                  "             out + '/trace.json']) == 0\n"
+                  "print(json.dumps(sorted(\n"
+                  "    m for m in ('numpy.random', 'hashlib', '_hashlib',\n"
+                  "                'secrets') if m in sys.modules)))\n")
+        src = Path(__file__).parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(cfg_path), str(out)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert json.loads(result.stdout.splitlines()[-1]) == []
+
     def test_one_hotspot_test_instances(self, tmp_path):
         """Test instances of one hotspot are allowed: every method visits
         it, so the three rows of each instance have similarity 1.0."""

@@ -7,15 +7,16 @@ exports REF's ``src/`` into a temporary directory (``export_src`` of
 sides, one on REF's source and one on the working tree's, in
 alternating order (REF first in even rounds). A side is two fresh
 processes: the set-up's, then the model read's (``world_read``). The
-set-up's process builds the shape of the benchmark's workload NAME
-(``WORKLOADS[NAME].config(3011, 0, out)`` of ``perfbench/workloads.py``,
-which is read, not edited): ``train-large`` by default, 20,000 training
-instances of 5 of 50 hotspots, or ``plan-large``, 5,000 of them. It runs
-the pipeline's set-up stages in order, as ``harness._stages`` yields
-them, into a new directory, stopping after the last of them,
-Q-learning. Each process first pins itself to one CPU, the lowest it
-may run on (``os.sched_setaffinity``), as perfbench pins its pipeline,
-so that the two sides run alike with no ``taskset``. Each stage is timed
+set-up's process is given the config of the shape of the benchmark's
+workload NAME (``WORKLOADS[NAME].config(3011, 0, out)`` of
+``perfbench/workloads.py``, which this process reads, not edits):
+``train-large`` by default, 20,000 training instances of 5 of 50
+hotspots, or ``plan-large``, 5,000 of them. It runs the pipeline's
+set-up stages in order, as ``harness._stages`` yields them, into a new
+directory, stopping after the last of them, Q-learning. Each process
+first pins itself to one CPU, the lowest it may run on
+(``os.sched_setaffinity``), as perfbench pins its pipeline, so that the
+two sides run alike with no ``taskset``. Each stage is timed
 with ``time.perf_counter`` from the previous yield to its own:
 
 - ``pools``: the pools and ``pools.json``;
@@ -35,8 +36,12 @@ The stages are the program's own, whatever form their results take, so
 any two commits that keep ``_stages`` compare. Each process also reads its
 peak resident memory (``ru_maxrss``) right after each stage; the pipeline
 keeps what later stages read alive, so a reading is the high-water mark
-of the stages so far. Prints one line per stage, ``STAGE  ref MEDIAN [Q1,
-Q3]  tree MEDIAN [Q1, Q3]  ref MB  tree MB  K/N``, times in milliseconds,
+of the stages so far. A child process loads no module before its last
+reading but the package's and the standard library's that this file
+needs: ``hashlib``, which loads OpenSSL, about 3 MB resident, only after
+it, for the digests, so that a reading is the program's own. Prints one
+line per stage, ``STAGE  ref MEDIAN [Q1, Q3]  tree MEDIAN [Q1, Q3]  ref
+MB  tree MB  K/N``, times in milliseconds,
 the median peak in MB, and the number K of the N rounds in which the
 tree's stage took less time than REF's (a tie counts for neither side):
 the pair rule that a claimed gain is held to, which medians and quartiles
@@ -50,7 +55,6 @@ be exported. Standard library only, besides the package it runs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import json
 import os
@@ -60,15 +64,10 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# tools/same_outputs.py, loaded by path: it exports REF's src/ (export_src)
-# and loads a file as a module (load_module)
-_spec = importlib.util.spec_from_file_location(
-    "same_outputs", ROOT / "tools" / "same_outputs.py")
-_same_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_same_outputs)
 # each set-up stage, in pipeline order, and the file it writes
 FILES = {"pools": "pools.json",
          "training_instances": "training_instances.jsonl",
@@ -78,8 +77,21 @@ FILES = {"pools": "pools.json",
 LAYERS = (*FILES, "world_read")
 
 
+@cache
+def _same_outputs():
+    """tools/same_outputs.py, loaded by path in this process alone: it
+    exports REF's src/ (``export_src``) and loads a file as a module
+    (``load_module``)."""
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", ROOT / "tools" / "same_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@cache
 def _workloads() -> dict:
-    return _same_outputs.load_module(
+    return _same_outputs().load_module(
         ROOT / "perfbench" / "workloads.py").WORKLOADS
 
 
@@ -94,15 +106,15 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _child(out: Path, workload: str) -> dict:
+def _child(config: dict) -> dict:
     """Each set-up stage's (seconds, peak MB after it, file digest) on the
-    shape of ``workload``, run on the ``uavplan`` that ``sys.path``
-    finds, pinned to one CPU; ``cpus`` is the count it then runs on."""
+    config ``config``, run on the ``uavplan`` that ``sys.path`` finds,
+    pinned to one CPU; ``cpus`` is the count it then runs on."""
     cpus = _pin()
     from uavplan import harness
 
-    cfg = harness.config_from_dict(
-        _workloads()[workload].config(3011, 0, str(out)))
+    cfg = harness.config_from_dict(config)
+    out = Path(cfg.output_dir)
     out.mkdir()
     result = {}
     stages = harness._stages(cfg, out)
@@ -113,6 +125,8 @@ def _child(out: Path, workload: str) -> dict:
             break
         start = time.perf_counter()
     stages.close()
+    import hashlib
+
     for name, file in FILES.items():
         result[name].append(hashlib.sha256((out / file).read_bytes())
                             .hexdigest())
@@ -132,14 +146,18 @@ def _read(model: Path) -> dict:
     start = time.perf_counter()
     wm = world_model.model_from_dict(d)
     seconds = time.perf_counter() - start
-    return {"world_read": [seconds, _peak_mb(), hashlib.sha256(json.dumps(
+    peak = _peak_mb()
+    import hashlib
+
+    return {"world_read": [seconds, peak, hashlib.sha256(json.dumps(
         world_model.model_to_dict(wm), sort_keys=True).encode()).hexdigest()],
         "cpus": cpus}
 
 
 def _run(src: Path, out: Path, workload: str) -> list[dict]:
     """Two child processes on the package under ``src``: the set-up
-    stages into ``out``, then the read of their world model."""
+    stages of ``workload``'s shape into ``out``, then the read of their
+    world model."""
 
     def child(*args: str) -> dict:
         done = subprocess.run(
@@ -148,7 +166,8 @@ def _run(src: Path, out: Path, workload: str) -> list[dict]:
             env={**os.environ, "PYTHONPATH": str(src)})
         return json.loads(done.stdout)
 
-    return [child("--child", str(out), workload),
+    config = _workloads()[workload].config(3011, 0, str(out))
+    return [child("--child", json.dumps(config)),
             child("--read", str(out / FILES["world"]))]
 
 
@@ -165,7 +184,7 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
     cpus = set()   # the CPU count each process ran on
     with tempfile.TemporaryDirectory(prefix="setup_layers_") as tmp:
         tmp = Path(tmp)
-        if (ref_src := _same_outputs.export_src(ref, tmp / "ref")) is None:
+        if (ref_src := _same_outputs().export_src(ref, tmp / "ref")) is None:
             return 2
         sources = {"ref": ref_src, "tree": ROOT / "src"}
         for r in range(rounds):
@@ -196,8 +215,8 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "--child":
-        print(json.dumps(_child(Path(argv[1]), argv[2])))
+    if len(argv) == 2 and argv[0] == "--child":
+        print(json.dumps(_child(json.loads(argv[1]))))
         return 0
     if len(argv) == 2 and argv[0] == "--read":
         print(json.dumps(_read(Path(argv[1]))))
