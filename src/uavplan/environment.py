@@ -131,7 +131,7 @@ from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, lru_cache, reduce
 from itertools import accumulate, chain, repeat
-from operator import add, attrgetter, truediv
+from operator import add, attrgetter, index, truediv
 from typing import Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -594,7 +594,9 @@ def _seed_words(entropy: list) -> list:
 @lru_cache(maxsize=_HEADS)
 def _seeded(seed: int) -> tuple[int, int]:
     """PCG64's seeded state and inc for ``seed``, as Python ints: steps
-    1-4 of the module docstring for one seed."""
+    1-4 of the module docstring for one seed, which may be any integer
+    type, as ``SeedSequence`` takes them."""
+    seed = index(seed)
     if seed < 0:
         # SeedSequence refuses them too
         raise ValueError(f"seeds must be >= 0, not {seed}")
@@ -707,26 +709,26 @@ def _split(value: int) -> tuple[np.uint64, np.uint64]:
 def _add128(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
             ) -> tuple[np.ndarray, np.ndarray]:
     """a + b mod 2**128 on (high, low) uint64 limbs, which wrap: the low
-    sum carries where it wrapped below an addend."""
+    sum carries where it wrapped below an addend, here b's low limb, which
+    may be a scalar."""
     lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]), lo
+    return a[0] + b[0] + (lo < b[1]), lo
 
 
 def _mul128(x: tuple[np.ndarray, np.ndarray], m: int
             ) -> tuple[np.ndarray, np.ndarray]:
     """x * m mod 2**128 on (high, low) uint64 limbs, for an int 0 <= m <
     2**128. Mod 2**128 the product is lo * m_lo, whole, plus 2**64 times
-    the low words of hi * m_lo and lo * m_hi; the high word of lo * m_lo is
-    summed from its four 32-bit partial products, none of which
-    overflows."""
+    the low words of hi * m_lo and lo * m_hi. The high word of lo * m_lo
+    is summed from its four 32-bit partial products: lo_1 * m_0 plus the
+    high half of lo_0 * m_0 is below 2**64, and so is its low half plus
+    lo_0 * m_1."""
     hi, lo = x
     m_hi, m_lo = _split(m)
     m_1, m_0 = np.uint64(m >> 32 & _MASK32), np.uint64(m & _MASK32)
     lo_1, lo_0 = lo >> 32, lo & _MASK32
-    p00, p01 = lo_0 * m_0, lo_0 * m_1
-    p10, p11 = lo_1 * m_0, lo_1 * m_1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    high = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    mid = lo_1 * m_0 + (lo_0 * m_0 >> 32)
+    high = lo_1 * m_1 + (mid >> 32) + ((mid & _MASK32) + lo_0 * m_1 >> 32)
     return high + hi * m_lo + lo * m_hi, lo * m_lo
 
 

@@ -348,6 +348,13 @@ class TestStream:
         state = np.random.PCG64(seed).state["state"]
         assert _seeded(seed) == (state["state"], state["inc"])
 
+    def test_seeds_of_any_integer_type(self):
+        """A numpy integer seeds as its value does, and a float is
+        refused, as ``default_rng`` does."""
+        assert _Stream(np.int64(5)).random() == _Stream(5).random()
+        with pytest.raises(TypeError):
+            _Stream(1.5)
+
     @pytest.mark.parametrize("seed", LONG_SEEDS)
     def test_outputs_are_random_raw(self, seed):
         """Through the head and two chunks of lanes."""
