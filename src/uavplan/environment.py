@@ -8,10 +8,10 @@ same objects bit for bit.
 The records here are plain frozen dataclasses, and their JSON form is
 their fields: ``harness`` writes an experiment's test instances as
 self-contained ``uavplan.instance.v1`` objects, and reads one back for
-``uavplan plan``. Training instances are sampled on every run, and a
-training instance is a row: its ascending indices into the training pool
-(``_sample_rows``), with no ``Instance`` built for it; ``harness``
-exports their hotspot ids alone.
+``uavplan plan``. Training instances are sampled on every run, as the
+rows of one C-contiguous (m, k) int64 array (``_sample_rows``): a row is
+a training instance's ascending indices into the training pool, with no
+``Instance`` built for it; ``harness`` exports their hotspot ids alone.
 
 This module also holds the package's JSON codec, which ``oracle``,
 ``world_model`` and ``harness`` all import (each imports this module
@@ -80,8 +80,8 @@ in one pass of ``_seed_words`` over the batch's arrays, steps them all
 (``_pcg64_next``), and runs Floyd's algorithm (see ``choice`` below) draw
 by draw over all rows at once. A row on which Lemire's draw might reject
 (its low product word below the bound, rare at these bounds) is drawn
-again, whole, by ``_Stream(seed)``, and so is every row of a draw that
-would take the tail shuffle. The kernel's numpy calls cost tens of
+again, whole and in place, by ``_Stream(seed)``, and so is every row of
+a draw that would take the tail shuffle. The kernel's numpy calls cost tens of
 microseconds per draw whatever the batch size, so it pays only on a
 large batch. In process on that host (medians of 41 alternating rounds,
 fresh seeds each), one stream per seed against the kernel took 0.19
@@ -394,20 +394,23 @@ def sample_instances(seeds: Sequence[int], pool: Sequence[Hotspot],
                                            key=attrgetter("id"))),
                      depot_m=depot, channel=chan, mission=mission, seed=seed)
             for seed, row in zip(seeds, _sample_rows(seeds, len(pool),
-                                                     n_select))]
+                                                     n_select).tolist())]
 
 
-def _sample_rows(seeds: Sequence[int], n: int, k: int) -> list[list[int]]:
-    """Per seed, in order, the ``k`` distinct indices of ``range(n)`` that
-    its stream selects uniformly, ascending. A batch of more than
-    ``_PER_SEED_MAX`` seeds is drawn by the kernel ``_floyd_rows``, a
-    smaller one, or a draw that takes the tail shuffle, by one
-    ``_Stream(seed)`` per seed (see the module docstring)."""
+def _sample_rows(seeds: Sequence[int], n: int, k: int) -> np.ndarray:
+    """Row j of the (len(seeds), k) int64 array: the ``k`` distinct
+    indices of ``range(n)`` that the stream of ``seeds[j]`` selects
+    uniformly, ascending. A batch of more than ``_PER_SEED_MAX`` seeds is
+    drawn by the kernel ``_floyd_rows``, a smaller one, or a draw that
+    takes the tail shuffle, by one ``_Stream(seed)`` per seed (see the
+    module docstring)."""
     if len(seeds) <= _PER_SEED_MAX or not (n <= 10_000 or k <= n // 50):
-        picks = [_Stream(seed).sample(n, k) for seed in seeds]
+        rows = np.array([list(_Stream(seed).sample(n, k)) for seed in seeds],
+                        dtype=np.int64).reshape(len(seeds), k)
     else:
-        picks = _floyd_rows(seeds, n, k)
-    return [sorted(row) for row in picks]
+        rows = _floyd_rows(seeds, n, k)
+    rows.sort(axis=1)
+    return rows
 
 
 def sample_instance(rng_seed: int, pool: Sequence[Hotspot], n_select: int,
@@ -757,11 +760,11 @@ def _pcg64_next(state: tuple[np.ndarray, np.ndarray],
     return state, _xsl_rr(state)
 
 
-def _floyd_rows(seeds: Sequence[int], n: int, k: int) -> list[list[int]]:
-    """``_Stream(seed).sample(n, k)`` for every seed, as a list of the
-    drawn indices, where that draw takes Floyd's algorithm (n <= 10,000 or
-    k <= n // 50; 1 <= k <= n <= 2**32): step 5 of the module docstring
-    over all seeds at once."""
+def _floyd_rows(seeds: Sequence[int], n: int, k: int) -> np.ndarray:
+    """``_Stream(seed).sample(n, k)`` for every seed, as a row of the drawn
+    indices in a (len(seeds), k) int64 array, where that draw takes
+    Floyd's algorithm (n <= 10,000 or k <= n // 50; 1 <= k <= n <= 2**32):
+    step 5 of the module docstring over all seeds at once."""
     state, inc = _pcg64_seeded(seeds)
     # the j == 0 step of a whole-pool draw draws nothing; every other step
     # takes one 32-bit draw, the low half of an output and then its high
@@ -784,7 +787,8 @@ def _floyd_rows(seeds: Sequence[int], n: int, k: int) -> list[list[int]]:
             v = m >> 32
             chosen[:, step] = np.where(
                 (chosen[:, :step] == v[:, None]).any(axis=1), j, v)
-    rows = chosen.tolist()
+    # every index is below n <= 2**32, so the int64 view reads the same
+    rows = chosen.view(np.int64)
     for r in np.flatnonzero(redraw).tolist():
         rows[r] = list(_Stream(seeds[r]).sample(n, k))
     return rows

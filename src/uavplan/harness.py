@@ -68,9 +68,10 @@ the stages it runs write into, before the first stage, so that a path it
 cannot write is refused before any work.
 
 The training set keeps the form it is drawn in, one pool, one depot and
-rows: a training instance is a row, its hotspots' ascending indices in
-the training pool (``environment._sample_rows``), and no ``Instance`` is
-built for one. The oracle stage solves the rows in one batched call in
+one C-contiguous (m, k) int64 array of rows: a training instance is a
+row, its hotspots' ascending indices in the training pool
+(``environment._sample_rows``), and no ``Instance`` is built for one,
+nor a list kept. The oracle stage solves the rows in one batched call in
 this process (``oracle.demonstrate``), which returns the demonstrations
 as one record of columns (``oracle.Demonstrations``), with no ``Tour``
 per row: the world stage reads its orders and costs (``learn``), and the
@@ -146,6 +147,11 @@ from .planner import (PlannerConfig, _chain_distance, plan_mission,
                       plan_to_dict)
 from .ql import QTable, QTrainConfig, construct_word, qtable_to_dict, train_q
 from .world_model import NoiseConfig, Word, WorldModel, learn, model_to_dict
+
+# after the package's modules: a process that compiles them (with no
+# bytecode cache) peaks 0.3 MB higher when numpy is resident while
+# environment.py compiles
+import numpy as np
 
 METRICS_SCHEMA = "uavplan.metrics.v1"
 METRICS_COLUMNS = ["method", "instance_id", "n_hotspots", "total_sum_rate_bps",
@@ -567,10 +573,11 @@ def stage_pools(cfg: ExperimentConfig,
 
 
 def stage_training_instances(cfg: ExperimentConfig, training_pool,
-                             out: Path) -> list[list[int]]:
+                             out: Path) -> np.ndarray:
     """Training instance k is drawn with seed ``train_seed_base + k`` from
-    the training pool, on every run, as a row: its hotspots' indices in
-    the pool, ascending (``_sample_rows``). Returns the rows.
+    the training pool, on every run, as row k of one (``m_training``,
+    ``train_instance_size``) int64 array: its hotspots' indices in the
+    pool, ascending (``_sample_rows``). Returns the array.
     ``training_instances.jsonl``, a header and then each instance's ids, is
     their export (``_export``)."""
     seeds = range(cfg.train_seed_base, cfg.train_seed_base + cfg.m_training)
@@ -578,13 +585,13 @@ def stage_training_instances(cfg: ExperimentConfig, training_pool,
     texts = [str(h.id) for h in training_pool]
     header = {"schema": INSTANCES_SCHEMA, **_record(cfg, "training_instances")}
     _export(out / "training_instances.jsonl", itertools.chain(
-        [header], (_ids_line("ids", map(texts.__getitem__, row))
+        [header], (_ids_line("ids", map(texts.__getitem__, row.tolist()))
                    for row in rows)))
     return rows
 
 
-def stage_oracle(cfg: ExperimentConfig, training_pool,
-                 rows: Sequence[Sequence[int]], out: Path) -> Demonstrations:
+def stage_oracle(cfg: ExperimentConfig, training_pool, rows: np.ndarray,
+                 out: Path) -> Demonstrations:
     """Demonstration k solves training instance k, the row ``rows[k]``
     over the training pool from the config's depot, and comes with that
     instance's cost scale for Q-learning; the rows are solved on every
@@ -633,9 +640,8 @@ def stage_world(cfg: ExperimentConfig, demos: Demonstrations, training_pool,
     return wm
 
 
-def stage_ql(cfg: ExperimentConfig, training_pool,
-             rows: Sequence[Sequence[int]], demos: Demonstrations,
-             out: Path) -> QTable:
+def stage_ql(cfg: ExperimentConfig, training_pool, rows: np.ndarray,
+             demos: Demonstrations, out: Path) -> QTable:
     """The Q-table ``train_q`` makes of the training rows and their
     demonstrations' objectives and cost scales, trained on every run.
     ``qtable.json``, one line that holds its record and the table, is its

@@ -14,21 +14,22 @@ sequence so that downstream dictionaries stay stable.
 
 The search runs in index space, over a batch of instances at once
 (``demonstrate``). A batch is one pool of hotspots, ascending by id, one
-depot and rows: an instance is a row, the ascending indices of its
-hotspots in the pool. The training instances are such rows over the
-training pool (``harness``), and ``solve`` is the one-row case over an
-instance's own hotspots. A call builds one table (``_table``): the
-matrix of ``edge_cost`` values between the pool's hotspots, ids
-ascending, with the depot last. Every entry is ``math.hypot`` of the
-lower-id point minus the higher-id one, as ``edge_cost`` forms it, so
-each distance between pool hotspots is computed once, not once per
-instance. ``ql.train_q`` reads its legs from the same table.
+depot and rows of one size, an (m, n) int array: an instance is a row,
+the ascending indices of its hotspots in the pool. The training
+instances are such rows over the training pool (``harness``), and
+``solve`` is the one-row case over an instance's own hotspots. A call
+builds one table (``_table``): the matrix of ``edge_cost`` values
+between the pool's hotspots, ids ascending, with the depot last. Every
+entry is ``math.hypot`` of the lower-id point minus the higher-id one,
+as ``edge_cost`` forms it, so each distance between pool hotspots is
+computed once, not once per instance. ``ql.train_q`` reads its legs
+from the same table.
 
 Construction, 2-opt and the selection pass then run as numpy operations
-over every row of one size, in chunks of ``_BATCH_ENTRIES``
-for memory, with each tour a row of table indices. No ``Tour`` is built
-for a demonstration: ``demonstrate`` returns one record of columns
-(``Demonstrations``), each order a tuple of ids and each total a float.
+over the rows, in chunks of ``_BATCH_ENTRIES`` for memory, with each
+tour a row of table indices. No ``Tour`` is built for a demonstration:
+``demonstrate`` returns one record of columns (``Demonstrations``), each
+order a tuple of ids and each total a float.
 The rows that leave one selection round form a block of one length, and
 each block is finished with a few numpy operations, whatever its length:
 the reverse-reading rule, the totals, and ``Tour``'s checks (no index
@@ -209,35 +210,33 @@ def _table(hotspots: Sequence[Hotspot], depot: Point) -> np.ndarray:
     return np.array(dist)
 
 
-def _constructions(table: np.ndarray, rows: Sequence[Sequence[int]]
+def _constructions(table: np.ndarray, rows: np.ndarray
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The nearest-neighbor constructions of ``rows`` (table indices,
-    ascending) over ``table`` (``_table``), one chunk at a time: the rows
-    of one size, at most about ``_BATCH_ENTRIES`` table entries per tour
-    array. A chunk is its rows' positions in ``rows``, their constructions
-    as rows of table indices and their cost scales.
+    """The nearest-neighbor constructions of ``rows`` (an (m, n) int array
+    of table indices, each row ascending) over ``table`` (``_table``), one
+    chunk at a time, at most about ``_BATCH_ENTRIES`` table entries per
+    tour array. A chunk is its rows' positions in ``rows``, their
+    constructions as rows of table indices and their cost scales.
 
     A scale is the construction's closed length, summed in visiting order
     as ``make_tour`` sums it; 1.0 where not positive. A length that is not
     finite is refused, for the chunk's first such row: no search can
     compare tours of such an instance.
     """
-    sizes = np.array([len(row) for row in rows])
-    for n in dict.fromkeys(sizes.tolist()):
-        members = np.flatnonzero(sizes == n)
-        step = max(1, _BATCH_ENTRIES // (n + 2) ** 2)
-        for start in range(0, members.size, step):
-            part = members[start:start + step]
-            with np.errstate(over="ignore", invalid="ignore"):
-                order, length = _nearest_neighbor(table, np.array(
-                    [rows[k] for k in part.tolist()], dtype=np.intp))
-            bad = np.flatnonzero(~np.isfinite(length))
-            if bad.size:
-                raise ConsistencyError(
-                    f"a tour of this instance is {length[bad[0]]} m long; its "
-                    "depot and hotspot coordinates must keep tour lengths "
-                    "finite")
-            yield part, order, np.where(length > 0, length, 1.0)
+    m, n = rows.shape
+    step = max(1, _BATCH_ENTRIES // (n + 2) ** 2)
+    for start in range(0, m, step):
+        chunk = rows[start:start + step]
+        with np.errstate(over="ignore", invalid="ignore"):
+            order, length = _nearest_neighbor(table, chunk)
+        bad = np.flatnonzero(~np.isfinite(length))
+        if bad.size:
+            raise ConsistencyError(
+                f"a tour of this instance is {length[bad[0]]} m long; its "
+                "depot and hotspot coordinates must keep tour lengths "
+                "finite")
+        yield (np.arange(start, start + len(chunk)), order,
+               np.where(length > 0, length, 1.0))
 
 
 def _nearest_neighbor(table: np.ndarray,
@@ -395,12 +394,15 @@ def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
-    """Each row of ``values`` summed from 0.0 in order, as a Python loop
-    sums it: ``add.accumulate`` adds each row in order, and the + 0.0 makes
-    a sum of -0.0s, which a sum from 0.0 never is, 0.0."""
+    """Each row of the float64 array ``values`` summed from 0.0 in order,
+    as a Python loop sums it, never by numpy's pairwise ``np.sum``:
+    ``add.accumulate`` adds each row in order, and the + 0.0 makes a sum
+    of -0.0s, which a sum from 0.0 never is, 0.0. ``values`` is
+    overwritten with its running sums (every caller hands it a
+    temporary)."""
     if not values.shape[1]:
         return np.zeros(len(values))
-    return np.add.accumulate(values, axis=1)[:, -1] + 0.0
+    return np.add.accumulate(values, axis=1, out=values)[:, -1] + 0.0
 
 
 def _check_block(at: np.ndarray, final: np.ndarray, ordered: np.ndarray,
@@ -440,12 +442,12 @@ class Demonstrations:
     cost_scale: array
 
 
-def demonstrate(hotspots: Sequence[Hotspot], depot: Point,
-                rows: Sequence[Sequence[int]],
+def demonstrate(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
                 w: ObjectiveWeights) -> Demonstrations:
-    """``solve``'s tour of each row, with its totals and cost scale, as
-    columns. A row is an instance over the pool ``hotspots`` (ascending by
-    id) from ``depot``: its hotspots' indices, ascending. The rows are
+    """``solve``'s tour of each row of ``rows``, an (m, n) int array, with
+    its totals and cost scale, as columns. A row is an instance over the
+    pool ``hotspots`` (ascending by id) from ``depot``: its hotspots'
+    indices, ascending. The rows are
     solved from the pool's one table (``_table``) and one batched
     construction per chunk: the scale is the nearest-neighbor
     construction's length (1.0 where it is not positive), taken before
@@ -493,7 +495,8 @@ def solve(inst: Instance, w: ObjectiveWeights) -> Tour:
     """Construction, 2-opt, then the vertex-selection pass; deterministic
     (``demonstrate``'s one-row case, as the one ``Tour`` it makes)."""
     hotspots = sorted(inst.hotspots, key=attrgetter("id"))
-    solved = demonstrate(hotspots, inst.depot_m, [range(len(hotspots))], w)
+    rows = np.arange(len(hotspots))[None]
+    solved = demonstrate(hotspots, inst.depot_m, rows, w)
     order = solved.orders[0]
     # make_tour's profit of no hotspot is sum()'s int 0
     return Tour(order=order, total_cost_m=solved.cost_m[0],

@@ -9,14 +9,17 @@ table never saw fall back to a distance-based pseudo value.
 
 A training instance is a row: the ascending indices of its hotspots in
 the training pool, flown from the one depot (``harness``). ``train_q``
-takes the pool, the depot and the rows, and two columns of the
-demonstrations' record (``oracle.demonstrate``), so that nothing of them
-is recomputed here and no ``Tour`` is built for one: the demonstrated
-objectives, which the terminal bonus compares with, and the cost scales,
-each the length of the instance's nearest-neighbor construction, which
-scales its costs. The profit scale, the instance's total profit summed in
-id order, is computed here, once per row, into one array of floats; an
-episode reads its row, objective and both scales by the drawn index.
+takes the pool, the depot and the rows, one (m, k) int array, and two
+columns of the demonstrations' record (``oracle.demonstrate``), so that
+nothing of them is recomputed here and no ``Tour`` is built for one: the
+demonstrated objectives, which the terminal bonus compares with, and the
+cost scales, each the length of the instance's nearest-neighbor
+construction, which scales its costs. The profit scale, the instance's
+total profit summed in id order, is computed here for every row at once,
+by the oracle's in-order row sum (``oracle._row_sums``); an episode
+reads its row, as one list, its objective and both scales by the drawn
+index. The trained letters are the pool indices that some row holds, by
+one ``bincount`` of the rows.
 
 Training runs 100,000 steps on the default config, so each step does
 only what its arithmetic needs. An episode walks its row over the pool,
@@ -72,7 +75,7 @@ import numpy as np
 from .environment import Hotspot, Instance, Point, _Stream, edge_cost
 from .errors import (ConfigurationError, ConsistencyError, NumericError,
                      TrainingError)
-from .oracle import ObjectiveWeights, _table, objective_value
+from .oracle import ObjectiveWeights, _row_sums, _table, objective_value
 from .world_model import Word
 
 DEPOT_STATE = -1
@@ -129,13 +132,14 @@ class QTable:
         return self.values.get((state, action), 0.0)
 
 
-def train_q(hotspots: Sequence[Hotspot], depot: Point,
-            rows: Sequence[Sequence[int]], objectives: Sequence[float],
-            cost_scales: Sequence[float], cfg: QTrainConfig,
-            weights: ObjectiveWeights, rng_seed: int) -> QTable:
-    """Episodic Q-learning over the demonstration instances: ``rows[k]``
-    is training instance k, its hotspots' ascending indices in the pool
-    ``hotspots`` (ascending by id), flown from ``depot``, and
+def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
+            objectives: Sequence[float], cost_scales: Sequence[float],
+            cfg: QTrainConfig, weights: ObjectiveWeights,
+            rng_seed: int) -> QTable:
+    """Episodic Q-learning over the demonstration instances: ``rows`` is
+    an int array of one row per training instance, all of one length, and
+    ``rows[k]`` is training instance k, its hotspots' ascending indices in
+    the pool ``hotspots`` (ascending by id), flown from ``depot``, and
     ``objectives[k]`` its demonstration's objective.
 
     Each episode walks one instance from the depot with epsilon-greedy
@@ -149,15 +153,15 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
     ``objective`` and the ``cost_scale`` of its record, and every leg is
     read from its table of the pool (``oracle._table``).
     """
-    if not rows:
+    if not len(rows):
         raise TrainingError("no training instances for Q-learning")
     rng = _Stream(rng_seed)
     profits = [h.profit_bps for h in hotspots]
     # each instance's total profit, summed in id order
-    totals = array("d")
+    totals = array("d", _row_sums(np.array(profits)[rows]).tobytes())
     # strict: one objective and one cost scale per training instance
-    for row, _, _ in zip(rows, objectives, cost_scales, strict=True):
-        totals.append(sum([profits[v] for v in row]))
+    for _ in zip(totals, objectives, cost_scales, strict=True):
+        pass
     # legs[s][a]: the leg from pool index s, or from the depot at s = -1,
     # to pool index a
     legs = _table(hotspots, depot).tolist()
@@ -178,7 +182,7 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
         eps = start + spread * (ep / (episodes - 1) if episodes > 1 else 1.0)
         # random() < eps, as a raw output below a threshold
         explore = math.ceil(eps * 9007199254740992.0) << 11
-        unvisited = list(rows[k := integers(len(rows))])
+        unvisited = rows[k := integers(len(rows))].tolist()
         cost_scale, total = cost_scales[k], totals[k]
         profit_scale = total if total > 0 else 1.0
         s = DEPOT_STATE
@@ -221,9 +225,10 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point,
     # each pool index becomes its id; the depot's state, -1, reads the
     # entry appended last
     ids = [h.id for h in hotspots] + [DEPOT_STATE]
+    held = np.bincount(rows.ravel(), minlength=len(hotspots))
     return QTable(values={(ids[s], ids[a]): v for s, row in enumerate(written)
                           for a, v in row.items()},
-                  letters={ids[v] for v in set().union(*rows)})
+                  letters={ids[v] for v in np.flatnonzero(held).tolist()})
 
 
 def construct_word(q: QTable, reference: Word | None, inst: Instance,

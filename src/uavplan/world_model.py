@@ -75,7 +75,8 @@ up to the number of demonstrations, meet, every partial sum is an
 integer that a float holds, so each tally is exact in any order. Each sum of floats adds in
 the order a loop over the sorted words and their letters adds: a
 weighted ``bincount`` adds in the order of its input, and a total is the
-last of an ``np.add.accumulate`` (``_sum_in_order``), never the pairwise
+last of an ``np.add.accumulate`` (``oracle._row_sums``, which sums the
+demonstrations' totals by the same rule), never the pairwise
 ``np.sum``. So the model is the loop's, bit for bit;
 tests/world_model_oracles.py keeps the loops (``reference_learn``,
 ``reference_build``) for the tests to hold these passes to.
@@ -94,7 +95,7 @@ import numpy as np
 
 from .environment import Hotspot, MissionConfig, _record_from_dict
 from .errors import ConfigurationError, ConsistencyError, DegenerateWordError, TrainingError
-from .oracle import Demonstrations, Tour
+from .oracle import Demonstrations, Tour, _row_sums
 
 _ROW_TOL = 1e-9
 # the word counts' total is below it: every count and every sum of counts
@@ -431,15 +432,6 @@ def _build(letters: dict[int, LetterStats], words: list[tuple[int, ...]],
     )
 
 
-def _sum_in_order(values: np.ndarray) -> float:
-    """``values``, at least one, added one at a time, left to right, to
-    0.0, as a Python loop adds them (``np.sum`` adds pairwise, which
-    rounds otherwise); ``values`` is overwritten with its running sums.
-    The accumulate starts from the first value, so ``0.0 +`` turns a sum
-    of -0.0s into the loop's 0.0."""
-    return 0.0 + float(np.add.accumulate(values, out=values)[-1])
-
-
 def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
           noise: NoiseConfig, mission: MissionConfig) -> WorldModel:
     """Build the dictionary from the demonstrations: ``demonstrate``'s
@@ -459,7 +451,7 @@ def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
     stored order, the words sorted and each word's letters in its order,
     as a loop over them adds: a letter's profit sum by a weighted
     ``bincount``, which adds in the order of its input, and the total
-    profit and the total cost by ``_sum_in_order``, never by the pairwise
+    profit and the total cost by ``_row_sums``, never by the pairwise
     ``np.sum``. So the model is the loop's, bit for bit (the loop is kept
     in tests/world_model_oracles.py as ``reference_learn``).
     """
@@ -505,10 +497,10 @@ def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
     per_word = np.array(counts, np.float64)
     # each float sum adds the words in stored order and each word's
     # letters in its order: a weighted bincount adds in the order of its
-    # input, and ``_sum_in_order`` left to right
+    # input, and ``_row_sums`` left to right
     with np.errstate(over="ignore", invalid="ignore"):
         cost *= per_word
-        total_cost = _sum_in_order(cost)
+        total_cost = _row_sums(cost[None]).item()
     del cost
 
     layout = vocab, rows, lengths = _layout(keys)
@@ -524,7 +516,7 @@ def learn(demos: Demonstrations | Sequence[Tour], pool: Sequence[Hotspot],
     with np.errstate(over="ignore", invalid="ignore"):
         profit *= bps[rows]
         mean_profit = (np.bincount(rows, profit, len(vocab)) / occ).tolist()
-        total_profit = _sum_in_order(profit)
+        total_profit = _row_sums(profit[None]).item()
     del profit
     # exact, as the counts add up to the number of demonstrations
     total_visits = int(occ.sum())

@@ -13,8 +13,9 @@ test_oracle_equivalence.py:
 - ``indices`` maps a tour's ids to table indices, as a one-row batch;
 - ``instance_scales`` gives an instance's cost and profit scales, and
   ``relative_weights`` are the given weights with them;
-- ``pool_rows`` gives instances that share one depot in the form that
-  ``demonstrate`` and ``ql.train_q`` take: one pool and rows of indices;
+- ``pool_rows`` gives instances of one size that share one depot in the
+  form that ``demonstrate`` and ``ql.train_q`` take: one pool and an
+  (m, n) int64 array of rows of indices;
 - ``tied_exchange`` and ``tied_removal`` are the sequential rules that
   2-opt and the selection pass each kept apart before both took
   ``oracle._picks``, kept as its references;
@@ -59,7 +60,7 @@ def instance_scales(inst: Instance) -> tuple[float, float]:
     order one (``relative_weights``).
     """
     hotspots, table = _sorted_table(inst)
-    [(_, _, length)] = _constructions(table, [range(len(hotspots))])
+    [(_, _, length)] = _constructions(table, np.arange(len(hotspots))[None])
     return float(length[0]), _profit_scale(inst)
 
 
@@ -70,10 +71,11 @@ def _profit_scale(inst: Instance) -> float:
     return total if total > 0 else 1.0
 
 
-def pool_rows(instances) -> tuple[list[Hotspot], Point, list[list[int]]]:
+def pool_rows(instances) -> tuple[list[Hotspot], Point, np.ndarray]:
     """The pool of every hotspot of ``instances``, ascending by id, their
-    one depot, and each instance as a row: its hotspots' ascending indices
-    in the pool."""
+    one depot, and each instance as a row of one (m, n) int64 array: its
+    hotspots' ascending indices in the pool. The instances have one size,
+    n."""
     by_id = {}
     for inst in instances:
         for h in inst.hotspots:
@@ -82,8 +84,11 @@ def pool_rows(instances) -> tuple[list[Hotspot], Point, list[list[int]]]:
     assert len(depots) == 1, f"instances with depots {depots}"
     hotspots = [by_id[i] for i in sorted(by_id)]
     index = {h.id: k for k, h in enumerate(hotspots)}
-    return hotspots, depots.pop(), [sorted(index[i] for i in inst.ids)
-                                    for inst in instances]
+    sizes = {len(inst.hotspots) for inst in instances}
+    assert len(sizes) == 1, f"instances of sizes {sizes}"
+    return hotspots, depots.pop(), np.array(
+        [sorted(index[i] for i in inst.ids) for inst in instances],
+        dtype=np.int64)
 
 
 def _sorted_table(inst: Instance) -> tuple[list[Hotspot], np.ndarray]:

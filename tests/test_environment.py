@@ -17,7 +17,8 @@ from uavplan.environment import (_CHUNK, _CHUNKS, _HEADS, _PCG_MULT,
                                  Instance, MissionConfig, _canonical_json,
                                  _floyd_rows, _from_json, _head, _jump,
                                  _pairwise_sum, _pcg64_next, _pcg64_seeded,
-                                 _seeded, _Stream, channel_gain, edge_cost,
+                                 _sample_rows, _seeded, _Stream,
+                                 channel_gain, edge_cost,
                                  hotspot_sum_rate, los_probability,
                                  sample_instance, sample_instances,
                                  sample_pool)
@@ -493,6 +494,16 @@ class TestBulkStreams:
     the seed-count rule."""
 
     @staticmethod
+    def _are_rows(rows, seeds, n: int, k: int) -> None:
+        """``rows`` is ``_sample_rows``' one form of a draw: a C-contiguous
+        int64 array of shape (len(seeds), k) whose row j is
+        ``sorted(Generator.choice(n, k, replace=False))`` of ``seeds[j]``."""
+        assert rows.dtype == np.int64 and rows.flags.c_contiguous
+        assert rows.shape == (len(seeds), k)
+        assert rows.tolist() == [sorted(np.random.default_rng(s).choice(
+            n, k, replace=False).tolist()) for s in seeds]
+
+    @staticmethod
     def _seeded(seeds) -> list[tuple[int, int]]:
         """The (state, inc) the kernel seeds each stream with, each read
         back from its limbs as ``hi << 64 | lo``."""
@@ -562,10 +573,12 @@ class TestBulkStreams:
         """Seeds of 1, 2 and 3 or more entropy words, mixed and repeated,
         in batches on both sides of the seed-count rule, and no seed: the
         kernel draws each seed's ``_Stream(seed).sample(n, k)``, and so
-        does ``sample_instances``, whichever way it draws."""
+        do ``_sample_rows``, in its one form, and ``sample_instances``,
+        whichever way they draw."""
         n, k = nk
         want = [_Stream(s).sample(n, k) for s in seeds]
         assert [set(row) for row in _floyd_rows(seeds, n, k)] == want
+        self._are_rows(_sample_rows(seeds, n, k), seeds, n, k)
         pool = [Hotspot(id=i + 1, center_m=(float(i), 0.0), num_users=1,
                         profit_bps=1.0) for i in range(n)]
         got = sample_instances(seeds, pool, k, (0.0, 0.0), ChannelParams(),
@@ -619,16 +632,23 @@ class TestBulkStreams:
         assert sample_instances([3, seed, *range(2 ** 40, 2 ** 40 + MANY)],
                                 *args)[1] == one
 
-    def test_the_seed_count_rule(self, chan, mission):
+    def test_the_seed_count_rule(self):
         """Up to ``_PER_SEED_MAX`` seeds draw through one stream each, and
-        more through the kernel, once."""
-        pool = sample_pool(11, 50, 5.0, mission, chan)
-        for count, calls in ((_PER_SEED_MAX, 0), (MANY, 1)):
+        more through the kernel, once, unless the draw takes the tail
+        shuffle. On each path (a row Lemire's draw would reject, redrawn
+        in place, and a whole-pool draw among them) the rows come in one
+        form (``_are_rows``)."""
+        for seeds, n, k, calls in (
+                (range(_PER_SEED_MAX), 50, 5, 0),
+                (range(MANY), 50, 5, 1),
+                (range(64), 3_000_000_000, 3, 1),
+                (range(MANY), 100, 100, 1),
+                (range(MANY), 10_001, 201, 0)):
             with mock.patch.object(environment, "_floyd_rows",
                                    wraps=_floyd_rows) as kernel:
-                sample_instances(range(count), pool, 5, (0.0, 0.0), chan,
-                                 mission)
+                rows = _sample_rows(seeds, n, k)
             assert kernel.call_count == calls
+            self._are_rows(rows, seeds, n, k)
 
     @pytest.mark.parametrize("pool_size,n_select,seeds", [
         pytest.param(50, 5, range(1_000_000, 1_000_300), id="50-5"),

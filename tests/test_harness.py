@@ -669,7 +669,7 @@ class TestHeadedJsonl:
             instance_scales(i)[0]
             for i in _row_instances(cfg, training, sampled)])
         loaded = stage_training_instances(cfg, training, out)
-        assert loaded == sampled
+        assert loaded.tolist() == sampled.tolist()
         assert stage_oracle(cfg, training, loaded, out) == solved
         # one header line, then one record per instance or tour
         for name in ("training_instances.jsonl", "oracle_tours.jsonl"):
@@ -718,11 +718,8 @@ class TestHeadedJsonl:
         real = {name: getattr(harness, name) for name in (
             "stage_training_instances", "stage_oracle", "stage_eval")}
 
-        class Rows(list):
-            """The rows, in a list that a weak reference can point at."""
-
         def instances(*args):
-            got = Rows(real["stage_training_instances"](*args))
+            got = real["stage_training_instances"](*args)
             refs["rows"] = weakref.ref(got)
             return got
 

@@ -264,14 +264,20 @@ class TestDemonstrate:
                                 objective)
 
     def test_an_overflowing_profit_is_refused(self, default_weights):
-        """Two hotspots whose profits are finite alone but sum to inf: the
-        demonstration that visits both is named, by its row."""
+        """Two hotspots whose profits are finite alone but sum to inf: each
+        alone is solved, and the demonstration that visits both is named,
+        by its row, after a row whose sum stays finite."""
         pool = [Hotspot(id=i, center_m=(100.0 * i, 0.0), num_users=1,
-                        profit_bps=1e308) for i in (1, 2, 3)]
+                        profit_bps=p)
+                for i, p in ((1, 1.0), (2, 1e308), (3, 1e308))]
+        alone = demonstrate(pool, (0.0, 0.0), np.array([[0], [1], [2]]),
+                            default_weights)
+        assert list(alone.profit_bps)[1:] == [1e308, 1e308]
         with pytest.raises(ConsistencyError, match=(
                 r"^demonstration 1, order \[2, 3\], has a non-finite total: "
                 r"cost_m .*, profit_bps inf, objective -inf$")):
-            demonstrate(pool, (0.0, 0.0), [[0], [1, 2]], default_weights)
+            demonstrate(pool, (0.0, 0.0), np.array([[0, 1], [1, 2]]),
+                        default_weights)
 
 
 class TestBruteForce:

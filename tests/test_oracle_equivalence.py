@@ -310,12 +310,12 @@ def _pool(rng: random.Random, ids, grid: bool) -> list[Hotspot]:
     pytest.param(ObjectiveWeights(0.5, 0.5, cost_scale=4000.0,
                                   profit_scale=2e7), True, id="even-scaled")])
 def test_batch_equals_each_instance_alone(chan, mission, entries, w, drops):
-    """One call on a shuffled batch of rows of sizes 1-50 over one pool,
-    half on a lattice (where legs and removal gains tie) and half random:
-    every tour and cost scale is, bit for bit, what the row's instance
-    gets alone from ``solve``, its hotspots stored in and out of id order.
-    So it is in the production chunks and in chunks of one to a few rows,
-    all over the pool's one table."""
+    """One call per size on a shuffled batch of rows of sizes 1-50 over
+    one pool, half on a lattice (where legs and removal gains tie) and half
+    random: every tour and cost scale is, bit for bit, what the row's
+    instance gets alone from ``solve``, its hotspots stored in and out of
+    id order. So it is in the production chunks and in chunks of one to a
+    few rows, all over the pool's one table."""
     rng = random.Random(2323)
     pool = _pool(rng, range(1, 61), True) + _pool(rng, range(101, 161), False)
     depot = (200.0, 300.0)
@@ -330,12 +330,18 @@ def test_batch_equals_each_instance_alone(chan, mission, entries, w, drops):
         inst = Instance(hotspots=tuple(hotspots), depot_m=depot,
                         channel=chan, mission=mission, seed=0)
         alone.append((solve(inst, w), instance_scales(inst)[0]))
+    got = [None] * len(rows)
     with mock.patch.object(oracle, "_BATCH_ENTRIES",
                            entries or oracle._BATCH_ENTRIES):
-        got = demonstrate(pool, depot, rows, w)
-    assert _rows(got) == [(_column_bits(t), repr(s)) for t, s in alone]
-    assert any(len(o) < len(row) for o, row in zip(got.orders, rows)) \
-        == drops
+        for n in range(1, 51):
+            at = [k for k, row in enumerate(rows) if len(row) == n]
+            solved = demonstrate(pool, depot, np.array([rows[k] for k in at]),
+                                 w)
+            for k, bits in zip(at, _rows(solved), strict=True):
+                got[k] = bits
+    assert got == [(_column_bits(t), repr(s)) for t, s in alone]
+    assert any(len(order) < len(row)
+               for ((order, *_), _), row in zip(got, rows)) == drops
 
 
 def test_rows_over_a_large_pool_share_its_one_table(chan, mission,
@@ -412,19 +418,24 @@ def test_demonstration_totals_are_make_tours(m_training, test_sizes,
                                   profit_scale=1e6), id="cost-heavy")])
 def test_totals_of_skipping_tours_are_make_tours(chan, mission, w):
     """Random batches from one pool under weights where the oracle skips
-    hotspots: tours of every length, the empty one too, are
-    ``make_tour``'s, in the record's columns and, one instance at a time,
-    through ``solve``, where the empty tour's profit is ``make_tour``'s
-    int 0."""
+    hotspots, solved one instance size at a time: tours of every length,
+    the empty one too, are ``make_tour``'s, in the record's columns and,
+    one instance at a time, through ``solve``, where the empty tour's
+    profit is ``make_tour``'s int 0."""
     rng = random.Random(3535)
     for grid in (False, True):
         pool = _pool(rng, range(1, 61), grid)
         batch = [Instance(hotspots=tuple(rng.sample(pool, rng.randint(1, 12))),
                           depot_m=(200.0, 300.0), channel=chan,
                           mission=mission, seed=0) for _ in range(300)]
-        solved = demonstrate(*pool_rows(batch), w)
-        _are_make_tours(solved, batch, w)
-        lengths = [len(order) for order in solved.orders]
+        lengths = [None] * len(batch)
+        for n in range(1, 13):
+            at = [k for k, inst in enumerate(batch) if len(inst.hotspots) == n]
+            group = [batch[k] for k in at]
+            solved = demonstrate(*pool_rows(group), w)
+            _are_make_tours(solved, group, w)
+            for k, order in zip(at, solved.orders, strict=True):
+                lengths[k] = len(order)
         assert 0 in lengths and len(set(lengths)) > 5, lengths
         empty = [inst for inst, n in zip(batch, lengths) if n == 0]
         _are_solves(empty + batch[:20], w)

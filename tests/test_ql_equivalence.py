@@ -198,6 +198,15 @@ def _training(rng: random.Random, sizes, w: ObjectiveWeights, chan, mission):
     return training + training[:1]
 
 
+def _by_size(training) -> list[list[tuple[Instance, Tour]]]:
+    """The pairs of ``training`` in groups of one instance size, sizes
+    ascending, each in the given order: ``train_q`` takes rows of one
+    size."""
+    sizes = sorted({len(inst.hotspots) for inst, _ in training})
+    return [[(inst, demo) for inst, demo in training
+             if len(inst.hotspots) == n] for n in sizes]
+
+
 def _bits(q: QTable) -> str:
     # json writes floats with repr, which round-trips exactly and tells
     # 0.0 from -0.0
@@ -234,29 +243,34 @@ EPSILONS = {
 @pytest.mark.parametrize("epsilon", EPSILONS)
 @pytest.mark.parametrize("discount", [0.0, 0.95, 1.0])
 def test_train_q_matches_reference(chan, mission, weights, epsilon, discount):
-    """Rows of sizes 1-8 over one pool, lattice ties and a repeated
-    instance: the same table, bit for bit, for every episode count."""
+    """Rows of sizes 1-8 over one pool, three of each, trained one size at
+    a time, lattice ties and a repeated instance: the same table, bit for
+    bit, for every episode count."""
     w = WEIGHTS[weights]
     rng = random.Random(f"{weights}:{epsilon}:{discount}")
-    training = _training(rng, range(1, 9), w, chan, mission)
-    for episodes in (0, 1, 2, 600):
-        cfg = QTrainConfig(episodes=episodes, discount=discount,
-                           **EPSILONS[epsilon])
-        _assert_same_training(training, cfg, w, seed=episodes + 3)
+    training = _training(rng, [n for n in range(1, 9) for _ in range(3)], w,
+                         chan, mission)
+    for group in _by_size(training):
+        for episodes in (0, 1, 2, 200):
+            cfg = QTrainConfig(episodes=episodes, discount=discount,
+                               **EPSILONS[epsilon])
+            _assert_same_training(group, cfg, w, seed=episodes + 3)
 
 
 def test_match_tolerance_hits_and_misses(chan, mission):
     """Tolerances at which no realized tour, only bit-exact demonstration
     tours, some and all tours earn the terminal bonus: each changes the
     table, and each table equals the reference's. (On these instances the
-    table is the same at every tolerance from 1e-3 up.)"""
+    table is the same at every tolerance from 1e-3 up.) The instances are
+    trained one size at a time."""
     w = WEIGHTS["0.9/0.1"]
     rng = random.Random(11)
     training = _training(rng, [2, 3, 4, 5, 3, 4], w, chan, mission)
     tables = set()
     for tol in (-1.0, 0.0, 1e-4, 1e9):
         cfg = QTrainConfig(episodes=3000, match_tolerance=tol)
-        tables.add(_assert_same_training(training, cfg, w, seed=5))
+        tables.add(tuple(_assert_same_training(group, cfg, w, seed=5)
+                         for group in _by_size(training)))
     assert len(tables) == 4
 
 
@@ -289,7 +303,7 @@ def test_entry_written_as_zero_is_kept(chan, mission):
     learning rate 1, and no terminal bonus, earns a reward of exactly 0.0,
     and the update writes 0.0: the table holds each pair into it with
     value 0.0, as the reference's does, and the same keys and bits
-    throughout."""
+    throughout, one instance size at a time."""
     w = WEIGHTS["0/1"]
     rng = random.Random(29)
     training = _training(rng, [3, 4, 5], w, chan, mission)
@@ -303,23 +317,27 @@ def test_entry_written_as_zero_is_kept(chan, mission):
     training = [(inst, solve(inst, w)) for inst, _ in training]
     cfg = QTrainConfig(episodes=300, discount=0.0, learning_rate=1.0,
                        match_tolerance=-1.0)
-    _assert_same_training(training, cfg, w, seed=2)
-    table = _train(training, cfg, w, 2)
-    zeros = [key for key, v in table.values.items() if key[1] == zero.id]
-    assert zeros and all(repr(table.values[key]) == "0.0" for key in zeros)
+    zeros = []
+    for group in _by_size(training):
+        _assert_same_training(group, cfg, w, seed=2)
+        table = _train(group, cfg, w, 2)
+        zeros += [v for (_, a), v in table.values.items() if a == zero.id]
+    assert zeros and all(repr(v) == "0.0" for v in zeros)
 
 
 @pytest.mark.parametrize("sizes", [[2, 2], [2, 7, 2, 3], [5, 2, 1, 8, 2]])
 def test_train_q_rows_of_unequal_lengths(chan, mission, sizes):
-    """Rows of unequal lengths over one pool, length 2 among them (one
-    step with a maximum, then the last step): the same table as the
+    """Rows of unequal lengths over one pool, trained one length at a
+    time, length 2 among them (one step with a maximum, then the last
+    step) and length 1 (the last step alone): the same table as the
     reference's at every exploration schedule."""
     w = WEIGHTS["0.9/0.1"]
     rng = random.Random(str(sizes))
     training = _training(rng, sizes, w, chan, mission)
-    for epsilon in EPSILONS.values():
-        cfg = QTrainConfig(episodes=500, **epsilon)
-        _assert_same_training(training, cfg, w, seed=len(sizes))
+    for group in _by_size(training):
+        for epsilon in EPSILONS.values():
+            cfg = QTrainConfig(episodes=500, **epsilon)
+            _assert_same_training(group, cfg, w, seed=len(sizes))
 
 
 def test_instance_scales_match_the_nearest_neighbor_tour(chan, mission):
@@ -337,7 +355,7 @@ def test_construct_word_matches_reference(chan, mission, temperature):
     from the same seed."""
     w = WEIGHTS["0.9/0.1"]
     rng = random.Random(21)
-    training = _training(rng, [4, 5, 6], w, chan, mission)
+    training = _training(rng, [5, 5, 5], w, chan, mission)
     q = _train(training, QTrainConfig(episodes=400), w, 9)
     cfg = QTrainConfig(temperature=temperature)
     for n in range(1, 12):
@@ -383,8 +401,9 @@ _coord = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 @st.composite
 def instance_sets(draw):
     """A pool of 1-12 hotspots, ascending by id, a depot and one to four
-    rows over the pool (ascending indices) of 1-8 hotspots; points drawn
-    from a lattice now and then, so legs tie."""
+    rows over the pool (ascending indices) of one size, 1-8 hotspots, as
+    an int64 array; points drawn from a lattice now and then, so legs
+    tie."""
     lattice = draw(st.booleans())
     coord = (st.integers(0, 4).map(lambda k: 100.0 * k) if lattice else _coord)
     ids = sorted(draw(st.lists(st.integers(min_value=0, max_value=60),
@@ -392,10 +411,11 @@ def instance_sets(draw):
     pool = [Hotspot(id=i, center_m=(draw(coord), draw(coord)), num_users=1,
                     profit_bps=draw(st.floats(min_value=0.0, max_value=5e7)))
             for i in ids]
+    n = draw(st.integers(1, min(8, len(pool))))
     rows = draw(st.lists(st.lists(
-        st.integers(0, len(pool) - 1), min_size=1, max_size=8,
+        st.integers(0, len(pool) - 1), min_size=n, max_size=n,
         unique=True).map(sorted), min_size=1, max_size=4))
-    return pool, (draw(coord), draw(coord)), rows
+    return pool, (draw(coord), draw(coord)), np.array(rows, dtype=np.int64)
 
 
 def _instances(drawn, chan, mission) -> list[Instance]:

@@ -410,9 +410,10 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
     """tools/setup_layers.py times each set-up stage of the pipeline on
     a commit's src/ and the working tree's, on the shape of either benchmark
     workload, one line per stage with a median and quartiles per side,
-    then a line for reading the stage's world model back
-    (``world_read``), each with the rounds in which the tree was
-    faster, and a last line that every process ran pinned to
+    after a first line for the package's import (``imports``, the floor
+    of the set-up's memory), then a line for reading the stage's world
+    model back (``world_read``), each with the rounds in which the tree
+    was faster, and a last line that every process ran pinned to
     one CPU, and exits 0 when every stage's file and the model
     read back are the same on both sides (here the commit is the tree's
     own, so they are); a commit it cannot export, no rounds or an unknown
@@ -427,7 +428,11 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
         # the rounds of the one run in which the tree was faster
         assert out[0].split()[-2:] == ["tree", "faster"]
         assert all(line.split()[9] in ("0/1", "1/1") for line in out[1:-1])
+        assert layers.LAYERS[0] == "imports"
         assert layers.LAYERS[-2:] == ("ql", "world_read")
+        # the import's peak is the floor that every stage's starts from
+        floor, *stages = (float(line.split()[7]) for line in out[1:-2])
+        assert 0 < floor <= min(stages)
         assert out[-1] == "each process ran on 1 CPU"
         assert not any("differ" in line for line in out)
     assert layers.setup_layers("no-such-commit", 1) == 2

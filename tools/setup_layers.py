@@ -19,6 +19,9 @@ first pins itself to one CPU, the lowest it may run on
 two sides run alike with no ``taskset``. Each stage is timed
 with ``time.perf_counter`` from the previous yield to its own:
 
+- ``imports``: ``from uavplan import harness``, in the set-up's process
+  before its first stage; its peak is the floor the set-up starts from,
+  so each later stage's peak less this one is the set-up's own memory;
 - ``pools``: the pools and ``pools.json``;
 - ``training_instances``: the training instances and
   ``training_instances.jsonl``;
@@ -48,8 +51,9 @@ the pair rule that a claimed gain is held to, which medians and quartiles
 cannot stand in for where the rounds run at two speeds on a shared host.
 Then it prints ``each process ran on 1 CPU``, and exits 0
 when each stage's file, and the model read back, has one sha256 over
-every process of both sides, 1 when any differs, and 2 when REF cannot
-be exported. Standard library only, besides the package it runs.
+every process of both sides (``imports`` writes no file, and has none),
+1 when any differs, and 2 when REF cannot be exported. Standard library
+only, besides the package it runs.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ FILES = {"pools": "pools.json",
          "oracle": "oracle_tours.jsonl",
          "world": "world_model.json",
          "ql": "qtable.json"}
-LAYERS = (*FILES, "world_read")
+LAYERS = ("imports", *FILES, "world_read")
 
 
 @cache
@@ -109,14 +113,16 @@ def _peak_mb() -> float:
 def _child(config: dict) -> dict:
     """Each set-up stage's (seconds, peak MB after it, file digest) on the
     config ``config``, run on the ``uavplan`` that ``sys.path`` finds,
-    pinned to one CPU; ``cpus`` is the count it then runs on."""
+    pinned to one CPU, after the import's (seconds, peak MB); ``cpus`` is
+    the count it then runs on."""
     cpus = _pin()
+    start = time.perf_counter()
     from uavplan import harness
 
+    result = {"imports": [time.perf_counter() - start, _peak_mb()]}
     cfg = harness.config_from_dict(config)
     out = Path(cfg.output_dir)
     out.mkdir()
-    result = {}
     stages = harness._stages(cfg, out)
     start = time.perf_counter()
     for name, _ in stages:
@@ -192,10 +198,10 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
                 for result in _run(sources[side], tmp / f"out-{side}-{r}",
                                    workload):
                     cpus.add(result.pop("cpus"))
-                    for layer, (seconds, peak, digest) in result.items():
+                    for layer, (seconds, peak, *digest) in result.items():
                         times[side][layer].append(seconds)
                         peaks[side][layer].append(peak)
-                        digests[layer].add(digest)
+                        digests[layer].update(digest)
     differ = [layer for layer in LAYERS if len(digests[layer]) > 1]
     print(f"{'stage (ms)':18} {'ref median [q1, q3]':>28} "
           f"{'tree median [q1, q3]':>28} {'ref MB':>8} {'tree MB':>8} "
