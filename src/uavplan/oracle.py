@@ -19,11 +19,12 @@ the ascending indices of its hotspots in the pool. The training
 instances are such rows over the training pool (``harness``), and
 ``solve`` is the one-row case over an instance's own hotspots. A call
 builds one table (``_table``): the matrix of ``edge_cost`` values
-between the pool's hotspots, ids ascending, with the depot last. Every
-entry is ``math.hypot`` of the lower-id point minus the higher-id one,
-as ``edge_cost`` forms it, so each distance between pool hotspots is
-computed once, not once per instance. ``ql.train_q`` reads its legs
-from the same table.
+between the pool's hotspots, ids ascending, with the depot last, one
+float64 array filled in place, row by row. Every entry is
+``math.hypot`` of the lower-id point minus the higher-id one, as
+``edge_cost`` forms it, so each distance between pool hotspots is
+computed once, not once per instance, and written into its row and its
+column. ``ql.train_q`` reads its legs from the same table.
 
 Construction, 2-opt and the selection pass then run as numpy operations
 over the rows, in chunks of ``_BATCH_ENTRIES`` for memory, with each
@@ -71,7 +72,8 @@ geometry and id map on every instance once raised the peak resident memory
 of a 20,000-demonstration run from 99.9 to 142.0 MB (62.7 to 74.8 MB on
 5,000 demonstrations with 30-50 hotspot test instances). For a pool of
 P hotspots a call's table holds (P + 1)^2 entries (51 x 51 for the
-default 50-hotspot training pool), and the row arrays are bounded per
+default 50-hotspot training pool), 8 bytes each and nothing more: no
+nested list of them is built, and the row arrays are bounded per
 chunk. The table has no cap. Splitting a large pool's rows into runs
 with smaller tables bounded no memory that a pipeline reaches, since
 Q-learning reads the whole pool's table after the oracle, and it made
@@ -197,17 +199,16 @@ def _table(hotspots: Sequence[Hotspot], depot: Point) -> np.ndarray:
     ``hotspots``, ascending by id, with the depot last: an entry is
     ``math.hypot`` of the lower-id point minus the higher-id point, the
     depot counting as the highest, and hypot(-x, -y) == hypot(x, y)
-    exactly, so one value serves both directions."""
+    exactly, so one value serves both directions. It is one float64
+    array, filled in place: row ``a``'s entries past the diagonal, one
+    ``hypot`` per pair, are written into row ``a`` and column ``a``."""
     pts = [h.center_m for h in hotspots] + [depot]
-    n = len(hotspots)
-    dist = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for a in range(n):
-        xa, ya = pts[a]
-        row = dist[a]
-        for b in range(a + 1, n + 1):
-            # edge_cost inlined
-            row[b] = dist[b][a] = math.hypot(xa - pts[b][0], ya - pts[b][1])
-    return np.array(dist)
+    dist = np.zeros((len(pts), len(pts)))
+    for a, (xa, ya) in enumerate(pts):
+        # edge_cost inlined
+        dist[a, a + 1:] = [math.hypot(xa - xb, ya - yb) for xb, yb in pts[a + 1:]]
+        dist[a + 1:, a] = dist[a, a + 1:]
+    return dist
 
 
 def _constructions(table: np.ndarray, rows: np.ndarray

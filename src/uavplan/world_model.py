@@ -189,7 +189,11 @@ def merge_global(rows: np.ndarray, lengths: np.ndarray,
     multiplicities as floats. It is the float of the exact sum only while
     the multiplicities add up to less than 2**53, where every partial sum
     is an integer that a float holds; ``_build`` refuses counts that add
-    up to more, but this function does not check.
+    up to more, but this function does not check. The counts are one
+    float64 array, on every input (``bincount`` of an empty key gives
+    int64), and each active row is divided by its sum in place, one
+    division per entry, so the returned ``probs`` is that array: the one
+    n x n array made here.
     """
     # each letter paired with the letter after it, as the key
     # letter * n + next letter, weighted by the next letter's word's
@@ -199,13 +203,13 @@ def merge_global(rows: np.ndarray, lengths: np.ndarray,
     weight[(np.cumsum(lengths) - lengths)[lengths > 0]] = 0.0
     key = rows[:-1] * n
     key += rows[1:]
-    counts = np.bincount(key, weight[1:], n * n).reshape(n, n)
+    counts = np.bincount(key, weight[1:], n * n).astype(float, copy=False).reshape(n, n)
     del key, weight
     out = counts.sum(axis=1)
     active = out > 0
-    probs = np.zeros_like(counts)
-    probs[active] = counts[active] / out[active, None]
-    tm = TransitionMatrix(probs=probs, active=active)
+    # an inactive row is all +0.0, and divided by 1.0 it stays so
+    counts /= np.where(active, out, 1.0)[:, None]
+    tm = TransitionMatrix(probs=counts, active=active)
     tm.validate()
     return tm
 

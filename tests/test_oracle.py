@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavplan import oracle
-from uavplan.environment import (Hotspot, _canonical_json, sample_instance,
-                                 sample_pool)
+from uavplan.environment import (Hotspot, _canonical_json, edge_cost,
+                                 sample_instance, sample_pool)
 from uavplan.errors import ConfigurationError, ConsistencyError
 from uavplan.oracle import (TOUR_SCHEMA, ObjectiveWeights, Tour, brute_force,
                             demonstrate, make_tour, objective_value, solve,
@@ -278,6 +279,30 @@ class TestDemonstrate:
                 r"cost_m .*, profit_bps inf, objective -inf$")):
             demonstrate(pool, (0.0, 0.0), np.array([[0, 1], [1, 2]]),
                         default_weights)
+
+
+class TestTable:
+    def test_one_array_of_edge_costs(self, chan, mission):
+        """``_table`` of a 300-hotspot pool is one float64 array, filled in
+        place: its traced peak stays under 1.5 times the array's bytes,
+        which neither a nested list of its entries nor a second array
+        would; and each entry ``[a, b]``, in both triangles, is
+        ``edge_cost`` of the lower-id point and the higher-id one, the
+        depot counting as the highest id."""
+        pool = sample_pool(29, 300, 5.0, mission, chan)
+        depot = (1000.0, 1000.0)
+        tracemalloc.start()
+        try:
+            table = oracle._table(pool, depot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.dtype == np.float64
+        assert peak < 1.5 * table.nbytes
+        pts = [h.center_m for h in pool] + [depot]
+        want = [[edge_cost(pts[min(a, b)], pts[max(a, b)])
+                 for b in range(len(pts))] for a in range(len(pts))]
+        assert table.tobytes() == np.array(want).tobytes()
 
 
 class TestBruteForce:

@@ -1,13 +1,16 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from uavplan.environment import edge_cost, sample_instance, sample_pool
+from uavplan.environment import (_sample_rows, edge_cost, sample_instance,
+                                 sample_pool)
 from uavplan.errors import ConfigurationError, NumericError, TrainingError
-from uavplan.oracle import ObjectiveWeights, make_tour, solve
+from uavplan.oracle import (ObjectiveWeights, _table, demonstrate, make_tour,
+                            solve)
 from uavplan.ql import (DEPOT_STATE, QTable, QTrainConfig, construct_word,
                         qtable_to_dict, train_q)
 from uavplan.world_model import Word
@@ -174,6 +177,24 @@ class TestTrainQ:
         assert table.letters <= {h.id for h in pool}
         assert all(s == DEPOT_STATE or s in table.letters
                    for (s, _) in table.values)
+
+    def test_reads_one_table_of_the_pool(self, chan, mission):
+        """On a 300-hotspot pool, what ``train_q`` allocates above its
+        inputs peaks under 4 times the bytes of the pool's table: the one
+        float64 array it reads its legs from, through views of its rows,
+        and no nested list of its entries."""
+        pool = sample_pool(43, 300, 5.0, mission, chan)
+        depot = (1000.0, 1000.0)
+        rows = _sample_rows(range(200), len(pool), 5)
+        demos = demonstrate(pool, depot, rows, W)
+        tracemalloc.start()
+        try:
+            train_q(pool, depot, rows, demos.objective, demos.cost_scale,
+                    QTrainConfig(episodes=200), W, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * _table(pool, depot).nbytes
 
     def test_deterministic(self, two_hotspot_world):
         inst, demo = two_hotspot_world

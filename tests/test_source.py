@@ -416,13 +416,14 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
     was faster, and a last line that every process ran pinned to
     one CPU, and exits 0 when every stage's file and the model
     read back are the same on both sides (here the commit is the tree's
-    own, so they are); a commit it cannot export, no rounds or an unknown
-    workload exits 2."""
+    own, so they are), also over pools of ``--training-pool`` hotspots;
+    a commit it cannot export, no rounds, an unknown workload or a pool
+    smaller than the shape's largest test size exits 2."""
     ref = _tree_commit(Path(__file__).parent.parent)
     layers = _tool("setup_layers")
-    for workload in ("train-large", "plan-large"):
-        assert layers.main([ref, "--rounds", "1",
-                            "--workload", workload]) == 0
+    for args in (["--workload", "train-large"], ["--workload", "plan-large"],
+                 ["--workload", "plan-large", "--training-pool", "60"]):
+        assert layers.main([ref, "--rounds", "1", *args]) == 0
         out = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in out[1:-1]] == list(layers.LAYERS)
         # the rounds of the one run in which the tree was faster
@@ -439,3 +440,10 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
     assert "cannot export no-such-commit" in capsys.readouterr().err
     assert layers.main([ref, "--rounds", "0"]) == 2
     assert layers.main([ref, "--workload", "no-such-workload"]) == 2
+    config = layers._config("plan-large", Path("out"), 60)
+    assert (config["training_pool_size"], config["testing_pool_size"]) == (
+        60, 60)
+    capsys.readouterr()
+    assert layers.main([ref, "--workload", "plan-large",
+                        "--training-pool", "49"]) == 2
+    assert capsys.readouterr().err.startswith("usage: setup_layers.py")

@@ -223,6 +223,7 @@ class TestMergeGlobal:
         for multiplicities in (counts, [1] * len(words)):
             got = merged(words, vocab, multiplicities)
             want = reference_merge_global(words, vocab, multiplicities)
+            assert got.probs.dtype == np.float64
             assert got.probs.tobytes() == want.probs.tobytes()
             assert np.array_equal(got.active, want.active)
 

@@ -1,6 +1,7 @@
 """Time the set-up stages of a commit and of the working tree, side by side.
 
     python3 tools/setup_layers.py REF [--rounds N] [--workload NAME]
+                                  [--training-pool N]
 
 exports REF's ``src/`` into a temporary directory (``export_src`` of
 ``tools/same_outputs.py``), then runs N rounds (default 5) of two
@@ -11,7 +12,11 @@ set-up's process is given the config of the shape of the benchmark's
 workload NAME (``WORKLOADS[NAME].config(3011, 0, out)`` of
 ``perfbench/workloads.py``, which this process reads, not edits):
 ``train-large`` by default, 20,000 training instances of 5 of 50
-hotspots, or ``plan-large``, 5,000 of them. It runs the pipeline's
+hotspots, or ``plan-large``, 5,000 of them. ``--training-pool N`` sets
+both pool sizes of that shape to N (``training_pool_size`` and
+``testing_pool_size``), so that the set-up runs over a pool of N
+hotspots; an N below the shape's largest test size exits 2 with the
+usage message. It runs the pipeline's
 set-up stages in order, as ``harness._stages`` yields them, into a new
 directory, stopping after the last of them, Q-learning. Each process
 first pins itself to one CPU, the lowest it may run on
@@ -160,10 +165,19 @@ def _read(model: Path) -> dict:
         "cpus": cpus}
 
 
-def _run(src: Path, out: Path, workload: str) -> list[dict]:
+def _config(workload: str, out: Path, pool: int | None) -> dict:
+    """The config of ``workload``'s shape into ``out``, with both pools
+    of ``pool`` hotspots unless it is None."""
+    config = _workloads()[workload].config(3011, 0, str(out))
+    if pool is not None:
+        config.update(training_pool_size=pool, testing_pool_size=pool)
+    return config
+
+
+def _run(src: Path, out: Path, workload: str, pool: int | None) -> list[dict]:
     """Two child processes on the package under ``src``: the set-up
-    stages of ``workload``'s shape into ``out``, then the read of their
-    world model."""
+    stages of ``workload``'s shape (``_config``) into ``out``, then the
+    read of their world model."""
 
     def child(*args: str) -> dict:
         done = subprocess.run(
@@ -172,8 +186,7 @@ def _run(src: Path, out: Path, workload: str) -> list[dict]:
             env={**os.environ, "PYTHONPATH": str(src)})
         return json.loads(done.stdout)
 
-    config = _workloads()[workload].config(3011, 0, str(out))
-    return [child("--child", json.dumps(config)),
+    return [child("--child", json.dumps(_config(workload, out, pool))),
             child("--read", str(out / FILES["world"]))]
 
 
@@ -183,7 +196,8 @@ def _spread(seconds: list[float]) -> str:
     return f"{statistics.median(ms):8.1f} [{q1:.1f}, {q3:.1f}]"
 
 
-def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
+def setup_layers(ref: str, rounds: int, workload: str = "train-large",
+                 pool: int | None = None) -> int:
     times = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
     peaks = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
     digests = {layer: set() for layer in LAYERS}
@@ -196,7 +210,7 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large") -> int:
         for r in range(rounds):
             for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
                 for result in _run(sources[side], tmp / f"out-{side}-{r}",
-                                   workload):
+                                   workload, pool):
                     cpus.add(result.pop("cpus"))
                     for layer, (seconds, peak, *digest) in result.items():
                         times[side][layer].append(seconds)
@@ -232,14 +246,17 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--workload", default="train-large",
                         choices=sorted(_workloads()))
+    parser.add_argument("--training-pool", type=int, metavar="N")
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:  # argparse has printed its message
         return e.code
-    if args.rounds < 1:
+    pool = args.training_pool
+    if args.rounds < 1 or pool is not None and pool < max(
+            _workloads()[args.workload].test_sizes):
         parser.print_usage(sys.stderr)
         return 2
-    return setup_layers(args.ref, args.rounds, args.workload)
+    return setup_layers(args.ref, args.rounds, args.workload, pool)
 
 
 if __name__ == "__main__":
