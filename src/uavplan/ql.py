@@ -40,11 +40,22 @@ the absolute values of the differences, so a leg read in either
 direction is the one ``edge_cost`` and ``make_tour`` form. A running
 tour length adds the legs in visiting order, so at the last step
 ``length + back`` is the ``total_cost_m`` sum ``make_tour`` forms, term
-for term, and the realized objective is bit-identical. The Q-values are
-dense rows, one list per pool index and the depot's last (state -1), and
-each entry an update writes is also stored in its state's dict, so the
-``QTable`` made over ids at the end holds exactly the pairs the updates
-wrote, 0.0 values included.
+for term, and the realized objective is bit-identical.
+
+The Q-values are held once: one dict per state, one per pool index and
+the depot's last (state -1), of the entries that its updates wrote, each
+update one store. An entry that no update wrote reads 0.0, and the read
+inserts nothing: the row's ``__missing__`` returns 0.0 and does not
+store it. So a row gains an entry at its first write, and only there,
+and the ``QTable`` made over ids at the end holds exactly the pairs the
+updates wrote, in the order they were first written, 0.0 values
+included. A dense row per state would hold a pointer for every pool
+index, and the set-up's peak with it: on a 2,000-hotspot pool, such
+rows took 30.7 MB, and the set-up's peak resident memory fell from 157
+to 127 MB without them (``tools/setup_layers.py --training-pool
+2000``). A read hashes its int key where a list read indexed it, and
+about 11,100 reads a run miss and call ``__missing__``, so on 50
+hotspots ``train_q`` takes a few percent longer than over dense rows.
 
 Each step but the last scans one row, once (the first step also scans
 the depot's row when it does not explore). The update's target takes
@@ -129,6 +140,14 @@ class QTrainConfig:
                     "temperature")
 
 
+class _Row(dict):
+    """A state's Q-values by pool index: an entry no update wrote reads
+    0.0, and the read inserts nothing."""
+
+    def __missing__(self, a: int) -> float:
+        return 0.0
+
+
 @dataclass
 class QTable:
     values: dict[tuple[int, int], float]
@@ -181,10 +200,9 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
     # beta * profit, per pool index
     gains = [weights.weight_beta * p for p in profits]
     lr, discount = cfg.learning_rate, cfg.discount
-    # q[s][a], with the depot's row last (s = -1); written[s] holds the
-    # entries of q[s] that an update wrote, and keys[s] reads q[s]
-    q = [[0.0] * len(hotspots) for _ in range(len(hotspots) + 1)]
-    written: list[dict[int, float]] = [{} for _ in q]
+    # q[s][a], with the depot's row last (s = -1): the entries an update
+    # wrote, and 0.0 for any other, read with no insert; keys[s] reads q[s]
+    q = [_Row() for _ in range(len(hotspots) + 1)]
     keys = [row.__getitem__ for row in q]
     raw, integers = rng.raw, rng.integers
     episodes, start = cfg.episodes, cfg.epsilon_start
@@ -214,7 +232,7 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
             target = (neg_alpha * leg / cost_scale + gains[a] / profit_scale
                       + discount * q_a[best])
             old = q_s[a]
-            written[s][a] = q_s[a] = old + lr * (target - old)
+            q_s[a] = old + lr * (target - old)
             s, q_s = a, q_a
             if raw() < explore:
                 a = unvisited.pop(integers(len(unvisited)))
@@ -232,12 +250,12 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
         if abs(realized - demo) <= tolerance * abs(demo):
             target += cfg.terminal_bonus
         old = q_s[a]
-        written[s][a] = q_s[a] = old + lr * (target - old)
+        q_s[a] = old + lr * (target - old)
     # each pool index becomes its id; the depot's state, -1, reads the
     # entry appended last
     ids = [h.id for h in hotspots] + [DEPOT_STATE]
     held = np.bincount(rows.ravel(), minlength=len(hotspots))
-    return QTable(values={(ids[s], ids[a]): v for s, row in enumerate(written)
+    return QTable(values={(ids[s], ids[a]): v for s, row in enumerate(q)
                           for a, v in row.items()},
                   letters={ids[v] for v in np.flatnonzero(held).tolist()})
 

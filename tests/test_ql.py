@@ -196,6 +196,25 @@ class TestTrainQ:
             tracemalloc.stop()
         assert peak < 4 * _table(pool, depot).nbytes
 
+    def test_holds_each_q_value_once(self, chan, mission):
+        """On a 600-hotspot pool, what ``train_q`` allocates above its
+        inputs peaks under 1.75 times the bytes of the pool's table: the
+        table itself and the entries its updates wrote, each held once, in
+        its state's row, with no dense row of every pool index and no
+        second dict of the written entries (2.33 times with both)."""
+        pool = sample_pool(43, 600, 5.0, mission, chan)
+        depot = (1000.0, 1000.0)
+        rows = _sample_rows(range(200), len(pool), 5)
+        demos = demonstrate(pool, depot, rows, W)
+        tracemalloc.start()
+        try:
+            train_q(pool, depot, rows, demos.objective, demos.cost_scale,
+                    QTrainConfig(episodes=200), W, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * _table(pool, depot).nbytes
+
     def test_deterministic(self, two_hotspot_world):
         inst, demo = two_hotspot_world
         cfg = QTrainConfig(episodes=500)

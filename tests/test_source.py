@@ -263,6 +263,19 @@ def test_code_lines_counts_lines_of_code_only(tmp_path, capsys):
     assert capsys.readouterr().out == "a 1\nb 6\ntotal 7\n"
 
 
+def test_code_lines_refuses_a_dir_that_is_not_a_directory(tmp_path, capsys):
+    """tools/code_lines.py exits 2 with its usage message, and prints no
+    count, when DIR is missing or a file, with or without ``--ref``: a
+    typo does not read as a package of no lines."""
+    code_lines = _tool("code_lines")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    for path in (tmp_path / "missing", tmp_path / "a.py"):
+        for args in ([str(path)], ["--ref", "HEAD", str(path)]):
+            assert code_lines.main(args) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: code_lines.py"), args
+
+
 def test_compare_outputs_names_every_difference(tmp_path, capsys):
     """tools/compare_outputs.py compares two output directories by sha256,
     subdirectories included and timings.csv left out: it names each
@@ -409,9 +422,10 @@ def test_profit_drops_shape_drops_hotspots(tmp_path, monkeypatch):
 def test_setup_layers_times_a_commit_against_the_tree(capsys):
     """tools/setup_layers.py times each set-up stage of the pipeline on
     a commit's src/ and the working tree's, on the shape of either benchmark
-    workload, one line per stage with a median and quartiles per side,
-    after a first line for the package's import (``imports``, the floor
-    of the set-up's memory), then a line for reading the stage's world
+    workload, one line per stage with a median and quartiles per side
+    for its time and for its peak memory, after a first line for the
+    package's import (``imports``, the floor of the set-up's memory),
+    then a line for reading the stage's world
     model back (``world_read``), each with the rounds in which the tree
     was faster, and a last line that every process ran pinned to
     one CPU, and exits 0 when every stage's file and the model
@@ -428,7 +442,13 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
         assert [line.split()[0] for line in out[1:-1]] == list(layers.LAYERS)
         # the rounds of the one run in which the tree was faster
         assert out[0].split()[-2:] == ["tree", "faster"]
-        assert all(line.split()[9] in ("0/1", "1/1") for line in out[1:-1])
+        assert all(line.split()[13] in ("0/1", "1/1") for line in out[1:-1])
+        # each side's peak: MEDIAN [Q1, Q3], the median inside its quartiles
+        for line in out[1:-1]:
+            for median, q1, q3 in (line.split()[7:10], line.split()[10:13]):
+                assert q1.startswith("[") and q3.endswith("]"), line
+                assert (float(q1[1:-1]) <= float(median)
+                        <= float(q3[:-1])), line
         assert layers.LAYERS[0] == "imports"
         assert layers.LAYERS[-2:] == ("ql", "world_read")
         # the import's peak is the floor that every stage's starts from

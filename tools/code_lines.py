@@ -14,7 +14,9 @@ REF's ``src/`` (``export_src`` of ``tools/same_outputs.py``) into a
 temporary directory and prints one ``module REF tree delta`` line per
 module of REF's ``src/uavplan`` or DIR, the delta being DIR's count less
 REF's (a module that one side lacks counts 0 there), and then ``total
-REF tree delta``; it exits 2 when REF cannot be exported.
+REF tree delta``; it exits 2 when REF cannot be exported. A DIR that is
+not a directory exits 2 with the usage message, with or without
+``--ref``.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ def main(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:  # argparse has printed its message
         return e.code
+    if not args.dir.is_dir():
+        parser.print_usage(sys.stderr)
+        return 2
     tree = _counts(args.dir)
     if args.ref is None:
         for name, n in tree.items():

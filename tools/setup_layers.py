@@ -49,9 +49,13 @@ reading but the package's and the standard library's that this file
 needs: ``hashlib``, which loads OpenSSL, about 3 MB resident, only after
 it, for the digests, so that a reading is the program's own. Prints one
 line per stage, ``STAGE  ref MEDIAN [Q1, Q3]  tree MEDIAN [Q1, Q3]  ref
-MB  tree MB  K/N``, times in milliseconds,
-the median peak in MB, and the number K of the N rounds in which the
-tree's stage took less time than REF's (a tie counts for neither side):
+MEDIAN [Q1, Q3]  tree MEDIAN [Q1, Q3]  K/N``: each side's time in
+milliseconds, then each side's peak in MB, each as the median and
+quartiles of the rounds (two checkouts of the same source can read a
+stage's median peak up to 0.2 MB apart, each outside the other's
+quartiles, so a smaller move shows nothing), and the number K of the N
+rounds in which the tree's stage took less time than REF's (a tie
+counts for neither side):
 the pair rule that a claimed gain is held to, which medians and quartiles
 cannot stand in for where the rounds run at two speeds on a shared host.
 Then it prints ``each process ran on 1 CPU``, and exits 0
@@ -190,10 +194,12 @@ def _run(src: Path, out: Path, workload: str, pool: int | None) -> list[dict]:
             child("--read", str(out / FILES["world"]))]
 
 
-def _spread(seconds: list[float]) -> str:
-    ms = [s * 1e3 for s in seconds]
-    q1, _, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else ms * 3
-    return f"{statistics.median(ms):8.1f} [{q1:.1f}, {q3:.1f}]"
+def _spread(values: list[float], digits: int) -> str:
+    """``MEDIAN [Q1, Q3]`` of ``values``, each with ``digits`` decimals."""
+    q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                 else values * 3)
+    return (f"{statistics.median(values):.{digits}f} "
+            f"[{q1:.{digits}f}, {q3:.{digits}f}]")
 
 
 def setup_layers(ref: str, rounds: int, workload: str = "train-large",
@@ -217,17 +223,19 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large",
                         peaks[side][layer].append(peak)
                         digests[layer].update(digest)
     differ = [layer for layer in LAYERS if len(digests[layer]) > 1]
-    print(f"{'stage (ms)':18} {'ref median [q1, q3]':>28} "
-          f"{'tree median [q1, q3]':>28} {'ref MB':>8} {'tree MB':>8} "
+    print(f"{'stage':18} {'ref ms [q1, q3]':>26} {'tree ms [q1, q3]':>26} "
+          f"{'ref MB [q1, q3]':>24} {'tree MB [q1, q3]':>24} "
           f"{'tree faster':>11}")
     for layer in LAYERS:
         # the rounds in which the tree's stage took less time than REF's
         faster = sum(tree < ref for tree, ref in
                      zip(times["tree"][layer], times["ref"][layer]))
-        print(f"{layer:18} {_spread(times['ref'][layer]):>28} "
-              f"{_spread(times['tree'][layer]):>28}"
-              f" {statistics.median(peaks['ref'][layer]):8.2f}"
-              f" {statistics.median(peaks['tree'][layer]):8.2f}"
+        ms = {side: [s * 1e3 for s in times[side][layer]]
+              for side in ("ref", "tree")}
+        print(f"{layer:18} {_spread(ms['ref'], 1):>26} "
+              f"{_spread(ms['tree'], 1):>26}"
+              f" {_spread(peaks['ref'][layer], 2):>24}"
+              f" {_spread(peaks['tree'][layer], 2):>24}"
               f" {f'{faster}/{rounds}':>11}"
               f"{'  outputs differ' if layer in differ else ''}")
     print(f"each process ran on {', '.join(map(str, sorted(cpus)))} CPU")
