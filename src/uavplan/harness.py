@@ -78,7 +78,7 @@ per row: the world stage reads its orders and costs (``learn``), and the
 Q-learning stage, which trains on the same rows (``ql.train_q``), its
 objectives and each instance's cost scale. Every set-up stage runs in
 this process: ``workers`` spreads only the eval's test instances over
-worker processes (``_map``).
+worker processes (``_map``), at most one worker per test instance.
 
 Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``,
 kept with the package's JSON codec in ``environment``), whose one rule for
@@ -736,8 +736,11 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
     config_present = config_path.exists()
     if config_present:
         _export(config_path, config, remedy)
+    # at most one worker per test instance: a pool forks every worker it
+    # is given at its first task, whether a task is left for it or not
+    workers = min(cfg.workers, len(cfg.test_sizes) * cfg.seeds_per_size)
     evaluations = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
-                       (wm, qtable, cfg), cfg.workers)
+                       (wm, qtable, cfg), workers)
     for e in evaluations:
         for method, tour in zip(METHODS, e.tours):
             _export(out / f"tours/{e.instance_id}_{method}.json",

@@ -24,7 +24,8 @@ float64 array filled in place, row by row. Every entry is
 ``math.hypot`` of the lower-id point minus the higher-id one, as
 ``edge_cost`` forms it, so each distance between pool hotspots is
 computed once, not once per instance, and written into its row and its
-column. ``ql.train_q`` reads its legs from the same table.
+column. The table is this module's own: ``ql.train_q`` computes each leg
+from its two points, the same float, and builds none.
 
 Construction, 2-opt and the selection pass then run as numpy operations
 over the rows, in chunks of ``_BATCH_ENTRIES`` for memory, with each
@@ -75,12 +76,14 @@ P hotspots a call's table holds (P + 1)^2 entries (51 x 51 for the
 default 50-hotspot training pool), 8 bytes each and nothing more: no
 nested list of them is built, and the row arrays are bounded per
 chunk. The table has no cap. Splitting a large pool's rows into runs
-with smaller tables bounded no memory that a pipeline reaches, since
-Q-learning reads the whole pool's table after the oracle, and it made
-the oracle slower: on a 1,000-hotspot training pool (20,000 rows of 5
-hotspots, one pinned Xeon CPU) the oracle stage took 3.8-4.2 s in runs
-against 0.21-0.34 s with one table, and the set-up's peak resident
-memory, reached in Q-learning, was 115.9 against 115.0 MB.
+with smaller tables would lower only the oracle stage's own peak, which
+a later stage passes: on a 2,000-hotspot training pool the set-up's
+peak resident memory is 71 MB after the oracle and 97 MB after
+Q-learning, which builds no table (``tools/setup_layers.py
+--training-pool 2000``). And it made the oracle slower: on a
+1,000-hotspot training pool (20,000 rows of 5 hotspots, one pinned Xeon
+CPU) the oracle stage took 3.8-4.2 s in runs against 0.21-0.34 s with
+one table.
 
 A demonstration is stored by ``harness`` as its order alone, under one
 weights header; the demonstrations are solved on every run and only

@@ -23,22 +23,17 @@ one ``bincount`` of the rows.
 
 Training runs 100,000 steps on the default config, so each step does
 only what its arithmetic needs. An episode walks its row over the pool,
-with the pool indices as actions. Every leg is read from the oracle's
-table of the pool (``oracle._table``), one float64 array, through a
-``memoryview`` of each of its rows: the ``math.hypot`` of the lower-id
-point minus the higher-id one, the depot's row last, so state -1 reads
-it. A view reads an entry as a Python float, so no nested list of the
-pool's table is built: such a list holds a float object of 24 bytes and
-a pointer of 8 per entry, four times the array's bytes, and on a
-2,000-hotspot pool the set-up's peak resident memory, which Q-learning
-sets, was 271 MB with it and the oracle's nested list, against 157 MB
-with neither (``tools/setup_layers.py --training-pool 2000``). A view
-makes the float on each read, about 15 ns more than a list's read: the
-120,000 leg reads of 20,000 episodes of 5 hotspots take about 5.6
-against 3.7 ms (one pinned CPU of a 2-CPU x86_64 host). ``hypot`` takes
-the absolute values of the differences, so a leg read in either
-direction is the one ``edge_cost`` and ``make_tour`` form. A running
-tour length adds the legs in visiting order, so at the last step
+with the pool indices as actions. Every leg is computed from the two
+points it joins, ``math.dist`` of the pool's centers with the depot last,
+so state -1 reads it; no table of the pool is built here, and the
+oracle's stays private to ``oracle``. ``math.dist`` and ``math.hypot``
+hand the absolute differences of the coordinates, x before y, to one
+norm, so a leg computed in either direction is the float that
+``edge_cost``, ``make_tour`` and the oracle's table form. On a
+2,000-hotspot pool a table of the pool here took 30.6 MB, and the
+set-up's peak resident memory, which Q-learning sets, fell from 127 to
+97 MB without it (``tools/setup_layers.py --training-pool 2000``). A
+running tour length adds the legs in visiting order, so at the last step
 ``length + back`` is the ``total_cost_m`` sum ``make_tour`` forms, term
 for term, and the realized objective is bit-identical.
 
@@ -96,7 +91,7 @@ import numpy as np
 from .environment import Hotspot, Instance, Point, _Stream, edge_cost
 from .errors import (ConfigurationError, ConsistencyError, NumericError,
                      TrainingError)
-from .oracle import ObjectiveWeights, _row_sums, _table, objective_value
+from .oracle import ObjectiveWeights, _row_sums, objective_value
 from .world_model import Word
 
 DEPOT_STATE = -1
@@ -180,8 +175,7 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
     training instance k's nn_cost, the length of its nearest-neighbor
     construction. ``oracle.demonstrate`` gives both columns, the
     ``objective`` and the ``cost_scale`` of its record, and every leg is
-    read from its table of the pool (``oracle._table``), through views of
-    the table's rows.
+    the ``math.dist`` of its two points.
     """
     if not len(rows):
         raise TrainingError("no training instances for Q-learning")
@@ -192,9 +186,10 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
     # strict: one objective and one cost scale per training instance
     for _ in zip(totals, objectives, cost_scales, strict=True):
         pass
-    # legs[s][a]: the leg from pool index s, or from the depot at s = -1,
-    # to pool index a, read as a float through a view of the table's row
-    legs = list(map(memoryview, _table(hotspots, depot)))
+    # points[s]: pool index s, or the depot at s = -1; a leg is the dist
+    # of its two points
+    points = [h.center_m for h in hotspots] + [depot]
+    dist = math.dist
 
     neg_alpha = -weights.weight_alpha
     # beta * profit, per pool index
@@ -223,7 +218,7 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
             unvisited.remove(a)
         length = 0.0
         while unvisited:
-            leg = legs[s][a]
+            leg = dist(points[s], points[a])
             length += leg
             q_a = q[a]
             # the greedy pick at a, which the next step takes unless it
@@ -242,7 +237,7 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
         # the last letter: the return leg and, on a near-demonstration
         # tour, the bonus; every hotspot was visited, so the profit is the
         # total
-        leg, back = legs[s][a], legs[DEPOT_STATE][a]
+        leg, back = dist(points[s], points[a]), dist(depot, points[a])
         target = (neg_alpha * leg / cost_scale + gains[a] / profit_scale
                   + neg_alpha * back / cost_scale)
         realized = objective_value(length + leg + back, total, weights)

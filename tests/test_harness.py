@@ -268,6 +268,38 @@ class TestPipeline:
         b = _artifact_bytes(tmp_path / "p")
         assert a == b
 
+    def test_eval_asks_for_no_more_workers_than_instances(self, tmp_path,
+                                                          monkeypatch):
+        """The eval's pool is given at most one worker per test instance:
+        at workers 8 over 2 test instances it is given 2. A pool forks
+        every worker it is given at its first task, so the pool here is a
+        fake that runs the tasks in this process and starts none."""
+        import concurrent.futures
+        given = []
+
+        class InProcess:
+            def __init__(self, max_workers, initializer, initargs):
+                given.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcess)
+        monkeypatch.setattr(harness, "_job", None)
+        cfg = small_config(tmp_path / "o", test_sizes=(5, 10),
+                           seeds_per_size=1, workers=8)
+        run_pipeline(cfg)
+        assert given == [2]
+        assert len(list((tmp_path / "o" / "traces").iterdir())) == 2
+
     def test_evaluation_record_is_plain_data(self, tmp_path):
         """What a worker sends back for one test instance pickles to an
         equal record and holds no numpy array at any depth, so that no
@@ -810,12 +842,13 @@ class TestHeadedJsonl:
                                   seeds_per_size=1), "eval")
         assert built
 
-    def test_oracle_and_q_learning_read_one_table_each(self, tmp_path,
-                                                       monkeypatch):
-        """The pool's table of legs has one builder, ``oracle._table``: a
-        run up to the Q-learning stage builds it twice, for ``demonstrate``
-        and for ``train_q``, each time over the training pool from the
-        config's depot."""
+    def test_only_the_oracle_builds_the_pool_table(self, tmp_path,
+                                                   monkeypatch):
+        """The pool's table of legs has one builder, ``oracle._table``,
+        and one reader up to the Q-learning stage: a run up to it builds
+        the table once, for ``demonstrate``, over the training pool from
+        the config's depot. Q-learning computes its legs from the points
+        and builds none."""
         calls, pools = [], []
         real_table, real_pools = oracle._table, harness.stage_pools
 
@@ -828,15 +861,15 @@ class TestHeadedJsonl:
             return pools[-1]
 
         monkeypatch.setattr(oracle, "_table", table)
-        # ql reads the builder by name; a ql with no such name builds no
-        # table through it, and the count below shows that
+        # a ql that imported the builder by name would build through it,
+        # and the count below would show that
         monkeypatch.setattr(ql, "_table", table, raising=False)
         monkeypatch.setattr(harness, "stage_pools", stage_pools)
         cfg = small_config(tmp_path / "o")
         run_pipeline(cfg, "ql")
         training = pools[0][1]
         assert len(training) == cfg.training_pool_size
-        assert calls == [(training, cfg.depot)] * 2
+        assert calls == [(training, cfg.depot)]
 
     @pytest.mark.parametrize("m_training", [
         pytest.param(5_000, id="default"),

@@ -180,9 +180,9 @@ class TestTrainQ:
 
     def test_reads_one_table_of_the_pool(self, chan, mission):
         """On a 300-hotspot pool, what ``train_q`` allocates above its
-        inputs peaks under 4 times the bytes of the pool's table: the one
-        float64 array it reads its legs from, through views of its rows,
-        and no nested list of its entries."""
+        inputs peaks under 4 times the bytes of the pool's table
+        (``oracle._table``), the yardstick of a float64 array of every
+        leg: no nested list of the pool's legs is built."""
         pool = sample_pool(43, 300, 5.0, mission, chan)
         depot = (1000.0, 1000.0)
         rows = _sample_rows(range(200), len(pool), 5)
@@ -198,10 +198,12 @@ class TestTrainQ:
 
     def test_holds_each_q_value_once(self, chan, mission):
         """On a 600-hotspot pool, what ``train_q`` allocates above its
-        inputs peaks under 1.75 times the bytes of the pool's table: the
-        table itself and the entries its updates wrote, each held once, in
-        its state's row, with no dense row of every pool index and no
-        second dict of the written entries (2.33 times with both)."""
+        inputs peaks under 1.75 times the bytes of the pool's table
+        (``oracle._table``), the yardstick of a float64 array of every
+        leg: the entries its updates wrote are each held once, in its
+        state's row, with no dense row of every pool index and no second
+        dict of the written entries (2.33 times with both and a table of
+        the legs)."""
         pool = sample_pool(43, 600, 5.0, mission, chan)
         depot = (1000.0, 1000.0)
         rows = _sample_rows(range(200), len(pool), 5)
@@ -214,6 +216,24 @@ class TestTrainQ:
         finally:
             tracemalloc.stop()
         assert peak < 1.75 * _table(pool, depot).nbytes
+
+    def test_reads_no_table_of_the_pool(self, chan, mission):
+        """On a 600-hotspot pool, what ``train_q`` allocates above its
+        inputs peaks under half the bytes of the pool's table
+        (``oracle._table``): each leg is computed from its two points, and
+        no table of the legs is built (1.33 times the table with one)."""
+        pool = sample_pool(43, 600, 5.0, mission, chan)
+        depot = (1000.0, 1000.0)
+        rows = _sample_rows(range(200), len(pool), 5)
+        demos = demonstrate(pool, depot, rows, W)
+        tracemalloc.start()
+        try:
+            train_q(pool, depot, rows, demos.objective, demos.cost_scale,
+                    QTrainConfig(episodes=200), W, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * _table(pool, depot).nbytes
 
     def test_deterministic(self, two_hotspot_world):
         inst, demo = two_hotspot_world

@@ -432,9 +432,24 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
     read back are the same on both sides (here the commit is the tree's
     own, so they are), also over pools of ``--training-pool`` hotspots;
     a commit it cannot export, no rounds, an unknown workload or a pool
-    smaller than the shape's largest test size exits 2."""
-    ref = _tree_commit(Path(__file__).parent.parent)
+    smaller than the shape's largest test size exits 2. Both sides run
+    from one temporary directory: the commit's export, and a copy of the
+    working tree's src/ that holds its files."""
+    root = Path(__file__).parent.parent
+    ref = _tree_commit(root)
     layers = _tool("setup_layers")
+    sources, real_run = {}, layers._run
+
+    def files(src):
+        return {p.relative_to(src): p.read_bytes() for p in src.rglob("*")
+                if p.is_file() and "__pycache__" not in p.parts}
+
+    def run(src, out, *args):
+        side = out.name.split("-")[1]
+        sources.setdefault(side, (src, files(src)))
+        return real_run(src, out, *args)
+
+    layers._run = run
     for args in (["--workload", "train-large"], ["--workload", "plan-large"],
                  ["--workload", "plan-large", "--training-pool", "60"]):
         assert layers.main([ref, "--rounds", "1", *args]) == 0
@@ -456,6 +471,10 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
         assert 0 < floor <= min(stages)
         assert out[-1] == "each process ran on 1 CPU"
         assert not any("differ" in line for line in out)
+        (ref_src, _), (tree_src, tree_files) = sources["ref"], sources["tree"]
+        assert ref_src.parent.parent == tree_src.parent.parent != root
+        assert tree_files == files(root / "src")
+        sources.clear()
     assert layers.setup_layers("no-such-commit", 1) == 2
     assert "cannot export no-such-commit" in capsys.readouterr().err
     assert layers.main([ref, "--rounds", "0"]) == 2

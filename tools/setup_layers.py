@@ -4,9 +4,13 @@
                                   [--training-pool N]
 
 exports REF's ``src/`` into a temporary directory (``export_src`` of
-``tools/same_outputs.py``), then runs N rounds (default 5) of two
-sides, one on REF's source and one on the working tree's, in
-alternating order (REF first in even rounds). A side is two fresh
+``tools/same_outputs.py``) and copies the working tree's ``src/``, its
+``__pycache__`` directories left out, into the same directory, so that
+both sides run from a snapshot laid out alike (run from the checkout
+itself, the tree's side of an A/A read a set-up stage's median peak up
+to 0.33 MB above REF's), then runs N rounds (default 5) of two sides,
+one on REF's source and one on the working tree's, in alternating order
+(REF first in even rounds). A side is two fresh
 processes: the set-up's, then the model read's (``world_read``). The
 set-up's process is given the config of the shape of the benchmark's
 workload NAME (``WORKLOADS[NAME].config(3011, 0, out)`` of
@@ -51,9 +55,10 @@ it, for the digests, so that a reading is the program's own. Prints one
 line per stage, ``STAGE  ref MEDIAN [Q1, Q3]  tree MEDIAN [Q1, Q3]  ref
 MEDIAN [Q1, Q3]  tree MEDIAN [Q1, Q3]  K/N``: each side's time in
 milliseconds, then each side's peak in MB, each as the median and
-quartiles of the rounds (two checkouts of the same source can read a
-stage's median peak up to 0.2 MB apart, each outside the other's
-quartiles, so a smaller move shows nothing), and the number K of the N
+quartiles of the rounds (in an A/A of 11 rounds, identical sources read
+a set-up stage's median peak up to 0.04 MB apart and ``world_read``'s up
+to 0.15 MB, not always each inside the other's quartiles, so a smaller
+move shows nothing), and the number K of the N
 rounds in which the tree's stage took less time than REF's (a tie
 counts for neither side):
 the pair rule that a claimed gain is held to, which medians and quartiles
@@ -72,6 +77,7 @@ import importlib.util
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -212,7 +218,9 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large",
         tmp = Path(tmp)
         if (ref_src := _same_outputs().export_src(ref, tmp / "ref")) is None:
             return 2
-        sources = {"ref": ref_src, "tree": ROOT / "src"}
+        sources = {"ref": ref_src, "tree": shutil.copytree(
+            ROOT / "src", tmp / "tree" / "src",
+            ignore=shutil.ignore_patterns("__pycache__"))}
         for r in range(rounds):
             for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
                 for result in _run(sources[side], tmp / f"out-{side}-{r}",
