@@ -276,8 +276,10 @@ class Instance:
 
 
 def edge_cost(p_i: Point, p_j: Point) -> float:
-    """Horizontal Euclidean distance in meters."""
-    return math.hypot(p_i[0] - p_j[0], p_i[1] - p_j[1])
+    """Horizontal Euclidean distance in meters, ``math.dist`` of the two
+    points: the package's one leg formula, so every leg, in either
+    direction and wherever it is computed, has the same bits."""
+    return math.dist(p_i, p_j)
 
 
 def los_probability(horizontal_dist_m: float, altitude_m: float,

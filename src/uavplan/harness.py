@@ -78,7 +78,8 @@ per row: the world stage reads its orders and costs (``learn``), and the
 Q-learning stage, which trains on the same rows (``ql.train_q``), its
 objectives and each instance's cost scale. Every set-up stage runs in
 this process: ``workers`` spreads only the eval's test instances over
-worker processes (``_map``), at most one worker per test instance.
+worker processes (``_map``), at most one worker per test instance and
+one per CPU (``os.cpu_count``).
 
 Every JSON line is encoded by one ``json.JSONEncoder`` (``_canonical_json``,
 kept with the package's JSON codec in ``environment``), whose one rule for
@@ -736,9 +737,11 @@ def stage_eval(cfg: ExperimentConfig, testing_pool, wm: WorldModel,
     config_present = config_path.exists()
     if config_present:
         _export(config_path, config, remedy)
-    # at most one worker per test instance: a pool forks every worker it
-    # is given at its first task, whether a task is left for it or not
-    workers = min(cfg.workers, len(cfg.test_sizes) * cfg.seeds_per_size)
+    # at most one worker per test instance and per CPU: a pool forks every
+    # worker it is given at its first task, whether a task is left for it
+    # or not
+    workers = min(cfg.workers, len(cfg.test_sizes) * cfg.seeds_per_size,
+                  os.cpu_count() or 1)
     evaluations = _map(_evaluate_one, iter_test_instances(cfg, testing_pool),
                        (wm, qtable, cfg), workers)
     for e in evaluations:

@@ -20,12 +20,10 @@ instances are such rows over the training pool (``harness``), and
 ``solve`` is the one-row case over an instance's own hotspots. A call
 builds one table (``_table``): the matrix of ``edge_cost`` values
 between the pool's hotspots, ids ascending, with the depot last, one
-float64 array filled in place, row by row. Every entry is
-``math.hypot`` of the lower-id point minus the higher-id one, as
-``edge_cost`` forms it, so each distance between pool hotspots is
-computed once, not once per instance, and written into its row and its
-column. The table is this module's own: ``ql.train_q`` computes each leg
-from its two points, the same float, and builds none.
+float64 array filled in place, row by row, so each distance between
+pool hotspots is computed once, not once per instance, and written into
+its row and its column. The table is this module's own: ``ql.train_q``
+computes each leg from its two points, the same float, and builds none.
 
 Construction, 2-opt and the selection pass then run as numpy operations
 over the rows, in chunks of ``_BATCH_ENTRIES`` for memory, with each
@@ -38,20 +36,15 @@ the reverse-reading rule, the totals, and ``Tour``'s checks (no index
 repeated, every total finite; ``_check_block``, which names the first
 demonstration that fails). The totals are the ones ``make_tour``
 computes, read from the table rather than recomputed from the
-coordinates, each row summed in order (``_row_sums``): the closed length
-is the table's legs summed from 0.0 in visiting order (for the empty
-tour the depot's diagonal, 0.0), and the profit the hotspots' profits
-summed from 0.0 in index order, which is id order. A table entry is
-``math.hypot`` of the same differences that ``make_tour`` takes, and each
-row's sums add the same floats in the same order as its Python loop, so
-every total has its bits; only the empty tour's profit
-differs in type, ``make_tour``'s int 0 (``sum()`` of nothing), which
-``solve``, the one-row case, keeps. ``make_tour`` stays the one path for
-every other tour. Index order is id order, so the tie rules compare the
-same sequences as on ids; every leg is read from the table and sums are
-taken in the same order, so every tour is bit for bit what the same
-search gives on coordinates (tests/test_oracle_equivalence.py keeps that
-search as the reference).
+coordinates: the closed length is the table's legs in visiting order
+(for the empty tour the depot's diagonal, 0.0), and the profit the
+hotspots' profits in index order, which is id order, each row summed by
+``_row_sums``. A leg and a float total are each computed one way
+(``edge_cost``, ``_row_sums``), so every total has ``make_tour``'s bits,
+and ``make_tour`` stays the one path for every other tour. Index order
+is id order, so the tie rules compare the same sequences as on ids, and
+every tour is bit for bit what the same search gives on coordinates
+(tests/test_oracle_equivalence.py keeps that search as the reference).
 A 2-opt pass and a selection round choose by one rule (``_picks``): a
 row takes its first minimum only where no other entry of that row lies
 within 2 * ``_TIE_EPS`` of it, which is when the sequential scan picks it
@@ -103,7 +96,8 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -177,39 +171,33 @@ def make_tour(order, inst: Instance, w: ObjectiveWeights) -> Tour:
     unknown one is refused."""
     order = tuple(order)
     by_id = {h.id: h for h in inst.hotspots}
-    x, y = depot = inst.depot_m
+    here = depot = inst.depot_m
     cost = 0.0
-    visited = []   # (id, profit) in visiting order
     for i in order:
         h = by_id.get(i)
         if h is None:
             raise ConsistencyError(f"tour references unknown hotspot {i}")
-        hx, hy = h.center_m
         # edge_cost inlined
-        cost += math.hypot(x - hx, y - hy)
-        x, y = hx, hy
-        visited.append((i, h.profit_bps))
+        cost += math.dist(here, h.center_m)
+        here = h.center_m
     if order:
-        cost += math.hypot(x - depot[0], y - depot[1])
-    visited.sort()
-    profit = sum(p for _, p in visited)
+        cost += math.dist(here, depot)
+    profit = reduce(add, [by_id[i].profit_bps for i in sorted(order)], 0.0)
     return Tour(order=order, total_cost_m=cost, total_profit_bps=profit,
                 objective=objective_value(cost, profit, w))
 
 
 def _table(hotspots: Sequence[Hotspot], depot: Point) -> np.ndarray:
     """The (n+1)x(n+1) matrix of ``edge_cost`` values between
-    ``hotspots``, ascending by id, with the depot last: an entry is
-    ``math.hypot`` of the lower-id point minus the higher-id point, the
-    depot counting as the highest, and hypot(-x, -y) == hypot(x, y)
-    exactly, so one value serves both directions. It is one float64
+    ``hotspots``, ascending by id, with the depot last. It is one float64
     array, filled in place: row ``a``'s entries past the diagonal, one
-    ``hypot`` per pair, are written into row ``a`` and column ``a``."""
+    ``math.dist`` per pair, are written into row ``a`` and column ``a``,
+    as a leg has one value in either direction."""
     pts = [h.center_m for h in hotspots] + [depot]
     dist = np.zeros((len(pts), len(pts)))
-    for a, (xa, ya) in enumerate(pts):
+    for a, here in enumerate(pts):
         # edge_cost inlined
-        dist[a, a + 1:] = [math.hypot(xa - xb, ya - yb) for xb, yb in pts[a + 1:]]
+        dist[a, a + 1:] = [math.dist(here, there) for there in pts[a + 1:]]
         dist[a + 1:, a] = dist[a, a + 1:]
     return dist
 
@@ -398,12 +386,14 @@ def _selection_pass(table: np.ndarray, profits: np.ndarray, order: np.ndarray,
 
 
 def _row_sums(values: np.ndarray) -> np.ndarray:
-    """Each row of the float64 array ``values`` summed from 0.0 in order,
-    as a Python loop sums it, never by numpy's pairwise ``np.sum``:
-    ``add.accumulate`` adds each row in order, and the + 0.0 makes a sum
-    of -0.0s, which a sum from 0.0 never is, 0.0. ``values`` is
-    overwritten with its running sums (every caller hands it a
-    temporary)."""
+    """Each row of the float64 array ``values`` summed left to right from
+    0.0. That is the package's one rule for a float total: on a Python
+    sequence it is ``reduce(add, xs, 0.0)``, and never builtin ``sum()``,
+    which compensates float sums from Python 3.12 on, nor numpy's
+    pairwise ``np.sum``. ``add.accumulate`` adds each row in order, and
+    the + 0.0 makes a sum of -0.0s, which a sum from 0.0 never is, 0.0.
+    ``values`` is overwritten with its running sums (every caller hands it
+    a temporary)."""
     if not values.shape[1]:
         return np.zeros(len(values))
     return np.add.accumulate(values, axis=1, out=values)[:, -1] + 0.0
@@ -501,11 +491,8 @@ def solve(inst: Instance, w: ObjectiveWeights) -> Tour:
     hotspots = sorted(inst.hotspots, key=attrgetter("id"))
     rows = np.arange(len(hotspots))[None]
     solved = demonstrate(hotspots, inst.depot_m, rows, w)
-    order = solved.orders[0]
-    # make_tour's profit of no hotspot is sum()'s int 0
-    return Tour(order=order, total_cost_m=solved.cost_m[0],
-                total_profit_bps=solved.profit_bps[0] if order else 0,
-                objective=solved.objective[0])
+    return Tour(solved.orders[0], solved.cost_m[0], solved.profit_bps[0],
+                solved.objective[0])
 
 
 def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
@@ -528,7 +515,8 @@ def brute_force(inst: Instance, w: ObjectiveWeights) -> Tour:
     beta_scaled = w.weight_beta / w.profit_scale
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
-            profit_term = beta_scaled * sum(profits[i] for i in subset)
+            profit_term = beta_scaled * reduce(
+                add, (profits[i] for i in subset), 0.0)
             for perm in itertools.permutations(subset):
                 # reversed orders have equal cost; keep the lex-smaller one
                 if r > 1 and perm[0] > perm[-1]:

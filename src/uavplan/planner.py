@@ -38,7 +38,7 @@ reference length holds (S^-1)_tt and const, both covariances validated
 once when the entry is made; every instance planned against one world
 model shares the table (``PlanContext.surprise_terms``). A step builds
 no belief: it scores its candidates from their detours alone (legs
-measured by ``math.dist``, which gives ``edge_cost``'s bits) and splices
+measured by ``edge_cost``'s ``math.dist``) and splices
 only the winner into a new word. It records only what the decision
 compared: the target mean, the reference tour length L, k =
 (1/8)(S^-1)_tt / v^2 and c = const, and each candidate's detour d, in
@@ -516,14 +516,13 @@ def insert_best(ref: Word, novel: int, ctx: PlanContext) -> InsertionStep:
     inverse_tt, const = _surprise_entry(p, ctx)
     per_detour_sq = 0.125 * inverse_tt / (speed * speed)
     # points[k] -> points[k + 1] is leg k of the reference tour, closing
-    # at the depot, points[0]. math.dist is edge_cost: the same norm of the
-    # same differences.
+    # at the depot, points[0]; edge_cost inlined
     points = [ctx.depot] + [ctx.centers[l] for l in letters]
     dist = math.dist
     to_x = list(map(dist, points, repeat(ctx.centers[novel])))
     legs = list(map(dist, points, points[1:] + points[:1]))
     ref_length = reduce(add, legs, 0.0)     # left to right, depot leg first
-    target_mean = (float(sum(ctx.profits[l] for l in letters) + ctx.profits[novel]),
+    target_mean = (reduce(add, map(ctx.profits.__getitem__, (*letters, novel)), 0.0),
                    ref_length / speed + (p + 1) * ctx.mission.dwell_time_s)
 
     # removable edges are legs 1..p (each letter's outgoing leg), or both
@@ -574,7 +573,7 @@ def _next_novel(word: Word, pending: list[int], ctx: PlanContext) -> int:
     if letters:
         xs = [ctx.centers[l][0] for l in letters]
         ys = [ctx.centers[l][1] for l in letters]
-        centroid = (sum(xs) / len(xs), sum(ys) / len(ys))
+        centroid = (reduce(add, xs, 0.0) / len(xs), reduce(add, ys, 0.0) / len(ys))
     else:
         centroid = ctx.depot
     return min(pending, key=lambda l: (math.dist(ctx.centers[l], centroid), l))

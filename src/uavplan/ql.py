@@ -23,13 +23,10 @@ one ``bincount`` of the rows.
 
 Training runs 100,000 steps on the default config, so each step does
 only what its arithmetic needs. An episode walks its row over the pool,
-with the pool indices as actions. Every leg is computed from the two
-points it joins, ``math.dist`` of the pool's centers with the depot last,
-so state -1 reads it; no table of the pool is built here, and the
-oracle's stays private to ``oracle``. ``math.dist`` and ``math.hypot``
-hand the absolute differences of the coordinates, x before y, to one
-norm, so a leg computed in either direction is the float that
-``edge_cost``, ``make_tour`` and the oracle's table form. On a
+with the pool indices as actions. Every leg is ``edge_cost`` of the two
+points it joins (its ``math.dist``, inlined), the pool's centers with
+the depot last, so state -1 reads it; no table of the pool is built
+here, and the oracle's stays private to ``oracle``. On a
 2,000-hotspot pool a table of the pool here took 30.6 MB, and the
 set-up's peak resident memory, which Q-learning sets, fell from 127 to
 97 MB without it (``tools/setup_layers.py --training-pool 2000``). A
@@ -186,8 +183,7 @@ def train_q(hotspots: Sequence[Hotspot], depot: Point, rows: np.ndarray,
     # strict: one objective and one cost scale per training instance
     for _ in zip(totals, objectives, cost_scales, strict=True):
         pass
-    # points[s]: pool index s, or the depot at s = -1; a leg is the dist
-    # of its two points
+    # points[s]: pool index s, or the depot at s = -1; edge_cost inlined
     points = [h.center_m for h in hotspots] + [depot]
     dist = math.dist
 

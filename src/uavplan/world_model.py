@@ -148,12 +148,12 @@ class TransitionMatrix:
             raise ConsistencyError(
                 "transition probabilities must be finite and non-negative")
         sums = self.probs.sum(axis=1)
-        for k in range(n):
+        bad = np.where(self.active, abs(sums - 1.0) > _ROW_TOL, sums != 0.0)
+        if bad.any():
+            k = int(bad.argmax())
             if self.active[k]:
-                if abs(sums[k] - 1.0) > _ROW_TOL:
-                    raise ConsistencyError(f"active row {k} sums to {sums[k]}")
-            elif sums[k] != 0.0:
-                raise ConsistencyError(f"inactive row {k} has mass")
+                raise ConsistencyError(f"active row {k} sums to {sums[k]}")
+            raise ConsistencyError(f"inactive row {k} has mass")
 
 
 def _word(order: Sequence[int]) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pickle
+import pkgutil
 import re
 import shutil
 import statistics
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uavplan
 from uavplan.cli import STAGE_COMMANDS
 from uavplan.cli import main as cli_main
 from uavplan.environment import (ChannelParams, Instance, MissionConfig,
@@ -214,6 +216,35 @@ class TestPipeline:
         run_pipeline(cfg)
         assert (tmp_path / "run" / "metrics.csv").read_bytes() == first
 
+    def test_an_eval_that_fails_part_way_is_completed_by_a_rerun(
+            self, tmp_path, monkeypatch):
+        """An eval that raises at its second test instance leaves the five
+        set-up files and the empty subdirectories that ``run_pipeline``
+        makes, and no eval output: no metrics.csv, config.json or
+        timings.csv. A rerun then leaves the bytes of a clean run."""
+        cfg = small_config(tmp_path / "run")
+        evaluate, calls = harness._evaluate_one, []
+
+        def fails_at_the_second(*args):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise NumericError("the second test instance failed")
+            return evaluate(*args)
+
+        monkeypatch.setattr(harness, "_evaluate_one", fails_at_the_second)
+        with pytest.raises(NumericError):
+            run_pipeline(cfg)
+        monkeypatch.undo()
+        out = tmp_path / "run"
+        # every name under the directory, the subdirectories' files too
+        assert {p.name for p in out.rglob("*")} == {
+            "pools.json", "training_instances.jsonl", "oracle_tours.jsonl",
+            "world_model.json", "qtable.json",
+            "instances", "traces", "tours", "trajectories"}
+        run_pipeline(cfg)
+        run_pipeline(small_config(tmp_path / "clean"))
+        assert _artifact_bytes(out) == _artifact_bytes(tmp_path / "clean")
+
     def test_rerun_builds_the_world_model_once(self, tmp_path, monkeypatch):
         """A rerun over an unchanged directory builds the world model once,
         in ``learn``, and keeps the bytes of world_model.json."""
@@ -257,9 +288,10 @@ class TestPipeline:
         qtable = json.loads((out / "qtable.json").read_text())
         assert qtable["weights"] == asdict(weights)
 
-    def test_parallel_workers_match_serial(self, tmp_path):
+    def test_parallel_workers_match_serial(self, tmp_path, monkeypatch):
         """Every artifact but timings.csv has the same bytes at workers 1
-        and 2."""
+        and 2 (on a host of 2 CPUs or more, so that 2 run)."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         serial = small_config(tmp_path / "s", workers=1)
         parallel = small_config(tmp_path / "p", workers=2)
         run_pipeline(serial)
@@ -270,10 +302,11 @@ class TestPipeline:
 
     def test_eval_asks_for_no_more_workers_than_instances(self, tmp_path,
                                                           monkeypatch):
-        """The eval's pool is given at most one worker per test instance:
-        at workers 8 over 2 test instances it is given 2. A pool forks
-        every worker it is given at its first task, so the pool here is a
-        fake that runs the tasks in this process and starts none."""
+        """The eval's pool is given at most one worker per test instance
+        and one per CPU: at workers 8 over 2 test instances on 8 CPUs it is
+        given 2, and over 8 test instances on 3 CPUs it is given 3. A pool
+        forks every worker it is given at its first task, so the pool here
+        is a fake that runs the tasks in this process and starts none."""
         import concurrent.futures
         given = []
 
@@ -294,11 +327,14 @@ class TestPipeline:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             InProcess)
         monkeypatch.setattr(harness, "_job", None)
-        cfg = small_config(tmp_path / "o", test_sizes=(5, 10),
-                           seeds_per_size=1, workers=8)
-        run_pipeline(cfg)
-        assert given == [2]
-        assert len(list((tmp_path / "o" / "traces").iterdir())) == 2
+        for cpus, seeds, out in ((8, 1, "o"), (3, 4, "p")):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            cfg = small_config(tmp_path / out, test_sizes=(5, 10),
+                               seeds_per_size=seeds, workers=8)
+            run_pipeline(cfg)
+            assert len(list((tmp_path / out / "traces").iterdir())) \
+                == 2 * seeds
+        assert given == [2, 3]
 
     def test_evaluation_record_is_plain_data(self, tmp_path):
         """What a worker sends back for one test instance pickles to an
@@ -419,6 +455,67 @@ class TestPipeline:
         monkeypatch.undo()
         assert read == []
         assert (out / "summary.csv").exists()
+
+
+def _python_312_sum(iterable, /, start=0):
+    """CPython 3.12's builtin ``sum()``, as a model: exact on ints; from
+    the first float on, a running float sum plus a Neumaier correction
+    (Z. angew. Math. Mech. 54, 1974) added at the end."""
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + c if c and math.isfinite(c) else total
+
+
+def _install_python_312_sum(monkeypatch) -> None:
+    """``_python_312_sum`` as the module-global ``sum`` of every module of
+    the package, which the builtin's name then resolves to."""
+    for module in pkgutil.iter_modules(uavplan.__path__):
+        monkeypatch.setattr(importlib.import_module(f"uavplan.{module.name}"),
+                            "sum", _python_312_sum, raising=False)
+
+
+class TestFloatSums:
+    """Every float total adds left to right from 0.0 and none is builtin
+    ``sum()``, which compensates float sums from Python 3.12 on, so no
+    total and no artifact byte depends on the interpreter's ``sum()``."""
+
+    def test_the_model_compensates_floats_and_keeps_ints(self):
+        assert _python_312_sum([1e16, 1.0, 1.0]) == 1.0000000000000002e16
+        assert 1e16 + 1.0 + 1.0 == 1e16
+        assert _python_312_sum(iter([])) == 0
+        assert type(_python_312_sum([])) is int
+        assert _python_312_sum([2**53, 1, 1]) == 2**53 + 2
+
+    def test_oracle_and_make_tour_give_one_profit(self, make_instance,
+                                                  monkeypatch):
+        """A tour of profits 1e16, 1.0 and 1.0, all three kept, has one
+        profit from the oracle's table and from ``make_tour``: the sum
+        left to right, 1e16 (3.12's ``sum()`` gives 1.0000000000000002e16)."""
+        _install_python_312_sum(monkeypatch)
+        inst = make_instance([(100.0, 0.0), (200.0, 0.0), (300.0, 0.0)],
+                             profits=[1e16, 1.0, 1.0])
+        w = ObjectiveWeights(0.0, 1.0)
+        solved = solve(inst, w)
+        assert sorted(solved.order) == [1, 2, 3]
+        assert (make_tour(solved.order, inst, w).total_profit_bps
+                == solved.total_profit_bps == 1e16)
+
+    def test_a_pipeline_keeps_its_bytes(self, tmp_path, monkeypatch):
+        """``small_config``'s run writes the same bytes under the model as
+        under this interpreter's ``sum()``; with builtin ``sum()`` over the
+        profits and the centroid, 12 of its 41 files differed (the AIn and
+        MQL tours, metrics.csv and summary.csv)."""
+        run_pipeline(small_config(tmp_path / "builtin"))
+        _install_python_312_sum(monkeypatch)
+        run_pipeline(small_config(tmp_path / "modelled"))
+        assert (_artifact_bytes(tmp_path / "modelled")
+                == _artifact_bytes(tmp_path / "builtin"))
 
 
 class TestFirstDifference:

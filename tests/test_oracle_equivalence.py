@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -196,13 +195,6 @@ def _bits(t: Tour):
             repr(t.objective))
 
 
-def _column_bits(t: Tour):
-    """``_bits`` of a tour as ``demonstrate``'s float columns hold it: the
-    empty tour's profit, ``make_tour``'s int 0 (``sum()`` of nothing), is
-    0.0 there."""
-    return _bits(replace(t, total_profit_bps=float(t.total_profit_bps)))
-
-
 def _rows(d: Demonstrations) -> list:
     """Each demonstration of the record ``d`` as ``_bits`` reads a tour,
     with its cost scale's repr. Every order is a tuple of Python ints and
@@ -339,7 +331,7 @@ def test_batch_equals_each_instance_alone(chan, mission, entries, w, drops):
                                  w)
             for k, bits in zip(at, _rows(solved), strict=True):
                 got[k] = bits
-    assert got == [(_column_bits(t), repr(s)) for t, s in alone]
+    assert got == [(_bits(t), repr(s)) for t, s in alone]
     assert any(len(order) < len(row)
                for ((order, *_), _), row in zip(got, rows)) == drops
 
@@ -363,7 +355,7 @@ def test_rows_over_a_large_pool_share_its_one_table(chan, mission,
                           default_weights)
     assert [t.shape for t in tables] == [(601, 601)]
     assert _rows(got) == [
-        (_column_bits(solve(inst, default_weights)),
+        (_bits(solve(inst, default_weights)),
          repr(instance_scales(inst)[0]))
         for inst in sample_instances(seeds, pool, 20, depot, chan, mission)]
 
@@ -372,10 +364,9 @@ def test_rows_over_a_large_pool_share_its_one_table(chan, mission,
 
 def _are_make_tours(solved: Demonstrations, batch, w) -> None:
     """Each demonstration's order and totals are, bit for bit and type for
-    type, ``make_tour``'s tour of its order, with the empty tour's profit
-    a float (``_column_bits``)."""
+    type, ``make_tour``'s tour of its order."""
     assert [bits for bits, _ in _rows(solved)] == [
-        _column_bits(make_tour(order, inst, w))
+        _bits(make_tour(order, inst, w))
         for order, inst in zip(solved.orders, batch, strict=True)]
 
 
@@ -420,8 +411,8 @@ def test_totals_of_skipping_tours_are_make_tours(chan, mission, w):
     """Random batches from one pool under weights where the oracle skips
     hotspots, solved one instance size at a time: tours of every length,
     the empty one too, are ``make_tour``'s, in the record's columns and,
-    one instance at a time, through ``solve``, where the empty tour's
-    profit is ``make_tour``'s int 0."""
+    one instance at a time, through ``solve``; the empty tour's profit is
+    0.0 in both."""
     rng = random.Random(3535)
     for grid in (False, True):
         pool = _pool(rng, range(1, 61), grid)

@@ -441,10 +441,18 @@ def _coordinates(rng, n):
     return rng.uniform(-1, 1, size=(n, 2)) * 10.0 ** rng.integers(-3, 7, size=(n, 1))
 
 
+def _hypot_leg(p, q):
+    """A leg as ``edge_cost`` formed it before it was ``math.dist``:
+    ``math.hypot`` of the coordinate differences."""
+    return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
 def test_math_dist_is_edge_cost():
-    """``math.dist``, which ``insert_best`` and ``_next_novel`` measure
-    with, gives ``edge_cost``'s bits: on random pairs, on pairs a few ulps
-    to 1e-9 apart, on coincident points and on pairs one axis apart."""
+    """``math.dist``, the one leg formula (``edge_cost``), gives the bits
+    of ``math.hypot`` of the coordinate differences in either direction, so
+    every artifact kept its bytes when legs moved to it: on random pairs,
+    on pairs a few ulps to 1e-9 apart, on coincident points and on pairs
+    one axis apart."""
     rng = np.random.default_rng(17)
     a = _coordinates(rng, 100_000)
     far = _coordinates(rng, 100_000)
@@ -453,8 +461,8 @@ def test_math_dist_is_edge_cost():
     axis = a * np.array([1.0, 0.0]) + far * np.array([0.0, 1.0])
     for b in (far, near, a, axis):
         for p, q in zip(a.tolist(), b.tolist()):
-            assert math.dist(p, q) == edge_cost(p, q)
-            assert math.dist(q, p) == edge_cost(p, q)
+            assert math.dist(p, q) == _hypot_leg(p, q) == edge_cost(p, q)
+            assert math.dist(q, p) == _hypot_leg(p, q)
 
 
 @settings(max_examples=500, deadline=None)
@@ -468,7 +476,7 @@ def test_math_dist_is_edge_cost_between_neighbouring_floats(p, ulps):
         return x
 
     q = tuple(map(moved, p, ulps))
-    assert math.dist(p, q) == edge_cost(p, q)
+    assert math.dist(p, q) == math.dist(q, p) == _hypot_leg(p, q)
 
 
 # --- reference selection ------------------------------------------------------

@@ -99,6 +99,46 @@ def test_distances_are_math_hypot():
             for line in _numpy_hypots(ast.parse(path.read_text()))] == []
 
 
+def _calls_by_function(tree: ast.Module,
+                       callee) -> list[tuple[str, ast.Call]]:
+    """Each call in ``tree`` for which ``callee(call.func)`` holds, with
+    the name of the top-level function or class that holds it."""
+    return [(top.name, node) for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and callee(node.func)]
+
+
+def test_float_totals_are_never_builtin_sum():
+    """A float total adds left to right from 0.0 (``oracle._row_sums``,
+    or ``reduce(add, ..., 0.0)`` on a Python sequence). Builtin ``sum()``
+    compensates float sums from Python 3.12 on, so the package calls it
+    only where it counts ints: ``harness._export``'s line counts and
+    ``world_model._build``'s word counts."""
+    def builtin_sum(func):
+        return isinstance(func, ast.Name) and func.id == "sum"
+
+    assert sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                  for name, _ in _calls_by_function(
+                      ast.parse(path.read_text()), builtin_sum)) == [
+        "harness.py:_export", "harness.py:_export", "world_model.py:_build"]
+
+
+def test_legs_are_math_dist():
+    """A leg is ``math.dist`` of its two points (``edge_cost``): no
+    ``math.hypot`` in the package takes a difference."""
+    def math_hypot(func):
+        return (isinstance(func, ast.Attribute) and func.attr == "hypot"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "math")
+
+    differences = [
+        f"{path.name}:{call.lineno}" for path in sorted(SRC.glob("*.py"))
+        for _, call in _calls_by_function(ast.parse(path.read_text()),
+                                          math_hypot)
+        if any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+               for arg in call.args for node in ast.walk(arg))]
+    assert differences == []
+
+
 def _readers(tree: ast.Module):
     """Each top-level ``*_from_dict`` function of ``tree`` but the checked
     reader, ``_record_from_dict``, itself."""
@@ -428,11 +468,13 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
     then a line for reading the stage's world
     model back (``world_read``), each with the rounds in which the tree
     was faster, and a last line that every process ran pinned to
-    one CPU, and exits 0 when every stage's file and the model
+    one CPU, and exits 0 when every stage's files and the model
     read back are the same on both sides (here the commit is the tree's
-    own, so they are), also over pools of ``--training-pool`` hotspots;
-    a commit it cannot export, no rounds, an unknown workload or a pool
-    smaller than the shape's largest test size exits 2. Both sides run
+    own, so they are), also over pools of ``--training-pool`` hotspots,
+    and through the eval and the report (``--through report``, here at
+    ``--seeds-per-size 1``); a commit it cannot export, no rounds, an
+    unknown workload, a pool smaller than the shape's largest test size
+    or no seeds per size exits 2. Both sides run
     from one temporary directory: the commit's export, and a copy of the
     working tree's src/ that holds its files."""
     root = Path(__file__).parent.parent
@@ -450,11 +492,16 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
         return real_run(src, out, *args)
 
     layers._run = run
-    for args in (["--workload", "train-large"], ["--workload", "plan-large"],
-                 ["--workload", "plan-large", "--training-pool", "60"]):
+    for args, through in (
+            (["--workload", "train-large"], "ql"),
+            (["--workload", "plan-large"], "ql"),
+            (["--workload", "plan-large", "--training-pool", "60"], "ql"),
+            (["--workload", "plan-large", "--seeds-per-size", "1",
+              "--through", "report"], "report")):
         assert layers.main([ref, "--rounds", "1", *args]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in out[1:-1]] == list(layers.LAYERS)
+        assert [line.split()[0] for line in out[1:-1]] == list(
+            layers._layers(through))
         # the rounds of the one run in which the tree was faster
         assert out[0].split()[-2:] == ["tree", "faster"]
         assert all(line.split()[13] in ("0/1", "1/1") for line in out[1:-1])
@@ -464,8 +511,8 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
                 assert q1.startswith("[") and q3.endswith("]"), line
                 assert (float(q1[1:-1]) <= float(median)
                         <= float(q3[:-1])), line
-        assert layers.LAYERS[0] == "imports"
-        assert layers.LAYERS[-2:] == ("ql", "world_read")
+        assert layers._layers(through)[0] == "imports"
+        assert layers._layers(through)[-2:] == (through, "world_read")
         # the import's peak is the floor that every stage's starts from
         floor, *stages = (float(line.split()[7]) for line in out[1:-2])
         assert 0 < floor <= min(stages)
@@ -479,9 +526,13 @@ def test_setup_layers_times_a_commit_against_the_tree(capsys):
     assert "cannot export no-such-commit" in capsys.readouterr().err
     assert layers.main([ref, "--rounds", "0"]) == 2
     assert layers.main([ref, "--workload", "no-such-workload"]) == 2
-    config = layers._config("plan-large", Path("out"), 60)
-    assert (config["training_pool_size"], config["testing_pool_size"]) == (
-        60, 60)
+    assert layers.main([ref, "--seeds-per-size", "0"]) == 2
+    assert layers.main([ref, "--through", "eval"]) == 2
+    config = layers._config("plan-large", Path("out"), 60, 7)
+    assert (config["training_pool_size"], config["testing_pool_size"],
+            config["seeds_per_size"]) == (60, 60, 7)
+    assert layers._layers("report")[-4:] == ("ql", "eval", "report",
+                                             "world_read")
     capsys.readouterr()
     assert layers.main([ref, "--workload", "plan-large",
                         "--training-pool", "49"]) == 2

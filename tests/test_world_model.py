@@ -18,8 +18,8 @@ from uavplan.oracle import (Demonstrations, ObjectiveWeights, Tour,
                             make_tour, solve)
 from uavplan.planner import PlannerConfig, plan_mission
 from uavplan.world_model import (WORLD_MODEL_SCHEMA, LetterStats, NoiseConfig,
-                                 Word, WorldModel, learn, merge_global,
-                                 model_from_dict, model_to_dict)
+                                 TransitionMatrix, Word, WorldModel, learn,
+                                 merge_global, model_from_dict, model_to_dict)
 from uavplan.world_model import _build, _layout, _rows
 from uavplan.world_model import _word as word_of
 
@@ -174,6 +174,21 @@ class TestMatrices:
             tm = word_transition(w, vocab)
             sums = tm.probs.sum(axis=1)
             assert np.all(np.abs(sums[tm.active] - 1.0) <= 1e-9)
+
+    def test_validate_names_the_first_bad_row(self):
+        """An active row whose sum is off 1 by more than the tolerance, or
+        an inactive row with mass, is refused, naming the first such row."""
+        probs = np.zeros((4, 4))
+        probs[0, 1] = probs[2, 0] = probs[3, 3] = 1.0
+        probs[1, 2] = 0.5
+        active = np.array([True, True, True, False])
+        with pytest.raises(ConsistencyError, match=r"^active row 1 sums to 0\.5$"):
+            TransitionMatrix(probs, active).validate()
+        probs[1, 2] = 1.0 + 1e-10
+        with pytest.raises(ConsistencyError, match=r"^inactive row 3 has mass$"):
+            TransitionMatrix(probs, active).validate()
+        active[3] = True
+        TransitionMatrix(probs, active).validate()
 
     def test_transition_is_pseudoinverse_degree_times_adjacency(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,8 @@
 """Time the set-up stages of a commit and of the working tree, side by side.
 
     python3 tools/setup_layers.py REF [--rounds N] [--workload NAME]
-                                  [--training-pool N]
+                                  [--training-pool N] [--seeds-per-size N]
+                                  [--through {ql,report}]
 
 exports REF's ``src/`` into a temporary directory (``export_src`` of
 ``tools/same_outputs.py``) and copies the working tree's ``src/``, its
@@ -20,9 +21,13 @@ hotspots, or ``plan-large``, 5,000 of them. ``--training-pool N`` sets
 both pool sizes of that shape to N (``training_pool_size`` and
 ``testing_pool_size``), so that the set-up runs over a pool of N
 hotspots; an N below the shape's largest test size exits 2 with the
-usage message. It runs the pipeline's
-set-up stages in order, as ``harness._stages`` yields them, into a new
-directory, stopping after the last of them, Q-learning. Each process
+usage message. ``--seeds-per-size N`` sets the shape's
+``seeds_per_size`` to N (an N below 1 exits 2 with the usage message).
+It runs the pipeline's stages in order, as ``harness._stages`` yields
+them, into a new directory, stopping after the last set-up stage,
+Q-learning, or with ``--through report`` after the eval and the report,
+whose subdirectories it makes first, as ``run_pipeline`` makes them
+(``harness._DIRECTORIES``). Each process
 first pins itself to one CPU, the lowest it may run on
 (``os.sched_setaffinity``), as perfbench pins its pipeline, so that the
 two sides run alike with no ``taskset``. Each stage is timed
@@ -37,6 +42,11 @@ with ``time.perf_counter`` from the previous yield to its own:
 - ``oracle``: the demonstrations and ``oracle_tours.jsonl``;
 - ``world``: the world model and ``world_model.json``;
 - ``ql``: the Q-table and ``qtable.json``;
+- with ``--through report``, ``eval``: the three methods on every test
+  instance and their files (``tours/``, ``traces/``, ``instances/``,
+  ``metrics.csv``, ``config.json``; not ``timings.csv``, which holds wall
+  times), and ``report``: ``summary.csv``, ``ratios.csv`` and
+  ``trajectories/``;
 - ``world_read``: ``model_from_dict`` of that ``world_model.json``, in
   the side's second process, which imports the package, ``json.load``-s
   the file (not timed) and does nothing else: the read of ``uavplan plan
@@ -64,8 +74,9 @@ counts for neither side):
 the pair rule that a claimed gain is held to, which medians and quartiles
 cannot stand in for where the rounds run at two speeds on a shared host.
 Then it prints ``each process ran on 1 CPU``, and exits 0
-when each stage's file, and the model read back, has one sha256 over
-every process of both sides (``imports`` writes no file, and has none),
+when each stage's files, and the model read back, have one sha256 (over
+every file a stage writes, with its path) over every process of both
+sides (``imports`` writes no file, and has none),
 1 when any differs, and 2 when REF cannot be exported. Standard library
 only, besides the package it runs.
 """
@@ -87,13 +98,24 @@ from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# each set-up stage, in pipeline order, and the file it writes
-FILES = {"pools": "pools.json",
-         "training_instances": "training_instances.jsonl",
-         "oracle": "oracle_tours.jsonl",
-         "world": "world_model.json",
-         "ql": "qtable.json"}
-LAYERS = ("imports", *FILES, "world_read")
+# each stage, in pipeline order, and the files it writes (a directory
+# stands for every file in it)
+FILES = {"pools": ("pools.json",),
+         "training_instances": ("training_instances.jsonl",),
+         "oracle": ("oracle_tours.jsonl",),
+         "world": ("world_model.json",),
+         "ql": ("qtable.json",),
+         "eval": ("config.json", "instances", "metrics.csv", "tours",
+                  "traces"),
+         "report": ("ratios.csv", "summary.csv", "trajectories")}
+# the last stage a run may stop after: the set-up's, or the report
+THROUGH = ("ql", "report")
+
+
+def _layers(through: str = "ql") -> tuple[str, ...]:
+    """The rows printed for a run through the stage ``through``."""
+    stages = list(FILES)
+    return ("imports", *stages[:stages.index(through) + 1], "world_read")
 
 
 @cache
@@ -125,11 +147,11 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _child(config: dict) -> dict:
-    """Each set-up stage's (seconds, peak MB after it, file digest) on the
-    config ``config``, run on the ``uavplan`` that ``sys.path`` finds,
-    pinned to one CPU, after the import's (seconds, peak MB); ``cpus`` is
-    the count it then runs on."""
+def _child(config: dict, through: str) -> dict:
+    """Each stage's (seconds, peak MB after it, files' digest) up to
+    ``through`` on the config ``config``, run on the ``uavplan`` that
+    ``sys.path`` finds, pinned to one CPU, after the import's (seconds,
+    peak MB); ``cpus`` is the count it then runs on."""
     cpus = _pin()
     start = time.perf_counter()
     from uavplan import harness
@@ -138,19 +160,26 @@ def _child(config: dict) -> dict:
     cfg = harness.config_from_dict(config)
     out = Path(cfg.output_dir)
     out.mkdir()
+    if through != "ql":   # so that a run through ql reads no newer name
+        for name in harness._DIRECTORIES[through]:
+            (out / name).mkdir()
     stages = harness._stages(cfg, out)
     start = time.perf_counter()
     for name, _ in stages:
         result[name] = [time.perf_counter() - start, _peak_mb()]
-        if name == "ql":
+        if name == through:
             break
         start = time.perf_counter()
     stages.close()
     import hashlib
 
-    for name, file in FILES.items():
-        result[name].append(hashlib.sha256((out / file).read_bytes())
-                            .hexdigest())
+    for name in _layers(through)[1:-1]:
+        digest = hashlib.sha256()
+        for path in map(out.joinpath, FILES[name]):
+            for file in sorted(path.rglob("*")) if path.is_dir() else [path]:
+                digest.update(file.relative_to(out).as_posix().encode())
+                digest.update(file.read_bytes())
+        result[name].append(digest.hexdigest())
     result["cpus"] = cpus
     return result
 
@@ -175,19 +204,24 @@ def _read(model: Path) -> dict:
         "cpus": cpus}
 
 
-def _config(workload: str, out: Path, pool: int | None) -> dict:
+def _config(workload: str, out: Path, pool: int | None,
+            seeds: int | None = None) -> dict:
     """The config of ``workload``'s shape into ``out``, with both pools
-    of ``pool`` hotspots unless it is None."""
+    of ``pool`` hotspots unless it is None, and ``seeds`` test instances
+    per size unless it is None."""
     config = _workloads()[workload].config(3011, 0, str(out))
     if pool is not None:
         config.update(training_pool_size=pool, testing_pool_size=pool)
+    if seeds is not None:
+        config.update(seeds_per_size=seeds)
     return config
 
 
-def _run(src: Path, out: Path, workload: str, pool: int | None) -> list[dict]:
-    """Two child processes on the package under ``src``: the set-up
-    stages of ``workload``'s shape (``_config``) into ``out``, then the
-    read of their world model."""
+def _run(src: Path, out: Path, workload: str, pool: int | None,
+         seeds: int | None = None, through: str = "ql") -> list[dict]:
+    """Two child processes on the package under ``src``: the stages
+    through ``through`` of ``workload``'s shape (``_config``) into
+    ``out``, then the read of their world model."""
 
     def child(*args: str) -> dict:
         done = subprocess.run(
@@ -196,8 +230,9 @@ def _run(src: Path, out: Path, workload: str, pool: int | None) -> list[dict]:
             env={**os.environ, "PYTHONPATH": str(src)})
         return json.loads(done.stdout)
 
-    return [child("--child", json.dumps(_config(workload, out, pool))),
-            child("--read", str(out / FILES["world"]))]
+    return [child("--child", json.dumps(_config(workload, out, pool, seeds)),
+                  through),
+            child("--read", str(out / FILES["world"][0]))]
 
 
 def _spread(values: list[float], digits: int) -> str:
@@ -209,10 +244,12 @@ def _spread(values: list[float], digits: int) -> str:
 
 
 def setup_layers(ref: str, rounds: int, workload: str = "train-large",
-                 pool: int | None = None) -> int:
-    times = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
-    peaks = {side: {layer: [] for layer in LAYERS} for side in ("ref", "tree")}
-    digests = {layer: set() for layer in LAYERS}
+                 pool: int | None = None, seeds: int | None = None,
+                 through: str = "ql") -> int:
+    layers = _layers(through)
+    times = {side: {layer: [] for layer in layers} for side in ("ref", "tree")}
+    peaks = {side: {layer: [] for layer in layers} for side in ("ref", "tree")}
+    digests = {layer: set() for layer in layers}
     cpus = set()   # the CPU count each process ran on
     with tempfile.TemporaryDirectory(prefix="setup_layers_") as tmp:
         tmp = Path(tmp)
@@ -224,17 +261,17 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large",
         for r in range(rounds):
             for side in (("ref", "tree") if r % 2 == 0 else ("tree", "ref")):
                 for result in _run(sources[side], tmp / f"out-{side}-{r}",
-                                   workload, pool):
+                                   workload, pool, seeds, through):
                     cpus.add(result.pop("cpus"))
                     for layer, (seconds, peak, *digest) in result.items():
                         times[side][layer].append(seconds)
                         peaks[side][layer].append(peak)
                         digests[layer].update(digest)
-    differ = [layer for layer in LAYERS if len(digests[layer]) > 1]
+    differ = [layer for layer in layers if len(digests[layer]) > 1]
     print(f"{'stage':18} {'ref ms [q1, q3]':>26} {'tree ms [q1, q3]':>26} "
           f"{'ref MB [q1, q3]':>24} {'tree MB [q1, q3]':>24} "
           f"{'tree faster':>11}")
-    for layer in LAYERS:
+    for layer in layers:
         # the rounds in which the tree's stage took less time than REF's
         faster = sum(tree < ref for tree, ref in
                      zip(times["tree"][layer], times["ref"][layer]))
@@ -251,8 +288,8 @@ def setup_layers(ref: str, rounds: int, workload: str = "train-large",
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--child":
-        print(json.dumps(_child(json.loads(argv[1]))))
+    if len(argv) == 3 and argv[0] == "--child":
+        print(json.dumps(_child(json.loads(argv[1]), argv[2])))
         return 0
     if len(argv) == 2 and argv[0] == "--read":
         print(json.dumps(_read(Path(argv[1]))))
@@ -263,16 +300,20 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", default="train-large",
                         choices=sorted(_workloads()))
     parser.add_argument("--training-pool", type=int, metavar="N")
+    parser.add_argument("--seeds-per-size", type=int, metavar="N")
+    parser.add_argument("--through", default="ql", choices=THROUGH)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:  # argparse has printed its message
         return e.code
-    pool = args.training_pool
-    if args.rounds < 1 or pool is not None and pool < max(
-            _workloads()[args.workload].test_sizes):
+    pool, seeds = args.training_pool, args.seeds_per_size
+    if (args.rounds < 1 or seeds is not None and seeds < 1
+            or pool is not None
+            and pool < max(_workloads()[args.workload].test_sizes)):
         parser.print_usage(sys.stderr)
         return 2
-    return setup_layers(args.ref, args.rounds, args.workload, pool)
+    return setup_layers(args.ref, args.rounds, args.workload, pool, seeds,
+                        args.through)
 
 
 if __name__ == "__main__":
